@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.errors import CloudError, MeasurementError, SimulationError
 from repro.cloud.instances import InstanceType, VirtualMachine, EC2_MEDIUM
+from repro.net.alloc import IncrementalAllocator
 from repro.net.fluid import FluidResult, FluidSimulation, RateTimeline
 from repro.net.flows import Flow
 from repro.net.latency import LatencyModel
@@ -38,6 +39,7 @@ from repro.net.packets import (
     TokenBucket,
     TrainObservation,
     send_packet_train,
+    send_packet_trains,
 )
 from repro.net.topology import Topology, TreeSpec, build_multi_rooted_tree
 from repro.net.traceroute import traceroute_hop_count
@@ -66,6 +68,30 @@ class VMFlow:
     start_time: float = 0.0
     end_time: Optional[float] = None
     tag: str = ""
+
+
+@dataclass
+class TrainBatch:
+    """Receiver-side observations of one packet train per probed pair.
+
+    What :meth:`CloudProvider.send_packet_trains` returns for a list of
+    ordered pairs: ``sent[k]`` is the position (in that list) of the pair
+    whose train is column ``k`` of ``first_rx_s``/``last_rx_s`` (shape
+    ``(n_bursts, len(sent))``); ``lost`` maps the position of each pair
+    whose probe an injected fault lost to the error its probe raises.
+    """
+
+    first_rx_s: np.ndarray
+    last_rx_s: np.ndarray
+    sent: List[int]
+    lost: Dict[int, str]
+    _rng: np.random.Generator
+    _rng_state: dict
+
+    def rewind(self) -> None:
+        """Give the provider's RNG back the draws this batch consumed, so a
+        caller that cannot use the batch can send the trains one by one."""
+        self._rng.bit_generator.state = self._rng_state
 
 
 @dataclass(frozen=True)
@@ -437,18 +463,52 @@ class CloudProvider:
         and packet trains see the network while the tenant's other
         applications are running.
         """
-        probe = VMFlow(
-            flow_id="__snapshot__",
-            src_vm=src_vm,
-            dst_vm=dst_vm,
-            size_bytes=None,
-            start_time=0.0,
-            end_time=window_s,
-            tag="snapshot",
-        )
-        shifted = [replace_background_window(flow, window_s) for flow in background]
-        result = self.simulate([probe] + shifted, until=window_s)
-        return result.timelines["__snapshot__"].average_rate(0.0, window_s)
+        return self._snapshot_rates([(src_vm, dst_vm)], background, window_s)[0]
+
+    def _snapshot_rates(
+        self,
+        pairs: Sequence[Tuple[str, str]],
+        background: Sequence[VMFlow],
+        window_s: float = 0.1,
+    ) -> List[float]:
+        """:meth:`snapshot_rate` of each pair in turn, on one allocator.
+
+        A snapshot is one max-min solve over the probe and the backlogged
+        background, so the background is registered once and each probe is
+        added, solved and removed — the rates a fresh
+        :meth:`simulate` per pair would record, bit for bit.
+        """
+        capacities = self.topology.capacities()
+        capacities.update(self._hose_capacities())
+        allocator = IncrementalAllocator(capacities)
+
+        def add(vm_flow: VMFlow) -> int:
+            flow, extra = self._to_net_flow(vm_flow)
+            path = self.topology.path_links(flow.src, flow.dst)
+            return allocator.add_flow(
+                flow.flow_id, extra + [link.link_id for link in path]
+            )
+
+        for vm_flow in background:
+            add(replace_background_window(vm_flow, window_s))
+        rates: List[float] = []
+        for src_vm, dst_vm in pairs:
+            slot = add(
+                VMFlow(
+                    flow_id="__snapshot__",
+                    src_vm=src_vm,
+                    dst_vm=dst_vm,
+                    size_bytes=None,
+                    start_time=0.0,
+                    end_time=window_s,
+                    tag="snapshot",
+                )
+            )
+            rate = float(allocator.solve_slots()[slot])
+            allocator.remove_flow("__snapshot__")
+            # RateTimeline.average_rate's own expression for one segment.
+            rates.append((0.0 + rate * window_s) / window_s)
+        return rates
 
     def packet_train_model(
         self,
@@ -512,6 +572,137 @@ class CloudProvider:
         model = self.packet_train_model(src_vm, dst_vm, background=background)
         rtt = self.rtt(src_vm, dst_vm)
         return send_packet_train(model, spec, rng=self._rng, rtt_s=rtt)
+
+    def train_replay_blocker(self) -> Optional[str]:
+        """Why :meth:`send_packet_trains` cannot serve this provider, if so.
+
+        A batch replays the RNG stream of the trains sent one by one, which
+        needs every train to consume the same number of draws: packet loss
+        interleaves binomial and choice draws, RTT noise a lognormal.
+        """
+        if self.params.loss_rate > 0:
+            return "lossy provider"
+        if self.latency.noise_fraction > 0:
+            return "noisy latency"
+        return None
+
+    def send_packet_trains(
+        self,
+        pairs: Sequence[Tuple[str, str]],
+        spec: PacketTrainSpec = PacketTrainSpec(),
+        background: Sequence[VMFlow] = (),
+    ) -> Optional[TrainBatch]:
+        """:meth:`send_packet_train` on each pair in turn, as one array program.
+
+        The clock does not move between the trains, so which probes an
+        injected fault loses, every VM's hose rate and the background are
+        fixed up front; each train that is sent then consumes one rate-noise
+        normal and ``2 * n_bursts`` jitter normals, so one bulk draw replays
+        the stream and the burst model runs over all pairs at once.  The
+        observations, and the RNG afterwards, are those of calling
+        :meth:`send_packet_train` pair by pair (a lost probe raising there
+        is an entry of :attr:`TrainBatch.lost` here).
+
+        Returns ``None``, with the RNG untouched, when the batch could not
+        be exact (see :meth:`train_replay_blocker`; a path model that the
+        scalar code would reject) — the caller then probes pair by pair.
+        """
+        params = self.params
+        depth = params.train_limiter_depth_bytes
+        if (
+            self.train_replay_blocker() is not None
+            or params.train_jitter_std_s < 0
+            or (depth is not None and depth < 0)
+        ):
+            return None
+        vm_index = {name: i for i, name in enumerate(self._vms)}
+        try:
+            src = np.fromiter((vm_index[a] for a, _ in pairs), np.intp, len(pairs))
+            dst = np.fromiter((vm_index[b] for _, b in pairs), np.intp, len(pairs))
+        except KeyError:
+            return None  # the scalar code names the unknown VM
+        lost: Dict[int, str] = {}
+        wild = None
+        if self.fault_timeline is not None:
+            wild = np.ones(len(pairs))
+            for i, (src_vm, dst_vm) in enumerate(pairs):
+                try:
+                    wild[i] = self._probe_fault_factor(src_vm, dst_vm, "packet train")
+                except MeasurementError as exc:
+                    lost[i] = str(exc)
+        if lost:
+            sent = [i for i in range(len(pairs)) if i not in lost]
+            src, dst, wild = src[sent], dst[sent], wild[sent]
+        else:
+            sent = list(range(len(pairs)))
+
+        # What each path offers before this train's noise: the physical
+        # bottleneck, and the sender's share of its hose.
+        host_names = [vm.host for vm in self._vms.values()]
+        host_index = {host: i for i, host in enumerate(dict.fromkeys(host_names))}
+        vm_host = np.array([host_index[host] for host in host_names], dtype=np.intp)
+        routed = vm_host[src] != vm_host[dst]
+        src_routed, dst_routed = src[routed].tolist(), dst[routed].tolist()
+        physical = self.topology.path_bottlenecks(
+            [(host_names[a], host_names[b]) for a, b in zip(src_routed, dst_routed)]
+        )
+        vm_names = list(self._vms)
+        if background and src_routed:
+            available = np.asarray(
+                self._snapshot_rates(
+                    [(vm_names[a], vm_names[b]) for a, b in zip(src_routed, dst_routed)],
+                    background,
+                )
+            )
+        else:
+            hose = np.zeros(len(vm_names))
+            for vm in set(src_routed):
+                hose[vm] = self.hose_rate(vm_names[vm])
+            available = hose[src[routed]]
+
+        jittered = params.train_jitter_std_s > 0
+        per_train = 1 + (2 * spec.n_bursts if jittered else 0)
+        rng_state = self._rng.bit_generator.state
+        normals = self._rng.standard_normal(len(sent) * per_train)
+        normals = normals.reshape(len(sent), per_train)
+        # rng.normal(0.0, s) is 0.0 + s * z on the same stream.
+        rate_noise = 1.0 + (0.0 + params.train_rate_noise * normals[:, 0])
+        rate_noise = np.maximum(rate_noise, 0.2)
+        if wild is not None:
+            rate_noise = rate_noise * wild
+        available = available * rate_noise[routed]
+        line_rate = 10 * GBITPS
+        unlimited = params.intra_host_rate_bps * rate_noise
+        if not (np.all(available > 0) and np.all(unlimited[~routed] > 0)):
+            # PathTransmissionModel / TokenBucket reject these after the
+            # draw, and a retry would draw again: not replayable.
+            self._rng.bit_generator.state = rng_state
+            return None
+        if depth is None:
+            # Hose enforcement is smooth: the burst drains at the available rate.
+            unlimited[routed] = np.minimum(available, physical)
+            limiter_rate = None
+        else:
+            # Colocated VMs bypass the limiter.  A bucket refilled at the
+            # path's own fast rate never binds and drains a burst in the
+            # unlimited path's very expression, so one call serves both.
+            unlimited[routed] = physical
+            limiter_rate = np.minimum(line_rate, unlimited)
+            limiter_rate[routed] = available
+        first_rx, last_rx = send_packet_trains(
+            spec,
+            line_rate_bps=line_rate,
+            unlimited_rate_bps=unlimited,
+            base_delay_s=np.where(routed, 100e-6, 20e-6),
+            jitter_std_s=params.train_jitter_std_s,
+            normals=normals[:, 1:],
+            limiter_rate_bps=limiter_rate,
+            limiter_depth_bytes=depth,
+        )
+        return TrainBatch(
+            first_rx_s=first_rx, last_rx_s=last_rx, sent=sent, lost=lost,
+            _rng=self._rng, _rng_state=rng_state,
+        )
 
     def traceroute(self, src_vm: str, dst_vm: str) -> int:
         """Hop count reported by traceroute (possibly obscured by the provider)."""

@@ -14,6 +14,7 @@
 from repro.core.measurement.packet_train import (
     ThroughputEstimate,
     estimate_throughput,
+    estimate_throughputs,
     mathis_throughput,
     CalibrationPoint,
     calibrate_train_parameters,
@@ -36,6 +37,7 @@ from repro.core.measurement.orchestrator import NetworkMeasurer, MeasurementPlan
 __all__ = [
     "ThroughputEstimate",
     "estimate_throughput",
+    "estimate_throughputs",
     "mathis_throughput",
     "CalibrationPoint",
     "calibrate_train_parameters",

@@ -15,9 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro import obs
 from repro.core.measurement.cross_traffic import estimate_cross_traffic
-from repro.core.measurement.packet_train import estimate_throughput
+from repro.core.measurement.packet_train import (
+    estimate_throughput,
+    estimate_throughputs,
+)
 from repro.core.network_profile import NetworkProfile
 from repro.errors import MeasurementError
 from repro.net.packets import PacketTrainSpec
@@ -89,6 +94,37 @@ class MeasurementPlan:
             raise MeasurementError("retry_backoff_s must be >= 0")
         if self.probe_budget is not None and self.probe_budget < 0:
             raise MeasurementError("probe_budget must be >= 0 (or None)")
+
+
+class _RetryLedger:
+    """A campaign's retry accounting: budget left, time charged, who degraded."""
+
+    def __init__(self, plan: MeasurementPlan, round_time_s: float):
+        self._plan = plan
+        self._round_time_s = round_time_s
+        self._retries_left = plan.probe_budget  # None == unlimited
+        self.retries = 0
+        self.time_s = 0.0
+        self.degraded: Dict[Tuple[str, str], str] = {}
+
+    def failed(self, pair: Tuple[str, str], attempt: int, error: str) -> bool:
+        """Account for the failure of ``pair``'s probe number ``attempt``.
+
+        True when the pair gets another probe (its backoff and re-probe time
+        charged); False when it is out of retries or budget and degrades.
+        """
+        out_of_budget = self._retries_left is not None and self._retries_left <= 0
+        if attempt >= self._plan.max_retries or out_of_budget:
+            reason = "probe budget exhausted" if out_of_budget else error
+            self.degraded[pair] = f"{attempt + 1} probe(s) failed: {reason}"
+            return False
+        self.time_s += (
+            self._plan.retry_backoff_s * (2.0 ** attempt) + self._round_time_s
+        )
+        if self._retries_left is not None:
+            self._retries_left -= 1
+        self.retries += 1
+        return True
 
 
 class NetworkMeasurer:
@@ -230,70 +266,58 @@ class NetworkMeasurer:
             raise MeasurementError("need at least two VMs to measure")
 
         started_at = self.provider.now
-        rates: Dict[Tuple[str, str], float] = {}
-        cross: Dict[Tuple[str, str], float] = {}
-        pair_times: Dict[Tuple[str, str], float] = {}
-        degraded: Dict[Tuple[str, str], str] = {}
-        advertised = self.provider.params.instance_type.advertised_egress_bps
         rounds = self.schedule_rounds(names, pairs=pairs)
         round_time = self.per_pair_time_s()
-        retry_time = 0.0
-        retries = 0
-        retries_left = self.plan.probe_budget  # None == unlimited
-        n_pairs = sum(len(batch) for batch in rounds)
+        scheduled = [pair for batch in rounds for pair in batch]
+        retry = _RetryLedger(self.plan, round_time)
         campaign = obs.span(
             "measure.campaign",
             vms=len(names),
-            pairs=n_pairs,
+            pairs=len(scheduled),
             rounds=len(rounds),
             method=self.plan.method,
         )
         with campaign:
-            for round_index, batch in enumerate(rounds):
-                probed_at = started_at + round_index * round_time
-                for src, dst in batch:
-                    rate = None
-                    attempt = 0
-                    while True:
-                        try:
-                            rate = self.measure_pair(
-                                src, dst, background=background
-                            )
-                            break
-                        except MeasurementError as exc:
-                            out_of_budget = (
-                                retries_left is not None and retries_left <= 0
-                            )
-                            if attempt >= self.plan.max_retries or out_of_budget:
-                                reason = "probe budget exhausted" \
-                                    if out_of_budget else f"{exc}"
-                                degraded[(src, dst)] = (
-                                    f"{attempt + 1} probe(s) failed: {reason}"
-                                )
-                                break
-                            retry_time += (
-                                self.plan.retry_backoff_s * (2.0 ** attempt)
-                                + round_time
-                            )
-                            if retries_left is not None:
-                                retries_left -= 1
-                            attempt += 1
-                            retries += 1
-                    if rate is None:
-                        continue
-                    rates[(src, dst)] = max(rate, 1.0)
-                    pair_times[(src, dst)] = probed_at
-                    if self.plan.estimate_cross_traffic and rate > 0:
-                        cross[(src, dst)] = estimate_cross_traffic(
-                            rate, max(advertised, rate)
-                        )
-            campaign.set(retries=retries, degraded=len(degraded))
+            # One array program over the whole schedule when the probes'
+            # RNG consumption is fixed up front; pair by pair otherwise.
+            reason = (
+                "netperf" if self.plan.method == "netperf"
+                else self.provider.train_replay_blocker()
+            )
+            estimates = None
+            if reason is None:
+                estimates = self._probe_all(scheduled, background, retry)
+                if estimates is None:
+                    reason = "replay aborted"
+            if estimates is None:
+                estimates = self._probe_each(scheduled, background, retry)
+            if reason is None:
+                campaign.set(path="array")
+            else:
+                campaign.set(path="per-probe", reason=reason)
+            campaign.set(retries=retry.retries, degraded=len(retry.degraded))
+
+        rates: Dict[Tuple[str, str], float] = {}
+        cross: Dict[Tuple[str, str], float] = {}
+        pair_times: Dict[Tuple[str, str], float] = {}
+        advertised = self.provider.params.instance_type.advertised_egress_bps
+        estimate = iter(estimates)
+        for round_index, batch in enumerate(rounds):
+            probed_at = started_at + round_index * round_time
+            for pair in batch:
+                rate = next(estimate)
+                if rate is None:
+                    continue
+                rates[pair] = max(rate, 1.0)
+                pair_times[pair] = probed_at
+                if self.plan.estimate_cross_traffic and rate > 0:
+                    cross[pair] = estimate_cross_traffic(rate, max(advertised, rate))
 
         _CAMPAIGNS.inc()
-        _PROBES.inc(n_pairs)
-        _RETRIES.inc(retries)
-        _DEGRADED.inc(len(degraded))
-        duration = len(rounds) * round_time + retry_time
+        _PROBES.inc(len(scheduled))
+        _RETRIES.inc(retry.retries)
+        _DEGRADED.inc(len(retry.degraded))
+        duration = len(rounds) * round_time + retry.time_s
         if self.plan.advance_clock:
             self.provider.advance_time(duration)
         return NetworkProfile(
@@ -304,5 +328,64 @@ class NetworkMeasurer:
             measured_at=started_at,
             measurement_duration_s=duration,
             pair_measured_at=pair_times,
-            degraded_pairs=degraded,
+            degraded_pairs=retry.degraded,
         )
+
+    def _probe_each(
+        self,
+        scheduled: Sequence[Tuple[str, str]],
+        background: Sequence[VMFlow],
+        retry: "_RetryLedger",
+    ) -> List[Optional[float]]:
+        """Probe the schedule pair by pair: each pair's estimate, ``None``
+        for a pair whose retries ran out."""
+        estimates: List[Optional[float]] = []
+        for pair in scheduled:
+            rate = None
+            attempt = 0
+            while True:
+                try:
+                    rate = self.measure_pair(*pair, background=background)
+                    break
+                except MeasurementError as exc:
+                    if not retry.failed(pair, attempt, f"{exc}"):
+                        break
+                    attempt += 1
+            estimates.append(rate)
+        return estimates
+
+    def _probe_all(
+        self,
+        scheduled: Sequence[Tuple[str, str]],
+        background: Sequence[VMFlow],
+        retry: "_RetryLedger",
+    ) -> Optional[List[Optional[float]]]:
+        """:meth:`_probe_each` as one array program over the schedule.
+
+        The clock stands still during a campaign, so a probe an injected
+        fault loses is lost again on every retry, and the retries consume no
+        randomness: only the ledger sees them.  ``None`` (RNG and ledger
+        untouched) when the batch cannot replay the pair-by-pair probes
+        exactly.
+        """
+        batch = self.provider.send_packet_trains(
+            scheduled, self.plan.train_spec, background=background
+        )
+        if batch is None:
+            return None
+        rates = estimate_throughputs(
+            self.plan.train_spec, batch.first_rx_s, batch.last_rx_s
+        )
+        if not np.isfinite(rates).all():
+            # A train without measurable packets fails after its draws and
+            # is retried with fresh ones.
+            batch.rewind()
+            return None
+        estimates: List[Optional[float]] = [None] * len(scheduled)
+        for position, rate in zip(batch.sent, rates.tolist()):
+            estimates[position] = rate
+        for position, error in batch.lost.items():
+            attempt = 0
+            while retry.failed(scheduled[position], attempt, error):
+                attempt += 1
+        return estimates

@@ -132,6 +132,33 @@ def estimate_throughput(
     )
 
 
+def estimate_throughputs(
+    spec: PacketTrainSpec, first_rx_s: np.ndarray, last_rx_s: np.ndarray
+) -> np.ndarray:
+    """:func:`estimate_throughput` for many lossless trains at once.
+
+    ``first_rx_s``/``last_rx_s`` hold the first- and last-packet receive
+    times of every burst, shape ``(n_bursts, n_trains)``, as
+    :func:`repro.net.packets.send_packet_trains` returns them.  No packet
+    was lost, so the Mathis bound is vacuous and the estimate is the train
+    estimate; the spans are corrected and summed burst by burst, as the
+    scalar estimator does, so each rate is the float it returns.  A train
+    with no measurable packets (the scalar estimator raises) reads NaN.
+    """
+    gaps = spec.burst_length - 1
+    total_span = np.zeros(first_rx_s.shape[1:])
+    usable_bursts = np.zeros(first_rx_s.shape[1:], dtype=np.int64)
+    for first, last in zip(first_rx_s, last_rx_s):
+        span = (last - first) * gaps / gaps
+        usable = span > 0
+        total_span += np.where(usable, span, 0.0)
+        usable_bursts += usable
+    received = usable_bursts * spec.burst_length
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rates = spec.packet_size_bytes * BITS_PER_BYTE * received / total_span
+    return np.where((received > 0) & (total_span > 0), rates, np.nan)
+
+
 @dataclass(frozen=True)
 class CalibrationPoint:
     """Mean relative error of one packet-train configuration (Figure 6)."""

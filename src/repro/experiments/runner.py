@@ -348,7 +348,9 @@ class ExperimentRunner:
             for key, cell in unique.items():
                 item = self._work_item(*cell)
                 cached = (
-                    self.store.get(self._store_key(item)) if self.store else None
+                    self.store.get(self._store_key(item))
+                    if self.store is not None
+                    else None
                 )
                 if cached is not None:
                     memo[key] = cached

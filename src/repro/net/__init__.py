@@ -35,6 +35,7 @@ from repro.net.packets import (
     BurstObservation,
     TrainObservation,
     send_packet_train,
+    send_packet_trains,
 )
 from repro.net.traceroute import traceroute_hop_count
 from repro.net.latency import LatencyModel
@@ -72,6 +73,7 @@ __all__ = [
     "BurstObservation",
     "TrainObservation",
     "send_packet_train",
+    "send_packet_trains",
     "traceroute_hop_count",
     "LatencyModel",
 ]

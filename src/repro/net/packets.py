@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -315,3 +315,109 @@ def send_packet_train(
 
     observation.send_duration_s = send_clock
     return observation
+
+
+def _bucket_drain_times(
+    tokens_bytes: np.ndarray,
+    rate_bps: np.ndarray,
+    depth_bytes: float,
+    burst_bytes: float,
+    fast_rate_bps: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:meth:`TokenBucket.drain_time` over many buckets: ``(drain, tokens)``.
+
+    Every branch of the scalar method is evaluated for every bucket with
+    the scalar's own expressions and the result selected per bucket, so
+    each element is the float the scalar method returns.
+    """
+    fast_rate = np.maximum(fast_rate_bps, rate_bps)
+    at_rate = (fast_rate <= rate_bps) | (depth_bytes == 0)
+    token_drain_rate = (fast_rate - rate_bps) / BITS_PER_BYTE
+    with np.errstate(divide="ignore", invalid="ignore"):
+        time_to_empty = tokens_bytes / token_drain_rate
+        fast_phase_bytes = fast_rate * time_to_empty / BITS_PER_BYTE
+        in_fast_phase = burst_bytes <= fast_phase_bytes
+        fast_duration = burst_bytes * BITS_PER_BYTE / fast_rate
+        remainder = burst_bytes - fast_phase_bytes
+        two_phase = time_to_empty + remainder * BITS_PER_BYTE / rate_bps
+    drain = np.where(
+        at_rate,
+        burst_bytes * BITS_PER_BYTE / rate_bps,
+        np.where(in_fast_phase, fast_duration, two_phase),
+    )
+    tokens = np.where(
+        at_rate,
+        np.minimum(depth_bytes, tokens_bytes),
+        np.where(
+            in_fast_phase,
+            np.maximum(0.0, tokens_bytes - token_drain_rate * fast_duration),
+            0.0,
+        ),
+    )
+    return drain, tokens
+
+
+def send_packet_trains(
+    spec: PacketTrainSpec,
+    line_rate_bps: float,
+    unlimited_rate_bps: np.ndarray,
+    base_delay_s: Union[float, np.ndarray],
+    jitter_std_s: float,
+    normals: np.ndarray,
+    limiter_rate_bps: Optional[np.ndarray] = None,
+    limiter_depth_bytes: Optional[float] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`send_packet_train` over many lossless paths at once.
+
+    The arguments are the fields of a :class:`PathTransmissionModel` with
+    ``loss_rate == 0``, the per-path ones as arrays with one element per
+    path: the unlimited rate, the base delay (or one for all) and, with
+    ``limiter_rate_bps``, the rate of a full token bucket of
+    ``limiter_depth_bytes``.  ``normals`` stands in for the generator: row
+    ``i`` holds the ``2 * n_bursts`` standard normals path ``i``'s jitter
+    draw consumes (unused without jitter).
+
+    Returns the first- and last-packet receive times of every burst, shape
+    ``(n_bursts, n_paths)`` — every packet arrives, so that is the whole
+    observation.  Each step applies the scalar function's expression to all
+    paths, which makes every element the float the scalar function records.
+    """
+    fast_rate = np.minimum(line_rate_bps, unlimited_rate_bps)
+    burst_bytes = spec.burst_bytes
+    packet_bits = spec.packet_size_bytes * BITS_PER_BYTE
+    step = burst_bytes * BITS_PER_BYTE / line_rate_bps + spec.inter_burst_gap_s
+    initial_rate = fast_rate
+    if limiter_rate_bps is None:
+        drain = burst_bytes * BITS_PER_BYTE / fast_rate
+    else:
+        tokens = np.full(fast_rate.shape, float(limiter_depth_bytes))
+        if limiter_depth_bytes < spec.packet_size_bytes:
+            initial_rate = np.minimum(fast_rate, limiter_rate_bps)
+    first_packet = packet_bits / initial_rate
+    repair = packet_bits / fast_rate
+    if jitter_std_s > 0:
+        # |0.0 + std * z| burst-major, so each burst reads contiguous rows.
+        jitter = np.multiply(normals.T, jitter_std_s, order="C")
+        np.abs(jitter, out=jitter)
+    first_rx = np.empty((spec.n_bursts,) + fast_rate.shape)
+    last_rx = np.empty_like(first_rx)
+    send_clock = 0.0
+    for burst_no in range(spec.n_bursts):
+        if limiter_rate_bps is not None:
+            drain, tokens = _bucket_drain_times(
+                tokens, limiter_rate_bps, limiter_depth_bytes, burst_bytes, fast_rate
+            )
+        first = send_clock + base_delay_s + first_packet
+        last = send_clock + base_delay_s + drain
+        if jitter_std_s > 0:
+            first += jitter[2 * burst_no] * 0.1
+            last += jitter[2 * burst_no + 1]
+        first_rx[burst_no] = first
+        last_rx[burst_no] = np.where(last <= first, first + repair, last)
+        send_clock += step
+        if limiter_rate_bps is not None:
+            tokens = np.minimum(
+                limiter_depth_bytes,
+                tokens + limiter_rate_bps * step / BITS_PER_BYTE,
+            )
+    return first_rx, last_rx

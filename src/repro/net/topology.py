@@ -25,7 +25,7 @@ import enum
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import networkx as nx
 import numpy as np
@@ -181,6 +181,98 @@ class _TreeRouter:
             ]
         return [src, tor_a, f"agg{pa}", core, f"agg{pb}", tor_b, dst]
 
+    def link_tables(self, index: Mapping[str, int]) -> "_TreeLinkTables":
+        """Link indices of the tree by coordinate, for :meth:`link_rows`.
+
+        ``index`` maps link ids to positions (a topology's own link order).
+        Each rack's uplinks are one link (ToR to pod aggregation) or, with
+        the extra tier, two.  Core columns follow the sorted core names the
+        ECMP pick indexes.
+        """
+        spec = self.spec
+
+        def links(hops: Sequence[str]) -> List[int]:
+            return [index[directed_link_id(a, b)] for a, b in zip(hops, hops[1:])]
+
+        rack_up, rack_down, host_up, host_down = [], [], [], []
+        for pod in range(spec.pods):
+            for rack in range(spec.racks_per_pod):
+                climb = [f"tor{pod}.{rack}", f"agg{pod}"]
+                if spec.extra_agg_layer:
+                    climb.insert(1, f"agg{pod}.{rack}")
+                rack_up.append(links(climb))
+                rack_down.append(links(climb[::-1]))
+                first = len(host_up)
+                for host in range(first, first + spec.hosts_per_rack):
+                    host_up.append(index[directed_link_id(f"host{host}", climb[0])])
+                    host_down.append(index[directed_link_id(climb[0], f"host{host}")])
+        core_up = [
+            [index[directed_link_id(f"agg{pod}", core)] for core in self._cores_sorted]
+            for pod in range(spec.pods)
+        ]
+        core_down = [
+            [index[directed_link_id(core, f"agg{pod}")] for core in self._cores_sorted]
+            for pod in range(spec.pods)
+        ]
+        return _TreeLinkTables(
+            *(
+                np.asarray(table, dtype=np.int32)
+                for table in (host_up, host_down, rack_up, rack_down, core_up, core_down)
+            )
+        )
+
+    def link_rows(
+        self,
+        tables: "_TreeLinkTables",
+        pairs: Sequence[Tuple[str, str]],
+        src: "np.ndarray",
+        dst: "np.ndarray",
+    ) -> Tuple["np.ndarray", "np.ndarray"]:
+        """:meth:`node_path` for many pairs at once, as link-index rows.
+
+        ``src``/``dst`` hold the host indices of ``pairs`` (canonical,
+        distinct hosts).  Returns ``(rows, lengths)`` with -1 padding; only
+        the SHA-256 core pick of cross-pod pairs is computed per pair.
+        """
+        spec = self.spec
+        rack_src = src // spec.hosts_per_rack
+        rack_dst = dst // spec.hosts_per_rack
+        pod_src = src // self._hosts_per_pod
+        pod_dst = dst // self._hosts_per_pod
+        near = np.flatnonzero((rack_src != rack_dst) & (pod_src == pod_dst))
+        far = np.flatnonzero(pod_src != pod_dst)
+        tier = tables.rack_up.shape[1]
+        lengths = np.full(src.shape[0], 2, dtype=np.int32)
+        lengths[near] = 2 + 2 * tier
+        lengths[far] = 4 + 2 * tier
+        rows = np.full((src.shape[0], int(lengths.max())), -1, dtype=np.int32)
+        rows[:, 0] = tables.host_up[src]
+        rows[np.arange(src.shape[0]), lengths - 1] = tables.host_down[dst]
+        for group, top in ((near, 0), (far, 2)):
+            if group.shape[0]:
+                rows[group, 1 : 1 + tier] = tables.rack_up[rack_src[group]]
+                rows[group, 1 + tier + top : 1 + 2 * tier + top] = (
+                    tables.rack_down[rack_dst[group]]
+                )
+        if far.shape[0]:
+            if spec.num_cores == 1:
+                core = 0
+            else:
+                sha256, cores = hashlib.sha256, spec.num_cores
+                core = np.fromiter(
+                    (
+                        int.from_bytes(
+                            sha256(f"{a}|{b}".encode()).digest()[:4], "big"
+                        ) % cores
+                        for a, b in (pairs[i] for i in far.tolist())
+                    ),
+                    dtype=np.intp,
+                    count=far.shape[0],
+                )
+            rows[far, 1 + tier] = tables.core_up[pod_src[far], core]
+            rows[far, 2 + tier] = tables.core_down[pod_dst[far], core]
+        return rows, lengths
+
     def hop_count(self, src: str, dst: str) -> Optional[int]:
         """Paper-convention hop count between two hosts, or None."""
         a = self.host_coords(src)
@@ -198,6 +290,17 @@ class _TreeRouter:
                 return 2
             return 6 if self.spec.extra_agg_layer else 4
         return 8 if self.spec.extra_agg_layer else 6
+
+
+class _TreeLinkTables(NamedTuple):
+    """One topology's link indices by tree coordinate (see ``link_tables``)."""
+
+    host_up: "np.ndarray"  # [host] host -> its ToR
+    host_down: "np.ndarray"  # [host] ToR -> host
+    rack_up: "np.ndarray"  # [rack, tier] ToR -> ... -> pod aggregation
+    rack_down: "np.ndarray"  # [rack, tier] pod aggregation -> ... -> ToR
+    core_up: "np.ndarray"  # [pod, core] pod aggregation -> core
+    core_down: "np.ndarray"  # [pod, core] core -> pod aggregation
 
 
 def _register_tree_router(topo: "Topology", spec: "TreeSpec") -> None:
@@ -340,6 +443,7 @@ class Topology:
         self._path_cache: Dict[Tuple[str, str], List[str]] = {}
         self._path_links_cache: Dict[Tuple[str, str], List[Link]] = {}
         self._structure_token: Optional[str] = None
+        self._tree_tables: Optional[_TreeLinkTables] = None
 
     # ------------------------------------------------------------------ nodes
     def add_node(self, name: str, kind: NodeKind, level: int = 0) -> None:
@@ -391,6 +495,7 @@ class Topology:
         self._path_cache.clear()
         self._path_links_cache.clear()
         self._structure_token = None
+        self._tree_tables = None
 
     # ------------------------------------------------------------ inspection
     def node_kind(self, name: str) -> NodeKind:
@@ -603,42 +708,74 @@ class Topology:
         """
         link_ids = list(self._links)
         index = {lid: i for i, lid in enumerate(link_ids)}
+        n = len(pairs)
+        lengths = np.zeros(n, dtype=np.int32)
+        tree_rows = None
+        one_by_one: Iterable[int] = range(n)
         router = None
         if _structured_routing_enabled:
             router = _structured_routers.get(self.structure_token())
-        all_rows: List[Tuple[int, ...]] = []
         try:
-            for src, dst in pairs:
-                if src == dst:
-                    if self.node_kind(src) is not NodeKind.HOST:
-                        raise RoutingError(
-                            f"loopback path requires a host, got {src!r}"
-                        )
-                    all_rows.append((index[loopback_link_id(src)],))
-                    continue
-                nodes = router.node_path(src, dst) if router is not None else None
-                if nodes is None:
-                    nodes = self.node_path(src, dst)
-                all_rows.append(
-                    tuple(
-                        index[directed_link_id(a, b)]
-                        for a, b in zip(nodes, nodes[1:])
+            if router is not None and n:
+                # Canonical, distinct hosts route arithmetically, all at once.
+                hosts = {}
+                for name in {name for pair in pairs for name in pair}:
+                    coords = router.host_coords(name)
+                    hosts[name] = -1 if coords is None else coords[0]
+                src = np.fromiter((hosts[a] for a, _ in pairs), np.intp, count=n)
+                dst = np.fromiter((hosts[b] for _, b in pairs), np.intp, count=n)
+                tree = np.flatnonzero((src >= 0) & (dst >= 0) & (src != dst))
+                if tree.shape[0]:
+                    if self._tree_tables is None:
+                        self._tree_tables = router.link_tables(index)
+                    routed = pairs if tree.shape[0] == n else [
+                        pairs[i] for i in tree.tolist()
+                    ]
+                    tree_rows, lengths[tree] = router.link_rows(
+                        self._tree_tables, routed, src[tree], dst[tree]
                     )
+                    _structured_route_hits.inc(tree.shape[0])
+                    one_by_one = np.flatnonzero(lengths == 0).tolist()
+            # Everything else: loopback pairs and graph-search routes.
+            other_rows: Dict[int, Tuple[int, ...]] = {}
+            for i in one_by_one:
+                src_name, dst_name = pairs[i]
+                if src_name == dst_name:
+                    if self.node_kind(src_name) is not NodeKind.HOST:
+                        raise RoutingError(
+                            f"loopback path requires a host, got {src_name!r}"
+                        )
+                    other_rows[i] = (index[loopback_link_id(src_name)],)
+                    continue
+                nodes = self.node_path(src_name, dst_name)
+                other_rows[i] = tuple(
+                    index[directed_link_id(a, b)] for a, b in zip(nodes, nodes[1:])
                 )
         except KeyError as exc:  # pragma: no cover - defensive
             raise RoutingError(f"path uses unknown link: {exc}") from exc
-        n = len(all_rows)
-        lengths = np.fromiter((len(r) for r in all_rows), dtype=np.int64, count=n)
-        total = int(lengths.sum()) if n else 0
-        flat = np.fromiter(
-            (i for row in all_rows for i in row), dtype=np.int32, count=total
+        for i, row in other_rows.items():
+            lengths[i] = len(row)
+        rows = np.full((n, int(lengths.max()) if n else 0), -1, dtype=np.int32)
+        if tree_rows is not None:
+            rows[tree, : tree_rows.shape[1]] = tree_rows
+        for i, row in other_rows.items():
+            rows[i, : len(row)] = row
+        return rows, lengths, link_ids
+
+    def path_bottlenecks(self, pairs: Sequence[Tuple[str, str]]) -> "np.ndarray":
+        """Capacity (bits/s) of the narrowest link on each pair's path.
+
+        The batched ``min(link.capacity_bps for link in path_links(a, b))``.
+        """
+        if not len(pairs):
+            return np.zeros(0)
+        rows, _, _ = self.path_links_matrix(pairs)
+        capacity = np.fromiter(
+            (link.capacity_bps for link in self._links.values()),
+            dtype=np.float64,
+            count=len(self._links),
         )
-        max_hops = int(lengths.max()) if n else 0
-        rows = np.full((n, max_hops), -1, dtype=np.int32)
-        if n and max_hops:
-            mask = np.arange(max_hops)[None, :] < lengths[:, None]
-            rows[mask] = flat
-        return rows, lengths.astype(np.int32), link_ids
+        return np.where(rows >= 0, capacity[rows], np.inf).min(axis=1)
 
 
 # --------------------------------------------------------------------------

@@ -24,6 +24,20 @@ HOURS_PER_DAY = 24
 Predictor = Callable[[Sequence[float], int], Optional[float]]
 
 
+def _mean(values: Sequence[float]) -> float:
+    """``float(np.mean(values))``, without the array round trip for the one-
+    and two-element histories a session's first day is made of.
+
+    ``np.mean`` of two float64s is ``(a + b) / 2`` in float64 — the same
+    IEEE operations as the Python expression — and of one is itself.
+    """
+    if len(values) == 1:
+        return float(values[0])
+    if len(values) == 2:
+        return (float(values[0]) + float(values[1])) / 2
+    return float(np.mean(values))
+
+
 def previous_hour_predictor(series: Sequence[float], hour: int) -> Optional[float]:
     """Predict hour ``hour`` as the value of the previous hour."""
     if hour < 1:
@@ -39,7 +53,7 @@ def time_of_day_predictor(series: Sequence[float], hour: int) -> Optional[float]
     ]
     if not history:
         return None
-    return float(np.mean(history))
+    return _mean(history)
 
 
 def combined_predictor(series: Sequence[float], hour: int) -> Optional[float]:
@@ -58,7 +72,7 @@ def combined_predictor(series: Sequence[float], hour: int) -> Optional[float]:
     ]
     if not parts:
         return None
-    return float(np.mean(parts))
+    return _mean(parts)
 
 
 @dataclass

@@ -183,17 +183,24 @@ def test_code_version_is_stable_and_tracks_source_changes(tmp_path):
     assert tree_digest(tmp_path) == tree_digest(tmp_path)
 
 
-def test_warm_run_executes_zero_trials_and_matches_cold(tmp_path):
+def test_warm_run_executes_zero_trials_and_matches_cold(tmp_path, monkeypatch):
+    def no_listing(store):
+        raise AssertionError("a sweep must not list the store (O(cells) per cell)")
+
+    monkeypatch.setattr(ResultStore, "__len__", no_listing)
     config = _small_config(workers=1, cache_dir=str(tmp_path))
     cold_runner = ExperimentRunner(config)
     cold = cold_runner.run()
     assert cold_runner.last_stats.executed == 4
     assert cold_runner.last_stats.cache_hits == 0
+    # An empty store is still a store: every cold cell is looked up, and missed.
+    assert cold_runner.store.stats["misses"] == 4
 
     warm_runner = ExperimentRunner(config)
     warm = warm_runner.run()
     assert warm_runner.last_stats.executed == 0
     assert warm_runner.last_stats.cache_hits == 4
+    assert warm_runner.store.stats["hits"] == 4
     # Cached records carry the cold run's timings, so the full (not just
     # canonical) JSON is bit-identical.
     assert json.dumps(cold.to_json_dict(), sort_keys=True) == json.dumps(

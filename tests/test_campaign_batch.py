@@ -1,0 +1,360 @@
+"""The campaign as one array program vs. the per-probe loop it replays.
+
+``NetworkMeasurer.measure`` runs a packet-train campaign as one array
+program whenever the probes' RNG consumption is fixed up front.  The
+oracle here is the per-probe loop — ``measure_pair`` once per scheduled
+pair, retries and backoff inline — on a fresh same-seed provider: the two
+must agree to the last bit on every field of the profile, on the
+``repro.measure.*`` counters, and on the provider RNG's state afterwards.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from repro import obs
+from repro.cloud.ec2 import ec2_params
+from repro.cloud.provider import VMFlow
+from repro.cloud.registry import make_provider
+from repro.core.measurement import MeasurementPlan, NetworkMeasurer
+from repro.core.measurement.cross_traffic import estimate_cross_traffic
+from repro.errors import MeasurementError
+from repro.faults import attach_faults, generate_faults
+from repro.obs.report import load_events
+from repro.service.timeline import attach_timeline, generate_timeline
+from repro.units import MBYTE
+
+EPOCH_S = 300.0
+COUNTERS = (
+    "repro.measure.campaigns_run",
+    "repro.measure.probes",
+    "repro.measure.probe_retries",
+    "repro.measure.probes_degraded",
+)
+
+
+def build_provider(name, n_vms=8, seed=3, faults=None, colocate=None, drift=None):
+    kwargs = {}
+    if colocate is not None:
+        kwargs["params"] = dataclasses.replace(
+            make_provider(name).params, colocation_probability=colocate
+        )
+    provider = make_provider(name, seed=seed, **kwargs)
+    provider.request_vms(n_vms)
+    names = [vm.name for vm in provider.vms()]
+    if drift is not None:
+        attach_timeline(
+            provider,
+            generate_timeline(
+                provider.base_hose_rates(), 3, drift=drift, seed=seed, epoch_s=EPOCH_S
+            ),
+        )
+    if faults is not None:
+        racks = {
+            vm.name: provider.topology.rack_of(vm.host) for vm in provider.vms()
+        }
+        attach_faults(
+            provider,
+            generate_faults(
+                names, 2, faults=faults, seed=seed, strength=0.4,
+                epoch_s=EPOCH_S, racks=racks,
+            ),
+        )
+    # Past every fault's onset: windows open at epoch 1, preemptions land
+    # before 1.75 epochs.
+    provider.advance_time(1.8 * EPOCH_S)
+    return provider, names
+
+
+def background_flows(names, rng, n_flows=12):
+    flows = []
+    for i in range(n_flows):
+        src, dst = rng.choice(len(names), size=2, replace=False)
+        flows.append(
+            VMFlow(
+                flow_id=f"bg{i}", src_vm=names[src], dst_vm=names[dst],
+                size_bytes=50 * MBYTE, start_time=0.0,
+            )
+        )
+    return flows
+
+
+def oracle_campaign(measurer, names, background=(), pairs=None):
+    """The campaign, probe by probe: the loop the array program replays."""
+    plan, provider = measurer.plan, measurer.provider
+    started_at = provider.now
+    rates, cross, pair_times, degraded = {}, {}, {}, {}
+    advertised = provider.params.instance_type.advertised_egress_bps
+    rounds = measurer.schedule_rounds(names, pairs=pairs)
+    round_time = measurer.per_pair_time_s()
+    retry_time = 0.0
+    retries = 0
+    retries_left = plan.probe_budget
+    for round_index, batch in enumerate(rounds):
+        probed_at = started_at + round_index * round_time
+        for src, dst in batch:
+            rate = None
+            attempt = 0
+            while True:
+                try:
+                    rate = measurer.measure_pair(src, dst, background=background)
+                    break
+                except MeasurementError as exc:
+                    out_of_budget = retries_left is not None and retries_left <= 0
+                    if attempt >= plan.max_retries or out_of_budget:
+                        reason = "probe budget exhausted" if out_of_budget else f"{exc}"
+                        degraded[(src, dst)] = f"{attempt + 1} probe(s) failed: {reason}"
+                        break
+                    retry_time += plan.retry_backoff_s * (2.0 ** attempt) + round_time
+                    if retries_left is not None:
+                        retries_left -= 1
+                    attempt += 1
+                    retries += 1
+            if rate is None:
+                continue
+            rates[(src, dst)] = max(rate, 1.0)
+            pair_times[(src, dst)] = probed_at
+            if plan.estimate_cross_traffic and rate > 0:
+                cross[(src, dst)] = estimate_cross_traffic(rate, max(advertised, rate))
+    duration = len(rounds) * round_time + retry_time
+    if plan.advance_clock:
+        provider.advance_time(duration)
+    return {
+        "rates": list(rates.items()),
+        "cross": list(cross.items()),
+        "pair_times": list(pair_times.items()),
+        "degraded": list(degraded.items()),
+        "duration": duration,
+        "counters": [1, sum(map(len, rounds)), retries, len(degraded)],
+        "rng": provider._rng.bit_generator.state,
+        "clock": provider.now,
+    }
+
+
+def campaign(measurer, names, background=(), pairs=None):
+    before = obs.metrics.snapshot()
+    profile = measurer.measure(names, background=background, pairs=pairs)
+    after = obs.metrics.snapshot()
+    return {
+        "rates": list(profile.rates_bps.items()),
+        "cross": list(profile.cross_traffic.items()),
+        "pair_times": list(profile.pair_measured_at.items()),
+        "degraded": list(profile.degraded_pairs.items()),
+        "duration": profile.measurement_duration_s,
+        "counters": [after[name] - before.get(name, 0) for name in COUNTERS],
+        "rng": measurer.provider._rng.bit_generator.state,
+        "clock": measurer.provider.now,
+    }
+
+
+class ArrayOnlyMeasurer(NetworkMeasurer):
+    """A measurer whose campaign must not fall back to probing pair by pair."""
+
+    def measure_pair(self, src_vm, dst_vm, background=()):
+        raise AssertionError("the campaign took the per-probe path")
+
+
+def assert_campaign_matches_oracle(
+    build, plan, background=None, pairs=None, array=True
+):
+    """``build()`` twice gives two identical providers: one per path."""
+    provider, names = build()
+    oracle_provider, _ = build()
+    flows = background(names) if background is not None else ()
+    chosen = pairs(names) if pairs is not None else None
+    measurer = ArrayOnlyMeasurer if array else NetworkMeasurer
+    got = campaign(measurer(provider, plan), names, flows, chosen)
+    want = oracle_campaign(NetworkMeasurer(oracle_provider, plan), names, flows, chosen)
+    assert got == want  # floats compared with ==: bit for bit
+    return got
+
+
+@pytest.fixture
+def trace_to(tmp_path):
+    path = tmp_path / "trace.jsonl"
+    obs.configure(str(path), export_env=False)
+    try:
+        yield path
+    finally:
+        obs.configure(None, export_env=False)
+
+
+def campaign_spans(path):
+    obs.configure(None, export_env=False)
+    return [
+        ev["attrs"] for ev in load_events(path)
+        if ev["ev"] == "span" and ev["name"] == "measure.campaign"
+    ]
+
+
+# ------------------------------------------------------------ the property
+@pytest.mark.parametrize("parallelism", [1, 4])
+@pytest.mark.parametrize("name", ["ec2", "rackspace", "ec2-legacy"])
+def test_full_mesh_is_bit_identical(name, parallelism):
+    plan = MeasurementPlan(parallelism=parallelism)
+    got = assert_campaign_matches_oracle(
+        lambda: build_provider(name), plan, array=name != "ec2-legacy"
+    )
+    assert len(got["rates"]) == 8 * 7 and not got["degraded"]
+
+
+@pytest.mark.parametrize("name", ["ec2", "rackspace"])
+def test_colocated_vms_and_cross_traffic_estimates(name):
+    plan = MeasurementPlan(estimate_cross_traffic=True, advance_clock=False)
+
+    def build():
+        return build_provider(name, n_vms=10, colocate=0.6)
+
+    provider, _ = build()
+    assert len({vm.host for vm in provider.vms()}) < 10  # some VMs do share hosts
+    got = assert_campaign_matches_oracle(build, plan)
+    assert len(got["cross"]) == len(got["rates"]) == 90
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+def test_pair_subsets_with_duplicates(parallelism):
+    def pairs(names):
+        rng = np.random.default_rng(11)
+        picks = [
+            tuple(names[i] for i in rng.choice(len(names), size=2, replace=False))
+            for _ in range(25)
+        ]
+        return picks + picks[:7]
+
+    plan = MeasurementPlan(parallelism=parallelism)
+    got = assert_campaign_matches_oracle(
+        lambda: build_provider("ec2"), plan, pairs=pairs
+    )
+    assert 0 < len(got["rates"]) <= 25
+
+
+@pytest.mark.parametrize("name", ["ec2", "rackspace", "ec2-legacy"])
+def test_background_flows(name):
+    def background(names):
+        return background_flows(names, np.random.default_rng(5))
+
+    assert_campaign_matches_oracle(
+        lambda: build_provider(name, drift="hotspot-flap"),
+        MeasurementPlan(),
+        background=background,
+        array=name != "ec2-legacy",
+    )
+
+
+@pytest.mark.parametrize("probe_budget", [None, 0, 3])
+@pytest.mark.parametrize("faults", ["lossy-probes", "random-preempt", "rack-outage"])
+@pytest.mark.parametrize("name", ["ec2", "rackspace"])
+def test_fault_timelines(name, faults, probe_budget):
+    plan = MeasurementPlan(probe_budget=probe_budget, parallelism=2)
+
+    def background(names):
+        return background_flows(names, np.random.default_rng(7), n_flows=5)
+
+    got = assert_campaign_matches_oracle(
+        lambda: build_provider(name, n_vms=12, faults=faults), plan,
+        background=background if faults == "rack-outage" else None,
+    )
+    assert got["degraded"]  # the timeline did lose probes
+    if probe_budget == 0:
+        assert got["counters"][2] == 0
+        assert all("budget exhausted" in reason for _, reason in got["degraded"])
+
+
+def test_wild_probes_scale_the_estimate():
+    provider, names = build_provider("ec2", n_vms=12, faults="lossy-probes")
+    clean, _ = build_provider("ec2", n_vms=12)
+    plan = MeasurementPlan(advance_clock=False)
+    faulty = NetworkMeasurer(provider, plan).measure(names)
+    # Same seed, same clock, no timeline: the stream is shifted by the lost
+    # probes, so compare through the timeline's own verdicts instead.
+    wild = [
+        (e.src, e.dst) for e in provider.fault_timeline.events if e.mode == "wild"
+    ]
+    assert wild and all(pair in faulty.rates_bps for pair in wild)
+    truth = max(clean.hose_rate(vm) for vm in names)
+    assert any(faulty.rates_bps[pair] > 1.5 * truth for pair in wild)
+
+
+# ----------------------------------------------------- which path, and why
+def test_span_names_the_path_and_the_reason(trace_to):
+    for name, plan in (
+        ("ec2", MeasurementPlan()),
+        ("rackspace", MeasurementPlan()),
+        ("ec2-legacy", MeasurementPlan()),
+        ("ec2", MeasurementPlan(method="netperf")),
+    ):
+        provider, names = build_provider(name, n_vms=4)
+        NetworkMeasurer(provider, plan).measure(names)
+    noisy, names = build_provider("ec2", n_vms=4)
+    noisy.latency.noise_fraction = 0.1
+    NetworkMeasurer(noisy).measure(names)
+    spans = campaign_spans(trace_to)
+    assert [(s["path"], s.get("reason")) for s in spans] == [
+        ("array", None),
+        ("array", None),
+        ("per-probe", "lossy provider"),
+        ("per-probe", "netperf"),
+        ("per-probe", "noisy latency"),
+    ]
+
+
+def test_unreplayable_batch_rewinds_and_falls_back(trace_to):
+    """A path model the scalar code rejects *after* its draw (here: a
+    non-positive intra-host rate) consumes randomness on every retry, so
+    the array path must hand back the RNG and step aside."""
+
+    def build():
+        provider = make_provider(
+            "ec2", seed=3, params=ec2_params(colocation_probability=0.6)
+        )
+        provider.request_vms(6)
+        # (The topology, which does validate its loopback links, is built.)
+        provider.params = dataclasses.replace(
+            provider.params, intra_host_rate_bps=-1.0
+        )
+        return provider, [vm.name for vm in provider.vms()]
+
+    got = assert_campaign_matches_oracle(build, MeasurementPlan(), array=False)
+    assert got["degraded"] and got["counters"][2] > 0
+    (span,) = campaign_spans(trace_to)
+    assert (span["path"], span["reason"]) == ("per-probe", "replay aborted")
+
+
+def test_traced_campaign_equals_untraced(trace_to):
+    traced = campaign(NetworkMeasurer(*build_provider("ec2")[:1]), None)
+    obs.configure(None, export_env=False)
+    untraced = campaign(NetworkMeasurer(*build_provider("ec2")[:1]), None)
+    assert traced == untraced
+
+
+# ------------------------------------------------------ the shared snapshot
+def simulated_snapshot(provider, src_vm, dst_vm, background, window_s=0.1):
+    """``snapshot_rate`` as a fresh fluid simulation per pair (the oracle)."""
+    probe = VMFlow(
+        flow_id="__snapshot__", src_vm=src_vm, dst_vm=dst_vm, size_bytes=None,
+        start_time=0.0, end_time=window_s, tag="snapshot",
+    )
+    shifted = [
+        dataclasses.replace(
+            flow, size_bytes=None, start_time=0.0, end_time=window_s
+        )
+        for flow in background
+    ]
+    result = provider.simulate([probe] + shifted, until=window_s)
+    return result.timelines["__snapshot__"].average_rate(0.0, window_s)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shared_snapshot_equals_one_simulation_per_pair(seed):
+    rng = np.random.default_rng(seed)
+    provider, names = build_provider(
+        "ec2", n_vms=10, seed=seed, colocate=0.3, drift="random-walk"
+    )
+    flows = background_flows(names, rng, n_flows=int(rng.integers(1, 60)))
+    pairs = [(s, d) for s in names for d in names if s != d]
+    shared = provider._snapshot_rates(pairs, flows)
+    for (src, dst), rate in zip(pairs, shared):
+        assert rate == simulated_snapshot(provider, src, dst, flows)
+        assert rate > 0
+    assert provider.snapshot_rate(*pairs[3], background=flows) == shared[3]

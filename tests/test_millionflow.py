@@ -20,7 +20,10 @@ import math
 import random
 
 import networkx as nx
+import numpy as np
 import pytest
+
+from repro.errors import TopologyError
 
 from repro.net.flows import Flow
 from repro.net.fluid import (
@@ -200,6 +203,15 @@ _ROUTING_SPECS = (
     TreeSpec(pods=3, racks_per_pod=2, hosts_per_rack=2, num_cores=4),
 )
 
+#: More shapes for the array router: a second aggregation tier, one core,
+#: more than ten cores ("core10" sorts before "core2"), mixed capacities.
+_MATRIX_SPECS = (
+    TreeSpec(pods=2, racks_per_pod=2, hosts_per_rack=2, extra_agg_layer=True),
+    TreeSpec(pods=3, racks_per_pod=1, hosts_per_rack=2, num_cores=1),
+    TreeSpec(pods=2, racks_per_pod=1, hosts_per_rack=3, num_cores=12,
+             extra_agg_layer=True, tor_agg_link_bps=5e8, agg_core_link_bps=2e8),
+)
+
 
 class TestStructuredRouting:
     """The arithmetic tree router reproduces graph search exactly."""
@@ -221,18 +233,51 @@ class TestStructuredRouting:
             set_route_cache_enabled(previous_cache)
             set_structured_routing_enabled(previous)
 
-    @pytest.mark.parametrize("spec", _ROUTING_SPECS[1:3], ids=str)
-    def test_path_links_matrix_agrees_with_path_links(self, spec):
-        topo = build_multi_rooted_tree(spec)
-        hosts = topo.hosts()
-        pairs = topo.host_pairs() + [(h, h) for h in hosts[:2]]
-        rows, lengths, link_ids = topo.path_links_matrix(pairs)
-        assert rows.shape[0] == len(pairs) == len(lengths)
-        for i, (src, dst) in enumerate(pairs):
-            expected = [link.link_id for link in topo.path_links(src, dst)]
-            got = [link_ids[j] for j in rows[i, : lengths[i]]]
-            assert got == expected, (src, dst)
-            assert (rows[i, lengths[i]:] == -1).all()
+    @pytest.mark.parametrize("structured", [True, False])
+    @pytest.mark.parametrize("spec", _ROUTING_SPECS + _MATRIX_SPECS, ids=str)
+    def test_path_links_matrix_agrees_with_path_links(self, spec, structured):
+        """The array rows are ``path_links``'s, pair by pair: every relation
+        (same rack / pod / cross-pod), loopback pairs, and pairs the tree
+        arithmetic does not cover (a switch endpoint: graph search)."""
+        previous = set_structured_routing_enabled(structured)
+        try:
+            topo = build_multi_rooted_tree(spec)
+            hosts = topo.hosts()
+            tor = topo.rack_of(hosts[0])
+            pairs = (
+                topo.host_pairs()
+                + [(h, h) for h in hosts[:2]]
+                + [(tor, hosts[-1]), (hosts[-1], tor)]
+            )
+            arithmetic = len(topo.host_pairs())
+            hits = structured_routing_info()["hits"]
+            rows, lengths, link_ids = topo.path_links_matrix(pairs)
+            counted = structured_routing_info()["hits"] - hits
+            assert counted == (arithmetic if structured else 0)
+            assert link_ids == list(topo.capacities())
+            assert rows.shape == (len(pairs), lengths.max())
+            assert rows.dtype == lengths.dtype == np.int32
+            for i, (src, dst) in enumerate(pairs):
+                expected = [link.link_id for link in topo.path_links(src, dst)]
+                got = [link_ids[j] for j in rows[i, : lengths[i]]]
+                assert got == expected, (src, dst)
+                assert (rows[i, lengths[i]:] == -1).all()
+            bottlenecks = topo.path_bottlenecks(pairs)
+            assert bottlenecks.tolist() == [
+                min(link.capacity_bps for link in topo.path_links(src, dst))
+                for src, dst in pairs
+            ]
+            # "host01" parses to host 1 but is not its canonical name.
+            with pytest.raises(TopologyError, match="host01"):
+                topo.path_links_matrix([(hosts[0], hosts[-1]), ("host01", hosts[0])])
+        finally:
+            set_structured_routing_enabled(previous)
+
+    def test_path_links_matrix_of_nothing(self):
+        topo = build_multi_rooted_tree(_ROUTING_SPECS[1])
+        rows, lengths, _ = topo.path_links_matrix([])
+        assert rows.shape == (0, 0) and lengths.shape == (0,)
+        assert topo.path_bottlenecks([]).shape == (0,)
 
     def test_lazy_kth_path_matches_eager_sort(self):
         topo = build_multi_rooted_tree(_ROUTING_SPECS[3])

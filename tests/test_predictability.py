@@ -47,6 +47,30 @@ class TestPredictorFunctions:
         # No full day of history: only the previous-hour component exists.
         assert combined_predictor(series, 2) == pytest.approx(20.0)
 
+    def test_short_histories_equal_np_mean_to_the_last_bit(self):
+        """One- and two-element histories skip ``np.mean``; the value must
+        be the very float ``np.mean`` returns (sessions are compared by
+        digest), across magnitudes and for the longer histories too."""
+        rng = np.random.default_rng(0)
+        for scale in (1e-3, 1.0, 1e9):
+            series = (rng.lognormal(sigma=2.0, size=4 * HOURS_PER_DAY) * scale).tolist()
+            for hour in range(1, len(series)):
+                same_hour = series[hour % HOURS_PER_DAY : hour : HOURS_PER_DAY]
+                time_of_day = time_of_day_predictor(series, hour)
+                if not same_hour:
+                    assert time_of_day is None
+                    assert combined_predictor(series, hour) == series[hour - 1]
+                    continue
+                assert time_of_day == float(np.mean(same_hour))
+                assert combined_predictor(series, hour) == float(
+                    np.mean([series[hour - 1], time_of_day])
+                )
+        pairs = rng.lognormal(sigma=3.0, size=(20_000, 2)) * 1e6
+        for a, b in pairs.tolist():
+            assert combined_predictor([a] * HOURS_PER_DAY + [b], 25) == float(
+                np.mean([b, a])
+            )
+
 
 class TestRelativeErrorDistributions:
     def test_hand_computed_errors_on_a_tiny_series(self):
