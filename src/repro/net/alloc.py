@@ -39,7 +39,7 @@ per-link order, the vector path is bit-identical to the scalar path
 (and hence to the reference, with the caveat above).  Paths that repeat
 a link fall back to the scalar solver, which handles them exactly.
 
-Two further mechanisms keep event-loop re-solves cheap at scale:
+Three further mechanisms keep event-loop re-solves cheap at scale:
 
 * **Slot-rate output** — solves write per-slot rates into a flat float64
   vector; :meth:`solve_slots` hands that vector to array-based callers
@@ -49,10 +49,22 @@ Two further mechanisms keep event-loop re-solves cheap at scale:
   components of the flow↔link sharing graph: a flow's rate depends only
   on flows it (transitively) shares links with.  After an edit, solve
   walks that graph outward from the edited links; when the affected
-  closure is a minority of the flow set, only the closure is re-solved
-  and every other slot keeps its previous (bit-identical) rate.  A
-  retirement in one rack of a tree topology therefore re-solves one
-  rack, not the datacenter.
+  closure is small (:func:`_partial_limit`: a minority of the flow set
+  and at most 1 024 slots, up to where a restricted scalar solve at
+  1–3 µs per slot still beats a resumed full solve), only the closure is
+  re-solved and every other slot keeps its previous (bit-identical) rate.
+  A retirement in one rack of a tree topology therefore re-solves one
+  rack, not the datacenter.  The walk gives up as soon as the links it
+  has discovered prove the closure too big — on one giant component that
+  is a rack or aggregation link a few steps from the edit.
+* **Resumable water-filling** — a full vector solve logs its rounds
+  (level, drained links, batch size, and per slot the round that froze
+  it).  Removing a flow leaves every round before the one that froze it
+  exactly as it was, so the next full vector solve replays those rounds
+  from the log — a sparse drain each, no bottleneck search — and computes
+  only the rest.  Flows an event retires tend to have frozen late, so
+  most rounds are replayed.  See :meth:`IncrementalAllocator._solve_vector`
+  for the exactness argument and what invalidates the log.
 """
 
 from __future__ import annotations
@@ -81,6 +93,28 @@ _MODES = ("auto", "scalar", "vector")
 # small-but-wide or tall-but-narrow instances stay on the scalar path.
 _VECTOR_MIN_FLOWS = 256
 _VECTOR_MIN_LINKS = 256
+
+# ``_freeze_round`` value of a slot no logged round froze.
+_NEVER = np.iinfo(np.int64).max
+
+
+def _partial_limit(n_flows: int) -> int:
+    """Largest dirty closure (in slots) worth a restricted scalar solve.
+
+    Two measurements set it (``benchmark/run.py`` workloads and disjoint
+    rack-local full meshes, 2-core reference host).  *The cap:* a restricted
+    scalar solve costs 1–3 µs per closure slot, a resumed full vector solve
+    ≈0.6 ms at 2 100 live flows and ≈2.6 ms at 92 000, so beyond ≈1 000
+    slots the partial solve has lost even to the largest full solve.
+    *The share:* below the cap a closure that is a
+    minority of the flow set still wins — on 4 racks × 24 hosts (closure
+    552 of 2 208 flows) the fluid run takes 1.4 s with partial solves and
+    3.5 s without, and ``n // 8`` in place of ``n // 2`` loses 4× on
+    8 racks × 16 hosts — because the full solve re-solves every other
+    component too.  Both solves produce bit-identical rates, so this is
+    policy, not semantics.  (The cap was 8 192 when a full solve cost 17 ms.)
+    """
+    return max(64, min(n_flows // 2, 1024))
 
 
 def set_vector_thresholds(
@@ -175,6 +209,9 @@ class IncrementalAllocator:
         self._capped: Set[int] = set()
         self._linkless: Set[int] = set()
         self._slot_nlinks = np.zeros(0, dtype=np.int64)
+        # Longest path registered since the last clear() (never lowered on
+        # removal: _dirty_closure only needs an upper bound).
+        self._max_row = 0
         # Flows whose path repeats a link break the share-heap monotonicity
         # (freezing subtracts the level once per occurrence, so a share can
         # shrink); while any such flow is registered, solve() selects
@@ -194,6 +231,20 @@ class IncrementalAllocator:
         self._full_solves = obs.Counter("repro.alloc.full_solves")
         self._partial_solves = obs.Counter("repro.alloc.partial_solves")
         self._partial_slots = obs.Counter("repro.alloc.partial_slots")
+        self._rounds = obs.Counter("repro.alloc.rounds")
+        self._rounds_replayed = obs.Counter("repro.alloc.rounds_replayed")
+        # Round log of the last full vector solve, one entry per
+        # water-filling round: its level, the links it drained as a sparse
+        # ``(idx, k)`` pair, and its batch size; ``_freeze_round[slot]`` is
+        # the round that froze the slot (``_NEVER`` if none did).  Rounds
+        # ``< _resume`` are the ones a from-scratch solve of the *current*
+        # flow set would repeat bit for bit, so the next vector solve
+        # replays them from the log instead of searching for them again;
+        # ``_resume == 0`` means "from scratch" and is how everything but a
+        # removal invalidates the log.
+        self._round_log: List[Tuple[float, np.ndarray, np.ndarray, int]] = []
+        self._freeze_round = np.zeros(0, dtype=np.int64)
+        self._resume = 0
 
     # ----------------------------------------------------------- inspection
     def __len__(self) -> int:
@@ -263,6 +314,8 @@ class IncrementalAllocator:
                 grown_s = np.zeros(size, dtype=np.int64)
                 grown_s[: self._row_start.shape[0]] = self._row_start
                 self._row_start = grown_s
+                # add_flow voids the round log, so nothing to carry over.
+                self._freeze_round = np.full(size, _NEVER, dtype=np.int64)
         # Write the row before registering the flow: a compaction triggered
         # by the capacity check must only see fully-recorded rows.
         n_row = len(link_tuple)
@@ -275,6 +328,8 @@ class IncrementalAllocator:
         else:
             self._row_start[slot] = self._row_used
         self._slot_nlinks[slot] = n_row
+        if n_row > self._max_row:
+            self._max_row = n_row
         self._flow_slot[flow_id] = slot
         if max_rate is not None:
             self._capped.add(slot)
@@ -291,6 +346,8 @@ class IncrementalAllocator:
                 self._dirty_links.update(unique)
             else:
                 self._dirty_linkless.add(slot)
+        # A new flow can lower shares in any round: the next fill starts over.
+        self._resume = 0
         self._solved = False
         self._solution = None
         return slot
@@ -317,6 +374,10 @@ class IncrementalAllocator:
         if self._have_rates:
             self._dirty_links.update(self._slot_unique_links[slot])
             self._dirty_linkless.discard(slot)
+        # Rounds before the one that froze this flow never had it as their
+        # bottleneck, so they survive its removal (see _solve_vector).
+        if self._resume:
+            self._resume = min(self._resume, int(self._freeze_round[slot]))
         self._slot_name[slot] = ""
         self._slot_links[slot] = ()
         self._slot_unique_links[slot] = ()
@@ -348,6 +409,7 @@ class IncrementalAllocator:
         self._capped.clear()
         self._linkless.clear()
         self._slot_nlinks = np.zeros(0, dtype=np.int64)
+        self._max_row = 0
         self._dup_link_flows = 0
         self._slot_rate = np.zeros(0, dtype=np.float64)
         self._solved = False
@@ -355,6 +417,9 @@ class IncrementalAllocator:
         self._have_rates = False
         self._dirty_links.clear()
         self._dirty_linkless.clear()
+        self._round_log.clear()
+        self._freeze_round = np.zeros(0, dtype=np.int64)
+        self._resume = 0
 
     # --------------------------------------------------------------- solve
     @property
@@ -407,7 +472,10 @@ class IncrementalAllocator:
         return self._slot_rate
 
     def solver_stats(self) -> Dict[str, int]:
-        """Counters: full solves, partial solves, slots re-solved partially.
+        """Counters: full solves, partial solves, slots re-solved partially,
+        and the water-filling rounds of the full vector solves — all of
+        them (``rounds``) and those replayed from the round log instead of
+        searched for again (``rounds_replayed``).
 
         A thin view over this instance's :class:`repro.obs.Counter`
         instruments (the process-wide aggregate across allocators lives
@@ -417,6 +485,8 @@ class IncrementalAllocator:
             "full_solves": self._full_solves.count,
             "partial_solves": self._partial_solves.count,
             "partial_slots": self._partial_slots.count,
+            "rounds": self._rounds.count,
+            "rounds_replayed": self._rounds_replayed.count,
         }
 
     def _ensure_solved(self) -> None:
@@ -437,6 +507,7 @@ class IncrementalAllocator:
                 self._slot_rate[slot] = math.inf if cap is None else cap
             if partial:
                 self._solve_scalar(restrict=partial)
+                self._resume = 0
             self._partial_solves.inc()
             self._partial_slots.inc(len(partial))
         else:
@@ -448,11 +519,16 @@ class IncrementalAllocator:
                 mode="vector" if vectorised else "scalar",
                 flows=len(self._flow_slot),
                 links=len(self._link_ids),
-            ):
+            ) as span:
                 if vectorised:
+                    resumed_from = self._resume
                     self._solve_vector()
+                    span.set(
+                        rounds=len(self._round_log), resumed_from=resumed_from
+                    )
                 else:
                     self._solve_scalar()
+                    self._resume = 0
             self._full_solves.inc()
         self._dirty_links.clear()
         self._dirty_linkless.clear()
@@ -462,42 +538,48 @@ class IncrementalAllocator:
     def _dirty_closure(self) -> Optional[Set[int]]:
         """Flow slots transitively sharing links with the edited links.
 
-        Returns None when the closure exceeds half the flow set — a partial
-        re-solve would not pay for its bookkeeping — otherwise the set of
-        affected slots (possibly empty).  The limit is additionally capped
-        at 8192 slots: beyond that the restricted scalar solve loses to the
-        array-backed full solve, and the abort itself must stay cheap (the
-        walk is O(limit), so a giant single-component instance must not
-        spend a half-scan discovering it cannot be partial).
+        Returns None when a partial re-solve would not pay — the closure
+        holds more than ``_partial_limit`` slots — otherwise the set of
+        affected slots (possibly empty).  The walk does not collect that
+        many slots to find out.  Each link is tested the moment the walk
+        *discovers* it: one link with more members than the limit already
+        proves the closure too big, and so do discovered member sets that
+        total more than ``limit × longest path`` (a slot is in at most
+        that many of them).  On a tree, where nearly every flow crosses a
+        rack or aggregation link, a giant component is recognised after
+        O(path) steps; a giant component of thin links (a shuffle between
+        hosts) after visiting a few dozen slots.
         """
         if not self._dirty_links:
             return set()
-        limit = max(64, min(len(self._flow_slot) // 2, 8192))
+        limit = _partial_limit(len(self._flow_slot))
+        budget = limit * self._max_row
         members = self._members
-        # First-hop bound: if any edited link alone carries more members
-        # than the limit, the closure cannot fit — skip the walk entirely
-        # (dense components hit this on every event).
-        for link in self._dirty_links:
-            if len(members[link]) > limit:
-                return None
         slot_unique = self._slot_unique_links
         seen_links: Set[int] = set()
         seen_slots: Set[int] = set()
-        stack = list(self._dirty_links)
+        stack: List[int] = []  # discovered links, members not yet visited
+
+        def discover(links) -> bool:
+            nonlocal budget
+            for link in links:
+                if link not in seen_links:
+                    n_members = len(members[link])
+                    budget -= n_members
+                    if n_members > limit or budget < 0:
+                        return False
+                    seen_links.add(link)
+                    stack.append(link)
+            return True
+
+        if not discover(self._dirty_links):
+            return None
         while stack:
-            link = stack.pop()
-            if link in seen_links:
-                continue
-            seen_links.add(link)
-            for slot in members[link]:
-                if slot in seen_slots:
-                    continue
-                seen_slots.add(slot)
-                if len(seen_slots) > limit:
-                    return None
-                for other in slot_unique[slot]:
-                    if other not in seen_links:
-                        stack.append(other)
+            for slot in members[stack.pop()]:
+                if slot not in seen_slots:
+                    seen_slots.add(slot)
+                    if len(seen_slots) > limit or not discover(slot_unique[slot]):
+                        return None
         return seen_slots
 
     def _solve_scalar(self, restrict: Optional[Set[int]] = None) -> None:
@@ -672,13 +754,32 @@ class IncrementalAllocator:
         (ties break on the lowest link index, matching the scalar heaps'
         ``(share, index)`` order); the freeze batch's link rows are gathered
         from the flat CSR buffer with one fancy index, histogrammed with
-        ``bincount``, and every link drained by the fused
+        ``bincount``, and every touched link drained by the fused
         ``remaining - k*level`` clamp — the identical expression the scalar
         path evaluates per touched link, so the two paths stay bit-identical
         without replaying per-occurrence subtracts.  Flow caps keep the
         scalar path's lazy heap — caps are per-flow, so there is nothing to
         vectorise across links.  Only called when no registered path repeats
         a link.
+
+        **The fill is resumable.**  Every round is logged (level, drained
+        links as sparse ``(idx, k)``, batch size; ``_freeze_round`` per
+        slot), and the loop below *replays* rounds ``< _resume`` from the
+        log — same drain expression, no bottleneck search, no gather —
+        before it computes the rest.  A from-scratch solve is ``_resume ==
+        0``.  Why the prefix is exact after removals: a flow frozen in round
+        ``k`` has, in every round ``j < k``, no link that is the bottleneck
+        (it would have frozen in ``j``) and is not the cap-heap winner;
+        taking it away only *raises* its links' shares (one member fewer,
+        same headroom), so round ``j``'s ``argmin`` and its lowest-index
+        tie-break, the cap-vs-share comparison, the batch and the drain are
+        all unchanged.  Only ``counts`` on its links differ, and those are
+        rebuilt from ``_link_use``.  :meth:`remove_flow` therefore lowers
+        ``_resume`` to the removed flow's freeze round; everything else
+        (an add, a partial or scalar solve in between, :meth:`clear`) sets
+        it to 0.  The log holds each flow×link incidence at most once —
+        the round that froze the flow — so it is O(incidences), never
+        rounds × links.
         """
         if self._capacity_np is None:
             self._capacity_np = np.asarray(self._capacity, dtype=np.float64)
@@ -703,7 +804,16 @@ class IncrementalAllocator:
         shares = np.empty(n_links, dtype=np.float64)
         active = np.empty(n_links, dtype=bool)
 
-        frozen = np.zeros(len(self._slot_name), dtype=bool)
+        # Slots the replayed rounds froze keep their rate and stay frozen;
+        # every other slot forgets the round that froze it last time.
+        log = self._round_log
+        mark = self._resume
+        del log[mark:]
+        freeze_round = self._freeze_round[: len(self._slot_name)]
+        frozen = freeze_round < mark
+        freeze_round[~frozen] = _NEVER
+        # Frozen slots at the top of the heap are popped lazily below, so
+        # the heap is built from every routed capped slot, as from scratch.
         cap_heap: List[Tuple[float, int]] = [
             (self._slot_cap[slot], slot)
             for slot in self._capped
@@ -713,67 +823,82 @@ class IncrementalAllocator:
 
         inf = math.inf
         n_left = len(self._flow_slot) - len(self._linkless)
+        rnd = 0
         while n_left:
-            # Bottleneck search: equal share of every link still carrying
-            # unfrozen flows, in one vector divide; links with no unfrozen
-            # members are masked to +inf.
-            np.greater(counts, 0, out=active)
-            shares.fill(inf)
-            np.divide(remaining, counts, out=shares, where=active)
-            bottleneck_link = int(np.argmin(shares))
-            bottleneck_share = float(shares[bottleneck_link])
-
-            while cap_heap and frozen[cap_heap[0][1]]:
-                heapq.heappop(cap_heap)
-
-            batch: Optional[np.ndarray] = None
-            if cap_heap and cap_heap[0][0] <= bottleneck_share:
-                # A flow hits its own cap before any link saturates.
-                level, capped_slot = heapq.heappop(cap_heap)
-                n_batch = 1
-            elif bottleneck_share < inf:
-                level = bottleneck_share
-                mem = self._members_np.get(bottleneck_link)
-                if mem is None:
-                    ms = self._members[bottleneck_link]
-                    mem = np.fromiter(ms, dtype=np.intp, count=len(ms))
-                    self._members_np[bottleneck_link] = mem
-                batch = mem[~frozen[mem]]
-                n_batch = int(batch.shape[0])
+            if rnd < mark:
+                level, idx, k, n_batch = log[rnd]
             else:
-                # Unfrozen flows remain but nothing constrains them (rare:
-                # every remaining link has infinite headroom), so a Python
-                # sweep over the registry is fine here.
-                nlinks = self._slot_nlinks
-                for slot in self._flow_slot.values():
-                    if nlinks[slot] and not frozen[slot]:
-                        slot_rate[slot] = inf
-                break
+                # Bottleneck search: equal share of every link still
+                # carrying unfrozen flows, in one vector divide; links with
+                # no unfrozen members are masked to +inf.
+                np.greater(counts, 0, out=active)
+                shares.fill(inf)
+                np.divide(remaining, counts, out=shares, where=active)
+                bottleneck_link = int(np.argmin(shares))
+                bottleneck_share = float(shares[bottleneck_link])
 
+                while cap_heap and frozen[cap_heap[0][1]]:
+                    heapq.heappop(cap_heap)
+
+                if cap_heap and cap_heap[0][0] <= bottleneck_share:
+                    # A flow hits its own cap before any link saturates.
+                    level, capped_slot = heapq.heappop(cap_heap)
+                    batch = np.array([capped_slot], dtype=np.intp)
+                elif bottleneck_share < inf:
+                    level = bottleneck_share
+                    mem = self._members_np.get(bottleneck_link)
+                    if mem is None:
+                        ms = self._members[bottleneck_link]
+                        mem = np.fromiter(ms, dtype=np.intp, count=len(ms))
+                        self._members_np[bottleneck_link] = mem
+                    batch = mem[~frozen[mem]]
+                else:
+                    # Unfrozen flows remain but nothing constrains them
+                    # (rare: every remaining link has infinite headroom),
+                    # so a Python sweep over the registry is fine here.
+                    nlinks = self._slot_nlinks
+                    for slot in self._flow_slot.values():
+                        if nlinks[slot] and not frozen[slot]:
+                            slot_rate[slot] = inf
+                    break
+
+                n_batch = int(batch.shape[0])
+                frozen[batch] = True
+                slot_rate[batch] = level
+                freeze_round[batch] = rnd
+                if n_batch == 1:
+                    # The flow's own row, as a copy: the log must survive
+                    # row-buffer compaction.
+                    idx = self._slot_row(batch[0]).copy()
+                    k = np.ones(idx.shape[0], dtype=np.int64)
+                else:
+                    # Gather the batch's link rows from the flat CSR buffer
+                    # in one fancy index (no per-slot Python loop) and
+                    # histogram them into the links this round drains.
+                    lens = self._slot_nlinks[batch]
+                    ends = np.cumsum(lens)
+                    gather = np.repeat(
+                        self._row_start[batch] - (ends - lens), lens
+                    )
+                    gather += np.arange(int(ends[-1]))
+                    occ = np.bincount(self._row_data[gather], minlength=n_links)
+                    # (nonzero of a bool mask is twice as fast as of int64)
+                    idx = (occ > 0).nonzero()[0]
+                    k = occ[idx]
+                log.append((level, idx, k, n_batch))
+
+            # Drain the round's links with the fused ``remaining - k*level``
+            # clamp the scalar path computes — one expression for replayed
+            # and computed rounds alike.  Links outside ``idx`` would see
+            # ``remaining - 0*level``, which is exact, so the sparse drain
+            # equals a drain over the full link vector.
             n_left -= n_batch
-            if n_batch == 1:
-                slot = capped_slot if batch is None else int(batch[0])
-                frozen[slot] = True
-                slot_rate[slot] = level
-                row = self._slot_row(slot)
-                segment = remaining[row] - level
-                np.maximum(segment, 0.0, out=segment)
-                remaining[row] = segment
-                counts[row] -= 1
-                continue
-            frozen[batch] = True
-            slot_rate[batch] = level
-            # Gather the batch's link rows from the flat CSR buffer in one
-            # fancy index (no per-slot Python loop), histogram them, and
-            # drain every touched link with the fused ``remaining -
-            # k*level`` clamp the scalar path computes.  Untouched links see
-            # ``remaining - 0*level``, which is exact, so the drain runs
-            # unmasked over the full link vector.
-            lens = self._slot_nlinks[batch]
-            ends = np.cumsum(lens)
-            gather = np.repeat(self._row_start[batch] - (ends - lens), lens)
-            gather += np.arange(int(ends[-1]))
-            occ = np.bincount(self._row_data[gather], minlength=n_links)
-            counts -= occ
-            remaining -= occ * level
-            np.maximum(remaining, 0.0, out=remaining)
+            counts[idx] -= k
+            segment = remaining[idx] - k * level
+            np.maximum(segment, 0.0, out=segment)
+            remaining[idx] = segment
+            rnd += 1
+
+        self._rounds.inc(len(log))
+        self._rounds_replayed.inc(mark)
+        self._resume = len(log)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SimulationError
 
@@ -124,6 +124,69 @@ def max_min_allocation(
                 remaining[link_id] = max(0.0, remaining[link_id] - level)
 
     return rates
+
+
+def max_min_violations(
+    demands: Mapping[str, FlowDemand],
+    capacities: Mapping[str, float],
+    rates: Mapping[str, float],
+    rel_tol: float = 1e-9,
+) -> List[str]:
+    """Ways ``rates`` fails the max-min fairness certificate (empty: none).
+
+    An allocation is max-min fair exactly when it is feasible — no link
+    carries more than its capacity, no flow exceeds its cap — and every flow
+    has a *bottleneck*: it runs at its own cap, or crosses a saturated link
+    on which no other flow gets a larger rate.  A flow with an infinite
+    rate must be uncapped and cross only links of infinite capacity.  The
+    check needs no reference solver, so it certifies any allocator's output
+    on its own.  Paths must not repeat a link: the solvers share such a
+    link counting the flow once and drain it once per occurrence, which is
+    max-min fair under neither reading.
+    """
+    problems: List[str] = []
+    load: Dict[str, float] = {}
+    fastest: Dict[str, float] = {}
+    for flow_id, demand in demands.items():
+        rate = rates[flow_id]
+        cap = demand.max_rate
+        if cap is not None and rate > cap * (1.0 + rel_tol):
+            problems.append(f"flow {flow_id!r}: rate {rate!r} above its cap {cap!r}")
+        if math.isinf(rate):
+            finite = [
+                link_id for link_id in demand.links
+                if not math.isinf(capacities[link_id])
+            ]
+            if cap is not None or finite:
+                problems.append(
+                    f"flow {flow_id!r}: infinite rate but capped or on finite "
+                    f"links {finite!r}"
+                )
+            continue
+        for link_id in demand.links:
+            load[link_id] = load.get(link_id, 0.0) + rate
+            fastest[link_id] = max(fastest.get(link_id, 0.0), rate)
+    for link_id, used in load.items():
+        if used > capacities[link_id] * (1.0 + rel_tol):
+            problems.append(
+                f"link {link_id!r}: load {used!r} above capacity "
+                f"{capacities[link_id]!r}"
+            )
+    for flow_id, demand in demands.items():
+        rate = rates[flow_id]
+        cap = demand.max_rate
+        if math.isinf(rate) or (cap is not None and rate >= cap * (1.0 - rel_tol)):
+            continue
+        if not any(
+            load[link_id] >= capacities[link_id] * (1.0 - rel_tol)
+            and rate >= fastest[link_id] * (1.0 - rel_tol)
+            for link_id in demand.links
+        ):
+            problems.append(
+                f"flow {flow_id!r}: rate {rate!r} has no bottleneck (not at its "
+                f"cap, and on no saturated link where it is the fastest)"
+            )
+    return problems
 
 
 def bottleneck_rate(

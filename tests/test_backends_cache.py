@@ -394,7 +394,9 @@ def test_chaos_hung_worker_is_killed_and_work_retried(tmp_path, monkeypatch):
 
     monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", "hang")
-    backend = SubprocessPoolBackend(workers=1, max_retries=1, chunk_timeout_s=10.0)
+    # The chaos worker hangs at once, so a short timeout walks the same
+    # kill-and-retry path; the retried chunk itself runs in about a second.
+    backend = SubprocessPoolBackend(workers=1, max_retries=1, chunk_timeout_s=3.0)
     records = backend.map_trials(items)
     assert [rec.seed for rec in records] == [rec.seed for rec in expected]
     assert [rec.total_running_time_s for rec in records] == [
