@@ -318,9 +318,9 @@ class CloudProvider:
             self.topology,
             extra_capacities=self._hose_capacities(),
         )
-        for vm_flow in vm_flows:
-            flow, extra = self._to_net_flow(vm_flow)
-            sim.add_flow(flow, extra_links=extra)
+        if vm_flows:
+            flows, extras = zip(*map(self._to_net_flow, vm_flows))
+            sim.add_flows(flows, extras)
         return sim
 
     def simulate(

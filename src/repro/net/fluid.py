@@ -15,22 +15,36 @@ timeline for every flow.  Those timelines power:
 * completion-time computation for placed applications (§6),
 * the 10 ms throughput samples used by the cross-traffic estimator (§3.2),
 * bulk-TCP ("netperf") throughput measurements (§2.2).
+
+A flow lives in **one columnar table** from registration to result.
+:meth:`FluidSimulation.add_flows` routes a whole batch with
+:meth:`~repro.net.topology.Topology.path_links_matrix` and stores each
+flow's path as a row of link indices; the vector event loop hands those
+rows to the allocator, and takes them back, one batch per event
+(:meth:`~repro.net.alloc.IncrementalAllocator.add_flows` /
+``remove_flows``); every rate segment it closes goes to a flat
+``(flow, start, end, rate)`` log; and :attr:`FluidResult.timelines` is a
+read-only mapping over that log, reduced by :meth:`RateTimeline.append`'s
+own rules, that builds a flow's :class:`RateTimeline` when it is asked
+for.  String-keyed :class:`~repro.net.fairness.FlowDemand` objects are
+derived from the rows only for the scalar loop and the reference
+allocator.
 """
 
 from __future__ import annotations
 
 import bisect
-import heapq
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from collections.abc import Mapping as MappingABC
+from dataclasses import dataclass
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro import obs
 from repro.errors import SimulationError
-from repro.net.alloc import IncrementalAllocator
+from repro.net.alloc import IncrementalAllocator, csr_gather
 from repro.net.fairness import FlowDemand, max_min_allocation
 from repro.net.flows import Flow, FlowState
 from repro.net.hose import HoseModel
@@ -41,6 +55,12 @@ from repro.units import BITS_PER_BYTE
 # below _TIME_EPS are simultaneous.
 _BYTE_EPS = 1e-6
 _TIME_EPS = 1e-12
+
+# Flow states as the vector loop's int8 codes.
+_STATES = (
+    FlowState.PENDING, FlowState.ACTIVE, FlowState.COMPLETED, FlowState.STOPPED
+)
+_PENDING, _ACTIVE, _COMPLETED, _STOPPED = range(4)
 
 
 def _grow(arr: np.ndarray, size: int) -> np.ndarray:
@@ -164,12 +184,109 @@ class RateTimeline:
         return sum(segment.bytes_moved for segment in self.segments)
 
 
+class _TimelineTable(MappingABC):
+    """Read-only ``flow id -> RateTimeline`` over a columnar segment log.
+
+    The log is the raw stream of ``(flow, start, end, rate)`` intervals an
+    event loop closed, each flow's in the order they were closed.  It is
+    reduced once, by :meth:`RateTimeline.append`'s own rules: an interval
+    no longer than ``_TIME_EPS`` is dropped; one that starts where its
+    flow's previous interval ended, at an equal rate, extends it (the
+    comparison is between raw neighbours, which is what sequential appends
+    compare: a merge only moves the last segment's end, and every interval
+    merged into a segment has its rate); a start before the flow's last
+    segment's raises.  Keys iterate in registration order, as the scalar
+    loop's dict does; ``table[flow_id]`` builds that flow's
+    :class:`RateTimeline` anew on every call.
+    """
+
+    def __init__(
+        self,
+        flow_ids: List[str],
+        flow: np.ndarray,
+        start: np.ndarray,
+        end: np.ndarray,
+        rate: np.ndarray,
+    ) -> None:
+        self._flow_ids = flow_ids
+        self._index: Optional[Dict[str, int]] = None
+        keep = ~(end - start <= _TIME_EPS)
+        flow, start, end, rate = flow[keep], start[keep], end[keep], rate[keep]
+        by_flow = np.argsort(flow, kind="stable")
+        flow, start, end, rate = (
+            flow[by_flow], start[by_flow], end[by_flow], rate[by_flow]
+        )
+        n = flow.shape[0]
+        same_flow = flow[1:] == flow[:-1]
+        head = np.ones(n, dtype=bool)  # opens a segment (is not merged)
+        head[1:] = ~(
+            same_flow
+            & (np.abs(end[:-1] - start[1:]) <= _TIME_EPS)
+            & (rate[:-1] == rate[1:])
+        )
+        heads = np.flatnonzero(head)
+        segment_of = np.cumsum(head) - 1
+        if np.any(
+            same_flow & (start[1:] < start[heads][segment_of[:-1]] - _TIME_EPS)
+        ):
+            raise SimulationError(
+                "rate segments must be appended in chronological order"
+            )
+        self._start = start[heads]
+        self._end = end[np.append(heads[1:], n)[: heads.shape[0]] - 1]
+        self._rate = rate[heads]
+        self._offsets = np.zeros(len(flow_ids) + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(flow[heads], minlength=len(flow_ids)),
+            out=self._offsets[1:],
+        )
+
+    @property
+    def n_segments(self) -> int:
+        """Segments over all flows."""
+        return self._start.shape[0]
+
+    def _positions(self) -> Dict[str, int]:
+        if self._index is None:
+            self._index = {fid: i for i, fid in enumerate(self._flow_ids)}
+        return self._index
+
+    def __getitem__(self, flow_id: str) -> RateTimeline:
+        i = self._positions()[flow_id]
+        lo, hi = self._offsets[i], self._offsets[i + 1]
+        timeline = RateTimeline()
+        timeline._starts = self._start[lo:hi].tolist()
+        timeline.segments = [
+            RateSegment(*row)
+            for row in zip(
+                timeline._starts,
+                self._end[lo:hi].tolist(),
+                self._rate[lo:hi].tolist(),
+            )
+        ]
+        return timeline
+
+    def __contains__(self, flow_id: object) -> bool:
+        return flow_id in self._positions()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._flow_ids)
+
+    def __len__(self) -> int:
+        return len(self._flow_ids)
+
+
 @dataclass
 class FluidResult:
-    """Outcome of a fluid simulation run."""
+    """Outcome of a fluid simulation run.
+
+    ``timelines`` is read-only.  The vector event loop returns a mapping
+    that builds a flow's :class:`RateTimeline` when it is looked up (and
+    again on the next lookup: keep the object if you read it twice).
+    """
 
     completion_times: Dict[str, float]
-    timelines: Dict[str, RateTimeline]
+    timelines: Mapping[str, RateTimeline]
     remaining_bytes: Dict[str, float]
     end_time: float
     states: Dict[str, FlowState]
@@ -250,11 +367,12 @@ def set_default_loop(name: str) -> str:
     ``"scalar"`` is the original per-flow Python event loop; ``"vector"``
     holds flow state (remaining bytes, current rate, open rate segment) in
     parallel NumPy arrays, picks the next event with an ``argmin`` over the
-    finish-time vector, drains and retires co-finishing flows in batches,
-    and only touches Python objects when a flow's rate actually changes
-    (lazily flushed rate segments).  Both produce bit-identical
-    :class:`FluidResult` contents; ``"auto"`` (the default) vectorises at
-    or above :func:`set_loop_threshold` registered flows.  Simulations
+    finish-time vector, activates, drains and retires flows a batch per
+    event, and logs a rate segment (to a columnar log, see
+    :class:`FluidResult`) only when a flow's rate actually changes.  Both
+    produce bit-identical :class:`FluidResult` contents; ``"auto"`` (the
+    default) vectorises at or above :func:`set_loop_threshold` registered
+    flows.  Simulations
     using the ``"reference"`` allocator always run the scalar loop — that
     pairing *is* the reference implementation the A/B benchmarks compare
     against.
@@ -349,7 +467,16 @@ class FluidSimulation:
         if loop not in _LOOPS:
             raise SimulationError(f"unknown loop {loop!r}")
         self._loop_mode = loop
+        # The link universe: the topology's links (path_links_matrix's
+        # index order), then hose links, then extra links.
+        self._link_ids: List[str] = list(self._capacities)
+        self._link_index: Optional[Dict[str, int]] = None
         self._flows: Dict[str, Flow] = {}
+        # The flow table: per add_flows call, the batch's link-index rows
+        # laid end to end and their lengths, in registration order.
+        self._row_chunks: List[Tuple[np.ndarray, np.ndarray]] = []
+        # FlowDemands derived from the table for the callers that want
+        # string link ids (see _flow_demands); a cache, never a source.
         self._demands: Dict[str, FlowDemand] = {}
 
     # ------------------------------------------------------------------ setup
@@ -359,33 +486,123 @@ class FluidSimulation:
         return dict(self._capacities)
 
     def add_flow(self, flow: Flow, extra_links: Sequence[str] = ()) -> None:
-        """Register a flow before the run starts.
+        """Register a flow before the run starts (a batch of one).
 
         Args:
             flow: the flow to add; ``flow.src``/``flow.dst`` are host names.
             extra_links: additional (virtual) link ids the flow traverses,
                 which must have been declared via ``extra_capacities``.
         """
-        if flow.flow_id in self._flows:
-            raise SimulationError(f"duplicate flow id {flow.flow_id!r}")
-        links = [link.link_id for link in self.topology.path_links(flow.src, flow.dst)]
-        if self.hose is not None:
-            links = self.hose.links_for_flow(flow.src, flow.dst) + links
-        for link_id in extra_links:
-            if link_id not in self._capacities:
-                raise SimulationError(
-                    f"flow {flow.flow_id!r} uses undeclared extra link {link_id!r}"
-                )
-        links = list(extra_links) + links
-        self._flows[flow.flow_id] = flow
-        self._demands[flow.flow_id] = FlowDemand(
-            links=tuple(links), max_rate=flow.max_rate_bps
-        )
+        self.add_flows([flow], [extra_links])
 
-    def add_flows(self, flows: Iterable[Flow]) -> None:
-        """Register several flows."""
+    def add_flows(
+        self,
+        flows: Iterable[Flow],
+        extra_links: Optional[Sequence[Sequence[str]]] = None,
+    ) -> None:
+        """Register a batch of flows before the run starts.
+
+        The batch is validated, routed with one
+        :meth:`~repro.net.topology.Topology.path_links_matrix` call, and
+        only then stored — as rows of link indices, each row ``extra links
+        + hose link + path`` — so a batch that fails leaves the simulation
+        as it was.
+
+        Args:
+            flows: the flows; ``src``/``dst`` are host names.
+            extra_links: per flow, the additional (virtual) link ids it
+                traverses, declared via ``extra_capacities``.
+
+        Raises:
+            SimulationError: a flow id is repeated in the batch or already
+                registered, or a flow names an undeclared extra link.
+            TopologyError, RoutingError: a flow could not be routed.
+        """
+        flows = list(flows)
+        n = len(flows)
+        if extra_links is not None and len(extra_links) != n:
+            raise SimulationError("extra_links must name one sequence per flow")
+        batch: Dict[str, Flow] = {}
         for flow in flows:
-            self.add_flow(flow)
+            if flow.flow_id in self._flows or flow.flow_id in batch:
+                raise SimulationError(f"duplicate flow id {flow.flow_id!r}")
+            batch[flow.flow_id] = flow
+        # Links ahead of each flow's path: declared extras, then its hose.
+        lead: Optional[List[List[int]]] = None
+        if extra_links is not None or self.hose is not None:
+            if self._link_index is None:
+                self._link_index = dict(
+                    zip(self._link_ids, range(len(self._link_ids)))
+                )
+            index = self._link_index
+            lead = [[] for _ in flows]
+            if extra_links is not None:
+                for flow, links, extra in zip(flows, lead, extra_links):
+                    for link_id in extra:
+                        if link_id not in index:
+                            raise SimulationError(
+                                f"flow {flow.flow_id!r} uses undeclared extra "
+                                f"link {link_id!r}"
+                            )
+                        links.append(index[link_id])
+            if self.hose is not None:
+                for flow, links in zip(flows, lead):
+                    for link_id in self.hose.links_for_flow(flow.src, flow.dst):
+                        links.append(index[link_id])
+        rows, path_len, link_ids = self.topology.path_links_matrix(
+            [(flow.src, flow.dst) for flow in flows]
+        )
+        if link_ids != self._link_ids[: len(link_ids)]:
+            raise SimulationError(
+                "the topology's links changed after the simulation was built"
+            )
+        if lead is None:
+            data = rows[rows >= 0].astype(np.intp)
+            lengths = path_len.astype(np.int64)
+        else:
+            # Hose and extra links exist per VM, not per datacenter: these
+            # batches are small enough to splice in Python.
+            for links, path, k in zip(lead, rows.tolist(), path_len.tolist()):
+                links.extend(path[:k])
+            lengths = np.fromiter(map(len, lead), dtype=np.int64, count=n)
+            data = np.fromiter(
+                itertools.chain.from_iterable(lead),
+                dtype=np.intp,
+                count=int(lengths.sum()),
+            )
+        self._flows.update(batch)
+        self._row_chunks.append((data, lengths))
+
+    def _table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The flow table as one CSR: ``(data, starts, lengths)``; flow
+        ``i`` (registration order) crosses
+        ``data[starts[i] : starts[i] + lengths[i]]``."""
+        chunks = self._row_chunks
+        if len(chunks) != 1:
+            data = [chunk[0] for chunk in chunks] or [np.zeros(0, dtype=np.intp)]
+            lens = [chunk[1] for chunk in chunks] or [np.zeros(0, dtype=np.int64)]
+            chunks[:] = [(np.concatenate(data), np.concatenate(lens))]
+        data, lengths = chunks[0]
+        return data, np.cumsum(lengths) - lengths, lengths
+
+    def _flow_demands(self) -> Dict[str, FlowDemand]:
+        """Every registered flow's :class:`FlowDemand`, derived from the
+        table (what the scalar loop and the reference allocator read)."""
+        demands = self._demands
+        if len(demands) < len(self._flows):
+            data, starts, lengths = self._table()
+            done = len(demands)
+            links = [self._link_ids[i] for i in data[starts[done] :].tolist()]
+            ends = np.cumsum(lengths[done:]).tolist()
+            for (flow_id, flow), lo, hi in zip(
+                itertools.islice(self._flows.items(), done, None),
+                [0] + ends,
+                ends,
+            ):
+                demands[flow_id] = FlowDemand(
+                    links=tuple(links[lo:hi]), max_rate=flow.max_rate_bps
+                )
+        return demands
 
     def flow(self, flow_id: str) -> Flow:
         """Look up a registered flow."""
@@ -422,14 +639,15 @@ class FluidSimulation:
             "fluid.run",
             loop="vector" if use_vector else "scalar",
             flows=len(self._flows),
-        ):
+        ) as span:
             if use_vector:
-                return self._run_vector(until)
-            return self._run_scalar(until)
+                return self._run_vector(until, span)
+            return self._run_scalar(until, span)
 
-    def _run_scalar(self, until: Optional[float]) -> FluidResult:
+    def _run_scalar(self, until: Optional[float], span) -> FluidResult:
         """The original per-flow Python event loop."""
         flows = self._flows
+        demands = self._flow_demands()
         timelines: Dict[str, RateTimeline] = {fid: RateTimeline() for fid in flows}
         completion: Dict[str, float] = {}
         states: Dict[str, FlowState] = {fid: FlowState.PENDING for fid in flows}
@@ -481,7 +699,7 @@ class FluidSimulation:
                     active_finite[fid] = flow
                 states[fid] = FlowState.ACTIVE
                 if incremental is not None:
-                    incremental.add_demand(fid, self._demands[fid])
+                    incremental.add_demand(fid, demands[fid])
 
             if not active_finite and not active_unbounded and pending_idx >= n_pending:
                 end_time = now
@@ -497,7 +715,6 @@ class FluidSimulation:
             if incremental is not None:
                 rates = incremental.solve()
             else:
-                demands = self._demands
                 active_demands = {fid: demands[fid] for fid in active_finite}
                 for fid in active_unbounded:
                     active_demands[fid] = demands[fid]
@@ -582,6 +799,10 @@ class FluidSimulation:
                 break
 
         _FLUID_BATCHES.inc(batches)
+        span.set(
+            batches=batches,
+            segments=sum(len(t.segments) for t in timelines.values()),
+        )
         # Flows still pending or active when the run stops keep their state.
         for fid in flows:
             if states[fid] is FlowState.ACTIVE:
@@ -596,34 +817,65 @@ class FluidSimulation:
             states=states,
         )
 
-    def _run_vector(self, until: Optional[float]) -> FluidResult:
+    def _run_vector(self, until: Optional[float], span) -> FluidResult:
         """Array-backed event loop; bit-identical to :meth:`_run_scalar`.
 
-        Flow state lives in slot-indexed NumPy arrays (the slots are the
+        Flows are rows of the flow table, known by their index in it.  Live
+        flow state lives in slot-indexed NumPy arrays (the slots are the
         allocator's own flow slots, so rate vectors from
         :meth:`~repro.net.alloc.IncrementalAllocator.solve_slots` gather
-        directly).  The next event comes from a min over the finish-time
-        vector, bytes drain in one vector step, and Python objects are only
-        touched when a flow's rate actually changes: rate segments are held
-        open in ``seg_start``/``seg_rate`` and flushed to the
-        :class:`RateTimeline` lazily.  Because a flow's timeline merges
-        contiguous equal-rate appends, the flushed segments are exactly the
-        merged segments the scalar loop records, and every floating-point
-        operation (finish projection, drain, Zeno residue reset) applies
-        the same ops to the same values as the scalar loop, so results
-        match bit for bit.
+        directly; ``flow_of`` maps a slot back to its flow).  Every event
+        is a few array steps: the flows whose start time has arrived are
+        handed to the allocator as one batch of table rows; the next event
+        time is a min over the finish-time vector; bytes drain in one
+        vector step; the flows that finished are taken back from the
+        allocator as one batch.  A flow's rate segment is held open in
+        ``seg_start``/``seg_rate`` and goes to the columnar segment log
+        only when its rate changes, it retires, or the run stops; the log
+        is reduced by :meth:`RateTimeline.append`'s rules when the run ends
+        (:class:`_TimelineTable`), so the segments are exactly the merged
+        segments the scalar loop records.  Every floating-point operation
+        (finish projection, drain, Zeno residue reset) applies the same ops
+        to the same values as the scalar loop, batches keep the scalar
+        loop's order (activation by ``(start_time, flow_id)``, retirement
+        in activation order — which fixes the allocator's slot numbers and
+        the insertion order of ``completion_times``), so results match bit
+        for bit.
         """
-        flows = self._flows
-        timelines: Dict[str, RateTimeline] = {fid: RateTimeline() for fid in flows}
-        completion: Dict[str, float] = {}
-        states: Dict[str, FlowState] = {fid: FlowState.PENDING for fid in flows}
-        remaining_out: Dict[str, float] = {
-            fid: flow.remaining_or_inf() for fid, flow in flows.items()
-        }
-
-        pending = sorted(flows.values(), key=lambda f: (f.start_time, f.flow_id))
+        flows = list(self._flows.values())
+        flow_ids = list(self._flows)
+        n_flows = len(flows)
+        data, row_start, row_len = self._table()
+        start = np.fromiter((f.start_time for f in flows), np.float64, count=n_flows)
+        size = np.fromiter(
+            (f.remaining_or_inf() for f in flows), np.float64, count=n_flows
+        )
+        unbounded = np.fromiter(
+            (f.size_bytes is None for f in flows), bool, count=n_flows
+        )
+        # Unbounded flows always carry an end_time (Flow validates that).
+        stop = np.fromiter(
+            (f.end_time if f.size_bytes is None else 0.0 for f in flows),
+            np.float64,
+            count=n_flows,
+        )
+        caps = [f.max_rate_bps for f in flows]
+        # Flows that never become active: unbounded flows that stop as they
+        # start, and zero-byte flows — which complete at their start time.
+        never = unbounded & (stop <= start + _TIME_EPS)
+        empty = ~unbounded & (size <= _BYTE_EPS)
+        inert = never | empty
+        # Activation order: by (start_time, flow_id), as the scalar loop's.
+        by_id = np.array(
+            sorted(range(n_flows), key=flow_ids.__getitem__), dtype=np.intp
+        )
+        pending = by_id[np.argsort(start[by_id], kind="stable")]
+        pending_start = start[pending]
         pending_idx = 0
-        n_pending = len(pending)
+
+        completion: Dict[str, float] = {}
+        state = np.full(n_flows, _PENDING, dtype=np.int8)
+        rem_out = size.copy()
         incremental = IncrementalAllocator(
             self._capacities,
             mode=(
@@ -631,64 +883,86 @@ class FluidSimulation:
             ),
         )
         inf = math.inf
-        n_flows = len(flows)
 
         # Slot-indexed flow state (slots are allocator slots; a retired
-        # flow's slot may be reused, by which time its state was flushed).
+        # flow's slot may be reused, by which time its segment was logged).
         rem = np.zeros(0, dtype=np.float64)
         stop_arr = np.zeros(0, dtype=np.float64)
         seg_start = np.zeros(0, dtype=np.float64)
         # -1.0 marks "no open rate segment" (real rates are never negative).
         seg_rate = np.zeros(0, dtype=np.float64)
-        fid_of: List[Optional[str]] = []
+        flow_of = np.zeros(0, dtype=np.intp)
         # Active finite / unbounded slots, in activation order (the order
         # the scalar loop's dicts iterate in, which retirement must match).
         af_buf = np.empty(n_flows, dtype=np.intp)
         naf = 0
         au_buf = np.empty(n_flows, dtype=np.intp)
         nau = 0
+        # The segment log, in columns: flow, start, end, rate.
+        log: Tuple[List[np.ndarray], ...] = (
+            [np.zeros(0, dtype=np.intp)], [np.zeros(0)], [np.zeros(0)], [np.zeros(0)]
+        )
 
-        now = min((f.start_time for f in flows.values()), default=0.0)
+        def close_segments(slots: np.ndarray) -> None:
+            """Log the open segment of each of ``slots``, ending now."""
+            slots = slots[seg_rate[slots] != -1.0]
+            if slots.shape[0]:
+                log[0].append(flow_of[slots])
+                log[1].append(seg_start[slots])
+                log[2].append(np.full(slots.shape[0], now))
+                log[3].append(seg_rate[slots])
+
+        now = min((f.start_time for f in flows), default=0.0)
         end_time = now
         batches = 0
 
         while True:
-            # Activate flows whose start time has arrived.
-            while pending_idx < n_pending and pending[pending_idx].start_time <= now + _TIME_EPS:
-                flow = pending[pending_idx]
-                pending_idx += 1
-                fid = flow.flow_id
-                if flow.is_unbounded:
-                    if flow.end_time <= flow.start_time + _TIME_EPS:
-                        states[fid] = FlowState.STOPPED
-                        continue
-                else:
-                    if remaining_out[fid] <= _BYTE_EPS:
-                        completion[fid] = flow.start_time
-                        states[fid] = FlowState.COMPLETED
-                        continue
-                states[fid] = FlowState.ACTIVE
-                slot = incremental.add_demand(fid, self._demands[fid])
-                if slot >= rem.shape[0]:
-                    new_size = max(16, 2 * rem.shape[0], slot + 1)
-                    rem = _grow(rem, new_size)
-                    stop_arr = _grow(stop_arr, new_size)
-                    seg_start = _grow(seg_start, new_size)
-                    seg_rate = _grow(seg_rate, new_size)
-                    fid_of.extend([None] * (new_size - len(fid_of)))
-                fid_of[slot] = fid
-                seg_rate[slot] = -1.0
-                if flow.is_unbounded:
-                    rem[slot] = inf
-                    stop_arr[slot] = flow.end_time
-                    au_buf[nau] = slot
-                    nau += 1
-                else:
-                    rem[slot] = remaining_out[fid]
-                    af_buf[naf] = slot
-                    naf += 1
+            # Activate the flows whose start time has arrived, as one batch.
+            if pending_idx < n_flows and pending_start[pending_idx] <= now + _TIME_EPS:
+                arrived = pending[
+                    pending_idx : np.searchsorted(
+                        pending_start, now + _TIME_EPS, side="right"
+                    )
+                ]
+                pending_idx += arrived.shape[0]
+                if inert[arrived].any():
+                    state[arrived[never[arrived]]] = _STOPPED
+                    instant = arrived[empty[arrived]]
+                    for i in instant.tolist():
+                        completion[flow_ids[i]] = flows[i].start_time
+                    state[instant] = _COMPLETED
+                    arrived = arrived[~inert[arrived]]
+                if arrived.shape[0]:
+                    state[arrived] = _ACTIVE
+                    lengths = row_len[arrived]
+                    picked = arrived.tolist()
+                    slots = incremental.add_flows(
+                        [flow_ids[i] for i in picked],
+                        data[csr_gather(row_start[arrived], lengths)],
+                        lengths,
+                        [caps[i] for i in picked],
+                    )
+                    n_slots = int(slots.max()) + 1
+                    if n_slots > rem.shape[0]:
+                        new_size = max(16, 2 * rem.shape[0], n_slots)
+                        rem = _grow(rem, new_size)
+                        stop_arr = _grow(stop_arr, new_size)
+                        seg_start = _grow(seg_start, new_size)
+                        seg_rate = _grow(seg_rate, new_size)
+                        flow_of = _grow(flow_of, new_size)
+                    flow_of[slots] = arrived
+                    seg_rate[slots] = -1.0
+                    rem[slots] = size[arrived]
+                    stop_arr[slots] = stop[arrived]
+                    endless = unbounded[arrived]
+                    n_new = int(endless.sum())
+                    au_buf[nau : nau + n_new] = slots[endless]
+                    nau += n_new
+                    n_new = arrived.shape[0] - n_new
+                    af_buf[naf : naf + n_new] = slots[~endless]
+                    naf += n_new
 
-            if naf == 0 and nau == 0 and pending_idx >= n_pending:
+            if naf == 0 and nau == 0 and pending_idx >= n_flows:
                 end_time = now
                 break
             if until is not None and now >= until - _TIME_EPS:
@@ -701,8 +975,8 @@ class FluidSimulation:
             af = af_buf[:naf]
             au = au_buf[:nau]
             next_time = inf
-            if pending_idx < n_pending:
-                next_time = pending[pending_idx].start_time
+            if pending_idx < n_flows:
+                next_time = pending_start[pending_idx]
             if nau:
                 stop_u = stop_arr[au]
                 stop_min = stop_u.min()
@@ -730,33 +1004,23 @@ class FluidSimulation:
             next_time = float(next_time)
             dt = next_time - now
 
-            # Lazily flush rate segments for flows whose rate changed, then
-            # drain finite flows in one vector step.
+            # Close the segment of every flow whose rate changed and open
+            # its next one, then drain finite flows in one vector step.
             if nau:
                 rates_u = rate_vec[au]
                 changed_u = rates_u != seg_rate[au]
                 if changed_u.any():
-                    rows = au[changed_u]
-                    for slot in rows.tolist():
-                        sr = seg_rate[slot]
-                        if sr != -1.0:
-                            timelines[fid_of[slot]].append(
-                                float(seg_start[slot]), now, float(sr)
-                            )
-                    seg_start[rows] = now
-                    seg_rate[rows] = rates_u[changed_u]
+                    changed = au[changed_u]
+                    close_segments(changed)
+                    seg_start[changed] = now
+                    seg_rate[changed] = rates_u[changed_u]
             if naf:
                 changed_f = rates_f != seg_rate[af]
                 if changed_f.any():
-                    rows = af[changed_f]
-                    for slot in rows.tolist():
-                        sr = seg_rate[slot]
-                        if sr != -1.0:
-                            timelines[fid_of[slot]].append(
-                                float(seg_start[slot]), now, float(sr)
-                            )
-                    seg_start[rows] = now
-                    seg_rate[rows] = rates_f[changed_f]
+                    changed = af[changed_f]
+                    close_segments(changed)
+                    seg_start[changed] = now
+                    seg_rate[changed] = rates_f[changed_f]
                 drained = rem_f - rates_f * dt / BITS_PER_BYTE
                 new_rem = np.where(drained > 0.0, drained, 0.0)
                 new_rem[np.isinf(rates_f)] = 0.0
@@ -768,41 +1032,32 @@ class FluidSimulation:
             now = next_time
             end_time = now
 
-            # Retire flows that completed or were switched off at ``now``,
-            # in activation order (matches the scalar loop's dict order and
-            # keeps the allocator's slot free-list identical).
+            # Retire the flows that completed or were switched off at
+            # ``now``, a batch each, in activation order (the scalar loop's
+            # dict order; it keeps the allocator's free list identical).
             if naf:
-                done_mask = new_rem <= _BYTE_EPS
-                if done_mask.any():
-                    for i in np.nonzero(done_mask)[0].tolist():
-                        slot = int(af[i])
-                        fid = fid_of[slot]
-                        sr = seg_rate[slot]
-                        if sr != -1.0:
-                            timelines[fid].append(
-                                float(seg_start[slot]), now, float(sr)
-                            )
-                        completion[fid] = now
-                        states[fid] = FlowState.COMPLETED
-                        remaining_out[fid] = float(new_rem[i])
-                        incremental.remove_flow(fid)
-                    kept = af[~done_mask]
+                done = new_rem <= _BYTE_EPS
+                if done.any():
+                    retired = af[done]
+                    close_segments(retired)
+                    which = flow_of[retired]
+                    names = [flow_ids[i] for i in which.tolist()]
+                    completion.update(zip(names, itertools.repeat(now)))
+                    state[which] = _COMPLETED
+                    rem_out[which] = new_rem[done]
+                    incremental.remove_flows(names)
+                    kept = af[~done]
                     naf = kept.shape[0]
                     af_buf[:naf] = kept
             if nau:
-                stop_mask = stop_u <= now + _TIME_EPS
-                if stop_mask.any():
-                    for i in np.nonzero(stop_mask)[0].tolist():
-                        slot = int(au[i])
-                        fid = fid_of[slot]
-                        sr = seg_rate[slot]
-                        if sr != -1.0:
-                            timelines[fid].append(
-                                float(seg_start[slot]), now, float(sr)
-                            )
-                        states[fid] = FlowState.STOPPED
-                        incremental.remove_flow(fid)
-                    kept = au[~stop_mask]
+                off = stop_u <= now + _TIME_EPS
+                if off.any():
+                    retired = au[off]
+                    close_segments(retired)
+                    which = flow_of[retired]
+                    state[which] = _STOPPED
+                    incremental.remove_flows([flow_ids[i] for i in which.tolist()])
+                    kept = au[~off]
                     nau = kept.shape[0]
                     au_buf[:nau] = kept
 
@@ -811,29 +1066,26 @@ class FluidSimulation:
                 break
 
         _FLUID_BATCHES.inc(batches)
-        # Flush segments still open at the stop time and record the
+        # Close the segments still open at the stop time and record the
         # remaining bytes of flows the run left active.
-        for buf, count in ((af_buf, naf), (au_buf, nau)):
-            for slot in buf[:count].tolist():
-                sr = seg_rate[slot]
-                if sr != -1.0:
-                    timelines[fid_of[slot]].append(
-                        float(seg_start[slot]), now, float(sr)
-                    )
-                remaining_out[fid_of[slot]] = float(rem[slot])
-        # Flows still pending or active when the run stops keep their state.
-        for fid in flows:
-            if states[fid] is FlowState.ACTIVE:
-                states[fid] = FlowState.STOPPED
+        for slots in (af_buf[:naf], au_buf[:nau]):
+            close_segments(slots)
+            rem_out[flow_of[slots]] = rem[slots]
+        # Flows still active when the run stops are stopped; pending ones
+        # keep their state.
+        state[state == _ACTIVE] = _STOPPED
+        timelines = _TimelineTable(
+            flow_ids, *(np.concatenate(column) for column in log)
+        )
+        span.set(batches=batches, segments=timelines.n_segments)
         return FluidResult(
             completion_times=completion,
             timelines=timelines,
-            remaining_bytes={
-                fid: (0.0 if math.isinf(r) else r)
-                for fid, r in remaining_out.items()
-            },
+            remaining_bytes=dict(
+                zip(flow_ids, np.where(np.isinf(rem_out), 0.0, rem_out).tolist())
+            ),
             end_time=end_time,
-            states=states,
+            states=dict(zip(flow_ids, map(_STATES.__getitem__, state.tolist()))),
         )
 
 

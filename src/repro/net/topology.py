@@ -117,6 +117,15 @@ def structured_routing_info() -> Dict[str, int]:
     }
 
 
+# Batches of fewer pairs than this are routed pair by pair in
+# ``path_links_matrix``: the array router costs ≈45 µs before its first pair
+# and ≈2.5 µs for each, a ``node_path`` call 2.3 µs (cached pair) to 5.5 µs,
+# so the two cross at ≈16 pairs (2-core reference host, hot loop; called
+# cold from a service session the array router's fixed cost is ≈3×).  The
+# simulations a provider builds per application are this small.  Same rows.
+_ARRAY_ROUTE_MIN_PAIRS = 16
+
+
 class _TreeRouter:
     """Arithmetic ECMP routing for trees built by :func:`build_multi_rooted_tree`.
 
@@ -444,6 +453,8 @@ class Topology:
         self._path_links_cache: Dict[Tuple[str, str], List[Link]] = {}
         self._structure_token: Optional[str] = None
         self._tree_tables: Optional[_TreeLinkTables] = None
+        # link id -> position in ``_links`` (path_links_matrix's index order)
+        self._link_index: Optional[Dict[str, int]] = None
 
     # ------------------------------------------------------------------ nodes
     def add_node(self, name: str, kind: NodeKind, level: int = 0) -> None:
@@ -464,6 +475,7 @@ class Topology:
                 kind=LinkKind.LOOPBACK,
             )
             self._links[link.link_id] = link
+            self._link_index = None
 
     def add_link(
         self,
@@ -496,6 +508,7 @@ class Topology:
         self._path_links_cache.clear()
         self._structure_token = None
         self._tree_tables = None
+        self._link_index = None
 
     # ------------------------------------------------------------ inspection
     def node_kind(self, name: str) -> NodeKind:
@@ -707,7 +720,9 @@ class Topology:
         :meth:`path_links`.
         """
         link_ids = list(self._links)
-        index = {lid: i for i, lid in enumerate(link_ids)}
+        if self._link_index is None:
+            self._link_index = {lid: i for i, lid in enumerate(link_ids)}
+        index = self._link_index
         n = len(pairs)
         lengths = np.zeros(n, dtype=np.int32)
         tree_rows = None
@@ -716,7 +731,7 @@ class Topology:
         if _structured_routing_enabled:
             router = _structured_routers.get(self.structure_token())
         try:
-            if router is not None and n:
+            if router is not None and n >= _ARRAY_ROUTE_MIN_PAIRS:
                 # Canonical, distinct hosts route arithmetically, all at once.
                 hosts = {}
                 for name in {name for pair in pairs for name in pair}:

@@ -295,13 +295,9 @@ def test_partial_and_scalar_solves_in_between_invalidate_the_log():
     assert delta["rounds"] > 0 and delta["rounds_replayed"] == 0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="_solve_scalar drains inf - 1*inf = NaN -> 0.0 when unconstrained "
-    "flows sit on two infinite links with different members; the vector "
-    "solve and the reference return inf.  No builder makes infinite links.",
-)
 def test_scalar_solver_on_two_infinite_links():
+    """Unconstrained flows on two infinite links with different members: the
+    scalar drain must leave ``inf - 1*inf`` infinite, not NaN -> 0."""
     caps = {"a": math.inf, "b": math.inf}
     demands = {
         "both": FlowDemand(links=("a", "b")),

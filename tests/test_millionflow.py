@@ -169,11 +169,11 @@ class TestLoopPlumbing:
         scalar, vector = FluidSimulation._run_scalar, FluidSimulation._run_vector
         monkeypatch.setattr(
             FluidSimulation, "_run_scalar",
-            lambda self, until: taken.append("scalar") or scalar(self, until),
+            lambda self, *args: taken.append("scalar") or scalar(self, *args),
         )
         monkeypatch.setattr(
             FluidSimulation, "_run_vector",
-            lambda self, until: taken.append("vector") or vector(self, until),
+            lambda self, *args: taken.append("vector") or vector(self, *args),
         )
         sim.run()
         assert len(taken) == 1
