@@ -1,8 +1,7 @@
 """Tracked micro- and end-to-end benchmarks for the hot paths.
 
-The §6 sweep bottoms out in three hot paths — the max-min allocator, the
-fluid simulator's event loop, and the greedy placer's candidate-rate scans
-— and the paper's pitch is that the measurement+placement cycle must finish
+The §6 sweep bottoms out in two hot paths — the max-min allocator and the
+fluid simulator's event loop — and the paper's pitch is that the measurement+placement cycle must finish
 in about 90 seconds to be usable, so speed *is* fidelity here.  This
 package times those paths A/B against their pre-optimisation reference
 implementations (which remain in the tree behind switches) and emits a
@@ -15,8 +14,7 @@ Run it with::
     python -m repro.bench --quick    # small sizes, for CI smoke
 
 The process exits non-zero when any optimised path *disagrees* with its
-reference (allocator rates, fluid timelines, greedy placements, experiment
-metrics) — correctness is checked on every benchmark run, speed is
+reference (allocator rates, fluid timelines, experiment metrics) — correctness is checked on every benchmark run, speed is
 reported.  See ``docs/performance.md`` for how to read the output.
 """
 
@@ -24,7 +22,6 @@ from repro.bench.benchmarks import (
     bench_allocator,
     bench_e2e_experiments,
     bench_fluid,
-    bench_greedy,
     bench_mesh,
     bench_sweep_resume,
     run_benchmarks,
@@ -35,7 +32,6 @@ __all__ = [
     "bench_allocator",
     "bench_e2e_experiments",
     "bench_fluid",
-    "bench_greedy",
     "bench_mesh",
     "bench_sweep_resume",
     "reference_mode",

@@ -46,7 +46,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro.bench",
         description=(
             "Hot-path benchmarks: incremental allocator, fluid event loop, "
-            "greedy rate table, batched measurement mesh, and the "
+            "batched measurement mesh, and the "
             "experiments sweep end to end, each A/B'd against its "
             "reference implementation."
         ),

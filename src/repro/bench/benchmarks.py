@@ -483,70 +483,6 @@ def bench_routing(
 
 
 # ---------------------------------------------------------------------------
-# Greedy placement
-# ---------------------------------------------------------------------------
-def _synthetic_profile(machines: Sequence[str], seed: int) -> NetworkProfile:
-    rng = random.Random(seed)
-    rates = {
-        (a, b): rng.uniform(0.1 * GBITPS, 1 * GBITPS)
-        for a in machines
-        for b in machines
-        if a != b
-    }
-    return NetworkProfile(vms=list(machines), rates_bps=rates)
-
-
-def bench_greedy(
-    n_machines: int = 24,
-    n_workers: int = 23,
-    repeats: int = 5,
-    seed: int = 0,
-) -> Dict[str, object]:
-    """Place a scatter/gather application with and without the rate table.
-
-    Heavy worker->frontend responses pin the destination, so every transfer
-    scans one candidate per machine — the pattern where the incrementally
-    invalidated rate table saves the most recomputation.
-    """
-    machines = [f"m{i}" for i in range(n_machines)]
-    cluster = ClusterState(machines=[Machine(name, cores=4.0) for name in machines])
-    profile = _synthetic_profile(machines, seed)
-    app = scatter_gather(
-        "svc", n_workers,
-        request_bytes=4 * MBYTE,
-        response_bytes=400 * MBYTE,
-        cpu_per_task=1.0,
-    )
-
-    def run(use_cache: bool):
-        placer = GreedyPlacer(use_rate_cache=use_cache)
-        started = time.perf_counter()
-        placements = [
-            placer.place(app, cluster, profile) for _ in range(repeats)
-        ]
-        return time.perf_counter() - started, placements[0], placer.last_rate_stats
-
-    reference_s, ref, _ = run(False)
-    optimized_s, got, stats = run(True)
-    queries = stats["hits"] + stats["misses"]
-    return {
-        "name": "greedy",
-        "params": {
-            "n_machines": n_machines, "n_workers": n_workers, "repeats": repeats,
-        },
-        "reference_s": round(reference_s, 6),
-        "optimized_s": round(optimized_s, 6),
-        "speedup": round(reference_s / optimized_s, 3) if optimized_s else None,
-        # The structural win: candidate-rate queries answered from the
-        # incrementally invalidated table instead of being recomputed.
-        "rate_queries": queries,
-        "rate_recomputed": stats["misses"],
-        "rate_cache_hit_%": round(100.0 * stats["hits"] / queries, 1) if queries else None,
-        "matched": ref.assignments == got.assignments,
-    }
-
-
-# ---------------------------------------------------------------------------
 # ILP placement (Appendix formulation)
 # ---------------------------------------------------------------------------
 def _ilp_bench_instance(n_tasks: int, n_vms: int, seed: int):
@@ -1770,7 +1706,6 @@ def bench_obs(
 _BENCHES: Dict[str, Callable[..., Dict[str, object]]] = {
     "allocator": bench_allocator,
     "fluid": bench_fluid,
-    "greedy": bench_greedy,
     "ilp_scale": bench_ilp_scale,
     "ilp_pipe": bench_ilp_pipe,
     "mesh": bench_mesh,
@@ -1788,7 +1723,6 @@ _BENCHES: Dict[str, Callable[..., Dict[str, object]]] = {
 _QUICK_OVERRIDES: Dict[str, Dict[str, object]] = {
     "allocator": {"n_links": 30, "n_flows": 60, "n_events": 80},
     "fluid": {"n_pairs": 8, "n_flows": 60},
-    "greedy": {"n_machines": 8, "n_workers": 7, "repeats": 2},
     "ilp_scale": {"n_tasks": 8, "n_vms": 6},
     "ilp_pipe": {"n_tasks": 8, "n_vms": 6},
     "mesh": {"n_vms": 6},
@@ -1821,8 +1755,7 @@ _QUICK_OVERRIDES: Dict[str, Dict[str, object]] = {
 #: docs/observability.md) and run as a dedicated CI step, so the default
 #: suite does not pay for (or duplicate) them.
 DEFAULT_SUITE: Tuple[str, ...] = (
-    "allocator", "fluid", "greedy", "mesh", "e2e", "scale",
-    "fluid_loop", "routing",
+    "allocator", "fluid", "mesh", "e2e", "scale", "fluid_loop", "routing",
 )
 
 #: Speedup floors: ``(bench, targets key, minimum, path)`` where ``path``

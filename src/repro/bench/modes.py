@@ -5,14 +5,12 @@ reachable behind a switch:
 
 * :func:`repro.net.fluid.set_default_allocator` — incremental vs reference
   max-min allocation inside :class:`~repro.net.fluid.FluidSimulation`;
-* :func:`repro.core.placement.greedy.set_default_rate_cache` — cached vs
-  recomputed candidate rates in the greedy placer;
 * :func:`repro.net.topology.set_route_cache_enabled` — the process-wide
   structural routing cache;
 * :func:`repro.net.topology.set_structured_routing_enabled` — the
   arithmetic tree-topology routing fast path.
 
-:func:`reference_mode` flips all four at once so the benchmarks can time
+:func:`reference_mode` flips all three at once so the benchmarks can time
 "the code as it was" against "the code as it is" inside one process.
 """
 
@@ -20,7 +18,6 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-from repro.core.placement.greedy import set_default_rate_cache
 from repro.net.fluid import ALLOCATOR_REFERENCE, set_default_allocator
 from repro.net.topology import (
     clear_route_cache,
@@ -33,7 +30,6 @@ from repro.net.topology import (
 def reference_mode():
     """Run the enclosed block on the pre-optimisation code paths."""
     previous_allocator = set_default_allocator(ALLOCATOR_REFERENCE)
-    previous_cache = set_default_rate_cache(False)
     previous_routes = set_route_cache_enabled(False)
     previous_structured = set_structured_routing_enabled(False)
     clear_route_cache()
@@ -41,6 +37,5 @@ def reference_mode():
         yield
     finally:
         set_default_allocator(previous_allocator)
-        set_default_rate_cache(previous_cache)
         set_route_cache_enabled(previous_routes)
         set_structured_routing_enabled(previous_structured)

@@ -10,8 +10,9 @@ measurements support ("hose" on EC2/Rackspace, §4.4).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,12 +61,7 @@ class NetworkProfile:
     degraded_pairs: Dict[Tuple[str, str], str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if len(set(self.vms)) != len(self.vms):
-            raise MeasurementError("duplicate VM names in profile")
-        if self.sharing_model not in ("hose", "pipe"):
-            raise MeasurementError(
-                f"sharing_model must be 'hose' or 'pipe', got {self.sharing_model!r}"
-            )
+        self._validate_header()
         known = set(self.vms)
         for (src, dst), rate in self.rates_bps.items():
             if src not in known or dst not in known:
@@ -100,6 +96,15 @@ class NetworkProfile:
         # immutable once placement starts consuming them).
         self._matrix_cache: Optional[np.ndarray] = None
         self._matrix_cache_pairs: int = -1
+
+    def _validate_header(self) -> None:
+        """The checks that do not look at individual pairs."""
+        if len(set(self.vms)) != len(self.vms):
+            raise MeasurementError("duplicate VM names in profile")
+        if self.sharing_model not in ("hose", "pipe"):
+            raise MeasurementError(
+                f"sharing_model must be 'hose' or 'pipe', got {self.sharing_model!r}"
+            )
 
     # ------------------------------------------------------------- accessors
     def rate(self, src_vm: str, dst_vm: str) -> float:
@@ -241,21 +246,70 @@ class NetworkProfile:
         )
 
 
+class _MatrixRates(MappingABC):
+    """Read-only ``(src, dst) -> rate`` view of a rate matrix's measured pairs.
+
+    What :attr:`NetworkProfile.rates_bps` is on a matrix-backed profile: the
+    off-diagonal, non-``NaN`` entries, iterated in row-major order — the
+    order a full-mesh campaign inserts pairs into the dict form.  Nothing
+    is built per pair until someone iterates or takes the length.
+    """
+
+    def __init__(
+        self, vms: List[str], index: Dict[str, int], matrix: np.ndarray
+    ) -> None:
+        self._vms = vms
+        self._index = index
+        self._matrix = matrix
+        self._where: Optional[Tuple[List[int], List[int]]] = None
+
+    def _measured(self) -> Tuple[List[int], List[int]]:
+        if self._where is None:
+            measured = ~np.isnan(self._matrix)
+            np.fill_diagonal(measured, False)
+            rows, cols = np.nonzero(measured)
+            self._where = (rows.tolist(), cols.tolist())
+        return self._where
+
+    def __getitem__(self, pair: Tuple[str, str]) -> float:
+        try:
+            src, dst = pair
+            i, j = self._index[src], self._index[dst]
+        except (TypeError, ValueError, KeyError):
+            raise KeyError(pair) from None
+        value = self._matrix[i, j]
+        if i == j or math.isnan(value):
+            raise KeyError(pair)
+        return float(value)
+
+    def __iter__(self) -> Iterator[Tuple[str, str]]:
+        vms = self._vms
+        rows, cols = self._measured()
+        return ((vms[i], vms[j]) for i, j in zip(rows, cols))
+
+    def __len__(self) -> int:
+        return len(self._measured()[0])
+
+
 class MatrixNetworkProfile(NetworkProfile):
     """A :class:`NetworkProfile` whose rates live in a dense NumPy matrix.
 
     A dict keyed by ordered VM pairs costs hundreds of bytes per entry — a
     4096-VM mesh is ~16.7M pairs, far past what the tuple-keyed
-    representation can hold.  This subclass stores the same measurements as
-    one float64 ``(n, n)`` array (``NaN`` marks unmeasured pairs, the
-    diagonal is the intra-VM rate) and overrides the per-pair accessors to
-    index into it, so datacenter-scale synthetic meshes (the ``scale``
-    bench family) and hierarchical placement stay in array land end to end.
+    representation can hold — and a service that rebuilds a 40-VM mesh's
+    dict at every admission spends its time making tuples.  This subclass
+    stores the same measurements as one float64 ``(n, n)`` array (``NaN``
+    marks unmeasured pairs, the diagonal is the intra-VM rate; the profile
+    keeps its own read-only copy) and overrides the per-pair accessors to
+    index into it, so the online service's admission path, datacenter-scale
+    synthetic meshes (the ``scale`` bench family) and hierarchical placement
+    stay in array land end to end.
 
-    ``rates_bps`` is intentionally left empty: pair-dict consumers should
-    go through :meth:`rate` / :meth:`rate_matrix`, which every placement
-    path does.  :meth:`pairs` and :meth:`fastest_pairs` materialise tuples
-    on demand and are O(n²) — fine for tests, avoided on hot paths.
+    :attr:`rates_bps` is a read-only mapping *view* of the matrix (see
+    :class:`_MatrixRates`): pair-dict consumers — :meth:`pairs`,
+    :meth:`fastest_pairs`, tests — see exactly the measured pairs, but
+    tuples are only made when they iterate it.  Hot paths go through
+    :meth:`rate` / :meth:`rate_matrix`.
     """
 
     def __init__(
@@ -268,30 +322,38 @@ class MatrixNetworkProfile(NetworkProfile):
         measured_at: float = 0.0,
         measurement_duration_s: float = 0.0,
     ) -> None:
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = np.array(matrix, dtype=np.float64)  # always our own copy
         n = len(vms)
         if matrix.shape != (n, n):
             raise MeasurementError(
                 f"rate matrix shape {matrix.shape} does not match "
                 f"{n} VMs (expected ({n}, {n}))"
             )
-        off_diag = ~np.eye(n, dtype=bool)
-        measured = off_diag & ~np.isnan(matrix)
-        if np.any(matrix[measured] <= 0):
+        np.fill_diagonal(matrix, math.nan)
+        if np.any(matrix <= 0):
             raise MeasurementError("matrix rates must be positive")
-        matrix = matrix.copy()
         np.fill_diagonal(matrix, intra_vm_rate_bps)
+        matrix.flags.writeable = False
         self._matrix = matrix
-        self._index: Dict[str, int] = {vm: i for i, vm in enumerate(vms)}
-        super().__init__(
-            vms=list(vms),
-            rates_bps={},
-            intra_vm_rate_bps=intra_vm_rate_bps,
-            hose_rates_bps=dict(hose_rates_bps or {}),
-            sharing_model=sharing_model,
-            measured_at=measured_at,
-            measurement_duration_s=measurement_duration_s,
-        )
+        # The dataclass fields, set directly: ``rates_bps`` is a view here,
+        # so the generated ``__init__`` (which assigns it) does not apply.
+        self.vms = list(vms)
+        self.intra_vm_rate_bps = intra_vm_rate_bps
+        self.cross_traffic = {}
+        self.hose_rates_bps = dict(hose_rates_bps or {})
+        self.sharing_model = sharing_model
+        self.measured_at = measured_at
+        self.measurement_duration_s = measurement_duration_s
+        self.pair_measured_at = {}
+        self.degraded_pairs = {}
+        self._validate_header()
+        self._index: Dict[str, int] = {vm: i for i, vm in enumerate(self.vms)}
+        self._rates_view = _MatrixRates(self.vms, self._index, matrix)
+
+    @property
+    def rates_bps(self) -> Mapping[Tuple[str, str], float]:
+        """The measured pairs, as a read-only mapping over the matrix."""
+        return self._rates_view
 
     # ------------------------------------------------------------- accessors
     def rate(self, src_vm: str, dst_vm: str) -> float:
@@ -350,24 +412,3 @@ class MatrixNetworkProfile(NetworkProfile):
             rows.append(i)
         idx = np.asarray(rows, dtype=np.intp)
         return self._matrix[np.ix_(idx, idx)]
-
-    def pairs(self) -> List[Tuple[str, str]]:
-        vms = self.vms
-        return [
-            (vms[i], vms[j])
-            for i in range(len(vms))
-            for j in range(len(vms))
-            if i != j and not math.isnan(self._matrix[i, j])
-        ]
-
-    def fastest_pairs(self, n: Optional[int] = None) -> List[Tuple[str, str, float]]:
-        ranked = sorted(
-            (
-                (self.vms[i], self.vms[j], float(self._matrix[i, j]))
-                for i in range(len(self.vms))
-                for j in range(len(self.vms))
-                if i != j and not math.isnan(self._matrix[i, j])
-            ),
-            key=lambda item: (-item[2], item[0], item[1]),
-        )
-        return ranked if n is None else ranked[:n]

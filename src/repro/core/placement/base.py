@@ -81,9 +81,15 @@ class ClusterState:
         """Cores still free on a machine."""
         return self.machine(name).cores - self.cpu_used.get(name, 0.0)
 
+    def available_cpus(self) -> Dict[str, float]:
+        """Cores still free on every machine, in declaration order (one
+        pass; :meth:`available_cpu` looks its machine up by name)."""
+        used = self.cpu_used
+        return {m.name: m.cores - used.get(m.name, 0.0) for m in self.machines}
+
     def total_available_cpu(self) -> float:
         """Cores still free across the whole cluster."""
-        return sum(self.available_cpu(m.name) for m in self.machines)
+        return sum(self.available_cpus().values())
 
     def with_usage(self, usage: Mapping[str, float]) -> "ClusterState":
         """A copy with additional CPU usage applied (for sequential placement)."""
@@ -172,11 +178,10 @@ def cpu_feasible_machines(
     variables with: a task can never sit on a machine that lacks the cores
     for it in isolation (joint feasibility is still the solver's job).
     """
-    machines = cluster.machine_names()
-    available = {m: cluster.available_cpu(m) for m in machines}
+    available = cluster.available_cpus()
     return {
         task.name: [
-            m for m in machines if task.cpu_cores <= available[m] + 1e-9
+            m for m, free in available.items() if task.cpu_cores <= free + 1e-9
         ]
         for task in app.tasks
     }
@@ -204,15 +209,15 @@ class Placer(abc.ABC):
 
     def check_feasible(self, app: Application, cluster: ClusterState) -> None:
         """Raise :class:`PlacementError` when the app cannot possibly fit."""
-        if app.total_cpu > cluster.total_available_cpu() + 1e-9:
+        available = cluster.available_cpus()
+        total = sum(available.values())
+        if app.total_cpu > total + 1e-9:
             raise PlacementError(
                 f"application {app.name!r} needs {app.total_cpu:.1f} cores but the "
-                f"cluster only has {cluster.total_available_cpu():.1f} available"
+                f"cluster only has {total:.1f} available"
             )
         largest_task = max(task.cpu_cores for task in app.tasks)
-        largest_slot = max(
-            cluster.available_cpu(m.name) for m in cluster.machines
-        )
+        largest_slot = max(available.values())
         if largest_task > largest_slot + 1e-9:
             raise PlacementError(
                 f"application {app.name!r} has a task needing {largest_task:.1f} cores "

@@ -18,24 +18,41 @@ free CPU.  The result is not guaranteed optimal (Figure 9 shows a
 counter-example), but §5 reports it within 13% (median) of the optimum
 while scaling far better.
 
-At datacenter scale the flat candidate enumeration is quadratic in the
-machine count, so above a size threshold (see
+**One rate matrix.**  Candidates are not enumerated as tuples: the placer
+keeps one :class:`~repro.core.rate_model.EffectiveRateMatrix` over the
+machines in *name-sorted* index order and a free-CPU vector, and a
+transfer's choice is a masked argmax over (a block of) that matrix — one
+row when the source is pinned, one column when the destination is, the
+whole matrix with the colocation diagonal otherwise (:meth:`GreedyPlacer._best`).
+Algorithm 1's selection key is ``(-rate, -colocated, src name, dst name)``;
+because indices follow name order, "the first maximum in row-major order"
+*is* the lexicographically smallest ``(src, dst)`` among the fastest
+candidates, and ``prefer_colocation`` only adds "a colocated candidate tied
+at the maximum wins".  Every rate is ``==`` the scalar
+:func:`~repro.core.rate_model.effective_rate`, so placements — including
+the order of ``Placement.assignments`` — are those of the scalar algorithm
+(kept as the oracle in ``tests/test_admission_arrays.py``).
+
+At datacenter scale the flat search is quadratic in the machine count per
+unpinned transfer, so above a size threshold (see
 :func:`set_default_cluster_threshold`) the placer goes **hierarchical**:
 machines are clustered once per placement by the similarity of their
 measured rate profiles (deterministic farthest-point k-center over the
 rows of :meth:`~repro.core.network_profile.NetworkProfile.rate_matrix`),
 each transfer first ranks *cluster representative* pairs by the flat
-selection key, then enumerates machine pairs only within the best
-representative pair's clusters, falling through ranked representative
-pairs until one yields a CPU-feasible candidate.  The union of those
-per-representative candidate sets is exactly the flat candidate set, so
-the hierarchical path fails only when the flat path would; with one
-machine per cluster it reduces to the flat selection bit for bit.
+selection key (the leaders' sub-matrix), then searches machine pairs only
+within the best representative pair's clusters (one block), skipping
+representative pairs whose clusters hold no CPU-feasible candidate.  The
+union of those per-representative candidate sets is exactly the flat
+candidate set, so the hierarchical path fails only when the flat path
+would; with one machine per cluster it reduces to the flat selection bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -43,17 +60,14 @@ import numpy as np
 from repro import obs
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Placement, Placer, validate_placement
-from repro.core.rate_model import ConnectionLoad, EffectiveRateTable, effective_rate
-from repro.errors import PlacementError
+from repro.core.rate_model import ConnectionLoad, EffectiveRateMatrix, effective_rate
+from repro.errors import MeasurementError, PlacementError
 from repro.workloads.application import Application
 
 _EPS = 1e-9
 
-_default_rate_cache = True
-
-# Machine counts below this stay on the flat quadratic enumeration, whose
-# exhaustive candidate scan is both fast and exactly Algorithm 1 at small
-# sizes; at or above it GreedyPlacer(cluster_threshold=None) clusters.
+# Machine counts below this stay on the flat search, which is exactly
+# Algorithm 1; at or above it GreedyPlacer(cluster_threshold=None) clusters.
 _default_cluster_threshold = 96
 
 
@@ -62,7 +76,7 @@ def set_default_cluster_threshold(n_machines: int) -> int:
 
     Placements over clusters with at least this many machines use the
     hierarchical candidate search; smaller ones keep the flat Algorithm 1
-    enumeration.  Benchmarks and tests move it to force either path.
+    search.  Benchmarks and tests move it to force either path.
     """
     global _default_cluster_threshold
     if n_machines < 1:
@@ -70,6 +84,38 @@ def set_default_cluster_threshold(n_machines: int) -> int:
     previous = _default_cluster_threshold
     _default_cluster_threshold = int(n_machines)
     return previous
+
+
+def _k_center(matrix: np.ndarray, n_clusters: int) -> Tuple[List[int], np.ndarray]:
+    """Farthest-point k-center over the rows of a rate matrix.
+
+    Returns ``(leaders, owner)``: the row indices picked as leaders (first
+    row first, ties to the lowest index) and, per row, the position in
+    ``leaders`` of its nearest leader.  See
+    :func:`cluster_vms_by_rate_profile` for the feature definition.
+    """
+    k = max(1, min(int(n_clusters), matrix.shape[0]))
+    features = np.where(np.isfinite(matrix), matrix, 0.0)
+    np.fill_diagonal(features, 0.0)
+    norms = np.einsum("ij,ij->i", features, features)
+
+    def distance_row(index: int) -> np.ndarray:
+        row = norms + norms[index] - 2.0 * (features @ features[index])
+        np.maximum(row, 0.0, out=row)
+        return row
+
+    leaders = [0]
+    rows = [distance_row(0)]
+    nearest = rows[0].copy()
+    while len(leaders) < k:
+        candidate = int(np.argmax(nearest))
+        if nearest[candidate] <= 0.0:
+            break  # every remaining machine matches an existing leader
+        leaders.append(candidate)
+        row = distance_row(candidate)
+        rows.append(row)
+        np.minimum(nearest, row, out=nearest)
+    return leaders, np.argmin(np.vstack(rows), axis=0)
 
 
 def cluster_vms_by_rate_profile(
@@ -93,51 +139,13 @@ def cluster_vms_by_rate_profile(
     yields a single cluster).  Distances use squared Euclidean norms via
     dot products, so the whole clustering is O(k·n²) vector work.
     """
-    n = len(machines)
-    if n == 0:
+    if len(machines) == 0:
         raise PlacementError("cannot cluster an empty machine list")
-    k = max(1, min(int(n_clusters), n))
-    matrix = profile.rate_matrix(order=machines)
-    features = np.where(np.isfinite(matrix), matrix, 0.0)
-    np.fill_diagonal(features, 0.0)
-    norms = np.einsum("ij,ij->i", features, features)
-
-    def distance_row(index: int) -> np.ndarray:
-        row = norms + norms[index] - 2.0 * (features @ features[index])
-        np.maximum(row, 0.0, out=row)
-        return row
-
-    leader_indices = [0]
-    rows = [distance_row(0)]
-    nearest = rows[0].copy()
-    while len(leader_indices) < k:
-        candidate = int(np.argmax(nearest))
-        if nearest[candidate] <= 0.0:
-            break  # every remaining machine matches an existing leader
-        leader_indices.append(candidate)
-        row = distance_row(candidate)
-        rows.append(row)
-        np.minimum(nearest, row, out=nearest)
-
-    owner = np.argmin(np.vstack(rows), axis=0)
-    clusters: List[List[str]] = [[] for _ in leader_indices]
+    leader_rows, owner = _k_center(profile.rate_matrix(order=machines), n_clusters)
+    clusters: List[List[str]] = [[] for _ in leader_rows]
     for index, lead in enumerate(owner):
         clusters[int(lead)].append(machines[index])
-    leaders = [machines[i] for i in leader_indices]
-    return leaders, clusters
-
-
-def set_default_rate_cache(enabled: bool) -> bool:
-    """Default for ``GreedyPlacer(use_rate_cache=None)``; returns the old value.
-
-    Disabling it restores the pre-optimisation behaviour (every candidate's
-    :func:`~repro.core.rate_model.effective_rate` recomputed on every
-    transfer); the switch exists for A/B benchmarking and debugging.
-    """
-    global _default_rate_cache
-    previous = _default_rate_cache
-    _default_rate_cache = bool(enabled)
-    return previous
+    return [machines[i] for i in leader_rows], clusters
 
 
 def greedy_incumbent(
@@ -183,6 +191,59 @@ def machine_rate_scores(
     return scores
 
 
+def _diagonal(n: int) -> np.ndarray:
+    """Flat positions of the diagonal of an ``n`` × ``n`` block."""
+    return np.arange(n) * (n + 1)
+
+
+def _pairs_allowed(
+    row_ok: np.ndarray,
+    col_ok: np.ndarray,
+    same_ok: Optional[np.ndarray] = None,
+    diagonal: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """CPU mask over a block of ordered pairs: the row's task fits its
+    machine and the column's fits its own — except on the ``diagonal``
+    (one machine for both), where ``same_ok`` says whether both fit."""
+    allowed = row_ok[:, None] & col_ok[None, :]
+    if diagonal is not None:
+        allowed.ravel()[diagonal] = same_ok
+    return allowed
+
+
+@dataclass
+class _Hierarchy:
+    """One placement's clustering, machines as name-order indices."""
+
+    #: Cluster leaders in ascending index order, and beside each the id of
+    #: the cluster it leads (its position in the k-center's leader list).
+    leaders: np.ndarray
+    led: np.ndarray
+    #: ``np.ix_(leaders, leaders)`` and the diagonal of that block.
+    grid: Tuple[np.ndarray, np.ndarray]
+    diagonal: np.ndarray
+    #: Cluster id per machine; member indices (ascending) per cluster id.
+    owner: np.ndarray
+    members: List[np.ndarray]
+    #: Per leader machine, the id of its cluster — which is also the order
+    #: the scalar algorithm evaluates leaders in.
+    cluster_of: np.ndarray
+
+
+@dataclass
+class _Round:
+    """State of one :meth:`GreedyPlacer.place` call (name-order indices)."""
+
+    names: List[str]
+    declared: List[str]  # the same names in the cluster's declaration order
+    board: EffectiveRateMatrix
+    free: np.ndarray  # free CPU per machine
+    unmeasured: bool  # the profile lacks some pair among these machines
+    everyone: np.ndarray  # arange(len(names))
+    diagonal: np.ndarray
+    hierarchy: Optional[_Hierarchy]
+
+
 class GreedyPlacer(Placer):
     """Algorithm 1: greedy network-aware placement.
 
@@ -192,11 +253,6 @@ class GreedyPlacer(Placer):
         prefer_colocation: break rate ties in favour of placing both tasks
             on the same machine (intra-machine rates are typically infinite,
             so this only matters when the profile's intra-VM rate is finite).
-        use_rate_cache: keep candidate rates in an incrementally invalidated
-            :class:`~repro.core.rate_model.EffectiveRateTable` instead of
-            recomputing every candidate on every transfer.  ``None`` uses
-            the module default (see :func:`set_default_rate_cache`); the
-            placement is identical either way.
         cluster_threshold: machine count at which placement switches to the
             hierarchical (cluster-representatives-first) candidate search;
             ``None`` uses the module default (see
@@ -213,7 +269,6 @@ class GreedyPlacer(Placer):
         self,
         model: str = "hose",
         prefer_colocation: bool = True,
-        use_rate_cache: Optional[bool] = None,
         cluster_threshold: Optional[int] = None,
         n_clusters: Optional[int] = None,
     ):
@@ -225,12 +280,8 @@ class GreedyPlacer(Placer):
             raise PlacementError("n_clusters must be >= 1")
         self.model = model
         self.prefer_colocation = prefer_colocation
-        self.use_rate_cache = use_rate_cache
         self.cluster_threshold = cluster_threshold
         self.n_clusters = n_clusters
-        #: Hit/miss counters of the rate table used by the last
-        #: :meth:`place` call (None when the cache was disabled).
-        self.last_rate_stats: Optional[Dict[str, int]] = None
         #: Clustering used by the last :meth:`place` call (None when the
         #: flat path ran): {"n_clusters": ..., "largest": ...}.
         self.last_cluster_stats: Optional[Dict[str, int]] = None
@@ -261,265 +312,301 @@ class GreedyPlacer(Placer):
         self.check_feasible(app, cluster)
 
         machines = cluster.machine_names()
+        covered = set(profile.vms)
         for machine in machines:
-            if machine not in profile.vms:
+            if machine not in covered:
                 raise PlacementError(
                     f"machine {machine!r} is not covered by the network profile"
                 )
 
+        rnd = self._open_round(cluster, machines, profile)
+        names, board, free = rnd.names, rnd.board, rnd.free
+        cores = {task.name: task.cpu_cores for task in app.tasks}
         assignments: Dict[str, str] = {}
-        free_cpu = {m: cluster.available_cpu(m) for m in machines}
-        load = ConnectionLoad()
-        use_cache = (
-            _default_rate_cache if self.use_rate_cache is None else self.use_rate_cache
-        )
-        table = (
-            EffectiveRateTable(profile, load, model=self.model) if use_cache else None
-        )
+        placed: Dict[str, int] = {}
 
-        def rate_of(src_machine: str, dst_machine: str) -> float:
-            if table is not None:
-                return table.rate(src_machine, dst_machine)
-            return effective_rate(
-                profile, src_machine, dst_machine, load, model=self.model
-            )
+        def demand(task_name: str) -> float:
+            try:
+                return cores[task_name]
+            except KeyError:  # traffic edited to name a task that is not one
+                return app.cpu_demand(task_name)
 
-        def record_connection(src_machine: str, dst_machine: str) -> None:
-            if table is not None:
-                table.record(src_machine, dst_machine)
-            else:
-                load.add(src_machine, dst_machine)
-
-        def cpu_fits(task_name: str, machine: str, pending_same: float = 0.0) -> bool:
-            return app.cpu_demand(task_name) + pending_same <= free_cpu[machine] + _EPS
-
-        def assign(task_name: str, machine: str) -> None:
-            assignments[task_name] = machine
-            free_cpu[machine] -= app.cpu_demand(task_name)
-
-        threshold = (
-            _default_cluster_threshold
-            if self.cluster_threshold is None
-            else self.cluster_threshold
-        )
-        hierarchy: Optional[Tuple[List[str], List[List[str]]]] = None
-        if len(machines) >= threshold:
-            k = (
-                int(math.ceil(math.sqrt(len(machines))))
-                if self.n_clusters is None
-                else self.n_clusters
-            )
-            hierarchy = cluster_vms_by_rate_profile(profile, machines, k)
-            self.last_cluster_stats = {
-                "n_clusters": len(hierarchy[0]),
-                "largest": max(len(members) for members in hierarchy[1]),
-            }
-        else:
-            self.last_cluster_stats = None
+        def assign(task_name: str, machine: int) -> None:
+            assignments[task_name] = names[machine]
+            placed[task_name] = machine
+            free[machine] -= demand(task_name)
 
         # Line 2: walk transfers in descending order of volume.
         for src_task, dst_task, _volume in app.transfers():
-            src_placed = assignments.get(src_task)
-            dst_placed = assignments.get(dst_task)
+            src_at = placed.get(src_task)
+            dst_at = placed.get(dst_task)
 
-            if src_placed is not None and dst_placed is not None:
+            if src_at is not None and dst_at is not None:
                 # Both endpoints already pinned; just account for the
                 # connection so later rate estimates see it.
-                record_connection(src_placed, dst_placed)
+                board.record(src_at, dst_at)
                 continue
 
-            if hierarchy is not None:
-                best = self._pick_hierarchical(
-                    hierarchy, app, src_task, dst_task,
-                    src_placed, dst_placed, cpu_fits, rate_of,
-                )
-            else:
-                candidates = self._candidate_paths(
-                    app, src_task, dst_task, src_placed, dst_placed,
-                    machines, cpu_fits,
-                )
-                best = (
-                    self._pick_best(candidates, rate_of) if candidates else None
-                )
+            best = self._choose(
+                rnd, src_at, dst_at, demand(src_task), demand(dst_task)
+            )
             if best is None:
                 raise PlacementError(
                     f"no CPU-feasible machine pair for transfer "
                     f"{src_task!r} -> {dst_task!r} of application {app.name!r}"
                 )
             src_machine, dst_machine = best
-            if src_placed is None:
+            if src_at is None:
                 assign(src_task, src_machine)
-            if dst_placed is None and dst_task not in assignments:
+            if dst_at is None and dst_task not in placed:
                 assign(dst_task, dst_machine)
-            record_connection(src_machine, dst_machine)
+            board.record(src_machine, dst_machine)
 
-        # Tasks with no transfers at all: spread over the freest machines.
+        # Tasks with no transfers at all: spread over the freest machines
+        # (most free CPU; ties to the last name).
         for task in app.task_names:
-            if task in assignments:
+            if task in placed:
                 continue
-            feasible = [m for m in machines if cpu_fits(task, m)]
-            if not feasible:
+            fits = demand(task) <= free + _EPS
+            if not fits.any():
                 raise PlacementError(
                     f"no machine has CPU for task {task!r} of application {app.name!r}"
                 )
-            choice = max(feasible, key=lambda m: (free_cpu[m], m))
-            assign(task, choice)
+            roomiest = np.flatnonzero(fits & (free == free[fits].max()))
+            assign(task, int(roomiest[-1]))
 
-        self.last_rate_stats = (
-            {"hits": table.hits, "misses": table.misses} if table is not None else None
-        )
         placement = Placement(app_name=app.name, assignments=assignments)
         validate_placement(placement, app, cluster)
         return placement
 
     # ------------------------------------------------------------ internals
-    def _candidate_paths(
+    def _open_round(
         self,
-        app: Application,
-        src_task: str,
-        dst_task: str,
-        src_placed: Optional[str],
-        dst_placed: Optional[str],
+        cluster: ClusterState,
         machines: List[str],
-        cpu_fits,
-    ) -> List[Tuple[str, str]]:
-        """Lines 3-11: enumerate CPU-feasible candidate machine pairs."""
-        candidates: List[Tuple[str, str]] = []
-        if src_placed is not None:
-            # Source pinned: paths k -> N for all machines N (line 4); only
-            # the unplaced destination task consumes CPU, whether or not it
-            # colocates with the source.
-            for dst_machine in machines:
-                if cpu_fits(dst_task, dst_machine):
-                    candidates.append((src_placed, dst_machine))
-        elif dst_placed is not None:
-            # Destination pinned: paths M -> l for all machines M (line 6).
-            for src_machine in machines:
-                if cpu_fits(src_task, src_machine):
-                    candidates.append((src_machine, dst_placed))
-        else:
-            # Neither pinned: all machine pairs, including same-machine
-            # placements (lines 7-8).  Colocation must fit *both* tasks'
-            # CPU demand on the one machine.
-            for src_machine in machines:
-                for dst_machine in machines:
-                    if src_machine == dst_machine:
-                        both_fit = cpu_fits(
-                            src_task, src_machine,
-                            pending_same=app.cpu_demand(dst_task),
-                        )
-                        if both_fit:
-                            candidates.append((src_machine, dst_machine))
-                    elif cpu_fits(src_task, src_machine) and cpu_fits(dst_task, dst_machine):
-                        candidates.append((src_machine, dst_machine))
-        return candidates
+        profile: NetworkProfile,
+    ) -> _Round:
+        """Index the machines by name and build the round's arrays."""
+        names = sorted(machines)
+        index = {name: i for i, name in enumerate(names)}
+        n = len(names)
+        available = cluster.available_cpus()
+        free = np.array([available[name] for name in names])
+        board = EffectiveRateMatrix(profile, names, model=self.model)
 
-    def _pick_best(
+        threshold = (
+            _default_cluster_threshold
+            if self.cluster_threshold is None
+            else self.cluster_threshold
+        )
+        hierarchy: Optional[_Hierarchy] = None
+        self.last_cluster_stats = None
+        if n >= threshold:
+            k = (
+                int(math.ceil(math.sqrt(n)))
+                if self.n_clusters is None
+                else self.n_clusters
+            )
+            # Clustered in declaration order (it seeds the k-center).
+            declared = np.array([index[name] for name in machines], dtype=np.intp)
+            leader_rows, owner_rows = _k_center(
+                board.single[np.ix_(declared, declared)], k
+            )
+            owner = np.empty(n, dtype=np.intp)
+            owner[declared] = owner_rows
+            in_order = declared[leader_rows]
+            cluster_of = np.zeros(n, dtype=np.intp)
+            cluster_of[in_order] = np.arange(len(in_order))
+            led = np.argsort(in_order)
+            leaders = in_order[led]
+            members = [np.flatnonzero(owner == c) for c in range(len(leaders))]
+            hierarchy = _Hierarchy(
+                leaders=leaders, led=led, grid=np.ix_(leaders, leaders),
+                diagonal=_diagonal(len(leaders)), owner=owner, members=members,
+                cluster_of=cluster_of,
+            )
+            self.last_cluster_stats = {
+                "n_clusters": len(leaders),
+                "largest": max(len(group) for group in members),
+            }
+        return _Round(
+            names=names, declared=machines, board=board, free=free,
+            unmeasured=bool(np.isnan(board.single).any()),
+            everyone=np.arange(n), diagonal=_diagonal(n), hierarchy=hierarchy,
+        )
+
+    def _choose(
         self,
-        candidates: List[Tuple[str, str]],
-        rate_of,
-    ) -> Tuple[str, str]:
-        """Lines 12-14: choose the candidate path with the highest rate."""
-        def sort_key(pair: Tuple[str, str]):
-            src, dst = pair
-            rate = rate_of(src, dst)
-            colocated = 1 if (self.prefer_colocation and src == dst) else 0
-            # Highest rate first, then colocation, then deterministic names.
-            return (-rate, -colocated, src, dst)
+        rnd: _Round,
+        src_at: Optional[int],
+        dst_at: Optional[int],
+        src_demand: float,
+        dst_demand: float,
+    ) -> Optional[Tuple[int, int]]:
+        """Lines 3-14: the best CPU-feasible machine pair for one transfer.
 
-        return min(candidates, key=sort_key)
+        An endpoint already placed pins its side to one machine (one row or
+        one column of the rate matrix) and needs no CPU; with neither
+        placed every ordered pair is a candidate, and a colocated pair must
+        fit *both* tasks on the one machine.
+        """
+        room = rnd.free + _EPS
+        if rnd.hierarchy is not None:
+            return self._choose_hierarchical(
+                rnd, rnd.hierarchy, src_at, dst_at,
+                src_demand <= room, dst_demand <= room,
+                src_demand + dst_demand <= room,
+            )
+        rates, everyone = rnd.board.rates, rnd.everyone
+        if src_at is not None:
+            pin = everyone[src_at:src_at + 1]
+            return self._best(
+                rnd, rates[src_at:src_at + 1], pin, everyone,
+                (dst_demand <= room)[None, :], pin,
+            )
+        if dst_at is not None:
+            pin = everyone[dst_at:dst_at + 1]
+            return self._best(
+                rnd, rates[:, dst_at:dst_at + 1], everyone, pin,
+                (src_demand <= room)[:, None], pin,
+            )
+        allowed = _pairs_allowed(
+            src_demand <= room, dst_demand <= room,
+            src_demand + dst_demand <= room, rnd.diagonal,
+        )
+        return self._best(rnd, rates, everyone, everyone, allowed, rnd.diagonal)
 
-    def _pick_hierarchical(
+    def _choose_hierarchical(
         self,
-        hierarchy: Tuple[List[str], List[List[str]]],
-        app: Application,
-        src_task: str,
-        dst_task: str,
-        src_placed: Optional[str],
-        dst_placed: Optional[str],
-        cpu_fits,
-        rate_of,
-    ) -> Optional[Tuple[str, str]]:
+        rnd: _Round,
+        h: _Hierarchy,
+        src_at: Optional[int],
+        dst_at: Optional[int],
+        src_ok: np.ndarray,
+        dst_ok: np.ndarray,
+        both_ok: np.ndarray,
+    ) -> Optional[Tuple[int, int]]:
         """Two-stage candidate search: representatives first, then members.
 
-        Stage 1 ranks cluster-representative pairs by the flat selection
-        key; stage 2 enumerates only the winning pair's cluster members
-        with the flat feasibility rules.  Ranked representative pairs are
-        walked until one yields a feasible candidate, so across the walk
-        the reachable candidate set is exactly the flat one — ``None``
-        comes back only when the flat enumeration would be empty too.
+        Stage 1 ranks cluster-leader pairs by the flat selection key, open
+        only to clusters that hold a CPU-feasible candidate (the scalar walk
+        down the ranking skips the others); stage 2 applies the flat rules
+        to the winning pair's cluster members.  Across the clusters the
+        reachable candidate set is exactly the flat one — ``None`` comes
+        back only when the flat search would find nothing too.
         """
-        leaders, clusters = hierarchy
-
-        def sort_key(pair: Tuple[str, str]):
-            src, dst = pair
-            rate = rate_of(src, dst)
-            colocated = 1 if (self.prefer_colocation and src == dst) else 0
-            return (-rate, -colocated, src, dst)
-
-        if src_placed is not None:
-            # Source pinned (line 4): rank destination clusters by the rep
-            # path from the pinned machine, then place within.
-            ranked = sorted(
-                range(len(leaders)),
-                key=lambda i: sort_key((src_placed, leaders[i])),
+        rates = rnd.board.rates
+        k = len(h.members)
+        if src_at is not None:
+            # Source pinned (line 4): destination clusters by the leader
+            # path out of the pinned machine, then the best member.
+            pin = rnd.everyone[src_at:src_at + 1]
+            sinks = np.bincount(h.owner[dst_ok], minlength=k) > 0
+            lead = self._best(
+                rnd, rates[src_at, h.leaders][None, :], pin, h.leaders,
+                sinks[h.led][None, :], np.flatnonzero(h.leaders == src_at),
+                rank=h.cluster_of, probe_all=True,
             )
-            for i in ranked:
-                stage2 = [
-                    (src_placed, machine)
-                    for machine in clusters[i]
-                    if cpu_fits(dst_task, machine)
-                ]
-                if stage2:
-                    return self._pick_best(stage2, rate_of)
-            return None
-
-        if dst_placed is not None:
+            if lead is None:
+                return None
+            members = h.members[h.cluster_of[lead[1]]]
+            return self._best(
+                rnd, rates[src_at, members][None, :], pin, members,
+                dst_ok[members][None, :], np.flatnonzero(members == src_at),
+            )
+        if dst_at is not None:
             # Destination pinned (line 6), symmetric.
-            ranked = sorted(
-                range(len(leaders)),
-                key=lambda i: sort_key((leaders[i], dst_placed)),
+            pin = rnd.everyone[dst_at:dst_at + 1]
+            sources = np.bincount(h.owner[src_ok], minlength=k) > 0
+            lead = self._best(
+                rnd, rates[h.leaders, dst_at][:, None], h.leaders, pin,
+                sources[h.led][:, None], np.flatnonzero(h.leaders == dst_at),
+                rank=h.cluster_of, probe_all=True,
             )
-            for i in ranked:
-                stage2 = [
-                    (machine, dst_placed)
-                    for machine in clusters[i]
-                    if cpu_fits(src_task, machine)
-                ]
-                if stage2:
-                    return self._pick_best(stage2, rate_of)
+            if lead is None:
+                return None
+            members = h.members[h.cluster_of[lead[0]]]
+            return self._best(
+                rnd, rates[members, dst_at][:, None], members, pin,
+                src_ok[members][:, None], np.flatnonzero(members == dst_at),
+            )
+        # Neither pinned (lines 7-8): ordered leader pairs.  A cluster
+        # paired with itself needs two distinct machines, or one machine
+        # with room for both tasks (the colocation candidates live there).
+        sources = np.bincount(h.owner[src_ok], minlength=k)
+        sinks = np.bincount(h.owner[dst_ok], minlength=k)
+        either = np.bincount(h.owner[src_ok & dst_ok], minlength=k)
+        colocated = np.bincount(h.owner[both_ok], minlength=k)
+        within = (sources * sinks - either > 0) | (colocated > 0)
+        lead = self._best(
+            rnd, rates[h.grid], h.leaders, h.leaders,
+            _pairs_allowed(
+                (sources > 0)[h.led], (sinks > 0)[h.led], within[h.led], h.diagonal
+            ),
+            h.diagonal, rank=h.cluster_of, probe_all=True,
+        )
+        if lead is None:
             return None
+        i, j = h.cluster_of[lead[0]], h.cluster_of[lead[1]]
+        rows, cols = h.members[i], h.members[j]
+        diagonal = _diagonal(len(rows)) if i == j else None
+        return self._best(
+            rnd, rates[rows[:, None], cols], rows, cols,
+            _pairs_allowed(src_ok[rows], dst_ok[cols], both_ok[rows], diagonal),
+            diagonal,
+        )
 
-        # Neither pinned (lines 7-8): rank ordered representative pairs,
-        # including same-representative (whose stage 2 holds the
-        # colocation candidates).
-        pairs = [
-            (i, j)
-            for i in range(len(leaders))
-            for j in range(len(leaders))
-        ]
-        pairs.sort(key=lambda ij: sort_key((leaders[ij[0]], leaders[ij[1]])))
-        for i, j in pairs:
-            stage2: List[Tuple[str, str]] = []
-            if i == j:
-                for src_machine in clusters[i]:
-                    for dst_machine in clusters[j]:
-                        if src_machine == dst_machine:
-                            both_fit = cpu_fits(
-                                src_task, src_machine,
-                                pending_same=app.cpu_demand(dst_task),
-                            )
-                            if both_fit:
-                                stage2.append((src_machine, dst_machine))
-                        elif cpu_fits(src_task, src_machine) and cpu_fits(
-                            dst_task, dst_machine
-                        ):
-                            stage2.append((src_machine, dst_machine))
-            else:
-                src_ok = [m for m in clusters[i] if cpu_fits(src_task, m)]
-                if src_ok:
-                    dst_ok = [m for m in clusters[j] if cpu_fits(dst_task, m)]
-                    stage2 = [(s, d) for s in src_ok for d in dst_ok]
-            if stage2:
-                return self._pick_best(stage2, rate_of)
-        return None
+    def _best(
+        self,
+        rnd: _Round,
+        block: np.ndarray,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        allowed: np.ndarray,
+        colocated: Optional[np.ndarray],
+        rank: Optional[np.ndarray] = None,
+        probe_all: bool = False,
+    ) -> Optional[Tuple[int, int]]:
+        """Masked argmax over one block of the rate matrix.
+
+        The one candidate selection of the flat search and of both stages
+        of the hierarchical search.  ``block[r, c]`` is the rate from
+        machine ``rows[r]`` to machine ``cols[c]`` (both ascending),
+        ``allowed`` the CPU mask over it, ``colocated`` the flat positions
+        where row and column name the same machine.  Returns the machines
+        of the candidate minimising Algorithm 1's key ``(-rate, -colocated,
+        src name, dst name)``: the first maximum in row-major order, unless
+        ``prefer_colocation`` and a colocated candidate is tied at the
+        maximum.  ``None`` when nothing is allowed.
+
+        Raises:
+            MeasurementError: a candidate's rate is unmeasured — the first
+                such pair in the order the scalar algorithm evaluates them
+                (``rank``, by default the declaration order; all of the
+                block when ``probe_all``, as ranking the leaders reads
+                every leader pair).
+        """
+        if rnd.unmeasured:
+            missing = np.isnan(block)
+            if not probe_all:
+                missing &= allowed
+            if missing.any():
+                if rank is None:
+                    position = {name: i for i, name in enumerate(rnd.declared)}
+                    rank = np.array([position[name] for name in rnd.names])
+                r, c = np.nonzero(missing)
+                first = np.lexsort((rank[cols[c]], rank[rows[r]]))[0]
+                src, dst = rnd.names[rows[r[first]]], rnd.names[cols[c[first]]]
+                raise MeasurementError(
+                    f"profile has no measurement for ({src!r}, {dst!r})"
+                )
+        if not allowed.any():
+            return None
+        scores = np.where(allowed, block, -math.inf).ravel()
+        at = int(scores.argmax())
+        if self.prefer_colocation and colocated is not None:
+            tied = scores[colocated] == scores[at]
+            if tied.any():
+                at = int(colocated[tied.argmax()])
+        r, c = divmod(at, len(cols))
+        return int(rows[r]), int(cols[c])

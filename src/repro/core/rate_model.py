@@ -11,13 +11,20 @@ cross traffic ``c`` the measurement observed: ``R ≈ C / (c + 1)`` where
 ``C`` is the bottleneck capacity (§3.2).  Adding ``k`` of our own
 connections therefore leaves each of them with ``C / (c + 1 + k)``, i.e.
 ``R * (c + 1) / (c + 1 + k)``.
+
+:func:`effective_rate` is that expression for one pair — the definition, and
+the oracle the tests hold the array form to.  :class:`EffectiveRateMatrix`
+is the same expression evaluated elementwise over every ordered machine
+pair at once, which is what the greedy placer ranks candidates on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.network_profile import NetworkProfile
 from repro.errors import PlacementError
@@ -92,63 +99,60 @@ def effective_rate(
     return single * (cross + 1.0) / (cross + 1.0 + existing)
 
 
-class EffectiveRateTable:
-    """Incrementally maintained :func:`effective_rate` cache for one round.
+class EffectiveRateMatrix:
+    """:func:`effective_rate` for every ordered machine pair, kept current.
 
-    The greedy placer evaluates candidate machine pairs over and over while
-    the :class:`ConnectionLoad` grows one connection at a time.  Under the
-    hose model a placed connection only changes the rates of paths sharing
-    its *source* machine; under the pipe model only the rates of its exact
-    ordered path.  This table caches every computed rate and invalidates
-    precisely the entries a new connection affects, so repeated candidate
-    scans stop recomputing rates whose inputs did not change.
-
-    The table owns the bookkeeping: call :meth:`record` (instead of mutating
-    the load directly) whenever a connection is placed.
+    ``rates[i, j]`` is the rate a new connection from ``machines[i]`` to
+    ``machines[j]`` would get given the connections recorded so far:
+    ``S·(C + 1.0)/(C + 1.0 + k)`` with ``S`` the profile's rate matrix, ``C``
+    its cross-traffic estimates (zero where it has none) and ``k`` the
+    connections already leaving the source (hose) or on that path (pipe) —
+    the float operations of :func:`effective_rate`, elementwise, so every
+    entry ``==`` the scalar value.  The diagonal is the intra-VM rate and
+    never moves; an unmeasured pair is ``NaN``.  Recording a connection
+    recomputes the one row (hose) or the one entry (pipe) it changes.
     """
 
     def __init__(
         self,
         profile: NetworkProfile,
-        load: ConnectionLoad,
+        machines: Sequence[str],
         model: str = "hose",
     ) -> None:
         if model not in ("hose", "pipe"):
             raise PlacementError(f"unknown rate model {model!r}")
-        self.profile = profile
-        self.load = load
         self.model = model
-        self.hits = 0
-        self.misses = 0
-        self._cache: Dict[Tuple[str, str], float] = {}
-        # Cache keys grouped by source machine, for hose-model invalidation.
-        self._by_source: Dict[str, List[Tuple[str, str]]] = {}
+        self._intra = profile.intra_vm_rate_bps
+        #: The profile's single-connection rates, in ``machines`` order.
+        self.single = single = profile.rate_matrix(machines)
+        cross = np.zeros(single.shape)
+        if profile.cross_traffic:
+            index = {machine: i for i, machine in enumerate(machines)}
+            for (src, dst), estimate in profile.cross_traffic.items():
+                i, j = index.get(src), index.get(dst)
+                if i is not None and j is not None and i != j:
+                    cross[i, j] = estimate
+        self._base = cross + 1.0
+        self._numerator = single * self._base
+        n = len(machines)
+        self._placed = np.zeros(n if model == "hose" else (n, n))
+        self.rates = self._numerator / self._base
+        np.fill_diagonal(self.rates, self._intra)
 
-    def rate(self, src_machine: str, dst_machine: str) -> float:
-        """Cached :func:`effective_rate` for the candidate pair."""
-        key = (src_machine, dst_machine)
-        value = self._cache.get(key)
-        if value is None:
-            self.misses += 1
-            value = effective_rate(
-                self.profile, src_machine, dst_machine, self.load, model=self.model
-            )
-            self._cache[key] = value
-            # Intra-machine rates never depend on the load, so only network
-            # paths need to be tracked for invalidation.
-            if src_machine != dst_machine and self.model == "hose":
-                self._by_source.setdefault(src_machine, []).append(key)
-        else:
-            self.hits += 1
-        return value
-
-    def record(self, src_machine: str, dst_machine: str) -> None:
-        """Account for a newly placed connection and invalidate stale rates."""
-        self.load.add(src_machine, dst_machine)
-        if src_machine == dst_machine:
-            return  # intra-machine transfers use no network egress
+    def record(self, src: int, dst: int) -> None:
+        """Account for one more connection from machine ``src`` to ``dst``
+        (indices into ``machines``).  Intra-machine transfers use no
+        network egress and change nothing."""
+        if src == dst:
+            return
         if self.model == "hose":
-            for key in self._by_source.pop(src_machine, ()):
-                self._cache.pop(key, None)
+            self._placed[src] += 1
+            self.rates[src] = self._numerator[src] / (
+                self._base[src] + self._placed[src]
+            )
+            self.rates[src, src] = self._intra
         else:
-            self._cache.pop((src_machine, dst_machine), None)
+            self._placed[src, dst] += 1
+            self.rates[src, dst] = self._numerator[src, dst] / (
+                self._base[src, dst] + self._placed[src, dst]
+            )

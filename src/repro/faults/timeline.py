@@ -175,6 +175,13 @@ class FaultTimeline:
         object.__setattr__(
             self, "events", tuple(sorted(self.events, key=_event_sort_key))
         )
+        # The rate and probe hooks ask "is this VM gone yet?" on every
+        # call; events are immutable, so answer from an index built once.
+        preempted_at: Dict[str, float] = {}
+        for event in self.events:  # sorted: the first hit is the earliest
+            if isinstance(event, VmPreemption):
+                preempted_at.setdefault(event.vm, event.time_s)
+        object.__setattr__(self, "_preempted_at", preempted_at)
 
     # ------------------------------------------------------------- inspection
     @property
@@ -206,20 +213,12 @@ class FaultTimeline:
     # ----------------------------------------------------------- rate effects
     def preempted(self, vm: str, t: float) -> bool:
         """True once ``vm`` has been preempted at or before ``t``."""
-        return any(
-            isinstance(e, VmPreemption) and e.vm == vm and e.time_s <= t
-            for e in self.events
-        )
+        at = self._preempted_at.get(vm)
+        return at is not None and at <= t
 
     def preempted_vms(self, t: float) -> List[str]:
         """All VMs preempted at or before ``t`` (sorted)."""
-        return sorted(
-            {
-                e.vm
-                for e in self.events
-                if isinstance(e, VmPreemption) and e.time_s <= t
-            }
-        )
+        return sorted(vm for vm, at in self._preempted_at.items() if at <= t)
 
     def degradation_factor(self, vm: str, t: float) -> float:
         """Product of all degradation multipliers active on ``vm`` at ``t``."""

@@ -113,6 +113,11 @@ class LiveApp:
 
     @property
     def done(self) -> bool:
+        # Remaining bytes only ever shrink, so a stamped completion is
+        # final: the session loop asks this of every application it ever
+        # admitted, on every event, and most of them finished long ago.
+        if self.completed_at is not None:
+            return True
         return all(volume <= 1e-6 for volume in self.remaining.values())
 
     def remaining_application(self) -> Application:

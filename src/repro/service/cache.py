@@ -2,10 +2,20 @@
 
 A long-running service cannot afford a full N² campaign at every admission
 and every epoch tick.  :class:`MeasurementCache` keeps the last measured
-rate and timestamp per ordered pair (the timestamps come from
+rate and probe time of every ordered pair (the times come from
 :attr:`~repro.core.network_profile.NetworkProfile.pair_measured_at`) and,
 on refresh, asks the measurer to re-probe only the pairs whose age exceeds
 the TTL — the rest of the mesh is served from cache.
+
+The store is two dense ``(M, M)`` float arrays in :attr:`MeasurementCache.vms`
+order — last rate and last probe time, ``NaN`` for "never measured" or
+"invalidated".  Staleness is one comparison over the time array, and
+``np.nonzero`` lists the stale pairs in row-major order, which *is* the
+order of :meth:`MeasurementCache.mesh_pairs`: that order fixes the campaign
+schedule, and through it the probe RNG stream.  The view handed to the
+forecaster and the placer is a matrix-backed profile over a copy of the
+rate array, so an admission makes no per-pair Python objects beyond the
+(small) stale list the campaign needs.
 
 The cache also absorbs measurement *failure*: pairs the campaign reports as
 degraded (probes failed even after retries) coast on their last cached rate
@@ -15,13 +25,16 @@ stale so the next refresh re-probes them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import obs
 from repro.cloud.provider import VMFlow
 from repro.core.measurement.orchestrator import NetworkMeasurer
-from repro.core.network_profile import NetworkProfile
+from repro.core.network_profile import MatrixNetworkProfile
 from repro.errors import ServiceError
 
 #: Rate used for a degraded pair with no cached value and no fallback:
@@ -80,8 +93,12 @@ class MeasurementCache:
         self.measurer = measurer
         self.vms = list(vms)
         self.ttl_s = ttl_s
-        self._rates: Dict[Tuple[str, str], float] = {}
-        self._measured_at: Dict[Tuple[str, str], float] = {}
+        self._index: Dict[str, int] = {vm: i for i, vm in enumerate(self.vms)}
+        n = len(self.vms)
+        #: Last rate / probe time per ordered pair; NaN = none (the
+        #: diagonal always is).  An invalidated pair keeps its rate.
+        self._rates = np.full((n, n), math.nan)
+        self._measured_at = np.full((n, n), math.nan)
         self._campaigns = obs.Counter("repro.measure.campaigns")
         self._pairs_measured = obs.Counter("repro.measure.pairs_measured")
         self._pairs_reused = obs.Counter("repro.measure.pairs_reused")
@@ -108,19 +125,21 @@ class MeasurementCache:
         """Pairs never measured or older than the TTL at ``now``.
 
         The comparison is strict: a pair stamped *exactly* ``ttl_s`` ago is
-        still fresh — it goes stale the instant after.
+        still fresh — it goes stale the instant after.  The list is in
+        :meth:`mesh_pairs` order (row-major over the time array).
         """
-        return [
-            pair
-            for pair in self.mesh_pairs()
-            if pair not in self._measured_at
-            or now - self._measured_at[pair] > self.ttl_s
-        ]
+        fresh = now - self._measured_at <= self.ttl_s  # NaN compares False
+        np.fill_diagonal(fresh, True)
+        rows, cols = np.nonzero(~fresh)
+        vms = self.vms
+        return [(vms[i], vms[j]) for i, j in zip(rows.tolist(), cols.tolist())]
 
     def age_of(self, pair: Tuple[str, str], now: float) -> Optional[float]:
         """Age of a pair's measurement, ``None`` when never measured."""
-        measured = self._measured_at.get(pair)
-        return None if measured is None else now - measured
+        i, j = self._index.get(pair[0]), self._index.get(pair[1])
+        if i is None or j is None or math.isnan(self._measured_at[i, j]):
+            return None
+        return now - float(self._measured_at[i, j])
 
     # ------------------------------------------------------------- topology
     def remove_vm(self, vm: str) -> None:
@@ -129,17 +148,19 @@ class MeasurementCache:
         Raises:
             ServiceError: unknown VM, or fewer than two VMs would remain.
         """
-        if vm not in self.vms:
+        if vm not in self._index:
             raise ServiceError(f"measurement cache does not cover VM {vm!r}")
         if len(self.vms) <= 2:
             raise ServiceError(
                 f"cannot remove {vm!r}: the measurement cache needs at "
                 "least two VMs"
             )
+        gone = self._index[vm]
         self.vms.remove(vm)
-        for pair in [p for p in self._rates if vm in p]:
-            del self._rates[pair]
-            self._measured_at.pop(pair, None)
+        self._index = {name: i for i, name in enumerate(self.vms)}
+        for axis in (0, 1):
+            self._rates = np.delete(self._rates, gone, axis=axis)
+            self._measured_at = np.delete(self._measured_at, gone, axis=axis)
 
     def invalidate_pairs(self, pairs: Iterable[Tuple[str, str]]) -> int:
         """Force pairs stale (their cached rate survives as a fallback).
@@ -150,8 +171,12 @@ class MeasurementCache:
         pairs were actually invalidated.
         """
         invalidated = 0
-        for pair in pairs:
-            if self._measured_at.pop(pair, None) is not None:
+        for src, dst in pairs:
+            i, j = self._index.get(src), self._index.get(dst)
+            if i is None or j is None:
+                continue
+            if not math.isnan(self._measured_at[i, j]):
+                self._measured_at[i, j] = math.nan
                 invalidated += 1
         return invalidated
 
@@ -162,7 +187,7 @@ class MeasurementCache:
         background: Sequence[VMFlow] = (),
         force: bool = False,
         fallback: Optional[Callable[[Tuple[str, str]], Optional[float]]] = None,
-    ) -> NetworkProfile:
+    ) -> MatrixNetworkProfile:
         """Re-probe stale pairs and return the merged full-mesh profile.
 
         Args:
@@ -184,15 +209,21 @@ class MeasurementCache:
                 fresh = self.measurer.measure(
                     self.vms, background=background, pairs=stale
                 )
-                for pair, rate in fresh.rates_bps.items():
-                    self._rates[pair] = rate
-                    self._measured_at[pair] = fresh.measured_at_pair(*pair)
+                index = self._index
+                if fresh.rates_bps:
+                    rows = [index[src] for src, _ in fresh.rates_bps]
+                    cols = [index[dst] for _, dst in fresh.rates_bps]
+                    self._rates[rows, cols] = list(fresh.rates_bps.values())
+                    self._measured_at[rows, cols] = [
+                        fresh.measured_at_pair(*pair) for pair in fresh.rates_bps
+                    ]
                 for pair in fresh.degraded_pairs:
-                    if pair not in self._rates:
+                    at = index[pair[0]], index[pair[1]]
+                    if math.isnan(self._rates[at]):
                         predicted = (
                             fallback(pair) if fallback is not None else None
                         )
-                        self._rates[pair] = (
+                        self._rates[at] = (
                             predicted if predicted is not None and predicted > 0
                             else DEGRADED_FLOOR_BPS
                         )
@@ -200,22 +231,26 @@ class MeasurementCache:
                 self._pairs_measured.inc(len(stale) - len(fresh.degraded_pairs))
                 self._pairs_degraded.inc(len(fresh.degraded_pairs))
                 self._measurement_time.inc(fresh.measurement_duration_s)
-            self._pairs_reused.inc(len(self.mesh_pairs()) - len(stale))
+            n = len(self.vms)
+            self._pairs_reused.inc(n * (n - 1) - len(stale))
             return self.profile(now)
 
-    def profile(self, now: float) -> NetworkProfile:
-        """The cache's current view as a full-mesh :class:`NetworkProfile`."""
-        missing = [p for p in self.mesh_pairs() if p not in self._rates]
+    def profile(self, now: float) -> MatrixNetworkProfile:
+        """The cache's current view as a full-mesh matrix-backed profile.
+
+        The profile owns a copy of the rate array: later refreshes do not
+        change a profile already handed out.
+        """
+        missing = np.count_nonzero(np.isnan(self._rates)) - len(self.vms)
         if missing:
             raise ServiceError(
-                f"measurement cache has never measured {len(missing)} pair(s); "
+                f"measurement cache has never measured {missing} pair(s); "
                 "call refresh() first"
             )
-        return NetworkProfile(
-            vms=list(self.vms),
-            rates_bps=dict(self._rates),
+        return MatrixNetworkProfile(
+            self.vms,
+            self._rates,
             sharing_model="hose",
             measured_at=now,
             measurement_duration_s=0.0,
-            pair_measured_at=dict(self._measured_at),
         )

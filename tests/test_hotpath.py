@@ -1,6 +1,6 @@
 """Tests for the hot-path performance work: the incremental allocator, the
-routing/path caches, the greedy rate table, the batched measurement mesh,
-the timeline bisection, and the runner's trial memoization.
+routing/path caches, the effective-rate matrix, the batched measurement
+mesh, the timeline bisection, and the runner's trial memoization.
 
 The central property: every optimisation must be *exact* — same rates, same
 placements, same profiles, same trial records as the reference code paths.
@@ -14,10 +14,9 @@ import pytest
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Machine
-from repro.core.placement.greedy import GreedyPlacer
-from repro.core.rate_model import ConnectionLoad, EffectiveRateTable, effective_rate
+from repro.core.rate_model import ConnectionLoad, EffectiveRateMatrix, effective_rate
 from repro.cloud.registry import make_provider
-from repro.errors import MeasurementError, SimulationError
+from repro.errors import MeasurementError, PlacementError, SimulationError
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
 from repro.net.alloc import IncrementalAllocator
 from repro.net.fairness import FlowDemand, max_min_allocation
@@ -311,62 +310,58 @@ class TestTopologyCaches:
             clear_route_cache()
 
 
-class TestGreedyRateTable:
-    def _profile(self, machines, seed):
+class TestEffectiveRateMatrix:
+    """The matrix the greedy placer ranks on ``==`` the scalar definition.
+
+    (That placements are unchanged is checked against the scalar
+    Algorithm 1 in ``tests/test_admission_arrays.py``.)
+    """
+
+    def _profile(self, machines, seed, cross=False):
         rng = random.Random(seed)
+        pairs = [(a, b) for a in machines for b in machines if a != b]
         return NetworkProfile(
             vms=list(machines),
             rates_bps={
-                (a, b): rng.uniform(0.05 * GBITPS, 1 * GBITPS)
-                for a in machines for b in machines if a != b
+                pair: rng.uniform(0.05 * GBITPS, 1 * GBITPS) for pair in pairs
             },
+            cross_traffic=(
+                {pair: rng.uniform(0.0, 3.0) for pair in pairs[::2]}
+                if cross else {}
+            ),
+            intra_vm_rate_bps=4 * GBITPS if cross else math.inf,
         )
 
+    @pytest.mark.parametrize("cross", [False, True])
     @pytest.mark.parametrize("model", ["hose", "pipe"])
-    def test_cached_placements_identical(self, model):
-        machines = [f"m{i}" for i in range(8)]
-        cluster = ClusterState(machines=[Machine(m, cores=4.0) for m in machines])
-        profile = self._profile(machines, 13)
-        gen = HPCloudWorkloadGenerator(
-            WorkloadSpec(min_tasks=4, max_tasks=8, diurnal=False), seed=5
-        )
-        apps = [gen.generate_application() for _ in range(4)]
-        apps.append(uniform_mesh("mesh", 8, bytes_per_pair=20 * MBYTE))
-        apps.append(scatter_gather("svc", 7, response_bytes=100 * MBYTE))
-        for app in apps:
-            cached = GreedyPlacer(model=model, use_rate_cache=True).place(
-                app, cluster, profile
-            )
-            reference = GreedyPlacer(model=model, use_rate_cache=False).place(
-                app, cluster, profile
-            )
-            assert cached.assignments == reference.assignments, app.name
-
-    @pytest.mark.parametrize("model", ["hose", "pipe"])
-    def test_table_matches_direct_computation_under_load(self, model):
+    def test_matrix_matches_direct_computation_under_load(self, model, cross):
         machines = [f"m{i}" for i in range(6)]
-        profile = self._profile(machines, 2)
-        load = ConnectionLoad()
-        table = EffectiveRateTable(profile, load, model=model)
+        profile = self._profile(machines, 2, cross=cross)
+        board = EffectiveRateMatrix(profile, machines, model=model)
         shadow = ConnectionLoad()
         rng = random.Random(4)
-        for _ in range(300):
-            src, dst = rng.choice(machines), rng.choice(machines)
-            if rng.random() < 0.4:
-                table.record(src, dst)
-                shadow.add(src, dst)
-            else:
-                assert table.rate(src, dst) == effective_rate(
-                    profile, src, dst, shadow, model=model
-                )
+        for _ in range(60):
+            i, j = rng.randrange(6), rng.randrange(6)
+            board.record(i, j)
+            shadow.add(machines[i], machines[j])
+            for a, src in enumerate(machines):
+                for b, dst in enumerate(machines):
+                    assert board.rates[a, b] == effective_rate(
+                        profile, src, dst, shadow, model=model
+                    )
 
-    def test_rate_stats_exposed(self):
-        machines = [f"m{i}" for i in range(6)]
-        cluster = ClusterState(machines=[Machine(m, cores=4.0) for m in machines])
-        placer = GreedyPlacer(use_rate_cache=True)
-        placer.place(scatter_gather("svc", 5), cluster, self._profile(machines, 9))
-        assert placer.last_rate_stats is not None
-        assert placer.last_rate_stats["misses"] > 0
+    def test_unmeasured_pairs_stay_nan_and_unknown_model_is_rejected(self):
+        machines = ["a", "b", "c"]
+        profile = NetworkProfile(
+            vms=machines, rates_bps={("a", "b"): 1e9, ("b", "a"): 2e9}
+        )
+        board = EffectiveRateMatrix(profile, machines)
+        board.record(0, 1)
+        assert board.rates[0, 1] == 1e9 * 1.0 / 2.0
+        assert math.isnan(board.rates[0, 2]) and math.isnan(board.rates[2, 1])
+        assert board.rates[2, 2] == math.inf
+        with pytest.raises(PlacementError):
+            EffectiveRateMatrix(profile, machines, model="tube")
 
 
 class TestBatchedMeasurementMesh:
@@ -488,7 +483,7 @@ class TestBenchSuite:
     def test_cli_exit_code(self):
         from repro.bench.__main__ import main
 
-        assert main(["--quick", "--only", "greedy", "--output", ""]) == 0
+        assert main(["--quick", "--only", "mesh", "--output", ""]) == 0
 
     def test_quick_scale_bench_matches(self):
         from repro.bench.benchmarks import run_benchmarks
@@ -501,9 +496,12 @@ class TestBenchSuite:
         assert allocator["bit_identical"] and allocator["auto_picks_vector"]
 
     def test_scale_bench_is_in_the_default_suite(self):
-        from repro.bench.benchmarks import DEFAULT_SUITE
+        from repro.bench.benchmarks import DEFAULT_SUITE, bench_names
 
         assert "scale" in DEFAULT_SUITE
+        # The rate-table A/B went with the table (its tracked 1.002x was
+        # never a number); flat-vs-hierarchical greedy lives in ``scale``.
+        assert "greedy" not in bench_names()
 
     def test_quick_fluid_loop_and_routing_benches_match(self):
         from repro.bench.benchmarks import run_benchmarks
@@ -526,9 +524,9 @@ class TestBenchSuite:
         # An impossible floor on a real (non-quick-exempt) run must fail.
         monkeypatch.setattr(
             benchmarks, "_TARGET_FLOORS",
-            (("greedy", "greedy_speedup", 1e9, ("speedup",)),),
+            (("mesh", "mesh_speedup", 1e9, ("modeled_speedup",)),),
         )
-        assert main(["--only", "greedy", "--output", ""]) == 1
+        assert main(["--only", "mesh", "--output", ""]) == 1
         assert "below floor" in capsys.readouterr().err
 
 

@@ -1,5 +1,6 @@
 """Tests for the online placement service (repro.service) and its parts."""
 
+import hashlib
 import json
 import math
 
@@ -312,6 +313,43 @@ class TestChurnSession:
             payload["apps"]
         )
         json.dumps(payload)  # must be serialisable as-is
+
+
+class TestGoldenDigests:
+    """Identity across commits, not only across paths inside one commit.
+
+    SHA-256 of ``ServiceReport.canonical_json_dict()`` for two fixed-seed
+    sessions, computed at the commit before the admission path moved onto
+    one rate matrix (PR 15).  Forecasts, migrations (2 and 3), degraded
+    pairs (23) and recoveries (two re-placements, one removal) all fire.
+    A digest changes only when simulated behaviour changes; update it only
+    in a PR that means to change behaviour, and say so there.
+    """
+
+    _SESSION = dict(
+        predictor="combined", placer="greedy", migrate=True, n_vms=12,
+        hours=8, drift="hotspot-flap", epoch_s=120.0, apps_per_hour=2.0,
+    )
+
+    @pytest.mark.parametrize(
+        "faults, migrations, recoveries, digest",
+        [
+            (
+                "none", 2, 0,
+                "21f09bca885ae7c50fb94362b01c8d8769bfdff8861a23a348ed327deda23c07",
+            ),
+            (
+                "rack-outage", 3, 3,
+                "112f0f9db1e3304938fc6ab49a561f7c85e979a5c5ac798baf73b6347206e446",
+            ),
+        ],
+    )
+    def test_session_digest_is_pinned(self, faults, migrations, recoveries, digest):
+        report = run_churn_session(0, faults=faults, **self._SESSION)
+        assert len(report.migrations) == migrations
+        assert len(report.recovery) == recoveries
+        canonical = json.dumps(report.canonical_json_dict(), sort_keys=True)
+        assert hashlib.sha256(canonical.encode()).hexdigest() == digest
 
 
 class TestPredictorComparison:
