@@ -8,8 +8,7 @@ Sub-packages:
 * :mod:`repro.core` — Choreo itself: profiling, measurement, placement;
 * :mod:`repro.runtime` — executing placed applications on a provider;
 * :mod:`repro.experiments` — the §6 evaluation: scenarios, sweeps, CLI;
-* :mod:`repro.service` — the online placement service over drifting networks;
-* :mod:`repro.bench` — tracked A/B benchmarks (``python -m repro bench``).
+* :mod:`repro.service` — the online placement service over drifting networks.
 
 ``repro`` itself re-exports the stable API surface below lazily (PEP 562),
 so ``import repro`` stays cheap and scripts can write::
@@ -17,7 +16,7 @@ so ``import repro`` stays cheap and scripts can write::
     from repro import resolve_placer, ExperimentConfig, run_churn_session
 
 ``python -m repro`` is the unified CLI dispatcher over the
-``experiments``/``bench``/``service`` subcommands.
+``experiments``/``service`` subcommands.
 """
 
 from typing import TYPE_CHECKING

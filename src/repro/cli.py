@@ -1,12 +1,11 @@
 """Unified command-line surface: ``python -m repro``.
 
-One top-level dispatcher with three subcommands —
+One top-level dispatcher with two subcommands —
 
 * ``python -m repro experiments`` — scenario sweeps (§6 evaluation);
-* ``python -m repro bench``       — tracked hot-path A/B benchmarks;
 * ``python -m repro service``     — online placement over a drifting network;
 
-each also reachable as ``python -m repro.experiments`` / ``repro.bench`` /
+each also reachable as ``python -m repro.experiments`` /
 ``repro.service`` (thin aliases over the same handlers).  The shared flags
 are declared once, in :func:`common_parser`, and inherited by every
 subcommand that takes them, so they spell and behave identically
@@ -169,7 +168,7 @@ def common_parser(
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The ``python -m repro`` dispatcher over the three subsystems."""
+    """The ``python -m repro`` dispatcher over the two subsystems."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -179,7 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subsystem", required=True)
 
-    from repro.bench.__main__ import configure_parser as configure_bench
     from repro.experiments.cli import configure_parser as configure_experiments
     from repro.service.__main__ import configure_parser as configure_service
 
@@ -189,14 +187,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="scenario sweeps and the §6 evaluation grid",
             description="Choreo evaluation: scenario registry and "
             "experiment sweeps (§6).",
-        )
-    )
-    configure_bench(
-        sub.add_parser(
-            "bench",
-            help="tracked hot-path A/B benchmarks (BENCH_*.json)",
-            description="Hot-path benchmarks, each A/B'd against its "
-            "reference implementation.",
         )
     )
     configure_service(

@@ -302,7 +302,7 @@ class MatrixNetworkProfile(NetworkProfile):
     marks unmeasured pairs, the diagonal is the intra-VM rate; the profile
     keeps its own read-only copy) and overrides the per-pair accessors to
     index into it, so the online service's admission path, datacenter-scale
-    synthetic meshes (the ``scale`` bench family) and hierarchical placement
+    synthetic meshes and hierarchical placement
     stay in array land end to end.
 
     :attr:`rates_bps` is a read-only mapping *view* of the matrix (see

@@ -34,8 +34,8 @@ the order of ``Placement.assignments`` — are those of the scalar algorithm
 (kept as the oracle in ``tests/test_admission_arrays.py``).
 
 At datacenter scale the flat search is quadratic in the machine count per
-unpinned transfer, so above a size threshold (see
-:func:`set_default_cluster_threshold`) the placer goes **hierarchical**:
+unpinned transfer, so from ``_CLUSTER_THRESHOLD`` machines up (or the
+``cluster_threshold`` argument) the placer goes **hierarchical**:
 machines are clustered once per placement by the similarity of their
 measured rate profiles (deterministic farthest-point k-center over the
 rows of :meth:`~repro.core.network_profile.NetworkProfile.rate_matrix`),
@@ -68,22 +68,7 @@ _EPS = 1e-9
 
 # Machine counts below this stay on the flat search, which is exactly
 # Algorithm 1; at or above it GreedyPlacer(cluster_threshold=None) clusters.
-_default_cluster_threshold = 96
-
-
-def set_default_cluster_threshold(n_machines: int) -> int:
-    """Default for ``GreedyPlacer(cluster_threshold=None)``; returns the old one.
-
-    Placements over clusters with at least this many machines use the
-    hierarchical candidate search; smaller ones keep the flat Algorithm 1
-    search.  Benchmarks and tests move it to force either path.
-    """
-    global _default_cluster_threshold
-    if n_machines < 1:
-        raise PlacementError("cluster threshold must be >= 1")
-    previous = _default_cluster_threshold
-    _default_cluster_threshold = int(n_machines)
-    return previous
+_CLUSTER_THRESHOLD = 96
 
 
 def _k_center(matrix: np.ndarray, n_clusters: int) -> Tuple[List[int], np.ndarray]:
@@ -255,8 +240,8 @@ class GreedyPlacer(Placer):
             so this only matters when the profile's intra-VM rate is finite).
         cluster_threshold: machine count at which placement switches to the
             hierarchical (cluster-representatives-first) candidate search;
-            ``None`` uses the module default (see
-            :func:`set_default_cluster_threshold`).  ``1`` always clusters.
+            ``None`` uses ``_CLUSTER_THRESHOLD`` (96).  ``1`` always
+            clusters.
         n_clusters: how many rate-similarity clusters to form when the
             hierarchical path engages; ``None`` uses ``ceil(sqrt(n))``.
             Setting it to the machine count makes every cluster a
@@ -395,7 +380,7 @@ class GreedyPlacer(Placer):
         board = EffectiveRateMatrix(profile, names, model=self.model)
 
         threshold = (
-            _default_cluster_threshold
+            _CLUSTER_THRESHOLD
             if self.cluster_threshold is None
             else self.cluster_threshold
         )

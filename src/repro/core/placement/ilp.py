@@ -101,8 +101,7 @@ FORMULATIONS = ("sparse", "dense")
 #: Below this assignment-grid size (tasks x machines) the auto-tuner keeps
 #: every machine: up to roughly 24 tasks on 24 machines HiGHS finds better
 #: incumbents unrestricted within ordinary per-cell budgets, so restricting
-#: there would trade exactness for nothing (measured in the ilp_scale
-#: bench's regime).
+#: there would trade exactness for nothing.
 _AUTO_EXACT_CELLS = 600
 #: Product-variable budget the auto-tuner sizes ``k`` against: under the
 #: hose model the sparse formulation materialises O(pairs x k) colocation

@@ -597,8 +597,7 @@ class RemoteBackend:
     so every worker writes the one shared store.
 
     ``last_fabric_stats`` exposes lease/salvage/retry/duplicate counters
-    and per-worker idle fractions after each :meth:`map_trials` — the
-    bench reports them.
+    and per-worker idle fractions after each :meth:`map_trials`.
     """
 
     name = "remote"

@@ -2,14 +2,11 @@
 
 A thin alias for ``python -m repro experiments`` (see :mod:`repro.cli`,
 which owns the shared ``--seed``/``--jobs``/``--output``/``--param``
-flags).  Three commands:
+flags).  Two commands:
 
 * ``list`` — show the registered scenarios (and placers);
 * ``run`` — sweep scenarios x placers, write structured JSON results, and
-  print the per-scenario speedup-over-baseline summary;
-* ``bench`` — a fixed small grid timed end to end, emitting a compact
-  machine-readable perf summary suitable for ``BENCH_*.json`` trajectory
-  tracking.
+  print the per-scenario speedup-over-baseline summary.
 """
 
 from __future__ import annotations
@@ -17,8 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.cli import common_parser, parse_params, parse_placer_params, parse_value
 from repro.errors import ExperimentError, ReproError
@@ -31,8 +27,6 @@ from repro.experiments.runner import (
     ExperimentRunner,
 )
 from repro.experiments.scenarios import get_scenario, list_scenarios, scenario_names
-
-BENCH_SCENARIOS = ("smoke", "all-to-all", "partition-aggregate")
 
 #: Historical spellings, kept for importers of the pre-dispatcher helpers.
 _parse_value = parse_value
@@ -51,7 +45,7 @@ def _resolve_scenarios(requested: Sequence[str]) -> List[str]:
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
-    """Attach the ``list``/``run``/``bench`` commands to ``parser``.
+    """Attach the ``list``/``run`` commands to ``parser``.
 
     Called both by :func:`repro.cli.build_parser` (for ``python -m repro
     experiments``) and by this module's own :func:`main` (for the
@@ -154,21 +148,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help="deprecated alias for --stats",
     )
     run_cmd.set_defaults(handler=_cmd_run)
-
-    bench_cmd = sub.add_parser(
-        "bench",
-        help="timed small grid; emits a BENCH_*.json perf summary",
-        parents=[
-            common_parser(seed=0, jobs=1, output="BENCH_experiments.json")
-        ],
-    )
-    bench_cmd.add_argument(
-        "--scenarios", default=",".join(BENCH_SCENARIOS),
-        help=f"comma-separated scenarios (default: {','.join(BENCH_SCENARIOS)})",
-    )
-    bench_cmd.add_argument("--placers", default="greedy,random")
-    bench_cmd.add_argument("--trials", type=int, default=2)
-    bench_cmd.set_defaults(handler=_cmd_bench)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -340,57 +319,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    return 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    scenarios = _resolve_scenarios(
-        [name.strip() for name in args.scenarios.split(",") if name.strip()]
-    )
-    config = _make_config(
-        scenarios, args.placers, args.trials, args.seed, args.jobs, "random"
-    )
-    started = time.perf_counter()
-    result = ExperimentRunner(config).run()
-    wall_s = time.perf_counter() - started
-
-    ok = [rec for rec in result.records if rec.ok]
-    summary = result.summary()
-    per_scenario = {}
-    for scenario in result.scenarios:
-        cell_records = [rec for rec in ok if rec.scenario == scenario]
-        entry: Dict[str, object] = {
-            "mean_trial_wall_s": (
-                sum(rec.trial_wall_s for rec in cell_records) / len(cell_records)
-                if cell_records
-                else None
-            ),
-        }
-        for placer in result.placers:
-            speedup = summary[scenario][placer].get("speedup_vs_random")
-            if speedup:
-                entry[f"median_speedup_{placer}_vs_random_%"] = speedup["median_%"]
-        per_scenario[scenario] = entry
-
-    payload = {
-        "schema": "repro.experiments/bench/v1",
-        "scenarios": list(result.scenarios),
-        "placers": list(result.placers),
-        "trials": config.trials,
-        "workers": config.workers,
-        "total_wall_s": round(wall_s, 3),
-        "trials_total": len(result.records),
-        "trials_ok": len(ok),
-        "trials_per_second": round(len(result.records) / wall_s, 3) if wall_s else None,
-        "per_scenario": per_scenario,
-    }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    print(text)
-    if args.output:
-        from pathlib import Path
-
-        Path(args.output).write_text(text)
-        print(f"wrote {args.output}", file=sys.stderr)
     return 0
 
 

@@ -499,7 +499,7 @@ class WorkerClient:
 
 
 # ---------------------------------------------------------------------------
-# Local pools (tests, benches, CI — and the backend's no-endpoint default)
+# Local pools (tests, CI — and the backend's no-endpoint default)
 # ---------------------------------------------------------------------------
 class LocalWorkerPool:
     """A handful of localhost worker processes with their addresses."""

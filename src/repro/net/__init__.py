@@ -18,14 +18,13 @@ from repro.net.topology import (
     build_two_rack_cloud,
     clear_route_cache,
     route_cache_info,
-    set_route_cache_enabled,
     NodeKind,
 )
 from repro.net.links import Link, LinkKind, loopback_link_id, hose_link_id
 from repro.net.flows import Flow, FlowState
 from repro.net.alloc import IncrementalAllocator
 from repro.net.fairness import FlowDemand, max_min_allocation
-from repro.net.fluid import FluidSimulation, FluidResult, RateTimeline, set_default_allocator
+from repro.net.fluid import FluidSimulation, FluidResult, RateTimeline
 from repro.net.hose import HoseModel
 from repro.net.crosstraffic import OnOffSource, OnOffInterval, generate_on_intervals
 from repro.net.packets import (
@@ -56,10 +55,8 @@ __all__ = [
     "FlowDemand",
     "IncrementalAllocator",
     "max_min_allocation",
-    "set_default_allocator",
     "clear_route_cache",
     "route_cache_info",
-    "set_route_cache_enabled",
     "FluidSimulation",
     "FluidResult",
     "RateTimeline",

@@ -27,10 +27,10 @@ The solver performs the *same* floating-point operations in the same
 per-flow order as the reference implementation, so its rates are
 bit-identical on any instance where the reference's own (set-iteration-
 order-dependent) tie-breaks do not matter — ``tests/test_hotpath.py``
-checks agreement within 1e-9 on randomized instances, and
-``python -m repro.bench`` re-checks it on every benchmark run.
+checks agreement within 1e-9 on randomized instances.
 
-Above a size threshold (see :func:`set_vector_thresholds`) :meth:`solve`
+Above a size threshold (``_VECTOR_MIN_FLOWS`` flows and
+``_VECTOR_MIN_LINKS`` links) :meth:`solve`
 switches to an **array-backed water-filling path**: link capacities,
 remaining headroom, and unfrozen-member counts live in NumPy vectors
 indexed by the interned link slots, each flow's path is a cached int
@@ -84,11 +84,7 @@ from repro import obs
 from repro.errors import SimulationError
 from repro.net.fairness import FlowDemand
 
-__all__ = [
-    "IncrementalAllocator",
-    "set_vector_thresholds",
-    "vector_thresholds",
-]
+__all__ = ["IncrementalAllocator"]
 
 #: Allocator modes accepted by :class:`IncrementalAllocator`.
 _MODES = ("auto", "scalar", "vector")
@@ -157,36 +153,6 @@ def _partial_limit(n_flows: int) -> int:
     return max(64, min(n_flows // 2, 1024))
 
 
-def set_vector_thresholds(
-    flows: Optional[int] = None, links: Optional[int] = None
-) -> Tuple[int, int]:
-    """Set the ``mode="auto"`` vectorisation thresholds; returns the old pair.
-
-    An allocator in ``"auto"`` mode (the default) uses the array-backed
-    solve only when it holds at least ``flows`` routed flows *and* its
-    link universe has at least ``links`` links.  Pass ``0`` to always
-    vectorise, or a huge value to never do so.  Tests and benchmarks use
-    this to force one path or the other without constructing allocators
-    differently.
-    """
-    global _VECTOR_MIN_FLOWS, _VECTOR_MIN_LINKS
-    previous = (_VECTOR_MIN_FLOWS, _VECTOR_MIN_LINKS)
-    if flows is not None:
-        if flows < 0:
-            raise SimulationError("vector flow threshold must be >= 0")
-        _VECTOR_MIN_FLOWS = int(flows)
-    if links is not None:
-        if links < 0:
-            raise SimulationError("vector link threshold must be >= 0")
-        _VECTOR_MIN_LINKS = int(links)
-    return previous
-
-
-def vector_thresholds() -> Tuple[int, int]:
-    """Current ``(flows, links)`` auto-vectorisation thresholds."""
-    return (_VECTOR_MIN_FLOWS, _VECTOR_MIN_LINKS)
-
-
 class IncrementalAllocator:
     """Max-min fair allocator with O(path) flow add/remove deltas.
 
@@ -194,8 +160,9 @@ class IncrementalAllocator:
         capacities: mapping of link id to capacity in bits/second.  The link
             universe is fixed at construction; flows may only reference these
             links.
-        mode: ``"auto"`` (default) picks the array-backed solve above the
-            :func:`set_vector_thresholds` sizes, ``"scalar"`` always runs
+        mode: ``"auto"`` (default) picks the array-backed solve at or above
+            ``_VECTOR_MIN_FLOWS`` routed flows *and* ``_VECTOR_MIN_LINKS``
+            links, ``"scalar"`` always runs
             the heap-based solve, ``"vector"`` always runs the array-backed
             one.  All three produce bit-identical rates; flows whose path
             repeats a link force the scalar solve regardless of mode.

@@ -316,30 +316,6 @@ ALLOCATOR_VECTOR = "vector"
 
 _ALLOCATORS = (ALLOCATOR_INCREMENTAL, ALLOCATOR_REFERENCE, ALLOCATOR_VECTOR)
 
-_default_allocator = ALLOCATOR_INCREMENTAL
-
-
-def set_default_allocator(name: str) -> str:
-    """Set the allocator new simulations default to; returns the previous one.
-
-    ``"incremental"`` (the default) re-solves through
-    :class:`~repro.net.alloc.IncrementalAllocator` in its ``auto`` mode,
-    which switches to the array-backed water-filling path above the
-    :func:`repro.net.alloc.set_vector_thresholds` sizes; ``"vector"``
-    forces that array-backed path at every size; ``"reference"`` calls
-    :func:`~repro.net.fairness.max_min_allocation` from scratch at every
-    event, exactly as the pre-optimisation code did.  The switch exists for
-    A/B benchmarking (``python -m repro.bench``) and for debugging the
-    incremental engine.
-    """
-    global _default_allocator
-    if name not in _ALLOCATORS:
-        raise SimulationError(f"unknown allocator {name!r}")
-    previous = _default_allocator
-    _default_allocator = name
-    return previous
-
-
 #: Event-loop implementations :class:`FluidSimulation` can use.
 LOOP_AUTO = "auto"
 LOOP_SCALAR = "scalar"
@@ -354,55 +330,9 @@ _FLUID_BATCHES = obs.Counter("repro.fluid.batches")
 
 _LOOPS = (LOOP_AUTO, LOOP_SCALAR, LOOP_VECTOR)
 
-_default_loop = LOOP_AUTO
-
 # Flow count below which the vectorised event loop is not worth its NumPy
 # dispatch overhead in ``loop="auto"`` mode.
 _LOOP_MIN_FLOWS = 512
-
-
-def set_default_loop(name: str) -> str:
-    """Set the event loop new simulations default to; returns the previous.
-
-    ``"scalar"`` is the original per-flow Python event loop; ``"vector"``
-    holds flow state (remaining bytes, current rate, open rate segment) in
-    parallel NumPy arrays, picks the next event with an ``argmin`` over the
-    finish-time vector, activates, drains and retires flows a batch per
-    event, and logs a rate segment (to a columnar log, see
-    :class:`FluidResult`) only when a flow's rate actually changes.  Both
-    produce bit-identical :class:`FluidResult` contents; ``"auto"`` (the
-    default) vectorises at or above :func:`set_loop_threshold` registered
-    flows.  Simulations
-    using the ``"reference"`` allocator always run the scalar loop — that
-    pairing *is* the reference implementation the A/B benchmarks compare
-    against.
-    """
-    global _default_loop
-    if name not in _LOOPS:
-        raise SimulationError(f"unknown loop {name!r}")
-    previous = _default_loop
-    _default_loop = name
-    return previous
-
-
-def set_loop_threshold(flows: int) -> int:
-    """Set the ``loop="auto"`` vectorisation flow threshold; returns the old.
-
-    A simulation in ``"auto"`` loop mode runs the vectorised event loop
-    only when at least this many flows are registered.  Pass ``0`` to
-    always vectorise.
-    """
-    global _LOOP_MIN_FLOWS
-    if flows < 0:
-        raise SimulationError("loop flow threshold must be >= 0")
-    previous = _LOOP_MIN_FLOWS
-    _LOOP_MIN_FLOWS = int(flows)
-    return previous
-
-
-def loop_threshold() -> int:
-    """Current ``loop="auto"`` vectorisation flow threshold."""
-    return _LOOP_MIN_FLOWS
 
 
 class FluidSimulation:
@@ -416,11 +346,24 @@ class FluidSimulation:
         extra_capacities: additional *virtual* links (e.g. per-VM hose links
             when several VMs share a physical host); flows traverse them via
             the ``extra_links`` argument of :meth:`add_flow`.
-        allocator: ``"incremental"``, ``"vector"``, or ``"reference"``;
-            ``None`` uses the module default (see
-            :func:`set_default_allocator`).
-        loop: ``"auto"``, ``"scalar"``, or ``"vector"`` event loop; ``None``
-            uses the module default (see :func:`set_default_loop`).
+        allocator: ``"incremental"`` (the default) re-solves through
+            :class:`~repro.net.alloc.IncrementalAllocator` in its ``auto``
+            mode, which picks the array-backed water-filling path from the
+            problem size; ``"vector"`` forces that path at every size;
+            ``"reference"`` calls
+            :func:`~repro.net.fairness.max_min_allocation` from scratch at
+            every event — the implementation the tests compare against.
+        loop: ``"scalar"`` is the per-flow Python event loop; ``"vector"``
+            holds flow state (remaining bytes, current rate, open rate
+            segment) in parallel NumPy arrays, picks the next event with an
+            ``argmin`` over the finish-time vector, activates, drains and
+            retires flows a batch per event, and logs a rate segment (to a
+            columnar log, see :class:`FluidResult`) only when a flow's rate
+            actually changes.  Both produce bit-identical
+            :class:`FluidResult` contents; ``"auto"`` (the default)
+            vectorises at or above ``_LOOP_MIN_FLOWS`` registered flows.
+            The ``"reference"`` allocator always runs the scalar loop —
+            that pairing *is* the reference implementation.
     """
 
     def __init__(
@@ -429,8 +372,8 @@ class FluidSimulation:
         hose: Optional[HoseModel] = None,
         capacity_overrides: Optional[Mapping[str, float]] = None,
         extra_capacities: Optional[Mapping[str, float]] = None,
-        allocator: Optional[str] = None,
-        loop: Optional[str] = None,
+        allocator: str = ALLOCATOR_INCREMENTAL,
+        loop: str = LOOP_AUTO,
     ) -> None:
         self.topology = topology
         self.hose = hose
@@ -457,13 +400,9 @@ class FluidSimulation:
                         f"extra capacity for {link_id!r} must be positive"
                     )
                 self._capacities[link_id] = cap
-        if allocator is None:
-            allocator = _default_allocator
         if allocator not in _ALLOCATORS:
             raise SimulationError(f"unknown allocator {allocator!r}")
         self._allocator_mode = allocator
-        if loop is None:
-            loop = _default_loop
         if loop not in _LOOPS:
             raise SimulationError(f"unknown loop {loop!r}")
         self._loop_mode = loop
@@ -620,9 +559,9 @@ class FluidSimulation:
         the result reflect partially transferred finite flows.
 
         The scalar and vector event loops produce bit-identical results;
-        which one runs is controlled by the ``loop`` constructor argument
-        (see :func:`set_default_loop`).  The ``"reference"`` allocator always
-        uses the scalar loop — that pairing is the reference implementation.
+        which one runs is controlled by the ``loop`` constructor argument.
+        The ``"reference"`` allocator always uses the scalar loop — that
+        pairing is the reference implementation.
         """
         loop = self._loop_mode
         if loop == LOOP_AUTO:

@@ -52,26 +52,18 @@ from repro.units import GBITPS
 # _ROUTE_CACHE_MAX_ENTRIES (sweeps revisit far fewer distinct pairs).
 _ROUTE_CACHE_MAX_ENTRIES = 262_144
 _route_cache: Dict[Tuple[str, str, str], List[str]] = {}
-_route_cache_enabled = True
 # Typed counters (thin-viewed by route_cache_info(); aggregated by
 # ``obs.metrics.snapshot()`` under ``repro.routes.*``).
 _route_cache_hits = obs.Counter("repro.routes.cache_hits")
 _route_cache_misses = obs.Counter("repro.routes.cache_misses")
 
 
-def set_route_cache_enabled(enabled: bool) -> bool:
-    """Enable/disable the shared routing cache; returns the previous state."""
-    global _route_cache_enabled
-    previous = _route_cache_enabled
-    _route_cache_enabled = bool(enabled)
-    return previous
-
-
 def clear_route_cache() -> None:
-    """Drop every entry (and reset the counters) of the shared routing cache."""
+    """Drop every entry of the shared routing cache.
+
+    The hit/miss counters are monotonic and keep their values.
+    """
     _route_cache.clear()
-    _route_cache_hits.value = 0
-    _route_cache_misses.value = 0
 
 
 def route_cache_info() -> Dict[str, int]:
@@ -80,7 +72,6 @@ def route_cache_info() -> Dict[str, int]:
         "entries": len(_route_cache),
         "hits": _route_cache_hits.count,
         "misses": _route_cache_misses.count,
-        "enabled": int(_route_cache_enabled),
     }
 
 
@@ -96,16 +87,7 @@ def route_cache_info() -> Dict[str, int]:
 # graph search.  The router must reproduce the graph-search answer exactly.
 _STRUCTURED_ROUTER_MAX_ENTRIES = 1024
 _structured_routers: Dict[str, "_TreeRouter"] = {}
-_structured_routing_enabled = True
 _structured_route_hits = obs.Counter("repro.routes.structured_hits")
-
-
-def set_structured_routing_enabled(enabled: bool) -> bool:
-    """Enable/disable the structured routing fast path; returns prior state."""
-    global _structured_routing_enabled
-    previous = _structured_routing_enabled
-    _structured_routing_enabled = bool(enabled)
-    return previous
 
 
 def structured_routing_info() -> Dict[str, int]:
@@ -113,7 +95,6 @@ def structured_routing_info() -> Dict[str, int]:
     return {
         "routers": len(_structured_routers),
         "hits": _structured_route_hits.count,
-        "enabled": int(_structured_routing_enabled),
     }
 
 
@@ -630,34 +611,30 @@ class Topology:
         cached = self._path_cache.get(key)
         if cached is not None:
             return cached
-        if _structured_routing_enabled:
-            router = _structured_routers.get(self.structure_token())
-            if router is not None:
-                choice = router.node_path(src, dst)
-                if choice is not None:
-                    _structured_route_hits.inc()
-                    self._path_cache[key] = choice
-                    return choice
+        router = _structured_routers.get(self.structure_token())
+        if router is not None:
+            choice = router.node_path(src, dst)
+            if choice is not None:
+                _structured_route_hits.inc()
+                self._path_cache[key] = choice
+                return choice
         for node in (src, dst):
             if node not in self.graph:
                 raise TopologyError(f"unknown node {node!r}")
-        shared_key = None
-        if _route_cache_enabled:
-            shared_key = (self.structure_token(), src, dst)
-            shared = _route_cache.get(shared_key)
-            if shared is not None:
-                _route_cache_hits.inc()
-                self._path_cache[key] = shared
-                return shared
-            _route_cache_misses.inc()
+        shared_key = (self.structure_token(), src, dst)
+        shared = _route_cache.get(shared_key)
+        if shared is not None:
+            _route_cache_hits.inc()
+            self._path_cache[key] = shared
+            return shared
+        _route_cache_misses.inc()
         choice = _lazy_kth_shortest_path(self.graph, src, dst)
         if choice is None:
             raise RoutingError(f"no path between {src!r} and {dst!r}")
         self._path_cache[key] = choice
-        if shared_key is not None:
-            if len(_route_cache) >= _ROUTE_CACHE_MAX_ENTRIES:
-                _route_cache.clear()
-            _route_cache[shared_key] = choice
+        if len(_route_cache) >= _ROUTE_CACHE_MAX_ENTRIES:
+            _route_cache.clear()
+        _route_cache[shared_key] = choice
         return choice
 
     def path_links(self, src: str, dst: str) -> List[Link]:
@@ -693,12 +670,11 @@ class Topology:
         """
         if src == dst:
             return 1
-        if _structured_routing_enabled:
-            router = _structured_routers.get(self.structure_token())
-            if router is not None:
-                hops = router.hop_count(src, dst)
-                if hops is not None:
-                    return hops
+        router = _structured_routers.get(self.structure_token())
+        if router is not None:
+            hops = router.hop_count(src, dst)
+            if hops is not None:
+                return hops
         return len(self.node_path(src, dst)) - 1
 
     def host_pairs(self) -> List[Tuple[str, str]]:
@@ -727,9 +703,7 @@ class Topology:
         lengths = np.zeros(n, dtype=np.int32)
         tree_rows = None
         one_by_one: Iterable[int] = range(n)
-        router = None
-        if _structured_routing_enabled:
-            router = _structured_routers.get(self.structure_token())
+        router = _structured_routers.get(self.structure_token())
         try:
             if router is not None and n >= _ARRAY_ROUTE_MIN_PAIRS:
                 # Canonical, distinct hosts route arithmetically, all at once.

@@ -26,7 +26,7 @@ Three pillars:
   trace.jsonl`` turns a trace into a self/cumulative-time profile tree.
 
 Tracing is pure observation: results of traced runs are bit-identical
-to untraced runs (see the ``obs`` bench and docs/observability.md).
+to untraced runs (see ``tests/test_obs.py`` and docs/observability.md).
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ placement service, sweep workers) from accumulating dead stores.
 
 Increments deliberately take no lock — ``+=`` on a float is atomic
 enough under the GIL for statistics, and these sit on hot paths where a
-lock would show up in the ``obs`` bench's overhead floor.
+lock would show up in every event of the fluid loop.
 """
 
 from __future__ import annotations

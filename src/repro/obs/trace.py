@@ -9,8 +9,7 @@ Off by default.  Three ways to switch it on, in precedence order:
   append their spans to the same file);
 * per call site never: instrumented code calls :func:`span`
   unconditionally and the disabled path is a shared no-op context
-  manager, cheap enough to sit inside the fluid event loop (the ``obs``
-  bench holds it to ≤2% on the ``fluid_loop`` workload).
+  manager, cheap enough to sit inside the fluid event loop.
 
 Each completed span emits one JSON line::
 
@@ -26,8 +25,8 @@ The file is opened in append mode and flushed per line so concurrent
 writer processes interleave whole lines and a crash loses nothing.
 
 Tracing is pure observation: no instrumented code path branches on it,
-so traced results are bit-identical to untraced ones (asserted by the
-``obs`` bench and the CI ``obs`` job).
+so traced results are bit-identical to untraced ones (asserted by
+``tests/test_obs.py`` and the CI ``obs`` job).
 """
 
 from __future__ import annotations

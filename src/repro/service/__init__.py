@@ -15,7 +15,7 @@ evaluator into the online system that premise implies:
   re-evaluation/migration;
 * :mod:`repro.service.session` — seeded churn sessions (provider +
   timeline + arrival stream) shared by the CLI, the ``service-churn``
-  scenario, and the ``service_churn`` benchmark.
+  scenario, and the ``churn_day`` benchmark workload.
 
 ``python -m repro.service run`` drives a churn session from the command
 line and reports per-application completion against an oracle that sees the

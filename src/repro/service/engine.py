@@ -106,9 +106,9 @@ class RecoveryAction:
     """One healing step the service took in response to a fault event.
 
     ``latency_s`` — the time between the fault taking effect and the
-    service acting on it — is the recovery-latency metric the ``faults``
-    bench tracks; the service only observes faults at epoch boundaries, so
-    it is bounded by the epoch length.
+    service acting on it — is the recovery-latency metric; the service
+    only observes faults at epoch boundaries, so it is bounded by the
+    epoch length.
     """
 
     time_s: float  # when the service acted (an epoch boundary)

@@ -4,8 +4,8 @@ A *churn session* is the service's unit of evaluation: a fresh provider
 with a drifting ground-truth timeline attached, an arrival stream of
 generated applications, and one :class:`~repro.service.engine.PlacementService`
 run over them.  :func:`build_churn_session` is a pure function of ``(seed,
-params)`` — the CLI, the ``service-churn`` scenario, the ``service_churn``
-benchmark, and the tests all realise identical sessions from it, and two
+params)`` — the CLI, the ``service-churn`` scenario, the ``churn_day``
+benchmark workload, and the tests all realise identical sessions from it, and two
 predictors compared on the same seed face the *same* network and
 applications (paired comparison, as in §6).
 """

@@ -278,18 +278,6 @@ def test_config_rejects_non_scalar_param_values():
         )
 
 
-def test_sweep_resume_bench_is_opt_in():
-    from repro.bench.benchmarks import DEFAULT_SUITE, run_benchmarks
-
-    assert "sweep_resume" not in DEFAULT_SUITE
-    payload = run_benchmarks(quick=True, only=["sweep_resume"])
-    assert payload["all_matched"]
-    bench = payload["benches"]["sweep_resume"]
-    assert bench["warm_executed"] == 0
-    assert payload["targets"]["resume_speedup_min"] == 5.0
-    assert "allocator_speedup" not in payload["targets"]
-
-
 def test_cli_list_names_backends(capsys):
     assert cli_main(["list", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -13,7 +13,6 @@ import json
 import pytest
 
 import repro
-from repro.bench.__main__ import main as bench_main
 from repro.cli import main as repro_main
 from repro.cli import parse_params, parse_placer_params, parse_value
 from repro.errors import ExperimentError, ServiceError
@@ -67,21 +66,6 @@ class TestDispatcherRoundTrips:
         )
         capsys.readouterr()
         assert code == 0
-
-    def test_bench_identical_via_both_entries(self, tmp_path, capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        assert bench_main(
-            ["--quick", "--only", "allocator", "--output", str(a)]
-        ) == 0
-        assert repro_main(
-            ["bench", "--quick", "--only", "allocator", "--output", str(b)]
-        ) == 0
-        capsys.readouterr()
-        pa, pb = json.loads(a.read_text()), json.loads(b.read_text())
-        assert pa["all_matched"] and pb["all_matched"]
-        bench_a, bench_b = pa["benches"]["allocator"], pb["benches"]["allocator"]
-        assert bench_a["params"] == bench_b["params"]
-        assert bench_a["max_relative_diff"] == bench_b["max_relative_diff"]
 
     def test_service_identical_via_both_entries(self, tmp_path, capsys):
         argv = [

@@ -1,6 +1,7 @@
 """Evaluation-subsystem tests: scenario registry, per-trial seeding, the
 (serial and parallel) experiment runner, JSON results, and the CLI."""
 
+import hashlib
 import json
 
 import pytest
@@ -141,6 +142,59 @@ def test_parallel_sweep_matches_grid_and_runs_all_cells():
     assert keys == sorted(keys)
 
 
+# ----------------------------------------------------------- golden digests
+# SHA-256 of ``json.dumps(result.canonical_json_dict(), sort_keys=True)`` for
+# one trial of every registered scenario under each non-ILP placer
+# (``base_seed=0``, ``workers=1``, default params), computed at the commit
+# before the A/B bench suite and the engine's ``set_*`` switches were deleted
+# (PR 16).  Identity across commits, like ``test_service.TestGoldenDigests``:
+# a digest changes only when simulated behaviour changes; update it only in a
+# PR that means to change behaviour, and say so there.  ``ilp`` is left out —
+# its digest would pin the HiGHS build, not this code.
+_GOLDEN_DIGESTS = {
+    ("all-to-all", "greedy"): "34b5de744dff8d49428be1e5dadedf4e3c4d3c495d48d87427296b1eee8555e6",
+    ("all-to-all", "random"): "6c19bf4e0d4e10480721338705008b19258f9cb3771918118bc3c334aa56af5c",
+    ("bursty-mapreduce", "greedy"): "82ead48d26e0cd6b94061dd6591c2d2460452d1e5eb31fafdc9d2bb09080701e",
+    ("bursty-mapreduce", "random"): "b95300d78ec39f9a8283b3a567a157f09dfb44d980e250a33837e9761ec91824",
+    ("cross-traffic", "greedy"): "a818d83a01a13ab4fab59257e8eb6e8c6ee68a2c1296188eb9d34976799a1d98",
+    ("cross-traffic", "random"): "31a9bd2d0809327e005051646b760f9d422f9262b2600dd594baf5a9e250eb7a",
+    ("ec2-trace-replay", "greedy"): "69f31d23ff2b6a0c8d283c0e51541b53ffe5b795991a3e119427822e3b5c9a29",
+    ("ec2-trace-replay", "random"): "f5cde081e72d141c5c9803264eaba7241ba726acd7643439e10a844664a5a599",
+    ("fault-churn", "greedy"): "a1b24b3e37a65b4697ccbb92a255965128aef985ba50d44ba9e06070de03a6b3",
+    ("fault-churn", "random"): "9aaadea747fb12b8c2c707e544336254159a3f67031cbb93f595280e5a858d47",
+    ("hetero-topology", "greedy"): "3fda523b2fdb680cd0ce674a1ffa711049835f25e45b971252b80612416b7738",
+    ("hetero-topology", "random"): "75d0ed2870d73f7a98afda06401af6e661cbb38f59950940b7998ee57928ee63",
+    ("legacy-ec2-zone", "greedy"): "5a17820f8cde9ef021feaaecdf7710b7df075d2619abb49e8882832849ac94be",
+    ("legacy-ec2-zone", "random"): "cd99a0314e884befbd96c3a25af8aee396144fad0492e3bef5842a71c23c8984",
+    ("multi-app-sequence", "greedy"): "dec69faee00291dda3d03aa692e191c47239d6d41d8912d01cf860754fd1fe8a",
+    ("multi-app-sequence", "random"): "95ebfb9d48b9e4fda003b48d77a57e53e6980dd80fd0b284b736bc7c5d0e8769",
+    ("partition-aggregate", "greedy"): "454ca05c49dd90ed890edec4751bcef211da8f076bf52447694a208034553d56",
+    ("partition-aggregate", "random"): "3d58add2b4bce4331452f143aa64f5ae3d2bf07ef92f4275c886d74451b99b4b",
+    ("rack-hotspot", "greedy"): "252e676ee31df707eb0f6e548cc205f94f0bd567eefbe2fcffd1b394f8c2fe49",
+    ("rack-hotspot", "random"): "40dc8341a6c91ee4ff564e4aa31e581b4a595cc2ec42537cb313e47afe69e8ad",
+    ("rackspace-uniform", "greedy"): "1547dcf06d108bd7f21dc7886511fa3b54f48b4beef1018103819f1f0de31cc8",
+    ("rackspace-uniform", "random"): "09379e27b95534fe1bf8bc6d20c0263da978940502a2021fc18428b316748ac0",
+    ("service-churn", "greedy"): "9eb7a65dfb0de859c0ba2c26467fa2b97832566bfc69a29adb36ae250b4a4331",
+    ("service-churn", "random"): "a9d67360fe8df919c1dcc880373e18b44d3fefb643095f4594cf319276f106ad",
+    ("single-app-ec2", "greedy"): "ae5a48d81bc483e73101db0218ca576b54bc43bd1bca6b79929edfc169b9ed34",
+    ("single-app-ec2", "random"): "8123ece541b1a78dd65cb425b749b8ba9b05fa1dc5c0b86ab5d7c8b01fbd1493",
+    ("smoke", "greedy"): "4447c0ebc7022a56d44f687522cd1325794b08664f45c320f942a5a20a6abdf1",
+    ("smoke", "random"): "b5bfcfea0acf8af077ec006ae7670b5bad502ae5fea7e820e0c0a2fe70f00fee",
+}
+
+
+@pytest.mark.parametrize("placer", ["greedy", "random"])
+@pytest.mark.parametrize("scenario", scenario_names())
+def test_cell_digest_is_pinned(scenario, placer):
+    config = ExperimentConfig(
+        scenarios=(scenario,), placers=(placer,), trials=1, base_seed=0, workers=1
+    )
+    result = ExperimentRunner(config).run()
+    assert all(rec.ok for rec in result.records)
+    canonical = json.dumps(result.canonical_json_dict(), sort_keys=True)
+    assert hashlib.sha256(canonical.encode()).hexdigest() == _GOLDEN_DIGESTS[scenario, placer]
+
+
 # ---------------------------------------------------------------------- CLI
 def test_cli_list_json_names_every_scenario(capsys):
     assert cli_main(["list", "--json"]) == 0
@@ -188,16 +242,3 @@ def test_cli_run_exits_nonzero_when_trials_fail(tmp_path, capsys):
     assert "trial(s) failed" in capsys.readouterr().err
     data = json.loads(out.read_text())
     assert all(rec["status"] == "error" for rec in data["records"])
-
-
-def test_cli_bench_emits_machine_readable_summary(tmp_path, capsys):
-    out = tmp_path / "BENCH_experiments.json"
-    code = cli_main(
-        ["bench", "--scenarios", "smoke", "--trials", "1", "--output", str(out)]
-    )
-    assert code == 0
-    payload = json.loads(out.read_text())
-    assert payload["schema"] == "repro.experiments/bench/v1"
-    assert payload["trials_ok"] == payload["trials_total"] == 2
-    assert payload["total_wall_s"] >= 0
-    assert "smoke" in payload["per_scenario"]

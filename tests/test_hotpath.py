@@ -18,6 +18,7 @@ from repro.core.rate_model import ConnectionLoad, EffectiveRateMatrix, effective
 from repro.cloud.registry import make_provider
 from repro.errors import MeasurementError, PlacementError, SimulationError
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
+from repro.net import topology
 from repro.net.alloc import IncrementalAllocator
 from repro.net.fairness import FlowDemand, max_min_allocation
 from repro.net.flows import Flow
@@ -27,8 +28,6 @@ from repro.net.topology import (
     build_multi_rooted_tree,
     clear_route_cache,
     route_cache_info,
-    set_route_cache_enabled,
-    set_structured_routing_enabled,
 )
 from repro.units import GBITPS, MBYTE
 from repro.workloads.generator import HPCloudWorkloadGenerator, WorkloadSpec
@@ -279,35 +278,25 @@ class TestTopologyCaches:
         topo.add_link("extra", "torS", 1 * GBITPS)
         assert topo.path_links("s1", "r1") is not first
 
-    def test_route_cache_shared_across_identical_structures(self):
-        # The structured router would answer tree routes arithmetically;
-        # disable it so this exercises the generic shared cache.
-        previous = set_structured_routing_enabled(False)
-        try:
-            clear_route_cache()
-            a = build_multi_rooted_tree()
-            b = build_multi_rooted_tree()
-            assert a.structure_token() == b.structure_token()
-            path = a.node_path("host0", "host5")
-            misses_after_first = route_cache_info()["misses"]
-            assert b.node_path("host0", "host5") == path
-            info = route_cache_info()
-            assert info["hits"] >= 1
-            assert info["misses"] == misses_after_first  # no second computation
-        finally:
-            set_structured_routing_enabled(previous)
-            clear_route_cache()
-
-    def test_route_cache_can_be_disabled(self):
+    def test_route_cache_shared_across_identical_structures(self, monkeypatch):
         clear_route_cache()
-        previous = set_route_cache_enabled(False)
-        try:
-            topo = build_multi_rooted_tree()
-            topo.node_path("host0", "host3")
-            assert route_cache_info()["entries"] == 0
-        finally:
-            set_route_cache_enabled(previous)
-            clear_route_cache()
+        a = build_multi_rooted_tree()
+        b = build_multi_rooted_tree()
+        assert a.structure_token() == b.structure_token()
+        # The structured router would answer tree routes arithmetically;
+        # drop it so this exercises the generic shared cache.
+        monkeypatch.setattr(topology, "_structured_routers", {})
+        before = route_cache_info()
+        path = a.node_path("host0", "host5")
+        after_first = route_cache_info()
+        assert after_first["misses"] == before["misses"] + 1
+        assert b.node_path("host0", "host5") == path
+        after_second = route_cache_info()
+        assert after_second["hits"] == after_first["hits"] + 1
+        assert after_second["misses"] == after_first["misses"]  # no second computation
+        # Clearing drops the entries; the counters are monotonic.
+        clear_route_cache()
+        assert route_cache_info() == {**after_second, "entries": 0}
 
 
 class TestEffectiveRateMatrix:
@@ -464,70 +453,6 @@ class TestRunnerTrialMemoization:
         )
         ExperimentRunner(config).run()
         assert sorted(calls) == [("smoke", "random", 0), ("smoke", "random", 1)]
-
-
-class TestBenchSuite:
-    def test_quick_allocator_and_mesh_benches_match(self):
-        from repro.bench.benchmarks import run_benchmarks
-
-        payload = run_benchmarks(quick=True, only=["allocator", "mesh"])
-        assert payload["all_matched"]
-        assert payload["benches"]["allocator"]["max_relative_diff"] <= 1e-9
-
-    def test_unknown_bench_rejected(self):
-        from repro.bench.benchmarks import run_benchmarks
-
-        with pytest.raises(ValueError):
-            run_benchmarks(only=["nope"])
-
-    def test_cli_exit_code(self):
-        from repro.bench.__main__ import main
-
-        assert main(["--quick", "--only", "mesh", "--output", ""]) == 0
-
-    def test_quick_scale_bench_matches(self):
-        from repro.bench.benchmarks import run_benchmarks
-
-        payload = run_benchmarks(quick=True, only=["scale"])
-        assert payload["all_matched"]
-        entry = payload["benches"]["scale"]
-        assert entry["equivalence_control"]["matched"]
-        allocator = entry["per_size"]["256"]["allocator"]
-        assert allocator["bit_identical"] and allocator["auto_picks_vector"]
-
-    def test_scale_bench_is_in_the_default_suite(self):
-        from repro.bench.benchmarks import DEFAULT_SUITE, bench_names
-
-        assert "scale" in DEFAULT_SUITE
-        # The rate-table A/B went with the table (its tracked 1.002x was
-        # never a number); flat-vs-hierarchical greedy lives in ``scale``.
-        assert "greedy" not in bench_names()
-
-    def test_quick_fluid_loop_and_routing_benches_match(self):
-        from repro.bench.benchmarks import run_benchmarks
-
-        payload = run_benchmarks(quick=True, only=["fluid_loop", "routing"])
-        assert payload["all_matched"]
-        assert payload["benches"]["routing"]["params"]["n_hosts"] > 0
-        assert payload["params"]["numpy"]
-
-    def test_million_flow_benches_are_in_the_default_suite(self):
-        from repro.bench.benchmarks import DEFAULT_SUITE
-
-        assert "fluid_loop" in DEFAULT_SUITE
-        assert "routing" in DEFAULT_SUITE
-
-    def test_speedup_floor_failure_sets_exit_code(self, monkeypatch, capsys):
-        import repro.bench.benchmarks as benchmarks
-        from repro.bench.__main__ import main
-
-        # An impossible floor on a real (non-quick-exempt) run must fail.
-        monkeypatch.setattr(
-            benchmarks, "_TARGET_FLOORS",
-            (("mesh", "mesh_speedup", 1e9, ("modeled_speedup",)),),
-        )
-        assert main(["--only", "mesh", "--output", ""]) == 1
-        assert "below floor" in capsys.readouterr().err
 
 
 class TestFluidZenoRegression:

@@ -8,8 +8,7 @@ Two contracts underpin the large-scale fast paths:
 * the arithmetic tree-topology router must reproduce the graph-search
   routes exactly, pair for pair, over entire host meshes.
 
-Both are checked property-style over randomised instances here; the
-benchmarks (``python -m repro.bench``) re-assert them at scale.
+Both are checked property-style over randomised instances here.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ import pytest
 
 from repro.errors import TopologyError
 
+from repro.net import fluid, topology
 from repro.net.flows import Flow
 from repro.net.fluid import (
     ALLOCATOR_REFERENCE,
@@ -33,9 +33,6 @@ from repro.net.fluid import (
     LOOP_VECTOR,
     RateTimeline,
     SimulationError,
-    loop_threshold,
-    set_default_loop,
-    set_loop_threshold,
 )
 from repro.net.hose import HoseModel
 from repro.net.topology import (
@@ -43,8 +40,6 @@ from repro.net.topology import (
     _lazy_kth_shortest_path,
     build_multi_rooted_tree,
     clear_route_cache,
-    set_route_cache_enabled,
-    set_structured_routing_enabled,
     structured_routing_info,
 )
 
@@ -128,34 +123,12 @@ class TestVectorLoopBitIdentity:
 
 
 class TestLoopPlumbing:
-    """Mode switches: defaults, thresholds, and the reference pairing."""
+    """Loop selection: the size threshold and the reference pairing."""
 
     def test_unknown_loop_rejected(self):
         topo = build_multi_rooted_tree(TreeSpec(1, 1, 2, 1))
         with pytest.raises(SimulationError):
             FluidSimulation(topo, loop="turbo")
-        with pytest.raises(SimulationError):
-            set_default_loop("turbo")
-
-    def test_default_loop_round_trips(self):
-        previous = set_default_loop(LOOP_SCALAR)
-        try:
-            assert set_default_loop(LOOP_VECTOR) == LOOP_SCALAR
-        finally:
-            set_default_loop(previous)
-
-    def test_threshold_round_trips_and_validates(self):
-        before = loop_threshold()
-        previous = set_loop_threshold(7)
-        try:
-            assert previous == before
-            assert loop_threshold() == 7
-            with pytest.raises(SimulationError):
-                set_loop_threshold(-1)
-            assert loop_threshold() == 7
-        finally:
-            set_loop_threshold(previous)
-        assert loop_threshold() == before
 
     def _loop_taken(self, monkeypatch, **kwargs) -> str:
         topo = build_multi_rooted_tree(TreeSpec(1, 1, 4, 1))
@@ -180,13 +153,10 @@ class TestLoopPlumbing:
         return taken[0]
 
     def test_auto_obeys_the_flow_threshold(self, monkeypatch):
-        previous = set_loop_threshold(0)
-        try:
-            assert self._loop_taken(monkeypatch, loop="auto") == "vector"
-            set_loop_threshold(10_000)
-            assert self._loop_taken(monkeypatch, loop="auto") == "scalar"
-        finally:
-            set_loop_threshold(previous)
+        monkeypatch.setattr(fluid, "_LOOP_MIN_FLOWS", 0)
+        assert self._loop_taken(monkeypatch, loop="auto") == "vector"
+        monkeypatch.setattr(fluid, "_LOOP_MIN_FLOWS", 10_000)
+        assert self._loop_taken(monkeypatch, loop="auto") == "scalar"
 
     def test_reference_allocator_forces_the_scalar_loop(self, monkeypatch):
         taken = self._loop_taken(
@@ -217,61 +187,61 @@ class TestStructuredRouting:
     """The arithmetic tree router reproduces graph search exactly."""
 
     @pytest.mark.parametrize("spec", _ROUTING_SPECS, ids=str)
-    def test_matches_networkx_over_the_full_mesh(self, spec):
+    def test_matches_networkx_over_the_full_mesh(self, spec, monkeypatch):
         fast = build_multi_rooted_tree(spec)
+        slow = build_multi_rooted_tree(spec)
         assert structured_routing_info()["routers"] >= 1
-        previous = set_structured_routing_enabled(False)
-        previous_cache = set_route_cache_enabled(False)
-        clear_route_cache()
-        try:
-            slow = build_multi_rooted_tree(spec)
-            for src, dst in slow.host_pairs():
-                expected = slow.node_path(src, dst)
-                assert fast.node_path(src, dst) == expected, (src, dst)
-                assert fast.hop_count(src, dst) == len(expected) - 1
-        finally:
-            set_route_cache_enabled(previous_cache)
-            set_structured_routing_enabled(previous)
+        # With no router registered and a cold shared cache, every route
+        # is a graph search.
+        with monkeypatch.context() as patch:
+            patch.setattr(topology, "_structured_routers", {})
+            clear_route_cache()
+            expected = {pair: slow.node_path(*pair) for pair in slow.host_pairs()}
+        hits = structured_routing_info()["hits"]
+        for (src, dst), path in expected.items():
+            assert fast.node_path(src, dst) == path, (src, dst)
+            assert fast.hop_count(src, dst) == len(path) - 1
+        assert structured_routing_info()["hits"] - hits == len(expected)
 
     @pytest.mark.parametrize("structured", [True, False])
     @pytest.mark.parametrize("spec", _ROUTING_SPECS + _MATRIX_SPECS, ids=str)
-    def test_path_links_matrix_agrees_with_path_links(self, spec, structured):
+    def test_path_links_matrix_agrees_with_path_links(
+        self, spec, structured, monkeypatch
+    ):
         """The array rows are ``path_links``'s, pair by pair: every relation
         (same rack / pod / cross-pod), loopback pairs, and pairs the tree
         arithmetic does not cover (a switch endpoint: graph search)."""
-        previous = set_structured_routing_enabled(structured)
-        try:
-            topo = build_multi_rooted_tree(spec)
-            hosts = topo.hosts()
-            tor = topo.rack_of(hosts[0])
-            pairs = (
-                topo.host_pairs()
-                + [(h, h) for h in hosts[:2]]
-                + [(tor, hosts[-1]), (hosts[-1], tor)]
-            )
-            arithmetic = len(topo.host_pairs())
-            hits = structured_routing_info()["hits"]
-            rows, lengths, link_ids = topo.path_links_matrix(pairs)
-            counted = structured_routing_info()["hits"] - hits
-            assert counted == (arithmetic if structured else 0)
-            assert link_ids == list(topo.capacities())
-            assert rows.shape == (len(pairs), lengths.max())
-            assert rows.dtype == lengths.dtype == np.int32
-            for i, (src, dst) in enumerate(pairs):
-                expected = [link.link_id for link in topo.path_links(src, dst)]
-                got = [link_ids[j] for j in rows[i, : lengths[i]]]
-                assert got == expected, (src, dst)
-                assert (rows[i, lengths[i]:] == -1).all()
-            bottlenecks = topo.path_bottlenecks(pairs)
-            assert bottlenecks.tolist() == [
-                min(link.capacity_bps for link in topo.path_links(src, dst))
-                for src, dst in pairs
-            ]
-            # "host01" parses to host 1 but is not its canonical name.
-            with pytest.raises(TopologyError, match="host01"):
-                topo.path_links_matrix([(hosts[0], hosts[-1]), ("host01", hosts[0])])
-        finally:
-            set_structured_routing_enabled(previous)
+        topo = build_multi_rooted_tree(spec)
+        if not structured:
+            monkeypatch.setattr(topology, "_structured_routers", {})
+        hosts = topo.hosts()
+        tor = topo.rack_of(hosts[0])
+        pairs = (
+            topo.host_pairs()
+            + [(h, h) for h in hosts[:2]]
+            + [(tor, hosts[-1]), (hosts[-1], tor)]
+        )
+        arithmetic = len(topo.host_pairs())
+        hits = structured_routing_info()["hits"]
+        rows, lengths, link_ids = topo.path_links_matrix(pairs)
+        counted = structured_routing_info()["hits"] - hits
+        assert counted == (arithmetic if structured else 0)
+        assert link_ids == list(topo.capacities())
+        assert rows.shape == (len(pairs), lengths.max())
+        assert rows.dtype == lengths.dtype == np.int32
+        for i, (src, dst) in enumerate(pairs):
+            expected = [link.link_id for link in topo.path_links(src, dst)]
+            got = [link_ids[j] for j in rows[i, : lengths[i]]]
+            assert got == expected, (src, dst)
+            assert (rows[i, lengths[i]:] == -1).all()
+        bottlenecks = topo.path_bottlenecks(pairs)
+        assert bottlenecks.tolist() == [
+            min(link.capacity_bps for link in topo.path_links(src, dst))
+            for src, dst in pairs
+        ]
+        # "host01" parses to host 1 but is not its canonical name.
+        with pytest.raises(TopologyError, match="host01"):
+            topo.path_links_matrix([(hosts[0], hosts[-1]), ("host01", hosts[0])])
 
     def test_path_links_matrix_of_nothing(self):
         topo = build_multi_rooted_tree(_ROUTING_SPECS[1])
@@ -291,11 +261,3 @@ class TestStructuredRouting:
             digest = hashlib.sha256(f"{src}|{dst}".encode()).digest()
             k = int.from_bytes(digest[:4], "big") % len(eager)
             assert _lazy_kth_shortest_path(graph, src, dst) == eager[k]
-
-    def test_disable_switch_round_trips(self):
-        previous = set_structured_routing_enabled(False)
-        try:
-            assert structured_routing_info()["enabled"] == 0
-            assert set_structured_routing_enabled(True) is False
-        finally:
-            set_structured_routing_enabled(previous)

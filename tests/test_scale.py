@@ -7,24 +7,19 @@ merely close), and hierarchical greedy with singleton clusters must
 reproduce flat greedy assignment-for-assignment.
 """
 
+import functools
 import math
 import random
 
 import pytest
 
+from repro.cloud import provider as provider_mod
 from repro.core.network_profile import MatrixNetworkProfile, NetworkProfile
 from repro.core.placement.base import ClusterState, Machine
-from repro.core.placement.greedy import (
-    GreedyPlacer,
-    cluster_vms_by_rate_profile,
-    set_default_cluster_threshold,
-)
+from repro.core.placement.greedy import GreedyPlacer, cluster_vms_by_rate_profile
 from repro.errors import MeasurementError, PlacementError, SimulationError
-from repro.net.alloc import (
-    IncrementalAllocator,
-    set_vector_thresholds,
-    vector_thresholds,
-)
+from repro.net import alloc, topology
+from repro.net.alloc import IncrementalAllocator
 from repro.net.fairness import FlowDemand, max_min_allocation
 from repro.net.flows import Flow
 from repro.net.fluid import (
@@ -33,7 +28,7 @@ from repro.net.fluid import (
     ALLOCATOR_VECTOR,
     FluidSimulation,
 )
-from repro.net.topology import build_two_rack_cloud
+from repro.net.topology import build_two_rack_cloud, clear_route_cache
 from repro.units import GBITPS, MBYTE
 
 np = pytest.importorskip("numpy")
@@ -146,33 +141,27 @@ class TestVectorSolveBitIdentity:
         assert vector.solve()["z"] == 3.0
 
 
+def _force_vector_solves(patch):
+    """``mode="auto"`` allocators vectorise at every size."""
+    patch.setattr(alloc, "_VECTOR_MIN_FLOWS", 0)
+    patch.setattr(alloc, "_VECTOR_MIN_LINKS", 0)
+
+
 class TestVectorModeSelection:
     def test_mode_validation(self):
         with pytest.raises(SimulationError):
             IncrementalAllocator({"l": 1.0}, mode="simd")
 
-    def test_auto_thresholds_gate_the_vector_path(self):
+    def test_auto_thresholds_gate_the_vector_path(self, monkeypatch):
         caps = {f"l{i}": 1 * GBITPS for i in range(8)}
         allocator = IncrementalAllocator(caps)
         for f in range(8):
             allocator.add_flow(f"f{f}", [f"l{f}"])
         assert not allocator.uses_vector_path()  # below default thresholds
-        previous = set_vector_thresholds(flows=0, links=0)
-        try:
+        with monkeypatch.context() as patch:
+            _force_vector_solves(patch)
             assert allocator.uses_vector_path()
-        finally:
-            set_vector_thresholds(*previous)
-        assert vector_thresholds() == previous
         assert not allocator.uses_vector_path()
-
-    def test_threshold_validation_and_restore(self):
-        with pytest.raises(SimulationError):
-            set_vector_thresholds(flows=-1)
-        previous = set_vector_thresholds(flows=10, links=20)
-        try:
-            assert vector_thresholds() == (10, 20)
-        finally:
-            set_vector_thresholds(*previous)
 
     def test_forced_vector_below_thresholds_still_exact(self):
         caps = {"l": 1 * GBITPS}
@@ -330,19 +319,6 @@ class TestHierarchicalGreedyEquivalence:
         flat = GreedyPlacer(cluster_threshold=10**9).place(app, cluster, profile)
         assert placement.assignments == flat.assignments
 
-    def test_default_threshold_is_settable_and_validated(self):
-        previous = set_default_cluster_threshold(8)
-        try:
-            rng = random.Random(6)
-            app, cluster, profile = self._instance(rng, 12)
-            placer = GreedyPlacer()
-            placer.place(app, cluster, profile)
-            assert placer.last_cluster_stats is not None
-        finally:
-            set_default_cluster_threshold(previous)
-        with pytest.raises(PlacementError):
-            set_default_cluster_threshold(0)
-
     def test_hierarchical_placements_remain_feasible_at_scale(self):
         rng = random.Random(7)
         n = 128
@@ -366,34 +342,54 @@ class TestHierarchicalGreedyEquivalence:
             assert used.get(vm, 0.0) <= cores + 1e-9
 
 
+def _reference_engine(patch):
+    """What the fluid engine did before any optimisation: max-min from
+    scratch at every event, the scalar loop, every route a graph search."""
+    patch.setattr(
+        provider_mod, "FluidSimulation",
+        functools.partial(FluidSimulation, allocator=ALLOCATOR_REFERENCE),
+    )
+    patch.setattr(topology, "_structured_routers", {})
+    patch.setattr(topology, "_register_tree_router", lambda topo, spec: None)
+
+
 class TestTierOneScenarioBitIdentity:
+    @staticmethod
+    def _trial_metrics(scenario):
+        from repro.experiments.trials import run_trial
+
+        clear_route_cache()
+        record = run_trial(scenario, "greedy", trial=0, base_seed=42)
+        assert record.ok, record.error
+        return (
+            record.status,
+            record.makespan_s,
+            record.total_running_time_s,
+            record.n_apps,
+            record.n_vms,
+        )
+
     @pytest.mark.parametrize("scenario", ["smoke", "all-to-all"])
-    def test_forced_vector_reproduces_scalar_trial_records(self, scenario):
+    def test_forced_vector_reproduces_scalar_trial_records(
+        self, scenario, monkeypatch
+    ):
         """Tier-1 scenarios produce the same trial metrics whether the auto
         thresholds leave everything scalar (default at these sizes) or force
         the vector solve onto every allocation."""
-        from repro.experiments.trials import run_trial
-        from repro.net.topology import clear_route_cache
+        baseline = self._trial_metrics(scenario)
+        _force_vector_solves(monkeypatch)
+        assert self._trial_metrics(scenario) == baseline
 
-        def run():
-            clear_route_cache()
-            record = run_trial(scenario, "greedy", trial=0, base_seed=42)
-            assert record.ok, record.error
-            return (
-                record.status,
-                record.makespan_s,
-                record.total_running_time_s,
-                record.n_apps,
-                record.n_vms,
-            )
-
-        baseline = run()
-        previous = set_vector_thresholds(flows=0, links=0)
-        try:
-            forced = run()
-        finally:
-            set_vector_thresholds(*previous)
-        assert forced == baseline
+    @pytest.mark.parametrize(
+        "scenario", ["smoke", "all-to-all", "multi-app-sequence"]
+    )
+    def test_reference_engine_reproduces_default_trial_records(
+        self, scenario, monkeypatch
+    ):
+        """... and on the reference engine, cold route cache included."""
+        baseline = self._trial_metrics(scenario)
+        _reference_engine(monkeypatch)
+        assert self._trial_metrics(scenario) == baseline
 
 
 class TestClusteringHeuristic:

@@ -1,0 +1,72 @@
+"""The package surface, checked with the standard library only.
+
+Stands in for a linter: every module imports, every exported name resolves,
+every command line answers ``--help`` — and the engine has no process-wide
+``set_*`` switch for a measurement harness to flip.
+"""
+
+import importlib
+import inspect
+import os
+import pkgutil
+import subprocess
+import sys
+
+import pytest
+
+import repro
+from repro.cli import main as repro_main
+from repro.experiments.cli import main as experiments_main
+
+MODULES = sorted(
+    info.name for info in pkgutil.walk_packages(repro.__path__, prefix="repro.")
+)
+
+#: Layers whose behaviour is chosen by their inputs, never by a global.
+ENGINE_PACKAGES = (
+    "repro.net", "repro.core", "repro.cloud", "repro.runtime", "repro.service",
+)
+
+
+def test_every_module_imports_and_its_exports_resolve():
+    for name in ["repro", *MODULES]:
+        module = importlib.import_module(name)
+        for export in getattr(module, "__all__", ()):
+            assert getattr(module, export) is not None, f"{name}.{export}"
+    for export, (module_name, attribute) in repro._EXPORTS.items():
+        target = getattr(importlib.import_module(module_name), attribute)
+        assert getattr(repro, export) is target
+
+
+def test_engine_layers_define_no_module_level_setters():
+    setters = [
+        f"{name}.{attribute}"
+        for name in MODULES
+        if name.startswith(ENGINE_PACKAGES)
+        for attribute, value in vars(importlib.import_module(name)).items()
+        if attribute.startswith("set_")
+        and inspect.isfunction(value)
+        and value.__module__ == name
+    ]
+    assert setters == []
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.experiments", "repro.service"])
+def test_command_line_help_lists_no_bench(module):
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", module, "--help"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, *sys.path])},
+    )
+    assert done.returncode == 0, done.stderr
+    assert "usage:" in done.stdout
+    assert "bench" not in done.stdout
+
+
+@pytest.mark.parametrize("main", [repro_main, experiments_main])
+def test_bench_is_not_a_subcommand(main, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["bench"])
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
