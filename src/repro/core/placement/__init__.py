@@ -4,9 +4,9 @@
   machines, cluster state, and placement validation.
 * :mod:`repro.core.placement.greedy` — Algorithm 1, the greedy
   network-aware placement Choreo uses in practice.
-* :mod:`repro.core.placement.ilp` — the Appendix's linearised optimisation
-  solved with HiGHS (``scipy.optimize.milp``) plus a brute-force optimal
-  placer for small instances.
+* :mod:`repro.core.placement.ilp` — the Appendix's optimisation, solved
+  exactly by branch-and-bound over the assignment, plus a brute-force
+  optimal placer for small instances.
 * :mod:`repro.core.placement.baselines` — the Random, Round-robin, and
   Minimum-Machines comparison schemes of §6.
 """

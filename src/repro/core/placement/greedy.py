@@ -60,7 +60,7 @@ import numpy as np
 from repro import obs
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Placement, Placer, validate_placement
-from repro.core.rate_model import ConnectionLoad, EffectiveRateMatrix, effective_rate
+from repro.core.rate_model import EffectiveRateMatrix
 from repro.errors import MeasurementError, PlacementError
 from repro.workloads.application import Application
 
@@ -139,7 +139,7 @@ def greedy_incumbent(
     profile: NetworkProfile,
     model: str = "hose",
 ) -> Optional[Placement]:
-    """A greedy placement for use as a MILP warm start, or ``None``.
+    """A greedy placement to seed the exact search with, or ``None``.
 
     Greedy can dead-end on CPU packing (it commits machines transfer by
     transfer and never backtracks) on instances where a feasible assignment
@@ -150,30 +150,6 @@ def greedy_incumbent(
         return GreedyPlacer(model=model).place(app, cluster, profile)
     except PlacementError:
         return None
-
-
-def machine_rate_scores(
-    profile: NetworkProfile,
-    machines: List[str],
-    model: str = "hose",
-) -> Dict[str, float]:
-    """Each machine's best greedy effective rate to any peer, nothing placed.
-
-    This is the score Algorithm 1 would use for the machine's first
-    connection; the ILP's ``candidate_k`` restriction ranks machines by it.
-    """
-    load = ConnectionLoad()
-    scores: Dict[str, float] = {}
-    for machine in machines:
-        best = 0.0
-        for other in machines:
-            if other == machine:
-                continue
-            best = max(
-                best, effective_rate(profile, machine, other, load, model=model)
-            )
-        scores[machine] = best
-    return scores
 
 
 def _diagonal(n: int) -> np.ndarray:

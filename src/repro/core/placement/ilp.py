@@ -1,79 +1,83 @@
-"""Optimal task placement (the paper's Appendix), made sweep-grade.
+"""Optimal task placement (the paper's Appendix), solved exactly by search.
 
-The Appendix formulates completion-time-minimising placement as a quadratic
-program over the assignment matrix ``X`` and linearises it by introducing a
-variable ``z_imjn`` for each product ``X_im * X_jn``.  We implement that
-linearised program with ``scipy.optimize.milp`` (the HiGHS solver) in two
-formulations:
+The Appendix minimises the completion time of the slowest bottleneck over
+task -> machine assignments ``X``: a quadratic program, because the bytes a
+bottleneck carries are products ``X_im * X_jn``.  The paper linearises the
+products and hands the result to an ILP solver, and reports that this was
+too slow to place with.  It is slow for a structural reason: the
+linearisation's LP relaxation is worth nothing — spread every task ``1/M``
+over every machine and all product variables vanish, so the bound is 0 and
+a MILP solver has to climb by cut rounds.  The objective's own structure
+gives a far better bound for free, so :class:`OptimalPlacer` searches the
+assignment directly: a depth-first branch-and-bound with six rules, each
+exact (``mip_rel_gap`` aside) for the reason given beside it.
 
-* ``"dense"`` — the literal textbook linearisation kept as the A/B
-  reference: every product gets a binary variable and the standard
-  three-inequality linearisation (``z <= X_im``, ``z <= X_jn``,
-  ``z >= X_im + X_jn - 1``).
-* ``"sparse"`` (default) — the sweep-grade formulation.  Product columns
-  are only materialised for task pairs with nonzero traffic and machine
-  (pairs) that are CPU-feasible and carry a finite-rate bottleneck term,
-  and because every product appears with non-negative coefficients only in
-  constraints that lower-bound the minimised completion time, product
-  integrality and the two ``z <= X`` rows are redundant at the optimum:
-  products are continuous with a single lower-bounding row each.  Under the
-  hose model the formulation is collapsed further: machine ``a``'s egress
-  term for pair ``(i, j)`` is ``X_im * (1 - X_jm)`` — it depends on whether
-  the peer is colocated, not where it sits — so one variable
-  ``w >= X_im - X_jm`` per (pair, machine) replaces the machine-pair slab
-  ``z_imjn``, shrinking products from O(P·M²) to O(P·M) with a tight
-  relaxation.  The constraint matrix is assembled as COO triplet batches
-  instead of a Python dict per row.
+1. **State and bound.**  Tasks are assigned in one fixed order (descending
+   bytes sent + received, ties by index).  The state is the load of every
+   bottleneck, keyed as :func:`~repro.core.estimator.estimate_completion_time`
+   keys it — hose: machine ``a``'s egress over ``hose_rate(a)`` and the
+   bytes colocated on ``a`` over the intra-VM rate; pipe: each ordered
+   machine pair over ``rate(a, b)``, same colocation term.  Placing a task
+   adds only the terms between it and already-placed peers.  *Exact
+   because* every term is a non-negative volume over a fixed rate: the
+   maximum over decided pairs never decreases along a branch, so it is a
+   lower bound on every completion of the partial assignment, under both
+   models, with no relaxation.
+2. **Hose tightening.**  A machine that holds tasks and has free CPU for at
+   most ``k`` of the tasks still to place must send, to its members'
+   unplaced peers, everything except the ``k`` largest per-peer totals.
+   *Exact because* a peer's bytes leave the machine's egress only if the
+   peer joins it, at most ``k`` can, and dropping the ``k`` largest totals
+   is the most any ``k`` joiners could save.
+3. **Incumbent and pruning.**  :func:`~repro.core.placement.greedy.greedy_incumbent`
+   seeds the best known value (a greedy dead-end is tolerated — the search
+   starts cold).  A child is explored only if its bound is below
+   ``best * (1 - mip_rel_gap)``; children are visited in ascending bound,
+   ties by machine index, so the order is deterministic and the first
+   pruned child ends its parent's loop.  *Exact because* a pruned subtree
+   holds nothing better than the incumbent by more than the gap.
+4. **Symmetry by branching rule.**  Machines the objective cannot tell
+   apart (equal free CPU and equal hose rate; or, under pipe, a rate matrix
+   unchanged by swapping them): of those still *empty*, only the
+   lowest-indexed is tried.  Tasks it cannot tell apart (equal CPU, traffic
+   matrix unchanged by swapping them) take machines in non-decreasing index
+   order.  *Exact, also together, because* among the images of an optimal
+   assignment under those swaps take the one whose machine-index sequence
+   (in task order) is lexicographically smallest: if it broke either rule
+   at some depth, the swap of the two machines — both unused before that
+   depth — or of the two tasks would leave the earlier entries alone and
+   lower that one, a contradiction; so the smallest image obeys both rules
+   at every depth and is never cut.
+5. **Budget.**  ``time_limit_s`` is read every ``_CLOCK_EVERY`` nodes; on
+   expiry the best assignment found so far is returned (``status`` 1).  An
+   exhausted tree *is* the optimality proof (``status`` 0).  The stack is
+   explicit; its depth is the task count.
+6. **Output.**  The winner is re-scored with ``estimate_completion_time``
+   and passed through :func:`~repro.core.placement.base.validate_placement`.
 
-On top of the sparse formulation the placer supports:
+One search serves every instance size, both sharing models and finite or
+infinite intra-VM rates.  The Appendix's two MILP linearisations, solved
+with HiGHS, live on as the test oracles in ``tests/oracles/appendix_milp.py``;
+:class:`BruteForcePlacer` enumerates every assignment and validates both on
+tiny instances.
 
-* **warm starts** — :class:`~repro.core.placement.greedy.GreedyPlacer` runs
-  first and its completion-time estimate becomes an upper bound on the
-  objective variable (a valid cut: the greedy placement is feasible, so the
-  optimum can never exceed it), which lets HiGHS prune aggressively.
-  ``scipy`` does not expose HiGHS's MIP-start vector, so the incumbent is
-  additionally kept as a *fallback*: if the solver exhausts its budget
-  without any feasible solution, the greedy placement is returned rather
-  than raising.  A greedy failure (greedy can dead-end on CPU packing where
-  an optimal assignment exists) is rejected gracefully: the solve simply
-  proceeds cold.
-* **symmetry breaking** — lexicographic ordering constraints over machines
-  that are interchangeable under the network profile (equal free CPU and,
-  for the hose model, equal hose rates; for the pipe model, identical rate
-  rows/columns under the swap), exactness-preserving because any optimum
-  can be permuted into the lexicographic representative.
-* **candidate restriction** — ``candidate_k`` keeps only the top-k machines
-  per task by greedy effective rate (plus the machine the warm start chose,
-  so the incumbent stays representable).  Exact when ``candidate_k`` covers
-  every machine; otherwise a heuristic whose result is never worse than the
-  greedy incumbent.  A restricted solve that comes back infeasible is
-  retried unrestricted, so the restriction can never manufacture failure.
-
-Two bottleneck ("sharing") models are supported, matching
-:func:`repro.core.estimator.estimate_completion_time`:
+Two bottleneck ("sharing") models are supported, matching the estimator:
 
 * ``"hose"`` — flows leaving a machine share its egress cap (what §4.4
   finds on EC2/Rackspace; the Appendix notes the hose model corresponds to
   ``S_{mi,mj} = 1``);
 * ``"pipe"`` — every ordered machine pair is its own bottleneck (the
   Appendix's default when the shared-bottleneck matrix ``S`` is unknown).
-
-:class:`BruteForcePlacer` enumerates every feasible assignment and is used
-to validate the MILP on tiny instances.
 """
 
 from __future__ import annotations
 
-import contextlib
 import itertools
 import math
-import os
-import sys
+import operator
 import time
-from typing import Dict, List, Optional, Tuple, Union
-
-import numpy as np
-from scipy import optimize, sparse
+from bisect import bisect_right
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.estimator import estimate_completion_time
@@ -82,123 +86,289 @@ from repro.core.placement.base import (
     ClusterState,
     Placement,
     Placer,
-    cpu_feasible_machines,
     validate_placement,
 )
-from repro.core.placement.greedy import greedy_incumbent, machine_rate_scores
+from repro.core.placement.greedy import greedy_incumbent
 from repro.errors import PlacementError
 from repro.units import BITS_PER_BYTE
 from repro.workloads.application import Application
 
 _EPS = 1e-9
-#: Slack on the warm-start objective cut: the MILP's bottleneck sums and the
-#: estimator accumulate the same terms in different orders, so the incumbent
-#: may sit a few ulps above its constraint-side value.
-_WARM_SLACK = 1e-6
-
-FORMULATIONS = ("sparse", "dense")
-
-#: Below this assignment-grid size (tasks x machines) the auto-tuner keeps
-#: every machine: up to roughly 24 tasks on 24 machines HiGHS finds better
-#: incumbents unrestricted within ordinary per-cell budgets, so restricting
-#: there would trade exactness for nothing.
-_AUTO_EXACT_CELLS = 600
-#: Product-variable budget the auto-tuner sizes ``k`` against: under the
-#: hose model the sparse formulation materialises O(pairs x k) colocation
-#: variables, and HiGHS stays inside per-cell sweep budgets up to a few
-#: thousand of them.
-_AUTO_PRODUCT_BUDGET = 4000
-#: Never restrict below this many machines per task — the restriction is a
-#: heuristic and too-thin candidate sets trade exactness for nothing.
-_AUTO_MIN_K = 3
+#: The wall clock is read once per this many search nodes (rule 5).
+_CLOCK_EVERY = 1024
 
 
-def auto_candidate_k(
-    n_tasks: int, n_machines: int, n_pairs: Optional[int] = None
-) -> Optional[int]:
-    """Pick ``candidate_k`` from the instance size (``None`` = keep all).
+def _swappable(matrix: Sequence[Sequence[float]], i: int, j: int) -> bool:
+    """True when exchanging indices ``i`` and ``j`` leaves ``matrix`` as it is."""
+    row_i, row_j = matrix[i], matrix[j]
+    if row_i[j] != row_j[i] or row_i[i] != row_j[j]:
+        return False
+    for k, row_k in enumerate(matrix):
+        if k != i and k != j and (row_i[k] != row_j[k] or row_k[i] != row_k[j]):
+            return False
+    return True
 
-    Small instances (``tasks x machines <= _AUTO_EXACT_CELLS``) stay exact.
-    Larger ones get the largest ``k`` that keeps the product-variable count
-    near ``_AUTO_PRODUCT_BUDGET``, floored at ``_AUTO_MIN_K`` — this is what
-    lets budgeted sweeps scale past ~20 tasks without hand-tuning ``k`` per
-    scenario.  The infeasibility retry in the solver makes the restriction
-    safe regardless of how aggressive the tuner is.
+
+def _swap_classes(n: int, same: Callable[[int, int], bool]) -> List[int]:
+    """Class id per index, ``same(i, j)`` meaning "swapping i and j changes
+    nothing" (exact float equality — anything looser would trade exactness
+    for pruning).  Such swaps are closed under conjugation, so the relation
+    is transitive and comparing with a class's first member is enough.
     """
-    if n_tasks < 1 or n_machines < 1:
-        raise PlacementError("auto_candidate_k needs a non-empty instance")
-    if n_pairs is None:
-        n_pairs = n_tasks * (n_tasks - 1) // 2
-    if n_tasks * n_machines <= _AUTO_EXACT_CELLS:
-        return None
-    k = _AUTO_PRODUCT_BUDGET // max(n_pairs, 1)
-    k = max(_AUTO_MIN_K, min(k, n_machines))
-    return None if k >= n_machines else k
-
-
-@contextlib.contextmanager
-def _silence_native_stdout():
-    """Mute the C-level stdout for the duration of a solve.
-
-    Some HiGHS builds print a stray debug line
-    (``HighsMipSolverData::transformNewIntegerFeasibleSolution ...``)
-    straight to fd 1 even with display off, which corrupts machine-readable
-    CLI output.  When stdout has no real file descriptor (e.g. under a
-    capturing test harness) this is a no-op.
-    """
-    try:
-        fd = sys.stdout.fileno()
-    except (OSError, ValueError, AttributeError):
-        yield
-        return
-    sys.stdout.flush()
-    saved = os.dup(fd)
-    try:
-        with open(os.devnull, "wb") as devnull:
-            os.dup2(devnull.fileno(), fd)
-            yield
-    finally:
-        os.dup2(saved, fd)
-        os.close(saved)
-
-
-def _communicating_pairs(
-    app: Application, task_index: Dict[str, int]
-) -> Tuple[List[Tuple[int, int]], Dict[Tuple[int, int], Tuple[float, float]]]:
-    """Unordered communicating task pairs and their directed volumes."""
-    volumes: Dict[Tuple[int, int], Tuple[float, float]] = {}
-    for src, dst, volume in app.transfers():
-        i, j = task_index[src], task_index[dst]
-        lo, hi = (i, j) if i < j else (j, i)
-        fwd, rev = volumes.get((lo, hi), (0.0, 0.0))
-        if i < j:
-            fwd += volume
+    leaders: List[int] = []
+    classes: List[int] = []
+    for i in range(n):
+        for class_id, leader in enumerate(leaders):
+            if same(leader, i):
+                classes.append(class_id)
+                break
         else:
-            rev += volume
-        volumes[(lo, hi)] = (fwd, rev)
-    return sorted(volumes), volumes
+            classes.append(len(leaders))
+            leaders.append(i)
+    return classes
+
+
+#: One candidate child: (bound, machine, bottleneck loads, pending rows).
+_Child = Tuple[float, int, List[float], Optional[List[List[float]]]]
+
+
+class _Search:
+    """One instance of the Appendix program, indexed for the search.
+
+    Tasks are renumbered by their position in the branching order and
+    machines by their position in ``cluster.machine_names()``; every rule
+    number below refers to the module docstring.
+    """
+
+    def __init__(
+        self,
+        app: Application,
+        cluster: ClusterState,
+        profile: NetworkProfile,
+        model: str,
+    ):
+        tasks = app.task_names
+        self.machines = machines = cluster.machine_names()
+        n, m = len(tasks), len(machines)
+        index = {name: i for i, name in enumerate(tasks)}
+        sent = [[0.0] * n for _ in range(n)]
+        for src, dst, volume in app.transfers():
+            sent[index[src]][index[dst]] += volume
+        weight = [sum(sent[i]) + sum(row[i] for row in sent) for i in range(n)]
+        order = sorted(range(n), key=lambda i: (-weight[i], i))
+        self.tasks = [tasks[i] for i in order]
+        vol = [[sent[i][j] for j in order] for i in order]
+        cores = {task.name: task.cpu_cores for task in app.tasks}
+        self.cpu = cpu = [cores[name] for name in self.tasks]
+        available = cluster.available_cpus()
+        self.avail = avail = [available[name] for name in machines]
+
+        #: Per task, its peers earlier in the order: (peer, bytes to, bytes from).
+        self.before = [
+            [(j, vol[d][j], vol[j][d]) for j in range(d) if vol[d][j] or vol[j][d]]
+            for d in range(n)
+        ]
+        self.n_pairs = sum(len(peers) for peers in self.before)
+
+        # Bottleneck ids (rule 1): ``key[a][b]`` is the bottleneck that bytes
+        # from machine a to machine b load, ``coef`` its seconds per byte
+        # (0.0 at an infinite rate, which the estimator skips).
+        intra = BITS_PER_BYTE / profile.intra_vm_rate_bps
+        self.hose = model == "hose"
+        if self.hose:
+            rates = [profile.hose_rate(name) for name in machines]
+            self.key = [[a] * m for a in range(m)]
+            for a in range(m):
+                self.key[a][a] = m + a
+            self.coef = [BITS_PER_BYTE / rate for rate in rates] + [intra] * m
+            #: Per task, the bytes it sends to each task later in the order,
+            #: and the ascending running sums of the later tasks' CPU (rule 2).
+            self.later = [vol[d][d + 1:] for d in range(n)]
+            self.fits = [
+                list(itertools.accumulate(sorted(cpu[d:]))) for d in range(n + 1)
+            ]
+
+            def same_machine(a: int, b: int) -> bool:
+                return avail[a] == avail[b] and rates[a] == rates[b]
+        else:
+            rate = [[profile.rate(x, y) for y in machines] for x in machines]
+            self.key = [[a * m + b for b in range(m)] for a in range(m)]
+            self.coef = [BITS_PER_BYTE / r for row in rate for r in row]
+
+            def same_machine(a: int, b: int) -> bool:
+                return avail[a] == avail[b] and _swappable(rate, a, b)
+
+        # Rule 4: machine classes, and per task the previous task of its class.
+        self.machine_class = _swap_classes(m, same_machine)
+        task_class = _swap_classes(
+            n, lambda i, j: cpu[i] == cpu[j] and _swappable(vol, i, j)
+        )
+        self.twin: List[int] = []
+        latest: Dict[int, int] = {}
+        for d, class_id in enumerate(task_class):
+            self.twin.append(latest.get(class_id, -1))
+            latest[class_id] = d
+
+        # The partial assignment :meth:`run` walks: machine per task (-1 =
+        # unplaced), and per machine its free CPU and how many tasks it holds.
+        self.where, self.free, self.held = [-1] * n, list(avail), [0] * m
+
+    def _pending_s(
+        self, load: float, pending: List[float], room: float, d: int, coef: float
+    ) -> float:
+        """Rule 2: a machine's egress seconds once the tasks after ``d`` are
+        placed, at least — ``load`` bytes already leave it, ``pending`` are
+        its per-peer totals to those tasks, ``room`` its free CPU."""
+        joiners = bisect_right(self.fits[d + 1], room + _EPS)
+        if joiners == 0:
+            return (load + sum(pending)) * coef
+        return (load + sum(sorted(pending)[:-joiners])) * coef
+
+    def _children(
+        self,
+        d: int,
+        bound: float,
+        load: List[float],
+        rows: Optional[List[List[float]]],
+    ) -> List[_Child]:
+        """Every machine task ``d`` may take, with the state it leads to,
+        in the order rule 3 visits them."""
+        key, coef, cpu_d = self.key, self.coef, self.cpu[d]
+        where, free, held = self.where, self.free, self.held
+        # Bytes task d sends to / takes from its placed peers, per host machine.
+        sends: Dict[int, float] = {}
+        takes: Dict[int, float] = {}
+        for j, out, back in self.before[d]:
+            b = where[j]
+            if out:
+                sends[b] = sends.get(b, 0.0) + out
+            if back:
+                takes[b] = takes.get(b, 0.0) + back
+        elsewhere: Dict[int, float] = {}
+        if rows is not None:
+            # Rule 2 for the hosts that must now send to task d for certain,
+            # unless it joins them.
+            for b, back in takes.items():
+                elsewhere[b] = self._pending_s(
+                    load[b] + back, rows[b][d + 1:], free[b], d, coef[b]
+                )
+
+        twin = self.twin[d]
+        lowest = where[twin] if twin >= 0 else 0
+        opened = set()
+        children: List[_Child] = []
+        for a in range(lowest, len(free)):
+            if cpu_d > free[a] + _EPS:
+                continue
+            if not held[a]:
+                # Rule 4: one empty machine per class (of those the task
+                # rule left: a superset of what both rules allow, so exact).
+                if self.machine_class[a] in opened:
+                    continue
+                opened.add(self.machine_class[a])
+            child_load = load[:]
+            value = bound
+            # A bottleneck's last update leaves its final load, and no
+            # earlier one reads higher.
+            for b, volume in sends.items():
+                k = key[a][b]
+                child_load[k] += volume
+                if child_load[k] * coef[k] > value:
+                    value = child_load[k] * coef[k]
+            for b, volume in takes.items():
+                k = key[b][a]
+                child_load[k] += volume
+                if child_load[k] * coef[k] > value:
+                    value = child_load[k] * coef[k]
+            child_rows = None
+            if rows is not None:
+                pending = self.later[d]
+                if held[a]:
+                    pending = list(map(operator.add, rows[a][d + 1:], pending))
+                value = max(
+                    value,
+                    self._pending_s(child_load[a], pending, free[a] - cpu_d, d, coef[a]),
+                    *[seconds for b, seconds in elsewhere.items() if b != a],
+                )
+                child_rows = rows[:]
+                child_rows[a] = rows[a][:d + 1] + pending
+            children.append((value, a, child_load, child_rows))
+        children.sort(key=lambda child: child[:2])
+        return children
+
+    def run(
+        self, best: float, gap: float, time_limit_s: float
+    ) -> Tuple[Optional[Dict[str, str]], Dict[str, object]]:
+        """Search for an assignment better than ``best`` by more than ``gap``.
+
+        Returns the best one found (task name -> machine name; ``None``
+        when nothing beat ``best``) and the counts: ``nodes`` partial
+        assignments entered, ``leaves`` complete assignments scored,
+        ``improvements`` times the incumbent was beaten, ``proved`` whether
+        the tree was exhausted.  Walks ``self.where`` in place: one run per
+        instance.
+        """
+        n, cpu = len(self.tasks), self.cpu
+        where, free, held = self.where, self.free, self.held
+        saved: List[float] = []  # free[a] before each placement, for an exact undo
+        found: Optional[List[int]] = None
+        cutoff = best * (1.0 - gap)
+        nodes, leaves, improvements, proved = 1, 0, 0, True
+        deadline = time.perf_counter() + time_limit_s
+
+        def expand(d, bound, load, rows) -> Iterator[_Child]:
+            nonlocal leaves
+            children = self._children(d, bound, load, rows)
+            if d + 1 == n:
+                leaves += len(children)
+            return iter(children)
+
+        rows = [[0.0] * n] * len(free) if self.hose else None
+        frames = [expand(0, 0.0, [0.0] * len(self.coef), rows)]
+        while frames:
+            d = len(frames) - 1
+            child = next(frames[-1], None)
+            if child is None or child[0] >= cutoff:
+                frames.pop()
+                if frames:
+                    a = where[d - 1]
+                    where[d - 1], free[a] = -1, saved.pop()
+                    held[a] -= 1
+                continue
+            bound, a, load, rows = child
+            if d + 1 == n:
+                # Rule 3 let it through, so it beats the incumbent.
+                improvements += 1
+                found = where[:-1] + [a]
+                cutoff = bound * (1.0 - gap)
+                continue
+            nodes += 1
+            if nodes % _CLOCK_EVERY == 0 and time.perf_counter() >= deadline:
+                proved = False
+                break
+            where[d] = a
+            saved.append(free[a])
+            free[a] -= cpu[d]
+            held[a] += 1
+            frames.append(expand(d + 1, bound, load, rows))
+        counts = {
+            "nodes": nodes, "leaves": leaves,
+            "improvements": improvements, "proved": proved,
+        }
+        if found is None:
+            return None, counts
+        return {t: self.machines[a] for t, a in zip(self.tasks, found)}, counts
 
 
 class OptimalPlacer(Placer):
-    """Solve the Appendix's linearised placement program with HiGHS.
+    """Solve the Appendix's placement program exactly (module docstring).
 
     Args:
         model: ``"hose"`` or ``"pipe"`` bottleneck model.
-        time_limit_s: solver time limit; the best incumbent (or the greedy
-            fallback, when warm-started) is used if the limit is reached.
-        mip_rel_gap: relative MIP gap at which the solver may stop.
-        formulation: ``"sparse"`` (pruned, default) or ``"dense"`` (the
-            original full product grid, kept as the A/B reference).
-        warm_start: seed the solve with the greedy placement (objective
-            bound + budget-exhaustion fallback).  A greedy failure is
-            tolerated: the solve proceeds cold.
-        symmetry_breaking: add lexicographic ordering constraints over
-            interchangeable machines (sparse formulation only).
-        candidate_k: restrict each task to its top-k machines by greedy
-            effective rate (plus the warm-start machine).  ``None`` keeps
-            every machine and is exact; ``"auto"`` picks k per instance via
-            :func:`auto_candidate_k` (exact on small instances, budgeted on
-            large ones).
+        time_limit_s: search budget; when it runs out the best assignment
+            found so far — at worst the greedy one — is returned.
+        mip_rel_gap: relative gap at which a branch stops being worth
+            exploring: the result is within this share of the optimum.
     """
 
     name = "choreo-optimal"
@@ -208,59 +378,20 @@ class OptimalPlacer(Placer):
         model: str = "hose",
         time_limit_s: float = 60.0,
         mip_rel_gap: float = 1e-4,
-        formulation: str = "sparse",
-        warm_start: bool = True,
-        symmetry_breaking: bool = True,
-        candidate_k: Union[int, str, None] = None,
     ):
         if model not in ("hose", "pipe"):
             raise PlacementError(f"unknown rate model {model!r}")
         if time_limit_s <= 0:
             raise PlacementError("time_limit_s must be positive")
-        if formulation not in FORMULATIONS:
-            raise PlacementError(
-                f"unknown formulation {formulation!r}; known: {FORMULATIONS}"
-            )
-        if isinstance(candidate_k, str):
-            if candidate_k != "auto":
-                raise PlacementError(
-                    f"candidate_k must be an int, None, or 'auto'; "
-                    f"got {candidate_k!r}"
-                )
-        elif candidate_k is not None and candidate_k < 1:
-            raise PlacementError("candidate_k must be >= 1 (or None for all)")
         self.model = model
         self.time_limit_s = time_limit_s
         self.mip_rel_gap = mip_rel_gap
-        self.formulation = formulation
-        self.warm_start = warm_start
-        self.symmetry_breaking = symmetry_breaking
-        self.candidate_k = candidate_k
-        #: The restriction used by the solve in flight (``"auto"`` resolved
-        #: per instance at :meth:`place` time).
-        self._active_candidate_k: Optional[int] = None
         #: Stats of the most recent :meth:`place` call.
         self.last_solve_stats: Optional[Dict[str, object]] = None
         #: ``(app_name, stats)`` per :meth:`place` call on this instance.
         self.stats_history: List[Tuple[str, Dict[str, object]]] = []
 
-    # -------------------------------------------------------------- solving
     def place(
-        self,
-        app: Application,
-        cluster: ClusterState,
-        profile: Optional[NetworkProfile] = None,
-    ) -> Placement:
-        with obs.span(
-            "place.ilp",
-            app=app.name,
-            tasks=len(app.task_names),
-            machines=len(cluster.machine_names()),
-            formulation=self.formulation,
-        ):
-            return self._place(app, cluster, profile)
-
-    def _place(
         self,
         app: Application,
         cluster: ClusterState,
@@ -268,672 +399,69 @@ class OptimalPlacer(Placer):
     ) -> Placement:
         if profile is None:
             raise PlacementError("the optimal placer needs a network profile")
-        self.check_feasible(app, cluster)
-        started = time.perf_counter()
-
-        tasks = app.task_names
-        machines = cluster.machine_names()
-        task_index = {t: i for i, t in enumerate(tasks)}
-        pairs, volumes = _communicating_pairs(app, task_index)
-
-        incumbent: Optional[Placement] = None
-        warm_bound: Optional[float] = None
-        if self.warm_start:
+        with obs.span(
+            "place.ilp", app=app.name, tasks=len(app.tasks),
+            machines=len(cluster.machines),
+        ):
+            self.check_feasible(app, cluster)
+            started = time.perf_counter()
+            warm_bound: Optional[float] = None
             with obs.span("place.ilp.warm_start", app=app.name):
-                incumbent = greedy_incumbent(
-                    app, cluster, profile, model=self.model
-                )
+                incumbent = greedy_incumbent(app, cluster, profile, model=self.model)
                 if incumbent is not None:
                     warm_bound = estimate_completion_time(
                         incumbent.assignments, app, profile, model=self.model
                     )
-
-        n_tasks, n_machines = len(tasks), len(machines)
-        if self.candidate_k == "auto":
-            self._active_candidate_k = auto_candidate_k(
-                n_tasks, n_machines, len(pairs)
-            )
-        else:
-            self._active_candidate_k = self.candidate_k
-        stats: Dict[str, object] = {
-            "formulation": self.formulation,
-            "model": self.model,
-            "n_tasks": n_tasks,
-            "n_machines": n_machines,
-            "n_pairs": len(pairs),
-            "candidate_k": self._active_candidate_k,
-            "warm_start_accepted": incumbent is not None,
-            "warm_bound_s": warm_bound,
-            "fallback_used": False,
-            "restriction_retried": False,
-            # The size the textbook formulation would have, for comparison.
-            "dense_vars": n_tasks * n_machines + len(pairs) * n_machines ** 2 + 1,
-            "dense_rows": (
-                n_tasks + n_machines + 3 * len(pairs) * n_machines ** 2
-            ),
-        }
-
-        with obs.span(
-            "place.ilp.solve", app=app.name, formulation=self.formulation
-        ):
-            if self.formulation == "dense":
-                placement = self._solve_dense(
-                    app, cluster, profile, tasks, machines, pairs, volumes,
-                    warm_bound, incumbent, stats,
+            with obs.span("place.ilp.solve", app=app.name) as solve:
+                search = _Search(app, cluster, profile, self.model)
+                found, counts = search.run(
+                    math.inf if warm_bound is None else warm_bound,
+                    self.mip_rel_gap, self.time_limit_s,
                 )
+                solve.set(**counts)
+            proved = counts["proved"]
+            if found is not None:
+                placement = Placement(
+                    app_name=app.name,
+                    assignments={task: found[task] for task in app.task_names},
+                )
+            elif incumbent is not None:
+                placement = incumbent
             else:
-                placement = self._solve_sparse(
-                    app, cluster, profile, tasks, machines, pairs, volumes,
-                    warm_bound, incumbent, stats,
-                )
-
-        stats["solve_wall_s"] = round(time.perf_counter() - started, 6)
-        stats["objective_s"] = estimate_completion_time(
-            placement.assignments, app, profile, model=self.model
-        )
-        self.last_solve_stats = stats
-        self.stats_history.append((app.name, stats))
-        validate_placement(placement, app, cluster)
-        return placement
-
-    # ---------------------------------------------------------- shared bits
-    def _run_milp(
-        self,
-        n_vars: int,
-        t_col: int,
-        integrality: np.ndarray,
-        upper: np.ndarray,
-        triplets: Tuple[List[float], List[int], List[int]],
-        row_lbs: List[float],
-        row_ubs: List[float],
-    ):
-        data, row_idx, col_idx = triplets
-        matrix = sparse.csr_matrix(
-            (data, (row_idx, col_idx)), shape=(len(row_lbs), n_vars)
-        )
-        objective = np.zeros(n_vars)
-        objective[t_col] = 1.0
-        bounds = optimize.Bounds(lb=np.zeros(n_vars), ub=upper)
-        with _silence_native_stdout():
-            return optimize.milp(
-                c=objective,
-                constraints=optimize.LinearConstraint(matrix, row_lbs, row_ubs),
-                integrality=integrality,
-                bounds=bounds,
-                options={
-                    "time_limit": self.time_limit_s,
-                    "mip_rel_gap": self.mip_rel_gap,
-                    "disp": False,
-                },
-            )
-
-    @staticmethod
-    def _record_solver_outcome(stats: Dict[str, object], result) -> None:
-        stats["status"] = int(result.status)
-        stats["mip_gap"] = (
-            float(result.mip_gap) if getattr(result, "mip_gap", None) is not None
-            else None
-        )
-        stats["mip_nodes"] = (
-            int(result.mip_node_count)
-            if getattr(result, "mip_node_count", None) is not None
-            else None
-        )
-
-    def _fallback_or_raise(
-        self,
-        app: Application,
-        incumbent: Optional[Placement],
-        stats: Dict[str, object],
-        message: str,
-    ) -> Placement:
-        if incumbent is not None:
-            stats["fallback_used"] = True
-            return incumbent
-        raise PlacementError(
-            f"optimal placement failed for {app.name!r}: {message}"
-        )
-
-    @staticmethod
-    def _warm_upper(warm_bound: Optional[float]) -> float:
-        if warm_bound is None or math.isinf(warm_bound):
-            return np.inf
-        return warm_bound * (1.0 + _WARM_SLACK) + _EPS
-
-    # ------------------------------------------------------------ sparse MILP
-    def _solve_sparse(
-        self,
-        app: Application,
-        cluster: ClusterState,
-        profile: NetworkProfile,
-        tasks: List[str],
-        machines: List[str],
-        pairs: List[Tuple[int, int]],
-        volumes: Dict[Tuple[int, int], Tuple[float, float]],
-        warm_bound: Optional[float],
-        incumbent: Optional[Placement],
-        stats: Dict[str, object],
-    ) -> Placement:
-        avail = [cluster.available_cpu(m) for m in machines]
-        mach_index = {m: i for i, m in enumerate(machines)}
-        feasible = cpu_feasible_machines(app, cluster)
-
-        restrict = (
-            self._active_candidate_k is not None
-            and self._active_candidate_k < len(machines)
-        )
-        candidates = self._candidate_machines(
-            app, tasks, machines, mach_index, feasible, profile, incumbent,
-            restricted=restrict,
-        )
-        result, placement = self._build_and_solve_sparse(
-            app, profile, tasks, machines, pairs, volumes, avail, candidates,
-            warm_bound, stats,
-        )
-        if placement is None and restrict:
-            # The restricted solve produced nothing — proven infeasible
-            # (status 2) or budget exhausted before any incumbent.  The
-            # full candidate set is exact and may well be feasible, so
-            # retry without the restriction before giving up.
-            stats["restriction_retried"] = True
-            candidates = self._candidate_machines(
-                app, tasks, machines, mach_index, feasible, profile, incumbent,
-                restricted=False,
-            )
-            result, placement = self._build_and_solve_sparse(
-                app, profile, tasks, machines, pairs, volumes, avail,
-                candidates, warm_bound, stats,
-            )
-        self._record_solver_outcome(stats, result)
-        if placement is None:
-            return self._fallback_or_raise(app, incumbent, stats, result.message)
-        return placement
-
-    def _candidate_machines(
-        self,
-        app: Application,
-        tasks: List[str],
-        machines: List[str],
-        mach_index: Dict[str, int],
-        feasible: Dict[str, List[str]],
-        profile: NetworkProfile,
-        incumbent: Optional[Placement],
-        restricted: bool,
-    ) -> List[List[int]]:
-        """CPU-feasible candidate machine indices per task (possibly top-k)."""
-        top: Optional[set] = None
-        if restricted:
-            scores = machine_rate_scores(profile, machines, model=self.model)
-            ranked = sorted(machines, key=lambda m: (-scores[m], m))
-            top = set(ranked[: self._active_candidate_k])
-        candidates: List[List[int]] = []
-        for task in tasks:
-            allowed = feasible[task]
-            if not allowed:
                 raise PlacementError(
-                    f"task {task!r} of application {app.name!r} fits on no machine"
+                    f"optimal placement failed for {app.name!r}: " + (
+                        "no CPU-feasible assignment exists" if proved
+                        else "time limit reached before any assignment was found"
+                    )
                 )
-            if top is not None:
-                keep = set(top)
-                if incumbent is not None:
-                    keep.add(incumbent.machine_of(task))
-                restricted_allowed = [m for m in allowed if m in keep]
-                # The restriction must never manufacture failure: a task
-                # whose feasible machines are disjoint from the top-k set
-                # keeps its full CPU-feasible set.
-                if restricted_allowed:
-                    allowed = restricted_allowed
-            candidates.append([mach_index[m] for m in allowed])
-        return candidates
-
-    def _build_and_solve_sparse(
-        self,
-        app: Application,
-        profile: NetworkProfile,
-        tasks: List[str],
-        machines: List[str],
-        pairs: List[Tuple[int, int]],
-        volumes: Dict[Tuple[int, int], Tuple[float, float]],
-        avail: List[float],
-        candidates: List[List[int]],
-        warm_bound: Optional[float],
-        stats: Dict[str, object],
-    ) -> Tuple[object, Optional[Placement]]:
-        n_tasks = len(tasks)
-        cpu = [app.cpu_demand(t) for t in tasks]
-        intra = profile.intra_vm_rate_bps
-
-        # ----- x columns: only CPU-feasible (task, machine) assignments.
-        x_col: Dict[Tuple[int, int], int] = {}
-        for t in range(n_tasks):
-            for m in candidates[t]:
-                x_col[(t, m)] = len(x_col)
-        n_x = len(x_col)
-
-        if self.model == "hose":
-            hose = [profile.hose_rate(m) for m in machines]
-
-        # ----- product columns, pruned and continuous.  ``bneck`` accumulates
-        # each bottleneck constraint's (column, coefficient) entries keyed by
-        # bottleneck id; ``lin_rows`` collects the products' linearisation
-        # rows as (cols, coefs, ub).
-        #
-        # Under the hose model the egress term of machine ``a`` for pair
-        # ``(i, j)`` is ``x_ia * (1 - x_ja)`` — it does not depend on *where*
-        # the peer sits, only on whether it is colocated — so one variable
-        # ``w >= x_ia - x_ja`` per (pair, machine) replaces the M-wide
-        # ``z_imjn`` slab, with a tight two-term linearisation.  The pipe
-        # model's per-pair products are collapsed the Glover way: one
-        # continuous ``g_{s,a,b}`` per (sender task, machine pair) carries
-        # the bytes task ``s`` sends over link ``(a, b)``, bounded below by
-        # ``sum_t vol(s->t) * x_tb - V * (1 - x_sa)`` — exact at integral
-        # assignments, O(T*M^2) columns instead of O(P*M^2).
-        n_aux = 0
-        aux_upper: List[float] = []
-        lin_rows: List[Tuple[List[int], List[float], float]] = []
-        agg_rows: List[Tuple[List[int], List[float], float]] = []
-        bneck: Dict[Tuple, List[Tuple[int, float]]] = {}
-
-        def bneck_add(key: Tuple, col: int, coef: float) -> None:
-            bneck.setdefault(key, []).append((col, coef))
-
-        def new_aux(ub: float = 1.0) -> int:
-            nonlocal n_aux
-            aux_upper.append(ub)
-            n_aux += 1
-            return n_x + n_aux - 1
-
-        for i, j in pairs:
-            fwd, rev = volumes[(i, j)]
-            cand_i, cand_j = set(candidates[i]), set(candidates[j])
-            if self.model == "hose":
-                # Egress of a: fwd * x_ia * (1 - x_ja)  +  rev * x_ja * (1 - x_ia).
-                for sender, peer, volume in ((i, j, fwd), (j, i, rev)):
-                    if volume <= 0:
-                        continue
-                    for a in candidates[sender]:
-                        if math.isinf(hose[a]):
-                            continue
-                        coef = volume * BITS_PER_BYTE / hose[a]
-                        if a not in (cand_i if peer == i else cand_j):
-                            # Peer can never sit on a: the product is x itself.
-                            bneck_add((0, a), x_col[(sender, a)], coef)
-                            continue
-                        col = new_aux()
-                        lin_rows.append(
-                            (
-                                [x_col[(sender, a)], x_col[(peer, a)], col],
-                                [1.0, -1.0, -1.0],
-                                0.0,  # x_sender - x_peer - w <= 0
-                            )
-                        )
-                        bneck_add((0, a), col, coef)
-            # (Pipe-model inter-machine terms are aggregated per sender
-            # below, outside this per-pair loop.)
-
-            # Colocation term, shared by both models (finite intra rate only).
-            if not math.isinf(intra):
-                for a in cand_i & cand_j:
-                    if cpu[i] + cpu[j] > avail[a] + _EPS:
-                        continue  # colocation never CPU-feasible
-                    col = new_aux()
-                    lin_rows.append(
-                        (
-                            [x_col[(i, a)], x_col[(j, a)], col],
-                            [1.0, 1.0, -1.0],
-                            1.0,
-                        )
-                    )
-                    bneck_add((2, a), col, (fwd + rev) * BITS_PER_BYTE / intra)
-
-        if self.model == "pipe":
-            # Per-sender directed volumes (both orientations of each pair).
-            out_vol: List[Dict[int, float]] = [dict() for _ in range(n_tasks)]
-            for i, j in pairs:
-                fwd, rev = volumes[(i, j)]
-                if fwd > 0:
-                    out_vol[i][j] = out_vol[i].get(j, 0.0) + fwd
-                if rev > 0:
-                    out_vol[j][i] = out_vol[j].get(i, 0.0) + rev
-            cand_sets = [set(c) for c in candidates]
-            for s in range(n_tasks):
-                if not out_vol[s]:
-                    continue
-                recv = sorted(out_vol[s].items())
-                for a in candidates[s]:
-                    for b in range(len(machines)):
-                        if b == a:
-                            continue  # colocated peers use the intra block
-                        rate_ab = profile.rate(machines[a], machines[b])
-                        if math.isinf(rate_ab):
-                            continue
-                        # g carries *seconds* of transfer on (a, b), not
-                        # bytes: volumes ~1e9 against bottleneck coefs
-                        # ~1e-8 span a range HiGHS mis-solves.
-                        coef_ab = BITS_PER_BYTE / rate_ab
-                        terms = [
-                            (t, v * coef_ab) for t, v in recv
-                            if b in cand_sets[t]
-                        ]
-                        if not terms:
-                            continue
-                        big_m = sum(v for _, v in terms)
-                        col = new_aux(ub=big_m)
-                        # g >= sum_t sec(s->t) * x_tb - big_m * (1 - x_sa),
-                        # i.e. sum_t sec * x_tb + big_m * x_sa - g <= big_m.
-                        agg_rows.append(
-                            (
-                                [x_col[(t, b)] for t, _ in terms]
-                                + [x_col[(s, a)], col],
-                                [v for _, v in terms] + [big_m, -1.0],
-                                big_m,
-                            )
-                        )
-                        bneck_add((1, a, b), col, 1.0)
-
-        t_col = n_x + n_aux
-        n_vars = t_col + 1
-
-        # ----- rows, assembled as one COO triplet batch.
-        data: List[float] = []
-        row_idx: List[int] = []
-        col_idx: List[int] = []
-        row_lbs: List[float] = []
-        row_ubs: List[float] = []
-
-        def add_row(cols: List[int], coefs: List[float], lb: float, ub: float):
-            r = len(row_lbs)
-            row_idx.extend([r] * len(cols))
-            col_idx.extend(cols)
-            data.extend(coefs)
-            row_lbs.append(lb)
-            row_ubs.append(ub)
-
-        # Each task on exactly one machine.
-        for t in range(n_tasks):
-            cols = [x_col[(t, m)] for m in candidates[t]]
-            add_row(cols, [1.0] * len(cols), 1.0, 1.0)
-
-        # CPU capacity, only where it can bind.
-        for m in range(len(machines)):
-            cols = [x_col[(t, m)] for t in range(n_tasks) if (t, m) in x_col]
-            demand = [cpu[t] for t in range(n_tasks) if (t, m) in x_col]
-            if cols and sum(demand) > avail[m] + _EPS:
-                add_row(cols, demand, -np.inf, avail[m])
-
-        # Product linearisation, one row per auxiliary column, appended as a
-        # single triplet block (every row has exactly three entries).
-        if lin_rows:
-            base = len(row_lbs)
-            rows_arr = np.arange(base, base + len(lin_rows))
-            row_idx.extend(np.repeat(rows_arr, 3).tolist())
-            col_idx.extend(
-                np.asarray([cols for cols, _, _ in lin_rows]).ravel().tolist()
-            )
-            data.extend(
-                np.asarray([coefs for _, coefs, _ in lin_rows]).ravel().tolist()
-            )
-            row_lbs.extend([-np.inf] * len(lin_rows))
-            row_ubs.extend([ub for _, _, ub in lin_rows])
-
-        # Sender-aggregation rows (pipe model), variable width.
-        for cols, coefs, ub in agg_rows:
-            add_row(cols, coefs, -np.inf, ub)
-
-        # Bottleneck rows: sum(coef * z) - T <= 0, deterministic order.
-        for key in sorted(bneck):
-            entries = bneck[key]
-            cols = [col for col, _ in entries] + [t_col]
-            coefs = [coef for _, coef in entries] + [-1.0]
-            add_row(cols, coefs, -np.inf, 0.0)
-
-        # Symmetry breaking over interchangeable machines.
-        n_classes = 0
-        if self.symmetry_breaking:
-            classes = self._interchangeable_classes(
-                machines, avail, candidates, profile
-            )
-            n_classes = len(classes)
-            for members in classes:
-                class_tasks = sorted(
-                    t for t in range(n_tasks) if (t, members[0]) in x_col
-                )
-                for prev, cur in zip(members, members[1:]):
-                    earlier: List[int] = []
-                    for t in class_tasks:
-                        # Task t may use `cur` only if an earlier task uses
-                        # `prev` — the lexicographic representative.
-                        cols = [x_col[(t, cur)]] + [x_col[(e, prev)] for e in earlier]
-                        coefs = [1.0] + [-1.0] * len(earlier)
-                        add_row(cols, coefs, -np.inf, 0.0)
-                        earlier.append(t)
-
-        integrality = np.zeros(n_vars)
-        integrality[:n_x] = 1.0
-        upper = np.ones(n_vars)
-        if aux_upper:
-            upper[n_x:t_col] = aux_upper
-        upper[t_col] = self._warm_upper(warm_bound)
-
-        stats.update(
-            {
-                "n_vars": n_vars,
-                "n_rows": len(row_lbs),
-                "n_binaries": n_x,
-                "n_products": n_aux,
-                "symmetry_classes": n_classes,
+            stats: Dict[str, object] = {
+                "model": self.model,
+                "n_tasks": len(search.tasks),
+                "n_machines": len(search.machines),
+                "n_pairs": search.n_pairs,
+                "warm_start_accepted": incumbent is not None,
+                "warm_bound_s": warm_bound,
+                # The budget ran out with greedy's placement still the best.
+                "fallback_used": not proved and found is None,
+                "status": 0 if proved else 1,
+                "mip_gap": 0.0 if proved else None,
+                "mip_nodes": counts["nodes"],
+                "solve_wall_s": round(time.perf_counter() - started, 6),
+                "objective_s": estimate_completion_time(
+                    placement.assignments, app, profile, model=self.model
+                ),
             }
-        )
-        result = self._run_milp(
-            n_vars, t_col, integrality, upper,
-            (data, row_idx, col_idx), row_lbs, row_ubs,
-        )
-        if result.x is None:
-            return result, None
-        assignments: Dict[str, str] = {}
-        for t, task in enumerate(tasks):
-            values = [result.x[x_col[(t, m)]] for m in candidates[t]]
-            assignments[task] = machines[candidates[t][int(np.argmax(values))]]
-        return result, Placement(app_name=app.name, assignments=assignments)
-
-    def _interchangeable_classes(
-        self,
-        machines: List[str],
-        avail: List[float],
-        candidates: List[List[int]],
-        profile: NetworkProfile,
-    ) -> List[List[int]]:
-        """Maximal groups of machines the objective cannot tell apart.
-
-        Machines are grouped greedily in index order; a machine joins a
-        class only if it is pairwise interchangeable with *every* member
-        (exact float equality — anything looser would trade exactness for
-        pruning).  Classes of one are dropped.
-        """
-        task_sets: Dict[int, frozenset] = {}
-        for m in range(len(machines)):
-            task_sets[m] = frozenset(
-                t for t, cand in enumerate(candidates) if m in cand
-            )
-        classes: List[List[int]] = []
-        for m in range(len(machines)):
-            placed = False
-            for members in classes:
-                if (
-                    avail[m] == avail[members[0]]
-                    and task_sets[m] == task_sets[members[0]]
-                    and all(
-                        self._interchangeable(machines, other, m, profile)
-                        for other in members
-                    )
-                ):
-                    members.append(m)
-                    placed = True
-                    break
-            if not placed:
-                classes.append([m])
-        return [members for members in classes if len(members) > 1]
-
-    def _interchangeable(
-        self, machines: List[str], a: int, b: int, profile: NetworkProfile
-    ) -> bool:
-        ma, mb = machines[a], machines[b]
-        if self.model == "hose":
-            # The hose objective sees a machine only through its egress cap
-            # (intra-VM rate is global), so equal hose rates suffice.
-            return profile.hose_rate(ma) == profile.hose_rate(mb)
-        if profile.rate(ma, mb) != profile.rate(mb, ma):
-            return False
-        for other in machines:
-            if other in (ma, mb):
-                continue
-            if profile.rate(ma, other) != profile.rate(mb, other):
-                return False
-            if profile.rate(other, ma) != profile.rate(other, mb):
-                return False
-        return True
-
-    # ------------------------------------------------------------- dense MILP
-    def _solve_dense(
-        self,
-        app: Application,
-        cluster: ClusterState,
-        profile: NetworkProfile,
-        tasks: List[str],
-        machines: List[str],
-        pairs: List[Tuple[int, int]],
-        volumes: Dict[Tuple[int, int], Tuple[float, float]],
-        warm_bound: Optional[float],
-        incumbent: Optional[Placement],
-        stats: Dict[str, object],
-    ) -> Placement:
-        """The original full product grid (the A/B reference formulation)."""
-        n_tasks, n_machines = len(tasks), len(machines)
-        n_x = n_tasks * n_machines
-        n_z = len(pairs) * n_machines * n_machines
-        n_vars = n_x + n_z + 1  # + the completion-time variable.
-        t_col = n_vars - 1
-
-        def x_col(task: int, machine: int) -> int:
-            return task * n_machines + machine
-
-        def pair_col(pair_idx: int, machine_a: int, machine_b: int) -> int:
-            return n_x + (pair_idx * n_machines + machine_a) * n_machines + machine_b
-
-        rows: List[Tuple[Dict[int, float], float, float]] = []  # (coeffs, lb, ub)
-
-        # Each task is placed on exactly one machine.
-        for t in range(n_tasks):
-            rows.append(({x_col(t, m): 1.0 for m in range(n_machines)}, 1.0, 1.0))
-
-        # CPU capacity per machine.
-        for m, machine in enumerate(machines):
-            coeffs = {x_col(t, m): app.cpu_demand(tasks[t]) for t in range(n_tasks)}
-            rows.append((coeffs, -np.inf, cluster.available_cpu(machine)))
-
-        # Product linearisation for every communicating pair.
-        for p, (i, j) in enumerate(pairs):
-            for a in range(n_machines):
-                for b in range(n_machines):
-                    zc = pair_col(p, a, b)
-                    rows.append(({zc: 1.0, x_col(i, a): -1.0}, -np.inf, 0.0))
-                    rows.append(({zc: 1.0, x_col(j, b): -1.0}, -np.inf, 0.0))
-                    rows.append(
-                        ({x_col(i, a): 1.0, x_col(j, b): 1.0, zc: -1.0}, -np.inf, 1.0)
-                    )
-
-        # Completion-time (bottleneck) constraints.
-        intra_rate = profile.intra_vm_rate_bps
-        if self.model == "hose":
-            for a, machine_a in enumerate(machines):
-                rate = profile.hose_rate(machine_a)
-                if math.isinf(rate):
-                    continue
-                coeffs: Dict[int, float] = {t_col: -1.0}
-                for p, (i, j) in enumerate(pairs):
-                    fwd, rev = volumes[(i, j)]
-                    for b in range(n_machines):
-                        if b == a:
-                            continue
-                        if fwd > 0:
-                            col = pair_col(p, a, b)
-                            coeffs[col] = coeffs.get(col, 0.0) + fwd * BITS_PER_BYTE / rate
-                        if rev > 0:
-                            col = pair_col(p, b, a)
-                            coeffs[col] = coeffs.get(col, 0.0) + rev * BITS_PER_BYTE / rate
-                rows.append((coeffs, -np.inf, 0.0))
-        else:  # pipe
-            for a, machine_a in enumerate(machines):
-                for b, machine_b in enumerate(machines):
-                    if a == b:
-                        continue
-                    rate = profile.rate(machine_a, machine_b)
-                    if math.isinf(rate):
-                        continue
-                    coeffs = {t_col: -1.0}
-                    for p, (i, j) in enumerate(pairs):
-                        fwd, rev = volumes[(i, j)]
-                        if fwd > 0:
-                            col = pair_col(p, a, b)
-                            coeffs[col] = coeffs.get(col, 0.0) + fwd * BITS_PER_BYTE / rate
-                        if rev > 0:
-                            col = pair_col(p, b, a)
-                            coeffs[col] = coeffs.get(col, 0.0) + rev * BITS_PER_BYTE / rate
-                    rows.append((coeffs, -np.inf, 0.0))
-
-        # Intra-machine transfers (only matter when the intra-VM rate is finite).
-        if not math.isinf(intra_rate):
-            for a in range(n_machines):
-                coeffs = {t_col: -1.0}
-                for p, (i, j) in enumerate(pairs):
-                    fwd, rev = volumes[(i, j)]
-                    col = pair_col(p, a, a)
-                    total = (fwd + rev) * BITS_PER_BYTE / intra_rate
-                    if total > 0:
-                        coeffs[col] = coeffs.get(col, 0.0) + total
-                rows.append((coeffs, -np.inf, 0.0))
-
-        data, row_idx, col_idx, lbs, ubs = [], [], [], [], []
-        for r, (coeffs, lb, ub) in enumerate(rows):
-            for col, value in coeffs.items():
-                row_idx.append(r)
-                col_idx.append(col)
-                data.append(value)
-            lbs.append(lb)
-            ubs.append(ub)
-
-        integrality = np.ones(n_vars)
-        integrality[t_col] = 0
-        upper = np.ones(n_vars)
-        upper[t_col] = self._warm_upper(warm_bound)
-        stats.update(
-            {
-                "n_vars": n_vars,
-                "n_rows": len(rows),
-                "n_binaries": n_vars - 1,
-                "n_products": n_z,
-                "symmetry_classes": 0,
-            }
-        )
-        result = self._run_milp(
-            n_vars, t_col, integrality, upper,
-            (data, row_idx, col_idx), lbs, ubs,
-        )
-        self._record_solver_outcome(stats, result)
-        if result.x is None:
-            return self._fallback_or_raise(app, incumbent, stats, result.message)
-        assignments: Dict[str, str] = {}
-        for t, task in enumerate(tasks):
-            values = [result.x[x_col(t, m)] for m in range(n_machines)]
-            assignments[task] = machines[int(np.argmax(values))]
-        return Placement(app_name=app.name, assignments=assignments)
+            self.last_solve_stats = stats
+            self.stats_history.append((app.name, stats))
+            validate_placement(placement, app, cluster)
+            return placement
 
 
 class BruteForcePlacer(Placer):
     """Enumerate every CPU-feasible assignment and keep the best one.
 
     Only suitable for tiny instances (``machines ** tasks`` assignments are
-    enumerated); used to validate the MILP formulation in tests.
+    enumerated); the tests hold the search and the MILP oracles to it.
     """
 
     name = "brute-force"

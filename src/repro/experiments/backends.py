@@ -458,12 +458,12 @@ class SubprocessPoolBackend:
 # remote: cost-aware chunking
 # ---------------------------------------------------------------------------
 #: Static per-cell cost priors (relative wall clock) used before the shared
-#: store has observed anything: an ilp cell costs roughly two orders of
-#: magnitude more than a random-placer cell on the same scenario (§6
-#: grids), so uniform chunking strands whole workers behind one ilp-heavy
-#: chunk while the rest sit idle.
+#: store has observed anything.  ``ilp`` is the measured ratio of mean
+#: ``trial_wall_s`` against ``random`` on the §6 ILP grid (five scenarios,
+#: two trials, base seeds 0-3: 9.0 ms vs 2.5 ms); it was 100 while the
+#: placer called a MILP solver, which handed one worker a single cell.
 COST_PRIORS: Dict[str, float] = {
-    "ilp": 100.0,
+    "ilp": 3.5,
     "greedy": 3.0,
     "random": 1.0,
     "round-robin": 1.0,
@@ -590,7 +590,7 @@ class RemoteBackend:
     * chunks are weighed by observed per-cell cost from the shared
       store's cost table (placer priors before any observation), so
       heterogeneous grids saturate all workers instead of stranding them
-      behind one ilp-heavy chunk.
+      behind one chunk of expensive cells.
 
     ``store_root`` (the runner passes its ``cache_dir``) is both the cost
     table's source and the ``--cache-dir`` handed to self-spawned workers,

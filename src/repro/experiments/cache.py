@@ -33,9 +33,9 @@ both wrote records of the same deterministic trial.
 Writers also accumulate *observed per-cell cost* — mean trial wall seconds
 per ``(scenario, placer)`` — into per-writer sidecar files under
 ``costs/``.  :meth:`ResultStore.cost_table` merges all sidecars; the
-remote backend's cost-aware chunker reads it so an ilp-heavy chunk does
-not strand a worker behind two orders of magnitude more work than its
-siblings got.
+remote backend's cost-aware chunker reads it so a chunk of expensive
+cells does not strand a worker behind many times the work its siblings
+got.
 """
 
 from __future__ import annotations

@@ -100,25 +100,6 @@ def _pick(params: Mapping[str, object], allowed: Dict[str, object]) -> Dict[str,
     return {**allowed, **params}
 
 
-def _to_bool(key: str, value: object) -> bool:
-    """Strict boolean coercion: ``bool("false")`` is True, so strings are
-    matched explicitly and anything ambiguous raises instead of silently
-    flipping an ablation flag on."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int) and value in (0, 1):
-        return bool(value)
-    if isinstance(value, str):
-        lowered = value.lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-    raise ExperimentError(
-        f"placer parameter {key!r} expects a boolean, got {value!r}"
-    )
-
-
 def _greedy_factory(seed: int, **params) -> Placer:
     opts = _pick(
         params,
@@ -136,37 +117,14 @@ def _greedy_factory(seed: int, **params) -> Placer:
 
 
 def _ilp_factory(seed: int, **params) -> Placer:
-    """The sweep-grade ILP: warm-started, pruned, budgeted per cell.
-
-    ``candidate_k`` accepts an int, ``None``/``"all"`` (keep every machine,
-    exact), or ``"auto"`` (pick k from the instance size, the ROADMAP's
-    sweeps-past-20-tasks tuner).
-    """
+    """The exact placer, budgeted per cell."""
     opts = _pick(
-        params,
-        {
-            "model": "hose",
-            "time_limit_s": 10.0,
-            "mip_rel_gap": 1e-4,
-            "formulation": "sparse",
-            "warm_start": True,
-            "symmetry_breaking": True,
-            "candidate_k": None,
-        },
+        params, {"model": "hose", "time_limit_s": 10.0, "mip_rel_gap": 1e-4}
     )
-    candidate_k = opts["candidate_k"]
-    if candidate_k in (None, "all"):
-        candidate_k = None
-    elif candidate_k != "auto":
-        candidate_k = int(candidate_k)  # type: ignore[arg-type]
     return OptimalPlacer(
         model=str(opts["model"]),
         time_limit_s=float(opts["time_limit_s"]),  # type: ignore[arg-type]
         mip_rel_gap=float(opts["mip_rel_gap"]),  # type: ignore[arg-type]
-        formulation=str(opts["formulation"]),
-        warm_start=_to_bool("warm_start", opts["warm_start"]),
-        symmetry_breaking=_to_bool("symmetry_breaking", opts["symmetry_breaking"]),
-        candidate_k=candidate_k,
     )
 
 
@@ -202,8 +160,8 @@ _register(
     PlacerSpec(
         name="ilp",
         description=(
-            "The Appendix's linearised optimal placement (HiGHS MILP), "
-            "warm-started from greedy with pruned product variables."
+            "The Appendix's optimal placement, by exact branch-and-bound "
+            "over the assignment, seeded with the greedy placement."
         ),
         factory=_ilp_factory,
         needs_profile=True,

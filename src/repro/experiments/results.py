@@ -25,8 +25,8 @@ from repro.runtime.metrics import relative_speedup, speedup_summary
 HOST_TIMING_FIELDS = ("trial_wall_s", "placement_wall_s")
 
 #: solver_stats keys that depend on the solver *run* rather than the
-#: formulation: wall clock, and anything that varies when a time limit
-#: binds earlier on one host than another (node counts, residual gap,
+#: instance: wall clock, and anything that varies when a time limit
+#: binds earlier on one host than another (search nodes, gap,
 #: termination status, fallback).  Stripped from the canonical form.
 SOLVER_RUN_STAT_KEYS = (
     "solve_wall_s", "mip_nodes", "mip_gap", "status", "fallback_used",
@@ -57,9 +57,9 @@ class TrialRecord:
         trial_wall_s: host wall-clock for the whole trial.
         network_bytes: bytes that crossed the provider network.
         colocated_bytes: bytes that stayed on a VM thanks to colocation.
-        solver_stats: per-application exact-solver statistics (MIP gap, node
-            count, warm-start acceptance, formulation sizes) for placers
-            backed by a MILP; ``None`` for everything else.
+        solver_stats: per-application exact-solver statistics (instance
+            size, greedy warm bound, objective, search nodes, status) for
+            the ``ilp`` placer; ``None`` for everything else.
     """
 
     scenario: str

@@ -153,9 +153,10 @@ class WorkItem:
         """The cost-model cell this item bills to.
 
         Observed trial wall clock clusters by ``(scenario, placer)`` — an
-        ilp cell costs orders of magnitude more than a random-placer cell
-        on the same scenario — so that pair is the granularity the result
-        store's cost table and the remote backend's chunker work at.
+        ilp cell costs a few times a random-placer cell on the same
+        scenario, a churn session many times a batch trial — so that pair
+        is the granularity the result store's cost table and the remote
+        backend's chunker work at.
         """
         return (self.scenario, self.placer)
 
@@ -210,9 +211,9 @@ def _measurement_plan() -> MeasurementPlan:
 def _collect_solver_stats(placer, record: TrialRecord) -> None:
     """Copy a solver-backed placer's per-app stats into the record.
 
-    Placers that expose ``stats_history`` (the ILP) report MIP gap, node
-    counts, and warm-start acceptance per placed application; everything
-    else leaves the field ``None``.
+    Placers that expose ``stats_history`` (the exact placer) report search
+    nodes, status, and warm-start acceptance per placed application;
+    everything else leaves the field ``None``.
     """
     history = getattr(placer, "stats_history", None)
     if history:

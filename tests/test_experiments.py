@@ -144,13 +144,15 @@ def test_parallel_sweep_matches_grid_and_runs_all_cells():
 
 # ----------------------------------------------------------- golden digests
 # SHA-256 of ``json.dumps(result.canonical_json_dict(), sort_keys=True)`` for
-# one trial of every registered scenario under each non-ILP placer
+# one trial of every registered scenario under ``greedy`` and ``random``
 # (``base_seed=0``, ``workers=1``, default params), computed at the commit
 # before the A/B bench suite and the engine's ``set_*`` switches were deleted
-# (PR 16).  Identity across commits, like ``test_service.TestGoldenDigests``:
-# a digest changes only when simulated behaviour changes; update it only in a
-# PR that means to change behaviour, and say so there.  ``ilp`` is left out —
-# its digest would pin the HiGHS build, not this code.
+# (PR 16), and of the ILP grid under ``ilp``, computed at the commit that
+# made it a deterministic search (PR 17; before that the digest would have
+# pinned the HiGHS build).  Identity across commits, like
+# ``test_service.TestGoldenDigests``: a digest changes only when simulated
+# behaviour changes; update it only in a PR that means to change behaviour,
+# and say so there.
 _GOLDEN_DIGESTS = {
     ("all-to-all", "greedy"): "34b5de744dff8d49428be1e5dadedf4e3c4d3c495d48d87427296b1eee8555e6",
     ("all-to-all", "random"): "6c19bf4e0d4e10480721338705008b19258f9cb3771918118bc3c334aa56af5c",
@@ -180,14 +182,38 @@ _GOLDEN_DIGESTS = {
     ("single-app-ec2", "random"): "8123ece541b1a78dd65cb425b749b8ba9b05fa1dc5c0b86ab5d7c8b01fbd1493",
     ("smoke", "greedy"): "4447c0ebc7022a56d44f687522cd1325794b08664f45c320f942a5a20a6abdf1",
     ("smoke", "random"): "b5bfcfea0acf8af077ec006ae7670b5bad502ae5fea7e820e0c0a2fe70f00fee",
+    ("smoke", "ilp"): "70cdc950ce4438f4e70c04c34d276a28497014e6d80951d559b4d12d0266fba9",
+    ("all-to-all", "ilp"): "939fe9b49ac2a17bf2122966b800955e076c0e936029d4e902897fba9e63cb88",
+    ("bursty-mapreduce", "ilp"): "47e2855a101bd0e89c67fc8df50e1b40d475ea74081f009ed975babcd483e4a9",
+    ("single-app-ec2", "ilp"): "3847211c9a6474b22397d86a43195625aa1e2529c985f49c34c2f69c405ebd2f",
+    ("partition-aggregate", "ilp"): "c574526ba490977da22e84e6ab2dcd3cb97d3d3a469cb8d440d6b17a7b966569",
+    ("rack-hotspot", "ilp"): "3a01d090430b37d79d154340ae72639f13361092908dd275cbf7dad07062c384",
 }
 
 
-@pytest.mark.parametrize("placer", ["greedy", "random"])
-@pytest.mark.parametrize("scenario", scenario_names())
+#: The exact placer's cells: the search is deterministic pure Python, so its
+#: placements pin like any other (``time_limit_s=60`` never binds).
+_ILP_CELLS = [
+    (scenario, "ilp")
+    for scenario in (
+        "smoke", "all-to-all", "bursty-mapreduce", "single-app-ec2",
+        "partition-aggregate", "rack-hotspot",
+    )
+]
+_PINNED_CELLS = [
+    (scenario, placer)
+    for scenario in scenario_names()
+    for placer in ("greedy", "random")
+] + _ILP_CELLS
+
+
+@pytest.mark.parametrize(
+    "scenario,placer", _PINNED_CELLS, ids=["-".join(cell) for cell in _PINNED_CELLS]
+)
 def test_cell_digest_is_pinned(scenario, placer):
     config = ExperimentConfig(
-        scenarios=(scenario,), placers=(placer,), trials=1, base_seed=0, workers=1
+        scenarios=(scenario,), placers=(placer,), trials=1, base_seed=0, workers=1,
+        placer_params={"ilp": {"time_limit_s": 60.0}} if placer == "ilp" else {},
     )
     result = ExperimentRunner(config).run()
     assert all(rec.ok for rec in result.records)

@@ -108,7 +108,11 @@ def test_item_weight_prefers_observed_costs_over_priors():
     ilp = WorkItem.make("smoke", "ilp", 0, 0)
     rnd = WorkItem.make("smoke", "random", 0, 0)
     assert item_weight(ilp) == COST_PRIORS["ilp"]
-    assert item_weight(ilp) / item_weight(rnd) == pytest.approx(100.0)
+    assert item_weight(rnd) == COST_PRIORS["random"]
+    # On a cold store a mixed grid still shares out: the exact placer is a
+    # few times a baseline cell, not a chunk of its own.
+    weights = [item_weight(ilp)] + [item_weight(rnd)] * 10
+    assert min(len(chunk) for chunk in _weighted_chunks(weights, 2)) > 1
     observed = {("smoke", "ilp"): 7.5}
     assert item_weight(ilp, observed) == 7.5
     assert item_weight(rnd, observed) == COST_PRIORS["random"]

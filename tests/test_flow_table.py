@@ -14,9 +14,11 @@ Three batched mechanisms carry a flow from ``FluidSimulation.add_flows`` to
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -288,6 +290,48 @@ def test_a_failed_batch_leaves_the_simulation_as_it_was():
     assert _registered(sim) == before
     sim.add_flows(good)
     assert len(sim.run().completion_times) == 51
+
+
+def test_batch_registration_is_independent_of_the_collector():
+    """No collection can start inside ``add_flows`` — however low the
+    allocation threshold — and the caller's collector setting survives a
+    successful and a raising call alike."""
+    topo = build_multi_rooted_tree(TreeSpec(2, 2, 2, 2))
+    hosts = topo.hosts()
+    flows = [
+        Flow(flow_id=f"f{i}", src=hosts[i % 4], dst=hosts[4 + i % 4], size_bytes=1e5)
+        for i in range(400)
+    ]
+    body = getattr(FluidSimulation.add_flows, "__wrapped__", FluidSimulation.add_flows)
+    inside = []
+
+    def on_collection(phase, info):
+        frame = sys._getframe(1)
+        while phase == "start" and frame is not None:
+            if frame.f_code is body.__code__:
+                inside.append(info["generation"])
+                break
+            frame = frame.f_back
+
+    threshold = gc.get_threshold()
+    was_enabled = gc.isenabled()
+    gc.callbacks.append(on_collection)
+    try:
+        for enabled in (True, False):
+            gc.enable() if enabled else gc.disable()
+            sim = FluidSimulation(topo)
+            gc.set_threshold(1)  # a collection at every container allocation
+            sim.add_flows(flows)
+            assert gc.isenabled() is enabled
+            with pytest.raises(SimulationError, match="duplicate flow id 'f0'"):
+                sim.add_flows(flows)
+            assert gc.isenabled() is enabled
+            gc.set_threshold(*threshold)
+        assert inside == []
+    finally:
+        gc.callbacks.remove(on_collection)
+        gc.set_threshold(*threshold)
+        gc.enable() if was_enabled else gc.disable()
 
 
 def test_first_segment_rates_are_max_min_fair():

@@ -1,16 +1,20 @@
-"""Sweep-grade ILP tests: exactness of the pruned + warm-started MILP
-against brute force and the dense reference formulation, graceful warm-start
-rejection, candidate restriction, solver stats plumbing, placer aliases, and
-the rack-hotspot scenario's greedy gap."""
+"""Exact-placer tests: the branch-and-bound search against brute force and
+against the Appendix's two MILP linearisations (HiGHS; ``tests/oracles``),
+graceful warm-start rejection, the time budget, solver stats plumbing,
+placer aliases, and the rack-hotspot scenario's greedy gap."""
 
+import importlib
 import json
 import math
 import random
+import time
 
 import pytest
 
 from repro.core.estimator import estimate_completion_time
+from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
 from repro.core.network_profile import NetworkProfile
+from repro.core.placement import ilp
 from repro.core.placement.base import ClusterState, Machine, cpu_feasible_machines
 from repro.core.placement.greedy import GreedyPlacer, greedy_incumbent
 from repro.core.placement.ilp import BruteForcePlacer, OptimalPlacer
@@ -19,7 +23,8 @@ from repro.experiments.cache import ResultStore
 from repro.experiments.cli import main as cli_main
 from repro.experiments.placers import canonical_placer_name, get_placer
 from repro.experiments.runner import DEFAULT_PLACERS, ExperimentConfig
-from repro.experiments.trials import WorkItem, run_trial
+from repro.experiments.scenarios import get_scenario
+from repro.experiments.trials import WorkItem, run_trial, trial_seed
 from repro.units import GBITPS, GBYTE
 from repro.workloads.application import Application, Task, TrafficMatrix
 
@@ -71,52 +76,142 @@ def _random_feasible_instance(rng: random.Random, uniform_rates: bool = False):
             return app, cluster, profile
 
 
+def _symmetric_instance(rng: random.Random):
+    """Identical machines *and* identical tasks: a mesh, a two-way star, or
+    two groups of twins — rule 4's machine and task rules at once."""
+    n_tasks = rng.randint(2, 5)
+    cores = rng.choice([0.5, 1.0, 2.0])
+    names = [f"t{i}" for i in range(n_tasks)]
+    traffic = TrafficMatrix()
+    shape = rng.choice(["mesh", "star", "groups"])
+    out = rng.uniform(0.05, 3.0) * GBYTE
+    back = rng.uniform(0.05, 3.0) * GBYTE
+    if shape == "mesh":
+        for a in names:
+            for b in names:
+                traffic.add(a, b, out)
+    elif shape == "star":
+        for leaf in names[1:]:
+            traffic.add(names[0], leaf, out)
+            traffic.add(leaf, names[0], back)
+    else:
+        half = n_tasks // 2
+        for a in names[:half]:
+            for b in names[half:]:
+                traffic.add(a, b, out)
+    app = Application("twins", [Task(name, cores) for name in names], traffic)
+    machines = [f"m{i}" for i in range(rng.randint(2, 4))]
+    size = rng.choice([2.0, 4.0])
+    cluster = ClusterState(machines=[Machine(m, cores=size) for m in machines])
+    profile = NetworkProfile.from_uniform_rate(
+        machines, 0.5 * GBITPS,
+        intra_vm_rate_bps=math.inf if rng.random() < 0.5 else 4 * GBITPS,
+    )
+    return app, cluster, profile
+
+
+ILP_GRID = (
+    "all-to-all", "bursty-mapreduce", "single-app-ec2",
+    "partition-aggregate", "rack-hotspot",
+)
+
+
+def _grid_instances():
+    """The instances ``benchmark/``'s ``sweep_paper`` hands the ``ilp``
+    placer (base seed 0), and the same grid at base seed 1."""
+    for base_seed in (0, 1):
+        for scenario in ILP_GRID:
+            for trial in (0, 1):
+                instance = get_scenario(scenario).build(
+                    seed=trial_seed(base_seed, scenario, trial)
+                )
+                (app,) = instance.apps
+                profile = NetworkMeasurer(
+                    instance.provider, MeasurementPlan(advance_clock=False)
+                ).measure(
+                    instance.cluster.machine_names(), background=instance.background
+                )
+                yield f"{scenario}/{base_seed}/{trial}", app, instance.cluster, profile
+
+
+@pytest.fixture(scope="module")
+def milp():
+    """The HiGHS oracles (skips the test when scipy is not installed)."""
+    return importlib.import_module("oracles.appendix_milp")
+
+
 @pytest.mark.parametrize("model", ["hose", "pipe"])
-def test_pruned_warm_milp_matches_brute_force_on_randomized_instances(model):
-    """>= 50 instances per model (>= 100 total with the parametrisation)."""
+def test_pruned_warm_milp_matches_brute_force_on_randomized_instances(
+    model, monkeypatch
+):
+    """The search == brute force: >= 50 random instances per model, then 60
+    symmetric ones searched cold (no greedy value to hide behind)."""
     rng = random.Random(42 if model == "hose" else 43)
+
+    def check(app, cluster, profile, label):
+        try:
+            brute = BruteForcePlacer(model=model).place(app, cluster, profile)
+        except PlacementError:
+            with pytest.raises(PlacementError):
+                OptimalPlacer(model=model).place(app, cluster, profile)
+            return False  # CPU-infeasible draw
+        placer = OptimalPlacer(model=model, mip_rel_gap=1e-9)
+        optimal = placer.place(app, cluster, profile)
+        assert placer.last_solve_stats["status"] == 0
+        t_brute = _objective(brute, app, profile, model)
+        t_optimal = _objective(optimal, app, profile, model)
+        assert t_optimal == pytest.approx(t_brute, rel=1e-6, abs=1e-9), (
+            f"{label}: search {t_optimal} != brute {t_brute}"
+        )
+        return True
+
     checked = 0
     attempts = 0
     while checked < 50 and attempts < 200:
         attempts += 1
         # Every third instance uses uniform rates, which makes machines
-        # interchangeable and exercises the symmetry-breaking rows.
+        # interchangeable and exercises the symmetry rule.
         app, cluster, profile = _random_instance(
             rng, uniform_rates=(attempts % 3 == 0)
         )
-        try:
-            brute = BruteForcePlacer(model=model).place(app, cluster, profile)
-        except PlacementError:
-            continue  # CPU-infeasible draw
-        optimal = OptimalPlacer(model=model, mip_rel_gap=1e-9).place(
-            app, cluster, profile
-        )
-        t_brute = _objective(brute, app, profile, model)
-        t_optimal = _objective(optimal, app, profile, model)
-        assert t_optimal == pytest.approx(t_brute, rel=1e-6, abs=1e-9), (
-            f"instance {attempts}: pruned+warm {t_optimal} != brute {t_brute}"
-        )
-        checked += 1
+        checked += check(app, cluster, profile, f"instance {attempts}")
     assert checked == 50
+
+    monkeypatch.setattr(ilp, "greedy_incumbent", lambda *args, **kwargs: None)
+    for draw in range(60):
+        app, cluster, profile = _symmetric_instance(rng)
+        check(app, cluster, profile, f"symmetric {draw}")
 
 
 @pytest.mark.parametrize("model", ["hose", "pipe"])
-def test_sparse_matches_dense_formulation_objective(model):
-    """candidate_k=None sparse == the dense reference on randomized instances."""
+def test_sparse_matches_dense_formulation_objective(model, milp):
+    """search == sparse MILP == dense MILP on randomized instances, and
+    search == sparse MILP on the benchmark's ILP grid (all at gap 1e-9)."""
     rng = random.Random(7)
     for trial in range(8):
         app, cluster, profile = _random_feasible_instance(
             rng, uniform_rates=(trial % 4 == 0)
         )
-        sparse = OptimalPlacer(model=model, mip_rel_gap=1e-9, candidate_k=None)
-        dense = OptimalPlacer(
+        search = OptimalPlacer(model=model, mip_rel_gap=1e-9)
+        sparse = milp.MilpPlacer(model=model, mip_rel_gap=1e-9)
+        dense = milp.MilpPlacer(
             model=model, mip_rel_gap=1e-9, formulation="dense",
             warm_start=False, symmetry_breaking=False,
         )
+        t_search = _objective(search.place(app, cluster, profile), app, profile, model)
         t_sparse = _objective(sparse.place(app, cluster, profile), app, profile, model)
         t_dense = _objective(dense.place(app, cluster, profile), app, profile, model)
+        assert t_search == pytest.approx(t_sparse, rel=1e-6, abs=1e-9)
         assert t_sparse == pytest.approx(t_dense, rel=1e-6, abs=1e-9)
         assert sparse.last_solve_stats["n_vars"] <= dense.last_solve_stats["n_vars"]
+
+    for label, app, cluster, profile in _grid_instances():
+        search = OptimalPlacer(model=model, mip_rel_gap=1e-9)
+        sparse = milp.MilpPlacer(model=model, mip_rel_gap=1e-9)
+        t_search = _objective(search.place(app, cluster, profile), app, profile, model)
+        t_sparse = _objective(sparse.place(app, cluster, profile), app, profile, model)
+        assert search.last_solve_stats["status"] == sparse.last_solve_stats["status"] == 0
+        assert t_search == pytest.approx(t_sparse, rel=1e-6, abs=1e-9), label
 
 
 def _greedy_dead_end_instance():
@@ -139,7 +234,7 @@ def test_greedy_infeasible_warm_start_rejected_gracefully():
         GreedyPlacer().place(app, cluster, profile)
     assert greedy_incumbent(app, cluster, profile) is None
 
-    placer = OptimalPlacer(mip_rel_gap=1e-9)  # warm_start=True by default
+    placer = OptimalPlacer(mip_rel_gap=1e-9)
     placement = placer.place(app, cluster, profile)
     assert placement.machine_of("c") == "m1"
     assert placement.machine_of("a") == placement.machine_of("b") == "m2"
@@ -160,51 +255,32 @@ def test_warm_start_accepted_and_bound_recorded():
     assert _objective(placement, app, profile, "hose") <= stats["warm_bound_s"] + 1e-9
 
 
-def test_candidate_k_exact_when_covering_and_never_worse_than_greedy():
-    rng = random.Random(11)
-    for _ in range(5):
-        app, cluster, profile = _random_feasible_instance(rng)
-        full = OptimalPlacer(mip_rel_gap=1e-9)
-        t_full = _objective(full.place(app, cluster, profile), app, profile, "hose")
-        # k = all machines: exact.
-        k_all = OptimalPlacer(mip_rel_gap=1e-9, candidate_k=len(cluster.machines))
-        t_all = _objective(k_all.place(app, cluster, profile), app, profile, "hose")
-        assert t_all == pytest.approx(t_full, rel=1e-6, abs=1e-9)
-        # k = 1: heuristic, but never worse than the greedy incumbent.
-        k_one = OptimalPlacer(mip_rel_gap=1e-9, candidate_k=1)
-        t_one = _objective(k_one.place(app, cluster, profile), app, profile, "hose")
-        greedy = greedy_incumbent(app, cluster, profile)
-        t_greedy = _objective(greedy, app, profile, "hose")
-        assert t_one <= t_greedy + 1e-6
+def test_budget_expiry_returns_best_found_within_the_limit():
+    """40 tasks x 32 VMs cannot be proven in 0.2 s: the search stops on
+    time with a valid placement no worse than greedy's."""
+    instance = get_scenario("bursty-mapreduce").build(
+        seed=trial_seed(0, "bursty-mapreduce", 0),
+        n_mappers=20, n_reducers=20, n_vms=32,
+    )
+    (app,) = instance.apps
+    cluster = instance.cluster
+    profile = NetworkMeasurer(
+        instance.provider, MeasurementPlan(advance_clock=False)
+    ).measure(cluster.machine_names())
+    assert (len(app.tasks), len(cluster.machines)) == (40, 32)
 
-
-def test_candidate_k_restriction_cannot_manufacture_failure():
-    """A task whose feasible machines miss the top-k set keeps its full set."""
-    app = Application(
-        "a",
-        tasks=[Task("big", 4.0), Task("small", 0.5)],
-        traffic=TrafficMatrix({("big", "small"): 1 * GBYTE}),
-    )
-    # The two fastest machines are too small for `big`; only the slowest
-    # machine fits it.
-    cluster = ClusterState(
-        machines=[
-            Machine("fast1", cores=1.0),
-            Machine("fast2", cores=1.0),
-            Machine("slowbig", cores=8.0),
-        ]
-    )
-    rates = {}
-    for a, b in [(x, y) for x in ("fast1", "fast2", "slowbig")
-                 for y in ("fast1", "fast2", "slowbig") if x != y]:
-        fast = a.startswith("fast") and b.startswith("fast")
-        rates[(a, b)] = (1.0 if fast else 0.1) * GBITPS
-    profile = NetworkProfile(
-        vms=["fast1", "fast2", "slowbig"], rates_bps=rates
-    )
-    placer = OptimalPlacer(mip_rel_gap=1e-9, candidate_k=2, warm_start=False)
-    placement = placer.place(app, cluster, profile)
-    assert placement.machine_of("big") == "slowbig"
+    placer = OptimalPlacer(time_limit_s=0.2)
+    started = time.perf_counter()
+    placement = placer.place(app, cluster, profile)  # validated inside
+    assert time.perf_counter() - started < 1.0
+    stats = placer.last_solve_stats
+    assert stats["status"] == 1 and stats["mip_gap"] is None
+    assert stats["mip_nodes"] >= ilp._CLOCK_EVERY
+    t_greedy = _objective(greedy_incumbent(app, cluster, profile), app, profile, "hose")
+    assert stats["objective_s"] <= t_greedy
+    assert stats["objective_s"] == _objective(placement, app, profile, "hose")
+    # fallback_used says whether that is still greedy's own placement.
+    assert stats["fallback_used"] == (stats["objective_s"] == t_greedy)
 
 
 def test_boolean_placer_params_parse_and_apply():
@@ -213,12 +289,12 @@ def test_boolean_placer_params_parse_and_apply():
     assert _parse_value("false") is False
     assert _parse_value("True") is True
     assert _parse_value("3") == 3
-    placer = get_placer("ilp").create(0, {"warm_start": "false"})
-    assert placer.warm_start is False
-    placer = get_placer("ilp").create(0, {"symmetry_breaking": False})
-    assert placer.symmetry_breaking is False
-    with pytest.raises(ExperimentError):
-        get_placer("ilp").create(0, {"warm_start": "maybe"})
+    # The HiGHS-era switches are gone, not ignored.
+    for gone in ("formulation", "warm_start", "symmetry_breaking", "candidate_k"):
+        with pytest.raises(ExperimentError, match="unknown placer parameter"):
+            get_placer("ilp").create(0, {gone: "sparse"})
+        with pytest.raises(TypeError):
+            OptimalPlacer(**{gone: None})
 
 
 def test_cpu_feasible_machines_filters_by_free_cores():
@@ -234,17 +310,29 @@ def test_cpu_feasible_machines_filters_by_free_cores():
     assert feasible["big"] == []
 
 
-def test_fallback_or_raise_uses_incumbent_else_raises():
-    placer = OptimalPlacer()
-    app = Application("x", tasks=[Task("t", 1.0)], traffic=TrafficMatrix())
-    from repro.core.placement.base import Placement
-
-    incumbent = Placement(app_name="x", assignments={"t": "m1"})
-    stats = {"fallback_used": False}
-    assert placer._fallback_or_raise(app, incumbent, stats, "limit") is incumbent
+def test_fallback_or_raise_uses_incumbent_else_raises(monkeypatch):
+    """A budget that expires before anything beats greedy returns greedy's
+    placement and says so; with no greedy placement either, it raises."""
+    rng = random.Random(5)
+    while True:
+        app, cluster, profile = _random_feasible_instance(rng)
+        greedy = greedy_incumbent(app, cluster, profile)
+        best = BruteForcePlacer().place(app, cluster, profile)
+        if _objective(best, app, profile, "hose") < 0.9 * _objective(
+            greedy, app, profile, "hose"
+        ):
+            break  # greedy leaves room, so the root has children to enter
+    monkeypatch.setattr(ilp, "_CLOCK_EVERY", 1)  # read the clock at node one
+    placer = OptimalPlacer(time_limit_s=1e-9)
+    placement = placer.place(app, cluster, profile)
+    assert placement.assignments == greedy.assignments
+    stats = placer.last_solve_stats
     assert stats["fallback_used"] is True
-    with pytest.raises(PlacementError):
-        placer._fallback_or_raise(app, None, {"fallback_used": False}, "limit")
+    assert stats["status"] == 1 and stats["mip_gap"] is None
+
+    monkeypatch.setattr(ilp, "greedy_incumbent", lambda *args, **kwargs: None)
+    with pytest.raises(PlacementError, match="time limit"):
+        OptimalPlacer(time_limit_s=1e-9).place(app, cluster, profile)
 
 
 # ---------------------------------------------------------------------------
@@ -305,8 +393,9 @@ def test_trial_records_solver_stats_for_ilp():
     assert record.solver_stats
     stats = next(iter(record.solver_stats.values()))
     assert stats["warm_start_accepted"] in (True, False)
-    assert "mip_gap" in stats and "mip_nodes" in stats
-    assert stats["formulation"] == "sparse"
+    assert stats["mip_gap"] == 0.0 and stats["status"] == 0
+    assert stats["mip_nodes"] >= 1  # search nodes, the root included
+    assert "formulation" not in stats and "n_vars" not in stats
     # The record survives a JSON round-trip with its stats intact.
     from dataclasses import asdict
 

@@ -9,8 +9,7 @@ import pytest
 from repro.cloud.registry import make_provider
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
 from repro.core.placement.base import ClusterState
-from repro.core.placement.ilp import OptimalPlacer, auto_candidate_k
-from repro.errors import MeasurementError, PlacementError, ServiceError
+from repro.errors import MeasurementError, ServiceError
 from repro.experiments.placers import get_placer
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
 from repro.service.cache import MeasurementCache
@@ -561,56 +560,3 @@ class TestTraceJsonl:
         assert instance.apps[0].start_time == 0.0
         assert instance.apps[1].start_time == 30.0
         assert instance.apps[1].total_bytes == pytest.approx(3e8)
-
-
-# ---------------------------------------------------------------------------
-# ILP candidate_k auto-tuner (satellite)
-# ---------------------------------------------------------------------------
-class TestAutoCandidateK:
-    def test_small_instances_stay_exact(self):
-        assert auto_candidate_k(5, 10) is None
-        assert auto_candidate_k(20, 20) is None
-
-    def test_large_instances_are_restricted(self):
-        k = auto_candidate_k(32, 28)
-        assert k is not None and 3 <= k < 28
-        # Denser pairs -> tighter k.
-        assert auto_candidate_k(40, 32) <= auto_candidate_k(32, 32)
-
-    def test_sparse_apps_escape_restriction(self):
-        # A chain of 26 tasks has only 25 communicating pairs: the product
-        # budget is never threatened, so every machine is kept.
-        assert auto_candidate_k(26, 14, n_pairs=25) is None
-
-    def test_floor_and_validation(self):
-        assert auto_candidate_k(200, 100) == 3
-        with pytest.raises(PlacementError):
-            auto_candidate_k(0, 5)
-
-    def test_placer_accepts_auto_and_records_choice(self):
-        provider = _fresh_provider(n_vms=4, seed=2)
-        names = [vm.name for vm in provider.vms()]
-        cluster = ClusterState.from_vms(provider.vms())
-        measurer = NetworkMeasurer(provider, MeasurementPlan(advance_clock=False))
-        profile = measurer.measure(names)
-
-        from repro.workloads.patterns import mapreduce
-        from repro.units import MBYTE
-
-        app = mapreduce("mr", 2, 2, 100 * MBYTE)
-        placer = OptimalPlacer(candidate_k="auto", time_limit_s=5.0)
-        exact = OptimalPlacer(candidate_k=None, time_limit_s=5.0)
-        placement = placer.place(app, cluster, profile)
-        reference = exact.place(app, cluster, profile)
-        # Small instance: auto resolves to "keep all" and matches exact.
-        assert placer.last_solve_stats["candidate_k"] is None
-        assert placer.last_solve_stats["objective_s"] == pytest.approx(
-            exact.last_solve_stats["objective_s"]
-        )
-        assert placement.assignments == reference.assignments
-
-    def test_factory_accepts_auto(self):
-        placer = get_placer("ilp").create(0, {"candidate_k": "auto"})
-        assert placer.candidate_k == "auto"
-        with pytest.raises(Exception):
-            OptimalPlacer(candidate_k="sometimes")

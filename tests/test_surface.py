@@ -1,8 +1,8 @@
 """The package surface, checked with the standard library only.
 
-Stands in for a linter: every module imports, every exported name resolves,
-every command line answers ``--help`` — and the engine has no process-wide
-``set_*`` switch for a measurement harness to flip.
+Stands in for a linter: every module imports (without scipy), every exported
+name resolves, every command line answers ``--help`` — and the engine has no
+process-wide ``set_*`` switch for a measurement harness to flip.
 """
 
 import importlib
@@ -51,14 +51,32 @@ def test_engine_layers_define_no_module_level_setters():
     assert setters == []
 
 
-@pytest.mark.parametrize("module", ["repro", "repro.experiments", "repro.service"])
-def test_command_line_help_lists_no_bench(module):
+def _run_python(*args):
     src = os.path.dirname(os.path.dirname(repro.__file__))
-    done = subprocess.run(
-        [sys.executable, "-m", module, "--help"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True, text=True, timeout=60,
         env={**os.environ, "PYTHONPATH": os.pathsep.join([src, *sys.path])},
     )
+
+
+def test_importing_the_package_loads_no_scipy():
+    """scipy serves the MILP oracles under ``tests/`` only: a process that
+    imports every module of the package must not have paid for it."""
+    done = _run_python(
+        "-c",
+        "import importlib, sys\n"
+        f"for name in {['repro', *MODULES]!r}:\n"
+        "    importlib.import_module(name)\n"
+        "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])\n",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.experiments", "repro.service"])
+def test_command_line_help_lists_no_bench(module):
+    done = _run_python("-m", module, "--help")
     assert done.returncode == 0, done.stderr
     assert "usage:" in done.stdout
     assert "bench" not in done.stdout
