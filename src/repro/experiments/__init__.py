@@ -10,8 +10,10 @@ comparison a first-class, runnable artifact:
 * :mod:`repro.experiments.placers` — the placement-algorithm grid;
 * :mod:`repro.experiments.trials` — the unit of work: one seeded
   (scenario, placer, trial) cell, picklable and JSON-serialisable;
-* :mod:`repro.experiments.backends` — pluggable execution backends
-  (``inline``, ``process``, ``subprocess-pool``) behind a registry;
+* :mod:`repro.experiments.backends` — the two execution backends:
+  ``inline``, and ``remote`` — the lease scheduler over the HTTP workers
+  of :mod:`repro.experiments.worker`, the one way a trial leaves the
+  process;
 * :mod:`repro.experiments.cache` — the persistent content-addressed
   result store, keyed by (scenario, params, placer, trial, seed,
   code_version);
@@ -22,14 +24,7 @@ comparison a first-class, runnable artifact:
 * :mod:`repro.experiments.cli` — ``python -m repro.experiments``.
 """
 
-from repro.experiments.backends import (
-    BackendSpec,
-    ExecutionBackend,
-    backend_names,
-    create_backend,
-    get_backend,
-    register_backend,
-)
+from repro.experiments.backends import backend_names, create_backend
 from repro.experiments.cache import CacheKey, ResultStore, code_version, tree_digest
 from repro.experiments.placers import (
     PlacerSpec,
@@ -62,12 +57,8 @@ from repro.experiments.scenarios import (
 )
 
 __all__ = [
-    "BackendSpec",
-    "ExecutionBackend",
     "backend_names",
     "create_backend",
-    "get_backend",
-    "register_backend",
     "CacheKey",
     "ResultStore",
     "code_version",

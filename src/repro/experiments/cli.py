@@ -84,8 +84,8 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "--backend", default=None, choices=backend_names(), metavar="NAME",
         help=(
             "execution backend "
-            f"({', '.join(backend_names())}; default: inline for --jobs 1, "
-            "process otherwise)"
+            f"({', '.join(backend_names())}; default: inline for --jobs 1 "
+            "without --endpoint, remote otherwise)"
         ),
     )
     run_cmd.add_argument(
@@ -110,21 +110,14 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     run_cmd.add_argument(
         "--max-retries", type=int, default=2, metavar="N",
         help=(
-            "subprocess-pool only: retry waves for trials whose worker "
-            "died (default: 2)"
-        ),
-    )
-    run_cmd.add_argument(
-        "--chunk-timeout-s", type=float, default=None, metavar="SECONDS",
-        help=(
-            "subprocess-pool only: kill workers that outlive this budget "
-            "and salvage their finished trials (default: wait forever)"
+            "remote backend: retry waves for trials whose worker died or "
+            "hung (default: 2)"
         ),
     )
     run_cmd.add_argument(
         "--endpoint", action="append", default=[], metavar="URL",
         help=(
-            "remote backend only (repeatable): worker endpoint — "
+            "remote backend (repeatable; selects it): worker endpoint — "
             "http://host:port for a running worker, ssh://[user@]host:port "
             "to launch one there first; none given, the backend spawns a "
             "localhost pool of --jobs workers"
@@ -135,7 +128,8 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help=(
             "remote backend only: a leased worker that streams no record "
             "for this long loses the lease — its finished trials are "
-            "salvaged, the rest re-enqueued (default: 30)"
+            "salvaged, the rest re-enqueued; raise it for trials that "
+            "legitimately run longer (default: 30)"
         ),
     )
     run_cmd.add_argument(
@@ -206,7 +200,6 @@ def _make_config(
     placer_param_items: Optional[Sequence[str]] = None,
     fail_fast: bool = False,
     max_retries: int = 2,
-    chunk_timeout_s: Optional[float] = None,
     endpoints: Sequence[str] = (),
     heartbeat_timeout_s: Optional[float] = None,
 ) -> ExperimentConfig:
@@ -241,7 +234,6 @@ def _make_config(
         placer_params=_parse_placer_params(placer_param_items),
         fail_fast=fail_fast,
         max_retries=max_retries,
-        chunk_timeout_s=chunk_timeout_s,
         endpoints=tuple(endpoints),
         heartbeat_timeout_s=heartbeat_timeout_s,
     )
@@ -283,7 +275,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         placer_param_items=args.placer_param,
         fail_fast=args.fail_fast,
         max_retries=args.max_retries,
-        chunk_timeout_s=args.chunk_timeout_s,
         endpoints=args.endpoint,
         heartbeat_timeout_s=args.heartbeat_timeout_s,
     )

@@ -1,12 +1,13 @@
 """Experiment runner: grid construction, cache lookup, dispatch, assembly.
 
 The runner owns *what* to run — the scenario x placer x trial grid — and
-delegates *how* to run it to a named
-:class:`~repro.experiments.backends.ExecutionBackend` (``inline``,
-``process``, ``subprocess-pool``, ...).  Before dispatching, it consults an
-optional persistent :class:`~repro.experiments.cache.ResultStore`, so
-re-running a grown grid only executes cells that are new (or whose code
-changed).  Trial execution itself lives in :mod:`repro.experiments.trials`.
+delegates *how* to run it to one of the two backends of
+:mod:`repro.experiments.backends`: ``inline`` (this process) or ``remote``
+(leases to worker processes, local or on other machines).  Before
+dispatching, it consults an optional persistent
+:class:`~repro.experiments.cache.ResultStore`, so re-running a grown grid
+only executes cells that are new (or whose code changed).  Trial execution
+itself lives in :mod:`repro.experiments.trials`.
 """
 
 from __future__ import annotations
@@ -20,9 +21,10 @@ import logging
 from repro import obs
 from repro.errors import ExperimentError
 from repro.experiments.backends import (
-    DEFAULT_BACKEND,
+    DEFAULT_HEARTBEAT_TIMEOUT_S,
+    InlineBackend,
+    RemoteBackend,
     create_backend,
-    get_backend,
 )
 from repro.experiments.cache import ResultStore
 from repro.experiments.placers import resolve_placer
@@ -50,9 +52,9 @@ class ExperimentConfig:
             the grid automatically when missing.
         workers: worker-count hint for the backend; ``None`` sizes the pool
             to the grid (capped at the CPU count).
-        backend: registered execution-backend name; ``None`` picks
-            ``inline`` for ``workers == 1`` and ``process`` otherwise,
-            preserving the pre-backend behaviour.
+        backend: execution-backend name (``inline`` or ``remote``);
+            ``None`` picks ``remote`` when ``workers != 1`` or
+            ``endpoints`` are given, else ``inline``.
         cache_dir: directory of a persistent
             :class:`~repro.experiments.cache.ResultStore`; ``None`` disables
             the cross-run cache (within-run memoization always applies).
@@ -62,20 +64,18 @@ class ExperimentConfig:
             validated by the placer's factory.
         fail_fast: abort the sweep on the first raising trial instead of
             capturing it into the record (keep-going is the default).
-        max_retries: retry waves the ``subprocess-pool`` and ``remote``
-            backends run for trials whose worker died (ignored by
-            in-process backends, which cannot lose workers).
-        chunk_timeout_s: per-worker wall-clock budget of the
-            ``subprocess-pool`` backend; hung workers are killed and their
-            finished trials salvaged.  Only valid with that backend.
+        max_retries: retry waves the ``remote`` backend runs for trials
+            whose worker died (ignored by ``inline``, which cannot lose
+            workers).
         endpoints: worker endpoints of the ``remote`` backend
             (``http://host:port`` for running workers, ``ssh://host:port``
             to launch them); empty, the backend spawns a localhost pool of
             ``workers`` processes.  Only valid with that backend.
         heartbeat_timeout_s: lease heartbeat deadline of the ``remote``
-            backend — a leased worker that streams no record for this long
-            is probed, its finished trials salvaged, and the rest
-            re-enqueued.  Only valid with that backend.
+            backend (``None``: its 30 s default) — a leased worker that
+            streams no record for this long is probed, its finished trials
+            salvaged, and the rest re-enqueued; it therefore bounds one
+            trial's wall time.  Only valid with that backend.
 
     Placer names (including the baseline) accept the registry's aliases
     (``choreo-optimal`` for ``ilp``) and are canonicalised on construction,
@@ -94,7 +94,6 @@ class ExperimentConfig:
     placer_params: Mapping[str, Mapping[str, object]] = field(default_factory=dict)
     fail_fast: bool = False
     max_retries: int = 2
-    chunk_timeout_s: Optional[float] = None
     endpoints: Tuple[str, ...] = ()
     heartbeat_timeout_s: Optional[float] = None
 
@@ -106,17 +105,9 @@ class ExperimentConfig:
         if self.workers is not None and self.workers < 1:
             raise ExperimentError("workers must be >= 1 (or None for auto)")
         if self.backend is not None:
-            get_backend(self.backend)  # fail fast on typos
+            create_backend(self.backend)  # dry run: fail fast on typos
         if self.max_retries < 0:
             raise ExperimentError("max_retries must be >= 0")
-        if self.chunk_timeout_s is not None:
-            if self.chunk_timeout_s <= 0:
-                raise ExperimentError("chunk_timeout_s must be positive (or None)")
-            if self.effective_backend != "subprocess-pool":
-                raise ExperimentError(
-                    "chunk_timeout_s only applies to the subprocess-pool "
-                    f"backend, not {self.effective_backend!r}"
-                )
         if self.heartbeat_timeout_s is not None:
             if self.heartbeat_timeout_s <= 0:
                 raise ExperimentError(
@@ -184,8 +175,8 @@ class ExperimentConfig:
     ) -> None:
         for key, value in params.items():
             # JSON scalars only: anything richer would round-trip
-            # differently through the subprocess wire format (tuple ->
-            # list) and break the backends' bit-identical guarantee.
+            # differently through the lease wire format (tuple -> list)
+            # and break the backends' bit-identical guarantee.
             if not isinstance(value, (type(None), bool, int, float, str)):
                 raise ExperimentError(
                     f"{group}[{name!r}][{key!r}] is "
@@ -203,39 +194,10 @@ class ExperimentConfig:
 
     @property
     def effective_backend(self) -> str:
-        """The backend name after applying the historical default."""
+        """The backend name: explicit, else chosen from the inputs."""
         if self.backend is not None:
             return self.backend
-        return DEFAULT_BACKEND if self.workers == 1 else "process"
-
-    @property
-    def backend_options(self) -> Dict[str, object]:
-        """Backend-specific options derived from the config.
-
-        The ``subprocess-pool`` and ``remote`` backends take options; the
-        in-process backends reject any, so this stays empty for them.  The
-        remote backend's backoff jitter is seeded from ``base_seed``, so a
-        sweep that loses workers retries on the same schedule every run,
-        and its workers share the runner's store via ``store_root``.
-        """
-        if self.effective_backend == "subprocess-pool":
-            options: Dict[str, object] = {"max_retries": self.max_retries}
-            if self.chunk_timeout_s is not None:
-                options["chunk_timeout_s"] = self.chunk_timeout_s
-            return options
-        if self.effective_backend == "remote":
-            options = {
-                "max_retries": self.max_retries,
-                "backoff_seed": self.base_seed,
-            }
-            if self.endpoints:
-                options["endpoints"] = list(self.endpoints)
-            if self.heartbeat_timeout_s is not None:
-                options["heartbeat_timeout_s"] = self.heartbeat_timeout_s
-            if self.cache_dir:
-                options["store_root"] = self.cache_dir
-            return options
-        return {}
+        return "remote" if self.workers != 1 or self.endpoints else "inline"
 
 
 @dataclass(frozen=True)
@@ -364,11 +326,7 @@ class ExperimentRunner:
                 len(pending), config.effective_backend,
             )
             if pending:
-                backend = create_backend(
-                    config.effective_backend,
-                    workers=config.workers,
-                    options=config.backend_options,
-                )
+                backend = self.make_backend()
                 with obs.span(
                     "experiments.map_trials",
                     backend=config.effective_backend,
@@ -419,6 +377,28 @@ class ExperimentRunner:
             base_seed=config.base_seed,
             baseline=config.baseline,
             records=records_out,
+        )
+
+    def make_backend(self):
+        """The backend this sweep's pending trials run through.
+
+        The remote backend's backoff jitter is seeded from ``base_seed``,
+        so a sweep that loses workers retries on the same schedule every
+        run, and its workers share the runner's store.
+        """
+        config = self.config
+        if config.effective_backend == "inline":
+            return InlineBackend()
+        heartbeat = config.heartbeat_timeout_s
+        return RemoteBackend(
+            workers=config.workers,
+            endpoints=config.endpoints,
+            max_retries=config.max_retries,
+            heartbeat_timeout_s=(
+                DEFAULT_HEARTBEAT_TIMEOUT_S if heartbeat is None else heartbeat
+            ),
+            backoff_seed=config.base_seed,
+            store_root=config.cache_dir,
         )
 
     def _store_key(self, item: WorkItem):

@@ -8,8 +8,8 @@ the placer — so every placer faces the *same* ground-truth network and
 applications and per-trial speedups are paired comparisons, as in §6.
 
 Everything a trial needs is named (scenario name, placer name, seed), which
-is what makes a :class:`WorkItem` picklable for process pools and
-JSON-serialisable for subprocess (and, eventually, multi-machine) backends.
+is what makes a :class:`WorkItem` JSON-serialisable for the lease wire of
+the ``remote`` backend's workers, on this machine or another.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ class WorkItem:
 
     # ------------------------------------------------------------ wire format
     def to_json_dict(self) -> dict:
-        """The subprocess-backend wire format (all params are plain JSON)."""
+        """The lease wire format (all params are plain JSON)."""
         return {
             "scenario": self.scenario,
             "placer": self.placer,
@@ -198,7 +198,7 @@ class WorkItem:
 
 
 def execute_work_item(item: WorkItem) -> TrialRecord:
-    """Module-level alias of :meth:`WorkItem.run` (picklable for pools)."""
+    """Module-level alias of :meth:`WorkItem.run`, the call both backends make."""
     return item.run()
 
 

@@ -1,16 +1,19 @@
 """Long-running HTTP sweep worker: one machine of the remote fabric.
 
 ``python -m repro.experiments.worker --serve --port N`` starts a thin HTTP
-server that executes chunk *leases* for the ``remote`` execution backend.
-It speaks the existing :data:`~repro.experiments.backends.WORKER_SCHEMA`
-JSONL wire format — the same lines a subprocess-pool worker writes to its
-output file, streamed over the lease connection instead:
+server that executes chunk *leases* for the ``remote`` execution backend
+— the one way a trial leaves the scheduler's process.  This module owns
+the wire format (:data:`WORKER_SCHEMA`), both ends of it, and the
+test-only chaos hook; it imports nothing from
+:mod:`repro.experiments.backends`.
 
 * ``POST /lease`` — body ``{"schema": ..., "lease_id": ..., "items":
   [...]}``; the response streams JSON Lines: a schema header, then one
   ``{"index": local_index, "record": {...}}`` line per completed trial
   (flushed immediately, so a dead worker leaves a salvageable prefix on
   the scheduler's side of the socket), then a ``{"done": true}`` trailer.
+  A ``fail_fast`` trial that raises ends the lease with one
+  ``{"index": local_index, "error": "<Type>: <message>"}`` line instead.
 * ``GET /health`` — the scheduler's heartbeat probe; answered from a
   fresh thread even while a lease executes (or hangs), so it
   distinguishes *machine dead* from *lease stuck*.
@@ -36,6 +39,7 @@ from __future__ import annotations
 import argparse
 import http.client
 import json
+import logging
 import os
 import select
 import subprocess
@@ -45,22 +49,72 @@ import time
 import urllib.parse
 from dataclasses import asdict, dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import ExperimentError
-from repro.experiments.backends import (
-    CHAOS_EXIT_STATUS,
-    CHAOS_SLOW_S,
-    WORKER_SCHEMA,
-    _arm_chaos,
-)
 from repro.experiments.cache import ResultStore
 from repro.experiments.trials import WorkItem, execute_work_item
+
+logger = logging.getLogger("repro.experiments.worker")
+
+#: Wire-format schema of a lease stream.  v2 replaced the single output JSON
+#: document with JSON Lines (header, then one record per line, flushed as
+#: produced) so a killed worker leaves a salvageable prefix.
+WORKER_SCHEMA = "repro.experiments/worker/v2"
 
 #: Port an ``ssh://`` endpoint's worker listens on when the spelling names
 #: none.  (HTTP endpoints on localhost pools always carry explicit ports.)
 DEFAULT_WORKER_PORT = 7463
+
+#: Environment variables of the worker chaos hook (test-only): when both
+#: are set, leases that win the marker-file race in
+#: ``REPRO_WORKER_CHAOS_DIR`` misbehave per ``REPRO_WORKER_CHAOS_MODE``
+#: (``crash``: exit hard after the first record; ``hang``: sleep forever
+#: after the first record; ``slow``: drag every subsequent trial by
+#: :data:`CHAOS_SLOW_S`).  The mode may be a comma-separated list — e.g.
+#: ``crash,hang`` arms one lease per mode, in order — and each mode fires
+#: exactly once per chaos dir, so chaos tests are deterministic in *what*
+#: is lost even though process scheduling is not.
+CHAOS_DIR_ENV = "REPRO_WORKER_CHAOS_DIR"
+CHAOS_MODE_ENV = "REPRO_WORKER_CHAOS_MODE"
+
+#: Exit status of a chaos-crashed worker (distinct from argparse's 2).
+CHAOS_EXIT_STATUS = 17
+
+#: Per-trial drag of a chaos-slowed worker (straggler injection).
+CHAOS_SLOW_S = 0.4
+
+_CHAOS_MODES = ("crash", "hang", "slow")
+
+
+def _arm_chaos() -> Optional[str]:
+    """Decide whether *this* lease misbehaves (see the chaos env docs).
+
+    Each marker file is created atomically, so across however many workers
+    share the chaos dir exactly one lease arms itself *per configured mode*
+    — ``crash,hang`` breaks two distinct leases; the rest (and every
+    retry-wave lease) run clean.  The first mode's marker is named
+    ``chaos-fired`` so callers can assert it fired.
+    """
+    chaos_dir = os.environ.get(CHAOS_DIR_ENV)
+    spec = os.environ.get(CHAOS_MODE_ENV) or ""
+    modes = [mode.strip() for mode in spec.split(",") if mode.strip()]
+    if not chaos_dir or not modes or any(m not in _CHAOS_MODES for m in modes):
+        return None
+    for k, mode in enumerate(modes):
+        marker = "chaos-fired" if k == 0 else f"chaos-fired-{k}"
+        try:
+            fd = os.open(
+                os.path.join(chaos_dir, marker),
+                os.O_CREAT | os.O_EXCL | os.O_WRONLY,
+            )
+            os.close(fd)
+        except (FileExistsError, OSError):
+            continue
+        return mode
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +318,11 @@ class _LeaseHandler(BaseHTTPRequestHandler):
             return
         try:
             length = int(self.headers.get("Content-Length", "0"))
+            if length < 0:  # rfile.read(-1) would wait for a close forever
+                raise ValueError(f"negative Content-Length {length}")
             payload = json.loads(self.rfile.read(length))
+            if not isinstance(payload, dict):
+                raise ValueError("the body must be a JSON object")
             if payload.get("schema") != WORKER_SCHEMA:
                 raise ExperimentError(
                     f"unexpected lease schema {payload.get('schema')!r}"
@@ -287,11 +345,17 @@ class _LeaseHandler(BaseHTTPRequestHandler):
     def _stream_lease(self, lease_id: str, items: Sequence[WorkItem]) -> None:
         """Execute the leased chunk, streaming one flushed line per trial.
 
-        The chaos hook (same env contract as the subprocess pool) fires
-        here, per lease: ``crash`` exits the whole process after the first
-        record (the scheduler sees the connection die mid-chunk), ``hang``
-        stops streaming without dying (the scheduler's heartbeat deadline
-        must catch it), ``slow`` drags every subsequent trial (straggler).
+        The chaos hook fires here, per lease: ``crash`` exits the whole
+        process after the first record (the scheduler sees the connection
+        die mid-chunk), ``hang`` stops streaming without dying (the
+        scheduler's heartbeat deadline must catch it), ``slow`` drags
+        every subsequent trial (straggler).
+
+        A trial only raises under ``fail_fast`` (keep-going captures the
+        error into its record).  The trial is deterministic and would
+        raise again anywhere, so the lease ends with one error line the
+        scheduler stops the sweep on — not a dropped connection it would
+        mistake for a dead worker and retry.
         """
         state = self.server.worker_state
         chaos_mode = _arm_chaos()
@@ -305,7 +369,13 @@ class _LeaseHandler(BaseHTTPRequestHandler):
             )
             completed = 0
             for local_index, item in enumerate(items):
-                record = execute_work_item(item)
+                try:
+                    record = execute_work_item(item)
+                except Exception as exc:  # noqa: BLE001 - reported, see above
+                    logger.exception("lease %s: trial %d raised", lease_id, local_index)
+                    error = f"{type(exc).__name__}: {exc}"
+                    self._send_line({"index": local_index, "error": error})
+                    return
                 state.record_done(item, record)
                 self._send_line({"index": local_index, "record": asdict(record)})
                 completed += 1
@@ -351,8 +421,10 @@ class LeaseStream:
     :meth:`poll` hands back whatever complete JSON lines arrived within a
     short timeout, so the scheduler's reader loop can keep checking its
     cancel flag without losing bytes: partial lines stay buffered across
-    polls, and a garbled tail at connection end is skipped — exactly the
-    subprocess pool's salvage rule for a file cut off mid-write.
+    polls.  That is also the salvage rule: a garbled line is skipped and
+    its neighbours stand, and a tail cut off mid-write at connection end
+    is dropped — a dead worker's stream yields every record it finished.
+    A header naming another schema raises :class:`ExperimentError`.
     """
 
     def __init__(self, conn: http.client.HTTPConnection, resp, sock):
@@ -411,8 +483,13 @@ class LeaseStream:
                 data = json.loads(line)
             except ValueError:
                 continue  # garbled line: everything around it stands
-            if isinstance(data, dict):
-                out.append(data)
+            if not isinstance(data, dict):
+                continue
+            if data.get("schema", WORKER_SCHEMA) != WORKER_SCHEMA:
+                raise ExperimentError(
+                    f"worker speaks {data['schema']!r}, not {WORKER_SCHEMA!r}"
+                )
+            out.append(data)
         return out
 
     def close(self) -> None:
@@ -504,20 +581,39 @@ class WorkerClient:
 class LocalWorkerPool:
     """A handful of localhost worker processes with their addresses."""
 
-    def __init__(self, procs: List[subprocess.Popen], addresses: List[Tuple[str, int]]):
+    def __init__(
+        self,
+        procs: List[subprocess.Popen],
+        addresses: List[Tuple[str, int]],
+        cache_dir: Optional[str] = None,
+    ):
         self.procs = procs
         self.addresses = addresses
-
-    @property
-    def endpoints(self) -> List[str]:
-        return [f"http://{host}:{port}" for host, port in self.addresses]
+        self.cache_dir = cache_dir  # what a respawned worker is started with
 
     def kill(self, index: int) -> None:
-        """Hard-kill one worker — chaos shorthand for a machine dying."""
+        """Hard-kill one worker (a no-op on one that already exited)."""
         proc = self.procs[index]
         if proc.poll() is None:
             proc.kill()
         proc.wait()
+
+    def clients(self) -> List[WorkerClient]:
+        """One fresh client per worker, in slot order."""
+        return [WorkerClient(host, port) for host, port in self.addresses]
+
+    def respawn(self, indices: Sequence[int]) -> None:
+        """Replace the workers at ``indices`` by fresh ones, in their slots.
+
+        The old processes are killed if still running (a hung lease never
+        ends by itself); the replacements cold-start concurrently.
+        """
+        for index in indices:
+            self.kill(index)
+        fresh = spawn_local_workers(len(indices), cache_dir=self.cache_dir)
+        for index, proc, address in zip(indices, fresh.procs, fresh.addresses):
+            self.procs[index] = proc
+            self.addresses[index] = address
 
     def close(self) -> None:
         for proc in self.procs:
@@ -537,11 +633,25 @@ class LocalWorkerPool:
         self.close()
 
 
-def spawn_local_workers(
-    n: int,
-    cache_dir: Optional[str] = None,
-    host: str = "127.0.0.1",
-) -> LocalWorkerPool:
+def _worker_env() -> Dict[str, str]:
+    """Child env with the parent's ``repro`` package importable.
+
+    Test runs import ``repro`` from a source checkout via ``sys.path`` (not
+    the environment), so the parent's import location is prepended to the
+    child's ``PYTHONPATH`` explicitly.
+    """
+    import repro
+
+    package_root = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    existing = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = (
+        package_root if not existing else package_root + os.pathsep + existing
+    )
+    return env
+
+
+def spawn_local_workers(n: int, cache_dir: Optional[str] = None) -> LocalWorkerPool:
     """Spawn ``n`` workers on OS-assigned localhost ports.
 
     Each worker prints a one-line ``listening`` JSON event on stdout once
@@ -549,13 +659,11 @@ def spawn_local_workers(
     """
     procs: List[subprocess.Popen] = []
     try:
-        from repro.experiments.backends import _worker_env
-
         env = _worker_env()
         for _ in range(max(1, n)):
             cmd = [
                 sys.executable, "-m", "repro.experiments.worker",
-                "--serve", "--host", host, "--port", "0",
+                "--serve", "--host", "127.0.0.1", "--port", "0",
             ]
             if cache_dir:
                 cmd += ["--cache-dir", str(cache_dir)]
@@ -572,7 +680,7 @@ def spawn_local_workers(
                 proc.kill()
             proc.wait()
         raise
-    return LocalWorkerPool(procs, addresses)
+    return LocalWorkerPool(procs, addresses, cache_dir=cache_dir)
 
 
 def _await_listening(proc: subprocess.Popen) -> Tuple[str, int]:

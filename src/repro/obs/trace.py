@@ -5,8 +5,8 @@ Off by default.  Three ways to switch it on, in precedence order:
 * programmatically — ``obs.configure(trace_path="t.jsonl")``;
 * per process tree — ``REPRO_TRACE=t.jsonl python -m repro ...`` (the
   unified CLI's ``--trace`` flag sets exactly this variable, so worker
-  subprocesses spawned by the process/remote backends inherit it and
-  append their spans to the same file);
+  subprocesses spawned by the remote backend inherit it and append their
+  spans to the same file);
 * per call site never: instrumented code calls :func:`span`
   unconditionally and the disabled path is a shared no-op context
   manager, cheap enough to sit inside the fluid event loop.

@@ -1,6 +1,7 @@
 """Execution backends and the persistent content-addressed result store:
-registry behaviour, cross-backend equivalence, cache hits/invalidation, the
-trace-replay scenario, and the dropped-trials summary accounting."""
+backend selection, cross-backend equivalence, cache hits/invalidation, the
+trace-replay scenario, and the dropped-trials summary accounting.  (Worker
+loss, leases and retries: ``tests/test_fabric.py``.)"""
 
 import json
 
@@ -17,16 +18,15 @@ from repro.experiments import (
     backend_names,
     code_version,
     create_backend,
-    get_backend,
     get_scenario,
     run_trial,
     tree_digest,
 )
-from repro.experiments.backends import SubprocessPoolBackend, _split_chunks
+from repro.experiments.backends import RemoteBackend
 from repro.experiments.cache import CacheKey
 from repro.experiments.cli import main as cli_main
 
-ALL_BACKENDS = ("inline", "process", "remote", "subprocess-pool")
+ALL_BACKENDS = ("inline", "remote")
 
 
 def _small_config(**overrides):
@@ -43,10 +43,9 @@ def _small_config(**overrides):
 
 # ---------------------------------------------------------------- registry
 def test_backend_registry_lists_all_backends():
-    assert list(ALL_BACKENDS) == sorted(ALL_BACKENDS)
+    assert backend_names() == list(ALL_BACKENDS)
     for name in ALL_BACKENDS:
-        assert name in backend_names()
-        assert get_backend(name).description
+        assert create_backend(name).name == name
 
 
 def test_unknown_backend_rejected_eagerly():
@@ -55,19 +54,27 @@ def test_unknown_backend_rejected_eagerly():
 
 
 def test_backend_default_preserves_historical_behaviour():
+    """One rule, from the inputs: explicit wins; else anything that needs
+    another process (more workers, or endpoints) is ``remote``."""
     assert _small_config(workers=1).effective_backend == "inline"
-    assert _small_config(workers=2).effective_backend == "process"
-    assert _small_config(workers=None).effective_backend == "process"
+    assert _small_config(workers=2).effective_backend == "remote"
+    assert _small_config(workers=None).effective_backend == "remote"
     assert _small_config(workers=4, backend="inline").effective_backend == "inline"
+    assert _small_config(workers=1, backend="remote").effective_backend == "remote"
+    implied = _small_config(workers=1, endpoints=("http://a:1",))
+    assert implied.effective_backend == "remote"
 
 
 # ------------------------------------------------------------- equivalence
 def test_all_backends_produce_bit_identical_canonical_results():
     outputs = {}
-    for name in ALL_BACKENDS:
-        result = ExperimentRunner(_small_config(backend=name)).run()
+    for name in backend_names():
+        runner = ExperimentRunner(_small_config(backend=name))
+        result = runner.run()
+        assert runner.last_stats.backend == name
         outputs[name] = json.dumps(result.canonical_json_dict(), sort_keys=True)
-    assert outputs["inline"] == outputs["process"] == outputs["subprocess-pool"]
+    assert sorted(outputs) == list(ALL_BACKENDS)
+    assert len(set(outputs.values())) == 1, "a backend diverged from the others"
 
 
 def test_backend_map_trials_preserves_input_order():
@@ -76,24 +83,17 @@ def test_backend_map_trials_preserves_input_order():
         for placer in ("random", "round-robin")
         for trial in (1, 0)
     ]
-    records = create_backend("subprocess-pool", workers=2).map_trials(items)
+    records = create_backend("remote", workers=2).map_trials(items)
     assert [(rec.placer, rec.trial) for rec in records] == [
         (item.placer, item.trial) for item in items
     ]
 
 
-def test_subprocess_chunking_covers_every_index_once():
-    items = [WorkItem.make("smoke", "random", t, 0) for t in range(7)]
-    chunks = _split_chunks(items, 3)
-    flat = sorted(i for chunk in chunks for i in chunk)
-    assert flat == list(range(7))
-    assert all(chunk for chunk in chunks)
-
-
 def test_subprocess_worker_failure_surfaces_as_experiment_error(monkeypatch):
+    """An interpreter that cannot launch is an error, not a hang."""
     import sys
 
-    backend = SubprocessPoolBackend(workers=1)
+    backend = RemoteBackend(workers=1)
     monkeypatch.setattr(sys, "executable", "/nonexistent-python")
     with pytest.raises((ExperimentError, OSError)):
         backend.map_trials([WorkItem.make("smoke", "random", 0, 0)])
@@ -263,10 +263,10 @@ def test_cli_run_accepts_explicit_backend(tmp_path, capsys):
     out = tmp_path / "results.json"
     code = cli_main(
         ["run", "--scenario", "smoke", "--trials", "1", "--placers", "random",
-         "--backend", "subprocess-pool", "--workers", "2", "--output", str(out)]
+         "--backend", "remote", "--workers", "2", "--output", str(out)]
     )
     assert code == 0
-    assert "backend subprocess-pool" in capsys.readouterr().out
+    assert "backend remote" in capsys.readouterr().out
     assert json.loads(out.read_text())["records"]
 
 
@@ -341,84 +341,6 @@ def test_summary_surfaces_dropped_trials():
         records=[rec("random", 0, 2.0), rec("round-robin", 0, 1.0)],
     )
     assert clean.summary()["s"]["round-robin"]["dropped_trials"] == 0
-
-
-# ------------------------------------------------------- worker-loss chaos
-def _chaos_items(n=6):
-    return [WorkItem.make("smoke", "random", trial, 0) for trial in range(n)]
-
-
-def test_chaos_crashed_worker_is_salvaged_and_result_is_bit_identical(
-    tmp_path, monkeypatch
-):
-    items = _chaos_items()
-    expected = create_backend("inline").map_trials(items)
-
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", "crash")
-    backend = SubprocessPoolBackend(workers=2, max_retries=2)
-    records = backend.map_trials(items)
-    assert (tmp_path / "chaos-fired").exists(), "chaos hook never armed"
-
-    def canonical(recs):
-        return json.dumps(
-            [
-                {
-                    k: v
-                    for k, v in vars(rec).items()
-                    if k not in ("trial_wall_s", "placement_wall_s")
-                }
-                for rec in recs
-            ],
-            sort_keys=True,
-        )
-
-    assert canonical(records) == canonical(expected)
-
-
-def test_chaos_hung_worker_is_killed_and_work_retried(tmp_path, monkeypatch):
-    items = _chaos_items(2)
-    expected = create_backend("inline").map_trials(items)
-
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", "hang")
-    # The chaos worker hangs at once, so a short timeout walks the same
-    # kill-and-retry path; the retried chunk itself runs in about a second.
-    backend = SubprocessPoolBackend(workers=1, max_retries=1, chunk_timeout_s=3.0)
-    records = backend.map_trials(items)
-    assert [rec.seed for rec in records] == [rec.seed for rec in expected]
-    assert [rec.total_running_time_s for rec in records] == [
-        rec.total_running_time_s for rec in expected
-    ]
-
-
-def test_chaos_crash_with_no_retry_budget_raises(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", "crash")
-    backend = SubprocessPoolBackend(workers=1, max_retries=0)
-    with pytest.raises(ExperimentError, match="gave up"):
-        backend.map_trials(_chaos_items(2))
-
-
-def test_subprocess_pool_rejects_bad_options():
-    with pytest.raises(ExperimentError):
-        create_backend("subprocess-pool", options={"bogus": 1})
-    with pytest.raises(ExperimentError):
-        create_backend("inline", options={"max_retries": 1})
-    with pytest.raises(ExperimentError):
-        SubprocessPoolBackend(max_retries=-1)
-    with pytest.raises(ExperimentError):
-        SubprocessPoolBackend(chunk_timeout_s=0.0)
-
-
-def test_config_threads_subprocess_pool_options():
-    config = _small_config(
-        backend="subprocess-pool", max_retries=4, chunk_timeout_s=30.0
-    )
-    assert config.backend_options == {"max_retries": 4, "chunk_timeout_s": 30.0}
-    assert _small_config(backend="inline", workers=1).backend_options == {}
-    with pytest.raises(ExperimentError):
-        _small_config(backend="inline", chunk_timeout_s=30.0)
 
 
 # ------------------------------------------------------ keep-going trials

@@ -2,12 +2,19 @@
 fault tolerance (crash / hang / straggler chaos), cost-aware chunking, and
 the crash-safe shared result store under multi-writer races."""
 
+import contextlib
+import io
 import json
 import multiprocessing
-import os
+import socket
+import threading
+import time
+import types
 
 import pytest
 
+import repro.experiments.backends as backends_mod
+import repro.experiments.worker as worker_mod
 from repro.errors import ExperimentError
 from repro.experiments import (
     ExperimentConfig,
@@ -25,7 +32,10 @@ from repro.experiments.backends import (
 )
 from repro.experiments.worker import (
     DEFAULT_WORKER_PORT,
+    WORKER_SCHEMA,
+    LeaseStream,
     WorkerClient,
+    WorkerServer,
     parse_endpoint,
     spawn_local_workers,
     ssh_launch_command,
@@ -48,6 +58,23 @@ def _canonical(records):
         ],
         sort_keys=True,
     )
+
+
+@contextlib.contextmanager
+def _worker_on_a_thread():
+    """A :class:`WorkerServer` in this process; yields its ``(host, port)``."""
+    server = WorkerServer(("127.0.0.1", 0), worker_mod._WorkerState())
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+    )
+    thread.start()
+    try:
+        yield server.server_address[:2]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 # ------------------------------------------------------------- endpoints
@@ -142,23 +169,67 @@ def test_worker_health_and_lease_roundtrip():
         assert client.shutdown()
 
 
-def test_worker_refuses_wrong_schema_lease():
+@pytest.mark.parametrize(
+    "body, headers, complaint",
+    [
+        (json.dumps({"schema": "bogus/v0", "items": []}).encode(), {}, b"schema"),
+        (json.dumps({"schema": WORKER_SCHEMA, "items": 5}).encode(), {}, b"bad lease"),
+        (b"[]", {}, b"JSON object"),  # valid JSON, not an object
+        (b"", {"Content-Length": "-1"}, b"Content-Length"),  # read(-1) would park
+        (b"", {"Content-Length": "abc"}, b"bad lease"),
+    ],
+    ids=["wrong-schema", "items-not-a-list", "body-not-an-object",
+         "negative-length", "garbled-length"],
+)
+def test_worker_refuses_wrong_schema_lease(body, headers, complaint):
+    """A hostile ``POST /lease`` gets a 400 naming the problem — never a
+    dropped connection or a parked handler thread — and the worker serves on."""
     import http.client
 
-    with spawn_local_workers(1) as pool:
-        host, port = pool.addresses[0]
+    with _worker_on_a_thread() as (host, port):
         conn = http.client.HTTPConnection(host, port, timeout=5)
         try:
-            conn.request(
-                "POST", "/lease",
-                body=json.dumps({"schema": "bogus/v0", "items": []}).encode(),
-                headers={"Content-Type": "application/json"},
-            )
+            conn.putrequest("POST", "/lease")
+            for name, value in {"Content-Length": str(len(body)), **headers}.items():
+                conn.putheader(name, value)
+            conn.endheaders(body)
             resp = conn.getresponse()
             assert resp.status == 400
-            assert b"schema" in resp.read()
+            reply = resp.read()
+            assert b"bad lease request" in reply and complaint in reply
         finally:
             conn.close()
+        assert WorkerClient(host, port).health()["status"] == "ok"
+
+
+def test_lease_stream_salvages_around_garbled_lines_and_a_cut_tail():
+    """The salvage rule, on the stream itself: a garbled line is skipped, a
+    tail cut off mid-write is dropped, every finished record stands."""
+    record = vars(create_backend("inline").map_trials(_items(1))[0])
+    header = json.dumps({"schema": WORKER_SCHEMA, "lease_id": "t"}).encode() + b"\n"
+    body = (
+        json.dumps({"index": 0, "record": record}).encode() + b"\n"
+        + b'{"index": 1, "rec\x00\xff garbled\n'
+        + json.dumps({"index": 2, "record": record}).encode() + b"\n"
+        + b'{"index": 3, "record": {"scen'  # the worker died mid-write
+    )
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        theirs.sendall(body)
+        theirs.shutdown(socket.SHUT_WR)
+        closable = types.SimpleNamespace(close=lambda: None)
+        # http.client may over-read the body's start into its header buffer.
+        resp = types.SimpleNamespace(fp=io.BytesIO(header), close=lambda: None)
+        stream = LeaseStream(closable, resp, ours)
+        lines = []
+        for _ in range(50):
+            lines.extend(stream.poll(0.1))
+            if stream.eof:
+                break
+        stream.close()
+    assert stream.eof
+    assert [d["index"] for d in lines if "record" in d] == [0, 2]
+    assert lines[0]["schema"] == WORKER_SCHEMA
 
 
 # ------------------------------------------------------- the remote backend
@@ -183,14 +254,49 @@ def test_remote_backend_matches_inline_bit_for_bit():
 
 
 def test_remote_backend_rejects_bad_options():
-    with pytest.raises(ExperimentError):
-        create_backend("remote", options={"bogus": 1})
+    with pytest.raises(ExperimentError, match="bogus"):
+        create_backend("remote", bogus=1)
+    with pytest.raises(ExperimentError, match="max_retries"):
+        create_backend("inline", max_retries=1)  # inline takes no options
+    with pytest.raises(ExperimentError, match="unknown backend"):
+        create_backend("process")
     with pytest.raises(ExperimentError):
         RemoteBackend(max_retries=-1)
     with pytest.raises(ExperimentError):
         RemoteBackend(heartbeat_timeout_s=0.0)
-    with pytest.raises(ExperimentError):
-        RemoteBackend(straggler_factor=1.0)
+
+
+def test_pool_is_sized_to_the_batch_not_the_hint():
+    """``--jobs 8`` with one pending cell cold-starts one interpreter."""
+    backend = RemoteBackend(workers=8)
+    assert len(backend.map_trials(_items(1))) == 1
+    assert backend.last_fabric_stats["workers"] == 1
+
+
+def test_fail_fast_trial_error_ends_the_sweep_with_its_own_text(monkeypatch):
+    """A raising ``fail_fast`` trial is deterministic: the worker reports it
+    on the lease, and the scheduler stops at once with the exception text —
+    no "worker died", no retry wave re-raising the same bug."""
+
+    def boom(item):
+        raise RuntimeError("synthetic bug")
+
+    monkeypatch.setattr(worker_mod, "execute_work_item", boom)
+    items = [
+        WorkItem.make("smoke", "random", trial, 0, fail_fast=True)
+        for trial in range(3)
+    ]
+    with _worker_on_a_thread() as (host, port):
+        backend = RemoteBackend(endpoints=[f"http://{host}:{port}"])
+        started = time.monotonic()
+        with pytest.raises(ExperimentError) as excinfo:
+            backend.map_trials(items)
+        elapsed = time.monotonic() - started
+    message = str(excinfo.value)
+    assert "RuntimeError: synthetic bug" in message
+    assert str(items[0].trial_key) in message
+    assert backend.last_fabric_stats["retry_waves"] == 0
+    assert elapsed < backends_mod.BACKOFF_BASE_S / 2
 
 
 # ------------------------------------------------------------------- chaos
@@ -210,11 +316,8 @@ def test_chaos_crash_and_hang_workers_salvaged_and_bit_identical(
 
     monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", "crash,hang")
-    backend = create_backend(
-        "remote",
-        workers=2,
-        options={"heartbeat_timeout_s": 2.0, "backoff_base_s": 0.05},
-    )
+    monkeypatch.setattr(backends_mod, "BACKOFF_BASE_S", 0.05)
+    backend = create_backend("remote", workers=2, heartbeat_timeout_s=2.0)
     records = backend.map_trials(items)
 
     assert (tmp_path / "chaos-fired").exists(), "crash chaos never armed"
@@ -234,17 +337,14 @@ def test_chaos_retry_waves_are_deterministic(tmp_path, monkeypatch):
     across runs, down to the backoff schedule."""
     items = _items(6)
     monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", "crash")
+    monkeypatch.setattr(backends_mod, "BACKOFF_BASE_S", 0.05)
 
     outputs = []
     for run in ("a", "b"):
         chaos_dir = tmp_path / run
         chaos_dir.mkdir()
         monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(chaos_dir))
-        backend = create_backend(
-            "remote",
-            workers=2,
-            options={"backoff_seed": 7, "backoff_base_s": 0.05},
-        )
+        backend = create_backend("remote", workers=2, backoff_seed=7)
         records = backend.map_trials(items)
         assert (chaos_dir / "chaos-fired").exists()
         outputs.append(
@@ -263,11 +363,8 @@ def test_chaos_straggler_is_redispatched_to_idle_worker(tmp_path, monkeypatch):
 
     monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", "slow")
-    backend = create_backend(
-        "remote",
-        workers=2,
-        options={"heartbeat_timeout_s": 30.0, "straggler_factor": 1.5},
-    )
+    monkeypatch.setattr(backends_mod, "STRAGGLER_FACTOR", 1.5)
+    backend = create_backend("remote", workers=2)
     records = backend.map_trials(items)
     assert (tmp_path / "chaos-fired").exists(), "slow chaos never armed"
     assert _canonical(records) == _canonical(expected)
@@ -279,15 +376,68 @@ def test_chaos_straggler_is_redispatched_to_idle_worker(tmp_path, monkeypatch):
 def test_chaos_crash_with_no_retry_budget_raises(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", "crash")
-    backend = create_backend(
-        "remote", workers=1, options={"max_retries": 0}
-    )
+    backend = create_backend("remote", workers=1, max_retries=0)
     with pytest.raises(ExperimentError, match="gave up"):
         backend.map_trials(_items(2))
 
 
+@pytest.mark.parametrize("mode", ["crash", "hang"])
+def test_chaos_own_pool_replaces_its_only_worker(tmp_path, monkeypatch, mode):
+    """A pool the backend spawned is a pool it repairs: with one worker and
+    one retry wave, losing that worker — dead, or hung past the heartbeat
+    deadline — costs a respawn, not the sweep."""
+    items = _items(4)
+    expected = create_backend("inline").map_trials(items)
+
+    monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(tmp_path))
+    monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", mode)
+    monkeypatch.setattr(backends_mod, "BACKOFF_BASE_S", 0.05)
+    backend = RemoteBackend(workers=1, max_retries=1, heartbeat_timeout_s=2.0)
+    spawned = []
+    spawn = worker_mod.spawn_local_workers
+
+    def counting_spawn(n, **kwargs):
+        pool = spawn(n, **kwargs)
+        spawned.extend(pool.procs)
+        return pool
+
+    monkeypatch.setattr(worker_mod, "spawn_local_workers", counting_spawn)
+    records = backend.map_trials(items)
+
+    assert (tmp_path / "chaos-fired").exists(), f"{mode} chaos never armed"
+    assert _canonical(records) == _canonical(expected)
+    stats = backend.last_fabric_stats
+    assert stats["retry_waves"] == 1 and stats["salvaged_records"] == 1
+    # The lost worker was replaced (and, if merely hung, killed): two
+    # processes were spawned over the sweep and none outlives it.
+    assert len(spawned) == 2
+    assert all(proc.poll() is not None for proc in spawned)
+
+
+def test_failed_respawn_leaves_no_live_workers():
+    """A hung own worker is killed for its replacement; if the respawn then
+    fails, it must not be offered as the tainted-but-alive fallback."""
+
+    class Answering:
+        def health(self, timeout_s=2.0):
+            return {"status": "ok"}
+
+    class BrokenPool:
+        def respawn(self, indices):
+            raise ExperimentError("worker exited with status 1 before listening")
+
+    state = [{"alive": True, "tainted": True, "busy_s": 0.0}]
+    backend = RemoteBackend(workers=1)
+    backend._probe_and_repair([Answering()], state, BrokenPool())
+    assert backend._available_workers(state) == []
+    # Given endpoints are not ours to kill: same state, no pool, still usable.
+    state = [{"alive": True, "tainted": True, "busy_s": 0.0}]
+    backend._probe_and_repair([Answering()], state, None)
+    assert backend._available_workers(state) == [0]
+
+
 # ----------------------------------------------------- config / runner wiring
-def test_config_threads_remote_options():
+def test_config_threads_remote_options(tmp_path):
     config = ExperimentConfig(
         scenarios=("smoke",),
         placers=("random",),
@@ -298,14 +448,22 @@ def test_config_threads_remote_options():
         heartbeat_timeout_s=12.0,
         max_retries=3,
         base_seed=11,
-        cache_dir="/tmp/shared-store",
+        cache_dir=str(tmp_path),
     )
-    options = config.backend_options
-    assert options["endpoints"] == ["http://a:1", "b:2"]
-    assert options["heartbeat_timeout_s"] == 12.0
-    assert options["max_retries"] == 3
-    assert options["backoff_seed"] == 11
-    assert options["store_root"] == "/tmp/shared-store"
+    backend = ExperimentRunner(config).make_backend()
+    assert isinstance(backend, RemoteBackend)
+    assert backend.workers == 2
+    assert backend.endpoints == ("http://a:1", "b:2")
+    assert backend.heartbeat_timeout_s == 12.0
+    assert backend.max_retries == 3
+    assert backend.backoff_seed == 11
+    assert backend.store_root == str(tmp_path)
+    # Unset, the heartbeat deadline is the backend's default, not None.
+    default = ExperimentRunner(
+        ExperimentConfig(scenarios=("smoke",), workers=2)
+    ).make_backend()
+    assert default.heartbeat_timeout_s == backends_mod.DEFAULT_HEARTBEAT_TIMEOUT_S
+    assert default.endpoints == () and default.store_root is None
 
 
 def test_config_rejects_remote_knobs_on_other_backends():
@@ -317,7 +475,7 @@ def test_config_rejects_remote_knobs_on_other_backends():
     with pytest.raises(ExperimentError):
         ExperimentConfig(
             scenarios=("smoke",), placers=("random",), trials=1,
-            backend="process", heartbeat_timeout_s=5.0,
+            backend="inline", heartbeat_timeout_s=5.0,
         )
     with pytest.raises(ExperimentError):
         ExperimentConfig(

@@ -434,8 +434,8 @@ def test_ilp_canonical_results_identical_across_backends():
         return ExperimentRunner(config).run().canonical_json_dict()
 
     inline = run("inline", 1)
-    pooled = run("subprocess-pool", 2)
-    assert json.dumps(inline, sort_keys=True) == json.dumps(pooled, sort_keys=True)
+    leased = run("remote", 2)
+    assert json.dumps(inline, sort_keys=True) == json.dumps(leased, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

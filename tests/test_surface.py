@@ -2,7 +2,8 @@
 
 Stands in for a linter: every module imports (without scipy), every exported
 name resolves, every command line answers ``--help`` — and the engine has no
-process-wide ``set_*`` switch for a measurement harness to flip.
+process-wide ``set_*`` switch for a measurement harness to flip, the sweep
+exactly two execution backends and one worker entry point.
 """
 
 import importlib
@@ -88,3 +89,35 @@ def test_bench_is_not_a_subcommand(main, capsys):
         main(["bench"])
     assert excinfo.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+# ------------------------------------------------------- execution backends
+def test_there_are_two_backends_and_one_worker_entry_point():
+    import repro.experiments.backends as backends
+
+    assert backends.backend_names() == ["inline", "remote"]
+    # ``python -m repro.experiments.backends`` was the second worker entry
+    # point (JSON file pair); the lease server in ``worker.py`` is the one left.
+    assert [name for name in vars(backends) if name.endswith("main")] == []
+    assert "__main__" not in inspect.getsource(backends)
+
+
+def test_a_deleted_backend_name_is_an_argparse_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        experiments_main(
+            ["run", "--scenario", "smoke", "--trials", "1", "--backend", "process"]
+        )
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'process'" in capsys.readouterr().err
+
+
+def test_importing_the_sweep_package_loads_no_http_stack():
+    """Only an opened lease needs ``http.client`` / ``http.server``: an
+    inline sweep (every benchmark workload) must not pay their import."""
+    done = _run_python(
+        "-c",
+        "import sys, repro.experiments\n"
+        "print(sorted(m for m in sys.modules if m.startswith('http.')))\n",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
