@@ -68,6 +68,12 @@ WORKER_SCHEMA = "repro.experiments/worker/v2"
 #: none.  (HTTP endpoints on localhost pools always carry explicit ports.)
 DEFAULT_WORKER_PORT = 7463
 
+#: Seconds a ``POST /lease`` has to deliver the body its ``Content-Length``
+#: announced.  Lease bodies are a few kilobytes sent in one piece; a length
+#: larger than the body would otherwise park the handler thread until the
+#: client hangs up.
+LEASE_BODY_DEADLINE_S = 10.0
+
 #: Environment variables of the worker chaos hook (test-only): when both
 #: are set, leases that win the marker-file race in
 #: ``REPRO_WORKER_CHAOS_DIR`` misbehave per ``REPRO_WORKER_CHAOS_MODE``
@@ -320,7 +326,7 @@ class _LeaseHandler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", "0"))
             if length < 0:  # rfile.read(-1) would wait for a close forever
                 raise ValueError(f"negative Content-Length {length}")
-            payload = json.loads(self.rfile.read(length))
+            payload = json.loads(self._read_body(length))
             if not isinstance(payload, dict):
                 raise ValueError("the body must be a JSON object")
             if payload.get("schema") != WORKER_SCHEMA:
@@ -333,6 +339,29 @@ class _LeaseHandler(BaseHTTPRequestHandler):
             self._reply(400, {"error": f"bad lease request: {exc}"})
             return
         self._stream_lease(lease_id, items)
+
+    def _read_body(self, length: int) -> bytes:
+        """``length`` bytes of request body; ``ValueError`` when they have
+        not all arrived :data:`LEASE_BODY_DEADLINE_S` from now.  The socket
+        is blocking again afterwards: lease streams legitimately run long."""
+        deadline = time.monotonic() + LEASE_BODY_DEADLINE_S
+        chunks: List[bytes] = []
+        try:
+            while length:
+                self.connection.settimeout(max(deadline - time.monotonic(), 1e-3))
+                chunk = self.rfile.read1(length)
+                if not chunk:
+                    break  # closed early: the JSON parse names what is left
+                chunks.append(chunk)
+                length -= len(chunk)
+        except TimeoutError:
+            raise ValueError(
+                f"{length} byte(s) of the announced Content-Length still "
+                f"missing after {LEASE_BODY_DEADLINE_S:g} s"
+            ) from None
+        finally:
+            self.connection.settimeout(None)
+        return b"".join(chunks)
 
     def _reply(self, status: int, payload: Dict[str, object]) -> None:
         body = json.dumps(payload).encode()

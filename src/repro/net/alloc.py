@@ -31,11 +31,12 @@ checks agreement within 1e-9 on randomized instances.
 
 Above a size threshold (``_VECTOR_MIN_FLOWS`` flows and
 ``_VECTOR_MIN_LINKS`` links) :meth:`solve`
-switches to an **array-backed water-filling path**: link capacities,
-remaining headroom, and unfrozen-member counts live in NumPy vectors
-indexed by the interned link slots, each flow's path is a cached int
-index array (the rows of a CSR-style flow×link incidence), and the
-per-round bottleneck search becomes one masked divide plus ``argmin``.
+switches to an **array-backed water-filling path**: remaining headroom
+and unfrozen-member counts live in NumPy vectors over the links in use
+(ascending by interned link slot; idle links never enter a round), each
+flow's path is a cached int index array (the rows of a CSR-style
+flow×link incidence), and the per-round bottleneck search becomes one
+masked divide plus ``argmin``.
 Because ``argmin`` breaks ties on the lowest index — exactly the
 ``(value, index)`` order of the scalar path's heaps — and the freeze
 step performs the same subtract-then-clamp in the same dtype and
@@ -43,7 +44,7 @@ per-link order, the vector path is bit-identical to the scalar path
 (and hence to the reference, with the caveat above).  Paths that repeat
 a link fall back to the scalar solver, which handles them exactly.
 
-Three further mechanisms keep event-loop re-solves cheap at scale:
+Four further mechanisms keep event-loop re-solves cheap at scale:
 
 * **Slot-rate output** — solves write per-slot rates into a flat float64
   vector; :meth:`solve_slots` hands that vector to array-based callers
@@ -55,20 +56,26 @@ Three further mechanisms keep event-loop re-solves cheap at scale:
   walks that graph outward from the edited links; when the affected
   closure is small (:func:`_partial_limit`: a minority of the flow set
   and at most 1 024 slots, up to where a restricted scalar solve at
-  1–3 µs per slot still beats a resumed full solve), only the closure is
-  re-solved and every other slot keeps its previous (bit-identical) rate.
+  ≈1.5 µs per slot still beats a full solve of disjoint components),
+  only the closure is re-solved and every other slot keeps its previous
+  (bit-identical) rate.
   A retirement in one rack of a tree topology therefore re-solves one
   rack, not the datacenter.  The walk gives up as soon as the links it
   has discovered prove the closure too big — on one giant component that
   is a rack or aggregation link a few steps from the edit.
 * **Resumable water-filling** — a full vector solve logs its rounds
-  (level, drained links, batch size, and per slot the round that froze
+  (level, drained links, drains, batch, and per slot the round that froze
   it).  Removing a flow leaves every round before the one that froze it
-  exactly as it was, so the next full vector solve replays those rounds
-  from the log — a sparse drain each, no bottleneck search — and computes
-  only the rest.  Flows an event retires tend to have frozen late, so
-  most rounds are replayed.  See :meth:`IncrementalAllocator._solve_vector`
-  for the exactness argument and what invalidates the log.
+  exactly as it was, so the next full vector solve applies those rounds'
+  drains from the log in one ordered scatter — no bottleneck search, no
+  Python iteration per round — and computes only the rest.
+* **Freeze-batch memo** — the rounds after that point get new *levels*,
+  but mostly freeze the *batches* they froze last time.  Per bottleneck
+  link the last batch and its link histogram are kept, and reused when an
+  exact O(batch) test says the batch is the same set of flows; removing a
+  flow drops the entries of the links it crossed.  See
+  :meth:`IncrementalAllocator._solve_vector` for why each reuse is exact
+  and what invalidates it.
 """
 
 from __future__ import annotations
@@ -112,8 +119,8 @@ _BATCH_MIN = 64
 def csr_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Flat indices of CSR rows ``[starts[i], starts[i] + lengths[i])``,
     laid end to end in row order."""
-    ends = np.cumsum(lengths)
-    gather = np.repeat(starts - (ends - lengths), lengths)
+    ends = lengths.cumsum()
+    gather = (starts - (ends - lengths)).repeat(lengths)
     gather += np.arange(int(ends[-1]) if ends.shape[0] else 0)
     return gather
 
@@ -139,10 +146,14 @@ def _partial_limit(n_flows: int) -> int:
 
     Two measurements set it (``benchmark/run.py`` workloads and disjoint
     rack-local full meshes, 2-core reference host).  *The cap:* a restricted
-    scalar solve costs 1–3 µs per closure slot, a resumed full vector solve
-    ≈0.6 ms at 2 100 live flows and ≈2.6 ms at 92 000, so beyond ≈1 000
-    slots the partial solve has lost even to the largest full solve.
-    *The share:* below the cap a closure that is a
+    scalar solve costs ≈1.5 µs per closure slot, walk included; a resumed
+    full vector solve ≈0.25 ms at 2 100 live flows and ≈1.3 ms at 92 000
+    (0.6 and 2.6 ms before the freeze-batch memo), which crosses it at
+    ≈170–870 slots.  But closures that size only occur where components
+    are disjoint, and there a full solve refills every component from
+    round 0: on 8 racks × 32 hosts (closure 992 of 7 936 flows) a cap of
+    512 costs 3.2 ms per event against 0.93, on 4 racks × 24 hosts 1.1–1.4×
+    more — so 1 024 stays.  *The share:* below the cap a closure that is a
     minority of the flow set still wins — on 4 racks × 24 hosts (closure
     552 of 2 208 flows) the fluid run takes 1.4 s with partial solves and
     3.5 s without, and ``n // 8`` in place of ``n // 2`` loses 4× on
@@ -183,9 +194,12 @@ class IncrementalAllocator:
             self._link_index[link_id] = len(self._link_ids)
             self._link_ids.append(link_id)
             self._capacity.append(float(cap))
-        # Capacity vector for the array-backed solve, built on first use so
-        # scalar-only allocators pay nothing.
+        # Capacity vector for the array-backed solve and its link → position
+        # table (the links in use, ascending, are positions 0..n-1 of a
+        # solve's working vectors), built on first use so scalar-only
+        # allocators pay nothing.
         self._capacity_np: Optional[np.ndarray] = None
+        self._link_pos: Optional[np.ndarray] = None
         # Flow slots: a free-list keeps slot indices dense under churn.
         self._flow_slot: Dict[str, int] = {}
         self._slot_name: List[str] = []
@@ -207,9 +221,10 @@ class IncrementalAllocator:
         # refcount of links in use, so solves touch only occupied links.
         self._members: List[Set[int]] = [set() for _ in self._link_ids]
         self._link_use: Dict[int, int] = {}
-        # Per-link member arrays for the vector solve, invalidated whenever
-        # the link's membership changes.
-        self._members_np: Dict[int, np.ndarray] = {}
+        # Per bottleneck link, the last batch the vector solve froze there
+        # and its link histogram ``(batch, idx, k)``; dropped whenever a flow
+        # crossing the link is removed (see _solve_vector).
+        self._batch_memo: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         # Slots of live capped flows, slots of live linkless flows, and each
         # slot's path length, so the vector solve can build its working sets
         # without a Python sweep over every registered flow.
@@ -240,16 +255,19 @@ class IncrementalAllocator:
         self._partial_slots = obs.Counter("repro.alloc.partial_slots")
         self._rounds = obs.Counter("repro.alloc.rounds")
         self._rounds_replayed = obs.Counter("repro.alloc.rounds_replayed")
+        self._rounds_memoised = obs.Counter("repro.alloc.rounds_memoised")
         # Round log of the last full vector solve, one entry per
         # water-filling round: its level, the links it drained as a sparse
-        # ``(idx, k)`` pair, and its batch size; ``_freeze_round[slot]`` is
-        # the round that froze the slot (``_NEVER`` if none did).  Rounds
-        # ``< _resume`` are the ones a from-scratch solve of the *current*
-        # flow set would repeat bit for bit, so the next vector solve
-        # replays them from the log instead of searching for them again;
-        # ``_resume == 0`` means "from scratch" and is how everything but a
-        # removal invalidates the log.
-        self._round_log: List[Tuple[float, np.ndarray, np.ndarray, int]] = []
+        # ``(idx, k)`` pair, the drain ``k*level``, and its batch size;
+        # ``_freeze_round[slot]`` is the round that froze the slot
+        # (``_NEVER`` if none did).  Rounds ``< _resume`` are the ones a
+        # from-scratch solve of the *current* flow set would repeat bit for
+        # bit, so the next vector solve replays them from the log instead
+        # of searching for them again; ``_resume == 0`` means "from
+        # scratch" and is how everything but a removal invalidates the log.
+        self._round_log: List[
+            Tuple[float, np.ndarray, np.ndarray, np.ndarray, int]
+        ] = []
         self._freeze_round = np.zeros(0, dtype=np.int64)
         self._resume = 0
 
@@ -341,7 +359,6 @@ class IncrementalAllocator:
         for index in unique:
             self._members[index].add(slot)
             self._link_use[index] = self._link_use.get(index, 0) + 1
-            self._members_np.pop(index, None)
         if self._have_rates:
             if unique:
                 self._dirty_links.update(unique)
@@ -486,7 +503,6 @@ class IncrementalAllocator:
             ):
                 self._members[link].update(slot_sorted[a:b])
                 link_use[link] = link_use.get(link, 0) + (b - a)
-                self._members_np.pop(link, None)
             if self._have_rates:
                 self._dirty_links.update(touched.tolist())
         if self._have_rates:
@@ -510,7 +526,7 @@ class IncrementalAllocator:
             self._dup_link_flows -= 1
         for index in self._slot_unique_links[slot]:
             self._members[index].discard(slot)
-            self._members_np.pop(index, None)
+            self._batch_memo.pop(index, None)
             left = self._link_use[index] - 1
             if left:
                 self._link_use[index] = left
@@ -568,7 +584,7 @@ class IncrementalAllocator:
                 touched.tolist(), group_start.tolist(), group_end.tolist()
             ):
                 self._members[link].difference_update(slot_sorted[a:b])
-                self._members_np.pop(link, None)
+                self._batch_memo.pop(link, None)
                 left = link_use[link] - (b - a)
                 if left:
                     link_use[link] = left
@@ -610,7 +626,7 @@ class IncrementalAllocator:
         for members in self._members:
             members.clear()
         self._link_use.clear()
-        self._members_np.clear()
+        self._batch_memo.clear()
         self._capped.clear()
         self._linkless.clear()
         self._slot_nlinks = np.zeros(0, dtype=np.int64)
@@ -679,8 +695,9 @@ class IncrementalAllocator:
     def solver_stats(self) -> Dict[str, int]:
         """Counters: full solves, partial solves, slots re-solved partially,
         and the water-filling rounds of the full vector solves — all of
-        them (``rounds``) and those replayed from the round log instead of
-        searched for again (``rounds_replayed``).
+        them (``rounds``), those replayed from the round log instead of
+        searched for again (``rounds_replayed``), and the searched ones whose
+        freeze batch came from the per-link memo (``rounds_memoised``).
 
         A thin view over this instance's :class:`repro.obs.Counter`
         instruments (the process-wide aggregate across allocators lives
@@ -692,6 +709,7 @@ class IncrementalAllocator:
             "partial_slots": self._partial_slots.count,
             "rounds": self._rounds.count,
             "rounds_replayed": self._rounds_replayed.count,
+            "rounds_memoised": self._rounds_memoised.count,
         }
 
     def _ensure_solved(self) -> None:
@@ -727,9 +745,11 @@ class IncrementalAllocator:
             ) as span:
                 if vectorised:
                     resumed_from = self._resume
-                    self._solve_vector()
+                    memoised = self._solve_vector()
                     span.set(
-                        rounds=len(self._round_log), resumed_from=resumed_from
+                        rounds=len(self._round_log),
+                        resumed_from=resumed_from,
+                        memoised=memoised,
                     )
                 else:
                     self._solve_scalar()
@@ -955,42 +975,64 @@ class IncrementalAllocator:
         start = self._row_start[slot]
         return self._row_data[start : start + self._slot_nlinks[slot]]
 
-    def _solve_vector(self) -> None:
-        """Array-backed water-filling over link capacity vectors.
+    def _solve_vector(self) -> int:
+        """Array-backed water-filling over the links in use; returns how
+        many rounds took their batch from the memo.
 
         Per round: one masked divide + ``argmin`` finds the bottleneck link
         (ties break on the lowest link index, matching the scalar heaps'
-        ``(share, index)`` order); the freeze batch's link rows are gathered
-        from the flat CSR buffer with one fancy index, histogrammed with
-        ``bincount``, and every touched link drained by the fused
-        ``remaining - k*level`` clamp — the identical expression the scalar
-        path evaluates per touched link, so the two paths stay bit-identical
-        without replaying per-occurrence subtracts.  Flow caps keep the
-        scalar path's lazy heap — caps are per-flow, so there is nothing to
-        vectorise across links.  Only called when no registered path repeats
-        a link.
+        ``(share, index)`` order); the freeze batch's link histogram
+        ``(idx, k)`` drains every touched link by the fused ``remaining -
+        k*level`` clamp — the identical expression the scalar path evaluates
+        per touched link, so the two paths stay bit-identical.  Flow caps
+        keep the scalar path's lazy heap.  Only called when no registered
+        path repeats a link.  A fill reuses three things the previous fill
+        computed, each exactly:
 
-        **The fill is resumable.**  Every round is logged (level, drained
-        links as sparse ``(idx, k)``, batch size; ``_freeze_round`` per
-        slot), and the loop below *replays* rounds ``< _resume`` from the
-        log — same drain expression, no bottleneck search, no gather —
-        before it computes the rest.  A from-scratch solve is ``_resume ==
-        0``.  Why the prefix is exact after removals: a flow frozen in round
-        ``k`` has, in every round ``j < k``, no link that is the bottleneck
-        (it would have frozen in ``j``) and is not the cap-heap winner;
-        taking it away only *raises* its links' shares (one member fewer,
-        same headroom), so round ``j``'s ``argmin`` and its lowest-index
-        tie-break, the cap-vs-share comparison, the batch and the drain are
-        all unchanged.  Only ``counts`` on its links differ, and those are
-        rebuilt from ``_link_use``.  :meth:`remove_flow` therefore lowers
-        ``_resume`` to the removed flow's freeze round; everything else
-        (an add, a partial or scalar solve in between, :meth:`clear`) sets
-        it to 0.  The log holds each flow×link incidence at most once —
-        the round that froze the flow — so it is O(incidences), never
-        rounds × links.
+        **The log prefix.**  Every round is logged (level, ``idx``, ``k``,
+        the product ``k*level``, the batch; ``_freeze_round`` per slot).
+        Rounds ``< _resume`` survive removals: a flow frozen in round ``r``
+        has, in every round ``j < r``, no link that is the bottleneck and is
+        not the cap-heap winner; taking it away only *raises* its links'
+        shares, so round ``j``'s ``argmin`` and tie-break, the cap-vs-share
+        comparison, the batch and the drain are unchanged.  Only ``counts``
+        on its links differ, and those are rebuilt from ``_link_use``.
+        :meth:`remove_flow` therefore lowers ``_resume`` to the removed
+        flow's freeze round; everything else (an add, a partial or scalar
+        solve in between, :meth:`clear`) sets it to 0.  The prefix is
+        applied *in one pass* before the loop: links are independent, so
+        only each link's own drain order matters, and ``np.subtract.at``
+        applies the logged ``k*level`` products unbuffered, in log order.
+        The clamp is deferred to one ``maximum`` at the end — a link whose
+        running value goes ``<= 0`` stays ``<= 0`` under further positive
+        drains, where the per-round clamp would have held it at 0, so both
+        end at ``0.0``; ``inf - k*level`` stays ``inf``.
+
+        **The batches.**  ``_batch_memo[b]`` is the last batch bottleneck
+        link ``b`` froze and its histogram.  It is dropped whenever a flow
+        crossing ``b`` is removed, so while it exists every slot in it
+        holds the flow it held, with the row it had: stored batch ⊆
+        members(``b``).  ``counts[b]`` is the number of unfrozen members of
+        ``b``; if it equals the stored batch's size and no stored slot is
+        frozen, the unfrozen members *are* the stored batch, and ``(idx,
+        k)`` — a function of the batch's rows — is unchanged.  An add cannot
+        stale an entry (a new unfrozen member changes the count; one frozen
+        earlier leaves the batch the stored one).  Removal must: the freed
+        slot can come back with a different row on the same link, and then
+        count and ``_freeze_round`` look right while the histogram is the
+        old flow's.  Entries are copies, never views of ``_row_data``.
+
+        **Nothing for idle links.**  ``remaining`` / ``counts`` / ``shares``
+        cover the links in use only, ascending by link index (``argmin``'s
+        tie-break is unchanged; a link with no live flow never enters a
+        round); ``_link_pos`` translates logged and memoised ``idx``.
+
+        The log holds each flow×link incidence at most once — the round
+        that froze the flow — and so does the memo: O(incidences).
         """
         if self._capacity_np is None:
             self._capacity_np = np.asarray(self._capacity, dtype=np.float64)
+            self._link_pos = np.zeros(len(self._capacity), dtype=np.intp)
 
         slot_rate = self._slot_rate
         for slot in self._linkless:
@@ -998,28 +1040,38 @@ class IncrementalAllocator:
             cap = self._slot_cap[slot]
             slot_rate[slot] = math.inf if cap is None else cap
 
-        n_links = len(self._capacity)
-        counts = np.zeros(n_links, dtype=np.int64)
+        # (Counts are float64 — exact far beyond any flow count — so the
+        # per-round divide and drains run on one dtype, without a cast.)
         n_used = len(self._link_use)
-        if n_used:
-            used = np.fromiter(
-                self._link_use.keys(), dtype=np.intp, count=n_used
-            )
-            counts[used] = np.fromiter(
-                self._link_use.values(), dtype=np.int64, count=n_used
-            )
-        remaining = self._capacity_np.copy()
-        shares = np.empty(n_links, dtype=np.float64)
-        active = np.empty(n_links, dtype=bool)
+        used = np.fromiter(self._link_use.keys(), dtype=np.intp, count=n_used)
+        counts = np.fromiter(self._link_use.values(), dtype=np.float64, count=n_used)
+        order = used.argsort()
+        used = used[order]
+        counts = counts[order]
+        pos = self._link_pos
+        pos[used] = np.arange(n_used)
+        remaining = self._capacity_np[used]
+        shares = np.empty(n_used, dtype=np.float64)
+        active = np.empty(n_used, dtype=bool)
 
-        # Slots the replayed rounds froze keep their rate and stay frozen;
-        # every other slot forgets the round that froze it last time.
+        # Slots the surviving rounds froze keep their rate and their round;
+        # every other slot is unfrozen, ``_freeze_round[slot] == _NEVER``:
+        # a slot with a freeze round is in that round's logged batch, so
+        # un-freezing the discarded rounds' batches reaches all of them.
         log = self._round_log
         mark = self._resume
-        del log[mark:]
-        freeze_round = self._freeze_round[: len(self._slot_name)]
-        frozen = freeze_round < mark
-        freeze_round[~frozen] = _NEVER
+        freeze_round = self._freeze_round
+        if len(log) > mark:
+            freeze_round[np.concatenate([r[4] for r in log[mark:]])] = _NEVER
+            del log[mark:]
+        n_left = len(self._flow_slot) - len(self._linkless)
+        if mark:
+            _, idxs, ks, drains, batches = zip(*log)
+            at = pos[np.concatenate(idxs)]
+            np.subtract.at(remaining, at, np.concatenate(drains))
+            np.maximum(remaining, 0.0, out=remaining)
+            np.subtract.at(counts, at, np.concatenate(ks))
+            n_left -= sum(map(len, batches))
         # Frozen slots at the top of the heap are popped lazily below, so
         # the heap is built from every routed capped slot, as from scratch.
         cap_heap: List[Tuple[float, int]] = [
@@ -1030,83 +1082,87 @@ class IncrementalAllocator:
         heapq.heapify(cap_heap)
 
         inf = math.inf
-        n_left = len(self._flow_slot) - len(self._linkless)
-        rnd = 0
+        zero = np.zeros(())  # (a Python scalar operand is converted per call)
+        memo = self._batch_memo
+        memoised = 0
         while n_left:
-            if rnd < mark:
-                level, idx, k, n_batch = log[rnd]
-            else:
-                # Bottleneck search: equal share of every link still
-                # carrying unfrozen flows, in one vector divide; links with
-                # no unfrozen members are masked to +inf.
-                np.greater(counts, 0, out=active)
-                shares.fill(inf)
-                np.divide(remaining, counts, out=shares, where=active)
-                bottleneck_link = int(np.argmin(shares))
-                bottleneck_share = float(shares[bottleneck_link])
+            # Bottleneck search: equal share of every link still carrying
+            # unfrozen flows, in one vector divide; links with no unfrozen
+            # members are masked to +inf.
+            np.greater(counts, zero, out=active)
+            shares.fill(inf)
+            np.divide(remaining, counts, out=shares, where=active)
+            bottleneck = int(shares.argmin())
+            bottleneck_share = shares.item(bottleneck)
 
-                while cap_heap and frozen[cap_heap[0][1]]:
-                    heapq.heappop(cap_heap)
+            while cap_heap and freeze_round[cap_heap[0][1]] != _NEVER:
+                heapq.heappop(cap_heap)
 
-                if cap_heap and cap_heap[0][0] <= bottleneck_share:
-                    # A flow hits its own cap before any link saturates.
-                    level, capped_slot = heapq.heappop(cap_heap)
-                    batch = np.array([capped_slot], dtype=np.intp)
-                elif bottleneck_share < inf:
-                    level = bottleneck_share
-                    mem = self._members_np.get(bottleneck_link)
-                    if mem is None:
-                        ms = self._members[bottleneck_link]
-                        mem = np.fromiter(ms, dtype=np.intp, count=len(ms))
-                        self._members_np[bottleneck_link] = mem
-                    batch = mem[~frozen[mem]]
+            if cap_heap and cap_heap[0][0] <= bottleneck_share:
+                # A flow hits its own cap before any link saturates.
+                level, slot = heapq.heappop(cap_heap)
+                batch = np.array([slot], dtype=np.intp)
+                idx = self._slot_row(slot).copy()
+                k = np.ones(idx.shape[0], dtype=np.float64)
+            elif bottleneck_share < inf:
+                level = bottleneck_share
+                link = int(used[bottleneck])
+                entry = memo.get(link)
+                if (
+                    entry is not None
+                    and counts.item(bottleneck) == entry[0].shape[0]
+                    and freeze_round[entry[0]].min() == _NEVER
+                ):
+                    batch, idx, k = entry
+                    memoised += 1
                 else:
-                    # Unfrozen flows remain but nothing constrains them
-                    # (rare: every remaining link has infinite headroom),
-                    # so a Python sweep over the registry is fine here.
-                    nlinks = self._slot_nlinks
-                    for slot in self._flow_slot.values():
-                        if nlinks[slot] and not frozen[slot]:
-                            slot_rate[slot] = inf
-                    break
-
-                n_batch = int(batch.shape[0])
-                frozen[batch] = True
-                slot_rate[batch] = level
-                freeze_round[batch] = rnd
-                if n_batch == 1:
-                    # The flow's own row, as a copy: the log must survive
-                    # row-buffer compaction.
-                    idx = self._slot_row(batch[0]).copy()
-                    k = np.ones(idx.shape[0], dtype=np.int64)
-                else:
+                    members = self._members[link]
+                    batch = np.fromiter(members, dtype=np.intp, count=len(members))
+                    batch = batch[freeze_round[batch] == _NEVER]
+                    if not batch.shape[0]:
+                        # (would loop forever: the round freezes nothing)
+                        raise SimulationError(
+                            f"link {self._link_ids[link]!r} counts an "
+                            "unfrozen flow its membership does not hold"
+                        )
                     # Gather the batch's link rows from the flat CSR buffer
-                    # in one fancy index (no per-slot Python loop) and
-                    # histogram them into the links this round drains.
-                    lens = self._slot_nlinks[batch]
-                    ends = np.cumsum(lens)
-                    gather = np.repeat(
-                        self._row_start[batch] - (ends - lens), lens
-                    )
-                    gather += np.arange(int(ends[-1]))
-                    occ = np.bincount(self._row_data[gather], minlength=n_links)
+                    # and histogram them over the links in use.
+                    rows = self._row_data[
+                        csr_gather(self._row_start[batch], self._slot_nlinks[batch])
+                    ]
+                    occ = np.bincount(pos[rows], minlength=n_used)
                     # (nonzero of a bool mask is twice as fast as of int64)
-                    idx = (occ > 0).nonzero()[0]
-                    k = occ[idx]
-                log.append((level, idx, k, n_batch))
+                    hit = (occ > 0).nonzero()[0]
+                    idx = used[hit]
+                    k = occ[hit].astype(np.float64)
+                    memo[link] = batch, idx, k
+            else:
+                # Unfrozen flows remain but nothing constrains them
+                # (rare: every remaining link has infinite headroom),
+                # so a Python sweep over the registry is fine here.
+                nlinks = self._slot_nlinks
+                for slot in self._flow_slot.values():
+                    if nlinks[slot] and freeze_round[slot] == _NEVER:
+                        slot_rate[slot] = inf
+                break
 
             # Drain the round's links with the fused ``remaining - k*level``
-            # clamp the scalar path computes — one expression for replayed
-            # and computed rounds alike.  Links outside ``idx`` would see
-            # ``remaining - 0*level``, which is exact, so the sparse drain
-            # equals a drain over the full link vector.
-            n_left -= n_batch
-            counts[idx] -= k
-            segment = remaining[idx] - k * level
-            np.maximum(segment, 0.0, out=segment)
-            remaining[idx] = segment
-            rnd += 1
+            # clamp the scalar path computes.  Links outside ``idx`` would
+            # see ``remaining - 0*level``, which is exact, so the sparse
+            # drain equals a drain over the full link vector.
+            slot_rate[batch] = level
+            freeze_round[batch] = len(log)
+            drain = k * level
+            log.append((level, idx, k, drain, batch))
+            n_left -= batch.shape[0]
+            at = pos[idx]
+            counts[at] -= k
+            segment = remaining[at] - drain
+            np.maximum(segment, zero, out=segment)
+            remaining[at] = segment
 
         self._rounds.inc(len(log))
         self._rounds_replayed.inc(mark)
+        self._rounds_memoised.inc(memoised)
         self._resume = len(log)
+        return memoised

@@ -4,8 +4,11 @@ One long-lived ``mode="vector"`` allocator is driven through random edit
 sequences; after every edit its rates must equal — exactly — what a fresh
 allocator computes from scratch for the same flow set, on the vector path
 and on the scalar path, agree with the reference within 1e-9, and pass the
-max-min certificate.  The counters must show the resume happening where it
-has to and not happening after an add.
+max-min certificate.  Every vector fill is also held — slot rates and
+per-round levels, ``==`` — to the fill of the commit before the freeze-batch
+memo, the compact link state and the one-pass replay
+(``tests/oracles/parent_fill.py``).  The counters must show the resume and
+the memo working where they have to, and no replay after an add.
 """
 
 import math
@@ -13,7 +16,8 @@ import random
 
 import pytest
 
-from repro.net.alloc import IncrementalAllocator, _partial_limit
+from oracles.parent_fill import ParentFill
+from repro.net.alloc import _BATCH_MIN, IncrementalAllocator, _partial_limit
 from repro.net.fairness import FlowDemand, max_min_allocation, max_min_violations
 from repro.net.topology import TreeSpec, build_multi_rooted_tree
 
@@ -98,16 +102,19 @@ def _check(live, slot_of, caps, active, context):
 
 
 class _Driver:
-    """One live allocator, the flow set it should hold, and stats deltas."""
+    """One live allocator, the flow set it should hold, the parent commit's
+    fill shadowing it, and stats deltas."""
 
     def __init__(self, caps, demands):
         self.caps = caps
         self.live = IncrementalAllocator(caps, mode="vector")
+        self.parent_fill = ParentFill()
         self.active = {}
         self.slot_of = {}
         self.stats = self.live.solver_stats()
         self.last_was_full = False
         self.rates = {}
+        self.levels = []
         self.add(demands)
         self.settle("initial")
 
@@ -115,10 +122,16 @@ class _Driver:
         for fid, demand in demands.items():
             self.slot_of[fid] = self.live.add_demand(fid, demand)
             self.active[fid] = demand
+        self.parent_fill.added()
 
-    def remove(self, fids):
+    def remove(self, fids, batched=False):
+        self.parent_fill.removed(self.slot_of[fid] for fid in fids)
+        if batched:
+            self.live.remove_flows(list(fids))
+        else:
+            for fid in fids:
+                self.live.remove_flow(fid)
         for fid in fids:
-            self.live.remove_flow(fid)
             del self.active[fid], self.slot_of[fid]
 
     def settle(self, context):
@@ -128,6 +141,15 @@ class _Driver:
         delta = {key: stats[key] - self.stats[key] for key in stats}
         self.stats = stats
         self.last_was_full = delta["full_solves"] == 1
+        if self.live.uses_vector_path():
+            # The parent's fill runs from its own log and mark every time;
+            # the live log is whole only after a full solve.
+            rates, self.levels = self.parent_fill.fill(self.live)
+            got = {fid: float(rates[slot]) for fid, slot in self.slot_of.items()}
+            assert got == self.rates, context
+            if self.last_was_full:
+                live_levels = [entry[0] for entry in self.live._round_log]
+                assert live_levels == self.levels, context
         return delta
 
     def froze_after_round_zero(self, fids):
@@ -143,7 +165,7 @@ class _Driver:
 @pytest.mark.parametrize("make_instance", [_tree_instance, _mesh_instance])
 def test_random_edit_sequences_stay_bit_identical(make_instance):
     rng = random.Random(0x5E50)
-    resumed = partial = after_add = 0
+    resumed = partial = after_add = memoised = 0
     for trial in range(6):
         caps, demands = make_instance(rng)
         names = sorted(demands)
@@ -181,8 +203,10 @@ def test_random_edit_sequences_stay_bit_identical(make_instance):
             if delta["full_solves"] and was_full and late:
                 assert delta["rounds_replayed"] > 0, context
                 resumed += 1
-    # The sequences must have exercised each regime, not just passed it by.
-    assert resumed >= 20 and after_add >= 5
+                memoised += delta["rounds_memoised"]
+    # The sequences must have exercised each regime, not just passed it by
+    # (the memo over all resumed solves: one alone may search no round).
+    assert resumed >= 20 and after_add >= 5 and memoised >= resumed
     if make_instance is _mesh_instance:
         assert partial >= 1
 
@@ -267,6 +291,110 @@ def test_capped_linkless_and_unconstrained_flows_resume_exactly():
     driver.remove(["mid_cap"])
     delta = driver.settle("remove mid_cap")
     assert 0 < delta["rounds_replayed"] < delta["rounds"]
+
+
+def _memo_hazard_instance():
+    """A giant component in which tight link ``b`` freezes the batch
+    {F, H1, H2} — slots 0, 1, 2 — and F alone also crosses ``x``."""
+    caps, filler = _giant_component(n_flows=200)
+    caps.update({"b": 3.0, "x": 10.0, "y": 10.0})
+    demands = {
+        "F": FlowDemand(links=("wide", "b", "x")),
+        "H1": FlowDemand(links=("wide", "b")),
+        "H2": FlowDemand(links=("wide", "b")),
+    }
+    demands.update({f"x{i}": FlowDemand(links=("wide", "x")) for i in range(5)})
+    demands.update({f"y{i}": FlowDemand(links=("wide", "y")) for i in range(5)})
+    demands.update(filler)
+    return caps, demands
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_freed_slot_reused_on_the_same_bottleneck_link(batched):
+    """The memo's one hazard: F leaves b's freeze batch and G, with another
+    row across b, takes its slot — b's member count and every stored slot's
+    frozen state look as they did, only the histogram is F's.  Removal must
+    have dropped the entry, through ``remove_flow`` and ``remove_flows``."""
+    caps, demands = _memo_hazard_instance()
+    driver = _Driver(caps, demands)
+    slot = driver.slot_of["F"]
+    frozen_in = driver.live._freeze_round
+    assert frozen_in[slot] == frozen_in[driver.slot_of["H1"]] != 0
+    assert driver.rates["F"] == 1.0 and driver.rates["x0"] == 1.8
+    # Batched, F goes last: the free list hands its slot out first.
+    gone = [f"f{i}" for i in range(_BATCH_MIN)] * batched + ["F"]
+    driver.remove(gone, batched=batched)
+    driver.add({"G": FlowDemand(links=("wide", "b", "y"))})
+    assert driver.slot_of["G"] == slot
+    delta = driver.settle("slot reused")
+    assert delta["full_solves"] == 1 and delta["rounds_replayed"] == 0
+    assert driver.rates["G"] == 1.0
+    assert driver.rates["x0"] == 2.0 and driver.rates["y0"] == 1.8
+    # The fill did use the memo — for the links F never crossed.
+    assert delta["rounds_memoised"] > 0
+
+
+def test_clear_forgets_the_memo():
+    caps, demands = _memo_hazard_instance()
+    driver = _Driver(caps, demands)
+    driver.live.clear()
+    driver.active.clear()
+    driver.slot_of.clear()
+    # Fewer flows, and other rows in the slots b's stored batch named.
+    fewer = {"G": FlowDemand(links=("wide", "b", "y"))}
+    fewer.update({fid: demands[fid] for fid in list(demands)[1:90]})
+    driver.add(fewer)
+    delta = driver.settle("after clear")
+    assert delta["rounds_memoised"] == 0 and delta["rounds_replayed"] == 0
+    assert driver.rates["x0"] == 2.0 and driver.rates["y0"] == 1.8
+
+
+def test_replay_corner_cases_match_the_parent_fill():
+    """Rounds the random instances reach only by luck, inside a replayed
+    prefix: zero-capacity links (a link at exactly 0.0 touched again by a
+    later round), two links with equal shares sharing a flow (both drained
+    to exactly 0.0, the second over two rounds), an infinite link drained
+    by a zero and by a positive level, and cap-frozen single-flow rounds
+    on both sides of the resume mark.  ``_Driver.settle`` holds every fill
+    to the parent's: slot rates and per-round levels."""
+    caps, demands = _giant_component(n_flows=150)
+    caps.update(
+        {"wide": 1e6, "z1": 0.0, "z2": 0.0, "t1": 8.0, "t2": 8.0,
+         "open": math.inf, "last": 50.0}
+    )
+    demands.update(
+        {
+            "za": FlowDemand(links=("wide", "z1", "z2", "open")),
+            "zb": FlowDemand(links=("wide", "z1")),
+            "zc": FlowDemand(links=("wide", "z2")),
+            "open_l0": FlowDemand(links=("wide", "l0", "open")),
+            "tb": FlowDemand(links=("wide", "t1", "t2")),
+            "low_cap": FlowDemand(links=("wide", "l5"), max_rate=1e-3),
+            "high_cap": FlowDemand(links=("wide", "last"), max_rate=10.0),
+            "last1": FlowDemand(links=("wide", "last")),
+            "last2": FlowDemand(links=("wide", "last")),
+        }
+    )
+    demands.update({f"ta{i}": FlowDemand(links=("wide", "t1")) for i in range(3)})
+    demands.update({f"tc{i}": FlowDemand(links=("wide", "t2")) for i in range(3)})
+    driver = _Driver(caps, demands)
+    rounds = driver.stats["rounds"]
+    assert driver.levels[:3] == [0.0, 0.0, 1e-3]  # z1, then z2 again, the cap
+    assert driver.levels[-4:] == [2.0, 2.0, 10.0, 20.0]  # t1, t2, cap, last
+    assert driver.rates["za"] == driver.rates["zc"] == 0.0
+    assert driver.rates["tb"] == driver.rates["tc0"] == 2.0
+    assert driver.rates["high_cap"] == 10.0 and driver.rates["last1"] == 20.0
+    # Mid-fill mark: t1's round (drained to 0.0, t2 touched) is replayed;
+    # t2's own round, high_cap's cap round and the last round are searched.
+    driver.remove(["tc0"])
+    delta = driver.settle("remove tc0")
+    assert delta["full_solves"] == 1 and delta["rounds_replayed"] == rounds - 3
+    assert driver.levels[-4:] == [2.0, 3.0, 10.0, 20.0]
+    # Mark at the last round: everything before it is replayed, caps included.
+    driver.remove(["last1"])
+    delta = driver.settle("remove last1")
+    assert delta["rounds_replayed"] == rounds - 1
+    assert driver.levels[-1] == 40.0 and driver.rates["last2"] == 40.0
 
 
 def test_partial_and_scalar_solves_in_between_invalidate_the_log():

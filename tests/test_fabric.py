@@ -177,15 +177,19 @@ def test_worker_health_and_lease_roundtrip():
         (b"[]", {}, b"JSON object"),  # valid JSON, not an object
         (b"", {"Content-Length": "-1"}, b"Content-Length"),  # read(-1) would park
         (b"", {"Content-Length": "abc"}, b"bad lease"),
+        # 1 000 bytes announced, 10 sent, connection held open: the read of
+        # the body must give up by itself, well inside the client's 5 s.
+        (b'{"schema":', {"Content-Length": "1000"}, b"990 byte(s)"),
     ],
     ids=["wrong-schema", "items-not-a-list", "body-not-an-object",
-         "negative-length", "garbled-length"],
+         "negative-length", "garbled-length", "length-beyond-the-body"],
 )
-def test_worker_refuses_wrong_schema_lease(body, headers, complaint):
+def test_worker_refuses_wrong_schema_lease(body, headers, complaint, monkeypatch):
     """A hostile ``POST /lease`` gets a 400 naming the problem — never a
     dropped connection or a parked handler thread — and the worker serves on."""
     import http.client
 
+    monkeypatch.setattr(worker_mod, "LEASE_BODY_DEADLINE_S", 0.5)
     with _worker_on_a_thread() as (host, port):
         conn = http.client.HTTPConnection(host, port, timeout=5)
         try:

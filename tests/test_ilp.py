@@ -270,9 +270,12 @@ def test_budget_expiry_returns_best_found_within_the_limit():
     assert (len(app.tasks), len(cluster.machines)) == (40, 32)
 
     placer = OptimalPlacer(time_limit_s=0.2)
-    started = time.perf_counter()
+    # CPU time, not wall clock: the 0.2 s deadline is wall time, so on a busy
+    # host the search gets fewer nodes, never more work — while the wall
+    # clock around greedy + search + re-scoring stretches with the host.
+    started = time.process_time()
     placement = placer.place(app, cluster, profile)  # validated inside
-    assert time.perf_counter() - started < 1.0
+    assert time.process_time() - started < 1.0
     stats = placer.last_solve_stats
     assert stats["status"] == 1 and stats["mip_gap"] is None
     assert stats["mip_nodes"] >= ilp._CLOCK_EVERY
