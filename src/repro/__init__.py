@@ -32,7 +32,6 @@ _EXPORTS = {
     "PlacerSpec": ("repro.experiments.placers", "PlacerSpec"),
     # Measured network view and placement algorithms.
     "NetworkProfile": ("repro.core.network_profile", "NetworkProfile"),
-    "MatrixNetworkProfile": ("repro.core.network_profile", "MatrixNetworkProfile"),
     "GreedyPlacer": ("repro.core.placement.greedy", "GreedyPlacer"),
     "Placement": ("repro.core.placement.base", "Placement"),
     "ClusterState": ("repro.core.placement.base", "ClusterState"),
@@ -70,10 +69,7 @@ def __dir__():
 
 
 if TYPE_CHECKING:  # pragma: no cover — static-analysis view of the lazy names
-    from repro.core.network_profile import (  # noqa: F401
-        MatrixNetworkProfile,
-        NetworkProfile,
-    )
+    from repro.core.network_profile import NetworkProfile  # noqa: F401
     from repro.core.placement.base import ClusterState, Placement  # noqa: F401
     from repro.core.placement.greedy import GreedyPlacer  # noqa: F401
     from repro.experiments.placers import (  # noqa: F401

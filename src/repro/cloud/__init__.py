@@ -19,7 +19,6 @@ from repro.cloud.registry import make_provider, provider_names, register_provide
 from repro.cloud.ec2 import EC2Provider, ec2_params
 from repro.cloud.ec2_legacy import EC2LegacyProvider, ec2_legacy_params, EC2_LEGACY_ZONES
 from repro.cloud.rackspace import RackspaceProvider, rackspace_params
-from repro.cloud.netperf import netperf_mesh, NetperfResult
 
 __all__ = [
     "InstanceType",
@@ -34,8 +33,6 @@ __all__ = [
     "EC2_LEGACY_ZONES",
     "RackspaceProvider",
     "rackspace_params",
-    "netperf_mesh",
-    "NetperfResult",
     "make_provider",
     "provider_names",
     "register_provider",

@@ -18,7 +18,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.measurement.cross_traffic import estimate_cross_traffic
 from repro.core.measurement.packet_train import (
     estimate_throughput,
     estimate_throughputs,
@@ -284,34 +283,46 @@ class NetworkMeasurer:
                 "netperf" if self.plan.method == "netperf"
                 else self.provider.train_replay_blocker()
             )
-            estimates = None
+            probed = None
             if reason is None:
-                estimates = self._probe_all(scheduled, background, retry)
-                if estimates is None:
+                probed = self._probe_all(scheduled, background, retry)
+                if probed is None:
                     reason = "replay aborted"
-            if estimates is None:
-                estimates = self._probe_each(scheduled, background, retry)
+            if probed is None:
+                probed = self._probe_each(scheduled, background, retry)
             if reason is None:
                 campaign.set(path="array")
             else:
                 campaign.set(path="per-probe", reason=reason)
             campaign.set(retries=retry.retries, degraded=len(retry.degraded))
 
-        rates: Dict[Tuple[str, str], float] = {}
-        cross: Dict[Tuple[str, str], float] = {}
-        pair_times: Dict[Tuple[str, str], float] = {}
-        advertised = self.provider.params.instance_type.advertised_egress_bps
-        estimate = iter(estimates)
-        for round_index, batch in enumerate(rounds):
-            probed_at = started_at + round_index * round_time
-            for pair in batch:
-                rate = next(estimate)
-                if rate is None:
-                    continue
-                rates[pair] = max(rate, 1.0)
-                pair_times[pair] = probed_at
-                if self.plan.estimate_cross_traffic and rate > 0:
-                    cross[pair] = estimate_cross_traffic(rate, max(advertised, rate))
+        # One scatter per field, into ``names`` x ``names`` row-major order.
+        # A pair whose retries ran out is dropped by ``measured``, not by a
+        # NaN estimate: a NaN that did get through keeps its probe time, and
+        # the profile rejects a probe time without a rate.
+        estimates, measured = probed
+        n = len(names)
+        index = {vm: i for i, vm in enumerate(names)}
+        at = np.array(
+            [index[src] * n + index[dst] for src, dst in scheduled], dtype=np.intp
+        )[measured]
+        round_index = np.repeat(np.arange(len(rounds)), [len(b) for b in rounds])
+        rates = np.full((n, n), np.nan)
+        np.put(rates, at, np.maximum(estimates, 1.0))
+        pair_times = np.full((n, n), np.nan)
+        np.put(pair_times, at, started_at + round_index[measured] * round_time)
+        cross = None
+        if self.plan.estimate_cross_traffic:
+            advertised = self.provider.params.instance_type.advertised_egress_bps
+            positive = estimates > 0
+            rate = estimates[positive]
+            cross = np.full((n, n), np.nan)
+            # estimate_cross_traffic(rate, max(advertised, rate)), elementwise.
+            np.put(
+                cross,
+                at[positive],
+                np.maximum(np.maximum(advertised, rate) / rate - 1.0, 0.0),
+            )
 
         _CAMPAIGNS.inc()
         _PROBES.inc(len(scheduled))
@@ -336,30 +347,34 @@ class NetworkMeasurer:
         scheduled: Sequence[Tuple[str, str]],
         background: Sequence[VMFlow],
         retry: "_RetryLedger",
-    ) -> List[Optional[float]]:
-        """Probe the schedule pair by pair: each pair's estimate, ``None``
-        for a pair whose retries ran out."""
-        estimates: List[Optional[float]] = []
-        for pair in scheduled:
-            rate = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Probe the schedule pair by pair.
+
+        Returns the estimates of the pairs that got one, in schedule order,
+        and the mask over the schedule of which pairs those are (``False`` =
+        the pair's retries ran out).
+        """
+        estimates: List[float] = []
+        measured = np.zeros(len(scheduled), dtype=bool)
+        for position, pair in enumerate(scheduled):
             attempt = 0
             while True:
                 try:
-                    rate = self.measure_pair(*pair, background=background)
+                    estimates.append(self.measure_pair(*pair, background=background))
+                    measured[position] = True
                     break
                 except MeasurementError as exc:
                     if not retry.failed(pair, attempt, f"{exc}"):
                         break
                     attempt += 1
-            estimates.append(rate)
-        return estimates
+        return np.array(estimates, dtype=np.float64), measured
 
     def _probe_all(
         self,
         scheduled: Sequence[Tuple[str, str]],
         background: Sequence[VMFlow],
         retry: "_RetryLedger",
-    ) -> Optional[List[Optional[float]]]:
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """:meth:`_probe_each` as one array program over the schedule.
 
         The clock stands still during a campaign, so a probe an injected
@@ -381,11 +396,10 @@ class NetworkMeasurer:
             # is retried with fresh ones.
             batch.rewind()
             return None
-        estimates: List[Optional[float]] = [None] * len(scheduled)
-        for position, rate in zip(batch.sent, rates.tolist()):
-            estimates[position] = rate
+        measured = np.zeros(len(scheduled), dtype=bool)
+        measured[batch.sent] = True  # ``sent`` ascends: ``rates`` is in order
         for position, error in batch.lost.items():
             attempt = 0
             while retry.failed(scheduled[position], attempt, error):
                 attempt += 1
-        return estimates
+        return rates, measured

@@ -125,14 +125,7 @@ class EffectiveRateMatrix:
         self._intra = profile.intra_vm_rate_bps
         #: The profile's single-connection rates, in ``machines`` order.
         self.single = single = profile.rate_matrix(machines)
-        cross = np.zeros(single.shape)
-        if profile.cross_traffic:
-            index = {machine: i for i, machine in enumerate(machines)}
-            for (src, dst), estimate in profile.cross_traffic.items():
-                i, j = index.get(src), index.get(dst)
-                if i is not None and j is not None and i != j:
-                    cross[i, j] = estimate
-        self._base = cross + 1.0
+        self._base = profile.cross_matrix(machines) + 1.0
         self._numerator = single * self._base
         n = len(machines)
         self._placed = np.zeros(n if model == "hose" else (n, n))

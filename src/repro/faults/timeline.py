@@ -309,8 +309,13 @@ class FaultTimeline:
             raise FaultError(
                 f"{source} is not a fault timeline file (schema {_SCHEMA})"
             )
+        records = payload.get("events", [])
+        if not isinstance(records, list):
+            raise FaultError(
+                f"malformed fault timeline {source}: 'events' must be a list"
+            )
         events: List[FaultEvent] = []
-        for i, record in enumerate(payload.get("events", [])):
+        for i, record in enumerate(records):
             try:
                 kind = record["kind"]
                 if kind == "vm-preemption":

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import SimulationError
 
@@ -187,15 +187,3 @@ def max_min_violations(
                 f"cap, and on no saturated link where it is the fastest)"
             )
     return problems
-
-
-def bottleneck_rate(
-    links: Sequence[str], capacities: Mapping[str, float]
-) -> float:
-    """Capacity of the slowest link on a path (the path's raw bottleneck)."""
-    if not links:
-        return math.inf
-    try:
-        return min(capacities[link_id] for link_id in links)
-    except KeyError as exc:
-        raise SimulationError(f"unknown link {exc.args[0]!r}") from exc

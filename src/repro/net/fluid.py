@@ -1045,37 +1045,3 @@ class FluidSimulation:
             end_time=end_time,
             states=dict(zip(flow_ids, map(_STATES.__getitem__, state.tolist()))),
         )
-
-
-def measure_bulk_throughput(
-    topology: Topology,
-    src: str,
-    dst: str,
-    duration: float = 10.0,
-    hose: Optional[HoseModel] = None,
-    capacity_overrides: Optional[Mapping[str, float]] = None,
-    background_flows: Optional[Sequence[Flow]] = None,
-) -> float:
-    """Throughput (bits/s) of one bulk TCP connection, netperf-style (§2.2).
-
-    A single backlogged flow runs from ``src`` to ``dst`` for ``duration``
-    seconds while any ``background_flows`` share the network; the returned
-    value is the probe's average rate over the measurement window.
-    """
-    if duration <= 0:
-        raise SimulationError("duration must be positive")
-    sim = FluidSimulation(topology, hose=hose, capacity_overrides=capacity_overrides)
-    probe = Flow(
-        flow_id="__netperf__",
-        src=src,
-        dst=dst,
-        size_bytes=None,
-        start_time=0.0,
-        end_time=duration,
-        tag="netperf",
-    )
-    sim.add_flow(probe)
-    if background_flows:
-        sim.add_flows(background_flows)
-    result = sim.run(until=duration)
-    return result.timelines["__netperf__"].average_rate(0.0, duration)

@@ -15,7 +15,7 @@ from repro.runtime.executor import (
     run_applications,
 )
 from repro.runtime.sequence import SequenceResult, SequentialPlacementRunner
-from repro.runtime.migration import MigrationEvent, MigratingSequenceRunner
+from repro.runtime.migration import MigrationEvent
 from repro.runtime.metrics import (
     relative_speedup,
     speedup_summary,
@@ -30,7 +30,6 @@ __all__ = [
     "SequenceResult",
     "SequentialPlacementRunner",
     "MigrationEvent",
-    "MigratingSequenceRunner",
     "relative_speedup",
     "speedup_summary",
     "SpeedupSummary",

@@ -4,33 +4,27 @@ Every ``T`` minutes Choreo re-evaluates its placement of the applications
 that are still running and migrates tasks if a better placement exists; a
 smaller ``T`` makes sense when migration is cheap.  The paper does not
 evaluate this mechanism (its §6.3 results are explicitly *without*
-re-evaluation), so this runner exists to (a) implement the mechanism the
-paper describes and (b) drive our ablation bench on the re-evaluation
-interval.
+re-evaluation); this module holds the pieces of it the online placement
+service (:mod:`repro.service.engine`) runs at every epoch boundary.
 
-The simulation proceeds epoch by epoch: epochs are delimited by application
-arrivals and re-evaluation ticks.  Within an epoch the current placements'
-remaining transfers run on the fluid simulator; at a tick, each running
+Time is cut into segments within which rates are constant.  Within a
+segment the current placements' remaining transfers run on the fluid
+simulator (:func:`advance_live_apps`); at a re-evaluation, each running
 application's *remaining* traffic matrix is re-placed and, if the placement
 changed and the estimated completion time improves by more than a threshold,
-the application migrates (its remaining bytes continue from the new
-placement).
+the application migrates (:func:`propose_migration`; its remaining bytes
+continue from the new placement).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.cloud.provider import CloudProvider, VMFlow
 from repro.core.estimator import estimate_completion_time
-from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Placement, Placer
-from repro.errors import SimulationError
-from repro.runtime.executor import ApplicationRun
-from repro.runtime.sequence import SequenceResult
 from repro.workloads.application import Application, Task, TrafficMatrix
 
 
@@ -62,9 +56,8 @@ def propose_migration(
     placement's by more than ``improvement_threshold``.
 
     Returns ``(new_placement, event)`` when the application should migrate,
-    ``None`` otherwise.  Shared by :class:`MigratingSequenceRunner` (clock
-    ticks) and the online service's predictor-triggered re-evaluation
-    (epoch boundaries, forecast profiles).
+    ``None`` otherwise.  The online service calls it at epoch boundaries,
+    with forecast profiles.
     """
     candidate = placer.place(remaining_app, cluster, profile)
     if candidate.assignments == current.assignments:
@@ -100,9 +93,8 @@ def propose_migration(
 class LiveApp:
     """Book-keeping for an application while it is running.
 
-    Shared by the §2.4 :class:`MigratingSequenceRunner` and the online
-    placement service: both track, per admitted application, its current
-    placement and the bytes each task pair still has to move.
+    What the online placement service tracks per admitted application: its
+    current placement and the bytes each task pair still has to move.
     """
 
     app: Application
@@ -237,149 +229,3 @@ def advance_live_apps(
                 and flow.flow_id in result.completion_times
             ]
             state.completed_at = max(finish_times, default=start)
-
-
-class MigratingSequenceRunner:
-    """Sequential placement with periodic re-evaluation and migration."""
-
-    def __init__(
-        self,
-        provider: CloudProvider,
-        cluster: ClusterState,
-        placer: Placer,
-        reevaluation_interval_s: float = 600.0,
-        improvement_threshold: float = 0.05,
-        measurement: Optional[MeasurementPlan] = None,
-        rate_model: str = "hose",
-    ):
-        if reevaluation_interval_s <= 0:
-            raise SimulationError("reevaluation_interval_s must be positive")
-        if not 0.0 <= improvement_threshold < 1.0:
-            raise SimulationError("improvement_threshold must be in [0, 1)")
-        self.provider = provider
-        self.cluster = cluster
-        self.placer = placer
-        self.interval = reevaluation_interval_s
-        self.improvement_threshold = improvement_threshold
-        if measurement is None:
-            measurement = MeasurementPlan(advance_clock=False)
-        self.measurer = NetworkMeasurer(provider, plan=measurement)
-        self.rate_model = rate_model
-        self.migrations: List[MigrationEvent] = []
-
-    # ------------------------------------------------------------------ run
-    def run(self, apps: Sequence[Application]) -> SequenceResult:
-        """Run the sequence with re-evaluation every ``interval`` seconds."""
-        if not apps:
-            raise SimulationError("run needs at least one application")
-        ordered = sorted(apps, key=lambda a: (a.start_time, a.name))
-        self.migrations = []
-
-        running: Dict[str, LiveApp] = {}
-        placements: Dict[str, Placement] = {}
-        arrivals = {app.start_time for app in ordered}
-        pending = list(ordered)
-        now = min(arrivals)
-        next_tick = now + self.interval
-
-        # Admit applications arriving at the very first instant.
-        pending = self._admit(pending, running, placements, now)
-
-        safety = 0
-        while pending or any(not state.done for state in running.values()):
-            safety += 1
-            if safety > 100_000:
-                raise SimulationError("migration runner did not converge")
-            next_arrival = pending[0].start_time if pending else math.inf
-            active_exists = any(not state.done for state in running.values())
-            tick = next_tick if active_exists else math.inf
-            horizon = min(next_arrival, tick)
-
-            if math.isinf(horizon):
-                horizon = None  # run the remaining flows to completion
-            advance_live_apps(self.provider, running, now, horizon)
-            if horizon is None:
-                break
-            now = horizon
-
-            if pending and now >= pending[0].start_time - 1e-9:
-                pending = self._admit(pending, running, placements, now)
-            if now >= next_tick - 1e-9:
-                self._reevaluate(running, placements, now)
-                next_tick = now + self.interval
-
-        runs = {
-            name: ApplicationRun(
-                app_name=name,
-                start_time=state.started,
-                completion_time=(
-                    state.completed_at if state.completed_at is not None else state.started
-                ),
-            )
-            for name, state in running.items()
-        }
-        return SequenceResult(runs=runs, placements=placements)
-
-    # ------------------------------------------------------------- internals
-    def _admit(
-        self,
-        pending: List[Application],
-        running: Dict[str, LiveApp],
-        placements: Dict[str, Placement],
-        now: float,
-    ) -> List[Application]:
-        """Place every pending application whose start time has arrived."""
-        remaining_pending = list(pending)
-        while remaining_pending and remaining_pending[0].start_time <= now + 1e-9:
-            app = remaining_pending.pop(0)
-            background = live_background_flows(running, now)
-            cluster_now = cluster_with_live_usage(self.cluster, running)
-            profile = self.measurer.measure(
-                cluster_now.machine_names(), background=background
-            )
-            placement = self.placer.place(app, cluster_now, profile)
-            placements[app.name] = placement
-            running[app.name] = LiveApp(
-                app=app,
-                placement=placement,
-                remaining={(s, d): v for s, d, v in app.transfers()},
-                started=now,
-            )
-        return remaining_pending
-
-    def _reevaluate(
-        self,
-        running: Dict[str, LiveApp],
-        placements: Dict[str, Placement],
-        now: float,
-    ) -> None:
-        """Re-place every running application's remaining traffic (§2.4)."""
-        for name, state in running.items():
-            if state.done:
-                continue
-            remaining_app = state.remaining_application()
-            if remaining_app.total_bytes <= 0:
-                continue
-            background = live_background_flows(running, now, exclude=name)
-            cluster_now = cluster_with_live_usage(
-                self.cluster, running, exclude=name
-            )
-            profile = self.measurer.measure(
-                cluster_now.machine_names(), background=background
-            )
-            proposal = propose_migration(
-                self.placer,
-                remaining_app,
-                state.placement,
-                cluster_now,
-                profile,
-                now=now,
-                improvement_threshold=self.improvement_threshold,
-                rate_model=self.rate_model,
-            )
-            if proposal is None:
-                continue
-            candidate, event = proposal
-            self.migrations.append(event)
-            state.placement = candidate
-            placements[name] = candidate

@@ -13,9 +13,9 @@ order — last rate and last probe time, ``NaN`` for "never measured" or
 ``np.nonzero`` lists the stale pairs in row-major order, which *is* the
 order of :meth:`MeasurementCache.mesh_pairs`: that order fixes the campaign
 schedule, and through it the probe RNG stream.  The view handed to the
-forecaster and the placer is a matrix-backed profile over a copy of the
-rate array, so an admission makes no per-pair Python objects beyond the
-(small) stale list the campaign needs.
+forecaster and the placer is a profile over a copy of the rate array, so an
+admission makes no per-pair Python objects beyond the (small) stale list the
+campaign needs.
 
 The cache also absorbs measurement *failure*: pairs the campaign reports as
 degraded (probes failed even after retries) coast on their last cached rate
@@ -34,7 +34,7 @@ import numpy as np
 from repro import obs
 from repro.cloud.provider import VMFlow
 from repro.core.measurement.orchestrator import NetworkMeasurer
-from repro.core.network_profile import MatrixNetworkProfile
+from repro.core.network_profile import NetworkProfile
 from repro.errors import ServiceError
 
 #: Rate used for a degraded pair with no cached value and no fallback:
@@ -187,7 +187,7 @@ class MeasurementCache:
         background: Sequence[VMFlow] = (),
         force: bool = False,
         fallback: Optional[Callable[[Tuple[str, str]], Optional[float]]] = None,
-    ) -> MatrixNetworkProfile:
+    ) -> NetworkProfile:
         """Re-probe stale pairs and return the merged full-mesh profile.
 
         Args:
@@ -209,14 +209,11 @@ class MeasurementCache:
                 fresh = self.measurer.measure(
                     self.vms, background=background, pairs=stale
                 )
+                probed_at = fresh.measured_at_matrix()
+                probed = ~np.isnan(probed_at)
+                self._rates[probed] = fresh.rate_matrix()[probed]
+                self._measured_at[probed] = probed_at[probed]
                 index = self._index
-                if fresh.rates_bps:
-                    rows = [index[src] for src, _ in fresh.rates_bps]
-                    cols = [index[dst] for _, dst in fresh.rates_bps]
-                    self._rates[rows, cols] = list(fresh.rates_bps.values())
-                    self._measured_at[rows, cols] = [
-                        fresh.measured_at_pair(*pair) for pair in fresh.rates_bps
-                    ]
                 for pair in fresh.degraded_pairs:
                     at = index[pair[0]], index[pair[1]]
                     if math.isnan(self._rates[at]):
@@ -235,8 +232,8 @@ class MeasurementCache:
             self._pairs_reused.inc(n * (n - 1) - len(stale))
             return self.profile(now)
 
-    def profile(self, now: float) -> MatrixNetworkProfile:
-        """The cache's current view as a full-mesh matrix-backed profile.
+    def profile(self, now: float) -> NetworkProfile:
+        """The cache's current view as a full-mesh profile.
 
         The profile owns a copy of the rate array: later refreshes do not
         change a profile already handed out.
@@ -247,7 +244,7 @@ class MeasurementCache:
                 f"measurement cache has never measured {missing} pair(s); "
                 "call refresh() first"
             )
-        return MatrixNetworkProfile(
+        return NetworkProfile(
             self.vms,
             self._rates,
             sharing_model="hose",

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.network_profile import MatrixNetworkProfile, NetworkProfile
+from repro.core.network_profile import NetworkProfile
 from repro.errors import ServiceError
 from repro.workloads.predictability import HOURS_PER_DAY
 
@@ -204,7 +204,7 @@ class RateForecaster:
         self,
         current: NetworkProfile,
         epoch: int,
-    ) -> MatrixNetworkProfile:
+    ) -> NetworkProfile:
         """The profile the placer should see for placements during ``epoch``.
 
         Every pair of ``current`` is replaced by its forecast; pairs with no
@@ -216,7 +216,7 @@ class RateForecaster:
         predicted = self._predict(self._indices(current.vms), epoch)
         forecast = ~np.isnan(predicted) & ~np.isnan(measured)
         rates = np.where(forecast, np.maximum(predicted, 1.0), measured)
-        return MatrixNetworkProfile(
+        return NetworkProfile(
             current.vms,
             rates,
             intra_vm_rate_bps=current.intra_vm_rate_bps,

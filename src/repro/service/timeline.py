@@ -171,7 +171,8 @@ class NetworkTimeline:
             raise ServiceError(
                 f"malformed timeline {source}: missing field {exc}"
             ) from exc
-        except (TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError) as exc:
+            # AttributeError: an epoch that is not a JSON object.
             raise ServiceError(f"malformed timeline {source}: {exc}") from exc
 
 

@@ -18,7 +18,7 @@ import pytest
 from repro import obs
 from repro.cloud.provider import VMFlow
 from repro.core.measurement.orchestrator import NetworkMeasurer
-from repro.core.network_profile import MatrixNetworkProfile, NetworkProfile
+from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import (
     ClusterState,
     Machine,
@@ -599,7 +599,7 @@ def _greedy_instance(rng: random.Random, unmeasured: bool):
         matrix = np.full((n, n), math.nan)
         for (a, b), rate in rates.items():
             matrix[machines.index(a), machines.index(b)] = rate
-        profile = MatrixNetworkProfile(
+        profile = NetworkProfile(
             machines, matrix, intra_vm_rate_bps=intra, sharing_model=sharing
         )
 
@@ -735,7 +735,7 @@ def _epoch_profile(rng: random.Random, vms: List[str], skip=(), as_matrix=False)
     matrix = np.full((len(vms), len(vms)), math.nan)
     for (a, b), rate in rates.items():
         matrix[vms.index(a), vms.index(b)] = rate
-    return MatrixNetworkProfile(vms, matrix)
+    return NetworkProfile(vms, matrix)
 
 
 class TestForecasterAgainstScalarPredictors:
@@ -983,7 +983,7 @@ class TestCacheAgainstDictCache:
 
 
 # ---------------------------------------------------------------------------
-# The matrix-backed profile tells the truth about itself
+# A profile built from an array == the same profile built from a mapping
 # ---------------------------------------------------------------------------
 class TestMatrixProfileRatesView:
     def _pair(self):
@@ -994,7 +994,7 @@ class TestMatrixProfileRatesView:
         matrix = np.full((3, 3), math.nan)
         for (src, dst), rate in rates.items():
             matrix[vms.index(src), vms.index(dst)] = rate
-        return MatrixNetworkProfile(vms, matrix), NetworkProfile(vms, dict(rates))
+        return NetworkProfile(vms, matrix), NetworkProfile(vms, dict(rates))
 
     def test_rates_bps_is_a_read_only_view_of_the_measured_pairs(self):
         dense, sparse = self._pair()
@@ -1024,12 +1024,12 @@ class TestMatrixProfileRatesView:
 
     def test_matrix_profile_keeps_its_own_copy_and_validates(self):
         matrix = np.array([[math.nan, 1e9], [2e9, math.nan]])
-        profile = MatrixNetworkProfile(["a", "b"], matrix)
+        profile = NetworkProfile(["a", "b"], matrix)
         matrix[0, 1] = 5.0
         assert profile.rate("a", "b") == 1e9
         with pytest.raises(MeasurementError, match="positive"):
-            MatrixNetworkProfile(["a", "b"], np.array([[0.0, -1.0], [1.0, 0.0]]))
+            NetworkProfile(["a", "b"], np.array([[0.0, -1.0], [1.0, 0.0]]))
         with pytest.raises(MeasurementError, match="duplicate"):
-            MatrixNetworkProfile(["a", "a"], matrix)
+            NetworkProfile(["a", "a"], matrix)
         with pytest.raises(MeasurementError, match="sharing_model"):
-            MatrixNetworkProfile(["a", "b"], matrix, sharing_model="tube")
+            NetworkProfile(["a", "b"], matrix, sharing_model="tube")

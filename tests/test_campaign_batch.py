@@ -121,9 +121,9 @@ def oracle_campaign(measurer, names, background=(), pairs=None):
     if plan.advance_clock:
         provider.advance_time(duration)
     return {
-        "rates": list(rates.items()),
-        "cross": list(cross.items()),
-        "pair_times": list(pair_times.items()),
+        "rates": sorted(rates.items()),
+        "cross": sorted(cross.items()),
+        "pair_times": sorted(pair_times.items()),
         "degraded": list(degraded.items()),
         "duration": duration,
         "counters": [1, sum(map(len, rounds)), retries, len(degraded)],
@@ -137,9 +137,9 @@ def campaign(measurer, names, background=(), pairs=None):
     profile = measurer.measure(names, background=background, pairs=pairs)
     after = obs.metrics.snapshot()
     return {
-        "rates": list(profile.rates_bps.items()),
-        "cross": list(profile.cross_traffic.items()),
-        "pair_times": list(profile.pair_measured_at.items()),
+        "rates": sorted(profile.rates_bps.items()),
+        "cross": sorted(profile.cross_traffic.items()),
+        "pair_times": sorted(profile.pair_measured_at.items()),
         "degraded": list(profile.degraded_pairs.items()),
         "duration": profile.measurement_duration_s,
         "counters": [after[name] - before.get(name, 0) for name in COUNTERS],
@@ -274,6 +274,18 @@ def test_wild_probes_scale_the_estimate():
     assert wild and all(pair in faulty.rates_bps for pair in wild)
     truth = max(clean.hose_rate(vm) for vm in names)
     assert any(faulty.rates_bps[pair] > 1.5 * truth for pair in wild)
+
+
+def test_a_nan_estimate_is_an_error_not_an_unmeasured_pair():
+    class NanMeasurer(NetworkMeasurer):
+        def measure_pair(self, src_vm, dst_vm, background=()):
+            rate = super().measure_pair(src_vm, dst_vm, background=background)
+            return float("nan") if (src_vm, dst_vm) == broken else rate
+
+    provider, names = build_provider("ec2-legacy", n_vms=4)  # per-probe path
+    broken = (names[1], names[2])
+    with pytest.raises(MeasurementError, match="unmeasured pair"):
+        NanMeasurer(provider, MeasurementPlan()).measure(names)
 
 
 # ----------------------------------------------------- which path, and why

@@ -125,6 +125,58 @@ def test_timeline_load_error_names_missing_field(tmp_path):
         NetworkTimeline.load(path)
 
 
+FAULT_SCHEMA = "repro.faults/timeline/v1"
+NETWORK_SCHEMA = "repro.service/timeline/v1"
+NOT_A_TIMELINE = {
+    "truncated": '{"schema": ',
+    "list": "[]",
+    "number": "5",
+    "null": "null",
+    "wrong-schema": '{"schema": "other"}',
+}
+HOSTILE_FAULT_FILES = {
+    **NOT_A_TIMELINE,
+    "events-number": json.dumps({"schema": FAULT_SCHEMA, "events": 5}),
+    "events-null": json.dumps({"schema": FAULT_SCHEMA, "events": None}),
+    "non-numeric-time": json.dumps({
+        "schema": FAULT_SCHEMA,
+        "events": [{"kind": "vm-preemption", "vm": "a", "time_s": "soon"}],
+    }),
+}
+HOSTILE_TIMELINE_FILES = {
+    **NOT_A_TIMELINE,
+    **{
+        name: json.dumps({"schema": NETWORK_SCHEMA, "epoch_s": 60.0, **fields})
+        for name, fields in {
+            "hose-epoch-list": {"hose_epochs": [[1, 2]]},
+            "hose-epoch-null": {"hose_epochs": [None]},
+            "pair-epoch-list": {"hose_epochs": [{"a": 1e9}], "pair_epochs": [[1]]},
+            "non-numeric-rate": {"hose_epochs": [{"a": "fast"}]},
+        }.items()
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_FAULT_FILES))
+def test_hostile_fault_file_raises_fault_error_naming_the_file(tmp_path, case):
+    path = tmp_path / "hostile_faults.json"
+    path.write_text(HOSTILE_FAULT_FILES[case])
+    with pytest.raises(FaultError, match="hostile_faults.json") as caught:
+        FaultTimeline.load(path)
+    assert isinstance(caught.value, ReproError)
+
+
+@pytest.mark.parametrize("case", sorted(HOSTILE_TIMELINE_FILES))
+def test_hostile_timeline_file_raises_service_error_naming_the_file(tmp_path, case):
+    from repro.service.timeline import NetworkTimeline
+
+    path = tmp_path / "hostile_timeline.json"
+    path.write_text(HOSTILE_TIMELINE_FILES[case])
+    with pytest.raises(ServiceError, match="hostile_timeline.json") as caught:
+        NetworkTimeline.load(path)
+    assert isinstance(caught.value, ReproError)
+
+
 def test_trace_read_errors_name_the_file(tmp_path):
     from repro.workloads.trace import read_trace, read_trace_jsonl
 

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.cloud import provider as provider_mod
-from repro.core.network_profile import MatrixNetworkProfile, NetworkProfile
+from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Machine
 from repro.core.placement.greedy import GreedyPlacer, cluster_vms_by_rate_profile
 from repro.errors import MeasurementError, PlacementError, SimulationError
@@ -247,21 +247,10 @@ class TestRateMatrix:
         with pytest.raises(MeasurementError):
             profile.rate_matrix(order=["nope"])
 
-    def test_matrix_cache_invalidates_when_pairs_are_added(self):
-        vms = ["a", "b", "c"]
-        profile = NetworkProfile(vms=vms, rates_bps={("a", "b"): 1.0 * GBITPS})
-        first = profile.rate_matrix()
-        assert math.isnan(first[1, 2])
-        assert profile.rate_matrix() is first  # cached for the default order
-        profile.rates_bps[("b", "c")] = 42.0
-        second = profile.rate_matrix()
-        assert second[1, 2] == 42.0
-        assert math.isnan(first[1, 2])  # the cached copy was not mutated
-
     def test_matrix_profile_equivalent_to_dict_profile(self):
         vms, rates, profile = self._profile(n=6, seed=11)
         matrix = profile.rate_matrix()
-        dense = MatrixNetworkProfile(vms, matrix)
+        dense = NetworkProfile(vms, matrix)
         for a in vms:
             for b in vms:
                 if a != b:
@@ -269,6 +258,85 @@ class TestRateMatrix:
                     assert dense.has_pair(a, b)
         assert set(dense.pairs()) == set(profile.pairs())
         np.testing.assert_array_equal(dense.rate_matrix(), matrix)
+
+    def test_a_profile_cannot_be_changed_after_construction(self):
+        vms, rates, profile = self._profile(n=3)
+        pair = (vms[0], vms[1])
+        for view in (
+            profile.rates_bps, profile.pair_measured_at, profile.cross_traffic
+        ):
+            with pytest.raises(TypeError):
+                view[pair] = 42.0
+        assert not profile.rate_matrix().flags.writeable
+        with pytest.raises(ValueError):
+            profile.rate_matrix()[0, 1] = 42.0
+        assert profile.rate(*pair) == profile.rate_matrix()[0, 1] == rates[pair]
+        # A reordered matrix is the caller's own copy.
+        profile.rate_matrix(order=vms)[0, 1] = 42.0
+        assert profile.rate(*pair) == rates[pair]
+
+    def test_per_pair_times_and_cross_traffic_in_either_spelling(self):
+        vms = ["a", "b", "c"]
+        rates = {("a", "b"): 1e9, ("b", "a"): 2e9, ("c", "a"): 3e9}
+        times = {("a", "b"): 7.0, ("c", "a"): 9.0}
+        cross = {("b", "a"): 0.0, ("c", "a"): 1.5}
+
+        def scatter(values):
+            matrix = np.full((3, 3), math.nan)
+            for (src, dst), value in values.items():
+                matrix[vms.index(src), vms.index(dst)] = value
+            return matrix
+
+        for profile in (
+            NetworkProfile(
+                vms, rates, measured_at=5.0, pair_measured_at=times,
+                cross_traffic=cross,
+            ),
+            NetworkProfile(
+                vms, scatter(rates), measured_at=5.0,
+                pair_measured_at=scatter(times), cross_traffic=scatter(cross),
+            ),
+        ):
+            assert dict(profile.rates_bps) == rates
+            assert dict(profile.pair_measured_at) == times
+            assert dict(profile.cross_traffic) == cross  # a zero estimate is kept
+            assert list(profile.rates_bps) == [("a", "b"), ("b", "a"), ("c", "a")]
+            stamps = profile.measured_at_matrix()
+            for i, src in enumerate(vms):
+                for j, dst in enumerate(vms):
+                    assert profile.cross(src, dst) == cross.get((src, dst), 0.0)
+                    if src != dst and profile.has_pair(src, dst):
+                        assert stamps[i, j] == profile.measured_at_pair(src, dst)
+                        assert stamps[i, j] == times.get((src, dst), 5.0)
+                    else:
+                        assert math.isnan(stamps[i, j])
+            np.testing.assert_array_equal(
+                profile.cross_matrix(["c", "a"]), [[0.0, 1.5], [0.0, 0.0]]
+            )
+        bare = NetworkProfile(vms, rates)
+        assert not bare.cross_traffic and not bare.pair_measured_at
+        np.testing.assert_array_equal(bare.cross_matrix(vms), np.zeros((3, 3)))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            (dict(rates_bps={("a", "b"): math.nan}), "NaN"),
+            (dict(rates_bps={("a", "b"): 0.0}), "positive"),
+            (dict(rates_bps={("a", "zz"): 1.0}), "unknown VM 'zz'"),
+            (dict(rates_bps={("a", "a"): 1.0}), "self pairs"),
+            (dict(rates_bps=np.ones((3, 3))), "shape"),
+            (dict(cross_traffic={("a", "b"): -0.5}), "cross traffic"),
+            (dict(cross_traffic={("a", "b"): math.nan}), "NaN"),
+            (dict(pair_measured_at={("b", "a"): 1.0}), "unmeasured pair"),
+            (dict(degraded_pairs={("a", "zz"): "lost"}), "unknown VM"),
+            (dict(degraded_pairs={("b", "b"): "lost"}), "self pairs"),
+            (dict(degraded_pairs={("a", "b"): "lost"}), "both measured and degraded"),
+        ],
+    )
+    def test_constructor_rejects_inconsistent_measurements(self, kwargs, message):
+        fields = dict(vms=["a", "b"], rates_bps={("a", "b"): 1e9})
+        with pytest.raises(MeasurementError, match=message):
+            NetworkProfile(**{**fields, **kwargs})
 
 
 class TestHierarchicalGreedyEquivalence:
@@ -326,7 +394,7 @@ class TestHierarchicalGreedyEquivalence:
         rack = np.arange(n) // 16
         base = np.where(rack[:, None] == rack[None, :], 0.9 * GBITPS, 0.2 * GBITPS)
         noise = np.random.default_rng(7).uniform(0.95, 1.05, (n, n))
-        profile = MatrixNetworkProfile(vms, base * noise)
+        profile = NetworkProfile(vms, base * noise)
         cluster = ClusterState(machines=[Machine(m, cores=2.0) for m in vms])
         app, _, _ = self._instance(rng, 8)
         placer = GreedyPlacer(cluster_threshold=64)
@@ -398,7 +466,7 @@ class TestClusteringHeuristic:
         vms = [f"m{i}" for i in range(n)]
         rack = np.arange(n) // 12
         base = np.where(rack[:, None] == rack[None, :], 1.0 * GBITPS, 0.1 * GBITPS)
-        profile = MatrixNetworkProfile(vms, base)
+        profile = NetworkProfile(vms, base)
         reps_a, members_a = cluster_vms_by_rate_profile(profile, vms, 4)
         reps_b, members_b = cluster_vms_by_rate_profile(profile, vms, 4)
         assert reps_a == reps_b and members_a == members_b
