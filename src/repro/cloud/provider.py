@@ -26,9 +26,10 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
+from repro import obs
 from repro.errors import CloudError, MeasurementError, SimulationError
 from repro.cloud.instances import InstanceType, VirtualMachine, EC2_MEDIUM
-from repro.net.alloc import IncrementalAllocator
+from repro.net.fairness import probe_rates_under_load
 from repro.net.fluid import FluidResult, FluidSimulation, RateTimeline
 from repro.net.flows import Flow
 from repro.net.latency import LatencyModel
@@ -46,6 +47,11 @@ from repro.net.traceroute import traceroute_hop_count
 from repro.units import GBITPS
 
 HoseSampler = Callable[[np.random.Generator], float]
+
+#: Probes whose rate was read off a background's water-filling, and the
+#: rounds those fills took (``obs.metrics.snapshot()``, ``repro.measure.*``).
+SNAPSHOT_PROBES = obs.Counter("repro.measure.snapshot_probes")
+SNAPSHOT_ROUNDS = obs.Counter("repro.measure.snapshot_rounds")
 
 
 @dataclass(frozen=True)
@@ -463,52 +469,91 @@ class CloudProvider:
         and packet trains see the network while the tenant's other
         applications are running.
         """
-        return self._snapshot_rates([(src_vm, dst_vm)], background, window_s)[0]
+        return float(self._snapshot_rates([(src_vm, dst_vm)], background, window_s)[0])
 
     def _snapshot_rates(
         self,
         pairs: Sequence[Tuple[str, str]],
         background: Sequence[VMFlow],
         window_s: float = 0.1,
-    ) -> List[float]:
-        """:meth:`snapshot_rate` of each pair in turn, on one allocator.
+    ) -> np.ndarray:
+        """:meth:`snapshot_rate` of every pair, each alone with ``background``."""
+        if not window_s > 0:
+            raise CloudError(f"window_s must be positive, got {window_s!r}")
+        position = {name: i for i, name in enumerate(self._vms)}
+        src = self._vm_positions([src_vm for src_vm, _ in pairs], position)
+        dst = self._vm_positions([dst_vm for _, dst_vm in pairs], position)
+        return self._loaded_rates(src, dst, background, position, window_s)[0]
 
-        A snapshot is one max-min solve over the probe and the backlogged
-        background, so the background is registered once and each probe is
-        added, solved and removed — the rates a fresh
-        :meth:`simulate` per pair would record, bit for bit.
+    @staticmethod
+    def _vm_positions(names: Sequence[str], position: Mapping[str, int]) -> np.ndarray:
+        try:
+            return np.array([position[name] for name in names], dtype=np.intp)
+        except KeyError as exc:
+            raise CloudError(f"unknown VM {exc.args[0]!r}") from exc
+
+    def _loaded_rates(
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        background: Sequence[VMFlow],
+        position: Mapping[str, int],
+        window_s: float = 0.1,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Snapshot rate and narrowest physical link of each probe
+        ``src[i] -> dst[i]`` (VM positions in allocation order).
+
+        A snapshot is the probe's rate in the max-min allocation of the
+        probe and the backlogged background — what a fresh :meth:`simulate`
+        per probe would record, bit for bit.  Probes and background are
+        routed in one pass, and :func:`probe_rates_under_load` reads every
+        probe's rate off one filling of the background.
         """
-        capacities = self.topology.capacities()
-        capacities.update(self._hose_capacities())
-        allocator = IncrementalAllocator(capacities)
+        flow_ids = set()
+        for flow in background:
+            if flow.flow_id in flow_ids:
+                raise CloudError(f"duplicate background flow id {flow.flow_id!r}")
+            flow_ids.add(flow.flow_id)
+        n = src.shape[0]
+        if not n:
+            return np.zeros(0), np.zeros(0)
+        src = np.concatenate(
+            (src, self._vm_positions([flow.src_vm for flow in background], position))
+        )
+        dst = np.concatenate(
+            (dst, self._vm_positions([flow.dst_vm for flow in background], position))
+        )
+        hosts = [vm.host for vm in self._vms.values()]
+        ends = [(hosts[a], hosts[b]) for a, b in zip(src.tolist(), dst.tolist())]
+        paths = self.topology.path_links_matrix(ends)[0]
+        links = self.topology.capacity_vector()
+        # A simulation's link order: the topology's links, then one hose per
+        # VM in allocation order.  The hose applies to the VM's egress onto
+        # the physical network, so intra-host traffic bypasses it; the hose
+        # of a VM that sends nothing is on no row and is not read.
+        egress = np.fromiter((a != b for a, b in ends), dtype=bool, count=len(ends))
+        hose = self._sender_hoses(src[egress])
+        rows = np.empty((len(ends), 1 + paths.shape[1]), dtype=np.intp)
+        rows[:, 0] = np.where(egress, links.shape[0] + src, -1)
+        rows[:, 1:] = paths
+        rates, rounds = probe_rates_under_load(
+            np.concatenate((links, hose)), rows[n:], rows[:n]
+        )
+        SNAPSHOT_PROBES.inc(n)
+        SNAPSHOT_ROUNDS.inc(rounds)
+        physical = np.where(paths[:n] >= 0, links[paths[:n]], np.inf).min(axis=1)
+        # RateTimeline.average_rate's own expression for one segment.
+        return (0.0 + rates * window_s) / window_s, physical
 
-        def add(vm_flow: VMFlow) -> int:
-            flow, extra = self._to_net_flow(vm_flow)
-            path = self.topology.path_links(flow.src, flow.dst)
-            return allocator.add_flow(
-                flow.flow_id, extra + [link.link_id for link in path]
-            )
-
-        for vm_flow in background:
-            add(replace_background_window(vm_flow, window_s))
-        rates: List[float] = []
-        for src_vm, dst_vm in pairs:
-            slot = add(
-                VMFlow(
-                    flow_id="__snapshot__",
-                    src_vm=src_vm,
-                    dst_vm=dst_vm,
-                    size_bytes=None,
-                    start_time=0.0,
-                    end_time=window_s,
-                    tag="snapshot",
-                )
-            )
-            rate = float(allocator.solve_slots()[slot])
-            allocator.remove_flow("__snapshot__")
-            # RateTimeline.average_rate's own expression for one segment.
-            rates.append((0.0 + rate * window_s) / window_s)
-        return rates
+    def _sender_hoses(self, senders: np.ndarray) -> np.ndarray:
+        """Every VM's hose rate by position, read for ``senders`` only (the
+        rest stay 0: the clock stands still, so one read per VM serves a
+        whole campaign, and a VM that sends nothing has no use for one)."""
+        names = list(self._vms)
+        hose = np.zeros(len(names))
+        for vm in set(senders.tolist()):
+            hose[vm] = self.hose_rate(names[vm])
+        return hose
 
     def packet_train_model(
         self,
@@ -642,23 +687,19 @@ class CloudProvider:
         host_index = {host: i for i, host in enumerate(dict.fromkeys(host_names))}
         vm_host = np.array([host_index[host] for host in host_names], dtype=np.intp)
         routed = vm_host[src] != vm_host[dst]
-        src_routed, dst_routed = src[routed].tolist(), dst[routed].tolist()
-        physical = self.topology.path_bottlenecks(
-            [(host_names[a], host_names[b]) for a, b in zip(src_routed, dst_routed)]
-        )
-        vm_names = list(self._vms)
-        if background and src_routed:
-            available = np.asarray(
-                self._snapshot_rates(
-                    [(vm_names[a], vm_names[b]) for a, b in zip(src_routed, dst_routed)],
-                    background,
-                )
+        if background and routed.any():
+            available, physical = self._loaded_rates(
+                src[routed], dst[routed], background, vm_index
             )
         else:
-            hose = np.zeros(len(vm_names))
-            for vm in set(src_routed):
-                hose[vm] = self.hose_rate(vm_names[vm])
-            available = hose[src[routed]]
+            senders = src[routed]
+            physical = self.topology.path_bottlenecks(
+                [
+                    (host_names[a], host_names[b])
+                    for a, b in zip(senders.tolist(), dst[routed].tolist())
+                ]
+            )
+            available = self._sender_hoses(senders)[senders]
 
         jittered = params.train_jitter_std_s > 0
         per_train = 1 + (2 * spec.n_bursts if jittered else 0)

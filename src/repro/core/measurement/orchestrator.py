@@ -25,12 +25,13 @@ from repro.core.measurement.packet_train import (
 from repro.core.network_profile import NetworkProfile
 from repro.errors import MeasurementError
 from repro.net.packets import PacketTrainSpec
-from repro.cloud.provider import CloudProvider, VMFlow
+from repro.cloud.provider import SNAPSHOT_ROUNDS, CloudProvider, VMFlow
 
 
 #: Campaign counters (``obs.metrics.snapshot()`` under ``repro.measure.*``):
 #: campaigns run, pairs probed, probe retries, pairs degraded after
-#: exhausting their retries.
+#: exhausting their retries.  (The provider owns ``snapshot_probes`` and
+#: ``snapshot_rounds``, the cost of probing against a background.)
 _CAMPAIGNS = obs.Counter("repro.measure.campaigns_run")
 _PROBES = obs.Counter("repro.measure.probes")
 _RETRIES = obs.Counter("repro.measure.probe_retries")
@@ -276,6 +277,7 @@ class NetworkMeasurer:
             rounds=len(rounds),
             method=self.plan.method,
         )
+        rounds_before = SNAPSHOT_ROUNDS.count
         with campaign:
             # One array program over the whole schedule when the probes'
             # RNG consumption is fixed up front; pair by pair otherwise.
@@ -295,6 +297,11 @@ class NetworkMeasurer:
             else:
                 campaign.set(path="per-probe", reason=reason)
             campaign.set(retries=retry.retries, degraded=len(retry.degraded))
+            if background:
+                campaign.set(
+                    background=len(background),
+                    snapshot_rounds=SNAPSHOT_ROUNDS.count - rounds_before,
+                )
 
         # One scatter per field, into ``names`` x ``names`` row-major order.
         # A pair whose retries ran out is dropped by ``measured``, not by a

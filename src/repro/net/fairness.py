@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import SimulationError
 
 
@@ -187,3 +189,113 @@ def max_min_violations(
                 f"cap, and on no saturated link where it is the fastest)"
             )
     return problems
+
+
+def probe_rates_under_load(
+    capacity: np.ndarray, background: np.ndarray, probes: np.ndarray
+) -> Tuple[np.ndarray, int]:
+    """The rate each probe gets when it *alone* joins the background.
+
+    ``capacity[l]`` is the capacity of link ``l``; ``background`` and
+    ``probes`` hold one flow per row, as the indices of the links it
+    crosses, ``-1`` where a row is shorter.  Returns, for every probe ``i``,
+    its rate in the max-min fair allocation of ``background + [probe i]`` —
+    ``len(probes)`` independent problems — and how many rounds the
+    background's own fill took.  No row may repeat a link.
+
+    One progressive filling of the *background alone* answers all of them.
+    Before its round ``r`` let ``rem[l]`` / ``cnt[l]`` be link ``l``'s
+    headroom and unfrozen flow count (a link no background flow crosses has
+    its capacity and 0) and ``(level, link)`` the round's bottleneck: the
+    least ``(rem / cnt, l)``, shares first, link index on ties.  A probe
+    crossing links ``P`` freezes at the first round where ``min over l in P
+    of (rem[l] / (cnt[l] + 1), l) <= (level, link)`` — a last round
+    ``(inf, -)`` catches the rest — at that minimum share.  Why: until
+    then every probe link's share, probe counted, loses to ``(level,
+    link)``, so ``link`` is not a probe link; the fill of background +
+    probe picks the same bottleneck at the same share, freezes the same
+    batch and drains the same ``k * level`` (an unfrozen probe drains
+    nothing), which leaves ``rem`` / ``cnt`` those of the background-only
+    fill.  At that round the least share of all is on a probe link, and
+    every unfrozen flow on it, the probe among them, freezes there.  The
+    link index must be the true one even on links a probe has to itself:
+    equal capacities tie all the time (every host link of a tree), and
+    which of two tied links goes first decides the batch, hence the order
+    of the drains, hence the last bit of later levels.
+
+    The arithmetic is :class:`~repro.net.alloc.IncrementalAllocator`'s, so
+    the rates equal a solve of each problem bit for bit: ``rem / cnt`` with
+    the probe counted, the lowest link index among equal shares, the fused
+    ``max(rem - k * level, 0)`` per drained link.  A round costs O(batch x
+    path + links the background uses + unfrozen probes x path); nothing of
+    size probes x links is built.
+    """
+    n_links = capacity.shape[0]
+    for rows in (background, probes):
+        if rows.size and (rows.min() < -1 or rows.max() >= n_links):
+            raise SimulationError("a flow's row names a link that has no capacity")
+        ordered = np.sort(rows, axis=1)
+        if ((ordered[:, 1:] == ordered[:, :-1]) & (ordered[:, 1:] >= 0)).any():
+            raise SimulationError("a flow's row repeats a link")
+    # What one more flow would get on each link, ``rem / (cnt + 1)``; the
+    # extra last entry is what a row's -1 padding reads.
+    offer = np.append(capacity, np.inf)
+    rates = np.empty(probes.shape[0])
+    waiting = np.arange(probes.shape[0])  # the probes no round has frozen yet
+    rows = probes
+
+    # The background's state covers the links it uses only, ascending by
+    # link index (``argmin`` returns the first of equal shares); ``members``
+    # lists each of those links' flows, link after link.
+    crossed = background >= 0
+    used, at = np.unique(background[crossed], return_inverse=True)
+    at_rows = np.zeros(background.shape, dtype=np.intp)
+    at_rows[crossed] = at
+    members = crossed.nonzero()[0][at.argsort(kind="stable")]
+    sizes = np.bincount(at, minlength=used.shape[0])
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    counts = sizes.astype(np.float64)
+    remaining = capacity[used]
+    offer[used] = remaining / (counts + 1.0)
+    frozen = np.zeros(background.shape[0], dtype=bool)
+    shares = np.empty(used.shape[0])
+    left = int(crossed.any(axis=1).sum())
+    rounds = 0
+    while left:
+        # (Masked: a link whose flows are all frozen would divide 0 by 0.)
+        shares.fill(np.inf)
+        np.divide(remaining, counts, out=shares, where=counts > 0)
+        bottleneck = int(shares.argmin())
+        level = shares[bottleneck]
+        if level == np.inf:
+            break  # nothing finite constrains the flows that are left
+        if waiting.shape[0]:
+            offered = offer[rows]
+            best = offered.min(axis=1)
+            freeze = best < level
+            tied = (best == level).nonzero()[0]
+            if tied.shape[0]:
+                lowest = np.where(offered[tied] == level, rows[tied], n_links)
+                freeze[tied] = lowest.min(axis=1) <= used[bottleneck]
+            if freeze.any():
+                rates[waiting[freeze]] = best[freeze]
+                waiting = waiting[~freeze]
+                rows = rows[~freeze]
+        batch = members[starts[bottleneck] : ends[bottleneck]]
+        batch = batch[~frozen[batch]]
+        frozen[batch] = True
+        left -= batch.shape[0]
+        rounds += 1
+        # Each link the batch crosses loses ``k`` flows and ``k * level``.
+        k = np.bincount(at_rows[batch][crossed[batch]], minlength=used.shape[0])
+        hit = k.nonzero()[0]
+        k = k[hit]
+        counts[hit] -= k
+        drained = remaining[hit] - k * level
+        np.maximum(drained, 0.0, out=drained)
+        remaining[hit] = drained
+        offer[used[hit]] = drained / (counts[hit] + 1.0)
+    if waiting.shape[0]:
+        rates[waiting] = offer[rows].min(axis=1)
+    return rates, rounds

@@ -99,11 +99,15 @@ def structured_routing_info() -> Dict[str, int]:
 
 
 # Batches of fewer pairs than this are routed pair by pair in
-# ``path_links_matrix``: the array router costs ≈45 µs before its first pair
-# and ≈2.5 µs for each, a ``node_path`` call 2.3 µs (cached pair) to 5.5 µs,
-# so the two cross at ≈16 pairs (2-core reference host, hot loop; called
-# cold from a service session the array router's fixed cost is ≈3×).  The
-# simulations a provider builds per application are this small.  Same rows.
+# ``path_links_matrix``.  The array router costs ≈40 µs before its first
+# pair and ≈1–2 µs for each; pair by pair costs ≈4–5 µs a pair the topology
+# has not routed before and ≈2–3 µs one it has (``_path_cache``).  So the two
+# cross at ≈16 pairs on a fresh topology — every trial of a sweep builds
+# one — and at ≈56 (24 hosts) to ≈100 pairs (512 hosts) on one that has
+# seen all its pairs, which the batch does not reveal.  16 is the fresh
+# crossover: between 16 and 48 pairs the two differ by at most 40 µs a call
+# either way, under 1 % of any benchmark workload (table in
+# docs/performance.md, "What selects the engine").  Same rows.
 _ARRAY_ROUTE_MIN_PAIRS = 16
 
 
@@ -434,8 +438,10 @@ class Topology:
         self._path_links_cache: Dict[Tuple[str, str], List[Link]] = {}
         self._structure_token: Optional[str] = None
         self._tree_tables: Optional[_TreeLinkTables] = None
-        # link id -> position in ``_links`` (path_links_matrix's index order)
+        # link id -> position in ``_links`` (path_links_matrix's index order),
+        # and the capacities in that order; both dropped when a link is added
         self._link_index: Optional[Dict[str, int]] = None
+        self._capacity_vector: Optional["np.ndarray"] = None
 
     # ------------------------------------------------------------------ nodes
     def add_node(self, name: str, kind: NodeKind, level: int = 0) -> None:
@@ -457,6 +463,7 @@ class Topology:
             )
             self._links[link.link_id] = link
             self._link_index = None
+            self._capacity_vector = None
 
     def add_link(
         self,
@@ -490,6 +497,7 @@ class Topology:
         self._structure_token = None
         self._tree_tables = None
         self._link_index = None
+        self._capacity_vector = None
 
     # ------------------------------------------------------------ inspection
     def node_kind(self, name: str) -> NodeKind:
@@ -527,6 +535,19 @@ class Topology:
     def capacities(self) -> Dict[str, float]:
         """Mapping of link id to capacity for every directed link."""
         return {lid: link.capacity_bps for lid, link in self._links.items()}
+
+    def capacity_vector(self) -> "np.ndarray":
+        """Every directed link's capacity, in the order of :meth:`links` —
+        what the link indices of :meth:`path_links_matrix` index.  Read-only."""
+        if self._capacity_vector is None:
+            vector = np.fromiter(
+                (link.capacity_bps for link in self._links.values()),
+                dtype=np.float64,
+                count=len(self._links),
+            )
+            vector.flags.writeable = False
+            self._capacity_vector = vector
+        return self._capacity_vector
 
     # -------------------------------------------------------------- hierarchy
     def neighbors_of_kind(self, name: str, kind: NodeKind) -> List[str]:
@@ -759,12 +780,7 @@ class Topology:
         if not len(pairs):
             return np.zeros(0)
         rows, _, _ = self.path_links_matrix(pairs)
-        capacity = np.fromiter(
-            (link.capacity_bps for link in self._links.values()),
-            dtype=np.float64,
-            count=len(self._links),
-        )
-        return np.where(rows >= 0, capacity[rows], np.inf).min(axis=1)
+        return np.where(rows >= 0, self.capacity_vector()[rows], np.inf).min(axis=1)
 
 
 # --------------------------------------------------------------------------

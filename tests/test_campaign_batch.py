@@ -23,7 +23,7 @@ from repro.errors import MeasurementError
 from repro.faults import attach_faults, generate_faults
 from repro.obs.report import load_events
 from repro.service.timeline import attach_timeline, generate_timeline
-from repro.units import MBYTE
+from repro.units import GBITPS, MBYTE
 
 EPOCH_S = 300.0
 COUNTERS = (
@@ -333,6 +333,26 @@ def test_unreplayable_batch_rewinds_and_falls_back(trace_to):
     assert (span["path"], span["reason"]) == ("per-probe", "replay aborted")
 
 
+def test_a_loaded_campaign_says_what_its_background_cost(trace_to):
+    """``background=`` / ``snapshot_rounds=`` on the span and the two
+    ``repro.measure.snapshot_*`` counters move under load, and only then."""
+    names_of = ("repro.measure.snapshot_probes", "repro.measure.snapshot_rounds")
+    deltas = []
+    for loaded in (False, True):
+        provider, names = build_provider("ec2")
+        flows = background_flows(names, np.random.default_rng(5)) if loaded else ()
+        before = obs.metrics.snapshot()
+        NetworkMeasurer(provider).measure(names, background=flows)
+        after = obs.metrics.snapshot()
+        deltas.append([after[name] - before.get(name, 0) for name in names_of])
+    idle, loaded = campaign_spans(trace_to)
+    assert "background" not in idle and "snapshot_rounds" not in idle
+    assert loaded["background"] == 12 and 1 <= loaded["snapshot_rounds"] <= 12
+    # One fill serves the whole mesh (its colocated pairs are not routed).
+    assert deltas[0] == [0, 0]
+    assert 0 < deltas[1][0] <= 8 * 7 and deltas[1][1] == loaded["snapshot_rounds"]
+
+
 def test_traced_campaign_equals_untraced(trace_to):
     traced = campaign(NetworkMeasurer(*build_provider("ec2")[:1]), None)
     obs.configure(None, export_env=False)
@@ -370,3 +390,29 @@ def test_shared_snapshot_equals_one_simulation_per_pair(seed):
         assert rate == simulated_snapshot(provider, src, dst, flows)
         assert rate > 0
     assert provider.snapshot_rate(*pairs[3], background=flows) == shared[3]
+
+
+class RaisedHoses:
+    """A hose timeline that lifts every VM's cap above its host's link."""
+
+    def hose_rate_at(self, vm, clock):
+        return 100 * GBITPS
+
+
+@pytest.mark.parametrize("faults", ["random-preempt", "rack-outage", None])
+def test_shared_snapshot_at_forty_vms_under_faults(faults):
+    """The service's size: 40 VMs on 24 hosts (so many share one), a
+    background big enough to be one component, and shares that tie —
+    preempted hoses at 1 bit/s each, or (no faults, hoses raised) the
+    equal-capacity host links, where the link that wins a tie decides the
+    last bit of the levels after it."""
+    rng = np.random.default_rng(40)
+    provider, names = build_provider("ec2", n_vms=40, seed=4, faults=faults)
+    if faults is None:
+        provider.hose_timeline = RaisedHoses()
+    flows = background_flows(names, rng, n_flows=45)
+    pairs = [(s, d) for s in names for d in names if s != d]
+    shared = provider._snapshot_rates(pairs, flows)
+    assert len(shared) == 40 * 39
+    for i in rng.choice(len(pairs), size=150, replace=False):
+        assert shared[i] == simulated_snapshot(provider, *pairs[i], flows)

@@ -10,6 +10,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -153,3 +154,29 @@ def test_one_class_is_the_network_profile():
         if inspect.isclass(value) and "rate_matrix" in vars(value)
     ]
     assert with_matrix == ["NetworkProfile"]
+
+
+# ------------------------------------------- one snapshot, and no allocator
+def test_the_snapshot_has_one_implementation_and_builds_no_allocator():
+    """``snapshot_rate`` is the one-pair case of ``_snapshot_rates``, which
+    reads its rates off ``probe_rates_under_load``: no twin for some size,
+    no second call site, and no per-probe solve on an allocator."""
+    sources = {
+        name: inspect.getsource(importlib.import_module(name)) for name in MODULES
+    }
+    assert "IncrementalAllocator" not in sources["repro.cloud.provider"]
+    defined = sorted(
+        f"{name}:{match}"
+        for name, source in sources.items()
+        for match in re.findall(r"def (\w*snapshot_rate\w*)\(", source)
+    )
+    assert defined == [
+        "repro.cloud.provider:_snapshot_rates",
+        "repro.cloud.provider:snapshot_rate",
+    ]
+    uses = {
+        name: source.count("probe_rates_under_load(")
+        for name, source in sources.items()
+        if "probe_rates_under_load(" in source
+    }
+    assert uses == {"repro.net.fairness": 1, "repro.cloud.provider": 1}
