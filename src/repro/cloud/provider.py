@@ -19,10 +19,12 @@ Concrete providers (:mod:`repro.cloud.ec2`, :mod:`repro.cloud.ec2_legacy`,
 
 from __future__ import annotations
 
-import itertools
+import bisect
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -42,7 +44,12 @@ from repro.net.packets import (
     send_packet_train,
     send_packet_trains,
 )
-from repro.net.topology import Topology, TreeSpec, build_multi_rooted_tree
+from repro.net.topology import (
+    Topology,
+    TreeSpec,
+    build_multi_rooted_tree,
+    index_pairs,
+)
 from repro.net.traceroute import traceroute_hop_count
 from repro.units import GBITPS
 
@@ -80,16 +87,17 @@ class VMFlow:
 class TrainBatch:
     """Receiver-side observations of one packet train per probed pair.
 
-    What :meth:`CloudProvider.send_packet_trains` returns for a list of
-    ordered pairs: ``sent[k]`` is the position (in that list) of the pair
-    whose train is column ``k`` of ``first_rx_s``/``last_rx_s`` (shape
-    ``(n_bursts, len(sent))``); ``lost`` maps the position of each pair
-    whose probe an injected fault lost to the error its probe raises.
+    What :meth:`CloudProvider.send_packet_trains` returns for a schedule
+    of ordered pairs: ``sent[k]`` is the position (in that schedule) of the
+    pair whose train is column ``k`` of ``first_rx_s``/``last_rx_s`` (shape
+    ``(n_bursts, len(sent))``), ascending; ``lost`` maps the position of
+    each pair whose probe an injected fault lost to the error its probe
+    raises.
     """
 
     first_rx_s: np.ndarray
     last_rx_s: np.ndarray
-    sent: List[int]
+    sent: np.ndarray
     lost: Dict[int, str]
     _rng: np.random.Generator
     _rng_state: dict
@@ -166,6 +174,16 @@ class CloudProvider:
         self._base_hose: Dict[str, float] = {}
         self._hose_deviation: Dict[str, float] = {}
         self._vm_counter = 0
+        # Hosts holding one of the tenant's VMs (with how many) and hosts
+        # holding none, both in ``topology.hosts()`` order: what
+        # ``request_vms`` draws from, kept up to date VM by VM.
+        self._host_vms: Dict[str, int] = {}
+        self._used_hosts: List[str] = []
+        self._free_hosts: List[str] = self.topology.hosts()
+        # VM name -> position in allocation order, and each VM's host index
+        # by position; both rebuilt on demand after the VM set changes.
+        self._vm_position: Optional[Dict[str, int]] = None
+        self._vm_host: Optional[np.ndarray] = None
         #: When set (see :func:`repro.service.timeline.attach_timeline`), VMs
         #: covered by the timeline take their egress cap from it at the
         #: current clock instead of the OU-drifted base — the ground-truth
@@ -193,21 +211,23 @@ class CloudProvider:
         """
         if n < 1:
             raise CloudError("must request at least one VM")
-        all_hosts = self.topology.hosts()
         new_vms: List[VirtualMachine] = []
+        self._vm_position = self._vm_host = None
         for _ in range(n):
             self._vm_counter += 1
             name = f"{name_prefix}{self._vm_counter}"
-            used_hosts = [vm.host for vm in self._vms.values()]
-            free_hosts = [h for h in all_hosts if h not in used_hosts]
             colocate = (
-                used_hosts
+                self._used_hosts
                 and self._rng.random() < self.params.colocation_probability
             )
-            if colocate or not free_hosts:
-                host = str(self._rng.choice(sorted(set(used_hosts))))
+            if colocate or not self._free_hosts:
+                host = str(self._rng.choice(self._used_hosts))
             else:
-                host = str(self._rng.choice(free_hosts))
+                host = str(self._rng.choice(self._free_hosts))
+            if host not in self._host_vms:
+                del self._free_hosts[bisect.bisect_left(self._free_hosts, host)]
+                bisect.insort(self._used_hosts, host)
+            self._host_vms[host] = self._host_vms.get(host, 0) + 1
             vm = VirtualMachine(name=name, host=host, instance_type=self.params.instance_type)
             self._vms[name] = vm
             self._base_hose[name] = float(self.params.hose_sampler(self._rng))
@@ -230,9 +250,15 @@ class CloudProvider:
         """Return a VM to the provider."""
         if name not in self._vms:
             raise CloudError(f"unknown VM {name!r}")
-        del self._vms[name]
+        host = self._vms.pop(name).host
         del self._base_hose[name]
         del self._hose_deviation[name]
+        self._host_vms[host] -= 1
+        if not self._host_vms[host]:
+            del self._host_vms[host]
+            del self._used_hosts[bisect.bisect_left(self._used_hosts, host)]
+            bisect.insort(self._free_hosts, host)
+        self._vm_position = self._vm_host = None
 
     # ---------------------------------------------------------------- clock
     @property
@@ -353,11 +379,14 @@ class CloudProvider:
             return 1.0
         mode, factor = fault
         if mode == "fail":
-            raise MeasurementError(
-                f"{what} {src_vm}->{dst_vm} lost at t={self._clock:.0f}s "
-                f"(injected fault)"
-            )
+            raise MeasurementError(self._lost_probe(src_vm, dst_vm, what))
         return factor
+
+    def _lost_probe(self, src_vm: str, dst_vm: str, what: str) -> str:
+        return (
+            f"{what} {src_vm}->{dst_vm} lost at t={self._clock:.0f}s "
+            f"(injected fault)"
+        )
 
     def run_netperf(
         self,
@@ -473,31 +502,54 @@ class CloudProvider:
 
     def _snapshot_rates(
         self,
-        pairs: Sequence[Tuple[str, str]],
+        pairs: Union[Sequence[Tuple[str, str]], np.ndarray],
         background: Sequence[VMFlow],
         window_s: float = 0.1,
     ) -> np.ndarray:
         """:meth:`snapshot_rate` of every pair, each alone with ``background``."""
         if not window_s > 0:
             raise CloudError(f"window_s must be positive, got {window_s!r}")
-        position = {name: i for i, name in enumerate(self._vms)}
-        src = self._vm_positions([src_vm for src_vm, _ in pairs], position)
-        dst = self._vm_positions([dst_vm for _, dst_vm in pairs], position)
-        return self._loaded_rates(src, dst, background, position, window_s)[0]
+        pairs = self._pair_positions(pairs)
+        return self._loaded_rates(pairs[:, 0], pairs[:, 1], background, window_s)[0]
 
-    @staticmethod
-    def _vm_positions(names: Sequence[str], position: Mapping[str, int]) -> np.ndarray:
+    def vm_positions(self, names: Iterable[str]) -> np.ndarray:
+        """Each named VM's position in allocation order (:meth:`vms`)."""
+        position = self._vm_position
+        if position is None:
+            position = self._vm_position = {
+                name: i for i, name in enumerate(self._vms)
+            }
         try:
             return np.array([position[name] for name in names], dtype=np.intp)
         except KeyError as exc:
             raise CloudError(f"unknown VM {exc.args[0]!r}") from exc
+
+    def _pair_positions(
+        self, pairs: Union[Sequence[Tuple[str, str]], np.ndarray]
+    ) -> np.ndarray:
+        """Ordered VM pairs as an ``(m, 2)`` array of VM positions.
+
+        ``pairs`` holds ``(src, dst)`` VM names, or already is that array
+        (then only checked).
+        """
+        if isinstance(pairs, np.ndarray):
+            return index_pairs(pairs, len(self._vms), "VM positions", CloudError)
+        return self.vm_positions(name for pair in pairs for name in pair).reshape(-1, 2)
+
+    def _vm_hosts(self) -> np.ndarray:
+        """Each VM's host (:meth:`Topology.host_index`), by VM position."""
+        if self._vm_host is None:
+            self._vm_host = np.array(
+                [self.topology.host_index(vm.host) for vm in self._vms.values()],
+                dtype=np.intp,
+            )
+        return self._vm_host
 
     def _loaded_rates(
         self,
         src: np.ndarray,
         dst: np.ndarray,
         background: Sequence[VMFlow],
-        position: Mapping[str, int],
         window_s: float = 0.1,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Snapshot rate and narrowest physical link of each probe
@@ -518,22 +570,21 @@ class CloudProvider:
         if not n:
             return np.zeros(0), np.zeros(0)
         src = np.concatenate(
-            (src, self._vm_positions([flow.src_vm for flow in background], position))
+            (src, self.vm_positions(flow.src_vm for flow in background))
         )
         dst = np.concatenate(
-            (dst, self._vm_positions([flow.dst_vm for flow in background], position))
+            (dst, self.vm_positions(flow.dst_vm for flow in background))
         )
-        hosts = [vm.host for vm in self._vms.values()]
-        ends = [(hosts[a], hosts[b]) for a, b in zip(src.tolist(), dst.tolist())]
+        ends = self._vm_hosts()[np.column_stack((src, dst))]
         paths = self.topology.path_links_matrix(ends)[0]
         links = self.topology.capacity_vector()
         # A simulation's link order: the topology's links, then one hose per
         # VM in allocation order.  The hose applies to the VM's egress onto
         # the physical network, so intra-host traffic bypasses it; the hose
         # of a VM that sends nothing is on no row and is not read.
-        egress = np.fromiter((a != b for a, b in ends), dtype=bool, count=len(ends))
+        egress = ends[:, 0] != ends[:, 1]
         hose = self._sender_hoses(src[egress])
-        rows = np.empty((len(ends), 1 + paths.shape[1]), dtype=np.intp)
+        rows = np.empty((ends.shape[0], 1 + paths.shape[1]), dtype=np.intp)
         rows[:, 0] = np.where(egress, links.shape[0] + src, -1)
         rows[:, 1:] = paths
         rates, rounds = probe_rates_under_load(
@@ -551,7 +602,7 @@ class CloudProvider:
         whole campaign, and a VM that sends nothing has no use for one)."""
         names = list(self._vms)
         hose = np.zeros(len(names))
-        for vm in set(senders.tolist()):
+        for vm in np.flatnonzero(np.bincount(senders, minlength=len(names))).tolist():
             hose[vm] = self.hose_rate(names[vm])
         return hose
 
@@ -633,11 +684,14 @@ class CloudProvider:
 
     def send_packet_trains(
         self,
-        pairs: Sequence[Tuple[str, str]],
+        pairs: Union[Sequence[Tuple[str, str]], np.ndarray],
         spec: PacketTrainSpec = PacketTrainSpec(),
         background: Sequence[VMFlow] = (),
     ) -> Optional[TrainBatch]:
         """:meth:`send_packet_train` on each pair in turn, as one array program.
+
+        ``pairs`` is the schedule: an ``(m, 2)`` integer array of VM
+        positions (:meth:`vm_positions`), or ``(src, dst)`` names.
 
         The clock does not move between the trains, so which probes an
         injected fault loses, every VM's hose rate and the background are
@@ -652,6 +706,7 @@ class CloudProvider:
         be exact (see :meth:`train_replay_blocker`; a path model that the
         scalar code would reject) — the caller then probes pair by pair.
         """
+        pairs = self._pair_positions(pairs)
         params = self.params
         depth = params.train_limiter_depth_bytes
         if (
@@ -660,52 +715,43 @@ class CloudProvider:
             or (depth is not None and depth < 0)
         ):
             return None
-        vm_index = {name: i for i, name in enumerate(self._vms)}
-        try:
-            src = np.fromiter((vm_index[a] for a, _ in pairs), np.intp, len(pairs))
-            dst = np.fromiter((vm_index[b] for _, b in pairs), np.intp, len(pairs))
-        except KeyError:
-            return None  # the scalar code names the unknown VM
+        src, dst = pairs[:, 0], pairs[:, 1]
+        sent = np.arange(pairs.shape[0])
         lost: Dict[int, str] = {}
         wild = None
         if self.fault_timeline is not None:
-            wild = np.ones(len(pairs))
-            for i, (src_vm, dst_vm) in enumerate(pairs):
-                try:
-                    wild[i] = self._probe_fault_factor(src_vm, dst_vm, "packet train")
-                except MeasurementError as exc:
-                    lost[i] = str(exc)
-        if lost:
-            sent = [i for i in range(len(pairs)) if i not in lost]
-            src, dst, wild = src[sent], dst[sent], wild[sent]
-        else:
-            sent = list(range(len(pairs)))
+            names = list(self._vms)
+            gone, wild = self.fault_timeline.probe_faults(
+                names, src, dst, self._clock
+            )
+            for i in np.flatnonzero(gone).tolist():
+                lost[i] = self._lost_probe(
+                    names[src[i]], names[dst[i]], "packet train"
+                )
+            if lost:
+                sent = np.flatnonzero(~gone)
+                src, dst, wild = src[sent], dst[sent], wild[sent]
 
         # What each path offers before this train's noise: the physical
         # bottleneck, and the sender's share of its hose.
-        host_names = [vm.host for vm in self._vms.values()]
-        host_index = {host: i for i, host in enumerate(dict.fromkeys(host_names))}
-        vm_host = np.array([host_index[host] for host in host_names], dtype=np.intp)
+        vm_host = self._vm_hosts()
         routed = vm_host[src] != vm_host[dst]
         if background and routed.any():
             available, physical = self._loaded_rates(
-                src[routed], dst[routed], background, vm_index
+                src[routed], dst[routed], background
             )
         else:
             senders = src[routed]
             physical = self.topology.path_bottlenecks(
-                [
-                    (host_names[a], host_names[b])
-                    for a, b in zip(senders.tolist(), dst[routed].tolist())
-                ]
+                np.column_stack((vm_host[senders], vm_host[dst[routed]]))
             )
             available = self._sender_hoses(senders)[senders]
 
         jittered = params.train_jitter_std_s > 0
         per_train = 1 + (2 * spec.n_bursts if jittered else 0)
         rng_state = self._rng.bit_generator.state
-        normals = self._rng.standard_normal(len(sent) * per_train)
-        normals = normals.reshape(len(sent), per_train)
+        normals = self._rng.standard_normal(sent.shape[0] * per_train)
+        normals = normals.reshape(sent.shape[0], per_train)
         # rng.normal(0.0, s) is 0.0 + s * z on the same stream.
         rate_noise = 1.0 + (0.0 + params.train_rate_noise * normals[:, 0])
         rate_noise = np.maximum(rate_noise, 0.2)

@@ -13,7 +13,7 @@ the provider clock accordingly, so temporal drift is honoured.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from repro.core.network_profile import NetworkProfile
 from repro.errors import MeasurementError
 from repro.net.packets import PacketTrainSpec
 from repro.cloud.provider import SNAPSHOT_ROUNDS, CloudProvider, VMFlow
+from repro.net.topology import ECMP_HASHED, index_pairs
 
 
 #: Campaign counters (``obs.metrics.snapshot()`` under ``repro.measure.*``):
@@ -127,6 +128,69 @@ class _RetryLedger:
         return True
 
 
+#: A campaign's ordered pairs: ``(src, dst)`` VM names, or an ``(m, 2)``
+#: integer array of positions in the campaign's VM list.
+Pairs = Union[Sequence[Tuple[str, str]], np.ndarray]
+
+
+def _distinct(vm_names: Sequence[str]) -> List[str]:
+    names = list(vm_names)
+    if len(set(names)) != len(names):
+        repeated = sorted({name for name in names if names.count(name) > 1})
+        raise MeasurementError(f"duplicate VM names {repeated!r} in {names!r}")
+    return names
+
+
+def _pair_positions(names: Sequence[str], pairs: Pairs) -> np.ndarray:
+    """``pairs`` as an ``(m, 2)`` array of positions in ``names``, each row
+    checked to be two distinct VMs of ``names``."""
+    if isinstance(pairs, np.ndarray):
+        at = index_pairs(pairs, len(names), "pair positions", MeasurementError)
+        at = at.astype(np.intp, copy=False)
+    else:
+        pairs = list(pairs)
+        index = {vm: i for i, vm in enumerate(names)}
+        flat = [index.get(name, -1) for pair in pairs for name in pair]
+        if len(flat) != 2 * len(pairs):
+            raise MeasurementError("every scheduled pair must be a (src, dst) pair")
+        at = np.array(flat, dtype=np.intp).reshape(-1, 2)
+    bad = (at[:, 0] == at[:, 1]) | (at < 0).any(axis=1)
+    if bad.any():
+        first = int(np.flatnonzero(bad)[0])
+        src, dst = at[first].tolist() if isinstance(pairs, np.ndarray) else pairs[first]
+        raise MeasurementError(f"cannot schedule pair ({src!r}, {dst!r})")
+    return at
+
+
+def _greedy_rounds(src: List[int], dst: List[int], limit: int) -> np.ndarray:
+    """The round of each pair: every round takes, in order, the earliest
+    pending pairs that share no VM with it, up to ``limit`` of them."""
+    round_of = np.zeros(len(src), dtype=np.intp)
+    pending = list(range(len(src)))
+    current = 0
+    while pending:
+        busy: set = set()
+        rest: List[int] = []
+        for at, i in enumerate(pending):
+            if src[i] in busy or dst[i] in busy:
+                rest.append(i)
+                continue
+            round_of[i] = current
+            busy.add(src[i])
+            busy.add(dst[i])
+            if len(busy) == 2 * limit:
+                rest.extend(pending[at + 1:])
+                break
+        pending = rest
+        current += 1
+    return round_of
+
+
+def _round_count(round_of: np.ndarray) -> int:
+    """Rounds of a schedule whose probes' rounds (ascending) are ``round_of``."""
+    return int(round_of[-1]) + 1 if round_of.shape[0] else 0
+
+
 class NetworkMeasurer:
     """Runs measurement campaigns against a provider."""
 
@@ -164,7 +228,7 @@ class NetworkMeasurer:
     def schedule_rounds(
         self,
         vm_names: Sequence[str],
-        pairs: Optional[Sequence[Tuple[str, str]]] = None,
+        pairs: Optional[Pairs] = None,
     ) -> List[List[Tuple[str, str]]]:
         """Batch ordered pairs into rounds of non-interfering probes.
 
@@ -177,37 +241,41 @@ class NetworkMeasurer:
         one pair, in the same order the serial mesh used.
 
         ``pairs`` restricts the schedule to a subset of the mesh (the TTL
-        cache's stale pairs); by default the full ordered mesh is probed.
+        cache's stale pairs), as :meth:`measure` takes it; by default the
+        full ordered mesh is probed.  This is the campaign's schedule by
+        name; :meth:`measure` itself runs on positions.
         """
+        names = _distinct(vm_names)
+        src, dst, round_of = self._schedule(names, pairs)
+        rounds: List[List[Tuple[str, str]]] = [
+            [] for _ in range(_round_count(round_of))
+        ]
+        for s, d, r in zip(src.tolist(), dst.tolist(), round_of.tolist()):
+            rounds[r].append((names[s], names[d]))
+        return rounds
+
+    def _schedule(
+        self, names: Sequence[str], pairs: Optional[Pairs]
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The campaign's probes in the order they are sent: each probe's
+        source and destination (positions in ``names``) and its round."""
+        n = len(names)
         if pairs is None:
-            pending = [(s, d) for s in vm_names for d in vm_names if s != d]
+            src = np.repeat(np.arange(n), n - 1)
+            dst = np.tile(np.arange(n - 1), n)
+            dst += dst >= src
         else:
-            known = set(vm_names)
-            for src, dst in pairs:
-                if src == dst or src not in known or dst not in known:
-                    raise MeasurementError(
-                        f"cannot schedule pair ({src!r}, {dst!r})"
-                    )
-            pending = list(dict.fromkeys(pairs))  # dedupe, keep order
+            at = _pair_positions(names, pairs)
+            # Dedupe, keeping each pair where it first appears.
+            first = np.unique(at[:, 0] * n + at[:, 1], return_index=True)[1]
+            first.sort()
+            src, dst = at[first, 0], at[first, 1]
         limit = self.plan.parallelism
         if limit == 1:
-            return [[pair] for pair in pending]
-        rounds: List[List[Tuple[str, str]]] = []
-        while pending:
-            busy: set = set()
-            batch: List[Tuple[str, str]] = []
-            rest: List[Tuple[str, str]] = []
-            for pair in pending:
-                src, dst = pair
-                if len(batch) < limit and src not in busy and dst not in busy:
-                    batch.append(pair)
-                    busy.add(src)
-                    busy.add(dst)
-                else:
-                    rest.append(pair)
-            rounds.append(batch)
-            pending = rest
-        return rounds
+            return src, dst, np.arange(src.shape[0])
+        round_of = _greedy_rounds(src.tolist(), dst.tolist(), limit)
+        order = np.argsort(round_of, kind="stable")
+        return src[order], dst[order], round_of[order]
 
     # ------------------------------------------------------------ campaign
     def measure_pair(
@@ -232,7 +300,7 @@ class NetworkMeasurer:
         self,
         vm_names: Optional[Sequence[str]] = None,
         background: Sequence[VMFlow] = (),
-        pairs: Optional[Sequence[Tuple[str, str]]] = None,
+        pairs: Optional[Pairs] = None,
     ) -> NetworkProfile:
         """Measure the (full or partial) mesh and return a :class:`NetworkProfile`.
 
@@ -242,8 +310,10 @@ class NetworkMeasurer:
                 previously placed applications, §2.4) that the measurement
                 should see as cross traffic.
             pairs: restrict the campaign to these ordered pairs (the stale
-                subset of a TTL cache); the returned profile covers only
-                them.  ``None`` probes the full ordered mesh.
+                subset of a TTL cache) — ``(src, dst)`` names, or an
+                ``(m, 2)`` integer array of positions in ``vm_names``; the
+                returned profile covers only them.  ``None`` probes the
+                full ordered mesh.
 
         Every probed pair carries its own timestamp in
         :attr:`NetworkProfile.pair_measured_at` — pairs from later campaign
@@ -256,28 +326,39 @@ class NetworkMeasurer:
         a pair whose retries are exhausted lands in
         :attr:`NetworkProfile.degraded_pairs` instead of crashing the
         campaign.
+
+        Raises:
+            MeasurementError, CloudError: fewer than two VMs, a repeated or
+                unknown VM, a pair that is not two distinct VMs of
+                ``vm_names`` — all before the first probe draws anything.
         """
-        names = (
-            list(vm_names)
+        names = _distinct(
+            vm_names
             if vm_names is not None
             else [vm.name for vm in self.provider.vms()]
         )
         if len(names) < 2:
             raise MeasurementError("need at least two VMs to measure")
 
+        # The campaign runs on positions from here on: ``src``/``dst`` index
+        # ``names`` (the profile's order), ``on_provider`` turns them into
+        # the provider's.  A name is looked up again only for the probe
+        # being sent one by one, and for a pair that degrades.
+        on_provider = self.provider.vm_positions(names)
+        src, dst, round_of = self._schedule(names, pairs)
+        n_rounds = _round_count(round_of)
         started_at = self.provider.now
-        rounds = self.schedule_rounds(names, pairs=pairs)
         round_time = self.per_pair_time_s()
-        scheduled = [pair for batch in rounds for pair in batch]
         retry = _RetryLedger(self.plan, round_time)
         campaign = obs.span(
             "measure.campaign",
             vms=len(names),
-            pairs=len(scheduled),
-            rounds=len(rounds),
+            pairs=src.shape[0],
+            rounds=n_rounds,
             method=self.plan.method,
         )
         rounds_before = SNAPSHOT_ROUNDS.count
+        hashed_before = ECMP_HASHED.count
         with campaign:
             # One array program over the whole schedule when the probes'
             # RNG consumption is fixed up front; pair by pair otherwise.
@@ -287,16 +368,22 @@ class NetworkMeasurer:
             )
             probed = None
             if reason is None:
-                probed = self._probe_all(scheduled, background, retry)
+                probed = self._probe_all(
+                    names, src, dst, on_provider, background, retry
+                )
                 if probed is None:
                     reason = "replay aborted"
             if probed is None:
-                probed = self._probe_each(scheduled, background, retry)
+                probed = self._probe_each(names, src, dst, background, retry)
             if reason is None:
                 campaign.set(path="array")
             else:
                 campaign.set(path="per-probe", reason=reason)
-            campaign.set(retries=retry.retries, degraded=len(retry.degraded))
+            campaign.set(
+                retries=retry.retries,
+                degraded=len(retry.degraded),
+                ecmp_hashed=ECMP_HASHED.count - hashed_before,
+            )
             if background:
                 campaign.set(
                     background=len(background),
@@ -309,15 +396,11 @@ class NetworkMeasurer:
         # the profile rejects a probe time without a rate.
         estimates, measured = probed
         n = len(names)
-        index = {vm: i for i, vm in enumerate(names)}
-        at = np.array(
-            [index[src] * n + index[dst] for src, dst in scheduled], dtype=np.intp
-        )[measured]
-        round_index = np.repeat(np.arange(len(rounds)), [len(b) for b in rounds])
+        at = (src * n + dst)[measured]
         rates = np.full((n, n), np.nan)
         np.put(rates, at, np.maximum(estimates, 1.0))
         pair_times = np.full((n, n), np.nan)
-        np.put(pair_times, at, started_at + round_index[measured] * round_time)
+        np.put(pair_times, at, started_at + round_of[measured] * round_time)
         cross = None
         if self.plan.estimate_cross_traffic:
             advertised = self.provider.params.instance_type.advertised_egress_bps
@@ -332,10 +415,10 @@ class NetworkMeasurer:
             )
 
         _CAMPAIGNS.inc()
-        _PROBES.inc(len(scheduled))
+        _PROBES.inc(src.shape[0])
         _RETRIES.inc(retry.retries)
         _DEGRADED.inc(len(retry.degraded))
-        duration = len(rounds) * round_time + retry.time_s
+        duration = n_rounds * round_time + retry.time_s
         if self.plan.advance_clock:
             self.provider.advance_time(duration)
         return NetworkProfile(
@@ -351,19 +434,22 @@ class NetworkMeasurer:
 
     def _probe_each(
         self,
-        scheduled: Sequence[Tuple[str, str]],
+        names: Sequence[str],
+        src: np.ndarray,
+        dst: np.ndarray,
         background: Sequence[VMFlow],
         retry: "_RetryLedger",
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Probe the schedule pair by pair.
+        """Probe the schedule ``names[src[i]] -> names[dst[i]]`` pair by pair.
 
         Returns the estimates of the pairs that got one, in schedule order,
         and the mask over the schedule of which pairs those are (``False`` =
         the pair's retries ran out).
         """
         estimates: List[float] = []
-        measured = np.zeros(len(scheduled), dtype=bool)
-        for position, pair in enumerate(scheduled):
+        measured = np.zeros(src.shape[0], dtype=bool)
+        for position, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
+            pair = (names[s], names[d])
             attempt = 0
             while True:
                 try:
@@ -378,7 +464,10 @@ class NetworkMeasurer:
 
     def _probe_all(
         self,
-        scheduled: Sequence[Tuple[str, str]],
+        names: Sequence[str],
+        src: np.ndarray,
+        dst: np.ndarray,
+        on_provider: np.ndarray,
         background: Sequence[VMFlow],
         retry: "_RetryLedger",
     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
@@ -391,7 +480,9 @@ class NetworkMeasurer:
         exactly.
         """
         batch = self.provider.send_packet_trains(
-            scheduled, self.plan.train_spec, background=background
+            on_provider[np.column_stack((src, dst))],
+            self.plan.train_spec,
+            background=background,
         )
         if batch is None:
             return None
@@ -403,10 +494,11 @@ class NetworkMeasurer:
             # is retried with fresh ones.
             batch.rewind()
             return None
-        measured = np.zeros(len(scheduled), dtype=bool)
+        measured = np.zeros(src.shape[0], dtype=bool)
         measured[batch.sent] = True  # ``sent`` ascends: ``rates`` is in order
         for position, error in batch.lost.items():
+            pair = (names[src[position]], names[dst[position]])
             attempt = 0
-            while retry.failed(scheduled[position], attempt, error):
+            while retry.failed(pair, attempt, error):
                 attempt += 1
         return rates, measured

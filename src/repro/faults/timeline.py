@@ -266,6 +266,43 @@ class FaultTimeline:
                 return ("wild", event.factor)
         return None
 
+    def probe_faults(
+        self, vms: Sequence[str], src: np.ndarray, dst: np.ndarray, t: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`probe_fault` of every probe ``vms[src[i]] -> vms[dst[i]]``
+        at ``t``, the preempted VMs and the active windows resolved once.
+
+        Returns ``(lost, factor)``: ``lost[i]`` where the probe must raise,
+        ``factor[i]`` its "wild" distortion (1.0 where it has none).
+        """
+        n = len(vms)
+        dark = np.fromiter((self.preempted(vm, t) for vm in vms), bool, count=n)
+        lost = dark[src] | dark[dst]
+        factor = np.ones(src.shape[0])
+        index = {vm: i for i, vm in enumerate(vms)}
+        # The first active window of each pair, as probe_fault's scan finds it.
+        active: Dict[int, ProbeLoss] = {}
+        for event in self.events:
+            if (
+                isinstance(event, ProbeLoss)
+                and event.start_s <= t < event.end_s
+                and event.src in index
+                and event.dst in index
+            ):
+                active.setdefault(index[event.src] * n + index[event.dst], event)
+        if active:
+            keys = np.array(sorted(active), dtype=np.int64)
+            windows = [active[key] for key in keys.tolist()]
+            fails = np.array([w.mode == "fail" for w in windows])
+            factors = np.array([w.factor for w in windows])
+            probes = src.astype(np.int64) * n + dst
+            at = np.minimum(np.searchsorted(keys, probes), keys.shape[0] - 1)
+            hit = keys[at] == probes
+            lost |= hit & fails[at]
+            wild = hit & ~fails[at]
+            factor[wild] = factors[at[wild]]
+        return lost, factor
+
     # ------------------------------------------------------------ persistence
     def save(self, path: Union[str, Path]) -> None:
         """Write the timeline as JSON (see :meth:`load`)."""

@@ -405,7 +405,7 @@ class FluidSimulation:
                 self._capacities[link_id] = cap
         if hose is not None:
             self._capacities.update(
-                hose.link_capacities(topology.graph.nodes())
+                hose.link_capacities(topology.nodes())
             )
         if extra_capacities:
             for link_id, cap in extra_capacities.items():

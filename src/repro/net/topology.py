@@ -8,9 +8,9 @@ switches.  Path hop counts in such a topology fall in ``{1, 2, 4, 6, 8}``
 same rack, four within an aggregation subtree, six through the core, and
 eight when an extra aggregation tier is present.
 
-:class:`Topology` is a thin, convenient wrapper around a ``networkx`` graph
-that knows about directed capacities, racks, subtrees, and intra-host
-loopback links.  Specialised builders create the topologies the paper uses:
+:class:`Topology` is a small adjacency container that knows about directed
+capacities, racks, subtrees, and intra-host loopback links.  Specialised
+builders create the topologies the paper uses:
 
 * :func:`build_multi_rooted_tree` — the general datacenter of Figure 5;
 * :func:`build_dumbbell` — Figure 3(a), ten sender/receiver pairs sharing one
@@ -25,9 +25,19 @@ import enum
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
-import networkx as nx
 import numpy as np
 
 from repro import obs
@@ -90,12 +100,46 @@ _structured_routers: Dict[str, "_TreeRouter"] = {}
 _structured_route_hits = obs.Counter("repro.routes.structured_hits")
 
 
+#: Ordered endpoint pairs whose ECMP pick was hashed (SHA-256) rather than
+#: remembered (``obs.metrics.snapshot()``, ``repro.routes.ecmp_hashed``).
+ECMP_HASHED = obs.Counter("repro.routes.ecmp_hashed")
+
+
 def structured_routing_info() -> Dict[str, int]:
     """Counters for the structured routing fast path."""
     return {
         "routers": len(_structured_routers),
         "hits": _structured_route_hits.count,
     }
+
+
+def index_pairs(
+    pairs: "np.ndarray", size: int, what: str, error: type = RoutingError
+) -> "np.ndarray":
+    """``pairs``, checked to be an ``(m, 2)`` integer array of positions
+    below ``size`` — how ordered pairs travel once they have left names
+    behind (negative positions would index from the end: refused)."""
+    if (
+        pairs.ndim != 2
+        or pairs.shape[1] != 2
+        or pairs.dtype.kind not in "iu"
+        or (pairs.size and not (0 <= pairs.min() and pairs.max() < size))
+    ):
+        spans = f", values {pairs.min()}..{pairs.max()}" if pairs.size else ""
+        raise error(
+            f"{what} must be an (m, 2) integer array within [0, {size}), "
+            f"got shape {pairs.shape} dtype {pairs.dtype}{spans}"
+        )
+    return pairs
+
+
+def _ecmp_pick(src: str, dst: str, choices: int) -> int:
+    """Which of ``choices`` equal-cost paths the ordered pair takes: the
+    first four bytes of SHA-256 of ``"src|dst"``, big-endian, modulo
+    ``choices``.  (:meth:`_TreeRouter.core_picks` is this for many pairs.)"""
+    ECMP_HASHED.inc()
+    digest = hashlib.sha256(f"{src}|{dst}".encode()).digest()
+    return int.from_bytes(digest[:4], "big") % choices
 
 
 # Batches of fewer pairs than this are routed pair by pair in
@@ -125,6 +169,13 @@ class _TreeRouter:
         self._hosts_per_pod = spec.hosts_per_rack * spec.racks_per_pod
         self._num_hosts = spec.num_hosts
         self._cores_sorted = sorted(f"core{c}" for c in range(spec.num_cores))
+        # Core picks already hashed: ordered far pairs as ascending keys
+        # ``src * num_hosts + dst`` and the pick of each.  Grows with the
+        # pairs hashed, never with ``num_hosts ** 2``, and goes when this
+        # router's entry in ``_structured_routers`` does.
+        self._pick_keys = np.zeros(0, dtype=np.int64)
+        self._picks = np.zeros(0, dtype=np.intp)
+        self._host_bytes: Optional[List[bytes]] = None
 
     def host_coords(self, name: str) -> Optional[Tuple[int, int, int]]:
         """(index, pod, rack) for a canonical host name, else None."""
@@ -165,9 +216,7 @@ class _TreeRouter:
         if spec.num_cores == 1:
             core = self._cores_sorted[0]
         else:
-            digest = hashlib.sha256(f"{src}|{dst}".encode()).digest()
-            pick = int.from_bytes(digest[:4], "big") % spec.num_cores
-            core = self._cores_sorted[pick]
+            core = self._cores_sorted[_ecmp_pick(src, dst, spec.num_cores)]
         if spec.extra_agg_layer:
             return [
                 src, tor_a, f"agg{pa}.{ra}", f"agg{pa}", core,
@@ -215,18 +264,57 @@ class _TreeRouter:
             )
         )
 
+    def core_picks(self, src: "np.ndarray", dst: "np.ndarray") -> "np.ndarray":
+        """:func:`_ecmp_pick` of every ordered cross-pod pair of host indices.
+
+        A pair this router has picked for before is read back (one
+        ``searchsorted``); the rest are hashed in one pass — the same
+        SHA-256 of the same ``"hostA|hostB"`` bytes — and remembered.
+        """
+        cores = self.spec.num_cores
+        if cores == 1:
+            return np.zeros(src.shape[0], dtype=np.intp)
+        keys = src.astype(np.int64) * self._num_hosts + dst
+        known = self._pick_keys
+        at = np.searchsorted(known, keys)
+        hit = at < known.shape[0]
+        hit[hit] = known[at[hit]] == keys[hit]
+        if not hit.all():
+            missed = np.sort(keys[~hit])
+            fresh = np.ones(missed.shape[0], dtype=bool)
+            fresh[1:] = missed[1:] != missed[:-1]
+            missed = missed[fresh]
+            if self._host_bytes is None:
+                self._host_bytes = [b"host%d" % i for i in range(self._num_hosts)]
+            names, sha256 = self._host_bytes, hashlib.sha256
+            a, b = np.divmod(missed, self._num_hosts)
+            words = b"".join(
+                [
+                    sha256(names[i] + b"|" + names[j]).digest()[:4]
+                    for i, j in zip(a.tolist(), b.tolist())
+                ]
+            )
+            ECMP_HASHED.inc(missed.shape[0])
+            where = np.searchsorted(known, missed)
+            self._pick_keys = np.insert(known, where, missed)
+            self._picks = np.insert(
+                self._picks,
+                where,
+                (np.frombuffer(words, dtype=">u4") % cores).astype(np.intp),
+            )
+            at = np.searchsorted(self._pick_keys, keys)
+        return self._picks[at]
+
     def link_rows(
         self,
         tables: "_TreeLinkTables",
-        pairs: Sequence[Tuple[str, str]],
         src: "np.ndarray",
         dst: "np.ndarray",
     ) -> Tuple["np.ndarray", "np.ndarray"]:
         """:meth:`node_path` for many pairs at once, as link-index rows.
 
-        ``src``/``dst`` hold the host indices of ``pairs`` (canonical,
-        distinct hosts).  Returns ``(rows, lengths)`` with -1 padding; only
-        the SHA-256 core pick of cross-pod pairs is computed per pair.
+        ``src``/``dst`` hold host indices (canonical, distinct hosts).
+        Returns ``(rows, lengths)`` with -1 padding.
         """
         spec = self.spec
         rack_src = src // spec.hosts_per_rack
@@ -249,20 +337,7 @@ class _TreeRouter:
                     tables.rack_down[rack_dst[group]]
                 )
         if far.shape[0]:
-            if spec.num_cores == 1:
-                core = 0
-            else:
-                sha256, cores = hashlib.sha256, spec.num_cores
-                core = np.fromiter(
-                    (
-                        int.from_bytes(
-                            sha256(f"{a}|{b}".encode()).digest()[:4], "big"
-                        ) % cores
-                        for a, b in (pairs[i] for i in far.tolist())
-                    ),
-                    dtype=np.intp,
-                    count=far.shape[0],
-                )
+            core = self.core_picks(src[far], dst[far])
             rows[far, 1 + tier] = tables.core_up[pod_src[far], core]
             rows[far, 2 + tier] = tables.core_down[pod_dst[far], core]
         return rows, lengths
@@ -307,15 +382,17 @@ def _register_tree_router(topo: "Topology", spec: "TreeSpec") -> None:
 
 
 def _lazy_kth_shortest_path(
-    graph: nx.Graph, src: str, dst: str, k: Optional[int] = None
+    adjacency: Mapping[str, Iterable[str]], src: str, dst: str, k: Optional[int] = None
 ) -> Optional[List[str]]:
     """The k-th lexicographic shortest path without materialising them all.
+
+    ``adjacency`` maps every node of an undirected graph to its neighbours.
 
     A reverse BFS from ``dst`` yields, for every node on a shortest path,
     the number of shortest paths from it to ``dst``.  Walking forward from
     ``src`` and always taking the smallest-named neighbour whose subtree
     still contains the k-th path then reproduces
-    ``sorted(nx.all_shortest_paths(graph, src, dst))[k]`` exactly: all
+    ``sorted(all shortest paths from src to dst)[k]`` exactly: all
     shortest paths share a length, so list comparison is decided at the
     first differing node, and subtree path counts are contiguous blocks of
     the sorted order.  When ``k`` is None it is derived from the endpoint
@@ -329,7 +406,7 @@ def _lazy_kth_shortest_path(
     while frontier and src not in dist:
         nxt: List[str] = []
         for node in frontier:
-            for neigh in graph.neighbors(node):
+            for neigh in adjacency[node]:
                 if neigh not in dist:
                     dist[neigh] = depth + 1
                     nxt.append(neigh)
@@ -346,18 +423,17 @@ def _lazy_kth_shortest_path(
     for d in range(1, target + 1):
         for node in levels[d]:
             total = 0
-            for neigh in graph.neighbors(node):
+            for neigh in adjacency[node]:
                 if dist.get(neigh) == d - 1:
                     total += counts[neigh]
             counts[node] = total
     if k is None:
-        digest = hashlib.sha256(f"{src}|{dst}".encode()).digest()
-        k = int.from_bytes(digest[:4], "big") % counts[src]
+        k = _ecmp_pick(src, dst, counts[src])
     path = [src]
     node = src
     while node != dst:
         d = dist[node]
-        for neigh in sorted(graph.neighbors(node)):
+        for neigh in sorted(adjacency[node]):
             if dist.get(neigh) != d - 1:
                 continue
             c = counts[neigh]
@@ -431,13 +507,19 @@ class Topology:
 
     def __init__(self, name: str = "topology", intra_host_bps: float = 4 * GBITPS):
         self.name = name
-        self.graph = nx.Graph()
+        # node -> (kind, level) and node -> neighbours, in insertion order;
+        # hosts also by position (what index-array routing indexes)
+        self._nodes: Dict[str, Tuple[NodeKind, int]] = {}
+        self._adjacency: Dict[str, Set[str]] = {}
+        self._host_names: List[str] = []
+        self._host_index: Dict[str, int] = {}
         self._links: Dict[str, Link] = {}
         self._intra_host_bps = intra_host_bps
         self._path_cache: Dict[Tuple[str, str], List[str]] = {}
         self._path_links_cache: Dict[Tuple[str, str], List[Link]] = {}
         self._structure_token: Optional[str] = None
         self._tree_tables: Optional[_TreeLinkTables] = None
+        self._tree_hosts: Optional["np.ndarray"] = None
         # link id -> position in ``_links`` (path_links_matrix's index order),
         # and the capacities in that order; both dropped when a link is added
         self._link_index: Optional[Dict[str, int]] = None
@@ -450,10 +532,14 @@ class Topology:
         Raises:
             TopologyError: if a node with the same name already exists.
         """
-        if name in self.graph:
+        if name in self._nodes:
             raise TopologyError(f"duplicate node {name!r}")
-        self.graph.add_node(name, kind=kind, level=level)
+        self._nodes[name] = (kind, level)
+        self._adjacency[name] = set()
         if kind is NodeKind.HOST:
+            self._host_index[name] = len(self._host_names)
+            self._host_names.append(name)
+            self._tree_hosts = None
             link = Link(
                 link_id=loopback_link_id(name),
                 src=name,
@@ -478,11 +564,12 @@ class Topology:
         with the same capacity.
         """
         for node in (a, b):
-            if node not in self.graph:
+            if node not in self._nodes:
                 raise TopologyError(f"unknown node {node!r}")
-        if self.graph.has_edge(a, b):
+        if b in self._adjacency[a]:
             raise TopologyError(f"duplicate link {a!r} <-> {b!r}")
-        self.graph.add_edge(a, b)
+        self._adjacency[a].add(b)
+        self._adjacency[b].add(a)
         for src, dst in ((a, b), (b, a)):
             link = Link(
                 link_id=directed_link_id(src, dst),
@@ -496,6 +583,7 @@ class Topology:
         self._path_links_cache.clear()
         self._structure_token = None
         self._tree_tables = None
+        self._tree_hosts = None
         self._link_index = None
         self._capacity_vector = None
 
@@ -503,19 +591,31 @@ class Topology:
     def node_kind(self, name: str) -> NodeKind:
         """Return the :class:`NodeKind` of ``name``."""
         try:
-            return self.graph.nodes[name]["kind"]
+            return self._nodes[name][0]
         except KeyError as exc:
             raise TopologyError(f"unknown node {name!r}") from exc
 
     def nodes_of_kind(self, kind: NodeKind) -> List[str]:
         """All node names of the given kind, sorted for determinism."""
-        return sorted(
-            n for n, data in self.graph.nodes(data=True) if data["kind"] is kind
-        )
+        return sorted(n for n, (k, _) in self._nodes.items() if k is kind)
+
+    def nodes(self) -> List[str]:
+        """Every node name, in the order the nodes were added."""
+        return list(self._nodes)
 
     def hosts(self) -> List[str]:
         """All physical machine names."""
         return self.nodes_of_kind(NodeKind.HOST)
+
+    def host_index(self, name: str) -> int:
+        """Position of host ``name`` in the order hosts were added — what an
+        index array handed to :meth:`path_links_matrix` holds.  (A tree
+        from :func:`build_multi_rooted_tree` adds ``host{i}`` as its
+        ``i``-th host.)"""
+        try:
+            return self._host_index[name]
+        except KeyError as exc:
+            raise TopologyError(f"unknown host {name!r}") from exc
 
     def links(self) -> List[Link]:
         """All directed links (physical, loopback) in the topology."""
@@ -552,8 +652,9 @@ class Topology:
     # -------------------------------------------------------------- hierarchy
     def neighbors_of_kind(self, name: str, kind: NodeKind) -> List[str]:
         """Neighbours of ``name`` having the given kind."""
+        self.node_kind(name)  # raises on an unknown node
         return sorted(
-            n for n in self.graph.neighbors(name) if self.node_kind(n) is kind
+            n for n in self._adjacency[name] if self.node_kind(n) is kind
         )
 
     def rack_of(self, host: str) -> Optional[str]:
@@ -586,7 +687,7 @@ class Topology:
         while frontier:
             nxt: List[str] = []
             for node in frontier:
-                for neigh in sorted(self.graph.neighbors(node)):
+                for neigh in sorted(self._adjacency[node]):
                     if neigh in seen:
                         continue
                     kind = self.node_kind(neigh)
@@ -613,7 +714,12 @@ class Topology:
         """
         if self._structure_token is None:
             edge_text = "\n".join(
-                sorted(f"{min(a, b)}|{max(a, b)}" for a, b in self.graph.edges())
+                sorted(
+                    f"{a}|{b}"
+                    for a, neighbours in self._adjacency.items()
+                    for b in neighbours
+                    if a < b
+                )
             )
             self._structure_token = hashlib.sha256(edge_text.encode()).hexdigest()
         return self._structure_token
@@ -640,7 +746,7 @@ class Topology:
                 self._path_cache[key] = choice
                 return choice
         for node in (src, dst):
-            if node not in self.graph:
+            if node not in self._nodes:
                 raise TopologyError(f"unknown node {node!r}")
         shared_key = (self.structure_token(), src, dst)
         shared = _route_cache.get(shared_key)
@@ -649,7 +755,7 @@ class Topology:
             self._path_cache[key] = shared
             return shared
         _route_cache_misses.inc()
-        choice = _lazy_kth_shortest_path(self.graph, src, dst)
+        choice = _lazy_kth_shortest_path(self._adjacency, src, dst)
         if choice is None:
             raise RoutingError(f"no path between {src!r} and {dst!r}")
         self._path_cache[key] = choice
@@ -704,9 +810,13 @@ class Topology:
         return [(a, b) for a, b in itertools.permutations(hosts, 2)]
 
     def path_links_matrix(
-        self, pairs: Sequence[Tuple[str, str]]
+        self, pairs: Union[Sequence[Tuple[str, str]], "np.ndarray"]
     ) -> Tuple["np.ndarray", "np.ndarray", List[str]]:
         """Batched :meth:`path_links` as link-index rows.
+
+        ``pairs`` holds ``(src, dst)`` node names, or — as an ``(m, 2)``
+        integer array — host positions (:meth:`host_index`), which a
+        structured tree routes without touching a name.
 
         Returns ``(rows, lengths, link_ids)``: ``rows`` is an int32 array of
         shape ``(len(pairs), max_hops)`` whose valid prefix of row ``i``
@@ -720,6 +830,9 @@ class Topology:
         if self._link_index is None:
             self._link_index = {lid: i for i, lid in enumerate(link_ids)}
         index = self._link_index
+        by_position = isinstance(pairs, np.ndarray)
+        if by_position:
+            index_pairs(pairs, len(self._host_names), "host positions")
         n = len(pairs)
         lengths = np.zeros(n, dtype=np.int32)
         tree_rows = None
@@ -728,21 +841,22 @@ class Topology:
         try:
             if router is not None and n >= _ARRAY_ROUTE_MIN_PAIRS:
                 # Canonical, distinct hosts route arithmetically, all at once.
-                hosts = {}
-                for name in {name for pair in pairs for name in pair}:
-                    coords = router.host_coords(name)
-                    hosts[name] = -1 if coords is None else coords[0]
-                src = np.fromiter((hosts[a] for a, _ in pairs), np.intp, count=n)
-                dst = np.fromiter((hosts[b] for _, b in pairs), np.intp, count=n)
+                if by_position:
+                    canonical = self._canonical_hosts(router)
+                    src, dst = canonical[pairs[:, 0]], canonical[pairs[:, 1]]
+                else:
+                    hosts = {}
+                    for name in {name for pair in pairs for name in pair}:
+                        coords = router.host_coords(name)
+                        hosts[name] = -1 if coords is None else coords[0]
+                    src = np.fromiter((hosts[a] for a, _ in pairs), np.intp, count=n)
+                    dst = np.fromiter((hosts[b] for _, b in pairs), np.intp, count=n)
                 tree = np.flatnonzero((src >= 0) & (dst >= 0) & (src != dst))
                 if tree.shape[0]:
                     if self._tree_tables is None:
                         self._tree_tables = router.link_tables(index)
-                    routed = pairs if tree.shape[0] == n else [
-                        pairs[i] for i in tree.tolist()
-                    ]
                     tree_rows, lengths[tree] = router.link_rows(
-                        self._tree_tables, routed, src[tree], dst[tree]
+                        self._tree_tables, src[tree], dst[tree]
                     )
                     _structured_route_hits.inc(tree.shape[0])
                     one_by_one = np.flatnonzero(lengths == 0).tolist()
@@ -750,6 +864,9 @@ class Topology:
             other_rows: Dict[int, Tuple[int, ...]] = {}
             for i in one_by_one:
                 src_name, dst_name = pairs[i]
+                if by_position:
+                    src_name = self._host_names[src_name]
+                    dst_name = self._host_names[dst_name]
                 if src_name == dst_name:
                     if self.node_kind(src_name) is not NodeKind.HOST:
                         raise RoutingError(
@@ -772,10 +889,22 @@ class Topology:
             rows[i, : len(row)] = row
         return rows, lengths, link_ids
 
-    def path_bottlenecks(self, pairs: Sequence[Tuple[str, str]]) -> "np.ndarray":
+    def _canonical_hosts(self, router: _TreeRouter) -> "np.ndarray":
+        """``router``'s index of each host by position, -1 where it has none."""
+        if self._tree_hosts is None:
+            coords = map(router.host_coords, self._host_names)
+            self._tree_hosts = np.array(
+                [-1 if c is None else c[0] for c in coords], dtype=np.intp
+            )
+        return self._tree_hosts
+
+    def path_bottlenecks(
+        self, pairs: Union[Sequence[Tuple[str, str]], "np.ndarray"]
+    ) -> "np.ndarray":
         """Capacity (bits/s) of the narrowest link on each pair's path.
 
-        The batched ``min(link.capacity_bps for link in path_links(a, b))``.
+        The batched ``min(link.capacity_bps for link in path_links(a, b))``;
+        ``pairs`` as :meth:`path_links_matrix` takes them.
         """
         if not len(pairs):
             return np.zeros(0)

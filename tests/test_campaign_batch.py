@@ -9,9 +9,12 @@ must agree to the last bit on every field of the profile, on the
 """
 
 import dataclasses
+import hashlib
+import re
 
 import numpy as np
 import pytest
+from oracles.parent_schedule import parent_schedule_rounds
 
 from repro import obs
 from repro.cloud.ec2 import ec2_params
@@ -19,8 +22,14 @@ from repro.cloud.provider import VMFlow
 from repro.cloud.registry import make_provider
 from repro.core.measurement import MeasurementPlan, NetworkMeasurer
 from repro.core.measurement.cross_traffic import estimate_cross_traffic
-from repro.errors import MeasurementError
-from repro.faults import attach_faults, generate_faults
+from repro.errors import CloudError, MeasurementError
+from repro.faults import (
+    FaultTimeline, ProbeLoss, VmPreemption, attach_faults, generate_faults,
+)
+from repro.net import topology
+from repro.net.topology import (
+    TreeSpec, _lazy_kth_shortest_path, build_multi_rooted_tree,
+)
 from repro.obs.report import load_events
 from repro.service.timeline import attach_timeline, generate_timeline
 from repro.units import GBITPS, MBYTE
@@ -416,3 +425,265 @@ def test_shared_snapshot_at_forty_vms_under_faults(faults):
     assert len(shared) == 40 * 39
     for i in rng.choice(len(pairs), size=150, replace=False):
         assert shared[i] == simulated_snapshot(provider, *pairs[i], flows)
+
+
+# ------------------------------------------------- the campaign speaks indices
+def position_pairs(names, pairs):
+    index = {name: i for i, name in enumerate(names)}
+    return np.array([(index[s], index[d]) for s, d in pairs], dtype=np.intp)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_index_schedule_is_the_name_schedule(seed):
+    """``schedule_rounds`` — now the name view of the three arrays ``measure``
+    runs on — against the parent's list-of-lists scheduler, kept verbatim:
+    full mesh and subsets with repeats, serial and parallel, pairs given by
+    name and by position."""
+    rng = np.random.default_rng(seed)
+    names = [f"n{i}" for i in rng.permutation(int(rng.integers(2, 12)))]
+    provider, _ = build_provider("ec2", n_vms=2)
+    for limit in (1, 2, int(rng.integers(3, 7))):
+        measurer = NetworkMeasurer(provider, MeasurementPlan(parallelism=limit))
+        assert measurer.schedule_rounds(names) == parent_schedule_rounds(
+            names, None, limit
+        )
+        picks = [
+            tuple(names[i] for i in rng.choice(len(names), size=2, replace=False))
+            for _ in range(int(rng.integers(0, 40)))
+        ]
+        picks += picks[: len(picks) // 3]
+        want = parent_schedule_rounds(names, picks, limit)
+        assert measurer.schedule_rounds(names, pairs=picks) == want
+        by_position = position_pairs(names, picks).reshape(-1, 2)
+        assert measurer.schedule_rounds(names, pairs=by_position) == want
+
+
+@pytest.mark.parametrize("parallelism", [1, 4])
+@pytest.mark.parametrize("name", ["ec2", "ec2-legacy"])
+def test_pairs_by_position_give_the_profile_pairs_by_name_give(name, parallelism):
+    """An ``(m, 2)`` position array is the same campaign as the name pairs
+    it stands for — on the array path and (lossy provider) pair by pair."""
+    plan = MeasurementPlan(parallelism=parallelism, estimate_cross_traffic=True)
+    rng = np.random.default_rng(23)
+
+    def subset(names):
+        return [
+            tuple(names[i] for i in rng.choice(len(names), size=2, replace=False))
+            for _ in range(30)
+        ]
+
+    provider, names = build_provider(name, colocate=0.4)
+    twin, _ = build_provider(name, colocate=0.4)
+    pairs = subset(names)
+    flows = background_flows(names, np.random.default_rng(2), n_flows=6)
+    by_name = campaign(NetworkMeasurer(provider, plan), names, flows, pairs)
+    by_position = campaign(
+        NetworkMeasurer(twin, plan), names, flows, position_pairs(names, pairs)
+    )
+    assert by_name == by_position
+    assert 0 < len(by_name["rates"]) <= 30
+
+
+def test_a_fail_window_a_wild_window_and_a_preempted_vm_at_once():
+    """One hand-built timeline with every kind of probe fault active at the
+    campaign's clock, colocated VMs, a background and a probe budget that
+    runs out mid-campaign: ledger totals, ``degraded_pairs`` keys *and*
+    messages, and the RNG afterwards are the per-probe loop's."""
+
+    def build():
+        provider, names = build_provider("rackspace", n_vms=10, colocate=0.5)
+        now = provider.now
+        attach_faults(
+            provider,
+            FaultTimeline(
+                events=(
+                    ProbeLoss(names[0], names[1], now - 5.0, now + 5.0, mode="fail"),
+                    ProbeLoss(names[2], names[3], now - 5.0, now + 5.0,
+                              mode="wild", factor=3.0),
+                    # Shadowed by the earlier window on the same pair.
+                    ProbeLoss(names[2], names[3], now - 1.0, now + 9.0, mode="fail"),
+                    ProbeLoss(names[4], names[5], now + 1.0, now + 5.0, mode="fail"),
+                    ProbeLoss(names[6], names[9], now - 5.0, now + 5.0),
+                    VmPreemption(names[7], now - 1.0),
+                    VmPreemption(names[8], now + 1.0),
+                )
+            ),
+        )
+        provider.release_vm(names.pop())  # a window on a VM since released
+        return provider, names
+
+    def background(names):
+        return background_flows(names[:7], np.random.default_rng(9), n_flows=8)
+
+    got = assert_campaign_matches_oracle(
+        build, MeasurementPlan(probe_budget=20, parallelism=3), background=background
+    )
+    _, names = build()
+    lost = {pair for pair, _ in got["degraded"]}
+    assert lost == {(names[0], names[1])} | {
+        pair for vm in names if vm != names[7]
+        for pair in ((vm, names[7]), (names[7], vm))
+    }
+    reasons = [reason for _, reason in got["degraded"]]
+    assert any("injected fault" in reason for reason in reasons)
+    assert any("budget exhausted" in reason for reason in reasons)
+    assert got["counters"][2] == 20
+    assert (names[2], names[3]) in dict(got["rates"])
+
+
+# ------------------------------------------------- doomed before the first draw
+@pytest.mark.parametrize("name", ["ec2", "ec2-legacy"])
+def test_a_doomed_campaign_raises_before_any_probe_draws(name):
+    provider, names = build_provider(name, n_vms=4)
+    measurer = NetworkMeasurer(provider, MeasurementPlan())
+    state = provider._rng.bit_generator.state
+    clock = provider.now
+    doomed = [
+        (MeasurementError, "duplicate VM names \\['vm1'\\]",
+         dict(vm_names=["vm1", "vm1", "vm2"])),
+        (CloudError, "unknown VM 'ghost'", dict(vm_names=["vm1", "ghost", "vm2"])),
+        (MeasurementError, "cannot schedule pair \\('vm1', 'vm1'\\)",
+         dict(vm_names=names, pairs=[("vm1", "vm2"), ("vm1", "vm1")])),
+        (MeasurementError, "cannot schedule pair \\('vm2', 'ghost'\\)",
+         dict(vm_names=names, pairs=[("vm2", "ghost")])),
+        (MeasurementError, "within \\[0, 4\\), .* values 0..4",
+         dict(vm_names=names, pairs=np.array([[0, 1], [0, 4]]))),
+        (MeasurementError, "within \\[0, 4\\), .* values -1..2",
+         dict(vm_names=names, pairs=np.array([[-1, 2]]))),
+        (MeasurementError, "cannot schedule pair \\(3, 3\\)",
+         dict(vm_names=names, pairs=np.array([[0, 2], [3, 3]], dtype=np.uint8))),
+        (MeasurementError, "integer array",
+         dict(vm_names=names, pairs=np.array([[0.0, 1.0]]))),
+        (MeasurementError, "integer array",
+         dict(vm_names=names, pairs=np.array([0, 1, 2]))),
+        (MeasurementError, "must be a \\(src, dst\\) pair",
+         dict(vm_names=names, pairs=[("vm1", "vm2", "vm3")])),
+        (MeasurementError, "at least two VMs", dict(vm_names=["vm1"])),
+    ]
+    for error, message, kwargs in doomed:
+        with pytest.raises(error, match=message):
+            measurer.measure(**kwargs)
+        assert provider._rng.bit_generator.state == state
+        assert provider.now == clock
+
+
+@pytest.mark.parametrize("pairs", [[], np.zeros((0, 2), dtype=np.intp)])
+def test_an_empty_pair_list_is_an_empty_profile(pairs):
+    provider, names = build_provider("ec2", n_vms=4)
+    state = provider._rng.bit_generator.state
+    profile = NetworkMeasurer(provider, MeasurementPlan()).measure(names, pairs=pairs)
+    assert len(profile.rates_bps) == 0 and not profile.degraded_pairs
+    assert profile.measurement_duration_s == 0.0
+    assert provider._rng.bit_generator.state == state
+
+
+# ------------------------------------------------------------- the ECMP memo
+class CountingHashlib:
+    """Stands in for ``hashlib`` inside ``repro.net.topology``: counts the
+    SHA-256 calls that hash an ECMP endpoint pair (not a structure token)."""
+
+    def __init__(self):
+        self.ecmp = 0
+
+    def sha256(self, data=b""):
+        if re.fullmatch(rb"host\d+\|host\d+", data):
+            self.ecmp += 1
+        return hashlib.sha256(data)
+
+
+@pytest.fixture
+def hashes(monkeypatch):
+    """ECMP hashes made from ``repro.net.topology``, with no router (and so
+    no memo) left over from another test."""
+    counting = CountingHashlib()
+    monkeypatch.setattr(topology, "hashlib", counting)
+    monkeypatch.setattr(topology, "_structured_routers", {})
+    return counting
+
+
+def far_pairs(provider):
+    """Ordered cross-pod host pairs among the provider's VMs' hosts."""
+    spec = provider.params.tree_spec
+    per_pod = spec.hosts_per_rack * spec.racks_per_pod
+    pods = [int(vm.host[4:]) // per_pod for vm in provider.vms()]
+    hosts = [vm.host for vm in provider.vms()]
+    return {
+        (a, b) for a, pa in zip(hosts, pods) for b, pb in zip(hosts, pods) if pa != pb
+    }
+
+
+def wide_provider(seed, pods=3, cores=4):
+    base = ec2_params()
+    spec = dataclasses.replace(
+        base.tree_spec, hosts_per_rack=4, racks_per_pod=2, pods=pods, num_cores=cores
+    )
+    provider = make_provider(
+        "ec2", seed=seed, params=dataclasses.replace(base, tree_spec=spec)
+    )
+    provider.request_vms(16)
+    return provider
+
+
+def test_an_ecmp_pick_is_hashed_once_per_tree_shape(hashes, trace_to):
+    before = obs.metrics.snapshot().get("repro.routes.ecmp_hashed", 0)
+    first = wide_provider(seed=1)
+    far = far_pairs(first)
+    assert len(far) > 100
+    measurer = NetworkMeasurer(first, MeasurementPlan())
+    measurer.measure()
+    assert hashes.ecmp == len(far)  # each far pair once, however many probes
+    measurer.measure()  # same provider: all remembered
+    assert hashes.ecmp == len(far)
+    # A fresh topology of the same TreeSpec shares the router, so the memo:
+    # only far pairs the first tenant's hosts did not form are hashed.
+    second = wide_provider(seed=2)
+    extra = far_pairs(second) - far
+    NetworkMeasurer(second, MeasurementPlan()).measure()
+    assert hashes.ecmp == len(far) + len(extra) < len(far) + len(far_pairs(second))
+    twin = wide_provider(seed=1)  # the first tenant's hosts again: nothing
+    NetworkMeasurer(twin, MeasurementPlan()).measure()
+    assert hashes.ecmp == len(far) + len(extra)
+    # A different TreeSpec shares nothing.
+    other = wide_provider(seed=1, cores=3)
+    assert far_pairs(other) == far  # same draws, same hosts
+    NetworkMeasurer(other, MeasurementPlan()).measure()
+    assert hashes.ecmp == 2 * len(far) + len(extra)
+    # The counter and the span attribute say the same.
+    counted = obs.metrics.snapshot()["repro.routes.ecmp_hashed"] - before
+    assert counted == hashes.ecmp
+    assert [span["ecmp_hashed"] for span in campaign_spans(trace_to)] == [
+        len(far), 0, len(extra), 0, len(far),
+    ]
+
+
+@pytest.mark.parametrize("cores", [2, 4, 12])
+def test_remembered_picks_are_node_paths_picks(cores, hashes):
+    """``core_picks`` (hashed in one pass, then read back) against the
+    scalar pick of ``node_path`` and against graph search
+    (``_lazy_kth_shortest_path``, no router), 500 random far pairs."""
+    spec = TreeSpec(hosts_per_rack=4, racks_per_pod=3, pods=4, num_cores=cores)
+    tree = build_multi_rooted_tree(spec)
+    router = topology._structured_routers[tree.structure_token()]
+    rng = np.random.default_rng(cores)
+    per_pod = spec.hosts_per_rack * spec.racks_per_pod
+    src = rng.integers(0, spec.num_hosts, size=2000)
+    dst = rng.integers(0, spec.num_hosts, size=2000)
+    far = np.flatnonzero(src // per_pod != dst // per_pod)[:500]
+    src, dst = src[far], dst[far]
+    assert far.shape[0] == 500
+    cold = router.core_picks(src, dst)
+    hashed = hashes.ecmp
+    assert hashed == len(set(zip(src.tolist(), dst.tolist())))
+    warm = router.core_picks(src[::-1], dst[::-1])[::-1]
+    assert hashes.ecmp == hashed and (cold == warm).all()
+    cores_sorted = sorted(f"core{c}" for c in range(cores))
+    searched = build_multi_rooted_tree(spec)
+    for a, b, pick in zip(src.tolist(), dst.tolist(), cold.tolist()):
+        path = router.node_path(f"host{a}", f"host{b}")
+        assert path[3] == cores_sorted[pick]
+        assert _lazy_kth_shortest_path(
+            searched._adjacency, f"host{a}", f"host{b}"
+        ) == path
+    # Memory follows the pairs hashed, not hosts squared.
+    assert router._pick_keys.shape == router._picks.shape == (hashed,)
+    assert (np.diff(router._pick_keys) > 0).all()

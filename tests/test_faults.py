@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
@@ -79,6 +80,42 @@ def test_fault_effects_on_rates_and_probes():
     assert timeline.probe_fault("a", "b", 10.0) is None
     # Probes touching a preempted endpoint fail outright.
     assert timeline.probe_fault("dead", "a", 150.0) == ("fail", 0.0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_probe_faults_is_probe_fault_for_every_probe(seed):
+    """The vectorised form against the scalar scan, at clocks inside,
+    outside and on the edge of windows; overlapping windows on one pair
+    (the earliest wins), events naming VMs outside the mesh, an empty
+    timeline and an empty schedule."""
+    rng = np.random.default_rng(seed)
+    vms = [f"vm{i}" for i in range(7)]
+    events = [VmPreemption(vm=vms[6], time_s=40.0), VmPreemption(vm="gone", time_s=1.0)]
+    for _ in range(25):
+        src, dst = rng.choice(vms + ["gone"], size=2, replace=False)
+        start = float(rng.integers(0, 80))
+        wild = bool(rng.integers(2))
+        events.append(
+            ProbeLoss(
+                src=str(src), dst=str(dst), start_s=start,
+                end_s=start + float(rng.integers(1, 40)),
+                mode="wild" if wild else "fail",
+                factor=float(rng.choice([0.25, 3.0])) if wild else 1.0,
+            )
+        )
+    src = np.repeat(np.arange(7), 7)
+    dst = np.tile(np.arange(7), 7)
+    src, dst = src[src != dst], dst[src != dst]
+    for timeline in (FaultTimeline(events=tuple(events)), FaultTimeline()):
+        for t in (0.0, 20.0, 40.0, 41.5, 79.0, 500.0):
+            lost, factor = timeline.probe_faults(vms, src, dst, t)
+            for i, (a, b) in enumerate(zip(src.tolist(), dst.tolist())):
+                fault = timeline.probe_fault(vms[a], vms[b], t)
+                assert bool(lost[i]) == (fault is not None and fault[0] == "fail")
+                if not lost[i]:
+                    assert factor[i] == (1.0 if fault is None else fault[1])
+        lost, factor = timeline.probe_faults(vms, src[:0], dst[:0], 20.0)
+        assert lost.shape == factor.shape == (0,)
 
 
 # -------------------------------------------------------------- persistence

@@ -18,11 +18,10 @@ import itertools
 import math
 import random
 
-import networkx as nx
 import numpy as np
 import pytest
 
-from repro.errors import TopologyError
+from repro.errors import RoutingError, TopologyError
 
 from repro.net import fluid, topology
 from repro.net.flows import Flow
@@ -38,6 +37,7 @@ from repro.net.hose import HoseModel
 from repro.net.topology import (
     TreeSpec,
     _lazy_kth_shortest_path,
+    build_dumbbell,
     build_multi_rooted_tree,
     clear_route_cache,
     structured_routing_info,
@@ -243,6 +243,68 @@ class TestStructuredRouting:
         with pytest.raises(TopologyError, match="host01"):
             topo.path_links_matrix([(hosts[0], hosts[-1]), ("host01", hosts[0])])
 
+    @pytest.mark.parametrize("structured", [True, False])
+    @pytest.mark.parametrize("spec", _ROUTING_SPECS[1:] + _MATRIX_SPECS, ids=str)
+    def test_host_positions_route_as_their_names_do(
+        self, spec, structured, monkeypatch
+    ):
+        """An ``(m, 2)`` array of ``host_index`` positions gives the rows of
+        the name pairs it stands for — loopbacks included, batches under the
+        array router's minimum included, and on a tree whose hosts were
+        added in another order than ``host0, host1, ...``."""
+        built = build_multi_rooted_tree(spec)
+        shuffled = topology.Topology(intra_host_bps=spec.intra_host_bps)
+        rng = random.Random(5)
+        for name in rng.sample(built.nodes(), len(built.nodes())):
+            shuffled.add_node(name, built.node_kind(name))
+        for link in rng.sample(built.links(), len(built.links())):
+            if link.src < link.dst:
+                shuffled.add_link(link.src, link.dst, link.capacity_bps, link.kind)
+        assert shuffled.structure_token() == built.structure_token()
+        if not structured:
+            monkeypatch.setattr(topology, "_structured_routers", {})
+        for topo in (built, shuffled):
+            hosts = topo.hosts()
+            pairs = topo.host_pairs() + [(h, h) for h in hosts[:3]]
+            at = np.array(
+                [(topo.host_index(a), topo.host_index(b)) for a, b in pairs]
+            )
+            hits = structured_routing_info()["hits"]
+            rows, lengths, link_ids = topo.path_links_matrix(at)
+            counted = structured_routing_info()["hits"] - hits
+            assert counted == (len(topo.host_pairs()) if structured else 0)
+            by_name = topo.path_links_matrix(pairs)
+            assert (rows == by_name[0]).all() and (lengths == by_name[1]).all()
+            assert link_ids == by_name[2]
+            few = topo.path_links_matrix(at[:5])
+            assert (few[0] == topo.path_links_matrix(pairs[:5])[0]).all()
+            assert (
+                topo.path_bottlenecks(at) == topo.path_bottlenecks(pairs)
+            ).all()
+        assert [built.host_index(f"host{i}") for i in range(spec.num_hosts)] == list(
+            range(spec.num_hosts)
+        )
+
+    def test_host_positions_on_a_topology_without_a_router(self):
+        topo = build_dumbbell(n_pairs=3)
+        order = ["s1", "r1", "s2", "r2", "s3", "r3"]  # as added
+        assert [topo.host_index(name) for name in order] == list(range(6))
+        at = np.array([(0, 1), (2, 5), (4, 4), (1, 0)] * 5)
+        pairs = [(order[a], order[b]) for a, b in at.tolist()]
+        assert (
+            topo.path_links_matrix(at)[0] == topo.path_links_matrix(pairs)[0]
+        ).all()
+        empty = topo.path_links_matrix(np.zeros((0, 2), dtype=np.intp))
+        assert empty[0].shape == (0, 0) and empty[1].shape == (0,)
+        with pytest.raises(TopologyError, match="unknown host 'swL'"):
+            topo.host_index("swL")
+        for bad in (
+            np.array([[0, 6]]), np.array([[-1, 0]]), np.array([0, 1]),
+            np.array([[0.0, 1.0]]), np.zeros((2, 3), dtype=np.intp),
+        ):
+            with pytest.raises(RoutingError, match="host positions"):
+                topo.path_links_matrix(bad)
+
     def test_path_links_matrix_of_nothing(self):
         topo = build_multi_rooted_tree(_ROUTING_SPECS[1])
         rows, lengths, _ = topo.path_links_matrix([])
@@ -250,9 +312,11 @@ class TestStructuredRouting:
         assert topo.path_bottlenecks([]).shape == (0,)
 
     def test_lazy_kth_path_matches_eager_sort(self):
+        nx = pytest.importorskip("networkx")  # the oracle; a ``dev`` extra
         topo = build_multi_rooted_tree(_ROUTING_SPECS[3])
-        graph = topo.graph
-        hosts = topo.hosts()
+        graph = nx.Graph(
+            (link.src, link.dst) for link in topo.links() if link.src != link.dst
+        )
         rng = random.Random(11)
         for src, dst in rng.sample(topo.host_pairs(), 25):
             eager = sorted(nx.all_shortest_paths(graph, src, dst))

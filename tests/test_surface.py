@@ -6,6 +6,7 @@ process-wide ``set_*`` switch for a measurement harness to flip, the sweep
 exactly two execution backends and one worker entry point.
 """
 
+import ast
 import importlib
 import inspect
 import os
@@ -13,6 +14,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -180,3 +182,71 @@ def test_the_snapshot_has_one_implementation_and_builds_no_allocator():
         if "probe_rates_under_load(" in source
     }
     assert uses == {"repro.net.fairness": 1, "repro.cloud.provider": 1}
+
+
+# ----------------------------------------- networkx is a test oracle, like scipy
+def test_importing_the_package_loads_no_networkx():
+    """``Topology`` keeps its own adjacency: ``networkx`` serves one routing
+    oracle under ``tests/`` and every process that imports the package —
+    each CLI call, each fabric worker — must not have paid for it."""
+    done = _run_python(
+        "-c",
+        "import importlib, sys\n"
+        "loaded = {}\n"
+        f"for name in {['repro', *MODULES]!r}:\n"
+        "    importlib.import_module(name)\n"
+        "    if any(m.split('.')[0] == 'networkx' for m in sys.modules):\n"
+        "        loaded.setdefault('networkx', name)\n"
+        "print(loaded)\n",
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "{}"
+
+
+# ------------------------------------------- the campaign speaks positions
+def _comprehensions_of_pairs(tree):
+    """``(function name, line)`` of every comprehension whose element is a
+    2-tuple, by the innermost enclosing function."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+            if isinstance(node.elt, ast.Tuple) and len(node.elt.elts) == 2:
+                found.append((function, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_the_campaign_builds_no_list_of_name_pairs():
+    """The schedule is three position arrays from ``measure`` to the burst
+    model.  A pair of names exists for the probe ``_probe_each`` is sending,
+    for a pair that degrades, and in ``schedule_rounds`` — the name view
+    ``campaign_time_s`` and tests read; nothing else on the way turns the
+    schedule back into tuples."""
+    import repro.cloud.provider as provider
+    import repro.core.measurement as measurement
+
+    offenders = []
+    for info in pkgutil.iter_modules(measurement.__path__, "repro.core.measurement."):
+        source = inspect.getsource(importlib.import_module(info.name))
+        offenders += [
+            (info.name, function, line)
+            for function, line in _comprehensions_of_pairs(ast.parse(source))
+            if function not in ("schedule_rounds", "_probe_each")
+        ]
+    for function in (
+        provider.CloudProvider.send_packet_trains,
+        provider.CloudProvider._loaded_rates,
+        provider.CloudProvider._pair_positions,
+    ):
+        source = textwrap.dedent(inspect.getsource(function))
+        offenders += [
+            ("repro.cloud.provider", name, line)
+            for name, line in _comprehensions_of_pairs(ast.parse(source))
+        ]
+    assert offenders == []
