@@ -13,18 +13,21 @@ simulator (:func:`advance_live_apps`); at a re-evaluation, each running
 application's *remaining* traffic matrix is re-placed and, if the placement
 changed and the estimated completion time improves by more than a threshold,
 the application migrates (:func:`propose_migration`; its remaining bytes
-continue from the new placement).
+continue from the new placement).  :class:`LiveApp` is the one record of a
+running application; the §6.3 sequence runner
+(:mod:`repro.runtime.sequence`) keeps its applications in it too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cloud.provider import CloudProvider, VMFlow
 from repro.core.estimator import estimate_completion_time
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Placement, Placer
+from repro.net.fluid import FluidResult
 from repro.workloads.application import Application, Task, TrafficMatrix
 
 
@@ -91,26 +94,48 @@ def propose_migration(
 
 @dataclass
 class LiveApp:
-    """Book-keeping for an application while it is running.
+    """The books of one application while it runs.
 
-    What the online placement service tracks per admitted application: its
-    current placement and the bytes each task pair still has to move.
+    ``remaining`` is the bytes each task pair still has to put on the
+    network.  A pair whose endpoints share a VM moves its bytes off-network
+    the moment a placement is set (booked in ``colocated``, as
+    :func:`~repro.runtime.executor.placement_to_flows` books them), so an
+    application is done — and gives its cores back — exactly when it has
+    nothing left on the network.
     """
 
     app: Application
     placement: Placement
-    remaining: Dict[Tuple[str, str], float]
     started: float
-    completed_at: Optional[float] = None
+    completed_at: Optional[float] = field(default=None, init=False)
+    remaining: Dict[Tuple[str, str], float] = field(init=False)
+    colocated: Dict[Tuple[str, str], float] = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.remaining = {(s, d): v for s, d, v in self.app.transfers()}
+        self.colocated = {}
+        self.place(self.placement, self.started)
+
+    def place(self, placement: Placement, now: float) -> None:
+        """Move to ``placement`` at ``now`` (admission, migration, recovery)."""
+        self.placement = placement
+        machine_of = placement.machine_of
+        for pair, volume in self.remaining.items():
+            if volume > 0.0 and machine_of(pair[0]) == machine_of(pair[1]):
+                self.colocated[pair] = self.colocated.get(pair, 0.0) + volume
+                self.remaining[pair] = 0.0
+        self.settle(now)
+
+    def settle(self, now: float) -> None:
+        """Stamp completion at ``now`` once no pair has bytes left."""
+        if self.completed_at is None and all(
+            volume <= 1e-6 for volume in self.remaining.values()
+        ):
+            self.completed_at = now
 
     @property
     def done(self) -> bool:
-        # Remaining bytes only ever shrink, so a stamped completion is
-        # final: the session loop asks this of every application it ever
-        # admitted, on every event, and most of them finished long ago.
-        if self.completed_at is not None:
-            return True
-        return all(volume <= 1e-6 for volume in self.remaining.values())
+        return self.completed_at is not None
 
     def remaining_application(self) -> Application:
         """The application restricted to its remaining bytes."""
@@ -125,49 +150,35 @@ class LiveApp:
             start_time=self.app.start_time,
         )
 
-    def live_flows(self, start: float) -> List[VMFlow]:
-        """The remaining transfers as VM flows starting at ``start``.
-
-        Task pairs whose endpoints share a VM under the *current* placement
-        move their bytes off-network immediately (their remaining volume is
-        zeroed), exactly as :func:`~repro.runtime.executor.placement_to_flows`
-        accounts colocated bytes.
-        """
-        flows: List[VMFlow] = []
-        for index, ((src_task, dst_task), volume) in enumerate(
-            sorted(self.remaining.items())
-        ):
-            if volume <= 1e-6:
-                continue
-            src_vm = self.placement.machine_of(src_task)
-            dst_vm = self.placement.machine_of(dst_task)
-            if src_vm == dst_vm:
-                self.remaining[(src_task, dst_task)] = 0.0
-                continue
-            flows.append(
+    def live_flows(self, start: float) -> List[Tuple[Tuple[str, str], VMFlow]]:
+        """Each task pair with bytes left and the VM flow, starting at
+        ``start``, that carries them under the current placement."""
+        return [
+            (
+                pair,
                 VMFlow(
-                    flow_id=f"{self.app.name}:{index}:{src_task}->{dst_task}",
-                    src_vm=src_vm,
-                    dst_vm=dst_vm,
+                    flow_id=f"{self.app.name}:{index}",
+                    src_vm=self.placement.machine_of(pair[0]),
+                    dst_vm=self.placement.machine_of(pair[1]),
                     size_bytes=volume,
                     start_time=start,
                     tag=self.app.name,
-                )
+                ),
             )
-        return flows
+            for index, (pair, volume) in enumerate(sorted(self.remaining.items()))
+            if volume > 1e-6
+        ]
 
 
-def live_background_flows(
-    running: Dict[str, LiveApp], now: float, exclude: Optional[str] = None
-) -> List[VMFlow]:
+def live_background_flows(running: Dict[str, LiveApp], now: float) -> List[VMFlow]:
     """Every active application's remaining flows (cross traffic for
-    measurements and admissions), optionally excluding one application."""
-    flows: List[VMFlow] = []
-    for name, state in running.items():
-        if name == exclude or state.done:
-            continue
-        flows.extend(state.live_flows(start=now))
-    return flows
+    measurements and admissions)."""
+    return [
+        flow
+        for state in running.values()
+        if not state.done
+        for _, flow in state.live_flows(start=now)
+    ]
 
 
 def cluster_with_live_usage(
@@ -176,13 +187,17 @@ def cluster_with_live_usage(
     exclude: Optional[str] = None,
 ) -> ClusterState:
     """``cluster`` with the CPU of active applications applied, optionally
-    excluding one application (re-placing it must free its own cores)."""
+    excluding one application (re-placing it must free its own cores).
+    Cores held on a machine that has left ``cluster`` (a preempted VM whose
+    applications still queue for re-placement) are not carried over."""
+    known = set(cluster.machine_names())
     usage: Dict[str, float] = {}
     for name, state in running.items():
         if name == exclude or state.done:
             continue
         for machine, cores in state.placement.cpu_usage(state.app).items():
-            usage[machine] = usage.get(machine, 0.0) + cores
+            if machine in known:
+                usage[machine] = usage.get(machine, 0.0) + cores
     return cluster.with_usage(usage)
 
 
@@ -191,41 +206,35 @@ def advance_live_apps(
     running: Dict[str, LiveApp],
     start: float,
     until: Optional[float],
-) -> None:
+    background: Sequence[VMFlow] = (),
+) -> Optional[FluidResult]:
     """Run every active application's remaining flows from ``start``.
 
     Simulates the flows on the provider's network (at the provider's
     *current* rates — callers segment time so rates are constant within a
-    call), debits each pair's remaining bytes, and stamps ``completed_at``
-    on applications whose last flow finished within the segment.
+    call) next to ``background`` (another tenant's flows, on their own start
+    times), debits each pair's remaining bytes, and stamps ``completed_at``
+    on applications whose last flow finished within the segment.  Returns
+    the simulation (how far ``background`` got), ``None`` if nothing ran.
     """
-    flow_owner: Dict[str, Tuple[str, Tuple[str, str]]] = {}
-    all_flows: List[VMFlow] = []
-    for name, state in running.items():
-        if state.done:
-            continue
-        for flow in state.live_flows(start=start):
-            task_pair = tuple(flow.flow_id.split(":", 2)[2].split("->"))
-            flow_owner[flow.flow_id] = (name, (task_pair[0], task_pair[1]))
-            all_flows.append(flow)
+    active = [
+        (state, state.live_flows(start=start))
+        for state in running.values()
+        if not state.done
+    ]
+    all_flows = [flow for _, flows in active for _, flow in flows]
+    all_flows.extend(background)
     if not all_flows:
-        return
+        return None
     result = provider.simulate(all_flows, until=until)
-    for flow in all_flows:
-        name, pair = flow_owner[flow.flow_id]
-        state = running[name]
-        if flow.flow_id in result.completion_times:
-            state.remaining[pair] = 0.0
-        else:
-            state.remaining[pair] = result.remaining_bytes.get(
-                flow.flow_id, state.remaining[pair]
-            )
-    for name, state in running.items():
-        if state.completed_at is None and state.done and not state.app.num_tasks == 0:
-            finish_times = [
-                result.completion_times[flow.flow_id]
-                for flow in all_flows
-                if flow_owner[flow.flow_id][0] == name
-                and flow.flow_id in result.completion_times
-            ]
-            state.completed_at = max(finish_times, default=start)
+    for state, flows in active:
+        finished_at = start
+        for pair, flow in flows:
+            finish = result.completion_times.get(flow.flow_id)
+            if finish is None:
+                state.remaining[pair] = result.remaining_bytes[flow.flow_id]
+            else:
+                state.remaining[pair] = 0.0
+                finished_at = max(finished_at, finish)
+        state.settle(finished_at)
+    return result

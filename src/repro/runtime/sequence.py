@@ -3,10 +3,11 @@
 Applications arrive one by one, ordered by their observed start times, and
 are placed as they arrive.  When application ``k`` arrives:
 
-1. the flows of previously placed applications are simulated up to the
-   arrival time, so we know which applications are still running (they keep
-   their CPU) and which transfers are still in flight (they are the cross
-   traffic the new measurement sees);
+1. the applications already placed — :class:`~repro.runtime.migration.LiveApp`
+   records, the same books the online service keeps — are advanced from the
+   previous arrival to this one, so we know which are still running (they
+   keep their CPU) and which transfers are still in flight (they are the
+   cross traffic the new measurement sees);
 2. Choreo re-measures the network with that cross traffic present;
 3. the new application is placed on the machines' remaining CPU.
 
@@ -19,15 +20,23 @@ times per placement algorithm.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence
 
+from repro import obs
 from repro.cloud.provider import CloudProvider, VMFlow
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Placement, Placer
 from repro.errors import PlacementError, SimulationError
-from repro.runtime.executor import ApplicationRun, placement_to_flows, run_applications
+from repro.net.fluid import FluidResult
+from repro.runtime.executor import ApplicationRun, run_applications
+from repro.runtime.migration import (
+    LiveApp,
+    advance_live_apps,
+    cluster_with_live_usage,
+    live_background_flows,
+)
 from repro.workloads.application import Application
 
 
@@ -102,48 +111,57 @@ class SequentialPlacementRunner:
 
         placements: Dict[str, Placement] = {}
         profiles: Dict[str, Optional[NetworkProfile]] = {}
-        placed_flows: List[VMFlow] = []
-        app_cpu: Dict[str, Dict[str, float]] = {}
-        app_of_flow: Dict[str, str] = {}
+        running: Dict[str, LiveApp] = {}
+        tenant = self.background
         placement_wall = 0.0
+        segments = 0
+        now = ordered[0].start_time
 
-        for app in ordered:
-            arrival = app.start_time
-            background, finished_apps = self._state_at(placed_flows, app_of_flow, arrival)
-
-            cpu_used: Dict[str, float] = {}
-            for placed_name, usage in app_cpu.items():
-                if placed_name in finished_apps:
-                    continue
-                for machine, cores in usage.items():
-                    cpu_used[machine] = cpu_used.get(machine, 0.0) + cores
-            cluster_now = self.cluster.with_usage(cpu_used)
-
-            place_started = time.perf_counter()
-            profile: Optional[NetworkProfile] = None
-            if self.measure_network:
-                profile = self.measurer.measure(
-                    cluster_now.machine_names(), background=background
+        with obs.span("sequence.run", apps=len(ordered)) as span:
+            for app in ordered:
+                arrival = app.start_time
+                segment = advance_live_apps(
+                    self.provider, running, now, until=arrival, background=tenant
                 )
-            profiles[app.name] = profile
+                if segment is not None:
+                    segments += 1
+                    tenant = _background_at(tenant, segment, arrival)
+                now = arrival
+                background = live_background_flows(running, now)
+                background.extend(f for f in tenant if f.start_time <= now)
+                cluster_now = cluster_with_live_usage(self.cluster, running)
+                obs.point(
+                    "sequence.arrival",
+                    app=app.name,
+                    live_apps=sorted(n for n, s in running.items() if not s.done),
+                    background_flows=len(background),
+                    cores_free=list(cluster_now.available_cpus().values()),
+                )
 
-            placement = self.placer.place(app, cluster_now, profile)
-            placement_wall += time.perf_counter() - place_started
-            placements[app.name] = placement
-            app_cpu[app.name] = placement.cpu_usage(app)
+                place_started = time.perf_counter()
+                profile: Optional[NetworkProfile] = None
+                if self.measure_network:
+                    profile = self.measurer.measure(
+                        cluster_now.machine_names(), background=background
+                    )
+                profiles[app.name] = profile
 
-            flows, _ = placement_to_flows(placement, app, start_time=arrival)
-            for flow in flows:
-                app_of_flow[flow.flow_id] = app.name
-            placed_flows.extend(flows)
+                placement = self.placer.place(app, cluster_now, profile)
+                placement_wall += time.perf_counter() - place_started
+                placements[app.name] = placement
+                running[app.name] = LiveApp(app=app, placement=placement, started=now)
 
-        runs = run_applications(
-            self.provider,
-            placements=placements,
-            apps=list(ordered),
-            start_times={app.name: app.start_time for app in ordered},
-            background=self.background,
-        )
+            # One simulation of every placed flow, from zero, is what the
+            # metrics read; the segments above only told each arrival what
+            # was still running.
+            runs = run_applications(
+                self.provider,
+                placements=placements,
+                apps=list(ordered),
+                start_times={app.name: app.start_time for app in ordered},
+                background=self.background,
+            )
+            span.set(segments=segments, simulations=segments + 1)
         return SequenceResult(
             runs=runs,
             placements=placements,
@@ -151,41 +169,24 @@ class SequentialPlacementRunner:
             placement_wall_s=placement_wall,
         )
 
-    # ------------------------------------------------------------- internals
-    def _state_at(
-        self,
-        placed_flows: Sequence[VMFlow],
-        app_of_flow: Dict[str, str],
-        time_s: float,
-    ) -> Tuple[List[VMFlow], set]:
-        """Which flows are still active at ``time_s``, and which apps finished.
 
-        Returns ``(active_flows, finished_app_names)``.  Flows that have not
-        started yet are neither active nor finished.  Background flows share
-        the simulated network (slowing the placed flows down) and, while
-        still running, count as active so measurements see them.
-        """
-        all_flows = list(placed_flows) + self.background
-        if not all_flows:
-            return [], set()
-        partial = self.provider.simulate(all_flows, until=time_s)
-        active: List[VMFlow] = []
-        remaining_by_app: Dict[str, int] = {}
-        for flow in placed_flows:
-            app_name = app_of_flow[flow.flow_id]
-            remaining_by_app.setdefault(app_name, 0)
-            completed = flow.flow_id in partial.completion_times
-            if completed:
-                continue
-            remaining_by_app[app_name] += 1
-            if flow.start_time <= time_s:
-                active.append(flow)
-        for flow in self.background:
-            if flow.flow_id in partial.completion_times:
-                continue
-            if flow.end_time is not None and flow.end_time <= time_s:
-                continue
-            if flow.start_time <= time_s:
-                active.append(flow)
-        finished = {name for name, count in remaining_by_app.items() if count == 0}
-        return active, finished
+def _background_at(
+    tenant: Sequence[VMFlow], segment: FluidResult, now: float
+) -> List[VMFlow]:
+    """The other tenant's flows as ``segment`` left them at ``now``: finished
+    ones dropped, running ones restarted at ``now`` with the bytes they have
+    left, the ones still to start untouched."""
+    flows: List[VMFlow] = []
+    for flow in tenant:
+        stopped = flow.end_time is not None and flow.end_time <= now
+        if stopped or flow.flow_id in segment.completion_times:
+            continue
+        if flow.start_time < now:
+            left = segment.remaining_bytes[flow.flow_id]
+            flow = replace(
+                flow,
+                start_time=now,
+                size_bytes=None if flow.size_bytes is None else left,
+            )
+        flows.append(flow)
+    return flows

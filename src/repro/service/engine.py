@@ -454,10 +454,7 @@ class PlacementService:
             pending = self._admit_due(pending, running, outcomes, now, epoch)
 
         for name, state in running.items():
-            completed = (
-                state.completed_at if state.completed_at is not None else state.started
-            )
-            outcomes[name].completed_at = completed
+            outcomes[name].completed_at = state.completed_at
         self.last_placements = {
             name: state.placement for name, state in running.items()
         }
@@ -496,23 +493,6 @@ class PlacementService:
                 self.cluster.machine_names(), self.provider.true_path_rate
             )
         return self.cache.profile(self.provider.now)
-
-    def _cluster_sans_dead(
-        self, running: Dict[str, LiveApp], exclude: Optional[str] = None
-    ) -> ClusterState:
-        """Like :func:`cluster_with_live_usage`, dropping usage on machines
-        no longer in the cluster (placements pointing at a just-preempted VM
-        must not poison the rebuilt cluster while their apps queue for
-        re-placement)."""
-        known = set(self.cluster.machine_names())
-        usage: Dict[str, float] = {}
-        for name, state in running.items():
-            if name == exclude or state.done:
-                continue
-            for machine, cores in state.placement.cpu_usage(state.app).items():
-                if machine in known:
-                    usage[machine] = usage.get(machine, 0.0) + cores
-        return self.cluster.with_usage(usage)
 
     def _handle_fault_events(
         self,
@@ -618,7 +598,7 @@ class PlacementService:
             try:
                 placement = self.placer.place(
                     remaining_app,
-                    self._cluster_sans_dead(running, exclude=name),
+                    cluster_with_live_usage(self.cluster, running, exclude=name),
                     self._recovery_profile(),
                 )
             except ReproError as exc:
@@ -634,7 +614,7 @@ class PlacementService:
                 )
                 rejected.append(name)
                 continue
-            state.placement = placement
+            state.place(placement, now)
             outcomes[name].recoveries += 1
             replaced.append(name)
         self._record_recovery(
@@ -753,8 +733,6 @@ class PlacementService:
             if state.done:
                 continue
             remaining_app = state.remaining_application()
-            if remaining_app.total_bytes <= 0:
-                continue
             try:
                 proposal = propose_migration(
                     self.placer,
@@ -772,7 +750,8 @@ class PlacementService:
                 continue
             if proposal is None:
                 continue
-            state.placement, event = proposal
+            placement, event = proposal
+            state.place(placement, now)
             outcomes[name].migrations += 1
             self._migrations.append(event)
             _MIGRATIONS.inc()
@@ -816,12 +795,7 @@ class PlacementService:
                 "t=%.0fs: admitted %s (%d task(s))",
                 now, app.name, len(app.task_names),
             )
-            running[app.name] = LiveApp(
-                app=app,
-                placement=placement,
-                remaining={(s, d): v for s, d, v in app.transfers()},
-                started=now,
-            )
+            running[app.name] = LiveApp(app=app, placement=placement, started=now)
             outcomes[app.name] = AppOutcome(
                 name=app.name, status="completed", arrived_at=now
             )

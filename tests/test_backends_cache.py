@@ -304,13 +304,18 @@ def test_trace_replay_scenario_profiles_apps_from_records():
 
 
 def test_trace_replay_trial_runs_through_measure_and_place():
-    record = run_trial(
-        "ec2-trace-replay", "greedy", 0, 0,
-        {"n_vms": 8, "n_apps": 2, "records_per_pair": 3},
-    )
+    params = {"n_vms": 8, "n_apps": 2, "records_per_pair": 3}
+    record = run_trial("ec2-trace-replay", "greedy", 0, 0, params)
     assert record.ok, record.error
     assert record.measurement_overhead_s > 0  # greedy measured the network
-    assert record.total_running_time_s > 0
+    # Greedy colocates both applications: the first gives its cores back
+    # before the second arrives, so nothing has to cross the network.
+    instance = get_scenario("ec2-trace-replay").build(record.seed, **params)
+    total_bytes = sum(app.total_bytes for app in instance.apps)
+    assert record.network_bytes + record.colocated_bytes == pytest.approx(total_bytes)
+    baseline = run_trial("ec2-trace-replay", "random", 0, 0, params)
+    assert baseline.ok, baseline.error
+    assert baseline.total_running_time_s > 0
 
 
 # -------------------------------------------------- dropped-trials summary

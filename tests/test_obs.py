@@ -116,6 +116,38 @@ def test_traced_inline_sweep_is_bit_identical(tmp_path):
     assert "experiments.run" in names
 
 
+def test_traced_sequence_says_what_each_arrival_saw(trace_to):
+    traced = run_trial("multi-app-sequence", "greedy", 0, 0)
+    obs.configure(None, export_env=False)
+    plain = run_trial("multi-app-sequence", "greedy", 0, 0)
+    assert _canonical([traced]) == _canonical([plain])  # pure observation
+
+    events = load_events(trace_to)
+    (run,) = [ev for ev in events if ev["name"] == "sequence.run"]
+    arrivals = [ev for ev in events if ev["name"] == "sequence.arrival"]
+    assert run["attrs"]["apps"] == len(arrivals) == 4
+    # Greedy colocates the first three applications: nothing is in flight at
+    # any arrival, so no segment is simulated — only the one truth run is.
+    assert run["attrs"]["segments"] == 0 and run["attrs"]["simulations"] == 1
+    assert [a["attrs"]["app"] for a in arrivals] == sorted(plain.per_app_duration_s)
+    for arrival in arrivals:
+        assert arrival["parent"] == run["span"]
+        assert arrival["attrs"]["live_apps"] == []
+        assert arrival["attrs"]["background_flows"] == 0
+        assert arrival["attrs"]["cores_free"] == [4.0] * 10
+
+    # A placer that spreads tasks keeps applications alive across arrivals.
+    obs.configure(str(trace_to), export_env=False)
+    run_trial("multi-app-sequence", "round-robin", 0, 0, {"arrival_gap_s": 1.0})
+    obs.configure(None, export_env=False)
+    events = load_events(trace_to)[len(events):]
+    (run,) = [ev for ev in events if ev["name"] == "sequence.run"]
+    last = [ev for ev in events if ev["name"] == "sequence.arrival"][-1]["attrs"]
+    assert run["attrs"]["simulations"] == run["attrs"]["segments"] + 1 > 1
+    assert last["live_apps"] and last["background_flows"] > 0
+    assert min(last["cores_free"]) < 4.0
+
+
 def test_traced_remote_sweep_is_bit_identical_and_workers_trace(tmp_path):
     items = [
         WorkItem.make("smoke", placer, trial, 0)

@@ -323,6 +323,13 @@ class TestGoldenDigests:
     pairs (23) and recoveries (two re-placements, one removal) all fire.
     A digest changes only when simulated behaviour changes; update it only
     in a PR that means to change behaviour, and say so there.
+
+    Re-pinned once, in PR 23: one application (arrives 541.8 s) migrates at
+    the 600 s boundary onto a single VM, which takes its remaining bytes
+    off the network.  Its ``completed_at`` was 682.703287 — the arrival of
+    the *next* application, the first later segment with a flow in it to
+    stamp anything — and is now 600.0, when the placement was set
+    (``LiveApp.place``; tests/test_live_books.py).  Nothing else moved.
     """
 
     _SESSION = dict(
@@ -335,11 +342,11 @@ class TestGoldenDigests:
         [
             (
                 "none", 2, 0,
-                "21f09bca885ae7c50fb94362b01c8d8769bfdff8861a23a348ed327deda23c07",
+                "5ade4ebd199887a9fbf746ecec2e39899a9e1b1084d72e7ea71319a295bb2e20",
             ),
             (
                 "rack-outage", 3, 3,
-                "112f0f9db1e3304938fc6ab49a561f7c85e979a5c5ac798baf73b6347206e446",
+                "f539e1d5de748f62e7fbe3e1f01867be7f19e3af2fe79af68d9c52e6d756a90f",
             ),
         ],
     )

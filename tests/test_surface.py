@@ -250,3 +250,74 @@ def test_the_campaign_builds_no_list_of_name_pairs():
             for name, line in _comprehensions_of_pairs(ast.parse(source))
         ]
     assert offenders == []
+
+
+# ------------------------------------------- one live-application state (§2.4)
+def _functions(tree):
+    return [
+        node for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def _calls(node, name):
+    """Calls of a function or method called ``name`` anywhere under ``node``."""
+    return [
+        call for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "attr", getattr(call.func, "id", None)) == name
+    ]
+
+
+def test_the_sequence_runner_and_the_service_share_one_live_app_state():
+    """``repro.runtime.sequence`` simulates nothing itself (segments are
+    ``advance_live_apps``', the truth run ``run_applications``'), the cores
+    live applications hold are summed in one function, listing an
+    application's flows writes nothing, and no flow id is ever parsed."""
+    live = [
+        name for name in MODULES
+        if name.startswith(("repro.runtime", "repro.service"))
+    ]
+    trees = {
+        name: ast.parse(inspect.getsource(importlib.import_module(name)))
+        for name in live
+    }
+    sequence = trees["repro.runtime.sequence"]
+    assert _calls(sequence, "simulate") == []
+    assert "_state_at" not in [function.name for function in _functions(sequence)]
+
+    accumulators = [
+        f"{name}:{function.name}"
+        for name, tree in trees.items()
+        for function in _functions(tree)
+        if _calls(function, "cpu_usage")
+    ]
+    assert accumulators == ["repro.runtime.migration:cluster_with_live_usage"]
+
+    (live_flows,) = [
+        function for function in _functions(trees["repro.runtime.migration"])
+        if function.name == "live_flows"
+    ]
+    stores = [
+        node for node in ast.walk(live_flows)
+        if isinstance(node, (ast.Attribute, ast.Subscript, ast.Name))
+        and isinstance(node.ctx, (ast.Store, ast.Del))
+        and not isinstance(node, ast.Name)
+    ]
+    assert stores == []  # no ``self.remaining[...] = ...``, nor any other
+
+    splits = [
+        f"{name}:{call.lineno}"
+        for name, tree in trees.items()
+        for call in _calls(tree, "split")
+        if call.args and getattr(call.args[0], "value", None) in (":", "->")
+    ]
+    assert splits == []
+
+    sources = "\n".join(
+        inspect.getsource(importlib.import_module(name)) for name in MODULES
+    )
+    for deleted in (
+        "_state_at", "placed_flows", "app_of_flow", "app_cpu", "_cluster_sans_dead",
+    ):
+        assert deleted not in sources
