@@ -333,17 +333,23 @@ class ExperimentRunner:
                     trials=len(pending),
                 ):
                     records = backend.map_trials([item for _, item in pending])
-                for (key, item), record in zip(pending, records):
+                for (key, _), record in zip(pending, records):
                     memo[key] = record
-                    if self.store is not None:
-                        self.store.put(self._store_key(item), record)
                 if self.store is not None:
-                    # Persist observed per-cell costs for the next sweep's
-                    # cost-aware chunking (remote backend).  Remote workers
-                    # already wrote these cells themselves (same keys, same
-                    # bytes modulo wall clocks) — the re-put above is a benign
-                    # last-writer-wins on a content-addressed cell.
-                    self.store.flush_costs()
+                    # One pack for the sweep, plus observed per-cell costs
+                    # for the next sweep's cost-aware chunking.  Remote
+                    # workers stored these cells too; a second copy of a
+                    # content-addressed cell is benign.  A store that cannot
+                    # be written (the store logs and counts it) must not
+                    # cost the sweep its result: every trial has run.
+                    try:
+                        self.store.put_many(
+                            (self._store_key(item), record)
+                            for (_, item), record in zip(pending, records)
+                        )
+                        self.store.flush_costs()
+                    except OSError:
+                        pass
             sweep.set(executed=len(pending))
 
         self.last_stats = RunStats(

@@ -22,9 +22,10 @@ test-only chaos hook; it imports nothing from
 With ``--cache-dir`` the worker also stores every completed record into a
 :class:`~repro.experiments.cache.ResultStore` at that path — pointed at a
 network mount shared by all machines, N workers populate one
-content-addressed store (the store's unique-temp-name + atomic-rename
-writes make that safe), and flush observed per-cell costs the scheduler's
-cost-aware chunker feeds on.
+content-addressed store (each writes its own immutable packs, renamed into
+place, so that is safe), and flush observed per-cell costs the scheduler's
+cost-aware chunker feeds on.  A record is streamed before it is stored: a
+store that cannot be written costs a cache cell, never the lease.
 
 Endpoints come in two spellings.  ``http://host:port`` addresses a worker
 that is already running; ``ssh://[user@]host:port`` is a thin launcher —
@@ -250,6 +251,12 @@ class _WorkerState:
                 self.current_lease_done = 0
 
     def record_done(self, item: WorkItem, record) -> None:
+        """Count a streamed record and write it to the shared store.
+
+        Called after the record line went out: a store that cannot be
+        written (the store logs and counts it) costs the fabric a cache
+        cell, never the lease.
+        """
         with self.lock:
             self.trials_done += 1
             self.current_lease_done += 1
@@ -260,10 +267,13 @@ class _WorkerState:
             params=dict(item.params),
             placer_params=dict(item.placer_params),
         )
-        self.store.put(key, record)
-        # Flushed per record, not per lease: even a worker that dies
-        # mid-lease leaves its observed costs for the next sweep's chunker.
-        self.store.flush_costs()
+        try:
+            self.store.put(key, record)
+            # Flushed per record, not per lease: even a worker that dies
+            # mid-lease leaves its observed costs for the next sweep's chunker.
+            self.store.flush_costs()
+        except OSError:
+            pass
 
     def snapshot(self) -> Dict[str, object]:
         with self.lock:
@@ -405,8 +415,8 @@ class _LeaseHandler(BaseHTTPRequestHandler):
                     error = f"{type(exc).__name__}: {exc}"
                     self._send_line({"index": local_index, "error": error})
                     return
-                state.record_done(item, record)
                 self._send_line({"index": local_index, "record": asdict(record)})
+                state.record_done(item, record)
                 completed += 1
                 if chaos_mode == "crash":
                     os._exit(CHAOS_EXIT_STATUS)

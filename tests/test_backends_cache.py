@@ -4,6 +4,7 @@ trace-replay scenario, and the dropped-trials summary accounting.  (Worker
 loss, leases and retries: ``tests/test_fabric.py``.)"""
 
 import json
+import zlib
 
 import pytest
 
@@ -139,34 +140,51 @@ def test_code_version_change_invalidates_store(tmp_path):
     assert len(old) == 0
 
 
+def _two_cell_pack(store):
+    """Two cells in one pack: ``(keys, records, pack path)``."""
+    keys = [store.key_for("smoke", "random", trial, 42) for trial in (0, 1)]
+    records = [run_trial("smoke", "random", trial, 0) for trial in (0, 1)]
+    return keys, records, store.put_many(zip(keys, records))
+
+
+def _assert_re_put_wins(store, key, record):
+    store.put(key, record)
+    assert ResultStore(store.root, version=store.version).get(key) == record
+
+
 def test_corrupt_cell_is_dropped_and_re_missed(tmp_path):
+    """A torn line is a miss counted under ``invalidated``; its pack holds
+    another good cell, so it is not deleted, and a re-put wins."""
     store = ResultStore(tmp_path, version="v1")
-    key = store.key_for("smoke", "random", 0, 42)
-    path = store.put(key, run_trial("smoke", "random", 0, 0))
-    path.write_text("{not json")
+    (key, other), (record, other_record), path = _two_cell_pack(store)
+    path.write_bytes(b"{not json\n" + path.read_bytes().splitlines(True)[1])
     assert store.get(key) is None
     assert store.stats["invalidated"] == 1
-    assert not path.exists()
+    assert path.exists() and store.get(other) == other_record
+    _assert_re_put_wins(store, key, record)
 
 
 def test_malformed_record_dict_is_a_miss_not_an_error(tmp_path):
     store = ResultStore(tmp_path, version="v1")
-    key = store.key_for("smoke", "random", 0, 42)
-    path = store.put(key, run_trial("smoke", "random", 0, 0))
-    payload = json.loads(path.read_text())
+    (key, other), (record, other_record), path = _two_cell_pack(store)
+    first, second = path.read_bytes().splitlines(True)
+    digest, text, _ = first.decode().split("\t")
+    payload = json.loads(text)
     payload["record"]["not_a_field"] = 1
-    path.write_text(json.dumps(payload))
+    body = f"{digest}\t{json.dumps(payload)}".encode()
+    path.write_bytes(b"%s\t%08x\n" % (body, zlib.crc32(body)) + second)
     assert store.get(key) is None  # treated as corruption, not fatal
     assert store.stats["invalidated"] == 1
-    assert not path.exists()
+    assert path.exists() and store.get(other) == other_record
+    _assert_re_put_wins(store, key, record)
 
 
 def test_prune_stale_survives_interrupted_write_droppings(tmp_path):
     old = ResultStore(tmp_path, version="code-a")
     old.put(old.key_for("smoke", "random", 0, 42), run_trial("smoke", "random", 0, 0))
-    # A put() killed between mkstemp and os.replace leaves a .tmp behind.
+    # A put() killed between its write and os.replace leaves a .tmp behind.
     stale_dir = tmp_path / "code-a"[:16]
-    next(stale_dir.rglob("*.json")).parent.joinpath("dead.tmp").write_text("x")
+    (stale_dir / "packs" / "dead.jsonl.tmp").write_text("x")
     new = ResultStore(tmp_path, version="code-b")
     assert new.prune_stale() == 1
     assert not stale_dir.exists()

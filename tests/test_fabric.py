@@ -3,9 +3,11 @@ fault tolerance (crash / hang / straggler chaos), cost-aware chunking, and
 the crash-safe shared result store under multi-writer races."""
 
 import contextlib
+import errno
 import io
 import json
 import multiprocessing
+import os
 import socket
 import threading
 import time
@@ -61,9 +63,9 @@ def _canonical(records):
 
 
 @contextlib.contextmanager
-def _worker_on_a_thread():
+def _worker_on_a_thread(store=None):
     """A :class:`WorkerServer` in this process; yields its ``(host, port)``."""
-    server = WorkerServer(("127.0.0.1", 0), worker_mod._WorkerState())
+    server = WorkerServer(("127.0.0.1", 0), worker_mod._WorkerState(store))
     thread = threading.Thread(
         target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
     )
@@ -529,6 +531,36 @@ def test_runner_remote_workers_populate_the_shared_store(tmp_path):
     table = ResultStore(tmp_path).cost_table()
     assert ("smoke", "greedy") in table and ("smoke", "random") in table
     assert all(cost > 0 for cost in table.values())
+
+
+def test_a_worker_whose_store_is_full_still_finishes_the_sweep(tmp_path, monkeypatch):
+    """A worker streams each record before storing it, and survives the
+    store write failing: the lease completes, nothing is re-dispatched, and
+    the sweep equals inline.  (Storing first let the ``OSError`` kill the
+    lease, and every re-dispatch failed the same way.)"""
+
+    def no_space(fd):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def grid(**backend):
+        return ExperimentConfig(
+            scenarios=("smoke",), placers=("greedy", "random"), trials=2,
+            baseline="random", **backend,
+        )
+
+    inline = ExperimentRunner(grid(backend="inline")).run()
+    monkeypatch.setattr(os, "fsync", no_space)
+    store = ResultStore(tmp_path)
+    with _worker_on_a_thread(store) as (host, port):
+        runner = ExperimentRunner(
+            grid(backend="remote", endpoints=(f"http://{host}:{port}",), max_retries=0)
+        )
+        remote = runner.run()
+    assert json.dumps(remote.canonical_json_dict(), sort_keys=True) == json.dumps(
+        inline.canonical_json_dict(), sort_keys=True
+    )
+    assert store.stats["stored"] == 0
+    assert list(tmp_path.rglob("*.jsonl")) == list(tmp_path.rglob("*.tmp")) == []
 
 
 # ------------------------------------------------- multi-writer store races

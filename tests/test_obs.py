@@ -148,6 +148,31 @@ def test_traced_sequence_says_what_each_arrival_saw(trace_to):
     assert min(last["cores_free"]) < 4.0
 
 
+def test_traced_store_says_what_it_wrote_and_loaded(trace_to, tmp_path):
+    config = ExperimentConfig(
+        scenarios=("smoke",), placers=("greedy", "random"), trials=2,
+        baseline="random", workers=1, cache_dir=str(tmp_path / "store"),
+    )
+    gc.collect()
+    before = obs.metrics.snapshot()
+    cold, warm = ExperimentRunner(config), ExperimentRunner(config)
+    cold.run()
+    warm.run()
+    obs.configure(None, export_env=False)
+    after = obs.metrics.snapshot()
+
+    events = load_events(trace_to)
+    (put,) = [ev for ev in events if ev["name"] == "store.put_many"]
+    (pack,) = (tmp_path / "store").glob("*/packs/*.jsonl")
+    assert put["attrs"] == {"cells": 4, "bytes": pack.stat().st_size}
+    (load,) = [ev for ev in events if ev["name"] == "store.load"]
+    assert load["attrs"] == {"packs": 1, "lines": 4, "invalid": 0}
+    assert warm.last_stats.cache_hits == 4
+    for name, delta in (("packs_written", 1), ("packs_loaded", 1), ("write_errors", 0)):
+        name = "repro.store." + name
+        assert after.get(name, 0) - before.get(name, 0) == delta, name
+
+
 def test_traced_remote_sweep_is_bit_identical_and_workers_trace(tmp_path):
     items = [
         WorkItem.make("smoke", placer, trial, 0)

@@ -321,3 +321,22 @@ def test_the_sequence_runner_and_the_service_share_one_live_app_state():
         "_state_at", "placed_flows", "app_of_flow", "app_cpu", "_cluster_sans_dead",
     ):
         assert deleted not in sources
+
+
+# ------------------------------------------- the store flushes once per batch
+def test_the_store_fsyncs_in_one_write_path_and_keeps_no_cell_files():
+    """``put_many`` is the store's one durable write (``put`` is its
+    one-cell batch); the file-per-cell layout's addressing is gone."""
+    tree = ast.parse(inspect.getsource(importlib.import_module("repro.experiments.cache")))
+    fsyncs = [
+        function.name
+        for function in _functions(tree)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and node.attr == "fsync"
+    ]
+    assert fsyncs == ["put_many"]
+    sources = "\n".join(
+        inspect.getsource(importlib.import_module(name)) for name in MODULES
+    )
+    for deleted in ("def _path(", "digest[:2]", "_cell_files"):
+        assert deleted not in sources
