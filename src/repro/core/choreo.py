@@ -37,14 +37,11 @@ class ChoreoConfig:
 
     Attributes:
         measurement: how to measure the network (packet trains by default).
-        rate_model: ``"hose"`` or ``"pipe"`` — which sharing model the
-            placement algorithms assume (§4.4 supports "hose").
         default_task_cpu: CPU demand assumed for tasks the profiler sees
             without explicit CPU information.
     """
 
     measurement: MeasurementPlan = field(default_factory=MeasurementPlan)
-    rate_model: str = "hose"
     default_task_cpu: float = 1.0
 
 
@@ -59,7 +56,7 @@ class ChoreoSystem:
     ):
         self.provider = provider
         self.config = config if config is not None else ChoreoConfig()
-        self.placer = placer if placer is not None else GreedyPlacer(model=self.config.rate_model)
+        self.placer = placer if placer is not None else GreedyPlacer()
         self.profiler = ApplicationProfiler(default_cpu_cores=self.config.default_task_cpu)
         self.measurer = NetworkMeasurer(provider, plan=self.config.measurement)
         self._last_profile: Optional[NetworkProfile] = None

@@ -6,10 +6,10 @@ every set of flows sharing a bottleneck link with rate ``R`` transferring
 completion time is the maximum over all bottlenecks, and Choreo minimises
 that over placements.
 
-Under the hose model (what §4.4 finds on EC2 and Rackspace), the bottleneck
-shared by flows is the source VM's egress cap; under the pipe model every
-machine pair is its own bottleneck.  Both are implemented so the ILP, the
-greedy placer, and the ablation benches can use the same estimator.
+Under the hose model (what §4.4 finds on EC2 and Rackspace, and what
+``tests/test_bottleneck.py`` finds on every synthetic provider), the
+bottleneck shared by flows is the source VM's egress cap.  The ILP, the
+greedy placer and the ablation benches all use this one estimator.
 """
 
 from __future__ import annotations
@@ -54,39 +54,26 @@ def estimate_completion_time(
     assignments: Mapping[str, str],
     app: Application,
     profile: NetworkProfile,
-    model: str = "hose",
 ) -> float:
     """Estimated completion time (seconds) of ``app`` under a placement.
 
     Args:
         assignments: mapping of task name to machine (VM) name.
         app: the application being placed.
-        profile: measured network profile.
-        model: ``"hose"`` — flows out of the same machine share its egress
-            cap; ``"pipe"`` — flows on the same ordered machine pair share
-            that pair's measured rate; independent pairs never interfere.
+        profile: measured network profile; flows out of the same machine
+            share its egress (hose) cap.
 
     Returns:
         The estimated completion time of the slowest bottleneck, in seconds.
         Zero when the application transfers no data across machines.
     """
-    if model not in ("hose", "pipe"):
-        raise PlacementError(f"unknown completion-time model {model!r}")
     data = machine_pair_bytes(assignments, app)
     if not data:
         return 0.0
 
-    worst = 0.0
-    if model == "pipe":
-        for (src, dst), volume in data.items():
-            rate = profile.rate(src, dst)
-            if math.isinf(rate):
-                continue
-            worst = max(worst, volume * BITS_PER_BYTE / rate)
-        return worst
-
-    # Hose model: all egress of one machine shares that machine's cap, and
+    # All egress of one machine shares that machine's cap, and
     # intra-machine transfers use the (fast) intra-VM path.
+    worst = 0.0
     egress: Dict[str, float] = {}
     for (src, dst), volume in data.items():
         if src == dst:

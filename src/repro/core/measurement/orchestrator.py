@@ -425,7 +425,6 @@ class NetworkMeasurer:
             vms=names,
             rates_bps=rates,
             cross_traffic=cross,
-            sharing_model="hose",
             measured_at=started_at,
             measurement_duration_s=duration,
             pair_measured_at=pair_times,

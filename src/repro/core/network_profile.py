@@ -3,8 +3,8 @@
 A :class:`NetworkProfile` is what Choreo's placement algorithms consume: the
 estimated single-connection TCP throughput for every ordered VM pair
 (``R`` in the Appendix), optional per-path cross-traffic estimates (``c``
-from §3.2), optional per-VM hose-rate estimates, and which sharing model the
-measurements support ("hose" on EC2/Rackspace, §4.4).
+from §3.2) and optional per-VM hose-rate estimates.  Connections out of one
+VM share its egress cap: the hose model §4.4 finds on EC2 and Rackspace.
 
 ``R`` *is* the profile: one ``(n, n)`` float64 array in ``vms`` order, from
 the campaign that scatters its estimates into it to the placer that ranks
@@ -82,9 +82,6 @@ class NetworkProfile:
             pair without an estimate counts as zero.
         hose_rates_bps: per-VM estimated egress cap; when missing, the
             maximum measured rate out of the VM is used.
-        sharing_model: ``"hose"`` (connections out of one VM share its
-            egress cap) or ``"pipe"`` (connections on the same path share
-            that path's rate) — §4.4 finds "hose" on EC2 and Rackspace.
         measured_at: provider time at which the measurement was taken.
         measurement_duration_s: wall-clock cost of the measurement campaign.
         pair_measured_at: provider time each ordered pair was probed, as a
@@ -114,7 +111,6 @@ class NetworkProfile:
         intra_vm_rate_bps: float = math.inf,
         cross_traffic: Optional[PairValues] = None,
         hose_rates_bps: Optional[Mapping] = None,
-        sharing_model: str = "hose",
         measured_at: float = 0.0,
         measurement_duration_s: float = 0.0,
         pair_measured_at: Optional[PairValues] = None,
@@ -124,13 +120,8 @@ class NetworkProfile:
         self._index: Dict[str, int] = {vm: i for i, vm in enumerate(self.vms)}
         if len(self._index) != len(self.vms):
             raise MeasurementError("duplicate VM names in profile")
-        if sharing_model not in ("hose", "pipe"):
-            raise MeasurementError(
-                f"sharing_model must be 'hose' or 'pipe', got {sharing_model!r}"
-            )
         self.intra_vm_rate_bps = intra_vm_rate_bps
         self.hose_rates_bps: Dict[str, float] = dict(hose_rates_bps or {})
-        self.sharing_model = sharing_model
         self.measured_at = measured_at
         self.measurement_duration_s = measurement_duration_s
         self.degraded_pairs: Dict[Tuple[str, str], str] = dict(degraded_pairs or {})
@@ -348,7 +339,6 @@ class NetworkProfile:
         vms: Sequence[str],
         rate_bps: float,
         intra_vm_rate_bps: float = math.inf,
-        sharing_model: str = "hose",
     ) -> "NetworkProfile":
         """A profile where every pair has the same rate (Rackspace-like)."""
         if rate_bps <= 0:
@@ -357,7 +347,6 @@ class NetworkProfile:
             vms=vms,
             rates_bps=np.full((len(vms), len(vms)), float(rate_bps)),
             intra_vm_rate_bps=intra_vm_rate_bps,
-            sharing_model=sharing_model,
         )
 
     @classmethod
@@ -366,7 +355,6 @@ class NetworkProfile:
         vms: Sequence[str],
         rate_fn,
         intra_vm_rate_bps: float = math.inf,
-        sharing_model: str = "hose",
     ) -> "NetworkProfile":
         """A profile built by calling ``rate_fn(src, dst)`` for every pair."""
         rates = [
@@ -376,5 +364,4 @@ class NetworkProfile:
             vms=vms,
             rates_bps=np.array(rates, dtype=np.float64),
             intra_vm_rate_bps=intra_vm_rate_bps,
-            sharing_model=sharing_model,
         )

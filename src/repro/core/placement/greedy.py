@@ -9,8 +9,7 @@ the highest rate, given what has already been placed:
 * intra-machine paths have essentially infinite rate, so the heuristic
   naturally colocates heavily communicating tasks when CPU allows;
 * the candidate rate accounts for connections already placed in this round,
-  under either the hose model (connections share the source's egress) or the
-  pipe model (connections share the specific path) — see
+  which share the source's egress (the hose model) — see
   :func:`repro.core.rate_model.effective_rate`.
 
 Tasks that never communicate are placed last on the machines with the most
@@ -27,8 +26,8 @@ whole matrix with the colocation diagonal otherwise (:meth:`GreedyPlacer._best`)
 Algorithm 1's selection key is ``(-rate, -colocated, src name, dst name)``;
 because indices follow name order, "the first maximum in row-major order"
 *is* the lexicographically smallest ``(src, dst)`` among the fastest
-candidates, and ``prefer_colocation`` only adds "a colocated candidate tied
-at the maximum wins".  Every rate is ``==`` the scalar
+candidates, and the colocation preference only adds "a colocated candidate
+tied at the maximum wins".  Every rate is ``==`` the scalar
 :func:`~repro.core.rate_model.effective_rate`, so placements — including
 the order of ``Placement.assignments`` — are those of the scalar algorithm
 (kept as the oracle in ``tests/test_admission_arrays.py``).
@@ -137,7 +136,6 @@ def greedy_incumbent(
     app: Application,
     cluster: ClusterState,
     profile: NetworkProfile,
-    model: str = "hose",
 ) -> Optional[Placement]:
     """A greedy placement to seed the exact search with, or ``None``.
 
@@ -147,7 +145,7 @@ def greedy_incumbent(
     "proceed cold".
     """
     try:
-        return GreedyPlacer(model=model).place(app, cluster, profile)
+        return GreedyPlacer().place(app, cluster, profile)
     except PlacementError:
         return None
 
@@ -208,12 +206,11 @@ class _Round:
 class GreedyPlacer(Placer):
     """Algorithm 1: greedy network-aware placement.
 
+    Rate ties break in favour of placing both tasks on the same machine
+    (intra-machine rates are typically infinite, so this only matters when
+    the profile's intra-VM rate is finite).
+
     Args:
-        model: ``"hose"`` or ``"pipe"`` — how already-placed connections
-            affect a candidate path's rate (the paper's clouds are hose).
-        prefer_colocation: break rate ties in favour of placing both tasks
-            on the same machine (intra-machine rates are typically infinite,
-            so this only matters when the profile's intra-VM rate is finite).
         cluster_threshold: machine count at which placement switches to the
             hierarchical (cluster-representatives-first) candidate search;
             ``None`` uses ``_CLUSTER_THRESHOLD`` (96).  ``1`` always
@@ -228,19 +225,13 @@ class GreedyPlacer(Placer):
 
     def __init__(
         self,
-        model: str = "hose",
-        prefer_colocation: bool = True,
         cluster_threshold: Optional[int] = None,
         n_clusters: Optional[int] = None,
     ):
-        if model not in ("hose", "pipe"):
-            raise PlacementError(f"unknown rate model {model!r}")
         if cluster_threshold is not None and cluster_threshold < 1:
             raise PlacementError("cluster_threshold must be >= 1")
         if n_clusters is not None and n_clusters < 1:
             raise PlacementError("n_clusters must be >= 1")
-        self.model = model
-        self.prefer_colocation = prefer_colocation
         self.cluster_threshold = cluster_threshold
         self.n_clusters = n_clusters
         #: Clustering used by the last :meth:`place` call (None when the
@@ -353,7 +344,7 @@ class GreedyPlacer(Placer):
         n = len(names)
         available = cluster.available_cpus()
         free = np.array([available[name] for name in names])
-        board = EffectiveRateMatrix(profile, names, model=self.model)
+        board = EffectiveRateMatrix(profile, names)
 
         threshold = (
             _CLUSTER_THRESHOLD
@@ -537,8 +528,8 @@ class GreedyPlacer(Placer):
         where row and column name the same machine.  Returns the machines
         of the candidate minimising Algorithm 1's key ``(-rate, -colocated,
         src name, dst name)``: the first maximum in row-major order, unless
-        ``prefer_colocation`` and a colocated candidate is tied at the
-        maximum.  ``None`` when nothing is allowed.
+        a colocated candidate is tied at the maximum.  ``None`` when
+        nothing is allowed.
 
         Raises:
             MeasurementError: a candidate's rate is unmeasured — the first
@@ -565,7 +556,7 @@ class GreedyPlacer(Placer):
             return None
         scores = np.where(allowed, block, -math.inf).ravel()
         at = int(scores.argmax())
-        if self.prefer_colocation and colocated is not None:
+        if colocated is not None:
             tied = scores[colocated] == scores[at]
             if tied.any():
                 at = int(colocated[tied.argmax()])

@@ -15,14 +15,12 @@ exact (``mip_rel_gap`` aside) for the reason given beside it.
 1. **State and bound.**  Tasks are assigned in one fixed order (descending
    bytes sent + received, ties by index).  The state is the load of every
    bottleneck, keyed as :func:`~repro.core.estimator.estimate_completion_time`
-   keys it — hose: machine ``a``'s egress over ``hose_rate(a)`` and the
-   bytes colocated on ``a`` over the intra-VM rate; pipe: each ordered
-   machine pair over ``rate(a, b)``, same colocation term.  Placing a task
-   adds only the terms between it and already-placed peers.  *Exact
-   because* every term is a non-negative volume over a fixed rate: the
-   maximum over decided pairs never decreases along a branch, so it is a
-   lower bound on every completion of the partial assignment, under both
-   models, with no relaxation.
+   keys it: machine ``a``'s egress over ``hose_rate(a)`` and the bytes
+   colocated on ``a`` over the intra-VM rate.  Placing a task adds only
+   the terms between it and already-placed peers.  *Exact because* every
+   term is a non-negative volume over a fixed rate: the maximum over
+   decided pairs never decreases along a branch, so it is a lower bound on
+   every completion of the partial assignment, with no relaxation.
 2. **Hose tightening.**  A machine that holds tasks and has free CPU for at
    most ``k`` of the tasks still to place must send, to its members'
    unplaced peers, everything except the ``k`` largest per-peer totals.
@@ -37,11 +35,10 @@ exact (``mip_rel_gap`` aside) for the reason given beside it.
    pruned child ends its parent's loop.  *Exact because* a pruned subtree
    holds nothing better than the incumbent by more than the gap.
 4. **Symmetry by branching rule.**  Machines the objective cannot tell
-   apart (equal free CPU and equal hose rate; or, under pipe, a rate matrix
-   unchanged by swapping them): of those still *empty*, only the
-   lowest-indexed is tried.  Tasks it cannot tell apart (equal CPU, traffic
-   matrix unchanged by swapping them) take machines in non-decreasing index
-   order.  *Exact, also together, because* among the images of an optimal
+   apart (equal free CPU and equal hose rate): of those still *empty*, only
+   the lowest-indexed is tried.  Tasks it cannot tell apart (equal CPU,
+   traffic matrix unchanged by swapping them) take machines in
+   non-decreasing index order.  *Exact, also together, because* among the images of an optimal
    assignment under those swaps take the one whose machine-index sequence
    (in task order) is lexicographically smallest: if it broke either rule
    at some depth, the swap of the two machines — both unused before that
@@ -55,19 +52,13 @@ exact (``mip_rel_gap`` aside) for the reason given beside it.
 6. **Output.**  The winner is re-scored with ``estimate_completion_time``
    and passed through :func:`~repro.core.placement.base.validate_placement`.
 
-One search serves every instance size, both sharing models and finite or
-infinite intra-VM rates.  The Appendix's two MILP linearisations, solved
-with HiGHS, live on as the test oracles in ``tests/oracles/appendix_milp.py``;
-:class:`BruteForcePlacer` enumerates every assignment and validates both on
-tiny instances.
-
-Two bottleneck ("sharing") models are supported, matching the estimator:
-
-* ``"hose"`` — flows leaving a machine share its egress cap (what §4.4
-  finds on EC2/Rackspace; the Appendix notes the hose model corresponds to
-  ``S_{mi,mj} = 1``);
-* ``"pipe"`` — every ordered machine pair is its own bottleneck (the
-  Appendix's default when the shared-bottleneck matrix ``S`` is unknown).
+One search serves every instance size and finite or infinite intra-VM
+rates.  Its one bottleneck model is the estimator's: flows leaving a machine
+share its egress cap (the hose model §4.4 finds on EC2/Rackspace; the
+Appendix notes it corresponds to ``S_{mi,mj} = 1``).  The Appendix's two
+MILP linearisations, solved with HiGHS, live on as the test oracles in
+``tests/oracles/appendix_milp.py``; :class:`BruteForcePlacer` enumerates
+every assignment and validates both on tiny instances.
 """
 
 from __future__ import annotations
@@ -129,7 +120,7 @@ def _swap_classes(n: int, same: Callable[[int, int], bool]) -> List[int]:
 
 
 #: One candidate child: (bound, machine, bottleneck loads, pending rows).
-_Child = Tuple[float, int, List[float], Optional[List[List[float]]]]
+_Child = Tuple[float, int, List[float], List[List[float]]]
 
 
 class _Search:
@@ -145,7 +136,6 @@ class _Search:
         app: Application,
         cluster: ClusterState,
         profile: NetworkProfile,
-        model: str,
     ):
         tasks = app.task_names
         self.machines = machines = cluster.machine_names()
@@ -174,32 +164,22 @@ class _Search:
         # from machine a to machine b load, ``coef`` its seconds per byte
         # (0.0 at an infinite rate, which the estimator skips).
         intra = BITS_PER_BYTE / profile.intra_vm_rate_bps
-        self.hose = model == "hose"
-        if self.hose:
-            rates = [profile.hose_rate(name) for name in machines]
-            self.key = [[a] * m for a in range(m)]
-            for a in range(m):
-                self.key[a][a] = m + a
-            self.coef = [BITS_PER_BYTE / rate for rate in rates] + [intra] * m
-            #: Per task, the bytes it sends to each task later in the order,
-            #: and the ascending running sums of the later tasks' CPU (rule 2).
-            self.later = [vol[d][d + 1:] for d in range(n)]
-            self.fits = [
-                list(itertools.accumulate(sorted(cpu[d:]))) for d in range(n + 1)
-            ]
-
-            def same_machine(a: int, b: int) -> bool:
-                return avail[a] == avail[b] and rates[a] == rates[b]
-        else:
-            rate = [[profile.rate(x, y) for y in machines] for x in machines]
-            self.key = [[a * m + b for b in range(m)] for a in range(m)]
-            self.coef = [BITS_PER_BYTE / r for row in rate for r in row]
-
-            def same_machine(a: int, b: int) -> bool:
-                return avail[a] == avail[b] and _swappable(rate, a, b)
+        rates = [profile.hose_rate(name) for name in machines]
+        self.key = [[a] * m for a in range(m)]
+        for a in range(m):
+            self.key[a][a] = m + a
+        self.coef = [BITS_PER_BYTE / rate for rate in rates] + [intra] * m
+        #: Per task, the bytes it sends to each task later in the order,
+        #: and the ascending running sums of the later tasks' CPU (rule 2).
+        self.later = [vol[d][d + 1:] for d in range(n)]
+        self.fits = [
+            list(itertools.accumulate(sorted(cpu[d:]))) for d in range(n + 1)
+        ]
 
         # Rule 4: machine classes, and per task the previous task of its class.
-        self.machine_class = _swap_classes(m, same_machine)
+        self.machine_class = _swap_classes(
+            m, lambda a, b: avail[a] == avail[b] and rates[a] == rates[b]
+        )
         task_class = _swap_classes(
             n, lambda i, j: cpu[i] == cpu[j] and _swappable(vol, i, j)
         )
@@ -229,7 +209,7 @@ class _Search:
         d: int,
         bound: float,
         load: List[float],
-        rows: Optional[List[List[float]]],
+        rows: List[List[float]],
     ) -> List[_Child]:
         """Every machine task ``d`` may take, with the state it leads to,
         in the order rule 3 visits them."""
@@ -244,14 +224,12 @@ class _Search:
                 sends[b] = sends.get(b, 0.0) + out
             if back:
                 takes[b] = takes.get(b, 0.0) + back
-        elsewhere: Dict[int, float] = {}
-        if rows is not None:
-            # Rule 2 for the hosts that must now send to task d for certain,
-            # unless it joins them.
-            for b, back in takes.items():
-                elsewhere[b] = self._pending_s(
-                    load[b] + back, rows[b][d + 1:], free[b], d, coef[b]
-                )
+        # Rule 2 for the hosts that must now send to task d for certain,
+        # unless it joins them.
+        elsewhere = {
+            b: self._pending_s(load[b] + back, rows[b][d + 1:], free[b], d, coef[b])
+            for b, back in takes.items()
+        }
 
         twin = self.twin[d]
         lowest = where[twin] if twin >= 0 else 0
@@ -280,18 +258,16 @@ class _Search:
                 child_load[k] += volume
                 if child_load[k] * coef[k] > value:
                     value = child_load[k] * coef[k]
-            child_rows = None
-            if rows is not None:
-                pending = self.later[d]
-                if held[a]:
-                    pending = list(map(operator.add, rows[a][d + 1:], pending))
-                value = max(
-                    value,
-                    self._pending_s(child_load[a], pending, free[a] - cpu_d, d, coef[a]),
-                    *[seconds for b, seconds in elsewhere.items() if b != a],
-                )
-                child_rows = rows[:]
-                child_rows[a] = rows[a][:d + 1] + pending
+            pending = self.later[d]
+            if held[a]:
+                pending = list(map(operator.add, rows[a][d + 1:], pending))
+            value = max(
+                value,
+                self._pending_s(child_load[a], pending, free[a] - cpu_d, d, coef[a]),
+                *[seconds for b, seconds in elsewhere.items() if b != a],
+            )
+            child_rows = rows[:]
+            child_rows[a] = rows[a][:d + 1] + pending
             children.append((value, a, child_load, child_rows))
         children.sort(key=lambda child: child[:2])
         return children
@@ -323,7 +299,7 @@ class _Search:
                 leaves += len(children)
             return iter(children)
 
-        rows = [[0.0] * n] * len(free) if self.hose else None
+        rows = [[0.0] * n] * len(free)
         frames = [expand(0, 0.0, [0.0] * len(self.coef), rows)]
         while frames:
             d = len(frames) - 1
@@ -364,7 +340,6 @@ class OptimalPlacer(Placer):
     """Solve the Appendix's placement program exactly (module docstring).
 
     Args:
-        model: ``"hose"`` or ``"pipe"`` bottleneck model.
         time_limit_s: search budget; when it runs out the best assignment
             found so far — at worst the greedy one — is returned.
         mip_rel_gap: relative gap at which a branch stops being worth
@@ -375,15 +350,11 @@ class OptimalPlacer(Placer):
 
     def __init__(
         self,
-        model: str = "hose",
         time_limit_s: float = 60.0,
         mip_rel_gap: float = 1e-4,
     ):
-        if model not in ("hose", "pipe"):
-            raise PlacementError(f"unknown rate model {model!r}")
         if time_limit_s <= 0:
             raise PlacementError("time_limit_s must be positive")
-        self.model = model
         self.time_limit_s = time_limit_s
         self.mip_rel_gap = mip_rel_gap
         #: Stats of the most recent :meth:`place` call.
@@ -407,13 +378,13 @@ class OptimalPlacer(Placer):
             started = time.perf_counter()
             warm_bound: Optional[float] = None
             with obs.span("place.ilp.warm_start", app=app.name):
-                incumbent = greedy_incumbent(app, cluster, profile, model=self.model)
+                incumbent = greedy_incumbent(app, cluster, profile)
                 if incumbent is not None:
                     warm_bound = estimate_completion_time(
-                        incumbent.assignments, app, profile, model=self.model
+                        incumbent.assignments, app, profile
                     )
             with obs.span("place.ilp.solve", app=app.name) as solve:
-                search = _Search(app, cluster, profile, self.model)
+                search = _Search(app, cluster, profile)
                 found, counts = search.run(
                     math.inf if warm_bound is None else warm_bound,
                     self.mip_rel_gap, self.time_limit_s,
@@ -435,7 +406,8 @@ class OptimalPlacer(Placer):
                     )
                 )
             stats: Dict[str, object] = {
-                "model": self.model,
+                # The persisted schema names the sharing model; it is the hose.
+                "model": "hose",
                 "n_tasks": len(search.tasks),
                 "n_machines": len(search.machines),
                 "n_pairs": search.n_pairs,
@@ -448,7 +420,7 @@ class OptimalPlacer(Placer):
                 "mip_nodes": counts["nodes"],
                 "solve_wall_s": round(time.perf_counter() - started, 6),
                 "objective_s": estimate_completion_time(
-                    placement.assignments, app, profile, model=self.model
+                    placement.assignments, app, profile
                 ),
             }
             self.last_solve_stats = stats
@@ -466,10 +438,7 @@ class BruteForcePlacer(Placer):
 
     name = "brute-force"
 
-    def __init__(self, model: str = "hose", max_assignments: int = 2_000_000):
-        if model not in ("hose", "pipe"):
-            raise PlacementError(f"unknown rate model {model!r}")
-        self.model = model
+    def __init__(self, max_assignments: int = 2_000_000):
         self.max_assignments = max_assignments
 
     def place(
@@ -504,9 +473,7 @@ class BruteForcePlacer(Placer):
             if not feasible:
                 continue
             assignment = dict(zip(tasks, combo))
-            completion = estimate_completion_time(
-                assignment, app, profile, model=self.model
-            )
+            completion = estimate_completion_time(assignment, app, profile)
             if completion < best_time - _EPS:
                 best_time = completion
                 best_assignment = assignment

@@ -101,14 +101,10 @@ def _pick(params: Mapping[str, object], allowed: Dict[str, object]) -> Dict[str,
 
 
 def _greedy_factory(seed: int, **params) -> Placer:
-    opts = _pick(
-        params,
-        {"model": "hose", "cluster_threshold": None, "n_clusters": None},
-    )
+    opts = _pick(params, {"cluster_threshold": None, "n_clusters": None})
     cluster_threshold = opts["cluster_threshold"]
     n_clusters = opts["n_clusters"]
     return GreedyPlacer(
-        model=str(opts["model"]),
         cluster_threshold=(
             None if cluster_threshold is None else int(cluster_threshold)  # type: ignore[arg-type]
         ),
@@ -118,19 +114,16 @@ def _greedy_factory(seed: int, **params) -> Placer:
 
 def _ilp_factory(seed: int, **params) -> Placer:
     """The exact placer, budgeted per cell."""
-    opts = _pick(
-        params, {"model": "hose", "time_limit_s": 10.0, "mip_rel_gap": 1e-4}
-    )
+    opts = _pick(params, {"time_limit_s": 10.0, "mip_rel_gap": 1e-4})
     return OptimalPlacer(
-        model=str(opts["model"]),
         time_limit_s=float(opts["time_limit_s"]),  # type: ignore[arg-type]
         mip_rel_gap=float(opts["mip_rel_gap"]),  # type: ignore[arg-type]
     )
 
 
 def _brute_factory(seed: int, **params) -> Placer:
-    opts = _pick(params, {"model": "hose"})
-    return BruteForcePlacer(model=str(opts["model"]))
+    _reject_params("brute-force", params)
+    return BruteForcePlacer()
 
 
 def _random_factory(seed: int, **params) -> Placer:

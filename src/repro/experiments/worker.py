@@ -93,7 +93,7 @@ CHAOS_EXIT_STATUS = 17
 #: Per-trial drag of a chaos-slowed worker (straggler injection).
 CHAOS_SLOW_S = 0.4
 
-_CHAOS_MODES = ("crash", "hang", "slow")
+_CHAOS_KINDS = ("crash", "hang", "slow")
 
 
 def _arm_chaos() -> Optional[str]:
@@ -108,7 +108,7 @@ def _arm_chaos() -> Optional[str]:
     chaos_dir = os.environ.get(CHAOS_DIR_ENV)
     spec = os.environ.get(CHAOS_MODE_ENV) or ""
     modes = [mode.strip() for mode in spec.split(",") if mode.strip()]
-    if not chaos_dir or not modes or any(m not in _CHAOS_MODES for m in modes):
+    if not chaos_dir or not modes or any(m not in _CHAOS_KINDS for m in modes):
         return None
     for k, mode in enumerate(modes):
         marker = "chaos-fired" if k == 0 else f"chaos-fired-{k}"

@@ -23,7 +23,7 @@ from repro.net.topology import (
 from repro.net.links import Link, LinkKind, loopback_link_id, hose_link_id
 from repro.net.flows import Flow, FlowState
 from repro.net.alloc import IncrementalAllocator
-from repro.net.fairness import FlowDemand, max_min_allocation
+from repro.net.fairness import FlowDemand
 from repro.net.fluid import FluidSimulation, FluidResult, RateTimeline
 from repro.net.hose import HoseModel
 from repro.net.crosstraffic import OnOffSource, OnOffInterval, generate_on_intervals
@@ -54,7 +54,6 @@ __all__ = [
     "FlowState",
     "FlowDemand",
     "IncrementalAllocator",
-    "max_min_allocation",
     "clear_route_cache",
     "route_cache_info",
     "FluidSimulation",

@@ -1,7 +1,7 @@
 """Indexed, incremental max-min fair allocation engine.
 
-:func:`repro.net.fairness.max_min_allocation` is the reference
-progressive-filling implementation: it receives plain string-keyed mappings,
+A from-scratch progressive filling (the reference the tests keep in
+``tests/oracles/max_min.py``) receives plain string-keyed mappings,
 rebuilds its ``link -> members`` index on every call, and intersects member
 sets against the unfrozen set at every water-filling step.  That is fine for
 a one-off allocation, but the fluid simulator re-solves after *every* event
@@ -93,12 +93,9 @@ from repro.net.fairness import FlowDemand
 
 __all__ = ["IncrementalAllocator"]
 
-#: Allocator modes accepted by :class:`IncrementalAllocator`.
-_MODES = ("auto", "scalar", "vector")
-
 # Instance sizes below which the vectorised solve is not worth its NumPy
-# dispatch overhead.  Both must be met for ``mode="auto"`` to vectorise:
-# small-but-wide or tall-but-narrow instances stay on the scalar path.
+# dispatch overhead.  Both must be met to vectorise: small-but-wide or
+# tall-but-narrow instances stay on the scalar path.
 _VECTOR_MIN_FLOWS = 256
 _VECTOR_MIN_LINKS = 256
 
@@ -171,22 +168,14 @@ class IncrementalAllocator:
         capacities: mapping of link id to capacity in bits/second.  The link
             universe is fixed at construction; flows may only reference these
             links.
-        mode: ``"auto"`` (default) picks the array-backed solve at or above
-            ``_VECTOR_MIN_FLOWS`` routed flows *and* ``_VECTOR_MIN_LINKS``
-            links, ``"scalar"`` always runs
-            the heap-based solve, ``"vector"`` always runs the array-backed
-            one.  All three produce bit-identical rates; flows whose path
-            repeats a link force the scalar solve regardless of mode.
+
+    A full solve takes the array-backed path at or above
+    ``_VECTOR_MIN_FLOWS`` routed flows *and* ``_VECTOR_MIN_LINKS`` links,
+    and the heap-based one below; both produce bit-identical rates.  Flows
+    whose path repeats a link force the heap-based solve at any size.
     """
 
-    def __init__(
-        self, capacities: Mapping[str, float], mode: str = "auto"
-    ) -> None:
-        if mode not in _MODES:
-            raise SimulationError(
-                f"unknown allocator mode {mode!r}; expected one of {_MODES}"
-            )
-        self._mode = mode
+    def __init__(self, capacities: Mapping[str, float]) -> None:
         self._link_ids: List[str] = []
         self._link_index: Dict[str, int] = {}
         self._capacity: List[float] = []
@@ -643,21 +632,12 @@ class IncrementalAllocator:
         self._resume = 0
 
     # --------------------------------------------------------------- solve
-    @property
-    def mode(self) -> str:
-        """The allocator's configured mode (``auto``/``scalar``/``vector``)."""
-        return self._mode
-
     def uses_vector_path(self) -> bool:
         """Whether the next :meth:`solve` will take the array-backed path."""
         if self._dup_link_flows:
             # The scalar solver is the only one that models a path crossing
             # the same link twice (one count, two capacity drains).
             return False
-        if self._mode == "scalar":
-            return False
-        if self._mode == "vector":
-            return True
         return (
             len(self._flow_slot) >= _VECTOR_MIN_FLOWS
             and len(self._link_ids) >= _VECTOR_MIN_LINKS
@@ -666,11 +646,10 @@ class IncrementalAllocator:
     def solve(self) -> Dict[str, float]:
         """Max-min fair rates for the registered flows (cached between edits).
 
-        Returns the same mapping a reference
-        :func:`~repro.net.fairness.max_min_allocation` call over the current
-        flow set would; callers must treat it as read-only.  The scalar and
-        array-backed paths produce bit-identical mappings, so which one ran
-        is unobservable from the result.
+        Returns the same mapping a from-scratch progressive filling over the
+        current flow set would; callers must treat it as read-only.  The
+        scalar and array-backed paths produce bit-identical mappings, so
+        which one ran is unobservable from the result.
         """
         self._ensure_solved()
         if self._solution is None:

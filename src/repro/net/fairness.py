@@ -13,6 +13,11 @@ unfrozen flows), freeze every unfrozen flow crossing it at that share, remove
 the consumed capacity, and iterate.  Flows may carry an individual
 ``max_rate`` cap (application-limited sources); capped flows freeze at their
 cap as soon as the water level reaches it.
+
+The solver is :class:`~repro.net.alloc.IncrementalAllocator`.  This module
+holds what it shares with its callers: the :class:`FlowDemand` record,
+:func:`max_min_violations` (the certificate any allocation must pass) and
+:func:`probe_rates_under_load`.
 """
 
 from __future__ import annotations
@@ -39,93 +44,6 @@ class FlowDemand:
 
     links: Tuple[str, ...]
     max_rate: Optional[float] = None
-
-
-def max_min_allocation(
-    demands: Mapping[str, FlowDemand],
-    capacities: Mapping[str, float],
-) -> Dict[str, float]:
-    """Compute the max-min fair rate for each flow.
-
-    Args:
-        demands: mapping of flow id to :class:`FlowDemand`.
-        capacities: mapping of link id to capacity in bits/second.  Every
-            link referenced by a demand must be present.
-
-    Returns:
-        Mapping of flow id to allocated rate (bits/second).  Flows that use
-        no links and have no cap get ``math.inf``.
-
-    Raises:
-        SimulationError: if a demand references an unknown link.
-    """
-    for flow_id, demand in demands.items():
-        for link_id in demand.links:
-            if link_id not in capacities:
-                raise SimulationError(
-                    f"flow {flow_id!r} references unknown link {link_id!r}"
-                )
-
-    rates: Dict[str, float] = {}
-    unfrozen = set(demands)
-
-    # Flows that traverse no links are only limited by their own cap.
-    for flow_id in list(unfrozen):
-        if not demands[flow_id].links:
-            cap = demands[flow_id].max_rate
-            rates[flow_id] = math.inf if cap is None else cap
-            unfrozen.discard(flow_id)
-
-    remaining = {link_id: float(cap) for link_id, cap in capacities.items()}
-    link_members: Dict[str, set] = {}
-    for flow_id in unfrozen:
-        for link_id in demands[flow_id].links:
-            link_members.setdefault(link_id, set()).add(flow_id)
-
-    while unfrozen:
-        # The next "water level" is the smallest of: the equal share on any
-        # link carrying unfrozen flows, and the smallest unfrozen flow cap.
-        bottleneck_share = math.inf
-        bottleneck_link: Optional[str] = None
-        for link_id, members in link_members.items():
-            active = members & unfrozen
-            if not active:
-                continue
-            share = remaining[link_id] / len(active)
-            if share < bottleneck_share:
-                bottleneck_share = share
-                bottleneck_link = link_id
-
-        capped_level = math.inf
-        capped_flow: Optional[str] = None
-        for flow_id in unfrozen:
-            cap = demands[flow_id].max_rate
-            if cap is not None and cap < capped_level:
-                capped_level = cap
-                capped_flow = flow_id
-
-        if bottleneck_link is None and capped_flow is None:
-            # Unfrozen flows remain but nothing constrains them; they are
-            # effectively unbounded (should not happen for routed flows).
-            for flow_id in unfrozen:
-                rates[flow_id] = math.inf
-            break
-
-        if capped_level <= bottleneck_share:
-            # A flow hits its own cap before any link saturates at this level.
-            frozen = {capped_flow}
-            level = capped_level
-        else:
-            frozen = {f for f in link_members[bottleneck_link] if f in unfrozen}
-            level = bottleneck_share
-
-        for flow_id in frozen:
-            rates[flow_id] = level
-            unfrozen.discard(flow_id)
-            for link_id in demands[flow_id].links:
-                remaining[link_id] = max(0.0, remaining[link_id] - level)
-
-    return rates
 
 
 def max_min_violations(

@@ -53,25 +53,31 @@ class Flow:
     tag: str = ""
 
     def __post_init__(self) -> None:
-        if self.size_bytes is not None and self.size_bytes < 0:
+        # Comparisons are written so that NaN fails them: a NaN start time
+        # would never be reached by the event loop, which then spins.
+        if self.size_bytes is not None and not 0 <= self.size_bytes < math.inf:
             raise SimulationError(
-                f"flow {self.flow_id!r}: size_bytes must be >= 0"
+                f"flow {self.flow_id!r}: size_bytes must be finite and >= 0, "
+                f"got {self.size_bytes!r}"
             )
         if self.size_bytes is None and self.end_time is None:
             raise SimulationError(
                 f"flow {self.flow_id!r}: an unbounded flow needs an end_time"
             )
-        if self.start_time < 0:
+        if not 0 <= self.start_time < math.inf:
             raise SimulationError(
-                f"flow {self.flow_id!r}: start_time must be >= 0"
+                f"flow {self.flow_id!r}: start_time must be finite and >= 0, "
+                f"got {self.start_time!r}"
             )
-        if self.end_time is not None and self.end_time < self.start_time:
+        if self.end_time is not None and not self.end_time >= self.start_time:
             raise SimulationError(
-                f"flow {self.flow_id!r}: end_time precedes start_time"
+                f"flow {self.flow_id!r}: end_time {self.end_time!r} does not "
+                f"follow start_time {self.start_time!r}"
             )
-        if self.max_rate_bps is not None and self.max_rate_bps <= 0:
+        if self.max_rate_bps is not None and not self.max_rate_bps > 0:
             raise SimulationError(
-                f"flow {self.flow_id!r}: max_rate_bps must be positive"
+                f"flow {self.flow_id!r}: max_rate_bps must be positive, "
+                f"got {self.max_rate_bps!r}"
             )
 
     @property

@@ -27,8 +27,12 @@ rows to the allocator, and takes them back, one batch per event
 read-only mapping over that log, reduced by :meth:`RateTimeline.append`'s
 own rules, that builds a flow's :class:`RateTimeline` when it is asked
 for.  String-keyed :class:`~repro.net.fairness.FlowDemand` objects are
-derived from the rows only for the scalar loop and the reference
-allocator.
+derived from the rows only for the scalar loop.
+
+Which event loop runs, and which solve the allocator takes, follows from
+the input size alone (``_LOOP_MIN_FLOWS`` here, ``_VECTOR_MIN_FLOWS`` /
+``_VECTOR_MIN_LINKS`` in :mod:`repro.net.alloc`); every path gives
+bit-identical results, so there is nothing for a caller to choose.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ import numpy as np
 from repro import obs
 from repro.errors import SimulationError
 from repro.net.alloc import IncrementalAllocator, csr_gather
-from repro.net.fairness import FlowDemand, max_min_allocation
+from repro.net.fairness import FlowDemand
 from repro.net.flows import Flow, FlowState
 from repro.net.hose import HoseModel
 from repro.net.topology import Topology
@@ -323,18 +327,6 @@ class FluidResult:
         return max(self.completion_time(fid) for fid in ids)
 
 
-#: Allocator implementations :class:`FluidSimulation` can use.
-ALLOCATOR_INCREMENTAL = "incremental"
-ALLOCATOR_REFERENCE = "reference"
-ALLOCATOR_VECTOR = "vector"
-
-_ALLOCATORS = (ALLOCATOR_INCREMENTAL, ALLOCATOR_REFERENCE, ALLOCATOR_VECTOR)
-
-#: Event-loop implementations :class:`FluidSimulation` can use.
-LOOP_AUTO = "auto"
-LOOP_SCALAR = "scalar"
-LOOP_VECTOR = "vector"
-
 #: Process-wide fluid-engine counters (``obs.metrics.snapshot()``):
 #: simulation runs and event-loop batches (one batch per allocate →
 #: advance → retire pass; batch counts accumulate locally and post once
@@ -342,10 +334,8 @@ LOOP_VECTOR = "vector"
 _FLUID_RUNS = obs.Counter("repro.fluid.runs")
 _FLUID_BATCHES = obs.Counter("repro.fluid.batches")
 
-_LOOPS = (LOOP_AUTO, LOOP_SCALAR, LOOP_VECTOR)
-
 # Flow count below which the vectorised event loop is not worth its NumPy
-# dispatch overhead in ``loop="auto"`` mode.
+# dispatch overhead.
 _LOOP_MIN_FLOWS = 512
 
 
@@ -360,24 +350,16 @@ class FluidSimulation:
         extra_capacities: additional *virtual* links (e.g. per-VM hose links
             when several VMs share a physical host); flows traverse them via
             the ``extra_links`` argument of :meth:`add_flow`.
-        allocator: ``"incremental"`` (the default) re-solves through
-            :class:`~repro.net.alloc.IncrementalAllocator` in its ``auto``
-            mode, which picks the array-backed water-filling path from the
-            problem size; ``"vector"`` forces that path at every size;
-            ``"reference"`` calls
-            :func:`~repro.net.fairness.max_min_allocation` from scratch at
-            every event — the implementation the tests compare against.
-        loop: ``"scalar"`` is the per-flow Python event loop; ``"vector"``
-            holds flow state (remaining bytes, current rate, open rate
-            segment) in parallel NumPy arrays, picks the next event with an
-            ``argmin`` over the finish-time vector, activates, drains and
-            retires flows a batch per event, and logs a rate segment (to a
-            columnar log, see :class:`FluidResult`) only when a flow's rate
-            actually changes.  Both produce bit-identical
-            :class:`FluidResult` contents; ``"auto"`` (the default)
-            vectorises at or above ``_LOOP_MIN_FLOWS`` registered flows.
-            The ``"reference"`` allocator always runs the scalar loop —
-            that pairing *is* the reference implementation.
+
+    Rates come from :class:`~repro.net.alloc.IncrementalAllocator`, which
+    picks its own solve from the problem size.  Below ``_LOOP_MIN_FLOWS``
+    registered flows the per-flow Python event loop runs; at or above it
+    the vector loop holds flow state (remaining bytes, current rate, open
+    rate segment) in parallel NumPy arrays, picks the next event with an
+    ``argmin`` over the finish-time vector, activates, drains and retires
+    flows a batch per event, and logs a rate segment (to a columnar log,
+    see :class:`FluidResult`) only when a flow's rate actually changes.
+    Both loops produce bit-identical :class:`FluidResult` contents.
     """
 
     def __init__(
@@ -386,8 +368,6 @@ class FluidSimulation:
         hose: Optional[HoseModel] = None,
         capacity_overrides: Optional[Mapping[str, float]] = None,
         extra_capacities: Optional[Mapping[str, float]] = None,
-        allocator: str = ALLOCATOR_INCREMENTAL,
-        loop: str = LOOP_AUTO,
     ) -> None:
         self.topology = topology
         self.hose = hose
@@ -398,9 +378,10 @@ class FluidSimulation:
                     raise SimulationError(
                         f"capacity override for unknown link {link_id!r}"
                     )
-                if cap <= 0:
+                if not cap > 0:
                     raise SimulationError(
-                        f"capacity override for {link_id!r} must be positive"
+                        f"capacity override for {link_id!r} must be positive, "
+                        f"got {cap!r}"
                     )
                 self._capacities[link_id] = cap
         if hose is not None:
@@ -409,17 +390,12 @@ class FluidSimulation:
             )
         if extra_capacities:
             for link_id, cap in extra_capacities.items():
-                if cap <= 0:
+                if not cap > 0:
                     raise SimulationError(
-                        f"extra capacity for {link_id!r} must be positive"
+                        f"extra capacity for {link_id!r} must be positive, "
+                        f"got {cap!r}"
                     )
                 self._capacities[link_id] = cap
-        if allocator not in _ALLOCATORS:
-            raise SimulationError(f"unknown allocator {allocator!r}")
-        self._allocator_mode = allocator
-        if loop not in _LOOPS:
-            raise SimulationError(f"unknown loop {loop!r}")
-        self._loop_mode = loop
         # The link universe: the topology's links (path_links_matrix's
         # index order), then hose links, then extra links.
         self._link_ids: List[str] = list(self._capacities)
@@ -545,7 +521,7 @@ class FluidSimulation:
 
     def _flow_demands(self) -> Dict[str, FlowDemand]:
         """Every registered flow's :class:`FlowDemand`, derived from the
-        table (what the scalar loop and the reference allocator read)."""
+        table (what the scalar loop reads)."""
         demands = self._demands
         if len(demands) < len(self._flows):
             data, starts, lengths = self._table()
@@ -578,20 +554,9 @@ class FluidSimulation:
         the result reflect partially transferred finite flows.
 
         The scalar and vector event loops produce bit-identical results;
-        which one runs is controlled by the ``loop`` constructor argument.
-        The ``"reference"`` allocator always uses the scalar loop — that
-        pairing is the reference implementation.
+        the vector loop runs from ``_LOOP_MIN_FLOWS`` registered flows up.
         """
-        loop = self._loop_mode
-        if loop == LOOP_AUTO:
-            loop = (
-                LOOP_VECTOR
-                if len(self._flows) >= _LOOP_MIN_FLOWS
-                else LOOP_SCALAR
-            )
-        use_vector = (
-            loop == LOOP_VECTOR and self._allocator_mode != ALLOCATOR_REFERENCE
-        )
+        use_vector = len(self._flows) >= _LOOP_MIN_FLOWS
         _FLUID_RUNS.inc()
         with obs.span(
             "fluid.run",
@@ -621,16 +586,7 @@ class FluidSimulation:
         # end_time — Flow validates that — which is all the loop needs).
         active_finite: Dict[str, Flow] = {}
         active_unbounded: Dict[str, float] = {}
-        incremental: Optional[IncrementalAllocator] = None
-        if self._allocator_mode != ALLOCATOR_REFERENCE:
-            incremental = IncrementalAllocator(
-                self._capacities,
-                mode=(
-                    "vector"
-                    if self._allocator_mode == ALLOCATOR_VECTOR
-                    else "auto"
-                ),
-            )
+        incremental = IncrementalAllocator(self._capacities)
         inf = math.inf
 
         # Zero-byte flows complete instantly at their start time.
@@ -656,8 +612,7 @@ class FluidSimulation:
                         continue
                     active_finite[fid] = flow
                 states[fid] = FlowState.ACTIVE
-                if incremental is not None:
-                    incremental.add_demand(fid, demands[fid])
+                incremental.add_demand(fid, demands[fid])
 
             if not active_finite and not active_unbounded and pending_idx >= n_pending:
                 end_time = now
@@ -667,16 +622,9 @@ class FluidSimulation:
                 break
 
             batches += 1
-            # Allocate rates for the active flows.  The incremental engine
-            # only re-solves when the active set changed since the last
-            # allocation; the reference path recomputes from scratch.
-            if incremental is not None:
-                rates = incremental.solve()
-            else:
-                active_demands = {fid: demands[fid] for fid in active_finite}
-                for fid in active_unbounded:
-                    active_demands[fid] = demands[fid]
-                rates = max_min_allocation(active_demands, self._capacities)
+            # Allocate rates for the active flows (the allocator only
+            # re-solves when the active set changed since the last call).
+            rates = incremental.solve()
 
             # Time of the next event.
             next_time = inf
@@ -739,8 +687,7 @@ class FluidSimulation:
                 completion[fid] = now
                 states[fid] = FlowState.COMPLETED
                 del active_finite[fid]
-                if incremental is not None:
-                    incremental.remove_flow(fid)
+                incremental.remove_flow(fid)
             stopped = [
                 fid
                 for fid, stop_at in active_unbounded.items()
@@ -749,8 +696,7 @@ class FluidSimulation:
             for fid in stopped:
                 states[fid] = FlowState.STOPPED
                 del active_unbounded[fid]
-                if incremental is not None:
-                    incremental.remove_flow(fid)
+                incremental.remove_flow(fid)
 
             if until is not None and now >= until - _TIME_EPS:
                 end_time = until
@@ -834,12 +780,7 @@ class FluidSimulation:
         completion: Dict[str, float] = {}
         state = np.full(n_flows, _PENDING, dtype=np.int8)
         rem_out = size.copy()
-        incremental = IncrementalAllocator(
-            self._capacities,
-            mode=(
-                "vector" if self._allocator_mode == ALLOCATOR_VECTOR else "auto"
-            ),
-        )
+        incremental = IncrementalAllocator(self._capacities)
         inf = math.inf
 
         # Slot-indexed flow state (slots are allocator slots; a retired

@@ -60,7 +60,7 @@ class HoseModel:
             rate = self.rate_for(node)
             if rate is None:
                 continue
-            if rate <= 0:
+            if not rate > 0:
                 raise SimulationError(
                     f"hose rate for {node!r} must be positive, got {rate!r}"
                 )
@@ -77,8 +77,10 @@ class HoseModel:
 
     def set_rate(self, node: str, rate_bps: float) -> None:
         """Set (or update) the egress cap of a single node."""
-        if rate_bps <= 0:
-            raise SimulationError("hose rate must be positive")
+        if not rate_bps > 0:
+            raise SimulationError(
+                f"hose rate for {node!r} must be positive, got {rate_bps!r}"
+            )
         self.egress_bps[node] = rate_bps
 
     @classmethod

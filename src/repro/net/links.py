@@ -52,7 +52,7 @@ class Link:
     kind: LinkKind = LinkKind.GENERIC
 
     def __post_init__(self) -> None:
-        if self.capacity_bps <= 0:
+        if not self.capacity_bps > 0:
             raise TopologyError(
                 f"link {self.link_id!r} must have positive capacity, "
                 f"got {self.capacity_bps!r}"

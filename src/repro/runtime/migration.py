@@ -49,7 +49,6 @@ def propose_migration(
     profile: NetworkProfile,
     now: float,
     improvement_threshold: float = 0.05,
-    rate_model: str = "hose",
 ) -> Optional[Tuple[Placement, MigrationEvent]]:
     """The §2.4 re-evaluation decision for one running application.
 
@@ -66,10 +65,10 @@ def propose_migration(
     if candidate.assignments == current.assignments:
         return None
     current_estimate = estimate_completion_time(
-        current.assignments, remaining_app, profile, model=rate_model
+        current.assignments, remaining_app, profile
     )
     candidate_estimate = estimate_completion_time(
-        candidate.assignments, remaining_app, profile, model=rate_model
+        candidate.assignments, remaining_app, profile
     )
     if current_estimate <= 0:
         return None

@@ -247,7 +247,6 @@ class MeasurementCache:
         return NetworkProfile(
             self.vms,
             self._rates,
-            sharing_model="hose",
             measured_at=now,
             measurement_duration_s=0.0,
         )

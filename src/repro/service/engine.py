@@ -261,7 +261,6 @@ class PlacementService:
         measurement: campaign plan; the default packet-train plan does not
             advance the provider clock (the service accounts measurement
             time itself, in the report).
-        rate_model: completion-time model for migration decisions.
     """
 
     def __init__(
@@ -275,7 +274,6 @@ class PlacementService:
         migrate: bool = True,
         improvement_threshold: float = 0.1,
         measurement: Optional[MeasurementPlan] = None,
-        rate_model: str = "hose",
     ):
         self.provider = provider
         self.cluster = cluster
@@ -296,7 +294,6 @@ class PlacementService:
         self.improvement_threshold = improvement_threshold
         if measurement is None:
             measurement = MeasurementPlan(advance_clock=False)
-        self.rate_model = rate_model
         measurer = NetworkMeasurer(provider, plan=measurement)
         self.cache = MeasurementCache(
             measurer, cluster.machine_names(), ttl_s=self.ttl_s
@@ -742,7 +739,6 @@ class PlacementService:
                     profile,
                     now=now,
                     improvement_threshold=self.improvement_threshold,
-                    rate_model=self.rate_model,
                 )
             except ReproError:
                 # A placer that cannot re-place the remainder (e.g. CPU

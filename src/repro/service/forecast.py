@@ -220,7 +220,6 @@ class RateForecaster:
             current.vms,
             rates,
             intra_vm_rate_bps=current.intra_vm_rate_bps,
-            sharing_model=current.sharing_model,
             measured_at=current.measured_at,
             measurement_duration_s=current.measurement_duration_s,
         )

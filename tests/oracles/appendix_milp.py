@@ -10,15 +10,17 @@ formulations live on here, moved verbatim, as the references
   linearisation (``z <= X_im``, ``z <= X_jn``, ``z >= X_im + X_jn - 1``).
 * ``"sparse"`` — product columns only for task pairs with traffic and
   machines that are CPU-feasible and carry a finite-rate bottleneck term,
-  continuous with a single lower-bounding row each; under the hose model
-  one ``w >= X_im - X_jm`` per (pair, machine) replaces the machine-pair
-  slab ``z_imjn``; the pipe model's products are collapsed the Glover way.
+  continuous with a single lower-bounding row each; one
+  ``w >= X_im - X_jm`` per (pair, machine) replaces the machine-pair slab
+  ``z_imjn``.
   ``warm_start`` caps the objective at the greedy placement's value and
   ``symmetry_breaking`` adds lexicographic rows over interchangeable
   machines — both exactness-preserving.
 
-The only thing not carried over is the ``candidate_k`` restriction (a
-heuristic, deleted with its options).  ``scipy`` is a test-only dependency:
+Two things were not carried over: the ``candidate_k`` restriction (a
+heuristic, deleted with its options) and the pipe model's linearisation
+(deleted with the pipe model: every provider rate-limits at the source,
+``tests/test_bottleneck.py``).  ``scipy`` is a test-only dependency:
 importing this module skips the calling test when it is missing.
 """
 
@@ -107,7 +109,6 @@ class MilpPlacer(Placer):
     """Solve the Appendix's linearised placement program with HiGHS.
 
     Args:
-        model: ``"hose"`` or ``"pipe"`` bottleneck model.
         time_limit_s: solver time limit; the best incumbent (or the greedy
             fallback, when warm-started) is used if the limit is reached.
         mip_rel_gap: relative MIP gap at which the solver may stop.
@@ -124,22 +125,18 @@ class MilpPlacer(Placer):
 
     def __init__(
         self,
-        model: str = "hose",
         time_limit_s: float = 60.0,
         mip_rel_gap: float = 1e-4,
         formulation: str = "sparse",
         warm_start: bool = True,
         symmetry_breaking: bool = True,
     ):
-        if model not in ("hose", "pipe"):
-            raise PlacementError(f"unknown rate model {model!r}")
         if time_limit_s <= 0:
             raise PlacementError("time_limit_s must be positive")
         if formulation not in FORMULATIONS:
             raise PlacementError(
                 f"unknown formulation {formulation!r}; known: {FORMULATIONS}"
             )
-        self.model = model
         self.time_limit_s = time_limit_s
         self.mip_rel_gap = mip_rel_gap
         self.formulation = formulation
@@ -170,16 +167,15 @@ class MilpPlacer(Placer):
         incumbent: Optional[Placement] = None
         warm_bound: Optional[float] = None
         if self.warm_start:
-            incumbent = greedy_incumbent(app, cluster, profile, model=self.model)
+            incumbent = greedy_incumbent(app, cluster, profile)
             if incumbent is not None:
                 warm_bound = estimate_completion_time(
-                    incumbent.assignments, app, profile, model=self.model
+                    incumbent.assignments, app, profile
                 )
 
         n_tasks, n_machines = len(tasks), len(machines)
         stats: Dict[str, object] = {
             "formulation": self.formulation,
-            "model": self.model,
             "n_tasks": n_tasks,
             "n_machines": n_machines,
             "n_pairs": len(pairs),
@@ -206,7 +202,7 @@ class MilpPlacer(Placer):
 
         stats["solve_wall_s"] = round(time.perf_counter() - started, 6)
         stats["objective_s"] = estimate_completion_time(
-            placement.assignments, app, profile, model=self.model
+            placement.assignments, app, profile
         )
         self.last_solve_stats = stats
         self.stats_history.append((app.name, stats))
@@ -349,28 +345,21 @@ class MilpPlacer(Placer):
                 x_col[(t, m)] = len(x_col)
         n_x = len(x_col)
 
-        if self.model == "hose":
-            hose = [profile.hose_rate(m) for m in machines]
+        hose = [profile.hose_rate(m) for m in machines]
 
         # ----- product columns, pruned and continuous.  ``bneck`` accumulates
         # each bottleneck constraint's (column, coefficient) entries keyed by
         # bottleneck id; ``lin_rows`` collects the products' linearisation
         # rows as (cols, coefs, ub).
         #
-        # Under the hose model the egress term of machine ``a`` for pair
-        # ``(i, j)`` is ``x_ia * (1 - x_ja)`` — it does not depend on *where*
-        # the peer sits, only on whether it is colocated — so one variable
+        # The egress term of machine ``a`` for pair ``(i, j)`` is
+        # ``x_ia * (1 - x_ja)`` — it does not depend on *where* the peer
+        # sits, only on whether it is colocated — so one variable
         # ``w >= x_ia - x_ja`` per (pair, machine) replaces the M-wide
-        # ``z_imjn`` slab, with a tight two-term linearisation.  The pipe
-        # model's per-pair products are collapsed the Glover way: one
-        # continuous ``g_{s,a,b}`` per (sender task, machine pair) carries
-        # the bytes task ``s`` sends over link ``(a, b)``, bounded below by
-        # ``sum_t vol(s->t) * x_tb - V * (1 - x_sa)`` — exact at integral
-        # assignments, O(T*M^2) columns instead of O(P*M^2).
+        # ``z_imjn`` slab, with a tight two-term linearisation.
         n_aux = 0
         aux_upper: List[float] = []
         lin_rows: List[Tuple[List[int], List[float], float]] = []
-        agg_rows: List[Tuple[List[int], List[float], float]] = []
         bneck: Dict[Tuple, List[Tuple[int, float]]] = {}
 
         def bneck_add(key: Tuple, col: int, coef: float) -> None:
@@ -385,32 +374,29 @@ class MilpPlacer(Placer):
         for i, j in pairs:
             fwd, rev = volumes[(i, j)]
             cand_i, cand_j = set(candidates[i]), set(candidates[j])
-            if self.model == "hose":
-                # Egress of a: fwd * x_ia * (1 - x_ja)  +  rev * x_ja * (1 - x_ia).
-                for sender, peer, volume in ((i, j, fwd), (j, i, rev)):
-                    if volume <= 0:
+            # Egress of a: fwd * x_ia * (1 - x_ja)  +  rev * x_ja * (1 - x_ia).
+            for sender, peer, volume in ((i, j, fwd), (j, i, rev)):
+                if volume <= 0:
+                    continue
+                for a in candidates[sender]:
+                    if math.isinf(hose[a]):
                         continue
-                    for a in candidates[sender]:
-                        if math.isinf(hose[a]):
-                            continue
-                        coef = volume * BITS_PER_BYTE / hose[a]
-                        if a not in (cand_i if peer == i else cand_j):
-                            # Peer can never sit on a: the product is x itself.
-                            bneck_add((0, a), x_col[(sender, a)], coef)
-                            continue
-                        col = new_aux()
-                        lin_rows.append(
-                            (
-                                [x_col[(sender, a)], x_col[(peer, a)], col],
-                                [1.0, -1.0, -1.0],
-                                0.0,  # x_sender - x_peer - w <= 0
-                            )
+                    coef = volume * BITS_PER_BYTE / hose[a]
+                    if a not in (cand_i if peer == i else cand_j):
+                        # Peer can never sit on a: the product is x itself.
+                        bneck_add((0, a), x_col[(sender, a)], coef)
+                        continue
+                    col = new_aux()
+                    lin_rows.append(
+                        (
+                            [x_col[(sender, a)], x_col[(peer, a)], col],
+                            [1.0, -1.0, -1.0],
+                            0.0,  # x_sender - x_peer - w <= 0
                         )
-                        bneck_add((0, a), col, coef)
-            # (Pipe-model inter-machine terms are aggregated per sender
-            # below, outside this per-pair loop.)
+                    )
+                    bneck_add((0, a), col, coef)
 
-            # Colocation term, shared by both models (finite intra rate only).
+            # Colocation term (finite intra rate only).
             if not math.isinf(intra):
                 for a in cand_i & cand_j:
                     if cpu[i] + cpu[j] > avail[a] + _EPS:
@@ -424,51 +410,6 @@ class MilpPlacer(Placer):
                         )
                     )
                     bneck_add((2, a), col, (fwd + rev) * BITS_PER_BYTE / intra)
-
-        if self.model == "pipe":
-            # Per-sender directed volumes (both orientations of each pair).
-            out_vol: List[Dict[int, float]] = [dict() for _ in range(n_tasks)]
-            for i, j in pairs:
-                fwd, rev = volumes[(i, j)]
-                if fwd > 0:
-                    out_vol[i][j] = out_vol[i].get(j, 0.0) + fwd
-                if rev > 0:
-                    out_vol[j][i] = out_vol[j].get(i, 0.0) + rev
-            cand_sets = [set(c) for c in candidates]
-            for s in range(n_tasks):
-                if not out_vol[s]:
-                    continue
-                recv = sorted(out_vol[s].items())
-                for a in candidates[s]:
-                    for b in range(len(machines)):
-                        if b == a:
-                            continue  # colocated peers use the intra block
-                        rate_ab = profile.rate(machines[a], machines[b])
-                        if math.isinf(rate_ab):
-                            continue
-                        # g carries *seconds* of transfer on (a, b), not
-                        # bytes: volumes ~1e9 against bottleneck coefs
-                        # ~1e-8 span a range HiGHS mis-solves.
-                        coef_ab = BITS_PER_BYTE / rate_ab
-                        terms = [
-                            (t, v * coef_ab) for t, v in recv
-                            if b in cand_sets[t]
-                        ]
-                        if not terms:
-                            continue
-                        big_m = sum(v for _, v in terms)
-                        col = new_aux(ub=big_m)
-                        # g >= sum_t sec(s->t) * x_tb - big_m * (1 - x_sa),
-                        # i.e. sum_t sec * x_tb + big_m * x_sa - g <= big_m.
-                        agg_rows.append(
-                            (
-                                [x_col[(t, b)] for t, _ in terms]
-                                + [x_col[(s, a)], col],
-                                [v for _, v in terms] + [big_m, -1.0],
-                                big_m,
-                            )
-                        )
-                        bneck_add((1, a, b), col, 1.0)
 
         t_col = n_x + n_aux
         n_vars = t_col + 1
@@ -514,10 +455,6 @@ class MilpPlacer(Placer):
             )
             row_lbs.extend([-np.inf] * len(lin_rows))
             row_ubs.extend([ub for _, _, ub in lin_rows])
-
-        # Sender-aggregation rows (pipe model), variable width.
-        for cols, coefs, ub in agg_rows:
-            add_row(cols, coefs, -np.inf, ub)
 
         # Bottleneck rows: sum(coef * z) - T <= 0, deterministic order.
         for key in sorted(bneck):
@@ -616,21 +553,9 @@ class MilpPlacer(Placer):
     def _interchangeable(
         self, machines: List[str], a: int, b: int, profile: NetworkProfile
     ) -> bool:
-        ma, mb = machines[a], machines[b]
-        if self.model == "hose":
-            # The hose objective sees a machine only through its egress cap
-            # (intra-VM rate is global), so equal hose rates suffice.
-            return profile.hose_rate(ma) == profile.hose_rate(mb)
-        if profile.rate(ma, mb) != profile.rate(mb, ma):
-            return False
-        for other in machines:
-            if other in (ma, mb):
-                continue
-            if profile.rate(ma, other) != profile.rate(mb, other):
-                return False
-            if profile.rate(other, ma) != profile.rate(other, mb):
-                return False
-        return True
+        # The hose objective sees a machine only through its egress cap
+        # (intra-VM rate is global), so equal hose rates suffice.
+        return profile.hose_rate(machines[a]) == profile.hose_rate(machines[b])
 
     # ------------------------------------------------------------- dense MILP
     def _solve_dense(
@@ -683,42 +608,23 @@ class MilpPlacer(Placer):
 
         # Completion-time (bottleneck) constraints.
         intra_rate = profile.intra_vm_rate_bps
-        if self.model == "hose":
-            for a, machine_a in enumerate(machines):
-                rate = profile.hose_rate(machine_a)
-                if math.isinf(rate):
-                    continue
-                coeffs: Dict[int, float] = {t_col: -1.0}
-                for p, (i, j) in enumerate(pairs):
-                    fwd, rev = volumes[(i, j)]
-                    for b in range(n_machines):
-                        if b == a:
-                            continue
-                        if fwd > 0:
-                            col = pair_col(p, a, b)
-                            coeffs[col] = coeffs.get(col, 0.0) + fwd * BITS_PER_BYTE / rate
-                        if rev > 0:
-                            col = pair_col(p, b, a)
-                            coeffs[col] = coeffs.get(col, 0.0) + rev * BITS_PER_BYTE / rate
-                rows.append((coeffs, -np.inf, 0.0))
-        else:  # pipe
-            for a, machine_a in enumerate(machines):
-                for b, machine_b in enumerate(machines):
-                    if a == b:
+        for a, machine_a in enumerate(machines):
+            rate = profile.hose_rate(machine_a)
+            if math.isinf(rate):
+                continue
+            coeffs: Dict[int, float] = {t_col: -1.0}
+            for p, (i, j) in enumerate(pairs):
+                fwd, rev = volumes[(i, j)]
+                for b in range(n_machines):
+                    if b == a:
                         continue
-                    rate = profile.rate(machine_a, machine_b)
-                    if math.isinf(rate):
-                        continue
-                    coeffs = {t_col: -1.0}
-                    for p, (i, j) in enumerate(pairs):
-                        fwd, rev = volumes[(i, j)]
-                        if fwd > 0:
-                            col = pair_col(p, a, b)
-                            coeffs[col] = coeffs.get(col, 0.0) + fwd * BITS_PER_BYTE / rate
-                        if rev > 0:
-                            col = pair_col(p, b, a)
-                            coeffs[col] = coeffs.get(col, 0.0) + rev * BITS_PER_BYTE / rate
-                    rows.append((coeffs, -np.inf, 0.0))
+                    if fwd > 0:
+                        col = pair_col(p, a, b)
+                        coeffs[col] = coeffs.get(col, 0.0) + fwd * BITS_PER_BYTE / rate
+                    if rev > 0:
+                        col = pair_col(p, b, a)
+                        coeffs[col] = coeffs.get(col, 0.0) + rev * BITS_PER_BYTE / rate
+            rows.append((coeffs, -np.inf, 0.0))
 
         # Intra-machine transfers (only matter when the intra-VM rate is finite).
         if not math.isinf(intra_rate):

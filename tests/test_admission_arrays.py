@@ -51,19 +51,17 @@ _EPS = 1e-9
 class ScalarGreedyPlacer(Placer):
     """Algorithm 1 as tuple-list enumeration (the parent's ``GreedyPlacer``
     with the rate table off: every candidate's rate through
-    :func:`effective_rate`).  ``cluster_threshold=None`` is the flat search."""
+    :func:`effective_rate`).  ``cluster_threshold=None`` is the flat search.
+    Its ``model`` and ``prefer_colocation`` options are gone with
+    ``GreedyPlacer``'s: the hose model, colocation preferred on ties."""
 
     name = "scalar-greedy"
 
     def __init__(
         self,
-        model: str = "hose",
-        prefer_colocation: bool = True,
         cluster_threshold: Optional[int] = None,
         n_clusters: Optional[int] = None,
     ):
-        self.model = model
-        self.prefer_colocation = prefer_colocation
         self.cluster_threshold = cluster_threshold
         self.n_clusters = n_clusters
 
@@ -92,9 +90,7 @@ class ScalarGreedyPlacer(Placer):
         load = ConnectionLoad()
 
         def rate_of(src_machine: str, dst_machine: str) -> float:
-            return effective_rate(
-                profile, src_machine, dst_machine, load, model=self.model
-            )
+            return effective_rate(profile, src_machine, dst_machine, load)
 
         def record_connection(src_machine: str, dst_machine: str) -> None:
             load.add(src_machine, dst_machine)
@@ -218,7 +214,7 @@ class ScalarGreedyPlacer(Placer):
         def sort_key(pair: Tuple[str, str]):
             src, dst = pair
             rate = rate_of(src, dst)
-            colocated = 1 if (self.prefer_colocation and src == dst) else 0
+            colocated = 1 if src == dst else 0
             # Highest rate first, then colocation, then deterministic names.
             return (-rate, -colocated, src, dst)
 
@@ -249,7 +245,7 @@ class ScalarGreedyPlacer(Placer):
         def sort_key(pair: Tuple[str, str]):
             src, dst = pair
             rate = rate_of(src, dst)
-            colocated = 1 if (self.prefer_colocation and src == dst) else 0
+            colocated = 1 if src == dst else 0
             return (-rate, -colocated, src, dst)
 
         if src_placed is not None:
@@ -399,7 +395,6 @@ class ListRateForecaster:
             vms=list(current.vms),
             rates_bps=rates,
             intra_vm_rate_bps=current.intra_vm_rate_bps,
-            sharing_model=current.sharing_model,
             measured_at=current.measured_at,
             measurement_duration_s=current.measurement_duration_s,
         )
@@ -555,7 +550,6 @@ class DictMeasurementCache:
         return NetworkProfile(
             vms=list(self.vms),
             rates_bps=dict(self._rates),
-            sharing_model="hose",
             measured_at=now,
             measurement_duration_s=0.0,
             pair_measured_at=dict(self._measured_at),
@@ -589,19 +583,16 @@ def _greedy_instance(rng: random.Random, unmeasured: bool):
         {pair: rng.choice([0.0, 0.5, 1.0, 3.0]) for pair in pairs if rng.random() < 0.5}
         if rng.random() < 0.5 else {}
     )
-    sharing = rng.choice(["hose", "pipe"])
     if cross or rng.random() < 0.5:
         profile = NetworkProfile(
             vms=list(machines), rates_bps=rates, intra_vm_rate_bps=intra,
-            cross_traffic=cross, sharing_model=sharing,
+            cross_traffic=cross,
         )
     else:
         matrix = np.full((n, n), math.nan)
         for (a, b), rate in rates.items():
             matrix[machines.index(a), machines.index(b)] = rate
-        profile = NetworkProfile(
-            machines, matrix, intra_vm_rate_bps=intra, sharing_model=sharing
-        )
+        profile = NetworkProfile(machines, matrix, intra_vm_rate_bps=intra)
 
     cores = {m: rng.choice([2.0, 4.0, 6.0]) for m in machines}
     used = {
@@ -643,22 +634,19 @@ class TestGreedyAgainstScalarAlgorithm1:
         for trial in range(160):
             rng = random.Random((7000 if unmeasured else 3000) + trial)
             app, cluster, profile = _greedy_instance(rng, unmeasured)
-            model = rng.choice(["hose", "pipe"])
-            prefer = rng.random() < 0.7
             for threshold, n_clusters in _search_variants(rng, len(cluster.machines)):
                 expected = _outcome(
-                    ScalarGreedyPlacer(model, prefer, threshold, n_clusters),
+                    ScalarGreedyPlacer(threshold, n_clusters),
                     app, cluster, profile,
                 )
                 got = _outcome(
                     GreedyPlacer(
-                        model, prefer,
                         cluster_threshold=10**9 if threshold is None else threshold,
                         n_clusters=n_clusters,
                     ),
                     app, cluster, profile,
                 )
-                assert got == expected, (trial, model, prefer, threshold, n_clusters)
+                assert got == expected, (trial, threshold, n_clusters)
                 seen[expected[0]] += 1
         # The instances reach what they are meant to reach.
         assert seen["placed"] > 100 and seen["PlacementError"] > 20
@@ -677,27 +665,27 @@ class TestGreedyAgainstScalarAlgorithm1:
         assert got == {"a": "vm-1", "b": "vm-10"}
         assert got == ScalarGreedyPlacer().place(app, cluster, profile).assignments
 
-    def test_colocation_wins_only_a_tie_and_only_when_preferred(self):
+    def test_colocation_wins_only_a_tie(self):
         machines = ["m1", "m2"]
-        profile = NetworkProfile(
-            vms=machines, rates_bps={("m1", "m2"): 1e9, ("m2", "m1"): 1e9},
-            intra_vm_rate_bps=1e9,
-        )
         cluster = ClusterState(
             machines=[Machine("m1", 4.0), Machine("m2", 4.0)], cpu_used={"m1": 3.0}
         )
         traffic = TrafficMatrix()
         traffic.add("a", "b", 1e6)
         app = Application("app", [Task("a", 1.0), Task("b", 1.0)], traffic)
-        for prefer, expected in (
-            (True, {"a": "m2", "b": "m2"}),   # tied at 1e9: the diagonal wins
-            (False, {"a": "m1", "b": "m2"}),  # first maximum in name order
+        for intra, expected in (
+            (1e9, {"a": "m2", "b": "m2"}),  # tied at 1e9: the diagonal wins
+            (5e8, {"a": "m1", "b": "m2"}),  # slower: first maximum in name order
         ):
-            got = GreedyPlacer(prefer_colocation=prefer).place(app, cluster, profile)
+            profile = NetworkProfile(
+                vms=machines, rates_bps={("m1", "m2"): 1e9, ("m2", "m1"): 1e9},
+                intra_vm_rate_bps=intra,
+            )
+            got = GreedyPlacer().place(app, cluster, profile)
             assert got.assignments == expected
-            assert got.assignments == ScalarGreedyPlacer(
-                prefer_colocation=prefer
-            ).place(app, cluster, profile).assignments
+            assert got.assignments == ScalarGreedyPlacer().place(
+                app, cluster, profile
+            ).assignments
 
     def test_traffic_edited_to_name_an_unknown_task_fails_the_same_way(self):
         machines = ["m1", "m2"]
@@ -1031,5 +1019,3 @@ class TestMatrixProfileRatesView:
             NetworkProfile(["a", "b"], np.array([[0.0, -1.0], [1.0, 0.0]]))
         with pytest.raises(MeasurementError, match="duplicate"):
             NetworkProfile(["a", "a"], matrix)
-        with pytest.raises(MeasurementError, match="sharing_model"):
-            NetworkProfile(["a", "b"], matrix, sharing_model="tube")

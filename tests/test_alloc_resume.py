@@ -1,9 +1,10 @@
 """Resumable water-filling and the dirty-closure walk of ``repro.net.alloc``.
 
-One long-lived ``mode="vector"`` allocator is driven through random edit
-sequences; after every edit its rates must equal — exactly — what a fresh
-allocator computes from scratch for the same flow set, on the vector path
-and on the scalar path, agree with the reference within 1e-9, and pass the
+One long-lived allocator, its solves forced onto the vector path, is driven
+through random edit sequences; after every edit its rates must equal —
+exactly — what a fresh allocator computes from scratch for the same flow
+set, on the vector path and on the scalar path, agree with the reference
+(``tests/oracles/max_min.py``) within 1e-9, and pass the
 max-min certificate.  Every vector fill is also held — slot rates and
 per-round levels, ``==`` — to the fill of the commit before the freeze-batch
 memo, the compact link state and the one-pass replay
@@ -16,10 +17,17 @@ import random
 
 import pytest
 
+from oracles.max_min import force_solves, max_min_allocation
 from oracles.parent_fill import ParentFill
 from repro.net.alloc import _BATCH_MIN, IncrementalAllocator, _partial_limit
-from repro.net.fairness import FlowDemand, max_min_allocation, max_min_violations
+from repro.net.fairness import FlowDemand, max_min_violations
 from repro.net.topology import TreeSpec, build_multi_rooted_tree
+
+
+@pytest.fixture(autouse=True)
+def _vector_solves(monkeypatch):
+    """Every allocator here solves on the vector path unless told otherwise."""
+    force_solves(monkeypatch, True)
 
 
 # ------------------------------------------------------------------ instances
@@ -76,11 +84,13 @@ def _mesh_instance(rng):
 
 
 # --------------------------------------------------------------------- oracle
-def _from_scratch(caps, active, mode):
-    fresh = IncrementalAllocator(caps, mode=mode)
-    for fid in sorted(active):
-        fresh.add_demand(fid, active[fid])
-    return fresh.solve()
+def _from_scratch(caps, active, vector):
+    with pytest.MonkeyPatch.context() as patch:
+        force_solves(patch, vector)
+        fresh = IncrementalAllocator(caps)
+        for fid in sorted(active):
+            fresh.add_demand(fid, active[fid])
+        return fresh.solve()
 
 
 def _check(live, slot_of, caps, active, context):
@@ -88,8 +98,8 @@ def _check(live, slot_of, caps, active, context):
     slot_rates = live.solve_slots()
     got = {fid: float(slot_rates[slot_of[fid]]) for fid in active}
     assert got == live.solve(), context
-    assert got == _from_scratch(caps, active, "vector"), context
-    assert got == _from_scratch(caps, active, "scalar"), context
+    assert got == _from_scratch(caps, active, vector=True), context
+    assert got == _from_scratch(caps, active, vector=False), context
     reference = max_min_allocation(active, caps)
     for fid, rate in reference.items():
         if math.isinf(rate):
@@ -107,7 +117,7 @@ class _Driver:
 
     def __init__(self, caps, demands):
         self.caps = caps
-        self.live = IncrementalAllocator(caps, mode="vector")
+        self.live = IncrementalAllocator(caps)
         self.parent_fill = ParentFill()
         self.active = {}
         self.slot_of = {}
@@ -431,8 +441,8 @@ def test_scalar_solver_on_two_infinite_links():
         "both": FlowDemand(links=("a", "b")),
         "only_b": FlowDemand(links=("b",)),
     }
-    assert _from_scratch(caps, demands, "vector") == max_min_allocation(demands, caps)
-    assert _from_scratch(caps, demands, "scalar") == max_min_allocation(demands, caps)
+    assert _from_scratch(caps, demands, vector=True) == max_min_allocation(demands, caps)
+    assert _from_scratch(caps, demands, vector=False) == max_min_allocation(demands, caps)
 
 
 # -------------------------------------------------------------- closure cost
@@ -468,7 +478,7 @@ def _pod_mesh_allocator(racks, hosts_per_rack, cross_rack):
     spec = TreeSpec(pods=2, racks_per_pod=racks, hosts_per_rack=hosts_per_rack, num_cores=2)
     topo = build_multi_rooted_tree(spec)
     pod = sorted(topo.hosts(), key=lambda h: int(h[4:]))[: racks * hosts_per_rack]
-    live = IncrementalAllocator(topo.capacities(), mode="vector")
+    live = IncrementalAllocator(topo.capacities())
     rack_local = []
     for a in pod:
         for b in pod:
@@ -504,7 +514,7 @@ def test_giant_component_of_thin_links_is_recognised_early():
     add up to the verdict long before it has collected ``limit`` slots."""
     caps = {f"up{i}": 1.0 for i in range(40)}
     caps.update({f"down{i}": 1.0 for i in range(40)})
-    live = IncrementalAllocator(caps, mode="vector")
+    live = IncrementalAllocator(caps)
     for i in range(40):
         for j in range(40):
             live.add_flow(f"{i}>{j}", [f"up{i}", f"down{j}"])

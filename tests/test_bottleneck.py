@@ -1,14 +1,17 @@
 """The paper's hose finding (§3.3, §4.3–§4.4) on the synthetic providers.
 
-``NetworkMeasurer.measure`` hard-codes ``sharing_model="hose"`` because §4.4
-finds EC2 and Rackspace rate-limit at the source.  ``BottleneckLocator`` is
-the experiment that finds it: concurrent connections out of one source halve
-each other, connections between four distinct VMs do not notice each other.
+§4.4 finds that EC2 and Rackspace rate-limit at the source.
+``BottleneckLocator`` is the experiment that finds it: concurrent
+connections out of one source halve each other, connections between four
+distinct VMs do not notice each other.  It finds the same on every
+registered provider, over several seeds, and never a shared fabric — which
+is why the estimator, the rate matrix and both placers have one sharing
+model, the hose, and no ``"pipe"`` alternative.
 """
 
 import pytest
 
-from repro.cloud.registry import make_provider
+from repro.cloud.registry import make_provider, provider_names
 from repro.core.measurement.bottleneck import (
     BottleneckLocator,
     connections_interfere_at_core,
@@ -53,6 +56,23 @@ def test_connections_share_a_bottleneck_only_at_their_source(name, seed):
     assert sorted(report.rack_clusters) == sorted(
         sorted(members) for members in racks.values()
     )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", provider_names())
+def test_no_provider_has_a_shared_fabric(name, seed):
+    """Every provider classifies "hose", or "mixed" only for the reason
+    explained below: a quiet same-source test sent one of its connections
+    to a VM on the sender's own host, which bypasses the hose."""
+    provider, report = locate(name, seed)
+    host = {vm.name: vm.host for vm in provider.vms()}
+    assert report.rate_limiting in ("hose", "mixed"), (name, seed)
+    assert report.distinct_endpoint_interference_fraction == 0.0
+    for result in report.same_source_results:
+        if not result.interferes:
+            src = result.pair_a[0]
+            peers = (result.pair_a[1], result.pair_b[1])
+            assert host[src] in {host[peer] for peer in peers}, (name, seed)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -23,19 +23,14 @@ import sys
 import numpy as np
 import pytest
 
+from oracles.max_min import force_solves, run_loop
 from repro import obs
 from repro.errors import RoutingError, SimulationError, TopologyError
 from repro.net import alloc
 from repro.net.alloc import IncrementalAllocator
 from repro.net.fairness import max_min_violations
 from repro.net.flows import Flow
-from repro.net.fluid import (
-    LOOP_SCALAR,
-    LOOP_VECTOR,
-    FluidSimulation,
-    RateTimeline,
-    _TimelineTable,
-)
+from repro.net.fluid import FluidSimulation, RateTimeline, _TimelineTable
 from repro.net.hose import HoseModel
 from repro.net.links import hose_link_id
 from repro.net.topology import (
@@ -87,10 +82,12 @@ def test_batched_edits_leave_the_per_flow_state(mode, seed, monkeypatch):
     )
     # The cut is policy: lower it so that cheap batches sit on both sides.
     monkeypatch.setattr(alloc, "_BATCH_MIN", 8)
+    if mode == "vector":
+        force_solves(monkeypatch, True)
     rng = random.Random(seed)
     capacities = {link: rng.choice([1.0, 2.0, 5.0, 10.0]) * 100 for link in LINK_IDS}
-    batched = IncrementalAllocator(capacities, mode=mode)
-    twin = IncrementalAllocator(capacities, mode=mode)
+    batched = IncrementalAllocator(capacities)
+    twin = IncrementalAllocator(capacities)
     live, counter = [], itertools.count()
     for step in range(30):
         context = f"mode={mode} seed={seed} step={step}"
@@ -231,10 +228,10 @@ def test_batch_registration_and_vector_loop_match_the_scalar_oracle(
         for flow in flows
     ]
     kwargs = dict(hose=hose, extra_capacities=extra_capacities)
-    one_by_one = FluidSimulation(topo, loop=LOOP_SCALAR, **kwargs)
+    one_by_one = FluidSimulation(topo, **kwargs)
     for flow, extra in zip(flows, extras):
         one_by_one.add_flow(flow, extra_links=extra)
-    batch = FluidSimulation(topo, loop=LOOP_VECTOR, **kwargs)
+    batch = FluidSimulation(topo, **kwargs)
     # Two batches, so that the table has more than one chunk.
     cut = len(flows) // 2
     batch.add_flows(flows[:cut], extras[:cut])
@@ -251,7 +248,8 @@ def test_batch_registration_and_vector_loop_match_the_scalar_oracle(
 
     until = rng.uniform(0.0, 1.2) if rng.random() < 0.4 else None
     _assert_results_identical(
-        one_by_one.run(until=until), batch.run(until=until),
+        run_loop(one_by_one, vector=False, until=until),
+        run_loop(batch, vector=True, until=until),
         context=f"seed={seed} until={until}",
     )
 
@@ -350,12 +348,12 @@ def test_first_segment_rates_are_max_min_fair():
         for i, (a, b) in enumerate(itertools.permutations(hosts, 2))
     ]
     hose = HoseModel.uniform(hosts[:8], 6e8)
-    sim = FluidSimulation(topo, hose=hose, loop=LOOP_VECTOR)
+    sim = FluidSimulation(topo, hose=hose)
     sim.add_flows(flows)
-    result = sim.run()
-    oracle = FluidSimulation(topo, hose=hose, loop=LOOP_SCALAR)
+    result = run_loop(sim, vector=True)
+    oracle = FluidSimulation(topo, hose=hose)
     oracle.add_flows(flows)
-    _assert_results_identical(oracle.run(), result, "full mesh")
+    _assert_results_identical(run_loop(oracle, vector=False), result, "full mesh")
     rates = {
         flow_id: timeline.segments[0].rate_bps
         for flow_id, timeline in result.timelines.items()
@@ -373,10 +371,10 @@ def test_fluid_run_span_counts_batches_and_segments(tmp_path):
     trace = tmp_path / "trace.jsonl"
     obs.configure(str(trace), export_env=False)
     try:
-        for loop in (LOOP_SCALAR, LOOP_VECTOR):
-            sim = FluidSimulation(topo, loop=loop)
+        for vector in (False, True):
+            sim = FluidSimulation(topo)
             sim.add_flows(flows)
-            result = sim.run()
+            result = run_loop(sim, vector)
     finally:
         obs.configure(None, export_env=False)
     scalar, vector = (

@@ -1,11 +1,18 @@
 """Fluid-simulator tests: max-min rates and completion times match hand
 calculations on the paper's Figure 3(a) dumbbell topology."""
 
+import contextlib
+import math
+import signal
+
 import pytest
 
+from repro.errors import SimulationError, TopologyError
 from repro.net.flows import Flow
 from repro.net.fluid import FluidSimulation
-from repro.net.topology import build_dumbbell
+from repro.net.hose import HoseModel
+from repro.net.links import Link
+from repro.net.topology import build_dumbbell, build_two_rack_cloud
 from repro.units import GBITPS, MBYTE
 
 # 1 Gbit/s shared link; 10 Gbit/s access links so the dumbbell is the only
@@ -73,3 +80,65 @@ def test_departing_flow_releases_bandwidth_to_survivor(dumbbell):
     # A's timeline records the rate change: 0.5 Gbit/s then 1 Gbit/s.
     rates = [seg.rate_bps for seg in result.timelines["A"].segments]
     assert rates == pytest.approx([0.5 * GBITPS, 1.0 * GBITPS])
+
+
+@contextlib.contextmanager
+def _deadline(seconds=5.0):
+    """Fail a case that takes longer than ``seconds`` instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"case exceeded its {seconds} s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _simulate(flow=None, **sim_kwargs):
+    """Build a two-rack simulation (hosts s1, s2, r1, r2), add ``flow`` and
+    run it."""
+    topo = build_two_rack_cloud(2)
+    if "link" in sim_kwargs:
+        link = next(iter(topo.capacities()))
+        sim_kwargs = {"capacity_overrides": {link: sim_kwargs.pop("link")}}
+    sim = FluidSimulation(topo, **sim_kwargs)
+    sim.add_flow(flow or Flow("ok", "s1", "r1", size_bytes=1e6))
+    return sim.run()
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "case, names",
+    [
+        # A NaN start is never reached: the event loop used to spin forever.
+        (lambda: _simulate(Flow("f", "s1", "r1", size_bytes=1e6, start_time=NAN)), "'f'"),
+        (lambda: _simulate(Flow("f", "s1", "r1", size_bytes=1e6, start_time=INF)), "'f'"),
+        (lambda: _simulate(Flow("f", "s1", "r1", size_bytes=NAN)), "'f'"),
+        (lambda: _simulate(Flow("f", "s1", "r1", size_bytes=INF)), "'f'"),
+        (lambda: _simulate(Flow("f", "s1", "r1", end_time=NAN)), "'f'"),
+        (lambda: _simulate(Flow("f", "s1", "r1", size_bytes=1e6, max_rate_bps=NAN)), "'f'"),
+        (lambda: _simulate(link=NAN), "->"),
+        (lambda: _simulate(extra_capacities={"vhose": NAN}), "'vhose'"),
+        (lambda: _simulate(hose=HoseModel(egress_bps={"s1": NAN})), "'s1'"),
+        (lambda: HoseModel().set_rate("s1", NAN), "'s1'"),
+    ],
+    ids=[
+        "nan-start", "inf-start", "nan-size", "inf-size", "nan-end", "nan-cap",
+        "nan-override", "nan-extra", "nan-hose", "nan-set-rate",
+    ],
+)
+def test_non_finite_inputs_are_rejected_by_name(case, names):
+    with _deadline():
+        with pytest.raises(SimulationError, match=names):
+            case()
+
+
+def test_link_capacity_must_be_a_positive_number():
+    with pytest.raises(TopologyError, match="'a->b'"):
+        Link("a->b", "a", "b", NAN)

@@ -11,16 +11,17 @@ import random
 
 import pytest
 
+from oracles.max_min import max_min_allocation, use_reference_engine
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Machine
 from repro.core.rate_model import ConnectionLoad, EffectiveRateMatrix, effective_rate
 from repro.cloud.registry import make_provider
-from repro.errors import MeasurementError, PlacementError, SimulationError
+from repro.errors import MeasurementError, SimulationError
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
 from repro.net import topology
 from repro.net.alloc import IncrementalAllocator
-from repro.net.fairness import FlowDemand, max_min_allocation
+from repro.net.fairness import FlowDemand
 from repro.net.flows import Flow
 from repro.net.fluid import FluidSimulation, RateTimeline
 from repro.net.topology import (
@@ -230,7 +231,7 @@ class TestRateTimelineBisect:
 
 
 class TestFluidAllocatorEquivalence:
-    def test_incremental_and_reference_runs_agree(self):
+    def test_incremental_and_reference_runs_agree(self, monkeypatch):
         topo = build_two_rack_cloud(n_pairs=6)
         rng = random.Random(21)
         flows = []
@@ -246,12 +247,15 @@ class TestFluidAllocatorEquivalence:
                 flows.append(Flow(f"x{i}", src, dst, size_bytes=rng.uniform(1, 40) * MBYTE,
                                   start_time=start, max_rate_bps=cap))
 
-        def run(mode):
-            sim = FluidSimulation(topo, allocator=mode)
-            sim.add_flows(flows)
-            return sim.run()
+        def run(reference):
+            with monkeypatch.context() as patch:
+                if reference:
+                    use_reference_engine(patch)
+                sim = FluidSimulation(topo)
+                sim.add_flows(flows)
+                return sim.run()
 
-        ref, got = run("reference"), run("incremental")
+        ref, got = run(True), run(False)
         assert set(ref.completion_times) == set(got.completion_times)
         for fid, expected in ref.completion_times.items():
             assert got.completion_times[fid] == pytest.approx(expected, abs=1e-9)
@@ -260,11 +264,6 @@ class TestFluidAllocatorEquivalence:
             assert got.timelines[fid].total_bytes() == pytest.approx(
                 ref.timelines[fid].total_bytes(), rel=1e-9, abs=1e-6
             )
-
-    def test_unknown_allocator_rejected(self):
-        topo = build_two_rack_cloud(n_pairs=2)
-        with pytest.raises(SimulationError):
-            FluidSimulation(topo, allocator="wat")
 
 
 class TestTopologyCaches:
@@ -322,11 +321,10 @@ class TestEffectiveRateMatrix:
         )
 
     @pytest.mark.parametrize("cross", [False, True])
-    @pytest.mark.parametrize("model", ["hose", "pipe"])
-    def test_matrix_matches_direct_computation_under_load(self, model, cross):
+    def test_matrix_matches_direct_computation_under_load(self, cross):
         machines = [f"m{i}" for i in range(6)]
         profile = self._profile(machines, 2, cross=cross)
-        board = EffectiveRateMatrix(profile, machines, model=model)
+        board = EffectiveRateMatrix(profile, machines)
         shadow = ConnectionLoad()
         rng = random.Random(4)
         for _ in range(60):
@@ -336,10 +334,10 @@ class TestEffectiveRateMatrix:
             for a, src in enumerate(machines):
                 for b, dst in enumerate(machines):
                     assert board.rates[a, b] == effective_rate(
-                        profile, src, dst, shadow, model=model
+                        profile, src, dst, shadow
                     )
 
-    def test_unmeasured_pairs_stay_nan_and_unknown_model_is_rejected(self):
+    def test_unmeasured_pairs_stay_nan(self):
         machines = ["a", "b", "c"]
         profile = NetworkProfile(
             vms=machines, rates_bps={("a", "b"): 1e9, ("b", "a"): 2e9}
@@ -349,8 +347,6 @@ class TestEffectiveRateMatrix:
         assert board.rates[0, 1] == 1e9 * 1.0 / 2.0
         assert math.isnan(board.rates[0, 2]) and math.isnan(board.rates[2, 1])
         assert board.rates[2, 2] == math.inf
-        with pytest.raises(PlacementError):
-            EffectiveRateMatrix(profile, machines, model="tube")
 
 
 class TestBatchedMeasurementMesh:

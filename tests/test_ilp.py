@@ -63,8 +63,8 @@ def _random_instance(rng: random.Random, uniform_rates: bool = False):
     return app, cluster, profile
 
 
-def _objective(placement, app, profile, model):
-    return estimate_completion_time(placement.assignments, app, profile, model=model)
+def _objective(placement, app, profile):
+    return estimate_completion_time(placement.assignments, app, profile)
 
 
 def _random_feasible_instance(rng: random.Random, uniform_rates: bool = False):
@@ -140,26 +140,23 @@ def milp():
     return importlib.import_module("oracles.appendix_milp")
 
 
-@pytest.mark.parametrize("model", ["hose", "pipe"])
-def test_pruned_warm_milp_matches_brute_force_on_randomized_instances(
-    model, monkeypatch
-):
-    """The search == brute force: >= 50 random instances per model, then 60
-    symmetric ones searched cold (no greedy value to hide behind)."""
-    rng = random.Random(42 if model == "hose" else 43)
+def test_pruned_warm_milp_matches_brute_force_on_randomized_instances(monkeypatch):
+    """The search == brute force: >= 50 random instances, then 60 symmetric
+    ones searched cold (no greedy value to hide behind)."""
+    rng = random.Random(42)
 
     def check(app, cluster, profile, label):
         try:
-            brute = BruteForcePlacer(model=model).place(app, cluster, profile)
+            brute = BruteForcePlacer().place(app, cluster, profile)
         except PlacementError:
             with pytest.raises(PlacementError):
-                OptimalPlacer(model=model).place(app, cluster, profile)
+                OptimalPlacer().place(app, cluster, profile)
             return False  # CPU-infeasible draw
-        placer = OptimalPlacer(model=model, mip_rel_gap=1e-9)
+        placer = OptimalPlacer(mip_rel_gap=1e-9)
         optimal = placer.place(app, cluster, profile)
         assert placer.last_solve_stats["status"] == 0
-        t_brute = _objective(brute, app, profile, model)
-        t_optimal = _objective(optimal, app, profile, model)
+        t_brute = _objective(brute, app, profile)
+        t_optimal = _objective(optimal, app, profile)
         assert t_optimal == pytest.approx(t_brute, rel=1e-6, abs=1e-9), (
             f"{label}: search {t_optimal} != brute {t_brute}"
         )
@@ -183,8 +180,7 @@ def test_pruned_warm_milp_matches_brute_force_on_randomized_instances(
         check(app, cluster, profile, f"symmetric {draw}")
 
 
-@pytest.mark.parametrize("model", ["hose", "pipe"])
-def test_sparse_matches_dense_formulation_objective(model, milp):
+def test_sparse_matches_dense_formulation_objective(milp):
     """search == sparse MILP == dense MILP on randomized instances, and
     search == sparse MILP on the benchmark's ILP grid (all at gap 1e-9)."""
     rng = random.Random(7)
@@ -192,24 +188,24 @@ def test_sparse_matches_dense_formulation_objective(model, milp):
         app, cluster, profile = _random_feasible_instance(
             rng, uniform_rates=(trial % 4 == 0)
         )
-        search = OptimalPlacer(model=model, mip_rel_gap=1e-9)
-        sparse = milp.MilpPlacer(model=model, mip_rel_gap=1e-9)
+        search = OptimalPlacer(mip_rel_gap=1e-9)
+        sparse = milp.MilpPlacer(mip_rel_gap=1e-9)
         dense = milp.MilpPlacer(
-            model=model, mip_rel_gap=1e-9, formulation="dense",
+            mip_rel_gap=1e-9, formulation="dense",
             warm_start=False, symmetry_breaking=False,
         )
-        t_search = _objective(search.place(app, cluster, profile), app, profile, model)
-        t_sparse = _objective(sparse.place(app, cluster, profile), app, profile, model)
-        t_dense = _objective(dense.place(app, cluster, profile), app, profile, model)
+        t_search = _objective(search.place(app, cluster, profile), app, profile)
+        t_sparse = _objective(sparse.place(app, cluster, profile), app, profile)
+        t_dense = _objective(dense.place(app, cluster, profile), app, profile)
         assert t_search == pytest.approx(t_sparse, rel=1e-6, abs=1e-9)
         assert t_sparse == pytest.approx(t_dense, rel=1e-6, abs=1e-9)
         assert sparse.last_solve_stats["n_vars"] <= dense.last_solve_stats["n_vars"]
 
     for label, app, cluster, profile in _grid_instances():
-        search = OptimalPlacer(model=model, mip_rel_gap=1e-9)
-        sparse = milp.MilpPlacer(model=model, mip_rel_gap=1e-9)
-        t_search = _objective(search.place(app, cluster, profile), app, profile, model)
-        t_sparse = _objective(sparse.place(app, cluster, profile), app, profile, model)
+        search = OptimalPlacer(mip_rel_gap=1e-9)
+        sparse = milp.MilpPlacer(mip_rel_gap=1e-9)
+        t_search = _objective(search.place(app, cluster, profile), app, profile)
+        t_sparse = _objective(sparse.place(app, cluster, profile), app, profile)
         assert search.last_solve_stats["status"] == sparse.last_solve_stats["status"] == 0
         assert t_search == pytest.approx(t_sparse, rel=1e-6, abs=1e-9), label
 
@@ -252,7 +248,7 @@ def test_warm_start_accepted_and_bound_recorded():
     assert stats["warm_start_accepted"] is True
     assert stats["warm_bound_s"] >= stats["objective_s"] - 1e-9
     assert placer.stats_history[-1][0] == app.name
-    assert _objective(placement, app, profile, "hose") <= stats["warm_bound_s"] + 1e-9
+    assert _objective(placement, app, profile) <= stats["warm_bound_s"] + 1e-9
 
 
 def test_budget_expiry_returns_best_found_within_the_limit():
@@ -279,9 +275,9 @@ def test_budget_expiry_returns_best_found_within_the_limit():
     stats = placer.last_solve_stats
     assert stats["status"] == 1 and stats["mip_gap"] is None
     assert stats["mip_nodes"] >= ilp._CLOCK_EVERY
-    t_greedy = _objective(greedy_incumbent(app, cluster, profile), app, profile, "hose")
+    t_greedy = _objective(greedy_incumbent(app, cluster, profile), app, profile)
     assert stats["objective_s"] <= t_greedy
-    assert stats["objective_s"] == _objective(placement, app, profile, "hose")
+    assert stats["objective_s"] == _objective(placement, app, profile)
     # fallback_used says whether that is still greedy's own placement.
     assert stats["fallback_used"] == (stats["objective_s"] == t_greedy)
 
@@ -321,9 +317,7 @@ def test_fallback_or_raise_uses_incumbent_else_raises(monkeypatch):
         app, cluster, profile = _random_feasible_instance(rng)
         greedy = greedy_incumbent(app, cluster, profile)
         best = BruteForcePlacer().place(app, cluster, profile)
-        if _objective(best, app, profile, "hose") < 0.9 * _objective(
-            greedy, app, profile, "hose"
-        ):
+        if _objective(best, app, profile) < 0.9 * _objective(greedy, app, profile):
             break  # greedy leaves room, so the root has children to enter
     monkeypatch.setattr(ilp, "_CLOCK_EVERY", 1)  # read the clock at node one
     placer = OptimalPlacer(time_limit_s=1e-9)

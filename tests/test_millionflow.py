@@ -21,18 +21,12 @@ import random
 import numpy as np
 import pytest
 
+from oracles.max_min import run_loop
 from repro.errors import RoutingError, TopologyError
 
 from repro.net import fluid, topology
 from repro.net.flows import Flow
-from repro.net.fluid import (
-    ALLOCATOR_REFERENCE,
-    FluidSimulation,
-    LOOP_SCALAR,
-    LOOP_VECTOR,
-    RateTimeline,
-    SimulationError,
-)
+from repro.net.fluid import FluidSimulation, RateTimeline
 from repro.net.hose import HoseModel
 from repro.net.topology import (
     TreeSpec,
@@ -86,8 +80,8 @@ class TestVectorLoopBitIdentity:
         hose = None
         if rng.random() < 0.4:
             hose = HoseModel.uniform(hosts, rng.choice([0.5e9, 1e9]))
-        sim_s = FluidSimulation(topo, hose=hose, loop=LOOP_SCALAR)
-        sim_v = FluidSimulation(topo, hose=hose, loop=LOOP_VECTOR)
+        sim_s = FluidSimulation(topo, hose=hose)
+        sim_v = FluidSimulation(topo, hose=hose)
         for i in range(rng.randint(1, 40)):
             src = rng.choice(hosts)
             dst = rng.choice([h for h in hosts if h != src])
@@ -114,7 +108,9 @@ class TestVectorLoopBitIdentity:
             sim_v.add_flow(flow)
         until = rng.uniform(0.0, 1.5) if rng.random() < 0.4 else None
         _assert_results_identical(
-            sim_s.run(until=until), sim_v.run(until=until), context=f"seed={seed}"
+            run_loop(sim_s, vector=False, until=until),
+            run_loop(sim_v, vector=True, until=until),
+            context=f"seed={seed}",
         )
 
     def test_randomized_instances_bit_identical(self):
@@ -123,16 +119,11 @@ class TestVectorLoopBitIdentity:
 
 
 class TestLoopPlumbing:
-    """Loop selection: the size threshold and the reference pairing."""
+    """Loop selection: the size threshold alone picks the loop."""
 
-    def test_unknown_loop_rejected(self):
-        topo = build_multi_rooted_tree(TreeSpec(1, 1, 2, 1))
-        with pytest.raises(SimulationError):
-            FluidSimulation(topo, loop="turbo")
-
-    def _loop_taken(self, monkeypatch, **kwargs) -> str:
+    def _loop_taken(self, monkeypatch) -> str:
         topo = build_multi_rooted_tree(TreeSpec(1, 1, 4, 1))
-        sim = FluidSimulation(topo, **kwargs)
+        sim = FluidSimulation(topo)
         hosts = topo.hosts()
         for i, (a, b) in enumerate(itertools.permutations(hosts[:3], 2)):
             sim.add_flow(Flow(
@@ -154,15 +145,9 @@ class TestLoopPlumbing:
 
     def test_auto_obeys_the_flow_threshold(self, monkeypatch):
         monkeypatch.setattr(fluid, "_LOOP_MIN_FLOWS", 0)
-        assert self._loop_taken(monkeypatch, loop="auto") == "vector"
+        assert self._loop_taken(monkeypatch) == "vector"
         monkeypatch.setattr(fluid, "_LOOP_MIN_FLOWS", 10_000)
-        assert self._loop_taken(monkeypatch, loop="auto") == "scalar"
-
-    def test_reference_allocator_forces_the_scalar_loop(self, monkeypatch):
-        taken = self._loop_taken(
-            monkeypatch, loop=LOOP_VECTOR, allocator=ALLOCATOR_REFERENCE
-        )
-        assert taken == "scalar"
+        assert self._loop_taken(monkeypatch) == "scalar"
 
 
 #: Assorted tree shapes: single rack, ECMP cores, asymmetric pod counts.

@@ -49,10 +49,10 @@ def _pair_app(cpu=4.0) -> Application:
 
 def test_greedy_matches_brute_force_on_tiny_instance():
     app, cluster, profile = _pair_app(), _cluster(), _profile()
-    greedy = GreedyPlacer(model="hose").place(app, cluster, profile)
-    brute = BruteForcePlacer(model="hose").place(app, cluster, profile)
-    t_greedy = estimate_completion_time(greedy.assignments, app, profile, model="hose")
-    t_brute = estimate_completion_time(brute.assignments, app, profile, model="hose")
+    greedy = GreedyPlacer().place(app, cluster, profile)
+    brute = BruteForcePlacer().place(app, cluster, profile)
+    t_greedy = estimate_completion_time(greedy.assignments, app, profile)
+    t_brute = estimate_completion_time(brute.assignments, app, profile)
     assert t_greedy == pytest.approx(t_brute)
     # Both must use the 1 Gbit/s pair: 1 GByte = 8 Gbit -> 8 seconds.
     assert t_greedy == pytest.approx(8.0)

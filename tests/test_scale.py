@@ -7,27 +7,25 @@ merely close), and hierarchical greedy with singleton clusters must
 reproduce flat greedy assignment-for-assignment.
 """
 
-import functools
 import math
 import random
 
 import pytest
 
-from repro.cloud import provider as provider_mod
+from oracles.max_min import (
+    force_solves,
+    max_min_allocation,
+    use_reference_engine,
+)
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Machine
 from repro.core.placement.greedy import GreedyPlacer, cluster_vms_by_rate_profile
-from repro.errors import MeasurementError, PlacementError, SimulationError
-from repro.net import alloc, topology
+from repro.errors import MeasurementError, PlacementError
+from repro.net import topology
 from repro.net.alloc import IncrementalAllocator
-from repro.net.fairness import FlowDemand, max_min_allocation
+from repro.net.fairness import FlowDemand
 from repro.net.flows import Flow
-from repro.net.fluid import (
-    ALLOCATOR_INCREMENTAL,
-    ALLOCATOR_REFERENCE,
-    ALLOCATOR_VECTOR,
-    FluidSimulation,
-)
+from repro.net.fluid import FluidSimulation
 from repro.net.topology import build_two_rack_cloud, clear_route_cache
 from repro.units import GBITPS, MBYTE
 
@@ -62,44 +60,62 @@ def _random_instance(rng, n_links_max=14, n_flows_max=30):
     return caps, demands
 
 
+def _solves(patch, vector, caps, script, every=True):
+    """Replay an edit ``script`` — ``(flow id, demand)`` adds and
+    ``(flow id, None)`` removals — on one allocator whose solves are all
+    forced onto one path; the rates after every edit (``every``) or after
+    the last one only."""
+    with patch.context() as forced:
+        force_solves(forced, vector)
+        allocator = IncrementalAllocator(caps)
+        rates = []
+        for fid, demand in script:
+            if demand is None:
+                allocator.remove_flow(fid)
+            else:
+                allocator.add_demand(fid, demand)
+            if every:
+                rates.append(dict(allocator.solve()))
+        return rates if every else [dict(allocator.solve())]
+
+
 class TestVectorSolveBitIdentity:
-    def test_vector_matches_scalar_bitwise_on_random_instances(self):
+    def test_vector_matches_scalar_bitwise_on_random_instances(self, monkeypatch):
         """The headline invariant: dict-equality (==), not approximate."""
         for trial in range(120):
             rng = random.Random(1000 + trial)
             caps, demands = _random_instance(rng)
-            scalar = IncrementalAllocator(caps, mode="scalar")
-            vector = IncrementalAllocator(caps, mode="vector")
-            for fid, demand in demands.items():
-                scalar.add_demand(fid, demand)
-                vector.add_demand(fid, demand)
-            assert scalar.solve() == vector.solve(), f"trial {trial}"
+            script = list(demands.items())
+            scalar = _solves(monkeypatch, False, caps, script, every=False)
+            vector = _solves(monkeypatch, True, caps, script, every=False)
+            assert scalar == vector, f"trial {trial}"
 
-    def test_vector_matches_scalar_bitwise_under_churn(self):
+    def test_vector_matches_scalar_bitwise_under_churn(self, monkeypatch):
         rng = random.Random(77)
         caps, demands = _random_instance(rng, n_links_max=20, n_flows_max=60)
-        scalar = IncrementalAllocator(caps, mode="scalar")
-        vector = IncrementalAllocator(caps, mode="vector")
+        script = []
         active = []
         pool = list(demands)
         for step in range(200):
             if pool and (not active or rng.random() < 0.55):
                 fid = pool.pop(rng.randrange(len(pool)))
-                scalar.add_demand(fid, demands[fid])
-                vector.add_demand(fid, demands[fid])
+                script.append((fid, demands[fid]))
                 active.append(fid)
             else:
                 fid = active.pop(rng.randrange(len(active)))
-                scalar.remove_flow(fid)
-                vector.remove_flow(fid)
+                script.append((fid, None))
                 pool.append(fid)
-            assert scalar.solve() == vector.solve(), f"step {step}"
+        scalar = _solves(monkeypatch, False, caps, script)
+        vector = _solves(monkeypatch, True, caps, script)
+        for step, (want, got) in enumerate(zip(scalar, vector)):
+            assert want == got, f"step {step}"
 
-    def test_vector_agrees_with_reference_allocator(self):
+    def test_vector_agrees_with_reference_allocator(self, monkeypatch):
+        force_solves(monkeypatch, True)
         for trial in range(40):
             rng = random.Random(9000 + trial)
             caps, demands = _random_instance(rng)
-            vector = IncrementalAllocator(caps, mode="vector")
+            vector = IncrementalAllocator(caps)
             for fid, demand in demands.items():
                 vector.add_demand(fid, demand)
             got = vector.solve()
@@ -112,46 +128,41 @@ class TestVectorSolveBitIdentity:
                 else:
                     assert abs(expected - actual) <= 1e-9 * max(1.0, expected), fid
 
-    def test_duplicate_link_paths_fall_back_to_scalar(self):
+    def test_duplicate_link_paths_fall_back_to_scalar(self, monkeypatch):
         """A path crossing the same link twice drains capacity twice; only
         the scalar solver models that, so the vector allocator must defer."""
         caps = {"a": 1 * GBITPS, "b": 2 * GBITPS}
-        allocator = IncrementalAllocator(caps, mode="vector")
-        allocator.add_flow("loop", ["a", "b", "a"])
-        allocator.add_flow("plain", ["b"])
+        script = [
+            ("loop", FlowDemand(links=("a", "b", "a"))),
+            ("plain", FlowDemand(links=("b",))),
+        ]
+        assert _solves(monkeypatch, True, caps, script, every=False) == _solves(
+            monkeypatch, False, caps, script, every=False
+        )
+        force_solves(monkeypatch, True)
+        allocator = IncrementalAllocator(caps)
+        for fid, demand in script:
+            allocator.add_demand(fid, demand)
         assert not allocator.uses_vector_path()
-        scalar = IncrementalAllocator(caps, mode="scalar")
-        scalar.add_flow("loop", ["a", "b", "a"])
-        scalar.add_flow("plain", ["b"])
-        assert allocator.solve() == scalar.solve()
         # Removing the duplicate-link flow re-enables the vector path.
         allocator.remove_flow("loop")
         assert allocator.uses_vector_path()
 
-    def test_infinite_capacity_universe(self):
+    def test_infinite_capacity_universe(self, monkeypatch):
         caps = {"a": math.inf, "b": math.inf}
-        scalar = IncrementalAllocator(caps, mode="scalar")
-        vector = IncrementalAllocator(caps, mode="vector")
-        for alloc in (scalar, vector):
-            alloc.add_flow("x", ["a"])
-            alloc.add_flow("y", ["a", "b"])
-            alloc.add_demand("z", FlowDemand(links=("b",), max_rate=3.0))
-        assert scalar.solve() == vector.solve()
-        assert vector.solve()["x"] == math.inf
-        assert vector.solve()["z"] == 3.0
-
-
-def _force_vector_solves(patch):
-    """``mode="auto"`` allocators vectorise at every size."""
-    patch.setattr(alloc, "_VECTOR_MIN_FLOWS", 0)
-    patch.setattr(alloc, "_VECTOR_MIN_LINKS", 0)
+        script = [
+            ("x", FlowDemand(links=("a",))),
+            ("y", FlowDemand(links=("a", "b"))),
+            ("z", FlowDemand(links=("b",), max_rate=3.0)),
+        ]
+        scalar = _solves(monkeypatch, False, caps, script, every=False)
+        vector = _solves(monkeypatch, True, caps, script, every=False)
+        assert scalar == vector
+        assert vector[-1]["x"] == math.inf
+        assert vector[-1]["z"] == 3.0
 
 
 class TestVectorModeSelection:
-    def test_mode_validation(self):
-        with pytest.raises(SimulationError):
-            IncrementalAllocator({"l": 1.0}, mode="simd")
-
     def test_auto_thresholds_gate_the_vector_path(self, monkeypatch):
         caps = {f"l{i}": 1 * GBITPS for i in range(8)}
         allocator = IncrementalAllocator(caps)
@@ -159,13 +170,14 @@ class TestVectorModeSelection:
             allocator.add_flow(f"f{f}", [f"l{f}"])
         assert not allocator.uses_vector_path()  # below default thresholds
         with monkeypatch.context() as patch:
-            _force_vector_solves(patch)
+            force_solves(patch, True)
             assert allocator.uses_vector_path()
         assert not allocator.uses_vector_path()
 
-    def test_forced_vector_below_thresholds_still_exact(self):
+    def test_forced_vector_below_thresholds_still_exact(self, monkeypatch):
+        force_solves(monkeypatch, True)
         caps = {"l": 1 * GBITPS}
-        vector = IncrementalAllocator(caps, mode="vector")
+        vector = IncrementalAllocator(caps)
         vector.add_flow("a", ["l"])
         vector.add_flow("b", ["l"])
         assert vector.uses_vector_path()
@@ -197,26 +209,26 @@ class TestFluidVectorAllocator:
                 )
         return flows
 
-    def test_vector_allocator_mode_matches_reference_and_incremental(self):
+    def test_vector_allocator_mode_matches_reference_and_incremental(
+        self, monkeypatch
+    ):
         topo = build_two_rack_cloud(n_pairs=6)
         flows = self._flows(5, 6, 40)
-        results = {}
-        for mode in (ALLOCATOR_REFERENCE, ALLOCATOR_INCREMENTAL, ALLOCATOR_VECTOR):
-            sim = FluidSimulation(topo, allocator=mode)
-            sim.add_flows(flows)
-            results[mode] = sim.run()
-        ref = results[ALLOCATOR_REFERENCE]
-        for mode in (ALLOCATOR_INCREMENTAL, ALLOCATOR_VECTOR):
-            got = results[mode]
+
+        def run(engine):
+            with monkeypatch.context() as patch:
+                engine(patch)
+                sim = FluidSimulation(topo)
+                sim.add_flows(flows)
+                return sim.run()
+
+        ref = run(use_reference_engine)
+        for engine in (lambda patch: None, lambda patch: force_solves(patch, True)):
+            got = run(engine)
             assert set(ref.completion_times) == set(got.completion_times)
             for fid, t in ref.completion_times.items():
                 assert abs(t - got.completion_times[fid]) <= 1e-9 * max(1.0, t)
             assert abs(ref.end_time - got.end_time) <= 1e-9 * max(1.0, ref.end_time)
-
-    def test_unknown_allocator_mode_rejected(self):
-        topo = build_two_rack_cloud(n_pairs=2)
-        with pytest.raises(SimulationError):
-            FluidSimulation(topo, allocator="gpu")
 
 
 class TestRateMatrix:
@@ -413,10 +425,7 @@ class TestHierarchicalGreedyEquivalence:
 def _reference_engine(patch):
     """What the fluid engine did before any optimisation: max-min from
     scratch at every event, the scalar loop, every route a graph search."""
-    patch.setattr(
-        provider_mod, "FluidSimulation",
-        functools.partial(FluidSimulation, allocator=ALLOCATOR_REFERENCE),
-    )
+    use_reference_engine(patch)
     patch.setattr(topology, "_structured_routers", {})
     patch.setattr(topology, "_register_tree_router", lambda topo, spec: None)
 
@@ -445,7 +454,7 @@ class TestTierOneScenarioBitIdentity:
         thresholds leave everything scalar (default at these sizes) or force
         the vector solve onto every allocation."""
         baseline = self._trial_metrics(scenario)
-        _force_vector_solves(monkeypatch)
+        force_solves(monkeypatch, True)
         assert self._trial_metrics(scenario) == baseline
 
     @pytest.mark.parametrize(

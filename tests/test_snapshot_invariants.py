@@ -15,12 +15,12 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles.max_min import max_min_allocation
 from repro.cloud.provider import CloudProvider, ProviderParams, VMFlow
 from repro.errors import ReproError, SimulationError
 from repro.faults import PREEMPTED_RATE_BPS
 from repro.net.fairness import (
     FlowDemand,
-    max_min_allocation,
     max_min_violations,
     probe_rates_under_load,
 )

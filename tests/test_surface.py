@@ -340,3 +340,78 @@ def test_the_store_fsyncs_in_one_write_path_and_keeps_no_cell_files():
     )
     for deleted in ("def _path(", "digest[:2]", "_cell_files"):
         assert deleted not in sources
+
+
+# ----------------------------------- one engine and one sharing model, no options
+#: Every callable that took an engine or sharing-model option only tests set.
+ONE_ENGINE_CALLABLES = (
+    "repro.net.fluid:FluidSimulation",
+    "repro.net.alloc:IncrementalAllocator",
+    "repro.core.rate_model:effective_rate",
+    "repro.core.rate_model:EffectiveRateMatrix",
+    "repro.core.estimator:estimate_completion_time",
+    "repro.core.placement.greedy:GreedyPlacer",
+    "repro.core.placement.greedy:greedy_incumbent",
+    "repro.core.placement.ilp:OptimalPlacer",
+    "repro.core.placement.ilp:_Search",
+    "repro.core.placement.ilp:BruteForcePlacer",
+    "repro.core.choreo:ChoreoConfig",
+    "repro.service.engine:PlacementService",
+    "repro.runtime.migration:propose_migration",
+    "repro.core.network_profile:NetworkProfile",
+    "repro.core.network_profile:NetworkProfile.from_uniform_rate",
+    "repro.core.network_profile:NetworkProfile.from_rate_function",
+)
+
+DELETED_OPTIONS = {
+    "allocator", "loop", "mode", "model", "rate_model", "sharing_model",
+    "prefer_colocation",
+}
+
+
+@pytest.mark.parametrize("target", ONE_ENGINE_CALLABLES)
+def test_no_engine_or_sharing_model_option_is_left(target):
+    module_name, _, path = target.partition(":")
+    value = importlib.import_module(module_name)
+    for attribute in path.split("."):
+        value = getattr(value, attribute)
+    assert DELETED_OPTIONS & set(inspect.signature(value).parameters) == set()
+
+
+@pytest.mark.parametrize("placer", ["greedy", "ilp", "brute-force"])
+def test_no_placer_takes_a_model_parameter(placer):
+    from repro.errors import ExperimentError
+    from repro.experiments.placers import get_placer
+
+    with pytest.raises(ExperimentError):
+        get_placer(placer).create(0, {"model": "hose"})
+
+
+def test_the_engine_switches_and_the_pipe_model_are_gone_from_the_source():
+    """The engine picks its paths from input size alone, the placer has one
+    sharing model, and the from-scratch allocator is a test oracle."""
+    sources = {
+        name: inspect.getsource(importlib.import_module(name)) for name in MODULES
+    }
+    switch = re.compile(r"ALLOCATOR_|LOOP_(AUTO|SCALAR|VECTOR)|_MODES\b")
+    assert [name for name, source in sources.items() if switch.search(source)] == []
+    pipe = "pipe"
+    literals = [
+        name for name, tree in
+        ((name, ast.parse(source)) for name, source in sources.items())
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value == pipe
+    ]
+    assert literals == []
+    # (Spelled in two pieces, so that this file does not define it either.)
+    definition = "def " "max_min_allocation("
+    tests = os.path.dirname(os.path.abspath(__file__))
+    defined = [
+        os.path.relpath(os.path.join(root, file), tests)
+        for root, _, files in os.walk(tests)
+        for file in files
+        if file.endswith(".py")
+        and definition in open(os.path.join(root, file), encoding="utf-8").read()
+    ]
+    assert defined == [os.path.join("oracles", "max_min.py")]
+    assert [name for name, source in sources.items() if definition in source] == []
