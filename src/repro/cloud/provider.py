@@ -34,16 +34,9 @@ from repro.cloud.instances import InstanceType, VirtualMachine, EC2_MEDIUM
 from repro.net.fairness import probe_rates_under_load
 from repro.net.fluid import FluidResult, FluidSimulation, RateTimeline
 from repro.net.flows import Flow
-from repro.net.latency import LatencyModel
+from repro.net.latency import rtt_s
 from repro.net.links import hose_link_id
-from repro.net.packets import (
-    PacketTrainSpec,
-    PathTransmissionModel,
-    TokenBucket,
-    TrainObservation,
-    send_packet_train,
-    send_packet_trains,
-)
+from repro.net.packets import PacketTrainSpec, draw_losses, send_packet_trains
 from repro.net.topology import (
     Topology,
     TreeSpec,
@@ -89,23 +82,28 @@ class TrainBatch:
 
     What :meth:`CloudProvider.send_packet_trains` returns for a schedule
     of ordered pairs: ``sent[k]`` is the position (in that schedule) of the
-    pair whose train is column ``k`` of ``first_rx_s``/``last_rx_s`` (shape
+    pair whose train is column ``k`` of the burst arrays (shape
     ``(n_bursts, len(sent))``), ascending; ``lost`` maps the position of
     each pair whose probe an injected fault lost to the error its probe
     raises.
+
+    ``first_rx_s``/``last_rx_s`` are the receive times of the first and
+    last packet of each burst that arrived.  On a lossy provider,
+    ``received`` counts each burst's packets that arrived,
+    ``first_index``/``last_index`` are the positions of the first and last
+    of them, and ``rtt_s`` is the round-trip time of each train that lost a
+    packet (NaN for the rest); all four are ``None`` on a provider that
+    loses nothing.
     """
 
     first_rx_s: np.ndarray
     last_rx_s: np.ndarray
     sent: np.ndarray
     lost: Dict[int, str]
-    _rng: np.random.Generator
-    _rng_state: dict
-
-    def rewind(self) -> None:
-        """Give the provider's RNG back the draws this batch consumed, so a
-        caller that cannot use the batch can send the trains one by one."""
-        self._rng.bit_generator.state = self._rng_state
+    received: Optional[np.ndarray] = None
+    first_index: Optional[np.ndarray] = None
+    last_index: Optional[np.ndarray] = None
+    rtt_s: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -158,6 +156,19 @@ class ProviderParams:
             raise CloudError("temporal drift parameters are invalid")
         if self.measurement_noise < 0 or self.train_rate_noise < 0:
             raise CloudError("noise parameters must be >= 0")
+        if not self.train_jitter_std_s >= 0:
+            raise CloudError(
+                f"train_jitter_std_s must be >= 0, got {self.train_jitter_std_s!r}"
+            )
+        depth = self.train_limiter_depth_bytes
+        if depth is not None and not depth >= 0:
+            raise CloudError(f"train_limiter_depth_bytes must be >= 0, got {depth!r}")
+        if not self.intra_host_rate_bps > 0:
+            raise CloudError(
+                f"intra_host_rate_bps must be positive, got {self.intra_host_rate_bps!r}"
+            )
+        if not 0.0 <= self.loss_rate < 1.0:
+            raise CloudError(f"loss_rate must be in [0, 1), got {self.loss_rate!r}")
 
 
 class CloudProvider:
@@ -168,7 +179,6 @@ class CloudProvider:
         self._rng = np.random.default_rng(seed)
         spec = replace(params.tree_spec, intra_host_bps=params.intra_host_rate_bps)
         self.topology: Topology = build_multi_rooted_tree(spec, name=params.name)
-        self.latency = LatencyModel()
         self._clock = 0.0
         self._vms: Dict[str, VirtualMachine] = {}
         self._base_hose: Dict[str, float] = {}
@@ -314,13 +324,6 @@ class CloudProvider:
             link.capacity_bps for link in self.topology.path_links(src.host, dst.host)
         )
         return min(self.hose_rate(src_vm), physical)
-
-    def path_hop_count(self, src_vm: str, dst_vm: str) -> int:
-        """True hop count between two VMs (same host counts as one hop)."""
-        src, dst = self.vm(src_vm), self.vm(dst_vm)
-        if src.host == dst.host:
-            return 1
-        return self.topology.hop_count(src.host, dst.host)
 
     # ---------------------------------------------------------- simulation
     def _hose_capacities(self) -> Dict[str, float]:
@@ -606,115 +609,27 @@ class CloudProvider:
             hose[vm] = self.hose_rate(names[vm])
         return hose
 
-    def packet_train_model(
-        self,
-        src_vm: str,
-        dst_vm: str,
-        background: Sequence[VMFlow] = (),
-    ) -> PathTransmissionModel:
-        """The burst transmission model a packet train sees on this path."""
-        src, dst = self.vm(src_vm), self.vm(dst_vm)
-        wild_factor = self._probe_fault_factor(src_vm, dst_vm, "packet train")
-        rate_noise = 1.0 + float(self._rng.normal(0.0, self.params.train_rate_noise))
-        rate_noise = max(rate_noise, 0.2) * wild_factor
-        if src.host == dst.host:
-            return PathTransmissionModel(
-                line_rate_bps=10 * GBITPS,
-                unlimited_rate_bps=self.params.intra_host_rate_bps * rate_noise,
-                limiter=None,
-                base_delay_s=20e-6,
-                jitter_std_s=self.params.train_jitter_std_s,
-                loss_rate=self.params.loss_rate,
-            )
-        physical = min(
-            link.capacity_bps for link in self.topology.path_links(src.host, dst.host)
-        )
-        if background:
-            available = self.snapshot_rate(src_vm, dst_vm, background=background)
-        else:
-            available = self.hose_rate(src_vm)
-        available *= rate_noise
-        if self.params.train_limiter_depth_bytes is None:
-            # Hose enforcement is smooth: the burst drains at the available rate.
-            return PathTransmissionModel(
-                line_rate_bps=10 * GBITPS,
-                unlimited_rate_bps=min(available, physical),
-                limiter=None,
-                base_delay_s=100e-6,
-                jitter_std_s=self.params.train_jitter_std_s,
-                loss_rate=self.params.loss_rate,
-            )
-        limiter = TokenBucket(
-            rate_bps=available,
-            depth_bytes=self.params.train_limiter_depth_bytes,
-        )
-        return PathTransmissionModel(
-            line_rate_bps=10 * GBITPS,
-            unlimited_rate_bps=physical,
-            limiter=limiter,
-            base_delay_s=100e-6,
-            jitter_std_s=self.params.train_jitter_std_s,
-            loss_rate=self.params.loss_rate,
-        )
-
-    def send_packet_train(
-        self,
-        src_vm: str,
-        dst_vm: str,
-        spec: PacketTrainSpec = PacketTrainSpec(),
-        background: Sequence[VMFlow] = (),
-    ) -> TrainObservation:
-        """Send one packet train between two VMs and return the observations."""
-        model = self.packet_train_model(src_vm, dst_vm, background=background)
-        rtt = self.rtt(src_vm, dst_vm)
-        return send_packet_train(model, spec, rng=self._rng, rtt_s=rtt)
-
-    def train_replay_blocker(self) -> Optional[str]:
-        """Why :meth:`send_packet_trains` cannot serve this provider, if so.
-
-        A batch replays the RNG stream of the trains sent one by one, which
-        needs every train to consume the same number of draws: packet loss
-        interleaves binomial and choice draws, RTT noise a lognormal.
-        """
-        if self.params.loss_rate > 0:
-            return "lossy provider"
-        if self.latency.noise_fraction > 0:
-            return "noisy latency"
-        return None
-
     def send_packet_trains(
         self,
         pairs: Union[Sequence[Tuple[str, str]], np.ndarray],
         spec: PacketTrainSpec = PacketTrainSpec(),
         background: Sequence[VMFlow] = (),
-    ) -> Optional[TrainBatch]:
-        """:meth:`send_packet_train` on each pair in turn, as one array program.
+    ) -> TrainBatch:
+        """Send one packet train on each pair of a schedule, as one array program.
 
         ``pairs`` is the schedule: an ``(m, 2)`` integer array of VM
         positions (:meth:`vm_positions`), or ``(src, dst)`` names.
 
         The clock does not move between the trains, so which probes an
-        injected fault loses, every VM's hose rate and the background are
-        fixed up front; each train that is sent then consumes one rate-noise
-        normal and ``2 * n_bursts`` jitter normals, so one bulk draw replays
-        the stream and the burst model runs over all pairs at once.  The
-        observations, and the RNG afterwards, are those of calling
-        :meth:`send_packet_train` pair by pair (a lost probe raising there
-        is an entry of :attr:`TrainBatch.lost` here).
-
-        Returns ``None``, with the RNG untouched, when the batch could not
-        be exact (see :meth:`train_replay_blocker`; a path model that the
-        scalar code would reject) — the caller then probes pair by pair.
+        injected fault loses (:attr:`TrainBatch.lost`; they draw nothing),
+        every VM's hose rate and the background are fixed up front, and the
+        burst model runs over all pairs at once.  Randomness comes in
+        blocks: each train that is sent consumes one rate-noise normal and
+        ``2 * n_bursts`` jitter normals, in train order; a lossy provider
+        then draws every burst's losses (:func:`~repro.net.packets.draw_losses`).
         """
         pairs = self._pair_positions(pairs)
         params = self.params
-        depth = params.train_limiter_depth_bytes
-        if (
-            self.train_replay_blocker() is not None
-            or params.train_jitter_std_s < 0
-            or (depth is not None and depth < 0)
-        ):
-            return None
         src, dst = pairs[:, 0], pairs[:, 1]
         sent = np.arange(pairs.shape[0])
         lost: Dict[int, str] = {}
@@ -749,7 +664,6 @@ class CloudProvider:
 
         jittered = params.train_jitter_std_s > 0
         per_train = 1 + (2 * spec.n_bursts if jittered else 0)
-        rng_state = self._rng.bit_generator.state
         normals = self._rng.standard_normal(sent.shape[0] * per_train)
         normals = normals.reshape(sent.shape[0], per_train)
         # rng.normal(0.0, s) is 0.0 + s * z on the same stream.
@@ -760,11 +674,7 @@ class CloudProvider:
         available = available * rate_noise[routed]
         line_rate = 10 * GBITPS
         unlimited = params.intra_host_rate_bps * rate_noise
-        if not (np.all(available > 0) and np.all(unlimited[~routed] > 0)):
-            # PathTransmissionModel / TokenBucket reject these after the
-            # draw, and a retry would draw again: not replayable.
-            self._rng.bit_generator.state = rng_state
-            return None
+        depth = params.train_limiter_depth_bytes
         if depth is None:
             # Hose enforcement is smooth: the burst drains at the available rate.
             unlimited[routed] = np.minimum(available, physical)
@@ -776,6 +686,20 @@ class CloudProvider:
             unlimited[routed] = physical
             limiter_rate = np.minimum(line_rate, unlimited)
             limiter_rate[routed] = available
+        received = first_index = last_index = rtt = None
+        if params.loss_rate > 0:
+            received, first_index, last_index = draw_losses(
+                self._rng, spec, params.loss_rate, sent.shape[0]
+            )
+            # The Mathis bound needs the RTT of every train that lost a packet.
+            lossy = np.flatnonzero((received < spec.burst_length).any(axis=0))
+            hosts = [vm.host for vm in self._vms.values()]
+            hops = [
+                self.topology.hop_count(hosts[s], hosts[d])
+                for s, d in zip(src[lossy].tolist(), dst[lossy].tolist())
+            ]
+            rtt = np.full(sent.shape[0], np.nan)
+            rtt[lossy] = rtt_s(np.array(hops, dtype=np.intp))
         first_rx, last_rx = send_packet_trains(
             spec,
             line_rate_bps=line_rate,
@@ -785,10 +709,11 @@ class CloudProvider:
             normals=normals[:, 1:],
             limiter_rate_bps=limiter_rate,
             limiter_depth_bytes=depth,
+            first_index=first_index,
+            last_index=last_index,
         )
         return TrainBatch(
-            first_rx_s=first_rx, last_rx_s=last_rx, sent=sent, lost=lost,
-            _rng=self._rng, _rng_state=rng_state,
+            first_rx, last_rx, sent, lost, received, first_index, last_index, rtt
         )
 
     def traceroute(self, src_vm: str, dst_vm: str) -> int:
@@ -802,10 +727,6 @@ class CloudProvider:
             dst.host,
             visible_hops=self.params.traceroute_visible_hops,
         )
-
-    def rtt(self, src_vm: str, dst_vm: str) -> float:
-        """Round-trip time between two VMs in seconds."""
-        return self.latency.rtt(self.path_hop_count(src_vm, dst_vm), rng=self._rng)
 
 
 def replace_background_window(flow: VMFlow, duration: float) -> VMFlow:

@@ -30,9 +30,7 @@ from repro.core.placement import (
     MinimumMachinesPlacer,
 )
 from repro.core.measurement import (
-    ThroughputEstimate,
-    estimate_throughput,
-    mathis_throughput,
+    estimate_throughputs,
     CrossTrafficEstimate,
     estimate_cross_traffic_series,
     infer_capacity_from_two_probes,
@@ -60,9 +58,7 @@ __all__ = [
     "RandomPlacer",
     "RoundRobinPlacer",
     "MinimumMachinesPlacer",
-    "ThroughputEstimate",
-    "estimate_throughput",
-    "mathis_throughput",
+    "estimate_throughputs",
     "CrossTrafficEstimate",
     "estimate_cross_traffic_series",
     "infer_capacity_from_two_probes",

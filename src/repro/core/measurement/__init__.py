@@ -12,10 +12,7 @@
 """
 
 from repro.core.measurement.packet_train import (
-    ThroughputEstimate,
-    estimate_throughput,
     estimate_throughputs,
-    mathis_throughput,
     CalibrationPoint,
     calibrate_train_parameters,
 )
@@ -35,10 +32,7 @@ from repro.core.measurement.bottleneck import (
 from repro.core.measurement.orchestrator import NetworkMeasurer, MeasurementPlan
 
 __all__ = [
-    "ThroughputEstimate",
-    "estimate_throughput",
     "estimate_throughputs",
-    "mathis_throughput",
     "CalibrationPoint",
     "calibrate_train_parameters",
     "CrossTrafficEstimate",

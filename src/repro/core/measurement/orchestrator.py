@@ -18,10 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.core.measurement.packet_train import (
-    estimate_throughput,
-    estimate_throughputs,
-)
+from repro.core.measurement.packet_train import UNMEASURABLE, estimate_throughputs
 from repro.core.network_profile import NetworkProfile
 from repro.errors import MeasurementError
 from repro.net.packets import PacketTrainSpec
@@ -50,10 +47,7 @@ class MeasurementPlan:
     """What a measurement campaign should do.
 
     Attributes:
-        method: ``"packet_train"`` (fast, the Choreo default) or
-            ``"netperf"`` (slow 10-second bulk transfers, the baseline).
         train_spec: packet-train parameters (after §4.1 calibration).
-        netperf_duration_s: bulk-transfer duration for the netperf method.
         estimate_cross_traffic: also estimate the equivalent number of
             background connections per path from the measured rate and the
             advertised path capacity.
@@ -71,9 +65,7 @@ class MeasurementPlan:
             is unlimited.  Every pair always gets its initial probe.
     """
 
-    method: str = "packet_train"
     train_spec: PacketTrainSpec = field(default_factory=PacketTrainSpec)
-    netperf_duration_s: float = 10.0
     estimate_cross_traffic: bool = False
     per_pair_overhead_s: float = DEFAULT_PER_PAIR_OVERHEAD_S
     advance_clock: bool = True
@@ -83,10 +75,8 @@ class MeasurementPlan:
     probe_budget: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.method not in ("packet_train", "netperf"):
-            raise MeasurementError(f"unknown measurement method {self.method!r}")
-        if self.netperf_duration_s <= 0 or self.per_pair_overhead_s < 0:
-            raise MeasurementError("invalid measurement plan timings")
+        if self.per_pair_overhead_s < 0:
+            raise MeasurementError("per_pair_overhead_s must be >= 0")
         if self.parallelism < 1:
             raise MeasurementError("parallelism must be >= 1")
         if self.max_retries < 0:
@@ -201,13 +191,10 @@ class NetworkMeasurer:
     # ------------------------------------------------------------- timings
     def per_pair_time_s(self) -> float:
         """Wall-clock cost of measuring one ordered pair."""
-        if self.plan.method == "netperf":
-            active = self.plan.netperf_duration_s
-        else:
-            spec = self.plan.train_spec
-            # One train: bursts plus inter-burst gaps, rounded up to a second
-            # of sending/receiving overhead.
-            active = max(1.0, spec.n_bursts * self.plan.train_spec.inter_burst_gap_s)
+        spec = self.plan.train_spec
+        # One train: bursts plus inter-burst gaps, rounded up to a second of
+        # sending/receiving overhead.
+        active = max(1.0, spec.n_bursts * spec.inter_burst_gap_s)
         return active + self.plan.per_pair_overhead_s
 
     def campaign_time_s(self, n_vms: int) -> float:
@@ -278,24 +265,6 @@ class NetworkMeasurer:
         return src[order], dst[order], round_of[order]
 
     # ------------------------------------------------------------ campaign
-    def measure_pair(
-        self,
-        src_vm: str,
-        dst_vm: str,
-        background: Sequence[VMFlow] = (),
-    ) -> float:
-        """Measure one ordered pair with the configured method."""
-        if self.plan.method == "netperf":
-            return self.provider.run_netperf(
-                src_vm, dst_vm,
-                duration=self.plan.netperf_duration_s,
-                background=background,
-            )
-        observation = self.provider.send_packet_train(
-            src_vm, dst_vm, spec=self.plan.train_spec, background=background
-        )
-        return estimate_throughput(observation).rate_bps
-
     def measure(
         self,
         vm_names: Optional[Sequence[str]] = None,
@@ -320,8 +289,8 @@ class NetworkMeasurer:
         rounds are measured later, which is what per-pair TTL invalidation
         keys on.
 
-        A probe that raises :class:`MeasurementError` (lost trains, injected
-        probe faults) is retried up to ``plan.max_retries`` times with
+        A failed probe (an injected probe fault, a train with no measurable
+        packet) is retried up to ``plan.max_retries`` times with
         exponential backoff, drawing on the shared ``plan.probe_budget``;
         a pair whose retries are exhausted lands in
         :attr:`NetworkProfile.degraded_pairs` instead of crashing the
@@ -342,8 +311,8 @@ class NetworkMeasurer:
 
         # The campaign runs on positions from here on: ``src``/``dst`` index
         # ``names`` (the profile's order), ``on_provider`` turns them into
-        # the provider's.  A name is looked up again only for the probe
-        # being sent one by one, and for a pair that degrades.
+        # the provider's.  A name is looked up again only for a pair that
+        # fails a probe.
         on_provider = self.provider.vm_positions(names)
         src, dst, round_of = self._schedule(names, pairs)
         n_rounds = _round_count(round_of)
@@ -351,34 +320,12 @@ class NetworkMeasurer:
         round_time = self.per_pair_time_s()
         retry = _RetryLedger(self.plan, round_time)
         campaign = obs.span(
-            "measure.campaign",
-            vms=len(names),
-            pairs=src.shape[0],
-            rounds=n_rounds,
-            method=self.plan.method,
+            "measure.campaign", vms=len(names), pairs=src.shape[0], rounds=n_rounds
         )
         rounds_before = SNAPSHOT_ROUNDS.count
         hashed_before = ECMP_HASHED.count
         with campaign:
-            # One array program over the whole schedule when the probes'
-            # RNG consumption is fixed up front; pair by pair otherwise.
-            reason = (
-                "netperf" if self.plan.method == "netperf"
-                else self.provider.train_replay_blocker()
-            )
-            probed = None
-            if reason is None:
-                probed = self._probe_all(
-                    names, src, dst, on_provider, background, retry
-                )
-                if probed is None:
-                    reason = "replay aborted"
-            if probed is None:
-                probed = self._probe_each(names, src, dst, background, retry)
-            if reason is None:
-                campaign.set(path="array")
-            else:
-                campaign.set(path="per-probe", reason=reason)
+            estimates = self._probe(names, src, dst, on_provider, background, retry)
             campaign.set(
                 retries=retry.retries,
                 degraded=len(retry.degraded),
@@ -390,11 +337,10 @@ class NetworkMeasurer:
                     snapshot_rounds=SNAPSHOT_ROUNDS.count - rounds_before,
                 )
 
-        # One scatter per field, into ``names`` x ``names`` row-major order.
-        # A pair whose retries ran out is dropped by ``measured``, not by a
-        # NaN estimate: a NaN that did get through keeps its probe time, and
-        # the profile rejects a probe time without a rate.
-        estimates, measured = probed
+        # One scatter per field, into ``names`` x ``names`` row-major order;
+        # a pair whose retries ran out has no estimate and stays NaN.
+        measured = ~np.isnan(estimates)
+        estimates = estimates[measured]
         n = len(names)
         at = (src * n + dst)[measured]
         rates = np.full((n, n), np.nan)
@@ -431,37 +377,7 @@ class NetworkMeasurer:
             degraded_pairs=retry.degraded,
         )
 
-    def _probe_each(
-        self,
-        names: Sequence[str],
-        src: np.ndarray,
-        dst: np.ndarray,
-        background: Sequence[VMFlow],
-        retry: "_RetryLedger",
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Probe the schedule ``names[src[i]] -> names[dst[i]]`` pair by pair.
-
-        Returns the estimates of the pairs that got one, in schedule order,
-        and the mask over the schedule of which pairs those are (``False`` =
-        the pair's retries ran out).
-        """
-        estimates: List[float] = []
-        measured = np.zeros(src.shape[0], dtype=bool)
-        for position, (s, d) in enumerate(zip(src.tolist(), dst.tolist())):
-            pair = (names[s], names[d])
-            attempt = 0
-            while True:
-                try:
-                    estimates.append(self.measure_pair(*pair, background=background))
-                    measured[position] = True
-                    break
-                except MeasurementError as exc:
-                    if not retry.failed(pair, attempt, f"{exc}"):
-                        break
-                    attempt += 1
-        return np.array(estimates, dtype=np.float64), measured
-
-    def _probe_all(
+    def _probe(
         self,
         names: Sequence[str],
         src: np.ndarray,
@@ -469,35 +385,42 @@ class NetworkMeasurer:
         on_provider: np.ndarray,
         background: Sequence[VMFlow],
         retry: "_RetryLedger",
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """:meth:`_probe_each` as one array program over the schedule.
+    ) -> np.ndarray:
+        """Send the trains of the schedule ``names[src[i]] -> names[dst[i]]``.
 
-        The clock stands still during a campaign, so a probe an injected
-        fault loses is lost again on every retry, and the retries consume no
-        randomness: only the ledger sees them.  ``None`` (RNG and ledger
-        untouched) when the batch cannot replay the pair-by-pair probes
-        exactly.
+        Returns each pair's estimate, NaN where the pair's retries ran out.
+        Each pass sends the pending trains as one array program and
+        estimates them.  A probe an injected fault loses is lost again on
+        every retry — the clock stands still during a campaign — and its
+        retries draw nothing, so the ledger settles it at once.  A train
+        with no measurable packets is a failed attempt too; the trains the
+        ledger grants a retry are sent again, with fresh draws, in the next
+        pass.  Failures are settled in schedule order within a pass.
         """
-        batch = self.provider.send_packet_trains(
-            on_provider[np.column_stack((src, dst))],
-            self.plan.train_spec,
-            background=background,
-        )
-        if batch is None:
-            return None
-        rates = estimate_throughputs(
-            self.plan.train_spec, batch.first_rx_s, batch.last_rx_s
-        )
-        if not np.isfinite(rates).all():
-            # A train without measurable packets fails after its draws and
-            # is retried with fresh ones.
-            batch.rewind()
-            return None
-        measured = np.zeros(src.shape[0], dtype=bool)
-        measured[batch.sent] = True  # ``sent`` ascends: ``rates`` is in order
-        for position, error in batch.lost.items():
-            pair = (names[src[position]], names[dst[position]])
-            attempt = 0
-            while retry.failed(pair, attempt, error):
-                attempt += 1
-        return rates, measured
+        estimates = np.full(src.shape[0], np.nan)
+        attempts: Dict[int, int] = {}
+        pending = np.arange(src.shape[0])
+        while pending.shape[0]:
+            batch = self.provider.send_packet_trains(
+                on_provider[np.column_stack((src[pending], dst[pending]))],
+                self.plan.train_spec,
+                background=background,
+            )
+            rates = estimate_throughputs(self.plan.train_spec, batch)
+            sent = pending[batch.sent]
+            estimates[sent] = rates
+            lost = {int(pending[i]): error for i, error in batch.lost.items()}
+            resend = []
+            for position in sorted([*lost, *sent[np.isnan(rates)].tolist()]):
+                pair = (names[src[position]], names[dst[position]])
+                if position in lost:
+                    attempt = 0
+                    while retry.failed(pair, attempt, lost[position]):
+                        attempt += 1
+                    continue
+                attempt = attempts.get(position, 0)
+                if retry.failed(pair, attempt, UNMEASURABLE):
+                    attempts[position] = attempt + 1
+                    resend.append(position)
+            pending = np.array(resend, dtype=np.intp)
+        return estimates

@@ -1,8 +1,8 @@
 """Packet-train throughput estimation (paper §3.1, §4.1).
 
-The estimator consumes the receiver-side observations of one packet train
-(:class:`~repro.net.packets.TrainObservation`) and produces a TCP throughput
-estimate:
+The estimator consumes the receiver-side observations of packet trains
+(:class:`~repro.cloud.provider.TrainBatch`) and produces one TCP throughput
+estimate per train:
 
 * the *train estimate* ``P * sum(n_i) / sum(t_i)``, where ``n_i`` is the
   number of packets of burst ``i`` that arrived and ``t_i`` the receive-time
@@ -22,141 +22,75 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import MeasurementError
-from repro.net.packets import PacketTrainSpec, TrainObservation
+from repro.net.packets import PacketTrainSpec
 from repro.units import BITS_PER_BYTE
+
+if TYPE_CHECKING:
+    from repro.cloud.provider import TrainBatch
 
 #: Mathis constant of proportionality, roughly sqrt(3/2) [Mathis et al. 1997].
 MATHIS_C = math.sqrt(3.0 / 2.0)
 
+#: TCP maximum segment size of the Mathis bound, in bytes.
+MSS_BYTES = 1460.0
 
-def mathis_throughput(
-    mss_bytes: float, rtt_s: float, loss_rate: float, constant: float = MATHIS_C
-) -> float:
-    """The Mathis upper bound ``MSS * C / (RTT * sqrt(loss))`` in bits/second.
+#: Why a train whose estimate is NaN failed.
+UNMEASURABLE = "packet train delivered no measurable packets"
 
-    Returns infinity when the loss rate is zero (the bound is vacuous).
+
+def estimate_throughputs(spec: PacketTrainSpec, batch: TrainBatch) -> np.ndarray:
+    """TCP throughput of every train of ``batch``, in bits/second.
+
+    Per train, over the bursts of which a packet arrived:
+
+    * each burst's receive span, when edge packets were lost, is scaled to
+      the whole burst's ``burst_length - 1`` gaps from the gaps between its
+      first and last arrivals (left as is when one packet arrived);
+    * the train estimate is ``P * sum(n_i) / sum(t_i)`` over those bursts
+      whose span is positive;
+    * the loss rate counts the packets of those bursts alone — a burst of
+      which nothing arrived counts in neither the sent nor the received
+      total — and, when positive, the Mathis bound at the train's RTT
+      caps the estimate.
+
+    A train with no measurable packets reads NaN.  Without loss (``batch``
+    has no ``received``) every burst arrived whole and no bound applies.
     """
-    if mss_bytes <= 0 or rtt_s <= 0:
-        raise MeasurementError("MSS and RTT must be positive")
-    if loss_rate < 0 or loss_rate >= 1:
-        raise MeasurementError("loss rate must be in [0, 1)")
-    if loss_rate == 0:
-        return math.inf
-    return mss_bytes * BITS_PER_BYTE * constant / (rtt_s * math.sqrt(loss_rate))
-
-
-@dataclass(frozen=True)
-class ThroughputEstimate:
-    """Result of estimating TCP throughput from one packet train."""
-
-    rate_bps: float
-    train_estimate_bps: float
-    mathis_bound_bps: float
-    loss_rate: float
-    packets_received: int
-    packets_sent: int
-
-    @property
-    def used_mathis_bound(self) -> bool:
-        """True when the Mathis bound was the binding term."""
-        return self.mathis_bound_bps < self.train_estimate_bps
-
-
-def _corrected_span(observation_span: float, first_index: int, last_index: int,
-                    n_sent: int) -> float:
-    """Scale a burst's receive span to what it would have been without edge loss.
-
-    If the first or last packets of a burst were lost, the observed span
-    covers fewer inter-packet gaps than the full burst; the paper adjusts the
-    time difference by the average per-packet time (§3.1).
-    """
-    observed_gaps = last_index - first_index
-    total_gaps = n_sent - 1
-    if observed_gaps <= 0 or total_gaps <= 0:
-        return observation_span
-    return observation_span * total_gaps / observed_gaps
-
-
-def estimate_throughput(
-    observation: TrainObservation,
-    mss_bytes: float = 1460.0,
-    rtt_s: Optional[float] = None,
-) -> ThroughputEstimate:
-    """Estimate TCP throughput from a packet-train observation.
-
-    Args:
-        observation: receiver-side burst observations.
-        mss_bytes: TCP maximum segment size used in the Mathis bound.
-        rtt_s: round-trip time for the Mathis bound; defaults to the RTT
-            recorded in the observation.
-
-    Raises:
-        MeasurementError: if the observation contains no usable bursts.
-    """
-    if not observation.bursts:
-        raise MeasurementError("packet train observation contains no bursts")
-    packet_size = observation.spec.packet_size_bytes
-    rtt = observation.rtt_s if rtt_s is None else rtt_s
-
-    total_received = 0
-    total_span = 0.0
-    for burst in observation.bursts:
-        if burst.n_received <= 0:
-            continue
-        span = _corrected_span(
-            burst.span, burst.first_index, burst.last_index, burst.n_sent
-        )
-        if span <= 0:
-            continue
-        total_received += burst.n_received
-        total_span += span
-    if total_received == 0 or total_span <= 0:
-        raise MeasurementError("packet train delivered no measurable packets")
-
-    train_estimate = packet_size * BITS_PER_BYTE * total_received / total_span
-    loss = observation.loss_rate
-    mathis_bound = mathis_throughput(mss_bytes, rtt, loss) if loss > 0 else math.inf
-    rate = min(train_estimate, mathis_bound)
-    return ThroughputEstimate(
-        rate_bps=rate,
-        train_estimate_bps=train_estimate,
-        mathis_bound_bps=mathis_bound,
-        loss_rate=loss,
-        packets_received=observation.packets_received,
-        packets_sent=observation.packets_sent,
-    )
-
-
-def estimate_throughputs(
-    spec: PacketTrainSpec, first_rx_s: np.ndarray, last_rx_s: np.ndarray
-) -> np.ndarray:
-    """:func:`estimate_throughput` for many lossless trains at once.
-
-    ``first_rx_s``/``last_rx_s`` hold the first- and last-packet receive
-    times of every burst, shape ``(n_bursts, n_trains)``, as
-    :func:`repro.net.packets.send_packet_trains` returns them.  No packet
-    was lost, so the Mathis bound is vacuous and the estimate is the train
-    estimate; the spans are corrected and summed burst by burst, as the
-    scalar estimator does, so each rate is the float it returns.  A train
-    with no measurable packets (the scalar estimator raises) reads NaN.
-    """
-    gaps = spec.burst_length - 1
-    total_span = np.zeros(first_rx_s.shape[1:])
-    usable_bursts = np.zeros(first_rx_s.shape[1:], dtype=np.int64)
-    for first, last in zip(first_rx_s, last_rx_s):
-        span = (last - first) * gaps / gaps
-        usable = span > 0
-        total_span += np.where(usable, span, 0.0)
-        usable_bursts += usable
-    received = usable_bursts * spec.burst_length
+    length = spec.burst_length
+    gaps = length - 1
+    lossy = batch.received is not None
+    shape = batch.first_rx_s.shape[1:]
+    total_span = np.zeros(shape)
+    received = np.zeros(shape, dtype=np.int64)
+    arrived = length
+    for burst, (first, last) in enumerate(zip(batch.first_rx_s, batch.last_rx_s)):
+        span = (last - first) * gaps
+        if lossy:
+            arrived = batch.received[burst]
+            observed = batch.last_index[burst] - batch.first_index[burst]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                span = np.where(observed > 0, span / observed, last - first)
+            usable = (span > 0) & (arrived > 0)
+        else:
+            span /= gaps
+            usable = span > 0
+        np.add(total_span, span, out=total_span, where=usable)
+        np.add(received, arrived, out=received, where=usable)
     with np.errstate(divide="ignore", invalid="ignore"):
         rates = spec.packet_size_bytes * BITS_PER_BYTE * received / total_span
-    return np.where((received > 0) & (total_span > 0), rates, np.nan)
+    rates = np.where((received > 0) & (total_span > 0), rates, np.nan)
+    if lossy:
+        sent = length * np.count_nonzero(batch.received, axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            loss = 1.0 - batch.received.sum(axis=0) / sent
+            bound = MSS_BYTES * BITS_PER_BYTE * MATHIS_C / (batch.rtt_s * np.sqrt(loss))
+        rates = np.where(loss > 0, np.minimum(rates, bound), rates)
+    return rates
 
 
 @dataclass(frozen=True)
@@ -199,6 +133,12 @@ def calibrate_train_parameters(
             pair: provider.run_netperf(pair[0], pair[1], duration=reference_duration_s)
             for pair in pairs
         }
+    truths = np.array([reference_rates[pair] for pair in pairs], dtype=float)
+    valid = np.flatnonzero(truths > 0)
+    if not valid.shape[0]:
+        raise MeasurementError("calibration produced no valid estimates")
+    probed = [pairs[i] for i in valid.tolist()]
+    truths = truths[valid]
     points: List[CalibrationPoint] = []
     for n_bursts in n_bursts_options:
         for burst_length in burst_lengths:
@@ -207,22 +147,18 @@ def calibrate_train_parameters(
                 n_bursts=n_bursts,
                 burst_length=burst_length,
             )
-            errors = []
-            for src, dst in pairs:
-                truth = reference_rates[(src, dst)]
-                if truth <= 0:
-                    continue
-                observation = provider.send_packet_train(src, dst, spec)
-                estimate = estimate_throughput(observation)
-                errors.append(abs(estimate.rate_bps - truth) / truth)
-            if not errors:
-                raise MeasurementError("calibration produced no valid estimates")
+            batch = provider.send_packet_trains(probed, spec)
+            if batch.lost:
+                raise MeasurementError(next(iter(batch.lost.values())))
+            rates = estimate_throughputs(spec, batch)
+            if np.isnan(rates).any():
+                raise MeasurementError(UNMEASURABLE)
             points.append(
                 CalibrationPoint(
                     burst_length=burst_length,
                     n_bursts=n_bursts,
-                    mean_relative_error=float(np.mean(errors)),
-                    n_paths=len(errors),
+                    mean_relative_error=float(np.mean(np.abs(rates - truths) / truths)),
+                    n_paths=valid.shape[0],
                 )
             )
     return points

@@ -19,6 +19,7 @@ zero-fault runs stay bit-identical to runs without a fault timeline at all.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -32,6 +33,16 @@ from repro.errors import FaultError
 PREEMPTED_RATE_BPS = 1.0
 
 _SCHEMA = "repro.faults/timeline/v1"
+
+
+def _check_window(what: str, start_s: float, end_s: float) -> None:
+    """A window must start at a finite time and end after it starts (an
+    infinite end is a window that never closes)."""
+    if not (math.isfinite(start_s) and start_s < end_s):
+        raise FaultError(
+            f"{what} must start at a finite time and end after it starts "
+            f"(start_s={start_s}, end_s={end_s})"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -51,14 +62,11 @@ class LinkDegradation:
     multiplier: float
 
     def __post_init__(self) -> None:
-        if self.end_s <= self.start_s:
-            raise FaultError(
-                f"degradation of {self.vm!r} must end after it starts "
-                f"(start_s={self.start_s}, end_s={self.end_s})"
-            )
+        _check_window(f"degradation of {self.vm!r}", self.start_s, self.end_s)
         if not 0.0 < self.multiplier < 1.0:
             raise FaultError(
-                f"degradation multiplier must be in (0, 1), got {self.multiplier}"
+                f"degradation multiplier of {self.vm!r} must be in (0, 1), "
+                f"got {self.multiplier}"
             )
 
     @property
@@ -80,8 +88,11 @@ class VmPreemption:
     time_s: float
 
     def __post_init__(self) -> None:
-        if self.time_s < 0:
-            raise FaultError(f"preemption time must be >= 0, got {self.time_s}")
+        if not (self.time_s >= 0 and math.isfinite(self.time_s)):
+            raise FaultError(
+                f"preemption of {self.vm!r} needs a finite time >= 0, "
+                f"got {self.time_s}"
+            )
 
     @property
     def effect_time_s(self) -> float:
@@ -107,20 +118,20 @@ class ProbeLoss:
     factor: float = 1.0
 
     def __post_init__(self) -> None:
+        what = f"probe loss on ({self.src!r}, {self.dst!r})"
         if self.src == self.dst:
             raise FaultError("probe-loss pair must not be a self pair")
-        if self.end_s <= self.start_s:
-            raise FaultError(
-                f"probe loss on ({self.src!r}, {self.dst!r}) must end after "
-                f"it starts (start_s={self.start_s}, end_s={self.end_s})"
-            )
+        _check_window(what, self.start_s, self.end_s)
         if self.mode not in ("fail", "wild"):
             raise FaultError(
-                f"probe-loss mode must be 'fail' or 'wild', got {self.mode!r}"
+                f"{what}: mode must be 'fail' or 'wild', got {self.mode!r}"
             )
+        if not math.isfinite(self.factor):
+            raise FaultError(f"{what}: factor must be finite, got {self.factor}")
         if self.mode == "wild" and (self.factor <= 0 or self.factor == 1.0):
             raise FaultError(
-                f"wild probe factor must be positive and != 1, got {self.factor}"
+                f"{what}: wild probe factor must be positive and != 1, "
+                f"got {self.factor}"
             )
 
     @property
@@ -382,16 +393,13 @@ class FaultTimeline:
                         )
                     )
                 else:
-                    raise FaultError(
-                        f"malformed fault timeline {source}: event {i} has "
-                        f"unknown kind {kind!r}"
-                    )
+                    raise ValueError(f"unknown kind {kind!r}")
             except KeyError as exc:
                 raise FaultError(
                     f"malformed fault timeline {source}: event {i} is "
                     f"missing field {exc}"
                 ) from exc
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, FaultError) as exc:
                 raise FaultError(
                     f"malformed fault timeline {source}: event {i}: {exc}"
                 ) from exc

@@ -27,17 +27,9 @@ from repro.net.fairness import FlowDemand
 from repro.net.fluid import FluidSimulation, FluidResult, RateTimeline
 from repro.net.hose import HoseModel
 from repro.net.crosstraffic import OnOffSource, OnOffInterval, generate_on_intervals
-from repro.net.packets import (
-    TokenBucket,
-    PathTransmissionModel,
-    PacketTrainSpec,
-    BurstObservation,
-    TrainObservation,
-    send_packet_train,
-    send_packet_trains,
-)
+from repro.net.packets import PacketTrainSpec, draw_losses, send_packet_trains
 from repro.net.traceroute import traceroute_hop_count
-from repro.net.latency import LatencyModel
+from repro.net.latency import rtt_s
 
 __all__ = [
     "Topology",
@@ -63,13 +55,9 @@ __all__ = [
     "OnOffSource",
     "OnOffInterval",
     "generate_on_intervals",
-    "TokenBucket",
-    "PathTransmissionModel",
     "PacketTrainSpec",
-    "BurstObservation",
-    "TrainObservation",
-    "send_packet_train",
+    "draw_losses",
     "send_packet_trains",
     "traceroute_hop_count",
-    "LatencyModel",
+    "rtt_s",
 ]

@@ -2,46 +2,27 @@
 
 Only the Mathis-formula half of the paper's throughput estimator needs an
 RTT (§3.1: ``MSS * C / (RTT * sqrt(loss))``), and datacenter RTTs are
-dominated by per-switch forwarding delay.  The model is therefore a simple
-affine function of hop count with optional lognormal noise.
+dominated by per-switch forwarding delay.  The RTT is therefore an affine
+function of the hop count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Union
 
 import numpy as np
 
 from repro.errors import MeasurementError
 
+#: Fixed RTT component (NIC, hypervisor, kernel), in seconds.
+BASE_RTT_S = 100e-6
+#: One-way delay each switch hop adds, in seconds.
+PER_HOP_S = 25e-6
 
-@dataclass
-class LatencyModel:
-    """Affine hop-count RTT model.
 
-    Attributes:
-        base_rtt_s: fixed component (NIC, hypervisor, kernel).
-        per_hop_s: additional one-way delay per switch hop.
-        noise_fraction: relative standard deviation of multiplicative noise.
-    """
-
-    base_rtt_s: float = 100e-6
-    per_hop_s: float = 25e-6
-    noise_fraction: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.base_rtt_s <= 0 or self.per_hop_s < 0:
-            raise MeasurementError("latency parameters must be positive")
-        if self.noise_fraction < 0:
-            raise MeasurementError("noise_fraction must be >= 0")
-
-    def rtt(self, hop_count: int, rng: Optional[np.random.Generator] = None) -> float:
-        """Round-trip time in seconds for a path of ``hop_count`` hops."""
-        if hop_count < 1:
-            raise MeasurementError("hop_count must be >= 1")
-        value = self.base_rtt_s + 2.0 * self.per_hop_s * hop_count
-        if self.noise_fraction > 0:
-            rng = rng if rng is not None else np.random.default_rng()
-            value *= float(rng.lognormal(mean=0.0, sigma=self.noise_fraction))
-        return value
+def rtt_s(hops: Union[int, np.ndarray]) -> Union[float, np.ndarray]:
+    """Round-trip time in seconds of a path of ``hops`` hops (elementwise
+    for an array of hop counts)."""
+    if np.any(np.asarray(hops) < 1):
+        raise MeasurementError("hop_count must be >= 1")
+    return BASE_RTT_S + 2.0 * PER_HOP_S * hops

@@ -5,13 +5,14 @@ bursts of ``B`` back-to-back ``P``-byte UDP packets, with a gap of ``delta``
 between bursts.  The receiver records the kernel timestamps of the first and
 last packet of each burst plus the number of packets delivered.
 
-This module is the network side of that experiment.  Because we do not have
-real NICs, the burst is pushed through a small analytical model of the path:
+This module is the network side of that experiment, for many paths at once.
+Because we do not have real NICs, each burst is pushed through a small
+analytical model of its path:
 
 * the *unlimited* path rate (what a burst would see absent any rate
   limiting) — in practice the physical bottleneck divided among the cross
   traffic present during the burst;
-* an optional provider rate limiter modelled as a :class:`TokenBucket`.
+* an optional provider rate limiter modelled as a token bucket.
   EC2-style enforcement uses a shallow bucket (the burst is served at the
   hose rate almost immediately); Rackspace-style enforcement uses a deep
   bucket, so short bursts ride the line rate and over-estimate the
@@ -26,111 +27,13 @@ The measurement-side estimator that consumes these observations lives in
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from repro.errors import MeasurementError
 from repro.units import BITS_PER_BYTE
-
-
-@dataclass
-class TokenBucket:
-    """A classic token bucket rate limiter.
-
-    Attributes:
-        rate_bps: long-term token refill rate (the enforced rate).
-        depth_bytes: bucket depth; bursts shorter than this pass at line
-            rate before the limiter bites.
-        tokens_bytes: current fill level (defaults to a full bucket).
-    """
-
-    rate_bps: float
-    depth_bytes: float
-    tokens_bytes: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.rate_bps <= 0:
-            raise MeasurementError("token bucket rate must be positive")
-        if self.depth_bytes < 0:
-            raise MeasurementError("token bucket depth must be >= 0")
-        if self.tokens_bytes is None:
-            self.tokens_bytes = self.depth_bytes
-        self.tokens_bytes = min(self.tokens_bytes, self.depth_bytes)
-
-    def refill(self, elapsed_s: float) -> None:
-        """Add ``elapsed_s`` seconds worth of tokens (capped at the depth)."""
-        if elapsed_s < 0:
-            raise MeasurementError("cannot refill for negative time")
-        self.tokens_bytes = min(
-            self.depth_bytes,
-            self.tokens_bytes + self.rate_bps * elapsed_s / BITS_PER_BYTE,
-        )
-
-    def drain_time(self, burst_bytes: float, fast_rate_bps: float) -> float:
-        """Seconds to push ``burst_bytes`` through the limiter, consuming tokens.
-
-        While tokens remain the burst is served at ``fast_rate_bps`` (tokens
-        drain at the difference between service and refill); once the bucket
-        empties the remainder is served at the refill rate.  The bucket's
-        fill level is updated in place.
-        """
-        if burst_bytes <= 0:
-            return 0.0
-        fast_rate = max(fast_rate_bps, self.rate_bps)
-        if fast_rate <= self.rate_bps or self.depth_bytes == 0:
-            # The limiter is never the binding constraint beyond its rate.
-            self.tokens_bytes = min(self.depth_bytes, self.tokens_bytes)
-            return burst_bytes * BITS_PER_BYTE / self.rate_bps
-
-        # Phase 1: tokens available, serve at the fast rate.
-        token_drain_rate = (fast_rate - self.rate_bps) / BITS_PER_BYTE  # bytes/s
-        time_to_empty = self.tokens_bytes / token_drain_rate if token_drain_rate > 0 else math.inf
-        fast_phase_bytes = fast_rate * time_to_empty / BITS_PER_BYTE
-
-        if burst_bytes <= fast_phase_bytes:
-            duration = burst_bytes * BITS_PER_BYTE / fast_rate
-            self.tokens_bytes -= token_drain_rate * duration
-            self.tokens_bytes = max(0.0, self.tokens_bytes)
-            return duration
-
-        # Phase 2: bucket empty, serve the remainder at the refill rate.
-        remainder = burst_bytes - fast_phase_bytes
-        self.tokens_bytes = 0.0
-        return time_to_empty + remainder * BITS_PER_BYTE / self.rate_bps
-
-
-@dataclass
-class PathTransmissionModel:
-    """Everything the burst model needs to know about one VM-to-VM path.
-
-    Attributes:
-        line_rate_bps: rate at which the sender's NIC emits packets.
-        unlimited_rate_bps: rate the path would deliver absent provider rate
-            limiting (physical bottleneck share given current cross traffic).
-        limiter: optional provider rate limiter (hose enforcement).
-        base_delay_s: one-way propagation plus forwarding delay.
-        jitter_std_s: standard deviation of the timestamp noise added to the
-            first/last packet receive times of each burst.
-        loss_rate: independent per-packet loss probability.
-    """
-
-    line_rate_bps: float
-    unlimited_rate_bps: float
-    limiter: Optional[TokenBucket] = None
-    base_delay_s: float = 100e-6
-    jitter_std_s: float = 0.0
-    loss_rate: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.line_rate_bps <= 0 or self.unlimited_rate_bps <= 0:
-            raise MeasurementError("line and unlimited rates must be positive")
-        if not 0.0 <= self.loss_rate < 1.0:
-            raise MeasurementError("loss_rate must be in [0, 1)")
-        if self.jitter_std_s < 0 or self.base_delay_s < 0:
-            raise MeasurementError("delays must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -166,157 +69,6 @@ class PacketTrainSpec:
         return self.n_bursts * self.burst_length
 
 
-@dataclass(frozen=True)
-class BurstObservation:
-    """What the receiver records for one burst.
-
-    ``first_index`` / ``last_index`` are the sequence numbers (within the
-    burst) of the first and last packets actually received; the estimator
-    uses them to correct the time span when edge packets were lost, as
-    described in §3.1.
-    """
-
-    n_sent: int
-    n_received: int
-    first_rx_time: float
-    last_rx_time: float
-    first_index: int
-    last_index: int
-
-    @property
-    def span(self) -> float:
-        """Receive-time difference between the last and first packets."""
-        return self.last_rx_time - self.first_rx_time
-
-
-@dataclass
-class TrainObservation:
-    """All burst observations of one packet train on one path."""
-
-    spec: PacketTrainSpec
-    bursts: List[BurstObservation] = field(default_factory=list)
-    send_duration_s: float = 0.0
-    rtt_s: float = 1e-3
-
-    @property
-    def packets_sent(self) -> int:
-        return sum(burst.n_sent for burst in self.bursts)
-
-    @property
-    def packets_received(self) -> int:
-        return sum(burst.n_received for burst in self.bursts)
-
-    @property
-    def loss_rate(self) -> float:
-        """Overall fraction of train packets that were lost."""
-        sent = self.packets_sent
-        if sent == 0:
-            return 0.0
-        return 1.0 - self.packets_received / sent
-
-
-def send_packet_train(
-    model: PathTransmissionModel,
-    spec: PacketTrainSpec,
-    rng: Optional[np.random.Generator] = None,
-    rtt_s: float = 1e-3,
-) -> TrainObservation:
-    """Simulate sending one packet train over a path.
-
-    Returns the per-burst receiver observations that
-    :func:`repro.core.measurement.packet_train.estimate_throughput` consumes.
-    """
-    rng = rng if rng is not None else np.random.default_rng()
-    observation = TrainObservation(spec=spec, rtt_s=rtt_s)
-
-    fast_rate = min(model.line_rate_bps, model.unlimited_rate_bps)
-    send_clock = 0.0
-    limiter = model.limiter
-    burst_bytes = spec.burst_bytes
-    burst_length = spec.burst_length
-    packet_bits = spec.packet_size_bytes * BITS_PER_BYTE
-    base_delay = model.base_delay_s
-    jitter_std = model.jitter_std_s
-    loss_rate = model.loss_rate
-    emit_time = burst_bytes * BITS_PER_BYTE / model.line_rate_bps
-    step = emit_time + spec.inter_burst_gap_s
-    if limiter is None:
-        # Lossless paths without a limiter (the common EC2-style mesh) serve
-        # every burst identically, so hoist the per-burst drain.
-        fixed_drain = burst_bytes * BITS_PER_BYTE / fast_rate
-    # Draw the per-burst jitter in one vectorised call when no other RNG
-    # consumer interleaves (loss draws happen between jitter draws); numpy
-    # Generators fill arrays from the same stream as repeated scalar draws,
-    # so the observations are bit-identical either way.
-    jitter_draws = None
-    if jitter_std > 0 and loss_rate == 0:
-        jitter_draws = np.abs(rng.normal(0.0, jitter_std, size=2 * spec.n_bursts))
-    bursts = observation.bursts
-
-    for burst_no in range(spec.n_bursts):
-        # Time for the whole burst to drain through the path.
-        if limiter is not None:
-            drain = limiter.drain_time(burst_bytes, fast_rate)
-        else:
-            drain = fixed_drain
-
-        # The first packet arrives after its own serialisation at the rate
-        # it was served with (fast if tokens were available).
-        initial_rate = fast_rate
-        if limiter is not None and limiter.depth_bytes < spec.packet_size_bytes:
-            initial_rate = min(fast_rate, limiter.rate_bps)
-        first_rx = send_clock + base_delay + packet_bits / initial_rate
-        last_rx = send_clock + base_delay + drain
-
-        # Packet loss: drop each packet independently.
-        lost = int(rng.binomial(burst_length, loss_rate)) if loss_rate > 0 else 0
-        n_received = burst_length - lost
-        first_index, last_index = 0, burst_length - 1
-        if lost > 0 and n_received > 0:
-            # Choose which positions were lost to know whether the edges moved.
-            lost_positions = set(
-                rng.choice(burst_length, size=lost, replace=False).tolist()
-            )
-            received_positions = [
-                i for i in range(burst_length) if i not in lost_positions
-            ]
-            first_index, last_index = received_positions[0], received_positions[-1]
-            per_packet = (last_rx - first_rx) / max(burst_length - 1, 1)
-            first_rx += per_packet * first_index
-            last_rx -= per_packet * (burst_length - 1 - last_index)
-
-        # Kernel timestamping / VM scheduling jitter.
-        if jitter_draws is not None:
-            first_rx += float(jitter_draws[2 * burst_no]) * 0.1
-            last_rx += float(jitter_draws[2 * burst_no + 1])
-        elif jitter_std > 0:
-            first_rx += abs(float(rng.normal(0.0, jitter_std))) * 0.1
-            last_rx += abs(float(rng.normal(0.0, jitter_std)))
-        if last_rx <= first_rx:
-            last_rx = first_rx + packet_bits / fast_rate
-
-        if n_received > 0:
-            bursts.append(
-                BurstObservation(
-                    n_sent=burst_length,
-                    n_received=n_received,
-                    first_rx_time=first_rx,
-                    last_rx_time=last_rx,
-                    first_index=first_index,
-                    last_index=last_index,
-                )
-            )
-
-        # Advance the sender clock: the burst is emitted at line rate, then
-        # the inter-burst gap elapses (during which the limiter refills).
-        send_clock += step
-        if limiter is not None:
-            limiter.refill(step)
-
-    observation.send_duration_s = send_clock
-    return observation
-
-
 def _bucket_drain_times(
     tokens_bytes: np.ndarray,
     rate_bps: np.ndarray,
@@ -324,11 +76,15 @@ def _bucket_drain_times(
     burst_bytes: float,
     fast_rate_bps: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:meth:`TokenBucket.drain_time` over many buckets: ``(drain, tokens)``.
+    """Seconds to push one burst through each token bucket: ``(drain, tokens)``.
 
-    Every branch of the scalar method is evaluated for every bucket with
-    the scalar's own expressions and the result selected per bucket, so
-    each element is the float the scalar method returns.
+    While tokens remain a burst is served at the fast rate (tokens drain at
+    the difference between service and refill); once a bucket empties the
+    remainder is served at its refill rate ``rate_bps``.  A bucket whose
+    fast rate does not exceed its refill rate, or of depth 0, serves the
+    whole burst at the refill rate.  Every branch is evaluated for every
+    bucket and the result selected per bucket; ``tokens`` is each bucket's
+    fill level afterwards.
     """
     fast_rate = np.maximum(fast_rate_bps, rate_bps)
     at_rate = (fast_rate <= rate_bps) | (depth_bytes == 0)
@@ -366,21 +122,24 @@ def send_packet_trains(
     normals: np.ndarray,
     limiter_rate_bps: Optional[np.ndarray] = None,
     limiter_depth_bytes: Optional[float] = None,
+    first_index: Optional[np.ndarray] = None,
+    last_index: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`send_packet_train` over many lossless paths at once.
+    """Send one packet train over each of many paths.
 
-    The arguments are the fields of a :class:`PathTransmissionModel` with
-    ``loss_rate == 0``, the per-path ones as arrays with one element per
-    path: the unlimited rate, the base delay (or one for all) and, with
-    ``limiter_rate_bps``, the rate of a full token bucket of
-    ``limiter_depth_bytes``.  ``normals`` stands in for the generator: row
-    ``i`` holds the ``2 * n_bursts`` standard normals path ``i``'s jitter
-    draw consumes (unused without jitter).
+    Per path (arrays with one element per path): the rate the path would
+    deliver absent rate limiting, the one-way base delay (or one for all)
+    and, with ``limiter_rate_bps``, the refill rate of a full token bucket
+    of ``limiter_depth_bytes``; the sender's NIC emits at
+    ``line_rate_bps``.  ``normals`` stands in for the generator: row ``i``
+    holds the ``2 * n_bursts`` standard normals of path ``i``'s timestamp
+    jitter of std ``jitter_std_s`` (unused without jitter).  On lossy
+    paths, ``first_index``/``last_index`` (shape ``(n_bursts, n_paths)``,
+    from :func:`draw_losses`) are the positions of the first and last
+    packet of each burst that arrived, and the receive times are theirs.
 
     Returns the first- and last-packet receive times of every burst, shape
-    ``(n_bursts, n_paths)`` — every packet arrives, so that is the whole
-    observation.  Each step applies the scalar function's expression to all
-    paths, which makes every element the float the scalar function records.
+    ``(n_bursts, n_paths)``.
     """
     fast_rate = np.minimum(line_rate_bps, unlimited_rate_bps)
     burst_bytes = spec.burst_bytes
@@ -395,6 +154,7 @@ def send_packet_trains(
             initial_rate = np.minimum(fast_rate, limiter_rate_bps)
     first_packet = packet_bits / initial_rate
     repair = packet_bits / fast_rate
+    gaps = spec.burst_length - 1
     if jitter_std_s > 0:
         # |0.0 + std * z| burst-major, so each burst reads contiguous rows.
         jitter = np.multiply(normals.T, jitter_std_s, order="C")
@@ -409,6 +169,12 @@ def send_packet_trains(
             )
         first = send_clock + base_delay_s + first_packet
         last = send_clock + base_delay_s + drain
+        if first_index is not None:
+            # Lost edge packets move the first and last arrivals inward by
+            # the average per-packet time.
+            per_packet = (last - first) / gaps
+            first = first + per_packet * first_index[burst_no]
+            last = last - per_packet * (gaps - last_index[burst_no])
         if jitter_std_s > 0:
             first += jitter[2 * burst_no] * 0.1
             last += jitter[2 * burst_no + 1]
@@ -421,3 +187,34 @@ def send_packet_trains(
                 tokens + limiter_rate_bps * step / BITS_PER_BYTE,
             )
     return first_rx, last_rx
+
+
+def draw_losses(
+    rng: np.random.Generator, spec: PacketTrainSpec, loss_rate: float, n_trains: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Which packets of ``n_trains`` trains arrive, each dropped independently
+    with probability ``loss_rate``.
+
+    Two draws: one binomial per burst (shape ``(n_trains, n_bursts)``)
+    counts the lost packets; then each burst that lost some but not all of
+    them draws one uniform per packet, in that order, and its ``lost``
+    smallest mark the lost positions.
+
+    Returns ``(received, first, last)``, each of shape ``(n_bursts,
+    n_trains)``: the packets of each burst that arrived, and the positions
+    of the first and last of them (``0`` and ``burst_length - 1`` for a
+    burst that lost nothing or everything).
+    """
+    length = spec.burst_length
+    lost = rng.binomial(length, loss_rate, size=(n_trains, spec.n_bursts))
+    first = np.zeros(lost.shape, dtype=np.intp)
+    last = np.full(lost.shape, length - 1, dtype=np.intp)
+    partial = np.flatnonzero((lost > 0) & (lost < length))
+    if partial.shape[0]:
+        rows = np.arange(partial.shape[0])[:, None]
+        rank = np.empty((partial.shape[0], length), dtype=np.intp)
+        rank[rows, np.argsort(rng.random(rank.shape), axis=1)] = np.arange(length)
+        arrived = rank >= lost.ravel()[partial][:, None]
+        first.ravel()[partial] = arrived.argmax(axis=1)
+        last.ravel()[partial] = length - 1 - arrived[:, ::-1].argmax(axis=1)
+    return (length - lost).T, first.T, last.T

@@ -10,12 +10,12 @@ the TTL — the rest of the mesh is served from cache.
 The store is two dense ``(M, M)`` float arrays in :attr:`MeasurementCache.vms`
 order — last rate and last probe time, ``NaN`` for "never measured" or
 "invalidated".  Staleness is one comparison over the time array, and
-``np.nonzero`` lists the stale pairs in row-major order, which *is* the
-order of :meth:`MeasurementCache.mesh_pairs`: that order fixes the campaign
+``np.argwhere`` hands the campaign the stale pairs as an ``(m, 2)`` array of
+positions in row-major order, which *is* the order of
+:meth:`MeasurementCache.mesh_pairs`: that order fixes the campaign
 schedule, and through it the probe RNG stream.  The view handed to the
 forecaster and the placer is a profile over a copy of the rate array, so an
-admission makes no per-pair Python objects beyond the (small) stale list the
-campaign needs.
+admission makes no per-pair Python objects for the pairs it re-probes.
 
 The cache also absorbs measurement *failure*: pairs the campaign reports as
 degraded (probes failed even after retries) coast on their last cached rate
@@ -128,11 +128,15 @@ class MeasurementCache:
         still fresh — it goes stale the instant after.  The list is in
         :meth:`mesh_pairs` order (row-major over the time array).
         """
-        fresh = now - self._measured_at <= self.ttl_s  # NaN compares False
-        np.fill_diagonal(fresh, True)
-        rows, cols = np.nonzero(~fresh)
+        rows, cols = np.nonzero(self._stale(now))
         vms = self.vms
         return [(vms[i], vms[j]) for i, j in zip(rows.tolist(), cols.tolist())]
+
+    def _stale(self, now: float) -> np.ndarray:
+        """The ``(M, M)`` mask of :meth:`stale_pairs`."""
+        fresh = now - self._measured_at <= self.ttl_s  # NaN compares False
+        np.fill_diagonal(fresh, True)
+        return ~fresh
 
     def age_of(self, pair: Tuple[str, str], now: float) -> Optional[float]:
         """Age of a pair's measurement, ``None`` when never measured."""
@@ -201,11 +205,13 @@ class MeasurementCache:
                 timestamp is *not* advanced, so it stays stale and is
                 re-probed on the next refresh.
         """
-        stale = self.mesh_pairs() if force else self.stale_pairs(now)
+        n = len(self.vms)
+        # The campaign's pairs as positions in ``vms``, in mesh_pairs order.
+        stale = np.argwhere(~np.eye(n, dtype=bool) if force else self._stale(now))
         with obs.span(
             "service.cache_refresh", stale=len(stale), force=bool(force)
         ):
-            if stale:
+            if len(stale):
                 fresh = self.measurer.measure(
                     self.vms, background=background, pairs=stale
                 )
@@ -228,7 +234,6 @@ class MeasurementCache:
                 self._pairs_measured.inc(len(stale) - len(fresh.degraded_pairs))
                 self._pairs_degraded.inc(len(fresh.degraded_pairs))
                 self._measurement_time.inc(fresh.measurement_duration_s)
-            n = len(self.vms)
             self._pairs_reused.inc(n * (n - 1) - len(stale))
             return self.profile(now)
 

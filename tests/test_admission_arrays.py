@@ -814,6 +814,8 @@ class _ScriptedMeasurer:
         self.asked: List[List[Tuple[str, str]]] = []
 
     def measure(self, vm_names, background=(), pairs=None):
+        if isinstance(pairs, np.ndarray):  # positions in vm_names
+            pairs = [(vm_names[s], vm_names[d]) for s, d in pairs.tolist()]
         pairs = list(pairs)
         self.asked.append(pairs)
         rates, stamps, degraded = {}, {}, {}
@@ -897,6 +899,28 @@ class TestCacheAgainstDictCache:
         assert ours.stale_pairs(15.0) == [
             pair for pair in ours.mesh_pairs() if 15.0 - stamp[pair] > 10.0
         ] == ours.mesh_pairs()[:3]
+
+    def test_refresh_hands_the_campaign_positions(self):
+        """The campaign gets the stale pairs as an ``(m, 2)`` position array
+        in ``vms`` order — :meth:`stale_pairs` (or, forced, the whole mesh),
+        row for row — not a list of name pairs."""
+        ours, _ = _twin_caches(["b", "a", "c", "d"], ttl_s=10.0)
+        asked = []
+        measure = ours.measurer.measure
+
+        def spy(vm_names, background=(), pairs=None):
+            asked.append(pairs)
+            return measure(vm_names, background, pairs)
+
+        ours.measurer.measure = spy
+        wanted = []
+        for now, force in ((0.0, False), (15.0, False), (16.0, True)):
+            wanted.append(ours.mesh_pairs() if force else ours.stale_pairs(now))
+            ours.refresh(now, force=force)
+        assert [len(pairs) for pairs in wanted] == [12, 3, 12]
+        for pairs, names in zip(asked, wanted):
+            assert isinstance(pairs, np.ndarray) and pairs.shape == (len(names), 2)
+            assert [(ours.vms[s], ours.vms[d]) for s, d in pairs.tolist()] == names
 
     def test_exact_ttl_boundary_is_still_fresh(self):
         ours, _ = _twin_caches(["a", "b", "c"], ttl_s=60.0)

@@ -1,11 +1,14 @@
-"""The campaign as one array program vs. the per-probe loop it replays.
+"""The campaign as one array program vs. the per-probe loop it replaces.
 
 ``NetworkMeasurer.measure`` runs a packet-train campaign as one array
-program whenever the probes' RNG consumption is fixed up front.  The
-oracle here is the per-probe loop — ``measure_pair`` once per scheduled
-pair, retries and backoff inline — on a fresh same-seed provider: the two
-must agree to the last bit on every field of the profile, on the
+program.  The oracle here is the per-probe loop — the scalar train of
+``tests/oracles/scalar_train.py`` once per scheduled pair, retries and
+backoff inline — on a fresh same-seed provider: on a lossless provider the
+two must agree to the last bit on every field of the profile, on the
 ``repro.measure.*`` counters, and on the provider RNG's state afterwards.
+(``ec2-legacy`` runs here with its loss switched off; its lossy trains
+draw their losses after the jitter block instead of between jitter draws,
+so ``tests/test_lossy_trains.py`` holds them to the oracle statistically.)
 """
 
 import dataclasses
@@ -14,11 +17,12 @@ import re
 
 import numpy as np
 import pytest
+from oracles import scalar_train
 from oracles.parent_schedule import parent_schedule_rounds
 
 from repro import obs
 from repro.cloud.ec2 import ec2_params
-from repro.cloud.provider import VMFlow
+from repro.cloud.provider import ProviderParams, VMFlow
 from repro.cloud.registry import make_provider
 from repro.core.measurement import MeasurementPlan, NetworkMeasurer
 from repro.core.measurement.cross_traffic import estimate_cross_traffic
@@ -43,12 +47,17 @@ COUNTERS = (
 )
 
 
-def build_provider(name, n_vms=8, seed=3, faults=None, colocate=None, drift=None):
-    kwargs = {}
+def build_provider(
+    name, n_vms=8, seed=3, faults=None, colocate=None, drift=None, loss_rate=None
+):
+    overrides = {}
     if colocate is not None:
-        kwargs["params"] = dataclasses.replace(
-            make_provider(name).params, colocation_probability=colocate
-        )
+        overrides["colocation_probability"] = colocate
+    if loss_rate is not None:
+        overrides["loss_rate"] = loss_rate
+    kwargs = {}
+    if overrides:
+        kwargs["params"] = dataclasses.replace(make_provider(name).params, **overrides)
     provider = make_provider(name, seed=seed, **kwargs)
     provider.request_vms(n_vms)
     names = [vm.name for vm in provider.vms()]
@@ -107,7 +116,9 @@ def oracle_campaign(measurer, names, background=(), pairs=None):
             attempt = 0
             while True:
                 try:
-                    rate = measurer.measure_pair(src, dst, background=background)
+                    rate = scalar_train.measure_pair(
+                        provider, src, dst, plan.train_spec, background=background
+                    )
                     break
                 except MeasurementError as exc:
                     out_of_budget = retries_left is not None and retries_left <= 0
@@ -157,23 +168,13 @@ def campaign(measurer, names, background=(), pairs=None):
     }
 
 
-class ArrayOnlyMeasurer(NetworkMeasurer):
-    """A measurer whose campaign must not fall back to probing pair by pair."""
-
-    def measure_pair(self, src_vm, dst_vm, background=()):
-        raise AssertionError("the campaign took the per-probe path")
-
-
-def assert_campaign_matches_oracle(
-    build, plan, background=None, pairs=None, array=True
-):
+def assert_campaign_matches_oracle(build, plan, background=None, pairs=None):
     """``build()`` twice gives two identical providers: one per path."""
     provider, names = build()
     oracle_provider, _ = build()
     flows = background(names) if background is not None else ()
     chosen = pairs(names) if pairs is not None else None
-    measurer = ArrayOnlyMeasurer if array else NetworkMeasurer
-    got = campaign(measurer(provider, plan), names, flows, chosen)
+    got = campaign(NetworkMeasurer(provider, plan), names, flows, chosen)
     want = oracle_campaign(NetworkMeasurer(oracle_provider, plan), names, flows, chosen)
     assert got == want  # floats compared with ==: bit for bit
     return got
@@ -203,7 +204,7 @@ def campaign_spans(path):
 def test_full_mesh_is_bit_identical(name, parallelism):
     plan = MeasurementPlan(parallelism=parallelism)
     got = assert_campaign_matches_oracle(
-        lambda: build_provider(name), plan, array=name != "ec2-legacy"
+        lambda: build_provider(name, loss_rate=0.0), plan
     )
     assert len(got["rates"]) == 8 * 7 and not got["degraded"]
 
@@ -244,10 +245,9 @@ def test_background_flows(name):
         return background_flows(names, np.random.default_rng(5))
 
     assert_campaign_matches_oracle(
-        lambda: build_provider(name, drift="hotspot-flap"),
+        lambda: build_provider(name, drift="hotspot-flap", loss_rate=0.0),
         MeasurementPlan(),
         background=background,
-        array=name != "ec2-legacy",
     )
 
 
@@ -286,60 +286,74 @@ def test_wild_probes_scale_the_estimate():
 
 
 def test_a_nan_estimate_is_an_error_not_an_unmeasured_pair():
-    class NanMeasurer(NetworkMeasurer):
-        def measure_pair(self, src_vm, dst_vm, background=()):
-            rate = super().measure_pair(src_vm, dst_vm, background=background)
-            return float("nan") if (src_vm, dst_vm) == broken else rate
+    """A train the estimator cannot measure (every span zero: NaN) is a
+    failed probe.  Only that train is sent again, with fresh draws, until
+    its retries run out; its pair then degrades with the estimator's
+    reason — it never reaches the profile as a NaN rate, and it is never
+    missing from the profile without a reason."""
+    provider, names = build_provider("ec2", n_vms=4)
+    broken = provider.vm_positions(names[1:3])
+    send = provider.send_packet_trains
+    sends = []
 
-    provider, names = build_provider("ec2-legacy", n_vms=4)  # per-probe path
-    broken = (names[1], names[2])
-    with pytest.raises(MeasurementError, match="unmeasured pair"):
-        NanMeasurer(provider, MeasurementPlan()).measure(names)
+    def flattened(pairs, spec, background=()):
+        batch = send(pairs, spec, background)
+        hit = (pairs[batch.sent] == broken).all(axis=1)
+        batch.last_rx_s[:, hit] = batch.first_rx_s[:, hit]
+        sends.append((int(hit.sum()), batch.sent.shape[0]))
+        return batch
+
+    provider.send_packet_trains = flattened
+    state = provider._rng.bit_generator.state
+    plan = MeasurementPlan(advance_clock=False)
+    profile = NetworkMeasurer(provider, plan).measure(names)
+    pair = (names[1], names[2])
+    assert profile.degraded_pairs == {
+        pair: "3 probe(s) failed: packet train delivered no measurable packets"
+    }
+    assert pair not in profile.rates_bps and len(profile.rates_bps) == 4 * 3 - 1
+    assert not np.isnan(list(profile.rates_bps.values())).any()
+    assert sends == [(1, 12), (1, 1), (1, 1)]
+    # Three passes drew 12 + 1 + 1 trains' normals (one rate noise and
+    # 2 * n_bursts jitter normals each).
+    replay = np.random.default_rng()
+    replay.bit_generator.state = state
+    replay.standard_normal(14 * (1 + 2 * plan.train_spec.n_bursts))
+    assert replay.bit_generator.state == provider._rng.bit_generator.state
 
 
-# ----------------------------------------------------- which path, and why
-def test_span_names_the_path_and_the_reason(trace_to):
-    for name, plan in (
-        ("ec2", MeasurementPlan()),
-        ("rackspace", MeasurementPlan()),
-        ("ec2-legacy", MeasurementPlan()),
-        ("ec2", MeasurementPlan(method="netperf")),
-    ):
-        provider, names = build_provider(name, n_vms=4)
-        NetworkMeasurer(provider, plan).measure(names)
-    noisy, names = build_provider("ec2", n_vms=4)
-    noisy.latency.noise_fraction = 0.1
-    NetworkMeasurer(noisy).measure(names)
-    spans = campaign_spans(trace_to)
-    assert [(s["path"], s.get("reason")) for s in spans] == [
-        ("array", None),
-        ("array", None),
-        ("per-probe", "lossy provider"),
-        ("per-probe", "netperf"),
-        ("per-probe", "noisy latency"),
-    ]
+#: Provider parameters no train can be sent with, each rejected when the
+#: parameters are built — by ``dataclasses.replace`` too — rather than after
+#: a campaign has drawn its randomness.
+UNSENDABLE = [
+    ("train_jitter_std_s", -1e-6),
+    ("train_jitter_std_s", float("nan")),
+    ("train_limiter_depth_bytes", -1.0),
+    ("train_limiter_depth_bytes", float("nan")),
+    ("intra_host_rate_bps", -1.0),
+    ("intra_host_rate_bps", 0.0),
+    ("intra_host_rate_bps", float("nan")),
+    ("loss_rate", -0.01),
+    ("loss_rate", 1.0),
+    ("loss_rate", float("nan")),
+]
 
 
-def test_unreplayable_batch_rewinds_and_falls_back(trace_to):
-    """A path model the scalar code rejects *after* its draw (here: a
-    non-positive intra-host rate) consumes randomness on every retry, so
-    the array path must hand back the RNG and step aside."""
+@pytest.mark.parametrize("field,value", UNSENDABLE)
+def test_provider_params_reject_a_path_no_train_can_cross(field, value):
+    with pytest.raises(CloudError, match=field):
+        dataclasses.replace(ec2_params(), **{field: value})
+    with pytest.raises(CloudError, match=field):
+        ProviderParams(name="unsendable", **{field: value})
 
-    def build():
-        provider = make_provider(
-            "ec2", seed=3, params=ec2_params(colocation_probability=0.6)
-        )
-        provider.request_vms(6)
-        # (The topology, which does validate its loopback links, is built.)
-        provider.params = dataclasses.replace(
-            provider.params, intra_host_rate_bps=-1.0
-        )
-        return provider, [vm.name for vm in provider.vms()]
 
-    got = assert_campaign_matches_oracle(build, MeasurementPlan(), array=False)
-    assert got["degraded"] and got["counters"][2] > 0
+# ------------------------------------------------------- what the span says
+def test_a_campaign_span_says_how_it_went(trace_to):
+    provider, names = build_provider("ec2-legacy", n_vms=4)
+    NetworkMeasurer(provider, MeasurementPlan()).measure(names)
     (span,) = campaign_spans(trace_to)
-    assert (span["path"], span["reason"]) == ("per-probe", "replay aborted")
+    assert span["pairs"] == 12 and span["retries"] == 0 and span["degraded"] == 0
+    assert not {"path", "reason", "method"} & set(span)
 
 
 def test_a_loaded_campaign_says_what_its_background_cost(trace_to):
@@ -462,7 +476,7 @@ def test_the_index_schedule_is_the_name_schedule(seed):
 @pytest.mark.parametrize("name", ["ec2", "ec2-legacy"])
 def test_pairs_by_position_give_the_profile_pairs_by_name_give(name, parallelism):
     """An ``(m, 2)`` position array is the same campaign as the name pairs
-    it stands for — on the array path and (lossy provider) pair by pair."""
+    it stands for — on a lossless and on a lossy provider."""
     plan = MeasurementPlan(parallelism=parallelism, estimate_cross_traffic=True)
     rng = np.random.default_rng(23)
 

@@ -1,6 +1,7 @@
 """Fault injection and the self-healing control loop."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,57 @@ def test_event_validation_rejects_nonsense():
         ProbeLoss(src="vm1", dst="vm1", start_s=0.0, end_s=5.0)
     with pytest.raises(FaultError):
         ProbeLoss(src="vm1", dst="vm2", start_s=0.0, end_s=5.0, mode="nope")
+
+
+NAN, INF = float("nan"), float("inf")
+#: Each case: how the event is given, and what its FaultError must name.
+#: Every one of them was accepted before: ``<=`` / ``<`` checks let a NaN
+#: through, and nothing bounded the factor.
+NON_FINITE_EVENTS = {
+    "wild-factor-nan": (dict(kind="probe-loss", mode="wild", factor=NAN), "'vm1', 'vm2'"),
+    "wild-factor-inf": (dict(kind="probe-loss", mode="wild", factor=INF), "'vm1', 'vm2'"),
+    "fail-factor-nan": (dict(kind="probe-loss", mode="fail", factor=NAN), "'vm1', 'vm2'"),
+    "probe-start-nan": (dict(kind="probe-loss", start_s=NAN), "'vm1', 'vm2'"),
+    "probe-end-nan": (dict(kind="probe-loss", end_s=NAN), "'vm1', 'vm2'"),
+    "probe-start-minus-inf": (dict(kind="probe-loss", start_s=-INF), "'vm1', 'vm2'"),
+    "degradation-start-nan": (dict(kind="link-degradation", start_s=NAN), "'vm3'"),
+    "degradation-end-nan": (dict(kind="link-degradation", end_s=NAN), "'vm3'"),
+    "preemption-nan": (dict(kind="vm-preemption", time_s=NAN), "'vm4'"),
+    "preemption-inf": (dict(kind="vm-preemption", time_s=INF), "'vm4'"),
+}
+_EVENT_DEFAULTS = {
+    "probe-loss": dict(src="vm1", dst="vm2", start_s=0.0, end_s=100.0),
+    "link-degradation": dict(vm="vm3", start_s=0.0, end_s=100.0, multiplier=0.5),
+    "vm-preemption": dict(vm="vm4", time_s=10.0),
+}
+_EVENT_TYPES = {
+    "probe-loss": ProbeLoss, "link-degradation": LinkDegradation,
+    "vm-preemption": VmPreemption,
+}
+
+
+@pytest.mark.parametrize("via", ["constructor", "load"])
+@pytest.mark.parametrize("case", sorted(NON_FINITE_EVENTS))
+def test_non_finite_event_fields_are_rejected_by_name(case, via, tmp_path):
+    fields, names = NON_FINITE_EVENTS[case]
+    record = {**_EVENT_DEFAULTS[fields["kind"]], **fields}
+    if via == "constructor":
+        kind = record.pop("kind")
+        with pytest.raises(FaultError, match=re.escape(names)):
+            _EVENT_TYPES[kind](**record)
+        return
+    path = tmp_path / "non_finite.json"
+    # json writes NaN / Infinity / -Infinity, and reads them back as floats.
+    path.write_text(json.dumps({"schema": FAULT_SCHEMA, "events": [record]}))
+    with pytest.raises(FaultError, match="non_finite.json") as caught:
+        FaultTimeline.load(path)
+    assert names in str(caught.value)
+
+
+def test_a_window_may_stay_open_forever():
+    window = ProbeLoss(src="a", dst="b", start_s=5.0, end_s=INF, mode="wild", factor=2.0)
+    assert FaultTimeline(events=(window,)).probe_fault("a", "b", 1e12) == ("wild", 2.0)
+    assert LinkDegradation(vm="a", start_s=0.0, end_s=INF, multiplier=0.5).end_s == INF
 
 
 def test_timeline_sorts_events_and_reports_window_membership():

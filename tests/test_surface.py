@@ -7,6 +7,7 @@ exactly two execution backends and one worker entry point.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
@@ -224,10 +225,9 @@ def _comprehensions_of_pairs(tree):
 
 def test_the_campaign_builds_no_list_of_name_pairs():
     """The schedule is three position arrays from ``measure`` to the burst
-    model.  A pair of names exists for the probe ``_probe_each`` is sending,
-    for a pair that degrades, and in ``schedule_rounds`` — the name view
-    ``campaign_time_s`` and tests read; nothing else on the way turns the
-    schedule back into tuples."""
+    model.  A pair of names exists for a pair that fails a probe, and in
+    ``schedule_rounds`` — the name view ``campaign_time_s`` and tests read;
+    nothing else on the way turns the schedule back into tuples."""
     import repro.cloud.provider as provider
     import repro.core.measurement as measurement
 
@@ -237,7 +237,7 @@ def test_the_campaign_builds_no_list_of_name_pairs():
         offenders += [
             (info.name, function, line)
             for function, line in _comprehensions_of_pairs(ast.parse(source))
-            if function not in ("schedule_rounds", "_probe_each")
+            if function != "schedule_rounds"
         ]
     for function in (
         provider.CloudProvider.send_packet_trains,
@@ -415,3 +415,42 @@ def test_the_engine_switches_and_the_pipe_model_are_gone_from_the_source():
     ]
     assert defined == [os.path.join("oracles", "max_min.py")]
     assert [name for name, source in sources.items() if definition in source] == []
+
+
+# ------------------------------------------- one packet train, no fallback
+#: The scalar train and the per-probe campaign (now ``tests/oracles/
+#: scalar_train.py``), the fallback's plumbing, and the options only tests
+#: set: no function, method or class of these names is defined in ``src/``.
+DELETED_TRAIN_NAMES = {
+    "measure_pair", "_probe_each", "_probe_all", "packet_train_model",
+    "send_packet_train", "train_replay_blocker", "rtt", "path_hop_count",
+    "rewind", "TokenBucket", "PathTransmissionModel", "BurstObservation",
+    "TrainObservation", "LatencyModel", "ThroughputEstimate", "_corrected_span",
+    "estimate_throughput", "mathis_throughput",
+}
+
+
+def test_one_packet_train_implementation_is_left():
+    defined = [
+        f"{name}:{node.name}"
+        for name in MODULES
+        for node in ast.walk(ast.parse(inspect.getsource(importlib.import_module(name))))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name in DELETED_TRAIN_NAMES
+    ]
+    assert defined == []
+    from repro.cloud.ec2 import ec2_params
+    from repro.cloud.provider import CloudProvider, TrainBatch
+
+    assert not hasattr(CloudProvider(ec2_params()), "latency")
+    assert "_rng" not in {field.name for field in dataclasses.fields(TrainBatch)}
+
+
+def test_the_measurement_plan_has_its_eight_fields():
+    from repro.core.measurement import MeasurementPlan
+
+    assert [field.name for field in dataclasses.fields(MeasurementPlan)] == [
+        "train_spec", "estimate_cross_traffic", "per_pair_overhead_s",
+        "advance_clock", "parallelism", "max_retries", "retry_backoff_s",
+        "probe_budget",
+    ]
