@@ -326,8 +326,11 @@ class CloudProvider:
         return min(self.hose_rate(src_vm), physical)
 
     # ---------------------------------------------------------- simulation
-    def _hose_capacities(self) -> Dict[str, float]:
-        return {hose_link_id(name): self.hose_rate(name) for name in self._vms}
+    def hose_capacities(self, vms: Optional[Iterable[str]] = None) -> Dict[str, float]:
+        """The hose link of each of ``vms`` (default: every VM, what a
+        simulation of this network is built with) and its current capacity."""
+        names = self._vms if vms is None else vms
+        return {hose_link_id(name): self.hose_rate(name) for name in names}
 
     def _to_net_flow(self, vm_flow: VMFlow) -> Tuple[Flow, List[str]]:
         src, dst = self.vm(vm_flow.src_vm), self.vm(vm_flow.dst_vm)
@@ -349,14 +352,16 @@ class CloudProvider:
         self, vm_flows: Sequence[VMFlow] = ()
     ) -> FluidSimulation:
         """A fluid simulation of this provider's network with the given flows."""
-        sim = FluidSimulation(
-            self.topology,
-            extra_capacities=self._hose_capacities(),
-        )
+        sim = FluidSimulation(self.topology, extra_capacities=self.hose_capacities())
+        self.add_flows(sim, vm_flows)
+        return sim
+
+    def add_flows(self, sim: FluidSimulation, vm_flows: Sequence[VMFlow]) -> None:
+        """Register VM-level flows on a simulation :meth:`build_simulation`
+        made (each crosses its sender's hose unless both VMs share a host)."""
         if vm_flows:
             flows, extras = zip(*map(self._to_net_flow, vm_flows))
             sim.add_flows(flows, extras)
-        return sim
 
     def simulate(
         self,

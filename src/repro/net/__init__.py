@@ -4,8 +4,8 @@ This package provides everything the Choreo reproduction needs from "the
 network": multi-rooted tree topologies (:mod:`repro.net.topology`), routing
 and hop counts (:mod:`repro.net.routing`, :mod:`repro.net.traceroute`),
 max-min fair bandwidth sharing (:mod:`repro.net.fairness`), a flow-level
-event-driven simulator (:mod:`repro.net.fluid`), hose-model egress rate
-limiting (:mod:`repro.net.hose`), ON/OFF cross-traffic processes
+event-driven simulator (:mod:`repro.net.fluid`, in which the hose model's
+per-VM egress caps are extra links), ON/OFF cross-traffic processes
 (:mod:`repro.net.crosstraffic`), and a burst-level packet-train transmission
 model (:mod:`repro.net.packets`).
 """
@@ -25,7 +25,6 @@ from repro.net.flows import Flow, FlowState
 from repro.net.alloc import IncrementalAllocator
 from repro.net.fairness import FlowDemand
 from repro.net.fluid import FluidSimulation, FluidResult, RateTimeline
-from repro.net.hose import HoseModel
 from repro.net.crosstraffic import OnOffSource, OnOffInterval, generate_on_intervals
 from repro.net.packets import PacketTrainSpec, draw_losses, send_packet_trains
 from repro.net.traceroute import traceroute_hop_count
@@ -51,7 +50,6 @@ __all__ = [
     "FluidSimulation",
     "FluidResult",
     "RateTimeline",
-    "HoseModel",
     "OnOffSource",
     "OnOffInterval",
     "generate_on_intervals",

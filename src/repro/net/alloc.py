@@ -167,7 +167,7 @@ class IncrementalAllocator:
     Args:
         capacities: mapping of link id to capacity in bits/second.  The link
             universe is fixed at construction; flows may only reference these
-            links.
+            links.  Their capacities may change (:meth:`update_capacities`).
 
     A full solve takes the array-backed path at or above
     ``_VECTOR_MIN_FLOWS`` routed flows *and* ``_VECTOR_MIN_LINKS`` links,
@@ -600,6 +600,40 @@ class IncrementalAllocator:
         self._solved = False
         self._solution = None
 
+    def update_capacities(self, capacities: Mapping[str, float]) -> None:
+        """Change the capacity of existing links.
+
+        A changed link is edited as an add on it would be: it is marked
+        dirty, so the next solve re-solves the flows that (transitively)
+        share it, and the round log is void (every logged level is a share
+        of the old capacity).  An unchanged value edits nothing.
+
+        Raises:
+            SimulationError: on a link outside the universe; nothing is
+                changed in that case.
+        """
+        for link_id in capacities:
+            if link_id not in self._link_index:
+                raise SimulationError(f"unknown link {link_id!r}")
+        for link_id, cap in capacities.items():
+            index = self._link_index[link_id]
+            cap = float(cap)
+            if cap == self._capacity[index]:
+                continue
+            self._capacity[index] = cap
+            if self._capacity_np is not None:
+                self._capacity_np[index] = cap
+            if self._have_rates:
+                self._dirty_links.add(index)
+            self._resume = 0
+            self._solved = False
+            self._solution = None
+
+    def slots_of(self, flow_ids: Sequence[str]) -> np.ndarray:
+        """The slots of registered flows (see :meth:`add_flow`)."""
+        slot = self._flow_slot
+        return np.array([slot[flow_id] for flow_id in flow_ids], dtype=np.intp)
+
     def clear(self) -> None:
         """Remove every flow (capacities are kept)."""
         self._flow_slot.clear()
@@ -653,11 +687,13 @@ class IncrementalAllocator:
         """
         self._ensure_solved()
         if self._solution is None:
-            n = len(self._flow_slot)
-            slots = np.fromiter(self._flow_slot.values(), dtype=np.intp, count=n)
-            self._solution = dict(
-                zip(self._flow_slot.keys(), self._slot_rate[slots].tolist())
-            )
+            # (The fluid simulator's scalar loop, the one caller at scale,
+            # runs below a few hundred flows: a plain comprehension beats
+            # the fixed cost of a NumPy gather there.)
+            rates = self._slot_rate.tolist()
+            self._solution = {
+                flow_id: rates[slot] for flow_id, slot in self._flow_slot.items()
+            }
         return self._solution
 
     def solve_slots(self) -> np.ndarray:
@@ -977,11 +1013,12 @@ class IncrementalAllocator:
         comparison, the batch and the drain are unchanged.  Only ``counts``
         on its links differ, and those are rebuilt from ``_link_use``.
         :meth:`remove_flow` therefore lowers ``_resume`` to the removed
-        flow's freeze round; everything else (an add, a partial or scalar
-        solve in between, :meth:`clear`) sets it to 0.  The prefix is
-        applied *in one pass* before the loop: links are independent, so
-        only each link's own drain order matters, and ``np.subtract.at``
-        applies the logged ``k*level`` products unbuffered, in log order.
+        flow's freeze round; everything else (an add, a capacity change, a
+        partial or scalar solve in between, :meth:`clear`) sets it to 0.
+        The prefix is applied *in one pass* before the loop: links are
+        independent, so only each link's own drain order matters, and
+        ``np.subtract.at`` applies the logged ``k*level`` products
+        unbuffered, in log order.
         The clamp is deferred to one ``maximum`` at the end — a link whose
         running value goes ``<= 0`` stays ``<= 0`` under further positive
         drains, where the per-round clamp would have held it at 0, so both

@@ -33,6 +33,18 @@ Which event loop runs, and which solve the allocator takes, follows from
 the input size alone (``_LOOP_MIN_FLOWS`` here, ``_VECTOR_MIN_FLOWS`` /
 ``_VECTOR_MIN_LINKS`` in :mod:`repro.net.alloc`); every path gives
 bit-identical results, so there is nothing for a caller to choose.
+
+A simulation is **resumable**.  A run that stops at ``until`` leaves a
+pause behind — the clock, the allocator with the active flows in it, and
+each active flow's remaining bytes — and the next :meth:`FluidSimulation.run`
+continues from it, on whichever loop its flow count picks.  Between runs
+a caller may register flows that start at or after the pause, withdraw
+live ones (:meth:`~FluidSimulation.withdraw_flows`) and change extra-link
+capacities (:meth:`~FluidSimulation.update_extra_capacities`).  Flows a
+run finished leave the simulation with it: a run's :class:`FluidResult`
+covers the flows that were live in that run, which is exactly what a
+fresh simulation of those flows, restarted at the pause with the bytes
+they had left, would report — to the last bit.
 """
 
 from __future__ import annotations
@@ -53,7 +65,6 @@ from repro.errors import SimulationError
 from repro.net.alloc import IncrementalAllocator, csr_gather
 from repro.net.fairness import FlowDemand
 from repro.net.flows import Flow, FlowState
-from repro.net.hose import HoseModel
 from repro.net.topology import Topology
 from repro.units import BITS_PER_BYTE
 
@@ -339,67 +350,55 @@ _FLUID_BATCHES = obs.Counter("repro.fluid.batches")
 _LOOP_MIN_FLOWS = 512
 
 
+def _check_capacities(capacities: Mapping[str, float]) -> None:
+    """Reject a non-positive (or NaN) extra-link capacity, by link name."""
+    for link_id, cap in capacities.items():
+        if not cap > 0:
+            raise SimulationError(
+                f"extra capacity for {link_id!r} must be positive, got {cap!r}"
+            )
+
+
 class FluidSimulation:
     """Max-min fair, event-driven flow-level simulator.
 
     Args:
         topology: the network to simulate on.
-        hose: optional per-node egress caps (the provider's hose model).
-        capacity_overrides: per-link capacity replacements, used by the cloud
-            providers to model spatially varying or drifting paths.
-        extra_capacities: additional *virtual* links (e.g. per-VM hose links
-            when several VMs share a physical host); flows traverse them via
-            the ``extra_links`` argument of :meth:`add_flow`.
+        extra_capacities: additional *virtual* links (e.g. the provider's
+            per-VM hose links); flows traverse them via the ``extra_links``
+            argument of :meth:`add_flows`, and their capacities may change
+            between runs (:meth:`update_extra_capacities`).
 
     Rates come from :class:`~repro.net.alloc.IncrementalAllocator`, which
     picks its own solve from the problem size.  Below ``_LOOP_MIN_FLOWS``
-    registered flows the per-flow Python event loop runs; at or above it
-    the vector loop holds flow state (remaining bytes, current rate, open
-    rate segment) in parallel NumPy arrays, picks the next event with an
+    live flows the per-flow Python event loop runs; at or above it the
+    vector loop holds flow state (remaining bytes, current rate, open rate
+    segment) in parallel NumPy arrays, picks the next event with an
     ``argmin`` over the finish-time vector, activates, drains and retires
     flows a batch per event, and logs a rate segment (to a columnar log,
     see :class:`FluidResult`) only when a flow's rate actually changes.
-    Both loops produce bit-identical :class:`FluidResult` contents.
+    Both loops produce bit-identical :class:`FluidResult` contents, and
+    either resumes from the pause the other left (see the module
+    docstring).
     """
 
     def __init__(
         self,
         topology: Topology,
-        hose: Optional[HoseModel] = None,
-        capacity_overrides: Optional[Mapping[str, float]] = None,
         extra_capacities: Optional[Mapping[str, float]] = None,
     ) -> None:
         self.topology = topology
-        self.hose = hose
         self._capacities: Dict[str, float] = dict(topology.capacities())
-        if capacity_overrides:
-            for link_id, cap in capacity_overrides.items():
-                if link_id not in self._capacities:
-                    raise SimulationError(
-                        f"capacity override for unknown link {link_id!r}"
-                    )
-                if not cap > 0:
-                    raise SimulationError(
-                        f"capacity override for {link_id!r} must be positive, "
-                        f"got {cap!r}"
-                    )
-                self._capacities[link_id] = cap
-        if hose is not None:
-            self._capacities.update(
-                hose.link_capacities(topology.nodes())
-            )
+        self._n_topology_links = len(self._capacities)
         if extra_capacities:
-            for link_id, cap in extra_capacities.items():
-                if not cap > 0:
-                    raise SimulationError(
-                        f"extra capacity for {link_id!r} must be positive, "
-                        f"got {cap!r}"
-                    )
-                self._capacities[link_id] = cap
+            _check_capacities(extra_capacities)
+            self._capacities.update(extra_capacities)
         # The link universe: the topology's links (path_links_matrix's
-        # index order), then hose links, then extra links.
+        # index order), then extra links.
         self._link_ids: List[str] = list(self._capacities)
         self._link_index: Optional[Dict[str, int]] = None
+        # The live flows (registered, not withdrawn, not finished by a run)
+        # in registration order.
         self._flows: Dict[str, Flow] = {}
         # The flow table: per add_flows call, the batch's link-index rows
         # laid end to end and their lengths, in registration order.
@@ -407,21 +406,32 @@ class FluidSimulation:
         # FlowDemands derived from the table for the callers that want
         # string link ids (see _flow_demands); a cache, never a source.
         self._demands: Dict[str, FlowDemand] = {}
+        # The pause the last run left: its end time, the allocator holding
+        # the active flows, and each active flow's remaining bytes (inf when
+        # unbounded) in activation order.  ``_survivors`` are the positions
+        # of the flows that run left live, until the next edit drops the
+        # rest (_compact).
+        self._now: Optional[float] = None
+        self._allocator: Optional[IncrementalAllocator] = None
+        self._active: Dict[str, float] = {}
+        self._survivors: Optional[List[int]] = None
+        # Edits since the last run: flows added, withdrawn, capacities changed.
+        self._edits = [0, 0, 0]
+
+    def _index(self) -> Dict[str, int]:
+        """Link id -> position in the link universe."""
+        if self._link_index is None:
+            self._link_index = dict(zip(self._link_ids, range(len(self._link_ids))))
+        return self._link_index
 
     # ------------------------------------------------------------------ setup
     @property
     def capacities(self) -> Dict[str, float]:
-        """The (possibly overridden) link capacity map used for allocation."""
+        """The link capacity map the next run allocates with."""
         return dict(self._capacities)
 
     def add_flow(self, flow: Flow, extra_links: Sequence[str] = ()) -> None:
-        """Register a flow before the run starts (a batch of one).
-
-        Args:
-            flow: the flow to add; ``flow.src``/``flow.dst`` are host names.
-            extra_links: additional (virtual) link ids the flow traverses,
-                which must have been declared via ``extra_capacities``.
-        """
+        """Register one flow (a batch of one)."""
         self.add_flows([flow], [extra_links])
 
     @_collector_paused()
@@ -430,17 +440,18 @@ class FluidSimulation:
         flows: Iterable[Flow],
         extra_links: Optional[Sequence[Sequence[str]]] = None,
     ) -> None:
-        """Register a batch of flows before the run starts.
+        """Register a batch of flows: before the first run, or at a pause
+        for flows that start at or after it.
 
         The batch is validated, routed with one
         :meth:`~repro.net.topology.Topology.path_links_matrix` call, and
         only then stored — as rows of link indices, each row ``extra links
-        + hose link + path`` — so a batch that fails leaves the simulation
-        as it was.  The cyclic collector is paused meanwhile: the batch
-        dict and the pair list hold one entry per flow and nothing cyclic,
-        and whether a 40-55 ms generation-2 pass lands inside a 100 000-flow
-        batch would otherwise depend on how many objects the process
-        happened to import beforehand.
+        + path`` — so a batch that fails leaves the simulation as it was.
+        The cyclic collector is paused meanwhile: the batch dict and the
+        pair list hold one entry per flow and nothing cyclic, and whether a
+        40-55 ms generation-2 pass lands inside a 100 000-flow batch would
+        otherwise depend on how many objects the process happened to import
+        beforehand.
 
         Args:
             flows: the flows; ``src``/``dst`` are host names.
@@ -449,9 +460,11 @@ class FluidSimulation:
 
         Raises:
             SimulationError: a flow id is repeated in the batch or already
-                registered, or a flow names an undeclared extra link.
+                live, a flow names an undeclared extra link, or a flow
+                starts before the pause.
             TopologyError, RoutingError: a flow could not be routed.
         """
+        self._compact()
         flows = list(flows)
         n = len(flows)
         if extra_links is not None and len(extra_links) != n:
@@ -461,28 +474,26 @@ class FluidSimulation:
             if flow.flow_id in self._flows or flow.flow_id in batch:
                 raise SimulationError(f"duplicate flow id {flow.flow_id!r}")
             batch[flow.flow_id] = flow
-        # Links ahead of each flow's path: declared extras, then its hose.
+        if self._now is not None:
+            for flow in flows:
+                if flow.start_time < self._now:
+                    raise SimulationError(
+                        f"flow {flow.flow_id!r} starts at {flow.start_time!r}, "
+                        f"before the pause at {self._now!r}"
+                    )
+        # Links ahead of each flow's path: its declared extras.
         lead: Optional[List[List[int]]] = None
-        if extra_links is not None or self.hose is not None:
-            if self._link_index is None:
-                self._link_index = dict(
-                    zip(self._link_ids, range(len(self._link_ids)))
-                )
-            index = self._link_index
+        if extra_links is not None:
+            index = self._index()
             lead = [[] for _ in flows]
-            if extra_links is not None:
-                for flow, links, extra in zip(flows, lead, extra_links):
-                    for link_id in extra:
-                        if link_id not in index:
-                            raise SimulationError(
-                                f"flow {flow.flow_id!r} uses undeclared extra "
-                                f"link {link_id!r}"
-                            )
-                        links.append(index[link_id])
-            if self.hose is not None:
-                for flow, links in zip(flows, lead):
-                    for link_id in self.hose.links_for_flow(flow.src, flow.dst):
-                        links.append(index[link_id])
+            for flow, links, extra in zip(flows, lead, extra_links):
+                for link_id in extra:
+                    if link_id not in index:
+                        raise SimulationError(
+                            f"flow {flow.flow_id!r} uses undeclared extra "
+                            f"link {link_id!r}"
+                        )
+                    links.append(index[link_id])
         rows, path_len, link_ids = self.topology.path_links_matrix(
             [(flow.src, flow.dst) for flow in flows]
         )
@@ -494,8 +505,8 @@ class FluidSimulation:
             data = rows[rows >= 0].astype(np.intp)
             lengths = path_len.astype(np.int64)
         else:
-            # Hose and extra links exist per VM, not per datacenter: these
-            # batches are small enough to splice in Python.
+            # Extra links exist per VM, not per datacenter: these batches
+            # are small enough to splice in Python.
             for links, path, k in zip(lead, rows.tolist(), path_len.tolist()):
                 links.extend(path[:k])
             lengths = np.fromiter(map(len, lead), dtype=np.int64, count=n)
@@ -506,6 +517,92 @@ class FluidSimulation:
             )
         self._flows.update(batch)
         self._row_chunks.append((data, lengths))
+        self._edits[0] += n
+
+    def withdraw_flows(self, flow_ids: Iterable[str]) -> Dict[str, float]:
+        """Take live flows out of the simulation; the bytes each had left.
+
+        A withdrawn flow is forgotten — its id may be registered again —
+        and an unbounded one reports 0.0 left, as
+        :attr:`FluidResult.remaining_bytes` does.
+
+        Raises:
+            SimulationError: an id is repeated, or is not a live flow (never
+                registered, withdrawn, or finished by a run); nothing is
+                withdrawn in that case.
+        """
+        self._compact()
+        flow_ids = list(flow_ids)
+        gone = set(flow_ids)
+        if len(gone) != len(flow_ids):
+            raise SimulationError("a flow id is repeated in the batch")
+        for flow_id in flow_ids:
+            if flow_id not in self._flows:
+                raise SimulationError(f"unknown flow {flow_id!r}")
+        active = [flow_id for flow_id in flow_ids if flow_id in self._active]
+        if active:
+            self._allocator.remove_flows(active)
+        left = {}
+        for flow_id in flow_ids:
+            remaining = self._active.pop(flow_id, None)
+            if remaining is None:
+                remaining = self._flows[flow_id].remaining_or_inf()
+            left[flow_id] = 0.0 if math.isinf(remaining) else remaining
+        self._retain(
+            [i for i, flow_id in enumerate(self._flows) if flow_id not in gone]
+        )
+        self._edits[1] += len(flow_ids)
+        return left
+
+    def update_extra_capacities(self, capacities: Mapping[str, float]) -> None:
+        """Change the capacity of extra links (declared via
+        ``extra_capacities``), from the next run on.
+
+        Raises:
+            SimulationError: a link is not an extra link, or a capacity is
+                not positive; nothing is changed in that case.
+        """
+        index = self._index()
+        for link_id in capacities:
+            if index.get(link_id, -1) < self._n_topology_links:
+                raise SimulationError(f"{link_id!r} is not an extra link")
+        _check_capacities(capacities)
+        self._capacities.update(capacities)
+        if self._allocator is not None:
+            self._allocator.update_capacities(capacities)
+        self._edits[2] += len(capacities)
+
+    @property
+    def idle(self) -> bool:
+        """True when no flow is left to start or to finish."""
+        live = self._flows if self._survivors is None else self._survivors
+        return not live
+
+    def _compact(self) -> None:
+        """Drop the flows the last run finished (completed or stopped)."""
+        keep, self._survivors = self._survivors, None
+        if keep is not None and len(keep) != len(self._flows):
+            self._retain(keep)
+
+    def _retain(self, keep: List[int]) -> None:
+        """Keep only the flows at registration positions ``keep``
+        (ascending): the registry, the table and the derived demands."""
+        flows = list(self._flows.items())
+        self._flows = dict([flows[i] for i in keep])
+        if keep:
+            data, starts, lengths = self._table()
+            at = np.array(keep, dtype=np.intp)
+            lengths = lengths[at]
+            self._row_chunks = [(data[csr_gather(starts[at], lengths)], lengths)]
+        else:
+            self._row_chunks = []
+        # Demands exist for a prefix of the registry; the kept ones are a
+        # prefix of what is kept.
+        self._demands = {
+            flow_id: demand
+            for flow_id, demand in self._demands.items()
+            if flow_id in self._flows
+        }
 
     def _table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The flow table as one CSR: ``(data, starts, lengths)``; flow
@@ -551,21 +648,56 @@ class FluidSimulation:
 
         Unbounded flows stop at their ``end_time``.  If ``until`` is given,
         the simulation stops there and the per-flow ``remaining_bytes`` in
-        the result reflect partially transferred finite flows.
+        the result reflect partially transferred finite flows; a later call
+        resumes from that pause (``until`` may not precede it).  The result
+        covers the flows live in this run.
 
         The scalar and vector event loops produce bit-identical results;
-        the vector loop runs from ``_LOOP_MIN_FLOWS`` registered flows up.
+        the vector loop runs from ``_LOOP_MIN_FLOWS`` live flows up.
         """
+        self._compact()
+        if until is not None and self._now is not None and until < self._now:
+            raise SimulationError(
+                f"cannot run until {until!r}: the simulation paused at {self._now!r}"
+            )
         use_vector = len(self._flows) >= _LOOP_MIN_FLOWS
+        added, withdrawn, changed = self._edits
+        self._edits = [0, 0, 0]
         _FLUID_RUNS.inc()
         with obs.span(
             "fluid.run",
             loop="vector" if use_vector else "scalar",
             flows=len(self._flows),
+            resumed=self._now is not None,
+            added=added,
+            withdrawn=withdrawn,
+            capacities_changed=changed,
         ) as span:
             if use_vector:
                 return self._run_vector(until, span)
             return self._run_scalar(until, span)
+
+    def _resume(self, until: Optional[float]) -> Tuple[IncrementalAllocator, float]:
+        """The allocator and the clock a run starts from: the pause's, or —
+        when no flow is active — the earliest start time (``until``, if
+        earlier: nothing starts in a run that ends before it)."""
+        if self._allocator is None:
+            self._allocator = IncrementalAllocator(self._capacities)
+        now = self._now
+        if not self._active:
+            first = min((f.start_time for f in self._flows.values()), default=0.0)
+            now = first if now is None else max(now, first)
+            if until is not None and until < now:
+                now = until
+        return self._allocator, now
+
+    def _pause(
+        self, end_time: float, active: Dict[str, float], survivors: List[int]
+    ) -> None:
+        """Record where a run stopped (see ``__init__``)."""
+        self._now = end_time
+        self._active = active
+        self._survivors = survivors
 
     def _run_scalar(self, until: Optional[float], span) -> FluidResult:
         """The original per-flow Python event loop."""
@@ -577,20 +709,31 @@ class FluidSimulation:
         remaining: Dict[str, float] = {
             fid: flow.remaining_or_inf() for fid, flow in flows.items()
         }
-
-        pending = sorted(flows.values(), key=lambda f: (f.start_time, f.flow_id))
-        pending_idx = 0
-        n_pending = len(pending)
         # Finite and unbounded flows take different paths through every scan
         # below, so keep them apart (unbounded flows always carry an
         # end_time — Flow validates that — which is all the loop needs).
+        # Flows the pause left active are in the allocator already.
         active_finite: Dict[str, Flow] = {}
         active_unbounded: Dict[str, float] = {}
-        incremental = IncrementalAllocator(self._capacities)
-        inf = math.inf
+        resumed = self._active
+        for fid, left in resumed.items():
+            flow = flows[fid]
+            states[fid] = FlowState.ACTIVE
+            remaining[fid] = left
+            if flow.is_unbounded:
+                active_unbounded[fid] = flow.end_time
+            else:
+                active_finite[fid] = flow
 
+        pending = sorted(
+            (f for fid, f in flows.items() if fid not in resumed),
+            key=lambda f: (f.start_time, f.flow_id),
+        )
+        pending_idx = 0
+        n_pending = len(pending)
         # Zero-byte flows complete instantly at their start time.
-        now = min((f.start_time for f in flows.values()), default=0.0)
+        incremental, now = self._resume(until)
+        inf = math.inf
         end_time = now
         batches = 0
 
@@ -707,7 +850,20 @@ class FluidSimulation:
             batches=batches,
             segments=sum(len(t.segments) for t in timelines.values()),
         )
-        # Flows still pending or active when the run stops keep their state.
+        self._pause(
+            end_time,
+            {
+                **{fid: remaining[fid] for fid in active_finite},
+                **dict.fromkeys(active_unbounded, inf),
+            },
+            [
+                i
+                for i, state in enumerate(states.values())
+                if state is FlowState.PENDING or state is FlowState.ACTIVE
+            ],
+        )
+        # Flows still active when the run stops are reported stopped;
+        # pending ones keep their state.
         for fid in flows:
             if states[fid] is FlowState.ACTIVE:
                 states[fid] = FlowState.STOPPED
@@ -769,18 +925,11 @@ class FluidSimulation:
         never = unbounded & (stop <= start + _TIME_EPS)
         empty = ~unbounded & (size <= _BYTE_EPS)
         inert = never | empty
-        # Activation order: by (start_time, flow_id), as the scalar loop's.
-        by_id = np.array(
-            sorted(range(n_flows), key=flow_ids.__getitem__), dtype=np.intp
-        )
-        pending = by_id[np.argsort(start[by_id], kind="stable")]
-        pending_start = start[pending]
-        pending_idx = 0
 
         completion: Dict[str, float] = {}
         state = np.full(n_flows, _PENDING, dtype=np.int8)
         rem_out = size.copy()
-        incremental = IncrementalAllocator(self._capacities)
+        incremental, now = self._resume(until)
         inf = math.inf
 
         # Slot-indexed flow state (slots are allocator slots; a retired
@@ -797,6 +946,39 @@ class FluidSimulation:
         naf = 0
         au_buf = np.empty(n_flows, dtype=np.intp)
         nau = 0
+        resumed = self._active
+        if resumed:
+            # The flows the pause left active, in the allocator already.
+            position = dict(zip(flow_ids, range(n_flows)))
+            which = np.array([position[fid] for fid in resumed], dtype=np.intp)
+            slots = incremental.slots_of(list(resumed))
+            n_slots = max(16, int(slots.max()) + 1)
+            rem, stop_arr, seg_start, seg_rate = (
+                np.zeros(n_slots, dtype=np.float64) for _ in range(4)
+            )
+            flow_of = np.zeros(n_slots, dtype=np.intp)
+            flow_of[slots] = which
+            seg_rate[slots] = -1.0
+            rem[slots] = np.fromiter(
+                resumed.values(), dtype=np.float64, count=len(resumed)
+            )
+            stop_arr[slots] = stop[which]
+            state[which] = _ACTIVE
+            endless = unbounded[which]
+            nau = int(endless.sum())
+            au_buf[:nau] = slots[endless]
+            naf = which.shape[0] - nau
+            af_buf[:naf] = slots[~endless]
+        # Activation order: by (start_time, flow_id), as the scalar loop's.
+        by_id = np.array(
+            sorted(range(n_flows), key=flow_ids.__getitem__), dtype=np.intp
+        )
+        if resumed:
+            by_id = by_id[state[by_id] == _PENDING]
+        pending = by_id[np.argsort(start[by_id], kind="stable")]
+        pending_start = start[pending]
+        n_pending = pending.shape[0]
+        pending_idx = 0
         # The segment log, in columns: flow, start, end, rate.
         log: Tuple[List[np.ndarray], ...] = (
             [np.zeros(0, dtype=np.intp)], [np.zeros(0)], [np.zeros(0)], [np.zeros(0)]
@@ -811,13 +993,12 @@ class FluidSimulation:
                 log[2].append(np.full(slots.shape[0], now))
                 log[3].append(seg_rate[slots])
 
-        now = min((f.start_time for f in flows), default=0.0)
         end_time = now
         batches = 0
 
         while True:
             # Activate the flows whose start time has arrived, as one batch.
-            if pending_idx < n_flows and pending_start[pending_idx] <= now + _TIME_EPS:
+            if pending_idx < n_pending and pending_start[pending_idx] <= now + _TIME_EPS:
                 arrived = pending[
                     pending_idx : np.searchsorted(
                         pending_start, now + _TIME_EPS, side="right"
@@ -861,7 +1042,7 @@ class FluidSimulation:
                     af_buf[naf : naf + n_new] = slots[~endless]
                     naf += n_new
 
-            if naf == 0 and nau == 0 and pending_idx >= n_flows:
+            if naf == 0 and nau == 0 and pending_idx >= n_pending:
                 end_time = now
                 break
             if until is not None and now >= until - _TIME_EPS:
@@ -874,7 +1055,7 @@ class FluidSimulation:
             af = af_buf[:naf]
             au = au_buf[:nau]
             next_time = inf
-            if pending_idx < n_flows:
+            if pending_idx < n_pending:
                 next_time = pending_start[pending_idx]
             if nau:
                 stop_u = stop_arr[au]
@@ -967,11 +1148,20 @@ class FluidSimulation:
         _FLUID_BATCHES.inc(batches)
         # Close the segments still open at the stop time and record the
         # remaining bytes of flows the run left active.
-        for slots in (af_buf[:naf], au_buf[:nau]):
+        af, au = af_buf[:naf], au_buf[:nau]
+        for slots in (af, au):
             close_segments(slots)
             rem_out[flow_of[slots]] = rem[slots]
-        # Flows still active when the run stops are stopped; pending ones
-        # keep their state.
+        self._pause(
+            end_time,
+            {
+                **dict(zip([flow_ids[i] for i in flow_of[af].tolist()], rem[af].tolist())),
+                **dict.fromkeys([flow_ids[i] for i in flow_of[au].tolist()], inf),
+            },
+            np.flatnonzero(state <= _ACTIVE).tolist(),
+        )
+        # Flows still active when the run stops are reported stopped;
+        # pending ones keep their state.
         state[state == _ACTIVE] = _STOPPED
         timelines = _TimelineTable(
             flow_ids, *(np.concatenate(column) for column in log)

@@ -7,21 +7,23 @@ evaluate this mechanism (its §6.3 results are explicitly *without*
 re-evaluation); this module holds the pieces of it the online placement
 service (:mod:`repro.service.engine`) runs at every epoch boundary.
 
-Time is cut into segments within which rates are constant.  Within a
-segment the current placements' remaining transfers run on the fluid
-simulator (:func:`advance_live_apps`); at a re-evaluation, each running
-application's *remaining* traffic matrix is re-placed and, if the placement
-changed and the estimated completion time improves by more than a threshold,
-the application migrates (:func:`propose_migration`; its remaining bytes
+Time is cut into segments within which rates are constant.  The current
+placements' remaining transfers run on one fluid simulation per session
+(:class:`LiveNetwork`), paused at every segment boundary and resumed by
+:func:`advance_live_apps`; at a re-evaluation, each running application's
+*remaining* traffic matrix is re-placed and, if the placement changed and
+the estimated completion time improves by more than a threshold, the
+application migrates (:func:`propose_migration`; its remaining bytes
 continue from the new placement).  :class:`LiveApp` is the one record of a
 running application; the §6.3 sequence runner
-(:mod:`repro.runtime.sequence`) keeps its applications in it too.
+(:mod:`repro.runtime.sequence`) keeps its applications in it too, and
+:func:`live_book_violations` holds those records to their invariants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cloud.provider import CloudProvider, VMFlow
 from repro.core.estimator import estimate_completion_time
@@ -29,6 +31,8 @@ from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Placement, Placer
 from repro.net.fluid import FluidResult
 from repro.workloads.application import Application, Task, TrafficMatrix
+
+Pair = Tuple[str, str]
 
 
 @dataclass(frozen=True)
@@ -200,40 +204,161 @@ def cluster_with_live_usage(
     return cluster.with_usage(usage)
 
 
+class LiveNetwork:
+    """The one fluid simulation a session's live applications share.
+
+    Built once per service session and once per §6.3 sequence, with
+    another tenant's ``background`` flows registered up front (they run on
+    their own start times); :func:`advance_live_apps` keeps it in step with
+    the books and runs it from pause to pause.  The provider's VM set must
+    not change meanwhile: the simulation has one hose link per VM it had.
+
+    ``sent[app, pair]`` is what the simulation reported delivered for a
+    task pair so far — the bytes each of its flows had left when it was
+    registered, minus what each had left after every run since.
+    """
+
+    def __init__(self, provider: CloudProvider, background: Sequence[VMFlow] = ()):
+        self.provider = provider
+        self.simulation = provider.build_simulation(background)
+        # The hose capacities the simulation holds, and the VMs the
+        # background sends from.
+        self.hose = provider.hose_capacities()
+        self.tenant_senders = list(dict.fromkeys(flow.src_vm for flow in background))
+        self.sent: Dict[Tuple[str, Pair], float] = {}
+        # Per application with flows in the simulation: its record, the
+        # placement the flows were routed for, and per flow id the task
+        # pair and the bytes the flow had left at the last pause.
+        self.registered: Dict[
+            str, Tuple[LiveApp, Placement, Dict[str, Tuple[Pair, float]]]
+        ] = {}
+        # Applications registered, or found done, since they last moved (a
+        # done application stays done).
+        self.seen: Set[str] = set()
+
+
 def advance_live_apps(
-    provider: CloudProvider,
+    network: LiveNetwork,
     running: Dict[str, LiveApp],
     start: float,
     until: Optional[float],
-    background: Sequence[VMFlow] = (),
 ) -> Optional[FluidResult]:
-    """Run every active application's remaining flows from ``start``.
+    """Run the session's simulation from the pause at ``start`` to ``until``.
 
-    Simulates the flows on the provider's network (at the provider's
-    *current* rates — callers segment time so rates are constant within a
-    call) next to ``background`` (another tenant's flows, on their own start
-    times), debits each pair's remaining bytes, and stamps ``completed_at``
-    on applications whose last flow finished within the segment.  Returns
-    the simulation (how far ``background`` got), ``None`` if nothing ran.
+    First the simulation is reconciled with the books: an application that
+    left ``running``, or whose placement changed since its flows were
+    registered (a migration, a recovery), has them withdrawn; one not done
+    and without flows registers its :meth:`LiveApp.live_flows`, starting at
+    ``start``; hose capacities that drifted since the last run are pushed
+    (the provider's *current* rates hold for the whole call — callers
+    segment time so they are constant within it).  The run then debits each
+    pair's remaining bytes and stamps ``completed_at`` on applications whose
+    last flow finished; finished pairs leave the simulation.  Every pause
+    ends exactly where a fresh simulation of the same flows, restarted at
+    ``start`` with the bytes they had left, would.  Returns the run (how far
+    the background got), ``None`` if nothing was live.
     """
-    active = [
-        (state, state.live_flows(start=start))
-        for state in running.values()
-        if not state.done
+    sim = network.simulation
+    registered = network.registered
+    stale = [
+        name
+        for name, (state, placement, _) in registered.items()
+        if running.get(name) is not state or state.placement is not placement
     ]
-    all_flows = [flow for _, flows in active for _, flow in flows]
-    all_flows.extend(background)
-    if not all_flows:
+    for name in stale:
+        sim.withdraw_flows(registered.pop(name)[2])
+        network.seen.discard(name)
+    new: List[VMFlow] = []
+    for name in sorted(running.keys() - network.seen):
+        network.seen.add(name)
+        state = running[name]
+        if state.done:
+            continue
+        flows = state.live_flows(start=start)
+        registered[name] = (
+            state,
+            state.placement,
+            {flow.flow_id: (pair, flow.size_bytes) for pair, flow in flows},
+        )
+        new.extend(flow for _, flow in flows)
+    network.provider.add_flows(sim, new)
+    if sim.idle:
         return None
-    result = provider.simulate(all_flows, until=until)
-    for state, flows in active:
+    # Only a hose a live flow crosses bears on a rate, so only the senders'
+    # are read; a VM's is brought up to date when a flow of it registers.
+    senders = dict.fromkeys(network.tenant_senders)
+    for _, placement, flows in registered.values():
+        for (src, _), _ in flows.values():
+            senders[placement.machine_of(src)] = None
+    drifted = {
+        link: cap
+        for link, cap in network.provider.hose_capacities(senders).items()
+        if network.hose.get(link) != cap
+    }
+    if drifted:
+        sim.update_extra_capacities(drifted)
+        network.hose.update(drifted)
+
+    result = sim.run(until=until)
+    completion, left = result.completion_times, result.remaining_bytes
+    for name, (state, _, flows) in list(registered.items()):
         finished_at = start
-        for pair, flow in flows:
-            finish = result.completion_times.get(flow.flow_id)
+        for flow_id, (pair, before) in list(flows.items()):
+            finish = completion.get(flow_id)
+            after = left[flow_id] if finish is None else 0.0
+            key = (name, pair)
+            network.sent[key] = network.sent.get(key, 0.0) + (before - after)
+            state.remaining[pair] = after
             if finish is None:
-                state.remaining[pair] = result.remaining_bytes[flow.flow_id]
+                flows[flow_id] = (pair, after)
             else:
-                state.remaining[pair] = 0.0
                 finished_at = max(finished_at, finish)
+                del flows[flow_id]
         state.settle(finished_at)
+        if not flows:
+            del registered[name]
     return result
+
+
+def live_book_violations(
+    cluster: ClusterState,
+    running: Dict[str, LiveApp],
+    sent: Dict[Tuple[str, Pair], float],
+) -> List[str]:
+    """Ways the live-application books are wrong (empty: none).
+
+    No machine has more cores held than it has; an application holds cores
+    exactly while it has bytes in flight, and reading its flows changes
+    neither; per task pair the bytes the network carried (``sent[app,
+    pair]``: what the simulation reported delivered, see
+    :class:`LiveNetwork`), the bytes still to move and the bytes colocation
+    took off the network add up to the traffic-matrix entry — to 1e-6 B, or
+    to a part in 1e12 where a double is coarser than that (its ulp at 13 GB
+    is 1.9e-6 B).
+    """
+    free = cluster_with_live_usage(cluster, running).available_cpus()
+    problems = [
+        f"{machine}: {-cores!r} core(s) more held than it has"
+        for machine, cores in free.items()
+        if cores < -1e-9
+    ]
+    for name, state in running.items():
+        before = state.done, dict(state.remaining), dict(state.colocated)
+        in_flight = state.live_flows(start=0.0)
+        if before != (state.done, state.remaining, state.colocated):
+            problems.append(f"{name}: live_flows() changed the books")
+        if state.done == bool(in_flight):
+            problems.append(f"{name}: done={state.done} with {len(in_flight)} flow(s)")
+        for src, dst, entry in state.app.transfers():
+            pair = (src, dst)
+            parts = (
+                sent.get((name, pair), 0.0),
+                state.remaining[pair],
+                state.colocated.get(pair, 0.0),
+            )
+            if min(parts) < 0.0 or abs(sum(parts) - entry) > max(1e-6, 1e-12 * entry):
+                problems.append(
+                    f"{name} {src}->{dst}: sent, remaining, colocated = "
+                    f"{parts!r} do not add up to {entry!r}"
+                )
+    return problems

@@ -5,9 +5,10 @@ are placed as they arrive.  When application ``k`` arrives:
 
 1. the applications already placed — :class:`~repro.runtime.migration.LiveApp`
    records, the same books the online service keeps — are advanced from the
-   previous arrival to this one, so we know which are still running (they
-   keep their CPU) and which transfers are still in flight (they are the
-   cross traffic the new measurement sees);
+   previous arrival to this one on the sequence's one live simulation
+   (:class:`~repro.runtime.migration.LiveNetwork`), so we know which are
+   still running (they keep their CPU) and which transfers are still in
+   flight (they are the cross traffic the new measurement sees);
 2. Choreo re-measures the network with that cross traffic present;
 3. the new application is placed on the machines' remaining CPU.
 
@@ -20,8 +21,8 @@ times per placement algorithm.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence, Set
 
 from repro import obs
 from repro.cloud.provider import CloudProvider, VMFlow
@@ -29,10 +30,10 @@ from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Placement, Placer
 from repro.errors import PlacementError, SimulationError
-from repro.net.fluid import FluidResult
 from repro.runtime.executor import ApplicationRun, run_applications
 from repro.runtime.migration import (
     LiveApp,
+    LiveNetwork,
     advance_live_apps,
     cluster_with_live_usage,
     live_background_flows,
@@ -112,7 +113,8 @@ class SequentialPlacementRunner:
         placements: Dict[str, Placement] = {}
         profiles: Dict[str, Optional[NetworkProfile]] = {}
         running: Dict[str, LiveApp] = {}
-        tenant = self.background
+        network = LiveNetwork(self.provider, background=self.background)
+        finished: Set[str] = set()  # ids of the tenant's completed flows
         placement_wall = 0.0
         segments = 0
         now = ordered[0].start_time
@@ -120,15 +122,20 @@ class SequentialPlacementRunner:
         with obs.span("sequence.run", apps=len(ordered)) as span:
             for app in ordered:
                 arrival = app.start_time
-                segment = advance_live_apps(
-                    self.provider, running, now, until=arrival, background=tenant
-                )
+                segment = advance_live_apps(network, running, now, until=arrival)
                 if segment is not None:
                     segments += 1
-                    tenant = _background_at(tenant, segment, arrival)
+                    finished.update(segment.completion_times)
                 now = arrival
                 background = live_background_flows(running, now)
-                background.extend(f for f in tenant if f.start_time <= now)
+                # The tenant's flows that have started and not finished.
+                background.extend(
+                    f
+                    for f in self.background
+                    if f.start_time <= now
+                    and f.flow_id not in finished
+                    and (f.end_time is None or f.end_time > now)
+                )
                 cluster_now = cluster_with_live_usage(self.cluster, running)
                 obs.point(
                     "sequence.arrival",
@@ -152,8 +159,10 @@ class SequentialPlacementRunner:
                 running[app.name] = LiveApp(app=app, placement=placement, started=now)
 
             # One simulation of every placed flow, from zero, is what the
-            # metrics read; the segments above only told each arrival what
-            # was still running.
+            # metrics read; the live one above only told each arrival what
+            # was still running.  (Folding the two would add an event at
+            # arrivals whose application colocates every transfer, which
+            # moves the reported times in their last bits.)
             runs = run_applications(
                 self.provider,
                 placements=placements,
@@ -161,32 +170,10 @@ class SequentialPlacementRunner:
                 start_times={app.name: app.start_time for app in ordered},
                 background=self.background,
             )
-            span.set(segments=segments, simulations=segments + 1)
+            span.set(segments=segments, simulations=2)
         return SequenceResult(
             runs=runs,
             placements=placements,
             profiles=profiles,
             placement_wall_s=placement_wall,
         )
-
-
-def _background_at(
-    tenant: Sequence[VMFlow], segment: FluidResult, now: float
-) -> List[VMFlow]:
-    """The other tenant's flows as ``segment`` left them at ``now``: finished
-    ones dropped, running ones restarted at ``now`` with the bytes they have
-    left, the ones still to start untouched."""
-    flows: List[VMFlow] = []
-    for flow in tenant:
-        stopped = flow.end_time is not None and flow.end_time <= now
-        if stopped or flow.flow_id in segment.completion_times:
-            continue
-        if flow.start_time < now:
-            left = segment.remaining_bytes[flow.flow_id]
-            flow = replace(
-                flow,
-                start_time=now,
-                size_bytes=None if flow.size_bytes is None else left,
-            )
-        flows.append(flow)
-    return flows

@@ -43,6 +43,7 @@ from repro.errors import ReproError, ServiceError
 from repro.faults import FaultEvent, LinkDegradation, ProbeLoss, VmPreemption
 from repro.runtime.migration import (
     LiveApp,
+    LiveNetwork,
     MigrationEvent,
     advance_live_apps,
     cluster_with_live_usage,
@@ -387,6 +388,7 @@ class PlacementService:
         )
 
         running: Dict[str, LiveApp] = {}
+        network = LiveNetwork(self.provider)
         outcomes: Dict[str, AppOutcome] = {}
         self._migrations: List[MigrationEvent] = []
         self._recovery: List[RecoveryAction] = []
@@ -424,10 +426,10 @@ class PlacementService:
             )
             if rates_frozen and math.isinf(next_arrival) and not faults_pending:
                 # No more drift, arrivals, or faults: drain in one pass.
-                advance_live_apps(self.provider, running, now, until=None)
+                advance_live_apps(network, running, now, until=None)
                 break
             target = min(next_arrival, next_boundary)
-            advance_live_apps(self.provider, running, now, until=target)
+            advance_live_apps(network, running, now, until=target)
             self.provider.advance_time(target - now)
             now = target
 

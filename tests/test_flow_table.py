@@ -31,7 +31,6 @@ from repro.net.alloc import IncrementalAllocator
 from repro.net.fairness import max_min_violations
 from repro.net.flows import Flow
 from repro.net.fluid import FluidSimulation, RateTimeline, _TimelineTable
-from repro.net.hose import HoseModel
 from repro.net.links import hose_link_id
 from repro.net.topology import (
     NodeKind,
@@ -212,12 +211,15 @@ def test_batch_registration_and_vector_loop_match_the_scalar_oracle(
             hosts_per_rack=rng.choice([2, 4]), num_cores=rng.choice([1, 2]),
         ))
     hosts = topo.hosts()
-    hose = None
-    if seed % 2:
-        hose = HoseModel.uniform(hosts[::2], rng.choice([2e8, 5e8]))
-        hose.limit_intra_host = bool(seed % 4 == 1)
     # Per-VM virtual links, the provider's use of ``extra_links``.
     extra_capacities = {hose_link_id(f"vm{i}"): 3e8 for i in range(4)}
+    hosed, loopback_hosed = [], False
+    if seed % 2:
+        # A per-host egress cap on every other host, too (on loopback
+        # traffic as well, every fourth seed).
+        hosed, rate = hosts[::2], rng.choice([2e8, 5e8])
+        loopback_hosed = seed % 4 == 1
+        extra_capacities.update((hose_link_id(host), rate) for host in hosed)
     # Few flows or many; start times staggered or all at once.
     flows = _random_flows(
         rng, hosts, rng.choice([3, 12, 60]), staggered=rng.random() < 0.7
@@ -227,7 +229,10 @@ def test_batch_registration_and_vector_loop_match_the_scalar_oracle(
         else [hose_link_id(f"vm{rng.randrange(4)}")]
         for flow in flows
     ]
-    kwargs = dict(hose=hose, extra_capacities=extra_capacities)
+    for flow, extra in zip(flows, extras):
+        if flow.src in hosed and (flow.src != flow.dst or loopback_hosed):
+            extra.append(hose_link_id(flow.src))
+    kwargs = dict(extra_capacities=extra_capacities)
     one_by_one = FluidSimulation(topo, **kwargs)
     for flow, extra in zip(flows, extras):
         one_by_one.add_flow(flow, extra_links=extra)
@@ -243,8 +248,7 @@ def test_batch_registration_and_vector_loop_match_the_scalar_oracle(
     for flow, extra in zip(flows, extras):
         links = batch._flow_demands()[flow.flow_id].links
         path = [link.link_id for link in topo.path_links(flow.src, flow.dst)]
-        hosed = hose.links_for_flow(flow.src, flow.dst) if hose else []
-        assert list(links) == extra + hosed + path
+        assert list(links) == extra + path
 
     until = rng.uniform(0.0, 1.2) if rng.random() < 0.4 else None
     _assert_results_identical(
@@ -347,12 +351,16 @@ def test_first_segment_rates_are_max_min_fair():
         )
         for i, (a, b) in enumerate(itertools.permutations(hosts, 2))
     ]
-    hose = HoseModel.uniform(hosts[:8], 6e8)
-    sim = FluidSimulation(topo, hose=hose)
-    sim.add_flows(flows)
+    hose = {hose_link_id(host): 6e8 for host in hosts[:8]}
+    extras = [
+        [hose_link_id(flow.src)] if hose_link_id(flow.src) in hose else []
+        for flow in flows
+    ]
+    sim = FluidSimulation(topo, extra_capacities=hose)
+    sim.add_flows(flows, extras)
     result = run_loop(sim, vector=True)
-    oracle = FluidSimulation(topo, hose=hose)
-    oracle.add_flows(flows)
+    oracle = FluidSimulation(topo, extra_capacities=hose)
+    oracle.add_flows(flows, extras)
     _assert_results_identical(run_loop(oracle, vector=False), result, "full mesh")
     rates = {
         flow_id: timeline.segments[0].rate_bps

@@ -10,7 +10,6 @@ import pytest
 from repro.errors import SimulationError, TopologyError
 from repro.net.flows import Flow
 from repro.net.fluid import FluidSimulation
-from repro.net.hose import HoseModel
 from repro.net.links import Link
 from repro.net.topology import build_dumbbell, build_two_rack_cloud
 from repro.units import GBITPS, MBYTE
@@ -98,14 +97,13 @@ def _deadline(seconds=5.0):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _simulate(flow=None, **sim_kwargs):
+def _simulate(flow=None, update=None, **sim_kwargs):
     """Build a two-rack simulation (hosts s1, s2, r1, r2), add ``flow`` and
-    run it."""
+    run it; with ``update``, change extra-link capacities before that."""
     topo = build_two_rack_cloud(2)
-    if "link" in sim_kwargs:
-        link = next(iter(topo.capacities()))
-        sim_kwargs = {"capacity_overrides": {link: sim_kwargs.pop("link")}}
     sim = FluidSimulation(topo, **sim_kwargs)
+    if update is not None:
+        sim.update_extra_capacities(update)
     sim.add_flow(flow or Flow("ok", "s1", "r1", size_bytes=1e6))
     return sim.run()
 
@@ -123,14 +121,13 @@ NAN, INF = math.nan, math.inf
         (lambda: _simulate(Flow("f", "s1", "r1", size_bytes=INF)), "'f'"),
         (lambda: _simulate(Flow("f", "s1", "r1", end_time=NAN)), "'f'"),
         (lambda: _simulate(Flow("f", "s1", "r1", size_bytes=1e6, max_rate_bps=NAN)), "'f'"),
-        (lambda: _simulate(link=NAN), "->"),
+        (lambda: _simulate(extra_capacities={"vhose": 1e9}, update={"vhose": NAN}),
+         "'vhose'"),
         (lambda: _simulate(extra_capacities={"vhose": NAN}), "'vhose'"),
-        (lambda: _simulate(hose=HoseModel(egress_bps={"s1": NAN})), "'s1'"),
-        (lambda: HoseModel().set_rate("s1", NAN), "'s1'"),
     ],
     ids=[
         "nan-start", "inf-start", "nan-size", "inf-size", "nan-end", "nan-cap",
-        "nan-override", "nan-extra", "nan-hose", "nan-set-rate",
+        "nan-update", "nan-extra",
     ],
 )
 def test_non_finite_inputs_are_rejected_by_name(case, names):
@@ -142,3 +139,128 @@ def test_non_finite_inputs_are_rejected_by_name(case, names):
 def test_link_capacity_must_be_a_positive_number():
     with pytest.raises(TopologyError, match="'a->b'"):
         Link("a->b", "a", "b", NAN)
+
+
+# ------------------------------------------------------------- resumable runs
+def _restarted(flow, result, pause):
+    """``flow`` as a fresh simulation started at ``pause`` would take it."""
+    if flow.start_time >= pause:
+        return flow
+    left = result.remaining_bytes[flow.flow_id]
+    return Flow(
+        flow.flow_id, flow.src, flow.dst,
+        size_bytes=None if flow.size_bytes is None else left,
+        start_time=pause, end_time=flow.end_time, max_rate_bps=flow.max_rate_bps,
+    )
+
+
+def _segments(result):
+    return {
+        flow_id: [(s.start, s.end, s.rate_bps) for s in timeline.segments]
+        for flow_id, timeline in result.timelines.items()
+    }
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_a_resumed_run_reports_what_a_fresh_simulation_from_the_pause_would(
+    seed, monkeypatch
+):
+    """Pause after pause — with flows added at a pause, one withdrawn, an
+    extra link's capacity changed, and the loop drawn afresh each run — the
+    live simulation's run equals a fresh simulation of its live flows
+    restarted at the pause, field for field and segment for segment."""
+    import random
+
+    from repro.net import fluid
+    from repro.net.topology import TreeSpec, build_multi_rooted_tree
+
+    rng = random.Random(seed)
+    topo = build_multi_rooted_tree(TreeSpec(2, 2, 2, 2))
+    hosts = topo.hosts()
+    extra = {"vhose": 4e8}
+    live = FluidSimulation(topo, extra_capacities=extra)
+    flows, extras, counter = {}, {}, iter(range(10_000))
+
+    def new_flows(start, k):
+        batch = []
+        for _ in range(k):
+            src, dst = rng.sample(hosts, 2)
+            i = next(counter)
+            if rng.random() < 0.25:
+                flow = Flow(f"u{i}", src, dst, start_time=start,
+                            end_time=start + rng.uniform(0.0, 3.0))
+            else:
+                flow = Flow(f"f{i}", src, dst, size_bytes=rng.uniform(1e5, 2e8),
+                            start_time=start + rng.choice([0.0, 0.0, 0.5]))
+            batch.append(flow)
+            flows[flow.flow_id] = flow
+            extras[flow.flow_id] = ["vhose"] if rng.random() < 0.4 else []
+        return batch
+
+    batch = new_flows(0.0, 6)
+    live.add_flows(batch, [extras[f.flow_id] for f in batch])
+    pause, result = 0.0, None
+    for step in range(8):
+        until = None if step == 7 else pause + rng.uniform(0.2, 1.5)
+        fresh = FluidSimulation(topo, extra_capacities=extra)
+        survivors = [
+            _restarted(flow, result, pause) if result is not None else flow
+            for flow in flows.values()
+        ]
+        fresh.add_flows(survivors, [extras[f.flow_id] for f in survivors])
+        monkeypatch.setattr(fluid, "_LOOP_MIN_FLOWS", rng.choice([0, 10_000]))
+        got, want = live.run(until=until), fresh.run(until=until)
+        assert got.completion_times == want.completion_times, step
+        assert got.remaining_bytes == want.remaining_bytes, step
+        assert got.states == want.states, step
+        # (With nothing to run, a fresh simulation's clock reads 0.0.)
+        assert got.end_time == want.end_time or not want.states, step
+        assert _segments(got) == _segments(want), step
+        if until is None:
+            break
+        # What the live simulation still holds; then edit it at the pause.
+        result, pause = got, until
+        for fid, state in got.states.items():
+            if state.value == "completed" or (
+                state.value == "stopped" and flows[fid].end_time is not None
+                and flows[fid].end_time <= pause
+            ):
+                del flows[fid]
+        if flows and rng.random() < 0.5:
+            victim = rng.choice(sorted(flows))
+            (left,) = live.withdraw_flows([victim]).values()
+            assert left == (0.0 if flows[victim].size_bytes is None
+                            else got.remaining_bytes[victim])
+            del flows[victim]
+        if rng.random() < 0.5:
+            extra = {"vhose": rng.choice([1e8, 4e8, 9e8])}
+            live.update_extra_capacities(extra)
+        batch = new_flows(pause, rng.choice([0, 1, 3]))
+        live.add_flows(batch, [extras[f.flow_id] for f in batch])
+
+
+def test_a_withdrawn_id_registers_again_and_edits_are_checked():
+    topo = build_two_rack_cloud(2)
+    sim = FluidSimulation(topo, extra_capacities={"vhose": 1e9})
+    sim.add_flows(
+        [Flow("a", "s1", "r1", size_bytes=1e9), Flow("b", "s2", "r2", size_bytes=1e6)]
+    )
+    first = sim.run(until=1.0)
+    assert "b" in first.completion_times and first.states["a"].value == "stopped"
+    with pytest.raises(SimulationError, match="before the pause"):
+        sim.add_flow(Flow("c", "s1", "r1", size_bytes=1e6, start_time=0.5))
+    with pytest.raises(SimulationError, match="unknown flow 'b'"):
+        sim.withdraw_flows(["b"])  # finished by the run: no longer live
+    with pytest.raises(SimulationError, match="repeated"):
+        sim.withdraw_flows(["a", "a"])
+    with pytest.raises(SimulationError, match="not an extra link"):
+        sim.update_extra_capacities({next(iter(topo.capacities())): 1e9})
+    with pytest.raises(SimulationError, match="paused at 1.0"):
+        sim.run(until=0.5)
+    assert sim.withdraw_flows(["a"]) == {"a": first.remaining_bytes["a"]}
+    assert sim.idle
+    sim.add_flow(Flow("a", "s1", "r1", size_bytes=1e6, start_time=2.0), ["vhose"])
+    sim.update_extra_capacities({"vhose": 8e6})  # one byte per microsecond
+    again = sim.run()
+    assert again.completion_times == {"a": pytest.approx(3.0)}
+    assert list(again.states) == ["a"] and sim.idle

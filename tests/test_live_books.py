@@ -1,13 +1,13 @@
 """The live-application books (``repro.runtime.migration.LiveApp``) held to
 invariants instead of to themselves.
 
-A :class:`Ledger` watches a provider from outside the books: which flow the
-books said carries which task pair, and how many bytes each simulation
-actually delivered for it.  :func:`live_book_violations` then asks, at
-every instant the service or the sequence runner cuts time, that no machine
+:func:`~repro.runtime.migration.live_book_violations` asks, at every pause
+of the service's or the sequence runner's live simulation, that no machine
 is oversubscribed, that an application holds cores exactly while it has
 bytes in flight, that asking for the flows changes nothing, and that every
-traffic-matrix entry is accounted for byte by byte.
+traffic-matrix entry is accounted for byte by byte — against the bytes the
+simulation reported delivered (``LiveNetwork.sent``).  The :class:`Ledger`
+here only installs that check and reads the runs it brackets.
 """
 
 import pytest
@@ -18,9 +18,11 @@ from repro.experiments.placers import get_placer
 from repro.experiments.trials import run_trial
 from repro.runtime.migration import (
     LiveApp,
+    LiveNetwork,
     advance_live_apps,
     cluster_with_live_usage,
     live_background_flows,
+    live_book_violations,
 )
 from repro.service.engine import PlacementService
 from repro.service.session import build_churn_session
@@ -30,106 +32,52 @@ from repro.workloads.patterns import mapreduce
 from repro.workloads.trace import FlowRecord, write_trace
 
 
-# ------------------------------------------------------------- the invariants
-def live_book_violations(cluster, running, sent):
-    """Ways the live-application books are wrong (empty: none).
-
-    No machine has more cores held than it has; an application holds cores
-    exactly while it has bytes in flight, and reading its flows changes
-    neither; per task pair the bytes the network carried (``sent[app,
-    pair]``: what the caller saw the simulations deliver, not what the books
-    say), the bytes still to move and the bytes colocation took off the
-    network add up to the traffic-matrix entry — to 1e-6 B, or to a part in
-    1e12 where a double is coarser than that (its ulp at 13 GB is 1.9e-6 B).
-    """
-    free = cluster_with_live_usage(cluster, running).available_cpus()
-    problems = [
-        f"{machine}: {-cores!r} core(s) more held than it has"
-        for machine, cores in free.items()
-        if cores < -1e-9
-    ]
-    for name, state in running.items():
-        before = state.done, dict(state.remaining), dict(state.colocated)
-        in_flight = state.live_flows(start=0.0)
-        if before != (state.done, state.remaining, state.colocated):
-            problems.append(f"{name}: live_flows() changed the books")
-        if state.done == bool(in_flight):
-            problems.append(f"{name}: done={state.done} with {len(in_flight)} flow(s)")
-        for src, dst, entry in state.app.transfers():
-            pair = (src, dst)
-            parts = (
-                sent.get((name, pair), 0.0),
-                state.remaining[pair],
-                state.colocated.get(pair, 0.0),
-            )
-            if min(parts) < 0.0 or abs(sum(parts) - entry) > max(1e-6, 1e-12 * entry):
-                problems.append(
-                    f"{name} {src}->{dst}: sent, remaining, colocated = "
-                    f"{parts!r} do not add up to {entry!r}"
-                )
-    return problems
-
-
 class Ledger:
-    """Bytes delivered per ``(app, task pair)``, read off the simulations.
+    """Checks the books before and after every pause of the
+    ``advance_live_apps`` bound in ``module``, and reads each run: a task
+    pair's delivered bytes must be what its flows' rate timelines carried,
+    and an application's latest delivery is kept (``delivered_at``)."""
 
-    ``watch(module, cluster_of)`` also wraps the ``advance_live_apps`` bound
-    in ``module`` so the books are checked before and after every segment.
-    """
-
-    def __init__(self, monkeypatch, provider):
-        self.monkeypatch = monkeypatch
-        self.sent = {}
-        self.delivered_at = {}  # app -> when its latest flow finished
+    def __init__(self, monkeypatch, module, cluster_of):
         self.checks = 0
         self.problems = []
-        pair_of = {}
-        live_flows, simulate = LiveApp.live_flows, provider.simulate
-
-        def recording_live_flows(state, start):
-            flows = live_flows(state, start)
-            for pair, flow in flows:
-                pair_of[flow.flow_id] = (state.app.name, pair)
-            return flows
-
-        def recording_simulate(vm_flows, until=None):
-            result = simulate(vm_flows, until=until)
-            for flow in vm_flows:
-                key = pair_of.get(flow.flow_id)
-                if key is None:
-                    continue
-                moved = flow.size_bytes - result.remaining_bytes[flow.flow_id]
-                # The same bytes, integrated from the flow's rate timeline.
-                carried = sum(
-                    s.rate_bps * (s.end - s.start) / 8.0
-                    for s in result.timelines[flow.flow_id].segments
-                )
-                assert carried == pytest.approx(moved, rel=1e-6, abs=1.0)
-                self.sent[key] = self.sent.get(key, 0.0) + moved
-                if flow.flow_id in result.completion_times:
-                    self.delivered_at[key[0]] = max(
-                        self.delivered_at.get(key[0], 0.0),
-                        result.completion_times[flow.flow_id],
-                    )
-            return result
-
-        monkeypatch.setattr(LiveApp, "live_flows", recording_live_flows)
-        monkeypatch.setattr(provider, "simulate", recording_simulate)
-
-    def watch(self, module, cluster_of):
+        self.delivered_at = {}  # app -> when its latest flow finished
         advance = module.advance_live_apps
 
-        def checked(provider, running, start, until, **kwargs):
-            self.check(cluster_of(), running)
-            result = advance(provider, running, start, until, **kwargs)
-            self.check(cluster_of(), running)
+        def checked(network, running, start, until):
+            self.check(cluster_of(), running, network)
+            sent = dict(network.sent)
+            pair_of = {
+                flow.flow_id: (name, pair)
+                for name, state in running.items()
+                for pair, flow in state.live_flows(start=start)
+            }
+            result = advance(network, running, start, until)
+            self.check(cluster_of(), running, network)
+            if result is None:
+                assert network.sent == sent
+                return result
+            carried = {}
+            for flow_id, timeline in result.timelines.items():
+                key = pair_of.get(flow_id)
+                if key is not None:
+                    carried[key] = carried.get(key, 0.0) + sum(
+                        s.rate_bps * (s.end - s.start) / 8.0 for s in timeline.segments
+                    )
+            for key, after in network.sent.items():
+                moved = after - sent.get(key, 0.0)
+                assert carried.get(key, 0.0) == pytest.approx(moved, rel=1e-6, abs=1.0)
+            for flow_id, finish in result.completion_times.items():
+                if flow_id in pair_of:
+                    name = pair_of[flow_id][0]
+                    self.delivered_at[name] = max(self.delivered_at.get(name, 0.0), finish)
             return result
 
-        self.monkeypatch.setattr(module, "advance_live_apps", checked)
+        monkeypatch.setattr(module, "advance_live_apps", checked)
 
-    def check(self, cluster, running):
+    def check(self, cluster, running, network):
         self.checks += 1
-        self.problems.extend(live_book_violations(cluster, running, self.sent))
+        self.problems.extend(live_book_violations(cluster, running, network.sent))
 
 
 # ------------------------------------------------------ golden service sessions
@@ -150,8 +98,7 @@ def test_books_balance_at_every_cut_of_the_golden_sessions(
         provider, cluster, get_placer("greedy").create(0, None),
         predictor="combined", migrate=True,
     )
-    ledger = Ledger(monkeypatch, provider)
-    ledger.watch(engine, lambda: service.cluster)
+    ledger = Ledger(monkeypatch, engine, lambda: service.cluster)
     report = service.run_session(apps, hours=_GOLDEN_SESSION["hours"])
     assert len(report.recovery) == recoveries and report.migrations
     assert ledger.checks > 2 * len(apps)
@@ -253,13 +200,13 @@ def _advanced(names):
         app.name,
         {names["m0"]: "vm1", names["m1"]: "vm2", names["r0"]: "vm3", names["r1"]: "vm4"},
     )
-    provider = _provider(4)
+    network = LiveNetwork(_provider(4))
     running = {app.name: LiveApp(app, placement, started=0.0)}
-    advance_live_apps(provider, running, 0.0, until=5.0)
+    advance_live_apps(network, running, 0.0, until=5.0)
     assert not running[app.name].done
     assert 0.0 < sum(running[app.name].remaining.values()) < app.total_bytes
     assert len(live_background_flows(running, 5.0)) == 4
-    advance_live_apps(provider, running, 5.0, until=None)
+    advance_live_apps(network, running, 5.0, until=None)
     return running[app.name].completed_at
 
 

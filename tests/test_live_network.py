@@ -1,0 +1,206 @@
+"""One live simulation per session, held to the simulation per segment it
+replaced.
+
+``advance_live_apps`` runs every live application on one resumable
+``FluidSimulation`` (``repro.runtime.migration.LiveNetwork``): paused at
+every segment boundary, reconciled with the books, resumed.  Before, each
+segment built a fresh simulation of what was still in flight
+(``tests/oracles/segment_sim.py``).  Over seeded sessions — arrivals,
+migrations, rejections, a rack outage, hoses drifting epoch by epoch,
+another tenant's flows — the two must leave every application's books
+equal, bit for bit, at every pause: on the scalar event loop, on the vector
+one, and with the loop switching from pause to pause.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from oracles.segment_sim import background_at, segment_advance
+from repro.cloud.provider import CloudProvider, VMFlow
+from repro.core.placement.base import ClusterState, Placement
+from repro.experiments.placers import get_placer
+from repro.net import fluid
+from repro.net.alloc import IncrementalAllocator
+from repro.runtime.migration import LiveApp, LiveNetwork, advance_live_apps
+from repro.runtime.sequence import SequentialPlacementRunner
+from repro.service.session import build_churn_session, run_churn_session
+from repro.units import GBYTE
+from repro.workloads.patterns import mapreduce
+
+SEEDS = range(20)
+EPOCH_S = 60.0
+HOURS = 4
+
+#: ``_LOOP_MIN_FLOWS`` per mode: every run on the vector loop, every run on
+#: the scalar loop (the ``tests/test_millionflow.py`` pattern), or drawn
+#: afresh at every pause, so that each loop resumes from the other's pause.
+LOOP_MODES = {"vector": (0,), "scalar": (10_000,), "mixed": (0, 10_000)}
+
+
+def _placement(rng, app, vms):
+    """Each task on a random VM; one placement in five puts them all on
+    one (every transfer colocated: the application is done at once)."""
+    if rng.random() < 0.2:
+        vm = vms[int(rng.integers(len(vms)))]
+        return Placement(app.name, {task: vm for task in app.task_names})
+    return Placement(
+        app.name, {task: vms[int(rng.integers(len(vms)))] for task in app.task_names}
+    )
+
+
+def _tenant(rng, vms):
+    """Another tenant: a finite flow, one that stops mid-session, a late one."""
+    return [
+        VMFlow("bg-finite", vms[0], vms[1], size_bytes=float(rng.uniform(0.5, 4)) * GBYTE),
+        VMFlow("bg-unbounded", vms[2], vms[3], end_time=1.5 * EPOCH_S),
+        VMFlow("bg-late", vms[1], vms[-1], size_bytes=1 * GBYTE, start_time=2.5 * EPOCH_S),
+    ]
+
+
+def drive(seed, loop_sizes, monkeypatch):
+    """Run one seeded session on both sides, comparing at every pause;
+    returns what the session exercised."""
+    rng = np.random.default_rng(seed)
+    switch = np.random.default_rng(seed + 1_000)
+    provider, cluster, apps, _ = build_churn_session(
+        seed, n_vms=int(rng.integers(5, 9)), hours=HOURS, drift="hotspot-flap",
+        epoch_s=EPOCH_S, apps_per_hour=3.0,
+        faults="rack-outage" if seed % 2 == 0 else "none",
+    )
+    vms = cluster.machine_names()
+    tenant = _tenant(rng, vms) if seed % 4 in (1, 2) else []
+    simulated = []
+    simulate = provider.simulate
+    monkeypatch.setattr(
+        provider, "simulate", lambda *a, **k: simulated.append(1) or simulate(*a, **k)
+    )
+
+    oracle, live = {}, {}
+    network = LiveNetwork(provider, background=tenant)
+    background = list(tenant)
+    seen = Counter()
+    pauses = sorted({app.start_time for app in apps} | {
+        k * EPOCH_S for k in range(1, HOURS + 1)
+    })
+    now = 0.0
+    for until in pauses + [None]:
+        monkeypatch.setattr(fluid, "_LOOP_MIN_FLOWS", int(switch.choice(loop_sizes)))
+        segment = segment_advance(provider, oracle, now, until, background=background)
+        if segment is not None and until is not None:
+            background = background_at(background, segment, until)
+        hose = dict(network.hose)
+        calls = len(simulated)
+        advance_live_apps(network, live, now, until)
+        assert len(simulated) == calls, "the live side called provider.simulate"
+        seen["hose pushes"] += network.hose != hose
+
+        at = f"seed {seed}, pause {until}"
+        assert live.keys() == oracle.keys(), at
+        for name, state in oracle.items():
+            twin = live[name]
+            assert twin.remaining == state.remaining, (at, name)
+            assert twin.completed_at == state.completed_at, (at, name)
+            assert twin.colocated == state.colocated, (at, name)
+        if until is None:
+            break
+        provider.advance_time(until - now)
+        now = until
+
+        # The same decisions on both sides.
+        faults = provider.fault_timeline
+        up = [vm for vm in vms if faults is None or not faults.preempted(vm, now)]
+        for app in apps:
+            if app.start_time == now:
+                placement = _placement(rng, app, up)
+                oracle[app.name] = LiveApp(app, placement, now)
+                live[app.name] = LiveApp(app, placement, now)
+        running = sorted(name for name, state in oracle.items() if not state.done)
+        for name in running:
+            stranded = [
+                task for task, vm in oracle[name].placement.assignments.items()
+                if vm not in up
+            ]
+            if stranded:  # a recovery: the stranded tasks move to live VMs
+                moved = dict(oracle[name].placement.assignments)
+                moved.update((task, up[int(rng.integers(len(up)))]) for task in stranded)
+                for side in (oracle, live):
+                    side[name].place(Placement(name, moved), now)
+                seen["recoveries"] += 1
+        if now % EPOCH_S == 0 and running:
+            name = running[int(rng.integers(len(running)))]
+            if rng.random() < 0.5:  # a migration
+                placement = _placement(rng, oracle[name].app, up)
+                for side in (oracle, live):
+                    side[name].place(placement, now)
+                seen["migrations"] += 1
+            elif rng.random() < 0.25:  # a rejection: the application leaves
+                for side in (oracle, live):
+                    del side[name]
+                seen["rejections"] += 1
+    seen["apps"] += len(live)
+    seen["tenant flows"] += len(tenant)
+    return seen
+
+
+@pytest.mark.parametrize("mode", sorted(LOOP_MODES))
+def test_the_live_network_leaves_the_books_a_simulation_per_segment_leaves(
+    mode, monkeypatch
+):
+    seen = Counter()
+    for seed in SEEDS:
+        seen += drive(seed, LOOP_MODES[mode], monkeypatch)
+    # The sessions exercised what they claim to.
+    for what in ("recoveries", "migrations", "rejections", "hose pushes", "tenant flows"):
+        assert seen[what] >= 3, (what, seen)
+    assert seen["apps"] >= 5 * len(SEEDS)
+
+
+# --------------------------------------------------- one allocator, no rebuilds
+@pytest.fixture
+def counted(monkeypatch):
+    """Allocators built and ``CloudProvider.simulate`` calls made."""
+    made = Counter()
+
+    class Counting(IncrementalAllocator):
+        def __init__(self, capacities):
+            made["allocators"] += 1
+            super().__init__(capacities)
+
+    simulate = CloudProvider.simulate
+
+    def counting_simulate(self, *args, **kwargs):
+        made["simulate"] += 1
+        return simulate(self, *args, **kwargs)
+
+    monkeypatch.setattr(fluid, "IncrementalAllocator", Counting)
+    monkeypatch.setattr(CloudProvider, "simulate", counting_simulate)
+    return made
+
+
+def test_a_churn_session_builds_one_allocator(counted):
+    report = run_churn_session(
+        0, n_vms=8, hours=6, epoch_s=120.0, drift="hotspot-flap",
+        apps_per_hour=3.0, faults="rack-outage",
+    )
+    assert len(report.completed()) > 5 and report.migrations and report.recovery
+    assert counted == {"allocators": 1}
+
+
+def test_a_sequence_builds_two_allocators_the_live_one_and_the_truth_run(counted):
+    from repro.cloud.registry import make_provider
+
+    provider = make_provider("ec2", seed=0, colocation_probability=0.0)
+    provider.request_vms(6)
+    cluster = ClusterState.from_vms(provider.vms())
+    apps = [
+        mapreduce(f"job{k}", 2, 2, 2 * GBYTE, cpu_per_task=0.5, start_time=5.0 * k)
+        for k in range(5)
+    ]
+    runner = SequentialPlacementRunner(
+        provider, cluster, get_placer("round-robin").create(0, None)
+    )
+    runner.run(apps)
+    # The truth run is the one provider.simulate left.
+    assert counted == {"allocators": 2, "simulate": 1}

@@ -27,7 +27,7 @@ from repro.errors import RoutingError, TopologyError
 from repro.net import fluid, topology
 from repro.net.flows import Flow
 from repro.net.fluid import FluidSimulation, RateTimeline
-from repro.net.hose import HoseModel
+from repro.net.links import hose_link_id
 from repro.net.topology import (
     TreeSpec,
     _lazy_kth_shortest_path,
@@ -77,11 +77,13 @@ class TestVectorLoopBitIdentity:
         )
         topo = build_multi_rooted_tree(spec)
         hosts = topo.hosts()
-        hose = None
+        # A hose on every host, as the provider builds one per VM.
+        hose = {}
         if rng.random() < 0.4:
-            hose = HoseModel.uniform(hosts, rng.choice([0.5e9, 1e9]))
-        sim_s = FluidSimulation(topo, hose=hose)
-        sim_v = FluidSimulation(topo, hose=hose)
+            rate = rng.choice([0.5e9, 1e9])
+            hose = {hose_link_id(host): rate for host in hosts}
+        sim_s = FluidSimulation(topo, extra_capacities=hose)
+        sim_v = FluidSimulation(topo, extra_capacities=hose)
         for i in range(rng.randint(1, 40)):
             src = rng.choice(hosts)
             dst = rng.choice([h for h in hosts if h != src])
@@ -104,8 +106,9 @@ class TestVectorLoopBitIdentity:
                     flow_id=f"f{i}", src=src, dst=dst, size_bytes=size,
                     start_time=start, max_rate_bps=max_rate,
                 )
-            sim_s.add_flow(flow)
-            sim_v.add_flow(flow)
+            extra = [hose_link_id(src)] if hose else []
+            sim_s.add_flow(flow, extra)
+            sim_v.add_flow(flow, extra)
         until = rng.uniform(0.0, 1.5) if rng.random() < 0.4 else None
         _assert_results_identical(
             run_loop(sim_s, vector=False, until=until),

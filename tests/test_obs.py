@@ -127,8 +127,8 @@ def test_traced_sequence_says_what_each_arrival_saw(trace_to):
     arrivals = [ev for ev in events if ev["name"] == "sequence.arrival"]
     assert run["attrs"]["apps"] == len(arrivals) == 4
     # Greedy colocates the first three applications: nothing is in flight at
-    # any arrival, so no segment is simulated — only the one truth run is.
-    assert run["attrs"]["segments"] == 0 and run["attrs"]["simulations"] == 1
+    # any arrival, so the live simulation never runs — only the truth run does.
+    assert run["attrs"]["segments"] == 0 and run["attrs"]["simulations"] == 2
     assert [a["attrs"]["app"] for a in arrivals] == sorted(plain.per_app_duration_s)
     for arrival in arrivals:
         assert arrival["parent"] == run["span"]
@@ -143,9 +143,20 @@ def test_traced_sequence_says_what_each_arrival_saw(trace_to):
     events = load_events(trace_to)[len(events):]
     (run,) = [ev for ev in events if ev["name"] == "sequence.run"]
     last = [ev for ev in events if ev["name"] == "sequence.arrival"][-1]["attrs"]
-    assert run["attrs"]["simulations"] == run["attrs"]["segments"] + 1 > 1
+    assert run["attrs"]["simulations"] == 2 and run["attrs"]["segments"] > 1
     assert last["live_apps"] and last["background_flows"] > 0
     assert min(last["cores_free"]) < 4.0
+    # One fluid.run span per segment, each but the first resuming the live
+    # simulation's pause, then the truth run's; each says what changed.
+    runs = [
+        ev["attrs"] for ev in events
+        if ev["name"] == "fluid.run" and ev["parent"] == run["span"]
+    ]
+    assert len(runs) == run["attrs"]["segments"] + 1
+    assert [r["resumed"] for r in runs] == [False] + [True] * (len(runs) - 2) + [False]
+    assert all(r["added"] > 0 for r in runs[:-1])  # an arrival per segment
+    assert all(r["withdrawn"] == r["capacities_changed"] == 0 for r in runs)
+    assert all(r["batches"] > 0 for r in runs)
 
 
 def test_traced_store_says_what_it_wrote_and_loaded(trace_to, tmp_path):

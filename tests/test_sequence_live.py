@@ -2,7 +2,8 @@
 
 ``SequentialPlacementRunner`` used to re-simulate every placed flow from
 zero at each arrival (``tests/oracles/parent_state_at.py`` keeps that code);
-it now advances ``LiveApp`` records from arrival to arrival.  Over seeded
+it now advances ``LiveApp`` records from arrival to arrival, on one live
+simulation per sequence.  Over seeded
 sequences the two must agree on what is running at every arrival, with one
 intended difference: the old code only knew applications that own a network
 flow, so one whose placement colocates every transfer never gave its cores
@@ -74,8 +75,7 @@ def run_observed(monkeypatch, seed):
         provider, cluster, get_placer(placer_name).create(seed, None),
         measurement=MeasurementPlan(advance_clock=False), background=background,
     )
-    ledger = Ledger(monkeypatch, provider)
-    ledger.watch(sequence, lambda: cluster)
+    ledger = Ledger(monkeypatch, sequence, lambda: cluster)
     seen = []
     usage, measure = sequence.cluster_with_live_usage, runner.measurer.measure
 

@@ -454,3 +454,37 @@ def test_the_measurement_plan_has_its_eight_fields():
         "advance_clock", "parallelism", "max_retries", "retry_backoff_s",
         "probe_budget",
     ]
+
+
+# ------------------------------------------- one live simulation per session
+#: Deleted with the simulation per segment: the hose and override options of
+#: ``FluidSimulation`` that only tests set, ``HoseModel`` behind the first,
+#: and the sequence runner's per-segment restart of the tenant's flows.  No
+#: function, method or class of these names is defined in ``src/``.
+DELETED_SEGMENT_NAMES = {"HoseModel", "links_for_flow", "_background_at"}
+
+
+def test_one_live_simulation_and_no_hose_option_is_left():
+    from repro.net.fluid import FluidSimulation
+
+    parameters = set(inspect.signature(FluidSimulation).parameters)
+    assert {"hose", "capacity_overrides"} & parameters == set()
+    trees = {
+        name: ast.parse(inspect.getsource(importlib.import_module(name)))
+        for name in MODULES
+    }
+    defined = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name in DELETED_SEGMENT_NAMES
+    ]
+    assert defined == []
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.net.hose")
+    # The live path simulates nothing per segment: one LiveNetwork per
+    # session and per sequence, and no ``simulate`` call on the way.
+    assert _calls(trees["repro.runtime.migration"], "simulate") == []
+    for owner in ("repro.service.engine", "repro.runtime.sequence"):
+        assert len(_calls(trees[owner], "LiveNetwork")) == 1, owner
