@@ -37,7 +37,7 @@ def ec2_hose_sampler(rng: np.random.Generator) -> float:
         rate = rng.normal(1085 * MBITPS, 25 * MBITPS)
     else:
         rate = rng.uniform(300 * MBITPS, 900 * MBITPS)
-    return float(np.clip(rate, 296 * MBITPS, 1200 * MBITPS))
+    return float(min(max(rate, 296 * MBITPS), 1200 * MBITPS))
 
 
 def ec2_tree_spec(extra_agg_layer: bool = False) -> TreeSpec:

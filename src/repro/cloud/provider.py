@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import threading
 from dataclasses import dataclass, field, replace
 from typing import (
     Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
@@ -38,6 +39,7 @@ from repro.net.latency import rtt_s
 from repro.net.links import hose_link_id
 from repro.net.packets import PacketTrainSpec, draw_losses, send_packet_trains
 from repro.net.topology import (
+    _STRUCTURED_ROUTER_MAX_ENTRIES,
     Topology,
     TreeSpec,
     build_multi_rooted_tree,
@@ -52,6 +54,27 @@ HoseSampler = Callable[[np.random.Generator], float]
 #: rounds those fills took (``obs.metrics.snapshot()``, ``repro.measure.*``).
 SNAPSHOT_PROBES = obs.Counter("repro.measure.snapshot_probes")
 SNAPSHOT_ROUNDS = obs.Counter("repro.measure.snapshot_rounds")
+
+# One frozen tree per shape, with its sorted host names: every provider of
+# a ``(spec, name)`` shares it, so the tables a topology derives lazily
+# (link index, capacity vector, tree tables, routes) are derived once per
+# shape, not once per trial.  Bounded like ``_structured_routers``.  A lease
+# worker builds providers from several threads.
+_shared_trees: Dict[Tuple[TreeSpec, str], Tuple[Topology, Tuple[str, ...]]] = {}
+_shared_trees_lock = threading.Lock()
+
+
+def _shared_tree(spec: TreeSpec, name: str) -> Tuple[Topology, Tuple[str, ...]]:
+    key = (spec, name)
+    with _shared_trees_lock:
+        shared = _shared_trees.get(key)
+        if shared is None:
+            topology = build_multi_rooted_tree(spec, name=name)
+            topology.freeze()
+            if len(_shared_trees) >= _STRUCTURED_ROUTER_MAX_ENTRIES:
+                _shared_trees.clear()
+            shared = _shared_trees[key] = (topology, tuple(topology.hosts()))
+    return shared
 
 
 @dataclass(frozen=True)
@@ -178,7 +201,7 @@ class CloudProvider:
         self.params = params
         self._rng = np.random.default_rng(seed)
         spec = replace(params.tree_spec, intra_host_bps=params.intra_host_rate_bps)
-        self.topology: Topology = build_multi_rooted_tree(spec, name=params.name)
+        self.topology, hosts = _shared_tree(spec, params.name)
         self._clock = 0.0
         self._vms: Dict[str, VirtualMachine] = {}
         self._base_hose: Dict[str, float] = {}
@@ -189,7 +212,7 @@ class CloudProvider:
         # ``request_vms`` draws from, kept up to date VM by VM.
         self._host_vms: Dict[str, int] = {}
         self._used_hosts: List[str] = []
-        self._free_hosts: List[str] = self.topology.hosts()
+        self._free_hosts: List[str] = list(hosts)
         # VM name -> position in allocation order, and each VM's host index
         # by position; both rebuilt on demand after the VM set changes.
         self._vm_position: Optional[Dict[str, int]] = None
@@ -230,10 +253,9 @@ class CloudProvider:
                 self._used_hosts
                 and self._rng.random() < self.params.colocation_probability
             )
-            if colocate or not self._free_hosts:
-                host = str(self._rng.choice(self._used_hosts))
-            else:
-                host = str(self._rng.choice(self._free_hosts))
+            hosts = self._used_hosts if colocate or not self._free_hosts else self._free_hosts
+            # ``rng.choice`` of a list draws this very integer, via an array.
+            host = hosts[int(self._rng.integers(0, len(hosts)))]
             if host not in self._host_vms:
                 del self._free_hosts[bisect.bisect_left(self._free_hosts, host)]
                 bisect.insort(self._used_hosts, host)

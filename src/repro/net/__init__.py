@@ -16,8 +16,6 @@ from repro.net.topology import (
     build_multi_rooted_tree,
     build_dumbbell,
     build_two_rack_cloud,
-    clear_route_cache,
-    route_cache_info,
     NodeKind,
 )
 from repro.net.links import Link, LinkKind, loopback_link_id, hose_link_id
@@ -45,8 +43,6 @@ __all__ = [
     "FlowState",
     "FlowDemand",
     "IncrementalAllocator",
-    "clear_route_cache",
-    "route_cache_info",
     "FluidSimulation",
     "FluidResult",
     "RateTimeline",

@@ -26,8 +26,7 @@ rows to the allocator, and takes them back, one batch per event
 ``(flow, start, end, rate)`` log; and :attr:`FluidResult.timelines` is a
 read-only mapping over that log, reduced by :meth:`RateTimeline.append`'s
 own rules, that builds a flow's :class:`RateTimeline` when it is asked
-for.  String-keyed :class:`~repro.net.fairness.FlowDemand` objects are
-derived from the rows only for the scalar loop.
+for.  The scalar loop registers the same rows with the same call.
 
 Which event loop runs, and which solve the allocator takes, follows from
 the input size alone (``_LOOP_MIN_FLOWS`` here, ``_VECTOR_MIN_FLOWS`` /
@@ -63,7 +62,6 @@ import numpy as np
 from repro import obs
 from repro.errors import SimulationError
 from repro.net.alloc import IncrementalAllocator, csr_gather
-from repro.net.fairness import FlowDemand
 from repro.net.flows import Flow, FlowState
 from repro.net.topology import Topology
 from repro.units import BITS_PER_BYTE
@@ -403,9 +401,6 @@ class FluidSimulation:
         # The flow table: per add_flows call, the batch's link-index rows
         # laid end to end and their lengths, in registration order.
         self._row_chunks: List[Tuple[np.ndarray, np.ndarray]] = []
-        # FlowDemands derived from the table for the callers that want
-        # string link ids (see _flow_demands); a cache, never a source.
-        self._demands: Dict[str, FlowDemand] = {}
         # The pause the last run left: its end time, the allocator holding
         # the active flows, and each active flow's remaining bytes (inf when
         # unbounded) in activation order.  ``_survivors`` are the positions
@@ -586,7 +581,7 @@ class FluidSimulation:
 
     def _retain(self, keep: List[int]) -> None:
         """Keep only the flows at registration positions ``keep``
-        (ascending): the registry, the table and the derived demands."""
+        (ascending): the registry and the table."""
         flows = list(self._flows.items())
         self._flows = dict([flows[i] for i in keep])
         if keep:
@@ -596,13 +591,6 @@ class FluidSimulation:
             self._row_chunks = [(data[csr_gather(starts[at], lengths)], lengths)]
         else:
             self._row_chunks = []
-        # Demands exist for a prefix of the registry; the kept ones are a
-        # prefix of what is kept.
-        self._demands = {
-            flow_id: demand
-            for flow_id, demand in self._demands.items()
-            if flow_id in self._flows
-        }
 
     def _table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The flow table as one CSR: ``(data, starts, lengths)``; flow
@@ -615,25 +603,6 @@ class FluidSimulation:
             chunks[:] = [(np.concatenate(data), np.concatenate(lens))]
         data, lengths = chunks[0]
         return data, np.cumsum(lengths) - lengths, lengths
-
-    def _flow_demands(self) -> Dict[str, FlowDemand]:
-        """Every registered flow's :class:`FlowDemand`, derived from the
-        table (what the scalar loop reads)."""
-        demands = self._demands
-        if len(demands) < len(self._flows):
-            data, starts, lengths = self._table()
-            done = len(demands)
-            links = [self._link_ids[i] for i in data[starts[done] :].tolist()]
-            ends = np.cumsum(lengths[done:]).tolist()
-            for (flow_id, flow), lo, hi in zip(
-                itertools.islice(self._flows.items(), done, None),
-                [0] + ends,
-                ends,
-            ):
-                demands[flow_id] = FlowDemand(
-                    links=tuple(links[lo:hi]), max_rate=flow.max_rate_bps
-                )
-        return demands
 
     def flow(self, flow_id: str) -> Flow:
         """Look up a registered flow."""
@@ -702,7 +671,11 @@ class FluidSimulation:
     def _run_scalar(self, until: Optional[float], span) -> FluidResult:
         """The original per-flow Python event loop."""
         flows = self._flows
-        demands = self._flow_demands()
+        flow_list = list(flows.values())
+        # The flow table as lists: a flow's row goes to the allocator with
+        # the row API the vector loop uses (a handful of flows per event,
+        # where list slices beat a NumPy gather).
+        data, row_start, row_len = (a.tolist() for a in self._table())
         timelines: Dict[str, RateTimeline] = {fid: RateTimeline() for fid in flows}
         completion: Dict[str, float] = {}
         states: Dict[str, FlowState] = {fid: FlowState.PENDING for fid in flows}
@@ -725,10 +698,12 @@ class FluidSimulation:
             else:
                 active_finite[fid] = flow
 
-        pending = sorted(
-            (f for fid, f in flows.items() if fid not in resumed),
-            key=lambda f: (f.start_time, f.flow_id),
+        # By (start_time, flow_id), with their registration positions.
+        order = sorted(
+            (i for i, fid in enumerate(flows) if fid not in resumed),
+            key=lambda i: (flow_list[i].start_time, flow_list[i].flow_id),
         )
+        pending = [flow_list[i] for i in order]
         pending_idx = 0
         n_pending = len(pending)
         # Zero-byte flows complete instantly at their start time.
@@ -738,9 +713,12 @@ class FluidSimulation:
         batches = 0
 
         while True:
-            # Activate flows whose start time has arrived.
+            # Activate flows whose start time has arrived, as one batch.
+            arrived: List[Flow] = []
+            rows: List[int] = []
+            lengths: List[int] = []
             while pending_idx < n_pending and pending[pending_idx].start_time <= now + _TIME_EPS:
-                flow = pending[pending_idx]
+                flow, i = pending[pending_idx], order[pending_idx]
                 pending_idx += 1
                 fid = flow.flow_id
                 if flow.is_unbounded:
@@ -755,7 +733,16 @@ class FluidSimulation:
                         continue
                     active_finite[fid] = flow
                 states[fid] = FlowState.ACTIVE
-                incremental.add_demand(fid, demands[fid])
+                arrived.append(flow)
+                rows.extend(data[row_start[i] : row_start[i] + row_len[i]])
+                lengths.append(row_len[i])
+            if arrived:
+                incremental.add_flows(
+                    [flow.flow_id for flow in arrived],
+                    rows,
+                    lengths,
+                    [flow.max_rate_bps for flow in arrived],
+                )
 
             if not active_finite and not active_unbounded and pending_idx >= n_pending:
                 end_time = now

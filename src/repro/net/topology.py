@@ -52,40 +52,6 @@ from repro.units import GBITPS
 
 
 # ---------------------------------------------------------------------------
-# Process-wide routing cache
-# ---------------------------------------------------------------------------
-# ECMP path choices depend only on the graph *structure* (edges) and the
-# endpoint pair, not on capacities or on which Topology instance asked.
-# Experiment sweeps rebuild structurally identical topologies for every
-# trial, so path computations are shared process-wide, keyed by a structure
-# token.  The cache is bounded: it is simply dropped when it grows past
-# _ROUTE_CACHE_MAX_ENTRIES (sweeps revisit far fewer distinct pairs).
-_ROUTE_CACHE_MAX_ENTRIES = 262_144
-_route_cache: Dict[Tuple[str, str, str], List[str]] = {}
-# Typed counters (thin-viewed by route_cache_info(); aggregated by
-# ``obs.metrics.snapshot()`` under ``repro.routes.*``).
-_route_cache_hits = obs.Counter("repro.routes.cache_hits")
-_route_cache_misses = obs.Counter("repro.routes.cache_misses")
-
-
-def clear_route_cache() -> None:
-    """Drop every entry of the shared routing cache.
-
-    The hit/miss counters are monotonic and keep their values.
-    """
-    _route_cache.clear()
-
-
-def route_cache_info() -> Dict[str, int]:
-    """Counters for the shared routing cache (entries, hits, misses)."""
-    return {
-        "entries": len(_route_cache),
-        "hits": _route_cache_hits.count,
-        "misses": _route_cache_misses.count,
-    }
-
-
-# ---------------------------------------------------------------------------
 # Structured-topology routing fast path
 # ---------------------------------------------------------------------------
 # Multi-rooted trees built from a TreeSpec have completely regular routes:
@@ -143,15 +109,15 @@ def _ecmp_pick(src: str, dst: str, choices: int) -> int:
 
 
 # Batches of fewer pairs than this are routed pair by pair in
-# ``path_links_matrix``.  The array router costs ≈40 µs before its first
-# pair and ≈1–2 µs for each; pair by pair costs ≈4–5 µs a pair the topology
-# has not routed before and ≈2–3 µs one it has (``_path_cache``).  So the two
-# cross at ≈16 pairs on a fresh topology — every trial of a sweep builds
-# one — and at ≈56 (24 hosts) to ≈100 pairs (512 hosts) on one that has
-# seen all its pairs, which the batch does not reveal.  16 is the fresh
-# crossover: between 16 and 48 pairs the two differ by at most 40 µs a call
-# either way, under 1 % of any benchmark workload (table in
-# docs/performance.md, "What selects the engine").  Same rows.
+# ``path_links_matrix``.  A provider's tree is shared by every provider of
+# its shape, so it is warm: its ``_path_cache`` has the pairs, and the array
+# router its tables and picks.  Warm, the array router costs ≈45 µs before
+# its first pair; pair by pair costs ≈2 µs a pair given by name and ≈3 µs by
+# position.  So the two cross at ≈12–14 pairs given by position and at ≈32
+# (24 hosts) to ≈45 (512 hosts) given by name.  Between 16 and 32 named
+# pairs they differ by at most 30 µs a call, under 0.5 % of any benchmark
+# workload (table in docs/performance.md, "What selects the engine").  Same
+# rows either way.
 _ARRAY_ROUTE_MIN_PAIRS = 16
 
 
@@ -172,9 +138,14 @@ class _TreeRouter:
         # Core picks already hashed: ordered far pairs as ascending keys
         # ``src * num_hosts + dst`` and the pick of each.  Grows with the
         # pairs hashed, never with ``num_hosts ** 2``, and goes when this
-        # router's entry in ``_structured_routers`` does.
-        self._pick_keys = np.zeros(0, dtype=np.int64)
-        self._picks = np.zeros(0, dtype=np.intp)
+        # router's entry in ``_structured_routers`` does.  The two arrays
+        # are published as one tuple: every provider of a shape routes
+        # through this router, from any thread.  (Two racing inserts may
+        # drop one's picks, which are then hashed again.)
+        self._known: Tuple["np.ndarray", "np.ndarray"] = (
+            np.zeros(0, dtype=np.int64),
+            np.zeros(0, dtype=np.intp),
+        )
         self._host_bytes: Optional[List[bytes]] = None
 
     def host_coords(self, name: str) -> Optional[Tuple[int, int, int]]:
@@ -275,7 +246,7 @@ class _TreeRouter:
         if cores == 1:
             return np.zeros(src.shape[0], dtype=np.intp)
         keys = src.astype(np.int64) * self._num_hosts + dst
-        known = self._pick_keys
+        known, picks = self._known
         at = np.searchsorted(known, keys)
         hit = at < known.shape[0]
         hit[hit] = known[at[hit]] == keys[hit]
@@ -296,14 +267,15 @@ class _TreeRouter:
             )
             ECMP_HASHED.inc(missed.shape[0])
             where = np.searchsorted(known, missed)
-            self._pick_keys = np.insert(known, where, missed)
-            self._picks = np.insert(
-                self._picks,
+            known = np.insert(known, where, missed)
+            picks = np.insert(
+                picks,
                 where,
                 (np.frombuffer(words, dtype=">u4") % cores).astype(np.intp),
             )
-            at = np.searchsorted(self._pick_keys, keys)
-        return self._picks[at]
+            self._known = known, picks
+            at = np.searchsorted(known, keys)
+        return picks[at]
 
     def link_rows(
         self,
@@ -524,14 +496,28 @@ class Topology:
         # and the capacities in that order; both dropped when a link is added
         self._link_index: Optional[Dict[str, int]] = None
         self._capacity_vector: Optional["np.ndarray"] = None
+        self._frozen = False
+
+    def freeze(self) -> None:
+        """Refuse every later :meth:`add_node` / :meth:`add_link`: the
+        topology is shared, and so are the tables it derives lazily."""
+        self._frozen = True
+
+    def _check_unfrozen(self, what: str) -> None:
+        if self._frozen:
+            raise TopologyError(
+                f"topology {self.name!r} is shared and frozen: cannot {what}"
+            )
 
     # ------------------------------------------------------------------ nodes
     def add_node(self, name: str, kind: NodeKind, level: int = 0) -> None:
         """Add a node of the given kind.
 
         Raises:
-            TopologyError: if a node with the same name already exists.
+            TopologyError: if a node with the same name already exists, or
+                the topology is frozen.
         """
+        self._check_unfrozen(f"add node {name!r}")
         if name in self._nodes:
             raise TopologyError(f"duplicate node {name!r}")
         self._nodes[name] = (kind, level)
@@ -562,7 +548,12 @@ class Topology:
 
         Two directed :class:`Link` objects (one per direction) are created
         with the same capacity.
+
+        Raises:
+            TopologyError: on an unknown node or a duplicate link, or if the
+                topology is frozen.
         """
+        self._check_unfrozen(f"add link {a!r} <-> {b!r}")
         for node in (a, b):
             if node not in self._nodes:
                 raise TopologyError(f"unknown node {node!r}")
@@ -708,9 +699,8 @@ class Topology:
     def structure_token(self) -> str:
         """A digest identifying the graph's structure (its edge set).
 
-        Routing decisions depend only on this token, so structurally
-        identical topologies (every trial of a sweep rebuilds the same tree)
-        share the process-wide routing cache.
+        Routing decisions depend only on this token, so every tree of one
+        :class:`TreeSpec` finds the same structured router under it.
         """
         if self._structure_token is None:
             edge_text = "\n".join(
@@ -748,20 +738,10 @@ class Topology:
         for node in (src, dst):
             if node not in self._nodes:
                 raise TopologyError(f"unknown node {node!r}")
-        shared_key = (self.structure_token(), src, dst)
-        shared = _route_cache.get(shared_key)
-        if shared is not None:
-            _route_cache_hits.inc()
-            self._path_cache[key] = shared
-            return shared
-        _route_cache_misses.inc()
         choice = _lazy_kth_shortest_path(self._adjacency, src, dst)
         if choice is None:
             raise RoutingError(f"no path between {src!r} and {dst!r}")
         self._path_cache[key] = choice
-        if len(_route_cache) >= _ROUTE_CACHE_MAX_ENTRIES:
-            _route_cache.clear()
-        _route_cache[shared_key] = choice
         return choice
 
     def path_links(self, src: str, dst: str) -> List[Link]:

@@ -106,7 +106,8 @@ class HPCloudWorkloadGenerator:
         )
 
     def _sample_cpu(self) -> float:
-        return float(self._rng.choice(list(self.spec.cpu_choices)))
+        choices = self.spec.cpu_choices
+        return float(choices[int(self._rng.integers(0, len(choices)))])
 
     def _sample_pattern(self) -> str:
         names = [name for name, _ in self.spec.pattern_weights]

@@ -7,7 +7,7 @@ sets against the unfrozen set every round.  Nothing in the package calls
 it; :class:`~repro.net.alloc.IncrementalAllocator` must give the same rates.
 
 :class:`ReferenceAllocator` wraps it in the three calls the fluid
-simulator's scalar event loop makes (``add_demand`` / ``remove_flow`` /
+simulator's scalar event loop makes (``add_flows`` / ``remove_flow`` /
 ``solve``), so a test can run the whole engine on the reference:
 :func:`use_reference_engine` patches it into :mod:`repro.net.fluid` and
 raises ``_LOOP_MIN_FLOWS`` so the scalar loop runs at every size.
@@ -22,8 +22,9 @@ and compares the two sides by replaying one script once per side.
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping, Optional, Sequence
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
@@ -118,6 +119,34 @@ def max_min_allocation(
     return rates
 
 
+def row_demands(
+    link_ids: Sequence[str],
+    flow_ids: Sequence[str],
+    rows,
+    lengths,
+    max_rates: Sequence[Optional[float]],
+) -> Dict[str, FlowDemand]:
+    """Each flow's :class:`FlowDemand`, from link-index rows laid end to end
+    (``IncrementalAllocator.add_flows``'s arguments) over ``link_ids``."""
+    links = [link_ids[i] for i in np.asarray(rows).tolist()]
+    ends = np.cumsum(lengths, dtype=np.int64).tolist()
+    return {
+        flow_id: FlowDemand(links=tuple(links[lo:hi]), max_rate=cap)
+        for flow_id, lo, hi, cap in zip(flow_ids, [0] + ends, ends, max_rates)
+    }
+
+
+def flow_demands(sim: fluid.FluidSimulation) -> Dict[str, FlowDemand]:
+    """Every registered flow of ``sim`` as a :class:`FlowDemand`, read off
+    its flow table (extra links first, then the path)."""
+    data, _, lengths = sim._table()
+    flows = list(sim._flows.values())
+    return row_demands(
+        sim._link_ids, list(sim._flows), data, lengths,
+        [flow.max_rate_bps for flow in flows],
+    )
+
+
 class ReferenceAllocator:
     """The allocator calls of the scalar event loop, each solve from scratch."""
 
@@ -125,10 +154,12 @@ class ReferenceAllocator:
         self._capacities = dict(capacities)
         self._demands: Dict[str, FlowDemand] = {}
 
-    def add_demand(self, flow_id: str, demand: FlowDemand) -> None:
-        if flow_id in self._demands:
-            raise SimulationError(f"duplicate flow id {flow_id!r}")
-        self._demands[flow_id] = demand
+    def add_flows(self, flow_ids, rows, lengths, max_rates) -> None:
+        demands = row_demands(list(self._capacities), flow_ids, rows, lengths, max_rates)
+        for flow_id in demands:
+            if flow_id in self._demands:
+                raise SimulationError(f"duplicate flow id {flow_id!r}")
+        self._demands.update(demands)
 
     def remove_flow(self, flow_id: str) -> None:
         del self._demands[flow_id]

@@ -21,6 +21,7 @@ from oracles import scalar_train
 from oracles.parent_schedule import parent_schedule_rounds
 
 from repro import obs
+from repro.cloud import provider as cloud_provider
 from repro.cloud.ec2 import ec2_params
 from repro.cloud.provider import ProviderParams, VMFlow
 from repro.cloud.registry import make_provider
@@ -608,10 +609,12 @@ class CountingHashlib:
 @pytest.fixture
 def hashes(monkeypatch):
     """ECMP hashes made from ``repro.net.topology``, with no router (and so
-    no memo) left over from another test."""
+    no memo) and no shared tree (and so no route) left over from another
+    test."""
     counting = CountingHashlib()
     monkeypatch.setattr(topology, "hashlib", counting)
     monkeypatch.setattr(topology, "_structured_routers", {})
+    monkeypatch.setattr(cloud_provider, "_shared_trees", {})
     return counting
 
 
@@ -699,5 +702,6 @@ def test_remembered_picks_are_node_paths_picks(cores, hashes):
             searched._adjacency, f"host{a}", f"host{b}"
         ) == path
     # Memory follows the pairs hashed, not hosts squared.
-    assert router._pick_keys.shape == router._picks.shape == (hashed,)
-    assert (np.diff(router._pick_keys) > 0).all()
+    keys, picks = router._known
+    assert keys.shape == picks.shape == (hashed,)
+    assert (np.diff(keys) > 0).all()

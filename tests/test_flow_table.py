@@ -23,7 +23,7 @@ import sys
 import numpy as np
 import pytest
 
-from oracles.max_min import force_solves, run_loop
+from oracles.max_min import flow_demands, force_solves, run_loop
 from repro import obs
 from repro.errors import RoutingError, SimulationError, TopologyError
 from repro.net import alloc
@@ -244,9 +244,9 @@ def test_batch_registration_and_vector_loop_match_the_scalar_oracle(
 
     for a, b in zip(one_by_one._table(), batch._table()):
         assert a.tolist() == b.tolist()
-    assert batch._flow_demands() == one_by_one._flow_demands()
+    assert flow_demands(batch) == flow_demands(one_by_one)
     for flow, extra in zip(flows, extras):
-        links = batch._flow_demands()[flow.flow_id].links
+        links = flow_demands(batch)[flow.flow_id].links
         path = [link.link_id for link in topo.path_links(flow.src, flow.dst)]
         assert list(links) == extra + path
 
@@ -366,7 +366,7 @@ def test_first_segment_rates_are_max_min_fair():
         flow_id: timeline.segments[0].rate_bps
         for flow_id, timeline in result.timelines.items()
     }
-    assert max_min_violations(sim._flow_demands(), sim.capacities, rates) == []
+    assert max_min_violations(flow_demands(sim), sim.capacities, rates) == []
 
 
 def test_fluid_run_span_counts_batches_and_segments(tmp_path):

@@ -24,12 +24,7 @@ from repro.net.alloc import IncrementalAllocator
 from repro.net.fairness import FlowDemand
 from repro.net.flows import Flow
 from repro.net.fluid import FluidSimulation, RateTimeline
-from repro.net.topology import (
-    build_two_rack_cloud,
-    build_multi_rooted_tree,
-    clear_route_cache,
-    route_cache_info,
-)
+from repro.net.topology import build_two_rack_cloud, build_multi_rooted_tree
 from repro.units import GBITPS, MBYTE
 from repro.workloads.generator import HPCloudWorkloadGenerator, WorkloadSpec
 from repro.workloads.patterns import scatter_gather, uniform_mesh
@@ -277,25 +272,35 @@ class TestTopologyCaches:
         topo.add_link("extra", "torS", 1 * GBITPS)
         assert topo.path_links("s1", "r1") is not first
 
-    def test_route_cache_shared_across_identical_structures(self, monkeypatch):
-        clear_route_cache()
+    def test_graph_search_routes_are_memoised_per_topology(self, monkeypatch):
+        """With no router, a route is searched once per topology: again on
+        a fresh tree of the same structure, never again on one that has it
+        (and providers of one shape share their tree, so its routes)."""
+        from repro.cloud import provider as provider_module
+
+        monkeypatch.setattr(topology, "_structured_routers", {})
+        monkeypatch.setattr(topology, "_register_tree_router", lambda topo, spec: None)
+        monkeypatch.setattr(provider_module, "_shared_trees", {})
+        searched = []
+        search = topology._lazy_kth_shortest_path
+
+        def counting(adjacency, src, dst, k=None):
+            searched.append((src, dst))
+            return search(adjacency, src, dst, k)
+
+        monkeypatch.setattr(topology, "_lazy_kth_shortest_path", counting)
         a = build_multi_rooted_tree()
         b = build_multi_rooted_tree()
         assert a.structure_token() == b.structure_token()
-        # The structured router would answer tree routes arithmetically;
-        # drop it so this exercises the generic shared cache.
-        monkeypatch.setattr(topology, "_structured_routers", {})
-        before = route_cache_info()
         path = a.node_path("host0", "host5")
-        after_first = route_cache_info()
-        assert after_first["misses"] == before["misses"] + 1
+        assert a.node_path("host0", "host5") is path
         assert b.node_path("host0", "host5") == path
-        after_second = route_cache_info()
-        assert after_second["hits"] == after_first["hits"] + 1
-        assert after_second["misses"] == after_first["misses"]  # no second computation
-        # Clearing drops the entries; the counters are monotonic.
-        clear_route_cache()
-        assert route_cache_info() == {**after_second, "entries": 0}
+        assert searched == [("host0", "host5")] * 2
+        first, second = make_provider("ec2", seed=0), make_provider("ec2", seed=1)
+        assert first.topology is second.topology
+        first.topology.node_path("host0", "host5")
+        assert second.topology.node_path("host0", "host5") == path
+        assert len(searched) == 3
 
 
 class TestEffectiveRateMatrix:

@@ -33,7 +33,6 @@ from repro.net.topology import (
     _lazy_kth_shortest_path,
     build_dumbbell,
     build_multi_rooted_tree,
-    clear_route_cache,
     structured_routing_info,
 )
 
@@ -179,11 +178,9 @@ class TestStructuredRouting:
         fast = build_multi_rooted_tree(spec)
         slow = build_multi_rooted_tree(spec)
         assert structured_routing_info()["routers"] >= 1
-        # With no router registered and a cold shared cache, every route
-        # is a graph search.
+        # With no router registered, every route is a graph search.
         with monkeypatch.context() as patch:
             patch.setattr(topology, "_structured_routers", {})
-            clear_route_cache()
             expected = {pair: slow.node_path(*pair) for pair in slow.host_pairs()}
         hits = structured_routing_info()["hits"]
         for (src, dst), path in expected.items():

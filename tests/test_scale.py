@@ -17,6 +17,7 @@ from oracles.max_min import (
     max_min_allocation,
     use_reference_engine,
 )
+from repro.cloud import provider as cloud_provider
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Machine
 from repro.core.placement.greedy import GreedyPlacer, cluster_vms_by_rate_profile
@@ -26,7 +27,7 @@ from repro.net.alloc import IncrementalAllocator
 from repro.net.fairness import FlowDemand
 from repro.net.flows import Flow
 from repro.net.fluid import FluidSimulation
-from repro.net.topology import build_two_rack_cloud, clear_route_cache
+from repro.net.topology import build_two_rack_cloud
 from repro.units import GBITPS, MBYTE
 
 np = pytest.importorskip("numpy")
@@ -424,10 +425,12 @@ class TestHierarchicalGreedyEquivalence:
 
 def _reference_engine(patch):
     """What the fluid engine did before any optimisation: max-min from
-    scratch at every event, the scalar loop, every route a graph search."""
+    scratch at every event, the scalar loop, every route a graph search
+    (on trees of its own: no shared tree carries a router or a route in)."""
     use_reference_engine(patch)
     patch.setattr(topology, "_structured_routers", {})
     patch.setattr(topology, "_register_tree_router", lambda topo, spec: None)
+    patch.setattr(cloud_provider, "_shared_trees", {})
 
 
 class TestTierOneScenarioBitIdentity:
@@ -435,7 +438,6 @@ class TestTierOneScenarioBitIdentity:
     def _trial_metrics(scenario):
         from repro.experiments.trials import run_trial
 
-        clear_route_cache()
         record = run_trial(scenario, "greedy", trial=0, base_seed=42)
         assert record.ok, record.error
         return (

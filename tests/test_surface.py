@@ -488,3 +488,62 @@ def test_one_live_simulation_and_no_hose_option_is_left():
     assert _calls(trees["repro.runtime.migration"], "simulate") == []
     for owner in ("repro.service.engine", "repro.runtime.sequence"):
         assert len(_calls(trees[owner], "LiveNetwork")) == 1, owner
+
+
+# --------------------------------------------------- one network per shape
+#: Deleted once every provider of a shape shared one tree: the process-wide
+#: route cache (whose reason was per-trial rebuilds of one structure), its
+#: counters, and the scalar loop's string demands.  No function, class or
+#: module-level name of these is defined in ``src/``.
+DELETED_SHARED_TREE_NAMES = {
+    "_route_cache", "_ROUTE_CACHE_MAX_ENTRIES", "clear_route_cache",
+    "route_cache_info", "_route_cache_hits", "_route_cache_misses",
+    "_flow_demands", "_demands",
+}
+
+
+def test_the_route_cache_is_gone_and_a_provider_builds_no_tree_of_its_own():
+    trees = {
+        name: ast.parse(inspect.getsource(importlib.import_module(name)))
+        for name in MODULES
+    }
+    defined = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name in DELETED_SHARED_TREE_NAMES
+    ]
+    assigned = [
+        f"{name}:{target.attr if isinstance(target, ast.Attribute) else target.id}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, (ast.Name, ast.Attribute))
+        and (target.attr if isinstance(target, ast.Attribute) else target.id)
+        in DELETED_SHARED_TREE_NAMES
+    ]
+    assert defined == [] and assigned == []
+    counters = [
+        name for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and node.value in ("repro.routes.cache_hits", "repro.routes.cache_misses")
+    ]
+    assert counters == []
+    import repro.net
+
+    assert {"clear_route_cache", "route_cache_info"} & set(repro.net.__all__) == set()
+    # A provider takes its tree from the shared table; the fluid engine
+    # imports no FlowDemand.
+    from repro.cloud.provider import CloudProvider
+
+    init = ast.parse(textwrap.dedent(inspect.getsource(CloudProvider.__init__)))
+    assert _calls(init, "build_multi_rooted_tree") == []
+    assert len(_calls(init, "_shared_tree")) == 1
+    fluid = trees["repro.net.fluid"]
+    assert [
+        alias.name for node in ast.walk(fluid) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name == "FlowDemand"
+    ] == []
