@@ -7,8 +7,7 @@ A :class:`CloudProvider` owns:
   a provider-specific distribution and which drifts slowly over time (the
   temporal stability of §4.1);
 * the measurement interface a tenant has on a public cloud: bulk TCP
-  transfers (netperf), UDP packet trains, traceroute, and fine-grained probe
-  throughput time series;
+  transfers (netperf), UDP packet trains and traceroute;
 * an execution interface (:meth:`simulate`) used to "transfer data as
   specified by the placement algorithm and the traffic matrix" (§6.1) on the
   fluid simulator.
@@ -300,8 +299,8 @@ class CloudProvider:
 
     def advance_time(self, seconds: float) -> None:
         """Advance the clock, letting per-VM hose rates drift (OU process)."""
-        if seconds < 0:
-            raise CloudError("cannot advance time backwards")
+        if not (math.isfinite(seconds) and seconds >= 0):
+            raise CloudError(f"seconds must be finite and >= 0, got {seconds!r}")
         if seconds == 0:
             return
         self._clock += seconds
@@ -484,35 +483,6 @@ class CloudProvider:
             noise = 1.0 + float(self._rng.normal(0.0, self.params.measurement_noise))
             rates[(src, dst)] = max(rate * noise, 0.0)
         return rates
-
-    def probe_throughput_series(
-        self,
-        src_vm: str,
-        dst_vm: str,
-        duration: float = 10.0,
-        sample_interval: float = 0.01,
-        background: Sequence[VMFlow] = (),
-    ) -> List[Tuple[float, float]]:
-        """Per-``sample_interval`` throughput of one bulk probe connection.
-
-        This reproduces the §3.2 measurement: run one bulk transfer for ten
-        seconds, log packet timestamps at the receiver, and derive the
-        throughput every 10 ms.
-        """
-        if duration <= 0 or sample_interval <= 0:
-            raise CloudError("duration and sample_interval must be positive")
-        probe = VMFlow(
-            flow_id="__probe__",
-            src_vm=src_vm,
-            dst_vm=dst_vm,
-            size_bytes=None,
-            start_time=0.0,
-            end_time=duration,
-            tag="probe",
-        )
-        result = self.simulate([probe] + list(background), until=duration)
-        timeline = result.timelines["__probe__"]
-        return timeline.sample(sample_interval, start=0.0, end=duration)
 
     def snapshot_rate(
         self,

@@ -6,8 +6,8 @@ live in :mod:`repro.net`, :mod:`repro.cloud`, and :mod:`repro.workloads`.
 
 * :mod:`repro.core.profiler` — application profiling (§2.1).
 * :mod:`repro.core.network_profile` — the measured view of the network.
-* :mod:`repro.core.measurement` — packet trains, cross-traffic estimation,
-  bottleneck location (§3), and the full-mesh measurement orchestrator.
+* :mod:`repro.core.measurement` — packet trains, bottleneck location (§3),
+  and the full-mesh measurement orchestrator.
 * :mod:`repro.core.placement` — greedy Algorithm 1, the ILP of the Appendix,
   and the Random / Round-robin / Minimum-Machines baselines (§5, §6).
 * :mod:`repro.core.choreo` — the end-to-end system (§2).
@@ -31,9 +31,6 @@ from repro.core.placement import (
 )
 from repro.core.measurement import (
     estimate_throughputs,
-    CrossTrafficEstimate,
-    estimate_cross_traffic_series,
-    infer_capacity_from_two_probes,
     InterferenceResult,
     BottleneckReport,
     BottleneckLocator,
@@ -59,9 +56,6 @@ __all__ = [
     "RoundRobinPlacer",
     "MinimumMachinesPlacer",
     "estimate_throughputs",
-    "CrossTrafficEstimate",
-    "estimate_cross_traffic_series",
-    "infer_capacity_from_two_probes",
     "InterferenceResult",
     "BottleneckReport",
     "BottleneckLocator",

@@ -11,14 +11,14 @@
 It also supports the multi-application workflow of §2.4: when a new
 application arrives while others are running, Choreo re-measures the network
 (the running applications appear as cross traffic) and places the new
-application's tasks; periodically it can re-evaluate existing placements and
-propose migrations (see :mod:`repro.runtime.migration`).
+application's tasks; migrations of running applications are proposed by
+:mod:`repro.runtime.migration`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 from repro.cloud.provider import CloudProvider, VMFlow
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
@@ -150,21 +150,3 @@ class ChoreoSystem:
             }
             placements[app.name] = Placement(app_name=app.name, assignments=assignments)
         return placements
-
-    def re_evaluate(
-        self,
-        app: Application,
-        current: Placement,
-        cluster: Optional[ClusterState] = None,
-        background: Sequence[VMFlow] = (),
-    ) -> Tuple[Placement, bool]:
-        """Re-measure and re-place an application (§2.4).
-
-        Returns the new placement and whether it differs from the current
-        one (i.e. whether a migration would be required).
-        """
-        new_placement = self.place_application(
-            app, cluster=cluster, background=background
-        )
-        changed = new_placement.assignments != current.assignments
-        return new_placement, changed

@@ -2,8 +2,6 @@
 
 * :mod:`repro.core.measurement.packet_train` — pairwise TCP throughput
   estimation from packet-train observations, combined with the Mathis bound.
-* :mod:`repro.core.measurement.cross_traffic` — equivalent-connection
-  cross-traffic estimation from probe throughput time series.
 * :mod:`repro.core.measurement.bottleneck` — interference tests, rack
   clustering, and rate-limit (hose) detection.
 * :mod:`repro.core.measurement.orchestrator` — runs a full-mesh measurement
@@ -15,12 +13,6 @@ from repro.core.measurement.packet_train import (
     estimate_throughputs,
     CalibrationPoint,
     calibrate_train_parameters,
-)
-from repro.core.measurement.cross_traffic import (
-    CrossTrafficEstimate,
-    estimate_cross_traffic,
-    estimate_cross_traffic_series,
-    infer_capacity_from_two_probes,
 )
 from repro.core.measurement.bottleneck import (
     InterferenceResult,
@@ -35,10 +27,6 @@ __all__ = [
     "estimate_throughputs",
     "CalibrationPoint",
     "calibrate_train_parameters",
-    "CrossTrafficEstimate",
-    "estimate_cross_traffic",
-    "estimate_cross_traffic_series",
-    "infer_capacity_from_two_probes",
     "InterferenceResult",
     "BottleneckReport",
     "BottleneckLocator",

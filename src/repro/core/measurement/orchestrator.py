@@ -12,6 +12,7 @@ the provider clock accordingly, so temporal drift is honoured.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -39,23 +40,20 @@ _DEGRADED = obs.Counter("repro.measure.probes_degraded")
 #: Approximate per-pair overhead of collecting train results at a central
 #: server (scheduling, ssh, copying timestamps), in seconds.  Chosen so a
 #: 90-pair mesh lands a little under three minutes, as reported in §4.1.
-DEFAULT_PER_PAIR_OVERHEAD_S = 1.0
+PER_PAIR_OVERHEAD_S = 1.0
 
 
 @dataclass(frozen=True)
 class MeasurementPlan:
     """What a measurement campaign should do.
 
+    A campaign probes its ordered pairs one at a time, in nested
+    source/destination order, and estimates each pair's single-connection
+    rate ``R``.
+
     Attributes:
         train_spec: packet-train parameters (after §4.1 calibration).
-        estimate_cross_traffic: also estimate the equivalent number of
-            background connections per path from the measured rate and the
-            advertised path capacity.
-        per_pair_overhead_s: fixed per-pair orchestration overhead.
         advance_clock: advance the provider clock by the campaign duration.
-        parallelism: how many VM-disjoint pairs the central coordinator
-            probes simultaneously per round (the paper's coordinator model);
-            ``1`` reproduces the serial mesh exactly.
         max_retries: how many times a failed probe of one pair is retried
             (with exponential backoff) before the pair is declared degraded.
         retry_backoff_s: base backoff before the first retry; each further
@@ -66,23 +64,19 @@ class MeasurementPlan:
     """
 
     train_spec: PacketTrainSpec = field(default_factory=PacketTrainSpec)
-    estimate_cross_traffic: bool = False
-    per_pair_overhead_s: float = DEFAULT_PER_PAIR_OVERHEAD_S
     advance_clock: bool = True
-    parallelism: int = 1
     max_retries: int = 2
     retry_backoff_s: float = 2.0
     probe_budget: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.per_pair_overhead_s < 0:
-            raise MeasurementError("per_pair_overhead_s must be >= 0")
-        if self.parallelism < 1:
-            raise MeasurementError("parallelism must be >= 1")
         if self.max_retries < 0:
             raise MeasurementError("max_retries must be >= 0")
-        if self.retry_backoff_s < 0:
-            raise MeasurementError("retry_backoff_s must be >= 0")
+        backoff = self.retry_backoff_s
+        if not (math.isfinite(backoff) and backoff >= 0):
+            raise MeasurementError(
+                f"retry_backoff_s must be finite and >= 0, got {backoff!r}"
+            )
         if self.probe_budget is not None and self.probe_budget < 0:
             raise MeasurementError("probe_budget must be >= 0 (or None)")
 
@@ -90,9 +84,9 @@ class MeasurementPlan:
 class _RetryLedger:
     """A campaign's retry accounting: budget left, time charged, who degraded."""
 
-    def __init__(self, plan: MeasurementPlan, round_time_s: float):
+    def __init__(self, plan: MeasurementPlan, pair_time_s: float):
         self._plan = plan
-        self._round_time_s = round_time_s
+        self._pair_time_s = pair_time_s
         self._retries_left = plan.probe_budget  # None == unlimited
         self.retries = 0
         self.time_s = 0.0
@@ -110,7 +104,7 @@ class _RetryLedger:
             self.degraded[pair] = f"{attempt + 1} probe(s) failed: {reason}"
             return False
         self.time_s += (
-            self._plan.retry_backoff_s * (2.0 ** attempt) + self._round_time_s
+            self._plan.retry_backoff_s * (2.0 ** attempt) + self._pair_time_s
         )
         if self._retries_left is not None:
             self._retries_left -= 1
@@ -152,35 +146,6 @@ def _pair_positions(names: Sequence[str], pairs: Pairs) -> np.ndarray:
     return at
 
 
-def _greedy_rounds(src: List[int], dst: List[int], limit: int) -> np.ndarray:
-    """The round of each pair: every round takes, in order, the earliest
-    pending pairs that share no VM with it, up to ``limit`` of them."""
-    round_of = np.zeros(len(src), dtype=np.intp)
-    pending = list(range(len(src)))
-    current = 0
-    while pending:
-        busy: set = set()
-        rest: List[int] = []
-        for at, i in enumerate(pending):
-            if src[i] in busy or dst[i] in busy:
-                rest.append(i)
-                continue
-            round_of[i] = current
-            busy.add(src[i])
-            busy.add(dst[i])
-            if len(busy) == 2 * limit:
-                rest.extend(pending[at + 1:])
-                break
-        pending = rest
-        current += 1
-    return round_of
-
-
-def _round_count(round_of: np.ndarray) -> int:
-    """Rounds of a schedule whose probes' rounds (ascending) are ``round_of``."""
-    return int(round_of[-1]) + 1 if round_of.shape[0] else 0
-
-
 class NetworkMeasurer:
     """Runs measurement campaigns against a provider."""
 
@@ -195,74 +160,25 @@ class NetworkMeasurer:
         # One train: bursts plus inter-burst gaps, rounded up to a second of
         # sending/receiving overhead.
         active = max(1.0, spec.n_bursts * spec.inter_burst_gap_s)
-        return active + self.plan.per_pair_overhead_s
+        return active + PER_PAIR_OVERHEAD_S
 
-    def campaign_time_s(self, n_vms: int) -> float:
-        """Wall-clock cost of a full mesh over ``n_vms`` VMs.
-
-        With ``plan.parallelism > 1`` the mesh is probed in rounds of
-        VM-disjoint pairs, so the campaign costs one
-        :meth:`per_pair_time_s` per *round* rather than per pair.
-        """
-        if n_vms < 2:
-            raise MeasurementError("need at least two VMs")
-        if self.plan.parallelism == 1:
-            rounds = n_vms * (n_vms - 1)
-        else:
-            rounds = len(self.schedule_rounds([f"vm{i}" for i in range(n_vms)]))
-        return rounds * self.per_pair_time_s()
-
-    def schedule_rounds(
-        self,
-        vm_names: Sequence[str],
-        pairs: Optional[Pairs] = None,
-    ) -> List[List[Tuple[str, str]]]:
-        """Batch ordered pairs into rounds of non-interfering probes.
-
-        Two probes interfere when they share a VM (they would contend for
-        the endpoint's NIC and hose cap), so each round holds at most
-        ``plan.parallelism`` pairs with pairwise-disjoint VM sets.  The
-        greedy schedule is deterministic: pairs are considered in nested
-        source/destination order and each round takes the earliest pairs
-        that still fit.  With ``parallelism == 1`` every round holds exactly
-        one pair, in the same order the serial mesh used.
-
-        ``pairs`` restricts the schedule to a subset of the mesh (the TTL
-        cache's stale pairs), as :meth:`measure` takes it; by default the
-        full ordered mesh is probed.  This is the campaign's schedule by
-        name; :meth:`measure` itself runs on positions.
-        """
-        names = _distinct(vm_names)
-        src, dst, round_of = self._schedule(names, pairs)
-        rounds: List[List[Tuple[str, str]]] = [
-            [] for _ in range(_round_count(round_of))
-        ]
-        for s, d, r in zip(src.tolist(), dst.tolist(), round_of.tolist()):
-            rounds[r].append((names[s], names[d]))
-        return rounds
-
+    @staticmethod
     def _schedule(
-        self, names: Sequence[str], pairs: Optional[Pairs]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The campaign's probes in the order they are sent: each probe's
-        source and destination (positions in ``names``) and its round."""
+        names: Sequence[str], pairs: Optional[Pairs]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The campaign's probes in the order they are sent, one at a time:
+        each probe's source and destination (positions in ``names``)."""
         n = len(names)
         if pairs is None:
             src = np.repeat(np.arange(n), n - 1)
             dst = np.tile(np.arange(n - 1), n)
             dst += dst >= src
-        else:
-            at = _pair_positions(names, pairs)
-            # Dedupe, keeping each pair where it first appears.
-            first = np.unique(at[:, 0] * n + at[:, 1], return_index=True)[1]
-            first.sort()
-            src, dst = at[first, 0], at[first, 1]
-        limit = self.plan.parallelism
-        if limit == 1:
-            return src, dst, np.arange(src.shape[0])
-        round_of = _greedy_rounds(src.tolist(), dst.tolist(), limit)
-        order = np.argsort(round_of, kind="stable")
-        return src[order], dst[order], round_of[order]
+            return src, dst
+        at = _pair_positions(names, pairs)
+        # Dedupe, keeping each pair where it first appears.
+        first = np.unique(at[:, 0] * n + at[:, 1], return_index=True)[1]
+        first.sort()
+        return at[first, 0], at[first, 1]
 
     # ------------------------------------------------------------ campaign
     def measure(
@@ -285,8 +201,8 @@ class NetworkMeasurer:
                 full ordered mesh.
 
         Every probed pair carries its own timestamp in
-        :attr:`NetworkProfile.pair_measured_at` — pairs from later campaign
-        rounds are measured later, which is what per-pair TTL invalidation
+        :attr:`NetworkProfile.pair_measured_at` — a pair probed later in the
+        campaign is measured later, which is what per-pair TTL invalidation
         keys on.
 
         A failed probe (an injected probe fault, a train with no measurable
@@ -314,14 +230,12 @@ class NetworkMeasurer:
         # the provider's.  A name is looked up again only for a pair that
         # fails a probe.
         on_provider = self.provider.vm_positions(names)
-        src, dst, round_of = self._schedule(names, pairs)
-        n_rounds = _round_count(round_of)
+        src, dst = self._schedule(names, pairs)
+        n_probes = src.shape[0]
         started_at = self.provider.now
-        round_time = self.per_pair_time_s()
-        retry = _RetryLedger(self.plan, round_time)
-        campaign = obs.span(
-            "measure.campaign", vms=len(names), pairs=src.shape[0], rounds=n_rounds
-        )
+        pair_time = self.per_pair_time_s()
+        retry = _RetryLedger(self.plan, pair_time)
+        campaign = obs.span("measure.campaign", vms=len(names), pairs=n_probes)
         rounds_before = SNAPSHOT_ROUNDS.count
         hashed_before = ECMP_HASHED.count
         with campaign:
@@ -338,39 +252,26 @@ class NetworkMeasurer:
                 )
 
         # One scatter per field, into ``names`` x ``names`` row-major order;
-        # a pair whose retries ran out has no estimate and stays NaN.
-        measured = ~np.isnan(estimates)
-        estimates = estimates[measured]
+        # a pair whose retries ran out has no estimate and stays NaN.  Probe
+        # ``i`` is sent ``i`` pair times after the campaign starts.
+        measured = np.flatnonzero(~np.isnan(estimates))
         n = len(names)
         at = (src * n + dst)[measured]
         rates = np.full((n, n), np.nan)
-        np.put(rates, at, np.maximum(estimates, 1.0))
+        np.put(rates, at, np.maximum(estimates[measured], 1.0))
         pair_times = np.full((n, n), np.nan)
-        np.put(pair_times, at, started_at + round_of[measured] * round_time)
-        cross = None
-        if self.plan.estimate_cross_traffic:
-            advertised = self.provider.params.instance_type.advertised_egress_bps
-            positive = estimates > 0
-            rate = estimates[positive]
-            cross = np.full((n, n), np.nan)
-            # estimate_cross_traffic(rate, max(advertised, rate)), elementwise.
-            np.put(
-                cross,
-                at[positive],
-                np.maximum(np.maximum(advertised, rate) / rate - 1.0, 0.0),
-            )
+        np.put(pair_times, at, started_at + measured * pair_time)
 
         _CAMPAIGNS.inc()
-        _PROBES.inc(src.shape[0])
+        _PROBES.inc(n_probes)
         _RETRIES.inc(retry.retries)
         _DEGRADED.inc(len(retry.degraded))
-        duration = n_rounds * round_time + retry.time_s
+        duration = n_probes * pair_time + retry.time_s
         if self.plan.advance_clock:
             self.provider.advance_time(duration)
         return NetworkProfile(
             vms=names,
             rates_bps=rates,
-            cross_traffic=cross,
             measured_at=started_at,
             measurement_duration_s=duration,
             pair_measured_at=pair_times,

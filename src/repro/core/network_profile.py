@@ -2,16 +2,16 @@
 
 A :class:`NetworkProfile` is what Choreo's placement algorithms consume: the
 estimated single-connection TCP throughput for every ordered VM pair
-(``R`` in the Appendix), optional per-path cross-traffic estimates (``c``
-from §3.2) and optional per-VM hose-rate estimates.  Connections out of one
-VM share its egress cap: the hose model §4.4 finds on EC2 and Rackspace.
+(``R`` in the Appendix) and optional per-VM hose-rate estimates.
+Connections out of one VM share its egress cap: the hose model §4.4 finds
+on EC2 and Rackspace.
 
 ``R`` *is* the profile: one ``(n, n)`` float64 array in ``vms`` order, from
 the campaign that scatters its estimates into it to the placer that ranks
-machine pairs on it.  Per-pair probe times and cross-traffic estimates are
-optional arrays of the same shape.  The arrays are the profile's own copies
-and are never written after construction, so a profile handed to a placer
-cannot change under it.
+machine pairs on it.  Per-pair probe times are an optional array of the
+same shape.  The arrays are the profile's own copies and are never written
+after construction, so a profile handed to a placer cannot change under
+it.
 """
 
 from __future__ import annotations
@@ -77,9 +77,6 @@ class NetworkProfile:
             as a read-only mapping view of the measured pairs.
         intra_vm_rate_bps: rate used for two tasks placed on the same VM;
             the paper models intra-machine paths as essentially infinite.
-        cross_traffic: per-ordered-pair equivalent number of background bulk
-            connections (``c`` from §3.2), as a read-only mapping view; a
-            pair without an estimate counts as zero.
         hose_rates_bps: per-VM estimated egress cap; when missing, the
             maximum measured rate out of the VM is used.
         measured_at: provider time at which the measurement was taken.
@@ -96,7 +93,7 @@ class NetworkProfile:
             consumers fall back to a forecast or a floor instead of trusting
             a number that was never observed.
 
-    ``rates_bps``, ``cross_traffic`` and ``pair_measured_at`` are each given
+    ``rates_bps`` and ``pair_measured_at`` are each given
     as an ``(n, n)`` array in ``vms`` order (copied; ``NaN`` = no value, the
     diagonal is ignored) or as a ``(src, dst) -> value`` mapping (scattered
     once into the same array; a ``NaN`` *value* there is an error).  Hot
@@ -109,7 +106,6 @@ class NetworkProfile:
         vms: Sequence[str],
         rates_bps: PairValues,
         intra_vm_rate_bps: float = math.inf,
-        cross_traffic: Optional[PairValues] = None,
         hose_rates_bps: Optional[Mapping] = None,
         measured_at: float = 0.0,
         measurement_duration_s: float = 0.0,
@@ -131,11 +127,7 @@ class NetworkProfile:
         if non_positive.any():
             src, dst = self._first_pair(non_positive)
             raise MeasurementError(f"rate for ({src!r}, {dst!r}) must be positive")
-        self._cross = self._times = None
-        if cross_traffic is not None and len(cross_traffic):
-            self._cross = self._pair_matrix(cross_traffic, "cross_traffic")
-            if (self._cross < 0).any():
-                raise MeasurementError("cross traffic estimates must be >= 0")
+        self._times = None
         if pair_measured_at is not None and len(pair_measured_at):
             self._times = self._pair_matrix(pair_measured_at, "pair_measured_at")
             unmeasured = ~np.isnan(self._times) & np.isnan(rates)
@@ -215,11 +207,6 @@ class NetworkProfile:
         return self._view(self._rates)
 
     @property
-    def cross_traffic(self) -> Mapping:
-        """The pairs with a cross-traffic estimate, as a read-only mapping."""
-        return self._view(self._cross)
-
-    @property
     def pair_measured_at(self) -> Mapping:
         """The pairs with their own probe time, as a read-only mapping."""
         return self._view(self._times)
@@ -265,20 +252,6 @@ class NetworkProfile:
         if self._times is None:
             return np.where(measured, self.measured_at, math.nan)
         return np.where(measured & np.isnan(self._times), self.measured_at, self._times)
-
-    def cross(self, src_vm: str, dst_vm: str) -> float:
-        """Cross-traffic estimate ``c`` for a pair (0 when not measured)."""
-        if self._cross is None or src_vm == dst_vm:
-            return 0.0
-        value = self._entry(self._cross, src_vm, dst_vm)
-        return value if value == value else 0.0
-
-    def cross_matrix(self, order: Sequence[str]) -> np.ndarray:
-        """:meth:`cross` for every ordered pair of ``order`` (0 = no estimate)."""
-        if self._cross is None:
-            return np.zeros((len(order), len(order)))
-        cross = self._gather(self._cross, order)
-        return np.where(np.isnan(cross), 0.0, cross)
 
     def hose_rate(self, vm: str) -> float:
         """Estimated egress cap of a VM.

@@ -115,12 +115,6 @@ class Placement:
                 f"placement for {self.app_name!r} has no task {task_name!r}"
             ) from exc
 
-    def tasks_on(self, machine_name: str) -> List[str]:
-        """Tasks placed on one machine, sorted."""
-        return sorted(
-            task for task, machine in self.assignments.items() if machine == machine_name
-        )
-
     def machines_used(self) -> List[str]:
         """Machines that received at least one task, sorted."""
         return sorted(set(self.assignments.values()))

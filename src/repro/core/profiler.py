@@ -5,18 +5,15 @@ as sFlow or tcpdump; the output is a matrix whose entry ``(i, j)`` is
 proportional to the number of bytes task ``i`` sends to task ``j``.  The
 profiler here consumes :class:`~repro.workloads.trace.FlowRecord` streams
 (our sFlow stand-in) and produces :class:`~repro.workloads.application.Application`
-objects ready for placement.  It can also *predict* the next window's
-matrix from history using the §6.1 predictors (previous window and
-time-of-day).
+objects ready for placement.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import WorkloadError
-from repro.units import HOUR
 from repro.workloads.application import Application, Task, TrafficMatrix
 from repro.workloads.trace import FlowRecord, records_to_traffic_matrix
 
@@ -90,61 +87,3 @@ class ApplicationProfiler:
             traffic=traffic,
             start_time=observed_start if start_time is None else start_time,
         )
-
-    def hourly_matrices(
-        self,
-        records: Sequence[FlowRecord],
-        application: str,
-        n_hours: Optional[int] = None,
-    ) -> List[TrafficMatrix]:
-        """One traffic matrix per hour of the trace for one application."""
-        matching = [r for r in records if r.application == application]
-        if not matching:
-            return []
-        last_hour = int(max(r.timestamp for r in matching) // HOUR)
-        hours = n_hours if n_hours is not None else last_hour + 1
-        return [
-            records_to_traffic_matrix(
-                matching, start=h * HOUR, end=(h + 1) * HOUR
-            )
-            for h in range(hours)
-        ]
-
-    def predict_next_window(
-        self,
-        history: Sequence[TrafficMatrix],
-        hours_per_day: int = 24,
-    ) -> TrafficMatrix:
-        """Predict the next window's matrix from per-window history (§6.1).
-
-        The prediction for each task pair is the average of the previous
-        window's value and the mean of the same time-of-day in prior days
-        (when at least a day of history exists); with less history it falls
-        back to the previous window alone.
-
-        Raises:
-            WorkloadError: if no history is provided.
-        """
-        if not history:
-            raise WorkloadError("cannot predict from empty history")
-        previous = history[-1]
-        next_index = len(history)
-        same_tod_indices = [
-            i for i in range(next_index % hours_per_day, next_index, hours_per_day)
-        ]
-        pairs = set()
-        for matrix in history:
-            pairs.update(pair for pair, _ in matrix.items())
-
-        predicted = TrafficMatrix()
-        for src, dst in sorted(pairs):
-            prev_value = previous.get(src, dst)
-            if same_tod_indices:
-                tod_value = sum(
-                    history[i].get(src, dst) for i in same_tod_indices
-                ) / len(same_tod_indices)
-                value = 0.5 * (prev_value + tod_value)
-            else:
-                value = prev_value
-            predicted.add(src, dst, value)
-        return predicted

@@ -6,11 +6,11 @@ placed on m -> n", taking into account all other connections already placed
 out of ``m``: the providers rate-limit at the source (the hose model, §4.3),
 so connections leaving one machine share its egress.
 
-The measured single-connection rate ``R`` for a path already includes any
-cross traffic ``c`` the measurement observed: ``R ≈ C / (c + 1)`` where
-``C`` is the bottleneck capacity (§3.2).  Adding ``k`` of our own
-connections therefore leaves each of them with ``C / (c + 1 + k)``, i.e.
-``R * (c + 1) / (c + 1 + k)``.
+The measured single-connection rate ``R`` of a path is what one new
+connection gets there, with whatever else the measurement saw already
+sharing it.  A new connection that joins ``k`` of our own connections
+already leaving the same source splits that source's egress with them, and
+gets ``R / (1 + k)``.
 
 :func:`effective_rate` is that expression for one pair — the definition, and
 the oracle the tests hold the array form to.  :class:`EffectiveRateMatrix`
@@ -20,7 +20,6 @@ pair at once, which is what the greedy placer ranks candidates on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Sequence
 
@@ -74,12 +73,7 @@ def effective_rate(
     """
     if src_machine == dst_machine:
         return profile.intra_vm_rate_bps
-    single = profile.rate(src_machine, dst_machine)
-    cross = profile.cross(src_machine, dst_machine)
-    existing = load.out_of(src_machine)
-    if math.isinf(single):
-        return single
-    return single * (cross + 1.0) / (cross + 1.0 + existing)
+    return profile.rate(src_machine, dst_machine) / (1.0 + load.out_of(src_machine))
 
 
 class EffectiveRateMatrix:
@@ -87,8 +81,7 @@ class EffectiveRateMatrix:
 
     ``rates[i, j]`` is the rate a new connection from ``machines[i]`` to
     ``machines[j]`` would get given the connections recorded so far:
-    ``S·(C + 1.0)/(C + 1.0 + k)`` with ``S`` the profile's rate matrix, ``C``
-    its cross-traffic estimates (zero where it has none) and ``k`` the
+    ``S/(1.0 + k)`` with ``S`` the profile's rate matrix and ``k`` the
     connections already leaving the source — the float operations of
     :func:`effective_rate`, elementwise, so every entry ``==`` the scalar
     value.  The diagonal is the intra-VM rate and never moves; an
@@ -99,11 +92,10 @@ class EffectiveRateMatrix:
     def __init__(self, profile: NetworkProfile, machines: Sequence[str]) -> None:
         self._intra = profile.intra_vm_rate_bps
         #: The profile's single-connection rates, in ``machines`` order.
-        self.single = single = profile.rate_matrix(machines)
-        self._base = profile.cross_matrix(machines) + 1.0
-        self._numerator = single * self._base
-        self._placed = np.zeros(len(machines))
-        self.rates = self._numerator / self._base
+        self.single = profile.rate_matrix(machines)
+        #: ``1 + k`` per source machine.
+        self._shares = np.ones(len(machines))
+        self.rates = self.single.copy()
         np.fill_diagonal(self.rates, self._intra)
 
     def record(self, src: int, dst: int) -> None:
@@ -112,8 +104,6 @@ class EffectiveRateMatrix:
         network egress and change nothing."""
         if src == dst:
             return
-        self._placed[src] += 1
-        self.rates[src] = self._numerator[src] / (
-            self._base[src] + self._placed[src]
-        )
+        self._shares[src] += 1.0
+        self.rates[src] = self.single[src] / self._shares[src]
         self.rates[src, src] = self._intra

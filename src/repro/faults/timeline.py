@@ -227,10 +227,6 @@ class FaultTimeline:
         at = self._preempted_at.get(vm)
         return at is not None and at <= t
 
-    def preempted_vms(self, t: float) -> List[str]:
-        """All VMs preempted at or before ``t`` (sorted)."""
-        return sorted(vm for vm, at in self._preempted_at.items() if at <= t)
-
     def degradation_factor(self, vm: str, t: float) -> float:
         """Product of all degradation multipliers active on ``vm`` at ``t``."""
         factor = 1.0

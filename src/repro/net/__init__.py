@@ -1,13 +1,13 @@
 """Datacenter network simulator substrate.
 
 This package provides everything the Choreo reproduction needs from "the
-network": multi-rooted tree topologies (:mod:`repro.net.topology`), routing
-and hop counts (:mod:`repro.net.routing`, :mod:`repro.net.traceroute`),
-max-min fair bandwidth sharing (:mod:`repro.net.fairness`), a flow-level
+network": multi-rooted tree topologies and their routes
+(:mod:`repro.net.topology`), hop counts (:mod:`repro.net.traceroute`),
+max-min fair bandwidth sharing (:mod:`repro.net.fairness`,
+:mod:`repro.net.alloc`), a flow-level
 event-driven simulator (:mod:`repro.net.fluid`, in which the hose model's
-per-VM egress caps are extra links), ON/OFF cross-traffic processes
-(:mod:`repro.net.crosstraffic`), and a burst-level packet-train transmission
-model (:mod:`repro.net.packets`).
+per-VM egress caps are extra links), and a burst-level packet-train
+transmission model (:mod:`repro.net.packets`).
 """
 
 from repro.net.topology import (
@@ -23,7 +23,6 @@ from repro.net.flows import Flow, FlowState
 from repro.net.alloc import IncrementalAllocator
 from repro.net.fairness import FlowDemand
 from repro.net.fluid import FluidSimulation, FluidResult, RateTimeline
-from repro.net.crosstraffic import OnOffSource, OnOffInterval, generate_on_intervals
 from repro.net.packets import PacketTrainSpec, draw_losses, send_packet_trains
 from repro.net.traceroute import traceroute_hop_count
 from repro.net.latency import rtt_s
@@ -46,9 +45,6 @@ __all__ = [
     "FluidSimulation",
     "FluidResult",
     "RateTimeline",
-    "OnOffSource",
-    "OnOffInterval",
-    "generate_on_intervals",
     "PacketTrainSpec",
     "draw_losses",
     "send_packet_trains",

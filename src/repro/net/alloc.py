@@ -89,7 +89,6 @@ import numpy as np
 
 from repro import obs
 from repro.errors import SimulationError
-from repro.net.fairness import FlowDemand
 
 __all__ = ["IncrementalAllocator"]
 
@@ -501,10 +500,6 @@ class IncrementalAllocator:
         self._solved = False
         self._solution = None
         return slots
-
-    def add_demand(self, flow_id: str, demand: FlowDemand) -> int:
-        """Register a flow from a :class:`~repro.net.fairness.FlowDemand`."""
-        return self.add_flow(flow_id, demand.links, demand.max_rate)
 
     def remove_flow(self, flow_id: str) -> None:
         """Forget a flow previously registered with :meth:`add_flow`."""

@@ -85,11 +85,6 @@ class Flow:
         """True for backlogged flows without a byte count."""
         return self.size_bytes is None
 
-    @property
-    def is_intra_host(self) -> bool:
-        """True when source and destination are the same physical machine."""
-        return self.src == self.dst
-
     def remaining_or_inf(self) -> float:
         """Bytes remaining for finite flows, ``inf`` for unbounded ones."""
         return math.inf if self.size_bytes is None else float(self.size_bytes)

@@ -1,8 +1,7 @@
 """Event-driven flow-level ("fluid") network simulator.
 
 This simulator stands in for the real EC2/Rackspace networks the paper
-measured and for the ns-2 simulations it used to validate the cross-traffic
-estimator.  Flows are fluid: at every instant the set of active flows shares
+measured.  Flows are fluid: at every instant the set of active flows shares
 the network according to max-min fairness (see :mod:`repro.net.fairness`),
 which matches the paper's working assumption that TCP splits a bottleneck
 equally among backlogged connections.
@@ -13,7 +12,6 @@ simulation advances event-to-event, recording a piece-wise constant rate
 timeline for every flow.  Those timelines power:
 
 * completion-time computation for placed applications (§6),
-* the 10 ms throughput samples used by the cross-traffic estimator (§3.2),
 * bulk-TCP ("netperf") throughput measurements (§2.2).
 
 A flow lives in **one columnar table** from registration to result.
@@ -185,26 +183,6 @@ class RateTimeline:
             if hi > lo:
                 moved_bits += segment.rate_bps * (hi - lo)
         return moved_bits / (end - start)
-
-    def sample(self, interval: float, start: Optional[float] = None,
-               end: Optional[float] = None) -> List[Tuple[float, float]]:
-        """Average-rate samples of width ``interval`` (e.g. 10 ms probes).
-
-        Returns a list of ``(sample_end_time, average_rate)`` tuples covering
-        ``[start, end)``.  Defaults to the flow's own active span.
-        """
-        if interval <= 0:
-            raise SimulationError("sample interval must be positive")
-        if not self.segments:
-            return []
-        lo = self.start_time if start is None else start
-        hi = self.end_time if end is None else end
-        samples: List[Tuple[float, float]] = []
-        t = lo
-        while t + interval <= hi + _TIME_EPS:
-            samples.append((t + interval, self.average_rate(t, t + interval)))
-            t += interval
-        return samples
 
     def total_bytes(self) -> float:
         """Total bytes moved over the flow's recorded lifetime."""

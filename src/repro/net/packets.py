@@ -27,6 +27,7 @@ The measurement-side estimator that consumes these observations lives in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -55,8 +56,11 @@ class PacketTrainSpec:
             raise MeasurementError("packet size must be positive")
         if self.n_bursts < 1 or self.burst_length < 2:
             raise MeasurementError("need >= 1 burst of >= 2 packets")
-        if self.inter_burst_gap_s < 0:
-            raise MeasurementError("inter-burst gap must be >= 0")
+        gap = self.inter_burst_gap_s
+        if not (math.isfinite(gap) and gap >= 0):
+            raise MeasurementError(
+                f"inter_burst_gap_s must be finite and >= 0, got {gap!r}"
+            )
 
     @property
     def burst_bytes(self) -> float:

@@ -619,10 +619,6 @@ class Topology:
         except KeyError as exc:
             raise TopologyError(f"unknown link {link_id!r}") from exc
 
-    def has_link(self, link_id: str) -> bool:
-        """True if ``link_id`` names a link in this topology."""
-        return link_id in self._links
-
     def capacities(self) -> Dict[str, float]:
         """Mapping of link id to capacity for every directed link."""
         return {lid: link.capacity_bps for lid, link in self._links.items()}
@@ -655,45 +651,10 @@ class Topology:
         tors = self.neighbors_of_kind(host, NodeKind.TOR)
         return tors[0] if tors else None
 
-    def hosts_in_rack(self, tor: str) -> List[str]:
-        """Hosts attached to a ToR switch."""
-        if self.node_kind(tor) is not NodeKind.TOR:
-            raise TopologyError(f"{tor!r} is not a ToR switch")
-        return self.neighbors_of_kind(tor, NodeKind.HOST)
-
     def same_rack(self, host_a: str, host_b: str) -> bool:
         """True if both hosts share a ToR switch (and are distinct machines)."""
         rack_a, rack_b = self.rack_of(host_a), self.rack_of(host_b)
         return rack_a is not None and rack_a == rack_b
-
-    def subtree_of(self, host: str) -> Optional[str]:
-        """The pod aggregation switch above the host's rack, if any."""
-        tor = self.rack_of(host)
-        if tor is None:
-            return None
-        frontier = [tor]
-        seen = set(frontier)
-        # Walk upward through any intermediate aggregation layers until we
-        # reach the node directly below the core.
-        while frontier:
-            nxt: List[str] = []
-            for node in frontier:
-                for neigh in sorted(self._adjacency[node]):
-                    if neigh in seen:
-                        continue
-                    kind = self.node_kind(neigh)
-                    if kind is NodeKind.AGG:
-                        if self.neighbors_of_kind(neigh, NodeKind.CORE):
-                            return neigh
-                        nxt.append(neigh)
-                        seen.add(neigh)
-            frontier = nxt
-        return None
-
-    def same_subtree(self, host_a: str, host_b: str) -> bool:
-        """True if both hosts sit under the same pod aggregation switch."""
-        sub_a, sub_b = self.subtree_of(host_a), self.subtree_of(host_b)
-        return sub_a is not None and sub_a == sub_b
 
     # ----------------------------------------------------------------- paths
     def structure_token(self) -> str:

@@ -75,13 +75,9 @@ class _Instrument:
         if register:
             registry.register(self)
 
-    # Subclasses fill these in.
+    # Subclasses fill this in.
     def value_dict(self) -> Dict[str, float]:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    def merge_into(self, acc: Dict[str, float]) -> None:
-        for key, value in self.value_dict().items():
-            acc[key] = acc.get(key, 0.0) + value
 
 
 class Counter(_Instrument):

@@ -72,9 +72,9 @@ class MeasurementCache:
     """Keeps per-pair rates fresh within a TTL, re-probing selectively.
 
     Args:
-        measurer: the campaign runner (its plan controls method and
-            parallelism; the service uses ``advance_clock=False`` plans and
-            accounts measurement time explicitly).
+        measurer: the campaign runner (its plan sets the train, the retries
+            and the probe budget; the service uses ``advance_clock=False``
+            plans and accounts measurement time explicitly).
         vms: the ordered mesh to cover.
         ttl_s: maximum age before a pair is considered stale.  The default
             of one hour matches the paper's hourly predictability grain.

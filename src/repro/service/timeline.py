@@ -114,12 +114,6 @@ class NetworkTimeline:
             return None
         return self.pair_epochs[self.epoch_of(time_s)].get((src, dst))
 
-    def hose_series(self, vm: str) -> List[float]:
-        """The per-epoch egress caps of one VM (ground truth, for analysis)."""
-        if not self.covers(vm):
-            raise ServiceError(f"timeline does not cover VM {vm!r}")
-        return [epoch[vm] for epoch in self.hose_epochs]
-
     # ------------------------------------------------------------ persistence
     def save(self, path: Union[str, Path]) -> Path:
         """Write the timeline to ``path`` as JSON."""

@@ -1,4 +1,4 @@
-"""Unit constants and conversion helpers.
+"""Unit constants.
 
 Conventions used throughout the library:
 
@@ -38,39 +38,3 @@ DAY = 86400.0
 
 # Bits per byte, used when converting between data volume and transfer time.
 BITS_PER_BYTE = 8.0
-
-
-def bytes_to_bits(num_bytes: float) -> float:
-    """Convert a byte count to a bit count."""
-    return num_bytes * BITS_PER_BYTE
-
-
-def bits_to_bytes(num_bits: float) -> float:
-    """Convert a bit count to a byte count."""
-    return num_bits / BITS_PER_BYTE
-
-
-def transfer_time(num_bytes: float, rate_bps: float) -> float:
-    """Time in seconds to move ``num_bytes`` at ``rate_bps`` bits/second.
-
-    A rate of zero (or a non-positive rate) means the transfer never
-    completes; ``float('inf')`` is returned in that case.  Zero bytes always
-    takes zero time, even on a dead path.
-    """
-    if num_bytes <= 0:
-        return 0.0
-    if rate_bps <= 0:
-        return float("inf")
-    return bytes_to_bits(num_bytes) / rate_bps
-
-
-def rate_for_transfer(num_bytes: float, duration_s: float) -> float:
-    """Average rate in bits/second for ``num_bytes`` moved in ``duration_s``."""
-    if duration_s <= 0:
-        return float("inf") if num_bytes > 0 else 0.0
-    return bytes_to_bits(num_bytes) / duration_s
-
-
-def mbps(rate_bps: float) -> float:
-    """Express a bits/second rate in Mbit/s (for reporting)."""
-    return rate_bps / MBITPS

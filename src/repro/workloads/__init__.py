@@ -22,7 +22,7 @@ from repro.workloads.patterns import (
     random_sparse,
 )
 from repro.workloads.generator import HPCloudWorkloadGenerator, WorkloadSpec
-from repro.workloads.arrivals import PoissonArrivals, TraceArrivals, DiurnalArrivals
+from repro.workloads.arrivals import PoissonArrivals, DiurnalArrivals
 from repro.workloads.trace import FlowRecord, write_trace, read_trace, records_to_traffic_matrix
 from repro.workloads.predictability import (
     PredictabilityReport,
@@ -46,7 +46,6 @@ __all__ = [
     "HPCloudWorkloadGenerator",
     "WorkloadSpec",
     "PoissonArrivals",
-    "TraceArrivals",
     "DiurnalArrivals",
     "FlowRecord",
     "write_trace",

@@ -13,8 +13,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.errors import WorkloadError
 
 
@@ -117,34 +115,6 @@ class TrafficMatrix:
 
     def __repr__(self) -> str:
         return f"TrafficMatrix({len(self._entries)} entries, {self.total_bytes:.0f} bytes)"
-
-    # ----------------------------------------------------------- conversion
-    def to_array(self, task_order: Sequence[str]) -> np.ndarray:
-        """Dense matrix with rows/columns ordered by ``task_order``."""
-        index = {name: i for i, name in enumerate(task_order)}
-        matrix = np.zeros((len(task_order), len(task_order)))
-        for (src, dst), value in self._entries.items():
-            if src not in index or dst not in index:
-                raise WorkloadError(
-                    f"traffic matrix references task not in task_order: {src!r}/{dst!r}"
-                )
-            matrix[index[src], index[dst]] = value
-        return matrix
-
-    @classmethod
-    def from_array(
-        cls, matrix: np.ndarray, task_order: Sequence[str]
-    ) -> "TrafficMatrix":
-        """Build a sparse matrix from a dense array and a task ordering."""
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.shape != (len(task_order), len(task_order)):
-            raise WorkloadError("array shape does not match task_order length")
-        result = cls()
-        for i, src in enumerate(task_order):
-            for j, dst in enumerate(task_order):
-                if i != j and matrix[i, j] > 0:
-                    result.add(src, dst, float(matrix[i, j]))
-        return result
 
 
 @dataclass

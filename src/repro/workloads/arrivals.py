@@ -3,15 +3,14 @@
 In the sequential-placement evaluation, applications arrive one by one and
 are placed in order of their observed start times from the HP Cloud dataset.
 We do not have that dataset, so these processes generate realistic start
-times: a homogeneous Poisson process, a diurnal (time-of-day modulated)
-Poisson process matching the hour-over-hour structure §6.1 relies on, and a
-trace-driven process for replaying explicit timestamps.
+times: a homogeneous Poisson process and a diurnal (time-of-day modulated)
+Poisson process matching the hour-over-hour structure §6.1 relies on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -79,24 +78,3 @@ class DiurnalArrivals:
             if rng.random() < self.rate_at(t) / rate_max:
                 arrivals.append(t)
         return arrivals
-
-
-@dataclass
-class TraceArrivals:
-    """Replay explicit start times (e.g. parsed from a trace file)."""
-
-    start_times: Sequence[float]
-
-    def __post_init__(self) -> None:
-        if any(t < 0 for t in self.start_times):
-            raise WorkloadError("start times must be >= 0")
-
-    def sample(
-        self, n: int, rng: Optional[np.random.Generator] = None
-    ) -> List[float]:
-        """The first ``n`` start times, sorted."""
-        if n > len(self.start_times):
-            raise WorkloadError(
-                f"trace has only {len(self.start_times)} start times, asked for {n}"
-            )
-        return sorted(self.start_times)[:n]

@@ -5,8 +5,7 @@ tcpdump; the output is a stream of flow records (timestamp, source task,
 destination task, byte count).  This module defines that record format, two
 on-disk serialisations — CSV and JSONL (one JSON object per line, the
 common export format of flow collectors) — and the aggregation from records
-to per-application traffic matrices and to hourly byte series (the
-granularity the predictability analysis of §6.1 uses).
+to per-application traffic matrices.
 
 :func:`load_trace` dispatches on the file suffix, so consumers such as the
 ``ec2-trace-replay`` scenario's ``trace_path`` parameter accept either
@@ -19,10 +18,9 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Union
 
 from repro.errors import WorkloadError
-from repro.units import HOUR
 from repro.workloads.application import TrafficMatrix
 
 _FIELDS = ("timestamp", "application", "src_task", "dst_task", "num_bytes")
@@ -198,28 +196,3 @@ def records_to_traffic_matrix(
             continue
         matrix.add(record.src_task, record.dst_task, record.num_bytes)
     return matrix
-
-
-def hourly_byte_series(
-    records: Iterable[FlowRecord],
-    application: Optional[str] = None,
-    n_hours: Optional[int] = None,
-) -> List[float]:
-    """Total bytes per hour for an application (input to §6.1's analysis).
-
-    The series starts at hour zero of the trace; hours with no traffic are
-    zero-filled.  ``n_hours`` pads (or truncates) the series to a fixed
-    length.
-    """
-    buckets: Dict[int, float] = {}
-    max_hour = -1
-    for record in records:
-        if application is not None and record.application != application:
-            continue
-        hour = int(record.timestamp // HOUR)
-        buckets[hour] = buckets.get(hour, 0.0) + record.num_bytes
-        max_hour = max(max_hour, hour)
-    length = n_hours if n_hours is not None else max_hour + 1
-    if length <= 0:
-        return []
-    return [buckets.get(h, 0.0) for h in range(length)]

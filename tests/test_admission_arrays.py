@@ -579,14 +579,9 @@ def _greedy_instance(rng: random.Random, unmeasured: bool):
             del rates[pair]
     # A finite intra-VM rate can tie with (or lose to) a network path.
     intra = rng.choice([math.inf, math.inf, 1e9, 5e8])
-    cross = (
-        {pair: rng.choice([0.0, 0.5, 1.0, 3.0]) for pair in pairs if rng.random() < 0.5}
-        if rng.random() < 0.5 else {}
-    )
-    if cross or rng.random() < 0.5:
+    if rng.random() < 0.5:
         profile = NetworkProfile(
-            vms=list(machines), rates_bps=rates, intra_vm_rate_bps=intra,
-            cross_traffic=cross,
+            vms=list(machines), rates_bps=rates, intra_vm_rate_bps=intra
         )
     else:
         matrix = np.full((n, n), math.nan)

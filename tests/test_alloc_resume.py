@@ -89,7 +89,7 @@ def _from_scratch(caps, active, vector):
         force_solves(patch, vector)
         fresh = IncrementalAllocator(caps)
         for fid in sorted(active):
-            fresh.add_demand(fid, active[fid])
+            fresh.add_flow(fid, active[fid].links, active[fid].max_rate)
         return fresh.solve()
 
 
@@ -130,7 +130,7 @@ class _Driver:
 
     def add(self, demands):
         for fid, demand in demands.items():
-            self.slot_of[fid] = self.live.add_demand(fid, demand)
+            self.slot_of[fid] = self.live.add_flow(fid, demand.links, demand.max_rate)
             self.active[fid] = demand
         self.parent_fill.added()
 

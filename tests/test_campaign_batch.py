@@ -13,12 +13,12 @@ so ``tests/test_lossy_trains.py`` holds them to the oracle statistically.)
 
 import dataclasses
 import hashlib
+import math
 import re
 
 import numpy as np
 import pytest
 from oracles import scalar_train
-from oracles.parent_schedule import parent_schedule_rounds
 
 from repro import obs
 from repro.cloud import provider as cloud_provider
@@ -26,12 +26,12 @@ from repro.cloud.ec2 import ec2_params
 from repro.cloud.provider import ProviderParams, VMFlow
 from repro.cloud.registry import make_provider
 from repro.core.measurement import MeasurementPlan, NetworkMeasurer
-from repro.core.measurement.cross_traffic import estimate_cross_traffic
 from repro.errors import CloudError, MeasurementError
 from repro.faults import (
     FaultTimeline, ProbeLoss, VmPreemption, attach_faults, generate_faults,
 )
 from repro.net import topology
+from repro.net.packets import PacketTrainSpec
 from repro.net.topology import (
     TreeSpec, _lazy_kth_shortest_path, build_multi_rooted_tree,
 )
@@ -100,54 +100,53 @@ def background_flows(names, rng, n_flows=12):
 
 
 def oracle_campaign(measurer, names, background=(), pairs=None):
-    """The campaign, probe by probe: the loop the array program replays."""
+    """The campaign, probe by probe: the loop the array program replays.
+
+    Its schedule is the ordered mesh in nested source/destination order, or
+    ``pairs`` with each repeat dropped, one probe at a time."""
     plan, provider = measurer.plan, measurer.provider
     started_at = provider.now
-    rates, cross, pair_times, degraded = {}, {}, {}, {}
-    advertised = provider.params.instance_type.advertised_egress_bps
-    rounds = measurer.schedule_rounds(names, pairs=pairs)
-    round_time = measurer.per_pair_time_s()
+    rates, pair_times, degraded = {}, {}, {}
+    if pairs is None:
+        pairs = [(src, dst) for src in names for dst in names if src != dst]
+    schedule = list(dict.fromkeys(tuple(pair) for pair in pairs))
+    pair_time = measurer.per_pair_time_s()
     retry_time = 0.0
     retries = 0
     retries_left = plan.probe_budget
-    for round_index, batch in enumerate(rounds):
-        probed_at = started_at + round_index * round_time
-        for src, dst in batch:
-            rate = None
-            attempt = 0
-            while True:
-                try:
-                    rate = scalar_train.measure_pair(
-                        provider, src, dst, plan.train_spec, background=background
-                    )
+    for index, (src, dst) in enumerate(schedule):
+        rate = None
+        attempt = 0
+        while True:
+            try:
+                rate = scalar_train.measure_pair(
+                    provider, src, dst, plan.train_spec, background=background
+                )
+                break
+            except MeasurementError as exc:
+                out_of_budget = retries_left is not None and retries_left <= 0
+                if attempt >= plan.max_retries or out_of_budget:
+                    reason = "probe budget exhausted" if out_of_budget else f"{exc}"
+                    degraded[(src, dst)] = f"{attempt + 1} probe(s) failed: {reason}"
                     break
-                except MeasurementError as exc:
-                    out_of_budget = retries_left is not None and retries_left <= 0
-                    if attempt >= plan.max_retries or out_of_budget:
-                        reason = "probe budget exhausted" if out_of_budget else f"{exc}"
-                        degraded[(src, dst)] = f"{attempt + 1} probe(s) failed: {reason}"
-                        break
-                    retry_time += plan.retry_backoff_s * (2.0 ** attempt) + round_time
-                    if retries_left is not None:
-                        retries_left -= 1
-                    attempt += 1
-                    retries += 1
-            if rate is None:
-                continue
-            rates[(src, dst)] = max(rate, 1.0)
-            pair_times[(src, dst)] = probed_at
-            if plan.estimate_cross_traffic and rate > 0:
-                cross[(src, dst)] = estimate_cross_traffic(rate, max(advertised, rate))
-    duration = len(rounds) * round_time + retry_time
+                retry_time += plan.retry_backoff_s * (2.0 ** attempt) + pair_time
+                if retries_left is not None:
+                    retries_left -= 1
+                attempt += 1
+                retries += 1
+        if rate is None:
+            continue
+        rates[(src, dst)] = max(rate, 1.0)
+        pair_times[(src, dst)] = started_at + index * pair_time
+    duration = len(schedule) * pair_time + retry_time
     if plan.advance_clock:
         provider.advance_time(duration)
     return {
         "rates": sorted(rates.items()),
-        "cross": sorted(cross.items()),
         "pair_times": sorted(pair_times.items()),
         "degraded": list(degraded.items()),
         "duration": duration,
-        "counters": [1, sum(map(len, rounds)), retries, len(degraded)],
+        "counters": [1, len(schedule), retries, len(degraded)],
         "rng": provider._rng.bit_generator.state,
         "clock": provider.now,
     }
@@ -159,7 +158,6 @@ def campaign(measurer, names, background=(), pairs=None):
     after = obs.metrics.snapshot()
     return {
         "rates": sorted(profile.rates_bps.items()),
-        "cross": sorted(profile.cross_traffic.items()),
         "pair_times": sorted(profile.pair_measured_at.items()),
         "degraded": list(profile.degraded_pairs.items()),
         "duration": profile.measurement_duration_s,
@@ -200,19 +198,17 @@ def campaign_spans(path):
 
 
 # ------------------------------------------------------------ the property
-@pytest.mark.parametrize("parallelism", [1, 4])
 @pytest.mark.parametrize("name", ["ec2", "rackspace", "ec2-legacy"])
-def test_full_mesh_is_bit_identical(name, parallelism):
-    plan = MeasurementPlan(parallelism=parallelism)
+def test_full_mesh_is_bit_identical(name):
     got = assert_campaign_matches_oracle(
-        lambda: build_provider(name, loss_rate=0.0), plan
+        lambda: build_provider(name, loss_rate=0.0), MeasurementPlan()
     )
     assert len(got["rates"]) == 8 * 7 and not got["degraded"]
 
 
 @pytest.mark.parametrize("name", ["ec2", "rackspace"])
-def test_colocated_vms_and_cross_traffic_estimates(name):
-    plan = MeasurementPlan(estimate_cross_traffic=True, advance_clock=False)
+def test_colocated_vms(name):
+    plan = MeasurementPlan(advance_clock=False)
 
     def build():
         return build_provider(name, n_vms=10, colocate=0.6)
@@ -220,11 +216,10 @@ def test_colocated_vms_and_cross_traffic_estimates(name):
     provider, _ = build()
     assert len({vm.host for vm in provider.vms()}) < 10  # some VMs do share hosts
     got = assert_campaign_matches_oracle(build, plan)
-    assert len(got["cross"]) == len(got["rates"]) == 90
+    assert len(got["rates"]) == 90
 
 
-@pytest.mark.parametrize("parallelism", [1, 4])
-def test_pair_subsets_with_duplicates(parallelism):
+def test_pair_subsets_with_duplicates():
     def pairs(names):
         rng = np.random.default_rng(11)
         picks = [
@@ -233,9 +228,8 @@ def test_pair_subsets_with_duplicates(parallelism):
         ]
         return picks + picks[:7]
 
-    plan = MeasurementPlan(parallelism=parallelism)
     got = assert_campaign_matches_oracle(
-        lambda: build_provider("ec2"), plan, pairs=pairs
+        lambda: build_provider("ec2"), MeasurementPlan(), pairs=pairs
     )
     assert 0 < len(got["rates"]) <= 25
 
@@ -256,7 +250,7 @@ def test_background_flows(name):
 @pytest.mark.parametrize("faults", ["lossy-probes", "random-preempt", "rack-outage"])
 @pytest.mark.parametrize("name", ["ec2", "rackspace"])
 def test_fault_timelines(name, faults, probe_budget):
-    plan = MeasurementPlan(probe_budget=probe_budget, parallelism=2)
+    plan = MeasurementPlan(probe_budget=probe_budget)
 
     def background(names):
         return background_flows(names, np.random.default_rng(7), n_flows=5)
@@ -346,6 +340,80 @@ def test_provider_params_reject_a_path_no_train_can_cross(field, value):
         dataclasses.replace(ec2_params(), **{field: value})
     with pytest.raises(CloudError, match=field):
         ProviderParams(name="unsendable", **{field: value})
+
+
+#: Times a retried campaign with ``advance_clock=True`` would add to the
+#: provider clock: each non-finite one is rejected by name, before the clock
+#: (and every hose deviation with it) can become NaN or infinite.
+NON_FINITE_TIMES = [
+    ("advance_time", float("nan")),
+    ("advance_time", float("inf")),
+    ("retry_backoff_s", float("nan")),
+    ("retry_backoff_s", float("inf")),
+    ("inter_burst_gap_s", float("nan")),
+    ("inter_burst_gap_s", float("inf")),
+]
+
+
+@pytest.mark.parametrize("field,value", NON_FINITE_TIMES)
+def test_a_non_finite_time_never_reaches_the_provider_clock(field, value):
+    provider, _ = build_provider("ec2", n_vms=2)
+    clock = provider.now
+    if field == "advance_time":
+        with pytest.raises(CloudError, match="seconds must be finite"):
+            provider.advance_time(value)
+    elif field == "retry_backoff_s":
+        with pytest.raises(MeasurementError, match=field):
+            MeasurementPlan(retry_backoff_s=value)
+    else:
+        with pytest.raises(MeasurementError, match=field):
+            PacketTrainSpec(inter_burst_gap_s=value)
+    assert provider.now == clock
+    assert all(math.isfinite(provider.hose_rate(vm.name)) for vm in provider.vms())
+
+
+#: A negative time, retry count or budget is rejected by the name of the
+#: setting that carries it.
+NEGATIVE_SETTINGS = [
+    ("seconds", -1.0),
+    ("retry_backoff_s", -1.0),
+    ("max_retries", -1),
+    ("probe_budget", -1),
+    ("inter_burst_gap_s", -1e-3),
+]
+
+
+@pytest.mark.parametrize("field,value", NEGATIVE_SETTINGS)
+def test_a_negative_campaign_setting_is_rejected_by_name(field, value):
+    if field == "seconds":
+        provider, _ = build_provider("ec2", n_vms=2)
+        with pytest.raises(CloudError, match=field):
+            provider.advance_time(value)
+        return
+    make = PacketTrainSpec if field == "inter_burst_gap_s" else MeasurementPlan
+    with pytest.raises(MeasurementError, match=field):
+        make(**{field: value})
+
+
+@pytest.mark.parametrize("name", ["ec2", "rackspace", "ec2-legacy"])
+def test_a_ten_vm_mesh_takes_at_most_three_minutes(name):
+    """§4.1: packet trains measure a ten-VM topology's 90 pairs in about
+    three minutes, counting the overhead of collecting each pair's result.
+    A campaign with no failed probe charges one pair time per pair, sends
+    probe ``i`` ``i`` pair times after it starts, and moves the clock by
+    exactly its duration."""
+    provider, names = build_provider(name, n_vms=10, loss_rate=0.0)
+    measurer = NetworkMeasurer(provider, MeasurementPlan())
+    started_at = provider.now
+    profile = measurer.measure(names)
+    pair_time = measurer.per_pair_time_s()
+    mesh = [(src, dst) for src in names for dst in names if src != dst]
+    assert not profile.degraded_pairs and len(profile.rates_bps) == 90
+    assert profile.measurement_duration_s == 90 * pair_time <= 180.0
+    assert provider.now == started_at + profile.measurement_duration_s
+    assert [profile.pair_measured_at[pair] for pair in mesh] == [
+        started_at + i * pair_time for i in range(90)
+    ]
 
 
 # ------------------------------------------------------- what the span says
@@ -450,35 +518,39 @@ def position_pairs(names, pairs):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_the_index_schedule_is_the_name_schedule(seed):
-    """``schedule_rounds`` — now the name view of the three arrays ``measure``
-    runs on — against the parent's list-of-lists scheduler, kept verbatim:
-    full mesh and subsets with repeats, serial and parallel, pairs given by
-    name and by position."""
+    """The campaign schedules on positions.  Read back as names, its probes
+    are the ordered mesh in nested source/destination order, or the given
+    pairs with each repeat dropped where it first appears — whether the
+    pairs come by name or by position."""
     rng = np.random.default_rng(seed)
     names = [f"n{i}" for i in rng.permutation(int(rng.integers(2, 12)))]
-    provider, _ = build_provider("ec2", n_vms=2)
-    for limit in (1, 2, int(rng.integers(3, 7))):
-        measurer = NetworkMeasurer(provider, MeasurementPlan(parallelism=limit))
-        assert measurer.schedule_rounds(names) == parent_schedule_rounds(
-            names, None, limit
-        )
+
+    def as_names(schedule):
+        src, dst = schedule
+        return [(names[s], names[d]) for s, d in zip(src.tolist(), dst.tolist())]
+
+    mesh = [(src, dst) for src in names for dst in names if src != dst]
+    assert as_names(NetworkMeasurer._schedule(names, None)) == mesh
+    for _ in range(3):
         picks = [
             tuple(names[i] for i in rng.choice(len(names), size=2, replace=False))
             for _ in range(int(rng.integers(0, 40)))
         ]
         picks += picks[: len(picks) // 3]
-        want = parent_schedule_rounds(names, picks, limit)
-        assert measurer.schedule_rounds(names, pairs=picks) == want
+        want = list(dict.fromkeys(picks))
+        assert as_names(NetworkMeasurer._schedule(names, picks)) == want
         by_position = position_pairs(names, picks).reshape(-1, 2)
-        assert measurer.schedule_rounds(names, pairs=by_position) == want
+        assert as_names(NetworkMeasurer._schedule(names, by_position)) == want
+    for bad in ([(names[0], names[0])], [(names[0], "ghost")]):
+        with pytest.raises(MeasurementError, match="cannot schedule pair"):
+            NetworkMeasurer._schedule(names, bad)
 
 
-@pytest.mark.parametrize("parallelism", [1, 4])
 @pytest.mark.parametrize("name", ["ec2", "ec2-legacy"])
-def test_pairs_by_position_give_the_profile_pairs_by_name_give(name, parallelism):
+def test_pairs_by_position_give_the_profile_pairs_by_name_give(name):
     """An ``(m, 2)`` position array is the same campaign as the name pairs
     it stands for — on a lossless and on a lossy provider."""
-    plan = MeasurementPlan(parallelism=parallelism, estimate_cross_traffic=True)
+    plan = MeasurementPlan()
     rng = np.random.default_rng(23)
 
     def subset(names):
@@ -531,7 +603,7 @@ def test_a_fail_window_a_wild_window_and_a_preempted_vm_at_once():
         return background_flows(names[:7], np.random.default_rng(9), n_flows=8)
 
     got = assert_campaign_matches_oracle(
-        build, MeasurementPlan(probe_budget=20, parallelism=3), background=background
+        build, MeasurementPlan(probe_budget=20), background=background
     )
     _, names = build()
     lost = {pair for pair, _ in got["degraded"]}

@@ -1,6 +1,6 @@
 """Tests for the hot-path performance work: the incremental allocator, the
-routing/path caches, the effective-rate matrix, the batched measurement
-mesh, the timeline bisection, and the runner's trial memoization.
+routing/path caches, the effective-rate matrix, the timeline bisection, and
+the runner's trial memoization.
 
 The central property: every optimisation must be *exact* — same rates, same
 placements, same profiles, same trial records as the reference code paths.
@@ -12,12 +12,11 @@ import random
 import pytest
 
 from oracles.max_min import max_min_allocation, use_reference_engine
-from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Machine
 from repro.core.rate_model import ConnectionLoad, EffectiveRateMatrix, effective_rate
 from repro.cloud.registry import make_provider
-from repro.errors import MeasurementError, SimulationError
+from repro.errors import SimulationError
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
 from repro.net import topology
 from repro.net.alloc import IncrementalAllocator
@@ -74,7 +73,7 @@ class TestIncrementalAllocator:
             caps, demands = _random_instance(rng)
             allocator = IncrementalAllocator(caps)
             for fid, demand in demands.items():
-                allocator.add_demand(fid, demand)
+                allocator.add_flow(fid, demand.links, demand.max_rate)
             _assert_allocations_match(
                 max_min_allocation(demands, caps), allocator.solve(), f"trial {trial}"
             )
@@ -91,8 +90,8 @@ class TestIncrementalAllocator:
             while events < 60 and (pool or active):
                 if pool and (not active or rng.random() < 0.55):
                     fid = pool.pop(rng.randrange(len(pool)))
-                    active[fid] = demands[fid]
-                    allocator.add_demand(fid, active[fid])
+                    active[fid] = demand = demands[fid]
+                    allocator.add_flow(fid, demand.links, demand.max_rate)
                 else:
                     fid = rng.choice(sorted(active))
                     del active[fid]
@@ -136,7 +135,7 @@ class TestIncrementalAllocator:
         }
         allocator = IncrementalAllocator(caps)
         for fid, demand in demands.items():
-            allocator.add_demand(fid, demand)
+            allocator.add_flow(fid, demand.links, demand.max_rate)
         _assert_allocations_match(
             max_min_allocation(demands, caps), allocator.solve(), "dup links"
         )
@@ -160,7 +159,7 @@ class TestIncrementalAllocator:
                 mutated[fid] = FlowDemand(links=links, max_rate=demand.max_rate)
             allocator = IncrementalAllocator(caps)
             for fid, demand in mutated.items():
-                allocator.add_demand(fid, demand)
+                allocator.add_flow(fid, demand.links, demand.max_rate)
             _assert_allocations_match(
                 max_min_allocation(mutated, caps),
                 allocator.solve(),
@@ -310,7 +309,7 @@ class TestEffectiveRateMatrix:
     Algorithm 1 in ``tests/test_admission_arrays.py``.)
     """
 
-    def _profile(self, machines, seed, cross=False):
+    def _profile(self, machines, seed, intra):
         rng = random.Random(seed)
         pairs = [(a, b) for a in machines for b in machines if a != b]
         return NetworkProfile(
@@ -318,17 +317,13 @@ class TestEffectiveRateMatrix:
             rates_bps={
                 pair: rng.uniform(0.05 * GBITPS, 1 * GBITPS) for pair in pairs
             },
-            cross_traffic=(
-                {pair: rng.uniform(0.0, 3.0) for pair in pairs[::2]}
-                if cross else {}
-            ),
-            intra_vm_rate_bps=4 * GBITPS if cross else math.inf,
+            intra_vm_rate_bps=intra,
         )
 
-    @pytest.mark.parametrize("cross", [False, True])
-    def test_matrix_matches_direct_computation_under_load(self, cross):
+    @pytest.mark.parametrize("intra", [math.inf, 4 * GBITPS])
+    def test_matrix_matches_direct_computation_under_load(self, intra):
         machines = [f"m{i}" for i in range(6)]
-        profile = self._profile(machines, 2, cross=cross)
+        profile = self._profile(machines, 2, intra)
         board = EffectiveRateMatrix(profile, machines)
         shadow = ConnectionLoad()
         rng = random.Random(4)
@@ -352,59 +347,6 @@ class TestEffectiveRateMatrix:
         assert board.rates[0, 1] == 1e9 * 1.0 / 2.0
         assert math.isnan(board.rates[0, 2]) and math.isnan(board.rates[2, 1])
         assert board.rates[2, 2] == math.inf
-
-
-class TestBatchedMeasurementMesh:
-    def _measurer(self, parallelism, seed=3, n_vms=6):
-        provider = make_provider("ec2", seed=seed)
-        provider.request_vms(n_vms)
-        plan = MeasurementPlan(advance_clock=False, parallelism=parallelism)
-        return NetworkMeasurer(provider, plan=plan)
-
-    def test_schedule_covers_mesh_with_disjoint_rounds(self):
-        measurer = self._measurer(parallelism=3)
-        names = [vm.name for vm in measurer.provider.vms()]
-        rounds = measurer.schedule_rounds(names)
-        seen = []
-        for batch in rounds:
-            assert 1 <= len(batch) <= 3
-            busy = set()
-            for src, dst in batch:
-                assert src not in busy and dst not in busy
-                busy.update((src, dst))
-            seen.extend(batch)
-        expected = [(s, d) for s in names for d in names if s != d]
-        assert sorted(seen) == sorted(expected)
-        assert len(seen) == len(set(seen))
-
-    def test_parallelism_one_is_the_serial_order(self):
-        measurer = self._measurer(parallelism=1)
-        names = [vm.name for vm in measurer.provider.vms()]
-        rounds = measurer.schedule_rounds(names)
-        assert [pair for batch in rounds for pair in batch] == [
-            (s, d) for s in names for d in names if s != d
-        ]
-        assert all(len(batch) == 1 for batch in rounds)
-
-    def test_batched_campaign_is_faster_on_the_modeled_clock(self):
-        serial = self._measurer(parallelism=1)
-        batched = self._measurer(parallelism=4)
-        assert batched.campaign_time_s(8) < serial.campaign_time_s(8)
-
-    def test_batched_measure_is_deterministic(self):
-        profiles = [self._measurer(parallelism=4, seed=11).measure() for _ in range(2)]
-        assert profiles[0].rates_bps == profiles[1].rates_bps
-        assert profiles[0].measurement_duration_s == profiles[1].measurement_duration_s
-
-    def test_batched_measure_covers_the_same_pairs_as_serial(self):
-        serial = self._measurer(parallelism=1, seed=11).measure()
-        batched = self._measurer(parallelism=4, seed=11).measure()
-        assert set(serial.pairs()) == set(batched.pairs())
-        assert batched.measurement_duration_s < serial.measurement_duration_s
-
-    def test_invalid_parallelism_rejected(self):
-        with pytest.raises(MeasurementError):
-            MeasurementPlan(parallelism=0)
 
 
 class TestRunnerTrialMemoization:

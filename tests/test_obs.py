@@ -211,15 +211,14 @@ def test_traced_remote_sweep_is_bit_identical_and_workers_trace(tmp_path):
 # ------------------------------------------------- metrics vs. legacy views
 def test_metrics_snapshot_matches_legacy_stats_views(tmp_path):
     from repro.net.alloc import IncrementalAllocator
-    from repro.net.fairness import FlowDemand
 
     gc.collect()  # dying instruments must not skew the before/after delta
     before = obs.metrics.snapshot()
 
     alloc = IncrementalAllocator({"l0": 1e9, "l1": 1e9})
-    alloc.add_demand("f0", FlowDemand(links=("l0",)))
+    alloc.add_flow("f0", ["l0"])
     alloc.solve()
-    alloc.add_demand("f1", FlowDemand(links=("l1",)))
+    alloc.add_flow("f1", ["l1"])
     alloc.solve()
 
     store = ResultStore(tmp_path, version="v1")

@@ -74,7 +74,7 @@ def _solves(patch, vector, caps, script, every=True):
             if demand is None:
                 allocator.remove_flow(fid)
             else:
-                allocator.add_demand(fid, demand)
+                allocator.add_flow(fid, demand.links, demand.max_rate)
             if every:
                 rates.append(dict(allocator.solve()))
         return rates if every else [dict(allocator.solve())]
@@ -118,7 +118,7 @@ class TestVectorSolveBitIdentity:
             caps, demands = _random_instance(rng)
             vector = IncrementalAllocator(caps)
             for fid, demand in demands.items():
-                vector.add_demand(fid, demand)
+                vector.add_flow(fid, demand.links, demand.max_rate)
             got = vector.solve()
             ref = max_min_allocation(demands, caps)
             assert set(ref) == set(got)
@@ -143,7 +143,7 @@ class TestVectorSolveBitIdentity:
         force_solves(monkeypatch, True)
         allocator = IncrementalAllocator(caps)
         for fid, demand in script:
-            allocator.add_demand(fid, demand)
+            allocator.add_flow(fid, demand.links, demand.max_rate)
         assert not allocator.uses_vector_path()
         # Removing the duplicate-link flow re-enables the vector path.
         allocator.remove_flow("loop")
@@ -275,9 +275,7 @@ class TestRateMatrix:
     def test_a_profile_cannot_be_changed_after_construction(self):
         vms, rates, profile = self._profile(n=3)
         pair = (vms[0], vms[1])
-        for view in (
-            profile.rates_bps, profile.pair_measured_at, profile.cross_traffic
-        ):
+        for view in (profile.rates_bps, profile.pair_measured_at):
             with pytest.raises(TypeError):
                 view[pair] = 42.0
         assert not profile.rate_matrix().flags.writeable
@@ -288,11 +286,10 @@ class TestRateMatrix:
         profile.rate_matrix(order=vms)[0, 1] = 42.0
         assert profile.rate(*pair) == rates[pair]
 
-    def test_per_pair_times_and_cross_traffic_in_either_spelling(self):
+    def test_per_pair_times_in_either_spelling(self):
         vms = ["a", "b", "c"]
         rates = {("a", "b"): 1e9, ("b", "a"): 2e9, ("c", "a"): 3e9}
         times = {("a", "b"): 7.0, ("c", "a"): 9.0}
-        cross = {("b", "a"): 0.0, ("c", "a"): 1.5}
 
         def scatter(values):
             matrix = np.full((3, 3), math.nan)
@@ -301,34 +298,23 @@ class TestRateMatrix:
             return matrix
 
         for profile in (
+            NetworkProfile(vms, rates, measured_at=5.0, pair_measured_at=times),
             NetworkProfile(
-                vms, rates, measured_at=5.0, pair_measured_at=times,
-                cross_traffic=cross,
-            ),
-            NetworkProfile(
-                vms, scatter(rates), measured_at=5.0,
-                pair_measured_at=scatter(times), cross_traffic=scatter(cross),
+                vms, scatter(rates), measured_at=5.0, pair_measured_at=scatter(times)
             ),
         ):
             assert dict(profile.rates_bps) == rates
             assert dict(profile.pair_measured_at) == times
-            assert dict(profile.cross_traffic) == cross  # a zero estimate is kept
             assert list(profile.rates_bps) == [("a", "b"), ("b", "a"), ("c", "a")]
             stamps = profile.measured_at_matrix()
             for i, src in enumerate(vms):
                 for j, dst in enumerate(vms):
-                    assert profile.cross(src, dst) == cross.get((src, dst), 0.0)
                     if src != dst and profile.has_pair(src, dst):
                         assert stamps[i, j] == profile.measured_at_pair(src, dst)
                         assert stamps[i, j] == times.get((src, dst), 5.0)
                     else:
                         assert math.isnan(stamps[i, j])
-            np.testing.assert_array_equal(
-                profile.cross_matrix(["c", "a"]), [[0.0, 1.5], [0.0, 0.0]]
-            )
-        bare = NetworkProfile(vms, rates)
-        assert not bare.cross_traffic and not bare.pair_measured_at
-        np.testing.assert_array_equal(bare.cross_matrix(vms), np.zeros((3, 3)))
+        assert not NetworkProfile(vms, rates).pair_measured_at
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -338,8 +324,7 @@ class TestRateMatrix:
             (dict(rates_bps={("a", "zz"): 1.0}), "unknown VM 'zz'"),
             (dict(rates_bps={("a", "a"): 1.0}), "self pairs"),
             (dict(rates_bps=np.ones((3, 3))), "shape"),
-            (dict(cross_traffic={("a", "b"): -0.5}), "cross traffic"),
-            (dict(cross_traffic={("a", "b"): math.nan}), "NaN"),
+            (dict(pair_measured_at={("a", "b"): math.nan}), "NaN"),
             (dict(pair_measured_at={("b", "a"): 1.0}), "unmeasured pair"),
             (dict(degraded_pairs={("a", "zz"): "lost"}), "unknown VM"),
             (dict(degraded_pairs={("b", "b"): "lost"}), "self pairs"),

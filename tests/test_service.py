@@ -161,7 +161,7 @@ class TestPairwiseMeasurementStaleness:
         names = [vm.name for vm in provider.vms()]
         measurer = NetworkMeasurer(provider, MeasurementPlan(advance_clock=False))
         with pytest.raises(MeasurementError):
-            measurer.schedule_rounds(names, pairs=[(names[0], "ghost")])
+            measurer.measure(names, pairs=[(names[0], "ghost")])
 
     def test_profile_rejects_timestamps_for_unmeasured_pairs(self):
         from repro.core.network_profile import NetworkProfile

@@ -224,9 +224,8 @@ def _comprehensions_of_pairs(tree):
 
 
 def test_the_campaign_builds_no_list_of_name_pairs():
-    """The schedule is three position arrays from ``measure`` to the burst
-    model.  A pair of names exists for a pair that fails a probe, and in
-    ``schedule_rounds`` — the name view ``campaign_time_s`` and tests read;
+    """The schedule is two position arrays from ``measure`` to the burst
+    model.  A pair of names exists only for a pair that fails a probe;
     nothing else on the way turns the schedule back into tuples."""
     import repro.cloud.provider as provider
     import repro.core.measurement as measurement
@@ -237,7 +236,6 @@ def test_the_campaign_builds_no_list_of_name_pairs():
         offenders += [
             (info.name, function, line)
             for function, line in _comprehensions_of_pairs(ast.parse(source))
-            if function != "schedule_rounds"
         ]
     for function in (
         provider.CloudProvider.send_packet_trains,
@@ -446,12 +444,11 @@ def test_one_packet_train_implementation_is_left():
     assert "_rng" not in {field.name for field in dataclasses.fields(TrainBatch)}
 
 
-def test_the_measurement_plan_has_its_eight_fields():
+def test_the_measurement_plan_has_its_five_fields():
     from repro.core.measurement import MeasurementPlan
 
     assert [field.name for field in dataclasses.fields(MeasurementPlan)] == [
-        "train_spec", "estimate_cross_traffic", "per_pair_overhead_s",
-        "advance_clock", "parallelism", "max_retries", "retry_backoff_s",
+        "train_spec", "advance_clock", "max_retries", "retry_backoff_s",
         "probe_budget",
     ]
 
@@ -547,3 +544,49 @@ def test_the_route_cache_is_gone_and_a_provider_builds_no_tree_of_its_own():
         alias.name for node in ast.walk(fluid) if isinstance(node, ast.ImportFrom)
         for alias in node.names if alias.name == "FlowDemand"
     ] == []
+
+
+# ------------------------------------- the campaign measures what the placer uses
+#: Deleted with the cross-traffic estimate ``c`` (it never changed a greedy
+#: placement at any registered scenario's defaults: docs/experiments.md),
+#: the §3.2 probe-series code nothing called, the parallel probe scheduler,
+#: and definitions no caller reached.  No function, method or class of these
+#: names is defined in ``src/``, and no module exports one.
+DELETED_UNUSED_NAMES = {
+    # the estimate c, campaign to rate model
+    "estimate_cross_traffic", "estimate_cross_traffic_series",
+    "CrossTrafficEstimate", "infer_capacity_from_two_probes", "cross",
+    "cross_matrix", "cross_traffic", "OnOffSource", "OnOffInterval",
+    "generate_on_intervals", "count_active", "probe_throughput_series",
+    # the parallel schedule
+    "schedule_rounds", "campaign_time_s", "_greedy_rounds", "_round_count",
+    # no caller anywhere
+    "re_evaluate", "hourly_matrices", "predict_next_window", "to_array",
+    "from_array", "hourly_byte_series", "TraceArrivals", "bits_to_bytes",
+    "bytes_to_bits", "transfer_time", "rate_for_transfer", "mbps", "has_link",
+    "hosts_in_rack", "same_subtree", "subtree_of", "is_intra_host", "tasks_on",
+    "preempted_vms", "hose_series", "merge_into", "add_demand",
+}
+
+
+def test_the_unused_measurement_code_and_the_uncalled_definitions_are_gone():
+    defined = [
+        f"{name}:{node.name}"
+        for name in MODULES
+        for node in ast.walk(ast.parse(inspect.getsource(importlib.import_module(name))))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name in DELETED_UNUSED_NAMES
+    ]
+    exported = [
+        f"{name}:{export}"
+        for name in ["repro", *MODULES]
+        for export in getattr(importlib.import_module(name), "__all__", ())
+        if export in DELETED_UNUSED_NAMES
+    ]
+    assert defined == [] and exported == []
+    for module in ("repro.core.measurement.cross_traffic", "repro.net.crosstraffic"):
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+    from repro.core.network_profile import NetworkProfile
+
+    assert "cross_traffic" not in inspect.signature(NetworkProfile).parameters
