@@ -45,7 +45,7 @@ from repro.net.topology import (
     index_pairs,
 )
 from repro.net.traceroute import traceroute_hop_count
-from repro.units import GBITPS
+from repro.units import BITS_PER_BYTE, GBITPS
 
 HoseSampler = Callable[[np.random.Generator], float]
 
@@ -83,18 +83,16 @@ class VMFlow:
     Attributes:
         flow_id: unique identifier.
         src_vm, dst_vm: VM names (must exist on the provider).
-        size_bytes: bytes to transfer, or ``None`` for a backlogged flow.
+        size_bytes: bytes to transfer.
         start_time: absolute start time in seconds.
-        end_time: stop time for backlogged flows.
         tag: free-form label (application name, "cross-traffic", ...).
     """
 
     flow_id: str
     src_vm: str
     dst_vm: str
-    size_bytes: Optional[float] = None
+    size_bytes: float
     start_time: float = 0.0
-    end_time: Optional[float] = None
     tag: str = ""
 
 
@@ -361,7 +359,6 @@ class CloudProvider:
             dst=dst.host,
             size_bytes=vm_flow.size_bytes,
             start_time=vm_flow.start_time,
-            end_time=vm_flow.end_time,
             tag=vm_flow.tag,
         )
         # The hose applies to the VM's egress onto the physical network, so
@@ -417,35 +414,10 @@ class CloudProvider:
             f"(injected fault)"
         )
 
-    def run_netperf(
-        self,
-        src_vm: str,
-        dst_vm: str,
-        duration: float = 10.0,
-        background: Sequence[VMFlow] = (),
-    ) -> float:
-        """Bulk TCP throughput of one connection, netperf-style (bits/s).
-
-        ``background`` flows (e.g. the tenant's running applications) share
-        the network with the probe for the duration of the measurement.
-        """
-        if duration <= 0:
-            raise CloudError("duration must be positive")
+    def run_netperf(self, src_vm: str, dst_vm: str, duration: float = 10.0) -> float:
+        """Bulk TCP throughput of one connection, netperf-style (bits/s)."""
         wild_factor = self._probe_fault_factor(src_vm, dst_vm, "netperf probe")
-        probe = VMFlow(
-            flow_id="__netperf__",
-            src_vm=src_vm,
-            dst_vm=dst_vm,
-            size_bytes=None,
-            start_time=0.0,
-            end_time=duration,
-            tag="netperf",
-        )
-        shifted = [
-            replace_background_window(flow, duration) for flow in background
-        ]
-        result = self.simulate([probe] + shifted, until=duration)
-        rate = result.timelines["__netperf__"].average_rate(0.0, duration)
+        (rate,) = self._bulk_rates([(src_vm, dst_vm)], duration)
         noise = 1.0 + float(self._rng.normal(0.0, self.params.measurement_noise))
         return max(rate * noise * wild_factor, 0.0)
 
@@ -460,45 +432,42 @@ class CloudProvider:
         uses: run netperf on both paths at the same time and see whether
         either slows down.
         """
-        if duration <= 0:
-            raise CloudError("duration must be positive")
         if len(set(pairs)) != len(pairs):
             raise CloudError("concurrent_netperf pairs must be unique")
-        flows = [
-            VMFlow(
-                flow_id=f"__concurrent_{i}__",
-                src_vm=src,
-                dst_vm=dst,
-                size_bytes=None,
-                start_time=0.0,
-                end_time=duration,
-                tag="netperf",
-            )
-            for i, (src, dst) in enumerate(pairs)
-        ]
-        result = self.simulate(flows, until=duration)
         rates: Dict[Tuple[str, str], float] = {}
-        for i, (src, dst) in enumerate(pairs):
-            rate = result.timelines[f"__concurrent_{i}__"].average_rate(0.0, duration)
+        for pair, rate in zip(pairs, self._bulk_rates(pairs, duration)):
             noise = 1.0 + float(self._rng.normal(0.0, self.params.measurement_noise))
-            rates[(src, dst)] = max(rate * noise, 0.0)
+            rates[pair] = max(rate * noise, 0.0)
         return rates
 
-    def snapshot_rate(
-        self,
-        src_vm: str,
-        dst_vm: str,
-        background: Sequence[VMFlow] = (),
-        window_s: float = 0.1,
-    ) -> float:
-        """Instantaneous rate a new bulk connection would get on this path.
+    def _bulk_rates(
+        self, pairs: Sequence[Tuple[str, str]], duration: float
+    ) -> List[float]:
+        """Mean rate of one bulk connection per pair, all run together for
+        ``duration`` seconds: flows too big to finish, cut off at ``until``.
 
-        The probe shares the network with ``background`` flows (treated as
-        backlogged for the short snapshot window).  Used to model how probes
-        and packet trains see the network while the tenant's other
-        applications are running.
+        No flow outruns the fastest link it crosses, so twice the bytes the
+        fastest link moves in the window outlast it; a max-min share does
+        not depend on a flow's size.
         """
-        return float(self._snapshot_rates([(src_vm, dst_vm)], background, window_s)[0])
+        if not 0 < duration < math.inf:
+            raise CloudError(
+                f"netperf duration must be finite and positive, got {duration!r}"
+            )
+        sim = self.build_simulation()
+        size = 2 * duration * max(sim.capacities.values()) / BITS_PER_BYTE
+        flow_ids = [f"__netperf_{i}__" for i in range(len(pairs))]
+        self.add_flows(
+            sim,
+            [
+                VMFlow(flow_id, src, dst, size, tag="netperf")
+                for flow_id, (src, dst) in zip(flow_ids, pairs)
+            ],
+        )
+        timelines = sim.run(until=duration).timelines
+        return [
+            timelines[flow_id].average_rate(0.0, duration) for flow_id in flow_ids
+        ]
 
     def _snapshot_rates(
         self,
@@ -506,7 +475,9 @@ class CloudProvider:
         background: Sequence[VMFlow],
         window_s: float = 0.1,
     ) -> np.ndarray:
-        """:meth:`snapshot_rate` of every pair, each alone with ``background``."""
+        """Instantaneous rate a new bulk connection would get on each pair,
+        each alone with the ``background`` flows (treated as backlogged for
+        the short snapshot window)."""
         if not window_s > 0:
             raise CloudError(f"window_s must be positive, got {window_s!r}")
         pairs = self._pair_positions(pairs)
@@ -725,21 +696,3 @@ class CloudProvider:
             visible_hops=self.params.traceroute_visible_hops,
         )
 
-
-def replace_background_window(flow: VMFlow, duration: float) -> VMFlow:
-    """Clamp a background flow into the measurement window ``[0, duration]``.
-
-    Measurement helpers simulate only the probe window, so background flows
-    are treated as backlogged for the (short) duration of the measurement —
-    the same approximation the paper makes when it measures while other
-    applications run.
-    """
-    return VMFlow(
-        flow_id=flow.flow_id,
-        src_vm=flow.src_vm,
-        dst_vm=flow.dst_vm,
-        size_bytes=None,
-        start_time=0.0,
-        end_time=duration,
-        tag=flow.tag or "background",
-    )

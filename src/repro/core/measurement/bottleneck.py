@@ -17,6 +17,7 @@ traceroute-based rack clustering and the multi-rooted-tree assumption
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -144,8 +145,10 @@ class BottleneckLocator:
         rack_hop_threshold: int = 2,
         seed: int = 0,
     ):
-        if duration_s <= 0:
-            raise MeasurementError("duration must be positive")
+        if not 0 < duration_s < math.inf:
+            raise MeasurementError(
+                f"duration_s must be finite and positive, got {duration_s!r}"
+            )
         if not 0.0 < interference_threshold < 1.0:
             raise MeasurementError("interference_threshold must be in (0, 1)")
         self.provider = provider

@@ -128,6 +128,11 @@ def calibrate_train_parameters(
     """
     if not pairs:
         raise MeasurementError("calibration needs at least one VM pair")
+    if not 0 < reference_duration_s < math.inf:
+        raise MeasurementError(
+            "reference_duration_s must be finite and positive, "
+            f"got {reference_duration_s!r}"
+        )
     if reference_rates is None:
         reference_rates = {
             pair: provider.run_netperf(pair[0], pair[1], duration=reference_duration_s)

@@ -69,8 +69,7 @@ class ScenarioInstance:
         apps: the applications to place (start times matter in
             ``sequence`` and ``service`` modes).
         background: cross-traffic flows sharing the network with the
-            tenant's applications; they must be finite (have a size or an
-            end time) so simulations terminate.
+            tenant's applications.
         mode: :data:`MODE_BATCH`, :data:`MODE_SEQUENCE`, or
             :data:`MODE_SERVICE`.
         service: service-mode settings (required for :data:`MODE_SERVICE`).
@@ -92,12 +91,6 @@ class ScenarioInstance:
             raise ExperimentError(
                 "service-mode scenarios must supply ServiceSettings"
             )
-        for flow in self.background:
-            if flow.size_bytes is None and flow.end_time is None:
-                raise ExperimentError(
-                    f"background flow {flow.flow_id!r} is unbounded; give it a "
-                    "size or an end time so simulations terminate"
-                )
 
 
 #: A builder takes ``(seed, **params)`` and returns a :class:`ScenarioInstance`.

@@ -20,8 +20,8 @@ solves:
   adjustment and one dirty mark per touched link — and leave exactly the
   state the per-flow calls would (slot numbers, free list, rates);
 * :meth:`solve` runs progressive filling over integer indices (counters
-  instead of set intersections, a lazy heap for flow caps) and caches its
-  result until the flow set changes again.
+  instead of set intersections) and caches its result until the flow set
+  changes again.
 
 The solver performs the *same* floating-point operations in the same
 per-flow order as the reference implementation, so its rates are
@@ -203,7 +203,6 @@ class IncrementalAllocator:
         self._row_start = np.zeros(0, dtype=np.int64)
         self._row_used = 0  # high-water mark of _row_data
         self._row_live = 0  # entries belonging to registered flows
-        self._slot_cap: List[Optional[float]] = []
         self._free_slots: List[int] = []
         # Per-link membership (flow slots currently crossing the link) and a
         # refcount of links in use, so solves touch only occupied links.
@@ -213,10 +212,9 @@ class IncrementalAllocator:
         # and its link histogram ``(batch, idx, k)``; dropped whenever a flow
         # crossing the link is removed (see _solve_vector).
         self._batch_memo: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        # Slots of live capped flows, slots of live linkless flows, and each
-        # slot's path length, so the vector solve can build its working sets
-        # without a Python sweep over every registered flow.
-        self._capped: Set[int] = set()
+        # Slots of live linkless flows and each slot's path length, so the
+        # vector solve can build its working sets without a Python sweep
+        # over every registered flow.
         self._linkless: Set[int] = set()
         self._slot_nlinks = np.zeros(0, dtype=np.int64)
         # Longest path registered since the last clear() (never lowered on
@@ -271,13 +269,8 @@ class IncrementalAllocator:
         return list(self._flow_slot)
 
     # ------------------------------------------------------------- mutation
-    def add_flow(
-        self,
-        flow_id: str,
-        links: Sequence[str],
-        max_rate: Optional[float] = None,
-    ) -> int:
-        """Register a flow crossing ``links`` with an optional rate cap.
+    def add_flow(self, flow_id: str, links: Sequence[str]) -> int:
+        """Register a flow crossing ``links``.
 
         Returns the flow's slot index — an index into the vector
         :meth:`solve_slots` returns, valid until the flow is removed.
@@ -295,11 +288,9 @@ class IncrementalAllocator:
                     f"flow {flow_id!r} references unknown link {link_id!r}"
                 )
             indexed.append(index)
-        return self._add_row(flow_id, indexed, max_rate)
+        return self._add_row(flow_id, indexed)
 
-    def _add_row(
-        self, flow_id: str, indexed: List[int], max_rate: Optional[float]
-    ) -> int:
+    def _add_row(self, flow_id: str, indexed: List[int]) -> int:
         """:meth:`add_flow` for a validated flow whose links are interned."""
         link_tuple = tuple(indexed)
         # The reference subtracts the frozen level once per *occurrence* but
@@ -315,13 +306,11 @@ class IncrementalAllocator:
             self._slot_name[slot] = flow_id
             self._slot_links[slot] = link_tuple
             self._slot_unique_links[slot] = unique
-            self._slot_cap[slot] = max_rate
         else:
             slot = len(self._slot_name)
             self._slot_name.append(flow_id)
             self._slot_links.append(link_tuple)
             self._slot_unique_links.append(unique)
-            self._slot_cap.append(max_rate)
             self._grow_slot_arrays(slot + 1)
         # Write the row before registering the flow: a compaction triggered
         # by the capacity check must only see fully-recorded rows.
@@ -338,8 +327,6 @@ class IncrementalAllocator:
         if n_row > self._max_row:
             self._max_row = n_row
         self._flow_slot[flow_id] = slot
-        if max_rate is not None:
-            self._capped.add(slot)
         if not n_row:
             self._linkless.add(slot)
         if unique is not link_tuple:
@@ -383,7 +370,6 @@ class IncrementalAllocator:
         flow_ids: Sequence[str],
         rows: np.ndarray,
         lengths: np.ndarray,
-        max_rates: Sequence[Optional[float]],
     ) -> np.ndarray:
         """Register a batch of flows given as link-index rows.
 
@@ -405,7 +391,7 @@ class IncrementalAllocator:
         total = len(flat)
         ends = list(itertools.accumulate(lengths.tolist()))
         spans = list(zip([0] + ends, ends))
-        if len(ends) != n or len(max_rates) != n or (ends[-1] if n else 0) != total:
+        if len(ends) != n or (ends[-1] if n else 0) != total:
             raise SimulationError("flow batch columns disagree in length")
         registered = self._flow_slot
         batch_ids = set()
@@ -435,8 +421,8 @@ class IncrementalAllocator:
             # forces the scalar solver anyway): the per-flow edit, exactly.
             return np.array(
                 [
-                    self._add_row(flow_id, flat[a:b], cap)
-                    for flow_id, (a, b), cap in zip(flow_ids, spans, max_rates)
+                    self._add_row(flow_id, flat[a:b])
+                    for flow_id, (a, b) in zip(flow_ids, spans)
                 ],
                 dtype=np.intp,
             )
@@ -449,17 +435,15 @@ class IncrementalAllocator:
         slot_list.extend(range(first_fresh, first_fresh + n - n_reused))
         slots = np.array(slot_list, dtype=np.intp)
         tuples = [tuple(flat[a:b]) for a, b in spans]
-        for slot, flow_id, link_tuple, cap in zip(
-            slot_list[:n_reused], flow_ids, tuples, max_rates
+        for slot, flow_id, link_tuple in zip(
+            slot_list[:n_reused], flow_ids, tuples
         ):
             self._slot_name[slot] = flow_id
             self._slot_links[slot] = link_tuple
             self._slot_unique_links[slot] = link_tuple
-            self._slot_cap[slot] = cap
         self._slot_name.extend(flow_ids[n_reused:])
         self._slot_links.extend(tuples[n_reused:])
         self._slot_unique_links.extend(tuples[n_reused:])
-        self._slot_cap.extend(max_rates[n_reused:])
         self._grow_slot_arrays(len(self._slot_name))
         # The CSR block is one slice write.  Room is made before any flow of
         # the batch is registered: a compaction must only see recorded rows.
@@ -472,9 +456,6 @@ class IncrementalAllocator:
         self._slot_nlinks[slots] = lengths
         self._max_row = max(self._max_row, int(lengths.max()))
         self._flow_slot.update(zip(flow_ids, slot_list))
-        self._capped.update(
-            slot for slot, cap in zip(slot_list, max_rates) if cap is not None
-        )
         linkless = slots[lengths == 0].tolist()
         self._linkless.update(linkless)
         if total:
@@ -526,10 +507,8 @@ class IncrementalAllocator:
         self._slot_name[slot] = ""
         self._slot_links[slot] = ()
         self._slot_unique_links[slot] = ()
-        self._slot_cap[slot] = None
         self._row_live -= int(self._slot_nlinks[slot])
         self._slot_nlinks[slot] = 0
-        self._capped.discard(slot)
         self._linkless.discard(slot)
         self._free_slots.append(slot)
         self._solved = False
@@ -586,10 +565,8 @@ class IncrementalAllocator:
             self._slot_name[slot] = ""
             self._slot_links[slot] = ()
             self._slot_unique_links[slot] = ()
-            self._slot_cap[slot] = None
         self._row_live -= total
         self._slot_nlinks[slots] = 0
-        self._capped.difference_update(slot_list)
         self._linkless.difference_update(slot_list)
         self._free_slots.extend(slot_list)
         self._solved = False
@@ -635,7 +612,6 @@ class IncrementalAllocator:
         self._slot_name.clear()
         self._slot_links.clear()
         self._slot_unique_links.clear()
-        self._slot_cap.clear()
         self._row_data = np.zeros(0, dtype=np.intp)
         self._row_start = np.zeros(0, dtype=np.int64)
         self._row_used = 0
@@ -645,7 +621,6 @@ class IncrementalAllocator:
             members.clear()
         self._link_use.clear()
         self._batch_memo.clear()
-        self._capped.clear()
         self._linkless.clear()
         self._slot_nlinks = np.zeros(0, dtype=np.int64)
         self._max_row = 0
@@ -736,8 +711,7 @@ class IncrementalAllocator:
             partial = self._dirty_closure()
         if partial is not None:
             for slot in self._dirty_linkless:
-                cap = self._slot_cap[slot]
-                self._slot_rate[slot] = math.inf if cap is None else cap
+                self._slot_rate[slot] = math.inf
             if partial:
                 self._solve_scalar(restrict=partial)
                 self._resume = 0
@@ -833,9 +807,8 @@ class IncrementalAllocator:
             if self._slot_links[slot]:
                 unfrozen.append(slot)
             else:
-                # Flows that traverse no links are only limited by their cap.
-                cap = self._slot_cap[slot]
-                slot_rate[slot] = math.inf if cap is None else cap
+                # Flows that traverse no links are not limited at all.
+                slot_rate[slot] = math.inf
 
         # Working copies for only the links currently in play.
         capacity = self._capacity
@@ -851,12 +824,6 @@ class IncrementalAllocator:
         }
 
         frozen = bytearray(len(self._slot_name))
-        cap_heap: List[Tuple[float, int]] = [
-            (self._slot_cap[slot], slot)
-            for slot in unfrozen
-            if self._slot_cap[slot] is not None
-        ]
-        heapq.heapify(cap_heap)
         # Lazy heap of per-link equal shares.  During progressive filling a
         # link's share never decreases (each frozen flow removes at most one
         # share's worth of capacity and one member), so stale entries are
@@ -876,8 +843,8 @@ class IncrementalAllocator:
         slot_unique = self._slot_unique_links
         n_left = len(unfrozen)
         while n_left:
-            # The next "water level" is the smallest of: the equal share on
-            # any link carrying unfrozen flows, and the smallest unfrozen cap.
+            # The next "water level" is the smallest equal share on any link
+            # carrying unfrozen flows.
             bottleneck_share = math.inf
             bottleneck_link = -1
             if use_share_heap:
@@ -903,29 +870,19 @@ class IncrementalAllocator:
                         bottleneck_share = share
                         bottleneck_link = index
 
-            while cap_heap and frozen[cap_heap[0][1]]:
-                heapq.heappop(cap_heap)
-
-            if cap_heap and cap_heap[0][0] <= bottleneck_share:
-                # A flow hits its own cap before any link saturates.
-                level, capped_slot = heapq.heappop(cap_heap)
-                to_freeze = [capped_slot]
-            elif bottleneck_link >= 0:
-                if use_share_heap:
-                    # Freezing drains the bottleneck link, so drop its entry.
-                    heapq.heappop(share_heap)
-                level = bottleneck_share
-                to_freeze = [
-                    slot
-                    for slot in self._members[bottleneck_link]
-                    if not frozen[slot]
-                ]
-            else:
+            if bottleneck_link < 0:
                 # Unfrozen flows remain but nothing constrains them.
                 for slot in unfrozen:
                     if not frozen[slot]:
                         slot_rate[slot] = math.inf
                 break
+            if use_share_heap:
+                # Freezing drains the bottleneck link, so drop its entry.
+                heapq.heappop(share_heap)
+            level = bottleneck_share
+            to_freeze = [
+                slot for slot in self._members[bottleneck_link] if not frozen[slot]
+            ]
 
             # Count the round's occurrences per link, then drain each link
             # once with the fused ``remaining - k*level`` (clamped at zero).
@@ -980,11 +937,6 @@ class IncrementalAllocator:
         self._row_start[slots] = offs
         self._row_used = total
 
-    def _slot_row(self, slot: int) -> np.ndarray:
-        """The slot's link index row (a view into the flat CSR buffer)."""
-        start = self._row_start[slot]
-        return self._row_data[start : start + self._slot_nlinks[slot]]
-
     def _solve_vector(self) -> int:
         """Array-backed water-filling over the links in use; returns how
         many rounds took their batch from the memo.
@@ -994,19 +946,18 @@ class IncrementalAllocator:
         ``(share, index)`` order); the freeze batch's link histogram
         ``(idx, k)`` drains every touched link by the fused ``remaining -
         k*level`` clamp — the identical expression the scalar path evaluates
-        per touched link, so the two paths stay bit-identical.  Flow caps
-        keep the scalar path's lazy heap.  Only called when no registered
-        path repeats a link.  A fill reuses three things the previous fill
-        computed, each exactly:
+        per touched link, so the two paths stay bit-identical.  Only called
+        when no registered path repeats a link.  A fill reuses three things
+        the previous fill computed, each exactly:
 
         **The log prefix.**  Every round is logged (level, ``idx``, ``k``,
         the product ``k*level``, the batch; ``_freeze_round`` per slot).
         Rounds ``< _resume`` survive removals: a flow frozen in round ``r``
-        has, in every round ``j < r``, no link that is the bottleneck and is
-        not the cap-heap winner; taking it away only *raises* its links'
-        shares, so round ``j``'s ``argmin`` and tie-break, the cap-vs-share
-        comparison, the batch and the drain are unchanged.  Only ``counts``
-        on its links differ, and those are rebuilt from ``_link_use``.
+        has, in every round ``j < r``, no link that is the bottleneck;
+        taking it away only *raises* its links' shares, so round ``j``'s
+        ``argmin`` and tie-break, the batch and the drain are unchanged.
+        Only ``counts`` on its links differ, and those are rebuilt from
+        ``_link_use``.
         :meth:`remove_flow` therefore lowers ``_resume`` to the removed
         flow's freeze round; everything else (an add, a capacity change, a
         partial or scalar solve in between, :meth:`clear`) sets it to 0.
@@ -1047,9 +998,8 @@ class IncrementalAllocator:
 
         slot_rate = self._slot_rate
         for slot in self._linkless:
-            # Flows that traverse no links are only limited by their cap.
-            cap = self._slot_cap[slot]
-            slot_rate[slot] = math.inf if cap is None else cap
+            # Flows that traverse no links are not limited at all.
+            slot_rate[slot] = math.inf
 
         # (Counts are float64 — exact far beyond any flow count — so the
         # per-round divide and drains run on one dtype, without a cast.)
@@ -1083,15 +1033,6 @@ class IncrementalAllocator:
             np.maximum(remaining, 0.0, out=remaining)
             np.subtract.at(counts, at, np.concatenate(ks))
             n_left -= sum(map(len, batches))
-        # Frozen slots at the top of the heap are popped lazily below, so
-        # the heap is built from every routed capped slot, as from scratch.
-        cap_heap: List[Tuple[float, int]] = [
-            (self._slot_cap[slot], slot)
-            for slot in self._capped
-            if self._slot_links[slot]
-        ]
-        heapq.heapify(cap_heap)
-
         inf = math.inf
         zero = np.zeros(())  # (a Python scalar operand is converted per call)
         memo = self._batch_memo
@@ -1106,48 +1047,7 @@ class IncrementalAllocator:
             bottleneck = int(shares.argmin())
             bottleneck_share = shares.item(bottleneck)
 
-            while cap_heap and freeze_round[cap_heap[0][1]] != _NEVER:
-                heapq.heappop(cap_heap)
-
-            if cap_heap and cap_heap[0][0] <= bottleneck_share:
-                # A flow hits its own cap before any link saturates.
-                level, slot = heapq.heappop(cap_heap)
-                batch = np.array([slot], dtype=np.intp)
-                idx = self._slot_row(slot).copy()
-                k = np.ones(idx.shape[0], dtype=np.float64)
-            elif bottleneck_share < inf:
-                level = bottleneck_share
-                link = int(used[bottleneck])
-                entry = memo.get(link)
-                if (
-                    entry is not None
-                    and counts.item(bottleneck) == entry[0].shape[0]
-                    and freeze_round[entry[0]].min() == _NEVER
-                ):
-                    batch, idx, k = entry
-                    memoised += 1
-                else:
-                    members = self._members[link]
-                    batch = np.fromiter(members, dtype=np.intp, count=len(members))
-                    batch = batch[freeze_round[batch] == _NEVER]
-                    if not batch.shape[0]:
-                        # (would loop forever: the round freezes nothing)
-                        raise SimulationError(
-                            f"link {self._link_ids[link]!r} counts an "
-                            "unfrozen flow its membership does not hold"
-                        )
-                    # Gather the batch's link rows from the flat CSR buffer
-                    # and histogram them over the links in use.
-                    rows = self._row_data[
-                        csr_gather(self._row_start[batch], self._slot_nlinks[batch])
-                    ]
-                    occ = np.bincount(pos[rows], minlength=n_used)
-                    # (nonzero of a bool mask is twice as fast as of int64)
-                    hit = (occ > 0).nonzero()[0]
-                    idx = used[hit]
-                    k = occ[hit].astype(np.float64)
-                    memo[link] = batch, idx, k
-            else:
+            if bottleneck_share == inf:
                 # Unfrozen flows remain but nothing constrains them
                 # (rare: every remaining link has infinite headroom),
                 # so a Python sweep over the registry is fine here.
@@ -1156,6 +1056,37 @@ class IncrementalAllocator:
                     if nlinks[slot] and freeze_round[slot] == _NEVER:
                         slot_rate[slot] = inf
                 break
+            level = bottleneck_share
+            link = int(used[bottleneck])
+            entry = memo.get(link)
+            if (
+                entry is not None
+                and counts.item(bottleneck) == entry[0].shape[0]
+                and freeze_round[entry[0]].min() == _NEVER
+            ):
+                batch, idx, k = entry
+                memoised += 1
+            else:
+                members = self._members[link]
+                batch = np.fromiter(members, dtype=np.intp, count=len(members))
+                batch = batch[freeze_round[batch] == _NEVER]
+                if not batch.shape[0]:
+                    # (would loop forever: the round freezes nothing)
+                    raise SimulationError(
+                        f"link {self._link_ids[link]!r} counts an "
+                        "unfrozen flow its membership does not hold"
+                    )
+                # Gather the batch's link rows from the flat CSR buffer and
+                # histogram them over the links in use.
+                rows = self._row_data[
+                    csr_gather(self._row_start[batch], self._slot_nlinks[batch])
+                ]
+                occ = np.bincount(pos[rows], minlength=n_used)
+                # (nonzero of a bool mask is twice as fast as of int64)
+                hit = (occ > 0).nonzero()[0]
+                idx = used[hit]
+                k = occ[hit].astype(np.float64)
+                memo[link] = batch, idx, k
 
             # Drain the round's links with the fused ``remaining - k*level``
             # clamp the scalar path computes.  Links outside ``idx`` would

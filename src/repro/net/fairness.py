@@ -10,9 +10,8 @@ active flows changes.
 The algorithm is the classic progressive-filling / water-filling procedure:
 repeatedly find the most constrained link (smallest equal share among its
 unfrozen flows), freeze every unfrozen flow crossing it at that share, remove
-the consumed capacity, and iterate.  Flows may carry an individual
-``max_rate`` cap (application-limited sources); capped flows freeze at their
-cap as soon as the water level reaches it.
+the consumed capacity, and iterate.  Every flow is a bulk transfer: nothing
+but the links it crosses limits its rate.
 
 The solver is :class:`~repro.net.alloc.IncrementalAllocator`.  This module
 holds what it shares with its callers: the :class:`FlowDemand` record,
@@ -24,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
@@ -33,17 +32,15 @@ from repro.errors import SimulationError
 
 @dataclass(frozen=True)
 class FlowDemand:
-    """A flow's routing and cap, as seen by the allocator.
+    """A flow's routing, as seen by the allocator.
 
     Attributes:
         links: identifiers of the directed links the flow traverses.  An
             empty tuple means the flow uses no shared resource (its rate is
-            only bounded by ``max_rate``, or unbounded).
-        max_rate: optional cap on the flow's rate in bits/second.
+            unbounded).
     """
 
     links: Tuple[str, ...]
-    max_rate: Optional[float] = None
 
 
 def max_min_violations(
@@ -55,10 +52,9 @@ def max_min_violations(
     """Ways ``rates`` fails the max-min fairness certificate (empty: none).
 
     An allocation is max-min fair exactly when it is feasible — no link
-    carries more than its capacity, no flow exceeds its cap — and every flow
-    has a *bottleneck*: it runs at its own cap, or crosses a saturated link
-    on which no other flow gets a larger rate.  A flow with an infinite
-    rate must be uncapped and cross only links of infinite capacity.  The
+    carries more than its capacity — and every flow has a *bottleneck*: it
+    crosses a saturated link on which no other flow gets a larger rate.  A
+    flow with an infinite rate must cross only links of infinite capacity.  The
     check needs no reference solver, so it certifies any allocator's output
     on its own.  Paths must not repeat a link: the solvers share such a
     link counting the flow once and drain it once per occurrence, which is
@@ -69,18 +65,14 @@ def max_min_violations(
     fastest: Dict[str, float] = {}
     for flow_id, demand in demands.items():
         rate = rates[flow_id]
-        cap = demand.max_rate
-        if cap is not None and rate > cap * (1.0 + rel_tol):
-            problems.append(f"flow {flow_id!r}: rate {rate!r} above its cap {cap!r}")
         if math.isinf(rate):
             finite = [
                 link_id for link_id in demand.links
                 if not math.isinf(capacities[link_id])
             ]
-            if cap is not None or finite:
+            if finite:
                 problems.append(
-                    f"flow {flow_id!r}: infinite rate but capped or on finite "
-                    f"links {finite!r}"
+                    f"flow {flow_id!r}: infinite rate on finite links {finite!r}"
                 )
             continue
         for link_id in demand.links:
@@ -94,8 +86,7 @@ def max_min_violations(
             )
     for flow_id, demand in demands.items():
         rate = rates[flow_id]
-        cap = demand.max_rate
-        if math.isinf(rate) or (cap is not None and rate >= cap * (1.0 - rel_tol)):
+        if math.isinf(rate):
             continue
         if not any(
             load[link_id] >= capacities[link_id] * (1.0 - rel_tol)
@@ -103,8 +94,8 @@ def max_min_violations(
             for link_id in demand.links
         ):
             problems.append(
-                f"flow {flow_id!r}: rate {rate!r} has no bottleneck (not at its "
-                f"cap, and on no saturated link where it is the fastest)"
+                f"flow {flow_id!r}: rate {rate!r} has no bottleneck (on no "
+                f"saturated link where it is the fastest)"
             )
     return problems
 

@@ -6,13 +6,14 @@ the network according to max-min fairness (see :mod:`repro.net.fairness`),
 which matches the paper's working assumption that TCP splits a bottleneck
 equally among backlogged connections.
 
-Between consecutive events (a flow starting, a finite flow completing, an
-unbounded flow being switched off) every flow's rate is constant, so the
-simulation advances event-to-event, recording a piece-wise constant rate
-timeline for every flow.  Those timelines power:
+Every flow is a number of bytes.  Between consecutive events (a flow
+starting, a flow completing, the run's ``until``) every flow's rate is
+constant, so the simulation advances event-to-event, recording a
+piece-wise constant rate timeline for every flow.  Those timelines power:
 
 * completion-time computation for placed applications (§6),
-* bulk-TCP ("netperf") throughput measurements (§2.2).
+* bulk-TCP ("netperf") throughput measurements (§2.2): a flow too big to
+  finish, cut off at ``until``.
 
 A flow lives in **one columnar table** from registration to result.
 :meth:`FluidSimulation.add_flows` routes a whole batch with
@@ -380,10 +381,9 @@ class FluidSimulation:
         # laid end to end and their lengths, in registration order.
         self._row_chunks: List[Tuple[np.ndarray, np.ndarray]] = []
         # The pause the last run left: its end time, the allocator holding
-        # the active flows, and each active flow's remaining bytes (inf when
-        # unbounded) in activation order.  ``_survivors`` are the positions
-        # of the flows that run left live, until the next edit drops the
-        # rest (_compact).
+        # the active flows, and each active flow's remaining bytes in
+        # activation order.  ``_survivors`` are the positions of the flows
+        # that run left live, until the next edit drops the rest (_compact).
         self._now: Optional[float] = None
         self._allocator: Optional[IncrementalAllocator] = None
         self._active: Dict[str, float] = {}
@@ -495,9 +495,7 @@ class FluidSimulation:
     def withdraw_flows(self, flow_ids: Iterable[str]) -> Dict[str, float]:
         """Take live flows out of the simulation; the bytes each had left.
 
-        A withdrawn flow is forgotten — its id may be registered again —
-        and an unbounded one reports 0.0 left, as
-        :attr:`FluidResult.remaining_bytes` does.
+        A withdrawn flow is forgotten: its id may be registered again.
 
         Raises:
             SimulationError: an id is repeated, or is not a live flow (never
@@ -515,12 +513,10 @@ class FluidSimulation:
         active = [flow_id for flow_id in flow_ids if flow_id in self._active]
         if active:
             self._allocator.remove_flows(active)
-        left = {}
-        for flow_id in flow_ids:
-            remaining = self._active.pop(flow_id, None)
-            if remaining is None:
-                remaining = self._flows[flow_id].remaining_or_inf()
-            left[flow_id] = 0.0 if math.isinf(remaining) else remaining
+        left = {
+            flow_id: self._active.pop(flow_id, float(self._flows[flow_id].size_bytes))
+            for flow_id in flow_ids
+        }
         self._retain(
             [i for i, flow_id in enumerate(self._flows) if flow_id not in gone]
         )
@@ -591,11 +587,11 @@ class FluidSimulation:
 
     # -------------------------------------------------------------------- run
     def run(self, until: Optional[float] = None) -> FluidResult:
-        """Run the simulation until all finite flows complete (or ``until``).
+        """Run the simulation until all flows complete (or ``until``).
 
-        Unbounded flows stop at their ``end_time``.  If ``until`` is given,
-        the simulation stops there and the per-flow ``remaining_bytes`` in
-        the result reflect partially transferred finite flows; a later call
+        If ``until`` is given, the simulation stops there and the per-flow
+        ``remaining_bytes`` in the result reflect partially transferred
+        flows, which are reported stopped; a later call
         resumes from that pause (``until`` may not precede it).  The result
         covers the flows live in this run.
 
@@ -658,23 +654,15 @@ class FluidSimulation:
         completion: Dict[str, float] = {}
         states: Dict[str, FlowState] = {fid: FlowState.PENDING for fid in flows}
         remaining: Dict[str, float] = {
-            fid: flow.remaining_or_inf() for fid, flow in flows.items()
+            fid: float(flow.size_bytes) for fid, flow in flows.items()
         }
-        # Finite and unbounded flows take different paths through every scan
-        # below, so keep them apart (unbounded flows always carry an
-        # end_time — Flow validates that — which is all the loop needs).
         # Flows the pause left active are in the allocator already.
-        active_finite: Dict[str, Flow] = {}
-        active_unbounded: Dict[str, float] = {}
+        active: Dict[str, Flow] = {}
         resumed = self._active
         for fid, left in resumed.items():
-            flow = flows[fid]
             states[fid] = FlowState.ACTIVE
             remaining[fid] = left
-            if flow.is_unbounded:
-                active_unbounded[fid] = flow.end_time
-            else:
-                active_finite[fid] = flow
+            active[fid] = flows[fid]
 
         # By (start_time, flow_id), with their registration positions.
         order = sorted(
@@ -699,30 +687,21 @@ class FluidSimulation:
                 flow, i = pending[pending_idx], order[pending_idx]
                 pending_idx += 1
                 fid = flow.flow_id
-                if flow.is_unbounded:
-                    if flow.end_time <= flow.start_time + _TIME_EPS:
-                        states[fid] = FlowState.STOPPED
-                        continue
-                    active_unbounded[fid] = flow.end_time
-                else:
-                    if remaining[fid] <= _BYTE_EPS:
-                        completion[fid] = flow.start_time
-                        states[fid] = FlowState.COMPLETED
-                        continue
-                    active_finite[fid] = flow
+                if remaining[fid] <= _BYTE_EPS:
+                    completion[fid] = flow.start_time
+                    states[fid] = FlowState.COMPLETED
+                    continue
+                active[fid] = flow
                 states[fid] = FlowState.ACTIVE
                 arrived.append(flow)
                 rows.extend(data[row_start[i] : row_start[i] + row_len[i]])
                 lengths.append(row_len[i])
             if arrived:
                 incremental.add_flows(
-                    [flow.flow_id for flow in arrived],
-                    rows,
-                    lengths,
-                    [flow.max_rate_bps for flow in arrived],
+                    [flow.flow_id for flow in arrived], rows, lengths
                 )
 
-            if not active_finite and not active_unbounded and pending_idx >= n_pending:
+            if not active and pending_idx >= n_pending:
                 end_time = now
                 break
             if until is not None and now >= until - _TIME_EPS:
@@ -739,9 +718,7 @@ class FluidSimulation:
             finish_at: Dict[str, float] = {}
             if pending_idx < n_pending:
                 next_time = pending[pending_idx].start_time
-            if active_unbounded:
-                next_time = min(next_time, min(active_unbounded.values()))
-            for fid in active_finite:
+            for fid in active:
                 rate = rates[fid]
                 if rate == inf:
                     next_time = now  # completes immediately
@@ -764,9 +741,7 @@ class FluidSimulation:
 
             # Advance to next_time, recording rate segments and draining bytes.
             dt = next_time - now
-            for fid in active_unbounded:
-                timelines[fid].append(now, next_time, rates[fid])
-            for fid in active_finite:
+            for fid in active:
                 rate = rates[fid]
                 timelines[fid].append(now, next_time, rate)
                 if rate == inf:
@@ -781,29 +756,18 @@ class FluidSimulation:
             # refill step is below the ulp of ``now``, so ``dt`` collapses to
             # zero and the loop livelocks (Zeno steps) on long simulations.
             for fid, finish in finish_at.items():
-                if finish <= next_time + _TIME_EPS and fid in active_finite:
+                if finish <= next_time + _TIME_EPS:
                     remaining[fid] = 0.0
 
             now = next_time
             end_time = now
 
-            # Retire flows that completed or were switched off at ``now``.
-            completed = [
-                fid for fid in active_finite if remaining[fid] <= _BYTE_EPS
-            ]
+            # Retire flows that completed at ``now``.
+            completed = [fid for fid in active if remaining[fid] <= _BYTE_EPS]
             for fid in completed:
                 completion[fid] = now
                 states[fid] = FlowState.COMPLETED
-                del active_finite[fid]
-                incremental.remove_flow(fid)
-            stopped = [
-                fid
-                for fid, stop_at in active_unbounded.items()
-                if stop_at <= now + _TIME_EPS
-            ]
-            for fid in stopped:
-                states[fid] = FlowState.STOPPED
-                del active_unbounded[fid]
+                del active[fid]
                 incremental.remove_flow(fid)
 
             if until is not None and now >= until - _TIME_EPS:
@@ -817,10 +781,7 @@ class FluidSimulation:
         )
         self._pause(
             end_time,
-            {
-                **{fid: remaining[fid] for fid in active_finite},
-                **dict.fromkeys(active_unbounded, inf),
-            },
+            {fid: remaining[fid] for fid in active},
             [
                 i
                 for i, state in enumerate(states.values())
@@ -835,9 +796,7 @@ class FluidSimulation:
         return FluidResult(
             completion_times=completion,
             timelines=timelines,
-            remaining_bytes={
-                fid: (0.0 if math.isinf(rem) else rem) for fid, rem in remaining.items()
-            },
+            remaining_bytes=remaining,
             end_time=end_time,
             states=states,
         )
@@ -872,24 +831,9 @@ class FluidSimulation:
         n_flows = len(flows)
         data, row_start, row_len = self._table()
         start = np.fromiter((f.start_time for f in flows), np.float64, count=n_flows)
-        size = np.fromiter(
-            (f.remaining_or_inf() for f in flows), np.float64, count=n_flows
-        )
-        unbounded = np.fromiter(
-            (f.size_bytes is None for f in flows), bool, count=n_flows
-        )
-        # Unbounded flows always carry an end_time (Flow validates that).
-        stop = np.fromiter(
-            (f.end_time if f.size_bytes is None else 0.0 for f in flows),
-            np.float64,
-            count=n_flows,
-        )
-        caps = [f.max_rate_bps for f in flows]
-        # Flows that never become active: unbounded flows that stop as they
-        # start, and zero-byte flows — which complete at their start time.
-        never = unbounded & (stop <= start + _TIME_EPS)
-        empty = ~unbounded & (size <= _BYTE_EPS)
-        inert = never | empty
+        size = np.fromiter((f.size_bytes for f in flows), np.float64, count=n_flows)
+        # Zero-byte flows never become active: they complete at their start.
+        empty = size <= _BYTE_EPS
 
         completion: Dict[str, float] = {}
         state = np.full(n_flows, _PENDING, dtype=np.int8)
@@ -900,17 +844,14 @@ class FluidSimulation:
         # Slot-indexed flow state (slots are allocator slots; a retired
         # flow's slot may be reused, by which time its segment was logged).
         rem = np.zeros(0, dtype=np.float64)
-        stop_arr = np.zeros(0, dtype=np.float64)
         seg_start = np.zeros(0, dtype=np.float64)
         # -1.0 marks "no open rate segment" (real rates are never negative).
         seg_rate = np.zeros(0, dtype=np.float64)
         flow_of = np.zeros(0, dtype=np.intp)
-        # Active finite / unbounded slots, in activation order (the order
-        # the scalar loop's dicts iterate in, which retirement must match).
-        af_buf = np.empty(n_flows, dtype=np.intp)
-        naf = 0
-        au_buf = np.empty(n_flows, dtype=np.intp)
-        nau = 0
+        # Active slots, in activation order (the order the scalar loop's
+        # dict iterates in, which retirement must match).
+        active_buf = np.empty(n_flows, dtype=np.intp)
+        n_active = 0
         resumed = self._active
         if resumed:
             # The flows the pause left active, in the allocator already.
@@ -918,8 +859,8 @@ class FluidSimulation:
             which = np.array([position[fid] for fid in resumed], dtype=np.intp)
             slots = incremental.slots_of(list(resumed))
             n_slots = max(16, int(slots.max()) + 1)
-            rem, stop_arr, seg_start, seg_rate = (
-                np.zeros(n_slots, dtype=np.float64) for _ in range(4)
+            rem, seg_start, seg_rate = (
+                np.zeros(n_slots, dtype=np.float64) for _ in range(3)
             )
             flow_of = np.zeros(n_slots, dtype=np.intp)
             flow_of[slots] = which
@@ -927,13 +868,9 @@ class FluidSimulation:
             rem[slots] = np.fromiter(
                 resumed.values(), dtype=np.float64, count=len(resumed)
             )
-            stop_arr[slots] = stop[which]
             state[which] = _ACTIVE
-            endless = unbounded[which]
-            nau = int(endless.sum())
-            au_buf[:nau] = slots[endless]
-            naf = which.shape[0] - nau
-            af_buf[:naf] = slots[~endless]
+            n_active = which.shape[0]
+            active_buf[:n_active] = slots
         # Activation order: by (start_time, flow_id), as the scalar loop's.
         by_id = np.array(
             sorted(range(n_flows), key=flow_ids.__getitem__), dtype=np.intp
@@ -970,44 +907,34 @@ class FluidSimulation:
                     )
                 ]
                 pending_idx += arrived.shape[0]
-                if inert[arrived].any():
-                    state[arrived[never[arrived]]] = _STOPPED
+                if empty[arrived].any():
                     instant = arrived[empty[arrived]]
                     for i in instant.tolist():
                         completion[flow_ids[i]] = flows[i].start_time
                     state[instant] = _COMPLETED
-                    arrived = arrived[~inert[arrived]]
+                    arrived = arrived[~empty[arrived]]
                 if arrived.shape[0]:
                     state[arrived] = _ACTIVE
                     lengths = row_len[arrived]
-                    picked = arrived.tolist()
                     slots = incremental.add_flows(
-                        [flow_ids[i] for i in picked],
+                        [flow_ids[i] for i in arrived.tolist()],
                         data[csr_gather(row_start[arrived], lengths)],
                         lengths,
-                        [caps[i] for i in picked],
                     )
                     n_slots = int(slots.max()) + 1
                     if n_slots > rem.shape[0]:
                         new_size = max(16, 2 * rem.shape[0], n_slots)
                         rem = _grow(rem, new_size)
-                        stop_arr = _grow(stop_arr, new_size)
                         seg_start = _grow(seg_start, new_size)
                         seg_rate = _grow(seg_rate, new_size)
                         flow_of = _grow(flow_of, new_size)
                     flow_of[slots] = arrived
                     seg_rate[slots] = -1.0
                     rem[slots] = size[arrived]
-                    stop_arr[slots] = stop[arrived]
-                    endless = unbounded[arrived]
-                    n_new = int(endless.sum())
-                    au_buf[nau : nau + n_new] = slots[endless]
-                    nau += n_new
-                    n_new = arrived.shape[0] - n_new
-                    af_buf[naf : naf + n_new] = slots[~endless]
-                    naf += n_new
+                    active_buf[n_active : n_active + slots.shape[0]] = slots
+                    n_active += slots.shape[0]
 
-            if naf == 0 and nau == 0 and pending_idx >= n_pending:
+            if n_active == 0 and pending_idx >= n_pending:
                 end_time = now
                 break
             if until is not None and now >= until - _TIME_EPS:
@@ -1017,23 +944,17 @@ class FluidSimulation:
             batches += 1
             # Allocate rates and project the next event time.
             rate_vec = incremental.solve_slots()
-            af = af_buf[:naf]
-            au = au_buf[:nau]
+            active = active_buf[:n_active]
             next_time = inf
             if pending_idx < n_pending:
                 next_time = pending_start[pending_idx]
-            if nau:
-                stop_u = stop_arr[au]
-                stop_min = stop_u.min()
-                if stop_min < next_time:
-                    next_time = stop_min
-            if naf:
-                rates_f = rate_vec[af]
-                rem_f = rem[af]
+            if n_active:
+                rates = rate_vec[active]
+                left = rem[active]
                 # rate 0 -> finish inf (no event); rate inf -> finish now,
                 # exactly the scalar loop's explicit ``next_time = now``.
                 with np.errstate(divide="ignore"):
-                    ft = now + rem_f * BITS_PER_BYTE / rates_f
+                    ft = now + left * BITS_PER_BYTE / rates
                 ft_min = ft.min()
                 if ft_min < next_time:
                     next_time = ft_min
@@ -1050,40 +971,32 @@ class FluidSimulation:
             dt = next_time - now
 
             # Close the segment of every flow whose rate changed and open
-            # its next one, then drain finite flows in one vector step.
-            if nau:
-                rates_u = rate_vec[au]
-                changed_u = rates_u != seg_rate[au]
-                if changed_u.any():
-                    changed = au[changed_u]
+            # its next one, then drain the flows in one vector step.
+            if n_active:
+                moved = rates != seg_rate[active]
+                if moved.any():
+                    changed = active[moved]
                     close_segments(changed)
                     seg_start[changed] = now
-                    seg_rate[changed] = rates_u[changed_u]
-            if naf:
-                changed_f = rates_f != seg_rate[af]
-                if changed_f.any():
-                    changed = af[changed_f]
-                    close_segments(changed)
-                    seg_start[changed] = now
-                    seg_rate[changed] = rates_f[changed_f]
-                drained = rem_f - rates_f * dt / BITS_PER_BYTE
+                    seg_rate[changed] = rates[moved]
+                drained = left - rates * dt / BITS_PER_BYTE
                 new_rem = np.where(drained > 0.0, drained, 0.0)
-                new_rem[np.isinf(rates_f)] = 0.0
+                new_rem[np.isinf(rates)] = 0.0
                 # Zeno residue reset: a flow whose projected finish
                 # coincides with this event has drained (see _run_scalar).
                 new_rem[ft <= next_time + _TIME_EPS] = 0.0
-                rem[af] = new_rem
+                rem[active] = new_rem
 
             now = next_time
             end_time = now
 
-            # Retire the flows that completed or were switched off at
-            # ``now``, a batch each, in activation order (the scalar loop's
-            # dict order; it keeps the allocator's free list identical).
-            if naf:
+            # Retire the flows that completed at ``now``, as one batch, in
+            # activation order (the scalar loop's dict order; it keeps the
+            # allocator's free list identical).
+            if n_active:
                 done = new_rem <= _BYTE_EPS
                 if done.any():
-                    retired = af[done]
+                    retired = active[done]
                     close_segments(retired)
                     which = flow_of[retired]
                     names = [flow_ids[i] for i in which.tolist()]
@@ -1091,20 +1004,9 @@ class FluidSimulation:
                     state[which] = _COMPLETED
                     rem_out[which] = new_rem[done]
                     incremental.remove_flows(names)
-                    kept = af[~done]
-                    naf = kept.shape[0]
-                    af_buf[:naf] = kept
-            if nau:
-                off = stop_u <= now + _TIME_EPS
-                if off.any():
-                    retired = au[off]
-                    close_segments(retired)
-                    which = flow_of[retired]
-                    state[which] = _STOPPED
-                    incremental.remove_flows([flow_ids[i] for i in which.tolist()])
-                    kept = au[~off]
-                    nau = kept.shape[0]
-                    au_buf[:nau] = kept
+                    kept = active[~done]
+                    n_active = kept.shape[0]
+                    active_buf[:n_active] = kept
 
             if until is not None and now >= until - _TIME_EPS:
                 end_time = until
@@ -1113,16 +1015,12 @@ class FluidSimulation:
         _FLUID_BATCHES.inc(batches)
         # Close the segments still open at the stop time and record the
         # remaining bytes of flows the run left active.
-        af, au = af_buf[:naf], au_buf[:nau]
-        for slots in (af, au):
-            close_segments(slots)
-            rem_out[flow_of[slots]] = rem[slots]
+        active = active_buf[:n_active]
+        close_segments(active)
+        rem_out[flow_of[active]] = rem[active]
         self._pause(
             end_time,
-            {
-                **dict(zip([flow_ids[i] for i in flow_of[af].tolist()], rem[af].tolist())),
-                **dict.fromkeys([flow_ids[i] for i in flow_of[au].tolist()], inf),
-            },
+            dict(zip([flow_ids[i] for i in flow_of[active].tolist()], rem[active].tolist())),
             np.flatnonzero(state <= _ACTIVE).tolist(),
         )
         # Flows still active when the run stops are reported stopped;
@@ -1135,9 +1033,7 @@ class FluidSimulation:
         return FluidResult(
             completion_times=completion,
             timelines=timelines,
-            remaining_bytes=dict(
-                zip(flow_ids, np.where(np.isinf(rem_out), 0.0, rem_out).tolist())
-            ),
+            remaining_bytes=dict(zip(flow_ids, rem_out.tolist())),
             end_time=end_time,
             states=dict(zip(flow_ids, map(_STATES.__getitem__, state.tolist()))),
         )

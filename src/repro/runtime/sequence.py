@@ -132,9 +132,7 @@ class SequentialPlacementRunner:
                 background.extend(
                     f
                     for f in self.background
-                    if f.start_time <= now
-                    and f.flow_id not in finished
-                    and (f.end_time is None or f.end_time > now)
+                    if f.start_time <= now and f.flow_id not in finished
                 )
                 cluster_now = cluster_with_live_usage(self.cluster, running)
                 obs.point(

@@ -45,7 +45,7 @@ def max_min_allocation(
 
     Returns:
         Mapping of flow id to allocated rate (bits/second).  Flows that use
-        no links and have no cap get ``math.inf``.
+        no links get ``math.inf``.
 
     Raises:
         SimulationError: if a demand references an unknown link.
@@ -57,15 +57,9 @@ def max_min_allocation(
                     f"flow {flow_id!r} references unknown link {link_id!r}"
                 )
 
-    rates: Dict[str, float] = {}
-    unfrozen = set(demands)
-
-    # Flows that traverse no links are only limited by their own cap.
-    for flow_id in list(unfrozen):
-        if not demands[flow_id].links:
-            cap = demands[flow_id].max_rate
-            rates[flow_id] = math.inf if cap is None else cap
-            unfrozen.discard(flow_id)
+    # Flows that traverse no links are not limited at all.
+    rates = {flow_id: math.inf for flow_id, d in demands.items() if not d.links}
+    unfrozen = set(demands) - set(rates)
 
     remaining = {link_id: float(cap) for link_id, cap in capacities.items()}
     link_members: Dict[str, set] = {}
@@ -74,8 +68,8 @@ def max_min_allocation(
             link_members.setdefault(link_id, set()).add(flow_id)
 
     while unfrozen:
-        # The next "water level" is the smallest of: the equal share on any
-        # link carrying unfrozen flows, and the smallest unfrozen flow cap.
+        # The next "water level" is the smallest equal share on any link
+        # carrying unfrozen flows.
         bottleneck_share = math.inf
         bottleneck_link: Optional[str] = None
         for link_id, members in link_members.items():
@@ -87,28 +81,15 @@ def max_min_allocation(
                 bottleneck_share = share
                 bottleneck_link = link_id
 
-        capped_level = math.inf
-        capped_flow: Optional[str] = None
-        for flow_id in unfrozen:
-            cap = demands[flow_id].max_rate
-            if cap is not None and cap < capped_level:
-                capped_level = cap
-                capped_flow = flow_id
-
-        if bottleneck_link is None and capped_flow is None:
+        if bottleneck_link is None:
             # Unfrozen flows remain but nothing constrains them; they are
             # effectively unbounded (should not happen for routed flows).
             for flow_id in unfrozen:
                 rates[flow_id] = math.inf
             break
 
-        if capped_level <= bottleneck_share:
-            # A flow hits its own cap before any link saturates at this level.
-            frozen = {capped_flow}
-            level = capped_level
-        else:
-            frozen = {f for f in link_members[bottleneck_link] if f in unfrozen}
-            level = bottleneck_share
+        frozen = {f for f in link_members[bottleneck_link] if f in unfrozen}
+        level = bottleneck_share
 
         for flow_id in frozen:
             rates[flow_id] = level
@@ -124,15 +105,14 @@ def row_demands(
     flow_ids: Sequence[str],
     rows,
     lengths,
-    max_rates: Sequence[Optional[float]],
 ) -> Dict[str, FlowDemand]:
     """Each flow's :class:`FlowDemand`, from link-index rows laid end to end
     (``IncrementalAllocator.add_flows``'s arguments) over ``link_ids``."""
     links = [link_ids[i] for i in np.asarray(rows).tolist()]
     ends = np.cumsum(lengths, dtype=np.int64).tolist()
     return {
-        flow_id: FlowDemand(links=tuple(links[lo:hi]), max_rate=cap)
-        for flow_id, lo, hi, cap in zip(flow_ids, [0] + ends, ends, max_rates)
+        flow_id: FlowDemand(links=tuple(links[lo:hi]))
+        for flow_id, lo, hi in zip(flow_ids, [0] + ends, ends)
     }
 
 
@@ -140,11 +120,7 @@ def flow_demands(sim: fluid.FluidSimulation) -> Dict[str, FlowDemand]:
     """Every registered flow of ``sim`` as a :class:`FlowDemand`, read off
     its flow table (extra links first, then the path)."""
     data, _, lengths = sim._table()
-    flows = list(sim._flows.values())
-    return row_demands(
-        sim._link_ids, list(sim._flows), data, lengths,
-        [flow.max_rate_bps for flow in flows],
-    )
+    return row_demands(sim._link_ids, list(sim._flows), data, lengths)
 
 
 class ReferenceAllocator:
@@ -154,8 +130,8 @@ class ReferenceAllocator:
         self._capacities = dict(capacities)
         self._demands: Dict[str, FlowDemand] = {}
 
-    def add_flows(self, flow_ids, rows, lengths, max_rates) -> None:
-        demands = row_demands(list(self._capacities), flow_ids, rows, lengths, max_rates)
+    def add_flows(self, flow_ids, rows, lengths) -> None:
+        demands = row_demands(list(self._capacities), flow_ids, rows, lengths)
         for flow_id in demands:
             if flow_id in self._demands:
                 raise SimulationError(f"duplicate flow id {flow_id!r}")

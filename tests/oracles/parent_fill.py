@@ -10,18 +10,20 @@ reuses a per-link freeze-batch memo; this module keeps the old loop, moved
 in verbatim, as the reference ``tests/test_alloc_resume.py`` holds it to —
 slot rates *and* per-round levels, ``==``.
 
-:class:`ParentFill` reads the allocator's registered flows (rows, caps,
+:class:`ParentFill` reads the allocator's registered flows (rows,
 membership, ``_link_use``) and nothing of its solve state: the round log,
 the per-slot freeze rounds and the resume mark are its own, kept across
 fills by the same rule the allocator follows — :meth:`removed` lowers the
 mark to the earliest round that froze a removed slot, :meth:`added` sets it
 to 0.  What was ``self.`` state is ``flows.`` or the oracle's own; the
-``_members_np`` cache (invisible in the result) is rebuilt per fill.
+``_members_np`` cache (invisible in the result) is rebuilt per fill.  The
+loop's flow-cap heap is gone with the caps, and with it the one-flow batch's
+own-row shortcut: a batch of one is histogrammed like any other, which
+drains the same links by the same amounts.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import List, Tuple
 
@@ -64,9 +66,8 @@ class ParentFill:
 
         slot_rate = self.slot_rate
         for slot in flows._linkless:
-            # Flows that traverse no links are only limited by their cap.
-            cap = flows._slot_cap[slot]
-            slot_rate[slot] = math.inf if cap is None else cap
+            # Flows that traverse no links are not limited at all.
+            slot_rate[slot] = math.inf
 
         n_links = len(flows._capacity)
         counts = np.zeros(n_links, dtype=np.int64)
@@ -90,14 +91,6 @@ class ParentFill:
         freeze_round = self.freeze_round[:n_slots]
         frozen = freeze_round < mark
         freeze_round[~frozen] = _NEVER
-        # Frozen slots at the top of the heap are popped lazily below, so
-        # the heap is built from every routed capped slot, as from scratch.
-        cap_heap: List[Tuple[float, int]] = [
-            (flows._slot_cap[slot], slot)
-            for slot in flows._capped
-            if flows._slot_links[slot]
-        ]
-        heapq.heapify(cap_heap)
 
         inf = math.inf
         n_left = len(flows._flow_slot) - len(flows._linkless)
@@ -115,14 +108,7 @@ class ParentFill:
                 bottleneck_link = int(np.argmin(shares))
                 bottleneck_share = float(shares[bottleneck_link])
 
-                while cap_heap and frozen[cap_heap[0][1]]:
-                    heapq.heappop(cap_heap)
-
-                if cap_heap and cap_heap[0][0] <= bottleneck_share:
-                    # A flow hits its own cap before any link saturates.
-                    level, capped_slot = heapq.heappop(cap_heap)
-                    batch = np.array([capped_slot], dtype=np.intp)
-                elif bottleneck_share < inf:
+                if bottleneck_share < inf:
                     level = bottleneck_share
                     mem = members_np.get(bottleneck_link)
                     if mem is None:
@@ -144,25 +130,17 @@ class ParentFill:
                 frozen[batch] = True
                 slot_rate[batch] = level
                 freeze_round[batch] = rnd
-                if n_batch == 1:
-                    # The flow's own row, as a copy: the log must survive
-                    # row-buffer compaction.
-                    idx = flows._slot_row(batch[0]).copy()
-                    k = np.ones(idx.shape[0], dtype=np.int64)
-                else:
-                    # Gather the batch's link rows from the flat CSR buffer
-                    # in one fancy index (no per-slot Python loop) and
-                    # histogram them into the links this round drains.
-                    lens = flows._slot_nlinks[batch]
-                    ends = np.cumsum(lens)
-                    gather = np.repeat(
-                        flows._row_start[batch] - (ends - lens), lens
-                    )
-                    gather += np.arange(int(ends[-1]))
-                    occ = np.bincount(flows._row_data[gather], minlength=n_links)
-                    # (nonzero of a bool mask is twice as fast as of int64)
-                    idx = (occ > 0).nonzero()[0]
-                    k = occ[idx]
+                # Gather the batch's link rows from the flat CSR buffer in
+                # one fancy index (no per-slot Python loop) and histogram
+                # them into the links this round drains.
+                lens = flows._slot_nlinks[batch]
+                ends = np.cumsum(lens)
+                gather = np.repeat(flows._row_start[batch] - (ends - lens), lens)
+                gather += np.arange(int(ends[-1]))
+                occ = np.bincount(flows._row_data[gather], minlength=n_links)
+                # (nonzero of a bool mask is twice as fast as of int64)
+                idx = (occ > 0).nonzero()[0]
+                k = occ[idx]
                 log.append((level, idx, k, n_batch))
 
             # Drain the round's links with the fused ``remaining - k*level``

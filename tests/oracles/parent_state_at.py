@@ -36,8 +36,6 @@ def parent_state_at(
     for flow in background:
         if flow.flow_id in partial.completion_times:
             continue
-        if flow.end_time is not None and flow.end_time <= time_s:
-            continue
         if flow.start_time <= time_s:
             active.append(flow)
     finished = {name for name, count in remaining_by_app.items() if count == 0}

@@ -429,7 +429,7 @@ def packet_train_model(
         link.capacity_bps for link in provider.topology.path_links(src.host, dst.host)
     )
     if background:
-        available = provider.snapshot_rate(src_vm, dst_vm, background=background)
+        available = float(provider._snapshot_rates([(src_vm, dst_vm)], background)[0])
     else:
         available = provider.hose_rate(src_vm)
     available *= rate_noise

@@ -53,15 +53,10 @@ def background_at(
     left, the ones still to start untouched."""
     flows: List[VMFlow] = []
     for flow in tenant:
-        stopped = flow.end_time is not None and flow.end_time <= now
-        if stopped or flow.flow_id in segment.completion_times:
+        if flow.flow_id in segment.completion_times:
             continue
         if flow.start_time < now:
             left = segment.remaining_bytes[flow.flow_id]
-            flow = replace(
-                flow,
-                start_time=now,
-                size_bytes=None if flow.size_bytes is None else left,
-            )
+            flow = replace(flow, start_time=now, size_bytes=left)
         flows.append(flow)
     return flows

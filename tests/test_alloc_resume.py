@@ -33,8 +33,7 @@ def _vector_solves(monkeypatch):
 # ------------------------------------------------------------------ instances
 def _tree_instance(rng):
     """A random tree, and flows between random host pairs: mostly cross-rack
-    (one big sharing component), some capped low enough to freeze by cap,
-    some linkless."""
+    (one big sharing component), some linkless."""
     spec = TreeSpec(
         pods=rng.randint(1, 2),
         racks_per_pod=rng.randint(2, 3),
@@ -44,15 +43,13 @@ def _tree_instance(rng):
     topo = build_multi_rooted_tree(spec)
     caps = topo.capacities()
     hosts = topo.hosts()
-    fair = min(caps.values()) / 40.0
     demands = {}
     for f in range(rng.randint(150, 260)):
         src, dst = rng.choice(hosts), rng.choice(hosts)
         links = () if rng.random() < 0.03 else tuple(
             link.link_id for link in topo.path_links(src, dst)
         )
-        cap = rng.uniform(0.2, 3.0) * fair if rng.random() < 0.3 else None
-        demands[f"f{f}"] = FlowDemand(links=links, max_rate=cap)
+        demands[f"f{f}"] = FlowDemand(links=links)
     return caps, demands
 
 
@@ -78,8 +75,7 @@ def _mesh_instance(rng):
             links = tuple(rng.sample(core, rng.randint(1, 4)))
             if rng.random() < 0.1:
                 links += ("open",)
-        cap = rng.uniform(0.01, 1.0) if rng.random() < 0.3 else None
-        demands[f"f{f}"] = FlowDemand(links=links, max_rate=cap)
+        demands[f"f{f}"] = FlowDemand(links=links)
     return caps, demands
 
 
@@ -89,7 +85,7 @@ def _from_scratch(caps, active, vector):
         force_solves(patch, vector)
         fresh = IncrementalAllocator(caps)
         for fid in sorted(active):
-            fresh.add_flow(fid, active[fid].links, active[fid].max_rate)
+            fresh.add_flow(fid, active[fid].links)
         return fresh.solve()
 
 
@@ -130,7 +126,7 @@ class _Driver:
 
     def add(self, demands):
         for fid, demand in demands.items():
-            self.slot_of[fid] = self.live.add_flow(fid, demand.links, demand.max_rate)
+            self.slot_of[fid] = self.live.add_flow(fid, demand.links)
             self.active[fid] = demand
         self.parent_fill.added()
 
@@ -259,7 +255,7 @@ def test_resume_at_round_zero_and_at_the_last_round():
     assert driver.settle("no edit") == dict.fromkeys(delta, 0)
 
 
-def test_capped_linkless_and_unconstrained_flows_resume_exactly():
+def test_linkless_and_unconstrained_flows_resume_exactly():
     caps, demands = _giant_component(n_flows=120)
     # Every flow also crosses a link of infinite capacity, so the flows that
     # cross nothing else are unconstrained *and* part of the big component.
@@ -268,22 +264,14 @@ def test_capped_linkless_and_unconstrained_flows_resume_exactly():
         fid: FlowDemand(links=demand.links + ("open",))
         for fid, demand in demands.items()
     }
-    # A cap just under the middle water level freezes its flow mid-fill.
-    levels = sorted(set(max_min_allocation(demands, caps).values()))
-    mid = 0.999 * levels[len(levels) // 2]
     demands.update(
         {
-            "low_cap": FlowDemand(links=("wide", "l0"), max_rate=1e-3),
-            "mid_cap": FlowDemand(links=("wide", "l5"), max_rate=mid),
-            "high_cap": FlowDemand(links=("wide", "l1"), max_rate=1e6),
             "linkless": FlowDemand(links=()),
-            "linkless_capped": FlowDemand(links=(), max_rate=7.0),
             "free_a": FlowDemand(links=("open",)),
             "free_b": FlowDemand(links=("open",)),
         }
     )
     driver = _Driver(caps, demands)
-    assert driver.rates["low_cap"] == 1e-3 and driver.rates["mid_cap"] == mid
     assert driver.rates["linkless"] == math.inf and driver.rates["free_a"] == math.inf
     rounds = driver.stats["rounds"]
     # Neither a linkless nor an unconstrained flow took part in any round:
@@ -294,13 +282,6 @@ def test_capped_linkless_and_unconstrained_flows_resume_exactly():
         # "linkless" touches no link, so its removal re-solves nothing.
         expected = 0 if fid == "linkless" else rounds
         assert delta["rounds_replayed"] == expected, fid
-    # The flow frozen by the lowest cap froze first: resume from round 0.
-    driver.remove(["low_cap"])
-    assert driver.settle("remove low_cap")["rounds_replayed"] == 0
-    # A flow frozen by its cap mid-fill: the rounds before it are replayed.
-    driver.remove(["mid_cap"])
-    delta = driver.settle("remove mid_cap")
-    assert 0 < delta["rounds_replayed"] < delta["rounds"]
 
 
 def _memo_hazard_instance():
@@ -363,10 +344,10 @@ def test_replay_corner_cases_match_the_parent_fill():
     """Rounds the random instances reach only by luck, inside a replayed
     prefix: zero-capacity links (a link at exactly 0.0 touched again by a
     later round), two links with equal shares sharing a flow (both drained
-    to exactly 0.0, the second over two rounds), an infinite link drained
-    by a zero and by a positive level, and cap-frozen single-flow rounds
-    on both sides of the resume mark.  ``_Driver.settle`` holds every fill
-    to the parent's: slot rates and per-round levels."""
+    to exactly 0.0, the second over two rounds), and an infinite link
+    drained by a zero and by a positive level, on both sides of the resume
+    mark.  ``_Driver.settle`` holds every fill to the parent's: slot rates
+    and per-round levels."""
     caps, demands = _giant_component(n_flows=150)
     caps.update(
         {"wide": 1e6, "z1": 0.0, "z2": 0.0, "t1": 8.0, "t2": 8.0,
@@ -379,8 +360,6 @@ def test_replay_corner_cases_match_the_parent_fill():
             "zc": FlowDemand(links=("wide", "z2")),
             "open_l0": FlowDemand(links=("wide", "l0", "open")),
             "tb": FlowDemand(links=("wide", "t1", "t2")),
-            "low_cap": FlowDemand(links=("wide", "l5"), max_rate=1e-3),
-            "high_cap": FlowDemand(links=("wide", "last"), max_rate=10.0),
             "last1": FlowDemand(links=("wide", "last")),
             "last2": FlowDemand(links=("wide", "last")),
         }
@@ -389,22 +368,22 @@ def test_replay_corner_cases_match_the_parent_fill():
     demands.update({f"tc{i}": FlowDemand(links=("wide", "t2")) for i in range(3)})
     driver = _Driver(caps, demands)
     rounds = driver.stats["rounds"]
-    assert driver.levels[:3] == [0.0, 0.0, 1e-3]  # z1, then z2 again, the cap
-    assert driver.levels[-4:] == [2.0, 2.0, 10.0, 20.0]  # t1, t2, cap, last
+    assert driver.levels[:2] == [0.0, 0.0]  # z1, then z2 again
+    assert driver.levels[-3:] == [2.0, 2.0, 25.0]  # t1, t2, last
     assert driver.rates["za"] == driver.rates["zc"] == 0.0
     assert driver.rates["tb"] == driver.rates["tc0"] == 2.0
-    assert driver.rates["high_cap"] == 10.0 and driver.rates["last1"] == 20.0
+    assert driver.rates["last1"] == 25.0
     # Mid-fill mark: t1's round (drained to 0.0, t2 touched) is replayed;
-    # t2's own round, high_cap's cap round and the last round are searched.
+    # t2's own round and the last round are searched.
     driver.remove(["tc0"])
     delta = driver.settle("remove tc0")
-    assert delta["full_solves"] == 1 and delta["rounds_replayed"] == rounds - 3
-    assert driver.levels[-4:] == [2.0, 3.0, 10.0, 20.0]
-    # Mark at the last round: everything before it is replayed, caps included.
+    assert delta["full_solves"] == 1 and delta["rounds_replayed"] == rounds - 2
+    assert driver.levels[-3:] == [2.0, 3.0, 25.0]
+    # Mark at the last round: everything before it is replayed.
     driver.remove(["last1"])
     delta = driver.settle("remove last1")
     assert delta["rounds_replayed"] == rounds - 1
-    assert driver.levels[-1] == 40.0 and driver.rates["last2"] == 40.0
+    assert driver.levels[-1] == 50.0 and driver.rates["last2"] == 50.0
 
 
 def test_partial_and_scalar_solves_in_between_invalidate_the_log():

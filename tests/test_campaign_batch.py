@@ -37,7 +37,7 @@ from repro.net.topology import (
 )
 from repro.obs.report import load_events
 from repro.service.timeline import attach_timeline, generate_timeline
-from repro.units import GBITPS, MBYTE
+from repro.units import BITS_PER_BYTE, GBITPS, MBYTE
 
 EPOCH_S = 300.0
 COUNTERS = (
@@ -454,18 +454,17 @@ def test_traced_campaign_equals_untraced(trace_to):
 
 # ------------------------------------------------------ the shared snapshot
 def simulated_snapshot(provider, src_vm, dst_vm, background, window_s=0.1):
-    """``snapshot_rate`` as a fresh fluid simulation per pair (the oracle)."""
-    probe = VMFlow(
-        flow_id="__snapshot__", src_vm=src_vm, dst_vm=dst_vm, size_bytes=None,
-        start_time=0.0, end_time=window_s, tag="snapshot",
-    )
-    shifted = [
-        dataclasses.replace(
-            flow, size_bytes=None, start_time=0.0, end_time=window_s
-        )
+    """A pair's snapshot rate as a fresh fluid simulation (the oracle): the
+    probe and the background as bulk flows too big to finish inside the
+    window, cut off at its end."""
+    sim = provider.build_simulation()
+    size = 2 * window_s * max(sim.capacities.values()) / BITS_PER_BYTE
+    probe = VMFlow("__snapshot__", src_vm, dst_vm, size, tag="snapshot")
+    provider.add_flows(sim, [probe] + [
+        dataclasses.replace(flow, size_bytes=size, start_time=0.0)
         for flow in background
-    ]
-    result = provider.simulate([probe] + shifted, until=window_s)
+    ])
+    result = sim.run(until=window_s)
     return result.timelines["__snapshot__"].average_rate(0.0, window_s)
 
 
@@ -481,7 +480,7 @@ def test_shared_snapshot_equals_one_simulation_per_pair(seed):
     for (src, dst), rate in zip(pairs, shared):
         assert rate == simulated_snapshot(provider, src, dst, flows)
         assert rate > 0
-    assert provider.snapshot_rate(*pairs[3], background=flows) == shared[3]
+    assert provider._snapshot_rates([pairs[3]], flows)[0] == shared[3]
 
 
 class RaisedHoses:

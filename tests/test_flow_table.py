@@ -8,7 +8,8 @@ Three batched mechanisms carry a flow from ``FluidSimulation.add_flows`` to
   rates);
 * batch registration and the vector event loop against one-by-one
   registration and the scalar loop (every ``FluidResult`` field, dict
-  order included, and every rate segment);
+  order included, and every rate segment), run after run, with flows
+  withdrawn at the pauses — and every flow's bytes conserved;
 * the columnar segment log against ``RateTimeline.append``.
 """
 
@@ -29,8 +30,8 @@ from repro.errors import RoutingError, SimulationError, TopologyError
 from repro.net import alloc
 from repro.net.alloc import IncrementalAllocator
 from repro.net.fairness import max_min_violations
-from repro.net.flows import Flow
-from repro.net.fluid import FluidSimulation, RateTimeline, _TimelineTable
+from repro.net.flows import Flow, FlowState
+from repro.net.fluid import _BYTE_EPS, FluidSimulation, RateTimeline, _TimelineTable
 from repro.net.links import hose_link_id
 from repro.net.topology import (
     NodeKind,
@@ -46,12 +47,10 @@ LINK_IDS = [f"l{i}" for i in range(N_LINKS)]
 
 
 def _random_row(rng: random.Random):
-    """``(link indices, cap)``: mostly 1-6 distinct links, sometimes none,
-    sometimes capped."""
-    row = []
+    """Link indices: mostly 1-6 distinct links, sometimes none."""
     if rng.random() > 0.08:
-        row = rng.sample(range(N_LINKS), rng.randint(1, 6))
-    return row, rng.choice([None, None, None, 2.0, 50.0])
+        return rng.sample(range(N_LINKS), rng.randint(1, 6))
+    return []
 
 
 def _assert_same_state(batched, twin, context):
@@ -61,8 +60,6 @@ def _assert_same_state(batched, twin, context):
     assert list(batched._link_use.items()) == list(twin._link_use.items()), context
     assert batched._members == twin._members, context
     assert batched._slot_links == twin._slot_links, context
-    assert batched._slot_cap == twin._slot_cap, context
-    assert batched._capped == twin._capped, context
     assert batched._linkless == twin._linkless, context
     assert batched._dup_link_flows == twin._dup_link_flows, context
     assert batched._resume == twin._resume, context
@@ -102,7 +99,7 @@ def test_batched_edits_leave_the_per_flow_state(mode, seed, monkeypatch):
         else:
             n_new = rng.choice([1, 5, alloc._BATCH_MIN, 40, 200])
             names = [f"f{next(counter)}" for _ in range(n_new)]
-            rows, caps = zip(*(_random_row(rng) for _ in names))
+            rows = [_random_row(rng) for _ in names]
             if rng.random() < 0.15:
                 # A row that crosses one link twice: the whole batch, and
                 # removals while it lives, take the per-flow edits.
@@ -111,11 +108,10 @@ def test_batched_edits_leave_the_per_flow_state(mode, seed, monkeypatch):
                 names,
                 np.array(list(itertools.chain.from_iterable(rows)), dtype=np.intp),
                 np.array([len(row) for row in rows]),
-                list(caps),
             )
             expected = [
-                twin.add_flow(name, [LINK_IDS[i] for i in row], cap)
-                for name, row, cap in zip(names, rows, caps)
+                twin.add_flow(name, [LINK_IDS[i] for i in row])
+                for name, row in zip(names, rows)
             ]
             assert slots.tolist() == expected, context
             live.extend(names)
@@ -130,15 +126,15 @@ def test_batched_edits_reject_a_bad_batch_whole(monkeypatch):
     names = [f"f{i}" for i in range(10)]
     rows = np.arange(10, dtype=np.intp)
     ones = np.ones(10, dtype=np.int64)
-    live.add_flows(names, rows, ones, [None] * 10)
+    live.add_flows(names, rows, ones)
     before = dict(live._flow_slot)
     more = [f"g{i}" for i in range(10)]
     with pytest.raises(SimulationError, match="duplicate flow id 'f3'"):
-        live.add_flows(more[:9] + ["f3"], rows, ones, [None] * 10)
+        live.add_flows(more[:9] + ["f3"], rows, ones)
     with pytest.raises(SimulationError, match="duplicate flow id 'g0'"):
-        live.add_flows(more[:9] + ["g0"], rows, ones, [None] * 10)
+        live.add_flows(more[:9] + ["g0"], rows, ones)
     with pytest.raises(SimulationError, match="unknown link index"):
-        live.add_flows(more, rows + N_LINKS - 5, ones, [None] * 10)
+        live.add_flows(more, rows + N_LINKS - 5, ones)
     with pytest.raises(SimulationError, match="unknown flow 'nope'"):
         live.remove_flows(names[:9] + ["nope"])
     with pytest.raises(SimulationError, match="repeated"):
@@ -183,17 +179,32 @@ def _random_flows(rng: random.Random, hosts, n_flows, staggered):
         dst = src if rng.random() < 0.125 else rng.choice(hosts)
         start = rng.choice([0.0, 0.0, 0.25, rng.uniform(0, 1.0)]) if staggered else 0.0
         if rng.random() < 0.25:
-            flows.append(Flow(
-                flow_id=f"u{i}", src=src, dst=dst, size_bytes=None, start_time=start,
-                end_time=start + rng.choice([0.0, 1e-13, rng.uniform(0.01, 1.5)]),
-            ))
+            # A long transfer: it outlives the pauses.
+            size = rng.uniform(5e6, 5e7)
         else:
-            flows.append(Flow(
-                flow_id=f"f{i}", src=src, dst=dst, start_time=start,
-                size_bytes=rng.choice([0.0, 1e-7, rng.uniform(1, 2e6), 1e5]),
-                max_rate_bps=rng.choice([None, None, None, 1e6, 5e8]),
-            ))
+            size = rng.choice([0.0, 1e-7, rng.uniform(1, 2e6), 1e5])
+        flows.append(
+            Flow(flow_id=f"f{i}", src=src, dst=dst, size_bytes=size, start_time=start)
+        )
     return flows
+
+
+def _assert_bytes_conserved(flows, runs, context):
+    """Each flow's bytes: what its timelines moved, over the runs it was
+    live in, plus what the last of them left, is its size; a completed
+    flow has nothing left (or, completed as it started, less than the
+    engine's byte tolerance — it never moved)."""
+    for flow in flows:
+        fid = flow.flow_id
+        live_in = [result for result in runs if fid in result.states]
+        moved = sum(result.timelines[fid].total_bytes() for result in live_in)
+        last = live_in[-1]
+        left = last.remaining_bytes[fid]
+        assert moved + left == pytest.approx(flow.size_bytes, rel=1e-9), (
+            context, fid,
+        )
+        if last.states[fid] is FlowState.COMPLETED:
+            assert left == 0.0 or (moved == 0.0 and left <= _BYTE_EPS), (context, fid)
 
 
 @pytest.mark.parametrize("seed", range(24))
@@ -250,12 +261,30 @@ def test_batch_registration_and_vector_loop_match_the_scalar_oracle(
         path = [link.link_id for link in topo.path_links(flow.src, flow.dst)]
         assert list(links) == extra + path
 
-    until = rng.uniform(0.0, 1.2) if rng.random() < 0.4 else None
-    _assert_results_identical(
-        run_loop(one_by_one, vector=False, until=until),
-        run_loop(batch, vector=True, until=until),
-        context=f"seed={seed} until={until}",
-    )
+    # Up to two pauses, a flow withdrawn at each with even odds, then the
+    # rest run to completion.
+    runs, until = [], 0.0
+    for step in range(3):
+        until = None if step == 2 or rng.random() < 0.3 else until + rng.uniform(0.0, 0.6)
+        context = f"seed={seed} step={step} until={until}"
+        scalar = run_loop(one_by_one, vector=False, until=until)
+        _assert_results_identical(
+            scalar, run_loop(batch, vector=True, until=until), context
+        )
+        runs.append(scalar)
+        if until is None:
+            break
+        live = [
+            fid for fid, state in scalar.states.items()
+            if state is not FlowState.COMPLETED
+        ]
+        if live and rng.random() < 0.5:
+            victim = rng.choice(live)
+            left = one_by_one.withdraw_flows([victim])
+            assert left == batch.withdraw_flows([victim])
+            assert left == {victim: scalar.remaining_bytes[victim]}, context
+    assert one_by_one.idle and batch.idle
+    _assert_bytes_conserved(flows, runs, f"seed={seed}")
 
 
 def _registered(sim):
@@ -345,10 +374,7 @@ def test_first_segment_rates_are_max_min_fair():
     hosts = topo.hosts()
     rng = random.Random(7)
     flows = [
-        Flow(
-            flow_id=f"f{i}", src=a, dst=b, size_bytes=rng.choice([1e6, 2e6, 4e6]),
-            max_rate_bps=rng.choice([None, None, 2e8]),
-        )
+        Flow(flow_id=f"f{i}", src=a, dst=b, size_bytes=rng.choice([1e6, 2e6, 4e6]))
         for i, (a, b) in enumerate(itertools.permutations(hosts, 2))
     ]
     hose = {hose_link_id(host): 6e8 for host in hosts[:8]}

@@ -43,8 +43,8 @@ def _assert_allocations_match(reference, got, context=""):
 
 
 def _random_instance(rng):
-    """Capacities and demands covering caps, empty-link flows, and
-    zero-capacity edges."""
+    """Capacities and demands covering empty-link flows and zero-capacity
+    edges."""
     n_links = rng.randint(1, 14)
     caps = {}
     for i in range(n_links):
@@ -59,8 +59,7 @@ def _random_instance(rng):
             links = ()  # flow crossing no shared resource
         else:
             links = tuple(rng.sample(list(caps), rng.randint(1, min(5, n_links))))
-        cap = rng.uniform(0.01, 4.0) if rng.random() < 0.45 else None
-        demands[f"f{f}"] = FlowDemand(links=links, max_rate=cap)
+        demands[f"f{f}"] = FlowDemand(links=links)
     return caps, demands
 
 
@@ -73,7 +72,7 @@ class TestIncrementalAllocator:
             caps, demands = _random_instance(rng)
             allocator = IncrementalAllocator(caps)
             for fid, demand in demands.items():
-                allocator.add_flow(fid, demand.links, demand.max_rate)
+                allocator.add_flow(fid, demand.links)
             _assert_allocations_match(
                 max_min_allocation(demands, caps), allocator.solve(), f"trial {trial}"
             )
@@ -91,7 +90,7 @@ class TestIncrementalAllocator:
                 if pool and (not active or rng.random() < 0.55):
                     fid = pool.pop(rng.randrange(len(pool)))
                     active[fid] = demand = demands[fid]
-                    allocator.add_flow(fid, demand.links, demand.max_rate)
+                    allocator.add_flow(fid, demand.links)
                 else:
                     fid = rng.choice(sorted(active))
                     del active[fid]
@@ -129,13 +128,13 @@ class TestIncrementalAllocator:
         the reference (which subtracts the level once per occurrence)."""
         caps = {"L": 10.0, "M": 9.0}
         demands = {
-            "A": FlowDemand(links=("L", "L"), max_rate=4.0),
+            "A": FlowDemand(links=("L", "L")),
             "C": FlowDemand(links=("M",)),
             "D": FlowDemand(links=("L", "M")),
         }
         allocator = IncrementalAllocator(caps)
         for fid, demand in demands.items():
-            allocator.add_flow(fid, demand.links, demand.max_rate)
+            allocator.add_flow(fid, demand.links)
         _assert_allocations_match(
             max_min_allocation(demands, caps), allocator.solve(), "dup links"
         )
@@ -156,10 +155,10 @@ class TestIncrementalAllocator:
                 links = demand.links
                 if links and rng.random() < 0.4:
                     links = links + links[: rng.randint(1, len(links))]
-                mutated[fid] = FlowDemand(links=links, max_rate=demand.max_rate)
+                mutated[fid] = FlowDemand(links=links)
             allocator = IncrementalAllocator(caps)
             for fid, demand in mutated.items():
-                allocator.add_flow(fid, demand.links, demand.max_rate)
+                allocator.add_flow(fid, demand.links)
             _assert_allocations_match(
                 max_min_allocation(mutated, caps),
                 allocator.solve(),
@@ -234,12 +233,11 @@ class TestFluidAllocatorEquivalence:
             dst = f"r{rng.randint(1, 6)}"
             start = rng.uniform(0.0, 2.0)
             if rng.random() < 0.2:
-                flows.append(Flow(f"bg{i}", src, dst, size_bytes=None,
-                                  start_time=start, end_time=start + rng.uniform(0.2, 2.0)))
+                flows.append(Flow(f"bg{i}", src, dst, size_bytes=rng.uniform(40, 200) * MBYTE,
+                                  start_time=start))
             else:
-                cap = 0.1 * GBITPS if rng.random() < 0.3 else None
                 flows.append(Flow(f"x{i}", src, dst, size_bytes=rng.uniform(1, 40) * MBYTE,
-                                  start_time=start, max_rate_bps=cap))
+                                  start_time=start))
 
         def run(reference):
             with monkeypatch.context() as patch:

@@ -51,10 +51,11 @@ def _placement(rng, app, vms):
 
 
 def _tenant(rng, vms):
-    """Another tenant: a finite flow, one that stops mid-session, a late one."""
+    """Another tenant: a short flow, one that ends mid-session, a late one."""
     return [
         VMFlow("bg-finite", vms[0], vms[1], size_bytes=float(rng.uniform(0.5, 4)) * GBYTE),
-        VMFlow("bg-unbounded", vms[2], vms[3], end_time=1.5 * EPOCH_S),
+        # ≈1.5 epochs at a 1 Gbit/s hose, longer when it shares one.
+        VMFlow("bg-long", vms[2], vms[3], size_bytes=11 * GBYTE),
         VMFlow("bg-late", vms[1], vms[-1], size_bytes=1 * GBYTE, start_time=2.5 * EPOCH_S),
     ]
 

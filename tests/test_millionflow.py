@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 import random
 
 import numpy as np
@@ -88,23 +87,15 @@ class TestVectorLoopBitIdentity:
             dst = rng.choice([h for h in hosts if h != src])
             start = rng.choice([0.0, rng.uniform(0, 2.0), rng.choice([0.5, 1.0])])
             if rng.random() < 0.3:
-                # Unbounded flow; include zero-length and near-Zeno windows.
-                end = start + rng.choice([0.0, 1e-13, rng.uniform(0.01, 2.0)])
-                flow = Flow(
-                    flow_id=f"u{i}", src=src, dst=dst, size_bytes=None,
-                    start_time=start, end_time=end,
-                )
+                # A long transfer: it runs past most ``until`` cuts.
+                size = rng.uniform(1e7, 1e8)
             else:
                 size = rng.choice(
                     [0.0, 1e-7, rng.uniform(1, 1e6), rng.choice([1e5, 2e5])]
                 )
-                max_rate = None
-                if rng.random() < 0.2:
-                    max_rate = rng.choice([1e6, 1e9, math.inf])
-                flow = Flow(
-                    flow_id=f"f{i}", src=src, dst=dst, size_bytes=size,
-                    start_time=start, max_rate_bps=max_rate,
-                )
+            flow = Flow(
+                flow_id=f"f{i}", src=src, dst=dst, size_bytes=size, start_time=start
+            )
             extra = [hose_link_id(src)] if hose else []
             sim_s.add_flow(flow, extra)
             sim_v.add_flow(flow, extra)

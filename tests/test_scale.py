@@ -56,8 +56,7 @@ def _random_instance(rng, n_links_max=14, n_flows_max=30):
             links = tuple(
                 rng.sample(link_ids, rng.randint(1, min(4, n_links)))
             )
-        cap = rng.uniform(0.01 * GBITPS, 1 * GBITPS) if rng.random() < 0.35 else None
-        demands[f"f{f}"] = FlowDemand(links=links, max_rate=cap)
+        demands[f"f{f}"] = FlowDemand(links=links)
     return caps, demands
 
 
@@ -74,7 +73,7 @@ def _solves(patch, vector, caps, script, every=True):
             if demand is None:
                 allocator.remove_flow(fid)
             else:
-                allocator.add_flow(fid, demand.links, demand.max_rate)
+                allocator.add_flow(fid, demand.links)
             if every:
                 rates.append(dict(allocator.solve()))
         return rates if every else [dict(allocator.solve())]
@@ -118,7 +117,7 @@ class TestVectorSolveBitIdentity:
             caps, demands = _random_instance(rng)
             vector = IncrementalAllocator(caps)
             for fid, demand in demands.items():
-                vector.add_flow(fid, demand.links, demand.max_rate)
+                vector.add_flow(fid, demand.links)
             got = vector.solve()
             ref = max_min_allocation(demands, caps)
             assert set(ref) == set(got)
@@ -143,7 +142,7 @@ class TestVectorSolveBitIdentity:
         force_solves(monkeypatch, True)
         allocator = IncrementalAllocator(caps)
         for fid, demand in script:
-            allocator.add_flow(fid, demand.links, demand.max_rate)
+            allocator.add_flow(fid, demand.links)
         assert not allocator.uses_vector_path()
         # Removing the duplicate-link flow re-enables the vector path.
         allocator.remove_flow("loop")
@@ -154,13 +153,12 @@ class TestVectorSolveBitIdentity:
         script = [
             ("x", FlowDemand(links=("a",))),
             ("y", FlowDemand(links=("a", "b"))),
-            ("z", FlowDemand(links=("b",), max_rate=3.0)),
+            ("z", FlowDemand(links=("b",))),
         ]
         scalar = _solves(monkeypatch, False, caps, script, every=False)
         vector = _solves(monkeypatch, True, caps, script, every=False)
         assert scalar == vector
-        assert vector[-1]["x"] == math.inf
-        assert vector[-1]["z"] == 3.0
+        assert vector[-1] == {"x": math.inf, "y": math.inf, "z": math.inf}
 
 
 class TestVectorModeSelection:
@@ -196,8 +194,8 @@ class TestFluidVectorAllocator:
             if rng.random() < 0.2:
                 flows.append(
                     Flow(
-                        flow_id=f"bg{i}", src=src, dst=dst, size_bytes=None,
-                        start_time=start, end_time=start + rng.uniform(0.5, 2.0),
+                        flow_id=f"bg{i}", src=src, dst=dst,
+                        size_bytes=rng.uniform(60, 240) * MBYTE, start_time=start,
                     )
                 )
             else:

@@ -27,7 +27,7 @@ from repro.experiments.scenarios import get_scenario
 from repro.experiments.trials import trial_seed
 from repro.runtime.executor import placement_to_flows
 from repro.runtime.sequence import SequentialPlacementRunner
-from repro.units import GBYTE
+from repro.units import BITS_PER_BYTE, GBYTE
 from repro.workloads.generator import HPCloudWorkloadGenerator, WorkloadSpec
 from test_live_books import Ledger, two_task_app
 
@@ -39,8 +39,8 @@ def seeded_sequence(seed):
 
     3–12 applications whose gaps run from "all overlap" (a fraction of a
     second, some exactly zero) to "none overlap" (minutes); every other
-    seed shares the network with another tenant holding a finite flow, an
-    unbounded one that stops mid-sequence and one that has not started at
+    seed shares the network with another tenant holding a short flow, a long
+    one that ends near the middle arrival and one that has not started at
     the first arrivals.
     """
     rng = np.random.default_rng(seed)
@@ -61,7 +61,11 @@ def seeded_sequence(seed):
         middle, last = float(arrivals[n_apps // 2]), float(arrivals[-1])
         background = [
             VMFlow("bg-finite", vms[0], vms[1], size_bytes=float(rng.uniform(0.5, 8)) * GBYTE),
-            VMFlow("bg-unbounded", vms[2], vms[3], end_time=middle + 1e-3),
+            # As long as its path takes to the middle arrival, unshared.
+            VMFlow(
+                "bg-long", vms[2], vms[3],
+                size_bytes=provider.true_path_rate(vms[2], vms[3]) * middle / BITS_PER_BYTE,
+            ),
             VMFlow("bg-late", vms[1], vms[4], size_bytes=2 * GBYTE, start_time=0.5 * (middle + last)),
         ]
     return provider, cluster, apps, background, ("greedy", "round-robin", "random")[seed % 3]

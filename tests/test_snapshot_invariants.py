@@ -160,7 +160,6 @@ def test_rates_are_max_min_fair_bounded_and_independent(seed, hose_state, n_flow
     # reordering the probes reorders the rates.
     for i in rng.choice(len(pairs), size=min(len(pairs), 5)):
         assert provider._snapshot_rates([pairs[i]], flows)[0] == rates[i]
-        assert provider.snapshot_rate(*pairs[i], background=flows) == rates[i]
     shuffled = rng.permutation(len(pairs))
     again = provider._snapshot_rates([pairs[i] for i in shuffled], flows)
     assert np.array_equal(again, rates[shuffled])
@@ -226,4 +225,4 @@ def test_bad_input_is_a_repro_error_naming_the_offender(case, named):
     else:
         background.append(_flow("b2", "ghost", a))
     with pytest.raises(ReproError, match=named):
-        provider.snapshot_rate(*pair, background=background, window_s=window_s)
+        provider._snapshot_rates([pair], background, window_s=window_s)

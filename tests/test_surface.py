@@ -161,9 +161,9 @@ def test_one_class_is_the_network_profile():
 
 # ------------------------------------------- one snapshot, and no allocator
 def test_the_snapshot_has_one_implementation_and_builds_no_allocator():
-    """``snapshot_rate`` is the one-pair case of ``_snapshot_rates``, which
-    reads its rates off ``probe_rates_under_load``: no twin for some size,
-    no second call site, and no per-probe solve on an allocator."""
+    """``_snapshot_rates`` reads its rates off ``probe_rates_under_load``:
+    no one-pair twin, no twin for some size, no second call site, and no
+    per-probe solve on an allocator."""
     sources = {
         name: inspect.getsource(importlib.import_module(name)) for name in MODULES
     }
@@ -173,10 +173,7 @@ def test_the_snapshot_has_one_implementation_and_builds_no_allocator():
         for name, source in sources.items()
         for match in re.findall(r"def (\w*snapshot_rate\w*)\(", source)
     )
-    assert defined == [
-        "repro.cloud.provider:_snapshot_rates",
-        "repro.cloud.provider:snapshot_rate",
-    ]
+    assert defined == ["repro.cloud.provider:_snapshot_rates"]
     uses = {
         name: source.count("probe_rates_under_load(")
         for name, source in sources.items()
@@ -590,3 +587,58 @@ def test_the_unused_measurement_code_and_the_uncalled_definitions_are_gone():
     from repro.core.network_profile import NetworkProfile
 
     assert "cross_traffic" not in inspect.signature(NetworkProfile).parameters
+
+
+# ------------------------------------------------------------ one kind of flow
+#: Deleted with the unbounded and the rate-capped flow kinds, from ``Flow``
+#: through both event loops and both allocator solves to netperf's
+#: background window.  No function, method or class of these names is
+#: defined in ``src/``, and nothing there assigns one.
+DELETED_FLOW_KIND_NAMES = {
+    "is_unbounded", "remaining_or_inf", "max_rate", "max_rate_bps", "max_rates",
+    "_slot_cap", "_capped", "_slot_row", "cap_heap", "active_unbounded",
+    "active_finite", "au_buf", "nau", "stop_arr", "unbounded",
+    "replace_background_window", "snapshot_rate",
+}
+
+
+def test_one_kind_of_flow_is_left():
+    trees = [
+        ast.parse(inspect.getsource(importlib.import_module(name))) for name in MODULES
+    ]
+    named = [
+        node.name
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ] + [
+        target.attr if isinstance(target, ast.Attribute) else target.id
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, (ast.Name, ast.Attribute))
+    ]
+    assert DELETED_FLOW_KIND_NAMES & set(named) == set()
+    from repro.cloud.provider import CloudProvider, VMFlow
+    from repro.net.alloc import IncrementalAllocator
+    from repro.net.fairness import FlowDemand
+    from repro.net.flows import Flow
+
+    assert [field.name for field in dataclasses.fields(Flow)] == [
+        "flow_id", "src", "dst", "size_bytes", "start_time", "tag",
+    ]
+    assert [field.name for field in dataclasses.fields(VMFlow)] == [
+        "flow_id", "src_vm", "dst_vm", "size_bytes", "start_time", "tag",
+    ]
+    assert [field.name for field in dataclasses.fields(FlowDemand)] == ["links"]
+    signature = inspect.signature
+    assert list(signature(IncrementalAllocator.add_flow).parameters) == [
+        "self", "flow_id", "links",
+    ]
+    assert list(signature(IncrementalAllocator.add_flows).parameters) == [
+        "self", "flow_ids", "rows", "lengths",
+    ]
+    assert list(signature(CloudProvider.run_netperf).parameters) == [
+        "self", "src_vm", "dst_vm", "duration",
+    ]
