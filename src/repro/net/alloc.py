@@ -101,6 +101,9 @@ _VECTOR_MIN_LINKS = 256
 # ``_freeze_round`` value of a slot no logged round froze.
 _NEVER = np.iinfo(np.int64).max
 
+# ``_written`` while no solve ran since the last ``written_slots`` call.
+_UNREAD = object()
+
 
 # Batches shorter than this are edited flow by flow.  Adding and removing k
 # flows of a pod-local mesh (rows of 2–4 links, 20 000 flows registered,
@@ -256,6 +259,9 @@ class IncrementalAllocator:
         ] = []
         self._freeze_round = np.zeros(0, dtype=np.int64)
         self._resume = 0
+        # What written_slots() reports: _UNREAD, a fill's first searched
+        # round, a partial solve's (closure, linkless) sets, or None.
+        self._written: object = _UNREAD
 
     # ----------------------------------------------------------- inspection
     def __len__(self) -> int:
@@ -634,6 +640,7 @@ class IncrementalAllocator:
         self._round_log.clear()
         self._freeze_round = np.zeros(0, dtype=np.int64)
         self._resume = 0
+        self._written = None
 
     # --------------------------------------------------------------- solve
     def uses_vector_path(self) -> bool:
@@ -672,10 +679,36 @@ class IncrementalAllocator:
         ``result[slot]`` is the rate of the flow whose :meth:`add_flow`
         returned ``slot``.  The array is owned by the allocator: treat it as
         read-only, and re-fetch (or copy what you need) after any edit.
-        Entries for freed slots are stale.
+        Entries for freed slots are stale; :meth:`written_slots` names the
+        rewritten ones.
         """
         self._ensure_solved()
         return self._slot_rate
+
+    def written_slots(self) -> Optional[np.ndarray]:
+        """The slots the solves since the last call wrote, each once (a
+        superset of those whose rate changed or that were added), or None
+        for "any slot"; call it before the next edit.
+
+        A vector fill writes the batches of the rounds it searched (not the
+        replayed prefix) and the linkless slots, a partial solve its closure
+        and the new linkless slots.  A scalar full solve, a fill that left
+        slots unconstrained, :meth:`clear`, or two solves give None.  A
+        solve records O(1): a mark or a set reference.
+        """
+        written, self._written = self._written, _UNREAD
+        if written is _UNREAD:
+            return np.zeros(0, dtype=np.intp)
+        if written is None:
+            return None
+        if isinstance(written, int):
+            parts = [entry[4] for entry in self._round_log[written:]]
+            linkless = self._linkless
+        else:
+            closure, linkless = written
+            parts = [np.fromiter(closure, dtype=np.intp, count=len(closure))]
+        parts.append(np.fromiter(linkless, dtype=np.intp, count=len(linkless)))
+        return np.concatenate(parts)
 
     def solver_stats(self) -> Dict[str, int]:
         """Counters: full solves, partial solves, slots re-solved partially,
@@ -715,6 +748,8 @@ class IncrementalAllocator:
             if partial:
                 self._solve_scalar(restrict=partial)
                 self._resume = 0
+            written = (partial, self._dirty_linkless)
+            self._dirty_linkless = set()
             self._partial_solves.inc()
             self._partial_slots.inc(len(partial))
         else:
@@ -729,7 +764,7 @@ class IncrementalAllocator:
             ) as span:
                 if vectorised:
                     resumed_from = self._resume
-                    memoised = self._solve_vector()
+                    memoised, written = self._solve_vector()
                     span.set(
                         rounds=len(self._round_log),
                         resumed_from=resumed_from,
@@ -738,7 +773,9 @@ class IncrementalAllocator:
                 else:
                     self._solve_scalar()
                     self._resume = 0
+                    written = None
             self._full_solves.inc()
+        self._written = written if self._written is _UNREAD else None
         self._dirty_links.clear()
         self._dirty_linkless.clear()
         self._solved = True
@@ -937,9 +974,10 @@ class IncrementalAllocator:
         self._row_start[slots] = offs
         self._row_used = total
 
-    def _solve_vector(self) -> int:
+    def _solve_vector(self) -> Tuple[int, Optional[int]]:
         """Array-backed water-filling over the links in use; returns how
-        many rounds took their batch from the memo.
+        many rounds took their batch from the memo, and the first round it
+        searched (None if it left slots unconstrained outside any batch).
 
         Per round: one masked divide + ``argmin`` finds the bottleneck link
         (ties break on the lowest link index, matching the scalar heaps'
@@ -1037,6 +1075,7 @@ class IncrementalAllocator:
         zero = np.zeros(())  # (a Python scalar operand is converted per call)
         memo = self._batch_memo
         memoised = 0
+        searched_from: Optional[int] = mark
         while n_left:
             # Bottleneck search: equal share of every link still carrying
             # unfrozen flows, in one vector divide; links with no unfrozen
@@ -1055,6 +1094,7 @@ class IncrementalAllocator:
                 for slot in self._flow_slot.values():
                     if nlinks[slot] and freeze_round[slot] == _NEVER:
                         slot_rate[slot] = inf
+                searched_from = None
                 break
             level = bottleneck_share
             link = int(used[bottleneck])
@@ -1107,4 +1147,4 @@ class IncrementalAllocator:
         self._rounds_replayed.inc(mark)
         self._rounds_memoised.inc(memoised)
         self._resume = len(log)
-        return memoised
+        return memoised, searched_from

@@ -349,10 +349,10 @@ class FluidSimulation:
     Rates come from :class:`~repro.net.alloc.IncrementalAllocator`, which
     picks its own solve from the problem size.  Below ``_LOOP_MIN_FLOWS``
     live flows the per-flow Python event loop runs; at or above it the
-    vector loop holds flow state (remaining bytes, current rate, open rate
-    segment) in parallel NumPy arrays, picks the next event with an
-    ``argmin`` over the finish-time vector, activates, drains and retires
-    flows a batch per event, and logs a rate segment (to a columnar log,
+    vector loop holds flow state in NumPy arrays in activation order,
+    picks the next event with a ``min`` over the finish-time vector,
+    activates, drains and retires flows a batch per event, re-reads only the
+    rates the allocator rewrote, and logs a rate segment (to a columnar log,
     see :class:`FluidResult`) only when a flow's rate actually changes.
     Both loops produce bit-identical :class:`FluidResult` contents, and
     either resumes from the pause the other left (see the module
@@ -592,12 +592,19 @@ class FluidSimulation:
         If ``until`` is given, the simulation stops there and the per-flow
         ``remaining_bytes`` in the result reflect partially transferred
         flows, which are reported stopped; a later call
-        resumes from that pause (``until`` may not precede it).  The result
-        covers the flows live in this run.
+        resumes from that pause (``until`` may not precede it).
+        ``until=math.inf`` means no limit, as None does.  The result covers
+        the flows live in this run.
 
         The scalar and vector event loops produce bit-identical results;
         the vector loop runs from ``_LOOP_MIN_FLOWS`` live flows up.
+
+        Raises:
+            SimulationError: ``until`` is NaN or ``-inf``, or precedes the
+                pause.
         """
+        if until is not None and not until > -math.inf:
+            raise SimulationError(f"cannot run until {until!r}: not a time")
         self._compact()
         if until is not None and self._now is not None and until < self._now:
             raise SimulationError(
@@ -804,27 +811,35 @@ class FluidSimulation:
     def _run_vector(self, until: Optional[float], span) -> FluidResult:
         """Array-backed event loop; bit-identical to :meth:`_run_scalar`.
 
-        Flows are rows of the flow table, known by their index in it.  Live
-        flow state lives in slot-indexed NumPy arrays (the slots are the
-        allocator's own flow slots, so rate vectors from
-        :meth:`~repro.net.alloc.IncrementalAllocator.solve_slots` gather
-        directly; ``flow_of`` maps a slot back to its flow).  Every event
-        is a few array steps: the flows whose start time has arrived are
-        handed to the allocator as one batch of table rows; the next event
-        time is a min over the finish-time vector; bytes drain in one
-        vector step; the flows that finished are taken back from the
-        allocator as one batch.  A flow's rate segment is held open in
-        ``seg_start``/``seg_rate`` and goes to the columnar segment log
-        only when its rate changes, it retires, or the run stops; the log
-        is reduced by :meth:`RateTimeline.append`'s rules when the run ends
-        (:class:`_TimelineTable`), so the segments are exactly the merged
-        segments the scalar loop records.  Every floating-point operation
-        (finish projection, drain, Zeno residue reset) applies the same ops
-        to the same values as the scalar loop, batches keep the scalar
-        loop's order (activation by ``(start_time, flow_id)``, retirement
-        in activation order — which fixes the allocator's slot numbers and
-        the insertion order of ``completion_times``), so results match bit
-        for bit.
+        Flows are rows of the flow table.  Live flow state lives in NumPy
+        arrays indexed by *activation position* (the scalar loop's dict
+        order): remaining bytes ``left``, the open segment's ``rate`` (-1.0
+        before the first) and start, the flow, its allocator slot (``pos_of``
+        maps back).  Per event each live flow is touched only by a fixed run
+        of contiguous in-place passes — finish ``now + left*8/rate`` and its
+        ``min``, drain ``left - (rate*dt)/8`` and its clamp, the Zeno reset,
+        the ``done`` test: the scalar loop's operations on the same values in
+        the same order.  Everything else touches only the flows it concerns:
+        arrivals and retirements (one batch each to and from the allocator),
+        and the slots the solve rewrote
+        (:meth:`~repro.net.alloc.IncrementalAllocator.written_slots`; on a
+        run's first event all live flows, as resumed ones open segments).
+        Segments are logged in columns (:class:`_TimelineTable`) when a rate
+        changes, a flow retires or the run stops.
+
+        A retired flow leaves a tombstone (``left = inf``, ``rate = 0``),
+        inert in every pass: its finish is ``inf``, its drain leaves
+        ``inf``, it is never reset nor done.  Positions are compacted, in
+        order, once tombstones outnumber live flows.  Retiring in ascending
+        position fixes the allocator's free list (hence slot numbers) and
+        the order of ``completion_times`` as the scalar loop does.
+
+        One clamp, ``maximum(left, 0)``, stands for ``drained if drained >
+        0.0 else 0.0``: a live flow has ``left > _BYTE_EPS`` and a finite
+        rate, so its drain is finite and never ``-0.0`` (``x - x`` is
+        ``+0.0``) — or rate ``inf`` (no link limits it), whose drain is
+        ``-inf`` or, at ``dt == 0``, NaN, and whose finish is ``now``, so the
+        Zeno reset zeroes it as the scalar loop's ``rate == inf`` branch does.
         """
         flows = list(self._flows.values())
         flow_ids = list(self._flows)
@@ -841,36 +856,34 @@ class FluidSimulation:
         incremental, now = self._resume(until)
         inf = math.inf
 
-        # Slot-indexed flow state (slots are allocator slots; a retired
-        # flow's slot may be reused, by which time its segment was logged).
-        rem = np.zeros(0, dtype=np.float64)
-        seg_start = np.zeros(0, dtype=np.float64)
-        # -1.0 marks "no open rate segment" (real rates are never negative).
-        seg_rate = np.zeros(0, dtype=np.float64)
-        flow_of = np.zeros(0, dtype=np.intp)
-        # Active slots, in activation order (the order the scalar loop's
-        # dict iterates in, which retirement must match).
-        active_buf = np.empty(n_flows, dtype=np.intp)
-        n_active = 0
+        # Position-indexed state and per-event buffers (a flow takes one
+        # position per run, so ``n_flows`` positions always suffice).
+        left, rate, seg_start, finish, step = (np.empty(n_flows) for _ in range(5))
+        flow_at, slot_at = (np.empty(n_flows, dtype=np.intp) for _ in range(2))
+        mask = np.empty(n_flows, dtype=bool)
+        pos_of = np.zeros(0, dtype=np.intp)
+        n_pos = n_live = 0
+
+        def place(which: np.ndarray, slots: np.ndarray, bytes_left) -> None:
+            """Give flows ``which``, at allocator ``slots``, the next positions."""
+            nonlocal pos_of, n_pos, n_live
+            if slots.max() >= pos_of.shape[0]:
+                pos_of = _grow(pos_of, max(16, 2 * pos_of.shape[0], int(slots.max()) + 1))
+            new = slice(n_pos, n_pos + which.shape[0])
+            flow_at[new], slot_at[new], left[new] = which, slots, bytes_left
+            rate[new] = -1.0  # -1.0 marks "no open rate segment"
+            pos_of[slots] = np.arange(new.start, new.stop)
+            n_live += new.stop - n_pos
+            n_pos = new.stop
+
         resumed = self._active
         if resumed:
             # The flows the pause left active, in the allocator already.
             position = dict(zip(flow_ids, range(n_flows)))
             which = np.array([position[fid] for fid in resumed], dtype=np.intp)
-            slots = incremental.slots_of(list(resumed))
-            n_slots = max(16, int(slots.max()) + 1)
-            rem, seg_start, seg_rate = (
-                np.zeros(n_slots, dtype=np.float64) for _ in range(3)
-            )
-            flow_of = np.zeros(n_slots, dtype=np.intp)
-            flow_of[slots] = which
-            seg_rate[slots] = -1.0
-            rem[slots] = np.fromiter(
-                resumed.values(), dtype=np.float64, count=len(resumed)
-            )
             state[which] = _ACTIVE
-            n_active = which.shape[0]
-            active_buf[:n_active] = slots
+            bytes_left = np.fromiter(resumed.values(), np.float64, count=len(resumed))
+            place(which, incremental.slots_of(list(resumed)), bytes_left)
         # Activation order: by (start_time, flow_id), as the scalar loop's.
         by_id = np.array(
             sorted(range(n_flows), key=flow_ids.__getitem__), dtype=np.intp
@@ -886,17 +899,17 @@ class FluidSimulation:
             [np.zeros(0, dtype=np.intp)], [np.zeros(0)], [np.zeros(0)], [np.zeros(0)]
         )
 
-        def close_segments(slots: np.ndarray) -> None:
-            """Log the open segment of each of ``slots``, ending now."""
-            slots = slots[seg_rate[slots] != -1.0]
-            if slots.shape[0]:
-                log[0].append(flow_of[slots])
-                log[1].append(seg_start[slots])
-                log[2].append(np.full(slots.shape[0], now))
-                log[3].append(seg_rate[slots])
+        def close_segments(at: np.ndarray) -> None:
+            """Log the open segments at positions ``at``, ending now."""
+            at = at[rate[at] != -1.0]
+            if at.shape[0]:
+                log[0].append(flow_at[at])
+                log[1].append(seg_start[at])
+                log[2].append(np.full(at.shape[0], now))
+                log[3].append(rate[at])
 
         end_time = now
-        batches = 0
+        batches = checked = changed = compactions = 0
 
         while True:
             # Activate the flows whose start time has arrived, as one batch.
@@ -921,20 +934,9 @@ class FluidSimulation:
                         data[csr_gather(row_start[arrived], lengths)],
                         lengths,
                     )
-                    n_slots = int(slots.max()) + 1
-                    if n_slots > rem.shape[0]:
-                        new_size = max(16, 2 * rem.shape[0], n_slots)
-                        rem = _grow(rem, new_size)
-                        seg_start = _grow(seg_start, new_size)
-                        seg_rate = _grow(seg_rate, new_size)
-                        flow_of = _grow(flow_of, new_size)
-                    flow_of[slots] = arrived
-                    seg_rate[slots] = -1.0
-                    rem[slots] = size[arrived]
-                    active_buf[n_active : n_active + slots.shape[0]] = slots
-                    n_active += slots.shape[0]
+                    place(arrived, slots, size[arrived])
 
-            if n_active == 0 and pending_idx >= n_pending:
+            if n_live == 0 and pending_idx >= n_pending:
                 end_time = now
                 break
             if until is not None and now >= until - _TIME_EPS:
@@ -942,19 +944,37 @@ class FluidSimulation:
                 break
 
             batches += 1
-            # Allocate rates and project the next event time.
+            # Allocate rates; close the segment of every flow whose rate
+            # changed and open its next one (all flows on the first event).
             rate_vec = incremental.solve_slots()
-            active = active_buf[:n_active]
+            slots = incremental.written_slots()
+            if slots is None or batches == 1:
+                at = np.flatnonzero(left[:n_pos] != inf)
+                slots = slot_at[at]
+            else:
+                at = pos_of[slots]
+            checked += at.shape[0]
+            new_rate = rate_vec[slots]
+            moved = np.flatnonzero(new_rate != rate[at])
+            if moved.shape[0]:
+                at = at[moved]
+                changed += at.shape[0]
+                close_segments(at)
+                seg_start[at] = now
+                rate[at] = new_rate[moved]
+
+            # Project the next event time.  Rate 0 -> finish inf (no event);
+            # rate inf -> finish now, exactly the scalar loop's explicit
+            # ``next_time = now``.
             next_time = inf
             if pending_idx < n_pending:
                 next_time = pending_start[pending_idx]
-            if n_active:
-                rates = rate_vec[active]
-                left = rem[active]
-                # rate 0 -> finish inf (no event); rate inf -> finish now,
-                # exactly the scalar loop's explicit ``next_time = now``.
+            live_left, live_rate, ft = left[:n_pos], rate[:n_pos], finish[:n_pos]
+            if n_live:
+                np.multiply(live_left, BITS_PER_BYTE, out=ft)
                 with np.errstate(divide="ignore"):
-                    ft = now + left * BITS_PER_BYTE / rates
+                    np.divide(ft, live_rate, out=ft)
+                np.add(ft, now, out=ft)
                 ft_min = ft.min()
                 if ft_min < next_time:
                     next_time = ft_min
@@ -969,44 +989,39 @@ class FluidSimulation:
                 next_time = now
             next_time = float(next_time)
             dt = next_time - now
+            now = end_time = next_time
 
-            # Close the segment of every flow whose rate changed and open
-            # its next one, then drain the flows in one vector step.
-            if n_active:
-                moved = rates != seg_rate[active]
-                if moved.any():
-                    changed = active[moved]
-                    close_segments(changed)
-                    seg_start[changed] = now
-                    seg_rate[changed] = rates[moved]
-                drained = left - rates * dt / BITS_PER_BYTE
-                new_rem = np.where(drained > 0.0, drained, 0.0)
-                new_rem[np.isinf(rates)] = 0.0
-                # Zeno residue reset: a flow whose projected finish
-                # coincides with this event has drained (see _run_scalar).
-                new_rem[ft <= next_time + _TIME_EPS] = 0.0
-                rem[active] = new_rem
-
-            now = next_time
-            end_time = now
-
-            # Retire the flows that completed at ``now``, as one batch, in
-            # activation order (the scalar loop's dict order; it keeps the
-            # allocator's free list identical).
-            if n_active:
-                done = new_rem <= _BYTE_EPS
-                if done.any():
-                    retired = active[done]
-                    close_segments(retired)
-                    which = flow_of[retired]
+            # Drain, clamp, reset the Zeno residue (see _run_scalar), and
+            # retire the flows that completed at ``now`` as one batch.
+            if n_live:
+                drain, hit = step[:n_pos], mask[:n_pos]
+                with np.errstate(invalid="ignore"):  # inf * 0.0: see above
+                    np.multiply(live_rate, dt, out=drain)
+                np.divide(drain, BITS_PER_BYTE, out=drain)
+                np.subtract(live_left, drain, out=live_left)
+                np.maximum(live_left, 0.0, out=live_left)
+                np.less_equal(ft, next_time + _TIME_EPS, out=hit)
+                np.copyto(live_left, 0.0, where=hit)
+                np.less_equal(live_left, _BYTE_EPS, out=hit)
+                done = np.flatnonzero(hit)
+                if done.shape[0]:
+                    close_segments(done)
+                    which = flow_at[done]
                     names = [flow_ids[i] for i in which.tolist()]
                     completion.update(zip(names, itertools.repeat(now)))
                     state[which] = _COMPLETED
-                    rem_out[which] = new_rem[done]
+                    rem_out[which] = left[done]
                     incremental.remove_flows(names)
-                    kept = active[~done]
-                    n_active = kept.shape[0]
-                    active_buf[:n_active] = kept
+                    left[done] = inf
+                    rate[done] = 0.0
+                    n_live -= done.shape[0]
+                    if n_pos - n_live > n_live:
+                        keep = np.flatnonzero(left[:n_pos] != inf)
+                        n_pos = keep.shape[0]
+                        for column in (left, rate, seg_start, flow_at, slot_at):
+                            column[:n_pos] = column[keep]
+                        pos_of[slot_at[:n_pos]] = np.arange(n_pos)
+                        compactions += 1
 
             if until is not None and now >= until - _TIME_EPS:
                 end_time = until
@@ -1015,12 +1030,13 @@ class FluidSimulation:
         _FLUID_BATCHES.inc(batches)
         # Close the segments still open at the stop time and record the
         # remaining bytes of flows the run left active.
-        active = active_buf[:n_active]
+        active = np.flatnonzero(left[:n_pos] != inf)
         close_segments(active)
-        rem_out[flow_of[active]] = rem[active]
+        which = flow_at[active]
+        rem_out[which] = left[active]
         self._pause(
             end_time,
-            dict(zip([flow_ids[i] for i in flow_of[active].tolist()], rem[active].tolist())),
+            dict(zip([flow_ids[i] for i in which.tolist()], left[active].tolist())),
             np.flatnonzero(state <= _ACTIVE).tolist(),
         )
         # Flows still active when the run stops are reported stopped;
@@ -1029,7 +1045,10 @@ class FluidSimulation:
         timelines = _TimelineTable(
             flow_ids, *(np.concatenate(column) for column in log)
         )
-        span.set(batches=batches, segments=timelines.n_segments)
+        span.set(
+            batches=batches, segments=timelines.n_segments,
+            rates_checked=checked, rates_changed=changed, compactions=compactions,
+        )
         return FluidResult(
             completion_times=completion,
             timelines=timelines,

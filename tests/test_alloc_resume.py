@@ -19,6 +19,7 @@ import pytest
 
 from oracles.max_min import force_solves, max_min_allocation
 from oracles.parent_fill import ParentFill
+from repro.net import alloc
 from repro.net.alloc import _BATCH_MIN, IncrementalAllocator, _partial_limit
 from repro.net.fairness import FlowDemand, max_min_violations
 from repro.net.topology import TreeSpec, build_multi_rooted_tree
@@ -422,6 +423,108 @@ def test_scalar_solver_on_two_infinite_links():
     }
     assert _from_scratch(caps, demands, vector=True) == max_min_allocation(demands, caps)
     assert _from_scratch(caps, demands, vector=False) == max_min_allocation(demands, caps)
+
+
+# -------------------------------------------------------------- written slots
+def _solve_kind(before, after, vectorised):
+    if after["partial_solves"] > before["partial_solves"]:
+        return "partial"
+    if after["full_solves"] > before["full_solves"]:
+        return "vector" if vectorised else "scalar"
+    return "cached"
+
+
+@pytest.mark.parametrize("make_instance", [_tree_instance, _mesh_instance])
+def test_written_slots_cover_every_rate_a_solve_changed(make_instance, monkeypatch):
+    """After every solve, each slot whose rate changed — and each slot
+    registered since the solve before — is in ``written_slots()``, once, or
+    the report is None.  Two solves between reads give None; a read with no
+    solve since gives nothing.  The edit scripts mix single and batched adds
+    (linkless flows among them) and removals, capacity changes, and solves
+    on both full paths and partial ones."""
+    monkeypatch.setattr(alloc, "_BATCH_MIN", 8)
+    rng = random.Random(0x3177)
+    kinds = {"partial": 0, "vector": 0, "scalar": 0, "cached": 0}
+    sparse = twice = 0
+    for trial in range(5):
+        caps, demands = make_instance(rng)
+        index = {link: i for i, link in enumerate(caps)}
+        finite = [link for link, cap in caps.items() if cap < math.inf]
+        pool = sorted(demands)
+        rng.shuffle(pool)
+        live = IncrementalAllocator(caps)
+        slot_of = {}
+
+        def add(fids):
+            rows = [index[link] for fid in fids for link in demands[fid].links]
+            lengths = [len(demands[fid].links) for fid in fids]
+            if len(fids) == 1:
+                slots = [live.add_flow(fids[0], demands[fids[0]].links)]
+            else:
+                slots = live.add_flows(fids, rows, lengths).tolist()
+            slot_of.update(zip(fids, slots))
+            return set(slots)
+
+        fresh = add(pool[:120])
+        pool = pool[120:]
+        rates = None
+        for step in range(30):
+            context = f"{make_instance.__name__} trial {trial} step {step}"
+            vectorised = rng.random() < 0.7
+            force_solves(monkeypatch, vectorised)
+            before = live.solver_stats()
+            got = live.solve_slots()
+            kind = _solve_kind(before, live.solver_stats(), vectorised)
+            if rng.random() < 0.15 and pool:
+                # A second solve before the read: the report is void.
+                fresh |= add([pool.pop()])
+                live.solve_slots()
+                assert live.written_slots() is None, context
+                twice += 1
+            else:
+                written = live.written_slots()
+                kinds[kind] += 1
+                if written is not None:
+                    written = written.tolist()
+                    assert len(set(written)) == len(written), context
+                    assert set(written) <= set(slot_of.values()), context
+                    changed = {
+                        slot for slot in slot_of.values()
+                        if slot in fresh or rates is None
+                        or slot >= rates.shape[0] or got[slot] != rates[slot]
+                    }
+                    assert changed <= set(written), context
+                    sparse += len(written) < len(slot_of)
+                else:
+                    assert kind != "partial", context
+                assert live.written_slots().shape == (0,), context
+            rates, fresh = live.solve_slots().copy(), set()
+            # The next edit: adds, removals, or a capacity change.
+            roll = rng.random()
+            if roll < 0.1:
+                # A linkless flow alone: no link is dirty, so a partial solve.
+                fid = f"free{trial}.{step}"
+                demands[fid] = FlowDemand(links=())
+                fresh |= add([fid])
+            elif roll < 0.3 and pool:
+                batch = [pool.pop() for _ in range(min(len(pool), rng.choice([1, 3, 12])))]
+                fresh |= add(batch)
+            elif roll < 0.8 and len(slot_of) > 10:
+                gone = rng.sample(sorted(slot_of), rng.choice([1, 2, 12]))
+                if len(gone) == 1:
+                    live.remove_flow(gone[0])
+                else:
+                    live.remove_flows(gone)
+                for fid in gone:
+                    del slot_of[fid]
+            else:
+                live.update_capacities({rng.choice(finite): rng.uniform(1.0, 1e4)})
+    # Every regime was reached, and reports were smaller than the flow set.
+    assert kinds["vector"] >= 20 and kinds["scalar"] >= 10 and twice >= 5
+    if make_instance is _mesh_instance:
+        assert kinds["partial"] >= 5
+    else:
+        assert sparse >= 5
 
 
 # -------------------------------------------------------------- closure cost

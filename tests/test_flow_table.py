@@ -15,6 +15,7 @@ Three batched mechanisms carry a flow from ``FluidSimulation.add_flows`` to
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import itertools
 import json
@@ -189,6 +190,47 @@ def _random_flows(rng: random.Random, hosts, n_flows, staggered):
     return flows
 
 
+def _mass_retirement_flows(rng: random.Random, hosts):
+    """A wave of equal flows on one path, which all finish in one event —
+    far more than half the live set — beside a few long flows; then a
+    second wave that arrives after the first has gone, into the positions
+    and allocator slots it left."""
+    src, dst = rng.sample(hosts, 2)
+    flows = [
+        Flow(flow_id=f"w{i}", src=src, dst=dst, size_bytes=2e4)
+        for i in range(rng.choice([20, 40]))
+    ]
+    for i in range(4):
+        a, b = rng.sample(hosts, 2)
+        flows.append(Flow(flow_id=f"long{i}", src=a, dst=b, size_bytes=5e7))
+    for i in range(rng.choice([12, 30])):
+        a, b = rng.sample(hosts, 2)
+        flows.append(
+            Flow(
+                flow_id=f"late{i}", src=a, dst=b, size_bytes=rng.uniform(1e4, 2e6),
+                start_time=rng.uniform(0.2, 0.5),
+            )
+        )
+    return flows
+
+
+@contextlib.contextmanager
+def _fluid_run_spans(path):
+    """Trace into ``path``; the list yielded receives the attributes of the
+    ``fluid.run`` spans on exit."""
+    spans = []
+    obs.configure(str(path), export_env=False)
+    try:
+        yield spans
+    finally:
+        obs.configure(None, export_env=False)
+    spans.extend(
+        event["attrs"]
+        for event in map(json.loads, path.read_text().splitlines())
+        if event["name"] == "fluid.run"
+    )
+
+
 def _assert_bytes_conserved(flows, runs, context):
     """Each flow's bytes: what its timelines moved, over the runs it was
     live in, plus what the last of them left, is its size; a completed
@@ -207,13 +249,16 @@ def _assert_bytes_conserved(flows, runs, context):
             assert left == 0.0 or (moved == 0.0 and left <= _BYTE_EPS), (context, fid)
 
 
-@pytest.mark.parametrize("seed", range(24))
+@pytest.mark.parametrize("seed", range(30))
 def test_batch_registration_and_vector_loop_match_the_scalar_oracle(
-    seed, monkeypatch
+    seed, monkeypatch, tmp_path
 ):
     # Activation and retire batches on both sides of the allocator's cut.
     monkeypatch.setattr(alloc, "_BATCH_MIN", 6)
     rng = random.Random(seed)
+    # Seeds from 24 on: the mass retirement shape, paused once, with a
+    # withdrawal at the pause.
+    mass = seed >= 24
     if seed % 3 == 0:
         topo = _mesh_topology()
     else:
@@ -232,11 +277,14 @@ def test_batch_registration_and_vector_loop_match_the_scalar_oracle(
         loopback_hosed = seed % 4 == 1
         extra_capacities.update((hose_link_id(host), rate) for host in hosed)
     # Few flows or many; start times staggered or all at once.
-    flows = _random_flows(
-        rng, hosts, rng.choice([3, 12, 60]), staggered=rng.random() < 0.7
-    )
+    if mass:
+        flows = _mass_retirement_flows(rng, hosts)
+    else:
+        flows = _random_flows(
+            rng, hosts, rng.choice([3, 12, 60]), staggered=rng.random() < 0.7
+        )
     extras = [
-        [] if flow.src == flow.dst or rng.random() < 0.5
+        [] if mass or flow.src == flow.dst or rng.random() < 0.5
         else [hose_link_id(f"vm{rng.randrange(4)}")]
         for flow in flows
     ]
@@ -264,27 +312,40 @@ def test_batch_registration_and_vector_loop_match_the_scalar_oracle(
     # Up to two pauses, a flow withdrawn at each with even odds, then the
     # rest run to completion.
     runs, until = [], 0.0
-    for step in range(3):
-        until = None if step == 2 or rng.random() < 0.3 else until + rng.uniform(0.0, 0.6)
-        context = f"seed={seed} step={step} until={until}"
-        scalar = run_loop(one_by_one, vector=False, until=until)
-        _assert_results_identical(
-            scalar, run_loop(batch, vector=True, until=until), context
-        )
-        runs.append(scalar)
-        if until is None:
-            break
-        live = [
-            fid for fid, state in scalar.states.items()
-            if state is not FlowState.COMPLETED
-        ]
-        if live and rng.random() < 0.5:
-            victim = rng.choice(live)
-            left = one_by_one.withdraw_flows([victim])
-            assert left == batch.withdraw_flows([victim])
-            assert left == {victim: scalar.remaining_bytes[victim]}, context
+    with _fluid_run_spans(tmp_path / "trace.jsonl") as spans:
+        for step in range(3):
+            if mass:
+                until = 0.3 if step == 0 else None
+            else:
+                until = (
+                    None if step == 2 or rng.random() < 0.3
+                    else until + rng.uniform(0.0, 0.6)
+                )
+            context = f"seed={seed} step={step} until={until}"
+            scalar = run_loop(one_by_one, vector=False, until=until)
+            _assert_results_identical(
+                scalar, run_loop(batch, vector=True, until=until), context
+            )
+            runs.append(scalar)
+            if until is None:
+                break
+            live = [
+                fid for fid, state in scalar.states.items()
+                if state is not FlowState.COMPLETED
+            ]
+            if live and (mass or rng.random() < 0.5):
+                victim = rng.choice(live)
+                left = one_by_one.withdraw_flows([victim])
+                assert left == batch.withdraw_flows([victim])
+                assert left == {victim: scalar.remaining_bytes[victim]}, context
     assert one_by_one.idle and batch.idle
     _assert_bytes_conserved(flows, runs, f"seed={seed}")
+    if mass:
+        # The wave went in one event, and the vector loop compacted after it.
+        wave = [fid for fid in runs[0].completion_times if fid.startswith("w")]
+        assert len({runs[0].completion_times[fid] for fid in wave}) == 1
+        assert len(runs) == 2 and len(runs[1].states) < len(flows) - len(wave)
+        assert sum(s["compactions"] for s in spans if s["loop"] == "vector") >= 1
 
 
 def _registered(sim):
@@ -417,7 +478,16 @@ def test_fluid_run_span_counts_batches_and_segments(tmp_path):
         if event["name"] == "fluid.run"
     )
     assert (scalar.pop("loop"), vector.pop("loop")) == ("scalar", "vector")
+    # What the vector loop touched: every live flow on the first event, then
+    # the slots each solve rewrote, a subset of which changed rate; and how
+    # often its retired flows' positions were compacted away.
+    checked, changed, compactions = (
+        vector.pop(key) for key in ("rates_checked", "rates_changed", "compactions")
+    )
     assert scalar == vector
+    assert len(flows) <= checked < vector["batches"] * len(flows)
+    assert len(flows) <= changed <= checked
+    assert 1 <= compactions < vector["batches"]
     assert vector["segments"] == sum(
         len(timeline.segments) for timeline in result.timelines.values()
     )

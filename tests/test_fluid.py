@@ -7,6 +7,7 @@ import signal
 
 import pytest
 
+from oracles.max_min import run_loop
 from repro.errors import SimulationError, TopologyError
 from repro.net.flows import Flow
 from repro.net.fluid import FluidSimulation
@@ -119,6 +120,33 @@ def test_non_finite_inputs_are_rejected_by_name(case, names):
 def test_link_capacity_must_be_a_positive_number():
     with pytest.raises(TopologyError, match="'a->b'"):
         Link("a->b", "a", "b", NAN)
+
+
+def _one_flow():
+    sim = FluidSimulation(build_two_rack_cloud(2))
+    sim.add_flow(Flow("ok", "s1", "r1", size_bytes=1e6))
+    return sim
+
+
+@pytest.mark.parametrize("until", [NAN, -INF], ids=["nan", "minus-inf"])
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+def test_a_run_until_nan_or_minus_inf_is_rejected_by_value(vector, until):
+    # NaN used to mean "no limit"; -inf left the clock paused at -inf.
+    sim = _one_flow()
+    with _deadline():
+        with pytest.raises(SimulationError, match=f"until {until!r}"):
+            run_loop(sim, vector, until=until)
+    assert run_loop(sim, vector).completion_time("ok") == pytest.approx(0.008)
+
+
+@pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+def test_a_run_until_inf_has_no_limit(vector):
+    unlimited = run_loop(_one_flow(), vector, until=INF)
+    plain = run_loop(_one_flow(), vector)
+    for field in ("completion_times", "remaining_bytes", "states", "end_time"):
+        assert getattr(unlimited, field) == getattr(plain, field), field
+    assert _segments(unlimited) == _segments(plain)
+    assert unlimited.end_time == unlimited.completion_time("ok") == pytest.approx(0.008)
 
 
 # ------------------------------------------------------------- resumable runs
