@@ -29,8 +29,7 @@ bit-identical on any instance where the reference's own (set-iteration-
 order-dependent) tie-breaks do not matter — ``tests/test_hotpath.py``
 checks agreement within 1e-9 on randomized instances.
 
-Above a size threshold (``_VECTOR_MIN_FLOWS`` flows and
-``_VECTOR_MIN_LINKS`` links) :meth:`solve`
+At or above ``_VECTOR_MIN_FLOWS`` registered flows :meth:`solve`
 switches to an **array-backed water-filling path**: remaining headroom
 and unfrozen-member counts live in NumPy vectors over the links in use
 (ascending by interned link slot; idle links never enter a round), each
@@ -61,8 +60,8 @@ Four further mechanisms keep event-loop re-solves cheap at scale:
   (bit-identical) rate.
   A retirement in one rack of a tree topology therefore re-solves one
   rack, not the datacenter.  The walk gives up as soon as the links it
-  has discovered prove the closure too big — on one giant component that
-  is a rack or aggregation link a few steps from the edit.
+  has discovered prove the closure too big, and once one has failed,
+  component labels skip the walks whose closure is bound to be too big.
 * **Resumable water-filling** — a full vector solve logs its rounds
   (level, drained links, drains, batch, and per slot the round that froze
   it).  Removing a flow leaves every round before the one that froze it
@@ -92,11 +91,10 @@ from repro.errors import SimulationError
 
 __all__ = ["IncrementalAllocator"]
 
-# Instance sizes below which the vectorised solve is not worth its NumPy
-# dispatch overhead.  Both must be met to vectorise: small-but-wide or
-# tall-but-narrow instances stay on the scalar path.
+# Flow count below which the vectorised solve is not worth its NumPy
+# dispatch overhead (docs/performance.md, "What selects the engine"; the
+# fill covers the links in use only, so the link universe does not count).
 _VECTOR_MIN_FLOWS = 256
-_VECTOR_MIN_LINKS = 256
 
 # ``_freeze_round`` value of a slot no logged round froze.
 _NEVER = np.iinfo(np.int64).max
@@ -105,13 +103,10 @@ _NEVER = np.iinfo(np.int64).max
 _UNREAD = object()
 
 
-# Batches shorter than this are edited flow by flow.  Adding and removing k
-# flows of a pod-local mesh (rows of 2–4 links, 20 000 flows registered,
-# 2-core reference host) costs ≈3.5–4 µs per flow through add_flow and
-# remove_flow, and ≈60 µs + 2.6 µs per flow batched (the stable sort by
-# link and the group cuts are the fixed part): k = 32 reads 120 against
-# 140 µs, k = 64 217 against 208, k = 256 943 against 639.  Both leave the
-# same state, so this is policy, not semantics.
+# Batches shorter than this are edited flow by flow: batching has a fixed
+# cost (the stable sort by link, the group cuts) that pays from ≈48–64
+# flows for adds and ≈96–128 for removals (docs/performance.md, "What
+# selects the engine").  Both leave the same state: policy, not semantics.
 _BATCH_MIN = 64
 
 
@@ -138,6 +133,14 @@ def _group_by_link(links: np.ndarray):
     group_start = np.concatenate(([0], cuts))
     group_end = np.concatenate((cuts, [links.shape[0]]))
     return by_link, links_sorted, links_sorted[group_start], group_start, group_end
+
+
+def _check_capacities(link_ids: Sequence[str], capacities: Sequence[float]) -> None:
+    """Reject a NaN or negative capacity by its link's name (zero and +inf
+    are capacities: a dead link, an unconstrained one)."""
+    for link_id, cap in zip(link_ids, capacities):
+        if not cap >= 0.0:
+            raise SimulationError(f"link {link_id!r} has capacity {cap!r}: must be >= 0, not NaN")
 
 
 def _partial_limit(n_flows: int) -> int:
@@ -172,25 +175,22 @@ class IncrementalAllocator:
             links.  Their capacities may change (:meth:`update_capacities`).
 
     A full solve takes the array-backed path at or above
-    ``_VECTOR_MIN_FLOWS`` routed flows *and* ``_VECTOR_MIN_LINKS`` links,
-    and the heap-based one below; both produce bit-identical rates.  Flows
-    whose path repeats a link force the heap-based solve at any size.
+    ``_VECTOR_MIN_FLOWS`` registered flows, and the heap-based one below;
+    both produce bit-identical rates, save where a drain leaves a tied
+    link's share one ulp below its key in the scalar heap, which can then
+    take that tie out of order.  Flows whose path repeats a link force the
+    heap-based solve at any size.
     """
 
     def __init__(self, capacities: Mapping[str, float]) -> None:
-        self._link_ids: List[str] = []
-        self._link_index: Dict[str, int] = {}
-        self._capacity: List[float] = []
-        for link_id, cap in capacities.items():
-            self._link_index[link_id] = len(self._link_ids)
-            self._link_ids.append(link_id)
-            self._capacity.append(float(cap))
-        # Capacity vector for the array-backed solve and its link → position
-        # table (the links in use, ascending, are positions 0..n-1 of a
-        # solve's working vectors), built on first use so scalar-only
-        # allocators pay nothing.
-        self._capacity_np: Optional[np.ndarray] = None
-        self._link_pos: Optional[np.ndarray] = None
+        self._link_ids: List[str] = list(capacities)
+        self._link_index = {link_id: i for i, link_id in enumerate(self._link_ids)}
+        self._capacity = [float(cap) for cap in capacities.values()]
+        _check_capacities(self._link_ids, self._capacity)
+        # The vector fill's link layout and link → position table (see
+        # _solve_vector); None until the next vector solve rebuilds it.
+        self._layout: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._link_pos = np.zeros(len(self._link_ids), dtype=np.intp)
         # Flow slots: a free-list keeps slot indices dense under churn.
         self._flow_slot: Dict[str, int] = {}
         self._slot_name: List[str] = []
@@ -223,6 +223,11 @@ class IncrementalAllocator:
         # Longest path registered since the last clear() (never lowered on
         # removal: _dirty_closure only needs an upper bound).
         self._max_row = 0
+        # Component labels (see _dirty_closure): per link its label, per
+        # label its routed flows, and how many routed flows were labeled.
+        self._label: Optional[List[int]] = None
+        self._label_count: List[int] = []
+        self._label_flows = 0
         # Flows whose path repeats a link break the share-heap monotonicity
         # (freezing subtracts the level once per occurrence, so a share can
         # shrink); while any such flow is registered, solve() selects
@@ -245,6 +250,9 @@ class IncrementalAllocator:
         self._rounds = obs.Counter("repro.alloc.rounds")
         self._rounds_replayed = obs.Counter("repro.alloc.rounds_replayed")
         self._rounds_memoised = obs.Counter("repro.alloc.rounds_memoised")
+        self._walks = obs.Counter("repro.alloc.walks")
+        self._walks_skipped = obs.Counter("repro.alloc.walks_skipped")
+        self._labelings = obs.Counter("repro.alloc.labelings")
         # Round log of the last full vector solve, one entry per
         # water-filling round: its level, the links it drained as a sparse
         # ``(idx, k)`` pair, the drain ``k*level``, and its batch size;
@@ -337,9 +345,13 @@ class IncrementalAllocator:
             self._linkless.add(slot)
         if unique is not link_tuple:
             self._dup_link_flows += 1
+        link_use = self._link_use
+        n_used = len(link_use)
         for index in unique:
             self._members[index].add(slot)
-            self._link_use[index] = self._link_use.get(index, 0) + 1
+            link_use[index] = link_use.get(index, 0) + 1
+        if len(link_use) != n_used:
+            self._layout = None
         if self._have_rates:
             if unique:
                 self._dirty_links.update(unique)
@@ -347,6 +359,7 @@ class IncrementalAllocator:
                 self._dirty_linkless.add(slot)
         # A new flow can lower shares in any round: the next fill starts over.
         self._resume = 0
+        self._label = None  # (and it can join components)
         self._solved = False
         self._solution = None
         return slot
@@ -471,6 +484,7 @@ class IncrementalAllocator:
             first_touch = np.argsort(by_link[group_start])
             slot_sorted = slots[owner_sorted].tolist()
             link_use = self._link_use
+            n_used = len(link_use)
             for link, a, b in zip(
                 touched[first_touch].tolist(),
                 group_start[first_touch].tolist(),
@@ -478,12 +492,15 @@ class IncrementalAllocator:
             ):
                 self._members[link].update(slot_sorted[a:b])
                 link_use[link] = link_use.get(link, 0) + (b - a)
+            if len(link_use) != n_used:
+                self._layout = None
             if self._have_rates:
                 self._dirty_links.update(touched.tolist())
         if self._have_rates:
             self._dirty_linkless.update(linkless)
         # A new flow can lower shares in any round: the next fill starts over.
         self._resume = 0
+        self._label = None  # (and it can join components)
         self._solved = False
         self._solution = None
         return slots
@@ -493,9 +510,12 @@ class IncrementalAllocator:
         slot = self._flow_slot.pop(flow_id, None)
         if slot is None:
             raise SimulationError(f"unknown flow {flow_id!r}")
-        if self._slot_unique_links[slot] is not self._slot_links[slot]:
+        unique = self._slot_unique_links[slot]
+        if unique is not self._slot_links[slot]:
             self._dup_link_flows -= 1
-        for index in self._slot_unique_links[slot]:
+        if unique and self._label is not None:
+            self._label_count[self._label[unique[0]]] -= 1
+        for index in unique:
             self._members[index].discard(slot)
             self._batch_memo.pop(index, None)
             left = self._link_use[index] - 1
@@ -503,8 +523,9 @@ class IncrementalAllocator:
                 self._link_use[index] = left
             else:
                 del self._link_use[index]
+                self._layout = None
         if self._have_rates:
-            self._dirty_links.update(self._slot_unique_links[slot])
+            self._dirty_links.update(unique)
             self._dirty_linkless.discard(slot)
         # Rounds before the one that froze this flow never had it as their
         # bottleneck, so they survive its removal (see _solve_vector).
@@ -559,6 +580,10 @@ class IncrementalAllocator:
                     link_use[link] = left
                 else:
                     del link_use[link]
+                    self._layout = None
+            if self._label is not None:
+                for link in self._row_data[self._row_start[slots[lengths > 0]]].tolist():
+                    self._label_count[self._label[link]] -= 1
             if self._have_rates:
                 self._dirty_links.update(touched.tolist())
         if self._have_rates:
@@ -584,26 +609,27 @@ class IncrementalAllocator:
         A changed link is edited as an add on it would be: it is marked
         dirty, so the next solve re-solves the flows that (transitively)
         share it, and the round log is void (every logged level is a share
-        of the old capacity).  An unchanged value edits nothing.
+        of the old capacity).  An unchanged value edits nothing.  The
+        component labels stay: connectivity does not change.
 
         Raises:
-            SimulationError: on a link outside the universe; nothing is
-                changed in that case.
+            SimulationError: on a link outside the universe, or a NaN or
+                negative capacity; nothing is changed in that case.
         """
         for link_id in capacities:
             if link_id not in self._link_index:
                 raise SimulationError(f"unknown link {link_id!r}")
-        for link_id, cap in capacities.items():
+        new = [float(cap) for cap in capacities.values()]
+        _check_capacities(list(capacities), new)
+        for link_id, cap in zip(capacities, new):
             index = self._link_index[link_id]
-            cap = float(cap)
             if cap == self._capacity[index]:
                 continue
             self._capacity[index] = cap
-            if self._capacity_np is not None:
-                self._capacity_np[index] = cap
             if self._have_rates:
                 self._dirty_links.add(index)
             self._resume = 0
+            self._layout = None
             self._solved = False
             self._solution = None
 
@@ -630,6 +656,8 @@ class IncrementalAllocator:
         self._linkless.clear()
         self._slot_nlinks = np.zeros(0, dtype=np.int64)
         self._max_row = 0
+        self._label = None
+        self._layout = None
         self._dup_link_flows = 0
         self._slot_rate = np.zeros(0, dtype=np.float64)
         self._solved = False
@@ -649,10 +677,7 @@ class IncrementalAllocator:
             # The scalar solver is the only one that models a path crossing
             # the same link twice (one count, two capacity drains).
             return False
-        return (
-            len(self._flow_slot) >= _VECTOR_MIN_FLOWS
-            and len(self._link_ids) >= _VECTOR_MIN_LINKS
-        )
+        return len(self._flow_slot) >= _VECTOR_MIN_FLOWS
 
     def solve(self) -> Dict[str, float]:
         """Max-min fair rates for the registered flows (cached between edits).
@@ -715,7 +740,9 @@ class IncrementalAllocator:
         and the water-filling rounds of the full vector solves — all of
         them (``rounds``), those replayed from the round log instead of
         searched for again (``rounds_replayed``), and the searched ones whose
-        freeze batch came from the per-link memo (``rounds_memoised``).
+        freeze batch came from the per-link memo (``rounds_memoised``); and
+        the closure walks run (``walks``), those the component labels
+        skipped (``walks_skipped``), and the labelings (``labelings``).
 
         A thin view over this instance's :class:`repro.obs.Counter`
         instruments (the process-wide aggregate across allocators lives
@@ -728,6 +755,9 @@ class IncrementalAllocator:
             "rounds": self._rounds.count,
             "rounds_replayed": self._rounds_replayed.count,
             "rounds_memoised": self._rounds_memoised.count,
+            "walks": self._walks.count,
+            "walks_skipped": self._walks_skipped.count,
+            "labelings": self._labelings.count,
         }
 
     def _ensure_solved(self) -> None:
@@ -791,14 +821,32 @@ class IncrementalAllocator:
         *discovers* it: one link with more members than the limit already
         proves the closure too big, and so do discovered member sets that
         total more than ``limit × longest path`` (a slot is in at most
-        that many of them).  On a tree, where nearly every flow crosses a
-        rack or aggregation link, a giant component is recognised after
-        O(path) steps; a giant component of thin links (a shuffle between
-        hosts) after visiting a few dozen slots.
+        that many of them).  Where a rack or aggregation link is fat that
+        takes a few steps; on a giant of thin links (a shuffle between
+        hosts) it costs dozens of visited flows.
+
+        So a walk that fails after visiting a flow labels the components
+        (:meth:`_label_components`), and later walks whose dirty links'
+        labels count more routed flows than the limit are skipped.  Until
+        an add voids them, labels go stale only by removals, which split
+        components but never join them, and each removal is taken off its
+        label's count: a count bounds every closure inside its label.  Once
+        half the flows they counted have left, the labels are dropped, so
+        a giant that has split is labeled afresh by the next failed walk.
         """
         if not self._dirty_links:
             return set()
         limit = _partial_limit(len(self._flow_slot))
+        routed = len(self._flow_slot) - len(self._linkless)
+        if self._label is not None and 2 * routed <= self._label_flows:
+            self._label = None
+        label, count = self._label, self._label_count
+        if label is not None:
+            owners = {label[link] for link in self._dirty_links}
+            if sum(count[owner] for owner in owners) > limit:
+                self._walks_skipped.inc()
+                return None
+        self._walks.inc()
         budget = limit * self._max_row
         members = self._members
         slot_unique = self._slot_unique_links
@@ -825,8 +873,38 @@ class IncrementalAllocator:
                 if slot not in seen_slots:
                     seen_slots.add(slot)
                     if len(seen_slots) > limit or not discover(slot_unique[slot]):
+                        if label is None:
+                            self._label_components()
                         return None
         return seen_slots
+
+    def _label_components(self) -> None:
+        """Label every link with the least link index of its component in
+        the flow↔link sharing graph, and count the routed flows per label:
+        min-label propagation over the CSR rows (each row hooks the roots
+        of its links to the least of them) with pointer jumping, until no
+        row hooks anything.  Labels only fall, so a root is its
+        component's least index."""
+        slots = np.flatnonzero(self._slot_nlinks)
+        lengths = self._slot_nlinks[slots]
+        links = self._row_data[csr_gather(self._row_start[slots], lengths)]
+        starts = lengths.cumsum() - lengths
+        label = np.arange(len(self._link_ids))
+        while True:
+            roots = label[links]
+            least = np.minimum.reduceat(roots, starts).repeat(lengths)
+            if np.array_equal(roots, least):
+                break
+            np.minimum.at(label, roots, least)
+            while True:
+                jumped = label[label]
+                if np.array_equal(jumped, label):
+                    break
+                label = jumped
+        self._label = label.tolist()
+        self._label_count = np.bincount(label[links[starts]], minlength=label.shape[0]).tolist()
+        self._label_flows = slots.shape[0]
+        self._labelings.inc()
 
     def _solve_scalar(self, restrict: Optional[Set[int]] = None) -> None:
         """Heap-based progressive filling over interned int slots.
@@ -1025,31 +1103,32 @@ class IncrementalAllocator:
         **Nothing for idle links.**  ``remaining`` / ``counts`` / ``shares``
         cover the links in use only, ascending by link index (``argmin``'s
         tie-break is unchanged; a link with no live flow never enters a
-        round); ``_link_pos`` translates logged and memoised ``idx``.
+        round); ``_link_pos`` translates logged and memoised ``idx``.  That
+        layout (and the permutation of ``_link_use``'s order into it) is
+        kept until a link enters or leaves use — the only edit that changes
+        that order — a capacity changes, or :meth:`clear` runs.
 
         The log holds each flow×link incidence at most once — the round
         that froze the flow — and so does the memo: O(incidences).
         """
-        if self._capacity_np is None:
-            self._capacity_np = np.asarray(self._capacity, dtype=np.float64)
-            self._link_pos = np.zeros(len(self._capacity), dtype=np.intp)
-
         slot_rate = self._slot_rate
         for slot in self._linkless:
             # Flows that traverse no links are not limited at all.
             slot_rate[slot] = math.inf
 
+        n_used = len(self._link_use)
+        pos = self._link_pos
+        if self._layout is None:
+            used = np.fromiter(self._link_use.keys(), dtype=np.intp, count=n_used)
+            order = used.argsort()
+            used = used[order]
+            pos[used] = np.arange(n_used)
+            self._layout = used, order, np.asarray(self._capacity)[used]
+        used, order, capacity = self._layout
         # (Counts are float64 — exact far beyond any flow count — so the
         # per-round divide and drains run on one dtype, without a cast.)
-        n_used = len(self._link_use)
-        used = np.fromiter(self._link_use.keys(), dtype=np.intp, count=n_used)
-        counts = np.fromiter(self._link_use.values(), dtype=np.float64, count=n_used)
-        order = used.argsort()
-        used = used[order]
-        counts = counts[order]
-        pos = self._link_pos
-        pos[used] = np.arange(n_used)
-        remaining = self._capacity_np[used]
+        counts = np.fromiter(self._link_use.values(), dtype=np.float64, count=n_used)[order]
+        remaining = capacity.copy()
         shares = np.empty(n_used, dtype=np.float64)
         active = np.empty(n_used, dtype=bool)
 

@@ -28,8 +28,8 @@ own rules, that builds a flow's :class:`RateTimeline` when it is asked
 for.  The scalar loop registers the same rows with the same call.
 
 Which event loop runs, and which solve the allocator takes, follows from
-the input size alone (``_LOOP_MIN_FLOWS`` here, ``_VECTOR_MIN_FLOWS`` /
-``_VECTOR_MIN_LINKS`` in :mod:`repro.net.alloc`); every path gives
+the input size alone (``_LOOP_MIN_FLOWS`` here, ``_VECTOR_MIN_FLOWS`` in
+:mod:`repro.net.alloc`); every path gives
 bit-identical results, so there is nothing for a caller to choose.
 
 A simulation is **resumable**.  A run that stops at ``until`` leaves a

@@ -67,7 +67,7 @@ class _Instrument:
         labels: Optional[Mapping[str, str]] = None,
         register: bool = True,
     ) -> None:
-        if not name or any(c.isspace() for c in name):
+        if name.split() != [name]:  # empty, or holds whitespace
             raise ValueError(f"invalid metric name {name!r}")
         self.name = name
         self.help = help

@@ -158,7 +158,6 @@ def force_solves(patch, vector: bool) -> None:
     """
     bound = 0 if vector else math.inf
     patch.setattr(alloc, "_VECTOR_MIN_FLOWS", bound)
-    patch.setattr(alloc, "_VECTOR_MIN_LINKS", bound)
 
 
 def force_loop(patch, vector: bool) -> None:

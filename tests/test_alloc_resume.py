@@ -621,3 +621,200 @@ def test_rack_local_retirement_still_takes_the_partial_path():
     assert after["partial_solves"] == before["partial_solves"] + 1
     assert after["full_solves"] == before["full_solves"]
     assert 0 < after["partial_slots"] - before["partial_slots"] <= rack_flows
+
+
+# ----------------------------------------------------------- component labels
+def _components(demands, index):
+    """Plain BFS over the flow↔link graph of the routed flows in
+    ``demands``: per component, its link indices and its flow count."""
+    rows = {fid: {index[link] for link in d.links} for fid, d in demands.items() if d.links}
+    flows_on = {}
+    for fid, links in rows.items():
+        for link in links:
+            flows_on.setdefault(link, []).append(fid)
+    seen, components = set(), []
+    for start in rows:
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, links, n = [start], set(), 0
+        while queue:
+            fid = queue.pop()
+            n += 1
+            for link in rows[fid] - links:
+                links.add(link)
+                for other in flows_on[link]:
+                    if other not in seen:
+                        seen.add(other)
+                        queue.append(other)
+        components.append((links, n))
+    return components
+
+
+@pytest.mark.parametrize("make_instance", [_tree_instance, _mesh_instance])
+def test_component_labels_bound_every_closure(make_instance):
+    """Right after labeling, every link carries its component's least link
+    index and every label counts its component's routed flows.  Removals
+    (flow by flow and batched) keep the labels and take each flow off its
+    label's count, so a count is the exact number of routed flows left
+    under its label — at least any one component's, and equal to it while
+    nothing split.  A capacity change keeps the labels; an add voids them."""
+    rng = random.Random(0x1ABE)
+    split = 0
+    for trial in range(6):
+        caps, demands = make_instance(rng)
+        index = {link: i for i, link in enumerate(caps)}
+        live = IncrementalAllocator(caps)
+        for fid, demand in demands.items():
+            live.add_flow(fid, demand.links)
+        live._label_components()
+        label, count = live._label, live._label_count
+        components = _components(demands, index)
+        for links, n in components:
+            assert {label[link] for link in links} == {min(links)}
+            assert count[min(links)] == n
+        in_use = set().union(*(links for links, _ in components))
+        assert all(label[i] == i for i in range(len(caps)) if i not in in_use)
+        assert sum(count) == sum(n for _, n in components)
+
+        active = dict(demands)
+        for step in range(5):
+            k = min(rng.choice([1, 4, _BATCH_MIN + 3]), len(active) - 1)
+            gone = rng.sample(sorted(active), k)
+            if k == 1:
+                live.remove_flow(gone[0])
+            else:
+                live.remove_flows(gone)
+            for fid in gone:
+                del active[fid]
+            assert live._label is label and live._label_count is count
+            sizes = {}
+            for links, n in _components(active, index):
+                owner = {label[link] for link in links}
+                assert len(owner) == 1, (trial, step)  # removals never join
+                sizes.setdefault(owner.pop(), []).append(n)
+            for owner, ns in sizes.items():
+                assert count[owner] == sum(ns) >= max(ns), (trial, step)
+                split += len(ns) > 1
+            assert sum(count) == sum(map(sum, sizes.values()))
+
+        finite = next(link for link, cap in caps.items() if cap < math.inf)
+        live.update_capacities({finite: caps[finite] + 1.0})
+        assert live._label is label
+        live.add_flow("late", (finite,))
+        assert live._label is None
+    assert split > 0  # some removals did split a component
+
+
+def _pod_and_rack_allocator():
+    """Pod 0 of a two-pod tree in a full ordered mesh (one giant component)
+    and a 3-host rack-local mesh in pod 1 (six flows of their own)."""
+    spec = TreeSpec(pods=2, racks_per_pod=4, hosts_per_rack=6, num_cores=2)
+    topo = build_multi_rooted_tree(spec)
+    hosts = sorted(topo.hosts(), key=lambda h: int(h[4:]))
+    pod, small = hosts[:24], hosts[24:27]
+    assert all(topo.same_rack(small[0], host) for host in small)
+    live = IncrementalAllocator(topo.capacities())
+    for group in (pod, small):
+        for a in group:
+            for b in group:
+                if a != b:
+                    live.add_flow(f"{a}>{b}", [link.link_id for link in topo.path_links(a, b)])
+    live.solve_slots()
+    return live, pod, small
+
+
+def _solve_delta(live):
+    before = live.solver_stats()
+    live.solve_slots()
+    after = live.solver_stats()
+    return {key: after[key] - before[key] for key in after}
+
+
+def test_a_retirement_in_a_small_component_stays_partial_after_a_giant_fails():
+    """The giant's failed walk labels the components; from then on the
+    giant's walks are skipped, while the small component — whose links
+    such a failed walk may well have discovered — is still walked and
+    re-solved alone."""
+    live, pod, small = _pod_and_rack_allocator()
+    live.remove_flow(f"{pod[0]}>{pod[1]}")
+    delta = _solve_delta(live)
+    assert delta["full_solves"] == 1 and delta["walks"] == 1
+    assert delta["labelings"] == 1 and delta["walks_skipped"] == 0
+    live.remove_flow(f"{small[0]}>{small[1]}")
+    delta = _solve_delta(live)
+    assert delta["partial_solves"] == 1 and delta["partial_slots"] == 5
+    assert delta["walks"] == 1 and delta["walks_skipped"] == 0
+    live.remove_flow(f"{pod[2]}>{pod[3]}")
+    delta = _solve_delta(live)
+    assert delta["full_solves"] == 1 and delta["walks_skipped"] == 1
+    assert delta["walks"] == 0 and delta["labelings"] == 0
+
+
+def test_a_split_giant_takes_partial_solves_again_once_it_halves():
+    """Six 12-host rack-local meshes joined by five bridging flows.  Once
+    the bridges are gone each rack is a component of its own, but the
+    labels still count the giant, so a rack's retirement re-solves in
+    full; after half the counted flows have left the labels are dropped
+    and a rack's retirement is re-solved alone again."""
+    spec = TreeSpec(pods=2, racks_per_pod=6, hosts_per_rack=12, num_cores=2)
+    topo = build_multi_rooted_tree(spec)
+    hosts = sorted(topo.hosts(), key=lambda h: int(h[4:]))
+    racks = [hosts[12 * r : 12 * (r + 1)] for r in range(6)]
+    live = IncrementalAllocator(topo.capacities())
+    by_rack = []
+    for rack in racks:
+        assert all(topo.same_rack(rack[0], host) for host in rack)
+        fids = [f"{a}>{b}" for a in rack for b in rack if a != b]
+        for fid in fids:
+            a, b = fid.split(">")
+            live.add_flow(fid, [link.link_id for link in topo.path_links(a, b)])
+        by_rack.append(fids)
+    bridges = [f"{racks[r][0]}>{racks[r + 1][0]}" for r in range(5)]
+    for fid in bridges:
+        a, b = fid.split(">")
+        live.add_flow(fid, [link.link_id for link in topo.path_links(a, b)])
+    live.solve_slots()
+
+    live.remove_flow(by_rack[0].pop())
+    delta = _solve_delta(live)
+    assert delta["full_solves"] == 1 and delta["labelings"] == 1
+    for fid in bridges:
+        live.remove_flow(fid)
+    live.remove_flow(by_rack[0].pop())
+    delta = _solve_delta(live)
+    assert delta["full_solves"] == 1 and delta["walks_skipped"] == 1
+    # Half the counted flows leave: three racks at once.
+    live.remove_flows([fid for fids in by_rack[3:] for fid in fids])
+    delta = _solve_delta(live)
+    assert delta["partial_solves"] == 1 and delta["walks"] == 1
+    live.remove_flow(by_rack[0].pop())
+    delta = _solve_delta(live)
+    assert delta["partial_solves"] == 1 and delta["walks_skipped"] == 0
+    assert delta["partial_slots"] == len(by_rack[0]) and delta["labelings"] == 0
+
+
+def test_vector_fill_layout_follows_links_entering_and_leaving_use():
+    """The fill keeps its link layout between solves: a link leaving use,
+    one re-entering it (last in ``_link_use``'s order) beside one new to
+    it, and capacity changes between two vector solves are each held
+    ``==`` to a fresh allocator's rates by ``_Driver.settle``."""
+    caps, demands = _giant_component(n_flows=150)
+    caps.update({"x": 4.0, "y": 6.0})
+    demands["on_x"] = FlowDemand(links=("wide", "x", "l1"))
+    driver = _Driver(caps, demands)
+    driver.remove(["on_x"])
+    assert driver.settle("x leaves use")["full_solves"] == 1
+    driver.add(
+        {
+            "on_y": FlowDemand(links=("y", "wide")),
+            "on_x2": FlowDemand(links=("wide", "x")),
+        }
+    )
+    assert driver.settle("x re-enters use")["full_solves"] == 1
+    for change in ({"x": 0.01}, {"l0": 1.0, "y": 7.0}):
+        driver.live.update_capacities(change)
+        driver.caps = {**driver.caps, **change}
+        driver.parent_fill.added()  # a capacity change restarts the fill too
+        assert driver.settle(f"capacities {change}")["full_solves"] == 1
+    assert driver.rates["on_x2"] == 0.01

@@ -122,6 +122,25 @@ class TestIncrementalAllocator:
         with pytest.raises(SimulationError):
             allocator.remove_flow("ghost")  # unknown flow
 
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf])
+    @pytest.mark.parametrize("via", ["constructor", "update"])
+    def test_nan_and_negative_capacities_are_rejected_by_name(self, via, bad):
+        """A NaN capacity used to read as unlimited, and a negative one
+        solved to a negative rate beside a rate above the other link's
+        capacity.  Both are refused, naming the link, before any entry of
+        the mapping is applied."""
+        if via == "constructor":
+            with pytest.raises(SimulationError, match="'l1'"):
+                IncrementalAllocator({"l2": 10.0, "l1": bad})
+            return
+        allocator = IncrementalAllocator({"l1": 4.0, "l2": 10.0})
+        allocator.add_flow("f", ["l1", "l2"])
+        allocator.add_flow("g", ["l2"])
+        assert allocator.solve() == {"f": 4.0, "g": 6.0}
+        with pytest.raises(SimulationError, match="'l1'"):
+            allocator.update_capacities({"l2": 5.0, "l1": bad})
+        assert allocator.solve() == {"f": 4.0, "g": 6.0}
+
     def test_duplicate_links_on_a_path(self):
         """A flow crossing the same link twice voids the share-heap
         monotonicity invariant; the solver must detect it and still match

@@ -236,6 +236,7 @@ def test_metrics_snapshot_matches_legacy_stats_views(tmp_path):
     assert store_view["hits"] == 1 and store_view["misses"] == 1
     assert store_view["stored"] == 1
     assert alloc_view["full_solves"] >= 1
+    assert alloc_view["walks"] == 1 and alloc_view["walks_skipped"] == 0
 
 
 def test_prometheus_text_exposition_format():
