@@ -15,10 +15,10 @@ API used by :mod:`repro.runtime` to "run" placed applications.
 
 from repro.cloud.instances import InstanceType, VirtualMachine
 from repro.cloud.provider import CloudProvider, ProviderParams, VMFlow
-from repro.cloud.registry import make_provider, provider_names, register_provider
-from repro.cloud.ec2 import EC2Provider, ec2_params
-from repro.cloud.ec2_legacy import EC2LegacyProvider, ec2_legacy_params, EC2_LEGACY_ZONES
-from repro.cloud.rackspace import RackspaceProvider, rackspace_params
+from repro.cloud.registry import make_provider, provider_names
+from repro.cloud.ec2 import ec2_params
+from repro.cloud.ec2_legacy import ec2_legacy_params, EC2_LEGACY_ZONES
+from repro.cloud.rackspace import rackspace_params
 
 __all__ = [
     "InstanceType",
@@ -26,14 +26,10 @@ __all__ = [
     "CloudProvider",
     "ProviderParams",
     "VMFlow",
-    "EC2Provider",
     "ec2_params",
-    "EC2LegacyProvider",
     "ec2_legacy_params",
     "EC2_LEGACY_ZONES",
-    "RackspaceProvider",
     "rackspace_params",
     "make_provider",
     "provider_names",
-    "register_provider",
 ]

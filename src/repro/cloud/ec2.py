@@ -16,14 +16,10 @@ instances in May 2013:
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Optional
-
 import numpy as np
 
 from repro.cloud.instances import EC2_MEDIUM
-from repro.cloud.provider import CloudProvider, ProviderParams
-from repro.cloud.registry import register_provider
+from repro.cloud.provider import ProviderParams
 from repro.net.topology import TreeSpec
 from repro.units import GBITPS, MBITPS
 
@@ -81,23 +77,3 @@ def ec2_params(
         tree_spec=ec2_tree_spec(extra_agg_layer=extra_agg_layer),
     )
 
-
-class EC2Provider(CloudProvider):
-    """The EC2-like provider with the May-2013 network model."""
-
-    def __init__(
-        self,
-        seed: int = 0,
-        extra_agg_layer: bool = False,
-        colocation_probability: float = 0.05,
-        params: Optional[ProviderParams] = None,
-    ):
-        if params is None:
-            params = ec2_params(
-                extra_agg_layer=extra_agg_layer,
-                colocation_probability=colocation_probability,
-            )
-        super().__init__(params, seed=seed)
-
-
-register_provider("ec2", EC2Provider)

@@ -9,13 +9,12 @@ so the Figure 1 experiment can draw one CDF per zone.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.cloud.instances import EC2_MEDIUM
-from repro.cloud.provider import CloudProvider, ProviderParams
-from repro.cloud.registry import register_provider
+from repro.cloud.provider import ProviderParams
 from repro.errors import CloudError
 from repro.net.topology import TreeSpec
 from repro.units import GBITPS, MBITPS
@@ -70,16 +69,3 @@ def ec2_legacy_params(zone: str = "us-east-1a") -> ProviderParams:
         ),
     )
 
-
-class EC2LegacyProvider(CloudProvider):
-    """The May-2012 EC2-like provider (one instance per availability zone)."""
-
-    def __init__(self, zone: str = "us-east-1a", seed: int = 0,
-                 params: Optional[ProviderParams] = None):
-        self.zone = zone
-        if params is None:
-            params = ec2_legacy_params(zone)
-        super().__init__(params, seed=seed)
-
-
-register_provider("ec2-legacy", EC2LegacyProvider)

@@ -1,4 +1,4 @@
-"""Base class for synthetic cloud providers.
+"""Synthetic cloud providers.
 
 A :class:`CloudProvider` owns:
 
@@ -12,8 +12,9 @@ A :class:`CloudProvider` owns:
   specified by the placement algorithm and the traffic matrix" (§6.1) on the
   fluid simulator.
 
-Concrete providers (:mod:`repro.cloud.ec2`, :mod:`repro.cloud.ec2_legacy`,
-:mod:`repro.cloud.rackspace`) only supply a :class:`ProviderParams`.
+A provider is a :class:`ProviderParams` record (:mod:`repro.cloud.ec2`,
+:mod:`repro.cloud.ec2_legacy` and :mod:`repro.cloud.rackspace` each make
+one); :func:`repro.cloud.registry.make_provider` builds one by name.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from repro.net.latency import rtt_s
 from repro.net.links import hose_link_id
 from repro.net.packets import PacketTrainSpec, draw_losses, send_packet_trains
 from repro.net.topology import (
-    _STRUCTURED_ROUTER_MAX_ENTRIES,
     Topology,
     TreeSpec,
     build_multi_rooted_tree,
@@ -56,9 +56,10 @@ SNAPSHOT_ROUNDS = obs.Counter("repro.measure.snapshot_rounds")
 
 # One frozen tree per shape, with its sorted host names: every provider of
 # a ``(spec, name)`` shares it, so the tables a topology derives lazily
-# (link index, capacity vector, tree tables, routes) are derived once per
-# shape, not once per trial.  Bounded like ``_structured_routers``.  A lease
-# worker builds providers from several threads.
+# (link index, capacity vector, tree tables, routes, remembered ECMP picks)
+# are derived once per shape, not once per trial.  A lease worker builds
+# providers from several threads.
+_SHARED_TREES_MAX_ENTRIES = 1024
 _shared_trees: Dict[Tuple[TreeSpec, str], Tuple[Topology, Tuple[str, ...]]] = {}
 _shared_trees_lock = threading.Lock()
 
@@ -70,7 +71,7 @@ def _shared_tree(spec: TreeSpec, name: str) -> Tuple[Topology, Tuple[str, ...]]:
         if shared is None:
             topology = build_multi_rooted_tree(spec, name=name)
             topology.freeze()
-            if len(_shared_trees) >= _STRUCTURED_ROUTER_MAX_ENTRIES:
+            if len(_shared_trees) >= _SHARED_TREES_MAX_ENTRIES:
                 _shared_trees.clear()
             shared = _shared_trees[key] = (topology, tuple(topology.hosts()))
     return shared
@@ -170,25 +171,25 @@ class ProviderParams:
     tree_spec: TreeSpec = field(default_factory=TreeSpec)
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.colocation_probability <= 1.0:
-            raise CloudError("colocation_probability must be in [0, 1]")
-        if self.temporal_sigma < 0 or self.temporal_tau_s <= 0:
-            raise CloudError("temporal drift parameters are invalid")
-        if self.measurement_noise < 0 or self.train_rate_noise < 0:
-            raise CloudError("noise parameters must be >= 0")
-        if not self.train_jitter_std_s >= 0:
-            raise CloudError(
-                f"train_jitter_std_s must be >= 0, got {self.train_jitter_std_s!r}"
-            )
-        depth = self.train_limiter_depth_bytes
-        if depth is not None and not depth >= 0:
-            raise CloudError(f"train_limiter_depth_bytes must be >= 0, got {depth!r}")
-        if not self.intra_host_rate_bps > 0:
-            raise CloudError(
-                f"intra_host_rate_bps must be positive, got {self.intra_host_rate_bps!r}"
-            )
-        if not 0.0 <= self.loss_rate < 1.0:
-            raise CloudError(f"loss_rate must be in [0, 1), got {self.loss_rate!r}")
+        checks = (
+            ("colocation_probability", lambda x: 0.0 <= x <= 1.0, "in [0, 1]"),
+            ("temporal_sigma", lambda x: 0.0 <= x < math.inf, "finite and >= 0"),
+            ("temporal_tau_s", lambda x: 0.0 < x < math.inf, "finite and positive"),
+            ("measurement_noise", lambda x: 0.0 <= x < math.inf, "finite and >= 0"),
+            ("train_jitter_std_s", lambda x: 0.0 <= x < math.inf, "finite and >= 0"),
+            (
+                "train_limiter_depth_bytes",
+                lambda x: x is None or 0.0 <= x < math.inf,
+                "None, or finite and >= 0",
+            ),
+            ("train_rate_noise", lambda x: 0.0 <= x < math.inf, "finite and >= 0"),
+            ("intra_host_rate_bps", lambda x: 0.0 < x < math.inf, "finite and positive"),
+            ("loss_rate", lambda x: 0.0 <= x < 1.0, "in [0, 1)"),
+        )
+        for name, holds, what in checks:
+            value = getattr(self, name)
+            if not holds(value):
+                raise CloudError(f"ProviderParams.{name} must be {what}, got {value!r}")
 
 
 class CloudProvider:
@@ -237,7 +238,10 @@ class CloudProvider:
 
         Hosts are chosen uniformly at random among physical machines not yet
         used by this tenant, except that with ``colocation_probability`` a VM
-        lands on a host already holding one of the tenant's VMs.
+        lands on a host already holding one of the tenant's VMs.  A sampled
+        egress cap that is not finite and positive raises a
+        :class:`CloudError` and hands back the VMs this call had drawn (the
+        random stream stays advanced).
         """
         if n < 1:
             raise CloudError("must request at least one VM")
@@ -253,13 +257,22 @@ class CloudProvider:
             hosts = self._used_hosts if colocate or not self._free_hosts else self._free_hosts
             # ``rng.choice`` of a list draws this very integer, via an array.
             host = hosts[int(self._rng.integers(0, len(hosts)))]
+            cap = float(self.params.hose_sampler(self._rng))
+            if not 0.0 < cap < math.inf:
+                for vm in new_vms:
+                    self.release_vm(vm.name)
+                self._vm_counter -= len(new_vms) + 1
+                raise CloudError(
+                    f"provider {self.params.name!r}: hose_sampler drew {cap!r} "
+                    f"for {name!r}; an egress cap must be finite and positive"
+                )
             if host not in self._host_vms:
                 del self._free_hosts[bisect.bisect_left(self._free_hosts, host)]
                 bisect.insort(self._used_hosts, host)
             self._host_vms[host] = self._host_vms.get(host, 0) + 1
             vm = VirtualMachine(name=name, host=host, instance_type=self.params.instance_type)
             self._vms[name] = vm
-            self._base_hose[name] = float(self.params.hose_sampler(self._rng))
+            self._base_hose[name] = cap
             self._hose_deviation[name] = 0.0
             new_vms.append(vm)
         return new_vms

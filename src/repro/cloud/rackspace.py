@@ -15,13 +15,10 @@ reports hop counts through the same obscuring map.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.cloud.instances import RACKSPACE_8GB
-from repro.cloud.provider import CloudProvider, ProviderParams
-from repro.cloud.registry import register_provider
+from repro.cloud.provider import ProviderParams
 from repro.net.topology import TreeSpec
 from repro.units import GBITPS, MBITPS
 
@@ -63,12 +60,3 @@ def rackspace_params() -> ProviderParams:
         ),
     )
 
-
-class RackspaceProvider(CloudProvider):
-    """The Rackspace-like provider with the uniform 300 Mbit/s network."""
-
-    def __init__(self, seed: int = 0, params: Optional[ProviderParams] = None):
-        super().__init__(params if params is not None else rackspace_params(), seed=seed)
-
-
-register_provider("rackspace", RackspaceProvider)

@@ -1,62 +1,58 @@
-"""Named provider registry.
+"""Named providers.
 
 The evaluation subsystem (:mod:`repro.experiments`) constructs providers by
 name — "ec2", "ec2-legacy", "rackspace" — so that scenarios can be declared
-as data and trials can be re-created in worker processes.  Provider modules
-register a factory at import time; registration is idempotent so that
-importing :mod:`repro.cloud.ec2` and :mod:`repro.cloud.ec2_legacy` side by
-side (or re-importing either) never produces duplicate entries, while two
-*different* factories competing for one name raise :class:`CloudError`.
+as data and trials can be re-created in worker processes.  A provider is a
+:class:`~repro.cloud.provider.ProviderParams` record: each name maps to the
+function that makes its record, and :func:`make_provider` builds a
+:class:`~repro.cloud.provider.CloudProvider` on it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, TYPE_CHECKING
+from typing import Callable, Dict, List, Optional
 
+from repro.cloud.ec2 import ec2_params
+from repro.cloud.ec2_legacy import ec2_legacy_params
+from repro.cloud.provider import CloudProvider, ProviderParams
+from repro.cloud.rackspace import rackspace_params
 from repro.errors import CloudError
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.cloud.provider import CloudProvider
-
-#: Factory signature: ``factory(seed=..., **kwargs) -> CloudProvider``.
-ProviderFactory = Callable[..., "CloudProvider"]
-
-_REGISTRY: Dict[str, ProviderFactory] = {}
-
-
-def register_provider(name: str, factory: ProviderFactory) -> ProviderFactory:
-    """Register a provider factory under ``name``.
-
-    Re-registering the *same* factory is a no-op (module re-import safety);
-    registering a different factory under an existing name raises
-    :class:`CloudError` so silent shadowing cannot happen.
-    """
-    if not name:
-        raise CloudError("provider name must be non-empty")
-    existing = _REGISTRY.get(name)
-    if existing is not None and existing is not factory:
-        raise CloudError(
-            f"provider {name!r} is already registered by a different factory"
-        )
-    _REGISTRY[name] = factory
-    return factory
+_PARAMS: Dict[str, Callable[..., ProviderParams]] = {
+    "ec2": ec2_params,
+    "ec2-legacy": ec2_legacy_params,
+    "rackspace": rackspace_params,
+}
 
 
 def provider_names() -> List[str]:
-    """All registered provider names, sorted."""
-    return sorted(_REGISTRY)
+    """All provider names, sorted."""
+    return sorted(_PARAMS)
 
 
-def make_provider(name: str, seed: int = 0, **kwargs) -> "CloudProvider":
-    """Construct a registered provider by name.
+def make_provider(
+    name: str, seed: int = 0, params: Optional[ProviderParams] = None, **knobs
+) -> CloudProvider:
+    """A provider of the named kind, seeded with ``seed``.
+
+    ``knobs`` are the arguments of the name's ``*_params`` function
+    (``ec2``: ``extra_agg_layer``, ``colocation_probability``;
+    ``ec2-legacy``: ``zone``; ``rackspace``: none).  ``params`` is a whole
+    record to build on instead, so it takes no knobs.
 
     Raises:
-        CloudError: if no provider is registered under ``name``.
+        CloudError: for an unknown name, or knobs given with ``params``.
     """
     try:
-        factory = _REGISTRY[name]
+        make_params = _PARAMS[name]
     except KeyError as exc:
         raise CloudError(
-            f"unknown provider {name!r}; registered: {provider_names()}"
+            f"unknown provider {name!r}; known: {provider_names()}"
         ) from exc
-    return factory(seed=seed, **kwargs)
+    if params is None:
+        params = make_params(**knobs)
+    elif knobs:
+        raise CloudError(
+            f"provider {name!r}: knobs {sorted(knobs)} cannot be given with params"
+        )
+    return CloudProvider(params, seed=seed)

@@ -28,7 +28,6 @@ from repro.experiments.backends import backend_names, create_backend
 from repro.experiments.cache import CacheKey, ResultStore, code_version, tree_digest
 from repro.experiments.placers import (
     PlacerSpec,
-    get_placer,
     list_placers,
     placer_names,
     resolve_placer,
@@ -64,7 +63,6 @@ __all__ = [
     "code_version",
     "tree_digest",
     "PlacerSpec",
-    "get_placer",
     "list_placers",
     "placer_names",
     "resolve_placer",

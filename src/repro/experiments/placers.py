@@ -37,8 +37,6 @@ from repro.errors import ExperimentError
 __all__ = [
     "PLACER_ALIASES",
     "PlacerSpec",
-    "canonical_placer_name",
-    "get_placer",
     "list_placers",
     "placer_names",
     "resolve_placer",
@@ -216,23 +214,6 @@ def resolve_placer(name: str) -> PlacerSpec:
 def list_placers() -> List[PlacerSpec]:
     """Every registered placer spec, sorted by canonical name."""
     return [_PLACERS[name] for name in sorted(_PLACERS)]
-
-
-def canonical_placer_name(name: str) -> str:
-    """Resolve aliases to the registry name (unknown names pass through).
-
-    Prefer ``resolve_placer(name).name``, which validates the name too;
-    this helper survives for callers that must tolerate unknown names.
-    """
-    return PLACER_ALIASES.get(name, name)
-
-
-def get_placer(name: str) -> PlacerSpec:
-    """Look up a placer spec by name (aliases accepted).
-
-    Equivalent to :func:`resolve_placer`; kept as the historical spelling.
-    """
-    return resolve_placer(name)
 
 
 def placer_names() -> List[str]:

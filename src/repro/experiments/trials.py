@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Tuple
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
 from repro.core.network_profile import NetworkProfile
 from repro.errors import ExperimentError, ReproError
-from repro.experiments.placers import get_placer
+from repro.experiments.placers import resolve_placer
 from repro.experiments.results import TrialRecord
 from repro.experiments.scenarios import (
     MODE_SEQUENCE,
@@ -228,7 +228,7 @@ def _run_batch_trial(
     placer_params: Optional[Mapping[str, object]] = None,
 ) -> None:
     """Place every application at time zero and run them together."""
-    placer_spec = get_placer(placer_name)
+    placer_spec = resolve_placer(placer_name)
     placer = placer_spec.create(seed, placer_params)
     provider, cluster = instance.provider, instance.cluster
 
@@ -268,7 +268,7 @@ def _run_sequence_trial(
     placer_params: Optional[Mapping[str, object]] = None,
 ) -> None:
     """Replay the §2.4 arrival sequence with the placer under test."""
-    placer_spec = get_placer(placer_name)
+    placer_spec = resolve_placer(placer_name)
     placer = placer_spec.create(seed, placer_params)
     runner = SequentialPlacementRunner(
         instance.provider,
@@ -307,7 +307,7 @@ def _run_service_trial(
     # registry, so a module-level import would be circular.
     from repro.service.engine import PlacementService
 
-    placer_spec = get_placer(placer_name)
+    placer_spec = resolve_placer(placer_name)
     placer = placer_spec.create(seed, placer_params)
     settings = instance.service or ServiceSettings()
     service = PlacementService(

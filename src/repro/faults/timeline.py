@@ -347,7 +347,7 @@ class FaultTimeline:
         """
         try:
             payload = json.loads(Path(source).read_text())
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise FaultError(f"cannot read fault timeline {source}: {exc}") from exc
         if not isinstance(payload, dict) or payload.get("schema") != _SCHEMA:
             raise FaultError(
@@ -395,7 +395,7 @@ class FaultTimeline:
                     f"malformed fault timeline {source}: event {i} is "
                     f"missing field {exc}"
                 ) from exc
-            except (TypeError, ValueError, FaultError) as exc:
+            except (TypeError, ValueError, OverflowError, FaultError) as exc:
                 raise FaultError(
                     f"malformed fault timeline {source}: event {i}: {exc}"
                 ) from exc

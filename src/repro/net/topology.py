@@ -58,25 +58,16 @@ from repro.units import GBITPS
 # host i sits in pod i // (racks_per_pod * hosts_per_rack) and rack
 # (i // hosts_per_rack) % racks_per_pod, and every path is determined by the
 # relation between the two endpoints' coordinates (same host / rack / pod /
-# cross-pod) plus the ECMP core choice.  Builders register a _TreeRouter per
-# structure token; Topology.node_path consults it before falling back to
-# graph search.  The router must reproduce the graph-search answer exactly.
-_STRUCTURED_ROUTER_MAX_ENTRIES = 1024
-_structured_routers: Dict[str, "_TreeRouter"] = {}
+# cross-pod) plus the ECMP core choice.  build_multi_rooted_tree attaches a
+# _TreeRouter to the tree it returns; Topology.node_path consults it before
+# falling back to graph search, and any edit to the graph drops it.  The
+# router must reproduce the graph-search answer exactly.
 _structured_route_hits = obs.Counter("repro.routes.structured_hits")
 
 
 #: Ordered endpoint pairs whose ECMP pick was hashed (SHA-256) rather than
 #: remembered (``obs.metrics.snapshot()``, ``repro.routes.ecmp_hashed``).
 ECMP_HASHED = obs.Counter("repro.routes.ecmp_hashed")
-
-
-def structured_routing_info() -> Dict[str, int]:
-    """Counters for the structured routing fast path."""
-    return {
-        "routers": len(_structured_routers),
-        "hits": _structured_route_hits.count,
-    }
 
 
 def index_pairs(
@@ -122,12 +113,15 @@ _ARRAY_ROUTE_MIN_PAIRS = 16
 
 
 class _TreeRouter:
-    """Arithmetic ECMP routing for trees built by :func:`build_multi_rooted_tree`.
+    """Arithmetic ECMP routing for a tree built by :func:`build_multi_rooted_tree`.
 
-    Paths are derived from host coordinates instead of graph search.  The
-    core pick for cross-pod pairs replays ``node_path``'s hash-modulo over
-    the lexicographically sorted path list: cross-pod paths differ only in
-    the core hop, so sorted-path order equals sorted-core-name order.
+    Hosts are given by index: :func:`build_multi_rooted_tree` adds
+    ``host{i}`` as its tree's ``i``-th host, so an index is also the host's
+    position (:meth:`Topology.host_index`).  Paths are derived from host
+    coordinates instead of graph search.  The core pick for cross-pod pairs replays
+    ``node_path``'s hash-modulo over the lexicographically sorted path
+    list: cross-pod paths differ only in the core hop, so sorted-path order
+    equals sorted-core-name order.
     """
 
     def __init__(self, spec: "TreeSpec"):
@@ -137,43 +131,25 @@ class _TreeRouter:
         self._cores_sorted = sorted(f"core{c}" for c in range(spec.num_cores))
         # Core picks already hashed: ordered far pairs as ascending keys
         # ``src * num_hosts + dst`` and the pick of each.  Grows with the
-        # pairs hashed, never with ``num_hosts ** 2``, and goes when this
-        # router's entry in ``_structured_routers`` does.  The two arrays
-        # are published as one tuple: every provider of a shape routes
-        # through this router, from any thread.  (Two racing inserts may
-        # drop one's picks, which are then hashed again.)
+        # pairs hashed, never with ``num_hosts ** 2``, and lives as long as
+        # the tree.  The two arrays are published as one tuple: every
+        # provider of a shape shares the tree, so routes through this
+        # router, from any thread.  (Two racing inserts may drop one's
+        # picks, which are then hashed again.)
         self._known: Tuple["np.ndarray", "np.ndarray"] = (
             np.zeros(0, dtype=np.int64),
             np.zeros(0, dtype=np.intp),
         )
         self._host_bytes: Optional[List[bytes]] = None
 
-    def host_coords(self, name: str) -> Optional[Tuple[int, int, int]]:
-        """(index, pod, rack) for a canonical host name, else None."""
-        if not name.startswith("host"):
-            return None
-        try:
-            idx = int(name[4:])
-        except ValueError:
-            return None
-        if not 0 <= idx < self._num_hosts or name != f"host{idx}":
-            return None
-        pod, rest = divmod(idx, self._hosts_per_pod)
-        return idx, pod, rest // self.spec.hosts_per_rack
-
-    def node_path(self, src: str, dst: str) -> Optional[List[str]]:
-        """The ECMP path between two hosts, or None if not covered."""
-        a = self.host_coords(src)
-        if a is None:
-            return None
-        b = self.host_coords(dst)
-        if b is None:
-            return None
-        if src == dst:
-            return [src]
+    def node_path(self, a: int, b: int) -> List[str]:
+        """The ECMP path between two distinct hosts, by index."""
         spec = self.spec
-        _, pa, ra = a
-        _, pb, rb = b
+        src, dst = f"host{a}", f"host{b}"
+        pa, ra = divmod(a, self._hosts_per_pod)
+        pb, rb = divmod(b, self._hosts_per_pod)
+        ra //= spec.hosts_per_rack
+        rb //= spec.hosts_per_rack
         tor_a, tor_b = f"tor{pa}.{ra}", f"tor{pb}.{rb}"
         if pa == pb:
             if ra == rb:
@@ -314,20 +290,10 @@ class _TreeRouter:
             rows[far, 2 + tier] = tables.core_down[pod_dst[far], core]
         return rows, lengths
 
-    def hop_count(self, src: str, dst: str) -> Optional[int]:
-        """Paper-convention hop count between two hosts, or None."""
-        a = self.host_coords(src)
-        if a is None:
-            return None
-        b = self.host_coords(dst)
-        if b is None:
-            return None
-        if src == dst:
-            return 1
-        _, pa, ra = a
-        _, pb, rb = b
-        if pa == pb:
-            if ra == rb:
+    def hop_count(self, a: int, b: int) -> int:
+        """Paper-convention hop count between two distinct hosts, by index."""
+        if a // self._hosts_per_pod == b // self._hosts_per_pod:
+            if a // self.spec.hosts_per_rack == b // self.spec.hosts_per_rack:
                 return 2
             return 6 if self.spec.extra_agg_layer else 4
         return 8 if self.spec.extra_agg_layer else 6
@@ -342,15 +308,6 @@ class _TreeLinkTables(NamedTuple):
     rack_down: "np.ndarray"  # [rack, tier] pod aggregation -> ... -> ToR
     core_up: "np.ndarray"  # [pod, core] pod aggregation -> core
     core_down: "np.ndarray"  # [pod, core] core -> pod aggregation
-
-
-def _register_tree_router(topo: "Topology", spec: "TreeSpec") -> None:
-    token = topo.structure_token()
-    if token in _structured_routers:
-        return
-    if len(_structured_routers) >= _STRUCTURED_ROUTER_MAX_ENTRIES:
-        _structured_routers.clear()
-    _structured_routers[token] = _TreeRouter(spec)
 
 
 def _lazy_kth_shortest_path(
@@ -489,9 +446,11 @@ class Topology:
         self._intra_host_bps = intra_host_bps
         self._path_cache: Dict[Tuple[str, str], List[str]] = {}
         self._path_links_cache: Dict[Tuple[str, str], List[Link]] = {}
-        self._structure_token: Optional[str] = None
+        # the arithmetic router of a tree as build_multi_rooted_tree made it
+        # (its hosts by position), and the link tables it routes with; both
+        # dropped by any edit
+        self._router: Optional[_TreeRouter] = None
         self._tree_tables: Optional[_TreeLinkTables] = None
-        self._tree_hosts: Optional["np.ndarray"] = None
         # link id -> position in ``_links`` (path_links_matrix's index order),
         # and the capacities in that order; both dropped when a link is added
         self._link_index: Optional[Dict[str, int]] = None
@@ -522,10 +481,11 @@ class Topology:
             raise TopologyError(f"duplicate node {name!r}")
         self._nodes[name] = (kind, level)
         self._adjacency[name] = set()
+        self._router = None
+        self._tree_tables = None
         if kind is NodeKind.HOST:
             self._host_index[name] = len(self._host_names)
             self._host_names.append(name)
-            self._tree_hosts = None
             link = Link(
                 link_id=loopback_link_id(name),
                 src=name,
@@ -572,9 +532,8 @@ class Topology:
             self._links[link.link_id] = link
         self._path_cache.clear()
         self._path_links_cache.clear()
-        self._structure_token = None
+        self._router = None
         self._tree_tables = None
-        self._tree_hosts = None
         self._link_index = None
         self._capacity_vector = None
 
@@ -657,24 +616,6 @@ class Topology:
         return rack_a is not None and rack_a == rack_b
 
     # ----------------------------------------------------------------- paths
-    def structure_token(self) -> str:
-        """A digest identifying the graph's structure (its edge set).
-
-        Routing decisions depend only on this token, so every tree of one
-        :class:`TreeSpec` finds the same structured router under it.
-        """
-        if self._structure_token is None:
-            edge_text = "\n".join(
-                sorted(
-                    f"{a}|{b}"
-                    for a, neighbours in self._adjacency.items()
-                    for b in neighbours
-                    if a < b
-                )
-            )
-            self._structure_token = hashlib.sha256(edge_text.encode()).hexdigest()
-        return self._structure_token
-
     def node_path(self, src: str, dst: str) -> List[str]:
         """Shortest node path from ``src`` to ``dst`` (inclusive).
 
@@ -689,10 +630,10 @@ class Topology:
         cached = self._path_cache.get(key)
         if cached is not None:
             return cached
-        router = _structured_routers.get(self.structure_token())
-        if router is not None:
-            choice = router.node_path(src, dst)
-            if choice is not None:
+        if self._router is not None:
+            a, b = self._host_index.get(src), self._host_index.get(dst)
+            if a is not None and b is not None:
+                choice = self._router.node_path(a, b)
                 _structured_route_hits.inc()
                 self._path_cache[key] = choice
                 return choice
@@ -738,11 +679,10 @@ class Topology:
         """
         if src == dst:
             return 1
-        router = _structured_routers.get(self.structure_token())
-        if router is not None:
-            hops = router.hop_count(src, dst)
-            if hops is not None:
-                return hops
+        if self._router is not None:
+            a, b = self._host_index.get(src), self._host_index.get(dst)
+            if a is not None and b is not None:
+                return self._router.hop_count(a, b)
         return len(self.node_path(src, dst)) - 1
 
     def host_pairs(self) -> List[Tuple[str, str]]:
@@ -778,20 +718,18 @@ class Topology:
         lengths = np.zeros(n, dtype=np.int32)
         tree_rows = None
         one_by_one: Iterable[int] = range(n)
-        router = _structured_routers.get(self.structure_token())
+        router = self._router
         try:
             if router is not None and n >= _ARRAY_ROUTE_MIN_PAIRS:
-                # Canonical, distinct hosts route arithmetically, all at once.
+                # Distinct hosts route arithmetically, all at once.
                 if by_position:
-                    canonical = self._canonical_hosts(router)
-                    src, dst = canonical[pairs[:, 0]], canonical[pairs[:, 1]]
+                    # Contiguous copies: routing a 65 280-probe campaign
+                    # through the strided column views peaked ≈4 MB higher.
+                    src, dst = np.ascontiguousarray(pairs.T)
                 else:
-                    hosts = {}
-                    for name in {name for pair in pairs for name in pair}:
-                        coords = router.host_coords(name)
-                        hosts[name] = -1 if coords is None else coords[0]
-                    src = np.fromiter((hosts[a] for a, _ in pairs), np.intp, count=n)
-                    dst = np.fromiter((hosts[b] for _, b in pairs), np.intp, count=n)
+                    hosts = self._host_index
+                    src = np.fromiter((hosts.get(a, -1) for a, _ in pairs), np.intp, count=n)
+                    dst = np.fromiter((hosts.get(b, -1) for _, b in pairs), np.intp, count=n)
                 tree = np.flatnonzero((src >= 0) & (dst >= 0) & (src != dst))
                 if tree.shape[0]:
                     if self._tree_tables is None:
@@ -829,15 +767,6 @@ class Topology:
         for i, row in other_rows.items():
             rows[i, : len(row)] = row
         return rows, lengths, link_ids
-
-    def _canonical_hosts(self, router: _TreeRouter) -> "np.ndarray":
-        """``router``'s index of each host by position, -1 where it has none."""
-        if self._tree_hosts is None:
-            coords = map(router.host_coords, self._host_names)
-            self._tree_hosts = np.array(
-                [-1 if c is None else c[0] for c in coords], dtype=np.intp
-            )
-        return self._tree_hosts
 
     def path_bottlenecks(
         self, pairs: Union[Sequence[Tuple[str, str]], "np.ndarray"]
@@ -882,7 +811,7 @@ def build_multi_rooted_tree(spec: TreeSpec = TreeSpec(), name: str = "dc") -> To
                 host_index += 1
                 topo.add_node(host, NodeKind.HOST, level=0)
                 topo.add_link(host, tor, spec.host_link_bps, LinkKind.HOST_TOR)
-    _register_tree_router(topo, spec)
+    topo._router = _TreeRouter(spec)
     return topo
 
 

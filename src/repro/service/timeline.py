@@ -66,8 +66,8 @@ class NetworkTimeline:
     drift: str = "recorded"
 
     def __post_init__(self) -> None:
-        if self.epoch_s <= 0:
-            raise ServiceError("epoch_s must be positive")
+        if not 0 < self.epoch_s < math.inf:
+            raise ServiceError(f"epoch_s must be finite and positive, got {self.epoch_s!r}")
         if not self.hose_epochs:
             raise ServiceError("a timeline needs at least one epoch")
         vms = set(self.hose_epochs[0])
@@ -85,6 +85,13 @@ class NetworkTimeline:
                     )
         if self.pair_epochs and len(self.pair_epochs) != len(self.hose_epochs):
             raise ServiceError("pair_epochs must match hose_epochs in length")
+        for index, epoch in enumerate(self.pair_epochs):
+            for pair, rate in epoch.items():
+                if not 0 < rate < math.inf:
+                    raise ServiceError(
+                        f"pair epoch {index} has a non-finite or non-positive "
+                        f"rate for {pair!r}: {rate!r}"
+                    )
 
     # -------------------------------------------------------------- accessors
     @property
@@ -138,7 +145,7 @@ class NetworkTimeline:
         source = Path(path)
         try:
             payload = json.loads(source.read_text())
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise ServiceError(f"cannot read timeline {source}: {exc}") from exc
         if not isinstance(payload, dict) or payload.get("schema") != _SCHEMA:
             raise ServiceError(f"{source} is not a timeline file (schema {_SCHEMA})")
@@ -165,8 +172,9 @@ class NetworkTimeline:
             raise ServiceError(
                 f"malformed timeline {source}: missing field {exc}"
             ) from exc
-        except (AttributeError, TypeError, ValueError) as exc:
-            # AttributeError: an epoch that is not a JSON object.
+        except (AttributeError, TypeError, ValueError, OverflowError, ServiceError) as exc:
+            # AttributeError: an epoch that is not a JSON object; OverflowError:
+            # an integer too large for a float.
             raise ServiceError(f"malformed timeline {source}: {exc}") from exc
 
 

@@ -19,6 +19,7 @@ import re
 import numpy as np
 import pytest
 from oracles import scalar_train
+from oracles.graph_search import build_searched_tree
 
 from repro import obs
 from repro.cloud import provider as cloud_provider
@@ -33,7 +34,7 @@ from repro.faults import (
 from repro.net import topology
 from repro.net.packets import PacketTrainSpec
 from repro.net.topology import (
-    TreeSpec, _lazy_kth_shortest_path, build_multi_rooted_tree,
+    TreeSpec, build_multi_rooted_tree,
 )
 from repro.obs.report import load_events
 from repro.service.timeline import attach_timeline, generate_timeline
@@ -679,12 +680,10 @@ class CountingHashlib:
 
 @pytest.fixture
 def hashes(monkeypatch):
-    """ECMP hashes made from ``repro.net.topology``, with no router (and so
-    no memo) and no shared tree (and so no route) left over from another
-    test."""
+    """ECMP hashes made from ``repro.net.topology``, with no shared tree
+    (and so no router, memo or route) left over from another test."""
     counting = CountingHashlib()
     monkeypatch.setattr(topology, "hashlib", counting)
-    monkeypatch.setattr(topology, "_structured_routers", {})
     monkeypatch.setattr(cloud_provider, "_shared_trees", {})
     return counting
 
@@ -722,7 +721,7 @@ def test_an_ecmp_pick_is_hashed_once_per_tree_shape(hashes, trace_to):
     assert hashes.ecmp == len(far)  # each far pair once, however many probes
     measurer.measure()  # same provider: all remembered
     assert hashes.ecmp == len(far)
-    # A fresh topology of the same TreeSpec shares the router, so the memo:
+    # A provider of the same shape shares the tree, so its router's memo:
     # only far pairs the first tenant's hosts did not form are hashed.
     second = wide_provider(seed=2)
     extra = far_pairs(second) - far
@@ -748,10 +747,10 @@ def test_an_ecmp_pick_is_hashed_once_per_tree_shape(hashes, trace_to):
 def test_remembered_picks_are_node_paths_picks(cores, hashes):
     """``core_picks`` (hashed in one pass, then read back) against the
     scalar pick of ``node_path`` and against graph search
-    (``_lazy_kth_shortest_path``, no router), 500 random far pairs."""
+    (a hand-built copy of the tree: no router), 500 random far pairs."""
     spec = TreeSpec(hosts_per_rack=4, racks_per_pod=3, pods=4, num_cores=cores)
     tree = build_multi_rooted_tree(spec)
-    router = topology._structured_routers[tree.structure_token()]
+    router = tree._router
     rng = np.random.default_rng(cores)
     per_pod = spec.hosts_per_rack * spec.racks_per_pod
     src = rng.integers(0, spec.num_hosts, size=2000)
@@ -765,13 +764,11 @@ def test_remembered_picks_are_node_paths_picks(cores, hashes):
     warm = router.core_picks(src[::-1], dst[::-1])[::-1]
     assert hashes.ecmp == hashed and (cold == warm).all()
     cores_sorted = sorted(f"core{c}" for c in range(cores))
-    searched = build_multi_rooted_tree(spec)
+    searched = build_searched_tree(spec)
     for a, b, pick in zip(src.tolist(), dst.tolist(), cold.tolist()):
-        path = router.node_path(f"host{a}", f"host{b}")
+        path = router.node_path(a, b)
         assert path[3] == cores_sorted[pick]
-        assert _lazy_kth_shortest_path(
-            searched._adjacency, f"host{a}", f"host{b}"
-        ) == path
+        assert searched.node_path(f"host{a}", f"host{b}") == path
     # Memory follows the pairs hashed, not hosts squared.
     keys, picks = router._known
     assert keys.shape == picks.shape == (hashed,)

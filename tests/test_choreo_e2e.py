@@ -3,7 +3,7 @@ run, and the §2.4 sequential-arrival workflow."""
 
 import pytest
 
-from repro.cloud.ec2 import EC2Provider
+from repro.cloud.registry import make_provider
 from repro.core.choreo import ChoreoConfig, ChoreoSystem
 from repro.core.measurement.orchestrator import MeasurementPlan
 from repro.core.placement.base import validate_placement
@@ -17,7 +17,7 @@ from repro.workloads.patterns import mapreduce
 
 @pytest.fixture
 def provider():
-    provider = EC2Provider(seed=42)
+    provider = make_provider("ec2", seed=42)
     provider.request_vms(5)
     return provider
 
@@ -67,7 +67,7 @@ def test_sequence_background_flows_share_the_network():
     from repro.core.placement.baselines import RoundRobinPlacer
 
     def run_once(background):
-        provider = EC2Provider(seed=7)
+        provider = make_provider("ec2", seed=7)
         provider.request_vms(4)
         system = ChoreoSystem(provider)
         runner = SequentialPlacementRunner(
@@ -77,7 +77,7 @@ def test_sequence_background_flows_share_the_network():
         return runner.run([mapreduce("job", 2, 2, 2 * GBYTE, cpu_per_task=1.0)])
 
     quiet = run_once([])
-    vms = [vm.name for vm in EC2Provider(seed=7).request_vms(4)]
+    vms = [vm.name for vm in make_provider("ec2", seed=7).request_vms(4)]
     loaded = run_once(
         [VMFlow(flow_id="bg", src_vm=vms[0], dst_vm=vms[1],
                 size_bytes=8 * GBYTE, tag="cross-traffic")]

@@ -19,7 +19,6 @@ from repro.errors import ExperimentError, ServiceError
 from repro.experiments.cli import main as experiments_main
 from repro.experiments.placers import (
     PlacerSpec,
-    get_placer,
     list_placers,
     placer_names,
     resolve_placer,
@@ -178,9 +177,6 @@ class TestPlacerFacade:
         specs = list_placers()
         assert [spec.name for spec in specs] == placer_names()
         assert all(isinstance(spec, PlacerSpec) for spec in specs)
-
-    def test_get_placer_remains_a_thin_wrapper(self):
-        assert get_placer("choreo-greedy") is resolve_placer("greedy")
 
     def test_repro_package_reexports_facade_lazily(self):
         assert repro.resolve_placer is resolve_placer

@@ -1,18 +1,17 @@
-"""Provider registry tests: ec2 and ec2_legacy must coexist without
-duplicate registration, and the error contract must hold."""
+"""Provider registry tests: a provider is a ``ProviderParams`` record made
+by name, and the error contract must hold."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from oracles.parent_request_vms import parent_release_vm, parent_request_vms
 
-# Importing both modules side by side must not raise (idempotent registry).
-import repro.cloud.ec2  # noqa: F401
-import repro.cloud.ec2_legacy  # noqa: F401
-from repro.cloud.ec2 import EC2Provider
-from repro.cloud.ec2_legacy import EC2LegacyProvider
-from repro.cloud.registry import make_provider, provider_names, register_provider
+from repro.cloud.ec2 import ec2_params
+from repro.cloud.ec2_legacy import ec2_legacy_params
+from repro.cloud.provider import CloudProvider
+from repro.cloud.registry import make_provider, provider_names
 from repro.errors import CloudError, ReproError, TopologyError
 from repro.net.links import Link
 from repro.net.topology import TreeSpec
@@ -27,25 +26,81 @@ def test_all_builtin_providers_are_registered():
 def test_make_provider_builds_ec2_and_legacy_side_by_side():
     modern = make_provider("ec2", seed=1)
     legacy = make_provider("ec2-legacy", seed=1, zone="us-east-1c")
-    assert isinstance(modern, EC2Provider)
-    assert isinstance(legacy, EC2LegacyProvider)
-    assert legacy.zone == "us-east-1c"
+    assert type(modern) is type(legacy) is CloudProvider
+    assert modern.params == ec2_params()
+    assert legacy.params.name == "ec2-2012-us-east-1c"
     assert modern.params.name != legacy.params.name
 
 
-def test_reregistering_same_factory_is_idempotent():
-    register_provider("ec2", EC2Provider)  # same factory: no-op
-    assert provider_names().count("ec2") == 1
-
-
-def test_conflicting_registration_raises_cloud_error():
-    with pytest.raises(CloudError):
-        register_provider("ec2", EC2LegacyProvider)
+def test_a_record_is_taken_whole_and_takes_no_knobs():
+    record = dataclasses.replace(ec2_legacy_params("us-east-1d"), name="mine")
+    assert make_provider("ec2-legacy", seed=3, params=record).params is record
+    # A knob beside a record used to be dropped without a word.
+    with pytest.raises(CloudError, match=r"knobs \['colocation_probability'\]"):
+        make_provider("ec2", params=ec2_params(), colocation_probability=0.0)
 
 
 def test_unknown_provider_raises_cloud_error():
     with pytest.raises(CloudError):
         make_provider("no-such-cloud")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("temporal_sigma", math.nan),
+        ("temporal_tau_s", math.nan),
+        ("temporal_tau_s", math.inf),
+        ("measurement_noise", math.nan),
+        ("train_rate_noise", math.nan),
+        ("intra_host_rate_bps", math.inf),
+        ("train_jitter_std_s", math.inf),
+        ("train_limiter_depth_bytes", math.inf),
+        ("colocation_probability", math.nan),
+        ("loss_rate", math.nan),
+        ("hose_sampler", lambda rng: math.nan),
+        ("hose_sampler", lambda rng: math.inf),
+        ("hose_sampler", lambda rng: 0.0),
+    ],
+)
+def test_non_finite_provider_values_are_refused_by_name(field, value):
+    """A NaN or infinite parameter is refused where it is set, naming its
+    field, and a sampled egress cap that is not finite and positive where
+    it is drawn, naming the provider — not later, in a simulation."""
+    if field != "hose_sampler":
+        with pytest.raises(CloudError, match=rf"ProviderParams\.{field} must be"):
+            dataclasses.replace(ec2_params(), **{field: value})
+        return
+    provider = make_provider(
+        "ec2", params=dataclasses.replace(ec2_params(), hose_sampler=value)
+    )
+    with pytest.raises(CloudError, match="provider 'ec2': hose_sampler drew"):
+        provider.request_vms(2)
+    assert provider.vms() == []
+
+
+def test_a_bad_cap_mid_request_hands_back_the_call_s_vms():
+    """When the second of three sampled caps is bad, the call raises and
+    leaves the provider as it found it: the VM drawn before the bad cap is
+    handed back, its host is free again and the next VM reuses its name."""
+    caps = iter([1e9, 2e9, math.nan, 3e9, 4e9])
+    provider = make_provider(
+        "ec2",
+        params=dataclasses.replace(
+            ec2_params(), hose_sampler=lambda rng: next(caps), colocation_probability=0.0
+        ),
+    )
+    (kept,) = provider.request_vms(1)
+    free = list(provider._free_hosts)
+    with pytest.raises(CloudError, match="provider 'ec2': hose_sampler drew nan for 'vm3'"):
+        provider.request_vms(3)
+    assert provider.vms() == [kept]
+    assert provider._free_hosts == free
+    assert provider._used_hosts == [kept.host]
+    assert provider._host_vms == {kept.host: 1}
+    assert provider.vm_positions(["vm1"]).tolist() == [0]
+    assert [vm.name for vm in provider.request_vms(2)] == ["vm2", "vm3"]
+    assert provider.hose_rate("vm2") == 3e9
 
 
 def test_link_capacity_violation_raises_library_error():

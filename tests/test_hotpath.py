@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from oracles.graph_search import build_searched_tree, use_graph_search
 from oracles.max_min import max_min_allocation, use_reference_engine
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Machine
@@ -23,7 +24,7 @@ from repro.net.alloc import IncrementalAllocator
 from repro.net.fairness import FlowDemand
 from repro.net.flows import Flow
 from repro.net.fluid import FluidSimulation, RateTimeline
-from repro.net.topology import build_two_rack_cloud, build_multi_rooted_tree
+from repro.net.topology import build_two_rack_cloud
 from repro.units import GBITPS, MBYTE
 from repro.workloads.generator import HPCloudWorkloadGenerator, WorkloadSpec
 from repro.workloads.patterns import scatter_gather, uniform_mesh
@@ -290,13 +291,9 @@ class TestTopologyCaches:
 
     def test_graph_search_routes_are_memoised_per_topology(self, monkeypatch):
         """With no router, a route is searched once per topology: again on
-        a fresh tree of the same structure, never again on one that has it
-        (and providers of one shape share their tree, so its routes)."""
-        from repro.cloud import provider as provider_module
-
-        monkeypatch.setattr(topology, "_structured_routers", {})
-        monkeypatch.setattr(topology, "_register_tree_router", lambda topo, spec: None)
-        monkeypatch.setattr(provider_module, "_shared_trees", {})
+        a fresh copy of the same graph, never again on one that has it (and
+        providers of one shape share their tree, so its routes)."""
+        use_graph_search(monkeypatch)
         searched = []
         search = topology._lazy_kth_shortest_path
 
@@ -305,9 +302,9 @@ class TestTopologyCaches:
             return search(adjacency, src, dst, k)
 
         monkeypatch.setattr(topology, "_lazy_kth_shortest_path", counting)
-        a = build_multi_rooted_tree()
-        b = build_multi_rooted_tree()
-        assert a.structure_token() == b.structure_token()
+        a = build_searched_tree()
+        b = build_searched_tree()
+        assert a.links() == b.links()
         path = a.node_path("host0", "host5")
         assert a.node_path("host0", "host5") is path
         assert b.node_path("host0", "host5") == path

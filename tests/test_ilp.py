@@ -21,7 +21,7 @@ from repro.core.placement.ilp import BruteForcePlacer, OptimalPlacer
 from repro.errors import ExperimentError, PlacementError
 from repro.experiments.cache import ResultStore
 from repro.experiments.cli import main as cli_main
-from repro.experiments.placers import canonical_placer_name, get_placer
+from repro.experiments.placers import resolve_placer
 from repro.experiments.runner import DEFAULT_PLACERS, ExperimentConfig
 from repro.experiments.scenarios import get_scenario
 from repro.experiments.trials import WorkItem, run_trial, trial_seed
@@ -291,7 +291,7 @@ def test_boolean_placer_params_parse_and_apply():
     # The HiGHS-era switches are gone, not ignored.
     for gone in ("formulation", "warm_start", "symmetry_breaking", "candidate_k"):
         with pytest.raises(ExperimentError, match="unknown placer parameter"):
-            get_placer("ilp").create(0, {gone: "sparse"})
+            resolve_placer("ilp").create(0, {gone: "sparse"})
         with pytest.raises(TypeError):
             OptimalPlacer(**{gone: None})
 
@@ -336,9 +336,8 @@ def test_fallback_or_raise_uses_incumbent_else_raises(monkeypatch):
 # Experiments integration
 # ---------------------------------------------------------------------------
 def test_placer_alias_resolution():
-    assert canonical_placer_name("choreo-optimal") == "ilp"
-    assert canonical_placer_name("choreo-greedy") == "greedy"
-    assert get_placer("choreo-optimal").name == "ilp"
+    assert resolve_placer("choreo-optimal").name == "ilp"
+    assert resolve_placer("choreo-greedy").name == "greedy"
     config = ExperimentConfig(
         scenarios=("smoke",), placers=("choreo-optimal",), baseline="random"
     )

@@ -14,7 +14,7 @@ import pytest
 
 from repro.cloud.registry import make_provider
 from repro.core.placement.base import ClusterState, Placement
-from repro.experiments.placers import get_placer
+from repro.experiments.placers import resolve_placer
 from repro.experiments.trials import run_trial
 from repro.runtime.migration import (
     LiveApp,
@@ -95,7 +95,7 @@ def test_books_balance_at_every_cut_of_the_golden_sessions(
 
     provider, cluster, apps, _ = build_churn_session(0, faults=faults, **_GOLDEN_SESSION)
     service = PlacementService(
-        provider, cluster, get_placer("greedy").create(0, None),
+        provider, cluster, resolve_placer("greedy").create(0, None),
         predictor="combined", migrate=True,
     )
     ledger = Ledger(monkeypatch, engine, lambda: service.cluster)
@@ -214,7 +214,7 @@ def _served(names):
     """Completion time through one service session."""
     provider = _provider(4)
     cluster = ClusterState.from_vms(provider.vms())
-    service = PlacementService(provider, cluster, get_placer("round-robin").create(0, None))
+    service = PlacementService(provider, cluster, resolve_placer("round-robin").create(0, None))
     (outcome,) = service.run_session([_named_mapreduce(names)], hours=1).apps
     return outcome.completed_at
 

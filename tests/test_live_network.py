@@ -20,7 +20,7 @@ import pytest
 from oracles.segment_sim import background_at, segment_advance
 from repro.cloud.provider import CloudProvider, VMFlow
 from repro.core.placement.base import ClusterState, Placement
-from repro.experiments.placers import get_placer
+from repro.experiments.placers import resolve_placer
 from repro.net import fluid
 from repro.net.alloc import IncrementalAllocator
 from repro.runtime.migration import LiveApp, LiveNetwork, advance_live_apps
@@ -200,7 +200,7 @@ def test_a_sequence_builds_two_allocators_the_live_one_and_the_truth_run(counted
         for k in range(5)
     ]
     runner = SequentialPlacementRunner(
-        provider, cluster, get_placer("round-robin").create(0, None)
+        provider, cluster, resolve_placer("round-robin").create(0, None)
     )
     runner.run(apps)
     # The truth run is the one provider.simulate left.

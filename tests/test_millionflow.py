@@ -20,20 +20,26 @@ import random
 import numpy as np
 import pytest
 
+from oracles.graph_search import hand_built
 from oracles.max_min import run_loop
 from repro.errors import RoutingError, TopologyError
 
-from repro.net import fluid, topology
+from repro import obs
+from repro.net import fluid
 from repro.net.flows import Flow
 from repro.net.fluid import FluidSimulation, RateTimeline
 from repro.net.links import hose_link_id
 from repro.net.topology import (
+    NodeKind,
     TreeSpec,
     _lazy_kth_shortest_path,
     build_dumbbell,
     build_multi_rooted_tree,
-    structured_routing_info,
 )
+
+
+def _structured_hits() -> int:
+    return obs.metrics.snapshot().get("repro.routes.structured_hits", 0)
 
 
 def _timelines_equal(a: RateTimeline, b: RateTimeline) -> bool:
@@ -164,32 +170,55 @@ _MATRIX_SPECS = (
 class TestStructuredRouting:
     """The arithmetic tree router reproduces graph search exactly."""
 
-    @pytest.mark.parametrize("spec", _ROUTING_SPECS, ids=str)
-    def test_matches_networkx_over_the_full_mesh(self, spec, monkeypatch):
-        fast = build_multi_rooted_tree(spec)
-        slow = build_multi_rooted_tree(spec)
-        assert structured_routing_info()["routers"] >= 1
-        # With no router registered, every route is a graph search.
-        with monkeypatch.context() as patch:
-            patch.setattr(topology, "_structured_routers", {})
-            expected = {pair: slow.node_path(*pair) for pair in slow.host_pairs()}
-        hits = structured_routing_info()["hits"]
-        for (src, dst), path in expected.items():
-            assert fast.node_path(src, dst) == path, (src, dst)
-            assert fast.hop_count(src, dst) == len(path) - 1
-        assert structured_routing_info()["hits"] - hits == len(expected)
+    @pytest.mark.parametrize("spec", _ROUTING_SPECS + _MATRIX_SPECS, ids=str)
+    def test_a_hand_built_copy_routes_every_pair_as_the_tree_does(self, spec):
+        """A copy of the tree added node by node, in a shuffled order, has
+        no router: it routes by graph search.  For every ordered pair of
+        hosts, by name and by position, the copy's rows are the tree's, and
+        so are its node paths and hop counts, which the tree's router answers."""
+        built = build_multi_rooted_tree(spec)
+        copy = hand_built(built, seed=5)
+        assert copy._router is None
+        assert copy._host_names != built._host_names  # other positions
+        hosts = built.hosts()
+        pairs = list(itertools.product(hosts, hosts))
+        hits = _structured_hits()
+        want = copy.path_links_matrix(pairs)
+        assert _structured_hits() == hits
+        got = built.path_links_matrix(pairs)
+        assert _structured_hits() - hits == len(built.host_pairs())
+
+        def by_id(rows, lengths, link_ids):
+            return [tuple(link_ids[j] for j in row[:n]) for row, n in zip(rows, lengths)]
+
+        assert by_id(*got) == by_id(*want)
+        for topo, rows in ((built, got), (copy, want)):
+            at = np.array([(topo.host_index(a), topo.host_index(b)) for a, b in pairs])
+            assert by_id(*topo.path_links_matrix(at)) == by_id(*rows)
+        # The array route leaves the scalar path memo empty, so every scalar
+        # answer below comes from the router: hop counts without a node path
+        # (no hit), then one hit per node path.
+        assert not built._path_cache
+        ordered = built.host_pairs()
+        hits = _structured_hits()
+        hops = [built.hop_count(src, dst) for src, dst in ordered]
+        assert _structured_hits() == hits
+        paths = [built.node_path(src, dst) for src, dst in ordered]
+        assert _structured_hits() - hits == len(ordered)
+        for (src, dst), hop, path in zip(ordered, hops, paths):
+            want = copy.node_path(src, dst)
+            assert path == want, (src, dst)
+            assert hop == copy.hop_count(src, dst) == len(want) - 1
 
     @pytest.mark.parametrize("structured", [True, False])
     @pytest.mark.parametrize("spec", _ROUTING_SPECS + _MATRIX_SPECS, ids=str)
-    def test_path_links_matrix_agrees_with_path_links(
-        self, spec, structured, monkeypatch
-    ):
+    def test_path_links_matrix_agrees_with_path_links(self, spec, structured):
         """The array rows are ``path_links``'s, pair by pair: every relation
         (same rack / pod / cross-pod), loopback pairs, and pairs the tree
         arithmetic does not cover (a switch endpoint: graph search)."""
         topo = build_multi_rooted_tree(spec)
         if not structured:
-            monkeypatch.setattr(topology, "_structured_routers", {})
+            topo = hand_built(topo)
         hosts = topo.hosts()
         tor = topo.rack_of(hosts[0])
         pairs = (
@@ -198,9 +227,9 @@ class TestStructuredRouting:
             + [(tor, hosts[-1]), (hosts[-1], tor)]
         )
         arithmetic = len(topo.host_pairs())
-        hits = structured_routing_info()["hits"]
+        hits = _structured_hits()
         rows, lengths, link_ids = topo.path_links_matrix(pairs)
-        counted = structured_routing_info()["hits"] - hits
+        counted = _structured_hits() - hits
         assert counted == (arithmetic if structured else 0)
         assert link_ids == list(topo.capacities())
         assert rows.shape == (len(pairs), lengths.max())
@@ -215,40 +244,31 @@ class TestStructuredRouting:
             min(link.capacity_bps for link in topo.path_links(src, dst))
             for src, dst in pairs
         ]
-        # "host01" parses to host 1 but is not its canonical name.
+        # "host01" names no host (host 1 is "host1").
         with pytest.raises(TopologyError, match="host01"):
             topo.path_links_matrix([(hosts[0], hosts[-1]), ("host01", hosts[0])])
 
     @pytest.mark.parametrize("structured", [True, False])
     @pytest.mark.parametrize("spec", _ROUTING_SPECS[1:] + _MATRIX_SPECS, ids=str)
-    def test_host_positions_route_as_their_names_do(
-        self, spec, structured, monkeypatch
-    ):
+    def test_host_positions_route_as_their_names_do(self, spec, structured):
         """An ``(m, 2)`` array of ``host_index`` positions gives the rows of
         the name pairs it stands for — loopbacks included, batches under the
-        array router's minimum included, and on a tree whose hosts were
-        added in another order than ``host0, host1, ...``."""
+        array router's minimum included, and on a hand-built copy whose
+        hosts were added in another order than ``host0, host1, ...``."""
         built = build_multi_rooted_tree(spec)
-        shuffled = topology.Topology(intra_host_bps=spec.intra_host_bps)
-        rng = random.Random(5)
-        for name in rng.sample(built.nodes(), len(built.nodes())):
-            shuffled.add_node(name, built.node_kind(name))
-        for link in rng.sample(built.links(), len(built.links())):
-            if link.src < link.dst:
-                shuffled.add_link(link.src, link.dst, link.capacity_bps, link.kind)
-        assert shuffled.structure_token() == built.structure_token()
-        if not structured:
-            monkeypatch.setattr(topology, "_structured_routers", {})
+        shuffled = hand_built(built, seed=5)
         for topo in (built, shuffled):
+            if topo is built and not structured:
+                topo = hand_built(built)
             hosts = topo.hosts()
             pairs = topo.host_pairs() + [(h, h) for h in hosts[:3]]
             at = np.array(
                 [(topo.host_index(a), topo.host_index(b)) for a, b in pairs]
             )
-            hits = structured_routing_info()["hits"]
+            hits = _structured_hits()
             rows, lengths, link_ids = topo.path_links_matrix(at)
-            counted = structured_routing_info()["hits"] - hits
-            assert counted == (len(topo.host_pairs()) if structured else 0)
+            counted = _structured_hits() - hits
+            assert counted == (len(topo.host_pairs()) if topo is built else 0)
             by_name = topo.path_links_matrix(pairs)
             assert (rows == by_name[0]).all() and (lengths == by_name[1]).all()
             assert link_ids == by_name[2]
@@ -260,6 +280,30 @@ class TestStructuredRouting:
         assert [built.host_index(f"host{i}") for i in range(spec.num_hosts)] == list(
             range(spec.num_hosts)
         )
+
+    @pytest.mark.parametrize("edit", ["node", "link"])
+    def test_an_edit_drops_the_router(self, edit):
+        """A tree from ``build_multi_rooted_tree`` routes arithmetically
+        until its graph is edited; from then on it routes by graph search, as
+        a hand-built copy of the edited graph does."""
+        topo = build_multi_rooted_tree(_ROUTING_SPECS[2])
+        topo.node_path("host0", "host15")
+        if edit == "node":
+            topo.add_node("extra", NodeKind.HOST)  # position 16, no cable yet
+            with pytest.raises(RoutingError, match="no path"):
+                topo.path_links_matrix(np.array([[0, 16]] * 20))
+            topo.add_link("extra", "tor0.0", 1e9)
+        else:
+            topo.add_link("host0", "tor1.0", 1e9)  # a shortcut into pod 1
+        assert topo._router is None
+        copy = hand_built(topo)
+        pairs = topo.host_pairs()
+        hits = _structured_hits()
+        for src, dst in pairs:
+            assert topo.node_path(src, dst) == copy.node_path(src, dst), (src, dst)
+            assert topo.hop_count(src, dst) == copy.hop_count(src, dst)
+        assert (topo.path_links_matrix(pairs)[0] == copy.path_links_matrix(pairs)[0]).all()
+        assert _structured_hits() == hits
 
     def test_host_positions_on_a_topology_without_a_router(self):
         topo = build_dumbbell(n_pairs=3)

@@ -12,17 +12,16 @@ import random
 
 import pytest
 
+from oracles.graph_search import use_graph_search
 from oracles.max_min import (
     force_solves,
     max_min_allocation,
     use_reference_engine,
 )
-from repro.cloud import provider as cloud_provider
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Machine
 from repro.core.placement.greedy import GreedyPlacer, cluster_vms_by_rate_profile
 from repro.errors import MeasurementError, PlacementError
-from repro.net import topology
 from repro.net.alloc import IncrementalAllocator
 from repro.net.fairness import FlowDemand
 from repro.net.flows import Flow
@@ -409,11 +408,10 @@ class TestHierarchicalGreedyEquivalence:
 def _reference_engine(patch):
     """What the fluid engine did before any optimisation: max-min from
     scratch at every event, the scalar loop, every route a graph search
-    (on trees of its own: no shared tree carries a router or a route in)."""
+    (on hand-built trees of its own: no shared tree carries a router or a
+    route in)."""
     use_reference_engine(patch)
-    patch.setattr(topology, "_structured_routers", {})
-    patch.setattr(topology, "_register_tree_router", lambda topo, spec: None)
-    patch.setattr(cloud_provider, "_shared_trees", {})
+    use_graph_search(patch)
 
 
 class TestTierOneScenarioBitIdentity:

@@ -22,7 +22,7 @@ from repro.cloud.registry import make_provider
 from repro.core.measurement.orchestrator import MeasurementPlan
 from repro.core.placement.base import ClusterState
 from repro.errors import PlacementError
-from repro.experiments.placers import get_placer
+from repro.experiments.placers import resolve_placer
 from repro.experiments.scenarios import get_scenario
 from repro.experiments.trials import trial_seed
 from repro.runtime.executor import placement_to_flows
@@ -76,7 +76,7 @@ def run_observed(monkeypatch, seed):
     ``(app, active (src_vm, dst_vm) multiset, done names, free cores)``."""
     provider, cluster, apps, background, placer_name = seeded_sequence(seed)
     runner = SequentialPlacementRunner(
-        provider, cluster, get_placer(placer_name).create(seed, None),
+        provider, cluster, resolve_placer(placer_name).create(seed, None),
         measurement=MeasurementPlan(advance_clock=False), background=background,
     )
     ledger = Ledger(monkeypatch, sequence, lambda: cluster)
@@ -142,7 +142,7 @@ def test_an_app_that_colocates_every_transfer_gives_its_cores_back():
     provider = make_provider("ec2", seed=0, colocation_probability=0.0)
     provider.request_vms(2)
     cluster = ClusterState.from_vms(provider.vms())  # 2 VMs x 4 cores
-    runner = SequentialPlacementRunner(provider, cluster, get_placer("greedy").create(0, None))
+    runner = SequentialPlacementRunner(provider, cluster, resolve_placer("greedy").create(0, None))
     first = two_task_app("first", cores=2.0, start_time=0.0)
     # Needs every core of both machines: it fits only on an empty cluster.
     second = two_task_app("second", cores=4.0, start_time=10.0)
@@ -156,7 +156,7 @@ def test_an_app_that_colocates_every_transfer_gives_its_cores_back():
 
     # Had the first still been running, the second would not fit.
     with pytest.raises(PlacementError):
-        get_placer("greedy").create(0, None).place(
+        resolve_placer("greedy").create(0, None).place(
             second, cluster.with_usage(result.placements["first"].cpu_usage(first)), None
         )
 
@@ -165,7 +165,7 @@ def test_multi_app_sequence_seed_0_reads_every_core_free_at_60_and_90_s(monkeypa
     seed = trial_seed(0, "multi-app-sequence", 0)
     instance = get_scenario("multi-app-sequence").build(seed)
     runner = SequentialPlacementRunner(
-        instance.provider, instance.cluster, get_placer("greedy").create(seed, None),
+        instance.provider, instance.cluster, resolve_placer("greedy").create(seed, None),
         measurement=MeasurementPlan(advance_clock=False),
     )
     free = []  # per arrival: 0, 30, 60, 90 s

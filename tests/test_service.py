@@ -10,7 +10,7 @@ from repro.cloud.registry import make_provider
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
 from repro.core.placement.base import ClusterState
 from repro.errors import MeasurementError, ServiceError
-from repro.experiments.placers import get_placer
+from repro.experiments.placers import resolve_placer
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
 from repro.service.cache import MeasurementCache
 from repro.service.forecast import RateForecaster
@@ -424,7 +424,7 @@ class TestServiceMigration:
         service = PlacementService(
             provider,
             cluster,
-            get_placer("greedy").create(0, None),
+            resolve_placer("greedy").create(0, None),
             predictor="previous-hour",
             improvement_threshold=0.2,
         )

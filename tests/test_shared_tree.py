@@ -29,7 +29,6 @@ from repro.cloud.registry import make_provider
 from repro.core.measurement import MeasurementPlan, NetworkMeasurer
 from repro.errors import TopologyError
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
-from repro.net import topology
 from repro.net.topology import NodeKind, TreeSpec, build_multi_rooted_tree
 from repro.service.engine import PlacementService
 from repro.service.session import _resolve_placer, build_churn_session
@@ -195,11 +194,9 @@ def test_threads_measuring_one_shared_shape_see_what_a_serial_run_sees(monkeypat
     serial = {}
     with monkeypatch.context() as patch:
         patch.setattr(cloud_provider, "_shared_trees", {})
-        patch.setattr(topology, "_structured_routers", {})
         for seed in seeds:
             serial[seed] = _measure(seed)
     monkeypatch.setattr(cloud_provider, "_shared_trees", {})
-    monkeypatch.setattr(topology, "_structured_routers", {})
     barrier = threading.Barrier(len(seeds))
     got, errors = {}, []
 

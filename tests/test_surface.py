@@ -376,10 +376,10 @@ def test_no_engine_or_sharing_model_option_is_left(target):
 @pytest.mark.parametrize("placer", ["greedy", "ilp", "brute-force"])
 def test_no_placer_takes_a_model_parameter(placer):
     from repro.errors import ExperimentError
-    from repro.experiments.placers import get_placer
+    from repro.experiments.placers import resolve_placer
 
     with pytest.raises(ExperimentError):
-        get_placer(placer).create(0, {"model": "hose"})
+        resolve_placer(placer).create(0, {"model": "hose"})
 
 
 def test_the_engine_switches_and_the_pipe_model_are_gone_from_the_source():
