@@ -215,22 +215,18 @@ class CloudProvider:
         # by position; both rebuilt on demand after the VM set changes.
         self._vm_position: Optional[Dict[str, int]] = None
         self._vm_host: Optional[np.ndarray] = None
-        #: When set (see :func:`repro.service.timeline.attach_timeline`), VMs
-        #: covered by the timeline take their egress cap from it at the
-        #: current clock instead of the OU-drifted base — the ground-truth
-        #: network then varies epoch by epoch, and everything downstream
-        #: (fluid simulation, packet trains, netperf) sees the epoch-correct
-        #: rates because they all flow through :meth:`hose_rate`.
-        self.hose_timeline = None
-        #: When set (see :func:`repro.faults.attach_faults`), discrete fault
-        #: events overlay the (possibly timeline-driven) ground truth:
-        #: preempted VMs go dark through :meth:`hose_rate`, degraded links
-        #: lose a multiplicative factor, and probes of pairs under an active
-        #: :class:`~repro.faults.ProbeLoss` window fail or return wild
-        #: estimates.  ``None`` (the default) is a guaranteed no-op: no hook
-        #: consumes randomness or perturbs a rate, so fault-free runs are
-        #: bit-identical to builds that predate fault injection.
-        self.fault_timeline = None
+        #: When set (see :func:`repro.service.timeline.attach_timeline`), the
+        #: ground truth follows the timeline: VMs its drift table covers take
+        #: their egress cap from it at the current clock instead of the
+        #: OU-drifted base, preempted VMs go dark, degraded links lose a
+        #: multiplicative factor, and probes of pairs under an active
+        #: :class:`~repro.service.timeline.ProbeLoss` window fail or return
+        #: wild estimates.  Everything downstream (fluid simulation, packet
+        #: trains, netperf) sees it because it all flows through
+        #: :meth:`hose_rate` and the probe paths.  A timeline without fault
+        #: events leaves the probe paths alone: no hook consumes randomness
+        #: or perturbs a rate.
+        self.timeline = None
 
     # ------------------------------------------------------------------ VMs
     def request_vms(self, n: int, name_prefix: str = "vm") -> List[VirtualMachine]:
@@ -308,8 +304,21 @@ class CloudProvider:
         """Current provider time in seconds."""
         return self._clock
 
+    @property
+    def fault_timeline(self):
+        """The attached :attr:`timeline` (read-only; the ``churn_day``
+        benchmark workload counts its ``n_events``)."""
+        return self.timeline
+
     def advance_time(self, seconds: float) -> None:
-        """Advance the clock, letting per-VM hose rates drift (OU process)."""
+        """Advance the clock, letting per-VM hose rates drift (OU process).
+
+        This drift is not part of the :attr:`timeline`, and a timeline's
+        drift table overrides it only in :meth:`hose_rate`: the innovations
+        are drawn from the provider's own random stream here, in between
+        the draws of the probes, so sampling them ahead of time would move
+        every probe's noise and with it every seeded result.
+        """
         if not (math.isfinite(seconds) and seconds >= 0):
             raise CloudError(f"seconds must be finite and >= 0, got {seconds!r}")
         if seconds == 0:
@@ -329,17 +338,16 @@ class CloudProvider:
     def hose_rate(self, vm_name: str) -> float:
         """Current (drifted) egress cap of a VM, in bits/second."""
         self.vm(vm_name)
+        timeline = self.timeline
         rate = None
-        if self.hose_timeline is not None:
-            rate = self.hose_timeline.hose_rate_at(vm_name, self._clock)
+        if timeline is not None:
+            rate = timeline.hose_rate_at(vm_name, self._clock)
         if rate is None:
             base = self._base_hose[vm_name]
             deviation = self._hose_deviation[vm_name]
             rate = max(base * (1.0 + deviation), 0.05 * base)
-        if self.fault_timeline is not None:
-            rate = self.fault_timeline.effective_hose_rate(
-                vm_name, self._clock, rate
-            )
+        if timeline is not None and timeline.events:
+            rate = timeline.effective_hose_rate(vm_name, self._clock, rate)
         return rate
 
     def base_hose_rates(self) -> Dict[str, float]:
@@ -408,12 +416,12 @@ class CloudProvider:
 
         Checked before any probe randomness is consumed, so a lost probe is
         replayable: the same (seed, clock, pair) always fails the same way.
-        Returns 1.0 when no fault timeline is attached or no window is
+        Returns 1.0 when the timeline has no fault events or no window is
         active — the zero-fault fast path.
         """
-        if self.fault_timeline is None:
+        if self.timeline is None or not self.timeline.events:
             return 1.0
-        fault = self.fault_timeline.probe_fault(src_vm, dst_vm, self._clock)
+        fault = self.timeline.probe_fault(src_vm, dst_vm, self._clock)
         if fault is None:
             return 1.0
         mode, factor = fault
@@ -615,9 +623,9 @@ class CloudProvider:
         sent = np.arange(pairs.shape[0])
         lost: Dict[int, str] = {}
         wild = None
-        if self.fault_timeline is not None:
+        if self.timeline is not None and self.timeline.events:
             names = list(self._vms)
-            gone, wild = self.fault_timeline.probe_faults(
+            gone, wild = self.timeline.probe_faults(
                 names, src, dst, self._clock
             )
             for i in np.flatnonzero(gone).tolist():

@@ -45,8 +45,5 @@ class ExperimentError(ReproError):
 
 
 class ServiceError(ReproError):
-    """Raised by the online placement service (bad timelines, predictors)."""
-
-
-class FaultError(ReproError):
-    """Raised by the fault-injection subsystem (bad events, malformed files)."""
+    """Raised by the online placement service (bad timelines or fault
+    events, malformed timeline files, unknown predictors)."""

@@ -10,7 +10,7 @@ traceroutes hide hops, since only 1- and 4-hop paths appear); the optional
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from repro.net.topology import Topology
 
@@ -38,28 +38,3 @@ def traceroute_hop_count(
         return true_hops
     return visible_hops.get(true_hops, true_hops)
 
-
-def classify_hop_count(hops: int) -> str:
-    """Human-readable locality class for a hop count (Figure 8 categories)."""
-    if hops <= 1:
-        return "same-machine"
-    if hops == 2:
-        return "same-rack"
-    if hops == 4:
-        return "same-pod"
-    if hops == 6:
-        return "via-core"
-    return "via-deep-core"
-
-
-def cluster_hosts_by_rack(
-    topology: Topology, hosts: Sequence[str]
-) -> dict:
-    """Group hosts by their ToR switch, as Choreo's bottleneck finder does.
-
-    Hosts without a ToR (degenerate topologies) are grouped under ``None``.
-    """
-    clusters: dict = {}
-    for host in hosts:
-        clusters.setdefault(topology.rack_of(host), []).append(host)
-    return clusters

@@ -4,8 +4,9 @@ The paper's premise is that last-hour and time-of-day measurements predict
 the *next* hour's network behaviour.  This package turns the offline
 evaluator into the online system that premise implies:
 
-* :mod:`repro.service.timeline` — piecewise-hourly ground-truth rate
-  matrices with configurable drift generators, attachable to any provider;
+* :mod:`repro.service.timeline` — the ground truth a session's network
+  follows: piecewise-hourly hose rates from a drift generator plus
+  discrete fault events, as one record attachable to any provider;
 * :mod:`repro.service.cache` — a measurement cache with per-pair TTL, so
   campaigns re-probe only the stale slice of the mesh;
 * :mod:`repro.service.forecast` — next-epoch rate forecasts built from the
@@ -28,19 +29,21 @@ from repro.service.forecast import PREDICTOR_NAMES, RateForecaster
 from repro.service.session import build_churn_session, run_churn_session
 from repro.service.timeline import (
     DRIFT_NAMES,
-    NetworkTimeline,
+    FAULT_NAMES,
+    Timeline,
     attach_timeline,
     generate_timeline,
 )
 
 __all__ = [
     "DRIFT_NAMES",
+    "FAULT_NAMES",
     "MeasurementCache",
-    "NetworkTimeline",
     "PREDICTOR_NAMES",
     "PlacementService",
     "RateForecaster",
     "ServiceReport",
+    "Timeline",
     "attach_timeline",
     "build_churn_session",
     "generate_timeline",

@@ -26,10 +26,9 @@ from typing import Optional, Sequence
 
 from repro.cli import common_parser, parse_params, parse_placer_params
 from repro.errors import ReproError, ServiceError
-from repro.faults import FAULT_NAMES
 from repro.service.forecast import PREDICTOR_NAMES
 from repro.service.session import build_churn_session, run_churn_session
-from repro.service.timeline import DEFAULT_EPOCH_S, DRIFT_NAMES
+from repro.service.timeline import DEFAULT_EPOCH_S, DRIFT_NAMES, FAULT_NAMES
 
 #: Session-builder keys overridable via ``--param`` (mirroring the dedicated
 #: flags, whose argparse dests they share).
@@ -97,11 +96,13 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     )
     run_cmd.add_argument(
         "--timeline", default=None, metavar="PATH",
-        help="replay a recorded timeline JSON instead of generating one",
+        help="replay a recorded timeline JSON (drift and faults) instead of "
+             "generating one (overrides --drift and --faults)",
     )
     run_cmd.add_argument(
         "--save-timeline", default=None, metavar="PATH",
-        help="write the session's (generated or loaded) timeline to PATH",
+        help="write the session's (generated or loaded) timeline, drift and "
+             "faults, to PATH",
     )
     run_cmd.add_argument(
         "--faults", default="none", choices=FAULT_NAMES,
@@ -111,14 +112,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "--fault-strength", type=float, default=None,
         help="generator knob (preempted fraction / flappy fraction / "
              "per-pair loss probability)",
-    )
-    run_cmd.add_argument(
-        "--faults-file", default=None, metavar="PATH",
-        help="replay a recorded fault timeline JSON (overrides --faults)",
-    )
-    run_cmd.add_argument(
-        "--save-faults", default=None, metavar="PATH",
-        help="write the session's (generated or loaded) fault timeline to PATH",
     )
     run_cmd.add_argument(
         "--telemetry", action="store_true",
@@ -195,19 +188,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         timeline_path=args.timeline,
         faults=args.faults,
         fault_strength=args.fault_strength,
-        faults_path=args.faults_file,
     )
-    if args.save_timeline or args.save_faults:
-        provider, _, _, timeline = build_churn_session(args.seed, **session_kwargs)
-        if args.save_timeline:
-            timeline.save(args.save_timeline)
-            print(f"wrote timeline to {args.save_timeline}", file=sys.stderr)
-        if args.save_faults:
-            from repro.faults import FaultTimeline
-
-            fault_timeline = provider.fault_timeline or FaultTimeline()
-            fault_timeline.save(args.save_faults)
-            print(f"wrote fault timeline to {args.save_faults}", file=sys.stderr)
+    if args.save_timeline:
+        _, _, _, timeline = build_churn_session(args.seed, **session_kwargs)
+        timeline.save(args.save_timeline)
+        print(f"wrote timeline to {args.save_timeline}", file=sys.stderr)
 
     report = run_churn_session(
         args.seed,
@@ -236,8 +221,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         f"{args.drift}, predictor {args.predictor}, placer {args.placer}, "
         f"seed {args.seed}"
     )
-    if args.faults_file:
-        line += f", faults from {args.faults_file}"
+    if args.timeline:
+        line += f", timeline from {args.timeline}"
     elif args.faults != "none":
         line += f", faults {args.faults}"
     print(line)

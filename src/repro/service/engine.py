@@ -40,7 +40,6 @@ from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Placer
 from repro.errors import ReproError, ServiceError
-from repro.faults import FaultEvent, LinkDegradation, ProbeLoss, VmPreemption
 from repro.runtime.migration import (
     LiveApp,
     LiveNetwork,
@@ -52,7 +51,13 @@ from repro.runtime.migration import (
 )
 from repro.service.cache import MeasurementCache
 from repro.service.forecast import RateForecaster, validate_predictor
-from repro.service.timeline import DEFAULT_EPOCH_S
+from repro.service.timeline import (
+    DEFAULT_EPOCH_S,
+    FaultEvent,
+    LinkDegradation,
+    ProbeLoss,
+    VmPreemption,
+)
 from repro.workloads.application import Application
 
 logger = logging.getLogger("repro.service.engine")
@@ -242,6 +247,46 @@ class ServiceReport:
         return payload
 
 
+def report_violations(report: ServiceReport) -> List[str]:
+    """Ways a session's report contradicts itself (empty: none).
+
+    A completed application completes no earlier than it arrived; a
+    rejected one has no completion time, migrations or recoveries; the
+    migration and the recovery records each come in nondecreasing time;
+    and no recovery acts before its fault took effect.
+    """
+    problems = []
+    for app in report.apps:
+        if app.status == "completed":
+            if app.completed_at is None or not app.completed_at >= app.arrived_at:
+                problems.append(
+                    f"{app.name}: completed at {app.completed_at!r}, "
+                    f"arrived at {app.arrived_at!r}"
+                )
+        elif app.completed_at is not None or app.migrations or app.recoveries:
+            problems.append(
+                f"{app.name}: rejected, yet completed at {app.completed_at!r} "
+                f"with {app.migrations} migration(s) and "
+                f"{app.recoveries} recovery(ies)"
+            )
+    for what, times in (
+        ("migration", [event.time_s for event in report.migrations]),
+        ("recovery", [action.time_s for action in report.recovery]),
+    ):
+        problems.extend(
+            f"a {what} at {later!r} s follows one at {earlier!r} s"
+            for earlier, later in zip(times, times[1:])
+            if not later >= earlier
+        )
+    problems.extend(
+        f"recovery on {action.target} acted {-action.latency_s!r} s before "
+        f"its fault took effect"
+        for action in report.recovery
+        if not action.latency_s >= 0
+    )
+    return problems
+
+
 class PlacementService:
     """Streaming admission + predictor-driven placement over a drifting net.
 
@@ -280,7 +325,7 @@ class PlacementService:
         self.cluster = cluster
         self.placer = placer
         self.predictor = validate_predictor(predictor)
-        timeline = provider.hose_timeline
+        timeline = provider.timeline
         if epoch_s is None:
             epoch_s = timeline.epoch_s if timeline is not None else DEFAULT_EPOCH_S
         if epoch_s <= 0:
@@ -302,9 +347,6 @@ class PlacementService:
         self.forecaster = (
             RateForecaster(predictor) if predictor != "oracle" else None
         )
-        #: Fault schedule, if one is attached (see repro.faults); the
-        #: service consumes fault events at epoch boundaries and heals.
-        self.faults = getattr(provider, "fault_timeline", None)
         self._migrations: List[MigrationEvent] = []
         self._recovery: List[RecoveryAction] = []
         #: Final placement of every admitted application after the last
@@ -376,7 +418,9 @@ class PlacementService:
         self, ordered: List[Application], hours: float, horizon: float
     ) -> ServiceReport:
         """The session body (see :meth:`run_session`, which spans it)."""
-        timeline = self.provider.hose_timeline
+        # The service consumes the timeline's fault events at epoch
+        # boundaries and heals.
+        timeline = self.provider.timeline
         session_started = time.perf_counter()
         report = ServiceReport(
             predictor=self.predictor,
@@ -384,7 +428,11 @@ class PlacementService:
             hours=hours,
             epoch_s=self.epoch_s,
             ttl_s=self.ttl_s,
-            drift=timeline.drift if timeline is not None else "provider-ou",
+            drift=(
+                timeline.drift
+                if timeline is not None and timeline.hose_epochs
+                else "provider-ou"
+            ),
         )
 
         running: Dict[str, LiveApp] = {}
@@ -398,7 +446,7 @@ class PlacementService:
         placement_wall = 0.0
         #: Fault events with effect times <= this have been handled.
         fault_watermark = 0.0
-        have_faults = self.faults is not None and not self.faults.is_empty
+        have_faults = timeline is not None and bool(timeline.events)
 
         # Epoch-0 bootstrap: the classic measure-then-place full mesh.
         if self.predictor != "oracle":
@@ -421,7 +469,7 @@ class PlacementService:
             rates_frozen = (
                 timeline is None or epoch >= timeline.n_epochs - 1
             ) and now >= horizon
-            faults_pending = have_faults and self.faults.pending_after(
+            faults_pending = have_faults and timeline.pending_after(
                 fault_watermark
             )
             if rates_frozen and math.isinf(next_arrival) and not faults_pending:
@@ -438,7 +486,7 @@ class PlacementService:
                 if have_faults:
                     # Heal at *every* boundary — including past the horizon,
                     # where a late preemption would otherwise stall the drain.
-                    events = self.faults.events_between(fault_watermark, now)
+                    events = timeline.events_between(fault_watermark, now)
                     fault_watermark = now
                     if events:
                         place_started = time.perf_counter()

@@ -18,11 +18,10 @@ from repro.cloud.provider import CloudProvider
 from repro.cloud.registry import make_provider
 from repro.core.placement.base import ClusterState, Placer
 from repro.errors import ServiceError
-from repro.faults import FaultTimeline, attach_faults, generate_faults
 from repro.service.engine import PlacementService, ServiceReport
 from repro.service.timeline import (
     DEFAULT_EPOCH_S,
-    NetworkTimeline,
+    Timeline,
     attach_timeline,
     generate_timeline,
 )
@@ -30,16 +29,10 @@ from repro.units import GBYTE
 from repro.workloads.application import Application
 from repro.workloads.generator import HPCloudWorkloadGenerator, WorkloadSpec
 
-#: Epochs generated past the session horizon so draining flows stay on a
-#: defined (still drifting) network.
-TAIL_EPOCHS = 8
-
-#: Seed offsets: the timeline, workload, and fault streams must not be
-#: correlated with the provider's own RNG (which seeds VM host choices and
-#: hose caps) or with each other.
-_TIMELINE_SEED_SALT = 0x7117E
+#: Seed offset of the workload stream: it must not be correlated with the
+#: provider's own RNG (which seeds VM host choices and hose caps) or with
+#: the timeline's streams.
 _WORKLOAD_SEED_SALT = 0xA9915
-_FAULT_SEED_SALT = 0xFA0175
 
 
 def build_churn_session(
@@ -55,31 +48,28 @@ def build_churn_session(
     timeline_path: Optional[str] = None,
     faults: str = "none",
     fault_strength: Optional[float] = None,
-    faults_path: Optional[str] = None,
-) -> Tuple[CloudProvider, ClusterState, List[Application], NetworkTimeline]:
+) -> Tuple[CloudProvider, ClusterState, List[Application], Timeline]:
     """Realise one seeded churn session (timeline already attached).
 
     Args:
-        seed: drives the provider, the timeline drift, and the workload.
+        seed: drives the provider, the timeline, and the workload.
         n_vms: tenant VMs.
         hours: admission horizon in epochs.
-        drift: timeline drift generator (ignored when ``timeline_path`` is
-            given).
+        drift: timeline drift generator.
         drift_strength: generator knob; ``None`` uses the drift's default.
         apps_per_hour: Poisson arrival rate of the application stream.
         max_tasks: cap on generated application size (keeps admissions
             CPU-feasible on small clusters).
         provider_name: registered cloud provider.
         epoch_s: epoch length (the tests shrink it to keep sessions fast).
-        timeline_path: load a recorded timeline from disk instead of
-            generating one (its VM names must match the provider's).
-        faults: fault-timeline generator (``"none"`` attaches nothing, so
-            the session is bit-identical to a pre-faults one).
+        timeline_path: load a recorded timeline (drift and faults) from
+            disk instead of generating one; it overrides ``drift``,
+            ``faults``, their strengths and ``epoch_s``, and the VMs it names
+            must be the provider's.
+        faults: fault generator (``"none"`` adds no event, so the session
+            is bit-identical to one without fault injection).
         fault_strength: generator knob; ``None`` uses the generator's
             default.
-        faults_path: load a recorded fault timeline from disk instead of
-            generating one (overrides ``faults``; its VM names must be a
-            subset of the provider's).
     """
     if n_vms < 2:
         raise ServiceError("a churn session needs at least two VMs")
@@ -99,42 +89,26 @@ def build_churn_session(
     cluster = ClusterState.from_vms(provider.vms())
 
     if timeline_path is not None:
-        timeline = NetworkTimeline.load(timeline_path)
+        timeline = Timeline.load(timeline_path)
     else:
-        n_epochs = int(hours) + TAIL_EPOCHS
+        # Rack identities come from the provider's topology so correlated
+        # fault generators (rack-outage) take out exactly the VMs behind
+        # one ToR.
         timeline = generate_timeline(
             provider.base_hose_rates(),
-            n_epochs=n_epochs,
+            hours,
             drift=drift,
-            seed=seed ^ _TIMELINE_SEED_SALT,
-            strength=drift_strength,
+            faults=faults,
+            seed=seed,
+            drift_strength=drift_strength,
+            fault_strength=fault_strength,
             epoch_s=epoch_s,
+            racks={
+                vm.name: provider.topology.rack_of(vm.host) or vm.host
+                for vm in provider.vms()
+            },
         )
     attach_timeline(provider, timeline)
-
-    if faults_path is not None:
-        fault_timeline = FaultTimeline.load(faults_path)
-    else:
-        # Fault events land inside the admission horizon (not the drain
-        # tail): a preemption after the last arrival still exercises
-        # recovery, but one after the drain would be unobservable.
-        # Rack identities come from the provider's topology so correlated
-        # generators (rack-outage) take out exactly the VMs behind one ToR.
-        racks = {
-            vm.name: provider.topology.rack_of(vm.host) or vm.host
-            for vm in provider.vms()
-        }
-        fault_timeline = generate_faults(
-            [vm.name for vm in provider.vms()],
-            n_epochs=max(2, int(round(hours))),
-            faults=faults,
-            seed=seed ^ _FAULT_SEED_SALT,
-            strength=fault_strength,
-            epoch_s=timeline.epoch_s,
-            racks=racks,
-        )
-    if not fault_timeline.is_empty:
-        attach_faults(provider, fault_timeline)
 
     horizon = hours * timeline.epoch_s
     n_apps = max(1, int(round(apps_per_hour * hours)))

@@ -179,10 +179,6 @@ class Application:
         """Total bytes the application transfers between tasks."""
         return self.traffic.total_bytes
 
-    @property
-    def num_tasks(self) -> int:
-        return len(self.tasks)
-
     def transfers(self) -> List[Tuple[str, str, float]]:
         """Transfers sorted by descending volume (Algorithm 1 input)."""
         return self.traffic.pairs_by_volume()

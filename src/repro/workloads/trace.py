@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, List, Optional, Union
@@ -45,10 +46,14 @@ class FlowRecord:
     num_bytes: float
 
     def __post_init__(self) -> None:
-        if self.timestamp < 0:
-            raise WorkloadError("flow record timestamp must be >= 0")
-        if self.num_bytes < 0:
-            raise WorkloadError("flow record byte count must be >= 0")
+        if not 0 <= self.timestamp < math.inf:
+            raise WorkloadError(
+                f"flow record timestamp must be finite and >= 0, got {self.timestamp!r}"
+            )
+        if not 0 <= self.num_bytes < math.inf:
+            raise WorkloadError(
+                f"flow record byte count must be finite and >= 0, got {self.num_bytes!r}"
+            )
         if not self.src_task or not self.dst_task:
             raise WorkloadError("flow record task names must be non-empty")
 
@@ -74,23 +79,32 @@ def write_trace(records: Iterable[FlowRecord], path: Union[str, Path]) -> int:
     return count
 
 
+#: What a malformed trace raises while it is read and parsed: a bad row or
+#: number (ValueError, which covers bytes that are not UTF-8, TypeError,
+#: KeyError), an integer too large for a float (OverflowError), JSON nested
+#: past the parser's stack (RecursionError), a CSV the reader cannot split
+#: (csv.Error), and a record that fails validation (WorkloadError).
+_MALFORMED = (
+    ValueError, TypeError, KeyError, OverflowError, RecursionError, csv.Error,
+    WorkloadError,
+)
+
+
 def read_trace(path: Union[str, Path]) -> List[FlowRecord]:
     """Read records from a CSV file written by :func:`write_trace`."""
     path = Path(path)
     records: List[FlowRecord] = []
+    line_no = 1
     try:
-        handle_cm = path.open(newline="")
-    except OSError as exc:
-        raise WorkloadError(f"cannot read trace {path}: {exc}") from exc
-    with handle_cm as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != _FIELDS:
-            raise WorkloadError(
-                f"{path} does not look like a flow trace "
-                f"(expected header {_FIELDS}, got {reader.fieldnames})"
-            )
-        for row in reader:
-            try:
+        with path.open(newline="") as handle:
+            reader = csv.DictReader(handle)
+            if reader.fieldnames is None or tuple(reader.fieldnames) != _FIELDS:
+                raise WorkloadError(
+                    f"not a flow trace (expected header {_FIELDS}, got "
+                    f"{reader.fieldnames})"
+                )
+            for row in reader:
+                line_no = reader.line_num
                 records.append(
                     FlowRecord(
                         timestamp=float(row["timestamp"]),
@@ -100,8 +114,12 @@ def read_trace(path: Union[str, Path]) -> List[FlowRecord]:
                         num_bytes=float(row["num_bytes"]),
                     )
                 )
-            except (TypeError, ValueError) as exc:
-                raise WorkloadError(f"malformed trace row {row!r}") from exc
+    except OSError as exc:
+        raise WorkloadError(f"cannot read trace {path}: {exc}") from exc
+    except _MALFORMED as exc:
+        raise WorkloadError(
+            f"{path}:{line_no}: malformed trace record: {exc}"
+        ) from exc
     return records
 
 
@@ -135,16 +153,13 @@ def read_trace_jsonl(path: Union[str, Path]) -> List[FlowRecord]:
     (or any flow collector emitting the same keys)."""
     path = Path(path)
     records: List[FlowRecord] = []
+    line_no = 0
     try:
-        handle_cm = path.open()
-    except OSError as exc:
-        raise WorkloadError(f"cannot read trace {path}: {exc}") from exc
-    with handle_cm as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
+        with path.open() as handle:
+            for line_no, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
                 row = json.loads(line)
                 records.append(
                     FlowRecord(
@@ -155,10 +170,12 @@ def read_trace_jsonl(path: Union[str, Path]) -> List[FlowRecord]:
                         num_bytes=float(row["num_bytes"]),
                     )
                 )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise WorkloadError(
-                    f"{path}:{line_no}: malformed trace record: {exc}"
-                ) from exc
+    except OSError as exc:
+        raise WorkloadError(f"cannot read trace {path}: {exc}") from exc
+    except _MALFORMED as exc:
+        raise WorkloadError(
+            f"{path}:{line_no}: malformed trace record: {exc}"
+        ) from exc
     return records
 
 

@@ -28,16 +28,15 @@ from repro.cloud.provider import ProviderParams, VMFlow
 from repro.cloud.registry import make_provider
 from repro.core.measurement import MeasurementPlan, NetworkMeasurer
 from repro.errors import CloudError, MeasurementError
-from repro.faults import (
-    FaultTimeline, ProbeLoss, VmPreemption, attach_faults, generate_faults,
-)
 from repro.net import topology
 from repro.net.packets import PacketTrainSpec
 from repro.net.topology import (
     TreeSpec, build_multi_rooted_tree,
 )
 from repro.obs.report import load_events
-from repro.service.timeline import attach_timeline, generate_timeline
+from repro.service.timeline import (
+    ProbeLoss, Timeline, VmPreemption, attach_timeline, generate_timeline,
+)
 from repro.units import BITS_PER_BYTE, GBITPS, MBYTE
 
 EPOCH_S = 300.0
@@ -63,21 +62,15 @@ def build_provider(
     provider = make_provider(name, seed=seed, **kwargs)
     provider.request_vms(n_vms)
     names = [vm.name for vm in provider.vms()]
-    if drift is not None:
-        attach_timeline(
-            provider,
-            generate_timeline(
-                provider.base_hose_rates(), 3, drift=drift, seed=seed, epoch_s=EPOCH_S
-            ),
-        )
-    if faults is not None:
+    if drift is not None or faults is not None:
         racks = {
             vm.name: provider.topology.rack_of(vm.host) for vm in provider.vms()
         }
-        attach_faults(
+        attach_timeline(
             provider,
-            generate_faults(
-                names, 2, faults=faults, seed=seed, strength=0.4,
+            generate_timeline(
+                provider.base_hose_rates(), 2, drift=drift or "none",
+                faults=faults or "none", seed=seed, fault_strength=0.4,
                 epoch_s=EPOCH_S, racks=racks,
             ),
         )
@@ -274,7 +267,7 @@ def test_wild_probes_scale_the_estimate():
     # Same seed, same clock, no timeline: the stream is shifted by the lost
     # probes, so compare through the timeline's own verdicts instead.
     wild = [
-        (e.src, e.dst) for e in provider.fault_timeline.events if e.mode == "wild"
+        (e.src, e.dst) for e in provider.timeline.events if e.mode == "wild"
     ]
     assert wild and all(pair in faulty.rates_bps for pair in wild)
     truth = max(clean.hose_rate(vm) for vm in names)
@@ -484,13 +477,6 @@ def test_shared_snapshot_equals_one_simulation_per_pair(seed):
     assert provider._snapshot_rates([pairs[3]], flows)[0] == shared[3]
 
 
-class RaisedHoses:
-    """A hose timeline that lifts every VM's cap above its host's link."""
-
-    def hose_rate_at(self, vm, clock):
-        return 100 * GBITPS
-
-
 @pytest.mark.parametrize("faults", ["random-preempt", "rack-outage", None])
 def test_shared_snapshot_at_forty_vms_under_faults(faults):
     """The service's size: 40 VMs on 24 hosts (so many share one), a
@@ -501,7 +487,8 @@ def test_shared_snapshot_at_forty_vms_under_faults(faults):
     rng = np.random.default_rng(40)
     provider, names = build_provider("ec2", n_vms=40, seed=4, faults=faults)
     if faults is None:
-        provider.hose_timeline = RaisedHoses()
+        # Every VM's cap lifted above its host's link.
+        attach_timeline(provider, Timeline(hose_epochs=[dict.fromkeys(names, 100 * GBITPS)]))
     flows = background_flows(names, rng, n_flows=45)
     pairs = [(s, d) for s in names for d in names if s != d]
     shared = provider._snapshot_rates(pairs, flows)
@@ -580,9 +567,9 @@ def test_a_fail_window_a_wild_window_and_a_preempted_vm_at_once():
     def build():
         provider, names = build_provider("rackspace", n_vms=10, colocate=0.5)
         now = provider.now
-        attach_faults(
+        attach_timeline(
             provider,
-            FaultTimeline(
+            Timeline(
                 events=(
                     ProbeLoss(names[0], names[1], now - 5.0, now + 5.0, mode="fail"),
                     ProbeLoss(names[2], names[3], now - 5.0, now + 5.0,

@@ -1,5 +1,6 @@
 """Fault injection and the self-healing control loop."""
 
+import dataclasses
 import json
 import re
 
@@ -7,19 +8,20 @@ import numpy as np
 import pytest
 
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
-from repro.errors import FaultError, ReproError, ServiceError, WorkloadError
-from repro.faults import (
+from repro.errors import ReproError, ServiceError, WorkloadError
+from repro.service.engine import PlacementService
+from repro.service.session import _resolve_placer, build_churn_session, run_churn_session
+from repro.service.timeline import (
+    DRIFT_NAMES,
     FAULT_NAMES,
-    FaultTimeline,
     LinkDegradation,
     PREEMPTED_RATE_BPS,
     ProbeLoss,
+    Timeline,
     VmPreemption,
-    attach_faults,
-    generate_faults,
+    attach_timeline,
+    generate_timeline,
 )
-from repro.service.engine import PlacementService
-from repro.service.session import _resolve_placer, build_churn_session, run_churn_session
 
 QUICK = dict(n_vms=5, hours=2.0, epoch_s=120.0)
 
@@ -28,11 +30,24 @@ def _canonical(report) -> str:
     return json.dumps(report.canonical_json_dict(), sort_keys=True)
 
 
-def _run_service(seed=0, fault_timeline=None, predictor="combined", **kwargs):
+def _add_events(provider, *events):
+    """Put hand-built fault events on the provider's drift timeline."""
+    attach_timeline(provider, dataclasses.replace(provider.timeline, events=events))
+
+
+def _faults(vms, hours, faults, seed=0, **kwargs):
+    """The fault events ``generate_timeline`` gives ``vms`` (drift frozen)."""
+    return generate_timeline(
+        dict.fromkeys(vms, 1e9), hours, drift="none", faults=faults, seed=seed,
+        **kwargs,
+    ).events
+
+
+def _run_service(seed=0, events=None, predictor="combined", **kwargs):
     params = dict(QUICK, **kwargs)
     provider, cluster, apps, _ = build_churn_session(seed, **params)
-    if fault_timeline is not None:
-        attach_faults(provider, fault_timeline)
+    if events is not None:
+        _add_events(provider, *events)
     service = PlacementService(
         provider, cluster, _resolve_placer("greedy", seed, None),
         predictor=predictor,
@@ -42,20 +57,20 @@ def _run_service(seed=0, fault_timeline=None, predictor="combined", **kwargs):
 
 # ------------------------------------------------------------------ events
 def test_event_validation_rejects_nonsense():
-    with pytest.raises(FaultError):
+    with pytest.raises(ServiceError):
         LinkDegradation(vm="vm1", start_s=10.0, end_s=5.0, multiplier=0.5)
-    with pytest.raises(FaultError):
+    with pytest.raises(ServiceError):
         LinkDegradation(vm="vm1", start_s=0.0, end_s=5.0, multiplier=1.5)
-    with pytest.raises(FaultError):
+    with pytest.raises(ServiceError):
         VmPreemption(vm="vm1", time_s=-1.0)
-    with pytest.raises(FaultError):
+    with pytest.raises(ServiceError):
         ProbeLoss(src="vm1", dst="vm1", start_s=0.0, end_s=5.0)
-    with pytest.raises(FaultError):
+    with pytest.raises(ServiceError):
         ProbeLoss(src="vm1", dst="vm2", start_s=0.0, end_s=5.0, mode="nope")
 
 
 NAN, INF = float("nan"), float("inf")
-#: Each case: how the event is given, and what its FaultError must name.
+#: Each case: how the event is given, and what its ServiceError must name.
 #: Every one of them was accepted before: ``<=`` / ``<`` checks let a NaN
 #: through, and nothing bounded the factor.
 NON_FINITE_EVENTS = {
@@ -88,25 +103,25 @@ def test_non_finite_event_fields_are_rejected_by_name(case, via, tmp_path):
     record = {**_EVENT_DEFAULTS[fields["kind"]], **fields}
     if via == "constructor":
         kind = record.pop("kind")
-        with pytest.raises(FaultError, match=re.escape(names)):
+        with pytest.raises(ServiceError, match=re.escape(names)):
             _EVENT_TYPES[kind](**record)
         return
     path = tmp_path / "non_finite.json"
     # json writes NaN / Infinity / -Infinity, and reads them back as floats.
-    path.write_text(json.dumps({"schema": FAULT_SCHEMA, "events": [record]}))
-    with pytest.raises(FaultError, match="non_finite.json") as caught:
-        FaultTimeline.load(path)
+    path.write_text(json.dumps({**EMPTY_TIMELINE, "events": [record]}))
+    with pytest.raises(ServiceError, match="non_finite.json") as caught:
+        Timeline.load(path)
     assert names in str(caught.value)
 
 
 def test_a_window_may_stay_open_forever():
     window = ProbeLoss(src="a", dst="b", start_s=5.0, end_s=INF, mode="wild", factor=2.0)
-    assert FaultTimeline(events=(window,)).probe_fault("a", "b", 1e12) == ("wild", 2.0)
+    assert Timeline(events=(window,)).probe_fault("a", "b", 1e12) == ("wild", 2.0)
     assert LinkDegradation(vm="a", start_s=0.0, end_s=INF, multiplier=0.5).end_s == INF
 
 
 def test_timeline_sorts_events_and_reports_window_membership():
-    timeline = FaultTimeline(events=(
+    timeline = Timeline(events=(
         ProbeLoss(src="a", dst="b", start_s=500.0, end_s=600.0),
         VmPreemption(vm="c", time_s=100.0),
         LinkDegradation(vm="a", start_s=300.0, end_s=400.0, multiplier=0.5),
@@ -119,7 +134,7 @@ def test_timeline_sorts_events_and_reports_window_membership():
 
 
 def test_fault_effects_on_rates_and_probes():
-    timeline = FaultTimeline(events=(
+    timeline = Timeline(events=(
         VmPreemption(vm="dead", time_s=100.0),
         LinkDegradation(vm="slow", start_s=50.0, end_s=150.0, multiplier=0.25),
         ProbeLoss(src="a", dst="b", start_s=0.0, end_s=10.0, mode="fail"),
@@ -158,7 +173,7 @@ def test_probe_faults_is_probe_fault_for_every_probe(seed):
     src = np.repeat(np.arange(7), 7)
     dst = np.tile(np.arange(7), 7)
     src, dst = src[src != dst], dst[src != dst]
-    for timeline in (FaultTimeline(events=tuple(events)), FaultTimeline()):
+    for timeline in (Timeline(events=tuple(events)), Timeline()):
         for t in (0.0, 20.0, 40.0, 41.5, 79.0, 500.0):
             lost, factor = timeline.probe_faults(vms, src, dst, t)
             for i, (a, b) in enumerate(zip(src.tolist(), dst.tolist())):
@@ -172,50 +187,42 @@ def test_probe_faults_is_probe_fault_for_every_probe(seed):
 
 # -------------------------------------------------------------- persistence
 def test_save_load_round_trip(tmp_path):
-    timeline = generate_faults(
-        [f"vm{i}" for i in range(1, 7)], n_epochs=4, faults="link-flap",
-        seed=3, epoch_s=300.0,
+    timeline = generate_timeline(
+        {f"vm{i}": 1e9 * i for i in range(1, 7)}, 4, drift="diurnal",
+        faults="link-flap", seed=3, epoch_s=300.0,
     )
-    assert not timeline.is_empty
-    path = tmp_path / "faults.json"
+    assert timeline.events and timeline.hose_epochs
+    path = tmp_path / "timeline.json"
     timeline.save(path)
-    loaded = FaultTimeline.load(path)
-    assert loaded.events == timeline.events
-    assert loaded.generator == timeline.generator
+    loaded = Timeline.load(path)
+    assert loaded == timeline
+    assert (loaded.drift, loaded.faults) == ("diurnal", "link-flap")
 
 
 def test_load_errors_name_the_file_and_field(tmp_path):
-    with pytest.raises(FaultError, match="missing.json"):
-        FaultTimeline.load(tmp_path / "missing.json")
+    with pytest.raises(ServiceError, match="missing.json"):
+        Timeline.load(tmp_path / "missing.json")
 
     bad_schema = tmp_path / "bad_schema.json"
     bad_schema.write_text(json.dumps({"schema": "other", "events": []}))
-    with pytest.raises(FaultError, match="bad_schema.json"):
-        FaultTimeline.load(bad_schema)
+    with pytest.raises(ServiceError, match="bad_schema.json"):
+        Timeline.load(bad_schema)
 
     missing_field = tmp_path / "missing_field.json"
     missing_field.write_text(json.dumps({
-        "schema": "repro.faults/timeline/v1",
-        "generator": "recorded",
-        "events": [{"kind": "vm-preemption"}],
+        **EMPTY_TIMELINE, "events": [{"kind": "vm-preemption"}],
     }))
-    with pytest.raises(FaultError, match="missing field"):
-        FaultTimeline.load(missing_field)
+    with pytest.raises(ServiceError, match="missing field 'vm'"):
+        Timeline.load(missing_field)
+
+    missing_epoch = tmp_path / "missing_epoch.json"
+    missing_epoch.write_text(json.dumps({"schema": SCHEMA, "hose_epochs": []}))
+    with pytest.raises(ServiceError, match="missing field 'epoch_s'"):
+        Timeline.load(missing_epoch)
 
 
-def test_timeline_load_error_names_missing_field(tmp_path):
-    from repro.service.timeline import NetworkTimeline
-
-    path = tmp_path / "t.json"
-    path.write_text(json.dumps({
-        "schema": "repro.service/timeline/v1", "hose_epochs": [],
-    }))
-    with pytest.raises(ServiceError, match="missing field"):
-        NetworkTimeline.load(path)
-
-
-FAULT_SCHEMA = "repro.faults/timeline/v1"
-NETWORK_SCHEMA = "repro.service/timeline/v1"
+SCHEMA = "repro.service/timeline/v2"
+EMPTY_TIMELINE = {"schema": SCHEMA, "epoch_s": 60.0}
 NOT_A_TIMELINE = {
     "truncated": '{"schema": ',
     "list": "[]",
@@ -223,46 +230,30 @@ NOT_A_TIMELINE = {
     "null": "null",
     "wrong-schema": '{"schema": "other"}',
 }
-HOSTILE_FAULT_FILES = {
-    **NOT_A_TIMELINE,
-    "events-number": json.dumps({"schema": FAULT_SCHEMA, "events": 5}),
-    "events-null": json.dumps({"schema": FAULT_SCHEMA, "events": None}),
-    "non-numeric-time": json.dumps({
-        "schema": FAULT_SCHEMA,
-        "events": [{"kind": "vm-preemption", "vm": "a", "time_s": "soon"}],
-    }),
-}
 HOSTILE_TIMELINE_FILES = {
     **NOT_A_TIMELINE,
     **{
-        name: json.dumps({"schema": NETWORK_SCHEMA, "epoch_s": 60.0, **fields})
+        name: json.dumps({**EMPTY_TIMELINE, **fields})
         for name, fields in {
+            "events-number": {"events": 5},
+            "events-null": {"events": None},
+            "non-numeric-time": {
+                "events": [{"kind": "vm-preemption", "vm": "a", "time_s": "soon"}],
+            },
             "hose-epoch-list": {"hose_epochs": [[1, 2]]},
             "hose-epoch-null": {"hose_epochs": [None]},
-            "pair-epoch-list": {"hose_epochs": [{"a": 1e9}], "pair_epochs": [[1]]},
             "non-numeric-rate": {"hose_epochs": [{"a": "fast"}]},
         }.items()
     },
 }
 
 
-@pytest.mark.parametrize("case", sorted(HOSTILE_FAULT_FILES))
-def test_hostile_fault_file_raises_fault_error_naming_the_file(tmp_path, case):
-    path = tmp_path / "hostile_faults.json"
-    path.write_text(HOSTILE_FAULT_FILES[case])
-    with pytest.raises(FaultError, match="hostile_faults.json") as caught:
-        FaultTimeline.load(path)
-    assert isinstance(caught.value, ReproError)
-
-
 @pytest.mark.parametrize("case", sorted(HOSTILE_TIMELINE_FILES))
 def test_hostile_timeline_file_raises_service_error_naming_the_file(tmp_path, case):
-    from repro.service.timeline import NetworkTimeline
-
     path = tmp_path / "hostile_timeline.json"
     path.write_text(HOSTILE_TIMELINE_FILES[case])
     with pytest.raises(ServiceError, match="hostile_timeline.json") as caught:
-        NetworkTimeline.load(path)
+        Timeline.load(path)
     assert isinstance(caught.value, ReproError)
 
 
@@ -282,34 +273,42 @@ def test_generators_are_deterministic_and_registered():
     }
     vms = [f"vm{i}" for i in range(1, 9)]
     for name in FAULT_NAMES:
-        a = generate_faults(vms, n_epochs=4, faults=name, seed=11)
-        b = generate_faults(vms, n_epochs=4, faults=name, seed=11)
-        assert a.events == b.events
-    assert generate_faults(vms, n_epochs=4, faults="none", seed=0).is_empty
-    assert generate_faults(
-        vms, n_epochs=4, faults="random-preempt", seed=0, strength=0.0
-    ).is_empty
+        assert _faults(vms, 4, name, seed=11) == _faults(vms, 4, name, seed=11)
+    assert not _faults(vms, 4, "none")
+    assert not _faults(vms, 4, "random-preempt", fault_strength=0.0)
+
+
+@pytest.mark.parametrize("strength", [NAN, INF, -1.0])
+@pytest.mark.parametrize(
+    "kind, name",
+    [("drift", name) for name in DRIFT_NAMES]
+    + [("faults", name) for name in FAULT_NAMES],
+)
+def test_a_strength_outside_zero_to_infinity_is_refused_by_name(kind, name, strength):
+    """NaN and infinity used to escape as a bare ``ValueError`` or
+    ``OverflowError``, or to pass silently: every pair lossy, no VM
+    flapping, a clamped diurnal amplitude."""
+    knob = "drift_strength" if kind == "drift" else "fault_strength"
+    with pytest.raises(ServiceError, match=f"{re.escape(repr(name))}.*{strength!r}"):
+        generate_timeline(
+            {f"vm{i}": 1e9 for i in range(1, 9)}, 4, **{kind: name, knob: strength}
+        )
 
 
 def test_random_preempt_never_kills_below_min_survivors():
     vms = [f"vm{i}" for i in range(1, 6)]
-    timeline = generate_faults(
-        vms, n_epochs=6, faults="random-preempt", seed=5, strength=1.0
-    )
-    preempted = {e.vm for e in timeline.events}
+    events = _faults(vms, 6, "random-preempt", seed=5, fault_strength=1.0)
+    preempted = {e.vm for e in events}
     assert len(vms) - len(preempted) >= 3
 
 
 def test_rack_outage_takes_whole_racks_in_one_epoch_window():
     vms = [f"vm{i}" for i in range(12)]
     racks = {vm: f"rack-{i // 4}" for i, vm in enumerate(vms)}
-    timeline = generate_faults(
-        vms, n_epochs=6, faults="rack-outage", seed=3, racks=racks,
-        epoch_s=100.0,
-    )
-    assert not timeline.is_empty
+    events = _faults(vms, 6, "rack-outage", seed=3, racks=racks, epoch_s=100.0)
+    assert events
     by_rack = {}
-    for event in timeline.events:
+    for event in events:
         assert isinstance(event, VmPreemption)
         by_rack.setdefault(racks[event.vm], []).append(event)
     for rack, events in by_rack.items():
@@ -322,23 +321,18 @@ def test_rack_outage_takes_whole_racks_in_one_epoch_window():
 def test_rack_outage_always_spares_a_rack_and_min_survivors():
     vms = [f"vm{i}" for i in range(12)]
     racks = {vm: f"rack-{i // 4}" for i, vm in enumerate(vms)}
-    timeline = generate_faults(
-        vms, n_epochs=6, faults="rack-outage", seed=3, strength=10.0,
-        racks=racks,
-    )
-    dead_racks = {racks[e.vm] for e in timeline.events}
+    events = _faults(vms, 6, "rack-outage", seed=3, fault_strength=10.0, racks=racks)
+    dead_racks = {racks[e.vm] for e in events}
     assert len(dead_racks) < len(set(racks.values()))
-    assert len(vms) - len({e.vm for e in timeline.events}) >= 3
+    assert len(vms) - len({e.vm for e in events}) >= 3
 
 
 def test_rack_outage_pseudo_rack_fallback_and_determinism():
     vms = [f"vm{i}" for i in range(8)]
-    a = generate_faults(vms, n_epochs=4, faults="rack-outage", seed=9)
-    b = generate_faults(vms, n_epochs=4, faults="rack-outage", seed=9)
-    assert a.events == b.events and not a.is_empty
+    a = _faults(vms, 4, "rack-outage", seed=9)
+    assert a == _faults(vms, 4, "rack-outage", seed=9) and a
     # A single rack (or fewer VMs than one pseudo-rack) is never taken out.
-    tiny = generate_faults(vms[:3], n_epochs=4, faults="rack-outage", seed=9)
-    assert tiny.is_empty
+    assert not _faults(vms[:3], 4, "rack-outage", seed=9)
 
 
 def test_rack_outage_churn_session_preempts_one_tor():
@@ -346,8 +340,8 @@ def test_rack_outage_churn_session_preempts_one_tor():
         0, n_vms=8, hours=3.0, epoch_s=60.0,
         faults="rack-outage", fault_strength=0.3,
     )
-    timeline = provider.fault_timeline
-    assert not timeline.is_empty
+    timeline = provider.timeline
+    assert timeline.events
     racks = {
         vm.name: provider.topology.rack_of(vm.host) for vm in provider.vms()
     }
@@ -372,18 +366,18 @@ def test_rack_outage_fault_churn_scenario_runs():
 
 
 def test_unknown_generator_and_foreign_vms_fail():
-    with pytest.raises(FaultError):
-        generate_faults(["a", "b"], n_epochs=2, faults="martian-invasion")
+    with pytest.raises(ServiceError):
+        _faults(["a", "b"], 2, "martian-invasion")
     provider, _, _, _ = build_churn_session(0, **QUICK)
-    foreign = FaultTimeline(events=(VmPreemption(vm="not-a-vm", time_s=10.0),))
-    with pytest.raises(FaultError):
-        attach_faults(provider, foreign)
+    foreign = Timeline(events=(VmPreemption(vm="not-a-vm", time_s=10.0),))
+    with pytest.raises(ServiceError):
+        attach_timeline(provider, foreign)
 
 
 # ------------------------------------------------------------- bit-identity
 def test_empty_fault_timeline_is_bit_identical_to_no_faults():
     baseline = _run_service(seed=3)
-    with_empty = _run_service(seed=3, fault_timeline=FaultTimeline())
+    with_empty = _run_service(seed=3, events=())
     assert _canonical(baseline) == _canonical(with_empty)
 
 
@@ -416,10 +410,10 @@ def test_fault_churn_scenario_is_deterministic():
 def test_preemption_mid_session_recovers_or_rejects():
     provider, cluster, apps, _ = build_churn_session(0, **QUICK)
     victims = [vm.name for vm in provider.vms()][:2]
-    attach_faults(provider, FaultTimeline(events=tuple(
+    _add_events(provider, *(
         VmPreemption(vm=vm, time_s=100.0 + 50.0 * i)
         for i, vm in enumerate(victims)
-    )))
+    ))
     service = PlacementService(
         provider, cluster, _resolve_placer("greedy", 0, None),
         predictor="combined",
@@ -447,10 +441,11 @@ def test_probe_loss_burst_degrades_pairs_without_crashing():
         0, n_vms=5, hours=3.0, epoch_s=120.0
     )
     vms = [vm.name for vm in provider.vms()]
-    attach_faults(provider, FaultTimeline(events=(
+    _add_events(
+        provider,
         ProbeLoss(src=vms[0], dst=vms[1], start_s=121.0, end_s=1e9),
         ProbeLoss(src=vms[1], dst=vms[0], start_s=121.0, end_s=1e9),
-    )))
+    )
     service = PlacementService(
         provider, cluster, _resolve_placer("greedy", 0, None),
         predictor="combined",
@@ -461,9 +456,7 @@ def test_probe_loss_burst_degrades_pairs_without_crashing():
 
 
 def test_recovery_actions_serialise_into_the_report():
-    report = _run_service(seed=0, fault_timeline=FaultTimeline(events=(
-        VmPreemption(vm="vm1", time_s=100.0),
-    )))
+    report = _run_service(seed=0, events=(VmPreemption(vm="vm1", time_s=100.0),))
     payload = report.to_json_dict()
     assert "recovery" in payload
     assert payload["recovery"], "expected at least one recovery action"
@@ -477,9 +470,7 @@ def test_recovery_actions_serialise_into_the_report():
 def test_measurer_retries_then_degrades_and_charges_backoff():
     provider, _, _, _ = build_churn_session(0, **QUICK)
     vms = [vm.name for vm in provider.vms()][:3]
-    attach_faults(provider, FaultTimeline(events=(
-        ProbeLoss(src=vms[0], dst=vms[1], start_s=0.0, end_s=1e9),
-    )))
+    _add_events(provider, ProbeLoss(src=vms[0], dst=vms[1], start_s=0.0, end_s=1e9))
     plan = MeasurementPlan(
         advance_clock=False, max_retries=2, retry_backoff_s=4.0
     )
@@ -500,10 +491,11 @@ def test_measurer_retries_then_degrades_and_charges_backoff():
 def test_probe_budget_caps_retries():
     provider, _, _, _ = build_churn_session(0, **QUICK)
     vms = [vm.name for vm in provider.vms()][:3]
-    attach_faults(provider, FaultTimeline(events=(
+    _add_events(
+        provider,
         ProbeLoss(src=vms[0], dst=vms[1], start_s=0.0, end_s=1e9),
         ProbeLoss(src=vms[1], dst=vms[2], start_s=0.0, end_s=1e9),
-    )))
+    )
     plan = MeasurementPlan(
         advance_clock=False, max_retries=5, retry_backoff_s=1.0, probe_budget=1
     )
@@ -524,10 +516,11 @@ def test_wild_probe_estimates_skew_the_measured_rate():
     ).measure(vms)
 
     provider2, _, _, _ = build_churn_session(0, **kwargs)
-    attach_faults(provider2, FaultTimeline(events=(
+    _add_events(
+        provider2,
         ProbeLoss(src=vms[0], dst=vms[1], start_s=0.0, end_s=1e9,
                   mode="wild", factor=4.0),
-    )))
+    )
     wild = NetworkMeasurer(
         provider2, plan=MeasurementPlan(advance_clock=False)
     ).measure(vms)

@@ -24,7 +24,7 @@ from repro.runtime.migration import (
     live_background_flows,
     live_book_violations,
 )
-from repro.service.engine import PlacementService
+from repro.service.engine import PlacementService, report_violations
 from repro.service.session import build_churn_session
 from repro.units import GBYTE
 from repro.workloads.application import Application, Task, TrafficMatrix
@@ -81,7 +81,7 @@ class Ledger:
 
 
 # ------------------------------------------------------ golden service sessions
-#: ``test_service.TestGoldenDigests``' two sessions.
+#: Two of ``test_service.TestGoldenDigests``' sessions.
 _GOLDEN_SESSION = dict(
     n_vms=12, hours=8, drift="hotspot-flap", epoch_s=120.0, apps_per_hour=2.0,
 )
@@ -103,6 +103,7 @@ def test_books_balance_at_every_cut_of_the_golden_sessions(
     assert len(report.recovery) == recoveries and report.migrations
     assert ledger.checks > 2 * len(apps)
     assert ledger.problems == []
+    assert report_violations(report) == []
     # An application completes when its last byte is delivered or, if that
     # is later, when the placement that colocated the rest was set — here one
     # migrates at t = 600 s onto VMs that do — and not when the next unrelated

@@ -13,11 +13,13 @@ from repro.errors import MeasurementError, ServiceError
 from repro.experiments.placers import resolve_placer
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
 from repro.service.cache import MeasurementCache
+from repro.service.engine import report_violations
 from repro.service.forecast import RateForecaster
 from repro.service.session import build_churn_session, run_churn_session
 from repro.service.timeline import (
     DRIFT_NAMES,
-    NetworkTimeline,
+    TAIL_EPOCHS,
+    Timeline,
     attach_timeline,
     generate_timeline,
 )
@@ -36,14 +38,14 @@ def _fresh_provider(n_vms=4, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# NetworkTimeline
+# Timeline
 # ---------------------------------------------------------------------------
-class TestNetworkTimeline:
+class TestTimeline:
     def test_every_drift_generates_and_validates(self):
         base = {"vm1": 1e9, "vm2": 8e8, "vm3": 9e8}
         for drift in DRIFT_NAMES:
-            timeline = generate_timeline(base, n_epochs=30, drift=drift, seed=1)
-            assert timeline.n_epochs == 30
+            timeline = generate_timeline(base, 22, drift=drift, seed=1)
+            assert timeline.n_epochs == 22 + TAIL_EPOCHS
             assert set(timeline.hose_epochs[0]) == set(base)
             for epoch in timeline.hose_epochs:
                 for vm, rate in epoch.items():
@@ -59,12 +61,12 @@ class TestNetworkTimeline:
         timeline = generate_timeline({"vm1": 1e9}, 3, drift="none", epoch_s=60.0)
         assert timeline.epoch_of(0.0) == 0
         assert timeline.epoch_of(119.9) == 1
-        assert timeline.epoch_of(1e9) == 2
+        assert timeline.epoch_of(1e9) == 2 + TAIL_EPOCHS
 
     def test_hotspot_flap_collapses_a_subset(self):
         base = {f"vm{i}": 1e9 for i in range(10)}
         timeline = generate_timeline(
-            base, 8, drift="hotspot-flap", seed=2, strength=0.4
+            base, 8, drift="hotspot-flap", seed=2, drift_strength=0.4
         )
         collapsed = {
             vm
@@ -79,27 +81,22 @@ class TestNetworkTimeline:
         timeline = generate_timeline(
             {"vm1": 1e9, "vm2": 8e8}, 5, drift="diurnal", seed=3, epoch_s=120.0
         )
-        timeline.pair_epochs = [
-            {("vm1", "vm2"): 5e8} for _ in range(timeline.n_epochs)
-        ]
         path = tmp_path / "timeline.json"
         timeline.save(path)
-        loaded = NetworkTimeline.load(path)
+        loaded = Timeline.load(path)
         assert loaded.epoch_s == timeline.epoch_s
         assert loaded.drift == "diurnal"
         assert loaded.hose_epochs == timeline.hose_epochs
-        assert loaded.pair_epochs == timeline.pair_epochs
-        assert loaded.pair_rate_at("vm1", "vm2", 130.0) == 5e8
 
     def test_load_rejects_non_timeline_json(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text(json.dumps({"schema": "something-else"}))
         with pytest.raises(ServiceError):
-            NetworkTimeline.load(path)
+            Timeline.load(path)
 
     def test_validation_rejects_mismatched_epochs(self):
         with pytest.raises(ServiceError):
-            NetworkTimeline(
+            Timeline(
                 epoch_s=60.0,
                 hose_epochs=[{"vm1": 1e9}, {"vm2": 1e9}],
             )
@@ -109,7 +106,7 @@ class TestNetworkTimeline:
     def test_attached_timeline_drives_provider_ground_truth(self):
         provider = _fresh_provider(n_vms=2)
         names = [vm.name for vm in provider.vms()]
-        timeline = NetworkTimeline(
+        timeline = Timeline(
             epoch_s=60.0,
             hose_epochs=[
                 {names[0]: 4e8, names[1]: 5e8},
@@ -348,10 +345,21 @@ class TestGoldenDigests:
                 "rack-outage", 3, 3,
                 "f539e1d5de748f62e7fbe3e1f01867be7f19e3af2fe79af68d9c52e6d756a90f",
             ),
+            # The only generator whose degradations multiply into drifted
+            # rates, and the only one that drives the probe-loss hooks.
+            (
+                "link-flap", 1, 8,
+                "1d7d46bb34d86cb141ce5543fd4e45ea024022cb2a43e164df67ae7274b52f9c",
+            ),
+            (
+                "lossy-probes", 1, 12,
+                "d5127d3fcacfba03d345e47a3017585affde07875ef27c21726fe8c2e432445e",
+            ),
         ],
     )
     def test_session_digest_is_pinned(self, faults, migrations, recoveries, digest):
         report = run_churn_session(0, faults=faults, **self._SESSION)
+        assert report_violations(report) == []
         assert len(report.migrations) == migrations
         assert len(report.recovery) == recoveries
         canonical = json.dumps(report.canonical_json_dict(), sort_keys=True)
@@ -404,7 +412,7 @@ class TestServiceMigration:
         healthy = {names[0]: 1.2e9, names[1]: 8e8, names[2]: 7e8}
         collapsed = dict(healthy)
         collapsed[names[0]] = 1e8
-        timeline = NetworkTimeline(
+        timeline = Timeline(
             epoch_s=60.0,
             hose_epochs=[healthy, healthy] + [collapsed] * 10,
             drift="recorded",
@@ -477,6 +485,38 @@ class TestServiceChurnScenario:
             spec.build(seed=0, predictor="nope")
 
 
+def test_report_violations_names_each_broken_rule():
+    from repro.runtime.migration import MigrationEvent
+    from repro.service.engine import AppOutcome, RecoveryAction, ServiceReport
+
+    def recovery(time_s, event_time_s):
+        return RecoveryAction(
+            time_s=time_s, event_time_s=event_time_s, epoch=1,
+            kind="vm-preemption", target="vm1", action="removed",
+        )
+
+    def migration(time_s):
+        return MigrationEvent(time_s, "early", ("a",), 0.5)
+
+    report = ServiceReport(
+        predictor="combined", placer="greedy", hours=2, epoch_s=60.0,
+        ttl_s=30.0, drift="none",
+        apps=[
+            AppOutcome("early", "completed", arrived_at=10.0, completed_at=5.0),
+            AppOutcome("ghost", "rejected", arrived_at=0.0, recoveries=1),
+            AppOutcome("fine", "completed", arrived_at=0.0, completed_at=0.0),
+        ],
+        migrations=[migration(120.0), migration(60.0)],
+        recovery=[recovery(60.0, 30.0), recovery(60.0, 90.0)],
+    )
+    problems = report_violations(report)
+    assert len(problems) == 4, problems
+    for name in ("early", "ghost", "a migration at 60.0", "before its fault"):
+        assert any(name in problem for problem in problems), (name, problems)
+    report.apps, report.migrations, report.recovery = report.apps[2:], [], []
+    assert report_violations(report) == []
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -497,7 +537,7 @@ class TestServiceCLI:
         assert payload["report"]["predictor"] == "combined"
         assert "oracle_report" in payload
         assert "mean_regret_vs_oracle" in payload
-        NetworkTimeline.load(timeline_out)  # must be a valid timeline
+        Timeline.load(timeline_out)  # must be a valid timeline
         assert "mean completion time" in capsys.readouterr().out
 
     def test_list_names_drifts_and_predictors(self, capsys):
@@ -507,7 +547,10 @@ class TestServiceCLI:
         out = capsys.readouterr().out
         assert "hotspot-flap" in out and "combined" in out
 
-    def test_replay_saved_timeline(self, tmp_path):
+    @pytest.mark.parametrize("faults", ["none", "rack-outage"])
+    def test_replay_saved_timeline(self, tmp_path, faults):
+        """One file carries drift and faults: the replay needs no
+        ``--faults`` to recover the same preemptions."""
         from repro.service.__main__ import main
 
         timeline_out = tmp_path / "timeline.json"
@@ -517,7 +560,7 @@ class TestServiceCLI:
             "run", "--hours", "2", "--n-vms", "4", "--epoch-s", "60",
             "--seed", "3", "--no-oracle",
         ]
-        assert main(base + ["--save-timeline", str(timeline_out),
+        assert main(base + ["--faults", faults, "--save-timeline", str(timeline_out),
                             "--output", str(a)]) == 0
         assert main(base + ["--timeline", str(timeline_out),
                             "--output", str(b)]) == 0
@@ -526,6 +569,7 @@ class TestServiceCLI:
         for payload in (canon_a, canon_b):
             payload["session_wall_s"] = payload["placement_wall_s"] = 0.0
         assert canon_a == canon_b
+        assert bool(canon_a["recovery"]) == (faults != "none")
 
 
 # ---------------------------------------------------------------------------

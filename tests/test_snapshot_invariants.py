@@ -18,7 +18,6 @@ import pytest
 from oracles.max_min import max_min_allocation
 from repro.cloud.provider import CloudProvider, ProviderParams, VMFlow
 from repro.errors import ReproError, SimulationError
-from repro.faults import PREEMPTED_RATE_BPS
 from repro.net.fairness import (
     FlowDemand,
     max_min_violations,
@@ -26,20 +25,11 @@ from repro.net.fairness import (
 )
 from repro.net.links import hose_link_id
 from repro.net.topology import TreeSpec
+from repro.service.timeline import PREEMPTED_RATE_BPS, Timeline
 from repro.units import GBITPS, MBITPS
 
 BACKGROUND_SIZES = (0, 1, 5, 60, 300)
 HOSE_STATES = ("drifted", "preempted", "raised")
-
-
-class FixedHoses:
-    """A hose timeline that pins some VMs' egress caps (``None``: not covered)."""
-
-    def __init__(self, rates):
-        self.rates = rates
-
-    def hose_rate_at(self, vm, clock):
-        return self.rates.get(vm)
 
 
 def random_provider(rng, hose_state):
@@ -66,12 +56,12 @@ def random_provider(rng, hose_state):
     provider.advance_time(float(rng.uniform(10.0, 900.0)))
     names = [vm.name for vm in provider.vms()]
     if hose_state == "preempted":
-        provider.hose_timeline = FixedHoses(
-            {str(rng.choice(names)): PREEMPTED_RATE_BPS}
+        provider.timeline = Timeline(
+            hose_epochs=[{str(rng.choice(names)): PREEMPTED_RATE_BPS}]
         )
     elif hose_state == "raised":
         # Above every host link, so equal-capacity physical links tie.
-        provider.hose_timeline = FixedHoses(dict.fromkeys(names, 100 * GBITPS))
+        provider.timeline = Timeline(hose_epochs=[dict.fromkeys(names, 100 * GBITPS)])
     return provider, names
 
 
