@@ -24,7 +24,8 @@ import math
 import threading
 from dataclasses import dataclass, field, replace
 from typing import (
-    Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
+    Tuple, Union,
 )
 
 import numpy as np
@@ -127,6 +128,18 @@ class TrainBatch:
     rtt_s: Optional[np.ndarray] = None
 
 
+class _Routes(NamedTuple):
+    """Every ordered pair of a tenant's VMs, routed once.
+
+    Row ``s * n + d`` (``n`` VMs) is the pair of VM positions ``(s, d)``;
+    a pair on one host crosses that host's loopback link.
+    """
+
+    links: np.ndarray  # [pair, hop] link indices (:meth:`Topology.links`), -1 padded
+    lengths: np.ndarray  # [pair] links on the path: the paper's hop count
+    bottleneck: np.ndarray  # [pair] capacity of the narrowest link
+
+
 @dataclass(frozen=True)
 class ProviderParams:
     """Everything that distinguishes one synthetic provider from another.
@@ -211,10 +224,12 @@ class CloudProvider:
         self._host_vms: Dict[str, int] = {}
         self._used_hosts: List[str] = []
         self._free_hosts: List[str] = list(hosts)
-        # VM name -> position in allocation order, and each VM's host index
-        # by position; both rebuilt on demand after the VM set changes.
+        # VM name -> position in allocation order, each VM's host index by
+        # position, and the routes between every two VMs; all rebuilt on
+        # demand after the VM set changes.
         self._vm_position: Optional[Dict[str, int]] = None
         self._vm_host: Optional[np.ndarray] = None
+        self._routes: Optional[_Routes] = None
         #: When set (see :func:`repro.service.timeline.attach_timeline`), the
         #: ground truth follows the timeline: VMs its drift table covers take
         #: their egress cap from it at the current clock instead of the
@@ -242,7 +257,7 @@ class CloudProvider:
         if n < 1:
             raise CloudError("must request at least one VM")
         new_vms: List[VirtualMachine] = []
-        self._vm_position = self._vm_host = None
+        self._vm_position = self._vm_host = self._routes = None
         for _ in range(n):
             self._vm_counter += 1
             name = f"{name_prefix}{self._vm_counter}"
@@ -296,7 +311,7 @@ class CloudProvider:
             del self._host_vms[host]
             del self._used_hosts[bisect.bisect_left(self._used_hosts, host)]
             bisect.insort(self._free_hosts, host)
-        self._vm_position = self._vm_host = None
+        self._vm_position = self._vm_host = self._routes = None
 
     # ---------------------------------------------------------------- clock
     @property
@@ -502,7 +517,7 @@ class CloudProvider:
         if not window_s > 0:
             raise CloudError(f"window_s must be positive, got {window_s!r}")
         pairs = self._pair_positions(pairs)
-        return self._loaded_rates(pairs[:, 0], pairs[:, 1], background, window_s)[0]
+        return self._loaded_rates(pairs[:, 0], pairs[:, 1], background, window_s)
 
     def vm_positions(self, names: Iterable[str]) -> np.ndarray:
         """Each named VM's position in allocation order (:meth:`vms`)."""
@@ -537,21 +552,40 @@ class CloudProvider:
             )
         return self._vm_host
 
+    def _route_table(self) -> _Routes:
+        """The routes between every two of the tenant's VMs, by position.
+
+        Routed in one :meth:`Topology.path_links_matrix` call the first
+        time a campaign needs a path, and kept until the VM set changes:
+        every campaign after that gathers its probes' and its background's
+        rows, bottlenecks and hop counts from here instead of routing them.
+        """
+        if self._routes is None:
+            hosts = self._vm_hosts()
+            n = hosts.shape[0]
+            links, lengths, _ = self.topology.path_links_matrix(
+                np.column_stack((np.repeat(hosts, n), np.tile(hosts, n)))
+            )
+            # A -1 padding entry reads the appended +inf.
+            capacity = np.append(self.topology.capacity_vector(), np.inf)
+            self._routes = _Routes(links, lengths, capacity[links].min(axis=1))
+        return self._routes
+
     def _loaded_rates(
         self,
         src: np.ndarray,
         dst: np.ndarray,
         background: Sequence[VMFlow],
         window_s: float = 0.1,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Snapshot rate and narrowest physical link of each probe
-        ``src[i] -> dst[i]`` (VM positions in allocation order).
+    ) -> np.ndarray:
+        """Snapshot rate of each probe ``src[i] -> dst[i]`` (VM positions in
+        allocation order).
 
         A snapshot is the probe's rate in the max-min allocation of the
         probe and the backlogged background — what a fresh :meth:`simulate`
-        per probe would record, bit for bit.  Probes and background are
-        routed in one pass, and :func:`probe_rates_under_load` reads every
-        probe's rate off one filling of the background.
+        per probe would record, bit for bit.  Probes and background read
+        their paths off the route table, and :func:`probe_rates_under_load`
+        reads every probe's rate off one filling of the background.
         """
         flow_ids = set()
         for flow in background:
@@ -560,23 +594,23 @@ class CloudProvider:
             flow_ids.add(flow.flow_id)
         n = src.shape[0]
         if not n:
-            return np.zeros(0), np.zeros(0)
+            return np.zeros(0)
         src = np.concatenate(
             (src, self.vm_positions(flow.src_vm for flow in background))
         )
         dst = np.concatenate(
             (dst, self.vm_positions(flow.dst_vm for flow in background))
         )
-        ends = self._vm_hosts()[np.column_stack((src, dst))]
-        paths = self.topology.path_links_matrix(ends)[0]
+        paths = self._route_table().links[src * len(self._vms) + dst]
         links = self.topology.capacity_vector()
         # A simulation's link order: the topology's links, then one hose per
         # VM in allocation order.  The hose applies to the VM's egress onto
         # the physical network, so intra-host traffic bypasses it; the hose
         # of a VM that sends nothing is on no row and is not read.
-        egress = ends[:, 0] != ends[:, 1]
+        vm_host = self._vm_hosts()
+        egress = vm_host[src] != vm_host[dst]
         hose = self._sender_hoses(src[egress])
-        rows = np.empty((ends.shape[0], 1 + paths.shape[1]), dtype=np.intp)
+        rows = np.empty((paths.shape[0], 1 + paths.shape[1]), dtype=np.intp)
         rows[:, 0] = np.where(egress, links.shape[0] + src, -1)
         rows[:, 1:] = paths
         rates, rounds = probe_rates_under_load(
@@ -584,9 +618,8 @@ class CloudProvider:
         )
         SNAPSHOT_PROBES.inc(n)
         SNAPSHOT_ROUNDS.inc(rounds)
-        physical = np.where(paths[:n] >= 0, links[paths[:n]], np.inf).min(axis=1)
         # RateTimeline.average_rate's own expression for one segment.
-        return (0.0 + rates * window_s) / window_s, physical
+        return (0.0 + rates * window_s) / window_s
 
     def _sender_hoses(self, senders: np.ndarray) -> np.ndarray:
         """Every VM's hose rate by position, read for ``senders`` only (the
@@ -611,8 +644,9 @@ class CloudProvider:
 
         The clock does not move between the trains, so which probes an
         injected fault loses (:attr:`TrainBatch.lost`; they draw nothing),
-        every VM's hose rate and the background are fixed up front, and the
-        burst model runs over all pairs at once.  Randomness comes in
+        every VM's hose rate and the background are fixed up front, every
+        path is read off the route table, and the burst model runs over all
+        bursts of all pairs at once.  Randomness comes in
         blocks: each train that is sent consumes one rate-noise normal and
         ``2 * n_bursts`` jitter normals, in train order; a lossy provider
         then draws every burst's losses (:func:`~repro.net.packets.draw_losses`).
@@ -640,15 +674,13 @@ class CloudProvider:
         # bottleneck, and the sender's share of its hose.
         vm_host = self._vm_hosts()
         routed = vm_host[src] != vm_host[dst]
+        routes = self._route_table()
+        at = src * len(self._vms) + dst
+        physical = routes.bottleneck[at[routed]]
         if background and routed.any():
-            available, physical = self._loaded_rates(
-                src[routed], dst[routed], background
-            )
+            available = self._loaded_rates(src[routed], dst[routed], background)
         else:
             senders = src[routed]
-            physical = self.topology.path_bottlenecks(
-                np.column_stack((vm_host[senders], vm_host[dst[routed]]))
-            )
             available = self._sender_hoses(senders)[senders]
 
         jittered = params.train_jitter_std_s > 0
@@ -680,15 +712,11 @@ class CloudProvider:
             received, first_index, last_index = draw_losses(
                 self._rng, spec, params.loss_rate, sent.shape[0]
             )
-            # The Mathis bound needs the RTT of every train that lost a packet.
+            # The Mathis bound needs the RTT of every train that lost a
+            # packet; a route's length is its hop count (1 on one host).
             lossy = np.flatnonzero((received < spec.burst_length).any(axis=0))
-            hosts = [vm.host for vm in self._vms.values()]
-            hops = [
-                self.topology.hop_count(hosts[s], hosts[d])
-                for s, d in zip(src[lossy].tolist(), dst[lossy].tolist())
-            ]
             rtt = np.full(sent.shape[0], np.nan)
-            rtt[lossy] = rtt_s(np.array(hops, dtype=np.intp))
+            rtt[lossy] = rtt_s(routes.lengths[at[lossy]])
         first_rx, last_rx = send_packet_trains(
             spec,
             line_rate_bps=line_rate,

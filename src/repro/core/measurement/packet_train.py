@@ -64,23 +64,24 @@ def estimate_throughputs(spec: PacketTrainSpec, batch: TrainBatch) -> np.ndarray
     length = spec.burst_length
     gaps = length - 1
     lossy = batch.received is not None
-    shape = batch.first_rx_s.shape[1:]
-    total_span = np.zeros(shape)
-    received = np.zeros(shape, dtype=np.int64)
-    arrived = length
-    for burst, (first, last) in enumerate(zip(batch.first_rx_s, batch.last_rx_s)):
-        span = (last - first) * gaps
-        if lossy:
-            arrived = batch.received[burst]
-            observed = batch.last_index[burst] - batch.first_index[burst]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                span = np.where(observed > 0, span / observed, last - first)
-            usable = (span > 0) & (arrived > 0)
-        else:
-            span /= gaps
-            usable = span > 0
-        np.add(total_span, span, out=total_span, where=usable)
-        np.add(received, arrived, out=received, where=usable)
+    span = np.subtract(batch.last_rx_s, batch.first_rx_s)
+    if not lossy:
+        # The scalar estimator's scaling to all gaps and back: not always
+        # the span itself, to the last bit.
+        span *= gaps
+        span /= gaps
+        usable = span > 0
+        received = length * np.count_nonzero(usable, axis=0)
+    else:
+        observed = batch.last_index - batch.first_index
+        np.divide(span * gaps, observed, out=span, where=observed > 0)
+        usable = span > 0
+        usable &= batch.received > 0
+        received = np.where(usable, batch.received, 0).sum(axis=0)
+    # Unusable bursts add nothing; a running sum adds the bursts in order
+    # for any number of trains (an axis-0 ``sum`` of one train pairs them).
+    span[~usable] = 0.0
+    total_span = np.add.accumulate(span, axis=0, out=span)[-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         rates = spec.packet_size_bytes * BITS_PER_BYTE * received / total_span
     rates = np.where((received > 0) & (total_span > 0), rates, np.nan)

@@ -117,6 +117,27 @@ def _bucket_drain_times(
     return drain, tokens
 
 
+def _bucket_drains(
+    spec: PacketTrainSpec,
+    rate_bps: np.ndarray,
+    depth_bytes: float,
+    fast_rate_bps: np.ndarray,
+    step_s: float,
+) -> np.ndarray:
+    """Drain time of every burst through each path's token bucket, shape
+    ``(n_bursts, n_paths)``: the one recurrence of the train.  Each bucket
+    starts full and refills at its rate for ``step_s`` after every burst."""
+    drains = np.empty((spec.n_bursts,) + fast_rate_bps.shape)
+    tokens = np.full(fast_rate_bps.shape, float(depth_bytes))
+    refill = rate_bps * step_s / BITS_PER_BYTE
+    for burst_no in range(spec.n_bursts):
+        drains[burst_no], tokens = _bucket_drain_times(
+            tokens, rate_bps, depth_bytes, spec.burst_bytes, fast_rate_bps
+        )
+        tokens = np.minimum(depth_bytes, tokens + refill)
+    return drains
+
+
 def send_packet_trains(
     spec: PacketTrainSpec,
     line_rate_bps: float,
@@ -143,7 +164,10 @@ def send_packet_trains(
     packet of each burst that arrived, and the receive times are theirs.
 
     Returns the first- and last-packet receive times of every burst, shape
-    ``(n_bursts, n_paths)``.
+    ``(n_bursts, n_paths)``.  Every burst of every path is computed at
+    once, each value by the per-burst expression in its order; the
+    arithmetic runs in place, so the program holds two such arrays and one
+    scratch array besides ``normals``.
     """
     fast_rate = np.minimum(line_rate_bps, unlimited_rate_bps)
     burst_bytes = spec.burst_bytes
@@ -153,43 +177,44 @@ def send_packet_trains(
     if limiter_rate_bps is None:
         drain = burst_bytes * BITS_PER_BYTE / fast_rate
     else:
-        tokens = np.full(fast_rate.shape, float(limiter_depth_bytes))
+        drain = _bucket_drains(spec, limiter_rate_bps, limiter_depth_bytes, fast_rate, step)
         if limiter_depth_bytes < spec.packet_size_bytes:
             initial_rate = np.minimum(fast_rate, limiter_rate_bps)
-    first_packet = packet_bits / initial_rate
-    repair = packet_bits / fast_rate
-    gaps = spec.burst_length - 1
-    if jitter_std_s > 0:
-        # |0.0 + std * z| burst-major, so each burst reads contiguous rows.
-        jitter = np.multiply(normals.T, jitter_std_s, order="C")
-        np.abs(jitter, out=jitter)
-    first_rx = np.empty((spec.n_bursts,) + fast_rate.shape)
-    last_rx = np.empty_like(first_rx)
+    # The sender's clock at each burst, accumulated as the sender keeps it.
+    clocks = []
     send_clock = 0.0
-    for burst_no in range(spec.n_bursts):
-        if limiter_rate_bps is not None:
-            drain, tokens = _bucket_drain_times(
-                tokens, limiter_rate_bps, limiter_depth_bytes, burst_bytes, fast_rate
-            )
-        first = send_clock + base_delay_s + first_packet
-        last = send_clock + base_delay_s + drain
-        if first_index is not None:
-            # Lost edge packets move the first and last arrivals inward by
-            # the average per-packet time.
-            per_packet = (last - first) / gaps
-            first = first + per_packet * first_index[burst_no]
-            last = last - per_packet * (gaps - last_index[burst_no])
-        if jitter_std_s > 0:
-            first += jitter[2 * burst_no] * 0.1
-            last += jitter[2 * burst_no + 1]
-        first_rx[burst_no] = first
-        last_rx[burst_no] = np.where(last <= first, first + repair, last)
+    for _ in range(spec.n_bursts):
+        clocks.append(send_clock)
         send_clock += step
-        if limiter_rate_bps is not None:
-            tokens = np.minimum(
-                limiter_depth_bytes,
-                tokens + limiter_rate_bps * step / BITS_PER_BYTE,
-            )
+    first_rx = np.empty((spec.n_bursts,) + fast_rate.shape)
+    first_rx[:] = np.array(clocks)[:, None]
+    first_rx += base_delay_s
+    last_rx = first_rx + drain
+    first_rx += packet_bits / initial_rate
+    scratch = None
+    if first_index is not None:
+        # Lost edge packets move the first and last arrivals inward by
+        # the average per-packet time.
+        per_packet = last_rx - first_rx
+        per_packet /= spec.burst_length - 1
+        scratch = np.multiply(per_packet, first_index)
+        first_rx += scratch
+        np.multiply(per_packet, spec.burst_length - 1 - last_index, out=scratch)
+        last_rx -= scratch
+        del per_packet
+    if jitter_std_s > 0:
+        # |0.0 + std * z|: a burst's first packet reads normal 2b, its last
+        # 2b + 1.
+        if scratch is None:
+            scratch = np.empty_like(first_rx)
+        np.multiply(normals[:, 0::2].T, jitter_std_s, out=scratch)
+        np.abs(scratch, out=scratch)
+        scratch *= 0.1
+        first_rx += scratch
+        np.multiply(normals[:, 1::2].T, jitter_std_s, out=scratch)
+        np.abs(scratch, out=scratch)
+        last_rx += scratch
+    np.add(first_rx, packet_bits / fast_rate, out=last_rx, where=last_rx <= first_rx)
     return first_rx, last_rx
 
 

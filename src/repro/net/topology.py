@@ -768,19 +768,6 @@ class Topology:
             rows[i, : len(row)] = row
         return rows, lengths, link_ids
 
-    def path_bottlenecks(
-        self, pairs: Union[Sequence[Tuple[str, str]], "np.ndarray"]
-    ) -> "np.ndarray":
-        """Capacity (bits/s) of the narrowest link on each pair's path.
-
-        The batched ``min(link.capacity_bps for link in path_links(a, b))``;
-        ``pairs`` as :meth:`path_links_matrix` takes them.
-        """
-        if not len(pairs):
-            return np.zeros(0)
-        rows, _, _ = self.path_links_matrix(pairs)
-        return np.where(rows >= 0, self.capacity_vector()[rows], np.inf).min(axis=1)
-
 
 # --------------------------------------------------------------------------
 # Builders

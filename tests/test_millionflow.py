@@ -239,11 +239,6 @@ class TestStructuredRouting:
             got = [link_ids[j] for j in rows[i, : lengths[i]]]
             assert got == expected, (src, dst)
             assert (rows[i, lengths[i]:] == -1).all()
-        bottlenecks = topo.path_bottlenecks(pairs)
-        assert bottlenecks.tolist() == [
-            min(link.capacity_bps for link in topo.path_links(src, dst))
-            for src, dst in pairs
-        ]
         # "host01" names no host (host 1 is "host1").
         with pytest.raises(TopologyError, match="host01"):
             topo.path_links_matrix([(hosts[0], hosts[-1]), ("host01", hosts[0])])
@@ -274,9 +269,6 @@ class TestStructuredRouting:
             assert link_ids == by_name[2]
             few = topo.path_links_matrix(at[:5])
             assert (few[0] == topo.path_links_matrix(pairs[:5])[0]).all()
-            assert (
-                topo.path_bottlenecks(at) == topo.path_bottlenecks(pairs)
-            ).all()
         assert [built.host_index(f"host{i}") for i in range(spec.num_hosts)] == list(
             range(spec.num_hosts)
         )
@@ -329,7 +321,6 @@ class TestStructuredRouting:
         topo = build_multi_rooted_tree(_ROUTING_SPECS[1])
         rows, lengths, _ = topo.path_links_matrix([])
         assert rows.shape == (0, 0) and lengths.shape == (0,)
-        assert topo.path_bottlenecks([]).shape == (0,)
 
     def test_lazy_kth_path_matches_eager_sort(self):
         nx = pytest.importorskip("networkx")  # the oracle; a ``dev`` extra

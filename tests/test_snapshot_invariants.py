@@ -5,8 +5,8 @@ of the background (``net.fairness.probe_rates_under_load``).  Nothing here
 compares it with another copy of that fill: each rate is checked against
 the reference solver on ``background + probe``, certified by
 ``max_min_violations`` (feasible, every flow bottlenecked), bracketed by the
-equal-share bounds, and the instances are shown to be independent of one
-another.  The bit-for-bit oracle (a fresh simulation per pair) lives in
+equal-share bounds of ``snapshot_violations``, and the instances are shown
+to be independent of one another.  The bit-for-bit oracle (a fresh simulation per pair) lives in
 ``tests/test_campaign_batch.py``.
 """
 
@@ -22,6 +22,7 @@ from repro.net.fairness import (
     FlowDemand,
     max_min_violations,
     probe_rates_under_load,
+    snapshot_violations,
 )
 from repro.net.links import hose_link_id
 from repro.net.topology import TreeSpec
@@ -99,6 +100,26 @@ def capacities(provider):
     return result
 
 
+def violations(provider, pairs, flows, rates):
+    """``snapshot_violations`` of the fill's rates for ``pairs`` under
+    ``flows``, every path routed by name, pair by pair (``demand``)."""
+    caps = capacities(provider)
+    index = {link: i for i, link in enumerate(caps)}
+
+    def rows(ends):
+        paths = [[index[link] for link in demand(provider, *pair).links] for pair in ends]
+        width = max(map(len, paths), default=0)
+        padded = [path + [-1] * (width - len(path)) for path in paths]
+        return np.array(padded, dtype=np.intp).reshape(len(paths), width)
+
+    return snapshot_violations(
+        np.array(list(caps.values())),
+        rows([(flow.src_vm, flow.dst_vm) for flow in flows]),
+        rows(pairs),
+        rates,
+    )
+
+
 CASES = [
     (seed, hose_state, n_flows)
     for seed, hose_state in enumerate(HOSE_STATES * 2)
@@ -119,22 +140,14 @@ def test_rates_are_max_min_fair_bounded_and_independent(seed, hose_state, n_flow
     assert rates.shape == (len(pairs),) and np.all(rates > 0)
     assert provider._snapshot_rates([], flows).shape == (0,)
 
+    # (ii) between an equal share of every link and the narrowest link;
+    # with (iii) no background, exactly the narrowest link.  (A one-second
+    # window averages nothing: these are the fill's own rates.)
+    fill = provider._snapshot_rates(pairs, flows, window_s=1.0)
+    assert np.array_equal(rates, (0.0 + fill * 0.1) / 0.1)
+    assert violations(provider, pairs, flows, fill) == []
     caps = capacities(provider)
     demands = {flow.flow_id: demand(provider, flow.src_vm, flow.dst_vm) for flow in flows}
-    load = {}
-    for row in demands.values():
-        for link in row.links:
-            load[link] = load.get(link, 0) + 1
-    # (ii) between an equal share of every link and the narrowest link (to
-    # the ulp the window average ``(0.0 + r * w) / w`` may move a rate by);
-    # with (iii) no background, exactly the narrowest link.
-    for (src, dst), rate in zip(pairs, rates):
-        links = demand(provider, src, dst).links
-        narrowest = min(caps[link] for link in links)
-        fair = min(caps[link] / (load.get(link, 0) + 1) for link in links)
-        assert fair * (1 - 1e-12) <= rate <= narrowest * (1 + 1e-12)
-        if not flows:
-            assert rate == (0.0 + narrowest * 0.1) / 0.1
 
     # (i) the definition: the reference solver's rate on background + probe,
     # and the certificate with *our* rate standing in for the probe's.  The
@@ -153,6 +166,33 @@ def test_rates_are_max_min_fair_bounded_and_independent(seed, hose_state, n_flow
     shuffled = rng.permutation(len(pairs))
     again = provider._snapshot_rates([pairs[i] for i in shuffled], flows)
     assert np.array_equal(again, rates[shuffled])
+
+
+def test_snapshot_violations_name_each_broken_bound():
+    """Links 0 (capacity 4, two background flows) and 1 (capacity 2): a
+    probe over both may get between 4/3 and 2."""
+    capacity = np.array([4.0, 2.0])
+    background = np.array([[0], [0]])
+    probes = np.array([[0, 1], [0, 1], [0, 1], [1, -1]])
+    rates = np.array([1.5, 1.0, 2.5, 2.0])
+    assert snapshot_violations(capacity, background, probes, rates) == [
+        "probe 1: rate 1.0 below the equal share 1.3333333333333333 of its links",
+        "probe 2: rate 2.5 above its narrowest link 2.0",
+    ]
+    idle = np.zeros((0, 1), dtype=np.intp)
+    assert snapshot_violations(capacity, idle, probes, np.array([2.0, 2.0, 2.0, 2.0])) == []
+    # The slack (1e-12 by default) widens the two bounds alike; with no
+    # background there is none.
+    near = np.array([2.0 * (1 + 1e-13), 2.0 * (1 - 1e-13)])
+    assert snapshot_violations(capacity, background, probes[2:], near) == []
+    assert snapshot_violations(capacity, background, probes[2:], near, rel_tol=0.0) == [
+        f"probe 1: rate {float(near[1])!r} below the equal share 2.0 of its links",
+        f"probe 0: rate {float(near[0])!r} above its narrowest link 2.0",
+    ]
+    assert snapshot_violations(capacity, idle, probes[2:], near) == [
+        f"probe {i}: rate {float(near[i])!r} with no background, not its narrowest link 2.0"
+        for i in range(2)
+    ]
 
 
 def test_a_worked_example():
