@@ -175,11 +175,8 @@ class NetworkMeasurer:
             dst += dst >= src
             return src, dst
         at = _pair_positions(names, pairs)
-        keys = at[:, 0] * n + at[:, 1]
-        if (keys[1:] > keys[:-1]).all():
-            return at[:, 0], at[:, 1]  # no repeat (a cache's stale pairs)
         # Dedupe, keeping each pair where it first appears.
-        first = np.unique(keys, return_index=True)[1]
+        first = np.unique(at[:, 0] * n + at[:, 1], return_index=True)[1]
         first.sort()
         return at[first, 0], at[first, 1]
 

@@ -211,12 +211,16 @@ def probe_rates_under_load(
     return rates, rounds
 
 
+#: Relative slack of :func:`snapshot_violations`' two bounds: the fill's
+#: drains round.
+_SNAPSHOT_REL_TOL = 1e-12
+
+
 def snapshot_violations(
     capacity: np.ndarray,
     background: np.ndarray,
     probes: np.ndarray,
     rates: np.ndarray,
-    rel_tol: float = 1e-12,
 ) -> List[str]:
     """Ways the rates :func:`probe_rates_under_load` gives ``probes`` break
     the bounds of a probe joining the background (empty: none).
@@ -224,21 +228,21 @@ def snapshot_violations(
     The arrays are that function's.  Whatever the filling does, a probe
     gets at least an equal share of every link it crosses — the link's
     capacity over its background flows plus the probe — and at most its
-    narrowest link; ``rel_tol`` is the relative slack of these two bounds
-    (the fill's drains round).  With no background the fill has no round,
-    and a probe gets exactly its narrowest link.
+    narrowest link, each with :data:`_SNAPSHOT_REL_TOL` of relative slack.
+    With no background the fill has no round, and a probe gets exactly its
+    narrowest link.
     """
     problems: List[str] = []
     load = np.bincount(background[background >= 0], minlength=capacity.shape[0])
     # A -1 padding entry reads the appended +inf.
     narrowest = np.append(capacity, np.inf)[probes].min(axis=1)
     fair = np.append(capacity / (load + 1.0), np.inf)[probes].min(axis=1)
-    for i in np.flatnonzero(rates < fair * (1.0 - rel_tol)).tolist():
+    for i in np.flatnonzero(rates < fair * (1.0 - _SNAPSHOT_REL_TOL)).tolist():
         problems.append(
             f"probe {i}: rate {float(rates[i])!r} below the equal share "
             f"{float(fair[i])!r} of its links"
         )
-    for i in np.flatnonzero(rates > narrowest * (1.0 + rel_tol)).tolist():
+    for i in np.flatnonzero(rates > narrowest * (1.0 + _SNAPSHOT_REL_TOL)).tolist():
         problems.append(
             f"probe {i}: rate {float(rates[i])!r} above its narrowest link "
             f"{float(narrowest[i])!r}"

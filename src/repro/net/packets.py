@@ -166,8 +166,10 @@ def send_packet_trains(
     Returns the first- and last-packet receive times of every burst, shape
     ``(n_bursts, n_paths)``.  Every burst of every path is computed at
     once, each value by the per-burst expression in its order; the
-    arithmetic runs in place, so the program holds two such arrays and one
-    scratch array besides ``normals``.
+    arithmetic runs in place, so besides ``normals`` and the loss positions
+    the program holds three such arrays at most (the two results and one
+    scratch, which is the token bucket's spent drain array when there is
+    one), and four on a lossy path.
     """
     fast_rate = np.minimum(line_rate_bps, unlimited_rate_bps)
     burst_bytes = spec.burst_bytes
@@ -191,11 +193,12 @@ def send_packet_trains(
     first_rx += base_delay_s
     last_rx = first_rx + drain
     first_rx += packet_bits / initial_rate
-    scratch = None
+    # A bucket's drains are spent: their array is the scratch.
+    scratch = None if limiter_rate_bps is None else drain
     if first_index is not None:
         # Lost edge packets move the first and last arrivals inward by
         # the average per-packet time.
-        per_packet = last_rx - first_rx
+        per_packet = np.subtract(last_rx, first_rx, out=scratch)
         per_packet /= spec.burst_length - 1
         scratch = np.multiply(per_packet, first_index)
         first_rx += scratch

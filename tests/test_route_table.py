@@ -135,7 +135,8 @@ def test_a_lossy_train_reads_its_rtt_off_the_route_table():
 #: (bursts, trains) program: 42.21 MB on x86-64, Python 3.11.7, NumPy 2.4.6.
 #: The table (≈2.3 MB at 256 VMs) stays allocated while the trains run, so
 #: the program must hold less than the per-burst loop did; the bound allows
-#: 5 % over that figure.
+#: 5 % over that figure.  The figure depends on the NumPy build: when the
+#: installed NumPy changes, re-measure it with this body on that code.
 PARENT_PEAK_MB = 42.21
 
 
