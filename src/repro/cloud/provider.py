@@ -243,6 +243,30 @@ class CloudProvider:
         #: or perturbs a rate.
         self.timeline = None
 
+    def copy(self) -> "CloudProvider":
+        """An independent provider in this one's exact state.
+
+        Only the mutable state is copied: the random stream (by its
+        bit-generator state, a quarter of a ``deepcopy``'s cost), the clock,
+        the VM counter and the VM, hose and host books.  The frozen tree,
+        ``params``, the ``timeline`` and the position and route caches are
+        shared: none is changed in place, and a VM-set change replaces the
+        caches rather than editing them.  The placers of one trial each run
+        on a copy of one built provider.
+        """
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        bit_generator = type(self._rng.bit_generator)(0)
+        bit_generator.state = self._rng.bit_generator.state
+        twin._rng = np.random.Generator(bit_generator)
+        twin._vms = dict(self._vms)
+        twin._base_hose = dict(self._base_hose)
+        twin._hose_deviation = dict(self._hose_deviation)
+        twin._host_vms = dict(self._host_vms)
+        twin._used_hosts = list(self._used_hosts)
+        twin._free_hosts = list(self._free_hosts)
+        return twin
+
     # ------------------------------------------------------------------ VMs
     def request_vms(self, n: int, name_prefix: str = "vm") -> List[VirtualMachine]:
         """Allocate ``n`` VMs, as a tenant would request instances.

@@ -39,12 +39,12 @@ import random
 import subprocess
 import threading
 import time
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import ExperimentError
 from repro.experiments.results import TrialRecord
-from repro.experiments.trials import WorkItem, execute_work_item
+from repro.experiments.trials import WorkItem, run_trials, trial_groups
 
 logger = logging.getLogger("repro.experiments.fabric")
 
@@ -76,12 +76,14 @@ def _resolve_workers(workers: Optional[int], n_items: int) -> int:
 # inline
 # ---------------------------------------------------------------------------
 class InlineBackend:
-    """Run every trial in the current process, one after another."""
+    """Run every trial in the current process, one trial's placers after
+    another on one build (:func:`~repro.experiments.trials.run_trials`)."""
 
     name = "inline"
 
     def map_trials(self, items: Sequence[WorkItem]) -> List[TrialRecord]:
-        return [execute_work_item(item) for item in items]
+        records = dict(run_trials(items))
+        return [records[i] for i in range(len(items))]
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +153,31 @@ def _weighted_chunks(
 # ---------------------------------------------------------------------------
 # remote: lease-based scheduler
 # ---------------------------------------------------------------------------
+def _streamed_record(
+    data: Mapping[str, object], indices: Sequence[int], items: Sequence[WorkItem]
+) -> Optional[Tuple[int, TrialRecord]]:
+    """The ``(global index, record)`` of one streamed record line, or
+    ``None`` for a garbled line.
+
+    A line stands only if its local index names one of the lease's
+    ``indices``, its record validates and the record is of the leased
+    item's ``(scenario, placer, trial, seed)``: nothing a worker sends can
+    land in another cell.
+    """
+    local = data.get("index")
+    if type(local) is not int or not 0 <= local < len(indices):
+        return None
+    try:
+        record = TrialRecord.from_json_dict(data.get("record"))
+    except ExperimentError:
+        return None
+    item = items[indices[local]]
+    identity = (item.scenario, item.placer, item.trial, item.seed)
+    if (record.scenario, record.placer, record.trial, record.seed) != identity:
+        return None
+    return indices[local], record
+
+
 DEFAULT_HEARTBEAT_TIMEOUT_S = 30.0
 
 #: Retry wave ``k`` waits ``BACKOFF_BASE_S * 2**(k-1)``, jittered by a
@@ -294,8 +321,10 @@ class RemoteBackend:
                         worker_mod.WorkerClient(endpoint.host, endpoint.port)
                     )
             else:
+                # A lease never splits a trial: more workers than trials
+                # would sit idle.
                 pool = worker_mod.spawn_local_workers(
-                    _resolve_workers(self.workers, len(items)),
+                    _resolve_workers(self.workers, len(trial_groups(items))),
                     cache_dir=self.store_root,
                 )
                 clients = pool.clients()
@@ -438,14 +467,22 @@ class RemoteBackend:
             raise ExperimentError(
                 "remote backend has no live workers left to lease to"
             )
-        weights = [item_weight(items[i], cost_table) for i in missing]
+        # A lease carries whole trials, so its worker builds each trial's
+        # instance once for all of the trial's placers.
+        groups = [
+            [missing[p] for p in group]
+            for group in trial_groups([items[i] for i in missing])
+        ]
+        weights = [
+            sum(item_weight(items[i], cost_table) for i in group) for group in groups
+        ]
         chunks = _weighted_chunks(weights, len(available))
         leases: List[_Lease] = []
         for chunk_no, positions in enumerate(chunks):
+            indices = sorted(i for p in positions for i in groups[p])
             leases.append(
                 self._dispatch(
-                    items, [missing[p] for p in positions],
-                    available[chunk_no], clients, stats, lease_seq,
+                    items, indices, available[chunk_no], clients, stats, lease_seq,
                 )
             )
         self._monitor(items, leases, clients, state, stats, lease_seq)
@@ -579,14 +616,12 @@ class RemoteBackend:
                                 f"{data['error']}"
                             )
                             return
-                        try:
-                            local = int(data["index"])
-                            record = TrialRecord(**data["record"])
-                        except (KeyError, TypeError, ValueError):
+                        accepted = _streamed_record(data, lease.indices, items)
+                        if accepted is None:
                             continue  # garbled line: neighbours stand
-                        if 0 <= local < len(lease.indices):
-                            lease.records[lease.indices[local]] = record
-                            lease.last_progress = time.monotonic()
+                        index, record = accepted
+                        lease.records[index] = record
+                        lease.last_progress = time.monotonic()
                     if lease.completed or stream.eof:
                         break
             except Exception as exc:  # noqa: BLE001 - any failure fails the lease

@@ -84,6 +84,60 @@ class TrialRecord:
     def ok(self) -> bool:
         return self.status == "ok"
 
+    @classmethod
+    def from_json_dict(cls, data: object) -> "TrialRecord":
+        """Parse ``asdict`` output that crossed a wire: every field present,
+        of its type, counts non-negative and numbers finite; anything else
+        raises :class:`ExperimentError` naming the field."""
+        if not isinstance(data, dict) or set(data) != _RECORD_FIELDS:
+            raise ExperimentError("malformed trial record: not a record's fields")
+        for name in ("scenario", "placer"):
+            if not isinstance(data[name], str):
+                raise _bad_record_field(name, data[name])
+        for name in ("trial", "seed", "n_apps", "n_vms"):
+            if not _is_count(data[name]):
+                raise _bad_record_field(name, data[name])
+        if data["status"] not in ("ok", "error"):
+            raise _bad_record_field("status", data["status"])
+        if data["error"] is not None and not isinstance(data["error"], str):
+            raise _bad_record_field("error", data["error"])
+        for name in _RECORD_REALS:
+            if not _is_real(data[name]):
+                raise _bad_record_field(name, data[name])
+        durations = data["per_app_duration_s"]
+        if not isinstance(durations, dict) or not all(
+            _is_real(value) for value in durations.values()
+        ):
+            raise _bad_record_field("per_app_duration_s", durations)
+        stats = data["solver_stats"]
+        if stats is not None and not (
+            isinstance(stats, dict)
+            and all(isinstance(value, dict) for value in stats.values())
+        ):
+            raise _bad_record_field("solver_stats", stats)
+        return cls(**data)
+
+
+_RECORD_FIELDS = frozenset(TrialRecord.__dataclass_fields__)
+_RECORD_REALS = (
+    "makespan_s", "total_running_time_s", "measurement_overhead_s",
+    "placement_wall_s", "trial_wall_s", "network_bytes", "colocated_bytes",
+)
+
+
+def _is_count(value: object) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _is_real(value: object) -> bool:
+    if type(value) is int:  # no float for 10**400: compare, do not convert
+        return -1e308 < value < 1e308
+    return type(value) is float and math.isfinite(value)
+
+
+def _bad_record_field(name: str, value: object) -> ExperimentError:
+    return ExperimentError(f"malformed trial record: bad {name!r}: {value!r:.80}")
+
 
 @dataclass
 class ExperimentResult:

@@ -31,6 +31,7 @@ from repro.experiments.placers import resolve_placer
 from repro.experiments.results import ExperimentResult, TrialRecord
 from repro.experiments.scenarios import get_scenario
 from repro.experiments.trials import (  # noqa: F401  (re-exported API)
+    JSON_SCALAR_TYPES,
     WorkItem,
     run_trial,
     trial_seed,
@@ -177,7 +178,7 @@ class ExperimentConfig:
             # JSON scalars only: anything richer would round-trip
             # differently through the lease wire format (tuple -> list)
             # and break the backends' bit-identical guarantee.
-            if not isinstance(value, (type(None), bool, int, float, str)):
+            if not isinstance(value, JSON_SCALAR_TYPES):
                 raise ExperimentError(
                     f"{group}[{name!r}][{key!r}] is "
                     f"{type(value).__name__}; parameter values must be "

@@ -6,6 +6,8 @@ records the timings into a :class:`~repro.experiments.results.TrialRecord`.
 The per-trial seed depends only on ``(base_seed, scenario, trial)`` — not on
 the placer — so every placer faces the *same* ground-truth network and
 applications and per-trial speedups are paired comparisons, as in §6.
+Backends run batches through :func:`run_trials`, which therefore builds
+that scenario once per trial and gives each placer a copy of it.
 
 Everything a trial needs is named (scenario name, placer name, seed), which
 is what makes a :class:`WorkItem` JSON-serialisable for the lease wire of
@@ -16,8 +18,8 @@ from __future__ import annotations
 
 import time
 import zlib
-from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
 from repro.core.network_profile import NetworkProfile
@@ -33,6 +35,11 @@ from repro.experiments.scenarios import (
 )
 from repro.runtime.executor import run_applications
 from repro.runtime.sequence import SequentialPlacementRunner
+
+
+#: What a scenario or placer parameter value may be: a JSON scalar, so it
+#: crosses the lease wire unchanged and keys the store and the grouping alike.
+JSON_SCALAR_TYPES = (type(None), bool, int, float, str)
 
 
 def trial_seed(base_seed: int, scenario_name: str, trial: int) -> int:
@@ -53,8 +60,13 @@ def run_trial(
     scenario_params: Optional[Mapping[str, object]] = None,
     placer_params: Optional[Mapping[str, object]] = None,
     fail_fast: bool = False,
+    instance: Optional[ScenarioInstance] = None,
 ) -> TrialRecord:
     """Run one grid cell and return its record.
+
+    ``instance`` is the cell's scenario already built (by
+    :func:`run_trials`, for every placer of a trial); without it the trial
+    builds its own from the derived seed.
 
     By default the sweep keeps going: *any* raising trial — a library
     failure (:class:`ReproError`) or a genuine bug — is captured into the
@@ -69,8 +81,8 @@ def run_trial(
     )
     started = time.perf_counter()
     try:
-        spec = get_scenario(scenario_name)
-        instance = spec.build(seed=seed, **dict(scenario_params or {}))
+        if instance is None:
+            instance = _build(scenario_name, seed, scenario_params)
         record.n_apps = len(instance.apps)
         record.n_vms = len(instance.cluster.machines)
         if instance.mode == MODE_SEQUENCE:
@@ -80,12 +92,79 @@ def run_trial(
         else:
             _run_batch_trial(instance, placer_name, seed, record, placer_params)
     except Exception as exc:
-        if fail_fast and not isinstance(exc, ReproError):
-            raise
-        record.status = "error"
-        record.error = f"{type(exc).__name__}: {exc}"
+        _capture(record, exc, fail_fast)
     record.trial_wall_s = time.perf_counter() - started
     return record
+
+
+def _build(
+    scenario_name: str, seed: int, scenario_params: Optional[Mapping[str, object]]
+) -> ScenarioInstance:
+    return get_scenario(scenario_name).build(seed=seed, **dict(scenario_params or {}))
+
+
+def _capture(record: TrialRecord, exc: Exception, fail_fast: bool) -> None:
+    """Mark ``record`` failed by ``exc``; re-raise a bug under ``fail_fast``."""
+    if fail_fast and not isinstance(exc, ReproError):
+        raise exc
+    record.status = "error"
+    record.error = f"{type(exc).__name__}: {exc}"
+
+
+def trial_groups(items: Sequence[WorkItem]) -> List[List[int]]:
+    """Positions of ``items`` grouped by :attr:`WorkItem.instance_key`.
+
+    Groups come in the order of their first item, positions in a group in
+    input order: the order :func:`run_trials` runs them in.
+    """
+    groups: Dict[Tuple, List[int]] = {}
+    for index, item in enumerate(items):
+        groups.setdefault(item.instance_key, []).append(index)
+    return list(groups.values())
+
+
+def run_trials(items: Sequence[WorkItem]) -> Iterator[Tuple[int, TrialRecord]]:
+    """Run ``items``, building each trial's instance once for all its placers.
+
+    Yields ``(position, record)`` as each cell finishes, in
+    :func:`trial_groups` order.  Each group's scenario is built once; every
+    cell but the last runs on a copy of that instance's provider (the
+    copy's random stream, clock and VM books are the fresh build's), the
+    last on the instance itself, so a record is the one :func:`run_trial`
+    alone would produce.  The build's wall time is split evenly over the
+    group's ``trial_wall_s``, so a group's records still add up to the
+    time it took.  A build that raises fails every cell of its group with
+    the same error, under the cell's own ``fail_fast``.
+    """
+    for group in trial_groups(items):
+        first = items[group[0]]
+        started = time.perf_counter()
+        template: Optional[ScenarioInstance] = None
+        error: Optional[Exception] = None
+        try:
+            template = _build(first.scenario, first.seed, dict(first.params))
+        except Exception as exc:  # noqa: BLE001 - charged to each cell below
+            error = exc
+        build_share = (time.perf_counter() - started) / len(group)
+        for k, index in enumerate(group):
+            item = items[index]
+            if error is not None:
+                record = TrialRecord(
+                    scenario=item.scenario, placer=item.placer,
+                    trial=item.trial, seed=item.seed,
+                )
+                _capture(record, error, item.fail_fast)
+            else:
+                instance = template
+                if k < len(group) - 1:
+                    instance = replace(template, provider=template.provider.copy())
+                record = run_trial(
+                    item.scenario, item.placer, item.trial, item.base_seed,
+                    dict(item.params), dict(item.placer_params),
+                    fail_fast=item.fail_fast, instance=instance,
+                )
+            record.trial_wall_s += build_share
+            yield index, record
 
 
 @dataclass(frozen=True)
@@ -149,6 +228,13 @@ class WorkItem:
         )
 
     @property
+    def instance_key(self) -> Tuple:
+        """Identity of the scenario instance this item runs on: its
+        :attr:`trial_key` without the placer.  Items that share it share
+        one build in :func:`run_trials`."""
+        return (self.scenario, self.params, self.trial, self.seed)
+
+    @property
     def cost_key(self) -> Tuple[str, str]:
         """The cost-model cell this item bills to.
 
@@ -159,14 +245,6 @@ class WorkItem:
         backend's chunker work at.
         """
         return (self.scenario, self.placer)
-
-    def run(self) -> TrialRecord:
-        """Execute this cell in the current process."""
-        return run_trial(
-            self.scenario, self.placer, self.trial, self.base_seed,
-            dict(self.params), dict(self.placer_params),
-            fail_fast=self.fail_fast,
-        )
 
     # ------------------------------------------------------------ wire format
     def to_json_dict(self) -> dict:
@@ -183,23 +261,53 @@ class WorkItem:
 
     @classmethod
     def from_json_dict(cls, data: Mapping[str, object]) -> "WorkItem":
-        try:
-            return cls.make(
-                scenario=str(data["scenario"]),
-                placer=str(data["placer"]),
-                trial=int(data["trial"]),  # type: ignore[arg-type]
-                base_seed=int(data["base_seed"]),  # type: ignore[arg-type]
-                params=dict(data.get("params") or {}),  # type: ignore[arg-type]
-                placer_params=dict(data.get("placer_params") or {}),  # type: ignore[arg-type]
-                fail_fast=bool(data.get("fail_fast", False)),
+        """Parse one lease-wire item; any other shape raises an
+        :class:`ExperimentError` naming the offending field."""
+        if not isinstance(data, Mapping):
+            raise ExperimentError(
+                f"malformed work item: expected an object, got {type(data).__name__}"
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ExperimentError(f"malformed work item: {exc}") from exc
+        try:
+            fields = {name: data[name] for name in ("scenario", "placer", "trial", "base_seed")}
+        except KeyError as exc:
+            raise ExperimentError(f"malformed work item: missing field {exc}") from None
+        for name in ("scenario", "placer"):
+            if not isinstance(fields[name], str):
+                raise _bad_field(name, "a string", fields[name])
+        for name in ("trial", "base_seed"):
+            value = fields[name]
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise _bad_field(name, "a non-negative integer", value)
+        fail_fast = data.get("fail_fast", False)
+        if not isinstance(fail_fast, bool):
+            raise _bad_field("fail_fast", "a boolean", fail_fast)
+        return cls.make(
+            params=_wire_params(data, "params"),
+            placer_params=_wire_params(data, "placer_params"),
+            fail_fast=fail_fast,
+            **fields,
+        )
 
 
-def execute_work_item(item: WorkItem) -> TrialRecord:
-    """Module-level alias of :meth:`WorkItem.run`, the call both backends make."""
-    return item.run()
+def _bad_field(name: str, what: str, value: object) -> ExperimentError:
+    return ExperimentError(
+        f"malformed work item: {name!r} must be {what}, got {value!r:.80}"
+    )
+
+
+def _wire_params(data: Mapping[str, object], name: str) -> Dict[str, object]:
+    """A lease item's parameter map: string keys, JSON scalar values (what
+    :class:`~repro.experiments.runner.ExperimentConfig` admits, and what the
+    instance grouping hashes)."""
+    params = data.get(name)
+    if params is None:
+        return {}
+    if not isinstance(params, Mapping) or not all(
+        isinstance(key, str) and isinstance(value, JSON_SCALAR_TYPES)
+        for key, value in params.items()
+    ):
+        raise _bad_field(name, "an object of JSON scalars", params)
+    return dict(params)
 
 
 def _measurement_plan() -> MeasurementPlan:

@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro import obs
 from repro.errors import ExperimentError
 from repro.experiments.cache import ResultStore
-from repro.experiments.trials import WorkItem, execute_work_item
+from repro.experiments.trials import WorkItem, run_trials, trial_groups
 
 logger = logging.getLogger("repro.experiments.worker")
 
@@ -345,7 +345,8 @@ class _LeaseHandler(BaseHTTPRequestHandler):
                 )
             lease_id = str(payload.get("lease_id", "lease"))
             items = [WorkItem.from_json_dict(d) for d in payload.get("items", [])]
-        except (ValueError, TypeError, KeyError, ExperimentError) as exc:
+        # RecursionError: JSON nested past the parser's stack.
+        except (ValueError, TypeError, KeyError, RecursionError, ExperimentError) as exc:
             self._reply(400, {"error": f"bad lease request: {exc}"})
             return
         self._stream_lease(lease_id, items)
@@ -406,25 +407,27 @@ class _LeaseHandler(BaseHTTPRequestHandler):
             self._send_line(
                 {"schema": WORKER_SCHEMA, "lease_id": lease_id, "pid": os.getpid()}
             )
-            completed = 0
-            for local_index, item in enumerate(items):
+            # ``run_trials`` yields in ``trial_groups`` order, so the next
+            # position of that order is the trial that is running.
+            order = [i for group in trial_groups(items) for i in group]
+            records = run_trials(items)
+            for local_index in order:
                 try:
-                    record = execute_work_item(item)
+                    _, record = next(records)
                 except Exception as exc:  # noqa: BLE001 - reported, see above
                     logger.exception("lease %s: trial %d raised", lease_id, local_index)
                     error = f"{type(exc).__name__}: {exc}"
                     self._send_line({"index": local_index, "error": error})
                     return
                 self._send_line({"index": local_index, "record": asdict(record)})
-                state.record_done(item, record)
-                completed += 1
+                state.record_done(items[local_index], record)
                 if chaos_mode == "crash":
                     os._exit(CHAOS_EXIT_STATUS)
                 elif chaos_mode == "hang":
                     time.sleep(3600)
                 elif chaos_mode == "slow":
                     time.sleep(CHAOS_SLOW_S)
-            self._send_line({"done": True, "lease_id": lease_id, "completed": completed})
+            self._send_line({"done": True, "lease_id": lease_id, "completed": len(items)})
         except (BrokenPipeError, ConnectionResetError):
             pass  # the scheduler revoked the lease; stop burning its trials
         finally:
@@ -520,7 +523,7 @@ class LeaseStream:
             line, self._buf = self._buf.split(b"\n", 1)
             try:
                 data = json.loads(line)
-            except ValueError:
+            except (ValueError, RecursionError):
                 continue  # garbled line: everything around it stands
             if not isinstance(data, dict):
                 continue

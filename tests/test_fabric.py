@@ -16,6 +16,7 @@ import types
 import pytest
 
 import repro.experiments.backends as backends_mod
+import repro.experiments.trials as trials_mod
 import repro.experiments.worker as worker_mod
 from repro.errors import ExperimentError
 from repro.experiments import (
@@ -131,6 +132,37 @@ def test_weighted_chunks_balance_heavy_items():
 
 def test_weighted_chunks_drop_empty_chunks():
     assert _weighted_chunks([1.0, 1.0], 5) == [[0], [1]]
+
+
+def test_a_lease_carries_whole_trials(monkeypatch):
+    """Every placer of a trial goes to one lease, so each worker builds a
+    trial's instance once; the trials still spread over the workers."""
+    # Cell by cell, the priors' LPT would split trial 0: greedy (3.0) on one
+    # lease, random (1.0) on the other.
+    items = [
+        WorkItem.make("smoke", placer, trial, 0)
+        for placer in ("greedy", "random")
+        for trial in range(3)
+    ]
+    leased = []
+    dispatch = RemoteBackend._dispatch
+
+    def spy(self, items, indices, *args, **kwargs):
+        leased.append(list(indices))
+        return dispatch(self, items, indices, *args, **kwargs)
+
+    monkeypatch.setattr(RemoteBackend, "_dispatch", spy)
+    with _worker_on_a_thread() as first, _worker_on_a_thread() as second:
+        endpoints = [f"http://{host}:{port}" for host, port in (first, second)]
+        records = RemoteBackend(endpoints=endpoints).map_trials(items)
+    assert _canonical(records) == _canonical(create_backend("inline").map_trials(items))
+    assert len(leased) == 2
+    for trial in range(3):
+        holders = [n for n, lease in enumerate(leased) if any(
+            items[i].trial == trial for i in lease
+        )]
+        assert len(holders) == 1, (trial, leased)
+        assert sum(items[i].trial == trial for i in leased[holders[0]]) == 2
 
 
 def test_item_weight_prefers_observed_costs_over_priors():
@@ -273,9 +305,11 @@ def test_remote_backend_rejects_bad_options():
 
 
 def test_pool_is_sized_to_the_batch_not_the_hint():
-    """``--jobs 8`` with one pending cell cold-starts one interpreter."""
+    """``--jobs 8`` with one pending trial cold-starts one interpreter, however
+    many placers that trial has: a lease never splits a trial."""
     backend = RemoteBackend(workers=8)
-    assert len(backend.map_trials(_items(1))) == 1
+    items = [WorkItem.make("smoke", placer, 0, 0) for placer in ("greedy", "random")]
+    assert len(backend.map_trials(items)) == 2
     assert backend.last_fabric_stats["workers"] == 1
 
 
@@ -284,10 +318,10 @@ def test_fail_fast_trial_error_ends_the_sweep_with_its_own_text(monkeypatch):
     on the lease, and the scheduler stops at once with the exception text —
     no "worker died", no retry wave re-raising the same bug."""
 
-    def boom(item):
+    def boom(*args, **kwargs):
         raise RuntimeError("synthetic bug")
 
-    monkeypatch.setattr(worker_mod, "execute_work_item", boom)
+    monkeypatch.setattr(trials_mod, "run_trial", boom)
     items = [
         WorkItem.make("smoke", "random", trial, 0, fail_fast=True)
         for trial in range(3)
