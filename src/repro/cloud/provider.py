@@ -529,20 +529,6 @@ class CloudProvider:
             timelines[flow_id].average_rate(0.0, duration) for flow_id in flow_ids
         ]
 
-    def _snapshot_rates(
-        self,
-        pairs: Union[Sequence[Tuple[str, str]], np.ndarray],
-        background: Sequence[VMFlow],
-        window_s: float = 0.1,
-    ) -> np.ndarray:
-        """Instantaneous rate a new bulk connection would get on each pair,
-        each alone with the ``background`` flows (treated as backlogged for
-        the short snapshot window)."""
-        if not window_s > 0:
-            raise CloudError(f"window_s must be positive, got {window_s!r}")
-        pairs = self._pair_positions(pairs)
-        return self._loaded_rates(pairs[:, 0], pairs[:, 1], background, window_s)
-
     def vm_positions(self, names: Iterable[str]) -> np.ndarray:
         """Each named VM's position in allocation order (:meth:`vms`)."""
         position = self._vm_position
@@ -768,4 +754,3 @@ class CloudProvider:
             dst.host,
             visible_hops=self.params.traceroute_visible_hops,
         )
-

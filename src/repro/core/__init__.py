@@ -10,12 +10,14 @@ live in :mod:`repro.net`, :mod:`repro.cloud`, and :mod:`repro.workloads`.
   and the full-mesh measurement orchestrator.
 * :mod:`repro.core.placement` — greedy Algorithm 1, the ILP of the Appendix,
   and the Random / Round-robin / Minimum-Machines baselines (§5, §6).
-* :mod:`repro.core.choreo` — the end-to-end system (§2).
+
+The end-to-end system of §2 is these layers called in order: the profiler
+turns flow records into an application, the measurer turns the tenant's
+VMs into a profile, and a placer maps the application onto the VMs.
 """
 
 from repro.core.network_profile import NetworkProfile
 from repro.core.profiler import ApplicationProfiler
-from repro.core.rate_model import ConnectionLoad, effective_rate
 from repro.core.estimator import estimate_completion_time, machine_pair_bytes
 from repro.core.placement import (
     Machine,
@@ -36,13 +38,10 @@ from repro.core.measurement import (
     BottleneckLocator,
     NetworkMeasurer,
 )
-from repro.core.choreo import ChoreoSystem, ChoreoConfig
 
 __all__ = [
     "NetworkProfile",
     "ApplicationProfiler",
-    "ConnectionLoad",
-    "effective_rate",
     "estimate_completion_time",
     "machine_pair_bytes",
     "Machine",
@@ -60,6 +59,4 @@ __all__ = [
     "BottleneckReport",
     "BottleneckLocator",
     "NetworkMeasurer",
-    "ChoreoSystem",
-    "ChoreoConfig",
 ]

@@ -2,9 +2,8 @@
 
 A :class:`NetworkProfile` is what Choreo's placement algorithms consume: the
 estimated single-connection TCP throughput for every ordered VM pair
-(``R`` in the Appendix) and optional per-VM hose-rate estimates.
-Connections out of one VM share its egress cap: the hose model §4.4 finds
-on EC2 and Rackspace.
+(``R`` in the Appendix).  Connections out of one VM share its egress cap:
+the hose model §4.4 finds on EC2 and Rackspace.
 
 ``R`` *is* the profile: one ``(n, n)`` float64 array in ``vms`` order, from
 the campaign that scatters its estimates into it to the placer that ranks
@@ -77,8 +76,6 @@ class NetworkProfile:
             as a read-only mapping view of the measured pairs.
         intra_vm_rate_bps: rate used for two tasks placed on the same VM;
             the paper models intra-machine paths as essentially infinite.
-        hose_rates_bps: per-VM estimated egress cap; when missing, the
-            maximum measured rate out of the VM is used.
         measured_at: provider time at which the measurement was taken.
         measurement_duration_s: wall-clock cost of the measurement campaign.
         pair_measured_at: provider time each ordered pair was probed, as a
@@ -106,7 +103,6 @@ class NetworkProfile:
         vms: Sequence[str],
         rates_bps: PairValues,
         intra_vm_rate_bps: float = math.inf,
-        hose_rates_bps: Optional[Mapping] = None,
         measured_at: float = 0.0,
         measurement_duration_s: float = 0.0,
         pair_measured_at: Optional[PairValues] = None,
@@ -117,7 +113,6 @@ class NetworkProfile:
         if len(self._index) != len(self.vms):
             raise MeasurementError("duplicate VM names in profile")
         self.intra_vm_rate_bps = intra_vm_rate_bps
-        self.hose_rates_bps: Dict[str, float] = dict(hose_rates_bps or {})
         self.measured_at = measured_at
         self.measurement_duration_s = measurement_duration_s
         self.degraded_pairs: Dict[Tuple[str, str], str] = dict(degraded_pairs or {})
@@ -254,13 +249,11 @@ class NetworkProfile:
         return np.where(measured & np.isnan(self._times), self.measured_at, self._times)
 
     def hose_rate(self, vm: str) -> float:
-        """Estimated egress cap of a VM.
+        """Estimated egress cap of a VM: the maximum measured rate out of it.
 
-        Falls back to the maximum measured rate out of the VM, which is the
-        natural hose estimate when the provider does not advertise one.
+        That is the natural hose estimate, as the provider does not
+        advertise one.
         """
-        if vm in self.hose_rates_bps:
-            return self.hose_rates_bps[vm]
         i = self._index.get(vm)
         if i is not None:
             outgoing = self._rates[i].copy()
@@ -296,14 +289,6 @@ class NetworkProfile:
     def pairs(self) -> List[Tuple[str, str]]:
         """All measured ordered pairs."""
         return list(self.rates_bps)
-
-    def fastest_pairs(self, n: Optional[int] = None) -> List[Tuple[str, str, float]]:
-        """Measured pairs sorted by descending rate (ties broken by name)."""
-        ranked = sorted(
-            ((src, dst, rate) for (src, dst), rate in self.rates_bps.items()),
-            key=lambda item: (-item[2], item[0], item[1]),
-        )
-        return ranked if n is None else ranked[:n]
 
     # ----------------------------------------------------------- constructors
     @classmethod

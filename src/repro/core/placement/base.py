@@ -87,10 +87,6 @@ class ClusterState:
         used = self.cpu_used
         return {m.name: m.cores - used.get(m.name, 0.0) for m in self.machines}
 
-    def total_available_cpu(self) -> float:
-        """Cores still free across the whole cluster."""
-        return sum(self.available_cpus().values())
-
     def with_usage(self, usage: Mapping[str, float]) -> "ClusterState":
         """A copy with additional CPU usage applied (for sequential placement)."""
         combined = dict(self.cpu_used)
@@ -115,19 +111,12 @@ class Placement:
                 f"placement for {self.app_name!r} has no task {task_name!r}"
             ) from exc
 
-    def machines_used(self) -> List[str]:
-        """Machines that received at least one task, sorted."""
-        return sorted(set(self.assignments.values()))
-
     def cpu_usage(self, app: Application) -> Dict[str, float]:
         """Cores the placed application consumes on each machine."""
         usage: Dict[str, float] = {}
         for task, machine in self.assignments.items():
             usage[machine] = usage.get(machine, 0.0) + app.cpu_demand(task)
         return usage
-
-    def __len__(self) -> int:
-        return len(self.assignments)
 
 
 def validate_placement(
@@ -161,24 +150,6 @@ def validate_placement(
                 f"machine {machine!r} over-committed: task demand {used:.2f} cores, "
                 f"available {cluster.available_cpu(machine):.2f}"
             )
-
-
-def cpu_feasible_machines(
-    app: Application, cluster: ClusterState
-) -> Dict[str, List[str]]:
-    """For each task, the machines with enough free CPU for it alone.
-
-    This is the per-assignment feasibility filter exact solvers can prune
-    variables with: a task can never sit on a machine that lacks the cores
-    for it in isolation (joint feasibility is still the solver's job).
-    """
-    available = cluster.available_cpus()
-    return {
-        task.name: [
-            m for m, free in available.items() if task.cpu_cores <= free + 1e-9
-        ]
-        for task in app.tasks
-    }
 
 
 class Placer(abc.ABC):

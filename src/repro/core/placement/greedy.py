@@ -10,7 +10,7 @@ the highest rate, given what has already been placed:
   naturally colocates heavily communicating tasks when CPU allows;
 * the candidate rate accounts for connections already placed in this round,
   which share the source's egress (the hose model) — see
-  :func:`repro.core.rate_model.effective_rate`.
+  :mod:`repro.core.rate_model`.
 
 Tasks that never communicate are placed last on the machines with the most
 free CPU.  The result is not guaranteed optimal (Figure 9 shows a
@@ -27,8 +27,8 @@ Algorithm 1's selection key is ``(-rate, -colocated, src name, dst name)``;
 because indices follow name order, "the first maximum in row-major order"
 *is* the lexicographically smallest ``(src, dst)`` among the fastest
 candidates, and the colocation preference only adds "a colocated candidate
-tied at the maximum wins".  Every rate is ``==`` the scalar
-:func:`~repro.core.rate_model.effective_rate`, so placements — including
+tied at the maximum wins".  Every rate is ``==`` the scalar rate model
+(``tests/oracles/effective_rate.py``), so placements — including
 the order of ``Placement.assignments`` — are those of the scalar algorithm
 (kept as the oracle in ``tests/test_admission_arrays.py``).
 
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -73,10 +73,17 @@ _CLUSTER_THRESHOLD = 96
 def _k_center(matrix: np.ndarray, n_clusters: int) -> Tuple[List[int], np.ndarray]:
     """Farthest-point k-center over the rows of a rate matrix.
 
+    Each machine's feature vector is its row of the matrix (out-rates to
+    every other machine; unmeasured and infinite entries contribute 0, the
+    diagonal is zeroed), so two machines land in one cluster when the
+    network looks alike *from* them — e.g. rack mates behind the same
+    oversubscribed uplink.  Distances are squared Euclidean norms via dot
+    products, so the clustering is O(k·n²) vector work.
+
     Returns ``(leaders, owner)``: the row indices picked as leaders (first
     row first, ties to the lowest index) and, per row, the position in
-    ``leaders`` of its nearest leader.  See
-    :func:`cluster_vms_by_rate_profile` for the feature definition.
+    ``leaders`` of its nearest leader.  Fewer than ``n_clusters`` leaders
+    come back when rows are identical (a uniform mesh yields one).
     """
     k = max(1, min(int(n_clusters), matrix.shape[0]))
     features = np.where(np.isfinite(matrix), matrix, 0.0)
@@ -100,36 +107,6 @@ def _k_center(matrix: np.ndarray, n_clusters: int) -> Tuple[List[int], np.ndarra
         rows.append(row)
         np.minimum(nearest, row, out=nearest)
     return leaders, np.argmin(np.vstack(rows), axis=0)
-
-
-def cluster_vms_by_rate_profile(
-    profile: NetworkProfile,
-    machines: Sequence[str],
-    n_clusters: int,
-) -> Tuple[List[str], List[List[str]]]:
-    """Group machines by measured rate-profile similarity (k-center).
-
-    Each machine's feature vector is its row of the profile's rate matrix
-    (out-rates to every other machine in ``machines``; unmeasured and
-    infinite entries contribute 0, the diagonal is zeroed), so two machines
-    land in one cluster when the network looks alike *from* them — e.g.
-    rack mates behind the same oversubscribed uplink.  Leaders are picked
-    by deterministic farthest-point traversal (first machine first, ties
-    to the lowest index) and every machine joins its nearest leader.
-
-    Returns ``(leaders, clusters)`` where ``clusters[i]`` lists the
-    machines led by ``leaders[i]``.  Fewer than ``n_clusters`` clusters
-    come back when machines have identical profiles (a uniform mesh
-    yields a single cluster).  Distances use squared Euclidean norms via
-    dot products, so the whole clustering is O(k·n²) vector work.
-    """
-    if len(machines) == 0:
-        raise PlacementError("cannot cluster an empty machine list")
-    leader_rows, owner = _k_center(profile.rate_matrix(order=machines), n_clusters)
-    clusters: List[List[str]] = [[] for _ in leader_rows]
-    for index, lead in enumerate(owner):
-        clusters[int(lead)].append(machines[index])
-    return [machines[i] for i in leader_rows], clusters
 
 
 def greedy_incumbent(

@@ -12,80 +12,31 @@ sharing it.  A new connection that joins ``k`` of our own connections
 already leaving the same source splits that source's egress with them, and
 gets ``R / (1 + k)``.
 
-:func:`effective_rate` is that expression for one pair — the definition, and
-the oracle the tests hold the array form to.  :class:`EffectiveRateMatrix`
-is the same expression evaluated elementwise over every ordered machine
-pair at once, which is what the greedy placer ranks candidates on.
+:class:`EffectiveRateMatrix` evaluates that expression elementwise over
+every ordered machine pair at once, which is what the greedy placer ranks
+candidates on.  Its scalar form for one pair, the oracle the tests hold the
+matrix to, is ``tests/oracles/effective_rate.py``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.network_profile import NetworkProfile
 
 
-@dataclass
-class ConnectionLoad:
-    """Bookkeeping of the connections placed so far in one placement round."""
-
-    per_source: Dict[str, int] = field(default_factory=dict)
-
-    def add(self, src_machine: str, dst_machine: str) -> None:
-        """Record one more connection from ``src_machine`` to ``dst_machine``.
-
-        Intra-machine transfers use no network egress, so they are not
-        counted against the source hose.
-        """
-        if src_machine == dst_machine:
-            return
-        self.per_source[src_machine] = self.per_source.get(src_machine, 0) + 1
-
-    def out_of(self, src_machine: str) -> int:
-        """Connections already placed with ``src_machine`` as their source."""
-        return self.per_source.get(src_machine, 0)
-
-    def copy(self) -> "ConnectionLoad":
-        """An independent copy (used when evaluating hypothetical placements)."""
-        return ConnectionLoad(per_source=dict(self.per_source))
-
-
-def effective_rate(
-    profile: NetworkProfile,
-    src_machine: str,
-    dst_machine: str,
-    load: ConnectionLoad,
-) -> float:
-    """Rate a *new* connection would get on ``src -> dst`` given placed load.
-
-    Args:
-        profile: the measured network profile.
-        src_machine, dst_machine: candidate machines.
-        load: connections placed so far during this placement round; the
-            new connection shares the source's egress with them.
-
-    Returns:
-        Estimated rate in bits/second.  Intra-machine placements return the
-        profile's intra-VM rate (essentially infinite).
-    """
-    if src_machine == dst_machine:
-        return profile.intra_vm_rate_bps
-    return profile.rate(src_machine, dst_machine) / (1.0 + load.out_of(src_machine))
-
-
 class EffectiveRateMatrix:
-    """:func:`effective_rate` for every ordered machine pair, kept current.
+    """The effective rate of every ordered machine pair, kept current.
 
     ``rates[i, j]`` is the rate a new connection from ``machines[i]`` to
     ``machines[j]`` would get given the connections recorded so far:
     ``S/(1.0 + k)`` with ``S`` the profile's rate matrix and ``k`` the
-    connections already leaving the source — the float operations of
-    :func:`effective_rate`, elementwise, so every entry ``==`` the scalar
-    value.  The diagonal is the intra-VM rate and never moves; an
-    unmeasured pair is ``NaN``.  Recording a connection recomputes the one
+    connections already leaving the source — the float operations of the
+    scalar expression, elementwise, so every entry ``==`` the scalar value.
+    The diagonal is the intra-VM rate and never moves; an unmeasured pair
+    is ``NaN``.  Recording a connection recomputes the one
     row it changes.
     """
 

@@ -10,7 +10,7 @@ with the process, so a grown grid re-pays every cell on every invocation.
 where ``code_version`` is a digest of the installed ``repro`` source tree.
 Change any source file and every key changes, so a store can never serve
 results computed by different code — stale cells are simply never addressed
-again (and :meth:`ResultStore.prune_stale` reclaims their disk space).
+again (deleting an old version's directory reclaims their disk space).
 
 Layout: immutable *packs* of JSON lines, one pack per write batch::
 
@@ -69,7 +69,6 @@ import json
 import logging
 import os
 import secrets
-import shutil
 import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -87,8 +86,7 @@ CACHE_SCHEMA = "repro.experiments/cache/v1"
 COST_SCHEMA = "repro.experiments/costs/v1"
 
 #: Directories (under the version dir) holding the packs and the cost
-#: sidecars.  Sidecars are not cells: ``__len__`` and ``prune_stale`` only
-#: count packs.
+#: sidecars.  Sidecars are not cells: ``__len__`` only counts packs.
 _PACKS_DIRNAME = "packs"
 _COSTS_DIRNAME = "costs"
 
@@ -478,28 +476,6 @@ class ResultStore:
                 entry[1] += total
         return {cell: total / count for cell, (count, total) in merged.items()}
 
-    # ------------------------------------------------------------ maintenance
-    def prune_stale(self) -> int:
-        """Drop every cell written under a different code version.
-
-        This is the store's eviction policy: old-version cells can never be
-        addressed again (their keys embed the old digest), so reclaiming
-        them is always safe.  Returns the number of cells removed.
-        """
-        removed = 0
-        current = self.version[:16]
-        if not self.root.is_dir():
-            return 0
-        for version_dir in self.root.iterdir():
-            if not version_dir.is_dir() or version_dir.name == current:
-                continue
-            removed += len(self._cells(version_dir))
-            # rmtree, not per-pack unlink: stale dirs may also hold .tmp
-            # droppings from writes interrupted mid-put.
-            shutil.rmtree(version_dir, ignore_errors=True)
-        self._invalidated.inc(removed)
-        return removed
-
     # ------------------------------------------------------------- inspection
     @property
     def stats(self) -> Dict[str, int]:
@@ -529,9 +505,3 @@ class ResultStore:
     def __len__(self) -> int:
         """Distinct cells stored under the *current* code version."""
         return len(self._cells(self._packs.parent))
-
-    def __repr__(self) -> str:
-        return (
-            f"ResultStore(root={str(self.root)!r}, "
-            f"version={self.version[:16]!r}, cells={len(self)})"
-        )

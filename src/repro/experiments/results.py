@@ -150,16 +150,6 @@ class ExperimentResult:
     baseline: str
     records: List[TrialRecord] = field(default_factory=list)
 
-    # ------------------------------------------------------------- accessors
-    def record(self, scenario: str, placer: str, trial: int) -> TrialRecord:
-        """Look up one grid cell."""
-        for rec in self.records:
-            if rec.scenario == scenario and rec.placer == placer and rec.trial == trial:
-                return rec
-        raise ExperimentError(
-            f"no record for scenario={scenario!r} placer={placer!r} trial={trial}"
-        )
-
     def ok_records(self, scenario: str, placer: str) -> List[TrialRecord]:
         """Successful trials of one (scenario, placer) cell, by trial index."""
         return sorted(
@@ -190,24 +180,17 @@ class ExperimentResult:
             if not rec.ok
         ]
 
-    # --------------------------------------------------------------- summary
-    def speedups_vs_baseline(self, scenario: str, placer: str) -> List[float]:
-        """Per-trial relative speedup of ``placer`` over the baseline placer.
+    def _paired_speedups(self, scenario: str, placer: str) -> Tuple[List[float], int]:
+        """Finite per-trial speedups of ``placer`` over the baseline, plus
+        the count of ok trials dropped.
 
         Positive values mean ``placer`` finished faster than the baseline on
         the same trial (same seed, hence the same network and applications).
-        Trials whose speedup is undefined (a zero-duration baseline against a
-        nonzero competitor yields ``-inf``) are dropped so summaries and
-        their JSON serialisation stay finite; :meth:`summary` surfaces how
-        many were dropped per cell.
-        """
-        return self._paired_speedups(scenario, placer)[0]
-
-    def _paired_speedups(self, scenario: str, placer: str) -> Tuple[List[float], int]:
-        """Finite per-trial speedups plus the count of ok trials dropped.
-
         A trial is dropped when its baseline pair is missing (the baseline
-        errored on that seed) or when the speedup is non-finite.
+        errored on that seed) or when the speedup is non-finite (a
+        zero-duration baseline against a nonzero competitor yields
+        ``-inf``), so summaries and their JSON stay finite;
+        :meth:`summary` surfaces how many were dropped per cell.
         """
         if self.baseline not in self.placers:
             raise ExperimentError(

@@ -216,15 +216,6 @@ class RunStats:
     executed: int
     cache_hits: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "backend": self.backend,
-            "cells": self.cells,
-            "unique_cells": self.unique_cells,
-            "executed": self.executed,
-            "cache_hits": self.cache_hits,
-        }
-
 
 logger = logging.getLogger("repro.experiments.runner")
 

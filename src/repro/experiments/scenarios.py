@@ -201,7 +201,6 @@ def _light_workload_spec(max_tasks: int = 8) -> WorkloadSpec:
         min_tasks=4,
         max_tasks=max_tasks,
         cpu_choices=(0.5, 1.0, 2.0),
-        diurnal=False,
     )
 
 

@@ -600,22 +600,6 @@ class WorkerClient:
         except (OSError, ValueError):
             return None
 
-    def shutdown(self, timeout_s: float = 2.0) -> bool:
-        """Ask the worker to stop serving; True if it acknowledged."""
-        try:
-            conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=timeout_s
-            )
-            try:
-                conn.request("POST", "/shutdown")
-                resp = conn.getresponse()
-                resp.read()
-            finally:
-                conn.close()
-            return resp.status == 200
-        except OSError:
-            return False
-
 
 # ---------------------------------------------------------------------------
 # Local pools (tests, CI — and the backend's no-endpoint default)

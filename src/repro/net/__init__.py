@@ -14,8 +14,6 @@ from repro.net.topology import (
     Topology,
     TreeSpec,
     build_multi_rooted_tree,
-    build_dumbbell,
-    build_two_rack_cloud,
     NodeKind,
 )
 from repro.net.links import Link, LinkKind, loopback_link_id, hose_link_id
@@ -31,8 +29,6 @@ __all__ = [
     "Topology",
     "TreeSpec",
     "build_multi_rooted_tree",
-    "build_dumbbell",
-    "build_two_rack_cloud",
     "NodeKind",
     "Link",
     "LinkKind",

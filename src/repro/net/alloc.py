@@ -275,13 +275,6 @@ class IncrementalAllocator:
     def __len__(self) -> int:
         return len(self._flow_slot)
 
-    def __contains__(self, flow_id: str) -> bool:
-        return flow_id in self._flow_slot
-
-    def flow_ids(self) -> List[str]:
-        """Ids of the flows currently registered."""
-        return list(self._flow_slot)
-
     # ------------------------------------------------------------- mutation
     def add_flow(self, flow_id: str, links: Sequence[str]) -> int:
         """Register a flow crossing ``links``.
@@ -637,38 +630,6 @@ class IncrementalAllocator:
         """The slots of registered flows (see :meth:`add_flow`)."""
         slot = self._flow_slot
         return np.array([slot[flow_id] for flow_id in flow_ids], dtype=np.intp)
-
-    def clear(self) -> None:
-        """Remove every flow (capacities are kept)."""
-        self._flow_slot.clear()
-        self._slot_name.clear()
-        self._slot_links.clear()
-        self._slot_unique_links.clear()
-        self._row_data = np.zeros(0, dtype=np.intp)
-        self._row_start = np.zeros(0, dtype=np.int64)
-        self._row_used = 0
-        self._row_live = 0
-        self._free_slots.clear()
-        for members in self._members:
-            members.clear()
-        self._link_use.clear()
-        self._batch_memo.clear()
-        self._linkless.clear()
-        self._slot_nlinks = np.zeros(0, dtype=np.int64)
-        self._max_row = 0
-        self._label = None
-        self._layout = None
-        self._dup_link_flows = 0
-        self._slot_rate = np.zeros(0, dtype=np.float64)
-        self._solved = False
-        self._solution = None
-        self._have_rates = False
-        self._dirty_links.clear()
-        self._dirty_linkless.clear()
-        self._round_log.clear()
-        self._freeze_round = np.zeros(0, dtype=np.int64)
-        self._resume = 0
-        self._written = None
 
     # --------------------------------------------------------------- solve
     def uses_vector_path(self) -> bool:

@@ -15,7 +15,8 @@ but the links it crosses limits its rate.
 
 The solver is :class:`~repro.net.alloc.IncrementalAllocator`.  This module
 holds what it shares with its callers: the :class:`FlowDemand` record,
-:func:`max_min_violations` (the certificate any allocation must pass),
+:func:`max_min_violations` (the certificate any allocation must pass) and
+:func:`segment_violations` (the same, at every moment of a fluid run),
 :func:`probe_rates_under_load` and :func:`snapshot_violations` (the bounds
 its rates must keep).
 """
@@ -24,11 +25,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.net.fluid import _TIME_EPS
 
 
 @dataclass(frozen=True)
@@ -98,6 +100,50 @@ def max_min_violations(
                 f"flow {flow_id!r}: rate {rate!r} has no bottleneck (on no "
                 f"saturated link where it is the fastest)"
             )
+    return problems
+
+
+def segment_violations(
+    result,
+    paths: Mapping[str, Sequence[str]],
+    capacities: Mapping[str, float],
+) -> List[str]:
+    """Ways a fluid run's rate log fails :func:`max_min_violations` (empty:
+    none), at any moment of the run.
+
+    ``result`` is a :class:`~repro.net.fluid.FluidResult`, ``paths`` maps
+    each of its flows to the links it crosses, and ``capacities`` are the
+    links' capacities during the run.  Between two consecutive segment
+    boundaries the active flows and their rates are constant; each such
+    interval is checked with the rates in force at its midpoint, over the
+    flows whose segments cover it.  An interval no longer than the log's
+    time resolution is skipped: the log drops segments that short, so a
+    flow can look absent there.
+    """
+    flow_ids: List[str] = []
+    starts: List[float] = []
+    ends: List[float] = []
+    rates: List[float] = []
+    for flow_id in result.timelines:
+        for segment in result.timelines[flow_id].segments:
+            flow_ids.append(flow_id)
+            starts.append(segment.start)
+            ends.append(segment.end)
+            rates.append(segment.rate_bps)
+    start, end = np.array(starts), np.array(ends)
+    bounds = np.unique(np.concatenate([start, end])).tolist()
+    problems: List[str] = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi - lo <= _TIME_EPS:
+            continue
+        mid = 0.5 * (lo + hi)
+        active = np.flatnonzero((start <= mid) & (mid < end)).tolist()
+        demands = {flow_ids[i]: FlowDemand(tuple(paths[flow_ids[i]])) for i in active}
+        in_force = {flow_ids[i]: rates[i] for i in active}
+        problems.extend(
+            f"t={mid!r}: {problem}"
+            for problem in max_min_violations(demands, capacities, in_force)
+        )
     return problems
 
 

@@ -104,16 +104,6 @@ class RateSegment:
     end: float
     rate_bps: float
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
-
-    @property
-    def bytes_moved(self) -> float:
-        if math.isinf(self.rate_bps):
-            return math.inf
-        return self.rate_bps * self.duration / BITS_PER_BYTE
-
 
 class RateTimeline:
     """Piece-wise constant history of a single flow's rate.
@@ -151,23 +141,6 @@ class RateTimeline:
         self.segments.append(RateSegment(start, end, rate_bps))
         self._starts.append(start)
 
-    @property
-    def start_time(self) -> Optional[float]:
-        return self.segments[0].start if self.segments else None
-
-    @property
-    def end_time(self) -> Optional[float]:
-        return self.segments[-1].end if self.segments else None
-
-    def rate_at(self, t: float) -> float:
-        """Rate at time ``t`` (0 outside the flow's active intervals)."""
-        i = bisect.bisect_right(self._starts, t) - 1
-        if i >= 0:
-            segment = self.segments[i]
-            if segment.start <= t < segment.end:
-                return segment.rate_bps
-        return 0.0
-
     def average_rate(self, start: float, end: float) -> float:
         """Time-average rate over ``[start, end]`` (gaps count as zero)."""
         if end <= start:
@@ -184,10 +157,6 @@ class RateTimeline:
             if hi > lo:
                 moved_bits += segment.rate_bps * (hi - lo)
         return moved_bits / (end - start)
-
-    def total_bytes(self) -> float:
-        """Total bytes moved over the flow's recorded lifetime."""
-        return sum(segment.bytes_moved for segment in self.segments)
 
 
 class _TimelineTable(MappingABC):
@@ -272,9 +241,6 @@ class _TimelineTable(MappingABC):
         ]
         return timeline
 
-    def __contains__(self, flow_id: object) -> bool:
-        return flow_id in self._positions()
-
     def __iter__(self) -> Iterator[str]:
         return iter(self._flow_ids)
 
@@ -306,13 +272,6 @@ class FluidResult:
         if flow_id not in self.completion_times:
             raise SimulationError(f"flow {flow_id!r} did not complete")
         return self.completion_times[flow_id]
-
-    def makespan(self, flow_ids: Optional[Iterable[str]] = None) -> float:
-        """Latest completion time among the given flows (default: all)."""
-        ids = list(flow_ids) if flow_ids is not None else list(self.completion_times)
-        if not ids:
-            return 0.0
-        return max(self.completion_time(fid) for fid in ids)
 
 
 #: Process-wide fluid-engine counters (``obs.metrics.snapshot()``):
@@ -577,13 +536,6 @@ class FluidSimulation:
             chunks[:] = [(np.concatenate(data), np.concatenate(lens))]
         data, lengths = chunks[0]
         return data, np.cumsum(lengths) - lengths, lengths
-
-    def flow(self, flow_id: str) -> Flow:
-        """Look up a registered flow."""
-        try:
-            return self._flows[flow_id]
-        except KeyError as exc:
-            raise SimulationError(f"unknown flow {flow_id!r}") from exc
 
     # -------------------------------------------------------------------- run
     def run(self, until: Optional[float] = None) -> FluidResult:

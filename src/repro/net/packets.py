@@ -67,11 +67,6 @@ class PacketTrainSpec:
         """Bytes in one burst."""
         return float(self.packet_size_bytes * self.burst_length)
 
-    @property
-    def total_packets(self) -> int:
-        """Packets in the whole train."""
-        return self.n_bursts * self.burst_length
-
 
 def _bucket_drain_times(
     tokens_bytes: np.ndarray,

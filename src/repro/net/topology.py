@@ -9,14 +9,8 @@ same rack, four within an aggregation subtree, six through the core, and
 eight when an extra aggregation tier is present.
 
 :class:`Topology` is a small adjacency container that knows about directed
-capacities, racks, subtrees, and intra-host loopback links.  Specialised
-builders create the topologies the paper uses:
-
-* :func:`build_multi_rooted_tree` — the general datacenter of Figure 5;
-* :func:`build_dumbbell` — Figure 3(a), ten sender/receiver pairs sharing one
-  1 Gbit/s link;
-* :func:`build_two_rack_cloud` — Figure 3(b), two racks of ten nodes whose
-  ToR switches connect through a 10 Gbit/s aggregation switch.
+capacities, racks, subtrees, and intra-host loopback links.
+:func:`build_multi_rooted_tree` builds the general datacenter of Figure 5.
 """
 
 from __future__ import annotations
@@ -799,61 +793,4 @@ def build_multi_rooted_tree(spec: TreeSpec = TreeSpec(), name: str = "dc") -> To
                 topo.add_node(host, NodeKind.HOST, level=0)
                 topo.add_link(host, tor, spec.host_link_bps, LinkKind.HOST_TOR)
     topo._router = _TreeRouter(spec)
-    return topo
-
-
-def build_dumbbell(
-    n_pairs: int = 10,
-    shared_link_bps: float = 1 * GBITPS,
-    access_link_bps: float = 10 * GBITPS,
-    name: str = "dumbbell",
-) -> Topology:
-    """Build the Figure 3(a) topology: ``n_pairs`` sender/receiver pairs.
-
-    Senders ``s1..sN`` attach to a left switch, receivers ``r1..rN`` to a
-    right switch, and a single ``shared_link_bps`` link connects the two
-    switches; every sender-to-receiver flow crosses that shared bottleneck.
-    """
-    if n_pairs < 1:
-        raise TopologyError("n_pairs must be >= 1")
-    topo = Topology(name=name)
-    topo.add_node("swL", NodeKind.TOR, level=1)
-    topo.add_node("swR", NodeKind.TOR, level=1)
-    topo.add_link("swL", "swR", shared_link_bps, LinkKind.GENERIC)
-    for i in range(1, n_pairs + 1):
-        sender, receiver = f"s{i}", f"r{i}"
-        topo.add_node(sender, NodeKind.HOST, level=0)
-        topo.add_node(receiver, NodeKind.HOST, level=0)
-        topo.add_link(sender, "swL", access_link_bps, LinkKind.HOST_TOR)
-        topo.add_link(receiver, "swR", access_link_bps, LinkKind.HOST_TOR)
-    return topo
-
-
-def build_two_rack_cloud(
-    n_pairs: int = 10,
-    host_link_bps: float = 1 * GBITPS,
-    agg_link_bps: float = 10 * GBITPS,
-    name: str = "cloud",
-) -> Topology:
-    """Build the Figure 3(b) topology.
-
-    Senders share a ToR switch, receivers share another ToR switch, and the
-    two ToRs connect through an aggregation switch ``A``.  Host links are
-    1 Gbit/s while ToR-to-aggregation links are 10 Gbit/s, so cross traffic
-    only bites once more than ten flows share a ToR uplink.
-    """
-    if n_pairs < 1:
-        raise TopologyError("n_pairs must be >= 1")
-    topo = Topology(name=name)
-    topo.add_node("torS", NodeKind.TOR, level=1)
-    topo.add_node("torR", NodeKind.TOR, level=1)
-    topo.add_node("A", NodeKind.AGG, level=2)
-    topo.add_link("torS", "A", agg_link_bps, LinkKind.TOR_AGG)
-    topo.add_link("torR", "A", agg_link_bps, LinkKind.TOR_AGG)
-    for i in range(1, n_pairs + 1):
-        sender, receiver = f"s{i}", f"r{i}"
-        topo.add_node(sender, NodeKind.HOST, level=0)
-        topo.add_node(receiver, NodeKind.HOST, level=0)
-        topo.add_link(sender, "torS", host_link_bps, LinkKind.HOST_TOR)
-        topo.add_link(receiver, "torR", host_link_bps, LinkKind.HOST_TOR)
     return topo

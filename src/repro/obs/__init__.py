@@ -18,7 +18,7 @@ Three pillars:
 * **spans** (:mod:`repro.obs.trace`) — nested timing events flushed to a
   JSONL file, off by default, enabled via ``REPRO_TRACE=path``, the
   unified CLI's ``--trace``, or :func:`configure`;
-* **metrics** (:mod:`repro.obs.metrics`) — typed Counter/Gauge/Histogram
+* **metrics** (:mod:`repro.obs.metrics`) — typed Counter/Gauge
   instruments owned by components, aggregated by the process-wide
   :data:`metrics` registry; the pre-existing ad-hoc ``.stats`` dicts are
   now thin views over these;
@@ -39,7 +39,6 @@ from typing import Optional
 from repro.obs.metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
     registry as metrics,
 )
@@ -47,7 +46,6 @@ from repro.obs.trace import (
     TRACE_ENV,
     WORKER_ID_ENV,
     configure,
-    enabled,
     point,
     span,
     trace_path,
@@ -58,11 +56,9 @@ __all__ = [
     "WORKER_ID_ENV",
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "metrics",
     "configure",
-    "enabled",
     "point",
     "span",
     "trace_path",

@@ -39,7 +39,6 @@ from typing import Dict, Optional
 
 __all__ = [
     "configure",
-    "enabled",
     "span",
     "point",
     "trace_path",
@@ -102,13 +101,6 @@ def configure(trace_path: Optional[str] = None, *, export_env: bool = True) -> N
                 os.environ[TRACE_ENV] = str(trace_path)
         elif export_env:
             os.environ.pop(TRACE_ENV, None)
-
-
-def enabled() -> bool:
-    """Whether spans are currently being recorded."""
-    if not _state.env_checked:
-        _check_env()
-    return _state.enabled
 
 
 def trace_path() -> Optional[str]:

@@ -11,7 +11,6 @@ the provider, and reports completion times that include all sharing effects
 from repro.runtime.executor import (
     ApplicationRun,
     placement_to_flows,
-    run_application,
     run_applications,
 )
 from repro.runtime.sequence import SequenceResult, SequentialPlacementRunner
@@ -25,7 +24,6 @@ from repro.runtime.metrics import (
 __all__ = [
     "ApplicationRun",
     "placement_to_flows",
-    "run_application",
     "run_applications",
     "SequenceResult",
     "SequentialPlacementRunner",

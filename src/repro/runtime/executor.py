@@ -5,8 +5,8 @@ VM-level flows: every task-pair transfer whose endpoints landed on different
 VMs becomes a network flow; transfers between tasks on the same VM never
 touch the network (one of the main wins of network-aware placement).
 
-``run_application`` / ``run_applications`` execute those flows on the
-provider's fluid simulator and report per-application completion times.
+``run_applications`` executes those flows on the
+provider's fluid simulator and reports per-application completion times.
 """
 
 from __future__ import annotations
@@ -81,24 +81,6 @@ def placement_to_flows(
             )
         )
     return flows, colocated
-
-
-def run_application(
-    provider: CloudProvider,
-    placement: Placement,
-    app: Application,
-    start_time: float = 0.0,
-    background: Sequence[VMFlow] = (),
-) -> ApplicationRun:
-    """Run one placed application (optionally with background flows)."""
-    runs = run_applications(
-        provider,
-        placements={app.name: placement},
-        apps=[app],
-        start_times={app.name: start_time},
-        background=background,
-    )
-    return runs[app.name]
 
 
 def run_applications(

@@ -51,18 +51,6 @@ class SequenceResult:
     #: Host wall-clock spent measuring and placing (simulation excluded).
     placement_wall_s: float = 0.0
 
-    @property
-    def total_running_time(self) -> float:
-        """Sum of per-application running times (the §6.3 comparison metric)."""
-        return sum(run.duration for run in self.runs.values())
-
-    def duration_of(self, app_name: str) -> float:
-        """Running time of one application."""
-        try:
-            return self.runs[app_name].duration
-        except KeyError as exc:
-            raise SimulationError(f"unknown application {app_name!r}") from exc
-
 
 class SequentialPlacementRunner:
     """Places applications in arrival order and runs the whole sequence."""

@@ -121,29 +121,13 @@ class MeasurementCache:
         """Every ordered pair of the covered mesh."""
         return [(s, d) for s in self.vms for d in self.vms if s != d]
 
-    def stale_pairs(self, now: float) -> List[Tuple[str, str]]:
-        """Pairs never measured or older than the TTL at ``now``.
-
-        The comparison is strict: a pair stamped *exactly* ``ttl_s`` ago is
-        still fresh — it goes stale the instant after.  The list is in
-        :meth:`mesh_pairs` order (row-major over the time array).
-        """
-        rows, cols = np.nonzero(self._stale(now))
-        vms = self.vms
-        return [(vms[i], vms[j]) for i, j in zip(rows.tolist(), cols.tolist())]
-
     def _stale(self, now: float) -> np.ndarray:
-        """The ``(M, M)`` mask of :meth:`stale_pairs`."""
+        """The ``(M, M)`` mask of the pairs never measured or older than
+        the TTL at ``now``.  The comparison is strict: a pair stamped
+        *exactly* ``ttl_s`` ago is still fresh."""
         fresh = now - self._measured_at <= self.ttl_s  # NaN compares False
         np.fill_diagonal(fresh, True)
         return ~fresh
-
-    def age_of(self, pair: Tuple[str, str], now: float) -> Optional[float]:
-        """Age of a pair's measurement, ``None`` when never measured."""
-        i, j = self._index.get(pair[0]), self._index.get(pair[1])
-        if i is None or j is None or math.isnan(self._measured_at[i, j]):
-            return None
-        return now - float(self._measured_at[i, j])
 
     # ------------------------------------------------------------- topology
     def remove_vm(self, vm: str) -> None:

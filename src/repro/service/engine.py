@@ -184,12 +184,6 @@ class ServiceReport:
     def total_completion_time_s(self) -> float:
         return sum(a.duration for a in self.completed())
 
-    def duration_of(self, app_name: str) -> float:
-        for outcome in self.apps:
-            if outcome.name == app_name and outcome.duration is not None:
-                return outcome.duration
-        raise ServiceError(f"no completed application {app_name!r} in report")
-
     # ------------------------------------------------------------------ JSON
     def to_json_dict(self) -> dict:
         done = self.completed()

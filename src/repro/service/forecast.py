@@ -114,11 +114,6 @@ class RateForecaster:
         #: Series length per ordered pair (0 = never observed).
         self._lengths = np.zeros((0, 0), dtype=np.intp)
 
-    @property
-    def epochs_recorded(self) -> int:
-        """How many completed epochs the history covers."""
-        return len(self._epochs)
-
     def _indices(self, vms: Sequence[str]) -> np.ndarray:
         """Positions of ``vms`` in the forecaster's index space, growing it
         (with empty series) for names it has not seen."""

@@ -120,7 +120,6 @@ def build_churn_session(
         mean_total_bytes=4 * GBYTE,
         cpu_choices=(2.0, 3.0, 4.0),
         arrival_rate_per_hour=apps_per_hour,
-        diurnal=False,
     )
     gen = HPCloudWorkloadGenerator(spec, seed=seed ^ _WORKLOAD_SEED_SALT)
     # The generator's arrival processes are hour-based; rescale to the

@@ -6,13 +6,13 @@ is not public, so this package provides a synthetic equivalent: task-level
 applications (:mod:`repro.workloads.application`), the communication
 patterns the paper's introduction motivates (:mod:`repro.workloads.patterns`),
 a heavy-tailed HP-Cloud-like workload generator
-(:mod:`repro.workloads.generator`), arrival processes
+(:mod:`repro.workloads.generator`), Poisson arrivals
 (:mod:`repro.workloads.arrivals`), an sFlow-like flow-record trace format
 (:mod:`repro.workloads.trace`), and the hour-over-hour predictability
 analysis of §6.1 (:mod:`repro.workloads.predictability`).
 """
 
-from repro.workloads.application import Application, Task, TrafficMatrix, combine_applications
+from repro.workloads.application import Application, Task, TrafficMatrix
 from repro.workloads.patterns import (
     mapreduce,
     scatter_gather,
@@ -22,8 +22,8 @@ from repro.workloads.patterns import (
     random_sparse,
 )
 from repro.workloads.generator import HPCloudWorkloadGenerator, WorkloadSpec
-from repro.workloads.arrivals import PoissonArrivals, DiurnalArrivals
-from repro.workloads.trace import FlowRecord, write_trace, read_trace, records_to_traffic_matrix
+from repro.workloads.arrivals import PoissonArrivals
+from repro.workloads.trace import FlowRecord, read_trace, records_to_traffic_matrix
 from repro.workloads.predictability import (
     PredictabilityReport,
     evaluate_predictability,
@@ -36,7 +36,6 @@ __all__ = [
     "Application",
     "Task",
     "TrafficMatrix",
-    "combine_applications",
     "mapreduce",
     "scatter_gather",
     "pipeline",
@@ -46,9 +45,7 @@ __all__ = [
     "HPCloudWorkloadGenerator",
     "WorkloadSpec",
     "PoissonArrivals",
-    "DiurnalArrivals",
     "FlowRecord",
-    "write_trace",
     "read_trace",
     "records_to_traffic_matrix",
     "PredictabilityReport",

@@ -9,9 +9,8 @@ CPU demand (the evaluation models 0.5–4 cores per task on 4-core machines).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.errors import WorkloadError
 
@@ -63,11 +62,6 @@ class TrafficMatrix:
         key = (src, dst)
         self._entries[key] = self._entries.get(key, 0.0) + float(num_bytes)
 
-    def merge(self, other: "TrafficMatrix") -> None:
-        """Accumulate every entry of ``other`` into this matrix."""
-        for (src, dst), value in other.items():
-            self.add(src, dst, value)
-
     def scaled(self, factor: float) -> "TrafficMatrix":
         """A new matrix with every entry multiplied by ``factor``."""
         if factor < 0:
@@ -77,10 +71,6 @@ class TrafficMatrix:
         )
 
     # ------------------------------------------------------------ inspection
-    def get(self, src: str, dst: str) -> float:
-        """Bytes sent from ``src`` to ``dst`` (0 when never observed)."""
-        return self._entries.get((src, dst), 0.0)
-
     def items(self) -> List[Tuple[Tuple[str, str], float]]:
         """All ``((src, dst), bytes)`` entries, in insertion order."""
         return list(self._entries.items())
@@ -92,14 +82,6 @@ class TrafficMatrix:
             key=lambda item: (-item[2], item[0], item[1]),
         )
 
-    def tasks(self) -> List[str]:
-        """Every task name that sends or receives data, sorted."""
-        names = set()
-        for src, dst in self._entries:
-            names.add(src)
-            names.add(dst)
-        return sorted(names)
-
     @property
     def total_bytes(self) -> float:
         """Sum of all entries."""
@@ -107,14 +89,6 @@ class TrafficMatrix:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TrafficMatrix):
-            return NotImplemented
-        return self._entries == other._entries
-
-    def __repr__(self) -> str:
-        return f"TrafficMatrix({len(self._entries)} entries, {self.total_bytes:.0f} bytes)"
 
 
 @dataclass
@@ -182,42 +156,3 @@ class Application:
     def transfers(self) -> List[Tuple[str, str, float]]:
         """Transfers sorted by descending volume (Algorithm 1 input)."""
         return self.traffic.pairs_by_volume()
-
-    def renamed(self, prefix: str) -> "Application":
-        """A copy with every task name prefixed (used when combining apps)."""
-        mapping = {task.name: f"{prefix}{task.name}" for task in self.tasks}
-        new_tasks = [Task(mapping[t.name], t.cpu_cores) for t in self.tasks]
-        new_traffic = TrafficMatrix(
-            {(mapping[s], mapping[d]): v for (s, d), v in self.traffic.items()}
-        )
-        return Application(
-            name=self.name,
-            tasks=new_tasks,
-            traffic=new_traffic,
-            start_time=self.start_time,
-        )
-
-
-def combine_applications(
-    applications: Sequence[Application], name: str = "combined"
-) -> Application:
-    """Merge applications into one, "in the obvious way" (§6.2).
-
-    Task names are prefixed with their application's name so that identically
-    named tasks from different applications stay distinct.  The combined
-    start time is the earliest of the inputs.
-    """
-    if not applications:
-        raise WorkloadError("cannot combine an empty list of applications")
-    tasks: List[Task] = []
-    traffic = TrafficMatrix()
-    for app in applications:
-        renamed = app.renamed(prefix=f"{app.name}/")
-        tasks.extend(renamed.tasks)
-        traffic.merge(renamed.traffic)
-    return Application(
-        name=name,
-        tasks=tasks,
-        traffic=traffic,
-        start_time=min(app.start_time for app in applications),
-    )

@@ -12,7 +12,7 @@ statistically similar population:
   few hundred MBytes, a few move tens of GBytes);
 * per-task CPU demands of 0.5–4 cores on 4-core machines, exactly as §6.1
   models them;
-* observed start times from a (diurnal) arrival process;
+* observed start times from a Poisson arrival process;
 * optionally, hourly byte series with a diurnal cycle and noise, so that the
   §6.1 predictability claim can be reproduced;
 * optionally, sFlow-like flow-record traces that exercise the profiler.
@@ -28,7 +28,7 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.units import GBYTE, HOUR, MBYTE
 from repro.workloads.application import Application
-from repro.workloads.arrivals import DiurnalArrivals, PoissonArrivals
+from repro.workloads.arrivals import PoissonArrivals
 from repro.workloads.patterns import (
     mapreduce,
     pipeline,
@@ -52,7 +52,6 @@ class WorkloadSpec:
         cpu_choices: per-task CPU demands (cores), sampled uniformly.
         pattern_weights: probability of each communication pattern.
         arrival_rate_per_hour: mean application arrival rate.
-        diurnal: modulate arrivals (and hourly series) with a day/night cycle.
     """
 
     min_tasks: int = 4
@@ -69,7 +68,6 @@ class WorkloadSpec:
         ("uniform", 0.05),
     )
     arrival_rate_per_hour: float = 2.0
-    diurnal: bool = True
 
     def __post_init__(self) -> None:
         if self.min_tasks < 2 or self.max_tasks < self.min_tasks:
@@ -173,15 +171,10 @@ class HPCloudWorkloadGenerator:
         return app
 
     def generate_applications(self, n: int) -> List[Application]:
-        """Generate ``n`` applications with arrival-process start times."""
+        """Generate ``n`` applications with Poisson start times."""
         if n < 0:
             raise WorkloadError("n must be >= 0")
-        if self.spec.diurnal:
-            arrivals = DiurnalArrivals(
-                base_rate_per_hour=self.spec.arrival_rate_per_hour
-            )
-        else:
-            arrivals = PoissonArrivals(rate_per_hour=self.spec.arrival_rate_per_hour)
+        arrivals = PoissonArrivals(rate_per_hour=self.spec.arrival_rate_per_hour)
         start_times = arrivals.sample(n, rng=self._rng)
         return [self.generate_application(start_time=t) for t in start_times]
 

@@ -19,11 +19,6 @@ from repro.units import MBYTE
 from repro.workloads.application import Application, Task, TrafficMatrix
 
 
-def _cpu(value: Optional[float]) -> float:
-    """Default per-task CPU demand."""
-    return 1.0 if value is None else value
-
-
 def mapreduce(
     name: str,
     n_mappers: int,

@@ -2,10 +2,12 @@
 
 Choreo profiles applications with a network monitoring tool such as sFlow or
 tcpdump; the output is a stream of flow records (timestamp, source task,
-destination task, byte count).  This module defines that record format, two
-on-disk serialisations — CSV and JSONL (one JSON object per line, the
-common export format of flow collectors) — and the aggregation from records
-to per-application traffic matrices.
+destination task, byte count).  This module defines that record format, its
+two on-disk serialisations and the aggregation from records to
+per-application traffic matrices.  A CSV trace has the header
+``timestamp,application,src_task,dst_task,num_bytes`` and one record per
+row; a JSONL trace (one JSON object per line, the common export format of
+flow collectors) has one object with those keys per line.
 
 :func:`load_trace` dispatches on the file suffix, so consumers such as the
 ``ec2-trace-replay`` scenario's ``trace_path`` parameter accept either
@@ -58,27 +60,6 @@ class FlowRecord:
             raise WorkloadError("flow record task names must be non-empty")
 
 
-def write_trace(records: Iterable[FlowRecord], path: Union[str, Path]) -> int:
-    """Write records to a CSV file; returns the number of records written."""
-    path = Path(path)
-    count = 0
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(_FIELDS)
-        for record in records:
-            writer.writerow(
-                [
-                    f"{record.timestamp:.6f}",
-                    record.application,
-                    record.src_task,
-                    record.dst_task,
-                    f"{record.num_bytes:.1f}",
-                ]
-            )
-            count += 1
-    return count
-
-
 #: What a malformed trace raises while it is read and parsed: a bad row or
 #: number (ValueError, which covers bytes that are not UTF-8, TypeError,
 #: KeyError), an integer too large for a float (OverflowError), JSON nested
@@ -91,7 +72,7 @@ _MALFORMED = (
 
 
 def read_trace(path: Union[str, Path]) -> List[FlowRecord]:
-    """Read records from a CSV file written by :func:`write_trace`."""
+    """Read records from a CSV trace."""
     path = Path(path)
     records: List[FlowRecord] = []
     line_no = 1
@@ -123,34 +104,9 @@ def read_trace(path: Union[str, Path]) -> List[FlowRecord]:
     return records
 
 
-def write_trace_jsonl(
-    records: Iterable[FlowRecord], path: Union[str, Path]
-) -> int:
-    """Write records as JSONL (one object per line); returns the count."""
-    path = Path(path)
-    count = 0
-    with path.open("w") as handle:
-        for record in records:
-            handle.write(
-                json.dumps(
-                    {
-                        "timestamp": round(record.timestamp, 6),
-                        "application": record.application,
-                        "src_task": record.src_task,
-                        "dst_task": record.dst_task,
-                        "num_bytes": round(record.num_bytes, 1),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            count += 1
-    return count
-
-
 def read_trace_jsonl(path: Union[str, Path]) -> List[FlowRecord]:
-    """Read records from a JSONL file written by :func:`write_trace_jsonl`
-    (or any flow collector emitting the same keys)."""
+    """Read records from a JSONL trace (or any flow collector emitting the
+    same keys)."""
     path = Path(path)
     records: List[FlowRecord] = []
     line_no = 0
@@ -183,7 +139,7 @@ def load_trace(path: Union[str, Path]) -> List[FlowRecord]:
     """Read a trace from disk, dispatching on the file suffix.
 
     ``.jsonl`` (and ``.ndjson``) files are parsed as JSONL, everything else
-    as the CSV format of :func:`write_trace`.
+    as CSV.
     """
     path = Path(path)
     if path.suffix.lower() in (".jsonl", ".ndjson"):

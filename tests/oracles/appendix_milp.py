@@ -45,7 +45,6 @@ from repro.core.placement.base import (  # noqa: E402
     ClusterState,
     Placement,
     Placer,
-    cpu_feasible_machines,
     validate_placement,
 )
 from repro.core.placement.greedy import greedy_incumbent  # noqa: E402
@@ -60,6 +59,24 @@ _EPS = 1e-9
 _WARM_SLACK = 1e-6
 
 FORMULATIONS = ("sparse", "dense")
+
+
+def cpu_feasible_machines(
+    app: Application, cluster: ClusterState
+) -> Dict[str, List[str]]:
+    """For each task, the machines with enough free CPU for it alone.
+
+    The per-assignment feasibility filter the MILP prunes variables with: a
+    task can never sit on a machine that lacks the cores for it in
+    isolation (joint feasibility is still the solver's job).
+    """
+    available = cluster.available_cpus()
+    return {
+        task.name: [
+            m for m, free in available.items() if task.cpu_cores <= free + 1e-9
+        ]
+        for task in app.tasks
+    }
 
 
 @contextlib.contextmanager

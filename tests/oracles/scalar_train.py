@@ -31,13 +31,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cloud.provider import CloudProvider, VMFlow
 from repro.core.measurement.packet_train import MATHIS_C
-from repro.errors import MeasurementError
+from repro.errors import CloudError, MeasurementError
 from repro.net.latency import rtt_s
 from repro.net.packets import PacketTrainSpec
 from repro.units import BITS_PER_BYTE, GBITPS
@@ -429,7 +429,7 @@ def packet_train_model(
         link.capacity_bps for link in provider.topology.path_links(src.host, dst.host)
     )
     if background:
-        available = float(provider._snapshot_rates([(src_vm, dst_vm)], background)[0])
+        available = float(snapshot_rates(provider, [(src_vm, dst_vm)], background)[0])
     else:
         available = provider.hose_rate(src_vm)
     available *= rate_noise
@@ -484,3 +484,18 @@ def measure_pair(
         provider, src_vm, dst_vm, spec=spec, background=background
     )
     return estimate_throughput(observation).rate_bps
+
+
+def snapshot_rates(
+    provider: CloudProvider,
+    pairs: Sequence[Tuple[str, str]],
+    background: Sequence[VMFlow],
+    window_s: float = 0.1,
+) -> np.ndarray:
+    """Instantaneous rate a new bulk connection would get on each named
+    pair, each alone with the ``background`` flows (treated as backlogged
+    for the short snapshot window): the campaign's loaded probes, by name."""
+    if not window_s > 0:
+        raise CloudError(f"window_s must be positive, got {window_s!r}")
+    at = provider._pair_positions(pairs)
+    return provider._loaded_rates(at[:, 0], at[:, 1], background, window_s)

@@ -470,11 +470,11 @@ def test_shared_snapshot_equals_one_simulation_per_pair(seed):
     )
     flows = background_flows(names, rng, n_flows=int(rng.integers(1, 60)))
     pairs = [(s, d) for s in names for d in names if s != d]
-    shared = provider._snapshot_rates(pairs, flows)
+    shared = scalar_train.snapshot_rates(provider, pairs, flows)
     for (src, dst), rate in zip(pairs, shared):
         assert rate == simulated_snapshot(provider, src, dst, flows)
         assert rate > 0
-    assert provider._snapshot_rates([pairs[3]], flows)[0] == shared[3]
+    assert scalar_train.snapshot_rates(provider, [pairs[3]], flows)[0] == shared[3]
 
 
 @pytest.mark.parametrize("faults", ["random-preempt", "rack-outage", None])
@@ -491,7 +491,7 @@ def test_shared_snapshot_at_forty_vms_under_faults(faults):
         attach_timeline(provider, Timeline(hose_epochs=[dict.fromkeys(names, 100 * GBITPS)]))
     flows = background_flows(names, rng, n_flows=45)
     pairs = [(s, d) for s in names for d in names if s != d]
-    shared = provider._snapshot_rates(pairs, flows)
+    shared = scalar_train.snapshot_rates(provider, pairs, flows)
     assert len(shared) == 40 * 39
     for i in rng.choice(len(pairs), size=150, replace=False):
         assert shared[i] == simulated_snapshot(provider, *pairs[i], flows)

@@ -1,17 +1,19 @@
-"""End-to-end ChoreoSystem tests on a synthetic provider: measure, place,
-run, and the §2.4 sequential-arrival workflow."""
+"""End-to-end tests on a synthetic provider: the §2 pipeline (profile,
+measure, place, run) as ``benchmark/``'s ``pipeline_dc`` calls it, and the
+§2.4 sequential-arrival workflow."""
 
 import pytest
 
 from repro.cloud.registry import make_provider
-from repro.core.choreo import ChoreoConfig, ChoreoSystem
-from repro.core.measurement.orchestrator import MeasurementPlan
-from repro.core.placement.base import validate_placement
+from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
+from repro.core.placement.base import ClusterState, validate_placement
 from repro.core.placement.baselines import RandomPlacer
 from repro.core.placement.greedy import GreedyPlacer
-from repro.runtime.executor import run_application
+from repro.core.profiler import ApplicationProfiler
+from repro.runtime.executor import run_applications
 from repro.runtime.sequence import SequentialPlacementRunner
 from repro.units import GBYTE
+from repro.workloads.generator import HPCloudWorkloadGenerator
 from repro.workloads.patterns import mapreduce
 
 
@@ -22,25 +24,30 @@ def provider():
     return provider
 
 
-def test_choreo_place_roundtrip(provider):
-    system = ChoreoSystem(
-        provider, config=ChoreoConfig(measurement=MeasurementPlan(advance_clock=False))
+def test_profile_measure_place_run(provider):
+    truth = mapreduce("job", 3, 3, 2 * GBYTE, cpu_per_task=2.0)
+    records = HPCloudWorkloadGenerator(seed=0).application_to_records(
+        truth, n_records_per_pair=4, duration_s=60.0
     )
-    app = mapreduce("job", 3, 3, 2 * GBYTE, cpu_per_task=2.0)
+    cluster = ClusterState.from_vms(provider.vms())
 
-    placement = system.place_application(app)
+    app = ApplicationProfiler().profile_application(
+        records, "job", task_cpu_cores={t.name: t.cpu_cores for t in truth.tasks}
+    )
+    profile = NetworkMeasurer(provider, plan=MeasurementPlan(advance_clock=False)).measure(
+        cluster.machine_names()
+    )
+    placement = GreedyPlacer().place(app, cluster, profile)
+    run = run_applications(provider, {app.name: placement}, [app])["job"]
 
-    cluster = system.cluster_state()
+    # The profiler saw only flow records; it recovers the matrix.
+    assert dict(app.traffic.items()) == pytest.approx(dict(truth.traffic.items()))
     validate_placement(placement, app, cluster)  # full coverage + CPU limits
     assert set(placement.assignments) == set(app.task_names)
-    assert set(placement.machines_used()) <= set(cluster.machine_names())
-    # The measurement the placement consumed is retained and covers the mesh.
-    profile = system.last_profile
-    assert profile is not None
+    assert set(placement.assignments.values()) <= set(cluster.machine_names())
+    # The measurement the placement consumed covers the mesh.
     assert len(profile.pairs()) == 5 * 4
     assert profile.measurement_duration_s > 0
-
-    run = run_application(provider, placement, app)
     assert run.completion_time >= run.start_time
     assert run.network_bytes + run.colocated_bytes == pytest.approx(app.total_bytes)
 
@@ -50,14 +57,13 @@ def test_sequential_runner_places_apps_in_arrival_order(provider):
         mapreduce("early", 2, 2, 1 * GBYTE, cpu_per_task=1.0, start_time=0.0),
         mapreduce("late", 2, 2, 1 * GBYTE, cpu_per_task=1.0, start_time=5.0),
     ]
-    system = ChoreoSystem(provider)
     runner = SequentialPlacementRunner(
-        provider, system.cluster_state(), GreedyPlacer(), measure_network=True
+        provider, ClusterState.from_vms(provider.vms()), GreedyPlacer(),
+        measure_network=True,
     )
     result = runner.run(cluster_apps)
     assert set(result.runs) == {"early", "late"}
     assert set(result.placements) == {"early", "late"}
-    assert result.total_running_time >= 0.0
     for app in cluster_apps:
         assert result.runs[app.name].start_time == app.start_time
 
@@ -69,9 +75,8 @@ def test_sequence_background_flows_share_the_network():
     def run_once(background):
         provider = make_provider("ec2", seed=7)
         provider.request_vms(4)
-        system = ChoreoSystem(provider)
         runner = SequentialPlacementRunner(
-            provider, system.cluster_state(), RoundRobinPlacer(),
+            provider, ClusterState.from_vms(provider.vms()), RoundRobinPlacer(),
             measure_network=False, background=background,
         )
         return runner.run([mapreduce("job", 2, 2, 2 * GBYTE, cpu_per_task=1.0)])
@@ -84,15 +89,14 @@ def test_sequence_background_flows_share_the_network():
     )
     # Identical seed and deterministic placer: the only difference is the
     # background load, which can only slow the application down.
-    assert loaded.total_running_time >= quiet.total_running_time
     assert loaded.runs["job"].completion_time >= quiet.runs["job"].completion_time
 
 
 def test_network_oblivious_sequence_skips_measurement(provider):
     apps = [mapreduce("solo", 2, 2, 1 * GBYTE, cpu_per_task=1.0)]
-    system = ChoreoSystem(provider)
     runner = SequentialPlacementRunner(
-        provider, system.cluster_state(), RandomPlacer(seed=0), measure_network=False
+        provider, ClusterState.from_vms(provider.vms()), RandomPlacer(seed=0),
+        measure_network=False,
     )
     result = runner.run(apps)
     assert result.profiles["solo"] is None

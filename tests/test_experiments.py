@@ -98,7 +98,8 @@ def test_serial_sweep_produces_speedup_summary(tmp_path):
     # JSON round trip.
     path = result.save(tmp_path / "out.json")
     loaded = ExperimentResult.from_json_dict(json.loads(path.read_text()))
-    assert loaded.record("smoke", "greedy", 0).seed == trial_seed(0, "smoke", 0)
+    (cell,) = [r for r in loaded.records if (r.placer, r.trial) == ("greedy", 0)]
+    assert cell.seed == trial_seed(0, "smoke", 0)
     assert loaded.summary()["smoke"]["greedy"]["trials_ok"] == 2
 
 
@@ -123,7 +124,7 @@ def test_speedups_drop_undefined_zero_baseline_trials():
             rec("random", 1, 2.0), rec("round-robin", 1, 1.0),  # 0.5
         ],
     )
-    assert result.speedups_vs_baseline("s", "round-robin") == [0.5]
+    assert result._paired_speedups("s", "round-robin") == ([0.5], 1)
     json.dumps(result.to_json_dict(), allow_nan=False)  # strict-JSON safe
 
 

@@ -200,7 +200,6 @@ def test_worker_health_and_lease_roundtrip():
         indices = [d["index"] for d in lines if "record" in d]
         assert indices == [0, 1]
         assert client.health()["trials_done"] == 2
-        assert client.shutdown()
 
 
 @pytest.mark.parametrize(
@@ -652,6 +651,3 @@ def test_store_cost_sidecars_do_not_count_as_cells(tmp_path):
     store.put(key, store_record(1.0))
     assert store.flush_costs() is not None
     assert len(store) == 1
-    pruned = store.prune_stale()
-    assert len(store) == 1  # the live version's cells survive
-    assert pruned == 0 or isinstance(pruned, int)

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from helpers import age_of, stale_pairs
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
 from repro.errors import ReproError, ServiceError, WorkloadError
 from repro.service.engine import PlacementService
@@ -539,23 +540,23 @@ def test_cache_ttl_exact_boundary_is_still_fresh():
     cache.refresh(0.0)
     newest = max(
         age for pair in cache.mesh_pairs()
-        if (age := cache.age_of(pair, 0.0)) is not None
+        if (age := age_of(cache, pair, 0.0)) is not None
     )
     # Pairs are stamped with their probe time; exactly ttl_s after the
     # *newest* stamp the oldest pairs are stale but the newest is not.
     boundary = 60.0 - newest  # age of newest pair at t=boundary is ttl
     assert all(
-        cache.age_of(pair, boundary) is not None for pair in cache.mesh_pairs()
+        age_of(cache, pair, boundary) is not None for pair in cache.mesh_pairs()
     )
-    stale = cache.stale_pairs(boundary)
+    stale = stale_pairs(cache, boundary)
     newest_pairs = [
-        p for p in cache.mesh_pairs() if cache.age_of(p, boundary) == 60.0
+        p for p in cache.mesh_pairs() if age_of(cache, p, boundary) == 60.0
     ]
     assert newest_pairs, "expected a pair aged exactly ttl_s"
     for pair in newest_pairs:
         assert pair not in stale  # strict: goes stale the instant *after*
     epsilon = 1e-6
-    assert all(p in cache.stale_pairs(boundary + epsilon) for p in newest_pairs)
+    assert all(p in stale_pairs(cache, boundary + epsilon) for p in newest_pairs)
 
 
 def test_cache_remove_vm_and_invalidate_pairs():
@@ -573,6 +574,6 @@ def test_cache_remove_vm_and_invalidate_pairs():
 
     touched = [p for p in cache.mesh_pairs() if vms[1] in p]
     assert cache.invalidate_pairs(touched) == len(touched)
-    assert set(cache.stale_pairs(1.0)) == set(touched)
+    assert set(stale_pairs(cache, 1.0)) == set(touched)
     with pytest.raises(ReproError):
         cache.remove_vm("not-covered")

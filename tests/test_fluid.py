@@ -7,12 +7,13 @@ import signal
 
 import pytest
 
+from helpers import build_dumbbell, build_two_rack_cloud
 from oracles.max_min import run_loop
 from repro.errors import SimulationError, TopologyError
+from repro.net.fairness import segment_violations
 from repro.net.flows import Flow
 from repro.net.fluid import FluidSimulation
 from repro.net.links import Link
-from repro.net.topology import build_dumbbell, build_two_rack_cloud
 from repro.units import GBITPS, MBYTE
 
 # 1 Gbit/s shared link; 10 Gbit/s access links so the dumbbell is the only
@@ -214,7 +215,13 @@ def test_a_resumed_run_reports_what_a_fresh_simulation_from_the_pause_would(
         ]
         fresh.add_flows(survivors, [extras[f.flow_id] for f in survivors])
         monkeypatch.setattr(fluid, "_LOOP_MIN_FLOWS", rng.choice([0, 10_000]))
+        capacities = live.capacities
         got, want = live.run(until=until), fresh.run(until=until)
+        paths = {
+            fid: [link.link_id for link in topo.path_links(f.src, f.dst)] + extras[fid]
+            for fid, f in flows.items()
+        }
+        assert segment_violations(got, paths, capacities) == [], step
         assert got.completion_times == want.completion_times, step
         assert got.remaining_bytes == want.remaining_bytes, step
         assert got.states == want.states, step

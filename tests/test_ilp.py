@@ -15,7 +15,7 @@ from repro.core.estimator import estimate_completion_time
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement import ilp
-from repro.core.placement.base import ClusterState, Machine, cpu_feasible_machines
+from repro.core.placement.base import ClusterState, Machine
 from repro.core.placement.greedy import GreedyPlacer, greedy_incumbent
 from repro.core.placement.ilp import BruteForcePlacer, OptimalPlacer
 from repro.errors import ExperimentError, PlacementError
@@ -72,7 +72,7 @@ def _random_feasible_instance(rng: random.Random, uniform_rates: bool = False):
     while True:
         app, cluster, profile = _random_instance(rng, uniform_rates=uniform_rates)
         total = sum(t.cpu_cores for t in app.tasks)
-        if total <= cluster.total_available_cpu():
+        if total <= sum(cluster.available_cpus().values()):
             return app, cluster, profile
 
 
@@ -297,6 +297,8 @@ def test_boolean_placer_params_parse_and_apply():
 
 
 def test_cpu_feasible_machines_filters_by_free_cores():
+    from oracles.appendix_milp import cpu_feasible_machines
+
     app = Application(
         "a", tasks=[Task("small", 1.0), Task("big", 4.0)], traffic=TrafficMatrix()
     )

@@ -12,6 +12,7 @@ here only installs that check and reads the runs it brackets.
 
 import pytest
 
+from helpers import write_trace
 from repro.cloud.registry import make_provider
 from repro.core.placement.base import ClusterState, Placement
 from repro.experiments.placers import resolve_placer
@@ -29,7 +30,7 @@ from repro.service.session import build_churn_session
 from repro.units import GBYTE
 from repro.workloads.application import Application, Task, TrafficMatrix
 from repro.workloads.patterns import mapreduce
-from repro.workloads.trace import FlowRecord, write_trace
+from repro.workloads.trace import FlowRecord
 
 
 class Ledger:

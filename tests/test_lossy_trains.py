@@ -100,14 +100,14 @@ def scalar_estimates(spec, batch):
 def test_one_percent_loss_is_observed_and_the_mathis_bound_binds(seed):
     provider, _, pairs = legacy(seed, loss_rate=0.01)
     batch = provider.send_packet_trains(pairs, SPEC)
-    observed = 1.0 - batch.received.sum() / (SPEC.total_packets * len(pairs))
+    observed = 1.0 - batch.received.sum() / (SPEC.n_bursts * SPEC.burst_length * len(pairs))
     assert abs(observed - 0.01) < 0.001  # 112 000 packets: σ ≈ 0.0003
     rates = estimate_throughputs(SPEC, batch)
     np.testing.assert_array_equal(rates, scalar_estimates(SPEC, batch))
     # The Mathis bound at each train's own loss and RTT, and the train
     # estimate with the bound left out (an RTT of 0 makes it infinite): the
     # bound binds on some trains.
-    loss = 1.0 - batch.received.sum(axis=0) / SPEC.total_packets
+    loss = 1.0 - batch.received.sum(axis=0) / (SPEC.n_bursts * SPEC.burst_length)
     bound = MSS_BYTES * BITS_PER_BYTE * MATHIS_C / (batch.rtt_s * np.sqrt(loss))
     unbounded = estimate_throughputs(
         SPEC, dataclasses.replace(batch, rtt_s=np.zeros(len(pairs)))

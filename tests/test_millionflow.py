@@ -20,12 +20,14 @@ import random
 import numpy as np
 import pytest
 
+from helpers import build_dumbbell
 from oracles.graph_search import hand_built
 from oracles.max_min import run_loop
 from repro.errors import RoutingError, TopologyError
 
 from repro import obs
 from repro.net import fluid
+from repro.net.fairness import segment_violations
 from repro.net.flows import Flow
 from repro.net.fluid import FluidSimulation, RateTimeline
 from repro.net.links import hose_link_id
@@ -33,7 +35,6 @@ from repro.net.topology import (
     NodeKind,
     TreeSpec,
     _lazy_kth_shortest_path,
-    build_dumbbell,
     build_multi_rooted_tree,
 )
 
@@ -88,6 +89,7 @@ class TestVectorLoopBitIdentity:
             hose = {hose_link_id(host): rate for host in hosts}
         sim_s = FluidSimulation(topo, extra_capacities=hose)
         sim_v = FluidSimulation(topo, extra_capacities=hose)
+        paths = {}
         for i in range(rng.randint(1, 40)):
             src = rng.choice(hosts)
             dst = rng.choice([h for h in hosts if h != src])
@@ -103,14 +105,15 @@ class TestVectorLoopBitIdentity:
                 flow_id=f"f{i}", src=src, dst=dst, size_bytes=size, start_time=start
             )
             extra = [hose_link_id(src)] if hose else []
+            paths[flow.flow_id] = [l.link_id for l in topo.path_links(src, dst)] + extra
             sim_s.add_flow(flow, extra)
             sim_v.add_flow(flow, extra)
         until = rng.uniform(0.0, 1.5) if rng.random() < 0.4 else None
+        got = run_loop(sim_v, vector=True, until=until)
         _assert_results_identical(
-            run_loop(sim_s, vector=False, until=until),
-            run_loop(sim_v, vector=True, until=until),
-            context=f"seed={seed}",
+            run_loop(sim_s, vector=False, until=until), got, context=f"seed={seed}"
         )
+        assert segment_violations(got, paths, sim_v.capacities) == [], seed
 
     def test_randomized_instances_bit_identical(self):
         for seed in range(self.N_INSTANCES):

@@ -106,7 +106,7 @@ def test_the_route_table_lives_as_long_as_the_vm_set(shape, loaded):
     # and is a fresh simulation's, on probes and background both in racks.
     ends = pairs or [(s, d) for s in names for d in names if s != d]
     flows = background(names)
-    fill = provider._snapshot_rates(ends, flows, window_s=1.0)
+    fill = scalar_train.snapshot_rates(provider, ends, flows, window_s=1.0)
     assert violations(provider, ends, flows, fill) == []
     for i in range(0, len(ends), max(1, len(ends) // 10)):
         assert (0.0 + fill[i] * 0.1) / 0.1 == simulated_snapshot(provider, *ends[i], flows)

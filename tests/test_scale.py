@@ -12,6 +12,8 @@ import random
 
 import pytest
 
+from helpers import build_two_rack_cloud
+from oracles.clustering import cluster_vms_by_rate_profile
 from oracles.graph_search import use_graph_search
 from oracles.max_min import (
     force_solves,
@@ -20,13 +22,12 @@ from oracles.max_min import (
 )
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Machine
-from repro.core.placement.greedy import GreedyPlacer, cluster_vms_by_rate_profile
+from repro.core.placement.greedy import GreedyPlacer
 from repro.errors import MeasurementError, PlacementError
 from repro.net.alloc import IncrementalAllocator
-from repro.net.fairness import FlowDemand
+from repro.net.fairness import FlowDemand, segment_violations
 from repro.net.flows import Flow
 from repro.net.fluid import FluidSimulation
-from repro.net.topology import build_two_rack_cloud
 from repro.units import GBITPS, MBYTE
 
 np = pytest.importorskip("numpy")
@@ -221,8 +222,13 @@ class TestFluidVectorAllocator:
                 return sim.run()
 
         ref = run(use_reference_engine)
+        paths = {
+            f.flow_id: [link.link_id for link in topo.path_links(f.src, f.dst)]
+            for f in flows
+        }
         for engine in (lambda patch: None, lambda patch: force_solves(patch, True)):
             got = run(engine)
+            assert segment_violations(got, paths, topo.capacities()) == []
             assert set(ref.completion_times) == set(got.completion_times)
             for fid, t in ref.completion_times.items():
                 assert abs(t - got.completion_times[fid]) <= 1e-9 * max(1.0, t)

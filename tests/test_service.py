@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from helpers import stale_pairs, write_trace_jsonl
 from repro.cloud.registry import make_provider
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
 from repro.core.placement.base import ClusterState
@@ -23,12 +24,7 @@ from repro.service.timeline import (
     attach_timeline,
     generate_timeline,
 )
-from repro.workloads.trace import (
-    FlowRecord,
-    load_trace,
-    read_trace_jsonl,
-    write_trace_jsonl,
-)
+from repro.workloads.trace import FlowRecord, load_trace, read_trace_jsonl
 
 
 def _fresh_provider(n_vms=4, seed=0):
@@ -198,7 +194,7 @@ class TestPairwiseMeasurementStaleness:
         cache.refresh(0.0)
         # The serial mesh spreads pair timestamps ~2s apart, so at a time
         # chosen inside the campaign's span only the earliest pairs expired.
-        stale = cache.stale_pairs(11.0)
+        stale = stale_pairs(cache, 11.0)
         assert 0 < len(stale) < 6
         cache.refresh(11.0)
         assert cache.stats.pairs_measured == 6 + len(stale)

@@ -161,9 +161,9 @@ def test_one_class_is_the_network_profile():
 
 # ------------------------------------------- one snapshot, and no allocator
 def test_the_snapshot_has_one_implementation_and_builds_no_allocator():
-    """``_snapshot_rates`` reads its rates off ``probe_rates_under_load``:
-    no one-pair twin, no twin for some size, no second call site, and no
-    per-probe solve on an allocator."""
+    """The campaign's loaded probes (``_loaded_rates``) read their rates off
+    ``probe_rates_under_load``: no snapshot twin for one pair or for some
+    size, no second call site, and no per-probe solve on an allocator."""
     sources = {
         name: inspect.getsource(importlib.import_module(name)) for name in MODULES
     }
@@ -173,7 +173,7 @@ def test_the_snapshot_has_one_implementation_and_builds_no_allocator():
         for name, source in sources.items()
         for match in re.findall(r"def (\w*snapshot_rate\w*)\(", source)
     )
-    assert defined == ["repro.cloud.provider:_snapshot_rates"]
+    assert defined == []
     uses = {
         name: source.count("probe_rates_under_load(")
         for name, source in sources.items()
@@ -342,7 +342,6 @@ def test_the_store_fsyncs_in_one_write_path_and_keeps_no_cell_files():
 ONE_ENGINE_CALLABLES = (
     "repro.net.fluid:FluidSimulation",
     "repro.net.alloc:IncrementalAllocator",
-    "repro.core.rate_model:effective_rate",
     "repro.core.rate_model:EffectiveRateMatrix",
     "repro.core.estimator:estimate_completion_time",
     "repro.core.placement.greedy:GreedyPlacer",
@@ -350,7 +349,6 @@ ONE_ENGINE_CALLABLES = (
     "repro.core.placement.ilp:OptimalPlacer",
     "repro.core.placement.ilp:_Search",
     "repro.core.placement.ilp:BruteForcePlacer",
-    "repro.core.choreo:ChoreoConfig",
     "repro.service.engine:PlacementService",
     "repro.runtime.migration:propose_migration",
     "repro.core.network_profile:NetworkProfile",

@@ -17,6 +17,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import write_trace, write_trace_jsonl
 from hostile import DEEP, HOSTILE, deadline
 from repro.errors import ReproError
 from repro.workloads.trace import (
@@ -24,8 +25,6 @@ from repro.workloads.trace import (
     read_trace,
     read_trace_jsonl,
     records_to_traffic_matrix,
-    write_trace,
-    write_trace_jsonl,
 )
 
 RECORDS = [
