@@ -178,6 +178,30 @@ class _Round:
     everyone: np.ndarray  # arange(len(names))
     diagonal: np.ndarray
     hierarchy: Optional[_Hierarchy]
+    traced: bool  # emit a ``placement.decision`` point per choice
+    #: While traced, the last :meth:`GreedyPlacer._best`'s candidate count,
+    #: runner-up pair (or None), and the chosen and runner-up rates.
+    decision: Optional[Tuple[int, Optional[Tuple[int, int]], float, float]] = None
+
+
+def _runner_up(
+    scores: np.ndarray, allowed: np.ndarray, at: int, rows: np.ndarray, cols: np.ndarray
+) -> Tuple[int, Optional[Tuple[int, int]], float, float]:
+    """:attr:`_Round.decision` of a masked argmax that chose position ``at``.
+
+    The runner-up is the best-scoring other candidate, found with one
+    ``argpartition``; when ties at the top leave ``at`` out of the top two,
+    either of them is a runner-up at gap 0 (the first in row-major order is
+    named).
+    """
+    candidates = int(np.count_nonzero(allowed))
+    rate = float(scores[at])
+    if candidates < 2:
+        return candidates, None, rate, rate
+    top = np.argpartition(scores, -2)[-2:]
+    other = int(top[0] if top[1] == at else top[1] if top[0] == at else top.min())
+    r, c = divmod(other, len(cols))
+    return candidates, (int(rows[r]), int(cols[c])), rate, float(scores[other])
 
 
 class GreedyPlacer(Placer):
@@ -284,6 +308,8 @@ class GreedyPlacer(Placer):
                     f"no CPU-feasible machine pair for transfer "
                     f"{src_task!r} -> {dst_task!r} of application {app.name!r}"
                 )
+            if rnd.traced:
+                self._record_decision(app, rnd, src_task, dst_task, best)
             src_machine, dst_machine = best
             if src_at is None:
                 assign(src_task, src_machine)
@@ -309,6 +335,25 @@ class GreedyPlacer(Placer):
         return placement
 
     # ------------------------------------------------------------ internals
+    def _record_decision(
+        self, app: Application, rnd: _Round, src_task: str, dst_task: str,
+        best: Tuple[int, int],
+    ) -> None:
+        """Emit one transfer's ``placement.decision`` point (see
+        docs/observability.md, "Placement decisions")."""
+        candidates, runner_up, rate, second = rnd.decision
+        names = rnd.names
+        obs.point(
+            "placement.decision", placer="greedy", app=app.name,
+            transfer=[src_task, dst_task],
+            path="flat" if rnd.hierarchy is None else "hierarchical",
+            candidates=candidates, chosen=[names[best[0]], names[best[1]]],
+            runner_up=None if runner_up is None else [names[runner_up[0]], names[runner_up[1]]],
+            rate_bps=rate, gap_bps=None if runner_up is None else (
+                0.0 if second == rate else rate - second
+            ),
+        )
+
     def _open_round(
         self,
         cluster: ClusterState,
@@ -362,6 +407,7 @@ class GreedyPlacer(Placer):
             names=names, declared=machines, board=board, free=free,
             unmeasured=bool(np.isnan(board.single).any()),
             everyone=np.arange(n), diagonal=_diagonal(n), hierarchy=hierarchy,
+            traced=obs.trace_path() is not None,
         )
 
     def _choose(
@@ -537,5 +583,7 @@ class GreedyPlacer(Placer):
             tied = scores[colocated] == scores[at]
             if tied.any():
                 at = int(colocated[tied.argmax()])
+        if rnd.traced:
+            rnd.decision = _runner_up(scores, allowed, at, rows, cols)
         r, c = divmod(at, len(cols))
         return int(rows[r]), int(cols[c])

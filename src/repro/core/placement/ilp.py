@@ -390,6 +390,7 @@ class OptimalPlacer(Placer):
                     self.mip_rel_gap, self.time_limit_s,
                 )
                 solve.set(**counts)
+            obs.point("placement.decision", placer="ilp", app=app.name, **counts)
             proved = counts["proved"]
             if found is not None:
                 placement = Placement(

@@ -75,54 +75,6 @@ DEFAULT_WORKER_PORT = 7463
 #: client hangs up.
 LEASE_BODY_DEADLINE_S = 10.0
 
-#: Environment variables of the worker chaos hook (test-only): when both
-#: are set, leases that win the marker-file race in
-#: ``REPRO_WORKER_CHAOS_DIR`` misbehave per ``REPRO_WORKER_CHAOS_MODE``
-#: (``crash``: exit hard after the first record; ``hang``: sleep forever
-#: after the first record; ``slow``: drag every subsequent trial by
-#: :data:`CHAOS_SLOW_S`).  The mode may be a comma-separated list — e.g.
-#: ``crash,hang`` arms one lease per mode, in order — and each mode fires
-#: exactly once per chaos dir, so chaos tests are deterministic in *what*
-#: is lost even though process scheduling is not.
-CHAOS_DIR_ENV = "REPRO_WORKER_CHAOS_DIR"
-CHAOS_MODE_ENV = "REPRO_WORKER_CHAOS_MODE"
-
-#: Exit status of a chaos-crashed worker (distinct from argparse's 2).
-CHAOS_EXIT_STATUS = 17
-
-#: Per-trial drag of a chaos-slowed worker (straggler injection).
-CHAOS_SLOW_S = 0.4
-
-_CHAOS_KINDS = ("crash", "hang", "slow")
-
-
-def _arm_chaos() -> Optional[str]:
-    """Decide whether *this* lease misbehaves (see the chaos env docs).
-
-    Each marker file is created atomically, so across however many workers
-    share the chaos dir exactly one lease arms itself *per configured mode*
-    — ``crash,hang`` breaks two distinct leases; the rest (and every
-    retry-wave lease) run clean.  The first mode's marker is named
-    ``chaos-fired`` so callers can assert it fired.
-    """
-    chaos_dir = os.environ.get(CHAOS_DIR_ENV)
-    spec = os.environ.get(CHAOS_MODE_ENV) or ""
-    modes = [mode.strip() for mode in spec.split(",") if mode.strip()]
-    if not chaos_dir or not modes or any(m not in _CHAOS_KINDS for m in modes):
-        return None
-    for k, mode in enumerate(modes):
-        marker = "chaos-fired" if k == 0 else f"chaos-fired-{k}"
-        try:
-            fd = os.open(
-                os.path.join(chaos_dir, marker),
-                os.O_CREAT | os.O_EXCL | os.O_WRONLY,
-            )
-            os.close(fd)
-        except (FileExistsError, OSError):
-            continue
-        return mode
-    return None
-
 
 # ---------------------------------------------------------------------------
 # Endpoints
@@ -385,12 +337,6 @@ class _LeaseHandler(BaseHTTPRequestHandler):
     def _stream_lease(self, lease_id: str, items: Sequence[WorkItem]) -> None:
         """Execute the leased chunk, streaming one flushed line per trial.
 
-        The chaos hook fires here, per lease: ``crash`` exits the whole
-        process after the first record (the scheduler sees the connection
-        die mid-chunk), ``hang`` stops streaming without dying (the
-        scheduler's heartbeat deadline must catch it), ``slow`` drags
-        every subsequent trial (straggler).
-
         A trial only raises under ``fail_fast`` (keep-going captures the
         error into its record).  The trial is deterministic and would
         raise again anywhere, so the lease ends with one error line the
@@ -398,7 +344,6 @@ class _LeaseHandler(BaseHTTPRequestHandler):
         mistake for a dead worker and retry.
         """
         state = self.server.worker_state
-        chaos_mode = _arm_chaos()
         self.send_response(200)
         self.send_header("Content-Type", "application/jsonl")
         self.end_headers()
@@ -421,12 +366,6 @@ class _LeaseHandler(BaseHTTPRequestHandler):
                     return
                 self._send_line({"index": local_index, "record": asdict(record)})
                 state.record_done(items[local_index], record)
-                if chaos_mode == "crash":
-                    os._exit(CHAOS_EXIT_STATUS)
-                elif chaos_mode == "hang":
-                    time.sleep(3600)
-                elif chaos_mode == "slow":
-                    time.sleep(CHAOS_SLOW_S)
             self._send_line({"done": True, "lease_id": lease_id, "completed": len(items)})
         except (BrokenPipeError, ConnectionResetError):
             pass  # the scheduler revoked the lease; stop burning its trials

@@ -36,12 +36,14 @@ and unfrozen-member counts live in NumPy vectors over the links in use
 flow's path is a cached int index array (the rows of a CSR-style
 flow×link incidence), and the per-round bottleneck search becomes one
 masked divide plus ``argmin``.
-Because ``argmin`` breaks ties on the lowest index — exactly the
-``(value, index)`` order of the scalar path's heaps — and the freeze
-step performs the same subtract-then-clamp in the same dtype and
-per-link order, the vector path is bit-identical to the scalar path
-(and hence to the reference, with the caveat above).  Paths that repeat
-a link fall back to the scalar solver, which handles them exactly.
+Both solves pick each bottleneck by one rule — the least current equal
+share, ties to the lowest link index: ``argmin`` over the links in use in
+the array path, the ``(share, link)`` order of an exact lazy heap in the
+scalar one — and freeze with the same subtract-then-clamp in the same
+dtype, so full scalar, full vector and partial solves are bit-identical to
+each other on every instance (and to the reference, with the caveat
+above).  A path may not repeat a link: :meth:`IncrementalAllocator.add_flow` and
+:meth:`~IncrementalAllocator.add_flows` refuse one by name.
 
 Four further mechanisms keep event-loop re-solves cheap at scale:
 
@@ -92,8 +94,10 @@ from repro.errors import SimulationError
 __all__ = ["IncrementalAllocator"]
 
 # Flow count below which the vectorised solve is not worth its NumPy
-# dispatch overhead (docs/performance.md, "What selects the engine"; the
-# fill covers the links in use only, so the link universe does not count).
+# dispatch overhead: below 16 flows an array fill costs ≈170 µs against the
+# heap's ≈50 µs, and with the array solve everywhere ``sweep_paper`` ran
+# ×1.04–1.07 slower (docs/performance.md, "The solve's constant"; the fill
+# covers the links in use only, so the link universe does not count).
 _VECTOR_MIN_FLOWS = 256
 
 # ``_freeze_round`` value of a slot no logged round froze.
@@ -176,10 +180,7 @@ class IncrementalAllocator:
 
     A full solve takes the array-backed path at or above
     ``_VECTOR_MIN_FLOWS`` registered flows, and the heap-based one below;
-    both produce bit-identical rates, save where a drain leaves a tied
-    link's share one ulp below its key in the scalar heap, which can then
-    take that tie out of order.  Flows whose path repeats a link force the
-    heap-based solve at any size.
+    both, and every partial re-solve, produce bit-identical rates.
     """
 
     def __init__(self, capacities: Mapping[str, float]) -> None:
@@ -194,8 +195,7 @@ class IncrementalAllocator:
         # Flow slots: a free-list keeps slot indices dense under churn.
         self._flow_slot: Dict[str, int] = {}
         self._slot_name: List[str] = []
-        self._slot_links: List[Tuple[int, ...]] = []  # with duplicates, if any
-        self._slot_unique_links: List[Tuple[int, ...]] = []
+        self._slot_links: List[Tuple[int, ...]] = []
         # Flat CSR buffer of every slot's link row: slot ``s`` occupies
         # ``_row_data[_row_start[s] : _row_start[s] + _slot_nlinks[s]]``.
         # Rows are append-only; removing a flow orphans its segment, and the
@@ -228,11 +228,6 @@ class IncrementalAllocator:
         self._label: Optional[List[int]] = None
         self._label_count: List[int] = []
         self._label_flows = 0
-        # Flows whose path repeats a link break the share-heap monotonicity
-        # (freezing subtracts the level once per occurrence, so a share can
-        # shrink); while any such flow is registered, solve() selects
-        # bottlenecks by linear scan instead.
-        self._dup_link_flows = 0
         # Per-slot solved rates; solve() derives its dict from this lazily.
         self._slot_rate = np.zeros(0, dtype=np.float64)
         self._solved = False
@@ -283,7 +278,8 @@ class IncrementalAllocator:
         :meth:`solve_slots` returns, valid until the flow is removed.
 
         Raises:
-            SimulationError: on duplicate flow ids or unknown links.
+            SimulationError: on duplicate flow ids, unknown links, or a path
+                that repeats a link; nothing is registered in that case.
         """
         if flow_id in self._flow_slot:
             raise SimulationError(f"duplicate flow id {flow_id!r}")
@@ -295,29 +291,37 @@ class IncrementalAllocator:
                     f"flow {flow_id!r} references unknown link {link_id!r}"
                 )
             indexed.append(index)
+        self._check_row(flow_id, indexed)
         return self._add_row(flow_id, indexed)
+
+    def _check_row(self, flow_id: str, row: Sequence[int]) -> None:
+        """Refuse a row that crosses one link twice, by flow and link name.
+
+        Such a path is max-min fair under no single reading (counted once
+        per link, it would drain the link once per crossing), and no route
+        a topology builds repeats a link.
+        """
+        if len(set(row)) != len(row):
+            seen: Set[int] = set()
+            for index in row:
+                if index in seen:
+                    raise SimulationError(
+                        f"flow {flow_id!r} crosses link "
+                        f"{self._link_ids[index]!r} more than once"
+                    )
+                seen.add(index)
 
     def _add_row(self, flow_id: str, indexed: List[int]) -> int:
         """:meth:`add_flow` for a validated flow whose links are interned."""
         link_tuple = tuple(indexed)
-        # The reference subtracts the frozen level once per *occurrence* but
-        # counts each flow once per link, so keep both views when a path
-        # repeats a link (it normally never does).
-        unique = (
-            link_tuple
-            if len(set(link_tuple)) == len(link_tuple)
-            else tuple(dict.fromkeys(link_tuple))
-        )
         if self._free_slots:
             slot = self._free_slots.pop()
             self._slot_name[slot] = flow_id
             self._slot_links[slot] = link_tuple
-            self._slot_unique_links[slot] = unique
         else:
             slot = len(self._slot_name)
             self._slot_name.append(flow_id)
             self._slot_links.append(link_tuple)
-            self._slot_unique_links.append(unique)
             self._grow_slot_arrays(slot + 1)
         # Write the row before registering the flow: a compaction triggered
         # by the capacity check must only see fully-recorded rows.
@@ -336,18 +340,16 @@ class IncrementalAllocator:
         self._flow_slot[flow_id] = slot
         if not n_row:
             self._linkless.add(slot)
-        if unique is not link_tuple:
-            self._dup_link_flows += 1
         link_use = self._link_use
         n_used = len(link_use)
-        for index in unique:
+        for index in link_tuple:
             self._members[index].add(slot)
             link_use[index] = link_use.get(index, 0) + 1
         if len(link_use) != n_used:
             self._layout = None
         if self._have_rates:
-            if unique:
-                self._dirty_links.update(unique)
+            if link_tuple:
+                self._dirty_links.update(link_tuple)
             else:
                 self._dirty_linkless.add(slot)
         # A new flow can lower shares in any round: the next fill starts over.
@@ -393,8 +395,9 @@ class IncrementalAllocator:
         then fresh ones), same membership, same rates at the next solve.
 
         Raises:
-            SimulationError: on duplicate flow ids or link indices outside
-                the universe; nothing is registered in that case.
+            SimulationError: on duplicate flow ids, link indices outside
+                the universe, or a row that repeats a link; nothing is
+                registered in that case.
         """
         n = len(flow_ids)
         rows = np.asarray(rows, dtype=np.intp)
@@ -418,19 +421,11 @@ class IncrementalAllocator:
             low, high = (rows.min(), rows.max()) if batched else (min(flat), max(flat))
             if low < 0 or high >= len(self._link_ids):
                 raise SimulationError("flow batch references an unknown link index")
-        if batched and total:
-            by_link, links_sorted, touched, group_start, group_end = (
-                _group_by_link(rows)
-            )
-            owner_sorted = np.repeat(np.arange(n), lengths)[by_link]
-            batched = not np.any(
-                (links_sorted[1:] == links_sorted[:-1])
-                & (owner_sorted[1:] == owner_sorted[:-1])
-            )
         if not batched:
-            # Small batches are cheaper flow by flow (see _BATCH_MIN), and a
-            # row that repeats a link needs add_flow's two views of it (and
-            # forces the scalar solver anyway): the per-flow edit, exactly.
+            # Small batches are cheaper flow by flow (see _BATCH_MIN): the
+            # per-flow edit, exactly, once every row is known to be valid.
+            for flow_id, (a, b) in zip(flow_ids, spans):
+                self._check_row(flow_id, flat[a:b])
             return np.array(
                 [
                     self._add_row(flow_id, flat[a:b])
@@ -438,6 +433,18 @@ class IncrementalAllocator:
                 ],
                 dtype=np.intp,
             )
+        if total:
+            by_link, links_sorted, touched, group_start, group_end = (
+                _group_by_link(rows)
+            )
+            owner_sorted = np.repeat(np.arange(n), lengths)[by_link]
+            repeats = (links_sorted[1:] == links_sorted[:-1]) & (
+                owner_sorted[1:] == owner_sorted[:-1]
+            )
+            if repeats.any():
+                owner = int(owner_sorted[repeats.argmax()])
+                a, b = spans[owner]
+                self._check_row(flow_ids[owner], flat[a:b])
 
         # Slots, in add_flow's order: the free list from its tail, then fresh.
         n_reused = min(n, len(self._free_slots))
@@ -452,10 +459,8 @@ class IncrementalAllocator:
         ):
             self._slot_name[slot] = flow_id
             self._slot_links[slot] = link_tuple
-            self._slot_unique_links[slot] = link_tuple
         self._slot_name.extend(flow_ids[n_reused:])
         self._slot_links.extend(tuples[n_reused:])
-        self._slot_unique_links.extend(tuples[n_reused:])
         self._grow_slot_arrays(len(self._slot_name))
         # The CSR block is one slice write.  Room is made before any flow of
         # the batch is registered: a compaction must only see recorded rows.
@@ -472,8 +477,7 @@ class IncrementalAllocator:
         self._linkless.update(linkless)
         if total:
             # Links in the order add_flow would first touch them, so that
-            # _link_use (whose order breaks the scalar scan's ties) gains
-            # its new keys in the same order.
+            # _link_use gains its new keys in the order add_flow gives them.
             first_touch = np.argsort(by_link[group_start])
             slot_sorted = slots[owner_sorted].tolist()
             link_use = self._link_use
@@ -503,12 +507,10 @@ class IncrementalAllocator:
         slot = self._flow_slot.pop(flow_id, None)
         if slot is None:
             raise SimulationError(f"unknown flow {flow_id!r}")
-        unique = self._slot_unique_links[slot]
-        if unique is not self._slot_links[slot]:
-            self._dup_link_flows -= 1
-        if unique and self._label is not None:
-            self._label_count[self._label[unique[0]]] -= 1
-        for index in unique:
+        row = self._slot_links[slot]
+        if row and self._label is not None:
+            self._label_count[self._label[row[0]]] -= 1
+        for index in row:
             self._members[index].discard(slot)
             self._batch_memo.pop(index, None)
             left = self._link_use[index] - 1
@@ -518,7 +520,7 @@ class IncrementalAllocator:
                 del self._link_use[index]
                 self._layout = None
         if self._have_rates:
-            self._dirty_links.update(unique)
+            self._dirty_links.update(row)
             self._dirty_linkless.discard(slot)
         # Rounds before the one that froze this flow never had it as their
         # bottleneck, so they survive its removal (see _solve_vector).
@@ -526,7 +528,6 @@ class IncrementalAllocator:
             self._resume = min(self._resume, int(self._freeze_round[slot]))
         self._slot_name[slot] = ""
         self._slot_links[slot] = ()
-        self._slot_unique_links[slot] = ()
         self._row_live -= int(self._slot_nlinks[slot])
         self._slot_nlinks[slot] = 0
         self._linkless.discard(slot)
@@ -548,9 +549,8 @@ class IncrementalAllocator:
         for flow_id in flow_ids:
             if flow_id not in flow_slot:
                 raise SimulationError(f"unknown flow {flow_id!r}")
-        if len(flow_ids) < _BATCH_MIN or self._dup_link_flows:
-            # Cheaper flow by flow (see _BATCH_MIN); and remove_flow knows
-            # both views of a row that repeats a link.
+        if len(flow_ids) < _BATCH_MIN:
+            # Cheaper flow by flow (see _BATCH_MIN).
             for flow_id in flow_ids:
                 self.remove_flow(flow_id)
             return
@@ -588,7 +588,6 @@ class IncrementalAllocator:
         for slot in slot_list:
             self._slot_name[slot] = ""
             self._slot_links[slot] = ()
-            self._slot_unique_links[slot] = ()
         self._row_live -= total
         self._slot_nlinks[slots] = 0
         self._linkless.difference_update(slot_list)
@@ -634,10 +633,6 @@ class IncrementalAllocator:
     # --------------------------------------------------------------- solve
     def uses_vector_path(self) -> bool:
         """Whether the next :meth:`solve` will take the array-backed path."""
-        if self._dup_link_flows:
-            # The scalar solver is the only one that models a path crossing
-            # the same link twice (one count, two capacity drains).
-            return False
         return len(self._flow_slot) >= _VECTOR_MIN_FLOWS
 
     def solve(self) -> Dict[str, float]:
@@ -728,10 +723,9 @@ class IncrementalAllocator:
         # Partial re-solve: progressive filling decomposes over connected
         # components of the flow↔link sharing graph, so flows outside the
         # transitive closure of the edited links keep their previous rates
-        # bit-for-bit.  Duplicate-link paths void the closure's heap-order
-        # determinism, so they always take the full solve.
+        # bit-for-bit.
         partial = None
-        if self._have_rates and not self._dup_link_flows:
+        if self._have_rates:
             partial = self._dirty_closure()
         if partial is not None:
             for slot in self._dirty_linkless:
@@ -810,7 +804,7 @@ class IncrementalAllocator:
         self._walks.inc()
         budget = limit * self._max_row
         members = self._members
-        slot_unique = self._slot_unique_links
+        slot_links = self._slot_links
         seen_links: Set[int] = set()
         seen_slots: Set[int] = set()
         stack: List[int] = []  # discovered links, members not yet visited
@@ -833,7 +827,7 @@ class IncrementalAllocator:
             for slot in members[stack.pop()]:
                 if slot not in seen_slots:
                     seen_slots.add(slot)
-                    if len(seen_slots) > limit or not discover(slot_unique[slot]):
+                    if len(seen_slots) > limit or not discover(slot_links[slot]):
                         if label is None:
                             self._label_components()
                         return None
@@ -888,99 +882,66 @@ class IncrementalAllocator:
 
         # Working copies for only the links currently in play.
         capacity = self._capacity
+        slot_links = self._slot_links
         if restrict is None:
             counts: Dict[int, int] = dict(self._link_use)
         else:
             counts = {}
             for slot in unfrozen:
-                for index in self._slot_unique_links[slot]:
+                for index in slot_links[slot]:
                     counts[index] = counts.get(index, 0) + 1
         remaining: Dict[int, float] = {
             index: capacity[index] for index in counts
         }
 
         frozen = bytearray(len(self._slot_name))
-        # Lazy heap of per-link equal shares.  During progressive filling a
-        # link's share never decreases (each frozen flow removes at most one
-        # share's worth of capacity and one member), so stale entries are
-        # safe: they pop early, get corrected in place, and re-sift.  A flow
-        # that crosses the same link twice voids that invariant (freezing it
-        # drains two shares from one member), so fall back to scanning.
-        use_share_heap = self._dup_link_flows == 0
-        share_heap: List[Tuple[float, int]] = []
-        if use_share_heap:
-            share_heap = [
-                (remaining[index] / count, index)
-                for index, count in counts.items()
-            ]
-            heapq.heapify(share_heap)
-
-        slot_links = self._slot_links
-        slot_unique = self._slot_unique_links
+        # Lazy heap of ``(share, link)``, popped only at a link's current
+        # share: its least entry is then the least share, ties to the lowest
+        # link index — the array solve's ``argmin``, so both solves take
+        # every bottleneck in the same order.  That needs every link to keep
+        # an entry at or below its share.  Draining a link raises its share,
+        # save by an ulp of the fused drain; so an entry found below its
+        # link's share is corrected in place, and a drain that lowers a
+        # share pushes a fresh entry, which leaves the old one above the
+        # share, to be dropped when it surfaces.
+        share_heap = [(remaining[index] / count, index) for index, count in counts.items()]
+        heapq.heapify(share_heap)
         n_left = len(unfrozen)
         while n_left:
-            # The next "water level" is the smallest equal share on any link
-            # carrying unfrozen flows.
-            bottleneck_share = math.inf
-            bottleneck_link = -1
-            if use_share_heap:
-                while share_heap:
-                    share, index = share_heap[0]
-                    count = counts[index]
-                    if count <= 0:
-                        heapq.heappop(share_heap)
-                        continue
-                    current = remaining[index] / count
-                    if current > share:  # stale entry: correct and re-sift
-                        heapq.heapreplace(share_heap, (current, index))
-                        continue
-                    bottleneck_share = current
-                    bottleneck_link = index
-                    break
-            else:
-                for index, count in counts.items():
-                    if count <= 0:
-                        continue
-                    share = remaining[index] / count
-                    if share < bottleneck_share:
-                        bottleneck_share = share
-                        bottleneck_link = index
-
-            if bottleneck_link < 0:
-                # Unfrozen flows remain but nothing constrains them.
-                for slot in unfrozen:
-                    if not frozen[slot]:
-                        slot_rate[slot] = math.inf
-                break
-            if use_share_heap:
-                # Freezing drains the bottleneck link, so drop its entry.
+            key, link = share_heap[0]
+            count = counts[link]
+            if not count:  # every member frozen: the link is spent
                 heapq.heappop(share_heap)
-            level = bottleneck_share
-            to_freeze = [
-                slot for slot in self._members[bottleneck_link] if not frozen[slot]
-            ]
+                continue
+            level = remaining[link] / count
+            if key != level:
+                if key < level:
+                    heapq.heapreplace(share_heap, (level, link))
+                else:
+                    heapq.heappop(share_heap)
+                continue
+            heapq.heappop(share_heap)
+            to_freeze = [slot for slot in self._members[link] if not frozen[slot]]
+            n_left -= len(to_freeze)
 
-            # Count the round's occurrences per link, then drain each link
-            # once with the fused ``remaining - k*level`` (clamped at zero).
-            # The level is constant within a round, so this is the same
-            # allocation the per-occurrence drain produced, and it is the
-            # form the array-backed solve computes — keeping the two paths
-            # bit-identical costs one multiply per touched link.
+            # Count the round's crossings per link, then drain each link
+            # once with the fused ``remaining - k*level`` (clamped at zero),
+            # the form the array-backed solve computes.
             drains: Dict[int, int] = {}
             for slot in to_freeze:
                 frozen[slot] = 1
-                n_left -= 1
                 slot_rate[slot] = level
                 for index in slot_links[slot]:
                     drains[index] = drains.get(index, 0) + 1
-                for index in slot_unique[slot]:
-                    counts[index] -= 1
             for index, k in drains.items():
-                left = remaining[index] - k * level
+                before, count = remaining[index], counts[index]
+                left = before - k * level
                 # inf - k*inf is NaN: an infinite link stays infinite.
-                remaining[index] = (
-                    left if left > 0.0 else 0.0 if left == left else math.inf
-                )
+                left = left if left > 0.0 else 0.0 if left == left else math.inf
+                remaining[index] = left
+                counts[index] = count - k
+                if count > k and left / (count - k) < before / count:
+                    heapq.heappush(share_heap, (left / (count - k), index))
 
     def _ensure_row_capacity(self, n: int) -> None:
         """Make room for ``n`` more entries at the end of ``_row_data``."""
@@ -1019,13 +980,12 @@ class IncrementalAllocator:
         searched (None if it left slots unconstrained outside any batch).
 
         Per round: one masked divide + ``argmin`` finds the bottleneck link
-        (ties break on the lowest link index, matching the scalar heaps'
+        (ties break on the lowest link index, matching the scalar heap's
         ``(share, index)`` order); the freeze batch's link histogram
         ``(idx, k)`` drains every touched link by the fused ``remaining -
         k*level`` clamp — the identical expression the scalar path evaluates
-        per touched link, so the two paths stay bit-identical.  Only called
-        when no registered path repeats a link.  A fill reuses three things
-        the previous fill computed, each exactly:
+        per touched link, so the two paths stay bit-identical.  A fill
+        reuses three things the previous fill computed, each exactly:
 
         **The log prefix.**  Every round is logged (level, ``idx``, ``k``,
         the product ``k*level``, the batch; ``_freeze_round`` per slot).

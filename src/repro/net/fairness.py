@@ -59,9 +59,9 @@ def max_min_violations(
     crosses a saturated link on which no other flow gets a larger rate.  A
     flow with an infinite rate must cross only links of infinite capacity.  The
     check needs no reference solver, so it certifies any allocator's output
-    on its own.  Paths must not repeat a link: the solvers share such a
-    link counting the flow once and drain it once per occurrence, which is
-    max-min fair under neither reading.
+    on its own.  Paths must not repeat a link, as the allocator refuses
+    one: counted once per link and drained once per crossing, such a path
+    would be max-min fair under neither reading.
     """
     problems: List[str] = []
     load: Dict[str, float] = {}

@@ -5,12 +5,15 @@
   router and route by graph search, as any hand-built graph does);
 * writers for the two flow-trace formats ``repro.workloads.trace`` reads,
   so tests can hand the readers files of known content;
-* the measurement cache's stale set and ages, read off its arrays.
+* the measurement cache's stale set and ages, read off its arrays;
+* the switch that puts lease workers under the chaos hook of
+  ``tests/chaos``.
 """
 
 import csv
 import json
 import math
+import os
 from pathlib import Path
 from typing import Iterable, List, Optional, Tuple, Union
 
@@ -142,3 +145,18 @@ def age_of(cache, pair: Tuple[str, str], now: float) -> Optional[float]:
     if i is None or j is None or math.isnan(cache._measured_at[i, j]):
         return None
     return now - float(cache._measured_at[i, j])
+
+
+# ------------------------------------------------------------ worker chaos
+CHAOS_HOOK = str(Path(__file__).resolve().parent / "chaos")
+
+
+def arm_worker_chaos(monkeypatch, chaos_dir, mode: str) -> None:
+    """Make the lease workers spawned from now on misbehave per ``mode``
+    (``crash`` / ``hang`` / ``slow``, or a comma-separated list), each mode
+    once per ``chaos_dir``: see ``tests/chaos/sitecustomize.py``."""
+    path = os.environ.get("PYTHONPATH", "")
+    if CHAOS_HOOK not in path.split(os.pathsep):
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [CHAOS_HOOK, path])))
+    monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(chaos_dir))
+    monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", mode)

@@ -152,10 +152,7 @@ def use_reference_engine(patch) -> None:
 
 
 def force_solves(patch, vector: bool) -> None:
-    """Make every full allocator solve take the vector (or the scalar) path.
-
-    A path that repeats a link still takes the scalar solve, as it must.
-    """
+    """Make every full allocator solve take the vector (or the scalar) path."""
     bound = 0 if vector else math.inf
     patch.setattr(alloc, "_VECTOR_MIN_FLOWS", bound)
 

@@ -4,10 +4,10 @@ Run from the repository root::
 
     python tests/reach/reach.py [--check] [--out PATH]
 
-It copies ``src/``, ``benchmark/`` and the hook (``sitecustomize.py``) into
-a temporary directory and runs the entry set there with the hook on
-``PYTHONPATH``, so every process and subprocess records the functions it
-enters.  The entry set is:
+It copies ``src/``, ``benchmark/``, ``tests/chaos/`` and the hook
+(``sitecustomize.py``) into a temporary directory and runs the entry set
+there with the hook on ``PYTHONPATH``, so every process and subprocess
+records the functions it enters.  The entry set is:
 
 * every step of ``.github/workflows/ci.yml`` that runs the program, that
   is, names ``repro`` or ``benchmark/`` and is not a pytest run (the
@@ -255,6 +255,9 @@ def run_entry_set(root: Path, scratch: Path) -> Tuple[Path, Path, List[str]]:
     hook = scratch / "hook"
     hook.mkdir()
     shutil.copy2(HERE / "sitecustomize.py", hook / "sitecustomize.py")
+    # CI's chaos sweep puts tests/chaos on PYTHONPATH ahead of this hook.
+    shutil.copytree(HERE.parent / "chaos", scratch / "tests" / "chaos",
+                    ignore=shutil.ignore_patterns("__pycache__"))
     binaries = scratch / "bin"
     binaries.mkdir()
     for alias in ("python", "python3"):
@@ -269,6 +272,7 @@ def run_entry_set(root: Path, scratch: Path) -> Tuple[Path, Path, List[str]]:
         work = scratch / "work" / group.replace("/", "-")
         work.mkdir(parents=True)
         (work / "benchmark").symlink_to(scratch / "benchmark")
+        (work / "tests").symlink_to(scratch / "tests")
         for label, script in commands:
             print(f"[{group}] {label}", flush=True)
             done = subprocess.run(

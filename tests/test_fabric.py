@@ -15,6 +15,7 @@ import types
 
 import pytest
 
+from helpers import arm_worker_chaos
 import repro.experiments.backends as backends_mod
 import repro.experiments.trials as trials_mod
 import repro.experiments.worker as worker_mod
@@ -353,10 +354,9 @@ def test_chaos_crash_and_hang_workers_salvaged_and_bit_identical(
     ]
     expected = create_backend("inline").map_trials(items)
 
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", "crash,hang")
+    arm_worker_chaos(monkeypatch, tmp_path, "crash,hang")
     monkeypatch.setattr(backends_mod, "BACKOFF_BASE_S", 0.05)
-    backend = create_backend("remote", workers=2, heartbeat_timeout_s=2.0)
+    backend = create_backend("remote", workers=2, heartbeat_timeout_s=0.5)
     records = backend.map_trials(items)
 
     assert (tmp_path / "chaos-fired").exists(), "crash chaos never armed"
@@ -375,14 +375,13 @@ def test_chaos_retry_waves_are_deterministic(tmp_path, monkeypatch):
     """Same seed, same crash: the salvage-then-retry sweep is bit-identical
     across runs, down to the backoff schedule."""
     items = _items(6)
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", "crash")
     monkeypatch.setattr(backends_mod, "BACKOFF_BASE_S", 0.05)
 
     outputs = []
     for run in ("a", "b"):
         chaos_dir = tmp_path / run
         chaos_dir.mkdir()
-        monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(chaos_dir))
+        arm_worker_chaos(monkeypatch, chaos_dir, "crash")
         backend = create_backend("remote", workers=2, backoff_seed=7)
         records = backend.map_trials(items)
         assert (chaos_dir / "chaos-fired").exists()
@@ -400,9 +399,11 @@ def test_chaos_straggler_is_redispatched_to_idle_worker(tmp_path, monkeypatch):
     items = _items(10)
     expected = create_backend("inline").map_trials(items)
 
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", "slow")
+    arm_worker_chaos(monkeypatch, tmp_path, "slow")
     monkeypatch.setattr(backends_mod, "STRAGGLER_FACTOR", 1.5)
+    # A healthy lease of smoke trials streams in milliseconds, and the slow
+    # one takes 4 × CHAOS_SLOW_S (tests/chaos): 0.2 s still tells them apart.
+    monkeypatch.setattr(backends_mod, "MIN_STRAGGLER_S", 0.2)
     backend = create_backend("remote", workers=2)
     records = backend.map_trials(items)
     assert (tmp_path / "chaos-fired").exists(), "slow chaos never armed"
@@ -413,8 +414,7 @@ def test_chaos_straggler_is_redispatched_to_idle_worker(tmp_path, monkeypatch):
 
 
 def test_chaos_crash_with_no_retry_budget_raises(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", "crash")
+    arm_worker_chaos(monkeypatch, tmp_path, "crash")
     backend = create_backend("remote", workers=1, max_retries=0)
     with pytest.raises(ExperimentError, match="gave up"):
         backend.map_trials(_items(2))
@@ -428,10 +428,9 @@ def test_chaos_own_pool_replaces_its_only_worker(tmp_path, monkeypatch, mode):
     items = _items(4)
     expected = create_backend("inline").map_trials(items)
 
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", mode)
+    arm_worker_chaos(monkeypatch, tmp_path, mode)
     monkeypatch.setattr(backends_mod, "BACKOFF_BASE_S", 0.05)
-    backend = RemoteBackend(workers=1, max_retries=1, heartbeat_timeout_s=2.0)
+    backend = RemoteBackend(workers=1, max_retries=1, heartbeat_timeout_s=0.5)
     spawned = []
     spawn = worker_mod.spawn_local_workers
 

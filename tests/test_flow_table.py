@@ -62,7 +62,6 @@ def _assert_same_state(batched, twin, context):
     assert batched._members == twin._members, context
     assert batched._slot_links == twin._slot_links, context
     assert batched._linkless == twin._linkless, context
-    assert batched._dup_link_flows == twin._dup_link_flows, context
     assert batched._resume == twin._resume, context
     assert batched.solve() == twin.solve(), context
     assert batched.solver_stats() == twin.solver_stats(), context
@@ -101,15 +100,19 @@ def test_batched_edits_leave_the_per_flow_state(mode, seed, monkeypatch):
             n_new = rng.choice([1, 5, alloc._BATCH_MIN, 40, 200])
             names = [f"f{next(counter)}" for _ in range(n_new)]
             rows = [_random_row(rng) for _ in names]
-            if rng.random() < 0.15:
-                # A row that crosses one link twice: the whole batch, and
-                # removals while it lives, take the per-flow edits.
+            repeated = rng.random() < 0.15
+            if repeated:
                 rows[rng.randrange(n_new)].extend([7, 7])
-            slots = batched.add_flows(
-                names,
-                np.array(list(itertools.chain.from_iterable(rows)), dtype=np.intp),
-                np.array([len(row) for row in rows]),
-            )
+            flat = np.array(list(itertools.chain.from_iterable(rows)), dtype=np.intp)
+            lengths = np.array([len(row) for row in rows])
+            if repeated:
+                # A row that crosses one link twice: the whole batch is
+                # refused, on either side of the cut, and nothing changes.
+                with pytest.raises(SimulationError, match="crosses link 'l7'"):
+                    batched.add_flows(names, flat, lengths)
+                _assert_same_state(batched, twin, context)
+                continue
+            slots = batched.add_flows(names, flat, lengths)
             expected = [
                 twin.add_flow(name, [LINK_IDS[i] for i in row])
                 for name, row in zip(names, rows)
@@ -136,6 +139,8 @@ def test_batched_edits_reject_a_bad_batch_whole(monkeypatch):
         live.add_flows(more[:9] + ["g0"], rows, ones)
     with pytest.raises(SimulationError, match="unknown link index"):
         live.add_flows(more, rows + N_LINKS - 5, ones)
+    with pytest.raises(SimulationError, match="flow 'g9' crosses link 'l9'"):
+        live.add_flows(more, np.append(rows, 9), np.append(ones[:9], 2))
     with pytest.raises(SimulationError, match="unknown flow 'nope'"):
         live.remove_flows(names[:9] + ["nope"])
     with pytest.raises(SimulationError, match="repeated"):

@@ -143,49 +143,6 @@ class TestIncrementalAllocator:
             allocator.update_capacities({"l2": 5.0, "l1": bad})
         assert allocator.solve() == {"f": 4.0, "g": 6.0}
 
-    def test_duplicate_links_on_a_path(self):
-        """A flow crossing the same link twice voids the share-heap
-        monotonicity invariant; the solver must detect it and still match
-        the reference (which subtracts the level once per occurrence)."""
-        caps = {"L": 10.0, "M": 9.0}
-        demands = {
-            "A": FlowDemand(links=("L", "L")),
-            "C": FlowDemand(links=("M",)),
-            "D": FlowDemand(links=("L", "M")),
-        }
-        allocator = IncrementalAllocator(caps)
-        for fid, demand in demands.items():
-            allocator.add_flow(fid, demand.links)
-        _assert_allocations_match(
-            max_min_allocation(demands, caps), allocator.solve(), "dup links"
-        )
-        # Removing the duplicate-link flow restores the fast path.
-        allocator.remove_flow("A")
-        del demands["A"]
-        _assert_allocations_match(
-            max_min_allocation(demands, caps), allocator.solve(), "dup removed"
-        )
-
-    def test_matches_reference_with_random_duplicate_links(self):
-        rng = random.Random(0xD0B)
-        for trial in range(60):
-            caps, demands = _random_instance(rng)
-            # Duplicate a random prefix of some flows' paths.
-            mutated = {}
-            for fid, demand in demands.items():
-                links = demand.links
-                if links and rng.random() < 0.4:
-                    links = links + links[: rng.randint(1, len(links))]
-                mutated[fid] = FlowDemand(links=links)
-            allocator = IncrementalAllocator(caps)
-            for fid, demand in mutated.items():
-                allocator.add_flow(fid, demand.links)
-            _assert_allocations_match(
-                max_min_allocation(mutated, caps),
-                allocator.solve(),
-                f"dup trial {trial}",
-            )
-
 
 class TestRateTimelineBisect:
 

@@ -11,7 +11,13 @@ import re
 
 import pytest
 
+from helpers import arm_worker_chaos
 from repro import obs
+from repro.core.network_profile import NetworkProfile
+from repro.core.placement import greedy
+from repro.core.placement.base import ClusterState, Machine
+from repro.core.placement.greedy import GreedyPlacer
+from repro.core.placement.ilp import OptimalPlacer
 from repro.experiments import (
     ExperimentConfig,
     ExperimentRunner,
@@ -23,6 +29,7 @@ from repro.experiments import (
 from repro.experiments.cli import main as experiments_main
 from repro.experiments.results import HOST_TIMING_FIELDS
 from repro.experiments.worker import WorkerClient, spawn_local_workers
+from repro.workloads.application import Application, Task, TrafficMatrix
 from repro.obs.report import (
     TraceError,
     build_profile,
@@ -158,6 +165,76 @@ def test_traced_sequence_says_what_each_arrival_saw(trace_to):
     assert all(r["batches"] > 0 for r in runs)
 
 
+def _decision_instance():
+    """Five one-core machines, rate ``(1 + i + 2j)·100 Mbit/s`` from ``vm{i}``
+    to ``vm{j}``, and a chain of four one-core tasks: no colocation."""
+    machines = [f"vm{i}" for i in range(5)]
+    profile = NetworkProfile.from_rate_function(
+        machines, lambda a, b: 1e8 * (1 + int(a[2:]) + 2 * int(b[2:]))
+    )
+    cluster = ClusterState(machines=[Machine(m, 1.0) for m in machines])
+    traffic = TrafficMatrix()
+    for src, dst, volume in (("a", "b", 3e6), ("b", "c", 2e6), ("c", "d", 1e6)):
+        traffic.add(src, dst, volume)
+    return Application("app", [Task(t, 1.0) for t in "abcd"], traffic), cluster, profile
+
+
+DECISION_FIELDS = {
+    "placer", "app", "transfer", "path", "candidates", "chosen", "runner_up",
+    "rate_bps", "gap_bps",
+}
+
+
+@pytest.mark.parametrize("threshold", [None, 1])
+def test_traced_greedy_says_what_each_choice_beat(trace_to, threshold, monkeypatch):
+    app, cluster, profile = _decision_instance()
+    placer = GreedyPlacer(cluster_threshold=threshold)
+    placed = placer.place(app, cluster, profile).assignments
+    decisions = [
+        ev["attrs"] for ev in load_events(trace_to) if ev["name"] == "placement.decision"
+    ]
+    # One choice per transfer: a -> b picks both machines, then b and c pin.
+    assert [d["transfer"] for d in decisions] == [["a", "b"], ["b", "c"], ["c", "d"]]
+    for d in decisions:
+        assert set(d) == DECISION_FIELDS
+        assert d["placer"] == "greedy" and d["app"] == "app"
+        assert d["path"] == ("flat" if threshold is None else "hierarchical")
+        assert d["chosen"] == [placed[task] for task in d["transfer"]]
+        assert d["rate_bps"] > 0
+        if d["runner_up"] is None:  # (one candidate in the searched block)
+            assert d["candidates"] == 1 and d["gap_bps"] is None
+        else:
+            assert d["candidates"] >= 2 and d["runner_up"] != d["chosen"]
+            assert 0 <= d["gap_bps"] <= d["rate_bps"]
+    if threshold is None:
+        # The flat search opens all 20 ordered pairs; vm3 -> vm4 (12) beats
+        # vm2 -> vm4 and vm4 -> vm3 (11) by one step.  Then the pinned row
+        # of vm4 has the three free machines left.
+        first, second, _ = decisions
+        assert first["candidates"] == 20 and first["chosen"] == ["vm3", "vm4"]
+        assert first["runner_up"] in (["vm2", "vm4"], ["vm4", "vm3"])
+        assert first["rate_bps"] == 12e8 and first["gap_bps"] == 1e8
+        assert second["candidates"] == 3
+
+    # Off, the runner-up is never computed and nothing is emitted.
+    obs.configure(None, export_env=False)
+    seen = len(load_events(trace_to))
+    monkeypatch.setattr(greedy, "_runner_up", None)
+    assert placer.place(app, cluster, profile).assignments == placed
+    assert len(load_events(trace_to)) == seen
+
+
+def test_traced_exact_search_reports_its_tree(trace_to):
+    app, cluster, profile = _decision_instance()
+    OptimalPlacer().place(app, cluster, profile)
+    (decision,) = [
+        ev["attrs"] for ev in load_events(trace_to)
+        if ev["name"] == "placement.decision" and ev["attrs"]["placer"] == "ilp"
+    ]
+    assert set(decision) == {"placer", "app", "nodes", "leaves", "improvements", "proved"}
+    assert decision["proved"] is True and decision["nodes"] >= decision["improvements"]
+
+
 def test_traced_store_says_what_it_wrote_and_loaded(trace_to, tmp_path):
     config = ExperimentConfig(
         scenarios=("smoke",), placers=("greedy", "random"), trials=2,
@@ -274,8 +351,7 @@ def test_worker_metrics_exposition_and_health_stay_fresh_mid_lease(
     """A chaos-slowed worker streams a lease for seconds; ``/health`` and
     ``/metrics`` (answered from fresh threads) must respond mid-lease and
     show the chunk advancing."""
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(tmp_path))
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", "slow")
+    arm_worker_chaos(monkeypatch, tmp_path, "slow")
     items = [WorkItem.make("smoke", "random", t, 0) for t in range(4)]
     with spawn_local_workers(1) as pool:
         host, port = pool.addresses[0]

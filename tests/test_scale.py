@@ -23,11 +23,12 @@ from oracles.max_min import (
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Machine
 from repro.core.placement.greedy import GreedyPlacer
-from repro.errors import MeasurementError, PlacementError
-from repro.net.alloc import IncrementalAllocator
-from repro.net.fairness import FlowDemand, segment_violations
+from repro.errors import MeasurementError, PlacementError, SimulationError
+from repro.net.alloc import _BATCH_MIN, IncrementalAllocator
+from repro.net.fairness import FlowDemand, max_min_violations, segment_violations
 from repro.net.flows import Flow
 from repro.net.fluid import FluidSimulation
+from repro.net.topology import TreeSpec, build_multi_rooted_tree
 from repro.units import GBITPS, MBYTE
 
 np = pytest.importorskip("numpy")
@@ -128,26 +129,6 @@ class TestVectorSolveBitIdentity:
                 else:
                     assert abs(expected - actual) <= 1e-9 * max(1.0, expected), fid
 
-    def test_duplicate_link_paths_fall_back_to_scalar(self, monkeypatch):
-        """A path crossing the same link twice drains capacity twice; only
-        the scalar solver models that, so the vector allocator must defer."""
-        caps = {"a": 1 * GBITPS, "b": 2 * GBITPS}
-        script = [
-            ("loop", FlowDemand(links=("a", "b", "a"))),
-            ("plain", FlowDemand(links=("b",))),
-        ]
-        assert _solves(monkeypatch, True, caps, script, every=False) == _solves(
-            monkeypatch, False, caps, script, every=False
-        )
-        force_solves(monkeypatch, True)
-        allocator = IncrementalAllocator(caps)
-        for fid, demand in script:
-            allocator.add_flow(fid, demand.links)
-        assert not allocator.uses_vector_path()
-        # Removing the duplicate-link flow re-enables the vector path.
-        allocator.remove_flow("loop")
-        assert allocator.uses_vector_path()
-
     def test_infinite_capacity_universe(self, monkeypatch):
         caps = {"a": math.inf, "b": math.inf}
         script = [
@@ -159,6 +140,73 @@ class TestVectorSolveBitIdentity:
         vector = _solves(monkeypatch, True, caps, script, every=False)
         assert scalar == vector
         assert vector[-1] == {"x": math.inf, "y": math.inf, "z": math.inf}
+
+
+def _pod_instance(seed):
+    """384 flows between random host pairs of one 4 × 20 pod, 50 of them
+    then retired: the family on which a scalar heap that corrected only
+    stale entries *above* a link's share took a tied bottleneck out of
+    ``argmin``'s order (seed 145 parted in 42 rates)."""
+    topo = build_multi_rooted_tree(TreeSpec(pods=1, racks_per_pod=4, hosts_per_rack=20))
+    hosts = topo.hosts()
+    rng = random.Random(seed)
+    flows = {}
+    for f in range(384):
+        src, dst = rng.sample(hosts, 2)
+        flows[f"f{f}"] = FlowDemand(links=tuple(link.link_id for link in topo.path_links(src, dst)))
+    return topo.capacities(), flows, rng.sample(list(flows), 50)
+
+
+def _fresh(caps, demands, vector):
+    with pytest.MonkeyPatch.context() as patch:
+        force_solves(patch, vector)
+        allocator = IncrementalAllocator(caps)
+        for fid, demand in demands.items():
+            allocator.add_flow(fid, demand.links)
+        return allocator.solve()
+
+
+class TestOneBottleneckRule:
+    @pytest.mark.parametrize("seed", [119, 145, 167, 186, *range(20)])
+    def test_full_scalar_full_vector_and_live_solves_are_equal(self, seed):
+        caps, demands, retired = _pod_instance(seed)
+        live = IncrementalAllocator(caps)
+        for fid, demand in demands.items():
+            live.add_flow(fid, demand.links)
+        live.solve()
+        for fid in retired:
+            live.remove_flow(fid)
+            del demands[fid]
+            live.solve()
+        scalar = _fresh(caps, demands, vector=False)
+        vector = _fresh(caps, demands, vector=True)
+        assert scalar == vector == live.solve()
+        assert max_min_violations(demands, caps, scalar) == []
+        stats = live.solver_stats()
+        assert stats["full_solves"] + stats["partial_solves"] == 1 + len(retired)
+
+    @pytest.mark.parametrize("edit", ["add_flow", "small batch", "big batch"])
+    def test_a_path_that_repeats_a_link_is_refused_by_name(self, edit):
+        caps = {f"l{i}": float(i + 1) for i in range(8)}
+        allocator = IncrementalAllocator(caps)
+        for i in range(4):
+            allocator.add_flow(f"kept{i}", [f"l{i}", f"l{i + 4}"])
+        before = dict(allocator.solve())
+        bad = [2, 5, 2]
+        with pytest.raises(SimulationError, match=r"'loop'.*'l2'"):
+            if edit == "add_flow":
+                allocator.add_flow("loop", [f"l{i}" for i in bad])
+            else:
+                n = 3 if edit == "small batch" else _BATCH_MIN + 1
+                assert (n < _BATCH_MIN) == (edit == "small batch")
+                # The offending row comes last, after rows that are valid.
+                ids = [f"new{i}" for i in range(n - 1)] + ["loop"]
+                rows = [i % 8 for i in range(n - 1)] + bad
+                lengths = [1] * (n - 1) + [len(bad)]
+                allocator.add_flows(ids, np.array(rows), np.array(lengths))
+        assert len(allocator) == 4
+        assert allocator.solve() == before
+        assert allocator.add_flow("loop", ["l2", "l5"]) >= 0
 
 
 class TestVectorModeSelection:
