@@ -1,0 +1,188 @@
+"""The fidelity table: the paper's claims against this reproduction.
+
+Run from the repository root (with ``src`` importable)::
+
+    python tests/fidelity.py [--check] [--out PATH]
+
+It writes ``docs/fidelity.md`` (or ``PATH``): one row per claim, with the
+paper's value, ours, the seeds it was measured on and a verdict.  Every
+number is seeded, so the same code writes the same file.  ``--check``
+writes the table too, and exits 1 when a claim's verdict differs from the
+one in the file it replaced.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import sys
+from pathlib import Path
+from typing import Dict, List, NamedTuple, Optional
+
+import numpy as np
+
+from repro.cloud.registry import make_provider
+from repro.core.measurement import calibrate_train_parameters
+from repro.experiments.runner import ExperimentConfig, ExperimentRunner
+
+ROOT = Path(__file__).resolve().parents[1]
+TABLE = ROOT / "docs" / "fidelity.md"
+
+HOLDS, FAILS = "holds", "does not hold"
+
+
+class Row(NamedTuple):
+    claim: str  # starts with the paper's section: the row's key
+    paper: str
+    ours: str
+    seeds: str
+    verdict: str
+
+
+# ------------------------------------------------------------ §4.1 / Fig. 6
+CALIBRATION_SEEDS = range(3)
+
+
+def calibration_errors(name: str, seed: int) -> Dict[int, float]:
+    """Mean relative error of 10-burst trains against a 10 s netperf run,
+    by burst length, over the 20 ordered pairs of 5 VMs (as
+    ``tests/test_calibration.py`` measures it)."""
+    provider = make_provider(name, seed=seed)
+    provider.request_vms(5)
+    names = [vm.name for vm in provider.vms()]
+    pairs = [(s, d) for s in names for d in names if s != d]
+    points = calibrate_train_parameters(
+        provider, pairs, burst_lengths=(200, 2000), n_bursts_options=(10,)
+    )
+    return {point.burst_length: point.mean_relative_error for point in points}
+
+
+def calibration_row() -> Row:
+    ec2 = [calibration_errors("ec2", seed)[200] for seed in CALIBRATION_SEEDS]
+    rackspace = [calibration_errors("rackspace", seed) for seed in CALIBRATION_SEEDS]
+    ratio = [errors[2000] / errors[200] for errors in rackspace]
+    holds = max(ec2) < 0.10 and max(ratio) <= 1 / 3
+    return Row(
+        claim="§4.1 / Figure 6: a 10-burst packet train tracks netperf with "
+        "200-packet bursts on EC2; Rackspace's token bucket needs 2000-packet bursts",
+        paper="EC2 calibrated at 200 packets; Rackspace at 2000",
+        ours=f"EC2 error at 200 packets {_pct(min(ec2))}–{_pct(max(ec2))} "
+        f"(bound 10 %); Rackspace error at 2000 / at 200 "
+        f"{min(ratio):.2f}–{max(ratio):.2f} (bound 1/3)",
+        seeds=f"ec2 and rackspace, seeds {_span(CALIBRATION_SEEDS)}",
+        verdict=HOLDS if holds else FAILS,
+    )
+
+
+# --------------------------------------------------------------------- §6.3
+SEQUENCE_SCENARIOS = ("multi-app-sequence", "ec2-trace-replay")
+SEQUENCE_TRIALS = 20
+PAPER_MEAN_GAIN = (0.22, 0.43)
+PAPER_MAX_GAIN = 0.79
+
+
+def paired_gains(result, scenario: str) -> List[float]:
+    """Per trial, greedy's running-time gain over random on the same seed."""
+    greedy = {r.trial: r.total_running_time_s for r in result.ok_records(scenario, "greedy")}
+    random = {r.trial: r.total_running_time_s for r in result.ok_records(scenario, "random")}
+    return [
+        (random[trial] - greedy[trial]) / random[trial]
+        for trial in sorted(greedy.keys() & random.keys())
+    ]
+
+
+def seed_interval(gains: List[float], resamples: int = 10_000) -> tuple:
+    """95 % percentile-bootstrap interval of the mean over seeds (seeded)."""
+    draws = np.random.default_rng(0).choice(gains, size=(resamples, len(gains)))
+    low, high = np.percentile(draws.mean(axis=1), [2.5, 97.5])
+    return float(low), float(high)
+
+
+def sequence_row() -> Row:
+    result = ExperimentRunner(ExperimentConfig(
+        scenarios=SEQUENCE_SCENARIOS, placers=("greedy", "random"),
+        trials=SEQUENCE_TRIALS, base_seed=0, baseline="random", workers=1,
+    )).run()
+    parts, holds = [], True
+    for scenario in SEQUENCE_SCENARIOS:
+        gains = paired_gains(result, scenario)
+        mean = statistics.fmean(gains)
+        low, high = seed_interval(gains)
+        holds = holds and len(gains) == SEQUENCE_TRIALS and mean > 0 and low > 0
+        inside = PAPER_MEAN_GAIN[0] <= mean <= PAPER_MEAN_GAIN[1]
+        parts.append(
+            f"`{scenario}` mean {_pct(mean)} (95 % {_pct(low)}–{_pct(high)}), "
+            f"max {_pct(max(gains))}; mean {'inside' if inside else 'outside'} "
+            f"the paper's range"
+        )
+    return Row(
+        claim="§6.3: placed as they arrive, each measured under the load of "
+        "those still running, greedy's applications finish sooner than random's",
+        paper=f"mean gain {_pct(PAPER_MEAN_GAIN[0])}–{_pct(PAPER_MEAN_GAIN[1])}, "
+        f"max {_pct(PAPER_MAX_GAIN)}",
+        ours="; ".join(parts),
+        seeds=f"trials {_span(range(SEQUENCE_TRIALS))} of base seed 0, paired",
+        verdict=HOLDS if holds else FAILS,
+    )
+
+
+# ------------------------------------------------------------------ output
+def _pct(value: float) -> str:
+    return f"{100 * value:.1f} %"
+
+
+def _span(values: range) -> str:
+    return f"{values[0]}–{values[-1]}"
+
+
+HEADER = """\
+# Fidelity: the paper's claims, checked
+
+Generated by `python tests/fidelity.py`; do not edit by hand.  A claim
+*holds* when our seeded runs reproduce its direction with the stated
+bound: for a gain, the mean over seeds is above 0 and so is its 95 %
+interval (a percentile bootstrap over the seeds).  CI regenerates this
+table and fails when a verdict flips.
+
+| claim | paper | ours | seeds | verdict |
+| --- | --- | --- | --- | --- |
+"""
+
+
+def render(rows: List[Row]) -> str:
+    return HEADER + "".join("| " + " | ".join(row) + " |\n" for row in rows)
+
+
+def verdicts(text: str) -> Dict[str, str]:
+    """``section -> verdict`` of a rendered table."""
+    found = {}
+    for line in text.splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) == len(Row._fields) and cells[0].startswith("§"):
+            found[cells[0].split(":")[0]] = cells[-1]
+    return found
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help="fail when a verdict differs from the replaced table's")
+    parser.add_argument("--out", default=str(TABLE), help="where to write the table")
+    args = parser.parse_args(argv)
+    out = Path(args.out)
+    before = verdicts(out.read_text()) if out.exists() else {}
+    text = render([calibration_row(), sequence_row()])
+    out.write_text(text)
+    print(text, end="")
+    flipped = [
+        f"{claim}: {before[claim]} -> {verdict}"
+        for claim, verdict in verdicts(text).items()
+        if claim in before and before[claim] != verdict
+    ]
+    for line in flipped:
+        print(f"verdict flipped: {line}", file=sys.stderr)
+    return 1 if args.check and flipped else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,7 +16,8 @@ records the functions it enters.  The entry set is:
   does;
 * one full-size traced op per benchmark workload at seed 0, because the
   quick sizes never enter hierarchical greedy;
-* the ``$ python …`` commands of README.md's console block.
+* the ``$ python …`` commands of README.md's console block;
+* ``tests/fidelity.py``, which writes the fidelity table (docs/fidelity.md).
 
 A definition also counts as reached when ``benchmark/`` imports it, or
 wraps it through ``layers.TARGETS``: removing one would break the
@@ -242,6 +243,9 @@ def entry_set(root: Path) -> List[Tuple[str, List[Tuple[str, str]]]]:
             if command not in ci_text:
                 readme.append((command, command))
     groups["readme"] = readme
+    groups["fidelity"] = [
+        ("fidelity table", "python tests/fidelity.py --out fidelity.md")
+    ]
     return list(groups.items())
 
 
@@ -258,6 +262,7 @@ def run_entry_set(root: Path, scratch: Path) -> Tuple[Path, Path, List[str]]:
     # CI's chaos sweep puts tests/chaos on PYTHONPATH ahead of this hook.
     shutil.copytree(HERE.parent / "chaos", scratch / "tests" / "chaos",
                     ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy2(HERE.parent / "fidelity.py", scratch / "tests" / "fidelity.py")
     binaries = scratch / "bin"
     binaries.mkdir()
     for alias in ("python", "python3"):
