@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.network_profile import NetworkProfile
 from repro.errors import PlacementError
@@ -157,6 +157,9 @@ class Placer(abc.ABC):
 
     #: Human-readable name used in experiment output.
     name: str = "placer"
+    #: Whether :meth:`place` reads its ``profile``; a caller measures the
+    #: network only for a placer that does.
+    needs_profile: bool = True
 
     @abc.abstractmethod
     def place(
@@ -174,17 +177,34 @@ class Placer(abc.ABC):
 
     def check_feasible(self, app: Application, cluster: ClusterState) -> None:
         """Raise :class:`PlacementError` when the app cannot possibly fit."""
-        available = cluster.available_cpus()
-        total = sum(available.values())
-        if app.total_cpu > total + 1e-9:
+        short = cpu_shortfall(app, cluster)
+        if short is None:
+            return
+        bound, needed, available = short
+        if bound == "total-cores":
             raise PlacementError(
-                f"application {app.name!r} needs {app.total_cpu:.1f} cores but the "
-                f"cluster only has {total:.1f} available"
+                f"application {app.name!r} needs {needed:.1f} cores but the "
+                f"cluster only has {available:.1f} available"
             )
-        largest_task = max(task.cpu_cores for task in app.tasks)
-        largest_slot = max(available.values())
-        if largest_task > largest_slot + 1e-9:
-            raise PlacementError(
-                f"application {app.name!r} has a task needing {largest_task:.1f} cores "
-                f"but no machine has more than {largest_slot:.1f} available"
-            )
+        raise PlacementError(
+            f"application {app.name!r} has a task needing {needed:.1f} cores "
+            f"but no machine has more than {available:.1f} available"
+        )
+
+
+def cpu_shortfall(
+    app: Application, cluster: ClusterState
+) -> Optional[Tuple[str, float, float]]:
+    """The CPU bound ``app`` cannot meet on ``cluster``, as ``(bound,
+    needed, available)``: ``"total-cores"`` (the app's cores against the
+    cluster's free ones), else ``"largest-slot"`` (its largest task against
+    the largest free slot); ``None`` when it meets both."""
+    available = cluster.available_cpus()
+    total = sum(available.values())
+    if app.total_cpu > total + 1e-9:
+        return "total-cores", app.total_cpu, total
+    largest_task = max(task.cpu_cores for task in app.tasks)
+    largest_slot = max(available.values())
+    if largest_task > largest_slot + 1e-9:
+        return "largest-slot", largest_task, largest_slot
+    return None

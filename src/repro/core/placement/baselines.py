@@ -35,6 +35,7 @@ class RandomPlacer(Placer):
     """Assign every task to a uniformly random CPU-feasible machine."""
 
     name = "random"
+    needs_profile = False
 
     def __init__(self, seed: int = 0):
         self._rng = np.random.default_rng(seed)
@@ -68,6 +69,7 @@ class RoundRobinPlacer(Placer):
     """Assign tasks to machines in round-robin order, skipping full machines."""
 
     name = "round-robin"
+    needs_profile = False
 
     def place(
         self,
@@ -105,6 +107,7 @@ class MinimumMachinesPlacer(Placer):
     """Pack tasks onto as few machines as possible (first-fit)."""
 
     name = "min-machines"
+    needs_profile = False
 
     def place(
         self,

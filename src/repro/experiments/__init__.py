@@ -42,7 +42,6 @@ from repro.experiments.runner import (
 from repro.experiments.trials import WorkItem, run_trial, trial_seed
 from repro.experiments.scenarios import (
     MODE_BATCH,
-    MODE_SEQUENCE,
     MODE_SERVICE,
     ScenarioInstance,
     ScenarioSpec,
@@ -76,7 +75,6 @@ __all__ = [
     "run_trial",
     "trial_seed",
     "MODE_BATCH",
-    "MODE_SEQUENCE",
     "MODE_SERVICE",
     "ScenarioInstance",
     "ScenarioSpec",

@@ -1,9 +1,9 @@
 """Placer registry for the evaluation sweep grid (paper §6).
 
 Maps the placer names used on the CLI and in result files to factories.
-Network-aware placers (``needs_profile=True``) get a measurement campaign
-charged to their trial; network-oblivious baselines skip it, exactly as the
-paper's comparison does.
+Network-aware placers (:attr:`~repro.core.placement.base.Placer.needs_profile`)
+get a measurement campaign charged to their trial; network-oblivious
+baselines skip it, exactly as the paper's comparison does.
 
 Factories take ``(seed, **params)``: ``params`` are per-cell overrides from
 :attr:`~repro.experiments.runner.ExperimentConfig.placer_params` (e.g. the
@@ -64,7 +64,6 @@ class PlacerSpec:
     name: str
     description: str
     factory: PlacerFactory
-    needs_profile: bool = False
 
     def create(self, seed: int, params: Optional[Mapping[str, object]] = None) -> Placer:
         """Instantiate the placer with per-cell parameter overrides."""
@@ -144,7 +143,6 @@ _register(
         name="greedy",
         description="Choreo's greedy network-aware placement (Algorithm 1, §5).",
         factory=_greedy_factory,
-        needs_profile=True,
     )
 )
 _register(
@@ -155,7 +153,6 @@ _register(
             "over the assignment, seeded with the greedy placement."
         ),
         factory=_ilp_factory,
-        needs_profile=True,
     )
 )
 _register(
@@ -163,7 +160,6 @@ _register(
         name="brute-force",
         description="Exhaustive optimal placement; tiny instances only.",
         factory=_brute_factory,
-        needs_profile=True,
     )
 )
 _register(

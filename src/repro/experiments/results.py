@@ -187,10 +187,12 @@ class ExperimentResult:
         Positive values mean ``placer`` finished faster than the baseline on
         the same trial (same seed, hence the same network and applications).
         A trial is dropped when its baseline pair is missing (the baseline
-        errored on that seed) or when the speedup is non-finite (a
-        zero-duration baseline against a nonzero competitor yields
-        ``-inf``), so summaries and their JSON stay finite;
-        :meth:`summary` surfaces how many were dropped per cell.
+        errored on that seed), when the two completed different sets of
+        applications (a service trial in which one admitted an application
+        the other rejected: their sums time different work), or when the
+        speedup is non-finite (a zero-duration baseline against a nonzero
+        competitor yields ``-inf``), so summaries and their JSON stay
+        finite; :meth:`summary` surfaces how many were dropped per cell.
         """
         if self.baseline not in self.placers:
             raise ExperimentError(
@@ -201,7 +203,7 @@ class ExperimentResult:
         dropped = 0
         for rec in self.ok_records(scenario, placer):
             ref = base.get(rec.trial)
-            if ref is None:
+            if ref is None or ref.per_app_duration_s.keys() != rec.per_app_duration_s.keys():
                 dropped += 1
                 continue
             speedup = relative_speedup(

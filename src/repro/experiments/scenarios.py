@@ -3,11 +3,13 @@
 A *scenario* bundles everything one trial of the evaluation needs: a
 synthetic provider (built through :mod:`repro.cloud.registry`), a set of
 tenant VMs, the applications to place, optional cross traffic, and how the
-trial should run (place everything up front, or replay the §2.4 arrival
-sequence).  Scenarios are registered by name so the experiment runner and
-the CLI can address them as data, and every builder is a pure function of
-``(seed, params)`` so trials are reproducible and can be re-created inside
-worker processes.
+trial should run (place everything up front, or stream the applications
+through the online placement service as they arrive, §2.4).  The §6.3
+scenarios are service trials whose settings make the service the paper's
+arrival loop: no migration, and a measurement at every arrival.  Scenarios
+are registered by name so the experiment runner and the CLI can address
+them as data, and every builder is a pure function of ``(seed, params)`` so
+trials are reproducible and can be re-created inside worker processes.
 
 Adding a scenario::
 
@@ -21,6 +23,7 @@ Adding a scenario::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -37,8 +40,11 @@ from repro.workloads.patterns import mapreduce, scatter_gather, uniform_mesh
 
 #: How a scenario's applications are executed by the runner.
 MODE_BATCH = "batch"  #: all applications placed at time zero, run together
-MODE_SEQUENCE = "sequence"  #: applications arrive and are placed one by one (§2.4)
 MODE_SERVICE = "service"  #: streamed through the online placement service
+
+#: The measurement-cache TTL of a §6.3 trial: far below any arrival gap, so
+#: every arrival re-probes each pair last probed before it arrived.
+ARRIVAL_TTL_S = 1e-3
 
 
 @dataclass(frozen=True)
@@ -67,11 +73,10 @@ class ScenarioInstance:
             requested.
         cluster: the tenant's machines as a placement cluster.
         apps: the applications to place (start times matter in
-            ``sequence`` and ``service`` modes).
+            ``service`` mode).
         background: cross-traffic flows sharing the network with the
-            tenant's applications.
-        mode: :data:`MODE_BATCH`, :data:`MODE_SEQUENCE`, or
-            :data:`MODE_SERVICE`.
+            tenant's applications (batch mode only).
+        mode: :data:`MODE_BATCH` or :data:`MODE_SERVICE`.
         service: service-mode settings (required for :data:`MODE_SERVICE`).
     """
 
@@ -83,13 +88,18 @@ class ScenarioInstance:
     service: Optional[ServiceSettings] = None
 
     def __post_init__(self) -> None:
-        if self.mode not in (MODE_BATCH, MODE_SEQUENCE, MODE_SERVICE):
+        if self.mode not in (MODE_BATCH, MODE_SERVICE):
             raise ExperimentError(f"unknown scenario mode {self.mode!r}")
         if not self.apps:
             raise ExperimentError("a scenario instance needs at least one application")
         if self.mode == MODE_SERVICE and self.service is None:
             raise ExperimentError(
                 "service-mode scenarios must supply ServiceSettings"
+            )
+        if self.mode != MODE_BATCH and self.background:
+            raise ExperimentError(
+                f"background flows run only in {MODE_BATCH!r} mode; this "
+                f"{self.mode!r} instance has {len(self.background)}"
             )
 
 
@@ -195,6 +205,31 @@ def fresh_provider(
     return provider, cluster
 
 
+def _arrival_trial(
+    provider: CloudProvider, cluster: ClusterState, apps: List[Application]
+) -> ScenarioInstance:
+    """A §6.3 trial: ``apps`` placed as they arrive, each against a
+    measurement taken under the load of those still running.
+
+    The service migrates nothing, and its cache's TTL (:data:`ARRIVAL_TTL_S`)
+    has every arrival re-measure.  The session lasts the whole epochs up to
+    the last arrival's; the default predictor returns the measured rates
+    throughout its first epoch.
+    """
+    from repro.service.timeline import DEFAULT_EPOCH_S
+
+    last = max(app.start_time for app in apps)
+    settings = ServiceSettings(
+        hours=float(math.floor(last / DEFAULT_EPOCH_S) + 1),
+        ttl_s=ARRIVAL_TTL_S,
+        migrate=False,
+    )
+    return ScenarioInstance(
+        provider=provider, cluster=cluster, apps=apps, mode=MODE_SERVICE,
+        service=settings,
+    )
+
+
 def _light_workload_spec(max_tasks: int = 8) -> WorkloadSpec:
     """Generator knobs that keep single trials CPU-feasible and fast."""
     return WorkloadSpec(
@@ -255,9 +290,7 @@ def _build_sequence(
         gen.generate_application(start_time=i * float(arrival_gap_s))
         for i in range(int(n_apps))
     ]
-    return ScenarioInstance(
-        provider=provider, cluster=cluster, apps=apps, mode=MODE_SEQUENCE
-    )
+    return _arrival_trial(provider, cluster, apps)
 
 
 @scenario(
@@ -417,9 +450,7 @@ def _build_trace_replay(
             profiler.profile_application(records, name)
             for name in app_names
         ]
-        return ScenarioInstance(
-            provider=provider, cluster=cluster, apps=apps, mode=MODE_SEQUENCE
-        )
+        return _arrival_trial(provider, cluster, apps)
 
     gen = HPCloudWorkloadGenerator(_light_workload_spec(max_tasks=6), seed=seed)
     # Ground truth: generated applications, exploded into flow records as a
@@ -449,9 +480,7 @@ def _build_trace_replay(
         )
         for app in source_apps
     ]
-    return ScenarioInstance(
-        provider=provider, cluster=cluster, apps=apps, mode=MODE_SEQUENCE
-    )
+    return _arrival_trial(provider, cluster, apps)
 
 
 @scenario(

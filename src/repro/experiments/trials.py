@@ -27,14 +27,11 @@ from repro.errors import ExperimentError, ReproError
 from repro.experiments.placers import resolve_placer
 from repro.experiments.results import TrialRecord
 from repro.experiments.scenarios import (
-    MODE_SEQUENCE,
     MODE_SERVICE,
     ScenarioInstance,
-    ServiceSettings,
     get_scenario,
 )
 from repro.runtime.executor import run_applications
-from repro.runtime.sequence import SequentialPlacementRunner
 
 
 #: What a scenario or placer parameter value may be: a JSON scalar, so it
@@ -85,9 +82,7 @@ def run_trial(
             instance = _build(scenario_name, seed, scenario_params)
         record.n_apps = len(instance.apps)
         record.n_vms = len(instance.cluster.machines)
-        if instance.mode == MODE_SEQUENCE:
-            _run_sequence_trial(instance, placer_name, seed, record, placer_params)
-        elif instance.mode == MODE_SERVICE:
+        if instance.mode == MODE_SERVICE:
             _run_service_trial(instance, placer_name, seed, record, placer_params)
         else:
             _run_batch_trial(instance, placer_name, seed, record, placer_params)
@@ -336,13 +331,12 @@ def _run_batch_trial(
     placer_params: Optional[Mapping[str, object]] = None,
 ) -> None:
     """Place every application at time zero and run them together."""
-    placer_spec = resolve_placer(placer_name)
-    placer = placer_spec.create(seed, placer_params)
+    placer = resolve_placer(placer_name).create(seed, placer_params)
     provider, cluster = instance.provider, instance.cluster
 
     place_started = time.perf_counter()
     profile: Optional[NetworkProfile] = None
-    if placer_spec.needs_profile:
+    if placer.needs_profile:
         measurer = NetworkMeasurer(provider, plan=_measurement_plan())
         profile = measurer.measure(
             cluster.machine_names(), background=instance.background
@@ -368,35 +362,6 @@ def _run_batch_trial(
     _fill_run_metrics(record, runs.values())
 
 
-def _run_sequence_trial(
-    instance: ScenarioInstance,
-    placer_name: str,
-    seed: int,
-    record: TrialRecord,
-    placer_params: Optional[Mapping[str, object]] = None,
-) -> None:
-    """Replay the §2.4 arrival sequence with the placer under test."""
-    placer_spec = resolve_placer(placer_name)
-    placer = placer_spec.create(seed, placer_params)
-    runner = SequentialPlacementRunner(
-        instance.provider,
-        instance.cluster,
-        placer,
-        measurement=_measurement_plan(),
-        measure_network=placer_spec.needs_profile,
-        background=instance.background,
-    )
-    result = runner.run(instance.apps)
-    _collect_solver_stats(placer, record)
-    record.placement_wall_s = result.placement_wall_s
-    record.measurement_overhead_s = sum(
-        profile.measurement_duration_s
-        for profile in result.profiles.values()
-        if profile is not None
-    )
-    _fill_run_metrics(record, result.runs.values())
-
-
 def _run_service_trial(
     instance: ScenarioInstance,
     placer_name: str,
@@ -407,17 +372,17 @@ def _run_service_trial(
     """Stream the applications through the online placement service.
 
     The per-application metric is admission-to-completion time; rejected
-    applications (CPU-infeasible at their arrival) are excluded from the
-    timing sums but surface in ``solver_stats``-style accounting via the
-    per-app map (their duration is absent).
+    applications (CPU-infeasible at their arrival) have no duration and
+    are left out of the timing sums.  ``placement_wall_s`` is the service's
+    measuring and placing, admissions included; the bytes come from the
+    books of the applications the session ran.
     """
     # Local import: repro.service resolves placers through this package's
     # registry, so a module-level import would be circular.
     from repro.service.engine import PlacementService
 
-    placer_spec = resolve_placer(placer_name)
-    placer = placer_spec.create(seed, placer_params)
-    settings = instance.service or ServiceSettings()
+    placer = resolve_placer(placer_name).create(seed, placer_params)
+    settings = instance.service
     service = PlacementService(
         instance.provider,
         instance.cluster,
@@ -428,7 +393,8 @@ def _run_service_trial(
         improvement_threshold=settings.improvement_threshold,
     )
     report = service.run_session(instance.apps, hours=settings.hours)
-    record.placement_wall_s = report.placement_wall_s
+    _collect_solver_stats(placer, record)
+    record.placement_wall_s = report.placement_wall_s + report.admission_wall_s
     record.measurement_overhead_s = float(
         report.measurement.get("measurement_time_s", 0.0)
     )
@@ -439,6 +405,11 @@ def _run_service_trial(
         record.makespan_s = max(a.completed_at for a in completed) - min(
             a.arrived_at for a in completed
         )
+    for state in service.last_apps.values():
+        for src, dst, volume in state.app.transfers():
+            colocated = state.colocated.get((src, dst), 0.0)
+            record.colocated_bytes += colocated
+            record.network_bytes += volume - colocated
 
 
 def _fill_run_metrics(record: TrialRecord, runs) -> None:

@@ -13,7 +13,6 @@ from repro.runtime.executor import (
     placement_to_flows,
     run_applications,
 )
-from repro.runtime.sequence import SequenceResult, SequentialPlacementRunner
 from repro.runtime.migration import MigrationEvent
 from repro.runtime.metrics import (
     relative_speedup,
@@ -25,8 +24,6 @@ __all__ = [
     "ApplicationRun",
     "placement_to_flows",
     "run_applications",
-    "SequenceResult",
-    "SequentialPlacementRunner",
     "MigrationEvent",
     "relative_speedup",
     "speedup_summary",

@@ -15,16 +15,16 @@ placements' remaining transfers run on one fluid simulation per session
 the estimated completion time improves by more than a threshold, the
 application migrates (:func:`propose_migration`; its remaining bytes
 continue from the new placement).  :class:`LiveApp` is the one record of a
-running application; the §6.3 sequence runner
-(:mod:`repro.runtime.sequence`) keeps its applications in it too, and
-:func:`live_book_violations` holds those records to their invariants.
+running application, and :func:`live_book_violations` holds those records
+to their invariants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
+from repro import obs
 from repro.cloud.provider import CloudProvider, VMFlow
 from repro.core.estimator import estimate_completion_time
 from repro.core.network_profile import NetworkProfile
@@ -62,22 +62,26 @@ def propose_migration(
     placement's by more than ``improvement_threshold``.
 
     Returns ``(new_placement, event)`` when the application should migrate,
-    ``None`` otherwise.  The online service calls it at epoch boundaries,
-    with forecast profiles.
+    ``None`` otherwise; a skipped migration leaves a
+    ``service.migration_skipped`` point while tracing.  The online service
+    calls it at epoch boundaries, with forecast profiles.
     """
     candidate = placer.place(remaining_app, cluster, profile)
-    if candidate.assignments == current.assignments:
-        return None
-    current_estimate = estimate_completion_time(
-        current.assignments, remaining_app, profile
-    )
-    candidate_estimate = estimate_completion_time(
-        candidate.assignments, remaining_app, profile
-    )
-    if current_estimate <= 0:
-        return None
-    gain = (current_estimate - candidate_estimate) / current_estimate
-    if gain <= improvement_threshold:
+    gain: Optional[float] = None  # no move to price
+    if candidate.assignments != current.assignments:
+        current_estimate = estimate_completion_time(
+            current.assignments, remaining_app, profile
+        )
+        if current_estimate > 0:
+            candidate_estimate = estimate_completion_time(
+                candidate.assignments, remaining_app, profile
+            )
+            gain = (current_estimate - candidate_estimate) / current_estimate
+    if gain is None or gain <= improvement_threshold:
+        obs.point(
+            "service.migration_skipped", app=remaining_app.name,
+            predicted_gain=gain, improvement_threshold=improvement_threshold,
+        )
         return None
     moved = tuple(
         sorted(
@@ -207,24 +211,21 @@ def cluster_with_live_usage(
 class LiveNetwork:
     """The one fluid simulation a session's live applications share.
 
-    Built once per service session and once per §6.3 sequence, with
-    another tenant's ``background`` flows registered up front (they run on
-    their own start times); :func:`advance_live_apps` keeps it in step with
-    the books and runs it from pause to pause.  The provider's VM set must
-    not change meanwhile: the simulation has one hose link per VM it had.
+    Built once per service session; :func:`advance_live_apps` keeps it in
+    step with the books and runs it from pause to pause.  The provider's VM
+    set must not change meanwhile: the simulation has one hose link per VM
+    it had.
 
     ``sent[app, pair]`` is what the simulation reported delivered for a
     task pair so far — the bytes each of its flows had left when it was
     registered, minus what each had left after every run since.
     """
 
-    def __init__(self, provider: CloudProvider, background: Sequence[VMFlow] = ()):
+    def __init__(self, provider: CloudProvider):
         self.provider = provider
-        self.simulation = provider.build_simulation(background)
-        # The hose capacities the simulation holds, and the VMs the
-        # background sends from.
+        self.simulation = provider.build_simulation()
+        # The hose capacities the simulation holds.
         self.hose = provider.hose_capacities()
-        self.tenant_senders = list(dict.fromkeys(flow.src_vm for flow in background))
         self.sent: Dict[Tuple[str, Pair], float] = {}
         # Per application with flows in the simulation: its record, the
         # placement the flows were routed for, and per flow id the task
@@ -255,8 +256,8 @@ def advance_live_apps(
     pair's remaining bytes and stamps ``completed_at`` on applications whose
     last flow finished; finished pairs leave the simulation.  Every pause
     ends exactly where a fresh simulation of the same flows, restarted at
-    ``start`` with the bytes they had left, would.  Returns the run (how far
-    the background got), ``None`` if nothing was live.
+    ``start`` with the bytes they had left, would.  Returns the run,
+    ``None`` if nothing was live.
     """
     sim = network.simulation
     registered = network.registered
@@ -286,7 +287,7 @@ def advance_live_apps(
         return None
     # Only a hose a live flow crosses bears on a rate, so only the senders'
     # are read; a VM's is brought up to date when a flow of it registers.
-    senders = dict.fromkeys(network.tenant_senders)
+    senders: Dict[str, None] = {}
     for _, placement, flows in registered.values():
         for (src, _), _ in flows.values():
             senders[placement.machine_of(src)] = None

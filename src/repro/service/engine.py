@@ -17,7 +17,11 @@ whose ground truth drifts epoch by epoch (see
 Arrivals are admitted against the same forecast as they land; an
 application that cannot be placed (CPU exhausted) is *rejected* and the
 stream continues — the service is long-running, one infeasible arrival must
-not sink the session.
+not sink the session.  Without migration and with a TTL below the arrival
+gaps, this is the §6.3 arrival loop: each application is placed against a
+measurement taken under the load of those still running.  A placer that
+reads no profile (:attr:`~repro.core.placement.base.Placer.needs_profile`)
+gets none then: with nothing to migrate, the session measures nothing.
 
 Two special predictors bound the comparison: ``stale`` places every
 application against the frozen hour-0 profile (what an offline evaluator
@@ -35,10 +39,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.cloud.provider import CloudProvider, VMFlow
+from repro.cloud.provider import CloudProvider
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
 from repro.core.network_profile import NetworkProfile
-from repro.core.placement.base import ClusterState, Placer
+from repro.core.placement.base import ClusterState, Placer, cpu_shortfall
 from repro.errors import ReproError, ServiceError
 from repro.runtime.migration import (
     LiveApp,
@@ -156,9 +160,14 @@ class ServiceReport:
     migrations: List[MigrationEvent] = field(default_factory=list)
     recovery: List[RecoveryAction] = field(default_factory=list)
     measurement: Dict[str, object] = field(default_factory=dict)
-    #: Host wall clock of the whole session / of measurement+placement only.
+    #: Host wall clock of the whole session / of measurement+placement only
+    #: (bootstrap, epoch ticks and fault handling) / of the admissions
+    #: (measuring and placing each arriving application).  The last one
+    #: reaches the JSON only inside ``telemetry``: the top-level keys are
+    #: what the pinned session digests hash.
     session_wall_s: float = 0.0
     placement_wall_s: float = 0.0
+    admission_wall_s: float = 0.0
     #: Optional observability block (``run_session(..., telemetry=True)``):
     #: a metrics snapshot plus wall clocks.  Host-specific and therefore
     #: excluded from :meth:`canonical_json_dict`, so bit-identity checks
@@ -341,11 +350,14 @@ class PlacementService:
         self.forecaster = (
             RateForecaster(predictor) if predictor != "oracle" else None
         )
+        #: A placer that reads no profile needs no campaign, and nor does
+        #: the session then: migration is what would price one.
+        self._measures = placer.needs_profile or migrate
         self._migrations: List[MigrationEvent] = []
         self._recovery: List[RecoveryAction] = []
-        #: Final placement of every admitted application after the last
-        #: session (post-migration), keyed by application name.
-        self.last_placements: Dict[str, object] = {}
+        #: The books of every application the last session ran to the end
+        #: (post-migration placements included), keyed by application name.
+        self.last_apps: Dict[str, LiveApp] = {}
 
     # -------------------------------------------------------------- session
     def run_session(
@@ -397,6 +409,7 @@ class PlacementService:
                 "metrics": obs.metrics.snapshot(),
                 "session_wall_s": round(report.session_wall_s, 6),
                 "placement_wall_s": round(report.placement_wall_s, 6),
+                "admission_wall_s": round(report.admission_wall_s, 6),
                 "trace_path": obs.trace_path(),
             }
         logger.info(
@@ -437,13 +450,13 @@ class PlacementService:
         pending = list(ordered)
         now = 0.0
         epoch = 0
-        placement_wall = 0.0
+        placement_wall = admission_wall = 0.0
         #: Fault events with effect times <= this have been handled.
         fault_watermark = 0.0
         have_faults = timeline is not None and bool(timeline.events)
 
         # Epoch-0 bootstrap: the classic measure-then-place full mesh.
-        if self.predictor != "oracle":
+        if self._measures and self.predictor != "oracle":
             place_started = time.perf_counter()
             self.cache.refresh(
                 now, background=[], force=True,
@@ -451,7 +464,8 @@ class PlacementService:
             )
             placement_wall += time.perf_counter() - place_started
 
-        pending = self._admit_due(pending, running, outcomes, now, epoch)
+        pending, spent = self._admit_due(pending, running, outcomes, now, epoch)
+        admission_wall += spent
 
         safety = 0
         while pending or any(not s.done for s in running.values()):
@@ -492,18 +506,18 @@ class PlacementService:
                     place_started = time.perf_counter()
                     self._epoch_tick(running, outcomes, now, epoch)
                     placement_wall += time.perf_counter() - place_started
-            pending = self._admit_due(pending, running, outcomes, now, epoch)
+            pending, spent = self._admit_due(pending, running, outcomes, now, epoch)
+            admission_wall += spent
 
         for name, state in running.items():
             outcomes[name].completed_at = state.completed_at
-        self.last_placements = {
-            name: state.placement for name, state in running.items()
-        }
+        self.last_apps = dict(running)
         report.apps = [outcomes[app.name] for app in ordered]
         report.migrations = list(self._migrations)
         report.recovery = list(self._recovery)
         report.measurement = self.cache.stats.to_json_dict()
         report.placement_wall_s = placement_wall
+        report.admission_wall_s = admission_wall
         report.session_wall_s = time.perf_counter() - session_started
         return report
 
@@ -521,14 +535,17 @@ class PlacementService:
         forecaster = self.forecaster
         return lambda pair: forecaster.forecast_pair(pair, epoch)
 
-    def _recovery_profile(self) -> NetworkProfile:
+    def _recovery_profile(self) -> Optional[NetworkProfile]:
         """The profile forced re-placements are made against.
 
         The oracle reads true rates; everyone else uses the cache's
         last-known view *without probing* — recovery must work even past
         the measurement horizon, and the affected VM's pairs are already
-        gone from the mesh by the time this is called.
+        gone from the mesh by the time this is called.  A session that
+        measures nothing has none.
         """
+        if not self._measures:
+            return None
         if self.predictor == "oracle":
             return NetworkProfile.from_rate_function(
                 self.cluster.machine_names(), self.provider.true_path_rate
@@ -689,7 +706,7 @@ class PlacementService:
         coast on what they have."""
         vm = event.vm
         affected = self._apps_on_vm(running, vm)
-        uses_cache = self.predictor not in ("oracle", "stale")
+        uses_cache = self._measures and self.predictor not in ("oracle", "stale")
         if uses_cache and vm in self.cache.vms:
             self.cache.invalidate_pairs(
                 [p for p in self.cache.mesh_pairs() if vm in p]
@@ -707,7 +724,7 @@ class PlacementService:
 
     def _placement_profile(
         self, running: Dict[str, LiveApp], now: float, epoch: int
-    ) -> NetworkProfile:
+    ) -> Optional[NetworkProfile]:
         """The profile placements during ``epoch`` should be made against.
 
         One profile serves every decision made at an instant: the TTL cache
@@ -717,8 +734,11 @@ class PlacementService:
         apps' own traffic is part of what the campaign sees, for every app
         alike, exactly as the paper's measure-under-load admission does.
         Both sides of every migration comparison are priced on this same
-        profile, so the self-interference bias cancels in the gain.
+        profile, so the self-interference bias cancels in the gain.  A
+        session that measures nothing has none.
         """
+        if not self._measures:
+            return None
         if self.predictor == "oracle":
             return NetworkProfile.from_rate_function(
                 self.cluster.machine_names(), self.provider.true_path_rate
@@ -754,6 +774,8 @@ class PlacementService:
         now: float,
         epoch: int,
     ) -> None:
+        if not self._measures:
+            return  # nothing observed, nothing to re-evaluate
         if self.forecaster is not None:
             # The cache's state at the boundary is what the service observed
             # during the epoch that just completed.
@@ -808,26 +830,37 @@ class PlacementService:
         outcomes: Dict[str, AppOutcome],
         now: float,
         epoch: int,
-    ) -> List[Application]:
-        """Place every pending application whose arrival time has come."""
+    ) -> Tuple[List[Application], float]:
+        """Place every pending application whose arrival time has come.
+
+        Returns the applications still pending and the host seconds spent
+        measuring and placing the ones admitted or rejected.
+        """
         remaining_pending = list(pending)
+        spent = 0.0
         while remaining_pending and remaining_pending[0].start_time <= now + 1e-9:
             app = remaining_pending.pop(0)
+            started = time.perf_counter()
             profile = self._placement_profile(running, now, epoch)
             cluster_now = cluster_with_live_usage(self.cluster, running)
+            error: Optional[ReproError] = None
             try:
                 placement = self.placer.place(app, cluster_now, profile)
             except ReproError as exc:
+                error = exc
+            spent += time.perf_counter() - started
+            self._trace_admission(app, running, cluster_now, now, error is not None)
+            if error is not None:
                 outcomes[app.name] = AppOutcome(
                     name=app.name,
                     status="rejected",
                     arrived_at=now,
-                    error=f"{type(exc).__name__}: {exc}",
+                    error=f"{type(error).__name__}: {error}",
                 )
                 _REJECTIONS.inc()
                 logger.info(
                     "t=%.0fs: rejected %s (%s)", now, app.name,
-                    type(exc).__name__,
+                    type(error).__name__,
                 )
                 continue
             _ADMISSIONS.inc()
@@ -839,4 +872,36 @@ class PlacementService:
             outcomes[app.name] = AppOutcome(
                 name=app.name, status="completed", arrived_at=now
             )
-        return remaining_pending
+        return remaining_pending, spent
+
+    def _trace_admission(
+        self,
+        app: Application,
+        running: Dict[str, LiveApp],
+        cluster_now: ClusterState,
+        now: float,
+        rejected: bool,
+    ) -> None:
+        """Emit one ``service.admission`` point while tracing (see
+        docs/observability.md, "Service decisions"): what the arrival saw,
+        and for a rejection the CPU bound that it could not meet."""
+        if obs.trace_path() is None:
+            return
+        binding = needed = available = None
+        if rejected:
+            short = cpu_shortfall(app, cluster_now)
+            if short is None:
+                binding = "packing"  # both bounds met; the placer found no fit
+            else:
+                binding, needed, available = short
+        obs.point(
+            "service.admission",
+            app=app.name,
+            outcome="rejected" if rejected else "admitted",
+            live_apps=sorted(name for name, state in running.items() if not state.done),
+            background_flows=len(live_background_flows(running, now)),
+            cores_free=list(cluster_now.available_cpus().values()),
+            binding=binding,
+            needed_cores=needed,
+            available_cores=available,
+        )

@@ -168,7 +168,9 @@ class RateForecaster:
         sub = np.ix_(at, at)
         known = np.minimum(self._lengths[sub], epoch)
         predicted = np.full(known.shape, math.nan)
-        for n in np.unique(known).tolist():
+        # The history lengths present, ascending.  (Not ``np.unique``: it
+        # imports ``numpy.ma``, tens of milliseconds on first use.)
+        for n in np.flatnonzero(np.bincount(known.ravel())).tolist():
             if n:
                 group = self._predict_from(n, sub)
                 predicted = np.where(known == n, group, predicted)
@@ -207,6 +209,8 @@ class RateForecaster:
         measured value, so the degenerate first-epoch case reduces to the
         classic measure-then-place flow.
         """
+        if epoch == 0 or not self._epochs:
+            return current  # no pair has history yet
         measured = current.rate_matrix()
         predicted = self._predict(self._indices(current.vms), epoch)
         forecast = ~np.isnan(predicted) & ~np.isnan(measured)

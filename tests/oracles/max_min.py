@@ -140,6 +140,12 @@ class ReferenceAllocator:
     def remove_flow(self, flow_id: str) -> None:
         del self._demands[flow_id]
 
+    def update_capacities(self, capacities: Mapping[str, float]) -> None:
+        unknown = set(capacities) - set(self._capacities)
+        if unknown:
+            raise SimulationError(f"unknown links {sorted(unknown)}")
+        self._capacities.update(capacities)
+
     def solve(self) -> Dict[str, float]:
         return max_min_allocation(self._demands, self._capacities)
 

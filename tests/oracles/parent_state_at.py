@@ -1,9 +1,10 @@
-"""``SequentialPlacementRunner._state_at`` as it stood before the sequence
-runner moved onto ``LiveApp`` (PR 23), body verbatim: every placed flow
-re-simulated from zero up to ``time_s``.  It only knows applications that
-own a network flow — one whose placement colocates every transfer is never
-"finished" here; ``tests/test_sequence_live.py`` holds the live-app books to
-this in everything else."""
+"""What a sequence of placed applications has in flight at ``time_s``, by
+re-simulating every placed flow from zero up to it: the §6.3 runner's
+``_state_at`` before applications were kept as ``LiveApp`` books, body
+verbatim.  It only knows applications that own a network flow — one whose
+placement colocates every transfer is never "finished" here;
+``tests/test_live_books.py`` holds the service's live books to this, arrival
+by arrival, in everything else."""
 
 from typing import Dict, List, Sequence, Tuple
 

@@ -9,7 +9,11 @@ commit, as the reference: every comparison below is ``==`` — never
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,6 +22,7 @@ import pytest
 from helpers import age_of, stale_pairs
 from oracles.clustering import cluster_vms_by_rate_profile
 from oracles.effective_rate import ConnectionLoad, effective_rate
+import repro
 from repro import obs
 from repro.cloud.provider import VMFlow
 from repro.core.measurement.orchestrator import NetworkMeasurer
@@ -791,6 +796,35 @@ class TestForecasterAgainstScalarPredictors:
         assert forecast.rate("b", "a") == current.rate("b", "a")
         with pytest.raises(ServiceError):
             forecaster.record_epoch(2, current)
+
+
+def test_a_forecast_leaves_numpy_ma_unimported():
+    """``numpy.ma`` costs tens of milliseconds to import, and a forecast
+    would pay them inside a timed admission (``np.unique`` imports it)."""
+    script = textwrap.dedent("""
+        import sys
+        from repro.core.network_profile import NetworkProfile
+        from repro.service.forecast import RateForecaster
+
+        forecaster = RateForecaster("combined")
+        for epoch in range(3):
+            vms = ["a", "b", "c"] if epoch < 2 else ["a", "b", "d"]
+            forecaster.record_epoch(
+                epoch, NetworkProfile.from_rate_function(vms, lambda s, d: 1e9 + epoch)
+            )
+        forecast = forecaster.forecast_profile(
+            NetworkProfile.from_rate_function(["a", "b", "d"], lambda s, d: 2e9), 3
+        )
+        assert forecast.rate("a", "b") == 1e9 + 2, forecast.rate("a", "b")
+        assert forecaster.forecast_pair(("a", "c"), 3) == 1e9 + 1
+        assert "numpy.ma" not in sys.modules, "a forecast imported numpy.ma"
+    """)
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, *sys.path])},
+    )
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """End-to-end tests on a synthetic provider: the §2 pipeline (profile,
 measure, place, run) as ``benchmark/``'s ``pipeline_dc`` calls it, and the
-§2.4 sequential-arrival workflow."""
+§2.4 / §6.3 arrival loop, which the placement service runs."""
 
 import pytest
 
@@ -10,8 +10,9 @@ from repro.core.placement.base import ClusterState, validate_placement
 from repro.core.placement.baselines import RandomPlacer
 from repro.core.placement.greedy import GreedyPlacer
 from repro.core.profiler import ApplicationProfiler
+from repro.experiments.scenarios import ARRIVAL_TTL_S
 from repro.runtime.executor import run_applications
-from repro.runtime.sequence import SequentialPlacementRunner
+from repro.service.engine import PlacementService
 from repro.units import GBYTE
 from repro.workloads.generator import HPCloudWorkloadGenerator
 from repro.workloads.patterns import mapreduce
@@ -52,52 +53,38 @@ def test_profile_measure_place_run(provider):
     assert run.network_bytes + run.colocated_bytes == pytest.approx(app.total_bytes)
 
 
-def test_sequential_runner_places_apps_in_arrival_order(provider):
-    cluster_apps = [
-        mapreduce("early", 2, 2, 1 * GBYTE, cpu_per_task=1.0, start_time=0.0),
+def arrival_service(provider, placer):
+    """The §6.3 arrival loop: the service without migration."""
+    return PlacementService(
+        provider, ClusterState.from_vms(provider.vms()), placer, migrate=False,
+        ttl_s=ARRIVAL_TTL_S,
+    )
+
+
+def test_the_service_places_apps_in_arrival_order(provider):
+    apps = [
         mapreduce("late", 2, 2, 1 * GBYTE, cpu_per_task=1.0, start_time=5.0),
+        mapreduce("early", 2, 2, 1 * GBYTE, cpu_per_task=1.0, start_time=0.0),
     ]
-    runner = SequentialPlacementRunner(
-        provider, ClusterState.from_vms(provider.vms()), GreedyPlacer(),
-        measure_network=True,
-    )
-    result = runner.run(cluster_apps)
-    assert set(result.runs) == {"early", "late"}
-    assert set(result.placements) == {"early", "late"}
-    for app in cluster_apps:
-        assert result.runs[app.name].start_time == app.start_time
+    service = arrival_service(provider, GreedyPlacer())
+    report = service.run_session(apps, hours=1)
+    assert [(a.name, a.arrived_at) for a in report.apps] == [("early", 0.0), ("late", 5.0)]
+    assert [a.status for a in report.apps] == ["completed", "completed"]
+    assert set(service.last_apps) == {"early", "late"}
+    # Greedy reads a profile: the bootstrap campaign, then one per arrival
+    # after it (the first arrival's pairs are still fresh).
+    assert report.measurement["campaigns"] == 2
 
 
-def test_sequence_background_flows_share_the_network():
-    from repro.cloud.provider import VMFlow
-    from repro.core.placement.baselines import RoundRobinPlacer
+def test_network_oblivious_sequence_skips_measurement(provider, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a placer that reads no profile was measured for")
 
-    def run_once(background):
-        provider = make_provider("ec2", seed=7)
-        provider.request_vms(4)
-        runner = SequentialPlacementRunner(
-            provider, ClusterState.from_vms(provider.vms()), RoundRobinPlacer(),
-            measure_network=False, background=background,
-        )
-        return runner.run([mapreduce("job", 2, 2, 2 * GBYTE, cpu_per_task=1.0)])
-
-    quiet = run_once([])
-    vms = [vm.name for vm in make_provider("ec2", seed=7).request_vms(4)]
-    loaded = run_once(
-        [VMFlow(flow_id="bg", src_vm=vms[0], dst_vm=vms[1],
-                size_bytes=8 * GBYTE, tag="cross-traffic")]
-    )
-    # Identical seed and deterministic placer: the only difference is the
-    # background load, which can only slow the application down.
-    assert loaded.runs["job"].completion_time >= quiet.runs["job"].completion_time
-
-
-def test_network_oblivious_sequence_skips_measurement(provider):
-    apps = [mapreduce("solo", 2, 2, 1 * GBYTE, cpu_per_task=1.0)]
-    runner = SequentialPlacementRunner(
-        provider, ClusterState.from_vms(provider.vms()), RandomPlacer(seed=0),
-        measure_network=False,
-    )
-    result = runner.run(apps)
-    assert result.profiles["solo"] is None
-    assert "solo" in result.runs
+    monkeypatch.setattr(NetworkMeasurer, "measure", refuse)
+    apps = [
+        mapreduce("solo", 2, 2, 1 * GBYTE, cpu_per_task=1.0),
+        mapreduce("next", 2, 2, 1 * GBYTE, cpu_per_task=1.0, start_time=2.0),
+    ]
+    report = arrival_service(provider, RandomPlacer(seed=0)).run_session(apps, hours=1)
+    assert [a.status for a in report.apps] == ["completed", "completed"]
+    assert report.measurement["campaigns"] == 0

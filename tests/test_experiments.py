@@ -60,6 +60,26 @@ def test_scenario_builds_are_seed_reproducible():
 
 
 # ------------------------------------------------------------------ seeding
+def test_arrival_scenarios_are_service_trials_and_refuse_a_background():
+    from dataclasses import replace
+
+    from repro.cloud.provider import VMFlow
+    from repro.experiments.scenarios import ARRIVAL_TTL_S, MODE_SERVICE
+
+    for name in ("multi-app-sequence", "ec2-trace-replay"):
+        instance = get_scenario(name).build(seed=3)
+        assert instance.mode == MODE_SERVICE
+        settings = instance.service
+        assert (settings.migrate, settings.ttl_s, settings.hours) == (False, ARRIVAL_TTL_S, 1.0)
+    # Arrivals past the first epoch lengthen the session to reach them.
+    late = get_scenario("multi-app-sequence").build(seed=3, arrival_gap_s=1500.0)
+    assert late.service.hours == 2.0
+    vms = instance.cluster.machine_names()
+    flow = VMFlow("tenant", vms[0], vms[1], size_bytes=1e9)
+    with pytest.raises(ExperimentError, match="background"):
+        replace(instance, background=[flow])
+
+
 def test_trial_seed_is_stable_and_placer_independent():
     seed = trial_seed(0, "smoke", 0)
     assert seed == trial_seed(0, "smoke", 0)
@@ -128,6 +148,26 @@ def test_speedups_drop_undefined_zero_baseline_trials():
     json.dumps(result.to_json_dict(), allow_nan=False)  # strict-JSON safe
 
 
+def test_speedups_pair_only_trials_that_completed_the_same_applications():
+    def rec(placer, trial, durations):
+        return TrialRecord(
+            scenario="s", placer=placer, trial=trial, seed=trial,
+            per_app_duration_s=durations, total_running_time_s=sum(durations.values()),
+        )
+
+    result = ExperimentResult(
+        scenarios=["s"], placers=["greedy", "random"], trials=2,
+        base_seed=0, baseline="random",
+        records=[
+            # Random rejected b: 4 s of its work against greedy's 6 s of more.
+            rec("random", 0, {"a": 4.0}), rec("greedy", 0, {"a": 3.0, "b": 3.0}),
+            rec("random", 1, {"a": 4.0, "b": 4.0}), rec("greedy", 1, {"a": 2.0, "b": 2.0}),
+        ],
+    )
+    assert result._paired_speedups("s", "greedy") == ([0.5], 1)
+    assert result.summary()["s"]["greedy"]["dropped_trials"] == 1
+
+
 def test_parallel_sweep_matches_grid_and_runs_all_cells():
     config = ExperimentConfig(
         scenarios=("smoke", "all-to-all"),
@@ -162,10 +202,23 @@ def test_parallel_sweep_matches_grid_and_runs_all_cells():
 # applications owning a network flow could finish, so greedy's fully
 # colocated ones held their cores for the rest of the sequence and later
 # arrivals were placed on a cluster that looked fuller than it was
-# (tests/test_sequence_live.py).  Under ``random`` every application of those
+# (tests/test_live_books.py).  Under ``random`` every application of those
 # two scenarios crosses the network, so its cores come back when they always
 # did, and no ``ilp`` cell runs in sequence mode: every other cell is the
 # parent's.
+#
+# Eight cells were re-pinned when a §6.3 trial became a placement-service
+# session (no migration, a TTL below every arrival gap).  In the four
+# ``multi-app-sequence`` / ``ec2-trace-replay`` cells the provider's
+# clock advances from arrival to arrival, a later arrival re-probes only the
+# pairs probed before it, and the reported times are the live simulation's
+# instead of a second run from zero.  Greedy placed 28 of 80 and 17 of 60
+# applications differently over trials 0-19; random placed none differently.
+# The four ``service-churn`` / ``fault-churn`` cells moved in
+# ``network_bytes`` / ``colocated_bytes`` only, which a service trial now
+# fills from its applications' books (they read 0 before); and in the
+# ``service-churn`` / ``greedy`` summary, trial 0 is no longer paired with
+# random, which rejected an application greedy ran.
 _GOLDEN_DIGESTS = {
     ("all-to-all", "greedy"): "34b5de744dff8d49428be1e5dadedf4e3c4d3c495d48d87427296b1eee8555e6",
     ("all-to-all", "random"): "6c19bf4e0d4e10480721338705008b19258f9cb3771918118bc3c334aa56af5c",
@@ -173,24 +226,24 @@ _GOLDEN_DIGESTS = {
     ("bursty-mapreduce", "random"): "b95300d78ec39f9a8283b3a567a157f09dfb44d980e250a33837e9761ec91824",
     ("cross-traffic", "greedy"): "a818d83a01a13ab4fab59257e8eb6e8c6ee68a2c1296188eb9d34976799a1d98",
     ("cross-traffic", "random"): "31a9bd2d0809327e005051646b760f9d422f9262b2600dd594baf5a9e250eb7a",
-    ("ec2-trace-replay", "greedy"): "f94e0f836a61ec539bf218ca213a731d1b56851de30eede9fbc27a7684aaeea4",
-    ("ec2-trace-replay", "random"): "f5cde081e72d141c5c9803264eaba7241ba726acd7643439e10a844664a5a599",
-    ("fault-churn", "greedy"): "a1b24b3e37a65b4697ccbb92a255965128aef985ba50d44ba9e06070de03a6b3",
-    ("fault-churn", "random"): "9aaadea747fb12b8c2c707e544336254159a3f67031cbb93f595280e5a858d47",
+    ("ec2-trace-replay", "greedy"): "4e1412dfa8425a94252610a211fbe05f07519d4aa74e9e25d03091e2ce90de23",
+    ("ec2-trace-replay", "random"): "947e230aa0d6d1a6334f685b38ea044cc5048cd6598857245bfe058e6f78dcf7",
+    ("fault-churn", "greedy"): "8bee53581cbe191cc12290bfd8cb7b116825bf5b8147e49ded3cf269c65732bc",
+    ("fault-churn", "random"): "edb9c2c0ecbaaee23bdb84ce0c90eed3bc3fc0a8f256d06d549bee309693ae40",
     ("hetero-topology", "greedy"): "3fda523b2fdb680cd0ce674a1ffa711049835f25e45b971252b80612416b7738",
     ("hetero-topology", "random"): "75d0ed2870d73f7a98afda06401af6e661cbb38f59950940b7998ee57928ee63",
     ("legacy-ec2-zone", "greedy"): "5a17820f8cde9ef021feaaecdf7710b7df075d2619abb49e8882832849ac94be",
     ("legacy-ec2-zone", "random"): "cd99a0314e884befbd96c3a25af8aee396144fad0492e3bef5842a71c23c8984",
-    ("multi-app-sequence", "greedy"): "03131117bb179e1c4fa10c003d76dd6c6ab3478783f4f9e69a632154dfbf0ac0",
-    ("multi-app-sequence", "random"): "95ebfb9d48b9e4fda003b48d77a57e53e6980dd80fd0b284b736bc7c5d0e8769",
+    ("multi-app-sequence", "greedy"): "8f8a5cb2dc79a0e3204527adb46c04c79a8873b2f9e5f1b34cf4a40f857aac5e",
+    ("multi-app-sequence", "random"): "c3b66077e41ec8f4449e6c0db7f40dda9ce06f364a49a34e0efc4e1d1fc521b7",
     ("partition-aggregate", "greedy"): "454ca05c49dd90ed890edec4751bcef211da8f076bf52447694a208034553d56",
     ("partition-aggregate", "random"): "3d58add2b4bce4331452f143aa64f5ae3d2bf07ef92f4275c886d74451b99b4b",
     ("rack-hotspot", "greedy"): "252e676ee31df707eb0f6e548cc205f94f0bd567eefbe2fcffd1b394f8c2fe49",
     ("rack-hotspot", "random"): "40dc8341a6c91ee4ff564e4aa31e581b4a595cc2ec42537cb313e47afe69e8ad",
     ("rackspace-uniform", "greedy"): "1547dcf06d108bd7f21dc7886511fa3b54f48b4beef1018103819f1f0de31cc8",
     ("rackspace-uniform", "random"): "09379e27b95534fe1bf8bc6d20c0263da978940502a2021fc18428b316748ac0",
-    ("service-churn", "greedy"): "9eb7a65dfb0de859c0ba2c26467fa2b97832566bfc69a29adb36ae250b4a4331",
-    ("service-churn", "random"): "a9d67360fe8df919c1dcc880373e18b44d3fefb643095f4594cf319276f106ad",
+    ("service-churn", "greedy"): "cce6ef2aac3aa682e5fa0d04d16908c0d276b181a9ab14f3dff977c8eff6dfcc",
+    ("service-churn", "random"): "7f6594cad00c30f9d2ef8b233dbc7fe8e020fc0902707288c17b1f64719be080",
     ("single-app-ec2", "greedy"): "ae5a48d81bc483e73101db0218ca576b54bc43bd1bca6b79929edfc169b9ed34",
     ("single-app-ec2", "random"): "8123ece541b1a78dd65cb425b749b8ba9b05fa1dc5c0b86ab5d7c8b01fbd1493",
     ("smoke", "greedy"): "4447c0ebc7022a56d44f687522cd1325794b08664f45c320f942a5a20a6abdf1",

@@ -2,7 +2,8 @@
 invariants instead of to themselves.
 
 :func:`~repro.runtime.migration.live_book_violations` asks, at every pause
-of the service's or the sequence runner's live simulation, that no machine
+of the service's live simulation (churn sessions and §6.3 arrival sequences
+alike), that no machine
 is oversubscribed, that an application holds cores exactly while it has
 bytes in flight, that asking for the flows changes nothing, and that every
 traffic-matrix entry is accounted for byte by byte — against the bytes the
@@ -10,13 +11,21 @@ simulation reported delivered (``LiveNetwork.sent``).  The :class:`Ledger`
 here only installs that check and reads the runs it brackets.
 """
 
+import math
+from collections import Counter
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from helpers import write_trace
+from oracles.parent_state_at import parent_state_at
+from repro.cloud.ec2 import ec2_params
 from repro.cloud.registry import make_provider
 from repro.core.placement.base import ClusterState, Placement
 from repro.experiments.placers import resolve_placer
-from repro.experiments.trials import run_trial
+from repro.experiments.scenarios import ARRIVAL_TTL_S, get_scenario
+from repro.experiments.trials import run_trial, trial_seed
 from repro.runtime.migration import (
     LiveApp,
     LiveNetwork,
@@ -25,10 +34,13 @@ from repro.runtime.migration import (
     live_background_flows,
     live_book_violations,
 )
+from repro.runtime.executor import placement_to_flows
 from repro.service.engine import PlacementService, report_violations
 from repro.service.session import build_churn_session
+from repro.service.timeline import DEFAULT_EPOCH_S
 from repro.units import GBYTE
 from repro.workloads.application import Application, Task, TrafficMatrix
+from repro.workloads.generator import HPCloudWorkloadGenerator, WorkloadSpec
 from repro.workloads.patterns import mapreduce
 from repro.workloads.trace import FlowRecord
 
@@ -122,6 +134,133 @@ def test_books_balance_at_every_cut_of_the_golden_sessions(
         placed_at[event.app_name] > ledger.delivered_at[event.app_name]
         for event in report.migrations
     )
+
+
+# ------------------------------------------- §6.3 arrival sequences (service)
+# ------------------------------------------- §6.3 arrival sequences (service)
+SEEDS = range(24)
+
+
+def seeded_sequence(seed):
+    """``(provider, cluster, apps, placer name)`` of one arrival sequence.
+
+    3–12 applications whose gaps run from "all overlap" (a fraction of a
+    second, some exactly zero) to "none overlap" (minutes), on a provider
+    whose hoses do not drift: a simulation from zero then sees what the
+    live one saw however many pauses it took.
+    """
+    rng = np.random.default_rng(seed)
+    n_vms = int(rng.integers(6, 11))
+    provider = make_provider("ec2", seed=seed, params=replace(ec2_params(), temporal_sigma=0.0))
+    provider.request_vms(n_vms)
+    cluster = ClusterState.from_vms(provider.vms())
+    spec = WorkloadSpec(min_tasks=2, max_tasks=6, cpu_choices=(0.25, 0.5))
+    gen = HPCloudWorkloadGenerator(spec, seed=seed)
+    n_apps = int(rng.integers(3, 13))
+    gaps = rng.exponential(10.0 ** rng.uniform(-0.5, 2.5), size=n_apps)
+    gaps[rng.random(n_apps) < 0.15] = 0.0
+    arrivals = np.cumsum(gaps)
+    apps = [gen.generate_application(start_time=float(t)) for t in arrivals]
+    return provider, cluster, apps, ("greedy", "round-robin", "random")[seed % 3]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_live_apps_see_what_the_from_zero_resimulation_saw(monkeypatch, seed):
+    """At every arrival of a §6.3 session, the applications in flight and
+    those done are what one simulation of every placed flow from zero says,
+    with one intended difference: an application that never touched the
+    network is done too.  The books balance at every pause."""
+    import repro.service.engine as engine
+
+    provider, cluster, apps, placer_name = seeded_sequence(seed)
+    ledger = Ledger(monkeypatch, engine, lambda: cluster)
+    seen = []  # per arrival: (active (src_vm, dst_vm) multiset, done names)
+    usage = engine.cluster_with_live_usage
+
+    def spying_usage(cluster, running, exclude=None):
+        done = {name for name, state in running.items() if state.done}
+        active = Counter((f.src_vm, f.dst_vm) for f in live_background_flows(running, 0.0))
+        seen.append((active, done))
+        return usage(cluster, running, exclude)
+
+    monkeypatch.setattr(engine, "cluster_with_live_usage", spying_usage)
+    service = PlacementService(
+        provider, cluster, resolve_placer(placer_name).create(seed, None),
+        migrate=False, ttl_s=ARRIVAL_TTL_S,
+    )
+    ordered = sorted(apps, key=lambda a: (a.start_time, a.name))
+    last = ordered[-1].start_time
+    report = service.run_session(apps, hours=math.floor(last / DEFAULT_EPOCH_S) + 1)
+    assert len(seen) == len(ordered)
+
+    placed, app_of_flow, flowless = [], {}, set()
+    for app, (active, done) in zip(ordered, seen):
+        oracle_active, oracle_done = parent_state_at(
+            provider, [], placed, app_of_flow, app.start_time
+        )
+        assert active == Counter((f.src_vm, f.dst_vm) for f in oracle_active)
+        assert done == oracle_done | flowless
+        if app.name not in service.last_apps:
+            continue  # rejected
+        flows, _ = placement_to_flows(service.last_apps[app.name].placement, app, app.start_time)
+        placed.extend(flows)
+        app_of_flow.update((flow.flow_id, app.name) for flow in flows)
+        if not flows:
+            flowless.add(app.name)
+
+    # Checked before and after every pause (one per later arrival instant).
+    pauses = len({app.start_time for app in ordered} - {0.0})
+    assert ledger.checks >= 2 * pauses and ledger.problems == []
+    assert report_violations(report) == []
+
+
+def test_the_seeded_sequences_cover_the_cases_they_claim():
+    overlap, placers = [], set()
+    for seed in SEEDS:
+        _provider, _cluster, apps, placer = seeded_sequence(seed)
+        assert 3 <= len(apps) <= 12
+        starts = sorted(app.start_time for app in apps)
+        overlap.append(min(b - a for a, b in zip(starts, starts[1:])))
+        placers.add(placer)
+    assert min(overlap) == 0.0 and max(overlap) > 5.0
+    assert placers == {"greedy", "round-robin", "random"}
+
+
+@pytest.mark.parametrize("placer", ["greedy", "round-robin"])
+def test_books_balance_at_every_cut_of_an_arrival_sequence(monkeypatch, placer):
+    import repro.service.engine as engine
+
+    params = {"n_apps": 8, "arrival_gap_s": 1.0}  # overlapping applications
+    instance = get_scenario("multi-app-sequence").build(
+        trial_seed(0, "multi-app-sequence", 0), **params
+    )
+    ledger = Ledger(monkeypatch, engine, lambda: instance.cluster)
+    record = run_trial("multi-app-sequence", placer, 0, 0, params, instance=instance)
+    assert record.ok, record.error
+    assert ledger.checks >= 2 * params["n_apps"] and ledger.problems == []
+    # Every byte of every admitted application is booked, and only those.
+    admitted = [app for app in instance.apps if app.name in record.per_app_duration_s]
+    total = sum(app.total_bytes for app in admitted)
+    assert record.network_bytes + record.colocated_bytes == pytest.approx(total)
+
+
+def test_an_app_that_colocates_every_transfer_gives_its_cores_back():
+    provider = _provider(2)
+    cluster = ClusterState.from_vms(provider.vms())  # 2 VMs x 4 cores
+    first = two_task_app("first", cores=2.0, start_time=0.0)
+    # Needs every core of both machines: it fits only on an empty cluster.
+    second = two_task_app("second", cores=4.0, start_time=10.0)
+    service = PlacementService(
+        provider, cluster, resolve_placer("greedy").create(0, None), migrate=False,
+    )
+    report = service.run_session([first, second], hours=1)
+
+    done = {outcome.name: outcome for outcome in report.apps}
+    assert done["first"].duration == 0.0 and done["second"].status == "completed"
+    placed = {name: state.placement for name, state in service.last_apps.items()}
+    assert len(set(placed["first"].assignments.values())) == 1
+    assert service.last_apps["first"].colocated == {("a", "b"): 1 * GBYTE}
+    assert len(set(placed["second"].assignments.values())) == 2
 
 
 # ------------------------------------------------------- settle when it is set

@@ -6,10 +6,10 @@ replaced.
 every segment boundary, reconciled with the books, resumed.  Before, each
 segment built a fresh simulation of what was still in flight
 (``tests/oracles/segment_sim.py``).  Over seeded sessions — arrivals,
-migrations, rejections, a rack outage, hoses drifting epoch by epoch,
-another tenant's flows — the two must leave every application's books
-equal, bit for bit, at every pause: on the scalar event loop, on the vector
-one, and with the loop switching from pause to pause.
+migrations, rejections, a rack outage, hoses drifting epoch by epoch — the
+two must leave every application's books equal, bit for bit, at every
+pause: on the scalar event loop, on the vector one, and with the loop
+switching from pause to pause.
 """
 
 from collections import Counter
@@ -17,14 +17,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles.segment_sim import background_at, segment_advance
-from repro.cloud.provider import CloudProvider, VMFlow
+from oracles.segment_sim import segment_advance
+from repro.cloud.provider import CloudProvider
 from repro.core.placement.base import ClusterState, Placement
 from repro.experiments.placers import resolve_placer
+from repro.experiments.scenarios import ARRIVAL_TTL_S
 from repro.net import fluid
 from repro.net.alloc import IncrementalAllocator
 from repro.runtime.migration import LiveApp, LiveNetwork, advance_live_apps
-from repro.runtime.sequence import SequentialPlacementRunner
+from repro.service.engine import PlacementService
 from repro.service.session import build_churn_session, run_churn_session
 from repro.units import GBYTE
 from repro.workloads.patterns import mapreduce
@@ -50,16 +51,6 @@ def _placement(rng, app, vms):
     )
 
 
-def _tenant(rng, vms):
-    """Another tenant: a short flow, one that ends mid-session, a late one."""
-    return [
-        VMFlow("bg-finite", vms[0], vms[1], size_bytes=float(rng.uniform(0.5, 4)) * GBYTE),
-        # ≈1.5 epochs at a 1 Gbit/s hose, longer when it shares one.
-        VMFlow("bg-long", vms[2], vms[3], size_bytes=11 * GBYTE),
-        VMFlow("bg-late", vms[1], vms[-1], size_bytes=1 * GBYTE, start_time=2.5 * EPOCH_S),
-    ]
-
-
 def drive(seed, loop_sizes, monkeypatch):
     """Run one seeded session on both sides, comparing at every pause;
     returns what the session exercised."""
@@ -71,7 +62,6 @@ def drive(seed, loop_sizes, monkeypatch):
         faults="rack-outage" if seed % 2 == 0 else "none",
     )
     vms = cluster.machine_names()
-    tenant = _tenant(rng, vms) if seed % 4 in (1, 2) else []
     simulated = []
     simulate = provider.simulate
     monkeypatch.setattr(
@@ -79,8 +69,7 @@ def drive(seed, loop_sizes, monkeypatch):
     )
 
     oracle, live = {}, {}
-    network = LiveNetwork(provider, background=tenant)
-    background = list(tenant)
+    network = LiveNetwork(provider)
     seen = Counter()
     pauses = sorted({app.start_time for app in apps} | {
         k * EPOCH_S for k in range(1, HOURS + 1)
@@ -88,9 +77,7 @@ def drive(seed, loop_sizes, monkeypatch):
     now = 0.0
     for until in pauses + [None]:
         monkeypatch.setattr(fluid, "_LOOP_MIN_FLOWS", int(switch.choice(loop_sizes)))
-        segment = segment_advance(provider, oracle, now, until, background=background)
-        if segment is not None and until is not None:
-            background = background_at(background, segment, until)
+        segment_advance(provider, oracle, now, until)
         hose = dict(network.hose)
         calls = len(simulated)
         advance_live_apps(network, live, now, until)
@@ -141,7 +128,6 @@ def drive(seed, loop_sizes, monkeypatch):
                     del side[name]
                 seen["rejections"] += 1
     seen["apps"] += len(live)
-    seen["tenant flows"] += len(tenant)
     return seen
 
 
@@ -153,7 +139,7 @@ def test_the_live_network_leaves_the_books_a_simulation_per_segment_leaves(
     for seed in SEEDS:
         seen += drive(seed, LOOP_MODES[mode], monkeypatch)
     # The sessions exercised what they claim to.
-    for what in ("recoveries", "migrations", "rejections", "hose pushes", "tenant flows"):
+    for what in ("recoveries", "migrations", "rejections", "hose pushes"):
         assert seen[what] >= 3, (what, seen)
     assert seen["apps"] >= 5 * len(SEEDS)
 
@@ -189,19 +175,23 @@ def test_a_churn_session_builds_one_allocator(counted):
     assert counted == {"allocators": 1}
 
 
-def test_a_sequence_builds_two_allocators_the_live_one_and_the_truth_run(counted):
+def test_an_arrival_sequence_builds_one_allocator_and_simulates_nothing(counted):
     from repro.cloud.registry import make_provider
 
     provider = make_provider("ec2", seed=0, colocation_probability=0.0)
     provider.request_vms(6)
     cluster = ClusterState.from_vms(provider.vms())
+    # Too big for one VM: every job crosses the network.
     apps = [
-        mapreduce(f"job{k}", 2, 2, 2 * GBYTE, cpu_per_task=0.5, start_time=5.0 * k)
+        mapreduce(f"job{k}", 2, 2, 2 * GBYTE, cpu_per_task=1.5, start_time=5.0 * k)
         for k in range(5)
     ]
-    runner = SequentialPlacementRunner(
-        provider, cluster, resolve_placer("round-robin").create(0, None)
+    service = PlacementService(
+        provider, cluster, resolve_placer("greedy").create(0, None), migrate=False,
+        ttl_s=ARRIVAL_TTL_S,
     )
-    runner.run(apps)
-    # The truth run is the one provider.simulate left.
-    assert counted == {"allocators": 2, "simulate": 1}
+    report = service.run_session(apps, hours=1)
+    assert len(report.completed()) == 5 and report.measurement["campaigns"] == 5
+    # The times the report gives are the live simulation's: there is no
+    # second, from-zero run of the placed flows.
+    assert counted == {"allocators": 1}

@@ -16,6 +16,7 @@ from repro import obs
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement import greedy
 from repro.core.placement.base import ClusterState, Machine
+from repro.core.placement.baselines import RoundRobinPlacer
 from repro.core.placement.greedy import GreedyPlacer
 from repro.core.placement.ilp import OptimalPlacer
 from repro.experiments import (
@@ -122,6 +123,13 @@ def test_traced_inline_sweep_is_bit_identical(tmp_path):
     assert "experiments.run" in names
 
 
+#: The fields of every ``service.admission`` point, whatever its outcome.
+ADMISSION_FIELDS = {
+    "app", "outcome", "live_apps", "background_flows", "cores_free",
+    "binding", "needed_cores", "available_cores",
+}
+
+
 def test_traced_sequence_says_what_each_arrival_saw(trace_to):
     traced = run_trial("multi-app-sequence", "greedy", 0, 0)
     obs.configure(None, export_env=False)
@@ -129,40 +137,102 @@ def test_traced_sequence_says_what_each_arrival_saw(trace_to):
     assert _canonical([traced]) == _canonical([plain])  # pure observation
 
     events = load_events(trace_to)
-    (run,) = [ev for ev in events if ev["name"] == "sequence.run"]
-    arrivals = [ev for ev in events if ev["name"] == "sequence.arrival"]
-    assert run["attrs"]["apps"] == len(arrivals) == 4
+    (session,) = [ev for ev in events if ev["name"] == "service.session"]
+    admissions = [ev for ev in events if ev["name"] == "service.admission"]
+    assert session["attrs"]["apps"] == len(admissions) == 4
+    assert [a["attrs"]["app"] for a in admissions] == sorted(plain.per_app_duration_s)
     # Greedy colocates the first three applications: nothing is in flight at
-    # any arrival, so the live simulation never runs — only the truth run does.
-    assert run["attrs"]["segments"] == 0 and run["attrs"]["simulations"] == 2
-    assert [a["attrs"]["app"] for a in arrivals] == sorted(plain.per_app_duration_s)
-    for arrival in arrivals:
-        assert arrival["parent"] == run["span"]
-        assert arrival["attrs"]["live_apps"] == []
-        assert arrival["attrs"]["background_flows"] == 0
-        assert arrival["attrs"]["cores_free"] == [4.0] * 10
+    # any arrival, so the live simulation runs once, to drain the last one.
+    for admission in admissions:
+        attrs = admission["attrs"]
+        assert admission["parent"] == session["span"]
+        assert set(attrs) == ADMISSION_FIELDS
+        assert attrs["outcome"] == "admitted" and attrs["binding"] is None
+        assert attrs["live_apps"] == [] and attrs["background_flows"] == 0
+        assert attrs["cores_free"] == [4.0] * 10
+    assert sum(ev["name"] == "fluid.run" for ev in events) == 1
+    assert [plain.per_app_duration_s[f"app000{k}"] for k in (1, 2, 3)] == [0.0] * 3
+    # The bootstrap measures the mesh; each later arrival re-measures.
+    assert sum(ev["name"] == "measure.campaign" for ev in events) == 4
 
-    # A placer that spreads tasks keeps applications alive across arrivals.
+    # A placer that spreads tasks keeps applications alive across arrivals;
+    # it reads no profile, so nothing is measured.
     obs.configure(str(trace_to), export_env=False)
     run_trial("multi-app-sequence", "round-robin", 0, 0, {"arrival_gap_s": 1.0})
     obs.configure(None, export_env=False)
     events = load_events(trace_to)[len(events):]
-    (run,) = [ev for ev in events if ev["name"] == "sequence.run"]
-    last = [ev for ev in events if ev["name"] == "sequence.arrival"][-1]["attrs"]
-    assert run["attrs"]["simulations"] == 2 and run["attrs"]["segments"] > 1
+    (session,) = [ev for ev in events if ev["name"] == "service.session"]
+    last = [ev for ev in events if ev["name"] == "service.admission"][-1]["attrs"]
     assert last["live_apps"] and last["background_flows"] > 0
     assert min(last["cores_free"]) < 4.0
+    assert not any(ev["name"] == "measure.campaign" for ev in events)
     # One fluid.run span per segment, each but the first resuming the live
-    # simulation's pause, then the truth run's; each says what changed.
+    # simulation's pause; each says what changed.
     runs = [
         ev["attrs"] for ev in events
-        if ev["name"] == "fluid.run" and ev["parent"] == run["span"]
+        if ev["name"] == "fluid.run" and ev["parent"] == session["span"]
     ]
-    assert len(runs) == run["attrs"]["segments"] + 1
-    assert [r["resumed"] for r in runs] == [False] + [True] * (len(runs) - 2) + [False]
-    assert all(r["added"] > 0 for r in runs[:-1])  # an arrival per segment
-    assert all(r["withdrawn"] == r["capacities_changed"] == 0 for r in runs)
-    assert all(r["batches"] > 0 for r in runs)
+    assert len(runs) == 4  # one per arrival gap, then the drain
+    assert [r["resumed"] for r in runs] == [False, True, True, True]
+    assert all(r["added"] > 0 for r in runs)  # an arrival per segment
+    assert all(r["withdrawn"] == 0 and r["batches"] > 0 for r in runs)
+
+
+def test_traced_service_says_which_cpu_bound_rejected_an_arrival(trace_to):
+    from repro.cloud.registry import make_provider
+    from repro.service.engine import PlacementService
+    from repro.units import GBYTE
+
+    provider = make_provider("ec2", seed=0, colocation_probability=0.0)
+    provider.request_vms(2)
+    cluster = ClusterState.from_vms(provider.vms())  # 2 VMs x 4 cores
+
+    def app(name, cores, start):
+        tasks = [Task(f"{name}{k}", c) for k, c in enumerate(cores)]
+        traffic = TrafficMatrix({(tasks[0].name, tasks[1].name): 10 * GBYTE})
+        return Application(name, tasks, traffic, start_time=start)
+
+    apps = [
+        app("half", (2.0, 2.0), 0.0),  # round-robin: one task per VM, 2 + 2 free
+        app("wide", (2.5, 2.5), 1.0),  # 5 cores against 4 free
+        app("tall", (3.0, 0.5), 2.0),  # 3.5 fit in total; no VM has 3 free
+    ]
+    service = PlacementService(
+        provider, cluster, RoundRobinPlacer(), migrate=False,
+    )
+    report = service.run_session(apps, hours=1)
+    assert [a.status for a in report.apps] == ["completed", "rejected", "rejected"]
+    attrs = {
+        ev["attrs"]["app"]: ev["attrs"]
+        for ev in load_events(trace_to) if ev["name"] == "service.admission"
+    }
+    assert all(set(a) == ADMISSION_FIELDS for a in attrs.values())
+    assert attrs["half"]["binding"] is None
+    assert (attrs["wide"]["outcome"], attrs["wide"]["binding"]) == ("rejected", "total-cores")
+    assert (attrs["wide"]["needed_cores"], attrs["wide"]["available_cores"]) == (5.0, 4.0)
+    assert attrs["tall"]["binding"] == "largest-slot"
+    assert (attrs["tall"]["needed_cores"], attrs["tall"]["available_cores"]) == (3.0, 2.0)
+    assert attrs["tall"]["live_apps"] == ["half"] and attrs["tall"]["background_flows"] == 1
+
+
+def test_traced_churn_session_says_why_it_did_not_migrate(trace_to):
+    from repro.service.session import run_churn_session
+
+    # One of test_service.TestGoldenDigests' sessions: 2 migrations fire.
+    report = run_churn_session(
+        0, n_vms=12, hours=8, epoch_s=120.0, drift="hotspot-flap", apps_per_hour=2.0,
+    )
+    events = load_events(trace_to)
+    admissions = [ev["attrs"] for ev in events if ev["name"] == "service.admission"]
+    skipped = [ev["attrs"] for ev in events if ev["name"] == "service.migration_skipped"]
+    assert len(admissions) == len(report.apps) and len(report.migrations) == 2
+    assert all(set(a) == ADMISSION_FIELDS for a in admissions)
+    assert skipped and all(
+        set(s) == {"app", "predicted_gain", "improvement_threshold"} for s in skipped
+    )
+    assert all(s["improvement_threshold"] == 0.1 for s in skipped)
+    priced = [s["predicted_gain"] for s in skipped if s["predicted_gain"] is not None]
+    assert priced and all(gain <= 0.1 for gain in priced)
 
 
 def _decision_instance():

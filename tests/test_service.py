@@ -439,7 +439,7 @@ class TestServiceMigration:
         # the collapse, the remaining bytes must migrate off it.
         assert report.migrations
         assert outcome.migrations >= 1
-        final_src = service.last_placements["longhaul"].machine_of("src")
+        final_src = service.last_apps["longhaul"].placement.machine_of("src")
         assert final_src != names[0]
 
 

@@ -264,11 +264,13 @@ def _calls(node, name):
     ]
 
 
-def test_the_sequence_runner_and_the_service_share_one_live_app_state():
-    """``repro.runtime.sequence`` simulates nothing itself (segments are
-    ``advance_live_apps``', the truth run ``run_applications``'), the cores
-    live applications hold are summed in one function, listing an
-    application's flows writes nothing, and no flow id is ever parsed."""
+def test_one_arrival_loop_keeps_one_set_of_live_app_books():
+    """The §6.3 arrival loop is the service's: the sequence runner, its
+    mode and its tenant-background path are gone.  The cores live
+    applications hold are summed in one function, listing an application's
+    flows writes nothing, and no flow id is ever parsed."""
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.runtime.sequence")
     live = [
         name for name in MODULES
         if name.startswith(("repro.runtime", "repro.service"))
@@ -277,9 +279,6 @@ def test_the_sequence_runner_and_the_service_share_one_live_app_state():
         name: ast.parse(inspect.getsource(importlib.import_module(name)))
         for name in live
     }
-    sequence = trees["repro.runtime.sequence"]
-    assert _calls(sequence, "simulate") == []
-    assert "_state_at" not in [function.name for function in _functions(sequence)]
 
     accumulators = [
         f"{name}:{function.name}"
@@ -314,6 +313,8 @@ def test_the_sequence_runner_and_the_service_share_one_live_app_state():
     )
     for deleted in (
         "_state_at", "placed_flows", "app_of_flow", "app_cpu", "_cluster_sans_dead",
+        "SequentialPlacementRunner", "MODE_SEQUENCE", "_run_sequence_trial",
+        "sequence.arrival", "tenant_senders", "measure_network",
     ):
         assert deleted not in sources
 
@@ -451,13 +452,14 @@ def test_the_measurement_plan_has_its_five_fields():
 # ------------------------------------------- one live simulation per session
 #: Deleted with the simulation per segment: the hose and override options of
 #: ``FluidSimulation`` that only tests set, ``HoseModel`` behind the first,
-#: and the sequence runner's per-segment restart of the tenant's flows.  No
+#: and the old sequence runner's per-segment restart of the tenant's flows.  No
 #: function, method or class of these names is defined in ``src/``.
 DELETED_SEGMENT_NAMES = {"HoseModel", "links_for_flow", "_background_at"}
 
 
 def test_one_live_simulation_and_no_hose_option_is_left():
     from repro.net.fluid import FluidSimulation
+    from repro.runtime.migration import LiveNetwork
 
     parameters = set(inspect.signature(FluidSimulation).parameters)
     assert {"hose", "capacity_overrides"} & parameters == set()
@@ -476,10 +478,11 @@ def test_one_live_simulation_and_no_hose_option_is_left():
     with pytest.raises(ImportError):
         importlib.import_module("repro.net.hose")
     # The live path simulates nothing per segment: one LiveNetwork per
-    # session and per sequence, and no ``simulate`` call on the way.
+    # session, holding the tenant's applications alone, and no ``simulate``
+    # call on the way.
     assert _calls(trees["repro.runtime.migration"], "simulate") == []
-    for owner in ("repro.service.engine", "repro.runtime.sequence"):
-        assert len(_calls(trees[owner], "LiveNetwork")) == 1, owner
+    assert len(_calls(trees["repro.service.engine"], "LiveNetwork")) == 1
+    assert list(inspect.signature(LiveNetwork).parameters) == ["provider"]
 
 
 # --------------------------------------------------- one network per shape
