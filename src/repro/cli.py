@@ -25,7 +25,7 @@ Parameter conventions (the one documented home):
 * ``--param KEY=VALUE`` addresses the thing being built (a scenario, a
   churn session).  There is no placer name in it.
 * ``--placer-param PLACER:KEY=VALUE`` addresses a placement algorithm's
-  constructor (``ilp:time_limit_s=5``, ``greedy:cluster_threshold=64``).
+  constructor (``ilp:time_limit_s=5``).
   The placer name prefix is mandatory and aliases are accepted.
 
 Both are parsed and validated by the helpers below; malformed input fails
@@ -159,7 +159,7 @@ def common_parser(
         parent.add_argument(
             "--placer-param", action="append", metavar="PLACER:KEY=VALUE",
             help="per-placer construction override, e.g. ilp:time_limit_s=5 "
-            "or greedy:cluster_threshold=64 (repeatable; aliases accepted)",
+            "(repeatable; aliases accepted)",
         )
     from repro import obs
 

@@ -98,15 +98,8 @@ def _pick(params: Mapping[str, object], allowed: Dict[str, object]) -> Dict[str,
 
 
 def _greedy_factory(seed: int, **params) -> Placer:
-    opts = _pick(params, {"cluster_threshold": None, "n_clusters": None})
-    cluster_threshold = opts["cluster_threshold"]
-    n_clusters = opts["n_clusters"]
-    return GreedyPlacer(
-        cluster_threshold=(
-            None if cluster_threshold is None else int(cluster_threshold)  # type: ignore[arg-type]
-        ),
-        n_clusters=None if n_clusters is None else int(n_clusters),  # type: ignore[arg-type]
-    )
+    _reject_params("greedy", params)
+    return GreedyPlacer()
 
 
 def _ilp_factory(seed: int, **params) -> Placer:

@@ -13,7 +13,7 @@ owns the shared ``--seed``/``--output``/``--param`` flags).  Two commands:
 KEY=VALUE`` overrides a session-builder parameter (same keys as the
 dedicated flags: ``n_vms``, ``hours``, ``drift``, …), and ``--placer-param
 PLACER:KEY=VALUE`` forwards constructor overrides to the selected
-``--placer`` (e.g. ``greedy:cluster_threshold=64``).
+``--placer`` (e.g. ``ilp:time_limit_s=5``).
 """
 
 from __future__ import annotations

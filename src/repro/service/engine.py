@@ -590,11 +590,12 @@ class PlacementService:
                         kind="probe-loss",
                         target=f"{event.src}->{event.dst}",
                         action="degraded-coast",
-                    )
+                    ),
+                    event,
                 )
 
-    def _record_recovery(self, action: RecoveryAction) -> None:
-        """Append a healing step, counting and logging it."""
+    def _record_recovery(self, action: RecoveryAction, event: FaultEvent) -> None:
+        """Append a healing step taken for ``event``, counting and logging it."""
         self._recovery.append(action)
         _RECOVERIES.inc()
         logger.info(
@@ -603,9 +604,13 @@ class PlacementService:
             action.latency_s,
             f", apps: {', '.join(action.apps)}" if action.apps else "",
         )
+        events = self.provider.timeline.events
         obs.point(
             "service.recovery", kind=action.kind, target=action.target,
             action=action.action, epoch=action.epoch,
+            fault=next(i for i, known in enumerate(events) if known is event),
+            event_time_s=action.event_time_s, latency_s=action.latency_s,
+            apps=list(action.apps),
         )
 
     def _apps_on_vm(self, running: Dict[str, LiveApp], vm: str) -> List[str]:
@@ -637,7 +642,8 @@ class PlacementService:
                     time_s=now, event_time_s=event.time_s, epoch=epoch,
                     kind="vm-preemption", target=vm,
                     action="degraded-coast", apps=tuple(affected),
-                )
+                ),
+                event,
             )
             return
         self.cluster = ClusterState(
@@ -683,7 +689,8 @@ class PlacementService:
                 # records the removal, just not as a re-placement.
                 action="re-placed" if replaced else "removed",
                 apps=tuple(replaced),
-            )
+            ),
+            event,
         )
         if rejected:
             self._record_recovery(
@@ -691,7 +698,8 @@ class PlacementService:
                     time_s=now, event_time_s=event.time_s, epoch=epoch,
                     kind="vm-preemption", target=vm,
                     action="rejected", apps=tuple(rejected),
-                )
+                ),
+                event,
             )
 
     def _recover_degradation(
@@ -719,7 +727,8 @@ class PlacementService:
                 time_s=now, event_time_s=event.start_s, epoch=epoch,
                 kind="link-degradation", target=vm,
                 action=action, apps=tuple(affected),
-            )
+            ),
+            event,
         )
 
     def _placement_profile(

@@ -14,6 +14,7 @@ one in the file it replaced.
 from __future__ import annotations
 
 import argparse
+import math
 import statistics
 import sys
 from pathlib import Path
@@ -74,6 +75,55 @@ def calibration_row() -> Row:
     )
 
 
+# ----------------------------------------------------------------------- §5
+EXACT_SCENARIOS = (
+    "smoke", "all-to-all", "bursty-mapreduce", "single-app-ec2",
+    "partition-aggregate", "rack-hotspot",
+)
+EXACT_TRIALS = 20
+PAPER_MEDIAN_RATIO = 1.13
+
+
+def completion_ratio(greedy: float, exact: float) -> float:
+    """Greedy's completion over the exact placer's; 1 when both placements
+    colocate every transfer and finish at once."""
+    if exact == 0.0:
+        return 1.0 if greedy == 0.0 else math.inf
+    return greedy / exact
+
+
+def exact_row() -> Row:
+    """Greedy's simulated completion over the exact placer's, per trial."""
+    result = ExperimentRunner(ExperimentConfig(
+        scenarios=EXACT_SCENARIOS, placers=("greedy",), trials=EXACT_TRIALS,
+        base_seed=0, baseline="ilp", workers=1,
+        placer_params={"ilp": {"time_limit_s": 60.0}},
+    )).run()
+    ratios: Dict[str, List[float]] = {}
+    for scenario in EXACT_SCENARIOS:
+        exact = {r.trial: r.total_running_time_s for r in result.ok_records(scenario, "ilp")}
+        ratios[scenario] = [
+            completion_ratio(r.total_running_time_s, exact[r.trial])
+            for r in result.ok_records(scenario, "greedy") if r.trial in exact
+        ]
+    pooled = [ratio for values in ratios.values() for ratio in values]
+    median = statistics.median(pooled)
+    low, high = seed_interval(pooled, statistic=np.median)
+    complete = len(pooled) == len(EXACT_SCENARIOS) * EXACT_TRIALS
+    scenarios = ", ".join(
+        f"`{scenario}` {statistics.median(values):.3f}" for scenario, values in ratios.items()
+    )
+    return Row(
+        claim="§5: greedy places within 13 % of the optimal placement (median)",
+        paper=f"median completion ratio ≤ {PAPER_MEDIAN_RATIO:.2f}",
+        ours=f"median {median:.3f} (95 % {low:.3f}–{high:.3f}), max {max(pooled):.2f}; "
+        f"per scenario {scenarios}",
+        seeds=f"trials {_span(range(EXACT_TRIALS))} of base seed 0, paired, "
+        f"{len(EXACT_SCENARIOS)} scenarios",
+        verdict=HOLDS if complete and median <= PAPER_MEDIAN_RATIO else FAILS,
+    )
+
+
 # --------------------------------------------------------------------- §6.3
 SEQUENCE_SCENARIOS = ("multi-app-sequence", "ec2-trace-replay")
 SEQUENCE_TRIALS = 20
@@ -91,10 +141,10 @@ def paired_gains(result, scenario: str) -> List[float]:
     ]
 
 
-def seed_interval(gains: List[float], resamples: int = 10_000) -> tuple:
-    """95 % percentile-bootstrap interval of the mean over seeds (seeded)."""
-    draws = np.random.default_rng(0).choice(gains, size=(resamples, len(gains)))
-    low, high = np.percentile(draws.mean(axis=1), [2.5, 97.5])
+def seed_interval(values: List[float], resamples: int = 10_000, statistic=np.mean) -> tuple:
+    """95 % percentile-bootstrap interval of ``statistic`` over seeds (seeded)."""
+    draws = np.random.default_rng(0).choice(values, size=(resamples, len(values)))
+    low, high = np.percentile(statistic(draws, axis=1), [2.5, 97.5])
     return float(low), float(high)
 
 
@@ -171,7 +221,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     out = Path(args.out)
     before = verdicts(out.read_text()) if out.exists() else {}
-    text = render([calibration_row(), sequence_row()])
+    text = render([calibration_row(), exact_row(), sequence_row()])
     out.write_text(text)
     print(text, end="")
     flipped = [

@@ -14,8 +14,8 @@ records the functions it enters.  The entry set is:
   ``test``, ``lint`` and ``reach`` jobs are skipped); each job runs in its
   own directory, its steps in order, under ``bash -eo pipefail`` as CI
   does;
-* one full-size traced op per benchmark workload at seed 0, because the
-  quick sizes never enter hierarchical greedy;
+* one full-size traced op per benchmark workload at seed 0: the sizes the
+  benchmark measures, not the smaller self-test ones;
 * the ``$ python …`` commands of README.md's console block;
 * ``tests/fidelity.py``, which writes the fidelity table (docs/fidelity.md).
 

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from helpers import age_of, stale_pairs
-from oracles.clustering import cluster_vms_by_rate_profile
 from oracles.effective_rate import ConnectionLoad, effective_rate
 import repro
 from repro import obs
@@ -58,19 +57,12 @@ _EPS = 1e-9
 class ScalarGreedyPlacer(Placer):
     """Algorithm 1 as tuple-list enumeration (the parent's ``GreedyPlacer``
     with the rate table off: every candidate's rate through
-    :func:`effective_rate`).  ``cluster_threshold=None`` is the flat search.
-    Its ``model`` and ``prefer_colocation`` options are gone with
-    ``GreedyPlacer``'s: the hose model, colocation preferred on ties."""
+    :func:`effective_rate`).  Its ``model`` and ``prefer_colocation``
+    options are gone with ``GreedyPlacer``'s: the hose model, colocation
+    preferred on ties, and among colocated ties the machine whose median
+    rate to the other machines is fastest."""
 
     name = "scalar-greedy"
-
-    def __init__(
-        self,
-        cluster_threshold: Optional[int] = None,
-        n_clusters: Optional[int] = None,
-    ):
-        self.cluster_threshold = cluster_threshold
-        self.n_clusters = n_clusters
 
     def place(self, app, cluster, profile=None):
         return self._place(app, cluster, profile)
@@ -109,14 +101,15 @@ class ScalarGreedyPlacer(Placer):
             assignments[task_name] = machine
             free_cpu[machine] -= app.cpu_demand(task_name)
 
-        hierarchy: Optional[Tuple[List[str], List[List[str]]]] = None
-        if self.cluster_threshold is not None and len(machines) >= self.cluster_threshold:
-            k = (
-                int(math.ceil(math.sqrt(len(machines))))
-                if self.n_clusters is None
-                else self.n_clusters
+        def egress(machine: str) -> float:
+            """The lower median of the machine's rates to the others, an
+            unmeasured pair read as 0."""
+            out = sorted(
+                profile.rate(machine, other) if profile.has_pair(machine, other) else 0.0
+                for other in machines
+                if other != machine
             )
-            hierarchy = cluster_vms_by_rate_profile(profile, machines, k)
+            return out[(len(out) - 1) // 2]
 
         # Line 2: walk transfers in descending order of volume.
         for src_task, dst_task, _volume in app.transfers():
@@ -129,19 +122,13 @@ class ScalarGreedyPlacer(Placer):
                 record_connection(src_placed, dst_placed)
                 continue
 
-            if hierarchy is not None:
-                best = self._pick_hierarchical(
-                    hierarchy, app, src_task, dst_task,
-                    src_placed, dst_placed, cpu_fits, rate_of,
-                )
-            else:
-                candidates = self._candidate_paths(
-                    app, src_task, dst_task, src_placed, dst_placed,
-                    machines, cpu_fits,
-                )
-                best = (
-                    self._pick_best(candidates, rate_of) if candidates else None
-                )
+            candidates = self._candidate_paths(
+                app, src_task, dst_task, src_placed, dst_placed,
+                machines, cpu_fits,
+            )
+            best = (
+                self._pick_best(candidates, rate_of, egress) if candidates else None
+            )
             if best is None:
                 raise PlacementError(
                     f"no CPU-feasible machine pair for transfer "
@@ -216,111 +203,18 @@ class ScalarGreedyPlacer(Placer):
         self,
         candidates: List[Tuple[str, str]],
         rate_of,
+        egress,
     ) -> Tuple[str, str]:
         """Lines 12-14: choose the candidate path with the highest rate."""
         def sort_key(pair: Tuple[str, str]):
             src, dst = pair
             rate = rate_of(src, dst)
             colocated = 1 if src == dst else 0
-            # Highest rate first, then colocation, then deterministic names.
-            return (-rate, -colocated, src, dst)
+            # Highest rate first, then colocation, then the colocated
+            # machine's egress, then deterministic names.
+            return (-rate, -colocated, -egress(src) if colocated else 0.0, src, dst)
 
         return min(candidates, key=sort_key)
-
-    def _pick_hierarchical(
-        self,
-        hierarchy: Tuple[List[str], List[List[str]]],
-        app: Application,
-        src_task: str,
-        dst_task: str,
-        src_placed: Optional[str],
-        dst_placed: Optional[str],
-        cpu_fits,
-        rate_of,
-    ) -> Optional[Tuple[str, str]]:
-        """Two-stage candidate search: representatives first, then members.
-
-        Stage 1 ranks cluster-representative pairs by the flat selection
-        key; stage 2 enumerates only the winning pair's cluster members
-        with the flat feasibility rules.  Ranked representative pairs are
-        walked until one yields a feasible candidate, so across the walk
-        the reachable candidate set is exactly the flat one — ``None``
-        comes back only when the flat enumeration would be empty too.
-        """
-        leaders, clusters = hierarchy
-
-        def sort_key(pair: Tuple[str, str]):
-            src, dst = pair
-            rate = rate_of(src, dst)
-            colocated = 1 if src == dst else 0
-            return (-rate, -colocated, src, dst)
-
-        if src_placed is not None:
-            # Source pinned (line 4): rank destination clusters by the rep
-            # path from the pinned machine, then place within.
-            ranked = sorted(
-                range(len(leaders)),
-                key=lambda i: sort_key((src_placed, leaders[i])),
-            )
-            for i in ranked:
-                stage2 = [
-                    (src_placed, machine)
-                    for machine in clusters[i]
-                    if cpu_fits(dst_task, machine)
-                ]
-                if stage2:
-                    return self._pick_best(stage2, rate_of)
-            return None
-
-        if dst_placed is not None:
-            # Destination pinned (line 6), symmetric.
-            ranked = sorted(
-                range(len(leaders)),
-                key=lambda i: sort_key((leaders[i], dst_placed)),
-            )
-            for i in ranked:
-                stage2 = [
-                    (machine, dst_placed)
-                    for machine in clusters[i]
-                    if cpu_fits(src_task, machine)
-                ]
-                if stage2:
-                    return self._pick_best(stage2, rate_of)
-            return None
-
-        # Neither pinned (lines 7-8): rank ordered representative pairs,
-        # including same-representative (whose stage 2 holds the
-        # colocation candidates).
-        pairs = [
-            (i, j)
-            for i in range(len(leaders))
-            for j in range(len(leaders))
-        ]
-        pairs.sort(key=lambda ij: sort_key((leaders[ij[0]], leaders[ij[1]])))
-        for i, j in pairs:
-            stage2: List[Tuple[str, str]] = []
-            if i == j:
-                for src_machine in clusters[i]:
-                    for dst_machine in clusters[j]:
-                        if src_machine == dst_machine:
-                            both_fit = cpu_fits(
-                                src_task, src_machine,
-                                pending_same=app.cpu_demand(dst_task),
-                            )
-                            if both_fit:
-                                stage2.append((src_machine, dst_machine))
-                        elif cpu_fits(src_task, src_machine) and cpu_fits(
-                            dst_task, dst_machine
-                        ):
-                            stage2.append((src_machine, dst_machine))
-            else:
-                src_ok = [m for m in clusters[i] if cpu_fits(src_task, m)]
-                if src_ok:
-                    dst_ok = [m for m in clusters[j] if cpu_fits(dst_task, m)]
-                    stage2 = [(s, d) for s in src_ok for d in dst_ok]
-            if stage2:
-                return self._pick_best(stage2, rate_of)
-        return None
 
 
 _PREDICTOR_FNS = {
@@ -622,11 +516,17 @@ def _outcome(placer: Placer, app, cluster, profile):
     return "placed", list(placement.assignments.items())
 
 
-def _search_variants(rng: random.Random, n_machines: int):
-    """``(cluster_threshold, n_clusters)``: flat, then hierarchical."""
-    yield None, None
-    for n_clusters in {1, 2, rng.randint(1, n_machines), n_machines, None}:
-        yield 1, n_clusters
+def _declaration_orders(rng: random.Random, cluster: ClusterState, count: int = 6):
+    """The cluster as generated, then declared in ``count - 1`` shuffled
+    orders: the array placer ranks machines by name, while the scalar walks
+    them in declaration order and reports the first unmeasured candidate it
+    meets."""
+    yield cluster
+    for _ in range(count - 1):
+        yield ClusterState(
+            machines=rng.sample(cluster.machines, len(cluster.machines)),
+            cpu_used=dict(cluster.cpu_used),
+        )
 
 
 class TestGreedyAgainstScalarAlgorithm1:
@@ -636,19 +536,10 @@ class TestGreedyAgainstScalarAlgorithm1:
         for trial in range(160):
             rng = random.Random((7000 if unmeasured else 3000) + trial)
             app, cluster, profile = _greedy_instance(rng, unmeasured)
-            for threshold, n_clusters in _search_variants(rng, len(cluster.machines)):
-                expected = _outcome(
-                    ScalarGreedyPlacer(threshold, n_clusters),
-                    app, cluster, profile,
-                )
-                got = _outcome(
-                    GreedyPlacer(
-                        cluster_threshold=10**9 if threshold is None else threshold,
-                        n_clusters=n_clusters,
-                    ),
-                    app, cluster, profile,
-                )
-                assert got == expected, (trial, threshold, n_clusters)
+            for declared in _declaration_orders(rng, cluster):
+                expected = _outcome(ScalarGreedyPlacer(), app, declared, profile)
+                got = _outcome(GreedyPlacer(), app, declared, profile)
+                assert got == expected, trial
                 seen[expected[0]] += 1
         # The instances reach what they are meant to reach.
         assert seen["placed"] > 100 and seen["PlacementError"] > 20

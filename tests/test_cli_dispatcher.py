@@ -129,12 +129,9 @@ class TestParamHelpers:
 
     def test_parse_placer_params_canonicalises_aliases(self):
         parsed = parse_placer_params(
-            ["choreo-optimal:time_limit_s=5", "choreo-greedy:cluster_threshold=64"]
+            ["choreo-optimal:time_limit_s=5", "optimal:mip_rel_gap=0.01"]
         )
-        assert parsed == {
-            "ilp": {"time_limit_s": 5},
-            "greedy": {"cluster_threshold": 64},
-        }
+        assert parsed == {"ilp": {"time_limit_s": 5, "mip_rel_gap": 0.01}}
 
     def test_service_rejects_unknown_session_param(self, capsys):
         code = service_main(["run", "--param", "n_vmz=4"])
@@ -154,11 +151,19 @@ class TestParamHelpers:
         code = service_main(
             ["run", "--param", "n_vms=4", "--param", "hours=1",
              "--max-tasks", "3", "--no-oracle",
-             "--placer-param", "choreo-greedy:cluster_threshold=2",
+             "--placer", "ilp", "--placer-param", "choreo-optimal:time_limit_s=5",
              "--output", str(tmp_path / "r.json")]
         )
         capsys.readouterr()
         assert code == 0
+
+    def test_greedy_refuses_placer_params_by_name(self, capsys):
+        code = service_main(
+            ["run", "--placer", "greedy", "--placer-param", "greedy:n_clusters=4"]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'greedy' takes no parameters" in err and "n_clusters" in err
 
 
 class TestPlacerFacade:

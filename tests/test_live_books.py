@@ -94,19 +94,23 @@ class Ledger:
 
 
 # ------------------------------------------------------ golden service sessions
-#: Two of ``test_service.TestGoldenDigests``' sessions.
+#: The shape of ``test_service.TestGoldenDigests``' sessions, run at session
+#: seed 1: there an application migrates after its last network byte.
 _GOLDEN_SESSION = dict(
     n_vms=12, hours=8, drift="hotspot-flap", epoch_s=120.0, apps_per_hour=2.0,
 )
+_CUT_SEED = 1
 
 
-@pytest.mark.parametrize("faults, recoveries", [("none", 0), ("rack-outage", 3)])
+@pytest.mark.parametrize("faults, recoveries", [("none", 0), ("rack-outage", 5)])
 def test_books_balance_at_every_cut_of_the_golden_sessions(
     monkeypatch, faults, recoveries
 ):
     import repro.service.engine as engine
 
-    provider, cluster, apps, _ = build_churn_session(0, faults=faults, **_GOLDEN_SESSION)
+    provider, cluster, apps, _ = build_churn_session(
+        _CUT_SEED, faults=faults, **_GOLDEN_SESSION
+    )
     service = PlacementService(
         provider, cluster, resolve_placer("greedy").create(0, None),
         predictor="combined", migrate=True,
@@ -119,8 +123,9 @@ def test_books_balance_at_every_cut_of_the_golden_sessions(
     assert report_violations(report) == []
     # An application completes when its last byte is delivered or, if that
     # is later, when the placement that colocated the rest was set — here one
-    # migrates at t = 600 s onto VMs that do — and not when the next unrelated
-    # arrival happens to start a segment (682.7 s, before PR 23).
+    # (arrived 99.0 s, last network byte 111.3 s) migrates at t = 120 s onto
+    # VMs that do — and not when the next unrelated arrival happens to start
+    # a segment.
     placed_at = {outcome.name: outcome.arrived_at for outcome in report.apps}
     placed_at.update((event.app_name, event.time_s) for event in report.migrations)
     placed_at.update(

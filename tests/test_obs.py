@@ -218,14 +218,14 @@ def test_traced_service_says_which_cpu_bound_rejected_an_arrival(trace_to):
 def test_traced_churn_session_says_why_it_did_not_migrate(trace_to):
     from repro.service.session import run_churn_session
 
-    # One of test_service.TestGoldenDigests' sessions: 2 migrations fire.
+    # One of test_service.TestGoldenDigests' sessions: 1 migration fires.
     report = run_churn_session(
         0, n_vms=12, hours=8, epoch_s=120.0, drift="hotspot-flap", apps_per_hour=2.0,
     )
     events = load_events(trace_to)
     admissions = [ev["attrs"] for ev in events if ev["name"] == "service.admission"]
     skipped = [ev["attrs"] for ev in events if ev["name"] == "service.migration_skipped"]
-    assert len(admissions) == len(report.apps) and len(report.migrations) == 2
+    assert len(admissions) == len(report.apps) and len(report.migrations) == 1
     assert all(set(a) == ADMISSION_FIELDS for a in admissions)
     assert skipped and all(
         set(s) == {"app", "predicted_gain", "improvement_threshold"} for s in skipped
@@ -233,6 +233,34 @@ def test_traced_churn_session_says_why_it_did_not_migrate(trace_to):
     assert all(s["improvement_threshold"] == 0.1 for s in skipped)
     priced = [s["predicted_gain"] for s in skipped if s["predicted_gain"] is not None]
     assert priced and all(gain <= 0.1 for gain in priced)
+
+
+def test_traced_recovery_names_the_fault_it_answers(trace_to):
+    from repro.experiments.placers import resolve_placer
+    from repro.service.engine import PlacementService
+    from repro.service.session import build_churn_session
+    from repro.service.timeline import LinkDegradation, VmPreemption
+
+    # test_service.TestGoldenDigests' rack-outage session: 3 recoveries.
+    provider, cluster, apps, _ = build_churn_session(
+        0, faults="rack-outage", n_vms=12, hours=8, drift="hotspot-flap",
+        epoch_s=120.0, apps_per_hour=2.0,
+    )
+    report = PlacementService(
+        provider, cluster, resolve_placer("greedy").create(0, None),
+        predictor="combined", migrate=True,
+    ).run_session(apps, hours=8)
+    events = provider.timeline.events
+    points = [ev["attrs"] for ev in load_events(trace_to) if ev["name"] == "service.recovery"]
+    assert len(points) == len(report.recovery) == 3
+    kinds = {VmPreemption: "vm-preemption", LinkDegradation: "link-degradation"}
+    for point, action in zip(points, report.recovery):
+        event = events[point["fault"]]
+        assert kinds[type(event)] == point["kind"] == action.kind
+        assert event.vm == point["target"] == action.target
+        assert point["event_time_s"] == action.event_time_s == event.effect_time_s
+        assert point["latency_s"] == action.latency_s
+        assert point["apps"] == list(action.apps)
 
 
 def _decision_instance():
@@ -250,25 +278,26 @@ def _decision_instance():
 
 
 DECISION_FIELDS = {
-    "placer", "app", "transfer", "path", "candidates", "chosen", "runner_up",
-    "rate_bps", "gap_bps",
+    "placer", "app", "transfer", "candidates", "chosen", "runner_up",
+    "rate_bps", "gap_bps", "tied", "egress_bps",
 }
 
 
-@pytest.mark.parametrize("threshold", [None, 1])
-def test_traced_greedy_says_what_each_choice_beat(trace_to, threshold, monkeypatch):
+def _decisions(trace):
+    return [ev["attrs"] for ev in load_events(trace) if ev["name"] == "placement.decision"]
+
+
+def test_traced_greedy_says_what_each_choice_beat(trace_to, monkeypatch):
     app, cluster, profile = _decision_instance()
-    placer = GreedyPlacer(cluster_threshold=threshold)
+    placer = GreedyPlacer()
     placed = placer.place(app, cluster, profile).assignments
-    decisions = [
-        ev["attrs"] for ev in load_events(trace_to) if ev["name"] == "placement.decision"
-    ]
+    decisions = _decisions(trace_to)
     # One choice per transfer: a -> b picks both machines, then b and c pin.
     assert [d["transfer"] for d in decisions] == [["a", "b"], ["b", "c"], ["c", "d"]]
     for d in decisions:
         assert set(d) == DECISION_FIELDS
         assert d["placer"] == "greedy" and d["app"] == "app"
-        assert d["path"] == ("flat" if threshold is None else "hierarchical")
+        assert d["tied"] is None and d["egress_bps"] is None  # nothing colocates
         assert d["chosen"] == [placed[task] for task in d["transfer"]]
         assert d["rate_bps"] > 0
         if d["runner_up"] is None:  # (one candidate in the searched block)
@@ -276,15 +305,14 @@ def test_traced_greedy_says_what_each_choice_beat(trace_to, threshold, monkeypat
         else:
             assert d["candidates"] >= 2 and d["runner_up"] != d["chosen"]
             assert 0 <= d["gap_bps"] <= d["rate_bps"]
-    if threshold is None:
-        # The flat search opens all 20 ordered pairs; vm3 -> vm4 (12) beats
-        # vm2 -> vm4 and vm4 -> vm3 (11) by one step.  Then the pinned row
-        # of vm4 has the three free machines left.
-        first, second, _ = decisions
-        assert first["candidates"] == 20 and first["chosen"] == ["vm3", "vm4"]
-        assert first["runner_up"] in (["vm2", "vm4"], ["vm4", "vm3"])
-        assert first["rate_bps"] == 12e8 and first["gap_bps"] == 1e8
-        assert second["candidates"] == 3
+    # The search opens all 20 ordered pairs; vm3 -> vm4 (12) beats vm2 -> vm4
+    # and vm4 -> vm3 (11) by one step.  Then the pinned row of vm4 has the
+    # three free machines left.
+    first, second, _ = decisions
+    assert first["candidates"] == 20 and first["chosen"] == ["vm3", "vm4"]
+    assert first["runner_up"] in (["vm2", "vm4"], ["vm4", "vm3"])
+    assert first["rate_bps"] == 12e8 and first["gap_bps"] == 1e8
+    assert second["candidates"] == 3
 
     # Off, the runner-up is never computed and nothing is emitted.
     obs.configure(None, export_env=False)
@@ -292,6 +320,25 @@ def test_traced_greedy_says_what_each_choice_beat(trace_to, threshold, monkeypat
     monkeypatch.setattr(greedy, "_runner_up", None)
     assert placer.place(app, cluster, profile).assignments == placed
     assert len(load_events(trace_to)) == seen
+
+
+def test_traced_greedy_names_the_colocation_tie_it_broke(trace_to):
+    """Three 2-core machines with hoses of 1, 3 and 9 (x 100 Mbit/s): the
+    heavy pair fits on any of them, and the one with the fastest egress wins."""
+    machines = ["vm0", "vm1", "vm2"]
+    profile = NetworkProfile.from_rate_function(
+        machines, lambda src, dst: 1e8 * 3 ** int(src[2:])
+    )
+    cluster = ClusterState(machines=[Machine(m, 2.0) for m in machines])
+    traffic = TrafficMatrix({("a", "b"): 3e6, ("b", "c"): 1e6})
+    app = Application("app", [Task(t, 1.0) for t in "abc"], traffic)
+    GreedyPlacer().place(app, cluster, profile)
+    first, second = _decisions(trace_to)
+    assert all(set(d) == DECISION_FIELDS for d in (first, second))
+    assert first["chosen"] == ["vm2", "vm2"]
+    assert first["tied"] == 3 and first["egress_bps"] == 9e8
+    assert second["chosen"][0] == "vm2"
+    assert second["tied"] is None and second["egress_bps"] is None
 
 
 def test_traced_exact_search_reports_its_tree(trace_to):

@@ -69,6 +69,28 @@ def test_greedy_colocates_heavy_pair_when_cpu_allows():
     assert placement.machine_of("a") == placement.machine_of("b")
 
 
+def test_a_colocation_tie_goes_to_the_fastest_egress():
+    """Every 2-core machine can hold the heavy pair, so all three tie at the
+    infinite intra-VM rate; the names sort slowest hose first, and the tie
+    goes to the machine whose measured egress is fastest, where the pair's
+    next transfer leaves from."""
+    hose = {"m1": 0.1 * GBITPS, "m2": 0.3 * GBITPS, "m3": 0.9 * GBITPS}
+    profile = NetworkProfile.from_rate_function(MACHINES, lambda src, dst: hose[src])
+    cluster = ClusterState(machines=[Machine(m, cores=2.0) for m in MACHINES])
+    app = Application(
+        name="chain",
+        tasks=[Task("a", 1.0), Task("b", 1.0), Task("c", 1.0)],
+        traffic=TrafficMatrix({("a", "b"): 1 * GBYTE, ("b", "c"): 0.5 * GBYTE}),
+    )
+    placement = GreedyPlacer().place(app, cluster, profile)
+    assert placement.machine_of("a") == placement.machine_of("b") == "m3"
+    assert placement.machine_of("c") != "m3"
+    # b -> c leaves m3 at its 0.9 Gbit/s hose: 0.5 GByte in 4.44 s.
+    assert estimate_completion_time(
+        placement.assignments, app, profile
+    ) == pytest.approx(4 / 0.9)
+
+
 def test_greedy_without_profile_raises_placement_error():
     with pytest.raises(PlacementError):
         GreedyPlacer().place(_pair_app(), _cluster(), None)

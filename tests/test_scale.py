@@ -1,10 +1,9 @@
-"""Tests for the datacenter-scale hot paths: the array-backed (vectorised)
-max-min solve and the hierarchical greedy placer.
+"""Tests for the datacenter-scale hot path: the array-backed (vectorised)
+max-min solve.
 
-The central property, as everywhere in this suite: the fast paths are
+The central property, as everywhere in this suite: the fast path is
 *exact*.  The vector solve must be bit-identical to the scalar solve (not
-merely close), and hierarchical greedy with singleton clusters must
-reproduce flat greedy assignment-for-assignment.
+merely close).
 """
 
 import math
@@ -13,7 +12,6 @@ import random
 import pytest
 
 from helpers import build_two_rack_cloud
-from oracles.clustering import cluster_vms_by_rate_profile
 from oracles.graph_search import use_graph_search
 from oracles.max_min import (
     force_solves,
@@ -21,9 +19,7 @@ from oracles.max_min import (
     use_reference_engine,
 )
 from repro.core.network_profile import NetworkProfile
-from repro.core.placement.base import ClusterState, Machine
-from repro.core.placement.greedy import GreedyPlacer
-from repro.errors import MeasurementError, PlacementError, SimulationError
+from repro.errors import MeasurementError, SimulationError
 from repro.net.alloc import _BATCH_MIN, IncrementalAllocator
 from repro.net.fairness import FlowDemand, max_min_violations, segment_violations
 from repro.net.flows import Flow
@@ -388,77 +384,6 @@ class TestRateMatrix:
             NetworkProfile(**{**fields, **kwargs})
 
 
-class TestHierarchicalGreedyEquivalence:
-    def _instance(self, rng, n_machines):
-        from repro.workloads.application import Application, Task, TrafficMatrix
-
-        vms = [f"m{i}" for i in range(n_machines)]
-        rates = {
-            (a, b): rng.choice([0.2, 0.5, 0.9]) * GBITPS * rng.uniform(0.9, 1.1)
-            for a in vms for b in vms if a != b
-        }
-        profile = NetworkProfile(vms=vms, rates_bps=rates)
-        cluster = ClusterState(
-            machines=[Machine(m, cores=rng.choice([2.0, 4.0])) for m in vms]
-        )
-        n_tasks = rng.randint(2, min(8, n_machines))
-        tasks = [Task(f"t{i}", rng.choice([0.5, 1.0])) for i in range(n_tasks)]
-        traffic = TrafficMatrix()
-        for i in range(n_tasks):
-            for j in range(n_tasks):
-                if i != j and rng.random() < 0.5:
-                    traffic.add(f"t{i}", f"t{j}", rng.uniform(1, 50) * MBYTE)
-        return Application("app", tasks, traffic), cluster, profile
-
-    def test_singleton_clusters_reproduce_flat_exactly(self):
-        """Hierarchical greedy with one VM per cluster IS flat greedy."""
-        for trial in range(40):
-            rng = random.Random(4000 + trial)
-            n = rng.randint(3, 16)
-            app, cluster, profile = self._instance(rng, n)
-            flat = GreedyPlacer(cluster_threshold=10**9)
-            hier = GreedyPlacer(cluster_threshold=1, n_clusters=n)
-            try:
-                expected = flat.place(app, cluster, profile)
-            except PlacementError:
-                with pytest.raises(PlacementError):
-                    hier.place(app, cluster, profile)
-                continue
-            got = hier.place(app, cluster, profile)
-            assert expected.assignments == got.assignments, f"trial {trial}"
-
-    def test_below_threshold_instances_take_the_flat_path(self):
-        rng = random.Random(5)
-        app, cluster, profile = self._instance(rng, 12)
-        placer = GreedyPlacer()  # default threshold is far above 12 machines
-        placement = placer.place(app, cluster, profile)
-        assert placer.last_cluster_stats is None
-        flat = GreedyPlacer(cluster_threshold=10**9).place(app, cluster, profile)
-        assert placement.assignments == flat.assignments
-
-    def test_hierarchical_placements_remain_feasible_at_scale(self):
-        rng = random.Random(7)
-        n = 128
-        vms = [f"m{i}" for i in range(n)]
-        rack = np.arange(n) // 16
-        base = np.where(rack[:, None] == rack[None, :], 0.9 * GBITPS, 0.2 * GBITPS)
-        noise = np.random.default_rng(7).uniform(0.95, 1.05, (n, n))
-        profile = NetworkProfile(vms, base * noise)
-        cluster = ClusterState(machines=[Machine(m, cores=2.0) for m in vms])
-        app, _, _ = self._instance(rng, 8)
-        placer = GreedyPlacer(cluster_threshold=64)
-        placement = placer.place(app, cluster, profile)
-        stats = placer.last_cluster_stats
-        assert stats is not None and stats["n_clusters"] > 1
-        assert set(placement.assignments.values()) <= set(vms)
-        # Every task lands on a machine with enough CPU headroom.
-        used = {}
-        for task, vm in placement.assignments.items():
-            used[vm] = used.get(vm, 0.0) + app.cpu_demand(task)
-        for vm, cores in ((m.name, m.cores) for m in cluster.machines):
-            assert used.get(vm, 0.0) <= cores + 1e-9
-
-
 def _reference_engine(patch):
     """What the fluid engine did before any optimisation: max-min from
     scratch at every event, the scalar loop, every route a graph search
@@ -504,34 +429,3 @@ class TestTierOneScenarioBitIdentity:
         baseline = self._trial_metrics(scenario)
         _reference_engine(monkeypatch)
         assert self._trial_metrics(scenario) == baseline
-
-
-class TestClusteringHeuristic:
-    def test_partition_is_deterministic_and_covers_all_vms(self):
-        n = 48
-        vms = [f"m{i}" for i in range(n)]
-        rack = np.arange(n) // 12
-        base = np.where(rack[:, None] == rack[None, :], 1.0 * GBITPS, 0.1 * GBITPS)
-        profile = NetworkProfile(vms, base)
-        reps_a, members_a = cluster_vms_by_rate_profile(profile, vms, 4)
-        reps_b, members_b = cluster_vms_by_rate_profile(profile, vms, 4)
-        assert reps_a == reps_b and members_a == members_b
-        flattened = sorted(vm for group in members_a for vm in group)
-        assert flattened == sorted(vms)
-        # The rack structure is strong enough that the 4 clusters ARE racks.
-        assert {frozenset(g) for g in members_a} == {
-            frozenset(vms[i * 12:(i + 1) * 12]) for i in range(4)
-        }
-
-    def test_representatives_belong_to_their_clusters(self):
-        rng = random.Random(9)
-        vms = [f"m{i}" for i in range(20)]
-        rates = {
-            (a, b): rng.uniform(0.1, 1.0) * GBITPS
-            for a in vms for b in vms if a != b
-        }
-        profile = NetworkProfile(vms=vms, rates_bps=rates)
-        reps, members = cluster_vms_by_rate_profile(profile, vms, 5)
-        assert len(reps) == len(members)
-        for rep, group in zip(reps, members):
-            assert rep in group

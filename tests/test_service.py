@@ -312,7 +312,7 @@ class TestGoldenDigests:
 
     SHA-256 of ``ServiceReport.canonical_json_dict()`` for two fixed-seed
     sessions, computed at the commit before the admission path moved onto
-    one rate matrix (PR 15).  Forecasts, migrations (2 and 3), degraded
+    one rate matrix.  Forecasts, migrations (1 and 2), degraded
     pairs (23) and recoveries (two re-placements, one removal) all fire.
     A digest changes only when simulated behaviour changes; update it only
     in a PR that means to change behaviour, and say so there.
@@ -323,6 +323,14 @@ class TestGoldenDigests:
     the *next* application, the first later segment with a flow in it to
     stamp anything — and is now 600.0, when the placement was set
     (``LiveApp.place``; tests/test_live_books.py).  Nothing else moved.
+
+    Re-pinned again when greedy's colocation ties went to the machine with
+    the fastest measured egress instead of the lowest name: greedy places
+    applications differently in all four sessions (7, 4, 5 and 6 of 16
+    durations move; mean completion 53.06 → 53.92, 56.00 → 53.02,
+    50.71 → 49.62 and 57.62 → 52.61 s), and the first two sessions migrate
+    once less (1 and 2).  Recoveries, rejections and the measurement
+    counters are the same.
     """
 
     _SESSION = dict(
@@ -334,22 +342,22 @@ class TestGoldenDigests:
         "faults, migrations, recoveries, digest",
         [
             (
-                "none", 2, 0,
-                "5ade4ebd199887a9fbf746ecec2e39899a9e1b1084d72e7ea71319a295bb2e20",
+                "none", 1, 0,
+                "273dedbbf4f43e95b6a1813361463abaea3c464962ae03c73a09a9ab865bbf85",
             ),
             (
-                "rack-outage", 3, 3,
-                "f539e1d5de748f62e7fbe3e1f01867be7f19e3af2fe79af68d9c52e6d756a90f",
+                "rack-outage", 2, 3,
+                "d6962f6d0882e79d8707f3d7229040ec54a5372040fe224e7aec0e841ab3bf50",
             ),
             # The only generator whose degradations multiply into drifted
             # rates, and the only one that drives the probe-loss hooks.
             (
                 "link-flap", 1, 8,
-                "1d7d46bb34d86cb141ce5543fd4e45ea024022cb2a43e164df67ae7274b52f9c",
+                "eb7eccefb1aef3a4ffd88c23deed60a9c84ea06fcab9b29fb5b636dfbb5398b2",
             ),
             (
                 "lossy-probes", 1, 12,
-                "d5127d3fcacfba03d345e47a3017585affde07875ef27c21726fe8c2e432445e",
+                "f64717b54a7095f5887d66f0d69ded43daa19a099e81a99f101658ea6afeee4b",
             ),
         ],
     )
