@@ -580,6 +580,63 @@ class TestGreedyAgainstScalarAlgorithm1:
                 app, cluster, profile
             ).assignments
 
+    def test_egress_is_the_lower_median_with_unmeasured_pairs_as_zero(self):
+        """``_egress``'s one ``partition`` over the matrix is the scalar
+        placer's sorted row: the ``(k - 1) // 2``-th of a machine's ``k``
+        rates to the others, an unmeasured pair read as 0, the diagonal
+        left out."""
+        from repro.core.placement.greedy import _egress
+
+        for trial in range(60):
+            rng = random.Random(9100 + trial)
+            n = rng.randint(2, 12)
+            single = np.array(
+                [[rng.choice(_RATE_LEVELS) for _ in range(n)] for _ in range(n)]
+            )
+            for _ in range(rng.randint(0, n)):
+                single[rng.randrange(n), rng.randrange(n)] = math.nan
+            expected = []
+            for i in range(n):
+                out = sorted(
+                    0.0 if math.isnan(single[i, j]) else single[i, j]
+                    for j in range(n) if j != i
+                )
+                expected.append(out[(len(out) - 1) // 2])
+            assert _egress(single).tolist() == expected, trial
+
+    def test_a_rack_shaped_datacenter_places_as_the_scalar_does(self):
+        """128 machines in 8 racks of 16, fast inside a rack and slow
+        between: far past the small instances above, every colocated
+        transfer ties across the racks' machines and the egress median
+        decides it.  The placement is the scalar one and fits every
+        machine's CPU."""
+        n = 128
+        vms = [f"m{i}" for i in range(n)]
+        rack = np.arange(n) // 16
+        base = np.where(rack[:, None] == rack[None, :], 9e8, 2e8)
+        for seed in (7, 8):
+            noise = np.random.default_rng(seed).uniform(0.95, 1.05, (n, n))
+            profile = NetworkProfile(vms, base * noise)
+            rng = random.Random(seed)
+            cluster = ClusterState(
+                machines=[Machine(m, cores=rng.choice([2.0, 4.0])) for m in vms]
+            )
+            tasks = [Task(f"t{i}", rng.choice([0.5, 1.0, 2.0])) for i in range(10)]
+            traffic = TrafficMatrix()
+            for i in range(10):
+                for j in range(10):
+                    if i != j and rng.random() < 0.4:
+                        traffic.add(f"t{i}", f"t{j}", rng.uniform(1, 50) * 1e6)
+            app = Application("app", tasks, traffic)
+            expected = _outcome(ScalarGreedyPlacer(), app, cluster, profile)
+            assert expected[0] == "placed", seed
+            assert _outcome(GreedyPlacer(), app, cluster, profile) == expected
+            used: Dict[str, float] = {}
+            for task, vm in expected[1]:
+                used[vm] = used.get(vm, 0.0) + app.cpu_demand(task)
+            for machine in cluster.machines:
+                assert used.get(machine.name, 0.0) <= machine.cores + _EPS
+
     def test_traffic_edited_to_name_an_unknown_task_fails_the_same_way(self):
         machines = ["m1", "m2"]
         profile = NetworkProfile.from_uniform_rate(machines, 1e9)

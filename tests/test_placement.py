@@ -91,6 +91,22 @@ def test_a_colocation_tie_goes_to_the_fastest_egress():
     ) == pytest.approx(4 / 0.9)
 
 
+def test_a_colocation_tie_at_equal_egress_goes_to_the_lowest_name():
+    """Uniform rates give every machine the same egress, so the colocated
+    tie falls through to the machine names, whatever order the cluster
+    declares them in."""
+    machines = ["vm-2", "vm-10", "vm-1"]
+    profile = NetworkProfile.from_uniform_rate(machines, 1 * GBITPS)
+    cluster = ClusterState(machines=[Machine(m, cores=2.0) for m in machines])
+    app = Application(
+        name="pair",
+        tasks=[Task("a", 1.0), Task("b", 1.0)],
+        traffic=TrafficMatrix({("a", "b"): 1 * GBYTE}),
+    )
+    placement = GreedyPlacer().place(app, cluster, profile)
+    assert placement.assignments == {"a": "vm-1", "b": "vm-1"}
+
+
 def test_greedy_without_profile_raises_placement_error():
     with pytest.raises(PlacementError):
         GreedyPlacer().place(_pair_app(), _cluster(), None)
