@@ -17,14 +17,17 @@ import argparse
 import math
 import statistics
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Dict, List, NamedTuple, Optional
 
 import numpy as np
 
-from repro.cloud.registry import make_provider
+from repro.cloud.registry import make_provider, provider_names
 from repro.core.measurement import calibrate_train_parameters
+from repro.core.measurement.bottleneck import BottleneckLocator
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
+from repro.net.topology import NodeKind
 
 ROOT = Path(__file__).resolve().parents[1]
 TABLE = ROOT / "docs" / "fidelity.md"
@@ -38,6 +41,69 @@ class Row(NamedTuple):
     ours: str
     seeds: str
     verdict: str
+
+
+# ------------------------------------------------------------- §3.3 / §4.3
+BOTTLENECK_SEEDS = range(10)
+BOTTLENECK_VMS = 10
+BOTTLENECK_TESTS = 10
+
+
+def bottleneck_report(name: str, seed: int):
+    """``BottleneckLocator.locate`` on 10 VMs of ``name``, ten tests of
+    each kind (as ``tests/test_bottleneck.py`` runs it)."""
+    provider = make_provider(name, seed=seed)
+    provider.request_vms(BOTTLENECK_VMS)
+    names = [vm.name for vm in provider.vms()]
+    report = BottleneckLocator(provider, seed=seed).locate(
+        names, n_same_source=BOTTLENECK_TESTS, n_distinct=BOTTLENECK_TESTS
+    )
+    return provider, report
+
+
+def bottleneck_row() -> Row:
+    """Distinct-endpoint connections never interfere; two connections out
+    of one source to two other hosts always do, each losing about half."""
+    distinct, interfered, connections, cored = 0, 0, 0, 0
+    drops: List[float] = []  # of each same-source test on three hosts
+    quiet = 0  # of those, the tests that did not interfere
+    classified: Counter = Counter()
+    for name in provider_names():
+        for seed in BOTTLENECK_SEEDS:
+            provider, report = bottleneck_report(name, seed)
+            topology = provider.topology
+            host = {vm.name: vm.host for vm in provider.vms()}
+            classified[report.rate_limiting] += 1
+            for result in report.distinct_endpoint_results:
+                distinct += 1
+                interfered += result.interferes
+                for src, dst in (result.pair_a, result.pair_b):
+                    connections += 1
+                    cored += any(
+                        topology.node_kind(node) is NodeKind.CORE
+                        for node in topology.node_path(host[src], host[dst])
+                    )
+            for result in report.same_source_results:
+                (src, dst_a), (_, dst_b) = result.pair_a, result.pair_b
+                if len({host[src], host[dst_a], host[dst_b]}) == 3:
+                    drops.append(result.drop_fraction)
+                    quiet += not result.interferes
+    classes = ", ".join(f"{label} {count}" for label, count in sorted(classified.items()))
+    return Row(
+        claim="§3.3 / §4.3: the bottleneck is at the source (hose model): "
+        "connections out of one VM slow each other down, connections between "
+        "four distinct VMs do not",
+        paper="distinct endpoints never interfere; same-source connections "
+        "always do, each dropping ≈ 0.5",
+        ours=f"distinct endpoints: {interfered} of {distinct} tests interfere "
+        f"({interfered / distinct:.2f}; {cored} of {connections} connections "
+        f"crossed the core); same source on three hosts: {len(drops) - quiet} of "
+        f"{len(drops)} interfere ({1 - quiet / len(drops):.2f}), drop "
+        f"{min(drops):.2f}–{max(drops):.2f}; classified {classes}",
+        seeds=f"{', '.join(provider_names())}, seeds {_span(BOTTLENECK_SEEDS)}, "
+        f"{BOTTLENECK_VMS} VMs, {BOTTLENECK_TESTS} tests of each kind",
+        verdict=HOLDS if interfered == 0 and quiet == 0 and drops else FAILS,
+    )
 
 
 # ------------------------------------------------------------ §4.1 / Fig. 6
@@ -221,7 +287,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     out = Path(args.out)
     before = verdicts(out.read_text()) if out.exists() else {}
-    text = render([calibration_row(), exact_row(), sequence_row()])
+    text = render([bottleneck_row(), calibration_row(), exact_row(), sequence_row()])
     out.write_text(text)
     print(text, end="")
     flipped = [
