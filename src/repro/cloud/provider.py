@@ -31,10 +31,10 @@ from typing import (
 import numpy as np
 
 from repro import obs
-from repro.errors import CloudError, MeasurementError, SimulationError
+from repro.errors import CloudError, MeasurementError
 from repro.cloud.instances import InstanceType, VirtualMachine, EC2_MEDIUM
 from repro.net.fairness import probe_rates_under_load
-from repro.net.fluid import FluidResult, FluidSimulation, RateTimeline
+from repro.net.fluid import FluidResult, FluidSimulation
 from repro.net.flows import Flow
 from repro.net.latency import rtt_s
 from repro.net.links import hose_link_id
@@ -54,11 +54,14 @@ HoseSampler = Callable[[np.random.Generator], float]
 #: rounds those fills took (``obs.metrics.snapshot()``, ``repro.measure.*``).
 SNAPSHOT_PROBES = obs.Counter("repro.measure.snapshot_probes")
 SNAPSHOT_ROUNDS = obs.Counter("repro.measure.snapshot_rounds")
+#: Rows of route tables built: every ordered pair of a tenant's VMs, each
+#: time its VM set changes (``repro.routes.table_rows``).
+ROUTE_TABLE_ROWS = obs.Counter("repro.routes.table_rows")
 
 # One frozen tree per shape, with its sorted host names: every provider of
 # a ``(spec, name)`` shares it, so the tables a topology derives lazily
-# (link index, capacity vector, tree tables, routes, remembered ECMP picks)
-# are derived once per shape, not once per trial.  A lease worker builds
+# (link index, capacity vector, tree tables, routes, ECMP host keys) are
+# derived once per shape, not once per trial.  A lease worker builds
 # providers from several threads.
 _SHARED_TREES_MAX_ENTRIES = 1024
 _shared_trees: Dict[Tuple[TreeSpec, str], Tuple[Topology, Tuple[str, ...]]] = {}
@@ -579,6 +582,7 @@ class CloudProvider:
             # A -1 padding entry reads the appended +inf.
             capacity = np.append(self.topology.capacity_vector(), np.inf)
             self._routes = _Routes(links, lengths, capacity[links].min(axis=1))
+            ROUTE_TABLE_ROWS.inc(n * n)
         return self._routes
 
     def _loaded_rates(

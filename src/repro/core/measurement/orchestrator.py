@@ -23,8 +23,8 @@ from repro.core.measurement.packet_train import UNMEASURABLE, estimate_throughpu
 from repro.core.network_profile import NetworkProfile
 from repro.errors import MeasurementError
 from repro.net.packets import PacketTrainSpec
-from repro.cloud.provider import SNAPSHOT_ROUNDS, CloudProvider, VMFlow
-from repro.net.topology import ECMP_HASHED, index_pairs
+from repro.cloud.provider import ROUTE_TABLE_ROWS, SNAPSHOT_ROUNDS, CloudProvider, VMFlow
+from repro.net.topology import index_pairs
 
 
 #: Campaign counters (``obs.metrics.snapshot()`` under ``repro.measure.*``):
@@ -237,13 +237,13 @@ class NetworkMeasurer:
         retry = _RetryLedger(self.plan, pair_time)
         campaign = obs.span("measure.campaign", vms=len(names), pairs=n_probes)
         rounds_before = SNAPSHOT_ROUNDS.count
-        hashed_before = ECMP_HASHED.count
+        routed_before = ROUTE_TABLE_ROWS.count
         with campaign:
             estimates = self._probe(names, src, dst, on_provider, background, retry)
             campaign.set(
                 retries=retry.retries,
                 degraded=len(retry.degraded),
-                ecmp_hashed=ECMP_HASHED.count - hashed_before,
+                routed=ROUTE_TABLE_ROWS.count - routed_before,
             )
             if background:
                 campaign.set(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Dict,
     Iterable,
@@ -55,13 +55,10 @@ from repro.units import GBITPS
 # cross-pod) plus the ECMP core choice.  build_multi_rooted_tree attaches a
 # _TreeRouter to the tree it returns; Topology.node_path consults it before
 # falling back to graph search, and any edit to the graph drops it.  The
-# router must reproduce the graph-search answer exactly.
+# router must reproduce the graph-search answer exactly: both pick a pair's
+# core with _ecmp_pick, from keys derived from the endpoints' names (not
+# their positions), so any copy of a tree routes every pair as it does.
 _structured_route_hits = obs.Counter("repro.routes.structured_hits")
-
-
-#: Ordered endpoint pairs whose ECMP pick was hashed (SHA-256) rather than
-#: remembered (``obs.metrics.snapshot()``, ``repro.routes.ecmp_hashed``).
-ECMP_HASHED = obs.Counter("repro.routes.ecmp_hashed")
 
 
 def index_pairs(
@@ -84,19 +81,38 @@ def index_pairs(
     return pairs
 
 
+_U64 = (1 << 64) - 1
+
+
+def _node_key(name: str) -> int:
+    """A node's 64-bit ECMP key: the first eight bytes of SHA-256 of its
+    name, big-endian."""
+    return int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big")
+
+
+def _mix(a, b):
+    """The ordered pair of keys ``(a, b)`` as one well-spread 64-bit word:
+    splitmix64's finaliser of ``a * K + b`` modulo 2**64.
+
+    One expression serves Python ints (the masks keep them to 64 bits) and
+    ``uint64`` arrays (which wrap by themselves, without a warning)."""
+    z = (a * 0x9E3779B97F4A7C15 + b) & _U64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
+    return z ^ (z >> 31)
+
+
 def _ecmp_pick(src: str, dst: str, choices: int) -> int:
     """Which of ``choices`` equal-cost paths the ordered pair takes: the
-    first four bytes of SHA-256 of ``"src|dst"``, big-endian, modulo
-    ``choices``.  (:meth:`_TreeRouter.core_picks` is this for many pairs.)"""
-    ECMP_HASHED.inc()
-    digest = hashlib.sha256(f"{src}|{dst}".encode()).digest()
-    return int.from_bytes(digest[:4], "big") % choices
+    mix of the two endpoints' keys, modulo ``choices``.
+    (:meth:`_TreeRouter.core_picks` is this for many pairs.)"""
+    return _mix(_node_key(src), _node_key(dst)) % choices
 
 
 # Batches of fewer pairs than this are routed pair by pair in
 # ``path_links_matrix``.  A provider's tree is shared by every provider of
 # its shape, so it is warm: its ``_path_cache`` has the pairs, and the array
-# router its tables and picks.  Warm, the array router costs ≈45 µs before
+# router its tables and host keys.  Warm, the array router costs ≈45 µs before
 # its first pair; pair by pair costs ≈2 µs a pair given by name and ≈3 µs by
 # position.  So the two cross at ≈12–14 pairs given by position and at ≈32
 # (24 hosts) to ≈45 (512 hosts) given by name.  Between 16 and 32 named
@@ -113,7 +129,7 @@ class _TreeRouter:
     ``host{i}`` as its tree's ``i``-th host, so an index is also the host's
     position (:meth:`Topology.host_index`).  Paths are derived from host
     coordinates instead of graph search.  The core pick for cross-pod pairs replays
-    ``node_path``'s hash-modulo over the lexicographically sorted path
+    graph search's :func:`_ecmp_pick` over the lexicographically sorted path
     list: cross-pod paths differ only in the core hop, so sorted-path order
     equals sorted-core-name order.
     """
@@ -123,18 +139,10 @@ class _TreeRouter:
         self._hosts_per_pod = spec.hosts_per_rack * spec.racks_per_pod
         self._num_hosts = spec.num_hosts
         self._cores_sorted = sorted(f"core{c}" for c in range(spec.num_cores))
-        # Core picks already hashed: ordered far pairs as ascending keys
-        # ``src * num_hosts + dst`` and the pick of each.  Grows with the
-        # pairs hashed, never with ``num_hosts ** 2``, and lives as long as
-        # the tree.  The two arrays are published as one tuple: every
-        # provider of a shape shares the tree, so routes through this
-        # router, from any thread.  (Two racing inserts may drop one's
-        # picks, which are then hashed again.)
-        self._known: Tuple["np.ndarray", "np.ndarray"] = (
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0, dtype=np.intp),
-        )
-        self._host_bytes: Optional[List[bytes]] = None
+        # Every host's _node_key by index, built on first use and never
+        # written again: the router is shared by every provider of its
+        # shape, across threads, and holds no other state.
+        self._keys: Optional["np.ndarray"] = None
 
     def node_path(self, a: int, b: int) -> List[str]:
         """The ECMP path between two distinct hosts, by index."""
@@ -206,46 +214,18 @@ class _TreeRouter:
         )
 
     def core_picks(self, src: "np.ndarray", dst: "np.ndarray") -> "np.ndarray":
-        """:func:`_ecmp_pick` of every ordered cross-pod pair of host indices.
-
-        A pair this router has picked for before is read back (one
-        ``searchsorted``); the rest are hashed in one pass — the same
-        SHA-256 of the same ``"hostA|hostB"`` bytes — and remembered.
-        """
+        """:func:`_ecmp_pick` of every ordered cross-pod pair of host indices."""
         cores = self.spec.num_cores
         if cores == 1:
             return np.zeros(src.shape[0], dtype=np.intp)
-        keys = src.astype(np.int64) * self._num_hosts + dst
-        known, picks = self._known
-        at = np.searchsorted(known, keys)
-        hit = at < known.shape[0]
-        hit[hit] = known[at[hit]] == keys[hit]
-        if not hit.all():
-            missed = np.sort(keys[~hit])
-            fresh = np.ones(missed.shape[0], dtype=bool)
-            fresh[1:] = missed[1:] != missed[:-1]
-            missed = missed[fresh]
-            if self._host_bytes is None:
-                self._host_bytes = [b"host%d" % i for i in range(self._num_hosts)]
-            names, sha256 = self._host_bytes, hashlib.sha256
-            a, b = np.divmod(missed, self._num_hosts)
-            words = b"".join(
-                [
-                    sha256(names[i] + b"|" + names[j]).digest()[:4]
-                    for i, j in zip(a.tolist(), b.tolist())
-                ]
+        keys = self._keys
+        if keys is None:
+            keys = np.array(
+                [_node_key(f"host{i}") for i in range(self._num_hosts)], dtype=np.uint64
             )
-            ECMP_HASHED.inc(missed.shape[0])
-            where = np.searchsorted(known, missed)
-            known = np.insert(known, where, missed)
-            picks = np.insert(
-                picks,
-                where,
-                (np.frombuffer(words, dtype=">u4") % cores).astype(np.intp),
-            )
-            self._known = known, picks
-            at = np.searchsorted(known, keys)
-        return picks[at]
+            keys.flags.writeable = False
+            self._keys = keys
+        return (_mix(keys[src], keys[dst]) % cores).astype(np.intp)
 
     def link_rows(
         self,
@@ -614,9 +594,9 @@ class Topology:
         """Shortest node path from ``src`` to ``dst`` (inclusive).
 
         When several shortest paths exist (multi-rooted trees), the choice is
-        made by a deterministic hash of the endpoint pair, mimicking ECMP:
-        the same pair always uses the same path, different pairs spread over
-        the available cores.
+        made by :func:`_ecmp_pick`, a deterministic mix of the two endpoints'
+        keys (a hash of each name), mimicking ECMP: the same pair always uses
+        the same path, different pairs spread over the available cores.
         """
         if src == dst:
             return [src]

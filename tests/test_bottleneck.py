@@ -10,25 +10,13 @@ model, the hose, and no ``"pipe"`` alternative.
 """
 
 import pytest
+from fidelity import bottleneck_report as locate
 
-from repro.cloud.registry import make_provider, provider_names
+from repro.cloud.registry import provider_names
 from repro.core.measurement.bottleneck import (
-    BottleneckLocator,
     connections_interfere_at_core,
     connections_interfere_at_tor,
 )
-
-N_VMS = 10
-
-
-def locate(name, seed):
-    provider = make_provider(name, seed=seed)
-    provider.request_vms(N_VMS)
-    names = [vm.name for vm in provider.vms()]
-    report = BottleneckLocator(provider, seed=seed).locate(
-        names, n_same_source=10, n_distinct=10
-    )
-    return provider, report
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -12,9 +12,7 @@ so ``tests/test_lossy_trains.py`` holds them to the oracle statistically.)
 """
 
 import dataclasses
-import hashlib
 import math
-import re
 
 import numpy as np
 import pytest
@@ -22,7 +20,6 @@ from oracles import scalar_train
 from oracles.graph_search import build_searched_tree
 
 from repro import obs
-from repro.cloud import provider as cloud_provider
 from repro.cloud.ec2 import ec2_params
 from repro.cloud.provider import ProviderParams, VMFlow
 from repro.cloud.registry import make_provider
@@ -439,6 +436,23 @@ def test_a_loaded_campaign_says_what_its_background_cost(trace_to):
     assert 0 < deltas[1][0] <= 8 * 7 and deltas[1][1] == loaded["snapshot_rounds"]
 
 
+def test_a_campaign_span_says_whether_it_routed(trace_to):
+    """``routed=`` is the route-table rows a campaign built: the cold one
+    routes every ordered pair of the tenant's VMs, a warm one reads the
+    table and routes nothing, and a changed VM set is routed afresh.  The
+    ``repro.routes.table_rows`` counter moves by the same rows."""
+    provider, names = build_provider("ec2", n_vms=8)
+    measurer = NetworkMeasurer(provider, MeasurementPlan())
+    before = obs.metrics.snapshot().get("repro.routes.table_rows", 0)
+    measurer.measure(names)
+    measurer.measure(names)
+    provider.request_vms(2)
+    measurer.measure()
+    routed = obs.metrics.snapshot()["repro.routes.table_rows"] - before
+    assert [span["routed"] for span in campaign_spans(trace_to)] == [64, 0, 100]
+    assert routed == 64 + 100
+
+
 def test_traced_campaign_equals_untraced(trace_to):
     traced = campaign(NetworkMeasurer(*build_provider("ec2")[:1]), None)
     obs.configure(None, export_env=False)
@@ -651,90 +665,13 @@ def test_an_empty_pair_list_is_an_empty_profile(pairs):
     assert provider._rng.bit_generator.state == state
 
 
-# ------------------------------------------------------------- the ECMP memo
-class CountingHashlib:
-    """Stands in for ``hashlib`` inside ``repro.net.topology``: counts the
-    SHA-256 calls that hash an ECMP endpoint pair (not a structure token)."""
-
-    def __init__(self):
-        self.ecmp = 0
-
-    def sha256(self, data=b""):
-        if re.fullmatch(rb"host\d+\|host\d+", data):
-            self.ecmp += 1
-        return hashlib.sha256(data)
-
-
-@pytest.fixture
-def hashes(monkeypatch):
-    """ECMP hashes made from ``repro.net.topology``, with no shared tree
-    (and so no router, memo or route) left over from another test."""
-    counting = CountingHashlib()
-    monkeypatch.setattr(topology, "hashlib", counting)
-    monkeypatch.setattr(cloud_provider, "_shared_trees", {})
-    return counting
-
-
-def far_pairs(provider):
-    """Ordered cross-pod host pairs among the provider's VMs' hosts."""
-    spec = provider.params.tree_spec
-    per_pod = spec.hosts_per_rack * spec.racks_per_pod
-    pods = [int(vm.host[4:]) // per_pod for vm in provider.vms()]
-    hosts = [vm.host for vm in provider.vms()]
-    return {
-        (a, b) for a, pa in zip(hosts, pods) for b, pb in zip(hosts, pods) if pa != pb
-    }
-
-
-def wide_provider(seed, pods=3, cores=4):
-    base = ec2_params()
-    spec = dataclasses.replace(
-        base.tree_spec, hosts_per_rack=4, racks_per_pod=2, pods=pods, num_cores=cores
-    )
-    provider = make_provider(
-        "ec2", seed=seed, params=dataclasses.replace(base, tree_spec=spec)
-    )
-    provider.request_vms(16)
-    return provider
-
-
-def test_an_ecmp_pick_is_hashed_once_per_tree_shape(hashes, trace_to):
-    before = obs.metrics.snapshot().get("repro.routes.ecmp_hashed", 0)
-    first = wide_provider(seed=1)
-    far = far_pairs(first)
-    assert len(far) > 100
-    measurer = NetworkMeasurer(first, MeasurementPlan())
-    measurer.measure()
-    assert hashes.ecmp == len(far)  # each far pair once, however many probes
-    measurer.measure()  # same provider: all remembered
-    assert hashes.ecmp == len(far)
-    # A provider of the same shape shares the tree, so its router's memo:
-    # only far pairs the first tenant's hosts did not form are hashed.
-    second = wide_provider(seed=2)
-    extra = far_pairs(second) - far
-    NetworkMeasurer(second, MeasurementPlan()).measure()
-    assert hashes.ecmp == len(far) + len(extra) < len(far) + len(far_pairs(second))
-    twin = wide_provider(seed=1)  # the first tenant's hosts again: nothing
-    NetworkMeasurer(twin, MeasurementPlan()).measure()
-    assert hashes.ecmp == len(far) + len(extra)
-    # A different TreeSpec shares nothing.
-    other = wide_provider(seed=1, cores=3)
-    assert far_pairs(other) == far  # same draws, same hosts
-    NetworkMeasurer(other, MeasurementPlan()).measure()
-    assert hashes.ecmp == 2 * len(far) + len(extra)
-    # The counter and the span attribute say the same.
-    counted = obs.metrics.snapshot()["repro.routes.ecmp_hashed"] - before
-    assert counted == hashes.ecmp
-    assert [span["ecmp_hashed"] for span in campaign_spans(trace_to)] == [
-        len(far), 0, len(extra), 0, len(far),
-    ]
-
-
+# ------------------------------------------------------------ the ECMP pick
 @pytest.mark.parametrize("cores", [2, 4, 12])
-def test_remembered_picks_are_node_paths_picks(cores, hashes):
-    """``core_picks`` (hashed in one pass, then read back) against the
-    scalar pick of ``node_path`` and against graph search
-    (a hand-built copy of the tree: no router), 500 random far pairs."""
+def test_remembered_picks_are_node_paths_picks(cores):
+    """``core_picks`` (every pair in one array expression) against the
+    scalar :func:`~repro.net.topology._ecmp_pick`, against the pick of
+    ``node_path`` and against graph search (a hand-built copy of the tree:
+    no router), 500 random far pairs."""
     spec = TreeSpec(hosts_per_rack=4, racks_per_pod=3, pods=4, num_cores=cores)
     tree = build_multi_rooted_tree(spec)
     router = tree._router
@@ -745,18 +682,12 @@ def test_remembered_picks_are_node_paths_picks(cores, hashes):
     far = np.flatnonzero(src // per_pod != dst // per_pod)[:500]
     src, dst = src[far], dst[far]
     assert far.shape[0] == 500
-    cold = router.core_picks(src, dst)
-    hashed = hashes.ecmp
-    assert hashed == len(set(zip(src.tolist(), dst.tolist())))
-    warm = router.core_picks(src[::-1], dst[::-1])[::-1]
-    assert hashes.ecmp == hashed and (cold == warm).all()
+    picks = router.core_picks(src, dst)
+    assert (router.core_picks(src[::-1], dst[::-1])[::-1] == picks).all()
     cores_sorted = sorted(f"core{c}" for c in range(cores))
     searched = build_searched_tree(spec)
-    for a, b, pick in zip(src.tolist(), dst.tolist(), cold.tolist()):
+    for a, b, pick in zip(src.tolist(), dst.tolist(), picks.tolist()):
+        assert topology._ecmp_pick(f"host{a}", f"host{b}", cores) == pick
         path = router.node_path(a, b)
         assert path[3] == cores_sorted[pick]
         assert searched.node_path(f"host{a}", f"host{b}") == path
-    # Memory follows the pairs hashed, not hosts squared.
-    keys, picks = router._known
-    assert keys.shape == picks.shape == (hashed,)
-    assert (np.diff(keys) > 0).all()

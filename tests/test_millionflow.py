@@ -13,7 +13,6 @@ Both are checked property-style over randomised instances here.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import random
 
@@ -34,6 +33,7 @@ from repro.net.links import hose_link_id
 from repro.net.topology import (
     NodeKind,
     TreeSpec,
+    _ecmp_pick,
     _lazy_kth_shortest_path,
     build_multi_rooted_tree,
 )
@@ -336,6 +336,5 @@ class TestStructuredRouting:
             eager = sorted(nx.all_shortest_paths(graph, src, dst))
             for k in range(len(eager)):
                 assert _lazy_kth_shortest_path(graph, src, dst, k) == eager[k]
-            digest = hashlib.sha256(f"{src}|{dst}".encode()).digest()
-            k = int.from_bytes(digest[:4], "big") % len(eager)
+            k = _ecmp_pick(src, dst, len(eager))
             assert _lazy_kth_shortest_path(graph, src, dst) == eager[k]

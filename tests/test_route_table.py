@@ -6,10 +6,13 @@ until ``request_vms`` or ``release_vm`` changes the VM set.  Every campaign
 after that gathers from the table: its probes' bottlenecks, the loaded
 snapshot's rows, the lossy trains' hop counts.  Held here to the per-probe
 loop of ``tests/test_campaign_batch.py``, to paths routed by name, and to
-the traced memory peak of the largest campaign the benchmark runs.
+the traced memory peak of the largest campaign the benchmark runs.  The
+cross-pod rows take their core from the tree router's ECMP pick: held here
+to an even spread over ``pipeline_dc``'s cores, and pinned on one tree.
 """
 
 import dataclasses
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -25,6 +28,7 @@ from repro.cloud.provider import VMFlow
 from repro.cloud.registry import make_provider
 from repro.core.measurement import MeasurementPlan, NetworkMeasurer
 from repro.net.packets import PacketTrainSpec
+from repro.net.topology import TreeSpec, build_multi_rooted_tree
 from repro.units import MBYTE
 
 
@@ -129,6 +133,13 @@ def test_a_lossy_train_reads_its_rtt_off_the_route_table():
     ]
 
 
+#: The tree ``benchmark/workloads.py``'s ``pipeline_dc`` runs on: 512 hosts
+#: in 4 pods under 4 cores.
+PIPELINE_DC_TREE = dataclasses.replace(
+    ec2_params().tree_spec, hosts_per_rack=16, racks_per_pod=8, pods=4, num_cores=4
+)
+
+
 #: Traced peak (``tracemalloc``) of one 256-VM full-mesh campaign on the
 #: ``pipeline_dc`` tree, its tree warmed by another tenant's campaign, as
 #: this test's body measured it on the code before the route table and the
@@ -141,15 +152,10 @@ PARENT_PEAK_MB = 42.21
 
 
 def test_a_datacenter_campaign_peaks_no_higher_than_before():
-    base = ec2_params()
-    spec = dataclasses.replace(
-        base.tree_spec, hosts_per_rack=16, racks_per_pod=8, pods=4, num_cores=4
-    )
+    params = dataclasses.replace(ec2_params(), tree_spec=PIPELINE_DC_TREE)
 
     def tenant(seed):
-        provider = make_provider(
-            "ec2", seed=seed, params=dataclasses.replace(base, tree_spec=spec)
-        )
+        provider = make_provider("ec2", seed=seed, params=params)
         provider.request_vms(256)
         return NetworkMeasurer(provider, MeasurementPlan(advance_clock=False))
 
@@ -163,3 +169,40 @@ def test_a_datacenter_campaign_peaks_no_higher_than_before():
         tracemalloc.stop()
     assert len(profile.rates_bps) == 256 * 255
     assert peak <= PARENT_PEAK_MB * 1.05, f"{peak:.2f} MB"
+
+
+# --------------------------------------------------------------- core picks
+def far_picks(spec):
+    """The tree router's core pick of every ordered cross-pod pair of
+    ``spec``'s hosts, source-major, with each pair's source."""
+    per_pod = spec.hosts_per_rack * spec.racks_per_pod
+    src, dst = np.divmod(np.arange(spec.num_hosts**2), spec.num_hosts)
+    far = src // per_pod != dst // per_pod
+    router = build_multi_rooted_tree(spec)._router
+    return src[far], router.core_picks(src[far], dst[far])
+
+
+def test_ecmp_spreads_every_source_over_the_cores():
+    """Over all 196 608 cross-pod pairs each core carries a quarter, to
+    within a point, and no source leans on one core (or avoids one) much."""
+    cores = PIPELINE_DC_TREE.num_cores
+    src, picks = far_picks(PIPELINE_DC_TREE)
+    assert picks.shape == (512 * 384,)
+    share = np.bincount(picks, minlength=cores) / picks.shape[0]
+    assert np.abs(share - 1 / cores).max() <= 0.01, share
+    per_source = np.bincount(src * cores + picks).reshape(-1, cores)
+    per_source = per_source / per_source.sum(axis=1, keepdims=True)
+    assert 0.15 <= per_source.min() and per_source.max() <= 0.35
+
+
+#: SHA-256 of every cross-pod core pick of ``TreeSpec(pods=3, num_cores=3)``
+#: (24 hosts, 384 pairs), one byte a pick: the pick is a definition, the
+#: same on every Python and NumPy the project supports.
+PINNED_PICKS_SHA256 = "e85bb9f0e15b7fa7f8eadb087f77b52f0239f21ba26a0702a61633bbf5638699"
+
+
+def test_the_core_picks_of_a_fixed_tree_are_pinned():
+    _, picks = far_picks(TreeSpec(pods=3, num_cores=3))
+    assert picks.shape == (384,) and set(picks.tolist()) == {0, 1, 2}
+    digest = hashlib.sha256(picks.astype(np.uint8).tobytes()).hexdigest()
+    assert digest == PINNED_PICKS_SHA256
