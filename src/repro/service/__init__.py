@@ -9,8 +9,10 @@ evaluator into the online system that premise implies:
   discrete fault events, as one record attachable to any provider;
 * :mod:`repro.service.cache` — a measurement cache with per-pair TTL, so
   campaigns re-probe only the stale slice of the mesh;
-* :mod:`repro.service.forecast` — next-epoch rate forecasts built from the
-  §6.1 predictors (previous-hour / time-of-day / combined);
+* :mod:`repro.service.forecast` — next-epoch rate forecasts: the §6.1
+  predictors (previous-hour / time-of-day / combined) of
+  :func:`repro.workloads.predictability.predict`, run over the rate matrix
+  recorded per epoch on the first recorded profile's VMs;
 * :mod:`repro.service.engine` — the :class:`PlacementService` itself:
   streaming admission, live-placement tracking, and predictor-triggered
   re-evaluation/migration;

@@ -54,7 +54,7 @@ from repro.runtime.migration import (
     propose_migration,
 )
 from repro.service.cache import MeasurementCache
-from repro.service.forecast import RateForecaster, validate_predictor
+from repro.service.forecast import HISTORY_PREDICTORS, RateForecaster, validate_predictor
 from repro.service.timeline import (
     DEFAULT_EPOCH_S,
     FaultEvent,
@@ -348,7 +348,7 @@ class PlacementService:
             measurer, cluster.machine_names(), ttl_s=self.ttl_s
         )
         self.forecaster = (
-            RateForecaster(predictor) if predictor != "oracle" else None
+            RateForecaster(predictor) if predictor in HISTORY_PREDICTORS else None
         )
         #: A placer that reads no profile needs no campaign, and nor does
         #: the session then: migration is what would price one.
@@ -530,7 +530,7 @@ class PlacementService:
         with a degraded pair — the forecaster's prediction stands in for the
         unobtainable measurement (flagged via ``pairs_degraded`` in stats).
         """
-        if self.forecaster is None or self.predictor == "stale":
+        if self.forecaster is None:
             return None
         forecaster = self.forecaster
         return lambda pair: forecaster.forecast_pair(pair, epoch)
@@ -714,7 +714,7 @@ class PlacementService:
         coast on what they have."""
         vm = event.vm
         affected = self._apps_on_vm(running, vm)
-        uses_cache = self._measures and self.predictor not in ("oracle", "stale")
+        uses_cache = self._measures and self.forecaster is not None
         if uses_cache and vm in self.cache.vms:
             self.cache.invalidate_pairs(
                 [p for p in self.cache.mesh_pairs() if vm in p]
@@ -791,7 +791,7 @@ class PlacementService:
             self.forecaster.record_epoch(epoch - 1, self.cache.profile(now))
         if not self.migrate:
             # Still refresh the cache so history keeps accumulating.
-            if self.predictor not in ("oracle", "stale"):
+            if self.forecaster is not None:
                 self.cache.refresh(
                     now, background=live_background_flows(running, now),
                     fallback=self._forecast_fallback(epoch),

@@ -9,7 +9,8 @@ a heavy-tailed HP-Cloud-like workload generator
 (:mod:`repro.workloads.generator`), Poisson arrivals
 (:mod:`repro.workloads.arrivals`), an sFlow-like flow-record trace format
 (:mod:`repro.workloads.trace`), and the hour-over-hour predictability
-analysis of §6.1 (:mod:`repro.workloads.predictability`).
+analysis of §6.1 (:mod:`repro.workloads.predictability`), whose one
+``predict`` the placement service's forecaster runs too.
 """
 
 from repro.workloads.application import Application, Task, TrafficMatrix
@@ -27,9 +28,6 @@ from repro.workloads.trace import FlowRecord, read_trace, records_to_traffic_mat
 from repro.workloads.predictability import (
     PredictabilityReport,
     evaluate_predictability,
-    previous_hour_predictor,
-    time_of_day_predictor,
-    combined_predictor,
 )
 
 __all__ = [
@@ -50,7 +48,4 @@ __all__ = [
     "records_to_traffic_matrix",
     "PredictabilityReport",
     "evaluate_predictability",
-    "previous_hour_predictor",
-    "time_of_day_predictor",
-    "combined_predictor",
 ]

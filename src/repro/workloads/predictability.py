@@ -3,17 +3,19 @@
 Choreo assumes an application's offline profile predicts its online
 behaviour.  The paper justifies this with the HP Cloud dataset: "data from
 the previous hour and the time-of-day are good predictors of the number of
-bytes transferred in the next hour".  This module reproduces that analysis
-on any hourly byte series: it implements the previous-hour predictor, the
-time-of-day predictor (mean of the same hour on previous days), a combined
-predictor (average of the two), and computes their relative-error
-distributions.
+bytes transferred in the next hour".  This module holds the three
+predictors — previous-hour, time-of-day (mean of the same hour on previous
+days) and combined (average of the two) — as one function, :func:`predict`,
+over a history of epochs.  An epoch is a scalar for the §6.1 analysis
+(:func:`evaluate_predictability`, one hourly byte series at a time) and a
+rate matrix for the placement service's forecaster
+(:class:`repro.service.forecast.RateForecaster`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -21,58 +23,39 @@ from repro.errors import WorkloadError
 
 HOURS_PER_DAY = 24
 
-Predictor = Callable[[Sequence[float], int], Optional[float]]
+#: The §6.1 predictors, in the order the analysis reports them.
+PREDICTORS: Tuple[str, ...] = ("previous-hour", "time-of-day", "combined")
 
 
-def _mean(values: Sequence[float]) -> float:
-    """``float(np.mean(values))``, without the array round trip for the one-
-    and two-element histories a session's first day is made of.
+def _average(values: Sequence):
+    """Sum left to right, then divide by the count."""
+    total = values[0]
+    for value in values[1:]:
+        total = total + value
+    return total / len(values)
 
-    ``np.mean`` of two float64s is ``(a + b) / 2`` in float64 — the same
-    IEEE operations as the Python expression — and of one is itself.
+
+def predict(history: Sequence, predictor: str):
+    """Forecast the epoch after ``history`` with one of :data:`PREDICTORS`.
+
+    ``history`` holds one entry per epoch, oldest first: scalars (an hourly
+    series) or equal-shape arrays (one rate matrix per epoch); the forecast
+    is one entry of the same kind.  ``previous-hour`` is the last epoch,
+    ``time-of-day`` the mean of the same epoch-of-day on prior days and
+    ``combined`` the mean of the two, or whichever exists.  Returns ``None``
+    when the predictor has nothing to go on yet.
     """
-    if len(values) == 1:
-        return float(values[0])
-    if len(values) == 2:
-        return (float(values[0]) + float(values[1])) / 2
-    return float(np.mean(values))
-
-
-def previous_hour_predictor(series: Sequence[float], hour: int) -> Optional[float]:
-    """Predict hour ``hour`` as the value of the previous hour."""
-    if hour < 1:
-        return None
-    return float(series[hour - 1])
-
-
-def time_of_day_predictor(series: Sequence[float], hour: int) -> Optional[float]:
-    """Predict hour ``hour`` as the mean of the same time-of-day on prior days."""
-    history = [
-        series[h]
-        for h in range(hour % HOURS_PER_DAY, hour, HOURS_PER_DAY)
-    ]
-    if not history:
-        return None
-    return _mean(history)
-
-
-def combined_predictor(series: Sequence[float], hour: int) -> Optional[float]:
-    """Average of the previous-hour and time-of-day predictors.
-
-    Falls back to whichever component is available when the other has no
-    history yet.
-    """
-    parts = [
-        value
-        for value in (
-            previous_hour_predictor(series, hour),
-            time_of_day_predictor(series, hour),
-        )
-        if value is not None
-    ]
-    if not parts:
-        return None
-    return _mean(parts)
+    if predictor not in PREDICTORS:
+        raise WorkloadError(f"unknown predictor {predictor!r}; known: {list(PREDICTORS)}")
+    n = len(history)
+    parts = []
+    if predictor != "time-of-day" and n:
+        parts.append(history[n - 1])
+    if predictor != "previous-hour":
+        same_hour = history[n % HOURS_PER_DAY : n : HOURS_PER_DAY]
+        if len(same_hour):
+            parts.append(_average(same_hour))
+    return _average(parts) if parts else None
 
 
 @dataclass
@@ -116,40 +99,40 @@ def _relative_error(actual: float, predicted: float) -> float:
 
 def evaluate_predictability(
     series_collection: Sequence[Sequence[float]],
-    predictors: Optional[Dict[str, Predictor]] = None,
     warmup_hours: int = HOURS_PER_DAY,
 ) -> Dict[str, PredictabilityReport]:
-    """Evaluate predictors on hourly byte series.
+    """Evaluate the §6.1 predictors on hourly byte series.
 
     Args:
         series_collection: one hourly byte series per application.
-        predictors: mapping of name to predictor function; defaults to the
-            three predictors discussed in §6.1.
         warmup_hours: hours at the start of each series that are skipped
             (the time-of-day predictor needs at least one full day).
 
     Returns:
         Mapping of predictor name to its :class:`PredictabilityReport`.
+
+    Raises:
+        WorkloadError: for ``warmup_hours < 1``, or an hour holding a NaN,
+            infinite or negative byte count.
     """
-    if predictors is None:
-        predictors = {
-            "previous-hour": previous_hour_predictor,
-            "time-of-day": time_of_day_predictor,
-            "combined": combined_predictor,
-        }
     if warmup_hours < 1:
         raise WorkloadError("warmup_hours must be >= 1")
 
-    errors: Dict[str, List[float]] = {name: [] for name in predictors}
-    for series in series_collection:
-        if len(series) <= warmup_hours:
-            continue
-        for hour in range(warmup_hours, len(series)):
-            for name, predictor in predictors.items():
-                predicted = predictor(series, hour)
-                if predicted is None:
-                    continue
-                errors[name].append(_relative_error(float(series[hour]), predicted))
+    errors: Dict[str, List[float]] = {name: [] for name in PREDICTORS}
+    for number, series in enumerate(series_collection):
+        values = np.asarray(series, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(values) | (values < 0))
+        if len(bad):
+            raise WorkloadError(
+                f"series {number} hour {bad[0]} holds {float(values[bad[0]])} bytes; "
+                "hourly bytes must be finite and non-negative"
+            )
+        for hour in range(warmup_hours, len(values)):
+            actual = float(values[hour])
+            for name in PREDICTORS:
+                predicted = predict(values[:hour], name)
+                if predicted is not None:
+                    errors[name].append(_relative_error(actual, float(predicted)))
 
     return {
         name: PredictabilityReport(predictor_name=name, relative_errors=errs)

@@ -28,6 +28,8 @@ from repro.core.measurement import calibrate_train_parameters
 from repro.core.measurement.bottleneck import BottleneckLocator
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
 from repro.net.topology import NodeKind
+from repro.workloads.generator import HPCloudWorkloadGenerator
+from repro.workloads.predictability import PredictabilityReport, evaluate_predictability
 
 ROOT = Path(__file__).resolve().parents[1]
 TABLE = ROOT / "docs" / "fidelity.md"
@@ -190,6 +192,62 @@ def exact_row() -> Row:
     )
 
 
+# --------------------------------------------------------------------- §6.1
+PREDICTABILITY_SEEDS = range(10)
+PREDICTABILITY_APPS = 12
+PREDICTABILITY_HOURS = 7 * 24
+PREDICTABILITY_PARTS = ("previous-hour", "time-of-day")
+PREDICTABILITY_TOLERANCE = 0.2
+
+
+def predictability_reports(seed: int) -> Dict[str, PredictabilityReport]:
+    """The §6.1 analysis on the 7-day, 12-application dataset
+    ``tests/test_predictability.py`` checks."""
+    data = HPCloudWorkloadGenerator(seed=seed).generate_hourly_dataset(
+        n_applications=PREDICTABILITY_APPS, n_hours=PREDICTABILITY_HOURS
+    )
+    return evaluate_predictability(data)
+
+
+def combined_wins(reports: Dict[str, PredictabilityReport]) -> bool:
+    """``combined`` has a lower median and a lower mean relative error than
+    each of its parts."""
+    combined = reports["combined"]
+    return all(
+        combined.median_error < reports[part].median_error
+        and combined.mean_error < reports[part].mean_error
+        for part in PREDICTABILITY_PARTS
+    )
+
+
+def predictability_row() -> Row:
+    pooled: Dict[str, List[float]] = {}
+    alone = 0
+    for seed in PREDICTABILITY_SEEDS:
+        reports = predictability_reports(seed)
+        alone += combined_wins(reports)
+        for name, report in reports.items():
+            pooled.setdefault(name, []).extend(report.relative_errors)
+    reports = {name: PredictabilityReport(name, errors) for name, errors in pooled.items()}
+    summary = "; ".join(
+        f"{name} median {report.median_error:.3f} / mean {report.mean_error:.3f}, "
+        f"{report.fraction_within(PREDICTABILITY_TOLERANCE):.2f} within "
+        f"{_pct(PREDICTABILITY_TOLERANCE)}"
+        for name, report in reports.items()
+    )
+    counts = {report.n_predictions for report in reports.values()}
+    return Row(
+        claim="§6.1: the previous hour and the time of day predict the next "
+        "hour's bytes, and their average predicts better than either alone",
+        paper="combined beats both of its parts",
+        ours=f"{summary}; {' / '.join(map(str, sorted(counts)))} predictions each; "
+        f"combined wins on {alone} of {len(PREDICTABILITY_SEEDS)} seeds alone",
+        seeds=f"seeds {_span(PREDICTABILITY_SEEDS)}, {PREDICTABILITY_APPS} "
+        f"applications × {PREDICTABILITY_HOURS} hours, first day as warm-up, pooled",
+        verdict=HOLDS if combined_wins(reports) else FAILS,
+    )
+
+
 # --------------------------------------------------------------------- §6.3
 SEQUENCE_SCENARIOS = ("multi-app-sequence", "ec2-trace-replay")
 SEQUENCE_TRIALS = 20
@@ -287,7 +345,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     out = Path(args.out)
     before = verdicts(out.read_text()) if out.exists() else {}
-    text = render([bottleneck_row(), calibration_row(), exact_row(), sequence_row()])
+    text = render([
+        bottleneck_row(), calibration_row(), exact_row(), predictability_row(),
+        sequence_row(),
+    ])
     out.write_text(text)
     print(text, end="")
     flipped = [

@@ -13,7 +13,8 @@ formulations live on here, moved verbatim, as the references
   continuous with a single lower-bounding row each; one
   ``w >= X_im - X_jm`` per (pair, machine) replaces the machine-pair slab
   ``z_imjn``.
-  ``warm_start`` caps the objective at the greedy placement's value and
+  ``warm_start`` caps the objective at the greedy placement's value (or
+  at that of a placement the caller hands ``place``) and
   ``symmetry_breaking`` adds lexicographic rows over interchangeable
   machines — both exactness-preserving.
 
@@ -170,7 +171,10 @@ class MilpPlacer(Placer):
         app: Application,
         cluster: ClusterState,
         profile: Optional[NetworkProfile] = None,
+        incumbent: Optional[Placement] = None,
     ) -> Placement:
+        """Solve for ``app``; a warm start caps the objective at
+        ``incumbent``'s value, greedy's placement when none is given."""
         if profile is None:
             raise PlacementError("the optimal placer needs a network profile")
         self.check_feasible(app, cluster)
@@ -181,14 +185,15 @@ class MilpPlacer(Placer):
         task_index = {t: i for i, t in enumerate(tasks)}
         pairs, volumes = _communicating_pairs(app, task_index)
 
-        incumbent: Optional[Placement] = None
         warm_bound: Optional[float] = None
-        if self.warm_start:
+        if not self.warm_start:
+            incumbent = None
+        elif incumbent is None:
             incumbent = greedy_incumbent(app, cluster, profile)
-            if incumbent is not None:
-                warm_bound = estimate_completion_time(
-                    incumbent.assignments, app, profile
-                )
+        if incumbent is not None:
+            warm_bound = estimate_completion_time(
+                incumbent.assignments, app, profile
+            )
 
         n_tasks, n_machines = len(tasks), len(machines)
         stats: Dict[str, object] = {

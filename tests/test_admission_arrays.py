@@ -4,8 +4,9 @@ The TTL cache, the forecaster and Algorithm 1 were rewritten from per-pair
 Python (dicts of tuples, lists of floats, candidate tuple lists) to NumPy
 expressions over one dense rate matrix.  The claim is *bit-identical*, so
 the scalar code they replaced lives on here, moved verbatim from the parent
-commit, as the reference: every comparison below is ``==`` — never
-``approx`` — and covers dict order, exception types and messages.
+commit, as the reference (the forecaster's is the scalar §6.1 predictors
+of ``tests/oracles/predictors.py``): every comparison below is ``==`` —
+never ``approx`` — and covers dict order, exception types and messages.
 """
 
 import math
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 
 from helpers import age_of, stale_pairs
+from oracles import predictors as scalar
 from oracles.effective_rate import ConnectionLoad, effective_rate
 import repro
 from repro import obs
@@ -36,17 +38,9 @@ from repro.core.placement.base import (
 from repro.core.placement.greedy import GreedyPlacer
 from repro.errors import MeasurementError, PlacementError, ReproError, ServiceError
 from repro.service.cache import DEGRADED_FLOOR_BPS, CacheStats, MeasurementCache
-from repro.service.forecast import (
-    HISTORY_PREDICTORS,
-    RateForecaster,
-    _mean,
-)
+from repro.service.forecast import HISTORY_PREDICTORS, RateForecaster
 from repro.workloads.application import Application, Task, TrafficMatrix
-from repro.workloads.predictability import (
-    combined_predictor,
-    previous_hour_predictor,
-    time_of_day_predictor,
-)
+from repro.workloads.predictability import HOURS_PER_DAY, predict
 
 _EPS = 1e-9
 
@@ -215,90 +209,6 @@ class ScalarGreedyPlacer(Placer):
             return (-rate, -colocated, -egress(src) if colocated else 0.0, src, dst)
 
         return min(candidates, key=sort_key)
-
-
-_PREDICTOR_FNS = {
-    "previous-hour": previous_hour_predictor,
-    "time-of-day": time_of_day_predictor,
-    "combined": combined_predictor,
-}
-
-
-class ListRateForecaster:
-    """The parent commit's list-backed forecaster, verbatim (the oracle)."""
-
-    def __init__(self, predictor: str = "combined"):
-        if predictor not in HISTORY_PREDICTORS:
-            raise ServiceError(
-                f"forecaster predictor must be one of {list(HISTORY_PREDICTORS)}, "
-                f"got {predictor!r}"
-            )
-        self.predictor = predictor
-        self._series: Dict[Tuple[str, str], List[float]] = {}
-        self._recorded_through = -1
-
-    @property
-    def epochs_recorded(self) -> int:
-        """How many completed epochs the history covers."""
-        return self._recorded_through + 1
-
-    def record_epoch(self, epoch: int, profile: NetworkProfile) -> None:
-        """Store the rates observed during ``epoch`` (monotonic, gap-free).
-
-        Args:
-            epoch: the *completed* epoch index the observations belong to.
-            profile: the cache's merged view at the end of that epoch.
-        """
-        if epoch != self._recorded_through + 1:
-            raise ServiceError(
-                f"epochs must be recorded in order; expected "
-                f"{self._recorded_through + 1}, got {epoch}"
-            )
-        for pair, rate in profile.rates_bps.items():
-            series = self._series.setdefault(pair, [])
-            while len(series) < epoch:
-                # Pair first observed mid-session: backfill with its first
-                # observation so predictor indices line up with epochs.
-                series.append(rate)
-            series.append(rate)
-        self._recorded_through = epoch
-
-    def forecast_pair(self, pair: Tuple[str, str], epoch: int) -> Optional[float]:
-        """Forecast one pair's rate for ``epoch`` (``None`` without history)."""
-        series = self._series.get(pair)
-        if not series:
-            return None
-        history = series[: min(epoch, len(series))]
-        if not history:
-            return None
-        if self.predictor == "stale":
-            return history[0]
-        predicted = _PREDICTOR_FNS[self.predictor](history, len(history))
-        return predicted if predicted is not None else history[-1]
-
-    def forecast_profile(
-        self,
-        current: NetworkProfile,
-        epoch: int,
-    ) -> NetworkProfile:
-        """The profile the placer should see for placements during ``epoch``.
-
-        Every pair of ``current`` is replaced by its forecast; pairs with no
-        recorded history yet (epoch 0, or a freshly added VM) keep the
-        measured value, so the degenerate first-epoch case reduces to the
-        classic measure-then-place flow.
-        """
-        rates: Dict[Tuple[str, str], float] = {}
-        for pair, measured in current.rates_bps.items():
-            predicted = self.forecast_pair(pair, epoch)
-            rates[pair] = max(predicted, 1.0) if predicted is not None else measured
-        return NetworkProfile(
-            vms=list(current.vms),
-            rates_bps=rates,
-            intra_vm_rate_bps=current.intra_vm_rate_bps,
-            measured_at=current.measured_at,
-            measurement_duration_s=current.measurement_duration_s,
-        )
 
 
 class DictMeasurementCache:
@@ -677,55 +587,102 @@ def _epoch_profile(rng: random.Random, vms: List[str], skip=(), as_matrix=False)
 
 
 class TestForecasterAgainstScalarPredictors:
-    #: Nine days and a bit: the time-of-day mean reaches nine values, past
-    #: the eight where ``np.mean`` switches to its pairwise regime.
-    EPOCHS = 24 * 9 + 6
+    """``predict`` and :class:`RateForecaster` against the scalar predictors
+    of ``tests/oracles/predictors.py``, ``==`` on every pair and epoch."""
+
+    #: Nine days and a bit: the time-of-day mean reaches nine values.
+    EPOCHS = HOURS_PER_DAY * 9 + 6
+    #: VM ``c`` is dropped here, as the service drops a preempted VM.
+    DROPPED_AT = 100
+    #: The last epoch whose time-of-day mean reads at most seven values, the
+    #: regime where ``np.mean``, which forecasts used before ``predict``,
+    #: sums left to right.
+    LAST_SEQUENTIAL_EPOCH = 8 * HOURS_PER_DAY - 1
+
+    @staticmethod
+    def _expected(predictor, history):
+        """The oracle's forecast from one pair's recorded ``history``: the
+        last epoch when the predictor has nothing yet, ``None`` for no
+        history or a history that reads an unrecorded (``NaN``) epoch."""
+        if not history:
+            return None
+        predicted = scalar.PREDICTORS[predictor](history, len(history))
+        if predicted is None:
+            predicted = history[-1]
+        return None if math.isnan(predicted) else predicted
 
     @pytest.mark.parametrize("predictor", HISTORY_PREDICTORS)
     def test_every_pair_every_epoch_is_equal(self, predictor):
         rng = random.Random(99)
-        arrays, lists = RateForecaster(predictor), ListRateForecaster(predictor)
-        everyone = ["a", "b", "c", "d", "e", "f"]
+        forecaster = RateForecaster(predictor)
+        mesh = ["a", "b", "c", "d", "e"]
+        series: Dict[Tuple[str, str], List[float]] = {
+            (a, b): [] for a in mesh for b in mesh if a != b
+        }
         for epoch in range(self.EPOCHS):
-            vms = ["a", "b", "c", "d", "e"]
-            if epoch >= 100:
-                vms.remove("c")  # removed mid-history: its series stop growing
-            if epoch >= 130:
-                vms.append("f")  # first seen mid-history: back-filled
-            # One pair drops out of the observations for a while and returns.
-            skip = {("a", "b")} if 50 <= epoch < 56 else ()
-            observed = _epoch_profile(rng, vms, skip, as_matrix=epoch % 3 == 0)
-            arrays.record_epoch(epoch, observed)
-            lists.record_epoch(epoch, observed)
-            assert len(arrays._epochs) == lists.epochs_recorded == epoch + 1
+            vms = [vm for vm in mesh if vm != "c" or epoch < self.DROPPED_AT]
+            observed = _epoch_profile(rng, vms, as_matrix=epoch % 3 == 0)
+            forecaster.record_epoch(epoch, observed)
+            for pair, values in series.items():
+                values.append(observed.rates_bps.get(pair, math.nan))
 
             current = _epoch_profile(rng, vms, as_matrix=epoch % 2 == 0)
             # The service asks for the next epoch; also ask about the past.
             for asked in {epoch + 1, rng.randint(0, epoch + 1)}:
-                got = arrays.forecast_profile(current, asked)
-                expected = lists.forecast_profile(current, asked)
-                assert list(got.rates_bps.items()) == list(
-                    expected.rates_bps.items()
-                ), (epoch, asked)
-                assert got.vms == expected.vms
-                if epoch % 9 == 0 or epoch >= self.EPOCHS - 3:
-                    for src in everyone + ["never-seen"]:
-                        for dst in everyone:
-                            assert arrays.forecast_pair((src, dst), asked) == (
-                                lists.forecast_pair((src, dst), asked)
-                            ), (epoch, asked, src, dst)
+                got = forecaster.forecast_profile(current, asked)
+                assert got.vms == current.vms
+                for pair, measured in current.rates_bps.items():
+                    expected = self._expected(predictor, series[pair][:asked])
+                    want = measured if expected is None else max(expected, 1.0)
+                    assert got.rate(*pair) == want, (epoch, asked, pair)
+                if epoch % 9 and epoch < self.EPOCHS - 3:
+                    continue
+                for pair, values in series.items():
+                    history = values[:asked]
+                    assert forecaster.forecast_pair(pair, asked) == (
+                        self._expected(predictor, history)
+                    ), (epoch, asked, pair)
+                    if history and "c" not in pair:
+                        # ``predict`` on the pair's own series, as a 1-D array.
+                        assert predict(np.array(history), predictor) == (
+                            scalar.PREDICTORS[predictor](history, len(history))
+                        )
 
-    def test_mean_follows_numpys_summation_order(self):
-        """One value, two, the sequential regime (< 8), the eight-lane
-        regime (<= 128) and the recursive one, each against ``np.mean`` of
-        the 1-D series entry by entry."""
-        rng = np.random.default_rng(5)
-        for n in (1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 127, 128, 129, 300, 1025):
-            stack = rng.lognormal(18.0, 2.0, size=(n, 3, 4))
-            got = _mean(list(stack))
-            for i in range(3):
-                for j in range(4):
-                    assert got[i, j] == float(np.mean(stack[:, i, j].tolist())), n
+    def test_the_oracle_is_np_mean_through_epoch_191(self):
+        """Forecasts used to average with ``np.mean``; the left-to-right
+        oracle equals it for every forecast through epoch 191 (at most seven
+        same-hour values).  Epoch 192 reads eight, where ``np.mean`` sums
+        pairwise and the two may part by an ulp."""
+        rng = np.random.default_rng(11)
+        for scale in (1e-3, 1.0, 1e9):
+            series = (rng.lognormal(sigma=2.0, size=9 * HOURS_PER_DAY) * scale).tolist()
+            for hour in range(1, self.LAST_SEQUENTIAL_EPOCH + 1):
+                same_hour = series[hour % HOURS_PER_DAY : hour : HOURS_PER_DAY]
+                if not same_hour:
+                    continue
+                time_of_day = scalar.time_of_day_predictor(series, hour)
+                assert time_of_day == float(np.mean(same_hour)), hour
+                assert scalar.combined_predictor(series, hour) == float(
+                    np.mean([series[hour - 1], time_of_day])
+                )
+        assert len(range(0, self.LAST_SEQUENTIAL_EPOCH + 1, HOURS_PER_DAY)) == 8
+        eight = [1e16] + [1.0] * 7
+        assert scalar._mean(eight) != float(np.mean(eight))
+
+    def test_a_vm_outside_the_mesh_is_refused_by_name(self):
+        forecaster = RateForecaster("combined")
+        rng = random.Random(2)
+        forecaster.record_epoch(0, _epoch_profile(rng, ["a", "b", "c"]))
+        forecaster.record_epoch(1, _epoch_profile(rng, ["a", "c"]))  # b dropped
+        for call in (
+            lambda: forecaster.record_epoch(2, _epoch_profile(rng, ["a", "d"])),
+            lambda: forecaster.forecast_profile(_epoch_profile(rng, ["d", "a"]), 2),
+            lambda: forecaster.forecast_pair(("a", "d"), 2),
+        ):
+            with pytest.raises(ServiceError, match="'d' is outside the forecaster's mesh"):
+                call()
+        assert forecaster.forecast_pair(("a", "b"), 2) is None  # b's last epoch: NaN
+        assert forecaster.forecast_pair(("a", "b"), 1) is not None
 
     def test_epoch_order_no_history_and_fallback_floor(self):
         forecaster = RateForecaster("combined")
@@ -756,15 +713,16 @@ def test_a_forecast_leaves_numpy_ma_unimported():
 
         forecaster = RateForecaster("combined")
         for epoch in range(3):
-            vms = ["a", "b", "c"] if epoch < 2 else ["a", "b", "d"]
+            vms = ["a", "b", "c"] if epoch < 2 else ["a", "b"]
             forecaster.record_epoch(
                 epoch, NetworkProfile.from_rate_function(vms, lambda s, d: 1e9 + epoch)
             )
         forecast = forecaster.forecast_profile(
-            NetworkProfile.from_rate_function(["a", "b", "d"], lambda s, d: 2e9), 3
+            NetworkProfile.from_rate_function(["a", "b"], lambda s, d: 2e9), 3
         )
         assert forecast.rate("a", "b") == 1e9 + 2, forecast.rate("a", "b")
-        assert forecaster.forecast_pair(("a", "c"), 3) == 1e9 + 1
+        assert forecaster.forecast_pair(("a", "c"), 2) == 1e9 + 1
+        assert forecaster.forecast_pair(("a", "c"), 3) is None
         assert "numpy.ma" not in sys.modules, "a forecast imported numpy.ma"
     """)
     src = os.path.dirname(os.path.dirname(repro.__file__))
@@ -1004,7 +962,8 @@ class TestMatrixProfileRatesView:
 
     def test_the_forecaster_records_a_matrix_profile(self):
         dense, sparse = self._pair()
-        from_dense, from_sparse = RateForecaster("stale"), RateForecaster("stale")
+        from_dense = RateForecaster("previous-hour")
+        from_sparse = RateForecaster("previous-hour")
         from_dense.record_epoch(0, dense)
         from_sparse.record_epoch(0, sparse)
         for pair in [("b", "a"), ("c", "a"), ("a", "c")]:

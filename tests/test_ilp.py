@@ -182,7 +182,13 @@ def test_pruned_warm_milp_matches_brute_force_on_randomized_instances(monkeypatc
 
 def test_sparse_matches_dense_formulation_objective(milp):
     """search == sparse MILP == dense MILP on randomized instances, and
-    search == sparse MILP on the benchmark's ILP grid (all at gap 1e-9)."""
+    search == sparse MILP on the benchmark's ILP grid (all at gap 1e-9).
+
+    Each grid MILP is capped at the search's own objective, not greedy's.
+    A search value above the optimum is still beaten by the MILP; one below
+    it leaves the capped MILP infeasible, which the oracle would paper
+    over by handing back the search's placement — hence ``status == 0``
+    and no fallback on every instance."""
     rng = random.Random(7)
     for trial in range(8):
         app, cluster, profile = _random_feasible_instance(
@@ -204,9 +210,13 @@ def test_sparse_matches_dense_formulation_objective(milp):
     for label, app, cluster, profile in _grid_instances():
         search = OptimalPlacer(mip_rel_gap=1e-9)
         sparse = milp.MilpPlacer(mip_rel_gap=1e-9)
-        t_search = _objective(search.place(app, cluster, profile), app, profile)
-        t_sparse = _objective(sparse.place(app, cluster, profile), app, profile)
+        found = search.place(app, cluster, profile)
+        t_search = _objective(found, app, profile)
+        t_sparse = _objective(
+            sparse.place(app, cluster, profile, incumbent=found), app, profile
+        )
         assert search.last_solve_stats["status"] == sparse.last_solve_stats["status"] == 0
+        assert sparse.last_solve_stats["fallback_used"] is False, label
         assert t_search == pytest.approx(t_sparse, rel=1e-6, abs=1e-9), label
 
 

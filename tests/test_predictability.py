@@ -1,27 +1,31 @@
 """Tests for the §6.1 predictors on synthetic drifting hourly series."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
 from repro.workloads.generator import HPCloudWorkloadGenerator
+from oracles import predictors as scalar
 from repro.workloads.predictability import (
     HOURS_PER_DAY,
-    combined_predictor,
+    PREDICTORS,
+    _relative_error,
     evaluate_predictability,
-    previous_hour_predictor,
-    time_of_day_predictor,
+    predict,
 )
 
 
 class TestPredictorFunctions:
     def test_previous_hour_is_last_value(self):
         series = [10.0, 20.0, 40.0]
-        assert previous_hour_predictor(series, 2) == 20.0
-        assert previous_hour_predictor(series, 1) == 10.0
+        assert predict(series[:2], "previous-hour") == 20.0
+        assert predict(series[:1], "previous-hour") == 10.0
 
     def test_previous_hour_has_no_history_at_zero(self):
-        assert previous_hour_predictor([10.0], 0) is None
+        assert predict([], "previous-hour") is None
+        assert predict([], "combined") is None
 
     def test_time_of_day_averages_same_hour_of_prior_days(self):
         # Hour 50 is hour 2 of day 2; prior same-hour samples are hours 2
@@ -29,10 +33,10 @@ class TestPredictorFunctions:
         series = [0.0] * 72
         series[2] = 10.0
         series[26] = 30.0
-        assert time_of_day_predictor(series, 50) == pytest.approx(20.0)
+        assert predict(series[:50], "time-of-day") == pytest.approx(20.0)
 
     def test_time_of_day_needs_a_full_day(self):
-        assert time_of_day_predictor([1.0] * 10, 5) is None
+        assert predict([1.0] * 5, "time-of-day") is None
 
     def test_combined_is_mean_of_both(self):
         series = [0.0] * 72
@@ -40,36 +44,30 @@ class TestPredictorFunctions:
         series[26] = 30.0
         series[49] = 6.0
         # previous-hour at 50 is series[49] = 6, time-of-day is 20.
-        assert combined_predictor(series, 50) == pytest.approx(13.0)
+        assert predict(series[:50], "combined") == pytest.approx(13.0)
 
     def test_combined_falls_back_to_available_component(self):
-        series = [10.0, 20.0, 30.0]
         # No full day of history: only the previous-hour component exists.
-        assert combined_predictor(series, 2) == pytest.approx(20.0)
+        assert predict([10.0, 20.0], "combined") == pytest.approx(20.0)
 
-    def test_short_histories_equal_np_mean_to_the_last_bit(self):
-        """One- and two-element histories skip ``np.mean``; the value must
-        be the very float ``np.mean`` returns (sessions are compared by
-        digest), across magnitudes and for the longer histories too."""
-        rng = np.random.default_rng(0)
-        for scale in (1e-3, 1.0, 1e9):
-            series = (rng.lognormal(sigma=2.0, size=4 * HOURS_PER_DAY) * scale).tolist()
-            for hour in range(1, len(series)):
-                same_hour = series[hour % HOURS_PER_DAY : hour : HOURS_PER_DAY]
-                time_of_day = time_of_day_predictor(series, hour)
-                if not same_hour:
-                    assert time_of_day is None
-                    assert combined_predictor(series, hour) == series[hour - 1]
+    def test_matrices_predict_entry_by_entry(self):
+        """A history of matrices forecasts each entry as its own series."""
+        rng = np.random.default_rng(4)
+        stack = rng.lognormal(18.0, 2.0, size=(3 * HOURS_PER_DAY + 5, 2, 3))
+        for name in PREDICTORS:
+            for n in (1, 23, 24, 25, len(stack)):
+                got = predict(list(stack[:n]), name)
+                if got is None:  # time-of-day within the first day
+                    assert predict(stack[:n, 0, 0], name) is None
                     continue
-                assert time_of_day == float(np.mean(same_hour))
-                assert combined_predictor(series, hour) == float(
-                    np.mean([series[hour - 1], time_of_day])
-                )
-        pairs = rng.lognormal(sigma=3.0, size=(20_000, 2)) * 1e6
-        for a, b in pairs.tolist():
-            assert combined_predictor([a] * HOURS_PER_DAY + [b], 25) == float(
-                np.mean([b, a])
-            )
+                for i in range(2):
+                    for j in range(3):
+                        assert got[i, j] == predict(stack[:n, i, j], name), (name, n)
+
+    def test_unknown_predictor_is_refused_by_name(self):
+        for name in ("stale", "oracle"):
+            with pytest.raises(WorkloadError, match=name):
+                predict([1.0], name)
 
 
 class TestRelativeErrorDistributions:
@@ -108,6 +106,31 @@ class TestRelativeErrorDistributions:
     def test_warmup_must_be_positive(self):
         with pytest.raises(WorkloadError):
             evaluate_predictability([[1.0] * 48], warmup_hours=0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+    def test_bad_hourly_bytes_are_refused_by_series_and_hour(self, bad):
+        """One NaN hour used to turn every report's median and mean into
+        NaN; a negative hour passed silently."""
+        good = [1e9] * 30
+        series = list(good)
+        series[27] = bad
+        with pytest.raises(WorkloadError, match=r"series 1 hour 27 holds"):
+            evaluate_predictability([good, series])
+
+    def test_reports_equal_the_scalar_predictors(self):
+        """On the 7-day dataset every relative error is the one the scalar
+        predictors of ``tests/oracles/predictors.py`` give, in order."""
+        data = HPCloudWorkloadGenerator(seed=3).generate_hourly_dataset(
+            n_applications=4, n_hours=7 * HOURS_PER_DAY
+        )
+        reports = evaluate_predictability(data)
+        for name, predictor in scalar.PREDICTORS.items():
+            expected = [
+                _relative_error(series[hour], predictor(series, hour))
+                for series in data
+                for hour in range(HOURS_PER_DAY, len(series))
+            ]
+            assert reports[name].relative_errors == expected, name
 
 
 class TestCombinedBeatsComponentsOnDiurnalSeries:

@@ -217,12 +217,6 @@ class TestRateForecaster:
         fc.record_epoch(1, _profile_with({("a", "b"): 2e8}))
         assert fc.forecast_pair(("a", "b"), 2) == 2e8
 
-    def test_stale_freezes_hour_zero(self):
-        fc = RateForecaster("stale")
-        fc.record_epoch(0, _profile_with({("a", "b"): 1e9}))
-        fc.record_epoch(1, _profile_with({("a", "b"): 2e8}))
-        assert fc.forecast_pair(("a", "b"), 2) == 1e9
-
     def test_no_history_returns_none_and_profile_keeps_measured(self):
         fc = RateForecaster("combined")
         assert fc.forecast_pair(("a", "b"), 0) is None
@@ -239,6 +233,12 @@ class TestRateForecaster:
     def test_oracle_is_not_a_history_predictor(self):
         with pytest.raises(ServiceError):
             RateForecaster("oracle")
+
+    def test_stale_is_not_a_history_predictor(self):
+        """The engine places ``stale`` sessions on the cache's frozen
+        bootstrap profile itself, as it reads ``oracle`` off the timeline."""
+        with pytest.raises(ServiceError, match="'stale'"):
+            RateForecaster("stale")
 
 
 # ---------------------------------------------------------------------------
