@@ -241,7 +241,7 @@ class CloudProvider:
         #: :class:`~repro.service.timeline.ProbeLoss` window fail or return
         #: wild estimates.  Everything downstream (fluid simulation, packet
         #: trains, netperf) sees it because it all flows through
-        #: :meth:`hose_rate` and the probe paths.  A timeline without fault
+        #: :meth:`_hose_rates` and the probe paths.  A timeline without fault
         #: events leaves the probe paths alone: no hook consumes randomness
         #: or perturbs a rate.
         self.timeline = None
@@ -356,7 +356,7 @@ class CloudProvider:
         """Advance the clock, letting per-VM hose rates drift (OU process).
 
         This drift is not part of the :attr:`timeline`, and a timeline's
-        drift table overrides it only in :meth:`hose_rate`: the innovations
+        drift table overrides it only in :meth:`_hose_rates`: the innovations
         are drawn from the provider's own random stream here, in between
         the draws of the probes, so sampling them ahead of time would move
         every probe's noise and with it every seeded result.
@@ -370,49 +370,73 @@ class CloudProvider:
         tau = self.params.temporal_tau_s
         decay = math.exp(-seconds / tau)
         innovation_std = sigma * math.sqrt(max(0.0, 1.0 - decay * decay))
-        for name in self._hose_deviation:
-            self._hose_deviation[name] = (
-                self._hose_deviation[name] * decay
-                + float(self._rng.normal(0.0, innovation_std))
-            )
+        # One innovation per VM, in allocation order: the very draws of one
+        # ``normal(0.0, innovation_std)`` call per VM.
+        deviation = self._hose_deviation
+        draws = self._rng.normal(0.0, innovation_std, size=len(deviation))
+        drifted = np.fromiter(deviation.values(), np.float64, len(deviation))
+        drifted *= decay
+        drifted += draws
+        self._hose_deviation = dict(zip(deviation, drifted.tolist()))
 
     # --------------------------------------------------------- ground truth
     def hose_rate(self, vm_name: str) -> float:
-        """Current (drifted) egress cap of a VM, in bits/second."""
-        self.vm(vm_name)
-        timeline = self.timeline
-        rate = None
-        if timeline is not None:
-            rate = timeline.hose_rate_at(vm_name, self._clock)
-        if rate is None:
-            base = self._base_hose[vm_name]
-            deviation = self._hose_deviation[vm_name]
-            rate = max(base * (1.0 + deviation), 0.05 * base)
-        if timeline is not None and timeline.events:
-            rate = timeline.effective_hose_rate(vm_name, self._clock, rate)
-        return rate
+        """Current (drifted) egress cap of a VM, in bits/second: its entry of
+        :meth:`_hose_rates`."""
+        position = self._positions().get(vm_name)
+        if position is None:
+            raise CloudError(f"unknown VM {vm_name!r}")
+        return float(self._hose_rates()[position])
+
+    def _hose_rates(self) -> np.ndarray:
+        """Every VM's current egress cap, by position (allocation order).
+
+        Each VM's own cap is its OU-drifted base, ``max(base * (1 +
+        deviation), 0.05 * base)``; an attached :attr:`timeline` then
+        replaces it where its drift table covers the VM and applies its
+        faults (:meth:`~repro.service.timeline.Timeline.hose_rates`).
+        """
+        n = len(self._base_hose)
+        base = np.fromiter(self._base_hose.values(), np.float64, n)
+        deviation = np.fromiter(self._hose_deviation.values(), np.float64, n)
+        rates = np.maximum(base * (1.0 + deviation), 0.05 * base)
+        if self.timeline is not None:
+            rates = self.timeline.hose_rates(list(self._vms), self._clock, rates)
+        return rates
 
     def base_hose_rates(self) -> Dict[str, float]:
         """Each VM's undrifted base egress cap (timeline generators seed
         their epoch-0 matrices from these)."""
         return dict(self._base_hose)
 
-    def true_path_rate(self, src_vm: str, dst_vm: str) -> float:
-        """Single-connection throughput absent any other tenant traffic."""
-        src, dst = self.vm(src_vm), self.vm(dst_vm)
-        if src.host == dst.host:
-            return self.params.intra_host_rate_bps
-        physical = min(
-            link.capacity_bps for link in self.topology.path_links(src.host, dst.host)
-        )
-        return min(self.hose_rate(src_vm), physical)
+    def true_path_rates(self, vms: Sequence[str]) -> np.ndarray:
+        """Single-connection throughput of every ordered pair of ``vms``
+        absent any other tenant traffic, as an array in ``vms`` order.
+
+        Two VMs on one host (the diagonal too) get the intra-host rate; any
+        other pair the lower of its sender's hose and the narrowest link of
+        its route (:meth:`_route_table`).  One hose read serves every pair.
+        """
+        at = self.vm_positions(vms)
+        physical = self._route_table().bottleneck[
+            at[:, None] * len(self._vms) + at[None, :]
+        ]
+        rates = np.minimum(self._hose_rates()[at][:, None], physical)
+        host = self._vm_hosts()[at]
+        rates[host[:, None] == host[None, :]] = self.params.intra_host_rate_bps
+        return rates
 
     # ---------------------------------------------------------- simulation
     def hose_capacities(self, vms: Optional[Iterable[str]] = None) -> Dict[str, float]:
         """The hose link of each of ``vms`` (default: every VM, what a
         simulation of this network is built with) and its current capacity."""
-        names = self._vms if vms is None else vms
-        return {hose_link_id(name): self.hose_rate(name) for name in names}
+        rates = self._hose_rates()
+        if vms is None:
+            names: Iterable[str] = self._vms
+        else:
+            names = list(vms)
+            rates = rates[self.vm_positions(names)]
+        return {hose_link_id(name): rate for name, rate in zip(names, rates.tolist())}
 
     def _to_net_flow(self, vm_flow: VMFlow) -> Tuple[Flow, List[str]]:
         src, dst = self.vm(vm_flow.src_vm), self.vm(vm_flow.dst_vm)
@@ -532,13 +556,18 @@ class CloudProvider:
             timelines[flow_id].average_rate(0.0, duration) for flow_id in flow_ids
         ]
 
-    def vm_positions(self, names: Iterable[str]) -> np.ndarray:
-        """Each named VM's position in allocation order (:meth:`vms`)."""
+    def _positions(self) -> Dict[str, int]:
+        """VM name -> position in allocation order (:meth:`vms`)."""
         position = self._vm_position
         if position is None:
             position = self._vm_position = {
                 name: i for i, name in enumerate(self._vms)
             }
+        return position
+
+    def vm_positions(self, names: Iterable[str]) -> np.ndarray:
+        """Each named VM's position in allocation order (:meth:`vms`)."""
+        position = self._positions()
         try:
             return np.array([position[name] for name in names], dtype=np.intp)
         except KeyError as exc:
@@ -576,8 +605,10 @@ class CloudProvider:
         if self._routes is None:
             hosts = self._vm_hosts()
             n = hosts.shape[0]
+            # Row s * n + d is the pair (s, d); a (2, n * n) array whose
+            # transpose the router reads without a copy.
             links, lengths, _ = self.topology.path_links_matrix(
-                np.column_stack((np.repeat(hosts, n), np.tile(hosts, n)))
+                hosts[np.array(np.divmod(np.arange(n * n), n))].T
             )
             # A -1 padding entry reads the appended +inf.
             capacity = np.append(self.topology.capacity_vector(), np.inf)
@@ -623,7 +654,7 @@ class CloudProvider:
         # of a VM that sends nothing is on no row and is not read.
         vm_host = self._vm_hosts()
         egress = vm_host[src] != vm_host[dst]
-        hose = self._sender_hoses(src[egress])
+        hose = self._hose_rates()
         rows = np.empty((paths.shape[0], 1 + paths.shape[1]), dtype=np.intp)
         rows[:, 0] = np.where(egress, links.shape[0] + src, -1)
         rows[:, 1:] = paths
@@ -634,16 +665,6 @@ class CloudProvider:
         SNAPSHOT_ROUNDS.inc(rounds)
         # RateTimeline.average_rate's own expression for one segment.
         return (0.0 + rates * window_s) / window_s
-
-    def _sender_hoses(self, senders: np.ndarray) -> np.ndarray:
-        """Every VM's hose rate by position, read for ``senders`` only (the
-        rest stay 0: the clock stands still, so one read per VM serves a
-        whole campaign, and a VM that sends nothing has no use for one)."""
-        names = list(self._vms)
-        hose = np.zeros(len(names))
-        for vm in np.flatnonzero(np.bincount(senders, minlength=len(names))).tolist():
-            hose[vm] = self.hose_rate(names[vm])
-        return hose
 
     def send_packet_trains(
         self,
@@ -694,8 +715,7 @@ class CloudProvider:
         if background and routed.any():
             available = self._loaded_rates(src[routed], dst[routed], background)
         else:
-            senders = src[routed]
-            available = self._sender_hoses(senders)[senders]
+            available = self._hose_rates()[src[routed]]
 
         jittered = params.train_jitter_std_s > 0
         per_train = 1 + (2 * spec.n_bursts if jittered else 0)

@@ -131,6 +131,7 @@ def _pair_positions(names: Sequence[str], pairs: Pairs) -> np.ndarray:
     if isinstance(pairs, np.ndarray):
         at = index_pairs(pairs, len(names), "pair positions", MeasurementError)
         at = at.astype(np.intp, copy=False)
+        bad = at[:, 0] == at[:, 1]
     else:
         pairs = list(pairs)
         index = {vm: i for i, vm in enumerate(names)}
@@ -138,7 +139,7 @@ def _pair_positions(names: Sequence[str], pairs: Pairs) -> np.ndarray:
         if len(flat) != 2 * len(pairs):
             raise MeasurementError("every scheduled pair must be a (src, dst) pair")
         at = np.array(flat, dtype=np.intp).reshape(-1, 2)
-    bad = (at[:, 0] == at[:, 1]) | (at < 0).any(axis=1)
+        bad = (at[:, 0] == at[:, 1]) | (at < 0).any(axis=1)  # -1: not in names
     if bad.any():
         first = int(np.flatnonzero(bad)[0])
         src, dst = at[first].tolist() if isinstance(pairs, np.ndarray) else pairs[first]
@@ -170,13 +171,21 @@ class NetworkMeasurer:
         each probe's source and destination (positions in ``names``)."""
         n = len(names)
         if pairs is None:
-            src = np.repeat(np.arange(n), n - 1)
-            dst = np.tile(np.arange(n - 1), n)
+            # Probe k of the full mesh: source k // (n - 1), and the
+            # (k % (n - 1))-th of the other VMs.
+            src, dst = np.divmod(np.arange(n * (n - 1)), n - 1)
             dst += dst >= src
             return src, dst
         at = _pair_positions(names, pairs)
-        # Dedupe, keeping each pair where it first appears.
-        first = np.unique(at[:, 0] * n + at[:, 1], return_index=True)[1]
+        # Dedupe, keeping each pair where it first appears: a stable sort
+        # puts a pair's first appearance first among its repeats.
+        keys = at[:, 0] * n + at[:, 1]
+        order = keys.argsort(kind="stable")
+        ranked = keys[order]
+        first = np.empty(ranked.shape, dtype=bool)
+        first[:1] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+        first = order[first]
         first.sort()
         return at[first, 0], at[first, 1]
 
@@ -252,15 +261,17 @@ class NetworkMeasurer:
                 )
 
         # One scatter per field, into ``names`` x ``names`` row-major order;
-        # a pair whose retries ran out has no estimate and stays NaN.  Probe
-        # ``i`` is sent ``i`` pair times after the campaign starts.
-        measured = np.flatnonzero(~np.isnan(estimates))
+        # a pair whose retries ran out has no estimate and stays NaN (which
+        # ``maximum`` propagates).  Probe ``i`` is sent ``i`` pair times
+        # after the campaign starts.
         n = len(names)
-        at = (src * n + dst)[measured]
+        at = src * n + dst
         rates = np.full((n, n), np.nan)
-        np.put(rates, at, np.maximum(estimates[measured], 1.0))
+        rates.ravel()[at] = np.maximum(estimates, 1.0)
+        sent_at = started_at + np.arange(n_probes) * pair_time
+        sent_at[np.isnan(estimates)] = np.nan
         pair_times = np.full((n, n), np.nan)
-        np.put(pair_times, at, started_at + measured * pair_time)
+        pair_times.ravel()[at] = sent_at
 
         _CAMPAIGNS.inc()
         _PROBES.inc(n_probes)
@@ -269,13 +280,8 @@ class NetworkMeasurer:
         duration = n_probes * pair_time + retry.time_s
         if self.plan.advance_clock:
             self.provider.advance_time(duration)
-        return NetworkProfile(
-            vms=names,
-            rates_bps=rates,
-            measured_at=started_at,
-            measurement_duration_s=duration,
-            pair_measured_at=pair_times,
-            degraded_pairs=retry.degraded,
+        return NetworkProfile._measured(
+            names, rates, pair_times, started_at, duration, retry.degraded
         )
 
     def _probe(
@@ -300,12 +306,13 @@ class NetworkMeasurer:
         """
         estimates = np.full(src.shape[0], np.nan)
         attempts: Dict[int, int] = {}
-        pending = np.arange(src.shape[0])
+        # The provider's positions of every probe; the first pass sends
+        # them all, a later one the rows ``pending`` names.
+        probes = on_provider[np.array((src, dst))].T
+        schedule, pending = probes, np.arange(src.shape[0])
         while pending.shape[0]:
             batch = self.provider.send_packet_trains(
-                on_provider[np.column_stack((src[pending], dst[pending]))],
-                self.plan.train_spec,
-                background=background,
+                schedule, self.plan.train_spec, background=background
             )
             rates = estimate_throughputs(self.plan.train_spec, batch)
             sent = pending[batch.sent]
@@ -324,4 +331,5 @@ class NetworkMeasurer:
                     attempts[position] = attempt + 1
                     resend.append(position)
             pending = np.array(resend, dtype=np.intp)
+            schedule = probes[pending]
         return estimates

@@ -71,7 +71,7 @@ def estimate_throughputs(spec: PacketTrainSpec, batch: TrainBatch) -> np.ndarray
         span *= gaps
         span /= gaps
         usable = span > 0
-        received = length * np.count_nonzero(usable, axis=0)
+        received = length * usable.sum(axis=0)
     else:
         observed = batch.last_index - batch.first_index
         np.divide(span * gaps, observed, out=span, where=observed > 0)
@@ -82,11 +82,13 @@ def estimate_throughputs(spec: PacketTrainSpec, batch: TrainBatch) -> np.ndarray
     # for any number of trains (an axis-0 ``sum`` of one train pairs them).
     span[~usable] = 0.0
     total_span = np.add.accumulate(span, axis=0, out=span)[-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rates = spec.packet_size_bytes * BITS_PER_BYTE * received / total_span
-    rates = np.where((received > 0) & (total_span > 0), rates, np.nan)
+    rates = np.full(total_span.shape, np.nan)
+    np.divide(
+        spec.packet_size_bytes * BITS_PER_BYTE * received, total_span,
+        out=rates, where=(received > 0) & (total_span > 0),
+    )
     if lossy:
-        sent = length * np.count_nonzero(batch.received, axis=0)
+        sent = length * (batch.received > 0).sum(axis=0)
         with np.errstate(divide="ignore", invalid="ignore"):
             loss = 1.0 - batch.received.sum(axis=0) / sent
             bound = MSS_BYTES * BITS_PER_BYTE * MATHIS_C / (batch.rtt_s * np.sqrt(loss))

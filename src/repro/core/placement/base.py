@@ -113,9 +113,12 @@ class Placement:
 
     def cpu_usage(self, app: Application) -> Dict[str, float]:
         """Cores the placed application consumes on each machine."""
+        cores = {task.name: task.cpu_cores for task in app.tasks}
         usage: Dict[str, float] = {}
         for task, machine in self.assignments.items():
-            usage[machine] = usage.get(machine, 0.0) + app.cpu_demand(task)
+            # A task the application lacks raises, by name, in cpu_demand.
+            demand = cores[task] if task in cores else app.cpu_demand(task)
+            usage[machine] = usage.get(machine, 0.0) + demand
         return usage
 
 
@@ -138,17 +141,17 @@ def validate_placement(
         raise PlacementError(
             f"placement for {app.name!r} has unknown tasks {sorted(extra)}"
         )
-    known_machines = set(cluster.machine_names())
+    available = cluster.available_cpus()
     for task, machine in placement.assignments.items():
-        if machine not in known_machines:
+        if machine not in available:
             raise PlacementError(
                 f"task {task!r} placed on unknown machine {machine!r}"
             )
     for machine, used in placement.cpu_usage(app).items():
-        if used > cluster.available_cpu(machine) + 1e-9:
+        if used > available[machine] + 1e-9:
             raise PlacementError(
                 f"machine {machine!r} over-committed: task demand {used:.2f} cores, "
-                f"available {cluster.available_cpu(machine):.2f}"
+                f"available {available[machine]:.2f}"
             )
 
 

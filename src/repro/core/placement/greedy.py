@@ -20,9 +20,12 @@ while scaling far better.
 **One rate matrix.**  Candidates are not enumerated as tuples: the placer
 keeps one :class:`~repro.core.rate_model.EffectiveRateMatrix` over the
 machines in *name-sorted* index order and a free-CPU vector, and a
-transfer's choice is a masked argmax over (a block of) that matrix — one
-row when the source is pinned, one column when the destination is, the
-whole matrix with the colocation diagonal otherwise (:meth:`GreedyPlacer._best`).
+transfer's choice is a masked argmax over (part of) that matrix — one row
+when the source is pinned, one column when the destination is, each with
+its one colocated candidate compared as a scalar, and the whole matrix
+with the colocation diagonal otherwise (:meth:`GreedyPlacer._best`).  A
+transfer whose endpoints are both placed only counts its connection; the
+matrix divides a source's row again when a choice reads it.
 Algorithm 1's selection key is ``(-rate, -colocated, -egress(src), src
 name, dst name)``; because indices follow name order, "the first maximum in
 row-major order" *is* the lexicographically smallest ``(src, dst)`` among
@@ -297,23 +300,21 @@ class GreedyPlacer(Placer):
         fit *both* tasks on the one machine.
         """
         room = rnd.free + _EPS
-        rates, everyone = rnd.board.rates, rnd.everyone
+        board, everyone = rnd.board, rnd.everyone
         if src_at is not None:
             pin = everyone[src_at:src_at + 1]
             return self._best(
-                rnd, rates[src_at:src_at + 1], pin, everyone,
-                (dst_demand <= room)[None, :], pin,
+                rnd, board.row(src_at), pin, everyone, dst_demand <= room, pin
             )
         if dst_at is not None:
             pin = everyone[dst_at:dst_at + 1]
             return self._best(
-                rnd, rates[:, dst_at:dst_at + 1], everyone, pin,
-                (src_demand <= room)[:, None], pin,
+                rnd, board.column(dst_at), everyone, pin, src_demand <= room, pin
             )
         # A colocated pair must fit both tasks on its one machine.
         allowed = (src_demand <= room)[:, None] & (dst_demand <= room)[None, :]
         allowed.ravel()[rnd.diagonal] = src_demand + dst_demand <= room
-        return self._best(rnd, rates, everyone, everyone, allowed, rnd.diagonal)
+        return self._best(rnd, board.rates, everyone, everyone, allowed, rnd.diagonal)
 
     def _best(
         self,
@@ -327,13 +328,16 @@ class GreedyPlacer(Placer):
         """Masked argmax over one block of the rate matrix.
 
         ``block[r, c]`` is the rate from machine ``rows[r]`` to machine
-        ``cols[c]`` (both ascending), ``allowed`` the CPU mask over it,
+        ``cols[c]`` (both ascending; a pinned choice's one row or column
+        comes as a 1-D array), ``allowed`` the CPU mask over it,
         ``colocated`` the flat positions where row and column name the same
         machine.  Returns the machines of the candidate minimising
         Algorithm 1's key ``(-rate, -colocated, -egress(src), src name, dst
         name)``: the first maximum in row-major order, unless a colocated
         candidate is tied at the maximum — then, of those, the first with
-        the fastest :func:`_egress`.  ``None`` when nothing is allowed.
+        the fastest :func:`_egress`.  ``None`` when nothing is allowed (a
+        measured rate is positive, so only a refused candidate scores
+        ``-inf``).
 
         Raises:
             MeasurementError: an allowed candidate's rate is unmeasured —
@@ -345,17 +349,20 @@ class GreedyPlacer(Placer):
             if missing.any():
                 position = {name: i for i, name in enumerate(rnd.declared)}
                 rank = np.array([position[name] for name in rnd.names])
-                r, c = np.nonzero(missing)
+                r, c = np.nonzero(missing.reshape(len(rows), len(cols)))
                 first = np.lexsort((rank[cols[c]], rank[rows[r]]))[0]
                 src, dst = rnd.names[rows[r[first]]], rnd.names[cols[c[first]]]
                 raise MeasurementError(
                     f"profile has no measurement for ({src!r}, {dst!r})"
                 )
-        if not allowed.any():
-            return None
         scores = np.where(allowed, block, -math.inf).ravel()
         at = int(scores.argmax())
-        tied = colocated[scores[colocated] == scores[at]]
+        if scores[at] == -math.inf:  # every rate is positive: nothing allowed
+            return None
+        if len(colocated) == 1:  # a pinned choice: its one candidate, as a scalar
+            tied = colocated if scores[colocated[0]] == scores[at] else colocated[:0]
+        else:
+            tied = colocated[scores[colocated] == scores[at]]
         if len(tied) > 1:
             if rnd.egress is None:
                 rnd.egress = _egress(rnd.board.single)

@@ -20,7 +20,7 @@ matrix to, is ``tests/oracles/effective_rate.py``.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Set
 
 import numpy as np
 
@@ -36,18 +36,25 @@ class EffectiveRateMatrix:
     connections already leaving the source — the float operations of the
     scalar expression, elementwise, so every entry ``==`` the scalar value.
     The diagonal is the intra-VM rate and never moves; an unmeasured pair
-    is ``NaN``.  Recording a connection recomputes the one
-    row it changes.
+    is ``NaN``.
+
+    Recording a connection only counts it; a source's row is divided again
+    when something reads it (:meth:`row`, :attr:`rates`), once however
+    many connections were recorded in between, and :meth:`column` divides
+    one column afresh.  Either way an entry is ``S / (1 + k)`` at the ``k``
+    of the read.
     """
 
     def __init__(self, profile: NetworkProfile, machines: Sequence[str]) -> None:
         self._intra = profile.intra_vm_rate_bps
-        #: The profile's single-connection rates, in ``machines`` order.
+        #: The profile's single-connection rates, in ``machines`` order
+        #: (its diagonal is already the intra-VM rate).
         self.single = profile.rate_matrix(machines)
         #: ``1 + k`` per source machine.
         self._shares = np.ones(len(machines))
-        self.rates = self.single.copy()
-        np.fill_diagonal(self.rates, self._intra)
+        self._rates = self.single.copy()
+        #: Sources whose row in ``_rates`` predates their last connection.
+        self._stale: Set[int] = set()
 
     def record(self, src: int, dst: int) -> None:
         """Account for one more connection from machine ``src`` to ``dst``
@@ -56,5 +63,29 @@ class EffectiveRateMatrix:
         if src == dst:
             return
         self._shares[src] += 1.0
-        self.rates[src] = self.single[src] / self._shares[src]
-        self.rates[src, src] = self._intra
+        self._stale.add(src)
+
+    def _refresh(self, src: int) -> None:
+        self._rates[src] = self.single[src] / self._shares[src]
+        self._rates[src, src] = self._intra
+
+    def row(self, src: int) -> np.ndarray:
+        """The rates out of machine ``src`` (a view: do not write to it)."""
+        if src in self._stale:
+            self._stale.discard(src)
+            self._refresh(src)
+        return self._rates[src]
+
+    def column(self, dst: int) -> np.ndarray:
+        """The rates into machine ``dst``, as a new array."""
+        column = self.single[:, dst] / self._shares
+        column[dst] = self._intra
+        return column
+
+    @property
+    def rates(self) -> np.ndarray:
+        """The whole matrix (do not write to it)."""
+        for src in self._stale:
+            self._refresh(src)
+        self._stale.clear()
+        return self._rates

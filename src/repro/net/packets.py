@@ -177,14 +177,12 @@ def send_packet_trains(
         drain = _bucket_drains(spec, limiter_rate_bps, limiter_depth_bytes, fast_rate, step)
         if limiter_depth_bytes < spec.packet_size_bytes:
             initial_rate = np.minimum(fast_rate, limiter_rate_bps)
-    # The sender's clock at each burst, accumulated as the sender keeps it.
-    clocks = []
-    send_clock = 0.0
-    for _ in range(spec.n_bursts):
-        clocks.append(send_clock)
-        send_clock += step
+    # The sender's clock at each burst, accumulated as the sender keeps it
+    # (a 1-D ``accumulate`` adds left to right: 0.0, step, step + step, ...).
+    clocks = np.full(spec.n_bursts, step)
+    clocks[0] = 0.0
     first_rx = np.empty((spec.n_bursts,) + fast_rate.shape)
-    first_rx[:] = np.array(clocks)[:, None]
+    first_rx[:] = np.add.accumulate(clocks)[:, None]
     first_rx += base_delay_s
     last_rx = first_rx + drain
     first_rx += packet_bits / initial_rate

@@ -243,8 +243,8 @@ class _TreeRouter:
         rack_dst = dst // spec.hosts_per_rack
         pod_src = src // self._hosts_per_pod
         pod_dst = dst // self._hosts_per_pod
-        near = np.flatnonzero((rack_src != rack_dst) & (pod_src == pod_dst))
-        far = np.flatnonzero(pod_src != pod_dst)
+        near = ((rack_src != rack_dst) & (pod_src == pod_dst)).nonzero()[0]
+        far = (pod_src != pod_dst).nonzero()[0]
         tier = tables.rack_up.shape[1]
         lengths = np.full(src.shape[0], 2, dtype=np.int32)
         lengths[near] = 2 + 2 * tier
@@ -429,6 +429,9 @@ class Topology:
         # and the capacities in that order; both dropped when a link is added
         self._link_index: Optional[Dict[str, int]] = None
         self._capacity_vector: Optional["np.ndarray"] = None
+        # each host's loopback link index, by host position; dropped with
+        # the link index
+        self._loopbacks: Optional["np.ndarray"] = None
         self._frozen = False
 
     def freeze(self) -> None:
@@ -470,6 +473,7 @@ class Topology:
             self._links[link.link_id] = link
             self._link_index = None
             self._capacity_vector = None
+            self._loopbacks = None
 
     def add_link(
         self,
@@ -510,6 +514,7 @@ class Topology:
         self._tree_tables = None
         self._link_index = None
         self._capacity_vector = None
+        self._loopbacks = None
 
     # ------------------------------------------------------------ inspection
     def node_kind(self, name: str) -> NodeKind:
@@ -679,7 +684,8 @@ class Topology:
         order as :meth:`capacities`/:meth:`links`, so rows feed straight
         into array-based allocator layouts.  Padding entries are -1.
         Loopback pairs (``src == dst``) get the host's loopback link, as in
-        :meth:`path_links`.
+        :meth:`path_links`; a batch routed as arrays gathers them from one
+        per-host table.
         """
         link_ids = list(self._links)
         if self._link_index is None:
@@ -690,21 +696,26 @@ class Topology:
             index_pairs(pairs, len(self._host_names), "host positions")
         n = len(pairs)
         lengths = np.zeros(n, dtype=np.int32)
-        tree_rows = None
+        loop = tree = tree_rows = None
         one_by_one: Iterable[int] = range(n)
-        router = self._router
-        try:
-            if router is not None and n >= _ARRAY_ROUTE_MIN_PAIRS:
+        if n >= _ARRAY_ROUTE_MIN_PAIRS:
+            if by_position:
+                # Contiguous copies: routing a 65 280-probe campaign through
+                # the strided column views peaked ≈4 MB higher.
+                src, dst = np.ascontiguousarray(pairs.T)
+            else:
+                # Names that are not hosts (switches) read -1: graph search.
+                hosts = self._host_index
+                src = np.fromiter((hosts.get(a, -1) for a, _ in pairs), np.intp, count=n)
+                dst = np.fromiter((hosts.get(b, -1) for _, b in pairs), np.intp, count=n)
+            known = (src >= 0) & (dst >= 0)
+            same = src == dst
+            loop = (known & same).nonzero()[0]
+            lengths[loop] = 1
+            router = self._router
+            if router is not None:
                 # Distinct hosts route arithmetically, all at once.
-                if by_position:
-                    # Contiguous copies: routing a 65 280-probe campaign
-                    # through the strided column views peaked ≈4 MB higher.
-                    src, dst = np.ascontiguousarray(pairs.T)
-                else:
-                    hosts = self._host_index
-                    src = np.fromiter((hosts.get(a, -1) for a, _ in pairs), np.intp, count=n)
-                    dst = np.fromiter((hosts.get(b, -1) for _, b in pairs), np.intp, count=n)
-                tree = np.flatnonzero((src >= 0) & (dst >= 0) & (src != dst))
+                tree = (known > same).nonzero()[0]
                 if tree.shape[0]:
                     if self._tree_tables is None:
                         self._tree_tables = router.link_tables(index)
@@ -712,9 +723,11 @@ class Topology:
                         self._tree_tables, src[tree], dst[tree]
                     )
                     _structured_route_hits.inc(tree.shape[0])
-                    one_by_one = np.flatnonzero(lengths == 0).tolist()
-            # Everything else: loopback pairs and graph-search routes.
-            other_rows: Dict[int, Tuple[int, ...]] = {}
+            one_by_one = (lengths == 0).nonzero()[0].tolist()
+        # Everything else, pair by pair: graph-search routes, and loopbacks
+        # of a batch too small for arrays (or naming no host: refused).
+        other_rows: Dict[int, Tuple[int, ...]] = {}
+        try:
             for i in one_by_one:
                 src_name, dst_name = pairs[i]
                 if by_position:
@@ -736,11 +749,26 @@ class Topology:
         for i, row in other_rows.items():
             lengths[i] = len(row)
         rows = np.full((n, int(lengths.max()) if n else 0), -1, dtype=np.int32)
+        if loop is not None and loop.shape[0]:
+            rows[loop, 0] = self._loopback_links()[src[loop]]
         if tree_rows is not None:
             rows[tree, : tree_rows.shape[1]] = tree_rows
         for i, row in other_rows.items():
             rows[i, : len(row)] = row
         return rows, lengths, link_ids
+
+    def _loopback_links(self) -> "np.ndarray":
+        """Each host's loopback link index (:meth:`path_links_matrix`'s
+        order), by host position."""
+        if self._loopbacks is None:
+            index = self._link_index
+            loopbacks = np.array(
+                [index[loopback_link_id(host)] for host in self._host_names],
+                dtype=np.int32,
+            )
+            loopbacks.flags.writeable = False
+            self._loopbacks = loopbacks
+        return self._loopbacks
 
 
 # --------------------------------------------------------------------------

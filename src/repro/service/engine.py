@@ -547,9 +547,8 @@ class PlacementService:
         if not self._measures:
             return None
         if self.predictor == "oracle":
-            return NetworkProfile.from_rate_function(
-                self.cluster.machine_names(), self.provider.true_path_rate
-            )
+            names = self.cluster.machine_names()
+            return NetworkProfile(names, self.provider.true_path_rates(names))
         return self.cache.profile(self.provider.now)
 
     def _handle_fault_events(
@@ -749,9 +748,8 @@ class PlacementService:
         if not self._measures:
             return None
         if self.predictor == "oracle":
-            return NetworkProfile.from_rate_function(
-                self.cluster.machine_names(), self.provider.true_path_rate
-            )
+            names = self.cluster.machine_names()
+            return NetworkProfile(names, self.provider.true_path_rates(names))
         if self.predictor == "stale":
             # Frozen hour-0 view: bootstrap mesh only, never refreshed.
             return self.cache.profile(now)

@@ -7,13 +7,14 @@ changes the network under a session, in two parts:
   *replaces* the provider's slow Ornstein-Uhlenbeck hose drift for the VMs
   it covers, so the fluid simulator, packet trains and netperf all see the
   epoch-correct network: every ground-truth path in
-  :class:`~repro.cloud.provider.CloudProvider` flows through ``hose_rate``.
+  :class:`~repro.cloud.provider.CloudProvider` flows through its hose
+  vector (:meth:`Timeline.hose_rates`).
   A timeline may carry no drift table, and then the provider keeps its own;
 * **fault events** — real clouds also fail discretely: a link degrades for
   a while (:class:`LinkDegradation`), a VM is preempted and never comes
   back (:class:`VmPreemption`), a burst of packet-train probes is lost or
   returns wild estimates (:class:`ProbeLoss`).  The provider applies them
-  in ``hose_rate`` and the probe paths; the
+  in its hose vector and the probe paths; the
   :class:`~repro.service.engine.PlacementService` consumes them at epoch
   ticks and heals (re-place preempted apps, re-measure degraded links,
   coast on forecasts through probe loss).
@@ -323,40 +324,45 @@ class Timeline:
         return any(e.effect_time_s > t for e in self.events)
 
     # ----------------------------------------------------------- rate effects
-    def hose_rate_at(self, vm: str, time_s: float) -> Optional[float]:
-        """Drift-table egress cap of ``vm`` at ``time_s`` (``None`` when the
-        table is empty or does not cover the VM)."""
-        if not self.hose_epochs:
-            return None
-        return self.hose_epochs[self.epoch_of(time_s)].get(vm)
-
     def preempted(self, vm: str, t: float) -> bool:
         """True once ``vm`` has been preempted at or before ``t``."""
         at = self._preempted_at.get(vm)
         return at is not None and at <= t
 
-    def degradation_factor(self, vm: str, t: float) -> float:
-        """Product of all degradation multipliers active on ``vm`` at ``t``."""
-        factor = 1.0
-        for event in self.events:
-            if (
-                isinstance(event, LinkDegradation)
-                and event.vm == vm
-                and event.start_s <= t < event.end_s
-            ):
-                factor *= event.multiplier
-        return factor
+    def hose_rates(self, vms: Sequence[str], t: float, own: np.ndarray) -> np.ndarray:
+        """The egress cap of each of ``vms`` at ``t``, given ``own``, the
+        provider's own (OU-drifted) caps in the same order.
 
-    def effective_hose_rate(self, vm: str, t: float, rate_bps: float) -> float:
-        """Fault-adjusted egress rate of ``vm`` at ``t``.
-
-        Preemption collapses the rate to :data:`PREEMPTED_RATE_BPS`;
-        otherwise active degradations multiply in.  With no matching events
-        this returns ``rate_bps`` unchanged.
+        A VM the drift table covers takes the rate of ``t``'s epoch instead
+        of its own.  Then the faults: a preempted VM collapses to
+        :data:`PREEMPTED_RATE_BPS`, and every other takes the product of the
+        degradations active on it at ``t``, multiplied in event order
+        starting from 1.0 (with none, its rate is unchanged).  Returns a
+        new array.
         """
-        if self.preempted(vm, t):
-            return PREEMPTED_RATE_BPS
-        return rate_bps * self.degradation_factor(vm, t)
+        if self.hose_epochs:
+            epoch = self.hose_epochs[self.epoch_of(t)]
+            rates = np.fromiter(
+                (epoch.get(vm, rate) for vm, rate in zip(vms, own.tolist())),
+                np.float64, count=len(vms),
+            )
+        else:
+            rates = np.array(own, dtype=np.float64)
+        if self.events:
+            index = {vm: i for i, vm in enumerate(vms)}
+            factor = np.ones(len(vms))
+            for event in self.events:
+                if (
+                    isinstance(event, LinkDegradation)
+                    and event.start_s <= t < event.end_s
+                    and event.vm in index
+                ):
+                    factor[index[event.vm]] *= event.multiplier
+            rates *= factor
+            for vm, at in self._preempted_at.items():
+                if at <= t and vm in index:
+                    rates[index[vm]] = PREEMPTED_RATE_BPS
+        return rates
 
     def probe_fault(
         self, src: str, dst: str, t: float

@@ -9,6 +9,7 @@ CPU demand (the evaluation models 0.5–4 cores per task on 4-core machines).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -52,20 +53,32 @@ class TrafficMatrix:
     def add(self, src: str, dst: str, num_bytes: float) -> None:
         """Accumulate ``num_bytes`` from ``src`` to ``dst``.
 
-        Self-transfers and non-positive volumes are ignored (they carry no
+        Self-transfers and zero volumes are ignored (they carry no
         placement information).
+
+        Raises:
+            WorkloadError: ``num_bytes`` is negative, NaN or infinite (the
+                message names the pair).
         """
-        if num_bytes < 0:
-            raise WorkloadError("traffic matrix entries must be >= 0")
+        if not 0 <= num_bytes < math.inf:
+            raise WorkloadError(
+                f"traffic matrix entry ({src!r}, {dst!r}) must be finite and "
+                f">= 0, got {num_bytes!r}"
+            )
         if src == dst or num_bytes == 0:
             return
         key = (src, dst)
         self._entries[key] = self._entries.get(key, 0.0) + float(num_bytes)
 
     def scaled(self, factor: float) -> "TrafficMatrix":
-        """A new matrix with every entry multiplied by ``factor``."""
-        if factor < 0:
-            raise WorkloadError("scale factor must be >= 0")
+        """A new matrix with every entry multiplied by ``factor``.
+
+        Raises:
+            WorkloadError: ``factor`` is negative, NaN or infinite, or a
+                product overflows to infinity (naming its pair).
+        """
+        if not 0 <= factor < math.inf:
+            raise WorkloadError(f"scale factor must be finite and >= 0, got {factor!r}")
         return TrafficMatrix(
             {pair: value * factor for pair, value in self._entries.items()}
         )

@@ -5,10 +5,11 @@ Run from the repository root (with ``src`` importable)::
     python tests/fidelity.py [--check] [--out PATH]
 
 It writes ``docs/fidelity.md`` (or ``PATH``): one row per claim, with the
-paper's value, ours, the seeds it was measured on and a verdict.  Every
-number is seeded, so the same code writes the same file.  ``--check``
-writes the table too, and exits 1 when a claim's verdict differs from the
-one in the file it replaced.
+paper's value, ours, the seeds it was measured on and two verdicts: whether
+the claim holds, and — for a claim the paper gives a range for — whether
+our value lies in that range.  Every number is seeded, so the same code
+writes the same file.  ``--check`` writes the table too, and exits 1 when
+either verdict of a claim differs from the one in the file it replaced.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import statistics
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import Dict, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -35,6 +36,7 @@ ROOT = Path(__file__).resolve().parents[1]
 TABLE = ROOT / "docs" / "fidelity.md"
 
 HOLDS, FAILS = "holds", "does not hold"
+IN_RANGE, OUTSIDE_RANGE, NO_RANGE = "in range", "outside range", "no range"
 
 
 class Row(NamedTuple):
@@ -43,6 +45,8 @@ class Row(NamedTuple):
     ours: str
     seeds: str
     verdict: str
+    #: IN_RANGE / OUTSIDE_RANGE against the paper's range, NO_RANGE without one.
+    magnitude: str = NO_RANGE
 
 
 # ------------------------------------------------------------- §3.3 / §4.3
@@ -277,13 +281,14 @@ def sequence_row() -> Row:
         scenarios=SEQUENCE_SCENARIOS, placers=("greedy", "random"),
         trials=SEQUENCE_TRIALS, base_seed=0, baseline="random", workers=1,
     )).run()
-    parts, holds = [], True
+    parts, holds, in_range = [], True, True
     for scenario in SEQUENCE_SCENARIOS:
         gains = paired_gains(result, scenario)
         mean = statistics.fmean(gains)
         low, high = seed_interval(gains)
         holds = holds and len(gains) == SEQUENCE_TRIALS and mean > 0 and low > 0
         inside = PAPER_MEAN_GAIN[0] <= mean <= PAPER_MEAN_GAIN[1]
+        in_range = in_range and inside
         parts.append(
             f"`{scenario}` mean {_pct(mean)} (95 % {_pct(low)}–{_pct(high)}), "
             f"max {_pct(max(gains))}; mean {'inside' if inside else 'outside'} "
@@ -297,6 +302,7 @@ def sequence_row() -> Row:
         ours="; ".join(parts),
         seeds=f"trials {_span(range(SEQUENCE_TRIALS))} of base seed 0, paired",
         verdict=HOLDS if holds else FAILS,
+        magnitude=IN_RANGE if in_range else OUTSIDE_RANGE,
     )
 
 
@@ -315,11 +321,14 @@ HEADER = """\
 Generated by `python tests/fidelity.py`; do not edit by hand.  A claim
 *holds* when our seeded runs reproduce its direction with the stated
 bound: for a gain, the mean over seeds is above 0 and so is its 95 %
-interval (a percentile bootstrap over the seeds).  CI regenerates this
-table and fails when a verdict flips.
+interval (a percentile bootstrap over the seeds).  Where the paper gives a
+range, the second verdict says whether our value lies *in range* (every
+scenario's, for a claim measured on several) or *outside range*; a claim
+can hold and still be outside its range.  CI regenerates this table and
+fails when either verdict flips.
 
-| claim | paper | ours | seeds | verdict |
-| --- | --- | --- | --- | --- |
+| claim | paper | ours | seeds | verdict | range |
+| --- | --- | --- | --- | --- | --- |
 """
 
 
@@ -327,13 +336,13 @@ def render(rows: List[Row]) -> str:
     return HEADER + "".join("| " + " | ".join(row) + " |\n" for row in rows)
 
 
-def verdicts(text: str) -> Dict[str, str]:
-    """``section -> verdict`` of a rendered table."""
+def verdicts(text: str) -> Dict[str, Tuple[str, str]]:
+    """``section -> (verdict, range verdict)`` of a rendered table."""
     found = {}
     for line in text.splitlines():
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
         if len(cells) == len(Row._fields) and cells[0].startswith("§"):
-            found[cells[0].split(":")[0]] = cells[-1]
+            found[cells[0].split(":")[0]] = (cells[-2], cells[-1])
     return found
 
 
@@ -352,7 +361,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     out.write_text(text)
     print(text, end="")
     flipped = [
-        f"{claim}: {before[claim]} -> {verdict}"
+        f"{claim}: {', '.join(before[claim])} -> {', '.join(verdict)}"
         for claim, verdict in verdicts(text).items()
         if claim in before and before[claim] != verdict
     ]

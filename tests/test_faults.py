@@ -140,10 +140,13 @@ def test_fault_effects_on_rates_and_probes():
         LinkDegradation(vm="slow", start_s=50.0, end_s=150.0, multiplier=0.25),
         ProbeLoss(src="a", dst="b", start_s=0.0, end_s=10.0, mode="fail"),
     ))
-    assert timeline.effective_hose_rate("dead", 99.0, 1e9) == 1e9
-    assert timeline.effective_hose_rate("dead", 100.0, 1e9) == PREEMPTED_RATE_BPS
-    assert timeline.effective_hose_rate("slow", 100.0, 1e9) == 0.25e9
-    assert timeline.effective_hose_rate("slow", 200.0, 1e9) == 1e9
+    vms, own = ["dead", "slow", "a"], np.full(3, 1e9)
+    assert timeline.hose_rates(vms, 99.0, own).tolist() == [1e9, 0.25e9, 1e9]
+    assert timeline.hose_rates(vms, 100.0, own).tolist() == [
+        PREEMPTED_RATE_BPS, 0.25e9, 1e9,
+    ]
+    assert timeline.hose_rates(vms, 200.0, own).tolist() == [PREEMPTED_RATE_BPS, 1e9, 1e9]
+    assert own.tolist() == [1e9] * 3  # a new array: the caller's is left alone
     assert timeline.probe_fault("a", "b", 5.0) == ("fail", 0.0)
     assert timeline.probe_fault("a", "b", 10.0) is None
     # Probes touching a preempted endpoint fail outright.

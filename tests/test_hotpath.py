@@ -19,7 +19,7 @@ from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Machine
 from repro.core.rate_model import EffectiveRateMatrix
 from repro.cloud.registry import make_provider
-from repro.errors import SimulationError
+from repro.errors import MeasurementError, SimulationError
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
 from repro.net import topology
 from repro.net.alloc import IncrementalAllocator
@@ -295,6 +295,54 @@ class TestEffectiveRateMatrix:
                     assert board.rates[a, b] == effective_rate(
                         profile, src, dst, shadow
                     )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_interleaved_records_and_reads_equal_the_scalar_rate(self, seed):
+        """Connections recorded between reads of one row, one column and
+        the whole matrix, in random order, on random profiles with
+        unmeasured pairs: every entry a read returns ``==`` the scalar rate
+        at that moment (``NaN`` where the scalar model has no measurement),
+        however many connections a source recorded since its row was last
+        divided."""
+        rng = random.Random(seed)
+        n = rng.randint(3, 9)
+        machines = [f"m{i}" for i in range(n)]
+        rates = {
+            (a, b): rng.uniform(0.05 * GBITPS, 1 * GBITPS)
+            for a in machines for b in machines if a != b and rng.random() > 0.2
+        }
+        intra = rng.choice([math.inf, 4 * GBITPS])
+        profile = NetworkProfile(vms=machines, rates_bps=rates, intra_vm_rate_bps=intra)
+        board = EffectiveRateMatrix(profile, machines)
+        shadow = ConnectionLoad()
+
+        def scalar(a, b):
+            try:
+                return effective_rate(profile, machines[a], machines[b], shadow)
+            except MeasurementError:
+                return math.nan
+
+        def same(got, a, b):
+            want = scalar(a, b)
+            return got == want or (math.isnan(got) and math.isnan(want))
+
+        for _ in range(200):
+            action = rng.random()
+            if action < 0.5:
+                i, j = rng.randrange(n), rng.randrange(n)
+                board.record(i, j)
+                shadow.add(machines[i], machines[j])
+            elif action < 0.7:
+                a = rng.randrange(n)
+                row = board.row(a)
+                assert all(same(row[b], a, b) for b in range(n))
+            elif action < 0.9:
+                b = rng.randrange(n)
+                column = board.column(b)
+                assert all(same(column[a], a, b) for a in range(n))
+            else:
+                matrix = board.rates
+                assert all(same(matrix[a, b], a, b) for a in range(n) for b in range(n))
 
     def test_unmeasured_pairs_stay_nan(self):
         machines = ["a", "b", "c"]

@@ -2,6 +2,7 @@
 colocation behaviour, and the error contract of the placers."""
 
 import math
+import re
 
 import pytest
 
@@ -15,7 +16,7 @@ from repro.core.placement.baselines import (
 )
 from repro.core.placement.greedy import GreedyPlacer
 from repro.core.placement.ilp import BruteForcePlacer
-from repro.errors import PlacementError, ReproError
+from repro.errors import PlacementError, ReproError, WorkloadError
 from repro.units import GBITPS, GBYTE
 from repro.workloads.application import Application, Task, TrafficMatrix
 
@@ -123,6 +124,33 @@ def test_infeasible_app_raises_placement_error_not_valueerror():
             placer.place(too_big, _cluster(), _profile())
     # The library error contract: everything derives from ReproError.
     assert issubclass(PlacementError, ReproError)
+
+
+@pytest.mark.parametrize("volume", [math.nan, math.inf, -math.inf, -1.0])
+def test_a_bad_traffic_volume_is_refused_by_pair(volume):
+    """A NaN, infinite or negative volume never reaches the matrix (a NaN
+    used to be stored, read back as the application's total bytes, and
+    placed); the error names the pair and the value."""
+    matrix = TrafficMatrix({("a", "b"): 1 * GBYTE})
+    with pytest.raises(WorkloadError, match=r"\('a', 'c'\).*" + re.escape(repr(volume))):
+        matrix.add("a", "c", volume)
+    with pytest.raises(WorkloadError, match=r"\('b', 'a'\)"):
+        TrafficMatrix({("b", "a"): volume})
+    assert matrix.items() == [(("a", "b"), 1 * GBYTE)]
+    matrix.add("a", "a", 5.0)  # self-transfers and zero volumes are dropped
+    matrix.add("a", "c", 0.0)
+    assert len(matrix) == 1
+
+
+@pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf, -0.5])
+def test_a_bad_scale_factor_is_refused_by_value(factor):
+    matrix = TrafficMatrix({("a", "b"): 1 * GBYTE})
+    with pytest.raises(WorkloadError, match="scale factor.*" + re.escape(repr(factor))):
+        matrix.scaled(factor)
+    # A finite factor whose product overflows is refused by the pair.
+    with pytest.raises(WorkloadError, match=r"\('a', 'b'\).*inf"):
+        matrix.scaled(1e308)
+    assert matrix.scaled(0.5).items() == [(("a", "b"), 0.5 * GBYTE)]
 
 
 @pytest.mark.parametrize(

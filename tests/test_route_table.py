@@ -18,6 +18,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from oracles import scalar_train
+from oracles.graph_search import hand_built
 from test_campaign_batch import (
     assert_campaign_matches_oracle, build_provider, simulated_snapshot,
 )
@@ -114,6 +115,37 @@ def test_the_route_table_lives_as_long_as_the_vm_set(shape, loaded):
     assert violations(provider, ends, flows, fill) == []
     for i in range(0, len(ends), max(1, len(ends) // 10)):
         assert (0.0 + fill[i] * 0.1) / 0.1 == simulated_snapshot(provider, *ends[i], flows)
+
+
+@pytest.mark.parametrize("structured", [True, False])
+def test_loopback_rows_are_the_hosts_loopback_links(structured):
+    """The rows of a VM mesh with colocated VMs — its diagonal and every
+    pair of VMs on one host cross that host's loopback link — are
+    ``path_links``'s, pair by pair: given as host positions and as names,
+    in a batch the tree router takes and in one too small for it, on the
+    provider's tree and on a hand-built copy that routes by graph search.
+    So is the provider's route table."""
+    provider, names = build_provider("rackspace", n_vms=12, colocate=0.6)
+    host = [vm.host for vm in provider.vms()]
+    topo = provider.topology if structured else hand_built(provider.topology)
+    pairs = [(host[s], host[d]) for s in range(len(host)) for d in range(len(host))]
+    colocated = [i for i, (a, b) in enumerate(pairs) if a == b]
+    assert len(colocated) > len(host)  # the diagonal and some shared hosts
+    at = np.array([(topo.host_index(a), topo.host_index(b)) for a, b in pairs])
+    want = [[link.link_id for link in topo.path_links(a, b)] for a, b in pairs]
+    few = colocated[:3] + [i for i in range(len(pairs)) if i not in colocated][:4]
+    for batch in (list(range(len(pairs))), few):
+        for given in (at[batch], [pairs[i] for i in batch]):
+            rows, lengths, link_ids = topo.path_links_matrix(given)
+            got = [[link_ids[j] for j in row[:k]] for row, k in zip(rows, lengths)]
+            assert got == [want[i] for i in batch]
+            assert all((row[k:] == -1).all() for row, k in zip(rows, lengths))
+    if structured:
+        table = provider._route_table()
+        link_ids = [link.link_id for link in topo.links()]
+        assert [
+            [link_ids[j] for j in row[:k]] for row, k in zip(table.links, table.lengths)
+        ] == want
 
 
 def test_a_lossy_train_reads_its_rtt_off_the_route_table():

@@ -116,7 +116,7 @@ class TestTimeline:
         assert provider.hose_rate(names[0]) == 1e8
         assert provider.hose_rate(names[1]) == 5e8
         # true path rates flow through the hose.
-        assert provider.true_path_rate(names[0], names[1]) <= 1e8
+        assert provider.true_path_rates(names)[0, 1] <= 1e8
 
     def test_attach_rejects_unknown_vms(self):
         provider = _fresh_provider(n_vms=2)

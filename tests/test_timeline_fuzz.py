@@ -41,11 +41,9 @@ def _use(timeline, path):
     vms = timeline.vms()
     index = np.arange(len(vms))
     for t in (0.0, 30.0, timeline.epoch_s * 1.5, 200.0, 1e9):
+        rates = timeline.hose_rates(vms, t, np.full(len(vms), 1e9))
+        assert (np.isfinite(rates) & (rates > 0)).all(), (t, rates)
         for vm in vms:
-            rate = timeline.hose_rate_at(vm, t)
-            assert rate is None or (math.isfinite(rate) and rate > 0), (vm, t, rate)
-            rate = timeline.effective_hose_rate(vm, t, rate or 1e9)
-            assert math.isfinite(rate) and rate > 0, (vm, t, rate)
             for other in vms:
                 timeline.probe_fault(vm, other, t)
         timeline.probe_faults(vms, index, index[::-1], t)
