@@ -131,7 +131,6 @@ def _pair_positions(names: Sequence[str], pairs: Pairs) -> np.ndarray:
     if isinstance(pairs, np.ndarray):
         at = index_pairs(pairs, len(names), "pair positions", MeasurementError)
         at = at.astype(np.intp, copy=False)
-        bad = at[:, 0] == at[:, 1]
     else:
         pairs = list(pairs)
         index = {vm: i for i, vm in enumerate(names)}
@@ -139,7 +138,7 @@ def _pair_positions(names: Sequence[str], pairs: Pairs) -> np.ndarray:
         if len(flat) != 2 * len(pairs):
             raise MeasurementError("every scheduled pair must be a (src, dst) pair")
         at = np.array(flat, dtype=np.intp).reshape(-1, 2)
-        bad = (at[:, 0] == at[:, 1]) | (at < 0).any(axis=1)  # -1: not in names
+    bad = (at[:, 0] == at[:, 1]) | (at < 0).any(axis=1)
     if bad.any():
         first = int(np.flatnonzero(bad)[0])
         src, dst = at[first].tolist() if isinstance(pairs, np.ndarray) else pairs[first]
@@ -177,15 +176,8 @@ class NetworkMeasurer:
             dst += dst >= src
             return src, dst
         at = _pair_positions(names, pairs)
-        # Dedupe, keeping each pair where it first appears: a stable sort
-        # puts a pair's first appearance first among its repeats.
-        keys = at[:, 0] * n + at[:, 1]
-        order = keys.argsort(kind="stable")
-        ranked = keys[order]
-        first = np.empty(ranked.shape, dtype=bool)
-        first[:1] = True
-        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-        first = order[first]
+        # Dedupe, keeping each pair where it first appears.
+        first = np.unique(at[:, 0] * n + at[:, 1], return_index=True)[1]
         first.sort()
         return at[first, 0], at[first, 1]
 
@@ -280,8 +272,13 @@ class NetworkMeasurer:
         duration = n_probes * pair_time + retry.time_s
         if self.plan.advance_clock:
             self.provider.advance_time(duration)
-        return NetworkProfile._measured(
-            names, rates, pair_times, started_at, duration, retry.degraded
+        return NetworkProfile(
+            vms=names,
+            rates_bps=rates,
+            measured_at=started_at,
+            measurement_duration_s=duration,
+            pair_measured_at=pair_times,
+            degraded_pairs=retry.degraded,
         )
 
     def _probe(

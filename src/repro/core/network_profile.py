@@ -112,24 +112,26 @@ class NetworkProfile:
         self._index: Dict[str, int] = {vm: i for i, vm in enumerate(self.vms)}
         if len(self._index) != len(self.vms):
             raise MeasurementError("duplicate VM names in profile")
-        degraded: Dict[Tuple[str, str], str] = dict(degraded_pairs or {})
+        self.intra_vm_rate_bps = intra_vm_rate_bps
+        self.measured_at = measured_at
+        self.measurement_duration_s = measurement_duration_s
+        self.degraded_pairs: Dict[Tuple[str, str], str] = dict(degraded_pairs or {})
 
         rates = self._pair_matrix(rates_bps, "rates_bps")
         non_positive = rates <= 0
         if non_positive.any():
             src, dst = self._first_pair(non_positive)
             raise MeasurementError(f"rate for ({src!r}, {dst!r}) must be positive")
-        times = None
+        self._times = None
         if pair_measured_at is not None and len(pair_measured_at):
-            times = self._pair_matrix(pair_measured_at, "pair_measured_at")
-            # A time (not NaN) where the rate is NaN.
-            unmeasured = np.isnan(rates) > np.isnan(times)
+            self._times = self._pair_matrix(pair_measured_at, "pair_measured_at")
+            unmeasured = ~np.isnan(self._times) & np.isnan(rates)
             if unmeasured.any():
                 raise MeasurementError(
                     "pair_measured_at references unmeasured pair "
                     f"{self._first_pair(unmeasured)!r}"
                 )
-        for src, dst in degraded:
+        for src, dst in self.degraded_pairs:
             i, j = self._index.get(src), self._index.get(dst)
             if i is None or j is None:
                 raise MeasurementError(
@@ -141,71 +143,21 @@ class NetworkProfile:
                 raise MeasurementError(
                     f"pair ({src!r}, {dst!r}) is both measured and degraded"
                 )
-        self._adopt(
-            rates, times, intra_vm_rate_bps, measured_at, measurement_duration_s,
-            degraded,
-        )
-
-    def _adopt(
-        self,
-        rates: np.ndarray,
-        times: Optional[np.ndarray],
-        intra_vm_rate_bps: float,
-        measured_at: float,
-        measurement_duration_s: float,
-        degraded_pairs: Dict[Tuple[str, str], str],
-    ) -> None:
-        """Take checked values as this profile's own: ``rates`` and
-        ``times`` are ``(n, n)`` arrays no one else holds, ``NaN`` on the
-        diagonal; the diagonal becomes the intra-VM rate."""
-        self.intra_vm_rate_bps = intra_vm_rate_bps
-        self.measured_at = measured_at
-        self.measurement_duration_s = measurement_duration_s
-        self.degraded_pairs = degraded_pairs
-        self._times = times
-        rates.reshape(-1)[:: len(self.vms) + 1] = intra_vm_rate_bps
+        np.fill_diagonal(rates, intra_vm_rate_bps)
         rates.flags.writeable = False
         self._rates = rates
-
-    @classmethod
-    def _measured(
-        cls,
-        vms: List[str],
-        rates: np.ndarray,
-        times: Optional[np.ndarray],
-        measured_at: float,
-        measurement_duration_s: float,
-        degraded_pairs: Dict[Tuple[str, str], str],
-    ) -> "NetworkProfile":
-        """A profile of arrays measurement has already checked, taken as
-        they are (see :meth:`_adopt`): nothing is checked or copied again.
-
-        Its two callers hold what the constructor would check.  A campaign:
-        its VMs are distinct, every estimate is at least 1 bit/s, a pair
-        has a probe time exactly where it has a rate, and a degraded pair
-        has neither.  A :class:`~repro.service.cache.MeasurementCache`:
-        every pair holds a campaign's estimate or a positive stand-in.
-        """
-        profile = cls.__new__(cls)
-        profile.vms = vms
-        profile._index = {vm: i for i, vm in enumerate(vms)}
-        profile._adopt(
-            rates, times, math.inf, measured_at, measurement_duration_s,
-            degraded_pairs,
-        )
-        return profile
 
     def _pair_matrix(self, values: PairValues, what: str) -> np.ndarray:
         """``values`` as this profile's own ``(n, n)`` array, diagonal ``NaN``."""
         n = len(self.vms)
-        if isinstance(values, np.ndarray) or not isinstance(values, Mapping):
+        if not isinstance(values, Mapping):
             matrix = np.array(values, dtype=np.float64)  # always our own copy
             if matrix.shape != (n, n):
                 raise MeasurementError(
                     f"{what} matrix shape {matrix.shape} does not match "
                     f"{n} VMs (expected ({n}, {n}))"
                 )
-            matrix.reshape(-1)[:: n + 1] = math.nan
+            np.fill_diagonal(matrix, math.nan)
             return matrix
         matrix = np.full((n, n), math.nan)
         if values:
@@ -291,7 +243,7 @@ class NetworkProfile:
         ``~isnan`` of it is the mask of the pairs this profile measured.
         """
         measured = ~np.isnan(self._rates)
-        measured.reshape(-1)[:: len(self.vms) + 1] = False
+        np.fill_diagonal(measured, False)
         if self._times is None:
             return np.where(measured, self.measured_at, math.nan)
         return np.where(measured & np.isnan(self._times), self.measured_at, self._times)
@@ -322,8 +274,9 @@ class NetworkProfile:
         Raises:
             MeasurementError: if ``order`` names a VM outside the profile.
         """
-        if order is None:
-            return self._rates
+        return self._rates if order is None else self._gather(self._rates, order)
+
+    def _gather(self, matrix: np.ndarray, order: Sequence[str]) -> np.ndarray:
         index = self._index
         try:
             at = np.array([index[vm] for vm in order], dtype=np.intp)
@@ -331,7 +284,7 @@ class NetworkProfile:
             raise MeasurementError(
                 f"rate_matrix order references unknown VM {exc.args[0]!r}"
             ) from None
-        return self._rates.take(at, axis=0).take(at, axis=1)
+        return matrix[np.ix_(at, at)]
 
     def pairs(self) -> List[Tuple[str, str]]:
         """All measured ordered pairs."""

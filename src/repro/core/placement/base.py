@@ -113,12 +113,9 @@ class Placement:
 
     def cpu_usage(self, app: Application) -> Dict[str, float]:
         """Cores the placed application consumes on each machine."""
-        cores = {task.name: task.cpu_cores for task in app.tasks}
         usage: Dict[str, float] = {}
         for task, machine in self.assignments.items():
-            # A task the application lacks raises, by name, in cpu_demand.
-            demand = cores[task] if task in cores else app.cpu_demand(task)
-            usage[machine] = usage.get(machine, 0.0) + demand
+            usage[machine] = usage.get(machine, 0.0) + app.cpu_demand(task)
         return usage
 
 

@@ -21,9 +21,8 @@ while scaling far better.
 keeps one :class:`~repro.core.rate_model.EffectiveRateMatrix` over the
 machines in *name-sorted* index order and a free-CPU vector, and a
 transfer's choice is a masked argmax over (part of) that matrix — one row
-when the source is pinned, one column when the destination is, each with
-its one colocated candidate compared as a scalar, and the whole matrix
-with the colocation diagonal otherwise (:meth:`GreedyPlacer._best`).  A
+when the source is pinned, one column when the destination is, and the
+whole matrix with the colocation diagonal otherwise (:meth:`GreedyPlacer._best`).  A
 transfer whose endpoints are both placed only counts its connection; the
 matrix divides a source's row again when a choice reads it.
 Algorithm 1's selection key is ``(-rate, -colocated, -egress(src), src
@@ -359,10 +358,7 @@ class GreedyPlacer(Placer):
         at = int(scores.argmax())
         if scores[at] == -math.inf:  # every rate is positive: nothing allowed
             return None
-        if len(colocated) == 1:  # a pinned choice: its one candidate, as a scalar
-            tied = colocated if scores[colocated[0]] == scores[at] else colocated[:0]
-        else:
-            tied = colocated[scores[colocated] == scores[at]]
+        tied = colocated[scores[colocated] == scores[at]]
         if len(tied) > 1:
             if rnd.egress is None:
                 rnd.egress = _egress(rnd.board.single)

@@ -126,7 +126,7 @@ class MeasurementCache:
         the TTL at ``now``.  The comparison is strict: a pair stamped
         *exactly* ``ttl_s`` ago is still fresh."""
         fresh = now - self._measured_at <= self.ttl_s  # NaN compares False
-        fresh.reshape(-1)[:: len(self.vms) + 1] = True
+        np.fill_diagonal(fresh, True)
         return ~fresh
 
     # ------------------------------------------------------------- topology
@@ -233,6 +233,9 @@ class MeasurementCache:
                 f"measurement cache has never measured {missing} pair(s); "
                 "call refresh() first"
             )
-        return NetworkProfile._measured(
-            list(self.vms), self._rates.copy(), None, now, 0.0, {}
+        return NetworkProfile(
+            self.vms,
+            self._rates,
+            measured_at=now,
+            measurement_duration_s=0.0,
         )
