@@ -143,7 +143,7 @@ class NetworkProfile:
                 raise MeasurementError(
                     f"pair ({src!r}, {dst!r}) is both measured and degraded"
                 )
-        np.fill_diagonal(rates, intra_vm_rate_bps)
+        rates.reshape(-1)[:: len(self.vms) + 1] = intra_vm_rate_bps  # the diagonal
         rates.flags.writeable = False
         self._rates = rates
 
@@ -157,7 +157,7 @@ class NetworkProfile:
                     f"{what} matrix shape {matrix.shape} does not match "
                     f"{n} VMs (expected ({n}, {n}))"
                 )
-            np.fill_diagonal(matrix, math.nan)
+            matrix.reshape(-1)[:: n + 1] = math.nan  # the diagonal
             return matrix
         matrix = np.full((n, n), math.nan)
         if values:
@@ -284,7 +284,7 @@ class NetworkProfile:
             raise MeasurementError(
                 f"rate_matrix order references unknown VM {exc.args[0]!r}"
             ) from None
-        return matrix[np.ix_(at, at)]
+        return matrix.take(at, axis=0).take(at, axis=1)
 
     def pairs(self) -> List[Tuple[str, str]]:
         """All measured ordered pairs."""
