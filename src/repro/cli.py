@@ -140,8 +140,9 @@ def common_parser(
         parent.add_argument(
             "--jobs", "--workers", dest="jobs", type=int, default=jobs,
             metavar="N",
-            help="worker processes (0 = one per grid cell, capped at CPU "
-            f"count; --workers is an alias; default {jobs})",
+            help="worker processes: 1 runs in this process, any other N a "
+            "process pool of N (0 = one per CPU), capped at the trials to "
+            f"run; --workers is an alias; default {jobs})",
         )
     if output is not None:
         parent.add_argument(

@@ -61,8 +61,8 @@ ROUTE_TABLE_ROWS = obs.Counter("repro.routes.table_rows")
 # One frozen tree per shape, with its sorted host names: every provider of
 # a ``(spec, name)`` shares it, so the tables a topology derives lazily
 # (link index, capacity vector, tree tables, routes, ECMP host keys) are
-# derived once per shape, not once per trial.  A lease worker builds
-# providers from several threads.
+# derived once per shape, not once per trial.  Providers may be built from
+# several threads of one process.
 _SHARED_TREES_MAX_ENTRIES = 1024
 _shared_trees: Dict[Tuple[TreeSpec, str], Tuple[Topology, Tuple[str, ...]]] = {}
 _shared_trees_lock = threading.Lock()

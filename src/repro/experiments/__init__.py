@@ -9,11 +9,10 @@ comparison a first-class, runnable artifact:
   placement stack;
 * :mod:`repro.experiments.placers` — the placement-algorithm grid;
 * :mod:`repro.experiments.trials` — the unit of work: one seeded
-  (scenario, placer, trial) cell, picklable and JSON-serialisable;
+  (scenario, placer, trial) cell, small and picklable;
 * :mod:`repro.experiments.backends` — the two execution backends:
-  ``inline``, and ``remote`` — the lease scheduler over the HTTP workers
-  of :mod:`repro.experiments.worker`, the one way a trial leaves the
-  process;
+  ``inline``, and ``pool`` — a stdlib process pool over trial groups, the
+  one way a trial leaves the process;
 * :mod:`repro.experiments.cache` — the persistent content-addressed
   result store, keyed by (scenario, params, placer, trial, seed,
   code_version);

@@ -1,9 +1,9 @@
 """Persistent content-addressed result store for experiment sweeps.
 
-The runner memoizes repeated grid cells within one run, but that memo dies
-with the process, so a grown grid re-pays every cell on every invocation.
-:class:`ResultStore` keeps trial records on disk instead, keyed by
-*everything that determines a trial's outcome*:
+Without a store, a grown grid re-pays every cell on every invocation, and
+a sweep cut short by a dead pool worker starts over.
+:class:`ResultStore` keeps trial records on disk, keyed by *everything
+that determines a trial's outcome*:
 
 ``(scenario, params, placer, placer_params, trial, seed, code_version)``
 
@@ -15,7 +15,6 @@ again (deleting an old version's directory reclaims their disk space).
 Layout: immutable *packs* of JSON lines, one pack per write batch::
 
     <root>/<code_version[:16]>/packs/<writer>-<seq>.jsonl
-    <root>/<code_version[:16]>/costs/<writer>.json   (observed-cost sidecars)
 
 Each line is ``<digest>\\t<payload>\\t<crc32>``: the SHA-256 of the canonical
 JSON encoding of the key, one JSON object carrying the schema tag, the full
@@ -25,39 +24,29 @@ collision, or a line filed under the wrong digest, on read.
 
 Durability: :meth:`ResultStore.put_many` writes its batch under a temp name,
 fsyncs it and renames it into place, so every batch that returns is on disk
-and no reader ever sees part of one.  An inline sweep hands all its
-executed records to one ``put_many`` — one file and one flush per sweep,
-not one per cell; :meth:`ResultStore.put` is the one-cell batch a remote
-worker writes as each record completes.
+and no reader ever sees part of one.  A sweep hands all its executed
+records to one ``put_many`` — one file and one flush per sweep, not one
+per cell; :meth:`ResultStore.put` is the one-cell batch.
 
-Concurrency: the store is safe to share between concurrent writers —
-including N machines mounting one network directory, which is how the
-``remote`` backend's workers populate a single store.  A pack's name embeds
-its writer (pid + random token) and a per-writer sequence number, so two
-writers never share a file name, and packs are never rewritten once
-renamed.  Two writers storing the same cell each leave a copy; either is
-good — the cell is content-addressed, so both hold records of the same
-deterministic trial.
+Concurrency: the store is safe to share between concurrent writers — two
+sweeps given the same ``--cache-dir``, or machines mounting one network
+directory.  A pack's name embeds its writer (pid + random token) and a
+per-writer sequence number, so two writers never share a file name, and
+packs are never rewritten once renamed.  Two writers storing the same
+cell each leave a copy; either is good — the cell is content-addressed,
+so both hold records of the same deterministic trial.
 
 Reads go through an in-memory index ``digest -> raw payload text`` (text,
 not parsed records: parsing happens per :meth:`ResultStore.get`).  Only a
 miss lists ``packs/`` again, and it loads only packs not seen before, so a
-miss costs O(packs listed) — for a store fed by remote workers' one-cell
-packs that is the number of cells they wrote, as it was for the
-file-per-cell layout this replaced.  Compacting packs is not done.
+miss costs O(packs listed) — one pack per sweep that wrote the store.
+Compacting packs is not done.
 
 Corruption: a bad line — torn, non-UTF-8, failing its checksum, another
 schema, a key that disagrees, a record that does not fit
 :class:`~repro.experiments.results.TrialRecord` — is a miss counted once
 under ``invalidated``.  It is never deleted (its pack holds other good
 cells) and never shadows a good copy of the same cell in another pack.
-
-Writers also accumulate *observed per-cell cost* — mean trial wall seconds
-per ``(scenario, placer)`` — into per-writer sidecar files under
-``costs/``.  :meth:`ResultStore.cost_table` merges all sidecars; the
-remote backend's cost-aware chunker reads it so a chunk of expensive
-cells does not strand a worker behind many times the work its siblings
-got.
 """
 
 from __future__ import annotations
@@ -82,13 +71,8 @@ logger = logging.getLogger("repro.experiments.cache")
 #: Schema tag written into every cell payload.
 CACHE_SCHEMA = "repro.experiments/cache/v1"
 
-#: Schema tag of the per-writer observed-cost sidecar files.
-COST_SCHEMA = "repro.experiments/costs/v1"
-
-#: Directories (under the version dir) holding the packs and the cost
-#: sidecars.  Sidecars are not cells: ``__len__`` only counts packs.
+#: Directory (under the version dir) holding the packs.
 _PACKS_DIRNAME = "packs"
-_COSTS_DIRNAME = "costs"
 
 _PACK_SUFFIX = ".jsonl"
 
@@ -269,14 +253,12 @@ class ResultStore:
         self._packs_written = obs.Counter("repro.store.packs_written")
         self._packs_loaded = obs.Counter("repro.store.packs_loaded")
         self._write_errors = obs.Counter("repro.store.write_errors")
-        # Per-writer identity: pack names and the cost sidecar embed it so
-        # concurrent writers (other processes, other machines) never share
-        # a file name.
+        # Per-writer identity: pack names embed it so concurrent writers
+        # (other processes, other machines) never share a file name.
         self._writer_token = f"{os.getpid()}-{secrets.token_hex(4)}"
-        # ``next()`` on a count is atomic under the GIL, so a worker's lease
-        # threads sharing this store never share a pack name.
+        # ``next()`` on a count is atomic under the GIL, so threads sharing
+        # this store never share a pack name.
         self._pack_seq = itertools.count(1)
-        self._costs: Dict[Tuple[str, str], List[float]] = {}
         # digest -> payload texts not yet found bad, in pack-load order;
         # and the packs already indexed.
         self._index: Dict[str, List[str]] = {}
@@ -363,7 +345,9 @@ class ResultStore:
         data = b"".join(_pack_line(key, record) for key, record in cells)
         path = self._packs / f"{self._writer_token}-{next(self._pack_seq)}{_PACK_SUFFIX}"
         tmp_path = path.with_name(path.name + ".tmp")
-        with obs.span("store.put_many", cells=len(cells), bytes=len(data)):
+        with obs.span(
+            "store.put_many", cells=len(cells), bytes=len(data), pack=path.name
+        ):
             try:
                 self._packs.mkdir(parents=True, exist_ok=True)
                 with open(tmp_path, "wb") as handle:
@@ -381,8 +365,6 @@ class ResultStore:
                 raise
         self._stored.inc(len(cells))
         self._packs_written.inc()
-        for key, record in cells:
-            self._record_cost(key, record)
         return path
 
     def put(self, key: CacheKey, record: TrialRecord) -> Path:
@@ -395,86 +377,6 @@ class ResultStore:
             "result store %s: write failed with %s (%s)",
             self.root, errno.errorcode.get(exc.errno, exc.errno), exc.strerror,
         )
-
-    # -------------------------------------------------------------- cost model
-    def _record_cost(self, key: CacheKey, record: TrialRecord) -> None:
-        wall = getattr(record, "trial_wall_s", None)
-        if not wall or wall <= 0:
-            return
-        entry = self._costs.setdefault((key.scenario, key.placer), [0, 0.0])
-        entry[0] += 1
-        entry[1] += float(wall)
-
-    def flush_costs(self) -> Optional[Path]:
-        """Persist this writer's observed per-cell costs (atomic rename).
-
-        Each writer owns exactly one sidecar file (named by its writer
-        token) under ``<root>/<version[:16]>/costs/``, so N concurrent
-        writers never contend and no locking is needed;
-        :meth:`cost_table` merges them all.  Returns the sidecar path, or
-        ``None`` while nothing has been observed.  An ``OSError`` is
-        logged and counted like a failed :meth:`put_many`, then raised.
-        """
-        if not self._costs:
-            return None
-        cost_dir = self.root / self.version[:16] / _COSTS_DIRNAME
-        payload = {
-            "schema": COST_SCHEMA,
-            "costs": [
-                {
-                    "scenario": scenario,
-                    "placer": placer,
-                    "count": count,
-                    "total_wall_s": total,
-                }
-                for (scenario, placer), (count, total) in sorted(
-                    self._costs.items()
-                )
-            ],
-        }
-        path = cost_dir / f"{self._writer_token}.json"
-        tmp_path = path.with_name(path.name + ".tmp")
-        try:
-            cost_dir.mkdir(parents=True, exist_ok=True)
-            tmp_path.write_text(json.dumps(payload, sort_keys=True))
-            os.replace(tmp_path, path)
-        except OSError as exc:
-            self._write_failed(exc)
-            raise
-        return path
-
-    def cost_table(self) -> Dict[Tuple[str, str], float]:
-        """Mean observed trial wall seconds per ``(scenario, placer)`` cell.
-
-        Merged across every writer's flushed sidecar; unreadable or
-        foreign files are skipped, and the table is simply empty until
-        some writer has flushed.  This is what the remote backend's
-        cost-aware chunker weighs chunks with.
-        """
-        cost_dir = self.root / self.version[:16] / _COSTS_DIRNAME
-        if not cost_dir.is_dir():
-            return {}
-        merged: Dict[Tuple[str, str], List[float]] = {}
-        for path in sorted(cost_dir.glob("*.json")):
-            try:
-                payload = json.loads(path.read_text())
-            except (OSError, ValueError):
-                continue
-            if not isinstance(payload, dict) or payload.get("schema") != COST_SCHEMA:
-                continue
-            for row in payload.get("costs", ()):
-                try:
-                    cell = (str(row["scenario"]), str(row["placer"]))
-                    count = int(row["count"])
-                    total = float(row["total_wall_s"])
-                except (KeyError, TypeError, ValueError):
-                    continue
-                if count <= 0:
-                    continue
-                entry = merged.setdefault(cell, [0, 0.0])
-                entry[0] += count
-                entry[1] += total
-        return {cell: total / count for cell, (count, total) in merged.items()}
 
     # ------------------------------------------------------------- inspection
     @property

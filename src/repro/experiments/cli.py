@@ -41,7 +41,7 @@ def _resolve_scenarios(requested: Sequence[str]) -> List[str]:
         return scenario_names()
     for name in requested:
         get_scenario(name)
-    return list(dict.fromkeys(requested))  # dedupe, keep order
+    return list(requested)
 
 
 def configure_parser(parser: argparse.ArgumentParser) -> None:
@@ -81,14 +81,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     )
     run_cmd.add_argument("--trials", type=int, default=3)
     run_cmd.add_argument(
-        "--backend", default=None, choices=backend_names(), metavar="NAME",
-        help=(
-            "execution backend "
-            f"({', '.join(backend_names())}; default: inline for --jobs 1 "
-            "without --endpoint, remote otherwise)"
-        ),
-    )
-    run_cmd.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help=(
             "persistent result store: trials already computed there (by this "
@@ -108,34 +100,9 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         ),
     )
     run_cmd.add_argument(
-        "--max-retries", type=int, default=2, metavar="N",
-        help=(
-            "remote backend: retry waves for trials whose worker died or "
-            "hung (default: 2)"
-        ),
-    )
-    run_cmd.add_argument(
-        "--endpoint", action="append", default=[], metavar="URL",
-        help=(
-            "remote backend (repeatable; selects it): worker endpoint — "
-            "http://host:port for a running worker, ssh://[user@]host:port "
-            "to launch one there first; none given, the backend spawns a "
-            "localhost pool of --jobs workers"
-        ),
-    )
-    run_cmd.add_argument(
-        "--heartbeat-timeout-s", type=float, default=None, metavar="SECONDS",
-        help=(
-            "remote backend only: a leased worker that streams no record "
-            "for this long loses the lease — its finished trials are "
-            "salvaged, the rest re-enqueued; raise it for trials that "
-            "legitimately run longer (default: 30)"
-        ),
-    )
-    run_cmd.add_argument(
         "--stats", action="store_true",
         help="print the full telemetry snapshot (obs.metrics: store, "
-        "allocator, fluid, measurement, fabric counters) after the run",
+        "allocator, fluid, measurement, sweep counters) after the run",
     )
     run_cmd.add_argument(
         "--cache-stats", action="store_true",
@@ -195,13 +162,9 @@ def _make_config(
     workers: int,
     baseline: str,
     param_items: Optional[Sequence[str]] = None,
-    backend: Optional[str] = None,
     cache_dir: Optional[str] = None,
     placer_param_items: Optional[Sequence[str]] = None,
     fail_fast: bool = False,
-    max_retries: int = 2,
-    endpoints: Sequence[str] = (),
-    heartbeat_timeout_s: Optional[float] = None,
 ) -> ExperimentConfig:
     placers = tuple(name.strip() for name in placers_csv.split(",") if name.strip())
     overrides = _parse_params(param_items)
@@ -228,14 +191,10 @@ def _make_config(
         base_seed=seed,
         baseline=baseline,
         workers=None if workers == 0 else workers,
-        backend=backend,
         cache_dir=cache_dir,
         scenario_params=scenario_params,
         placer_params=_parse_placer_params(placer_param_items),
         fail_fast=fail_fast,
-        max_retries=max_retries,
-        endpoints=tuple(endpoints),
-        heartbeat_timeout_s=heartbeat_timeout_s,
     )
 
 
@@ -270,17 +229,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     config = _make_config(
         scenarios, args.placers, args.trials, args.seed, args.jobs,
         args.baseline, args.param,
-        backend=args.backend,
         cache_dir=None if args.no_cache else args.cache_dir,
         placer_param_items=args.placer_param,
         fail_fast=args.fail_fast,
-        max_retries=args.max_retries,
-        endpoints=args.endpoint,
-        heartbeat_timeout_s=args.heartbeat_timeout_s,
     )
     runner = ExperimentRunner(config)
     result = runner.run()
-    path = result.save(args.output)
+    path = result.save(args.output) if args.output else None
     _print_run_summary(result)
     stats = runner.last_stats
     # Printed even on fully-warm runs ("executed 0 trial(s)"), so cache
@@ -303,12 +258,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         for name, value in sorted(obs.metrics.snapshot().items()):
             print(f"  {name} = {value}")
     failed = [rec for rec in result.records if not rec.ok]
-    print(f"wrote {len(result.records)} trial record(s) to {path}")
+    if path is not None:
+        print(f"wrote {len(result.records)} trial record(s) to {path}")
     if failed:
-        print(
-            f"ERROR: {len(failed)} trial(s) failed; see 'error' fields in {path}",
-            file=sys.stderr,
-        )
+        where = f"; see 'error' fields in {path}" if path is not None else ""
+        print(f"ERROR: {len(failed)} trial(s) failed{where}", file=sys.stderr)
         return 1
     return 0
 

@@ -10,8 +10,8 @@ Backends run batches through :func:`run_trials`, which therefore builds
 that scenario once per trial and gives each placer a copy of it.
 
 Everything a trial needs is named (scenario name, placer name, seed), which
-is what makes a :class:`WorkItem` JSON-serialisable for the lease wire of
-the ``remote`` backend's workers, on this machine or another.
+is what makes a :class:`WorkItem` small and picklable for the ``pool``
+backend's child processes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
 from repro.core.network_profile import NetworkProfile
-from repro.errors import ExperimentError, ReproError
+from repro import obs
+from repro.errors import ReproError
 from repro.experiments.placers import resolve_placer
 from repro.experiments.results import TrialRecord
 from repro.experiments.scenarios import (
@@ -35,7 +36,7 @@ from repro.runtime.executor import run_applications
 
 
 #: What a scenario or placer parameter value may be: a JSON scalar, so it
-#: crosses the lease wire unchanged and keys the store and the grouping alike.
+#: keys the store (by its JSON form) and the grouping alike.
 JSON_SCALAR_TYPES = (type(None), bool, int, float, str)
 
 
@@ -129,7 +130,9 @@ def run_trials(items: Sequence[WorkItem]) -> Iterator[Tuple[int, TrialRecord]]:
     alone would produce.  The build's wall time is split evenly over the
     group's ``trial_wall_s``, so a group's records still add up to the
     time it took.  A build that raises fails every cell of its group with
-    the same error, under the cell's own ``fail_fast``.
+    the same error, under the cell's own ``fail_fast``.  Each cell runs in
+    one ``experiments.trial`` span naming its scenario, placer, trial and
+    seed, so a trace maps every trial to the process that ran it.
     """
     for group in trial_groups(items):
         first = items[group[0]]
@@ -143,36 +146,42 @@ def run_trials(items: Sequence[WorkItem]) -> Iterator[Tuple[int, TrialRecord]]:
         build_share = (time.perf_counter() - started) / len(group)
         for k, index in enumerate(group):
             item = items[index]
-            if error is not None:
-                record = TrialRecord(
-                    scenario=item.scenario, placer=item.placer,
-                    trial=item.trial, seed=item.seed,
-                )
-                _capture(record, error, item.fail_fast)
-            else:
-                instance = template
-                if k < len(group) - 1:
-                    instance = replace(template, provider=template.provider.copy())
-                record = run_trial(
-                    item.scenario, item.placer, item.trial, item.base_seed,
-                    dict(item.params), dict(item.placer_params),
-                    fail_fast=item.fail_fast, instance=instance,
-                )
+            with obs.span(
+                "experiments.trial", scenario=item.scenario, placer=item.placer,
+                trial=item.trial, seed=item.seed,
+            ):
+                if error is not None:
+                    record = TrialRecord(
+                        scenario=item.scenario, placer=item.placer,
+                        trial=item.trial, seed=item.seed,
+                    )
+                    _capture(record, error, item.fail_fast)
+                else:
+                    instance = template
+                    if k < len(group) - 1:
+                        instance = replace(
+                            template, provider=template.provider.copy()
+                        )
+                    record = run_trial(
+                        item.scenario, item.placer, item.trial, item.base_seed,
+                        dict(item.params), dict(item.placer_params),
+                        fail_fast=item.fail_fast, instance=instance,
+                    )
             record.trial_wall_s += build_share
             yield index, record
 
 
 @dataclass(frozen=True)
 class WorkItem:
-    """One picklable, JSON-serialisable grid cell for an execution backend.
+    """One picklable grid cell for an execution backend.
 
     ``params`` is stored as a sorted tuple of ``(key, value)`` pairs so work
     items are hashable and two items describing the same cell compare equal
     regardless of mapping order.
 
-    ``fail_fast`` rides along on the wire so remote workers honour the
-    runner's error policy, but it does not change *what* is computed —
-    cache and memo keys deliberately exclude it.
+    ``fail_fast`` rides along so pool children honour the runner's error
+    policy, but it does not change *what* is computed — the store key
+    deliberately excludes it.
     """
 
     scenario: str
@@ -212,10 +221,9 @@ class WorkItem:
     def trial_key(self) -> Tuple:
         """Identity of the simulation this item runs (``fail_fast`` aside).
 
-        Mirrors the runner's memo key and the cache key's payload: two
-        items with equal ``trial_key`` compute the identical record, which
-        is what lets the remote backend discard duplicate records when a
-        straggler's trials were re-dispatched and both workers finished.
+        Mirrors the cache key's payload: two items with equal
+        ``trial_key`` compute the identical record.  The pool backend
+        names lost trials by it.
         """
         return (
             self.scenario, self.params, self.placer, self.placer_params,
@@ -228,81 +236,6 @@ class WorkItem:
         :attr:`trial_key` without the placer.  Items that share it share
         one build in :func:`run_trials`."""
         return (self.scenario, self.params, self.trial, self.seed)
-
-    @property
-    def cost_key(self) -> Tuple[str, str]:
-        """The cost-model cell this item bills to.
-
-        Observed trial wall clock clusters by ``(scenario, placer)`` — an
-        ilp cell costs a few times a random-placer cell on the same
-        scenario, a churn session many times a batch trial — so that pair
-        is the granularity the result store's cost table and the remote
-        backend's chunker work at.
-        """
-        return (self.scenario, self.placer)
-
-    # ------------------------------------------------------------ wire format
-    def to_json_dict(self) -> dict:
-        """The lease wire format (all params are plain JSON)."""
-        return {
-            "scenario": self.scenario,
-            "placer": self.placer,
-            "trial": self.trial,
-            "base_seed": self.base_seed,
-            "params": dict(self.params),
-            "placer_params": dict(self.placer_params),
-            "fail_fast": self.fail_fast,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: Mapping[str, object]) -> "WorkItem":
-        """Parse one lease-wire item; any other shape raises an
-        :class:`ExperimentError` naming the offending field."""
-        if not isinstance(data, Mapping):
-            raise ExperimentError(
-                f"malformed work item: expected an object, got {type(data).__name__}"
-            )
-        try:
-            fields = {name: data[name] for name in ("scenario", "placer", "trial", "base_seed")}
-        except KeyError as exc:
-            raise ExperimentError(f"malformed work item: missing field {exc}") from None
-        for name in ("scenario", "placer"):
-            if not isinstance(fields[name], str):
-                raise _bad_field(name, "a string", fields[name])
-        for name in ("trial", "base_seed"):
-            value = fields[name]
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise _bad_field(name, "a non-negative integer", value)
-        fail_fast = data.get("fail_fast", False)
-        if not isinstance(fail_fast, bool):
-            raise _bad_field("fail_fast", "a boolean", fail_fast)
-        return cls.make(
-            params=_wire_params(data, "params"),
-            placer_params=_wire_params(data, "placer_params"),
-            fail_fast=fail_fast,
-            **fields,
-        )
-
-
-def _bad_field(name: str, what: str, value: object) -> ExperimentError:
-    return ExperimentError(
-        f"malformed work item: {name!r} must be {what}, got {value!r:.80}"
-    )
-
-
-def _wire_params(data: Mapping[str, object], name: str) -> Dict[str, object]:
-    """A lease item's parameter map: string keys, JSON scalar values (what
-    :class:`~repro.experiments.runner.ExperimentConfig` admits, and what the
-    instance grouping hashes)."""
-    params = data.get(name)
-    if params is None:
-        return {}
-    if not isinstance(params, Mapping) or not all(
-        isinstance(key, str) and isinstance(value, JSON_SCALAR_TYPES)
-        for key, value in params.items()
-    ):
-        raise _bad_field(name, "an object of JSON scalars", params)
-    return dict(params)
 
 
 def _measurement_plan() -> MeasurementPlan:

@@ -11,15 +11,14 @@ One import gives instrumented code everything it needs::
     hits.inc()
 
     obs.metrics.snapshot()       # {"repro.store.hits": 1, ...}
-    obs.metrics.prometheus_text()  # exposition for GET /metrics
 
 Three pillars:
 
 * **spans** (:mod:`repro.obs.trace`) — nested timing events flushed to a
   JSONL file, off by default, enabled via ``REPRO_TRACE=path``, the
   unified CLI's ``--trace``, or :func:`configure`;
-* **metrics** (:mod:`repro.obs.metrics`) — typed Counter/Gauge
-  instruments owned by components, aggregated by the process-wide
+* **metrics** (:mod:`repro.obs.metrics`) — counters owned by
+  components, aggregated by the process-wide
   :data:`metrics` registry; the pre-existing ad-hoc ``.stats`` dicts are
   now thin views over these;
 * **analysis** (:mod:`repro.obs.report`) — ``python -m repro.obs report
@@ -38,13 +37,11 @@ from typing import Optional
 
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     MetricsRegistry,
     registry as metrics,
 )
 from repro.obs.trace import (
     TRACE_ENV,
-    WORKER_ID_ENV,
     configure,
     point,
     span,
@@ -53,9 +50,7 @@ from repro.obs.trace import (
 
 __all__ = [
     "TRACE_ENV",
-    "WORKER_ID_ENV",
     "Counter",
-    "Gauge",
     "MetricsRegistry",
     "metrics",
     "configure",
@@ -92,8 +87,8 @@ def add_observability_flags(parser: argparse.ArgumentParser) -> None:
     """Attach ``--trace``/``--log-level``/``-v`` to a (sub)parser."""
     parser.add_argument(
         "--trace", default=None, metavar="PATH",
-        help="append span trace events (JSONL) to PATH; worker "
-        "subprocesses inherit it via REPRO_TRACE and share the file "
+        help="append span trace events (JSONL) to PATH; pool worker "
+        "processes inherit it via REPRO_TRACE and share the file "
         "(analyse with `python -m repro.obs report PATH`)",
     )
     parser.add_argument(

@@ -4,9 +4,9 @@ Off by default.  Three ways to switch it on, in precedence order:
 
 * programmatically — ``obs.configure(trace_path="t.jsonl")``;
 * per process tree — ``REPRO_TRACE=t.jsonl python -m repro ...`` (the
-  unified CLI's ``--trace`` flag sets exactly this variable, so worker
-  subprocesses spawned by the remote backend inherit it and append their
-  spans to the same file);
+  unified CLI's ``--trace`` flag sets exactly this variable, so the
+  ``pool`` backend's worker processes inherit it and append their spans
+  to the same file);
 * per call site never: instrumented code calls :func:`span`
   unconditionally and the disabled path is a shared no-op context
   manager, cheap enough to sit inside the fluid event loop.
@@ -15,13 +15,12 @@ Each completed span emits one JSON line::
 
     {"ev": "span", "name": "alloc.solve", "span": "1a2b-3", "parent":
      "1a2b-1", "ts": 0.123, "dur": 0.004, "pid": 6698, "tid": 1234,
-     "worker": "w0", "attrs": {"mode": "vector", "links": 96}}
+     "attrs": {"mode": "vector", "links": 96}}
 
 ``ts`` is a *monotonic* start time (``time.perf_counter``), meaningful
 for ordering and deltas within one process only; ``span``/``parent``
-ids are unique per process and reconstruct the nesting; ``worker`` is
-the ``REPRO_WORKER_ID`` env var when the process is a sweep worker.
-The file is opened in append mode and flushed per line so concurrent
+ids are unique per process and reconstruct the nesting; ``pid`` tells
+the processes of one traced sweep apart.  The file is opened in append mode and flushed per line so concurrent
 writer processes interleave whole lines and a crash loses nothing.
 
 Tracing is pure observation: no instrumented code path branches on it,
@@ -46,8 +45,6 @@ __all__ = [
 
 #: Environment variable naming the trace file; checked once, lazily.
 TRACE_ENV = "REPRO_TRACE"
-#: Optional worker identity stamped on every event.
-WORKER_ID_ENV = "REPRO_WORKER_ID"
 
 
 class _TracerState:
@@ -65,8 +62,8 @@ _state = _TracerState()
 
 
 def _check_env() -> None:
-    # Lazy so `import repro` alone never touches the filesystem; a worker
-    # subprocess that inherited REPRO_TRACE starts tracing on first use.
+    # Lazy so `import repro` alone never touches the filesystem; a pool
+    # worker that inherited REPRO_TRACE starts tracing on first use.
     if _state.env_checked:
         return
     _state.env_checked = True
@@ -86,7 +83,7 @@ def configure(trace_path: Optional[str] = None, *, export_env: bool = True) -> N
 
     With ``export_env`` (the default), the path is also written to the
     ``REPRO_TRACE`` environment variable so subprocesses spawned later
-    (sweep workers, the remote fabric) trace into the same file.
+    (the ``pool`` backend's workers) trace into the same file.
     """
     with _state.lock:
         if _state.file is not None:
@@ -168,9 +165,6 @@ class _Span:
             "pid": os.getpid(),
             "tid": threading.get_ident(),
         }
-        worker = os.environ.get(WORKER_ID_ENV)
-        if worker:
-            event["worker"] = worker
         if exc_type is not None:
             event["error"] = exc_type.__name__
         if self.attrs:
@@ -195,7 +189,7 @@ def span(name: str, **attrs):
 
 
 def point(name: str, **attrs) -> None:
-    """Record an instantaneous event (a lease death, a recovery action)."""
+    """Record an instantaneous event (a recovery action)."""
     if not _state.enabled:
         if _state.env_checked:
             return
@@ -211,9 +205,6 @@ def point(name: str, **attrs) -> None:
         "pid": os.getpid(),
         "tid": threading.get_ident(),
     }
-    worker = os.environ.get(WORKER_ID_ENV)
-    if worker:
-        event["worker"] = worker
     if attrs:
         event["attrs"] = attrs
     _emit(event)

@@ -6,7 +6,7 @@
 * writers for the two flow-trace formats ``repro.workloads.trace`` reads,
   so tests can hand the readers files of known content;
 * the measurement cache's stale set and ages, read off its arrays;
-* the switch that puts lease workers under the chaos hook of
+* the switch that puts pool workers under the chaos hook of
   ``tests/chaos``.
 """
 
@@ -151,12 +151,16 @@ def age_of(cache, pair: Tuple[str, str], now: float) -> Optional[float]:
 CHAOS_HOOK = str(Path(__file__).resolve().parent / "chaos")
 
 
-def arm_worker_chaos(monkeypatch, chaos_dir, mode: str) -> None:
-    """Make the lease workers spawned from now on misbehave per ``mode``
-    (``crash`` / ``hang`` / ``slow``, or a comma-separated list), each mode
-    once per ``chaos_dir``: see ``tests/chaos/sitecustomize.py``."""
+def arm_worker_chaos(monkeypatch, chaos_dir) -> None:
+    """Make one pool worker spawned from now on crash, once per
+    ``chaos_dir``: see ``tests/chaos/sitecustomize.py``.  The package's
+    source directory goes on ``PYTHONPATH`` too, since the hook imports
+    ``repro`` before a child has the parent's ``sys.path``."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH", "")
-    if CHAOS_HOOK not in path.split(os.pathsep):
-        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(filter(None, [CHAOS_HOOK, path])))
+    monkeypatch.setenv(
+        "PYTHONPATH", os.pathsep.join(filter(None, [CHAOS_HOOK, src, path]))
+    )
     monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(chaos_dir))
-    monkeypatch.setenv("REPRO_WORKER_CHAOS_MODE", mode)

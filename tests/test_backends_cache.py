@@ -1,7 +1,7 @@
 """Execution backends and the persistent content-addressed result store:
 backend selection, cross-backend equivalence, cache hits/invalidation, the
-trace-replay scenario, and the dropped-trials summary accounting.  (Worker
-loss, leases and retries: ``tests/test_fabric.py``.)"""
+trace-replay scenario, and the dropped-trials summary accounting.  (Pool
+sizing and worker loss: ``tests/test_fabric.py``.)"""
 
 import json
 import zlib
@@ -23,11 +23,10 @@ from repro.experiments import (
     run_trial,
     tree_digest,
 )
-from repro.experiments.backends import RemoteBackend
 from repro.experiments.cache import CacheKey
 from repro.experiments.cli import main as cli_main
 
-ALL_BACKENDS = ("inline", "remote")
+ALL_BACKENDS = ("inline", "pool")
 
 
 def _small_config(**overrides):
@@ -56,14 +55,12 @@ def test_unknown_backend_rejected_eagerly():
 
 def test_backend_default_preserves_historical_behaviour():
     """One rule, from the inputs: explicit wins; else anything that needs
-    another process (more workers, or endpoints) is ``remote``."""
+    another process (more workers) is ``pool``."""
     assert _small_config(workers=1).effective_backend == "inline"
-    assert _small_config(workers=2).effective_backend == "remote"
-    assert _small_config(workers=None).effective_backend == "remote"
+    assert _small_config(workers=2).effective_backend == "pool"
+    assert _small_config(workers=None).effective_backend == "pool"
     assert _small_config(workers=4, backend="inline").effective_backend == "inline"
-    assert _small_config(workers=1, backend="remote").effective_backend == "remote"
-    implied = _small_config(workers=1, endpoints=("http://a:1",))
-    assert implied.effective_backend == "remote"
+    assert _small_config(workers=1, backend="pool").effective_backend == "pool"
 
 
 # ------------------------------------------------------------- equivalence
@@ -79,31 +76,19 @@ def test_all_backends_produce_bit_identical_canonical_results():
 
 
 def test_backend_map_trials_preserves_input_order():
+    """Each yielded position names the record of the item at that position,
+    every position exactly once, whatever order the pool finishes in."""
     items = [
         WorkItem.make("smoke", placer, trial, 0)
         for placer in ("random", "round-robin")
         for trial in (1, 0)
     ]
-    records = create_backend("remote", workers=2).map_trials(items)
-    assert [(rec.placer, rec.trial) for rec in records] == [
+    pairs = list(create_backend("pool", workers=2).map_trials(items))
+    assert sorted(position for position, _ in pairs) == list(range(len(items)))
+    records = dict(pairs)
+    assert [(records[i].placer, records[i].trial) for i in range(len(items))] == [
         (item.placer, item.trial) for item in items
     ]
-
-
-def test_subprocess_worker_failure_surfaces_as_experiment_error(monkeypatch):
-    """An interpreter that cannot launch is an error, not a hang."""
-    import sys
-
-    backend = RemoteBackend(workers=1)
-    monkeypatch.setattr(sys, "executable", "/nonexistent-python")
-    with pytest.raises((ExperimentError, OSError)):
-        backend.map_trials([WorkItem.make("smoke", "random", 0, 0)])
-
-
-def test_work_item_json_round_trip():
-    item = WorkItem.make("smoke", "greedy", 3, 7, params={"n_vms": 6})
-    assert WorkItem.from_json_dict(item.to_json_dict()) == item
-    assert item.seed == run_trial("smoke", "greedy", 3, 7, {"n_vms": 6}).seed
 
 
 # -------------------------------------------------------------------- cache
@@ -265,15 +250,29 @@ def test_cli_no_cache_forces_execution(tmp_path, capsys):
     assert "executed 1 trial(s)" in capsys.readouterr().out
 
 
-def test_cli_run_accepts_explicit_backend(tmp_path, capsys):
+def test_cli_run_jobs_picks_the_pool(tmp_path, capsys):
     out = tmp_path / "results.json"
     code = cli_main(
-        ["run", "--scenario", "smoke", "--trials", "1", "--placers", "random",
-         "--backend", "remote", "--workers", "2", "--output", str(out)]
+        ["run", "--scenario", "smoke", "--trials", "2", "--placers", "random",
+         "--workers", "2", "--output", str(out)]
     )
     assert code == 0
-    assert "backend remote" in capsys.readouterr().out
+    assert "backend pool: executed 2 trial(s)" in capsys.readouterr().out
     assert json.loads(out.read_text())["records"]
+
+
+def test_cli_run_with_empty_output_writes_nothing(tmp_path, capsys, monkeypatch):
+    """``--output ''`` disables the artifact, as the shared flag's help says."""
+    monkeypatch.chdir(tmp_path)
+    code = cli_main(
+        ["run", "--scenario", "smoke", "--trials", "1", "--placers", "random",
+         "--output", ""]
+    )
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "backend inline: executed 1 trial(s)" in out
+    assert "wrote" not in out
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_rejects_non_scalar_param_values():
@@ -370,9 +369,8 @@ def test_keep_going_captures_crashing_trial(monkeypatch):
         run_trial("smoke", "random", 0, 0, fail_fast=True)
 
 
-def test_fail_fast_rides_the_work_item_wire_format():
+def test_fail_fast_does_not_split_the_store_key():
     item = WorkItem.make("smoke", "random", 0, 0, fail_fast=True)
-    assert WorkItem.from_json_dict(item.to_json_dict()) == item
     # Error policy must not split the cache: items differing only in
     # fail_fast share a persistent-store key.
     store_fields = (item.scenario, item.placer, item.trial, item.seed)

@@ -1,652 +1,438 @@
-"""The remote sweep fabric: worker wire protocol, lease-based scheduling,
-fault tolerance (crash / hang / straggler chaos), cost-aware chunking, and
-the crash-safe shared result store under multi-writer races."""
+"""The ``pool`` backend: a stdlib process pool over trial groups — its
+size, a ``fail_fast`` trial's error, and a worker killed mid-sweep (the
+sweep fails by name, the store keeps what finished, a re-run resumes)."""
 
-import contextlib
+import concurrent.futures
 import errno
-import io
 import json
-import multiprocessing
 import os
-import socket
-import threading
-import time
-import types
+import pickle
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from helpers import arm_worker_chaos
-import repro.experiments.backends as backends_mod
-import repro.experiments.trials as trials_mod
-import repro.experiments.worker as worker_mod
 from repro.errors import ExperimentError
 from repro.experiments import (
     ExperimentConfig,
+    ExperimentResult,
     ExperimentRunner,
     ResultStore,
     WorkItem,
-    backend_names,
     create_backend,
+    placer_names,
+    scenario_names,
 )
-from repro.experiments.backends import (
-    COST_PRIORS,
-    RemoteBackend,
-    _weighted_chunks,
-    item_weight,
-)
-from repro.experiments.worker import (
-    DEFAULT_WORKER_PORT,
-    WORKER_SCHEMA,
-    LeaseStream,
-    WorkerClient,
-    WorkerServer,
-    parse_endpoint,
-    spawn_local_workers,
-    ssh_launch_command,
-)
+from repro.experiments.backends import _resolve_workers
+from repro.experiments.placers import PLACER_ALIASES
 
 
-def _items(n=6, placer="random"):
-    return [WorkItem.make("smoke", placer, trial, 0) for trial in range(n)]
+def test_pool_is_sized_to_the_batch_not_the_hint(monkeypatch):
+    """``--jobs 8`` with one pending trial cold-starts one interpreter, however
+    many placers that trial has: a task never splits a trial."""
+    sizes = []
+    real = concurrent.futures.ProcessPoolExecutor
+
+    def recording(max_workers, **kwargs):
+        sizes.append(max_workers)
+        return real(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording)
+    items = [WorkItem.make("smoke", placer, 0, 0) for placer in ("greedy", "random")]
+    assert len(list(create_backend("pool", workers=8).map_trials(items))) == 2
+    assert sizes == [1]
 
 
-def _canonical(records):
+def test_fail_fast_trial_error_ends_the_sweep_with_its_own_text():
+    """A raising ``fail_fast`` trial is deterministic: the pool re-raises the
+    child's exception, of the type and with the text inline raises."""
+    items = [
+        WorkItem.make("smoke", "random", trial, 0, params={"n_vms": "six"}, fail_fast=True)
+        for trial in range(3)
+    ]
+    raised = {}
+    for name in ("inline", "pool"):
+        with pytest.raises(Exception) as excinfo:
+            list(create_backend(name, workers=2).map_trials(items))
+        raised[name] = (type(excinfo.value), str(excinfo.value))
+    assert raised["pool"] == raised["inline"]
+    assert raised["inline"][0] is ValueError
+
+
+def _canonical(result):
+    return json.dumps(result.canonical_json_dict(), sort_keys=True)
+
+
+def test_chaos_crash_fails_the_sweep_by_name_and_a_rerun_resumes(tmp_path, monkeypatch):
+    """One pool worker is killed after a finished group: the sweep raises
+    naming the missing trials, the store holds every finished cell, and the
+    re-run executes exactly the missing ones and equals inline."""
+
+    def grid(**execution):
+        return ExperimentConfig(
+            scenarios=("smoke",), placers=("greedy", "random"), trials=4,
+            baseline="random", **execution,
+        )
+
+    inline = ExperimentRunner(grid(workers=1)).run()
+    chaos_dir = tmp_path / "chaos"
+    chaos_dir.mkdir()
+    arm_worker_chaos(monkeypatch, chaos_dir)
+    store = tmp_path / "store"
+    # One worker runs the four trial groups in order; the chaos hook kills
+    # it during its second, so the first group is the only one that finished.
+    config = grid(workers=1, backend="pool", cache_dir=str(store))
+    with pytest.raises(ExperimentError) as excinfo:
+        ExperimentRunner(config).run()
+    assert (chaos_dir / "chaos-fired").exists(), "crash chaos never armed"
+    message = str(excinfo.value)
+    assert "6 of 8 trial(s) missing" in message
+    missing = WorkItem.make("smoke", "greedy", 1, 0)
+    assert str(missing.trial_key) in message
+    assert len(ResultStore(store)) == 2
+
+    rerun = ExperimentRunner(config)
+    resumed = rerun.run()
+    assert (rerun.last_stats.executed, rerun.last_stats.cache_hits) == (6, 2)
+    assert _canonical(resumed) == _canonical(inline)
+
+
+# ------------------------------------------------- equivalence, cell by cell
+def _canonical_record(record):
     return json.dumps(
-        [
-            {
-                k: v
-                for k, v in vars(rec).items()
-                if k not in ("trial_wall_s", "placement_wall_s")
-            }
-            for rec in records
-        ],
+        ExperimentResult(
+            scenarios=[record.scenario], placers=[record.placer], trials=1,
+            base_seed=0, baseline=record.placer, records=[record],
+        ).canonical_json_dict()["records"],
         sort_keys=True,
     )
 
 
-@contextlib.contextmanager
-def _worker_on_a_thread(store=None):
-    """A :class:`WorkerServer` in this process; yields its ``(host, port)``."""
-    server = WorkerServer(("127.0.0.1", 0), worker_mod._WorkerState(store))
-    thread = threading.Thread(
-        target=server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+#: Every registered scenario under two placers, and every registered placer
+#: on ``smoke``: one batch, so the pool cold-starts its children once.
+EQUIVALENCE_ITEMS = list(
+    dict.fromkeys(
+        [WorkItem.make(name, placer, 0, 11) for name in scenario_names()
+         for placer in ("greedy", "random")]
+        + [WorkItem.make("smoke", placer, trial, 11) for placer in placer_names()
+           for trial in (0, 1)]
     )
-    thread.start()
-    try:
-        yield server.server_address[:2]
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-        assert not thread.is_alive()
+)
 
 
-# ------------------------------------------------------------- endpoints
-def test_endpoint_spellings():
-    ep = parse_endpoint("http://10.0.0.7:9000")
-    assert (ep.scheme, ep.host, ep.port, ep.user) == ("http", "10.0.0.7", 9000, None)
-    assert parse_endpoint("10.0.0.7:9000") == ep  # bare host:port reads as http
-    ssh = parse_endpoint("ssh://ops@big-box")
-    assert (ssh.scheme, ssh.host, ssh.user) == ("ssh", "big-box", "ops")
-    assert ssh.port == DEFAULT_WORKER_PORT
+@pytest.fixture(scope="module")
+def both_backends():
+    """``{backend: {item: canonical record}}`` for :data:`EQUIVALENCE_ITEMS`."""
+    runs = {}
+    for name in ("inline", "pool"):
+        pairs = list(create_backend(name, workers=2).map_trials(EQUIVALENCE_ITEMS))
+        assert sorted(position for position, _ in pairs) == list(
+            range(len(EQUIVALENCE_ITEMS))
+        )
+        runs[name] = {
+            EQUIVALENCE_ITEMS[position]: _canonical_record(record)
+            for position, record in pairs
+        }
+    return runs
+
+
+def _cells(runs, predicate):
+    chosen = [item for item in EQUIVALENCE_ITEMS if predicate(item)]
+    assert chosen
+    return {name: [runs[name][item] for item in chosen] for name in runs}
+
+
+@pytest.mark.parametrize("scenario", scenario_names())
+def test_a_pool_child_runs_every_scenario_as_inline_does(both_backends, scenario):
+    """Each registered scenario's records cross the process boundary intact:
+    pickled items in, pickled records out, equal to this process's run."""
+    cells = _cells(both_backends, lambda item: item.scenario == scenario)
+    assert cells["pool"] == cells["inline"]
+
+
+@pytest.mark.parametrize("placer", placer_names())
+def test_a_pool_child_runs_every_placer_as_inline_does(both_backends, placer):
+    """Each registered placer, built in a child from its name and seed,
+    decides as it does in this process."""
+    cells = _cells(
+        both_backends, lambda item: item.scenario == "smoke" and item.placer == placer
+    )
+    assert cells["pool"] == cells["inline"]
+    assert all(json.loads(text)[0]["status"] == "ok" for text in cells["pool"])
+
+
+# ------------------------------------------------------------- pool sizing
+@pytest.mark.parametrize(
+    "hint, n_groups, size",
+    [
+        (None, 1, 1),  # auto, one group: one child
+        (None, 3, 3),  # auto, fewer groups than CPUs: one child a group
+        (None, 50, 4),  # auto: capped by the CPU count
+        (8, 2, 2),  # the hint never outgrows the batch
+        (2, 9, 2),  # the batch never outgrows the hint
+        (1, 9, 1),
+    ],
+)
+def test_the_pool_size_is_the_hint_capped_by_the_groups(monkeypatch, hint, n_groups, size):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _resolve_workers(hint, n_groups) == size
+
+
+def test_an_unknown_cpu_count_sizes_one_child(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _resolve_workers(None, 6) == 1
+
+
+# ------------------------------------------------- a pool that loses groups
+class _LosingPool:
+    """A stand-in ``ProcessPoolExecutor`` run in this process: a group whose
+    first trial is in ``lost`` fails as a dead child's does
+    (``BrokenProcessPool``); every other group runs, as a child would."""
+
+    lost = frozenset()
+    sizes = []
+
+    def __init__(self, max_workers, mp_context=None):
+        _LosingPool.sizes.append(max_workers)
+        self.shut_down = False
+
+    def submit(self, fn, items):
+        future = concurrent.futures.Future()
+        if items[0].trial in self.lost:
+            future.set_exception(BrokenProcessPool("a child process died"))
+        else:
+            future.set_result(fn(items))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        self.shut_down = True
+
+
+def _losing_pool(monkeypatch, lost):
+    monkeypatch.setattr(_LosingPool, "lost", frozenset(lost))
+    monkeypatch.setattr(_LosingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _LosingPool)
+
+
+#: Five trials of two placers: five groups of two items, trial ``t`` at
+#: positions ``2t`` and ``2t + 1``.
+LOSS_ITEMS = [
+    WorkItem.make("smoke", placer, trial, 0)
+    for trial in range(5)
+    for placer in ("greedy", "random")
+]
 
 
 @pytest.mark.parametrize(
-    "bad",
-    [
-        "",
-        "ftp://host:1",
-        "http://",
-        "http://host:1/path",
-        "http://user@host:1",  # user@ only makes sense with ssh
-        "http://host:notaport",
-    ],
+    "lost",
+    [(), (0,), (4,), (1, 3), (0, 1, 2, 3, 4)],
+    ids=["none", "first", "last", "two", "all"],
 )
-def test_endpoint_rejects_malformed(bad):
-    with pytest.raises(ExperimentError):
-        parse_endpoint(bad)
-
-
-def test_ssh_launch_command_is_a_thin_serve_invocation():
-    cmd = ssh_launch_command(
-        parse_endpoint("ssh://ops@big-box:7500"), cache_dir="/mnt/shared"
-    )
-    assert cmd[:2] == ["ssh", "ops@big-box"]
-    assert "--serve" in cmd and "7500" in cmd
-    assert cmd[cmd.index("--cache-dir") + 1] == "/mnt/shared"
-    with pytest.raises(ExperimentError):
-        ssh_launch_command(parse_endpoint("http://host:1"))
-
-
-# ------------------------------------------------------ cost-aware chunks
-def test_weighted_chunks_balance_heavy_items():
-    # One 100x item plus ten 1x items over two chunks: the heavy item must
-    # sit alone(ish), not share a chunk with half the light ones.
-    weights = [100.0] + [1.0] * 10
-    chunks = _weighted_chunks(weights, 2)
-    assert sorted(len(c) for c in chunks) == [1, 10]
-    assert [0] in chunks  # the heavy item rides alone
-    # Every position appears exactly once, in ascending order per chunk.
-    assert sorted(i for c in chunks for i in c) == list(range(11))
-    assert all(c == sorted(c) for c in chunks)
-
-
-def test_weighted_chunks_drop_empty_chunks():
-    assert _weighted_chunks([1.0, 1.0], 5) == [[0], [1]]
-
-
-def test_a_lease_carries_whole_trials(monkeypatch):
-    """Every placer of a trial goes to one lease, so each worker builds a
-    trial's instance once; the trials still spread over the workers."""
-    # Cell by cell, the priors' LPT would split trial 0: greedy (3.0) on one
-    # lease, random (1.0) on the other.
-    items = [
-        WorkItem.make("smoke", placer, trial, 0)
-        for placer in ("greedy", "random")
-        for trial in range(3)
-    ]
-    leased = []
-    dispatch = RemoteBackend._dispatch
-
-    def spy(self, items, indices, *args, **kwargs):
-        leased.append(list(indices))
-        return dispatch(self, items, indices, *args, **kwargs)
-
-    monkeypatch.setattr(RemoteBackend, "_dispatch", spy)
-    with _worker_on_a_thread() as first, _worker_on_a_thread() as second:
-        endpoints = [f"http://{host}:{port}" for host, port in (first, second)]
-        records = RemoteBackend(endpoints=endpoints).map_trials(items)
-    assert _canonical(records) == _canonical(create_backend("inline").map_trials(items))
-    assert len(leased) == 2
-    for trial in range(3):
-        holders = [n for n, lease in enumerate(leased) if any(
-            items[i].trial == trial for i in lease
-        )]
-        assert len(holders) == 1, (trial, leased)
-        assert sum(items[i].trial == trial for i in leased[holders[0]]) == 2
-
-
-def test_item_weight_prefers_observed_costs_over_priors():
-    ilp = WorkItem.make("smoke", "ilp", 0, 0)
-    rnd = WorkItem.make("smoke", "random", 0, 0)
-    assert item_weight(ilp) == COST_PRIORS["ilp"]
-    assert item_weight(rnd) == COST_PRIORS["random"]
-    # On a cold store a mixed grid still shares out: the exact placer is a
-    # few times a baseline cell, not a chunk of its own.
-    weights = [item_weight(ilp)] + [item_weight(rnd)] * 10
-    assert min(len(chunk) for chunk in _weighted_chunks(weights, 2)) > 1
-    observed = {("smoke", "ilp"): 7.5}
-    assert item_weight(ilp, observed) == 7.5
-    assert item_weight(rnd, observed) == COST_PRIORS["random"]
-
-
-# ----------------------------------------------------- worker round trips
-def test_worker_health_and_lease_roundtrip():
-    items = _items(2)
-    with spawn_local_workers(1) as pool:
-        client = WorkerClient(*pool.addresses[0])
-        health = client.health()
-        assert health["status"] == "ok" and not health["busy"]
-
-        stream = client.open_lease("t-0", [i.to_json_dict() for i in items])
-        lines, done = [], False
-        for _ in range(400):
-            for data in stream.poll(0.25):
-                lines.append(data)
-                done = done or bool(data.get("done"))
-            if done or stream.eof:
-                break
-        stream.close()
-        assert done, f"no done trailer in {lines}"
-        indices = [d["index"] for d in lines if "record" in d]
-        assert indices == [0, 1]
-        assert client.health()["trials_done"] == 2
-
-
-@pytest.mark.parametrize(
-    "body, headers, complaint",
-    [
-        (json.dumps({"schema": "bogus/v0", "items": []}).encode(), {}, b"schema"),
-        (json.dumps({"schema": WORKER_SCHEMA, "items": 5}).encode(), {}, b"bad lease"),
-        (b"[]", {}, b"JSON object"),  # valid JSON, not an object
-        (b"", {"Content-Length": "-1"}, b"Content-Length"),  # read(-1) would park
-        (b"", {"Content-Length": "abc"}, b"bad lease"),
-        # 1 000 bytes announced, 10 sent, connection held open: the read of
-        # the body must give up by itself, well inside the client's 5 s.
-        (b'{"schema":', {"Content-Length": "1000"}, b"990 byte(s)"),
-    ],
-    ids=["wrong-schema", "items-not-a-list", "body-not-an-object",
-         "negative-length", "garbled-length", "length-beyond-the-body"],
-)
-def test_worker_refuses_wrong_schema_lease(body, headers, complaint, monkeypatch):
-    """A hostile ``POST /lease`` gets a 400 naming the problem — never a
-    dropped connection or a parked handler thread — and the worker serves on."""
-    import http.client
-
-    monkeypatch.setattr(worker_mod, "LEASE_BODY_DEADLINE_S", 0.5)
-    with _worker_on_a_thread() as (host, port):
-        conn = http.client.HTTPConnection(host, port, timeout=5)
-        try:
-            conn.putrequest("POST", "/lease")
-            for name, value in {"Content-Length": str(len(body)), **headers}.items():
-                conn.putheader(name, value)
-            conn.endheaders(body)
-            resp = conn.getresponse()
-            assert resp.status == 400
-            reply = resp.read()
-            assert b"bad lease request" in reply and complaint in reply
-        finally:
-            conn.close()
-        assert WorkerClient(host, port).health()["status"] == "ok"
-
-
-def test_lease_stream_salvages_around_garbled_lines_and_a_cut_tail():
-    """The salvage rule, on the stream itself: a garbled line is skipped, a
-    tail cut off mid-write is dropped, every finished record stands."""
-    record = vars(create_backend("inline").map_trials(_items(1))[0])
-    header = json.dumps({"schema": WORKER_SCHEMA, "lease_id": "t"}).encode() + b"\n"
-    body = (
-        json.dumps({"index": 0, "record": record}).encode() + b"\n"
-        + b'{"index": 1, "rec\x00\xff garbled\n'
-        + json.dumps({"index": 2, "record": record}).encode() + b"\n"
-        + b'{"index": 3, "record": {"scen'  # the worker died mid-write
-    )
-    ours, theirs = socket.socketpair()
-    with ours, theirs:
-        theirs.sendall(body)
-        theirs.shutdown(socket.SHUT_WR)
-        closable = types.SimpleNamespace(close=lambda: None)
-        # http.client may over-read the body's start into its header buffer.
-        resp = types.SimpleNamespace(fp=io.BytesIO(header), close=lambda: None)
-        stream = LeaseStream(closable, resp, ours)
-        lines = []
-        for _ in range(50):
-            lines.extend(stream.poll(0.1))
-            if stream.eof:
-                break
-        stream.close()
-    assert stream.eof
-    assert [d["index"] for d in lines if "record" in d] == [0, 2]
-    assert lines[0]["schema"] == WORKER_SCHEMA
-
-
-# ------------------------------------------------------- the remote backend
-def test_remote_backend_registered():
-    assert "remote" in backend_names()
-
-
-def test_remote_backend_matches_inline_bit_for_bit():
-    items = [
-        WorkItem.make("smoke", placer, trial, 0)
-        for placer in ("greedy", "random")
-        for trial in range(2)
-    ]
-    expected = create_backend("inline").map_trials(items)
-    backend = create_backend("remote", workers=2)
-    records = backend.map_trials(items)
-    assert _canonical(records) == _canonical(expected)
-    stats = backend.last_fabric_stats
-    assert stats["workers"] == 2
-    assert stats["retry_waves"] == 0 and stats["salvaged_records"] == 0
-    assert 0.0 <= stats["max_worker_idle_fraction"] <= 1.0
-
-
-def test_remote_backend_rejects_bad_options():
-    with pytest.raises(ExperimentError, match="bogus"):
-        create_backend("remote", bogus=1)
-    with pytest.raises(ExperimentError, match="max_retries"):
-        create_backend("inline", max_retries=1)  # inline takes no options
-    with pytest.raises(ExperimentError, match="unknown backend"):
-        create_backend("process")
-    with pytest.raises(ExperimentError):
-        RemoteBackend(max_retries=-1)
-    with pytest.raises(ExperimentError):
-        RemoteBackend(heartbeat_timeout_s=0.0)
-
-
-def test_pool_is_sized_to_the_batch_not_the_hint():
-    """``--jobs 8`` with one pending trial cold-starts one interpreter, however
-    many placers that trial has: a lease never splits a trial."""
-    backend = RemoteBackend(workers=8)
-    items = [WorkItem.make("smoke", placer, 0, 0) for placer in ("greedy", "random")]
-    assert len(backend.map_trials(items)) == 2
-    assert backend.last_fabric_stats["workers"] == 1
-
-
-def test_fail_fast_trial_error_ends_the_sweep_with_its_own_text(monkeypatch):
-    """A raising ``fail_fast`` trial is deterministic: the worker reports it
-    on the lease, and the scheduler stops at once with the exception text —
-    no "worker died", no retry wave re-raising the same bug."""
-
-    def boom(*args, **kwargs):
-        raise RuntimeError("synthetic bug")
-
-    monkeypatch.setattr(trials_mod, "run_trial", boom)
-    items = [
-        WorkItem.make("smoke", "random", trial, 0, fail_fast=True)
-        for trial in range(3)
-    ]
-    with _worker_on_a_thread() as (host, port):
-        backend = RemoteBackend(endpoints=[f"http://{host}:{port}"])
-        started = time.monotonic()
+def test_a_broken_pool_yields_what_finished_then_names_what_it_lost(monkeypatch, lost):
+    _losing_pool(monkeypatch, lost)
+    pairs = []
+    backend = create_backend("pool", workers=2)
+    if lost:
         with pytest.raises(ExperimentError) as excinfo:
-            backend.map_trials(items)
-        elapsed = time.monotonic() - started
+            pairs.extend(backend.map_trials(LOSS_ITEMS))
+    else:
+        pairs.extend(backend.map_trials(LOSS_ITEMS))
+    finished = [i for i, item in enumerate(LOSS_ITEMS) if item.trial not in lost]
+    assert sorted(position for position, _ in pairs) == finished
+    for position, record in pairs:
+        item = LOSS_ITEMS[position]
+        assert (record.placer, record.trial, record.seed) == (
+            item.placer, item.trial, item.seed
+        )
+    assert _LosingPool.sizes == [2]
+    if not lost:
+        return
+    missing = [item for item in LOSS_ITEMS if item.trial in lost]
     message = str(excinfo.value)
-    assert "RuntimeError: synthetic bug" in message
-    assert str(items[0].trial_key) in message
-    assert backend.last_fabric_stats["retry_waves"] == 0
-    assert elapsed < backends_mod.BACKOFF_BASE_S / 2
+    assert f"{len(missing)} of {len(LOSS_ITEMS)} trial(s) missing" in message
+    named = ", ".join(str(item.trial_key) for item in missing[:3])
+    more = f" and {len(missing) - 3} more" if len(missing) > 3 else ";"
+    assert named + more in message
+    assert "--cache-dir" in message
 
 
-# ------------------------------------------------------------------- chaos
-def test_chaos_crash_and_hang_workers_salvaged_and_bit_identical(
-    tmp_path, monkeypatch
-):
-    """The acceptance chaos drill: two workers, one killed mid-chunk, one
-    hung past the heartbeat deadline.  The sweep must still equal the
-    inline run bit-for-bit, and the streamed prefixes must be salvaged
-    (not re-executed)."""
-    items = [
-        WorkItem.make("smoke", placer, trial, 0)
-        for placer in ("greedy", "random")
-        for trial in range(4)
-    ]
-    expected = create_backend("inline").map_trials(items)
+@pytest.mark.parametrize(
+    "lost", [(0,), (1, 2), (0, 1, 2)], ids=["one", "two", "all"]
+)
+def test_the_runner_stores_what_a_broken_pool_finished(tmp_path, monkeypatch, lost):
+    """The store takes salvage's job: what finished is stored before the
+    error leaves the runner, and the re-run executes only what was lost."""
 
-    arm_worker_chaos(monkeypatch, tmp_path, "crash,hang")
-    monkeypatch.setattr(backends_mod, "BACKOFF_BASE_S", 0.05)
-    backend = create_backend("remote", workers=2, heartbeat_timeout_s=0.5)
-    records = backend.map_trials(items)
-
-    assert (tmp_path / "chaos-fired").exists(), "crash chaos never armed"
-    assert (tmp_path / "chaos-fired-1").exists(), "hang chaos never armed"
-    assert _canonical(records) == _canonical(expected)
-
-    stats = backend.last_fabric_stats
-    assert stats["salvaged_records"] >= 1
-    assert stats["retried_trials"] < len(items), "salvage was thrown away"
-    assert stats["salvaged_records"] + stats["retried_trials"] >= len(items)
-    assert stats["retry_waves"] >= 1
-    assert any("died mid-chunk" in f or "hung" in f for f in stats["failures"])
-
-
-def test_chaos_retry_waves_are_deterministic(tmp_path, monkeypatch):
-    """Same seed, same crash: the salvage-then-retry sweep is bit-identical
-    across runs, down to the backoff schedule."""
-    items = _items(6)
-    monkeypatch.setattr(backends_mod, "BACKOFF_BASE_S", 0.05)
-
-    outputs = []
-    for run in ("a", "b"):
-        chaos_dir = tmp_path / run
-        chaos_dir.mkdir()
-        arm_worker_chaos(monkeypatch, chaos_dir, "crash")
-        backend = create_backend("remote", workers=2, backoff_seed=7)
-        records = backend.map_trials(items)
-        assert (chaos_dir / "chaos-fired").exists()
-        outputs.append(
-            (_canonical(records), backend.last_fabric_stats["backoff_delays_s"])
+    def grid(**execution):
+        return ExperimentConfig(
+            scenarios=("smoke",), placers=("greedy", "random"), trials=3,
+            baseline="random", **execution,
         )
-    assert outputs[0][0] == outputs[1][0]
-    assert outputs[0][1] == outputs[1][1] != []
+
+    inline = ExperimentRunner(grid(workers=1)).run()
+    _losing_pool(monkeypatch, lost)
+    config = grid(workers=2, cache_dir=str(tmp_path))
+    with pytest.raises(ExperimentError, match=f"{2 * len(lost)} of 6 trial"):
+        ExperimentRunner(config).run()
+    assert len(ResultStore(tmp_path)) == 6 - 2 * len(lost)
+
+    _losing_pool(monkeypatch, ())
+    rerun = ExperimentRunner(config)
+    resumed = rerun.run()
+    assert (rerun.last_stats.executed, rerun.last_stats.cache_hits) == (
+        2 * len(lost), 6 - 2 * len(lost)
+    )
+    assert _canonical(resumed) == _canonical(inline)
 
 
-def test_chaos_straggler_is_redispatched_to_idle_worker(tmp_path, monkeypatch):
-    """A worker that slows to a crawl (but keeps streaming) gets its
-    remaining trials re-dispatched to an idle worker; whichever copy of a
-    trial lands first wins and duplicates are discarded."""
-    items = _items(10)
-    expected = create_backend("inline").map_trials(items)
+# ------------------------------------------------------------- the CLI's --jobs
+@pytest.mark.parametrize(
+    "jobs, backend, size",
+    [("1", "inline", None), ("2", "pool", 2), ("0", "pool", 3), ("5", "pool", 3)],
+)
+def test_jobs_picks_the_backend_and_sizes_the_pool(monkeypatch, capsys, jobs, backend, size):
+    """``--jobs 1`` runs inline; anything else runs the pool, sized by the
+    hint (``0``: the CPU count) and capped by the three trials."""
+    from repro.experiments.cli import main
 
-    arm_worker_chaos(monkeypatch, tmp_path, "slow")
-    monkeypatch.setattr(backends_mod, "STRAGGLER_FACTOR", 1.5)
-    # A healthy lease of smoke trials streams in milliseconds, and the slow
-    # one takes 4 × CHAOS_SLOW_S (tests/chaos): 0.2 s still tells them apart.
-    monkeypatch.setattr(backends_mod, "MIN_STRAGGLER_S", 0.2)
-    backend = create_backend("remote", workers=2)
-    records = backend.map_trials(items)
-    assert (tmp_path / "chaos-fired").exists(), "slow chaos never armed"
-    assert _canonical(records) == _canonical(expected)
-    stats = backend.last_fabric_stats
-    assert stats["stragglers_redispatched"] >= 1
-    assert stats["retry_waves"] == 0, "straggling is not a retry wave"
-
-
-def test_chaos_crash_with_no_retry_budget_raises(tmp_path, monkeypatch):
-    arm_worker_chaos(monkeypatch, tmp_path, "crash")
-    backend = create_backend("remote", workers=1, max_retries=0)
-    with pytest.raises(ExperimentError, match="gave up"):
-        backend.map_trials(_items(2))
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    _losing_pool(monkeypatch, ())
+    assert main([
+        "run", "--scenario", "smoke", "--placers", "greedy,random",
+        "--trials", "3", "--jobs", jobs, "--output", "",
+    ]) == 0
+    assert f"backend {backend}: executed 6 trial(s)" in capsys.readouterr().out
+    assert _LosingPool.sizes == ([] if size is None else [size])
 
 
-@pytest.mark.parametrize("mode", ["crash", "hang"])
-def test_chaos_own_pool_replaces_its_only_worker(tmp_path, monkeypatch, mode):
-    """A pool the backend spawned is a pool it repairs: with one worker and
-    one retry wave, losing that worker — dead, or hung past the heartbeat
-    deadline — costs a respawn, not the sweep."""
-    items = _items(4)
-    expected = create_backend("inline").map_trials(items)
+def test_a_negative_job_count_is_refused(capsys):
+    from repro.experiments.cli import main
 
-    arm_worker_chaos(monkeypatch, tmp_path, mode)
-    monkeypatch.setattr(backends_mod, "BACKOFF_BASE_S", 0.05)
-    backend = RemoteBackend(workers=1, max_retries=1, heartbeat_timeout_s=0.5)
-    spawned = []
-    spawn = worker_mod.spawn_local_workers
-
-    def counting_spawn(n, **kwargs):
-        pool = spawn(n, **kwargs)
-        spawned.extend(pool.procs)
-        return pool
-
-    monkeypatch.setattr(worker_mod, "spawn_local_workers", counting_spawn)
-    records = backend.map_trials(items)
-
-    assert (tmp_path / "chaos-fired").exists(), f"{mode} chaos never armed"
-    assert _canonical(records) == _canonical(expected)
-    stats = backend.last_fabric_stats
-    assert stats["retry_waves"] == 1 and stats["salvaged_records"] == 1
-    # The lost worker was replaced (and, if merely hung, killed): two
-    # processes were spawned over the sweep and none outlives it.
-    assert len(spawned) == 2
-    assert all(proc.poll() is not None for proc in spawned)
+    assert main(["run", "--scenario", "smoke", "--jobs", "-2", "--output", ""]) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err
 
 
-def test_failed_respawn_leaves_no_live_workers():
-    """A hung own worker is killed for its replacement; if the respawn then
-    fails, it must not be offered as the tainted-but-alive fallback."""
+# ----------------------------------------------------- what the config refuses
+@pytest.mark.parametrize(
+    "overrides, complaint",
+    [
+        ({"scenarios": ()}, "at least one scenario"),
+        ({"trials": 0}, "trials must be >= 1"),
+        ({"workers": 0}, "workers must be >= 1"),
+        ({"backend": "remote"}, "unknown backend 'remote'"),
+        ({"scenarios": ("no-such-scenario",)}, "unknown scenario 'no-such-scenario'"),
+        ({"placers": ("greedy", "no-such-placer")}, "unknown placer 'no-such-placer'"),
+        ({"baseline": "no-such-placer"}, "unknown placer 'no-such-placer'"),
+        ({"scenario_params": {"smoke": {"n_racks": 2}}}, "has no parameters ['n_racks']"),
+        (
+            {"placer_params": {"ilp": {"time_limit_s": [1.0]}}},
+            "placer_params['ilp']['time_limit_s'] is list",
+        ),
+        (
+            {"placer_params": {"ilp": {"time_limit_s": 1.0},
+                               "optimal": {"time_limit_s": 2.0}}},
+            "placer_params given twice for 'ilp'",
+        ),
+    ],
+    ids=[
+        "no-scenario", "no-trial", "no-worker", "deleted-backend", "scenario-typo",
+        "placer-typo", "baseline-typo", "scenario-param-typo", "non-scalar-param",
+        "params-via-alias",
+    ],
+)
+def test_the_config_refuses_a_bad_grid_by_name(overrides, complaint):
+    """Every refusal happens in this process, before any child starts, and
+    names what it refuses."""
+    settings = dict(scenarios=("smoke",), placers=("greedy", "random"), trials=1)
+    settings.update(overrides)
+    with pytest.raises(ExperimentError) as excinfo:
+        ExperimentConfig(**settings)
+    assert complaint in str(excinfo.value)
 
-    class Answering:
-        def health(self, timeout_s=2.0):
-            return {"status": "ok"}
 
-    class BrokenPool:
-        def respawn(self, indices):
-            raise ExperimentError("worker exited with status 1 before listening")
-
-    state = [{"alive": True, "tainted": True, "busy_s": 0.0}]
-    backend = RemoteBackend(workers=1)
-    backend._probe_and_repair([Answering()], state, BrokenPool())
-    assert backend._available_workers(state) == []
-    # Given endpoints are not ours to kill: same state, no pool, still usable.
-    state = [{"alive": True, "tainted": True, "busy_s": 0.0}]
-    backend._probe_and_repair([Answering()], state, None)
-    assert backend._available_workers(state) == [0]
+@pytest.mark.parametrize("alias", sorted(PLACER_ALIASES))
+def test_an_alias_next_to_its_registry_name_is_a_repeat(alias):
+    canonical = PLACER_ALIASES[alias]
+    with pytest.raises(ExperimentError, match=f"placer {canonical!r} is listed more"):
+        ExperimentConfig(scenarios=("smoke",), placers=(canonical, alias))
 
 
-# ----------------------------------------------------- config / runner wiring
-def test_config_threads_remote_options(tmp_path):
+def test_a_baseline_alias_joins_the_grid_once():
     config = ExperimentConfig(
-        scenarios=("smoke",),
-        placers=("random",),
-        trials=1,
-        backend="remote",
-        workers=2,
-        endpoints=("http://a:1", "b:2"),
-        heartbeat_timeout_s=12.0,
-        max_retries=3,
-        base_seed=11,
-        cache_dir=str(tmp_path),
+        scenarios=("smoke",), placers=("greedy", "choreo-optimal"), baseline="optimal"
     )
-    backend = ExperimentRunner(config).make_backend()
-    assert isinstance(backend, RemoteBackend)
-    assert backend.workers == 2
-    assert backend.endpoints == ("http://a:1", "b:2")
-    assert backend.heartbeat_timeout_s == 12.0
-    assert backend.max_retries == 3
-    assert backend.backoff_seed == 11
-    assert backend.store_root == str(tmp_path)
-    # Unset, the heartbeat deadline is the backend's default, not None.
-    default = ExperimentRunner(
-        ExperimentConfig(scenarios=("smoke",), workers=2)
-    ).make_backend()
-    assert default.heartbeat_timeout_s == backends_mod.DEFAULT_HEARTBEAT_TIMEOUT_S
-    assert default.endpoints == () and default.store_root is None
+    assert config.effective_placers == ("greedy", "ilp")
 
 
-def test_config_rejects_remote_knobs_on_other_backends():
-    with pytest.raises(ExperimentError):
-        ExperimentConfig(
-            scenarios=("smoke",), placers=("random",), trials=1,
-            backend="inline", endpoints=("http://a:1",),
-        )
-    with pytest.raises(ExperimentError):
-        ExperimentConfig(
-            scenarios=("smoke",), placers=("random",), trials=1,
-            backend="inline", heartbeat_timeout_s=5.0,
-        )
-    with pytest.raises(ExperimentError):
-        ExperimentConfig(
-            scenarios=("smoke",), placers=("random",), trials=1,
-            backend="remote", endpoints=("ftp://nope:1",),
-        )
-    with pytest.raises(ExperimentError):
-        ExperimentConfig(
-            scenarios=("smoke",), placers=("random",), trials=1,
-            backend="remote", heartbeat_timeout_s=-1.0,
-        )
-
-
-def test_runner_remote_workers_populate_the_shared_store(tmp_path):
-    """Workers write the shared store themselves: a second (inline) run
-    over the same grid executes nothing, and the store's observed cost
-    table has entries for the swept cells."""
-    config = ExperimentConfig(
-        scenarios=("smoke",),
-        placers=("greedy", "random"),
-        trials=2,
-        backend="remote",
-        workers=2,
-        cache_dir=str(tmp_path),
+# ------------------------------------------------ items pickled to a child
+@pytest.mark.parametrize("value", [None, True, 3, 2.5, "x"], ids=repr)
+def test_a_work_item_reaches_a_child_unchanged(value):
+    """Items cross to a ``spawn`` child by pickle: each JSON scalar keeps its
+    type (``True`` does not become ``1``), so the child runs the cell, and
+    the parent stores it, under the key the item had."""
+    item = WorkItem.make(
+        "smoke", "ilp", 2, 7, params={"k": value},
+        placer_params={"time_limit_s": value}, fail_fast=True,
     )
-    runner = ExperimentRunner(config)
-    first = runner.run()
-    assert runner.last_stats.executed == 4
-
-    rerun_runner = ExperimentRunner(
-        ExperimentConfig(
-            scenarios=("smoke",),
-            placers=("greedy", "random"),
-            trials=2,
-            backend="inline",
-            workers=1,
-            cache_dir=str(tmp_path),
-        )
+    copy = pickle.loads(pickle.dumps(item))
+    assert copy == item and hash(copy) == hash(item)
+    assert [type(v) for _, v in copy.params + copy.placer_params] == [type(value)] * 2
+    assert (copy.trial_key, copy.instance_key, copy.seed) == (
+        item.trial_key, item.instance_key, item.seed
     )
-    second = rerun_runner.run()
-    assert rerun_runner.last_stats.executed == 0
-    assert rerun_runner.last_stats.cache_hits == 4
-    assert json.dumps(first.canonical_json_dict(), sort_keys=True) == (
-        json.dumps(second.canonical_json_dict(), sort_keys=True)
+    assert copy.fail_fast is True
+
+
+# ----------------------------------------------------- real pools, end to end
+def _grid(**execution):
+    return ExperimentConfig(
+        scenarios=("smoke",), placers=("greedy", "random"), trials=2,
+        baseline="random", **execution,
     )
 
-    table = ResultStore(tmp_path).cost_table()
-    assert ("smoke", "greedy") in table and ("smoke", "random") in table
-    assert all(cost > 0 for cost in table.values())
+
+def test_pool_workers_populate_the_shared_store(tmp_path):
+    """A ``--jobs 2`` sweep stores every cell in one pack of the parent's;
+    an inline sweep on the same store then executes nothing."""
+    inline = ExperimentRunner(_grid(workers=1)).run()
+    pooled = ExperimentRunner(_grid(workers=2, cache_dir=str(tmp_path)))
+    assert _canonical(pooled.run()) == _canonical(inline)
+    assert pooled.last_stats.executed == 4
+    assert len(list(tmp_path.glob("*/packs/*.jsonl"))) == 1
+    warm = ExperimentRunner(_grid(workers=1, cache_dir=str(tmp_path)))
+    assert _canonical(warm.run()) == _canonical(inline)
+    assert (warm.last_stats.executed, warm.last_stats.cache_hits) == (0, 4)
 
 
-def test_a_worker_whose_store_is_full_still_finishes_the_sweep(tmp_path, monkeypatch):
-    """A worker streams each record before storing it, and survives the
-    store write failing: the lease completes, nothing is re-dispatched, and
-    the sweep equals inline.  (Storing first let the ``OSError`` kill the
-    lease, and every re-dispatch failed the same way.)"""
+def test_a_pool_sweep_whose_store_is_full_still_finishes(tmp_path, monkeypatch):
+    """The parent stores the pool's records; a store out of space costs the
+    sweep nothing and leaves no pack and no temporary file."""
 
     def no_space(fd):
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    def grid(**backend):
-        return ExperimentConfig(
-            scenarios=("smoke",), placers=("greedy", "random"), trials=2,
-            baseline="random", **backend,
-        )
-
-    inline = ExperimentRunner(grid(backend="inline")).run()
+    inline = ExperimentRunner(_grid(workers=1)).run()
     monkeypatch.setattr(os, "fsync", no_space)
-    store = ResultStore(tmp_path)
-    with _worker_on_a_thread(store) as (host, port):
-        runner = ExperimentRunner(
-            grid(backend="remote", endpoints=(f"http://{host}:{port}",), max_retries=0)
-        )
-        remote = runner.run()
-    assert json.dumps(remote.canonical_json_dict(), sort_keys=True) == json.dumps(
-        inline.canonical_json_dict(), sort_keys=True
-    )
-    assert store.stats["stored"] == 0
+    runner = ExperimentRunner(_grid(workers=2, cache_dir=str(tmp_path)))
+    assert _canonical(runner.run()) == _canonical(inline)
+    assert runner.last_stats.backend == "pool"
+    assert runner.store.stats["stored"] == 0
     assert list(tmp_path.rglob("*.jsonl")) == list(tmp_path.rglob("*.tmp")) == []
 
 
-# ------------------------------------------------- multi-writer store races
-def _race_put(root, version, barrier, wall_s):
-    store = ResultStore(root, version=version)
-    key = store.key_for("smoke", "random", 0, 123)
-    record = store_record(wall_s)
-    barrier.wait(timeout=30)
-    for _ in range(25):
-        store.put(key, record)
-    store.flush_costs()
-
-
-def store_record(wall_s):
-    from repro.experiments.results import TrialRecord
-
-    return TrialRecord(
-        scenario="smoke", placer="random", trial=0, seed=123,
-        total_running_time_s=42.0, trial_wall_s=wall_s,
-    )
-
-
-def test_result_store_survives_racing_writers(tmp_path):
-    """Four processes hammer the same cell concurrently; the surviving
-    cell must be one writer's intact record, with no torn JSON and no
-    leftover temp files — the unique-temp-name + atomic-rename contract."""
-    barrier = multiprocessing.Barrier(4)
-    procs = [
-        multiprocessing.Process(
-            target=_race_put, args=(str(tmp_path), "race-v", barrier, 0.5 + i)
-        )
-        for i in range(4)
-    ]
-    for proc in procs:
-        proc.start()
-    for proc in procs:
-        proc.join(timeout=60)
-        assert proc.exitcode == 0
-
-    store = ResultStore(tmp_path, version="race-v")
-    assert len(store) == 1
-    key = store.key_for("smoke", "random", 0, 123)
-    record = store.get(key)
-    assert record is not None and record.total_running_time_s == 42.0
-    leftovers = [p for p in tmp_path.rglob("*.tmp")]
-    assert leftovers == []
-    # Every writer's cost sidecar survived the race and merges cleanly.
-    table = store.cost_table()
-    assert table[("smoke", "random")] > 0
-
-
-def test_store_cost_sidecars_do_not_count_as_cells(tmp_path):
-    store = ResultStore(tmp_path, version="v")
-    key = store.key_for("smoke", "random", 0, 1)
-    store.put(key, store_record(1.0))
-    assert store.flush_costs() is not None
-    assert len(store) == 1
+def test_a_kept_going_error_crosses_from_a_child_as_inline_records_it():
+    """Without ``fail_fast`` a raising trial is a record, not an exception:
+    the child's error record equals inline's, text and all."""
+    items = [
+        WorkItem.make("smoke", placer, 0, 0, params={"n_vms": "six"})
+        for placer in ("greedy", "random")
+    ] + [WorkItem.make("smoke", "random", 1, 0)]
+    runs = {
+        name: dict(create_backend(name, workers=2).map_trials(items))
+        for name in ("inline", "pool")
+    }
+    assert {i: _canonical_record(r) for i, r in runs["pool"].items()} == {
+        i: _canonical_record(r) for i, r in runs["inline"].items()
+    }
+    assert [runs["pool"][i].status for i in range(3)] == ["error", "error", "ok"]
+    assert runs["pool"][0].error.startswith("ValueError: ")

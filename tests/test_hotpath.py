@@ -19,7 +19,7 @@ from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Machine
 from repro.core.rate_model import EffectiveRateMatrix
 from repro.cloud.registry import make_provider
-from repro.errors import MeasurementError, SimulationError
+from repro.errors import ExperimentError, MeasurementError, SimulationError
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
 from repro.net import topology
 from repro.net.alloc import IncrementalAllocator
@@ -357,34 +357,35 @@ class TestEffectiveRateMatrix:
 
 
 class TestRunnerTrialMemoization:
-    def test_duplicate_cells_simulated_once(self, monkeypatch):
-        import repro.experiments.trials as trials_mod
+    @pytest.mark.parametrize(
+        "grid, named",
+        [
+            ({"placers": ("random", "random")}, "placer 'random'"),
+            ({"placers": ("ilp", "choreo-optimal")}, "placer 'ilp'"),
+            ({"scenarios": ("smoke", "all-to-all", "smoke")}, "scenario 'smoke'"),
+        ],
+    )
+    def test_duplicate_cells_are_refused_by_name(self, grid, named):
+        """A repeated scenario or placer (after alias canonicalisation) would
+        put the same cells in the grid twice and count one trial twice in
+        the summary: the config refuses it and names it."""
+        config = dict(scenarios=("smoke",), trials=1, baseline="random", workers=1)
+        config.update(grid)
+        with pytest.raises(ExperimentError, match=f"{named} is listed more than once"):
+            ExperimentConfig(**config)
 
-        calls = []
-        original = trials_mod.run_trial
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--scenario", "smoke", "--placers", "greedy,greedy"],
+            ["--scenario", "smoke", "--scenario", "smoke", "--placers", "greedy"],
+        ],
+    )
+    def test_the_cli_refuses_a_repeated_name(self, argv, capsys):
+        from repro.experiments.cli import main
 
-        def counting(scenario, placer, trial, base_seed, *params, **kwargs):
-            calls.append((scenario, placer, trial))
-            return original(scenario, placer, trial, base_seed, *params, **kwargs)
-
-        monkeypatch.setattr(trials_mod, "run_trial", counting)
-        config = ExperimentConfig(
-            scenarios=("smoke",),
-            placers=("random", "random"),
-            trials=2,
-            baseline="random",
-            workers=1,
-        )
-        result = ExperimentRunner(config).run()
-        assert len(calls) == 2  # 2 trials, each simulated once despite 4 cells
-        assert len(result.records) == 4
-        by_trial = {}
-        for record in result.records:
-            by_trial.setdefault(record.trial, []).append(record)
-        for trial, records in by_trial.items():
-            assert len(records) == 2
-            assert records[0].makespan_s == records[1].makespan_s
-            assert records[0] is not records[1]
+        assert main(["run", "--trials", "1", "--output", "", *argv]) == 2
+        assert "is listed more than once" in capsys.readouterr().err
 
     def test_distinct_cells_not_merged(self, monkeypatch):
         import repro.experiments.trials as trials_mod

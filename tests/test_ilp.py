@@ -24,7 +24,7 @@ from repro.experiments.cli import main as cli_main
 from repro.experiments.placers import resolve_placer
 from repro.experiments.runner import DEFAULT_PLACERS, ExperimentConfig
 from repro.experiments.scenarios import get_scenario
-from repro.experiments.trials import WorkItem, run_trial, trial_seed
+from repro.experiments.trials import run_trial, trial_seed
 from repro.units import GBITPS, GBYTE
 from repro.workloads.application import Application, Task, TrafficMatrix
 
@@ -389,9 +389,6 @@ def test_placer_params_validated_and_keyed():
     key_b = store.key_for("s", "ilp", 0, 1, placer_params={"time_limit_s": 9.0})
     assert key_a.digest() != key_b.digest()
 
-    item = WorkItem.make("s", "ilp", 0, 1, placer_params={"time_limit_s": 5.0})
-    assert WorkItem.from_json_dict(item.to_json_dict()) == item
-
 
 def test_trial_records_solver_stats_for_ilp():
     record = run_trial(
@@ -442,8 +439,8 @@ def test_ilp_canonical_results_identical_across_backends():
         return ExperimentRunner(config).run().canonical_json_dict()
 
     inline = run("inline", 1)
-    leased = run("remote", 2)
-    assert json.dumps(inline, sort_keys=True) == json.dumps(leased, sort_keys=True)
+    pooled = run("pool", 2)
+    assert json.dumps(inline, sort_keys=True) == json.dumps(pooled, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,15 @@
 """The unified telemetry layer (`repro.obs`): span tracer JSONL round
-trips, trace-on/trace-off bit-identity across backends, the metrics
-registry vs. the legacy ``.stats`` views, worker ``/metrics`` exposition
-(including mid-lease freshness), the ``obs report`` profile math, the
-``--stats`` CLI fold, and the service report's opt-in telemetry block."""
+trips, trace-on/trace-off bit-identity across backends, a pool sweep's
+trial → pid → pack chain, the metrics registry vs. the legacy ``.stats``
+views, the ``obs report`` profile math, the ``--stats`` CLI fold, and the
+service report's opt-in telemetry block."""
 
 import gc
-import http.client
 import json
-import re
+import os
 
 import pytest
 
-from helpers import arm_worker_chaos
 from repro import obs
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement import greedy
@@ -29,7 +27,6 @@ from repro.experiments import (
 )
 from repro.experiments.cli import main as experiments_main
 from repro.experiments.results import HOST_TIMING_FIELDS
-from repro.experiments.worker import WorkerClient, spawn_local_workers
 from repro.workloads.application import Application, Task, TrafficMatrix
 from repro.obs.report import (
     TraceError,
@@ -368,7 +365,9 @@ def test_traced_store_says_what_it_wrote_and_loaded(trace_to, tmp_path):
     events = load_events(trace_to)
     (put,) = [ev for ev in events if ev["name"] == "store.put_many"]
     (pack,) = (tmp_path / "store").glob("*/packs/*.jsonl")
-    assert put["attrs"] == {"cells": 4, "bytes": pack.stat().st_size}
+    assert put["attrs"] == {
+        "cells": 4, "bytes": pack.stat().st_size, "pack": pack.name,
+    }
     (load,) = [ev for ev in events if ev["name"] == "store.load"]
     assert load["attrs"] == {"packs": 1, "lines": 4, "invalid": 0}
     assert warm.last_stats.cache_hits == 4
@@ -383,22 +382,50 @@ def test_traced_remote_sweep_is_bit_identical_and_workers_trace(tmp_path):
         for placer in ("greedy", "random")
         for trial in range(2)
     ]
-    expected = create_backend("inline").map_trials(items)
-    trace = tmp_path / "fabric.jsonl"
-    # export_env=True so the spawned worker subprocess traces into the
-    # same file (REPRO_TRACE is inherited); configure(None) pops it.
+    expected = dict(create_backend("inline").map_trials(items))
+    trace = tmp_path / "pool.jsonl"
+    # export_env=True so the spawned pool workers trace into the same file
+    # (REPRO_TRACE is inherited); configure(None) pops it.
     obs.configure(str(trace))
     try:
-        records = create_backend("remote", workers=1).map_trials(items)
+        records = dict(create_backend("pool", workers=2).map_trials(items))
     finally:
         obs.configure(None)
-    assert _canonical(records) == _canonical(expected)
+    assert records.keys() == expected.keys()
+    assert _canonical(records[i] for i in expected) == _canonical(expected.values())
+    trials = [ev for ev in load_events(trace) if ev["name"] == "experiments.trial"]
+    assert len(trials) == len(items)
+    assert os.getpid() not in {ev["pid"] for ev in trials}
+
+
+def test_a_traced_pool_sweep_maps_each_trial_to_one_worker_and_one_pack(tmp_path):
+    """From the trace file alone: each trial key → exactly one pid, never the
+    parent's → the one pack the sweep wrote."""
+    trace = tmp_path / "sweep.jsonl"
+    store = tmp_path / "store"
+    try:
+        assert experiments_main([
+            "run", "--scenario", "smoke", "--placers", "greedy,random",
+            "--trials", "4", "--jobs", "2", "--cache-dir", str(store),
+            "--output", "", "--trace", str(trace),
+        ]) == 0
+    finally:
+        obs.configure(None)
     events = load_events(trace)
-    assert {ev["pid"] for ev in events if ev["ev"] == "span"} != set()
-    assert len({ev["pid"] for ev in events}) >= 2  # scheduler and worker
-    names = {ev["name"] for ev in events}
-    assert "fabric.map_trials" in names
-    assert "fabric.lease" in names  # the dispatch point event
+    (sweep,) = [ev for ev in events if ev["name"] == "experiments.run"]
+    pids = {}
+    for ev in events:
+        if ev["name"] == "experiments.trial":
+            attrs = ev["attrs"]
+            key = (attrs["scenario"], attrs["placer"], attrs["trial"], attrs["seed"])
+            pids.setdefault(key, set()).add(ev["pid"])
+    assert len(pids) == 8
+    assert all(len(owners) == 1 for owners in pids.values())
+    assert sweep["pid"] not in set().union(*pids.values())
+    (put,) = [ev for ev in events if ev["name"] == "store.put_many"]
+    (pack,) = store.glob("*/packs/*.jsonl")
+    assert put["pid"] == sweep["pid"] and put["parent"] == sweep["span"]
+    assert put["attrs"]["pack"] == pack.name and put["attrs"]["cells"] == len(pids)
 
 
 # ------------------------------------------------- metrics vs. legacy views
@@ -430,78 +457,6 @@ def test_metrics_snapshot_matches_legacy_stats_views(tmp_path):
     assert store_view["stored"] == 1
     assert alloc_view["full_solves"] >= 1
     assert alloc_view["walks"] == 1 and alloc_view["walks_skipped"] == 0
-
-
-def test_prometheus_text_exposition_format():
-    registry = obs.MetricsRegistry()
-    hits = obs.Counter("test.exposition.hits", help="cache hits", register=False)
-    registry.register(hits)
-    depth = obs.Gauge("test.exposition.depth", register=False)
-    registry.register(depth)
-    hits.inc(3)
-    depth.set(2.5)
-
-    text = registry.prometheus_text()
-    assert "# HELP test_exposition_hits cache hits" in text
-    assert "# TYPE test_exposition_hits counter" in text
-    assert "test_exposition_hits_total 3" in text  # counters gain _total
-    assert "test_exposition_depth 2.5" in text
-    # Every non-comment line is `name value`.
-    sample = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]* [-+0-9.einfa]+$")
-    for line in text.strip().splitlines():
-        assert line.startswith("#") or sample.match(line), line
-
-
-def _request(host, port, path, method="GET"):
-    conn = http.client.HTTPConnection(host, port, timeout=5)
-    try:
-        conn.request(method, path)
-        resp = conn.getresponse()
-        return resp.status, resp.read().decode()
-    finally:
-        conn.close()
-
-
-def test_worker_metrics_exposition_and_health_stay_fresh_mid_lease(
-    tmp_path, monkeypatch
-):
-    """A chaos-slowed worker streams a lease for seconds; ``/health`` and
-    ``/metrics`` (answered from fresh threads) must respond mid-lease and
-    show the chunk advancing."""
-    arm_worker_chaos(monkeypatch, tmp_path, "slow")
-    items = [WorkItem.make("smoke", "random", t, 0) for t in range(4)]
-    with spawn_local_workers(1) as pool:
-        host, port = pool.addresses[0]
-        client = WorkerClient(host, port)
-        stream = client.open_lease("t-obs", [i.to_json_dict() for i in items])
-        saw_mid_lease, done = False, False
-        try:
-            for _ in range(400):
-                for data in stream.poll(0.1):
-                    done = done or bool(data.get("done"))
-                health = client.health()
-                lease = (health or {}).get("current_lease")
-                if not done and lease and lease["lease_id"] == "t-obs":
-                    assert lease["trials_total"] == len(items)
-                    assert 0 <= lease["trials_done"] <= len(items)
-                    status, text = _request(host, port, "/metrics")
-                    assert status == 200 and "# TYPE" in text
-                    saw_mid_lease = True
-                if done or stream.eof:
-                    break
-        finally:
-            stream.close()
-        assert done and saw_mid_lease
-
-        health = client.health()
-        assert health["trials_done"] == len(items)
-        assert health["current_lease"] is None
-        assert health["uptime_s"] > 0
-        status, text = _request(host, port, "/metrics")
-        assert status == 200
-        match = re.search(r"^repro_fluid_runs_total (\d+)", text, re.M)
-        assert match and int(match.group(1)) > 0  # counters advanced in-worker
-        assert _request(host, port, "/shutdown", "POST")[0] == 200
 
 
 # ----------------------------------------------------------- report math

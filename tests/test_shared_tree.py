@@ -1,8 +1,8 @@
 """One network per shape: every provider of a ``(TreeSpec, name)`` shares one
 frozen tree.
 
-A sweep's trials, a service session and a lease worker's threads all build
-providers of a handful of shapes; the first provider of a shape builds the
+A sweep's trials, a service session and any threads of one process all
+build providers of a handful of shapes; the first provider of a shape builds the
 tree and every later one reads it, with the tables the tree derives lazily
 (link index, capacity vector, tree tables, routes).  These tests hold the
 sharing to what it must not change: which trees are shared, that nothing

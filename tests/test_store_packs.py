@@ -1,5 +1,6 @@
 """The result store's packs: one flush per batch, writes that fail without
-costing a sweep its result, and hostile packs that never poison a read.
+costing a sweep its result, concurrent writers that never tear a cell, and
+hostile packs that never poison a read.
 
 A pack is ``<root>/<version[:16]>/packs/<writer>-<seq>.jsonl``, one line per
 cell: ``<digest>\\t<payload>\\t<crc32>``.  Every case below asserts the read
@@ -12,6 +13,7 @@ import errno
 import gc
 import json
 import logging
+import multiprocessing
 import os
 import signal
 import sys
@@ -215,8 +217,8 @@ def test_a_new_pack_is_found_on_the_next_miss(tmp_path):
 
 
 def test_threads_sharing_a_store_never_share_a_pack(tmp_path):
-    """A worker's lease threads share one store: every ``put`` must land in
-    its own pack, whatever the interleaving."""
+    """Threads sharing one store: every ``put`` must land in its own pack,
+    whatever the interleaving."""
     store = _store(tmp_path)
     n_threads, n_puts = 8, 25
     barrier = threading.Barrier(n_threads)
@@ -245,6 +247,37 @@ def test_threads_sharing_a_store_never_share_a_pack(tmp_path):
     for trial in range(total):
         assert fresh.get(fresh.key_for("smoke", "random", trial, trial)) == _record(trial)
     assert fresh.stats["invalidated"] == 0
+
+
+def _race_put(root, barrier):
+    store = ResultStore(root, version=VERSION)
+    key = store.key_for("smoke", "random", 0, 100)
+    barrier.wait(timeout=30)
+    for _ in range(25):
+        store.put(key, RECORDS[0])
+
+
+def test_result_store_survives_racing_writers(tmp_path):
+    """Four processes — two sweeps sharing a ``--cache-dir``, say — hammer the
+    same cell concurrently; the surviving cell must be one writer's intact
+    record, with no torn JSON and no leftover temp files: the unique-temp-name
+    + atomic-rename contract."""
+    barrier = multiprocessing.Barrier(4)
+    procs = [
+        multiprocessing.Process(target=_race_put, args=(str(tmp_path), barrier))
+        for _ in range(4)
+    ]
+    for proc in procs:
+        proc.start()
+    for proc in procs:
+        proc.join(timeout=60)
+        assert proc.exitcode == 0
+
+    store = _store(tmp_path)
+    assert len(store) == 1
+    assert store.get(_keys(store)[0]) == RECORDS[0]
+    assert store.stats["invalidated"] == 0
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 class _FailingWrites:

@@ -3,7 +3,8 @@
 Stands in for a linter: every module imports (without scipy), every exported
 name resolves, every command line answers ``--help`` — and the engine has no
 process-wide ``set_*`` switch for a measurement harness to flip, the sweep
-exactly two execution backends and one worker entry point.
+exactly two execution backends, no worker entry point and one execution
+flag (``--jobs``).
 """
 
 import ast
@@ -96,32 +97,38 @@ def test_bench_is_not_a_subcommand(main, capsys):
 
 
 # ------------------------------------------------------- execution backends
-def test_there_are_two_backends_and_one_worker_entry_point():
+def test_there_are_two_backends_and_no_worker_entry_point():
     import repro.experiments.backends as backends
 
-    assert backends.backend_names() == ["inline", "remote"]
-    # ``python -m repro.experiments.backends`` was the second worker entry
-    # point (JSON file pair); the lease server in ``worker.py`` is the one left.
+    assert backends.backend_names() == ["inline", "pool"]
+    # ``python -m repro.experiments.backends`` and ``python -m
+    # repro.experiments.worker`` were worker entry points; a pool child is
+    # started by ``multiprocessing`` and needs none.
     assert [name for name in vars(backends) if name.endswith("main")] == []
     assert "__main__" not in inspect.getsource(backends)
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.experiments.worker")
 
 
-def test_a_deleted_backend_name_is_an_argparse_error(capsys):
+@pytest.mark.parametrize(
+    "flag", ["--backend", "--endpoint", "--max-retries", "--heartbeat-timeout-s"]
+)
+def test_a_deleted_execution_flag_is_an_argparse_error(flag, capsys):
+    """``--jobs`` alone picks how a sweep runs."""
     with pytest.raises(SystemExit) as excinfo:
-        experiments_main(
-            ["run", "--scenario", "smoke", "--trials", "1", "--backend", "process"]
-        )
+        experiments_main(["run", "--scenario", "smoke", "--trials", "1", flag, "2"])
     assert excinfo.value.code == 2
-    assert "invalid choice: 'process'" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
 
-def test_importing_the_sweep_package_loads_no_http_stack():
-    """Only an opened lease needs ``http.client`` / ``http.server``: an
-    inline sweep (every benchmark workload) must not pay their import."""
+def test_importing_the_sweep_package_loads_no_process_pool():
+    """Only a ``pool`` sweep needs ``concurrent.futures`` / ``multiprocessing``:
+    an inline sweep (every benchmark workload) must not pay their import."""
     done = _run_python(
         "-c",
         "import sys, repro.experiments\n"
-        "print(sorted(m for m in sys.modules if m.startswith('http.')))\n",
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('concurrent', 'multiprocessing')))\n",
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
