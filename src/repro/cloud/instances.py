@@ -31,9 +31,9 @@ class InstanceType:
     advertised_egress_bps: float = 1 * GBITPS
 
     def __post_init__(self) -> None:
-        if self.cores <= 0:
+        if not self.cores > 0:
             raise CloudError("instance type must have positive cores")
-        if self.advertised_egress_bps <= 0:
+        if not self.advertised_egress_bps > 0:
             raise CloudError("advertised egress rate must be positive")
 
 

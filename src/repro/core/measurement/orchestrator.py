@@ -202,7 +202,7 @@ class NetworkMeasurer:
                 full ordered mesh.
 
         Every probed pair carries its own timestamp in
-        :attr:`NetworkProfile.pair_measured_at` — a pair probed later in the
+        :meth:`NetworkProfile.measured_at_matrix` — a pair probed later in the
         campaign is measured later, which is what per-pair TTL invalidation
         keys on.
 

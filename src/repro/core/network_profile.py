@@ -17,54 +17,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import MeasurementError
-
-#: How per-pair values are spelled to the constructor: an ``(n, n)`` array in
-#: ``vms`` order (``NaN`` = no value, diagonal ignored) or a
-#: ``(src, dst) -> value`` mapping.
-PairValues = Union[np.ndarray, Mapping]
-
-
-class _PairView(Mapping):
-    """Read-only ``(src, dst) -> value`` view of one of a profile's arrays.
-
-    The off-diagonal, non-``NaN`` entries, iterated in row-major order.
-    Nothing is built per pair until someone iterates or takes the length.
-    """
-
-    def __init__(self, profile: "NetworkProfile", matrix: np.ndarray) -> None:
-        self._profile = profile
-        self._matrix = matrix
-        self._where: Optional[Tuple[List[int], List[int]]] = None
-
-    def _present(self) -> Tuple[List[int], List[int]]:
-        if self._where is None:
-            present = ~np.isnan(self._matrix)
-            np.fill_diagonal(present, False)
-            rows, cols = np.nonzero(present)
-            self._where = (rows.tolist(), cols.tolist())
-        return self._where
-
-    def __getitem__(self, pair: Tuple[str, str]) -> float:
-        try:
-            src, dst = pair
-        except (TypeError, ValueError):
-            raise KeyError(pair) from None
-        value = math.nan if src == dst else self._profile._entry(self._matrix, src, dst)
-        if value != value:
-            raise KeyError(pair)
-        return value
-
-    def __iter__(self) -> Iterator[Tuple[str, str]]:
-        vms = self._profile.vms
-        return ((vms[i], vms[j]) for i, j in zip(*self._present()))
-
-    def __len__(self) -> int:
-        return len(self._present()[0])
 
 
 class NetworkProfile:
@@ -72,40 +29,34 @@ class NetworkProfile:
 
     Attributes:
         vms: the VM names covered by this profile.
-        rates_bps: estimated single-connection throughput per ordered pair,
-            as a read-only mapping view of the measured pairs.
         intra_vm_rate_bps: rate used for two tasks placed on the same VM;
             the paper models intra-machine paths as essentially infinite.
         measured_at: provider time at which the measurement was taken.
         measurement_duration_s: wall-clock cost of the measurement campaign.
-        pair_measured_at: provider time each ordered pair was probed, as a
-            read-only mapping view; pairs measured in later campaign rounds
-            carry later timestamps, which is what lets a TTL cache
-            invalidate stale pairs selectively instead of re-meshing the
-            full N² campaign.  Pairs without one fall back to
-            ``measured_at``.
         degraded_pairs: pairs the campaign could not measure (probes failed
             even after retries, see ``MeasurementPlan.max_retries``), mapped
             to a human-readable reason.  Degraded pairs carry no rate —
             consumers fall back to a forecast or a floor instead of trusting
             a number that was never observed.
 
-    ``rates_bps`` and ``pair_measured_at`` are each given
-    as an ``(n, n)`` array in ``vms`` order (copied; ``NaN`` = no value, the
-    diagonal is ignored) or as a ``(src, dst) -> value`` mapping (scattered
-    once into the same array; a ``NaN`` *value* there is an error).  Hot
-    paths read :meth:`rate` / :meth:`rate_matrix`; the mapping views make
-    tuples only when iterated.
+    ``rates_bps`` is an ``(n, n)`` array in ``vms`` order (copied; ``NaN`` =
+    not measured, the diagonal is ignored).  ``pair_measured_at``, when
+    given, is the provider time each ordered pair was probed, as an array of
+    the same shape: pairs measured in later campaign rounds carry later
+    timestamps, which is what lets a TTL cache invalidate stale pairs
+    selectively instead of re-meshing the full N² campaign.  Pairs without
+    one fall back to ``measured_at``.  Read them back with
+    :meth:`rate_matrix` and :meth:`measured_at_matrix`.
     """
 
     def __init__(
         self,
         vms: Sequence[str],
-        rates_bps: PairValues,
+        rates_bps: np.ndarray,
         intra_vm_rate_bps: float = math.inf,
         measured_at: float = 0.0,
         measurement_duration_s: float = 0.0,
-        pair_measured_at: Optional[PairValues] = None,
+        pair_measured_at: Optional[np.ndarray] = None,
         degraded_pairs: Optional[Mapping] = None,
     ) -> None:
         self.vms: List[str] = list(vms)
@@ -123,7 +74,7 @@ class NetworkProfile:
             src, dst = self._first_pair(non_positive)
             raise MeasurementError(f"rate for ({src!r}, {dst!r}) must be positive")
         self._times = None
-        if pair_measured_at is not None and len(pair_measured_at):
+        if pair_measured_at is not None:
             self._times = self._pair_matrix(pair_measured_at, "pair_measured_at")
             unmeasured = ~np.isnan(self._times) & np.isnan(rates)
             if unmeasured.any():
@@ -147,36 +98,19 @@ class NetworkProfile:
         rates.flags.writeable = False
         self._rates = rates
 
-    def _pair_matrix(self, values: PairValues, what: str) -> np.ndarray:
+    def _pair_matrix(self, values: np.ndarray, what: str) -> np.ndarray:
         """``values`` as this profile's own ``(n, n)`` array, diagonal ``NaN``."""
         n = len(self.vms)
-        if not isinstance(values, Mapping):
+        try:
             matrix = np.array(values, dtype=np.float64)  # always our own copy
-            if matrix.shape != (n, n):
-                raise MeasurementError(
-                    f"{what} matrix shape {matrix.shape} does not match "
-                    f"{n} VMs (expected ({n}, {n}))"
-                )
-            matrix.reshape(-1)[:: n + 1] = math.nan  # the diagonal
-            return matrix
-        matrix = np.full((n, n), math.nan)
-        if values:
-            index = self._index
-            try:
-                rows = [index[src] for src, _ in values]
-                cols = [index[dst] for _, dst in values]
-            except KeyError as exc:
-                raise MeasurementError(
-                    f"profile {what} references unknown VM {exc.args[0]!r}"
-                ) from None
-            data = np.fromiter(values.values(), np.float64, len(values))
-            if np.isnan(data).any():
-                # In an array NaN means "no value"; in a mapping the pair is
-                # named, so a NaN there can only be a bug upstream.
-                raise MeasurementError(f"{what} mapping holds a NaN value")
-            matrix[rows, cols] = data
-            if not np.isnan(matrix.diagonal()).all():
-                raise MeasurementError(f"{what} must not contain self pairs")
+        except (TypeError, ValueError):
+            matrix = None
+        if matrix is None or matrix.shape != (n, n):
+            got = "no array" if matrix is None else f"shape {matrix.shape}"
+            raise MeasurementError(
+                f"{what} must be an ({n}, {n}) array in vms order, got {got}"
+            )
+        matrix.reshape(-1)[:: n + 1] = math.nan  # the diagonal
         return matrix
 
     def _first_pair(self, mask: np.ndarray) -> Tuple[str, str]:
@@ -184,63 +118,32 @@ class NetworkProfile:
         i, j = np.argwhere(mask)[0]
         return self.vms[i], self.vms[j]
 
-    def _entry(self, matrix: np.ndarray, src_vm: str, dst_vm: str) -> float:
-        """``matrix[src_vm, dst_vm]`` as a float; ``NaN`` for an unknown VM."""
-        try:
-            return matrix.item(self._index[src_vm], self._index[dst_vm])
-        except KeyError:
-            return math.nan
-
-    def _view(self, matrix: Optional[np.ndarray]) -> Mapping:
-        if matrix is None:
-            matrix = np.full(self._rates.shape, math.nan)
-        return _PairView(self, matrix)
-
-    @property
-    def rates_bps(self) -> Mapping:
-        """The measured pairs, as a read-only mapping over the rate matrix."""
-        return self._view(self._rates)
-
-    @property
-    def pair_measured_at(self) -> Mapping:
-        """The pairs with their own probe time, as a read-only mapping."""
-        return self._view(self._times)
-
     # ------------------------------------------------------------- accessors
-    def rate(self, src_vm: str, dst_vm: str) -> float:
-        """Estimated single-connection throughput from ``src_vm`` to ``dst_vm``."""
-        if src_vm == dst_vm:
-            return self.intra_vm_rate_bps
-        value = self._entry(self._rates, src_vm, dst_vm)
-        if value != value:
-            raise MeasurementError(
-                f"profile has no measurement for ({src_vm!r}, {dst_vm!r})"
-            )
-        return value
+    @property
+    def rates_bps(self) -> Dict[Tuple[str, str], float]:
+        """The measured pairs as a ``(src, dst) -> rate`` dict, built on access.
 
-    def has_pair(self, src_vm: str, dst_vm: str) -> bool:
-        """True if the ordered pair was measured (self pairs always count)."""
-        return src_vm == dst_vm or not math.isnan(
-            self._entry(self._rates, src_vm, dst_vm)
-        )
-
-    def measured_at_pair(self, src_vm: str, dst_vm: str) -> float:
-        """When an ordered pair was last probed (campaign start as fallback)."""
-        if not self.has_pair(src_vm, dst_vm):
-            raise MeasurementError(
-                f"profile has no measurement for ({src_vm!r}, {dst_vm!r})"
+        Its one reader is ``benchmark/workloads.py``'s ``pipeline_dc``
+        coverage check, which takes its ``len``; read :meth:`rate_matrix`
+        instead.
+        """
+        present = ~np.isnan(self._rates)
+        np.fill_diagonal(present, False)
+        rows, cols = np.nonzero(present)
+        vms = self.vms
+        return {
+            (vms[i], vms[j]): rate
+            for i, j, rate in zip(
+                rows.tolist(), cols.tolist(), self._rates[rows, cols].tolist()
             )
-        if self._times is not None and src_vm != dst_vm:
-            probed_at = self._entry(self._times, src_vm, dst_vm)
-            if probed_at == probed_at:
-                return probed_at
-        return self.measured_at
+        }
 
     def measured_at_matrix(self) -> np.ndarray:
-        """:meth:`measured_at_pair` for every ordered pair, in ``vms`` order.
+        """When each ordered pair was last probed, in ``vms`` order.
 
-        ``NaN`` where the pair was not measured, and on the diagonal — so
-        ``~isnan`` of it is the mask of the pairs this profile measured.
+        A pair without its own probe time reads ``measured_at``.  ``NaN``
+        where the pair was not measured, and on the diagonal — so ``~isnan``
+        of it is the mask of the pairs this profile measured.
         """
         measured = ~np.isnan(self._rates)
         np.fill_diagonal(measured, False)
@@ -274,9 +177,8 @@ class NetworkProfile:
         Raises:
             MeasurementError: if ``order`` names a VM outside the profile.
         """
-        return self._rates if order is None else self._gather(self._rates, order)
-
-    def _gather(self, matrix: np.ndarray, order: Sequence[str]) -> np.ndarray:
+        if order is None:
+            return self._rates
         index = self._index
         try:
             at = np.array([index[vm] for vm in order], dtype=np.intp)
@@ -284,42 +186,4 @@ class NetworkProfile:
             raise MeasurementError(
                 f"rate_matrix order references unknown VM {exc.args[0]!r}"
             ) from None
-        return matrix.take(at, axis=0).take(at, axis=1)
-
-    def pairs(self) -> List[Tuple[str, str]]:
-        """All measured ordered pairs."""
-        return list(self.rates_bps)
-
-    # ----------------------------------------------------------- constructors
-    @classmethod
-    def from_uniform_rate(
-        cls,
-        vms: Sequence[str],
-        rate_bps: float,
-        intra_vm_rate_bps: float = math.inf,
-    ) -> "NetworkProfile":
-        """A profile where every pair has the same rate (Rackspace-like)."""
-        if rate_bps <= 0:
-            raise MeasurementError("rate must be positive")
-        return cls(
-            vms=vms,
-            rates_bps=np.full((len(vms), len(vms)), float(rate_bps)),
-            intra_vm_rate_bps=intra_vm_rate_bps,
-        )
-
-    @classmethod
-    def from_rate_function(
-        cls,
-        vms: Sequence[str],
-        rate_fn,
-        intra_vm_rate_bps: float = math.inf,
-    ) -> "NetworkProfile":
-        """A profile built by calling ``rate_fn(src, dst)`` for every pair."""
-        rates = [
-            [math.nan if a == b else float(rate_fn(a, b)) for b in vms] for a in vms
-        ]
-        return cls(
-            vms=vms,
-            rates_bps=np.array(rates, dtype=np.float64),
-            intra_vm_rate_bps=intra_vm_rate_bps,
-        )
+        return self._rates.take(at, axis=0).take(at, axis=1)

@@ -30,7 +30,7 @@ class Machine:
     def __post_init__(self) -> None:
         if not self.name:
             raise PlacementError("machine name must be non-empty")
-        if self.cores <= 0:
+        if not self.cores > 0:
             raise PlacementError(f"machine {self.name!r} must have positive cores")
 
 
@@ -55,7 +55,7 @@ class ClusterState:
         for name, used in self.cpu_used.items():
             if name not in known:
                 raise PlacementError(f"cpu_used references unknown machine {name!r}")
-            if used < 0:
+            if not used >= 0:
                 raise PlacementError("cpu_used values must be >= 0")
 
     @classmethod

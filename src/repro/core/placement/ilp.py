@@ -353,7 +353,7 @@ class OptimalPlacer(Placer):
         time_limit_s: float = 60.0,
         mip_rel_gap: float = 1e-4,
     ):
-        if time_limit_s <= 0:
+        if not time_limit_s > 0:
             raise PlacementError("time_limit_s must be positive")
         self.time_limit_s = time_limit_s
         self.mip_rel_gap = mip_rel_gap

@@ -210,6 +210,8 @@ class IncrementalAllocator:
         # Per-link membership (flow slots currently crossing the link) and a
         # refcount of links in use, so solves touch only occupied links.
         self._members: List[Set[int]] = [set() for _ in self._link_ids]
+        # Each link index as one Python int, built by the first batched add.
+        self._link_objects: Optional[np.ndarray] = None
         self._link_use: Dict[int, int] = {}
         # Per bottleneck link, the last batch the vector solve froze there
         # and its link histogram ``(batch, idx, k)``; dropped whenever a flow
@@ -402,10 +404,8 @@ class IncrementalAllocator:
         n = len(flow_ids)
         rows = np.asarray(rows, dtype=np.intp)
         lengths = np.asarray(lengths, dtype=np.int64)
-        flat = rows.tolist()
-        total = len(flat)
+        total = rows.shape[0]
         ends = list(itertools.accumulate(lengths.tolist()))
-        spans = list(zip([0] + ends, ends))
         if len(ends) != n or (ends[-1] if n else 0) != total:
             raise SimulationError("flow batch columns disagree in length")
         registered = self._flow_slot
@@ -414,16 +414,14 @@ class IncrementalAllocator:
             if flow_id in registered or flow_id in batch_ids:
                 raise SimulationError(f"duplicate flow id {flow_id!r}")
             batch_ids.add(flow_id)
-        # (A small batch stays clear of NumPy: called once per fluid event,
-        # its fixed costs are the whole cost.)
-        batched = n >= _BATCH_MIN
-        if total:
-            low, high = (rows.min(), rows.max()) if batched else (min(flat), max(flat))
-            if low < 0 or high >= len(self._link_ids):
+        if n < _BATCH_MIN:
+            # Small batches stay clear of NumPy and are cheaper flow by flow
+            # (called once per fluid event, their fixed costs are the whole
+            # cost): the per-flow edit, exactly, once every row is valid.
+            flat = rows.tolist()
+            if total and (min(flat) < 0 or max(flat) >= len(self._link_ids)):
                 raise SimulationError("flow batch references an unknown link index")
-        if not batched:
-            # Small batches are cheaper flow by flow (see _BATCH_MIN): the
-            # per-flow edit, exactly, once every row is known to be valid.
+            spans = list(zip([0] + ends, ends))
             for flow_id, (a, b) in zip(flow_ids, spans):
                 self._check_row(flow_id, flat[a:b])
             return np.array(
@@ -434,6 +432,8 @@ class IncrementalAllocator:
                 dtype=np.intp,
             )
         if total:
+            if rows.min() < 0 or rows.max() >= len(self._link_ids):
+                raise SimulationError("flow batch references an unknown link index")
             by_link, links_sorted, touched, group_start, group_end = (
                 _group_by_link(rows)
             )
@@ -443,8 +443,13 @@ class IncrementalAllocator:
             )
             if repeats.any():
                 owner = int(owner_sorted[repeats.argmax()])
-                a, b = spans[owner]
-                self._check_row(flow_ids[owner], flat[a:b])
+                row = rows[ends[owner] - int(lengths[owner]) : ends[owner]]
+                self._check_row(flow_ids[owner], row.tolist())
+            # Links in the order add_flow would first touch them, so that
+            # _link_use gains its new keys in the order add_flow gives them.
+            first_touch = np.argsort(by_link[group_start])
+            del by_link, links_sorted, repeats
+        del ends
 
         # Slots, in add_flow's order: the free list from its tail, then fresh.
         n_reused = min(n, len(self._free_slots))
@@ -453,7 +458,12 @@ class IncrementalAllocator:
         first_fresh = len(self._slot_name)
         slot_list.extend(range(first_fresh, first_fresh + n - n_reused))
         slots = np.array(slot_list, dtype=np.intp)
-        tuples = [tuple(flat[a:b]) for a, b in spans]
+        # The rows as tuples of the link universe's own int objects: no
+        # Python int is made per incidence.
+        if self._link_objects is None:
+            self._link_objects = np.arange(len(self._link_ids), dtype=object)
+        links = iter(self._link_objects[rows].tolist())
+        tuples = [tuple(itertools.islice(links, k)) for k in lengths.tolist()]
         for slot, flow_id, link_tuple in zip(
             slot_list[:n_reused], flow_ids, tuples
         ):
@@ -476,10 +486,9 @@ class IncrementalAllocator:
         linkless = slots[lengths == 0].tolist()
         self._linkless.update(linkless)
         if total:
-            # Links in the order add_flow would first touch them, so that
-            # _link_use gains its new keys in the order add_flow gives them.
-            first_touch = np.argsort(by_link[group_start])
-            slot_sorted = slots[owner_sorted].tolist()
+            # Each incidence's slot, as the slot list's own int objects.
+            slot_sorted = np.array(slot_list, dtype=object)[owner_sorted].tolist()
+            del owner_sorted
             link_use = self._link_use
             n_used = len(link_use)
             for link, a, b in zip(

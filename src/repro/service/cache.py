@@ -3,7 +3,7 @@
 A long-running service cannot afford a full N² campaign at every admission
 and every epoch tick.  :class:`MeasurementCache` keeps the last measured
 rate and probe time of every ordered pair (the times come from
-:attr:`~repro.core.network_profile.NetworkProfile.pair_measured_at`) and,
+:meth:`~repro.core.network_profile.NetworkProfile.measured_at_matrix`) and,
 on refresh, asks the measurer to re-probe only the pairs whose age exceeds
 the TTL — the rest of the mesh is served from cache.
 
@@ -11,23 +11,22 @@ The store is two dense ``(M, M)`` float arrays in :attr:`MeasurementCache.vms`
 order — last rate and last probe time, ``NaN`` for "never measured" or
 "invalidated".  Staleness is one comparison over the time array, and
 ``np.argwhere`` hands the campaign the stale pairs as an ``(m, 2)`` array of
-positions in row-major order, which *is* the order of
-:meth:`MeasurementCache.mesh_pairs`: that order fixes the campaign
-schedule, and through it the probe RNG stream.  The view handed to the
+positions in row-major order: that order fixes the campaign schedule, and
+through it the probe RNG stream.  The view handed to the
 forecaster and the placer is a profile over a copy of the rate array, so an
 admission makes no per-pair Python objects for the pairs it re-probes.
 
 The cache also absorbs measurement *failure*: pairs the campaign reports as
 degraded (probes failed even after retries) coast on their last cached rate
-or fall back to a caller-supplied predictor, and are deliberately left
-stale so the next refresh re-probes them.
+or fall back to a caller-supplied predicted rate matrix, and are
+deliberately left stale so the next refresh re-probes them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -86,7 +85,7 @@ class MeasurementCache:
         vms: Sequence[str],
         ttl_s: float = 3600.0,
     ):
-        if ttl_s <= 0:
+        if not ttl_s > 0:
             raise ServiceError("ttl_s must be positive")
         if len(vms) < 2:
             raise ServiceError("the measurement cache needs at least two VMs")
@@ -117,10 +116,6 @@ class MeasurementCache:
         )
 
     # -------------------------------------------------------------- queries
-    def mesh_pairs(self) -> List[Tuple[str, str]]:
-        """Every ordered pair of the covered mesh."""
-        return [(s, d) for s in self.vms for d in self.vms if s != d]
-
     def _stale(self, now: float) -> np.ndarray:
         """The ``(M, M)`` mask of the pairs never measured or older than
         the TTL at ``now``.  The comparison is strict: a pair stamped
@@ -150,23 +145,27 @@ class MeasurementCache:
             self._rates = np.delete(self._rates, gone, axis=axis)
             self._measured_at = np.delete(self._measured_at, gone, axis=axis)
 
-    def invalidate_pairs(self, pairs: Iterable[Tuple[str, str]]) -> int:
-        """Force pairs stale (their cached rate survives as a fallback).
+    def invalidate_vm(self, vm: str) -> int:
+        """Force every pair touching ``vm`` stale (cached rates survive as a
+        fallback).
 
         Used for targeted re-measurement: when a fault event degrades a
-        VM's link, the service invalidates every pair touching it so the
-        next refresh re-probes exactly those.  Returns how many covered
-        pairs were actually invalidated.
+        VM's link, the service invalidates its row and column so the next
+        refresh re-probes exactly those pairs.  Returns how many pairs were
+        invalidated (a pair already stale does not count).
+
+        Raises:
+            ServiceError: unknown VM.
         """
-        invalidated = 0
-        for src, dst in pairs:
-            i, j = self._index.get(src), self._index.get(dst)
-            if i is None or j is None:
-                continue
-            if not math.isnan(self._measured_at[i, j]):
-                self._measured_at[i, j] = math.nan
-                invalidated += 1
-        return invalidated
+        i = self._index.get(vm)
+        if i is None:
+            raise ServiceError(f"measurement cache does not cover VM {vm!r}")
+        row, column = self._measured_at[i], self._measured_at[:, i]
+        invalidated = np.count_nonzero(~np.isnan(row)) + np.count_nonzero(
+            ~np.isnan(column)
+        )
+        row[:] = column[:] = math.nan  # views: the diagonal is NaN already
+        return int(invalidated)
 
     # -------------------------------------------------------------- refresh
     def refresh(
@@ -174,7 +173,7 @@ class MeasurementCache:
         now: float,
         background: Sequence[VMFlow] = (),
         force: bool = False,
-        fallback: Optional[Callable[[Tuple[str, str]], Optional[float]]] = None,
+        fallback: Optional[Callable[[Sequence[str]], Optional[np.ndarray]]] = None,
     ) -> NetworkProfile:
         """Re-probe stale pairs and return the merged full-mesh profile.
 
@@ -182,15 +181,17 @@ class MeasurementCache:
             now: current provider time (ages are computed against it).
             background: flows the campaign should see as cross traffic.
             force: re-probe the full mesh regardless of age.
-            fallback: called with a pair the campaign reported as degraded
-                and that has no cached rate; may return a predicted rate
-                (the service passes the forecaster here).  Degraded pairs
-                with a cached rate coast on it.  Either way the pair's
-                timestamp is *not* advanced, so it stays stale and is
-                re-probed on the next refresh.
+            fallback: called with :attr:`vms`, at most once per refresh and
+                only if a pair the campaign reported as degraded has no
+                cached rate; may return a predicted ``(M, M)`` rate matrix
+                in that order (the service passes the forecaster here).  A
+                degraded pair without a positive prediction gets
+                :data:`DEGRADED_FLOOR_BPS`; one with a cached rate coasts
+                on it.  Either way the pair's timestamp is *not* advanced,
+                so it stays stale and is re-probed on the next refresh.
         """
         n = len(self.vms)
-        # The campaign's pairs as positions in ``vms``, in mesh_pairs order.
+        # The campaign's pairs as positions in ``vms``, in row-major order.
         stale = np.argwhere(~np.eye(n, dtype=bool) if force else self._stale(now))
         with obs.span(
             "service.cache_refresh", stale=len(stale), force=bool(force)
@@ -204,16 +205,15 @@ class MeasurementCache:
                 self._rates[probed] = fresh.rate_matrix()[probed]
                 self._measured_at[probed] = probed_at[probed]
                 index = self._index
-                for pair in fresh.degraded_pairs:
-                    at = index[pair[0]], index[pair[1]]
+                predicted: Optional[np.ndarray] = None
+                asked = fallback is None
+                for src, dst in fresh.degraded_pairs:
+                    at = index[src], index[dst]
                     if math.isnan(self._rates[at]):
-                        predicted = (
-                            fallback(pair) if fallback is not None else None
-                        )
-                        self._rates[at] = (
-                            predicted if predicted is not None and predicted > 0
-                            else DEGRADED_FLOOR_BPS
-                        )
+                        if not asked:
+                            predicted, asked = fallback(self.vms), True
+                        value = math.nan if predicted is None else predicted[at]
+                        self._rates[at] = value if value > 0 else DEGRADED_FLOOR_BPS
                 self._campaigns.inc()
                 self._pairs_measured.inc(len(stale) - len(fresh.degraded_pairs))
                 self._pairs_degraded.inc(len(fresh.degraded_pairs))

@@ -331,11 +331,11 @@ class PlacementService:
         timeline = provider.timeline
         if epoch_s is None:
             epoch_s = timeline.epoch_s if timeline is not None else DEFAULT_EPOCH_S
-        if epoch_s <= 0:
+        if not epoch_s > 0:
             raise ServiceError("epoch_s must be positive")
         self.epoch_s = float(epoch_s)
         self.ttl_s = float(ttl_s) if ttl_s is not None else self.epoch_s / 2.0
-        if self.ttl_s <= 0:
+        if not self.ttl_s > 0:
             raise ServiceError("ttl_s must be positive")
         self.migrate = migrate
         if not 0.0 <= improvement_threshold < 1.0:
@@ -378,7 +378,7 @@ class PlacementService:
         """
         if not apps:
             raise ServiceError("a session needs at least one application")
-        if hours <= 0:
+        if not hours > 0:
             raise ServiceError("hours must be positive")
         if self.provider.now != 0.0:
             raise ServiceError(
@@ -527,13 +527,14 @@ class PlacementService:
 
         ``None`` for the stale/oracle controls (they never refresh); for the
         history predictors, a callable the :class:`MeasurementCache` invokes
-        with a degraded pair — the forecaster's prediction stands in for the
-        unobtainable measurement (flagged via ``pairs_degraded`` in stats).
+        with its VMs — the forecaster's predicted matrix in that order
+        stands in for the unobtainable measurements (flagged via
+        ``pairs_degraded`` in stats).
         """
         if self.forecaster is None:
             return None
         forecaster = self.forecaster
-        return lambda pair: forecaster.forecast_pair(pair, epoch)
+        return lambda vms: forecaster.predicted_matrix(vms, epoch)
 
     def _recovery_profile(self) -> Optional[NetworkProfile]:
         """The profile forced re-placements are made against.
@@ -715,9 +716,7 @@ class PlacementService:
         affected = self._apps_on_vm(running, vm)
         uses_cache = self._measures and self.forecaster is not None
         if uses_cache and vm in self.cache.vms:
-            self.cache.invalidate_pairs(
-                [p for p in self.cache.mesh_pairs() if vm in p]
-            )
+            self.cache.invalidate_vm(vm)
             action = "re-measured"
         else:
             action = "degraded-coast"

@@ -103,13 +103,16 @@ class RateForecaster:
         predicted = predict(history, self.predictor)
         return history[-1] if predicted is None else predicted
 
-    def forecast_pair(self, pair: Tuple[str, str], epoch: int) -> Optional[float]:
-        """Forecast one pair's rate for ``epoch`` (``None`` without history)."""
+    def predicted_matrix(
+        self, vms: Sequence[str], epoch: int
+    ) -> Optional[np.ndarray]:
+        """The mesh's forecast for ``epoch``, aligned to ``vms`` (``None``
+        without history)."""
         predicted = self._predict(epoch)
-        if predicted is None:
-            return None
-        value = predicted[tuple(self._positions(pair))]
-        return None if math.isnan(value) else float(value)
+        if predicted is None or list(vms) == self._vms:
+            return predicted
+        at = self._positions(vms)
+        return predicted[np.ix_(at, at)]
 
     def forecast_profile(self, current: NetworkProfile, epoch: int) -> NetworkProfile:
         """The profile the placer should see for placements during ``epoch``.
@@ -119,12 +122,9 @@ class RateForecaster:
         degenerate first-epoch case reduces to the classic
         measure-then-place flow.
         """
-        predicted = self._predict(epoch)
+        predicted = self.predicted_matrix(current.vms, epoch)
         if predicted is None:
             return current
-        if current.vms != self._vms:
-            at = self._positions(current.vms)
-            predicted = predicted[np.ix_(at, at)]
         measured = current.rate_matrix()
         forecast = ~np.isnan(predicted) & ~np.isnan(measured)
         rates = np.where(forecast, np.maximum(predicted, 1.0), measured)

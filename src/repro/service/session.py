@@ -73,9 +73,9 @@ def build_churn_session(
     """
     if n_vms < 2:
         raise ServiceError("a churn session needs at least two VMs")
-    if hours <= 0:
+    if not hours > 0:
         raise ServiceError("hours must be positive")
-    if apps_per_hour <= 0:
+    if not apps_per_hour > 0:
         raise ServiceError("apps_per_hour must be positive")
 
     # Colocation off: same-host VM pairs advertise the 4 Gbit/s intra-host

@@ -31,7 +31,7 @@ class Task:
     def __post_init__(self) -> None:
         if not self.name:
             raise WorkloadError("task name must be non-empty")
-        if self.cpu_cores <= 0:
+        if not self.cpu_cores > 0:
             raise WorkloadError(f"task {self.name!r}: cpu_cores must be positive")
 
 
@@ -136,7 +136,7 @@ class Application:
                     f"application {self.name!r}: traffic references unknown task "
                     f"{src!r} or {dst!r}"
                 )
-        if self.start_time < 0:
+        if not self.start_time >= 0:
             raise WorkloadError("start_time must be >= 0")
 
     # ------------------------------------------------------------ inspection

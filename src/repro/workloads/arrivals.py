@@ -24,7 +24,7 @@ class PoissonArrivals:
     rate_per_hour: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.rate_per_hour <= 0:
+        if not self.rate_per_hour > 0:
             raise WorkloadError("rate_per_hour must be positive")
 
     def sample(

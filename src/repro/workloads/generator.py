@@ -72,18 +72,18 @@ class WorkloadSpec:
     def __post_init__(self) -> None:
         if self.min_tasks < 2 or self.max_tasks < self.min_tasks:
             raise WorkloadError("need 2 <= min_tasks <= max_tasks")
-        if self.mean_total_bytes <= 0:
+        if not self.mean_total_bytes > 0:
             raise WorkloadError("mean_total_bytes must be positive")
-        if self.volume_sigma < 0:
+        if not self.volume_sigma >= 0:
             raise WorkloadError("volume_sigma must be >= 0")
         total_weight = sum(weight for _, weight in self.pattern_weights)
-        if total_weight <= 0:
+        if not total_weight > 0:
             raise WorkloadError("pattern weights must sum to a positive value")
         known = {"mapreduce", "scatter_gather", "pipeline", "star", "sparse", "uniform"}
         for name, weight in self.pattern_weights:
             if name not in known:
                 raise WorkloadError(f"unknown pattern {name!r}")
-            if weight < 0:
+            if not weight >= 0:
                 raise WorkloadError("pattern weights must be >= 0")
 
 

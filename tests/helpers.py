@@ -5,6 +5,8 @@
   router and route by graph search, as any hand-built graph does);
 * writers for the two flow-trace formats ``repro.workloads.trace`` reads,
   so tests can hand the readers files of known content;
+* the ``(n, n)`` arrays a ``NetworkProfile`` is built from, spelled pair
+  by pair;
 * the measurement cache's stale set and ages, read off its arrays;
 * the switch that puts pool workers under the chaos hook of
   ``tests/chaos``.
@@ -15,7 +17,7 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import Iterable, List, Optional, Tuple, Union
+from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -129,6 +131,22 @@ def write_trace_jsonl(
             )
             count += 1
     return count
+
+
+# -------------------------------------------------------------- profiles
+def pair_matrix(vms: Sequence[str], values: Union[Mapping, Callable]) -> np.ndarray:
+    """An ``(n, n)`` array in ``vms`` order, as ``NetworkProfile`` takes it.
+
+    ``values`` maps ``(src, dst)`` pairs to values, or is called as
+    ``values(src, dst)`` for every ordered pair of distinct VMs; every
+    other entry is ``NaN`` (not measured).
+    """
+    if callable(values):
+        values = {(a, b): values(a, b) for a in vms for b in vms if a != b}
+    matrix = np.full((len(vms), len(vms)), math.nan)
+    for (src, dst), value in values.items():
+        matrix[vms.index(src), vms.index(dst)] = value
+    return matrix
 
 
 # ------------------------------------------------------ measurement cache

@@ -9,10 +9,12 @@ and is held to, entry for entry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.core.network_profile import NetworkProfile
+from repro.errors import MeasurementError
 
 
 @dataclass
@@ -36,7 +38,17 @@ def effective_rate(
     profile: NetworkProfile, src_machine: str, dst_machine: str, load: ConnectionLoad
 ) -> float:
     """Rate a *new* connection would get on ``src -> dst`` given placed load;
-    an intra-machine placement gets the profile's intra-VM rate."""
+    an intra-machine placement gets the profile's intra-VM rate.
+
+    Raises:
+        MeasurementError: the profile did not measure the pair.
+    """
     if src_machine == dst_machine:
         return profile.intra_vm_rate_bps
-    return profile.rate(src_machine, dst_machine) / (1.0 + load.out_of(src_machine))
+    at = profile.vms.index
+    rate = profile.rate_matrix().item(at(src_machine), at(dst_machine))
+    if math.isnan(rate):
+        raise MeasurementError(
+            f"profile has no measurement for ({src_machine!r}, {dst_machine!r})"
+        )
+    return rate / (1.0 + load.out_of(src_machine))

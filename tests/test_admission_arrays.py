@@ -20,7 +20,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 import pytest
 
-from helpers import age_of, stale_pairs
+from helpers import age_of, pair_matrix, stale_pairs
 from oracles import predictors as scalar
 from oracles.effective_rate import ConnectionLoad, effective_rate
 import repro
@@ -36,7 +36,7 @@ from repro.core.placement.base import (
     validate_placement,
 )
 from repro.core.placement.greedy import GreedyPlacer
-from repro.errors import MeasurementError, PlacementError, ReproError, ServiceError
+from repro.errors import PlacementError, ReproError, ServiceError
 from repro.service.cache import DEGRADED_FLOOR_BPS, CacheStats, MeasurementCache
 from repro.service.forecast import HISTORY_PREDICTORS, RateForecaster
 from repro.workloads.application import Application, Task, TrafficMatrix
@@ -95,13 +95,18 @@ class ScalarGreedyPlacer(Placer):
             assignments[task_name] = machine
             free_cpu[machine] -= app.cpu_demand(task_name)
 
+        rates, at = profile.rate_matrix(), profile.vms.index
+
         def egress(machine: str) -> float:
             """The lower median of the machine's rates to the others, an
             unmeasured pair read as 0."""
             out = sorted(
-                profile.rate(machine, other) if profile.has_pair(machine, other) else 0.0
-                for other in machines
-                if other != machine
+                0.0 if math.isnan(rate) else rate
+                for rate in (
+                    rates.item(at(machine), at(other))
+                    for other in machines
+                    if other != machine
+                )
             )
             return out[(len(out) - 1) // 2]
 
@@ -212,7 +217,8 @@ class ScalarGreedyPlacer(Placer):
 
 
 class DictMeasurementCache:
-    """The parent commit's dict-backed TTL cache, verbatim (the oracle)."""
+    """The dict-backed TTL cache the arrays replaced (the oracle): a pair at
+    a time, reading the campaign's profile off its matrices."""
 
     def __init__(
         self,
@@ -331,9 +337,11 @@ class DictMeasurementCache:
                 fresh = self.measurer.measure(
                     self.vms, background=background, pairs=stale
                 )
-                for pair, rate in fresh.rates_bps.items():
-                    self._rates[pair] = rate
-                    self._measured_at[pair] = fresh.measured_at_pair(*pair)
+                rates, stamps = fresh.rate_matrix(), fresh.measured_at_matrix()
+                for i, j in np.argwhere(~np.isnan(stamps)).tolist():
+                    pair = (fresh.vms[i], fresh.vms[j])
+                    self._rates[pair] = rates.item(i, j)
+                    self._measured_at[pair] = stamps.item(i, j)
                 for pair in fresh.degraded_pairs:
                     if pair not in self._rates:
                         predicted = (
@@ -360,10 +368,10 @@ class DictMeasurementCache:
             )
         return NetworkProfile(
             vms=list(self.vms),
-            rates_bps=dict(self._rates),
+            rates_bps=pair_matrix(self.vms, self._rates),
             measured_at=now,
             measurement_duration_s=0.0,
-            pair_measured_at=dict(self._measured_at),
+            pair_measured_at=pair_matrix(self.vms, self._measured_at),
         )
 
 
@@ -390,15 +398,8 @@ def _greedy_instance(rng: random.Random, unmeasured: bool):
             del rates[pair]
     # A finite intra-VM rate can tie with (or lose to) a network path.
     intra = rng.choice([math.inf, math.inf, 1e9, 5e8])
-    if rng.random() < 0.5:
-        profile = NetworkProfile(
-            vms=list(machines), rates_bps=rates, intra_vm_rate_bps=intra
-        )
-    else:
-        matrix = np.full((n, n), math.nan)
-        for (a, b), rate in rates.items():
-            matrix[machines.index(a), machines.index(b)] = rate
-        profile = NetworkProfile(machines, matrix, intra_vm_rate_bps=intra)
+    rng.random()  # picked between two spellings of the profile: the draw keeps the instances
+    profile = NetworkProfile(machines, pair_matrix(machines, rates), intra_vm_rate_bps=intra)
 
     cores = {m: rng.choice([2.0, 4.0, 6.0]) for m in machines}
     used = {
@@ -459,7 +460,7 @@ class TestGreedyAgainstScalarAlgorithm1:
         """All rates equal: the key falls through to the machine *names*,
         whatever order the cluster declares them in."""
         machines = ["vm-2", "vm-10", "vm-1"]
-        profile = NetworkProfile.from_uniform_rate(machines, 1e9)
+        profile = NetworkProfile(machines, np.full((3, 3), 1e9))
         cluster = ClusterState(machines=[Machine(m, 1.0) for m in machines])
         traffic = TrafficMatrix()
         traffic.add("a", "b", 1e6)
@@ -481,8 +482,7 @@ class TestGreedyAgainstScalarAlgorithm1:
             (5e8, {"a": "m1", "b": "m2"}),  # slower: first maximum in name order
         ):
             profile = NetworkProfile(
-                vms=machines, rates_bps={("m1", "m2"): 1e9, ("m2", "m1"): 1e9},
-                intra_vm_rate_bps=intra,
+                machines, np.full((2, 2), 1e9), intra_vm_rate_bps=intra
             )
             got = GreedyPlacer().place(app, cluster, profile)
             assert got.assignments == expected
@@ -549,7 +549,7 @@ class TestGreedyAgainstScalarAlgorithm1:
 
     def test_traffic_edited_to_name_an_unknown_task_fails_the_same_way(self):
         machines = ["m1", "m2"]
-        profile = NetworkProfile.from_uniform_rate(machines, 1e9)
+        profile = NetworkProfile(machines, np.full((2, 2), 1e9))
         cluster = ClusterState(machines=[Machine(m, 4.0) for m in machines])
         traffic = TrafficMatrix()
         traffic.add("a", "b", 1e6)
@@ -572,18 +572,9 @@ class TestGreedyAgainstScalarAlgorithm1:
 # ---------------------------------------------------------------------------
 # (b) The forecaster: whole-matrix predictors vs the per-series predictors
 # ---------------------------------------------------------------------------
-def _epoch_profile(rng: random.Random, vms: List[str], skip=(), as_matrix=False):
-    """A full-mesh profile in row-major pair order (minus ``skip``)."""
-    rates = {
-        (a, b): rng.uniform(1e7, 1e9)
-        for a in vms for b in vms if a != b and (a, b) not in skip
-    }
-    if not as_matrix:
-        return NetworkProfile(vms=list(vms), rates_bps=rates)
-    matrix = np.full((len(vms), len(vms)), math.nan)
-    for (a, b), rate in rates.items():
-        matrix[vms.index(a), vms.index(b)] = rate
-    return NetworkProfile(vms, matrix)
+def _epoch_profile(rng: random.Random, vms: List[str]):
+    """A full-mesh profile, its rates drawn in row-major pair order."""
+    return NetworkProfile(vms, pair_matrix(vms, lambda a, b: rng.uniform(1e7, 1e9)))
 
 
 class TestForecasterAgainstScalarPredictors:
@@ -621,27 +612,33 @@ class TestForecasterAgainstScalarPredictors:
         }
         for epoch in range(self.EPOCHS):
             vms = [vm for vm in mesh if vm != "c" or epoch < self.DROPPED_AT]
-            observed = _epoch_profile(rng, vms, as_matrix=epoch % 3 == 0)
+            observed = _epoch_profile(rng, vms)
             forecaster.record_epoch(epoch, observed)
-            for pair, values in series.items():
-                values.append(observed.rates_bps.get(pair, math.nan))
+            rates = observed.rate_matrix(vms)
+            for (a, b), values in series.items():
+                both = a in vms and b in vms
+                values.append(rates[vms.index(a), vms.index(b)] if both else math.nan)
 
-            current = _epoch_profile(rng, vms, as_matrix=epoch % 2 == 0)
+            current = _epoch_profile(rng, vms)
             # The service asks for the next epoch; also ask about the past.
             for asked in {epoch + 1, rng.randint(0, epoch + 1)}:
                 got = forecaster.forecast_profile(current, asked)
                 assert got.vms == current.vms
-                for pair, measured in current.rates_bps.items():
+                for i, j in np.argwhere(~np.eye(len(vms), dtype=bool)).tolist():
+                    pair = (vms[i], vms[j])
                     expected = self._expected(predictor, series[pair][:asked])
+                    measured = current.rate_matrix()[i, j]
                     want = measured if expected is None else max(expected, 1.0)
-                    assert got.rate(*pair) == want, (epoch, asked, pair)
+                    assert got.rate_matrix()[i, j] == want, (epoch, asked, pair)
                 if epoch % 9 and epoch < self.EPOCHS - 3:
                     continue
+                predicted = forecaster.predicted_matrix(mesh, asked)
                 for pair, values in series.items():
                     history = values[:asked]
-                    assert forecaster.forecast_pair(pair, asked) == (
-                        self._expected(predictor, history)
-                    ), (epoch, asked, pair)
+                    expected = self._expected(predictor, history)
+                    at = mesh.index(pair[0]), mesh.index(pair[1])
+                    got = None if predicted is None or math.isnan(predicted[at]) else predicted[at]
+                    assert got == expected, (epoch, asked, pair)
                     if history and "c" not in pair:
                         # ``predict`` on the pair's own series, as a 1-D array.
                         assert predict(np.array(history), predictor) == (
@@ -677,28 +674,27 @@ class TestForecasterAgainstScalarPredictors:
         for call in (
             lambda: forecaster.record_epoch(2, _epoch_profile(rng, ["a", "d"])),
             lambda: forecaster.forecast_profile(_epoch_profile(rng, ["d", "a"]), 2),
-            lambda: forecaster.forecast_pair(("a", "d"), 2),
+            lambda: forecaster.predicted_matrix(["a", "d"], 2),
         ):
             with pytest.raises(ServiceError, match="'d' is outside the forecaster's mesh"):
                 call()
-        assert forecaster.forecast_pair(("a", "b"), 2) is None  # b's last epoch: NaN
-        assert forecaster.forecast_pair(("a", "b"), 1) is not None
+        # b's last epoch is NaN: no forecast for a -> b from it.
+        assert math.isnan(forecaster.predicted_matrix(["a", "b"], 2)[0, 1])
+        assert not math.isnan(forecaster.predicted_matrix(["a", "b"], 1)[0, 1])
 
     def test_epoch_order_no_history_and_fallback_floor(self):
         forecaster = RateForecaster("combined")
         current = _epoch_profile(random.Random(1), ["a", "b"])
-        assert forecaster.forecast_pair(("a", "b"), 0) is None
-        assert dict(forecaster.forecast_profile(current, 0).rates_bps) == (
-            current.rates_bps
-        )
+        assert forecaster.predicted_matrix(["a", "b"], 0) is None
+        assert forecaster.forecast_profile(current, 0) is current
         forecaster.record_epoch(
-            0, NetworkProfile(vms=["a", "b"], rates_bps={("a", "b"): 0.25})
+            0, NetworkProfile(["a", "b"], [[math.nan, 0.25], [math.nan, math.nan]])
         )
         # Forecasts are floored at 1 bps; the unrecorded direction keeps
         # the measured value.
-        forecast = forecaster.forecast_profile(current, 1)
-        assert forecast.rate("a", "b") == 1.0
-        assert forecast.rate("b", "a") == current.rate("b", "a")
+        forecast = forecaster.forecast_profile(current, 1).rate_matrix()
+        assert forecast[0, 1] == 1.0
+        assert forecast[1, 0] == current.rate_matrix()[1, 0]
         with pytest.raises(ServiceError):
             forecaster.record_epoch(2, current)
 
@@ -707,7 +703,8 @@ def test_a_forecast_leaves_numpy_ma_unimported():
     """``numpy.ma`` costs tens of milliseconds to import, and a forecast
     would pay them inside a timed admission (``np.unique`` imports it)."""
     script = textwrap.dedent("""
-        import sys
+        import math, sys
+        import numpy as np
         from repro.core.network_profile import NetworkProfile
         from repro.service.forecast import RateForecaster
 
@@ -715,14 +712,14 @@ def test_a_forecast_leaves_numpy_ma_unimported():
         for epoch in range(3):
             vms = ["a", "b", "c"] if epoch < 2 else ["a", "b"]
             forecaster.record_epoch(
-                epoch, NetworkProfile.from_rate_function(vms, lambda s, d: 1e9 + epoch)
+                epoch, NetworkProfile(vms, np.full((len(vms),) * 2, 1e9 + epoch))
             )
         forecast = forecaster.forecast_profile(
-            NetworkProfile.from_rate_function(["a", "b"], lambda s, d: 2e9), 3
-        )
-        assert forecast.rate("a", "b") == 1e9 + 2, forecast.rate("a", "b")
-        assert forecaster.forecast_pair(("a", "c"), 2) == 1e9 + 1
-        assert forecaster.forecast_pair(("a", "c"), 3) is None
+            NetworkProfile(["a", "b"], np.full((2, 2), 2e9)), 3
+        ).rate_matrix()
+        assert forecast[0, 1] == 1e9 + 2, forecast
+        assert forecaster.predicted_matrix(["a", "c"], 2)[0, 1] == 1e9 + 1
+        assert math.isnan(forecaster.predicted_matrix(["a", "c"], 3)[0, 1])
         assert "numpy.ma" not in sys.modules, "a forecast imported numpy.ma"
     """)
     src = os.path.dirname(os.path.dirname(repro.__file__))
@@ -764,9 +761,9 @@ class _ScriptedMeasurer:
             rates[pair] = rng.uniform(1e7, 1e9)
             stamps[pair] = self.now + position * self.round_s
         return NetworkProfile(
-            vms=list(vm_names), rates_bps=rates, measured_at=self.now,
-            measurement_duration_s=len(pairs) * self.round_s,
-            pair_measured_at=stamps, degraded_pairs=degraded,
+            vms=list(vm_names), rates_bps=pair_matrix(vm_names, rates),
+            measured_at=self.now, measurement_duration_s=len(pairs) * self.round_s,
+            pair_measured_at=pair_matrix(vm_names, stamps), degraded_pairs=degraded,
         )
 
 
@@ -774,6 +771,11 @@ def _twin_caches(vms, ttl_s):
     ours = MeasurementCache(_ScriptedMeasurer(), list(vms), ttl_s=ttl_s)
     reference = DictMeasurementCache(_ScriptedMeasurer(), list(vms), ttl_s=ttl_s)
     return ours, reference
+
+
+def _mesh(vms):
+    """Every ordered pair of ``vms``, row-major."""
+    return [(s, d) for s in vms for d in vms if s != d]
 
 
 def _assert_same_view(ours, reference, now):
@@ -793,6 +795,9 @@ class TestCacheAgainstDictCache:
         vms = [f"vm-{i}" for i in (3, 10, 1, 7, 12, 5)]
         ours, reference = _twin_caches(vms, ttl_s=30.0)
         fallback = lambda pair: 123.0 if pair[0] < pair[1] else None  # noqa: E731
+
+        def predicted(vms):  # ``fallback``, as the matrix the cache asks for
+            return pair_matrix(vms, lambda a, b: fallback((a, b)) or math.nan)
         now = 0.0
         for step in range(120):
             now += rng.choice([1.0, 7.0, 15.0, 30.0, 31.0])
@@ -804,20 +809,17 @@ class TestCacheAgainstDictCache:
                     cache.measurer.now = now
                     cache.measurer.degrade = lost
                 force = rng.random() < 0.1
-                got = ours.refresh(now, force=force, fallback=fallback)
+                got = ours.refresh(now, force=force, fallback=predicted)
                 expected = reference.refresh(now, force=force, fallback=fallback)
                 assert ours.measurer.asked == reference.measurer.asked
-                # Same pairs, same rates.  (The dict cache listed pairs in
-                # first-measured order, the matrix lists them row-major; no
-                # consumer reads the order of a profile's pairs.)
-                assert dict(got.rates_bps) == expected.rates_bps
                 assert got.vms == expected.vms
+                np.testing.assert_array_equal(got.rate_matrix(), expected.rate_matrix())
                 assert got.measured_at == expected.measured_at == now
             elif action < 0.85:
-                victims = rng.sample(mesh, rng.randint(1, 6))
-                victims += victims[:1] + [("ghost", vms[0])]  # duplicate, unknown
-                assert ours.invalidate_pairs(victims) == (
-                    reference.invalidate_pairs(victims)
+                # What a link degradation does: every pair touching one VM.
+                vm = rng.choice(reference.vms)
+                assert ours.invalidate_vm(vm) == reference.invalidate_pairs(
+                    [pair for pair in mesh if vm in pair]
                 )
             elif len(reference.vms) > 3:
                 gone = rng.choice(reference.vms)
@@ -825,17 +827,6 @@ class TestCacheAgainstDictCache:
                 reference.remove_vm(gone)
             _assert_same_view(ours, reference, now)
         assert ours.stats.pairs_degraded > 0 and len(ours.vms) < len(vms)
-
-    def test_stale_pairs_come_in_mesh_order(self):
-        ours, _ = _twin_caches(["b", "a", "c", "d"], ttl_s=10.0)
-        assert stale_pairs(ours, 0.0) == ours.mesh_pairs()  # never measured
-        ours.refresh(0.0)
-        # Stamps are 0, 2, ..., 22: at t=15 exactly the pairs stamped before
-        # t=5 are stale, and they come in list-comprehension order.
-        stamp = {pair: -age_of(ours, pair, 0.0) for pair in ours.mesh_pairs()}
-        assert stale_pairs(ours, 15.0) == [
-            pair for pair in ours.mesh_pairs() if 15.0 - stamp[pair] > 10.0
-        ] == ours.mesh_pairs()[:3]
 
     def test_refresh_hands_the_campaign_positions(self):
         """The campaign gets the stale pairs as an ``(m, 2)`` position array
@@ -852,7 +843,7 @@ class TestCacheAgainstDictCache:
         ours.measurer.measure = spy
         wanted = []
         for now, force in ((0.0, False), (15.0, False), (16.0, True)):
-            wanted.append(ours.mesh_pairs() if force else stale_pairs(ours, now))
+            wanted.append(_mesh(ours.vms) if force else stale_pairs(ours, now))
             ours.refresh(now, force=force)
         assert [len(pairs) for pairs in wanted] == [12, 3, 12]
         for pairs, names in zip(asked, wanted):
@@ -862,7 +853,7 @@ class TestCacheAgainstDictCache:
     def test_exact_ttl_boundary_is_still_fresh(self):
         ours, _ = _twin_caches(["a", "b", "c"], ttl_s=60.0)
         ours.refresh(0.0)
-        last = ours.mesh_pairs()[-1]
+        last = _mesh(ours.vms)[-1]
         stamped = -age_of(ours, last, 0.0)  # the newest stamp
         assert last not in stale_pairs(ours, stamped + 60.0)
         assert last in stale_pairs(ours, math.nextafter(stamped + 60.0, math.inf))
@@ -870,22 +861,26 @@ class TestCacheAgainstDictCache:
     def test_invalidated_pairs_keep_their_rate_as_a_fallback(self):
         ours, _ = _twin_caches(["a", "b", "c"], ttl_s=1e6)
         before = ours.refresh(0.0)
-        assert ours.invalidate_pairs([("a", "b"), ("a", "b"), ("b", "z")]) == 1
-        assert stale_pairs(ours, 1.0) == [("a", "b")]
-        assert age_of(ours, ("a", "b"), 1.0) is None
-        assert dict(ours.profile(1.0).rates_bps) == dict(before.rates_bps)
+        assert ours.invalidate_vm("a") == 4
+        assert ours.invalidate_vm("a") == 0  # already stale
+        touched = [("a", "b"), ("a", "c"), ("b", "a"), ("c", "a")]
+        assert stale_pairs(ours, 1.0) == touched
+        assert all(age_of(ours, pair, 1.0) is None for pair in touched)
+        assert age_of(ours, ("b", "c"), 1.0) is not None  # untouched
+        np.testing.assert_array_equal(ours.profile(1.0).rate_matrix(), before.rate_matrix())
+        with pytest.raises(ServiceError, match="does not cover VM 'z'"):
+            ours.invalidate_vm("z")
 
     def test_remove_vm_drops_a_row_and_a_column(self):
         ours, _ = _twin_caches(["a", "b", "c", "d"], ttl_s=1e6)
         before = ours.refresh(0.0)
-        ages = {pair: age_of(ours, pair, 5.0) for pair in ours.mesh_pairs()}
+        ages = {pair: age_of(ours, pair, 5.0) for pair in _mesh(ours.vms)}
         ours.remove_vm("b")
         assert ours.vms == ["a", "c", "d"]
-        after = ours.profile(5.0)
-        assert dict(after.rates_bps) == {
-            pair: rate for pair, rate in before.rates_bps.items() if "b" not in pair
-        }
-        assert all(age_of(ours, p, 5.0) == ages[p] for p in ours.mesh_pairs())
+        np.testing.assert_array_equal(
+            ours.profile(5.0).rate_matrix(), before.rate_matrix(["a", "c", "d"])
+        )
+        assert all(age_of(ours, p, 5.0) == ages[p] for p in _mesh(ours.vms))
         assert age_of(ours, ("a", "b"), 5.0) is None
         with pytest.raises(ServiceError, match="does not cover"):
             ours.remove_vm("b")
@@ -896,87 +891,43 @@ class TestCacheAgainstDictCache:
     def test_degraded_pairs_coast_fall_back_or_floor(self):
         ours, _ = _twin_caches(["a", "b", "c"], ttl_s=10.0)
         ours.measurer.degrade = {("a", "b"), ("b", "a"), ("c", "a")}
-        predicted = {("a", "b"): 4e8, ("b", "a"): -1.0}
-        first = ours.refresh(0.0, fallback=predicted.get)
+        asked = []
+
+        def predicted(vms):  # called at most once a refresh, with the cache's VMs
+            asked.append(list(vms))
+            return pair_matrix(vms, {("a", "b"): 4e8, ("b", "a"): -1.0})
+
+        first = ours.refresh(0.0, fallback=predicted).rate_matrix()
         # No cached rate: the forecast, or the floor when there is none
         # (or it is not positive).
-        assert first.rate("a", "b") == 4e8
-        assert first.rate("b", "a") == DEGRADED_FLOOR_BPS
-        assert first.rate("c", "a") == DEGRADED_FLOOR_BPS
+        assert first[0, 1] == 4e8
+        assert first[1, 0] == first[2, 0] == DEGRADED_FLOOR_BPS
+        assert asked == [["a", "b", "c"]]
         assert ours.stats.pairs_degraded == 3 and ours.stats.pairs_measured == 3
         # Degraded pairs are left stale: the next refresh re-probes them
         # (and only them), and this time they answer.
         ours.measurer.degrade = set()
-        second = ours.refresh(1.0, fallback=predicted.get)
+        second = ours.refresh(1.0, fallback=predicted).rate_matrix()
         assert ours.measurer.asked[-1] == [("a", "b"), ("b", "a"), ("c", "a")]
-        assert second.rate("a", "b") != 4e8
+        assert second[0, 1] != 4e8
         # With a cached rate a degraded pair coasts on it, fallback or not.
         ours.measurer.degrade = {("a", "b")}
-        third = ours.refresh(100.0, fallback=lambda pair: 7.0)
-        assert third.rate("a", "b") == second.rate("a", "b")
+        third = ours.refresh(100.0, fallback=predicted).rate_matrix()
+        assert third[0, 1] == second[0, 1]
         assert ("a", "b") in stale_pairs(ours, 100.0)
+        assert len(asked) == 1  # nothing was left without a rate since
 
     def test_profile_needs_a_full_mesh_and_does_not_alias_the_cache(self):
         ours, _ = _twin_caches(["a", "b", "c"], ttl_s=10.0)
         with pytest.raises(ServiceError, match="never measured 6 pair"):
             ours.profile(0.0)
         early = ours.refresh(0.0)
-        snapshot = dict(early.rates_bps)
+        snapshot = early.rate_matrix().copy()
         ours.measurer.now = 50.0
         late = ours.refresh(50.0)
-        assert dict(early.rates_bps) == snapshot  # a later refresh did not reach it
-        assert dict(late.rates_bps) != snapshot
+        # A later refresh did not reach the early profile.
+        np.testing.assert_array_equal(early.rate_matrix(), snapshot)
+        assert not np.array_equal(late.rate_matrix(), snapshot)
         with pytest.raises(ValueError):
             early.rate_matrix()[0, 1] = 1.0  # read-only, too
         assert isinstance(ours.stats, CacheStats)
-
-
-# ---------------------------------------------------------------------------
-# A profile built from an array == the same profile built from a mapping
-# ---------------------------------------------------------------------------
-class TestMatrixProfileRatesView:
-    def _pair(self):
-        vms = ["b", "a", "c"]
-        rates = {
-            ("b", "a"): 1e9, ("b", "c"): 2e9, ("a", "b"): 3e9, ("c", "a"): 4e9,
-        }
-        matrix = np.full((3, 3), math.nan)
-        for (src, dst), rate in rates.items():
-            matrix[vms.index(src), vms.index(dst)] = rate
-        return NetworkProfile(vms, matrix), NetworkProfile(vms, dict(rates))
-
-    def test_rates_bps_is_a_read_only_view_of_the_measured_pairs(self):
-        dense, sparse = self._pair()
-        view = dense.rates_bps
-        assert list(view.items()) == list(sparse.rates_bps.items())  # row-major
-        assert view == sparse.rates_bps and len(view) == 4
-        assert ("a", "b") in view
-        for absent in (("a", "c"), ("a", "a"), ("a", "zz"), ("a",), 7):
-            assert absent not in view
-        with pytest.raises(TypeError):
-            view[("a", "c")] = 1.0
-        with pytest.raises(AttributeError):
-            dense.rates_bps = {}
-        assert dense.pairs() == sparse.pairs()
-        assert dense.hose_rate("b") == sparse.hose_rate("b") == 2e9
-
-    def test_the_forecaster_records_a_matrix_profile(self):
-        dense, sparse = self._pair()
-        from_dense = RateForecaster("previous-hour")
-        from_sparse = RateForecaster("previous-hour")
-        from_dense.record_epoch(0, dense)
-        from_sparse.record_epoch(0, sparse)
-        for pair in [("b", "a"), ("c", "a"), ("a", "c")]:
-            assert from_dense.forecast_pair(pair, 1) == (
-                from_sparse.forecast_pair(pair, 1)
-            ) == sparse.rates_bps.get(pair)
-
-    def test_matrix_profile_keeps_its_own_copy_and_validates(self):
-        matrix = np.array([[math.nan, 1e9], [2e9, math.nan]])
-        profile = NetworkProfile(["a", "b"], matrix)
-        matrix[0, 1] = 5.0
-        assert profile.rate("a", "b") == 1e9
-        with pytest.raises(MeasurementError, match="positive"):
-            NetworkProfile(["a", "b"], np.array([[0.0, -1.0], [1.0, 0.0]]))
-        with pytest.raises(MeasurementError, match="duplicate"):
-            NetworkProfile(["a", "a"], matrix)

@@ -143,13 +143,19 @@ def oracle_campaign(measurer, names, background=(), pairs=None):
     }
 
 
+def by_pair(vms, matrix):
+    """``matrix``'s off-diagonal, non-``NaN`` entries as sorted ``((src, dst), value)``."""
+    at = np.argwhere(~np.isnan(matrix) & ~np.eye(len(vms), dtype=bool)).tolist()
+    return sorted(((vms[i], vms[j]), matrix[i, j].item()) for i, j in at)
+
+
 def campaign(measurer, names, background=(), pairs=None):
     before = obs.metrics.snapshot()
     profile = measurer.measure(names, background=background, pairs=pairs)
     after = obs.metrics.snapshot()
     return {
-        "rates": sorted(profile.rates_bps.items()),
-        "pair_times": sorted(profile.pair_measured_at.items()),
+        "rates": by_pair(profile.vms, profile.rate_matrix()),
+        "pair_times": by_pair(profile.vms, profile.measured_at_matrix()),
         "degraded": list(profile.degraded_pairs.items()),
         "duration": profile.measurement_duration_s,
         "counters": [after[name] - before.get(name, 0) for name in COUNTERS],
@@ -266,9 +272,11 @@ def test_wild_probes_scale_the_estimate():
     wild = [
         (e.src, e.dst) for e in provider.timeline.events if e.mode == "wild"
     ]
-    assert wild and all(pair in faulty.rates_bps for pair in wild)
+    rates = faulty.rate_matrix()
+    measured = [rates[names.index(src), names.index(dst)] for src, dst in wild]
+    assert wild and not np.isnan(measured).any()
     truth = max(clean.hose_rate(vm) for vm in names)
-    assert any(faulty.rates_bps[pair] > 1.5 * truth for pair in wild)
+    assert max(measured) > 1.5 * truth
 
 
 def test_a_nan_estimate_is_an_error_not_an_unmeasured_pair():
@@ -297,8 +305,8 @@ def test_a_nan_estimate_is_an_error_not_an_unmeasured_pair():
     assert profile.degraded_pairs == {
         pair: "3 probe(s) failed: packet train delivered no measurable packets"
     }
-    assert pair not in profile.rates_bps and len(profile.rates_bps) == 4 * 3 - 1
-    assert not np.isnan(list(profile.rates_bps.values())).any()
+    unmeasured = np.isnan(profile.rate_matrix())
+    assert np.argwhere(unmeasured).tolist() == [[1, 2]]
     assert sends == [(1, 12), (1, 1), (1, 1)]
     # Three passes drew 12 + 1 + 1 trains' normals (one rate noise and
     # 2 * n_bursts jitter normals each).
@@ -398,11 +406,11 @@ def test_a_ten_vm_mesh_takes_at_most_three_minutes(name):
     started_at = provider.now
     profile = measurer.measure(names)
     pair_time = measurer.per_pair_time_s()
-    mesh = [(src, dst) for src in names for dst in names if src != dst]
-    assert not profile.degraded_pairs and len(profile.rates_bps) == 90
+    assert not profile.degraded_pairs and not np.isnan(profile.rate_matrix()).any()
     assert profile.measurement_duration_s == 90 * pair_time <= 180.0
     assert provider.now == started_at + profile.measurement_duration_s
-    assert [profile.pair_measured_at[pair] for pair in mesh] == [
+    stamps = profile.measured_at_matrix()
+    assert stamps[~np.isnan(stamps)].tolist() == [  # row-major: mesh order
         started_at + i * pair_time for i in range(90)
     ]
 
@@ -660,7 +668,7 @@ def test_an_empty_pair_list_is_an_empty_profile(pairs):
     provider, names = build_provider("ec2", n_vms=4)
     state = provider._rng.bit_generator.state
     profile = NetworkMeasurer(provider, MeasurementPlan()).measure(names, pairs=pairs)
-    assert len(profile.rates_bps) == 0 and not profile.degraded_pairs
+    assert np.isnan(profile.measured_at_matrix()).all() and not profile.degraded_pairs
     assert profile.measurement_duration_s == 0.0
     assert provider._rng.bit_generator.state == state
 

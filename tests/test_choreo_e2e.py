@@ -2,6 +2,7 @@
 measure, place, run) as ``benchmark/``'s ``pipeline_dc`` calls it, and the
 §2.4 / §6.3 arrival loop, which the placement service runs."""
 
+import numpy as np
 import pytest
 
 from repro.cloud.registry import make_provider
@@ -47,7 +48,7 @@ def test_profile_measure_place_run(provider):
     assert set(placement.assignments) == set(app.task_names)
     assert set(placement.assignments.values()) <= set(cluster.machine_names())
     # The measurement the placement consumed covers the mesh.
-    assert len(profile.pairs()) == 5 * 4
+    assert len(profile.vms) == 5 and not np.isnan(profile.rate_matrix()).any()
     assert profile.measurement_duration_s > 0
     assert run.completion_time >= run.start_time
     assert run.network_bytes + run.colocated_bytes == pytest.approx(app.total_bytes)

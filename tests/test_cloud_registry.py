@@ -10,6 +10,7 @@ from oracles.parent_request_vms import parent_release_vm, parent_request_vms
 
 from repro.cloud.ec2 import ec2_params
 from repro.cloud.ec2_legacy import ec2_legacy_params
+from repro.cloud.instances import InstanceType
 from repro.cloud.provider import CloudProvider
 from repro.cloud.registry import make_provider, provider_names
 from repro.errors import CloudError, ReproError, TopologyError
@@ -149,3 +150,9 @@ def test_request_vms_draws_what_the_rescanning_loop_drew(seed, colocation):
     assert ours._free_hosts == [h for h in ours.topology.hosts() if h not in used]
     with pytest.raises(CloudError, match="unknown VM 'ghost'"):
         ours.release_vm("ghost")
+
+
+@pytest.mark.parametrize("field", ["cores", "advertised_egress_bps"])
+def test_a_nan_instance_type_is_refused(field):
+    with pytest.raises(CloudError, match="positive"):
+        InstanceType("nan", **{field: math.nan})

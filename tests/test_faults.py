@@ -7,7 +7,6 @@ import re
 import numpy as np
 import pytest
 
-from helpers import age_of, stale_pairs
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
 from repro.errors import ReproError, ServiceError, WorkloadError
 from repro.service.engine import PlacementService
@@ -440,6 +439,31 @@ def test_preemption_mid_session_recovers_or_rejects():
         assert by_name[name].recoveries >= 1
 
 
+def test_a_link_degradation_re_measures_its_vm_and_nothing_else():
+    """The service blanks the degraded VM's row and column of the cache:
+    with a TTL no pair outlives, the next refresh probes exactly them."""
+    provider, cluster, apps, _ = build_churn_session(0, **QUICK)
+    vm = provider.vms()[2].name
+    _add_events(provider, LinkDegradation(vm=vm, start_s=10.0, end_s=1e9, multiplier=0.5))
+    service = PlacementService(
+        provider, cluster, _resolve_placer("greedy", 0, None), ttl_s=1e9,
+    )
+    asked = []
+    measure = service.cache.measurer.measure
+
+    def spy(vm_names, background=(), pairs=None):
+        asked.append({(vm_names[s], vm_names[d]) for s, d in pairs.tolist()})
+        return measure(vm_names, background=background, pairs=pairs)
+
+    service.cache.measurer.measure = spy
+    report = service.run_session(apps, hours=QUICK["hours"])
+    degraded = [a for a in report.recovery if a.kind == "link-degradation"]
+    assert [(a.target, a.action) for a in degraded] == [(vm, "re-measured")]
+    # The bootstrap mesh of 5 VMs, then the 8 pairs touching the degraded one.
+    assert [len(pairs) for pairs in asked] == [20, 8]
+    assert all(vm in pair for pair in asked[1])
+
+
 def test_probe_loss_burst_degrades_pairs_without_crashing():
     provider, cluster, apps, _ = build_churn_session(
         0, n_vms=5, hours=3.0, epoch_s=120.0
@@ -486,8 +510,8 @@ def test_measurer_retries_then_degrades_and_charges_backoff():
     profile = NetworkMeasurer(provider, plan=plan).measure(vms)
     assert (vms[0], vms[1]) in profile.degraded_pairs
     assert "3 probe(s) failed" in profile.degraded_pairs[(vms[0], vms[1])]
-    assert (vms[0], vms[1]) not in profile.rates_bps
-    assert (vms[1], vms[0]) in profile.rates_bps
+    rates = profile.rate_matrix()
+    assert np.isnan(rates[0, 1]) and not np.isnan(rates[1, 0])
     # Two retries with doubling backoff cost 4 + 8 seconds plus re-probes.
     assert profile.measurement_duration_s > no_retry_duration + 12.0
 
@@ -528,55 +552,5 @@ def test_wild_probe_estimates_skew_the_measured_rate():
     wild = NetworkMeasurer(
         provider2, plan=MeasurementPlan(advance_clock=False)
     ).measure(vms)
-    pair = (vms[0], vms[1])
-    assert wild.rates_bps[pair] > clean.rates_bps[pair]
+    assert wild.rate_matrix()[0, 1] > clean.rate_matrix()[0, 1]
     assert not wild.degraded_pairs
-
-
-def test_cache_ttl_exact_boundary_is_still_fresh():
-    provider, _, _, _ = build_churn_session(0, **QUICK)
-    from repro.service.cache import MeasurementCache
-
-    vms = [vm.name for vm in provider.vms()][:3]
-    measurer = NetworkMeasurer(provider, plan=MeasurementPlan(advance_clock=False))
-    cache = MeasurementCache(measurer, vms, ttl_s=60.0)
-    cache.refresh(0.0)
-    newest = max(
-        age for pair in cache.mesh_pairs()
-        if (age := age_of(cache, pair, 0.0)) is not None
-    )
-    # Pairs are stamped with their probe time; exactly ttl_s after the
-    # *newest* stamp the oldest pairs are stale but the newest is not.
-    boundary = 60.0 - newest  # age of newest pair at t=boundary is ttl
-    assert all(
-        age_of(cache, pair, boundary) is not None for pair in cache.mesh_pairs()
-    )
-    stale = stale_pairs(cache, boundary)
-    newest_pairs = [
-        p for p in cache.mesh_pairs() if age_of(cache, p, boundary) == 60.0
-    ]
-    assert newest_pairs, "expected a pair aged exactly ttl_s"
-    for pair in newest_pairs:
-        assert pair not in stale  # strict: goes stale the instant *after*
-    epsilon = 1e-6
-    assert all(p in stale_pairs(cache, boundary + epsilon) for p in newest_pairs)
-
-
-def test_cache_remove_vm_and_invalidate_pairs():
-    provider, _, _, _ = build_churn_session(0, **QUICK)
-    from repro.service.cache import MeasurementCache
-
-    vms = [vm.name for vm in provider.vms()][:4]
-    measurer = NetworkMeasurer(provider, plan=MeasurementPlan(advance_clock=False))
-    cache = MeasurementCache(measurer, vms, ttl_s=3600.0)
-    cache.refresh(0.0)
-    cache.remove_vm(vms[0])
-    assert vms[0] not in cache.vms
-    profile = cache.profile(0.0)
-    assert all(vms[0] not in pair for pair in profile.rates_bps)
-
-    touched = [p for p in cache.mesh_pairs() if vms[1] in p]
-    assert cache.invalidate_pairs(touched) == len(touched)
-    assert set(stale_pairs(cache, 1.0)) == set(touched)
-    with pytest.raises(ReproError):
-        cache.remove_vm("not-covered")

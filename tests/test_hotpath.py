@@ -11,12 +11,11 @@ import random
 
 import pytest
 
-from helpers import build_two_rack_cloud
+from helpers import build_two_rack_cloud, pair_matrix
 from oracles.effective_rate import ConnectionLoad, effective_rate
 from oracles.graph_search import build_searched_tree, use_graph_search
 from oracles.max_min import max_min_allocation, use_reference_engine
 from repro.core.network_profile import NetworkProfile
-from repro.core.placement.base import ClusterState, Machine
 from repro.core.rate_model import EffectiveRateMatrix
 from repro.cloud.registry import make_provider
 from repro.errors import ExperimentError, MeasurementError, SimulationError
@@ -27,8 +26,6 @@ from repro.net.fairness import FlowDemand
 from repro.net.flows import Flow
 from repro.net.fluid import FluidSimulation, RateTimeline
 from repro.units import GBITPS, MBYTE
-from repro.workloads.generator import HPCloudWorkloadGenerator, WorkloadSpec
-from repro.workloads.patterns import scatter_gather, uniform_mesh
 
 
 def _assert_allocations_match(reference, got, context=""):
@@ -268,34 +265,6 @@ class TestEffectiveRateMatrix:
     Algorithm 1 in ``tests/test_admission_arrays.py``.)
     """
 
-    def _profile(self, machines, seed, intra):
-        rng = random.Random(seed)
-        pairs = [(a, b) for a in machines for b in machines if a != b]
-        return NetworkProfile(
-            vms=list(machines),
-            rates_bps={
-                pair: rng.uniform(0.05 * GBITPS, 1 * GBITPS) for pair in pairs
-            },
-            intra_vm_rate_bps=intra,
-        )
-
-    @pytest.mark.parametrize("intra", [math.inf, 4 * GBITPS])
-    def test_matrix_matches_direct_computation_under_load(self, intra):
-        machines = [f"m{i}" for i in range(6)]
-        profile = self._profile(machines, 2, intra)
-        board = EffectiveRateMatrix(profile, machines)
-        shadow = ConnectionLoad()
-        rng = random.Random(4)
-        for _ in range(60):
-            i, j = rng.randrange(6), rng.randrange(6)
-            board.record(i, j)
-            shadow.add(machines[i], machines[j])
-            for a, src in enumerate(machines):
-                for b, dst in enumerate(machines):
-                    assert board.rates[a, b] == effective_rate(
-                        profile, src, dst, shadow
-                    )
-
     @pytest.mark.parametrize("seed", range(6))
     def test_interleaved_records_and_reads_equal_the_scalar_rate(self, seed):
         """Connections recorded between reads of one row, one column and
@@ -312,7 +281,9 @@ class TestEffectiveRateMatrix:
             for a in machines for b in machines if a != b and rng.random() > 0.2
         }
         intra = rng.choice([math.inf, 4 * GBITPS])
-        profile = NetworkProfile(vms=machines, rates_bps=rates, intra_vm_rate_bps=intra)
+        profile = NetworkProfile(
+            machines, pair_matrix(machines, rates), intra_vm_rate_bps=intra
+        )
         board = EffectiveRateMatrix(profile, machines)
         shadow = ConnectionLoad()
 
@@ -343,17 +314,6 @@ class TestEffectiveRateMatrix:
             else:
                 matrix = board.rates
                 assert all(same(matrix[a, b], a, b) for a in range(n) for b in range(n))
-
-    def test_unmeasured_pairs_stay_nan(self):
-        machines = ["a", "b", "c"]
-        profile = NetworkProfile(
-            vms=machines, rates_bps={("a", "b"): 1e9, ("b", "a"): 2e9}
-        )
-        board = EffectiveRateMatrix(profile, machines)
-        board.record(0, 1)
-        assert board.rates[0, 1] == 1e9 * 1.0 / 2.0
-        assert math.isnan(board.rates[0, 2]) and math.isnan(board.rates[2, 1])
-        assert board.rates[2, 2] == math.inf
 
 
 class TestRunnerTrialMemoization:

@@ -9,8 +9,10 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 
+from helpers import pair_matrix
 from repro.core.estimator import estimate_completion_time
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
 from repro.core.network_profile import NetworkProfile
@@ -48,18 +50,11 @@ def _random_instance(rng: random.Random, uniform_rates: bool = False):
     machines = [f"m{i}" for i in range(n_machines)]
     cluster = ClusterState(machines=[Machine(m, cores=4.0) for m in machines])
     if uniform_rates:
-        profile = NetworkProfile.from_uniform_rate(machines, 0.5 * GBITPS)
+        profile = NetworkProfile(machines, np.full((n_machines,) * 2, 0.5 * GBITPS))
     else:
-        rates = {
-            (a, b): rng.uniform(0.1, 1.0) * GBITPS
-            for a in machines
-            for b in machines
-            if a != b
-        }
+        rates = pair_matrix(machines, lambda a, b: rng.uniform(0.1, 1.0) * GBITPS)
         intra = math.inf if rng.random() < 0.5 else 4 * GBITPS
-        profile = NetworkProfile(
-            vms=machines, rates_bps=rates, intra_vm_rate_bps=intra
-        )
+        profile = NetworkProfile(machines, rates, intra_vm_rate_bps=intra)
     return app, cluster, profile
 
 
@@ -103,8 +98,8 @@ def _symmetric_instance(rng: random.Random):
     machines = [f"m{i}" for i in range(rng.randint(2, 4))]
     size = rng.choice([2.0, 4.0])
     cluster = ClusterState(machines=[Machine(m, cores=size) for m in machines])
-    profile = NetworkProfile.from_uniform_rate(
-        machines, 0.5 * GBITPS,
+    profile = NetworkProfile(
+        machines, np.full((len(machines),) * 2, 0.5 * GBITPS),
         intra_vm_rate_bps=math.inf if rng.random() < 0.5 else 4 * GBITPS,
     )
     return app, cluster, profile
@@ -230,7 +225,7 @@ def _greedy_dead_end_instance():
     cluster = ClusterState(
         machines=[Machine("m1", cores=4.0), Machine("m2", cores=2.0)]
     )
-    profile = NetworkProfile.from_uniform_rate(["m1", "m2"], 0.5 * GBITPS)
+    profile = NetworkProfile(["m1", "m2"], np.full((2, 2), 0.5 * GBITPS))
     return app, cluster, profile
 
 

@@ -60,7 +60,7 @@ def test_lossy_campaign_is_as_accurate_as_the_scalar_train():
             provider, MeasurementPlan(advance_clock=False)
         ).measure(names)
         assert not profile.degraded_pairs
-        measured = np.array([profile.rates_bps[pair] for pair in pairs])
+        measured = profile.rate_matrix()[~np.eye(len(names), dtype=bool)]
         oracle, _, _ = legacy(seed)
         scalar = np.array([scalar_train.measure_pair(oracle, *pair) for pair in pairs])
         array_errors.append(np.mean(np.abs(measured - truth) / truth))
@@ -226,7 +226,8 @@ def test_unmeasurable_trains_are_retried_with_fresh_draws_then_degraded(probe_bu
     provider.send_packet_trains = counted
     profile = NetworkMeasurer(provider, plan).measure(names)
     degraded = profile.degraded_pairs
-    assert sent[0] == len(pairs) and len(profile.rates_bps) + len(degraded) == len(pairs)
+    rated = np.count_nonzero(~np.isnan(profile.measured_at_matrix()))
+    assert sent[0] == len(pairs) and rated + len(degraded) == len(pairs)
     retries = sum(sent[1:])
     if probe_budget is None:
         assert len(sent) == 3 and sent[0] > sent[1] > sent[2] > len(degraded) > 0
@@ -235,7 +236,7 @@ def test_unmeasurable_trains_are_retried_with_fresh_draws_then_degraded(probe_bu
         }
         # More pairs have a rate than the first pass measured: the fresh
         # draws of a retry can deliver.
-        assert len(profile.rates_bps) > sent[0] - sent[1]
+        assert rated > sent[0] - sent[1]
     else:
         assert retries == probe_budget
         assert any("budget exhausted" in reason for reason in degraded.values())

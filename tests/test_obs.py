@@ -10,6 +10,7 @@ import os
 
 import pytest
 
+from helpers import pair_matrix
 from repro import obs
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement import greedy
@@ -264,8 +265,8 @@ def _decision_instance():
     """Five one-core machines, rate ``(1 + i + 2j)·100 Mbit/s`` from ``vm{i}``
     to ``vm{j}``, and a chain of four one-core tasks: no colocation."""
     machines = [f"vm{i}" for i in range(5)]
-    profile = NetworkProfile.from_rate_function(
-        machines, lambda a, b: 1e8 * (1 + int(a[2:]) + 2 * int(b[2:]))
+    profile = NetworkProfile(
+        machines, pair_matrix(machines, lambda a, b: 1e8 * (1 + int(a[2:]) + 2 * int(b[2:])))
     )
     cluster = ClusterState(machines=[Machine(m, 1.0) for m in machines])
     traffic = TrafficMatrix()
@@ -323,8 +324,8 @@ def test_traced_greedy_names_the_colocation_tie_it_broke(trace_to):
     """Three 2-core machines with hoses of 1, 3 and 9 (x 100 Mbit/s): the
     heavy pair fits on any of them, and the one with the fastest egress wins."""
     machines = ["vm0", "vm1", "vm2"]
-    profile = NetworkProfile.from_rate_function(
-        machines, lambda src, dst: 1e8 * 3 ** int(src[2:])
+    profile = NetworkProfile(
+        machines, pair_matrix(machines, lambda src, dst: 1e8 * 3 ** int(src[2:]))
     )
     cluster = ClusterState(machines=[Machine(m, 2.0) for m in machines])
     traffic = TrafficMatrix({("a", "b"): 3e6, ("b", "c"): 1e6})

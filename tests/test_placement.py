@@ -4,8 +4,10 @@ colocation behaviour, and the error contract of the placers."""
 import math
 import re
 
+import numpy as np
 import pytest
 
+from helpers import pair_matrix
 from repro.core.estimator import estimate_completion_time
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Machine, validate_placement
@@ -15,10 +17,12 @@ from repro.core.placement.baselines import (
     RoundRobinPlacer,
 )
 from repro.core.placement.greedy import GreedyPlacer
-from repro.core.placement.ilp import BruteForcePlacer
+from repro.core.placement.ilp import BruteForcePlacer, OptimalPlacer
 from repro.errors import PlacementError, ReproError, WorkloadError
 from repro.units import GBITPS, GBYTE
 from repro.workloads.application import Application, Task, TrafficMatrix
+from repro.workloads.arrivals import PoissonArrivals
+from repro.workloads.generator import WorkloadSpec
 
 MACHINES = ["m1", "m2", "m3"]
 
@@ -31,7 +35,7 @@ RATES = {
 
 
 def _profile(intra=math.inf) -> NetworkProfile:
-    return NetworkProfile(vms=MACHINES, rates_bps=dict(RATES), intra_vm_rate_bps=intra)
+    return NetworkProfile(MACHINES, pair_matrix(MACHINES, RATES), intra_vm_rate_bps=intra)
 
 
 def _cluster() -> ClusterState:
@@ -76,7 +80,7 @@ def test_a_colocation_tie_goes_to_the_fastest_egress():
     goes to the machine whose measured egress is fastest, where the pair's
     next transfer leaves from."""
     hose = {"m1": 0.1 * GBITPS, "m2": 0.3 * GBITPS, "m3": 0.9 * GBITPS}
-    profile = NetworkProfile.from_rate_function(MACHINES, lambda src, dst: hose[src])
+    profile = NetworkProfile(MACHINES, pair_matrix(MACHINES, lambda src, dst: hose[src]))
     cluster = ClusterState(machines=[Machine(m, cores=2.0) for m in MACHINES])
     app = Application(
         name="chain",
@@ -97,7 +101,7 @@ def test_a_colocation_tie_at_equal_egress_goes_to_the_lowest_name():
     tie falls through to the machine names, whatever order the cluster
     declares them in."""
     machines = ["vm-2", "vm-10", "vm-1"]
-    profile = NetworkProfile.from_uniform_rate(machines, 1 * GBITPS)
+    profile = NetworkProfile(machines, np.full((3, 3), 1 * GBITPS))
     cluster = ClusterState(machines=[Machine(m, cores=2.0) for m in machines])
     app = Application(
         name="pair",
@@ -168,3 +172,34 @@ def test_baselines_produce_valid_cpu_respecting_placements(placer):
     placement = placer.place(app, _cluster(), _profile())
     validate_placement(placement, app, _cluster())  # raises on violation
     assert set(placement.assignments) == set(app.task_names)
+
+
+#: A setting a NaN used to pass (``<= 0`` / ``< 0`` are False for NaN), by
+#: its module and field: how it is set, and the message that refuses it.
+NAN_SETTINGS = {
+    "base.Machine.cores": (lambda: Machine("m", math.nan), "positive cores"),
+    "base.ClusterState.cpu_used": (
+        lambda: ClusterState([Machine("m")], cpu_used={"m": math.nan}), "cpu_used"
+    ),
+    "ilp.OptimalPlacer.time_limit_s": (lambda: OptimalPlacer(math.nan), "time_limit_s"),
+    "application.Task.cpu_cores": (lambda: Task("a", math.nan), "cpu_cores"),
+    "application.Application.start_time": (
+        lambda: Application("app", [Task("a")], TrafficMatrix(), start_time=math.nan),
+        "start_time",
+    ),
+    "arrivals.PoissonArrivals.rate_per_hour": (lambda: PoissonArrivals(math.nan), "rate_per_hour"),
+    "generator.WorkloadSpec.mean_total_bytes": (
+        lambda: WorkloadSpec(mean_total_bytes=math.nan), "mean_total_bytes"
+    ),
+    "generator.WorkloadSpec.volume_sigma": (lambda: WorkloadSpec(volume_sigma=math.nan), "sigma"),
+    "generator.WorkloadSpec.pattern_weights": (
+        lambda: WorkloadSpec(pattern_weights=(("star", math.nan),)), "pattern weights"
+    ),
+}
+
+
+@pytest.mark.parametrize("field", NAN_SETTINGS)
+def test_a_nan_setting_is_refused_by_name(field):
+    settle, message = NAN_SETTINGS[field]
+    with pytest.raises(ReproError, match=message):
+        settle()

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from helpers import build_two_rack_cloud
+from helpers import build_two_rack_cloud, pair_matrix
 from oracles.graph_search import use_graph_search
 from oracles.max_min import (
     force_solves,
@@ -287,7 +287,7 @@ class TestRateMatrix:
             (a, b): rng.uniform(0.1 * GBITPS, 1 * GBITPS)
             for a in vms for b in vms if a != b
         }
-        return vms, rates, NetworkProfile(vms=vms, rates_bps=rates)
+        return vms, rates, NetworkProfile(vms, pair_matrix(vms, rates))
 
     def test_matrix_matches_pairwise_rates(self):
         vms, rates, profile = self._profile()
@@ -298,6 +298,9 @@ class TestRateMatrix:
                     assert math.isinf(matrix[i, j])
                 else:
                     assert matrix[i, j] == rates[(a, b)]
+        assert profile.hose_rate(vms[0]) == max(rates[(vms[0], b)] for b in vms[1:])
+        # A profile built from another's matrix is the same profile.
+        np.testing.assert_array_equal(NetworkProfile(vms, matrix).rate_matrix(), matrix)
 
     def test_matrix_reorders_and_rejects_unknown_vms(self):
         vms, rates, profile = self._profile()
@@ -307,79 +310,60 @@ class TestRateMatrix:
         with pytest.raises(MeasurementError):
             profile.rate_matrix(order=["nope"])
 
-    def test_matrix_profile_equivalent_to_dict_profile(self):
-        vms, rates, profile = self._profile(n=6, seed=11)
-        matrix = profile.rate_matrix()
-        dense = NetworkProfile(vms, matrix)
-        for a in vms:
-            for b in vms:
-                if a != b:
-                    assert dense.rate(a, b) == profile.rate(a, b)
-                    assert dense.has_pair(a, b)
-        assert set(dense.pairs()) == set(profile.pairs())
-        np.testing.assert_array_equal(dense.rate_matrix(), matrix)
-
     def test_a_profile_cannot_be_changed_after_construction(self):
-        vms, rates, profile = self._profile(n=3)
+        vms, rates, _ = self._profile(n=3)
         pair = (vms[0], vms[1])
-        for view in (profile.rates_bps, profile.pair_measured_at):
-            with pytest.raises(TypeError):
-                view[pair] = 42.0
+        matrix = pair_matrix(vms, rates)
+        profile = NetworkProfile(vms, matrix)
+        matrix[0, 1] = 42.0  # the profile holds its own copy
         assert not profile.rate_matrix().flags.writeable
         with pytest.raises(ValueError):
             profile.rate_matrix()[0, 1] = 42.0
-        assert profile.rate(*pair) == profile.rate_matrix()[0, 1] == rates[pair]
+        assert profile.rate_matrix()[0, 1] == rates[pair]
         # A reordered matrix is the caller's own copy.
         profile.rate_matrix(order=vms)[0, 1] = 42.0
-        assert profile.rate(*pair) == rates[pair]
+        assert profile.rate_matrix()[0, 1] == rates[pair]
 
-    def test_per_pair_times_in_either_spelling(self):
+    def test_per_pair_times_fall_back_to_measured_at(self):
         vms = ["a", "b", "c"]
         rates = {("a", "b"): 1e9, ("b", "a"): 2e9, ("c", "a"): 3e9}
         times = {("a", "b"): 7.0, ("c", "a"): 9.0}
-
-        def scatter(values):
-            matrix = np.full((3, 3), math.nan)
-            for (src, dst), value in values.items():
-                matrix[vms.index(src), vms.index(dst)] = value
-            return matrix
-
-        for profile in (
-            NetworkProfile(vms, rates, measured_at=5.0, pair_measured_at=times),
-            NetworkProfile(
-                vms, scatter(rates), measured_at=5.0, pair_measured_at=scatter(times)
-            ),
-        ):
-            assert dict(profile.rates_bps) == rates
-            assert dict(profile.pair_measured_at) == times
-            assert list(profile.rates_bps) == [("a", "b"), ("b", "a"), ("c", "a")]
+        timed = NetworkProfile(
+            vms, pair_matrix(vms, rates), measured_at=5.0,
+            pair_measured_at=pair_matrix(vms, times),
+        )
+        untimed = NetworkProfile(vms, pair_matrix(vms, rates), measured_at=5.0)
+        assert timed.rates_bps == rates
+        assert list(timed.rates_bps) == [("a", "b"), ("b", "a"), ("c", "a")]
+        for profile, stamp in ((timed, times.get), (untimed, lambda _, at: at)):
             stamps = profile.measured_at_matrix()
             for i, src in enumerate(vms):
                 for j, dst in enumerate(vms):
-                    if src != dst and profile.has_pair(src, dst):
-                        assert stamps[i, j] == profile.measured_at_pair(src, dst)
-                        assert stamps[i, j] == times.get((src, dst), 5.0)
+                    if (src, dst) in rates:
+                        assert stamps[i, j] == stamp((src, dst), 5.0)
                     else:
                         assert math.isnan(stamps[i, j])
-        assert not NetworkProfile(vms, rates).pair_measured_at
 
     @pytest.mark.parametrize(
         "kwargs, message",
         [
-            (dict(rates_bps={("a", "b"): math.nan}), "NaN"),
-            (dict(rates_bps={("a", "b"): 0.0}), "positive"),
-            (dict(rates_bps={("a", "zz"): 1.0}), "unknown VM 'zz'"),
-            (dict(rates_bps={("a", "a"): 1.0}), "self pairs"),
-            (dict(rates_bps=np.ones((3, 3))), "shape"),
-            (dict(pair_measured_at={("a", "b"): math.nan}), "NaN"),
-            (dict(pair_measured_at={("b", "a"): 1.0}), "unmeasured pair"),
+            (dict(rates_bps={("a", "b"): 1e9}), r"rates_bps must be an \(2, 2\) array"),
+            (dict(rates_bps=[[1.0, 2.0], [3.0]]), "rates_bps must be an"),
+            (dict(rates_bps=[[1.0, 0.0], [1.0, 1.0]]), "positive"),
+            (dict(rates_bps=np.ones((3, 3))), r"shape \(3, 3\)"),
+            (dict(pair_measured_at={("a", "b"): 1.0}), "pair_measured_at must be an"),
+            (
+                dict(pair_measured_at=[[math.nan, math.nan], [1.0, math.nan]]),
+                "unmeasured pair",
+            ),
+            (dict(vms=["a", "a"]), "duplicate VM names"),
             (dict(degraded_pairs={("a", "zz"): "lost"}), "unknown VM"),
             (dict(degraded_pairs={("b", "b"): "lost"}), "self pairs"),
             (dict(degraded_pairs={("a", "b"): "lost"}), "both measured and degraded"),
         ],
     )
     def test_constructor_rejects_inconsistent_measurements(self, kwargs, message):
-        fields = dict(vms=["a", "b"], rates_bps={("a", "b"): 1e9})
+        fields = dict(vms=["a", "b"], rates_bps=[[math.nan, 1e9], [math.nan, math.nan]])
         with pytest.raises(MeasurementError, match=message):
             NetworkProfile(**{**fields, **kwargs})
 

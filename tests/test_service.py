@@ -4,17 +4,18 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from helpers import stale_pairs, write_trace_jsonl
 from repro.cloud.registry import make_provider
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
 from repro.core.placement.base import ClusterState
-from repro.errors import MeasurementError, ServiceError
+from repro.errors import ServiceError
 from repro.experiments.placers import resolve_placer
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
 from repro.service.cache import MeasurementCache
-from repro.service.engine import report_violations
+from repro.service.engine import PlacementService, report_violations
 from repro.service.forecast import RateForecaster
 from repro.service.session import build_churn_session, run_churn_session
 from repro.service.timeline import (
@@ -129,43 +130,6 @@ class TestTimeline:
 # Per-pair measurement staleness
 # ---------------------------------------------------------------------------
 class TestPairwiseMeasurementStaleness:
-    def test_measure_subset_of_pairs(self):
-        provider = _fresh_provider(n_vms=4)
-        names = [vm.name for vm in provider.vms()]
-        measurer = NetworkMeasurer(provider, MeasurementPlan(advance_clock=False))
-        subset = [(names[0], names[1]), (names[2], names[3])]
-        profile = measurer.measure(names, pairs=subset)
-        assert sorted(profile.rates_bps) == sorted(subset)
-        assert set(profile.pair_measured_at) == set(subset)
-
-    def test_full_mesh_pairs_carry_round_timestamps(self):
-        provider = _fresh_provider(n_vms=3)
-        names = [vm.name for vm in provider.vms()]
-        measurer = NetworkMeasurer(provider, MeasurementPlan(advance_clock=False))
-        profile = measurer.measure(names)
-        times = [profile.measured_at_pair(s, d) for s, d in profile.pairs()]
-        # Serial mesh: strictly increasing per-pair timestamps.
-        assert times == sorted(times)
-        assert len(set(times)) == len(times)
-        assert times[0] == profile.measured_at
-
-    def test_schedule_rejects_foreign_pairs(self):
-        provider = _fresh_provider(n_vms=2)
-        names = [vm.name for vm in provider.vms()]
-        measurer = NetworkMeasurer(provider, MeasurementPlan(advance_clock=False))
-        with pytest.raises(MeasurementError):
-            measurer.measure(names, pairs=[(names[0], "ghost")])
-
-    def test_profile_rejects_timestamps_for_unmeasured_pairs(self):
-        from repro.core.network_profile import NetworkProfile
-
-        with pytest.raises(MeasurementError):
-            NetworkProfile(
-                vms=["a", "b"],
-                rates_bps={("a", "b"): 1e9},
-                pair_measured_at={("b", "a"): 1.0},
-            )
-
     def test_ttl_cache_reprobes_only_stale_pairs(self):
         provider = _fresh_provider(n_vms=4)
         names = [vm.name for vm in provider.vms()]
@@ -179,7 +143,7 @@ class TestPairwiseMeasurementStaleness:
         # Within the TTL nothing is re-probed.
         profile = cache.refresh(50.0)
         assert cache.stats.campaigns == 1
-        assert len(profile.rates_bps) == 12
+        assert not np.isnan(profile.rate_matrix()).any()
 
         # Past the TTL the mesh is stale again.
         cache.refresh(200.0)
@@ -203,42 +167,13 @@ class TestPairwiseMeasurementStaleness:
 # ---------------------------------------------------------------------------
 # Forecaster
 # ---------------------------------------------------------------------------
-def _profile_with(rates):
-    from repro.core.network_profile import NetworkProfile
-
-    vms = sorted({vm for pair in rates for vm in pair})
-    return NetworkProfile(vms=vms, rates_bps=dict(rates))
-
-
 class TestRateForecaster:
-    def test_previous_hour_tracks_the_last_epoch(self):
-        fc = RateForecaster("previous-hour")
-        fc.record_epoch(0, _profile_with({("a", "b"): 1e9}))
-        fc.record_epoch(1, _profile_with({("a", "b"): 2e8}))
-        assert fc.forecast_pair(("a", "b"), 2) == 2e8
-
-    def test_no_history_returns_none_and_profile_keeps_measured(self):
-        fc = RateForecaster("combined")
-        assert fc.forecast_pair(("a", "b"), 0) is None
-        current = _profile_with({("a", "b"): 7e8, ("b", "a"): 6e8})
-        forecast = fc.forecast_profile(current, 0)
-        assert forecast.rates_bps == current.rates_bps
-
-    def test_epochs_must_be_recorded_in_order(self):
-        fc = RateForecaster("combined")
-        fc.record_epoch(0, _profile_with({("a", "b"): 1e9}))
-        with pytest.raises(ServiceError):
-            fc.record_epoch(2, _profile_with({("a", "b"): 1e9}))
-
-    def test_oracle_is_not_a_history_predictor(self):
-        with pytest.raises(ServiceError):
-            RateForecaster("oracle")
-
-    def test_stale_is_not_a_history_predictor(self):
+    @pytest.mark.parametrize("control", ["oracle", "stale"])
+    def test_a_control_is_not_a_history_predictor(self, control):
         """The engine places ``stale`` sessions on the cache's frozen
         bootstrap profile itself, as it reads ``oracle`` off the timeline."""
-        with pytest.raises(ServiceError, match="'stale'"):
-            RateForecaster("stale")
+        with pytest.raises(ServiceError, match=f"'{control}'"):
+            RateForecaster(control)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +422,31 @@ class TestServiceChurnScenario:
         assert instance.service.predictor == "oracle"
         with pytest.raises(ServiceError):
             spec.build(seed=0, predictor="nope")
+
+
+def _session(hours=1.0, **kwargs):
+    """A two-VM session run for ``hours``, the service given ``kwargs``."""
+    provider, cluster, apps, _ = build_churn_session(0, n_vms=2, hours=1.0)
+    placer = resolve_placer("greedy").create(0, {})
+    return PlacementService(provider, cluster, placer, **kwargs).run_session(apps, hours)
+
+
+#: A setting a NaN used to pass (``<= 0`` is False for NaN), by its field;
+#: a NaN TTL left every pair of the mesh stale forever.
+NAN_SETTINGS = {
+    "cache.ttl_s": lambda: MeasurementCache(None, ["a", "b"], ttl_s=math.nan),
+    "engine.epoch_s": lambda: _session(epoch_s=math.nan),
+    "engine.ttl_s": lambda: _session(ttl_s=math.nan),
+    "engine.hours": lambda: _session(hours=math.nan),
+    "session.hours": lambda: build_churn_session(0, hours=math.nan),
+    "session.apps_per_hour": lambda: build_churn_session(0, apps_per_hour=math.nan),
+}
+
+
+@pytest.mark.parametrize("field", NAN_SETTINGS)
+def test_a_nan_setting_is_refused_by_name(field):
+    with pytest.raises(ServiceError, match=f"^{field.split('.')[1]} must be positive$"):
+        NAN_SETTINGS[field]()
 
 
 def test_report_violations_names_each_broken_rule():

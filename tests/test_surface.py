@@ -166,6 +166,24 @@ def test_one_class_is_the_network_profile():
     assert with_matrix == ["NetworkProfile"]
 
 
+def test_a_profile_is_its_matrices():
+    """Callers read ``rate_matrix`` / ``measured_at_matrix``: the pair-keyed
+    views and accessors are gone, and so are the cache's name-pair books."""
+    gone = {
+        "repro.core.network_profile": {"_PairView", "PairValues"},
+        "repro.core.network_profile:NetworkProfile": {
+            "_view", "_entry", "pair_measured_at", "rate", "has_pair", "measured_at_pair",
+            "pairs", "from_uniform_rate", "from_rate_function",
+        },
+        "repro.service.cache:MeasurementCache": {"mesh_pairs", "invalidate_pairs"},
+        "repro.service.forecast:RateForecaster": {"forecast_pair"},
+    }
+    for target, names in gone.items():
+        module, _, cls = target.partition(":")
+        value = importlib.import_module(module)
+        assert not names & set(vars(getattr(value, cls) if cls else value)), target
+
+
 # ------------------------------------------- one snapshot, and no allocator
 def test_the_snapshot_has_one_implementation_and_builds_no_allocator():
     """The campaign's loaded probes (``_loaded_rates``) read their rates off
@@ -360,8 +378,6 @@ ONE_ENGINE_CALLABLES = (
     "repro.service.engine:PlacementService",
     "repro.runtime.migration:propose_migration",
     "repro.core.network_profile:NetworkProfile",
-    "repro.core.network_profile:NetworkProfile.from_uniform_rate",
-    "repro.core.network_profile:NetworkProfile.from_rate_function",
 )
 
 DELETED_OPTIONS = {
