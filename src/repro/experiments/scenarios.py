@@ -61,7 +61,6 @@ class ServiceSettings:
     hours: float = 6.0
     ttl_s: Optional[float] = None
     migrate: bool = True
-    improvement_threshold: float = 0.1
 
 
 @dataclass
@@ -571,8 +570,8 @@ def _build_rack_hotspot(
         "ground-truth matrices drift (random-walk / diurnal / hotspot-flap) "
         "while applications stream in; placements use §6.1 predictor "
         "forecasts, and running apps migrate at epoch ticks.  Sweep "
-        "`predictor` (stale / previous-hour / time-of-day / combined / "
-        "oracle) x placers to reproduce the §6.1 claim under drift."
+        "`predictor` (stale / combined / oracle) x placers to reproduce "
+        "the §6.1 claim under drift."
     ),
     tags=("ec2", "service", "drift"),
     defaults={

@@ -323,7 +323,6 @@ def _run_service_trial(
         predictor=settings.predictor,
         ttl_s=settings.ttl_s,
         migrate=settings.migrate,
-        improvement_threshold=settings.improvement_threshold,
     )
     report = service.run_session(instance.apps, hours=settings.hours)
     _collect_solver_stats(placer, record)

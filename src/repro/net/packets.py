@@ -52,9 +52,9 @@ class PacketTrainSpec:
     inter_burst_gap_s: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.packet_size_bytes <= 0:
+        if not self.packet_size_bytes > 0:
             raise MeasurementError("packet size must be positive")
-        if self.n_bursts < 1 or self.burst_length < 2:
+        if not (self.n_bursts >= 1 and self.burst_length >= 2):
             raise MeasurementError("need >= 1 burst of >= 2 packets")
         gap = self.inter_burst_gap_s
         if not (math.isfinite(gap) and gap >= 0):

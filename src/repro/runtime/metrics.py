@@ -25,7 +25,7 @@ def relative_speedup(baseline_duration: float, choreo_duration: float) -> float:
     Positive values mean Choreo was faster.  A zero-duration baseline with a
     zero-duration Choreo run counts as no change.
     """
-    if baseline_duration < 0 or choreo_duration < 0:
+    if not (baseline_duration >= 0 and choreo_duration >= 0):
         raise SimulationError("durations must be >= 0")
     if baseline_duration == 0:
         return 0.0 if choreo_duration == 0 else -float("inf")

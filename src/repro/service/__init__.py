@@ -10,11 +10,11 @@ evaluator into the online system that premise implies:
 * :mod:`repro.service.cache` — a measurement cache with per-pair TTL, so
   campaigns re-probe only the stale slice of the mesh;
 * :mod:`repro.service.forecast` — next-epoch rate forecasts: the §6.1
-  predictors (previous-hour / time-of-day / combined) of
-  :func:`repro.workloads.predictability.predict`, run over the rate matrix
-  recorded per epoch on the first recorded profile's VMs;
+  ``combined`` predictor of :func:`repro.workloads.predictability.predict`,
+  run over the rate matrix recorded per epoch on the first recorded
+  profile's VMs (``stale`` and ``oracle`` are the engine's controls);
 * :mod:`repro.service.engine` — the :class:`PlacementService` itself:
-  streaming admission, live-placement tracking, and predictor-triggered
+  streaming admission, live-placement tracking, and forecast-triggered
   re-evaluation/migration;
 * :mod:`repro.service.session` — seeded churn sessions (provider +
   timeline + arrival stream) shared by the CLI, the ``service-churn``

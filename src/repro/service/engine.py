@@ -8,10 +8,11 @@ whose ground truth drifts epoch by epoch (see
    per-pair history;
 2. refreshes the measurement cache — only pairs whose TTL expired are
    re-probed (:mod:`repro.service.cache`);
-3. builds the epoch's placement profile by running the selected §6.1
+3. builds the epoch's placement profile by running §6.1's ``combined``
    predictor over the history (:mod:`repro.service.forecast`);
 4. re-evaluates every running application against the forecast and
-   migrates it when the predicted gain clears a threshold
+   migrates it when the predicted gain clears
+   :data:`repro.runtime.migration.IMPROVEMENT_THRESHOLD`
    (:func:`repro.runtime.migration.propose_migration`).
 
 Arrivals are admitted against the same forecast as they land; an
@@ -54,7 +55,7 @@ from repro.runtime.migration import (
     propose_migration,
 )
 from repro.service.cache import MeasurementCache
-from repro.service.forecast import HISTORY_PREDICTORS, RateForecaster, validate_predictor
+from repro.service.forecast import RateForecaster, validate_predictor
 from repro.service.timeline import (
     DEFAULT_EPOCH_S,
     FaultEvent,
@@ -299,17 +300,15 @@ class PlacementService:
         cluster: the tenant's machines.
         placer: the placement algorithm for admissions and migrations.
         predictor: one of :data:`repro.service.forecast.PREDICTOR_NAMES`.
-        epoch_s: forecast/measurement epoch; defaults to the attached
-            timeline's epoch (an hour without one).
         ttl_s: measurement-cache TTL; the default of half an epoch makes
             the epoch tick re-probe the mesh while admissions shortly after
             a tick reuse it.
         migrate: re-evaluate running applications at epoch ticks (§2.4).
-        improvement_threshold: minimum predicted completion-time gain for a
-            migration to be worth its disruption.
-        measurement: campaign plan; the default packet-train plan does not
-            advance the provider clock (the service accounts measurement
-            time itself, in the report).
+
+    The forecast/measurement epoch is the attached timeline's (an hour
+    without one).  Campaigns use the default packet-train plan without
+    advancing the provider clock: the service accounts measurement time
+    itself, in the report.
     """
 
     def __init__(
@@ -318,38 +317,26 @@ class PlacementService:
         cluster: ClusterState,
         placer: Placer,
         predictor: str = "combined",
-        epoch_s: Optional[float] = None,
         ttl_s: Optional[float] = None,
         migrate: bool = True,
-        improvement_threshold: float = 0.1,
-        measurement: Optional[MeasurementPlan] = None,
     ):
         self.provider = provider
         self.cluster = cluster
         self.placer = placer
         self.predictor = validate_predictor(predictor)
         timeline = provider.timeline
-        if epoch_s is None:
-            epoch_s = timeline.epoch_s if timeline is not None else DEFAULT_EPOCH_S
-        if not epoch_s > 0:
-            raise ServiceError("epoch_s must be positive")
-        self.epoch_s = float(epoch_s)
+        self.epoch_s = float(
+            timeline.epoch_s if timeline is not None else DEFAULT_EPOCH_S
+        )
         self.ttl_s = float(ttl_s) if ttl_s is not None else self.epoch_s / 2.0
         if not self.ttl_s > 0:
             raise ServiceError("ttl_s must be positive")
         self.migrate = migrate
-        if not 0.0 <= improvement_threshold < 1.0:
-            raise ServiceError("improvement_threshold must be in [0, 1)")
-        self.improvement_threshold = improvement_threshold
-        if measurement is None:
-            measurement = MeasurementPlan(advance_clock=False)
-        measurer = NetworkMeasurer(provider, plan=measurement)
+        measurer = NetworkMeasurer(provider, plan=MeasurementPlan(advance_clock=False))
         self.cache = MeasurementCache(
             measurer, cluster.machine_names(), ttl_s=self.ttl_s
         )
-        self.forecaster = (
-            RateForecaster(predictor) if predictor in HISTORY_PREDICTORS else None
-        )
+        self.forecaster = RateForecaster() if predictor == "combined" else None
         #: A placer that reads no profile needs no campaign, and nor does
         #: the session then: migration is what would price one.
         self._measures = placer.needs_profile or migrate
@@ -525,8 +512,8 @@ class PlacementService:
     def _forecast_fallback(self, epoch: int):
         """Predicted-rate fallback for pairs a campaign could not measure.
 
-        ``None`` for the stale/oracle controls (they never refresh); for the
-        history predictors, a callable the :class:`MeasurementCache` invokes
+        ``None`` for the stale/oracle controls (they never refresh); for
+        ``combined``, a callable the :class:`MeasurementCache` invokes
         with its VMs — the forecaster's predicted matrix in that order
         stands in for the unobtainable measurements (flagged via
         ``pairs_degraded`` in stats).
@@ -810,7 +797,6 @@ class PlacementService:
                     cluster_with_live_usage(self.cluster, running, exclude=name),
                     profile,
                     now=now,
-                    improvement_threshold=self.improvement_threshold,
                 )
             except ReproError:
                 # A placer that cannot re-place the remainder (e.g. CPU

@@ -1,15 +1,17 @@
-"""Next-epoch rate forecasts from the §6.1 predictors.
+"""Next-epoch rate forecasts from the §6.1 ``combined`` predictor.
 
 The service records the rate matrix observed during each completed epoch,
-and forecasts the coming epoch by running one of the paper's predictors —
-``previous-hour`` (last epoch's value), ``time-of-day`` (mean of the same
-epoch-of-day on prior days) or ``combined`` (average of the two, the
-paper's best) — over those matrices with
-:func:`repro.workloads.predictability.predict`, the function the §6.1
-analysis runs over an hourly byte series.  Two more predictors are the
-engine's controls and never forecast: ``stale`` places against the frozen
-hour-0 profile (what every offline scenario implicitly does) and ``oracle``
-reads true rates off the ground-truth timeline.
+and forecasts the coming epoch by running the paper's best predictor,
+``combined`` (the mean of the previous epoch and of the same epoch-of-day
+on prior days, or the previous epoch alone before a day of history), over
+those matrices with :func:`repro.workloads.predictability.predict`, the
+function the §6.1 analysis runs over an hourly byte series.  Its two parts
+stay in :func:`~repro.workloads.predictability.predict` for that analysis;
+a session does not take them, because within a day of epochs both forecast
+exactly what ``combined`` does.  Two more predictors are the engine's
+controls and never forecast: ``stale`` places against the frozen hour-0
+profile (what every offline scenario implicitly does) and ``oracle`` reads
+true rates off the ground-truth timeline.
 """
 
 from __future__ import annotations
@@ -21,26 +23,26 @@ import numpy as np
 
 from repro.core.network_profile import NetworkProfile
 from repro.errors import ServiceError
-from repro.workloads.predictability import PREDICTORS, predict
+from repro.workloads.predictability import predict
 
-#: Predictors the forecaster itself runs.
-HISTORY_PREDICTORS: Tuple[str, ...] = PREDICTORS
-
-#: Every predictor a service session accepts.
-PREDICTOR_NAMES: Tuple[str, ...] = HISTORY_PREDICTORS + ("stale", "oracle")
+#: Every predictor a service session accepts: the forecaster's, then the
+#: engine's two controls.
+PREDICTOR_NAMES: Tuple[str, ...] = ("combined", "stale", "oracle")
 
 
 def validate_predictor(name: str) -> str:
     """Return ``name`` if it is a known predictor, raise otherwise."""
     if name not in PREDICTOR_NAMES:
         raise ServiceError(
-            f"unknown predictor {name!r}; known: {list(PREDICTOR_NAMES)}"
+            f"unknown predictor {name!r}; known: {list(PREDICTOR_NAMES)} (the "
+            f"§6.1 analysis of all three history predictors is "
+            f"repro.workloads.predictability.evaluate_predictability)"
         )
     return name
 
 
 class RateForecaster:
-    """Per-epoch rate matrices plus §6.1 prediction on top of them.
+    """Per-epoch rate matrices plus the ``combined`` forecast on top of them.
 
     The forecaster's mesh is the first recorded profile's VMs.  A later
     profile may cover fewer of them (the service drops preempted VMs) but
@@ -49,13 +51,7 @@ class RateForecaster:
     placer keeps its measured rate.
     """
 
-    def __init__(self, predictor: str = "combined"):
-        if predictor not in HISTORY_PREDICTORS:
-            raise ServiceError(
-                f"forecaster predictor must be one of {list(HISTORY_PREDICTORS)}, "
-                f"got {predictor!r}"
-            )
-        self.predictor = predictor
+    def __init__(self):
         self._vms: List[str] = []
         self._index: Dict[str, int] = {}
         #: One (N, N) rate matrix per recorded epoch, over the mesh.
@@ -93,22 +89,12 @@ class RateForecaster:
             rates[np.ix_(at, at)] = observed
         self._epochs.append(rates)
 
-    def _predict(self, epoch: int) -> Optional[np.ndarray]:
-        """The mesh's forecast for ``epoch`` from the epochs before it
-        (``None`` with none recorded).  A predictor with nothing to go on
-        yet repeats the last epoch."""
-        history = self._epochs[:epoch]
-        if not history:
-            return None
-        predicted = predict(history, self.predictor)
-        return history[-1] if predicted is None else predicted
-
     def predicted_matrix(
         self, vms: Sequence[str], epoch: int
     ) -> Optional[np.ndarray]:
-        """The mesh's forecast for ``epoch``, aligned to ``vms`` (``None``
-        without history)."""
-        predicted = self._predict(epoch)
+        """The mesh's forecast for ``epoch`` from the epochs before it,
+        aligned to ``vms`` (``None`` with none recorded)."""
+        predicted = predict(self._epochs[:epoch], "combined")
         if predicted is None or list(vms) == self._vms:
             return predicted
         at = self._positions(vms)

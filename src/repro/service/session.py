@@ -43,7 +43,6 @@ def build_churn_session(
     drift_strength: Optional[float] = None,
     apps_per_hour: float = 1.5,
     max_tasks: int = 6,
-    provider_name: str = "ec2",
     epoch_s: float = DEFAULT_EPOCH_S,
     timeline_path: Optional[str] = None,
     faults: str = "none",
@@ -60,7 +59,6 @@ def build_churn_session(
         apps_per_hour: Poisson arrival rate of the application stream.
         max_tasks: cap on generated application size (keeps admissions
             CPU-feasible on small clusters).
-        provider_name: registered cloud provider.
         epoch_s: epoch length (the tests shrink it to keep sessions fast).
         timeline_path: load a recorded timeline (drift and faults) from
             disk instead of generating one; it overrides ``drift``,
@@ -82,9 +80,7 @@ def build_churn_session(
     # path, which lures the myopic greedy chain onto whatever VM happens to
     # share a host — luck that would drown the predictor comparison the
     # churn session exists to make.
-    provider = make_provider(
-        provider_name, seed=seed, colocation_probability=0.0
-    )
+    provider = make_provider("ec2", seed=seed, colocation_probability=0.0)
     provider.request_vms(n_vms)
     cluster = ClusterState.from_vms(provider.vms())
 
@@ -148,7 +144,6 @@ def run_churn_session(
     placer: str = "greedy",
     placer_params: Optional[Mapping[str, object]] = None,
     migrate: bool = True,
-    improvement_threshold: float = 0.1,
     ttl_s: Optional[float] = None,
     telemetry: bool = False,
     **session_kwargs,
@@ -170,7 +165,6 @@ def run_churn_session(
         predictor=predictor,
         ttl_s=ttl_s,
         migrate=migrate,
-        improvement_threshold=improvement_threshold,
     )
     hours = float(session_kwargs.get("hours", 6.0))
     return service.run_session(apps, hours=hours, telemetry=telemetry)

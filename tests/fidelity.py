@@ -27,6 +27,7 @@ import numpy as np
 from repro.cloud.registry import make_provider, provider_names
 from repro.core.measurement import calibrate_train_parameters
 from repro.core.measurement.bottleneck import BottleneckLocator
+from repro.experiments.results import TrialRecord
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
 from repro.net.topology import NodeKind
 from repro.runtime.metrics import relative_speedup
@@ -253,6 +254,141 @@ def predictability_row() -> Row:
     )
 
 
+# ----------------------------------------------------- §2.4, §6.1 (service)
+SERVICE_SCENARIOS = ("service-churn", "fault-churn")
+SERVICE_TRIALS = 20
+#: The sessions each service row compares, by name: the scenario's
+#: registered defaults (``combined``, migration on) but these parameters.
+SERVICE_SESSIONS = {
+    "combined": {},
+    "no-migration": {"migrate": False},
+    "stale": {"predictor": "stale"},
+    "oracle": {"predictor": "oracle"},
+}
+
+
+def service_sessions() -> Dict[Tuple[str, str], Dict[int, TrialRecord]]:
+    """``(scenario, session) -> trial -> record`` of greedy's sessions."""
+    sessions = {}
+    for scenario in SERVICE_SCENARIOS:
+        for name, params in SERVICE_SESSIONS.items():
+            result = ExperimentRunner(ExperimentConfig(
+                scenarios=(scenario,), placers=("greedy",), trials=SERVICE_TRIALS,
+                base_seed=0, baseline="greedy", workers=1,
+                scenario_params={scenario: params},
+            )).run()
+            sessions[scenario, name] = {
+                r.trial: r for r in result.ok_records(scenario, "greedy")
+            }
+    return sessions
+
+
+def common_gain(before: TrialRecord, after: TrialRecord) -> float:
+    """``after``'s gain over ``before`` in mean admission-to-completion
+    time over the applications both sessions completed."""
+    both = before.per_app_duration_s.keys() & after.per_app_duration_s.keys()
+    before_mean, after_mean = (
+        statistics.fmean(r.per_app_duration_s[app] for app in both)
+        for r in (before, after)
+    )
+    return relative_speedup(before_mean, after_mean)
+
+
+def paired_service_gains(sessions, scenario: str, before: str, after: str) -> List[float]:
+    """Per trial, session ``after``'s :func:`common_gain` over ``before``."""
+    a, b = sessions[scenario, before], sessions[scenario, after]
+    return [common_gain(a[trial], b[trial]) for trial in sorted(a.keys() & b.keys())]
+
+
+def gain_text(gains: List[float]) -> str:
+    """Mean, interval and the seeds each way."""
+    low, high = seed_interval(gains)
+    better, worse = sum(g > 0 for g in gains), sum(g < 0 for g in gains)
+    return (
+        f"{_pct(statistics.fmean(gains))} (95 % {_pct(low)}–{_pct(high)}): better "
+        f"on {better}, equal on {len(gains) - better - worse}, worse on {worse} seeds"
+    )
+
+
+def gain_holds(gains: List[float]) -> bool:
+    return (
+        len(gains) == SERVICE_TRIALS and statistics.fmean(gains) > 0
+        and seed_interval(gains)[0] > 0
+    )
+
+
+SERVICE_SEEDS = (
+    f"trials 0–{SERVICE_TRIALS - 1} of base seed 0, paired, greedy, "
+    "registered defaults"
+)
+
+
+def migration_row(sessions) -> Row:
+    """§2.4's re-evaluation against the same sessions without it."""
+    gains = {
+        scenario: paired_service_gains(sessions, scenario, "no-migration", "combined")
+        for scenario in SERVICE_SCENARIOS
+    }
+    return Row(
+        claim="§2.4: re-evaluating running applications (and migrating them "
+        "when the forecast gain clears the threshold) shortens them",
+        paper="argued, not measured",
+        ours=f"mean completion over the applications both sessions completed, "
+        f"migration on over off: `service-churn` {gain_text(gains['service-churn'])}; "
+        f"`fault-churn` {gain_text(gains['fault-churn'])}.  `fault-churn` fired no "
+        f"migration on any of its 20 seeds at any threshold in {{0, 0.05, 0.1, "
+        f"0.2, 0.5}} when the threshold was still a setting, so only "
+        f"`service-churn` decides the verdict",
+        seeds=SERVICE_SEEDS,
+        verdict=HOLDS if gain_holds(gains["service-churn"]) else FAILS,
+    )
+
+
+def service_forecast_row(sessions) -> Row:
+    """The service's forecast between its two controls, per seed."""
+    parts, holds = [], True
+    for scenario in SERVICE_SCENARIOS:
+        oracle = paired_service_gains(sessions, scenario, "combined", "oracle")
+        combined = paired_service_gains(sessions, scenario, "stale", "combined")
+        stale, forecast = sessions[scenario, "stale"], sessions[scenario, "combined"]
+        totals = [
+            relative_speedup(stale[t].total_running_time_s, forecast[t].total_running_time_s)
+            for t in sorted(stale.keys() & forecast.keys())
+        ]
+        rejected = {
+            name: sum(
+                r.n_apps - len(r.per_app_duration_s)
+                for r in sessions[scenario, name].values()
+            )
+            for name in ("stale", "combined", "oracle")
+        }
+        low, high = seed_interval(totals)
+        holds = holds and statistics.fmean(oracle) >= 0 and gain_holds(combined)
+        parts.append(
+            f"`{scenario}`: oracle over combined {gain_text(oracle)}; combined over "
+            f"stale {gain_text(combined)}; on session totals combined over stale "
+            f"{_pct(statistics.fmean(totals))} (95 % {_pct(low)}–{_pct(high)}), "
+            f"rejected " + " / ".join(f"{n} {name}" for name, n in rejected.items())
+        )
+    return Row(
+        claim="§6.1, the service: placing on the `combined` forecast finishes "
+        "applications sooner than on the stale hour-0 profile, and no sooner "
+        "than on the true rates (oracle ≤ combined < stale)",
+        paper="the previous hour and the time of day predict the next hour, "
+        "so a forecast from them beats a stale profile",
+        ours="; ".join(parts) + ".  Each seed compares only the applications both "
+        "sessions completed: a session that rejects an application (no CPU at its "
+        "arrival) drops its time from its total, so totals reward rejecting.  "
+        "A seed worse for the oracle is negative regret: the oracle is Algorithm 1 "
+        "on the true rates of the instant it places at, not an optimum (ROADMAP "
+        "item 1(b) keeps those seeds open).  The claim holds when, on both scenarios, "
+        "oracle over combined is ≥ 0 in the mean and combined over stale holds "
+        "as a gain",
+        seeds=SERVICE_SEEDS,
+        verdict=HOLDS if holds else FAILS,
+    )
+
+
 # --------------------------------------------------------------------- §6.3
 SEQUENCE_SCENARIOS = ("multi-app-sequence", "ec2-trace-replay")
 SEQUENCE_TRIALS = 20
@@ -429,9 +565,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     out = Path(args.out)
     before = verdicts(out.read_text()) if out.exists() else {}
+    sessions = service_sessions()
     text = render([
-        bottleneck_row(), calibration_row(), exact_row(), predictability_row(),
-        single_app_row(), sequence_row(),
+        migration_row(sessions), bottleneck_row(), calibration_row(), exact_row(),
+        predictability_row(), service_forecast_row(sessions), single_app_row(),
+        sequence_row(),
     ])
     out.write_text(text)
     print(text, end="")

@@ -38,9 +38,9 @@ from repro.core.placement.base import (
 from repro.core.placement.greedy import GreedyPlacer
 from repro.errors import PlacementError, ReproError, ServiceError
 from repro.service.cache import DEGRADED_FLOOR_BPS, CacheStats, MeasurementCache
-from repro.service.forecast import HISTORY_PREDICTORS, RateForecaster
+from repro.service.forecast import RateForecaster
 from repro.workloads.application import Application, Task, TrafficMatrix
-from repro.workloads.predictability import HOURS_PER_DAY, predict
+from repro.workloads.predictability import HOURS_PER_DAY, PREDICTORS, predict
 
 _EPS = 1e-9
 
@@ -578,8 +578,9 @@ def _epoch_profile(rng: random.Random, vms: List[str]):
 
 
 class TestForecasterAgainstScalarPredictors:
-    """``predict`` and :class:`RateForecaster` against the scalar predictors
-    of ``tests/oracles/predictors.py``, ``==`` on every pair and epoch."""
+    """:class:`RateForecaster` against the scalar ``combined`` predictor and
+    ``predict`` against all three scalar predictors of
+    ``tests/oracles/predictors.py``, ``==`` on every pair and epoch."""
 
     #: Nine days and a bit: the time-of-day mean reaches nine values.
     EPOCHS = HOURS_PER_DAY * 9 + 6
@@ -591,21 +592,18 @@ class TestForecasterAgainstScalarPredictors:
     LAST_SEQUENTIAL_EPOCH = 8 * HOURS_PER_DAY - 1
 
     @staticmethod
-    def _expected(predictor, history):
-        """The oracle's forecast from one pair's recorded ``history``: the
-        last epoch when the predictor has nothing yet, ``None`` for no
-        history or a history that reads an unrecorded (``NaN``) epoch."""
+    def _expected(history):
+        """The oracle's forecast from one pair's recorded ``history``:
+        ``None`` for no history or a history that reads an unrecorded
+        (``NaN``) epoch."""
         if not history:
             return None
-        predicted = scalar.PREDICTORS[predictor](history, len(history))
-        if predicted is None:
-            predicted = history[-1]
+        predicted = scalar.combined_predictor(history, len(history))
         return None if math.isnan(predicted) else predicted
 
-    @pytest.mark.parametrize("predictor", HISTORY_PREDICTORS)
-    def test_every_pair_every_epoch_is_equal(self, predictor):
+    def test_every_pair_every_epoch_is_equal(self):
         rng = random.Random(99)
-        forecaster = RateForecaster(predictor)
+        forecaster = RateForecaster()
         mesh = ["a", "b", "c", "d", "e"]
         series: Dict[Tuple[str, str], List[float]] = {
             (a, b): [] for a in mesh for b in mesh if a != b
@@ -626,7 +624,7 @@ class TestForecasterAgainstScalarPredictors:
                 assert got.vms == current.vms
                 for i, j in np.argwhere(~np.eye(len(vms), dtype=bool)).tolist():
                     pair = (vms[i], vms[j])
-                    expected = self._expected(predictor, series[pair][:asked])
+                    expected = self._expected(series[pair][:asked])
                     measured = current.rate_matrix()[i, j]
                     want = measured if expected is None else max(expected, 1.0)
                     assert got.rate_matrix()[i, j] == want, (epoch, asked, pair)
@@ -635,15 +633,16 @@ class TestForecasterAgainstScalarPredictors:
                 predicted = forecaster.predicted_matrix(mesh, asked)
                 for pair, values in series.items():
                     history = values[:asked]
-                    expected = self._expected(predictor, history)
+                    expected = self._expected(history)
                     at = mesh.index(pair[0]), mesh.index(pair[1])
                     got = None if predicted is None or math.isnan(predicted[at]) else predicted[at]
                     assert got == expected, (epoch, asked, pair)
                     if history and "c" not in pair:
                         # ``predict`` on the pair's own series, as a 1-D array.
-                        assert predict(np.array(history), predictor) == (
-                            scalar.PREDICTORS[predictor](history, len(history))
-                        )
+                        for predictor in PREDICTORS:
+                            assert predict(np.array(history), predictor) == (
+                                scalar.PREDICTORS[predictor](history, len(history))
+                            ), (epoch, asked, pair, predictor)
 
     def test_the_oracle_is_np_mean_through_epoch_191(self):
         """Forecasts used to average with ``np.mean``; the left-to-right
@@ -667,7 +666,7 @@ class TestForecasterAgainstScalarPredictors:
         assert scalar._mean(eight) != float(np.mean(eight))
 
     def test_a_vm_outside_the_mesh_is_refused_by_name(self):
-        forecaster = RateForecaster("combined")
+        forecaster = RateForecaster()
         rng = random.Random(2)
         forecaster.record_epoch(0, _epoch_profile(rng, ["a", "b", "c"]))
         forecaster.record_epoch(1, _epoch_profile(rng, ["a", "c"]))  # b dropped
@@ -683,7 +682,7 @@ class TestForecasterAgainstScalarPredictors:
         assert not math.isnan(forecaster.predicted_matrix(["a", "b"], 1)[0, 1])
 
     def test_epoch_order_no_history_and_fallback_floor(self):
-        forecaster = RateForecaster("combined")
+        forecaster = RateForecaster()
         current = _epoch_profile(random.Random(1), ["a", "b"])
         assert forecaster.predicted_matrix(["a", "b"], 0) is None
         assert forecaster.forecast_profile(current, 0) is current
@@ -708,7 +707,7 @@ def test_a_forecast_leaves_numpy_ma_unimported():
         from repro.core.network_profile import NetworkProfile
         from repro.service.forecast import RateForecaster
 
-        forecaster = RateForecaster("combined")
+        forecaster = RateForecaster()
         for epoch in range(3):
             vms = ["a", "b", "c"] if epoch < 2 else ["a", "b"]
             forecaster.record_epoch(

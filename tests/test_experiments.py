@@ -3,10 +3,11 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, SimulationError
 from repro.experiments import (
     ExperimentConfig,
     ExperimentResult,
@@ -20,6 +21,7 @@ from repro.experiments import (
     trial_seed,
 )
 from repro.experiments.cli import main as cli_main
+from repro.runtime.metrics import relative_speedup
 
 
 # ----------------------------------------------------------------- registry
@@ -146,6 +148,15 @@ def test_speedups_drop_undefined_zero_baseline_trials():
     )
     assert result._paired_speedups("s", "round-robin") == ([0.5], 1)
     json.dumps(result.to_json_dict(), allow_nan=False)  # strict-JSON safe
+
+
+@pytest.mark.parametrize("field", ["baseline_duration", "choreo_duration"])
+def test_a_nan_duration_is_refused(field):
+    """``< 0`` is False for NaN, so a NaN running time used to come back as
+    a NaN speed-up and turn a sweep's whole summary into NaN."""
+    durations = {"baseline_duration": 1.0, "choreo_duration": 1.0, field: math.nan}
+    with pytest.raises(SimulationError, match="^durations must be >= 0$"):
+        relative_speedup(**durations)
 
 
 def test_speedups_pair_only_trials_that_completed_the_same_applications():

@@ -243,3 +243,18 @@ def test_unmeasurable_trains_are_retried_with_fresh_draws_then_degraded(probe_bu
     assert profile.measurement_duration_s > len(pairs) * NetworkMeasurer(
         provider, plan
     ).per_pair_time_s()
+
+
+#: A train setting a NaN used to pass (``<= 0`` and ``< 1`` are False for
+#: NaN), by its field, with the message its guard gives.
+NAN_TRAIN_SETTINGS = {
+    "packet_size_bytes": "packet size must be positive",
+    "n_bursts": "need >= 1 burst of >= 2 packets",
+    "burst_length": "need >= 1 burst of >= 2 packets",
+}
+
+
+@pytest.mark.parametrize("field", NAN_TRAIN_SETTINGS)
+def test_a_nan_train_setting_is_refused(field):
+    with pytest.raises(MeasurementError, match=f"^{NAN_TRAIN_SETTINGS[field]}$"):
+        PacketTrainSpec(**{field: math.nan})

@@ -16,7 +16,7 @@ from repro.experiments.placers import resolve_placer
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
 from repro.service.cache import MeasurementCache
 from repro.service.engine import PlacementService, report_violations
-from repro.service.forecast import RateForecaster
+from repro.service.forecast import RateForecaster, validate_predictor
 from repro.service.session import build_churn_session, run_churn_session
 from repro.service.timeline import (
     DRIFT_NAMES,
@@ -168,12 +168,20 @@ class TestPairwiseMeasurementStaleness:
 # Forecaster
 # ---------------------------------------------------------------------------
 class TestRateForecaster:
-    @pytest.mark.parametrize("control", ["oracle", "stale"])
-    def test_a_control_is_not_a_history_predictor(self, control):
-        """The engine places ``stale`` sessions on the cache's frozen
-        bootstrap profile itself, as it reads ``oracle`` off the timeline."""
-        with pytest.raises(ServiceError, match=f"'{control}'"):
-            RateForecaster(control)
+    def test_the_forecaster_takes_no_predictor(self):
+        """It runs ``combined`` alone: the engine places ``stale`` sessions
+        on the cache's frozen bootstrap profile itself, as it reads
+        ``oracle`` off the timeline."""
+        with pytest.raises(TypeError):
+            RateForecaster("combined")
+
+    @pytest.mark.parametrize("name", ["previous-hour", "time-of-day"])
+    def test_a_part_of_combined_is_not_a_session_predictor(self, name):
+        with pytest.raises(ServiceError) as refused:
+            validate_predictor(name)
+        message = str(refused.value)
+        for known in ("'combined'", "'stale'", "'oracle'", "evaluate_predictability"):
+            assert known in message
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +211,7 @@ class TestChurnSession:
         assert a.canonical_json_dict() == b.canonical_json_dict()
 
     def test_session_accounts_every_app(self):
-        report = run_churn_session(1, predictor="previous-hour", **_FAST)
+        report = run_churn_session(1, predictor="combined", **_FAST)
         _, _, apps, _ = build_churn_session(1, **_FAST)
         assert [a.name for a in report.apps] == [a.name for a in apps]
         for outcome in report.apps:
@@ -372,8 +380,7 @@ class TestServiceMigration:
             provider,
             cluster,
             resolve_placer("greedy").create(0, None),
-            predictor="previous-hour",
-            improvement_threshold=0.2,
+            predictor="combined",
         )
         report = service.run_session([app], hours=10)
         outcome = report.apps[0]
@@ -432,10 +439,11 @@ def _session(hours=1.0, **kwargs):
 
 
 #: A setting a NaN used to pass (``<= 0`` is False for NaN), by its field;
-#: a NaN TTL left every pair of the mesh stale forever.
+#: a NaN TTL left every pair of the mesh stale forever.  The service's
+#: epoch is its timeline's, which refuses a non-finite one.
 NAN_SETTINGS = {
     "cache.ttl_s": lambda: MeasurementCache(None, ["a", "b"], ttl_s=math.nan),
-    "engine.epoch_s": lambda: _session(epoch_s=math.nan),
+    "timeline.epoch_s": lambda: build_churn_session(0, epoch_s=math.nan),
     "engine.ttl_s": lambda: _session(ttl_s=math.nan),
     "engine.hours": lambda: _session(hours=math.nan),
     "session.hours": lambda: build_churn_session(0, hours=math.nan),
@@ -445,8 +453,27 @@ NAN_SETTINGS = {
 
 @pytest.mark.parametrize("field", NAN_SETTINGS)
 def test_a_nan_setting_is_refused_by_name(field):
-    with pytest.raises(ServiceError, match=f"^{field.split('.')[1]} must be positive$"):
+    name = field.split(".")[1]
+    refusal = f"^{name} must be (positive|finite and positive, got nan)$"
+    with pytest.raises(ServiceError, match=refusal):
         NAN_SETTINGS[field]()
+
+
+#: Settings no caller set, gone: the threshold is
+#: ``runtime.migration.IMPROVEMENT_THRESHOLD``, the epoch the timeline's,
+#: the campaign plan the engine's own and the provider always ``ec2``.
+REMOVED_SETTINGS = {
+    "improvement_threshold": lambda: _session(improvement_threshold=0.2),
+    "epoch_s": lambda: _session(epoch_s=60.0),
+    "measurement": lambda: _session(measurement=MeasurementPlan()),
+    "provider_name": lambda: build_churn_session(0, provider_name="ec2"),
+}
+
+
+@pytest.mark.parametrize("name", REMOVED_SETTINGS)
+def test_a_removed_setting_is_refused(name):
+    with pytest.raises(TypeError, match=f"'{name}'"):
+        REMOVED_SETTINGS[name]()
 
 
 def test_report_violations_names_each_broken_rule():

@@ -140,7 +140,7 @@ def test_importing_the_sweep_package_loads_no_process_pool():
 #: nothing, which is how its deletion is checked from outside.)
 DELETED_NAMES = (
     "Matrix" "NetworkProfile", "MigratingSequenceRunner", "netperf_mesh",
-    "NetperfResult", "measure_bulk_throughput", "bottleneck_rate",
+    "NetperfResult", "measure_bulk_throughput", "bottleneck_rate", "HISTORY_PREDICTORS",
 )
 
 
