@@ -451,11 +451,14 @@ NAN_SETTINGS = {
 }
 
 
+#: The refusals worded otherwise than ``<field> must be positive``.
+NAN_REFUSALS = {"timeline.epoch_s": "epoch_s must be finite and positive, got nan"}
+
+
 @pytest.mark.parametrize("field", NAN_SETTINGS)
 def test_a_nan_setting_is_refused_by_name(field):
-    name = field.split(".")[1]
-    refusal = f"^{name} must be (positive|finite and positive, got nan)$"
-    with pytest.raises(ServiceError, match=refusal):
+    refusal = NAN_REFUSALS.get(field, f"{field.split('.')[1]} must be positive")
+    with pytest.raises(ServiceError, match=f"^{refusal}$"):
         NAN_SETTINGS[field]()
 
 
