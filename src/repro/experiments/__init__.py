@@ -40,8 +40,6 @@ from repro.experiments.runner import (
 )
 from repro.experiments.trials import WorkItem, run_trial, trial_seed
 from repro.experiments.scenarios import (
-    MODE_BATCH,
-    MODE_SERVICE,
     ScenarioInstance,
     ScenarioSpec,
     ServiceSettings,
@@ -73,8 +71,6 @@ __all__ = [
     "WorkItem",
     "run_trial",
     "trial_seed",
-    "MODE_BATCH",
-    "MODE_SERVICE",
     "ScenarioInstance",
     "ScenarioSpec",
     "ServiceSettings",

@@ -2,14 +2,15 @@
 
 A *scenario* bundles everything one trial of the evaluation needs: a
 synthetic provider (built through :mod:`repro.cloud.registry`), a set of
-tenant VMs, the applications to place, optional cross traffic, and how the
-trial should run (place everything up front, or stream the applications
-through the online placement service as they arrive, §2.4).  The §6.3
-scenarios are service trials whose settings make the service the paper's
-arrival loop: no migration, and a measurement at every arrival.  Scenarios
-are registered by name so the experiment runner and the CLI can address
-them as data, and every builder is a pure function of ``(seed, params)`` so
-trials are reproducible and can be re-created inside worker processes.
+tenant VMs, the applications to place, another tenant's flows (optional),
+and the settings of the placement-service session the trial runs.  By
+default those settings make the session the paper's arrival loop (§6.2 with
+one application at t = 0, §6.3 with several arriving): no migration, and a
+measurement at every arrival.  Only the churn scenarios pass their own.
+Scenarios are registered by name so the experiment runner and the CLI can
+address them as data, and every builder is a pure function of ``(seed,
+params)`` so trials are reproducible and can be re-created inside worker
+processes.
 
 Adding a scenario::
 
@@ -38,23 +39,21 @@ from repro.workloads.application import Application, Task, TrafficMatrix
 from repro.workloads.generator import HPCloudWorkloadGenerator, WorkloadSpec
 from repro.workloads.patterns import mapreduce, scatter_gather, uniform_mesh
 
-#: How a scenario's applications are executed by the runner.
-MODE_BATCH = "batch"  #: all applications placed at time zero, run together
-MODE_SERVICE = "service"  #: streamed through the online placement service
-
-#: The measurement-cache TTL of a §6.3 trial: far below any arrival gap, so
-#: every arrival re-probes each pair last probed before it arrived.
+#: The measurement-cache TTL of an arrival-loop trial: far below any
+#: arrival gap, so every arrival re-probes each pair last probed before it
+#: arrived.
 ARRIVAL_TTL_S = 1e-3
 
 
 @dataclass(frozen=True)
 class ServiceSettings:
-    """How a :data:`MODE_SERVICE` scenario drives the placement service.
+    """How a scenario's trial drives the placement service.
 
     The *placer* stays a grid dimension; these settings pin the service's
-    own knobs (predictor, horizon, migration) per scenario cell, so sweeps
-    compare predictor choices x placers under drift via
-    ``--param predictor=...``.
+    own knobs (predictor, horizon, TTL, migration) per scenario cell, so
+    the churn scenarios sweep predictor choices x placers under drift via
+    ``--param predictor=...``.  A scenario that passes none gets the
+    arrival loop's (:class:`ScenarioInstance`).
     """
 
     predictor: str = "combined"
@@ -71,34 +70,36 @@ class ScenarioInstance:
         provider: the synthetic cloud, with the tenant's VMs already
             requested.
         cluster: the tenant's machines as a placement cluster.
-        apps: the applications to place (start times matter in
-            ``service`` mode).
-        background: cross-traffic flows sharing the network with the
-            tenant's applications (batch mode only).
-        mode: :data:`MODE_BATCH` or :data:`MODE_SERVICE`.
-        service: service-mode settings (required for :data:`MODE_SERVICE`).
+        apps: the applications to place, each at its start time.
+        background: another tenant's flows sharing the network with the
+            tenant's applications (see
+            :meth:`~repro.service.engine.PlacementService.run_session`).
+        service: the session's settings.  ``None`` (the default) is the
+            arrival loop, each application placed as it arrives against a
+            measurement taken under the load of those still running: no
+            migration, a TTL (:data:`ARRIVAL_TTL_S`) that has every arrival
+            re-measure, and the whole epochs up to the last arrival's.  The
+            default predictor returns the measured rates throughout its
+            first epoch.
     """
 
     provider: CloudProvider
     cluster: ClusterState
     apps: List[Application]
     background: List[VMFlow] = field(default_factory=list)
-    mode: str = MODE_BATCH
     service: Optional[ServiceSettings] = None
 
     def __post_init__(self) -> None:
-        if self.mode not in (MODE_BATCH, MODE_SERVICE):
-            raise ExperimentError(f"unknown scenario mode {self.mode!r}")
         if not self.apps:
             raise ExperimentError("a scenario instance needs at least one application")
-        if self.mode == MODE_SERVICE and self.service is None:
-            raise ExperimentError(
-                "service-mode scenarios must supply ServiceSettings"
-            )
-        if self.mode != MODE_BATCH and self.background:
-            raise ExperimentError(
-                f"background flows run only in {MODE_BATCH!r} mode; this "
-                f"{self.mode!r} instance has {len(self.background)}"
+        if self.service is None:
+            from repro.service.timeline import DEFAULT_EPOCH_S
+
+            last = max(app.start_time for app in self.apps)
+            self.service = ServiceSettings(
+                hours=float(math.floor(last / DEFAULT_EPOCH_S) + 1),
+                ttl_s=ARRIVAL_TTL_S,
+                migrate=False,
             )
 
 
@@ -204,31 +205,6 @@ def fresh_provider(
     return provider, cluster
 
 
-def _arrival_trial(
-    provider: CloudProvider, cluster: ClusterState, apps: List[Application]
-) -> ScenarioInstance:
-    """A §6.3 trial: ``apps`` placed as they arrive, each against a
-    measurement taken under the load of those still running.
-
-    The service migrates nothing, and its cache's TTL (:data:`ARRIVAL_TTL_S`)
-    has every arrival re-measure.  The session lasts the whole epochs up to
-    the last arrival's; the default predictor returns the measured rates
-    throughout its first epoch.
-    """
-    from repro.service.timeline import DEFAULT_EPOCH_S
-
-    last = max(app.start_time for app in apps)
-    settings = ServiceSettings(
-        hours=float(math.floor(last / DEFAULT_EPOCH_S) + 1),
-        ttl_s=ARRIVAL_TTL_S,
-        migrate=False,
-    )
-    return ScenarioInstance(
-        provider=provider, cluster=cluster, apps=apps, mode=MODE_SERVICE,
-        service=settings,
-    )
-
-
 def _light_workload_spec(max_tasks: int = 8) -> WorkloadSpec:
     """Generator knobs that keep single trials CPU-feasible and fast."""
     return WorkloadSpec(
@@ -289,7 +265,7 @@ def _build_sequence(
         gen.generate_application(start_time=i * float(arrival_gap_s))
         for i in range(int(n_apps))
     ]
-    return _arrival_trial(provider, cluster, apps)
+    return ScenarioInstance(provider=provider, cluster=cluster, apps=apps)
 
 
 @scenario(
@@ -449,7 +425,7 @@ def _build_trace_replay(
             profiler.profile_application(records, name)
             for name in app_names
         ]
-        return _arrival_trial(provider, cluster, apps)
+        return ScenarioInstance(provider=provider, cluster=cluster, apps=apps)
 
     gen = HPCloudWorkloadGenerator(_light_workload_spec(max_tasks=6), seed=seed)
     # Ground truth: generated applications, exploded into flow records as a
@@ -479,7 +455,7 @@ def _build_trace_replay(
         )
         for app in source_apps
     ]
-    return _arrival_trial(provider, cluster, apps)
+    return ScenarioInstance(provider=provider, cluster=cluster, apps=apps)
 
 
 @scenario(
@@ -613,7 +589,6 @@ def _build_service_churn(
         provider=provider,
         cluster=cluster,
         apps=apps,
-        mode=MODE_SERVICE,
         service=ServiceSettings(
             predictor=str(predictor),
             hours=float(hours),
@@ -679,7 +654,6 @@ def _build_fault_churn(
         provider=provider,
         cluster=cluster,
         apps=apps,
-        mode=MODE_SERVICE,
         service=ServiceSettings(
             predictor=str(predictor),
             hours=float(hours),

@@ -1,8 +1,11 @@
 """Trial execution: the unit of work every execution backend runs.
 
-One *trial* re-creates a scenario from a derived seed, runs one placer on
-it, executes the resulting placement on the provider's fluid simulator, and
-records the timings into a :class:`~repro.experiments.results.TrialRecord`.
+One *trial* re-creates a scenario from a derived seed and runs one
+placement-service session on it with one placer — measure, place each
+application on that measurement as it arrives, run the placements on the
+provider's fluid simulator — and records the timings into a
+:class:`~repro.experiments.results.TrialRecord`.  A §6.2 trial is a session
+with one arrival at t = 0, a §6.3 trial one with several.
 The per-trial seed depends only on ``(base_seed, scenario, trial)`` — not on
 the placer — so every placer faces the *same* ground-truth network and
 applications and per-trial speedups are paired comparisons, as in §6.
@@ -21,18 +24,11 @@ import zlib
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
-from repro.core.network_profile import NetworkProfile
 from repro import obs
 from repro.errors import ReproError
 from repro.experiments.placers import resolve_placer
 from repro.experiments.results import TrialRecord
-from repro.experiments.scenarios import (
-    MODE_SERVICE,
-    ScenarioInstance,
-    get_scenario,
-)
-from repro.runtime.executor import run_applications
+from repro.experiments.scenarios import ScenarioInstance, get_scenario
 
 
 #: What a scenario or placer parameter value may be: a JSON scalar, so it
@@ -83,10 +79,7 @@ def run_trial(
             instance = _build(scenario_name, seed, scenario_params)
         record.n_apps = len(instance.apps)
         record.n_vms = len(instance.cluster.machines)
-        if instance.mode == MODE_SERVICE:
-            _run_service_trial(instance, placer_name, seed, record, placer_params)
-        else:
-            _run_batch_trial(instance, placer_name, seed, record, placer_params)
+        _run_session(instance, placer_name, seed, record, placer_params)
     except Exception as exc:
         _capture(record, exc, fail_fast)
     record.trial_wall_s = time.perf_counter() - started
@@ -238,12 +231,6 @@ class WorkItem:
         return (self.scenario, self.params, self.trial, self.seed)
 
 
-def _measurement_plan() -> MeasurementPlan:
-    # The paper's comparison charges the same measurement time to every
-    # scheme rather than letting campaigns advance the clock mid-trial.
-    return MeasurementPlan(advance_clock=False)
-
-
 def _collect_solver_stats(placer, record: TrialRecord) -> None:
     """Copy a solver-backed placer's per-app stats into the record.
 
@@ -256,53 +243,15 @@ def _collect_solver_stats(placer, record: TrialRecord) -> None:
         record.solver_stats = {app_name: dict(stats) for app_name, stats in history}
 
 
-def _run_batch_trial(
+def _run_session(
     instance: ScenarioInstance,
     placer_name: str,
     seed: int,
     record: TrialRecord,
     placer_params: Optional[Mapping[str, object]] = None,
 ) -> None:
-    """Place every application at time zero and run them together."""
-    placer = resolve_placer(placer_name).create(seed, placer_params)
-    provider, cluster = instance.provider, instance.cluster
-
-    place_started = time.perf_counter()
-    profile: Optional[NetworkProfile] = None
-    if placer.needs_profile:
-        measurer = NetworkMeasurer(provider, plan=_measurement_plan())
-        profile = measurer.measure(
-            cluster.machine_names(), background=instance.background
-        )
-        record.measurement_overhead_s = profile.measurement_duration_s
-
-    placements = {}
-    state = cluster
-    for app in instance.apps:
-        placement = placer.place(app, state, profile)
-        placements[app.name] = placement
-        state = state.with_usage(placement.cpu_usage(app))
-    record.placement_wall_s = time.perf_counter() - place_started
-    _collect_solver_stats(placer, record)
-
-    runs = run_applications(
-        provider,
-        placements=placements,
-        apps=instance.apps,
-        start_times={app.name: 0.0 for app in instance.apps},
-        background=instance.background,
-    )
-    _fill_run_metrics(record, runs.values())
-
-
-def _run_service_trial(
-    instance: ScenarioInstance,
-    placer_name: str,
-    seed: int,
-    record: TrialRecord,
-    placer_params: Optional[Mapping[str, object]] = None,
-) -> None:
-    """Stream the applications through the online placement service.
+    """Run the instance's applications through one placement-service
+    session, with the other tenant's flows as its background.
 
     The per-application metric is admission-to-completion time; rejected
     applications (CPU-infeasible at their arrival) have no duration and
@@ -324,7 +273,9 @@ def _run_service_trial(
         ttl_s=settings.ttl_s,
         migrate=settings.migrate,
     )
-    report = service.run_session(instance.apps, hours=settings.hours)
+    report = service.run_session(
+        instance.apps, hours=settings.hours, background=instance.background
+    )
     _collect_solver_stats(placer, record)
     record.placement_wall_s = report.placement_wall_s + report.admission_wall_s
     record.measurement_overhead_s = float(
@@ -337,19 +288,10 @@ def _run_service_trial(
         record.makespan_s = max(a.completed_at for a in completed) - min(
             a.arrived_at for a in completed
         )
+    network = colocated = 0.0
     for state in service.last_apps.values():
         for src, dst, volume in state.app.transfers():
-            colocated = state.colocated.get((src, dst), 0.0)
-            record.colocated_bytes += colocated
-            record.network_bytes += volume - colocated
-
-
-def _fill_run_metrics(record: TrialRecord, runs) -> None:
-    runs = list(runs)
-    record.per_app_duration_s = {run.app_name: run.duration for run in runs}
-    record.total_running_time_s = sum(run.duration for run in runs)
-    record.makespan_s = max(run.completion_time for run in runs) - min(
-        run.start_time for run in runs
-    )
-    record.network_bytes = sum(run.network_bytes for run in runs)
-    record.colocated_bytes = sum(run.colocated_bytes for run in runs)
+            kept = state.colocated.get((src, dst), 0.0)
+            colocated += kept
+            network += volume - kept
+    record.network_bytes, record.colocated_bytes = network, colocated

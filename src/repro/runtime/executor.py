@@ -1,4 +1,4 @@
-"""Run placed applications on a synthetic cloud (paper §6.1, §6.2).
+"""Run placed applications on a synthetic cloud in one simulation from zero.
 
 ``placement_to_flows`` converts a placement and a traffic matrix into
 VM-level flows: every task-pair transfer whose endpoints landed on different
@@ -7,12 +7,16 @@ touch the network (one of the main wins of network-aware placement).
 
 ``run_applications`` executes those flows on the
 provider's fluid simulator and reports per-application completion times.
+No trial runs through it: every sweep cell is a placement-service session
+(:mod:`repro.experiments.trials`), whose applications run on the session's
+live network (:class:`repro.runtime.migration.LiveNetwork`).  It stays for
+callers that run one placement whole, outside a session.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.cloud.provider import CloudProvider, VMFlow
 from repro.core.placement.base import Placement
@@ -87,40 +91,29 @@ def run_applications(
     provider: CloudProvider,
     placements: Mapping[str, Placement],
     apps: Sequence[Application],
-    start_times: Optional[Mapping[str, float]] = None,
-    background: Sequence[VMFlow] = (),
 ) -> Dict[str, ApplicationRun]:
-    """Run several placed applications together on one provider network.
+    """Run several placed applications together on one provider network,
+    each from its own ``start_time``.
 
     Args:
         placements: one placement per application name.
         apps: the applications (must all appear in ``placements``).
-        start_times: per-application start times; defaults to each
-            application's own ``start_time`` attribute.
-        background: extra flows sharing the network (e.g. another tenant).
 
     Returns:
         Mapping of application name to its :class:`ApplicationRun`.
     """
     if not apps:
         raise SimulationError("run_applications needs at least one application")
-    all_flows: List[VMFlow] = list(background)
+    all_flows: List[VMFlow] = []
     per_app_flows: Dict[str, List[str]] = {}
     per_app_colocated: Dict[str, float] = {}
     per_app_network_bytes: Dict[str, float] = {}
-    starts: Dict[str, float] = {}
 
     for app in apps:
         if app.name not in placements:
             raise PlacementError(f"no placement supplied for application {app.name!r}")
-        start = (
-            start_times[app.name]
-            if start_times is not None and app.name in start_times
-            else app.start_time
-        )
-        starts[app.name] = start
         flows, colocated = placement_to_flows(
-            placements[app.name], app, start_time=start
+            placements[app.name], app, start_time=app.start_time
         )
         per_app_flows[app.name] = [flow.flow_id for flow in flows]
         per_app_colocated[app.name] = colocated
@@ -135,10 +128,10 @@ def run_applications(
         completions = {}
         if result is not None:
             completions = {fid: result.completion_time(fid) for fid in flow_ids}
-        completion_time = max(completions.values(), default=starts[app.name])
+        completion_time = max(completions.values(), default=app.start_time)
         runs[app.name] = ApplicationRun(
             app_name=app.name,
-            start_time=starts[app.name],
+            start_time=app.start_time,
             completion_time=completion_time,
             flow_completion_times=completions,
             colocated_bytes=per_app_colocated[app.name],

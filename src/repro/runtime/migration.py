@@ -22,15 +22,15 @@ to their invariants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.cloud.provider import CloudProvider, VMFlow
 from repro.core.estimator import estimate_completion_time
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Placement, Placer
-from repro.net.fluid import FluidResult
+from repro.net.fluid import FluidResult, FluidSimulation
 from repro.workloads.application import Application, Task, TrafficMatrix
 
 Pair = Tuple[str, str]
@@ -221,16 +221,24 @@ class LiveNetwork:
     set must not change meanwhile: the simulation has one hose link per VM
     it had.
 
+    ``background`` is another tenant's flows, registered before any of the
+    session's own.  They load the network the session runs on, but no
+    application owns them: ``other`` holds, per flow id, each one that has
+    not finished, with the bytes it has left after the last run.
+
     ``sent[app, pair]`` is what the simulation reported delivered for a
     task pair so far — the bytes each of its flows had left when it was
     registered, minus what each had left after every run since.
     """
 
-    def __init__(self, provider: CloudProvider):
+    def __init__(self, provider: CloudProvider, background: Sequence[VMFlow] = ()):
         self.provider = provider
-        self.simulation = provider.build_simulation()
-        # The hose capacities the simulation holds.
+        # The hose capacities the simulation holds, as of ``built_at``.
         self.hose = provider.hose_capacities()
+        self.built_at = provider.now
+        self.simulation = FluidSimulation(provider.topology, extra_capacities=self.hose)
+        provider.add_flows(self.simulation, background)
+        self.other: Dict[str, VMFlow] = {flow.flow_id: flow for flow in background}
         self.sent: Dict[Tuple[str, Pair], float] = {}
         # Per application with flows in the simulation: its record, the
         # placement the flows were routed for, and per flow id the task
@@ -241,6 +249,15 @@ class LiveNetwork:
         # Applications registered, or found done, since they last moved (a
         # done application stays done).
         self.seen: Set[str] = set()
+
+    def campaign_background(self, running: Dict[str, LiveApp], now: float) -> List[VMFlow]:
+        """What a campaign at ``now`` sees as cross traffic: the other
+        tenant's flows that have started and not finished, then every
+        active application's remaining flows."""
+        return [
+            *(flow for flow in self.other.values() if flow.start_time <= now),
+            *live_background_flows(running, now),
+        ]
 
 
 def advance_live_apps(
@@ -259,7 +276,8 @@ def advance_live_apps(
     (the provider's *current* rates hold for the whole call — callers
     segment time so they are constant within it).  The run then debits each
     pair's remaining bytes and stamps ``completed_at`` on applications whose
-    last flow finished; finished pairs leave the simulation.  Every pause
+    last flow finished; finished pairs leave the simulation, and the other
+    tenant's flows update :attr:`LiveNetwork.other`.  Every pause
     ends exactly where a fresh simulation of the same flows, restarted at
     ``start`` with the bytes they had left, would.  Returns the run,
     ``None`` if nothing was live.
@@ -290,23 +308,33 @@ def advance_live_apps(
     network.provider.add_flows(sim, new)
     if sim.idle:
         return None
-    # Only a hose a live flow crosses bears on a rate, so only the senders'
-    # are read; a VM's is brought up to date when a flow of it registers.
-    senders: Dict[str, None] = {}
-    for _, placement, flows in registered.values():
-        for (src, _), _ in flows.values():
-            senders[placement.machine_of(src)] = None
-    drifted = {
-        link: cap
-        for link, cap in network.provider.hose_capacities(senders).items()
-        if network.hose.get(link) != cap
-    }
-    if drifted:
-        sim.update_extra_capacities(drifted)
-        network.hose.update(drifted)
+    if network.provider.now != network.built_at:
+        # Only a hose a live flow crosses bears on a rate, so only the
+        # senders' are read; a VM's is brought up to date when a flow of it
+        # registers.  (No hose drifts before the clock moves.)
+        senders: Dict[str, None] = dict.fromkeys(
+            flow.src_vm for flow in network.other.values()
+        )
+        for _, placement, flows in registered.values():
+            for (src, _), _ in flows.values():
+                senders[placement.machine_of(src)] = None
+        drifted = {
+            link: cap
+            for link, cap in network.provider.hose_capacities(senders).items()
+            if network.hose.get(link) != cap
+        }
+        if drifted:
+            sim.update_extra_capacities(drifted)
+            network.hose.update(drifted)
 
     result = sim.run(until=until)
     completion, left = result.completion_times, result.remaining_bytes
+    other = network.other
+    for flow_id in list(other):
+        if flow_id in completion:
+            del other[flow_id]
+        else:
+            other[flow_id] = replace(other[flow_id], size_bytes=left[flow_id])
     for name, (state, _, flows) in list(registered.items()):
         finished_at = start
         for flow_id, (pair, before) in list(flows.items()):

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.cloud.provider import CloudProvider
+from repro.cloud.provider import CloudProvider, VMFlow
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Placer, cpu_shortfall
@@ -51,7 +51,6 @@ from repro.runtime.migration import (
     MigrationEvent,
     advance_live_apps,
     cluster_with_live_usage,
-    live_background_flows,
     propose_migration,
 )
 from repro.service.cache import MeasurementCache
@@ -73,6 +72,10 @@ _REJECTIONS = obs.Counter("repro.service.rejections")
 _MIGRATIONS = obs.Counter("repro.service.migrations")
 _RECOVERIES = obs.Counter("repro.service.recoveries")
 _EPOCH_TICKS = obs.Counter("repro.service.epoch_ticks")
+
+#: Every session's campaign plan: the default packet trains, and the clock
+#: left where it is (the report accounts measurement time).
+_CAMPAIGN_PLAN = MeasurementPlan(advance_clock=False)
 
 
 @dataclass
@@ -332,7 +335,7 @@ class PlacementService:
         if not self.ttl_s > 0:
             raise ServiceError("ttl_s must be positive")
         self.migrate = migrate
-        measurer = NetworkMeasurer(provider, plan=MeasurementPlan(advance_clock=False))
+        measurer = NetworkMeasurer(provider, plan=_CAMPAIGN_PLAN)
         self.cache = MeasurementCache(
             measurer, cluster.machine_names(), ttl_s=self.ttl_s
         )
@@ -345,11 +348,13 @@ class PlacementService:
         #: The books of every application the last session ran to the end
         #: (post-migration placements included), keyed by application name.
         self.last_apps: Dict[str, LiveApp] = {}
+        #: The running session's live network.
+        self._network: Optional[LiveNetwork] = None
 
     # -------------------------------------------------------------- session
     def run_session(
         self, apps: Sequence[Application], hours: float,
-        telemetry: bool = False,
+        telemetry: bool = False, background: Sequence[VMFlow] = (),
     ) -> ServiceReport:
         """Admit ``apps`` as they arrive over ``hours`` epochs of service.
 
@@ -357,6 +362,14 @@ class PlacementService:
         epoch_s``); transfers still in flight at the horizon drain to
         completion (the network keeps drifting, the service just stops
         measuring and migrating).
+
+        ``background`` is another tenant's flows.  They share the session's
+        network from their start times, registered before the tenant's own
+        flows, and every campaign (the bootstrap included) sees what they
+        still have left to send as cross traffic.  The tenant does not own
+        them: they are no application of the report, hold no cores and
+        count in no application's bytes, and the session ends when the
+        tenant's applications do, whatever they have left.
 
         With ``telemetry=True`` the report carries a ``telemetry`` block
         (a process-wide :func:`repro.obs.metrics.snapshot` plus wall
@@ -390,7 +403,7 @@ class PlacementService:
             "service.session",
             apps=len(ordered), hours=hours, predictor=self.predictor,
         ):
-            report = self._session_loop(ordered, hours, horizon)
+            report = self._session_loop(ordered, hours, horizon, background)
         if telemetry:
             report.telemetry = {
                 "metrics": obs.metrics.snapshot(),
@@ -409,7 +422,8 @@ class PlacementService:
         return report
 
     def _session_loop(
-        self, ordered: List[Application], hours: float, horizon: float
+        self, ordered: List[Application], hours: float, horizon: float,
+        background: Sequence[VMFlow],
     ) -> ServiceReport:
         """The session body (see :meth:`run_session`, which spans it)."""
         # The service consumes the timeline's fault events at epoch
@@ -430,7 +444,7 @@ class PlacementService:
         )
 
         running: Dict[str, LiveApp] = {}
-        network = LiveNetwork(self.provider)
+        network = self._network = LiveNetwork(self.provider, background)
         outcomes: Dict[str, AppOutcome] = {}
         self._migrations: List[MigrationEvent] = []
         self._recovery: List[RecoveryAction] = []
@@ -446,7 +460,7 @@ class PlacementService:
         if self._measures and self.predictor != "oracle":
             place_started = time.perf_counter()
             self.cache.refresh(
-                now, background=[], force=True,
+                now, background=network.campaign_background(running, now), force=True,
                 fallback=self._forecast_fallback(epoch),
             )
             placement_wall += time.perf_counter() - place_started
@@ -473,6 +487,10 @@ class PlacementService:
                 break
             target = min(next_arrival, next_boundary)
             advance_live_apps(network, running, now, until=target)
+            if not (pending or have_faults or target < horizon - 1e-9) and all(
+                state.done for state in running.values()
+            ):
+                break  # nothing left to run, admit, heal or measure
             self.provider.advance_time(target - now)
             now = target
 
@@ -739,9 +757,8 @@ class PlacementService:
         if self.predictor == "stale":
             # Frozen hour-0 view: bootstrap mesh only, never refreshed.
             return self.cache.profile(now)
-        background = live_background_flows(running, now)
         current = self.cache.refresh(
-            now, background=background,
+            now, background=self._network.campaign_background(running, now),
             fallback=self._forecast_fallback(epoch),
         )
         return self.forecaster.forecast_profile(current, epoch)
@@ -777,7 +794,7 @@ class PlacementService:
             # Still refresh the cache so history keeps accumulating.
             if self.forecaster is not None:
                 self.cache.refresh(
-                    now, background=live_background_flows(running, now),
+                    now, background=self._network.campaign_background(running, now),
                     fallback=self._forecast_fallback(epoch),
                 )
             return
@@ -891,7 +908,7 @@ class PlacementService:
             app=app.name,
             outcome="rejected" if rejected else "admitted",
             live_apps=sorted(name for name, state in running.items() if not state.done),
-            background_flows=len(live_background_flows(running, now)),
+            background_flows=len(self._network.campaign_background(running, now)),
             cores_free=list(cluster_now.available_cpus().values()),
             binding=binding,
             needed_cores=needed,

@@ -294,7 +294,6 @@ def test_trace_replay_scenario_profiles_apps_from_records():
     spec = get_scenario("ec2-trace-replay")
     first = spec.build(seed=11)
     second = spec.build(seed=11)
-    assert first.mode == "service"
     assert len(first.apps) == 3
     # Profiling from records preserves the ground-truth traffic exactly
     # (record byte shares sum back to the matrix entries)...

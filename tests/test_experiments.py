@@ -22,6 +22,8 @@ from repro.experiments import (
 )
 from repro.experiments.cli import main as cli_main
 from repro.runtime.metrics import relative_speedup
+from repro.service.engine import report_violations
+from test_live_books import books_checked
 
 
 # ----------------------------------------------------------------- registry
@@ -62,24 +64,47 @@ def test_scenario_builds_are_seed_reproducible():
 
 
 # ------------------------------------------------------------------ seeding
-def test_arrival_scenarios_are_service_trials_and_refuse_a_background():
-    from dataclasses import replace
+def test_arrival_scenarios_run_the_arrival_loop_and_measure_beside_the_other_tenant(
+    monkeypatch,
+):
+    from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
+    from repro.experiments.scenarios import ARRIVAL_TTL_S
+    from repro.service.cache import MeasurementCache
 
-    from repro.cloud.provider import VMFlow
-    from repro.experiments.scenarios import ARRIVAL_TTL_S, MODE_SERVICE
-
-    for name in ("multi-app-sequence", "ec2-trace-replay"):
-        instance = get_scenario(name).build(seed=3)
-        assert instance.mode == MODE_SERVICE
-        settings = instance.service
-        assert (settings.migrate, settings.ttl_s, settings.hours) == (False, ARRIVAL_TTL_S, 1.0)
+    for name in ("multi-app-sequence", "ec2-trace-replay", "smoke", "cross-traffic"):
+        settings = get_scenario(name).build(seed=3).service
+        assert (settings.predictor, settings.migrate, settings.ttl_s, settings.hours) == (
+            "combined", False, ARRIVAL_TTL_S, 1.0,
+        )
     # Arrivals past the first epoch lengthen the session to reach them.
     late = get_scenario("multi-app-sequence").build(seed=3, arrival_gap_s=1500.0)
     assert late.service.hours == 2.0
-    vms = instance.cluster.machine_names()
-    flow = VMFlow("tenant", vms[0], vms[1], size_bytes=1e9)
-    with pytest.raises(ExperimentError, match="background"):
-        replace(instance, background=[flow])
+
+    # The other tenant's flows are the session's background: its bootstrap
+    # campaign is the one measurement of the mesh under them at t = 0.
+    profiles = []
+    refresh = MeasurementCache.refresh
+
+    def kept(cache, now, background=(), force=False, fallback=None):
+        profiles.append((now, force, refresh(cache, now, background, force, fallback)))
+        return profiles[-1][2]
+
+    monkeypatch.setattr(MeasurementCache, "refresh", kept)
+
+    seed = trial_seed(0, "cross-traffic", 0)
+    instance = get_scenario("cross-traffic").build(seed=seed)
+    assert run_trial("cross-traffic", "greedy", 0, 0, instance=instance).ok
+    (now, force, bootstrap), *_ = profiles
+    assert (now, force) == (0.0, True)
+    names = instance.cluster.machine_names()
+
+    def measured(background=()):
+        provider = get_scenario("cross-traffic").build(seed=seed).provider
+        measurer = NetworkMeasurer(provider, MeasurementPlan(advance_clock=False))
+        return measurer.measure(names, background=background).rates_bps
+
+    assert bootstrap.rates_bps == measured(instance.background)
+    assert bootstrap.rates_bps != measured()
 
 
 def test_trial_seed_is_stable_and_placer_independent():
@@ -238,12 +263,23 @@ def test_parallel_sweep_matches_grid_and_runs_all_cells():
 # whose placements and completion times are the parent's — only
 # ``solver_stats.warm_bound_s``, the greedy incumbent's modelled
 # objective, moved.  No ``random`` cell moved.
+#
+# Five cells were re-pinned when every trial became a placement-service
+# session (the one-application scenarios run as one arrival at t = 0, the
+# other tenant's flows as the session's background): ``cross-traffic`` /
+# ``greedy``, ``single-app-ec2`` / ``greedy`` and ``ilp``, and ``smoke`` /
+# ``greedy`` and ``ilp``.  Their trial 0 colocates every transfer, and the
+# record's ``network_bytes`` is now the float ``0.0`` the session's books
+# sum to, where the run of no flows wrote the integer ``0``; nothing else in
+# them moved.  Over trials 0-19 of the ten one-application scenarios under
+# greedy, random, round-robin and min-machines, every other record field
+# but the host timings is the parent's.
 _GOLDEN_DIGESTS = {
     ("all-to-all", "greedy"): "10a2fdb55b5d32c3cfded43f3569ebea2d0fec4ef2f45267f0afec5904373af5",
     ("all-to-all", "random"): "6c19bf4e0d4e10480721338705008b19258f9cb3771918118bc3c334aa56af5c",
     ("bursty-mapreduce", "greedy"): "a727e3eb61034c1e7bda5c6fb7154a5af4bd21188bacb5b921d654f8e157010f",
     ("bursty-mapreduce", "random"): "b95300d78ec39f9a8283b3a567a157f09dfb44d980e250a33837e9761ec91824",
-    ("cross-traffic", "greedy"): "a818d83a01a13ab4fab59257e8eb6e8c6ee68a2c1296188eb9d34976799a1d98",
+    ("cross-traffic", "greedy"): "0dbc4051442ee7d0d65e96284ef60edb21a423712cfb5f4cc94e7068bff914a2",
     ("cross-traffic", "random"): "31a9bd2d0809327e005051646b760f9d422f9262b2600dd594baf5a9e250eb7a",
     ("ec2-trace-replay", "greedy"): "c5bfd12018785a152a652433ed80a1afc188e1c8e4c0cf30ec7c819ea79bc1af",
     ("ec2-trace-replay", "random"): "947e230aa0d6d1a6334f685b38ea044cc5048cd6598857245bfe058e6f78dcf7",
@@ -263,14 +299,14 @@ _GOLDEN_DIGESTS = {
     ("rackspace-uniform", "random"): "09379e27b95534fe1bf8bc6d20c0263da978940502a2021fc18428b316748ac0",
     ("service-churn", "greedy"): "7340da8139f8725acc06fe2f368df5352a596d4bc5f15f060d509ff2f355fc7f",
     ("service-churn", "random"): "7f6594cad00c30f9d2ef8b233dbc7fe8e020fc0902707288c17b1f64719be080",
-    ("single-app-ec2", "greedy"): "ae5a48d81bc483e73101db0218ca576b54bc43bd1bca6b79929edfc169b9ed34",
+    ("single-app-ec2", "greedy"): "7c32da6a201b1586993ebdb1c3cd90f4235bbbb60d4d881e1ec00446e067c2ca",
     ("single-app-ec2", "random"): "8123ece541b1a78dd65cb425b749b8ba9b05fa1dc5c0b86ab5d7c8b01fbd1493",
-    ("smoke", "greedy"): "4447c0ebc7022a56d44f687522cd1325794b08664f45c320f942a5a20a6abdf1",
+    ("smoke", "greedy"): "ef03aee6a93ade7268b85d5021b40f5216cfac16c9ea9660a5b0c044f54352cc",
     ("smoke", "random"): "b5bfcfea0acf8af077ec006ae7670b5bad502ae5fea7e820e0c0a2fe70f00fee",
-    ("smoke", "ilp"): "70cdc950ce4438f4e70c04c34d276a28497014e6d80951d559b4d12d0266fba9",
+    ("smoke", "ilp"): "85b81b831c5b6433c5aae0ec9f69747c554f993d0a99d156a21a633828cdbf50",
     ("all-to-all", "ilp"): "904be8a24f40e130147b26595eec3d3bbaa7877ed2c690c556acf15ba7c06958",
     ("bursty-mapreduce", "ilp"): "18adc5b343659f95b858eb48176a590e56bd7cb8528430bb92bd1d6cec35e11f",
-    ("single-app-ec2", "ilp"): "3847211c9a6474b22397d86a43195625aa1e2529c985f49c34c2f69c405ebd2f",
+    ("single-app-ec2", "ilp"): "bbfaaaca72a0d3162461113d281e7dd4bc85ca885659ca5e7e6f795187c5dee4",
     ("partition-aggregate", "ilp"): "1fd73e82a56945491b8e69151ec7b8ea2da3482c54be1fb716fa0e61e994ef72",
     ("rack-hotspot", "ilp"): "aec89711b98b8c870ff69b289cb3ab4f2b4064073f34e1f1ebfa9e7f14f532cb",
 }
@@ -295,7 +331,8 @@ _PINNED_CELLS = [
 @pytest.mark.parametrize(
     "scenario,placer", _PINNED_CELLS, ids=["-".join(cell) for cell in _PINNED_CELLS]
 )
-def test_cell_digest_is_pinned(scenario, placer):
+def test_cell_digest_is_pinned(scenario, placer, monkeypatch):
+    ledger, reports = books_checked(monkeypatch)
     config = ExperimentConfig(
         scenarios=(scenario,), placers=(placer,), trials=1, base_seed=0, workers=1,
         placer_params={"ilp": {"time_limit_s": 60.0}} if placer == "ilp" else {},
@@ -304,6 +341,11 @@ def test_cell_digest_is_pinned(scenario, placer):
     assert all(rec.ok for rec in result.records)
     canonical = json.dumps(result.canonical_json_dict(), sort_keys=True)
     assert hashlib.sha256(canonical.encode()).hexdigest() == _GOLDEN_DIGESTS[scenario, placer]
+    # Every cell is a service session: its books balance at every pause and
+    # at its end, and its report is consistent.
+    assert len(reports) == len(result.records) and ledger.checks >= len(reports)
+    assert ledger.problems == []
+    assert [report_violations(report) for report in reports] == [[]] * len(reports)
 
 
 # ---------------------------------------------------------------------- CLI

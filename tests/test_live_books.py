@@ -21,6 +21,7 @@ import pytest
 from helpers import write_trace
 from oracles.parent_state_at import parent_state_at
 from repro.cloud.ec2 import ec2_params
+from repro.cloud.provider import VMFlow
 from repro.cloud.registry import make_provider
 from repro.core.placement.base import ClusterState, Placement
 from repro.experiments.placers import resolve_placer
@@ -35,6 +36,7 @@ from repro.runtime.migration import (
     live_book_violations,
 )
 from repro.runtime.executor import placement_to_flows
+from repro.service.cache import MeasurementCache
 from repro.service.engine import PlacementService, report_violations
 from repro.service.session import build_churn_session
 from repro.service.timeline import DEFAULT_EPOCH_S
@@ -91,6 +93,28 @@ class Ledger:
     def check(self, cluster, running, network):
         self.checks += 1
         self.problems.extend(live_book_violations(cluster, running, network.sent))
+
+
+def books_checked(monkeypatch):
+    """Run every service session under a :class:`Ledger`, whatever starts
+    it: the books are checked at every pause and once more when the session
+    ends (an application colocated whole never pauses it), and every report
+    is kept.  Returns ``(ledger, reports)``."""
+    import repro.service.engine as engine
+
+    sessions, reports = [], []
+    ledger = Ledger(monkeypatch, engine, lambda: sessions[-1].cluster)
+    run_session = engine.PlacementService.run_session
+
+    def kept(service, *args, **kwargs):
+        sessions.append(service)
+        report = run_session(service, *args, **kwargs)
+        ledger.check(service.cluster, service.last_apps, service._network)
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(engine.PlacementService, "run_session", kept)
+    return ledger, reports
 
 
 # ------------------------------------------------------ golden service sessions
@@ -266,6 +290,91 @@ def test_an_app_that_colocates_every_transfer_gives_its_cores_back():
     assert len(set(placed["first"].assignments.values())) == 1
     assert service.last_apps["first"].colocated == {("a", "b"): 1 * GBYTE}
     assert len(set(placed["second"].assignments.values())) == 2
+
+
+# ------------------------------------------------------ another tenant's flows
+def tenant_under_load(seed):
+    """Three applications arriving at 0, 20 and 400 s on six VMs whose hoses
+    do not drift, beside another tenant's three flows: one done before the
+    second arrival, one still sending then, and one that starts at 10 s.
+    Returns ``(provider, cluster, apps, background)``."""
+    provider = make_provider(
+        "ec2", seed=seed,
+        params=replace(ec2_params(), temporal_sigma=0.0, colocation_probability=0.0),
+    )
+    provider.request_vms(6)
+    cluster = ClusterState.from_vms(provider.vms())
+    vms = cluster.machine_names()
+    background = [
+        VMFlow("other:0", vms[0], vms[1], 0.5 * GBYTE, 0.0, "other"),
+        VMFlow("other:1", vms[2], vms[3], 20 * GBYTE, 0.0, "other"),
+        VMFlow("other:2", vms[4], vms[5], 4 * GBYTE, 10.0, "other"),
+    ]
+    apps = [
+        mapreduce(f"job{k}", 2, 2, 2 * GBYTE, cpu_per_task=1.5, start_time=t)
+        for k, t in enumerate((0.0, 20.0, 400.0))
+    ]
+    return provider, cluster, apps, background
+
+
+def test_campaigns_see_what_the_other_tenant_has_left_and_the_books_never_count_it(
+    monkeypatch,
+):
+    seen = []  # per refresh: (now, the other tenant's flows it saw)
+    refresh = MeasurementCache.refresh
+
+    def spying_refresh(cache, now, background=(), force=False, fallback=None):
+        seen.append((now, [flow for flow in background if flow.tag == "other"]))
+        return refresh(cache, now, background=background, force=force, fallback=fallback)
+
+    monkeypatch.setattr(MeasurementCache, "refresh", spying_refresh)
+    ledger, reports = books_checked(monkeypatch)
+    greedy = resolve_placer("greedy").create(0, None)
+    provider, cluster, apps, background = tenant_under_load(5)
+    service = PlacementService(provider, cluster, greedy, migrate=False, ttl_s=ARRIVAL_TTL_S)
+    report = service.run_session(apps, hours=1, background=background)
+
+    # What the other tenant's flows had left at each campaign: one
+    # simulation from zero of them and every placed flow (no hose drifts).
+    placed = [
+        flow
+        for app in apps
+        for flow in placement_to_flows(
+            service.last_apps[app.name].placement, app, app.start_time
+        )[0]
+    ]
+    assert [now for now, _ in seen] == [0.0, 0.0, 20.0, 400.0]
+    for now, flows in seen:
+        truth = provider.simulate(background + placed, until=now) if now else None
+        expected = {
+            flow.flow_id: (
+                flow.size_bytes if truth is None else truth.remaining_bytes[flow.flow_id]
+            )
+            for flow in background
+            if flow.start_time <= now
+            and (truth is None or flow.flow_id not in truth.completion_times)
+        }
+        assert {flow.flow_id for flow in flows} == set(expected)
+        for flow in flows:
+            assert flow.size_bytes == pytest.approx(expected[flow.flow_id], rel=1e-9)
+    # The bootstrap saw two flows whole; the second arrival the one still
+    # sending, part sent, and the one started since; the last saw none.
+    assert [sorted(f.flow_id for f in flows) for _, flows in seen] == [
+        ["other:0", "other:1"], ["other:0", "other:1"], ["other:1", "other:2"], [],
+    ]
+    assert 0 < seen[2][1][0].size_bytes < background[1].size_bytes
+
+    # The tenant owns its applications alone.
+    tenant = [app.name for app in apps]
+    assert [outcome.name for outcome in report.apps] == tenant
+    assert sorted(service.last_apps) == tenant
+    assert {name for name, _ in service._network.sent} == set(tenant)
+    assert ledger.problems == [] and ledger.checks > 2 * len(apps)
+    assert reports == [report] and report_violations(report) == []
+    # The load is real: the second arrival runs slower beside it.
+    provider, cluster, _, _ = tenant_under_load(5)
+    alone = PlacementService(provider, cluster, greedy, migrate=False, ttl_s=ARRIVAL_TTL_S)
+    assert report.apps[1].duration > alone.run_session(apps, hours=1).apps[1].duration
 
 
 # ------------------------------------------------------- settle when it is set

@@ -13,12 +13,14 @@ switching from pause to pause.
 """
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles.segment_sim import segment_advance
-from repro.cloud.provider import CloudProvider
+from repro.cloud.provider import CloudProvider, VMFlow
+from repro.cloud.registry import make_provider
 from repro.core.placement.base import ClusterState, Placement
 from repro.experiments.placers import resolve_placer
 from repro.experiments.scenarios import ARRIVAL_TTL_S
@@ -144,6 +146,27 @@ def test_the_live_network_leaves_the_books_a_simulation_per_segment_leaves(
     assert seen["apps"] >= 5 * len(SEEDS)
 
 
+def test_the_other_tenants_flow_runs_on_the_hoses_of_each_segment():
+    """Another tenant's flow, alone on a drifting provider: every pause ends
+    where a fresh simulation of what it had left, from the last pause,
+    ends — its sender's hose is pushed like a tenant's."""
+    provider = make_provider("ec2", seed=3, colocation_probability=0.0)
+    provider.request_vms(3)
+    src, dst, _ = (vm.name for vm in provider.vms())
+    network = LiveNetwork(provider, [VMFlow("other:0", src, dst, 50 * GBYTE)])
+    now = 0.0
+    hoses = []
+    for until in (30.0, 60.0, 90.0):
+        left = network.other["other:0"]
+        fresh = provider.simulate([replace(left, start_time=now)], until=until)
+        advance_live_apps(network, {}, now, until=until)
+        assert network.other["other:0"].size_bytes == fresh.remaining_bytes["other:0"]
+        hoses.append(network.hose[f"hose:{src}"])
+        provider.advance_time(until - now)
+        now = until
+    assert len(set(hoses)) == 3  # the hose drifted at every pause
+
+
 # --------------------------------------------------- one allocator, no rebuilds
 @pytest.fixture
 def counted(monkeypatch):
@@ -176,8 +199,6 @@ def test_a_churn_session_builds_one_allocator(counted):
 
 
 def test_an_arrival_sequence_builds_one_allocator_and_simulates_nothing(counted):
-    from repro.cloud.registry import make_provider
-
     provider = make_provider("ec2", seed=0, colocation_probability=0.0)
     provider.request_vms(6)
     cluster = ClusterState.from_vms(provider.vms())

@@ -340,6 +340,8 @@ def test_one_arrival_loop_keeps_one_set_of_live_app_books():
         "_state_at", "placed_flows", "app_of_flow", "app_cpu", "_cluster_sans_dead",
         "SequentialPlacementRunner", "MODE_SEQUENCE", "_run_sequence_trial",
         "sequence.arrival", "tenant_senders", "measure_network",
+        "MODE_BATCH", "MODE_SERVICE", "_run_batch_trial", "_fill_run_metrics",
+        "run only in",
     ):
         assert deleted not in sources
 
@@ -501,11 +503,11 @@ def test_one_live_simulation_and_no_hose_option_is_left():
     with pytest.raises(ImportError):
         importlib.import_module("repro.net.hose")
     # The live path simulates nothing per segment: one LiveNetwork per
-    # session, holding the tenant's applications alone, and no ``simulate``
-    # call on the way.
+    # session, holding the tenant's applications and the other tenant's
+    # flows the session was given, and no ``simulate`` call on the way.
     assert _calls(trees["repro.runtime.migration"], "simulate") == []
     assert len(_calls(trees["repro.service.engine"], "LiveNetwork")) == 1
-    assert list(inspect.signature(LiveNetwork).parameters) == ["provider"]
+    assert list(inspect.signature(LiveNetwork).parameters) == ["provider", "background"]
 
 
 # --------------------------------------------------- one network per shape

@@ -30,9 +30,11 @@ from repro.experiments import (
     run_trial,
     scenario_names,
 )
-from repro.experiments.scenarios import ScenarioSpec
+import repro.experiments.scenarios as scenarios_mod
+from repro.experiments.scenarios import ScenarioInstance, ScenarioSpec
 from repro.experiments.trials import WorkItem, run_trials, trial_groups
 from test_experiments import _GOLDEN_DIGESTS, _ILP_CELLS
+from test_live_books import tenant_under_load
 
 _ILP_PARAMS = {"ilp": {"time_limit_s": 60.0}}
 
@@ -99,6 +101,11 @@ def _grid_items(scenario, fail_fast=False, params=None):
 
 @pytest.mark.parametrize("scenario", scenario_names())
 def test_grouped_trials_equal_one_build_per_cell(scenario, small_brute_force):
+    _assert_grouped_equal_fresh(scenario)
+
+
+def _assert_grouped_equal_fresh(scenario):
+    """Run the grid of ``scenario`` both ways; return the grouped records."""
     items = _grid_items(scenario)
     grouped = dict(run_trials(items))
     assert sorted(grouped) == list(range(len(items)))
@@ -111,6 +118,29 @@ def test_grouped_trials_equal_one_build_per_cell(scenario, small_brute_force):
     ]
     assert _canonical_records(grouped[i] for i in range(len(items))) == (
         _canonical_records(fresh)
+    )
+    return list(grouped.values())
+
+
+def test_a_copy_runs_beside_another_tenant_as_a_fresh_build_does(
+    monkeypatch, small_brute_force
+):
+    """Arrivals over the other tenant's flows, placer by placer: on the
+    shared build's copies, every record is the one-build-per-cell one."""
+
+    def build(seed):
+        provider, cluster, apps, background = tenant_under_load(seed)
+        return ScenarioInstance(provider, cluster, apps, background=background)
+
+    name = "tenant-under-load"
+    monkeypatch.setitem(
+        scenarios_mod._REGISTRY, name, ScenarioSpec(name, "another tenant's flows", build)
+    )
+    records = _assert_grouped_equal_fresh(name)
+    # Each application ran from its arrival: the last one lands at 400 s.
+    assert all(
+        rec.ok and len(rec.per_app_duration_s) == 3 and rec.makespan_s >= 400.0
+        for rec in records
     )
 
 
@@ -177,7 +207,7 @@ def test_fail_fast_bug_in_a_placer_still_raises(monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic placer bug")
 
-    monkeypatch.setattr(trials_mod, "_run_batch_trial", boom)
+    monkeypatch.setattr(trials_mod, "_run_session", boom)
     with pytest.raises(RuntimeError, match="synthetic placer bug"):
         list(run_trials(_grid_items("smoke", fail_fast=True)))
 
