@@ -30,7 +30,10 @@ from repro.experiments.trials import (  # noqa: F401  (re-exported API)
     run_trial,
 )
 
-DEFAULT_PLACERS: Tuple[str, ...] = ("greedy", "ilp", "random", "round-robin")
+#: Choreo's two placers, then the paper's three §6.2 baselines.
+DEFAULT_PLACERS: Tuple[str, ...] = (
+    "greedy", "ilp", "random", "round-robin", "min-machines",
+)
 
 
 @dataclass(frozen=True)

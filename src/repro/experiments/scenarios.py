@@ -560,53 +560,16 @@ def _build_rack_hotspot(
         "migrate": True,
     },
 )
-def _build_service_churn(
-    seed: int,
-    n_vms: int,
-    hours: float,
-    drift: str,
-    predictor: str,
-    apps_per_hour: float,
-    epoch_s: float,
-    migrate: bool,
-) -> ScenarioInstance:
-    # Imported here so the scenario registry stays importable without the
-    # service stack (and because repro.service.session resolves placers
-    # through this package — a module-level import would be circular).
-    from repro.service.forecast import validate_predictor
-    from repro.service.session import build_churn_session
-
-    validate_predictor(str(predictor))
-    provider, cluster, apps, _timeline = build_churn_session(
-        seed,
-        n_vms=int(n_vms),
-        hours=float(hours),
-        drift=str(drift),
-        apps_per_hour=float(apps_per_hour),
-        epoch_s=float(epoch_s),
-    )
-    return ScenarioInstance(
-        provider=provider,
-        cluster=cluster,
-        apps=apps,
-        service=ServiceSettings(
-            predictor=str(predictor),
-            hours=float(hours),
-            migrate=bool(migrate),
-        ),
-    )
-
-
 @scenario(
     "fault-churn",
     description=(
         "The service-churn session under injected infrastructure faults: "
         "VMs are preempted mid-session (their tasks re-placed via the "
         "migration engine), links degrade (targeted re-measurement), and "
-        "probes are lost (the measurer retries, then coasts on forecasts). "
-        "Sweep `faults` (random-preempt / rack-outage / link-flap / "
-        "lossy-probes) to stress the self-healing control loop; seeded, "
-        "so reruns are bit-identical."
+        "probes are lost (the measurer retries, then coasts on the cached "
+        "rate or the floor).  Sweep `faults` (random-preempt / rack-outage / "
+        "link-flap / lossy-probes) to stress the self-healing control loop; "
+        "seeded, so reruns are bit-identical."
     ),
     tags=("ec2", "service", "faults"),
     defaults={
@@ -621,7 +584,7 @@ def _build_service_churn(
         "fault_strength": 0.0,
     },
 )
-def _build_fault_churn(
+def _build_churn(
     seed: int,
     n_vms: int,
     hours: float,
@@ -630,10 +593,14 @@ def _build_fault_churn(
     apps_per_hour: float,
     epoch_s: float,
     migrate: bool,
-    faults: str,
-    fault_strength: float,
+    faults: str = "none",
+    fault_strength: float = 0.0,
 ) -> ScenarioInstance:
-    # Same lazy imports as service-churn (circular-import avoidance).
+    """Both churn scenarios: ``service-churn`` takes no fault parameter, and
+    so injects none."""
+    # Imported here so the scenario registry stays importable without the
+    # service stack (and because repro.service.session resolves placers
+    # through this package — a module-level import would be circular).
     from repro.service.forecast import validate_predictor
     from repro.service.session import build_churn_session
 

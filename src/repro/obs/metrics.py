@@ -10,9 +10,10 @@ the registry *sums* them at snapshot time, so the global view aggregates
 while each owner keeps its per-instance numbers (the pre-existing
 ``.stats`` properties are thin views over the owner's instruments).
 
-Registration holds weak references: when an owner is garbage collected
-its instruments leave the registry, keeping long-lived processes (the
-placement service) from accumulating dead stores.
+Registration holds weak references, one :class:`weakref.WeakSet` per
+name: when an owner is garbage collected its instruments leave the
+registry at once, so a long sweep that never takes a snapshot does not
+accumulate dead entries.
 
 Increments deliberately take no lock — ``+=`` on a float is atomic
 enough under the GIL for statistics, and these sit on hot paths where a
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from typing import Dict, List
+from typing import Dict
 
 __all__ = [
     "Counter",
@@ -56,28 +57,15 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        # name -> list of weakrefs to instruments sharing that name.
-        self._by_name: Dict[str, List[weakref.ref]] = {}
+        # name -> the live instruments sharing that name.
+        self._by_name: Dict[str, weakref.WeakSet] = {}
 
     # ------------------------------------------------------------ registration
     def register(self, instrument: Counter) -> None:
         with self._lock:
-            self._by_name.setdefault(instrument.name, []).append(
-                weakref.ref(instrument)
+            self._by_name.setdefault(instrument.name, weakref.WeakSet()).add(
+                instrument
             )
-
-    def _live(self) -> Dict[str, List[Counter]]:
-        """Live instruments by name; prunes dead weakrefs as a side effect."""
-        with self._lock:
-            out: Dict[str, List[Counter]] = {}
-            for name, refs in list(self._by_name.items()):
-                live = [inst for inst in (ref() for ref in refs) if inst is not None]
-                if live:
-                    self._by_name[name] = [weakref.ref(i) for i in live]
-                    out[name] = live
-                else:
-                    del self._by_name[name]
-            return out
 
     # --------------------------------------------------------------- snapshots
     def snapshot(self) -> Dict[str, float]:
@@ -86,8 +74,10 @@ class MetricsRegistry:
         Keys are the dotted metric names, sorted, so the snapshot diff-s
         cleanly.
         """
+        with self._lock:
+            live = {name: list(group) for name, group in self._by_name.items() if group}
         out: Dict[str, float] = {}
-        for name, instruments in sorted(self._live().items()):
+        for name, instruments in sorted(live.items()):
             total = sum(inst.value for inst in instruments)
             out[name] = int(total) if float(total).is_integer() else total
         return out

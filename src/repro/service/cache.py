@@ -5,28 +5,31 @@ and every epoch tick.  :class:`MeasurementCache` keeps the last measured
 rate and probe time of every ordered pair (the times come from
 :meth:`~repro.core.network_profile.NetworkProfile.measured_at_matrix`) and,
 on refresh, asks the measurer to re-probe only the pairs whose age exceeds
-the TTL — the rest of the mesh is served from cache.
+the TTL — the rest of the mesh is served from cache.  The bootstrap is the
+refresh at t = 0, when every pair is never-measured and therefore stale.
 
 The store is two dense ``(M, M)`` float arrays in :attr:`MeasurementCache.vms`
 order — last rate and last probe time, ``NaN`` for "never measured" or
-"invalidated".  Staleness is one comparison over the time array, and
-``np.argwhere`` hands the campaign the stale pairs as an ``(m, 2)`` array of
-positions in row-major order: that order fixes the campaign schedule, and
-through it the probe RNG stream.  The view handed to the
-forecaster and the placer is a profile over a copy of the rate array, so an
-admission makes no per-pair Python objects for the pairs it re-probes.
+"invalidated".  Staleness is one comparison over the time array.  When
+every pair is stale the campaign gets ``pairs=None``, the full mesh;
+otherwise ``np.argwhere`` hands it the stale pairs as an ``(m, 2)`` array
+of positions in row-major order.  The full mesh's schedule is that same
+row-major order, so either way the order fixes the campaign schedule, and
+through it the probe RNG stream.  The view handed to the forecaster and
+the placer is a profile over a copy of the rate array, so an admission
+makes no per-pair Python objects for the pairs it re-probes.
 
-The cache also absorbs measurement *failure*: pairs the campaign reports as
-degraded (probes failed even after retries) coast on their last cached rate
-or fall back to a caller-supplied predicted rate matrix, and are
-deliberately left stale so the next refresh re-probes them.
+The cache also absorbs measurement *failure*: a pair the campaign reports
+as degraded (probes failed even after retries) coasts on its last cached
+rate, or takes :data:`DEGRADED_FLOOR_BPS` when it has none, and is
+deliberately left stale so the next refresh re-probes it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -36,19 +39,18 @@ from repro.core.measurement.orchestrator import NetworkMeasurer
 from repro.core.network_profile import NetworkProfile
 from repro.errors import ServiceError
 
-#: Rate used for a degraded pair with no cached value and no fallback:
-#: effectively "assume the worst", matching the measurer's 1 bps floor.
+#: Rate used for a degraded pair with no cached value: effectively "assume
+#: the worst", matching the measurer's 1 bps floor.
 DEGRADED_FLOOR_BPS = 1.0
 
 
 @dataclass
 class CacheStats:
-    """Counters describing how much mesh work the TTL cache avoided.
+    """How much mesh work one cache did and avoided.
 
-    Built on demand by :attr:`MeasurementCache.stats` as a thin view over
-    the cache's :class:`repro.obs.Counter` instruments (process-wide
-    aggregates live in ``obs.metrics.snapshot()`` under
-    ``repro.measure.*``).
+    :attr:`MeasurementCache.stats` is updated in place by every refresh;
+    a session's report carries it.  (Process-wide campaign counts live in
+    ``obs.metrics.snapshot()`` under ``repro.measure.*``.)
     """
 
     campaigns: int = 0
@@ -98,22 +100,7 @@ class MeasurementCache:
         #: diagonal always is).  An invalidated pair keeps its rate.
         self._rates = np.full((n, n), math.nan)
         self._measured_at = np.full((n, n), math.nan)
-        self._campaigns = obs.Counter("repro.measure.campaigns")
-        self._pairs_measured = obs.Counter("repro.measure.pairs_measured")
-        self._pairs_reused = obs.Counter("repro.measure.pairs_reused")
-        self._pairs_degraded = obs.Counter("repro.measure.pairs_degraded")
-        self._measurement_time = obs.Counter("repro.measure.time_s")
-
-    @property
-    def stats(self) -> CacheStats:
-        """This cache's counters as a :class:`CacheStats` view."""
-        return CacheStats(
-            campaigns=self._campaigns.count,
-            pairs_measured=self._pairs_measured.count,
-            pairs_reused=self._pairs_reused.count,
-            pairs_degraded=self._pairs_degraded.count,
-            measurement_time_s=self._measurement_time.value,
-        )
+        self.stats = CacheStats()
 
     # -------------------------------------------------------------- queries
     def _stale(self, now: float) -> np.ndarray:
@@ -146,8 +133,8 @@ class MeasurementCache:
             self._measured_at = np.delete(self._measured_at, gone, axis=axis)
 
     def invalidate_vm(self, vm: str) -> int:
-        """Force every pair touching ``vm`` stale (cached rates survive as a
-        fallback).
+        """Make every pair touching ``vm`` stale (cached rates survive, for
+        a pair the next campaign cannot measure to coast on).
 
         Used for targeted re-measurement: when a fault event degrades a
         VM's link, the service invalidates its row and column so the next
@@ -169,56 +156,45 @@ class MeasurementCache:
 
     # -------------------------------------------------------------- refresh
     def refresh(
-        self,
-        now: float,
-        background: Sequence[VMFlow] = (),
-        force: bool = False,
-        fallback: Optional[Callable[[Sequence[str]], Optional[np.ndarray]]] = None,
+        self, now: float, background: Sequence[VMFlow] = ()
     ) -> NetworkProfile:
         """Re-probe stale pairs and return the merged full-mesh profile.
 
         Args:
             now: current provider time (ages are computed against it).
             background: flows the campaign should see as cross traffic.
-            force: re-probe the full mesh regardless of age.
-            fallback: called with :attr:`vms`, at most once per refresh and
-                only if a pair the campaign reported as degraded has no
-                cached rate; may return a predicted ``(M, M)`` rate matrix
-                in that order (the service passes the forecaster here).  A
-                degraded pair without a positive prediction gets
-                :data:`DEGRADED_FLOOR_BPS`; one with a cached rate coasts
-                on it.  Either way the pair's timestamp is *not* advanced,
-                so it stays stale and is re-probed on the next refresh.
+
+        A degraded pair coasts on its cached rate, or takes
+        :data:`DEGRADED_FLOOR_BPS` without one (only a bootstrap campaign
+        can leave a pair so).  Either way its timestamp is *not* advanced,
+        so it stays stale and is re-probed on the next refresh.
         """
         n = len(self.vms)
-        # The campaign's pairs as positions in ``vms``, in row-major order.
-        stale = np.argwhere(~np.eye(n, dtype=bool) if force else self._stale(now))
-        with obs.span(
-            "service.cache_refresh", stale=len(stale), force=bool(force)
-        ):
-            if len(stale):
+        stale = self._stale(now)
+        n_stale = int(np.count_nonzero(stale))
+        stats = self.stats
+        with obs.span("service.cache_refresh", stale=n_stale):
+            if n_stale:
+                # The campaign's pairs as positions in ``vms``, in row-major
+                # order; the full mesh is the campaign's own schedule.
                 fresh = self.measurer.measure(
-                    self.vms, background=background, pairs=stale
+                    self.vms, background=background,
+                    pairs=None if n_stale == n * (n - 1) else np.argwhere(stale),
                 )
                 probed_at = fresh.measured_at_matrix()
                 probed = ~np.isnan(probed_at)
                 self._rates[probed] = fresh.rate_matrix()[probed]
                 self._measured_at[probed] = probed_at[probed]
-                index = self._index
-                predicted: Optional[np.ndarray] = None
-                asked = fallback is None
                 for src, dst in fresh.degraded_pairs:
-                    at = index[src], index[dst]
+                    at = self._index[src], self._index[dst]
                     if math.isnan(self._rates[at]):
-                        if not asked:
-                            predicted, asked = fallback(self.vms), True
-                        value = math.nan if predicted is None else predicted[at]
-                        self._rates[at] = value if value > 0 else DEGRADED_FLOOR_BPS
-                self._campaigns.inc()
-                self._pairs_measured.inc(len(stale) - len(fresh.degraded_pairs))
-                self._pairs_degraded.inc(len(fresh.degraded_pairs))
-                self._measurement_time.inc(fresh.measurement_duration_s)
-            self._pairs_reused.inc(n * (n - 1) - len(stale))
+                        self._rates[at] = DEGRADED_FLOOR_BPS
+                degraded = len(fresh.degraded_pairs)
+                stats.campaigns += 1
+                stats.pairs_measured += n_stale - degraded
+                stats.pairs_degraded += degraded
+                stats.measurement_time_s += fresh.measurement_duration_s
+            stats.pairs_reused += n * (n - 1) - n_stale
             return self.profile(now)
 
     def profile(self, now: float) -> NetworkProfile:

@@ -22,13 +22,16 @@ not sink the session.  Without migration and with a TTL below the arrival
 gaps, this is the §6.3 arrival loop: each application is placed against a
 measurement taken under the load of those still running.  A placer that
 reads no profile (:attr:`~repro.core.placement.base.Placer.needs_profile`)
-gets none then: with nothing to migrate, the session measures nothing.
+gets none then: with nothing to migrate, the session measures nothing and
+builds no measurement cache.
 
 Two special predictors bound the comparison: ``stale`` places every
 application against the frozen hour-0 profile (what an offline evaluator
 implicitly does — and measures nothing after bootstrap), and ``oracle``
 reads the true current rates straight off the provider, the regret
-reference.
+reference, and builds no cache either.  The cache's refresh is the one way
+a session measures: the bootstrap is its refresh at t = 0, when every pair
+is stale.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from repro.runtime.migration import (
     cluster_with_live_usage,
     propose_migration,
 )
-from repro.service.cache import MeasurementCache
+from repro.service.cache import CacheStats, MeasurementCache
 from repro.service.forecast import RateForecaster, validate_predictor
 from repro.service.timeline import (
     DEFAULT_EPOCH_S,
@@ -335,14 +338,20 @@ class PlacementService:
         if not self.ttl_s > 0:
             raise ServiceError("ttl_s must be positive")
         self.migrate = migrate
-        measurer = NetworkMeasurer(provider, plan=_CAMPAIGN_PLAN)
-        self.cache = MeasurementCache(
-            measurer, cluster.machine_names(), ttl_s=self.ttl_s
-        )
-        self.forecaster = RateForecaster() if predictor == "combined" else None
         #: A placer that reads no profile needs no campaign, and nor does
         #: the session then: migration is what would price one.
         self._measures = placer.needs_profile or migrate
+        #: The session's measurements, ``None`` where it takes none: it reads
+        #: no profile, or the oracle reads the truth instead.
+        self.cache: Optional[MeasurementCache] = None
+        self.forecaster: Optional[RateForecaster] = None
+        if self._measures and self.predictor != "oracle":
+            self.cache = MeasurementCache(
+                NetworkMeasurer(provider, plan=_CAMPAIGN_PLAN),
+                cluster.machine_names(), ttl_s=self.ttl_s,
+            )
+            if self.predictor == "combined":
+                self.forecaster = RateForecaster()
         self._migrations: List[MigrationEvent] = []
         self._recovery: List[RecoveryAction] = []
         #: The books of every application the last session ran to the end
@@ -456,12 +465,12 @@ class PlacementService:
         fault_watermark = 0.0
         have_faults = timeline is not None and bool(timeline.events)
 
-        # Epoch-0 bootstrap: the classic measure-then-place full mesh.
-        if self._measures and self.predictor != "oracle":
+        # Epoch-0 bootstrap: every pair is stale, so the refresh is the
+        # classic measure-then-place full mesh.
+        if self.cache is not None:
             place_started = time.perf_counter()
             self.cache.refresh(
-                now, background=network.campaign_background(running, now), force=True,
-                fallback=self._forecast_fallback(epoch),
+                now, background=network.campaign_background(running, now)
             )
             placement_wall += time.perf_counter() - place_started
 
@@ -520,43 +529,15 @@ class PlacementService:
         report.apps = [outcomes[app.name] for app in ordered]
         report.migrations = list(self._migrations)
         report.recovery = list(self._recovery)
-        report.measurement = self.cache.stats.to_json_dict()
+        report.measurement = (
+            self.cache.stats if self.cache is not None else CacheStats()
+        ).to_json_dict()
         report.placement_wall_s = placement_wall
         report.admission_wall_s = admission_wall
         report.session_wall_s = time.perf_counter() - session_started
         return report
 
     # ------------------------------------------------------------ internals
-    def _forecast_fallback(self, epoch: int):
-        """Predicted-rate fallback for pairs a campaign could not measure.
-
-        ``None`` for the stale/oracle controls (they never refresh); for
-        ``combined``, a callable the :class:`MeasurementCache` invokes
-        with its VMs — the forecaster's predicted matrix in that order
-        stands in for the unobtainable measurements (flagged via
-        ``pairs_degraded`` in stats).
-        """
-        if self.forecaster is None:
-            return None
-        forecaster = self.forecaster
-        return lambda vms: forecaster.predicted_matrix(vms, epoch)
-
-    def _recovery_profile(self) -> Optional[NetworkProfile]:
-        """The profile forced re-placements are made against.
-
-        The oracle reads true rates; everyone else uses the cache's
-        last-known view *without probing* — recovery must work even past
-        the measurement horizon, and the affected VM's pairs are already
-        gone from the mesh by the time this is called.  A session that
-        measures nothing has none.
-        """
-        if not self._measures:
-            return None
-        if self.predictor == "oracle":
-            names = self.cluster.machine_names()
-            return NetworkProfile(names, self.provider.true_path_rates(names))
-        return self.cache.profile(self.provider.now)
-
     def _handle_fault_events(
         self,
         events: Sequence[FaultEvent],
@@ -586,7 +567,8 @@ class PlacementService:
                 self._recover_degradation(event, running, now, epoch)
             elif isinstance(event, ProbeLoss):
                 # The measurement layer already absorbed this (retry, then
-                # forecast fallback); record that the service coasted.
+                # the cached rate or the floor); record that the service
+                # coasted.
                 self._record_recovery(
                     RecoveryAction(
                         time_s=now,
@@ -634,7 +616,7 @@ class PlacementService:
         now: float,
         epoch: int,
     ) -> None:
-        """Remove a preempted VM and force-re-place the apps it carried."""
+        """Remove a preempted VM and re-place the apps it carried."""
         vm = event.vm
         if vm not in self.cluster.machine_names():
             return  # already removed (duplicate event)
@@ -657,7 +639,7 @@ class PlacementService:
                 k: v for k, v in self.cluster.cpu_used.items() if k != vm
             },
         )
-        if vm in self.cache.vms:
+        if self.cache is not None and vm in self.cache.vms:
             self.cache.remove_vm(vm)
         replaced: List[str] = []
         rejected: List[str] = []
@@ -668,7 +650,7 @@ class PlacementService:
                 placement = self.placer.place(
                     remaining_app,
                     cluster_with_live_usage(self.cluster, running, exclude=name),
-                    self._recovery_profile(),
+                    self._placement_profile(now),
                 )
             except ReproError as exc:
                 # Cannot re-place the survivor tasks: the app fails
@@ -715,12 +697,15 @@ class PlacementService:
         epoch: int,
     ) -> None:
         """Invalidate cached pairs touching a degraded VM (targeted
-        re-measurement at the next refresh); controls without a live cache
-        coast on what they have."""
+        re-measurement at the next refresh); a session that never refreshes
+        after its bootstrap (``stale``, ``oracle``, or one that measures
+        nothing) coasts on what it has."""
         vm = event.vm
         affected = self._apps_on_vm(running, vm)
-        uses_cache = self._measures and self.forecaster is not None
-        if uses_cache and vm in self.cache.vms:
+        if (
+            self.predictor == "combined" and self.cache is not None
+            and vm in self.cache.vms
+        ):
             self.cache.invalidate_vm(vm)
             action = "re-measured"
         else:
@@ -735,31 +720,41 @@ class PlacementService:
         )
 
     def _placement_profile(
-        self, running: Dict[str, LiveApp], now: float, epoch: int
+        self, now: float, running: Optional[Dict[str, LiveApp]] = None,
+        epoch: int = 0,
     ) -> Optional[NetworkProfile]:
-        """The profile placements during ``epoch`` should be made against.
+        """The profile a decision at ``now`` is made against.
 
-        One profile serves every decision made at an instant: the TTL cache
-        means a second refresh within the TTL returns the same rates anyway,
-        so per-decision re-probing (with, say, per-app background exclusion)
-        would only make the *first* decision of a tick special — the running
-        apps' own traffic is part of what the campaign sees, for every app
-        alike, exactly as the paper's measure-under-load admission does.
-        Both sides of every migration comparison are priced on this same
-        profile, so the self-interference bias cancels in the gain.  A
-        session that measures nothing has none.
+        Admissions and migrations pass the ``running`` applications: the
+        ``combined`` session then refreshes the cache, with their traffic
+        as the campaign's cross traffic, and places on the forecast for
+        ``epoch``.  One profile serves every decision made at an instant:
+        the TTL cache means a second refresh within the TTL returns the
+        same rates anyway, so per-decision re-probing (with, say, per-app
+        background exclusion) would only make the *first* decision of a
+        tick special — the running apps' own traffic is part of what the
+        campaign sees, for every app alike, exactly as the paper's
+        measure-under-load admission does.  Both sides of every migration
+        comparison are priced on this same profile, so the
+        self-interference bias cancels in the gain.
+
+        A re-placement after a preemption passes no ``running`` and reads
+        the cache's last-known view *without probing* — recovery must work
+        even past the measurement horizon, and the affected VM's pairs are
+        already gone from the mesh by the time it is called.  ``stale`` always
+        reads that frozen view (its bootstrap mesh, never refreshed), and
+        the ``oracle`` the true rates.  A session that measures nothing has
+        no profile.
         """
         if not self._measures:
             return None
         if self.predictor == "oracle":
             names = self.cluster.machine_names()
             return NetworkProfile(names, self.provider.true_path_rates(names))
-        if self.predictor == "stale":
-            # Frozen hour-0 view: bootstrap mesh only, never refreshed.
+        if self.predictor == "stale" or running is None:
             return self.cache.profile(now)
         current = self.cache.refresh(
-            now, background=self._network.campaign_background(running, now),
-            fallback=self._forecast_fallback(epoch),
+            now, background=self._network.campaign_background(running, now)
         )
         return self.forecaster.forecast_profile(current, epoch)
 
@@ -794,13 +789,12 @@ class PlacementService:
             # Still refresh the cache so history keeps accumulating.
             if self.forecaster is not None:
                 self.cache.refresh(
-                    now, background=self._network.campaign_background(running, now),
-                    fallback=self._forecast_fallback(epoch),
+                    now, background=self._network.campaign_background(running, now)
                 )
             return
         # One refresh + forecast per tick, shared by every migration
         # decision below (see _placement_profile for why).
-        profile = self._placement_profile(running, now, epoch)
+        profile = self._placement_profile(now, running, epoch)
         for name in sorted(running):
             state = running[name]
             if state.done:
@@ -850,7 +844,7 @@ class PlacementService:
         while remaining_pending and remaining_pending[0].start_time <= now + 1e-9:
             app = remaining_pending.pop(0)
             started = time.perf_counter()
-            profile = self._placement_profile(running, now, epoch)
+            profile = self._placement_profile(now, running, epoch)
             cluster_now = cluster_with_live_usage(self.cluster, running)
             error: Optional[ReproError] = None
             try:

@@ -8,16 +8,18 @@ those matrices with :func:`repro.workloads.predictability.predict`, the
 function the §6.1 analysis runs over an hourly byte series.  Its two parts
 stay in :func:`~repro.workloads.predictability.predict` for that analysis;
 a session does not take them, because within a day of epochs both forecast
-exactly what ``combined`` does.  Two more predictors are the engine's
-controls and never forecast: ``stale`` places against the frozen hour-0
-profile (what every offline scenario implicitly does) and ``oracle`` reads
-true rates off the ground-truth timeline.
+exactly what ``combined`` does.  A forecast rewrites the profile the
+placer reads, never the cache: a pair the campaign could not measure
+keeps its cached rate or the cache's floor.  Two more predictors are the
+engine's controls and never forecast: ``stale`` places against the frozen
+hour-0 profile (what every offline scenario implicitly does) and ``oracle``
+reads true rates off the ground-truth timeline.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -89,28 +91,20 @@ class RateForecaster:
             rates[np.ix_(at, at)] = observed
         self._epochs.append(rates)
 
-    def predicted_matrix(
-        self, vms: Sequence[str], epoch: int
-    ) -> Optional[np.ndarray]:
-        """The mesh's forecast for ``epoch`` from the epochs before it,
-        aligned to ``vms`` (``None`` with none recorded)."""
-        predicted = predict(self._epochs[:epoch], "combined")
-        if predicted is None or list(vms) == self._vms:
-            return predicted
-        at = self._positions(vms)
-        return predicted[np.ix_(at, at)]
-
     def forecast_profile(self, current: NetworkProfile, epoch: int) -> NetworkProfile:
         """The profile the placer should see for placements during ``epoch``.
 
-        Every pair of ``current`` is replaced by its forecast; with no
-        recorded history yet (epoch 0) the measured profile stands, so the
-        degenerate first-epoch case reduces to the classic
-        measure-then-place flow.
+        Every pair of ``current`` is replaced by its forecast from the
+        epochs before ``epoch``, floored at 1 bps; with no recorded history
+        yet (epoch 0) the measured profile stands, so the degenerate
+        first-epoch case reduces to the classic measure-then-place flow.
         """
-        predicted = self.predicted_matrix(current.vms, epoch)
+        predicted = predict(self._epochs[:epoch], "combined")
         if predicted is None:
             return current
+        if current.vms != self._vms:
+            at = self._positions(current.vms)
+            predicted = predicted[np.ix_(at, at)]
         measured = current.rate_matrix()
         forecast = ~np.isnan(predicted) & ~np.isnan(measured)
         rates = np.where(forecast, np.maximum(predicted, 1.0), measured)

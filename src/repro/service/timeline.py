@@ -17,7 +17,7 @@ changes the network under a session, in two parts:
   in its hose vector and the probe paths; the
   :class:`~repro.service.engine.PlacementService` consumes them at epoch
   ticks and heals (re-place preempted apps, re-measure degraded links,
-  coast on forecasts through probe loss).
+  coast on cached rates through probe loss).
 
 A VM's rate at time ``t`` is the epoch rate (or the provider's own drift
 when the timeline does not cover the VM), then either the preemption floor

@@ -15,7 +15,7 @@ import random
 import subprocess
 import sys
 import textwrap
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
@@ -235,22 +235,7 @@ class DictMeasurementCache:
         self.ttl_s = ttl_s
         self._rates: Dict[Tuple[str, str], float] = {}
         self._measured_at: Dict[Tuple[str, str], float] = {}
-        self._campaigns = obs.Counter("repro.measure.campaigns")
-        self._pairs_measured = obs.Counter("repro.measure.pairs_measured")
-        self._pairs_reused = obs.Counter("repro.measure.pairs_reused")
-        self._pairs_degraded = obs.Counter("repro.measure.pairs_degraded")
-        self._measurement_time = obs.Counter("repro.measure.time_s")
-
-    @property
-    def stats(self) -> CacheStats:
-        """This cache's counters as a :class:`CacheStats` view."""
-        return CacheStats(
-            campaigns=self._campaigns.count,
-            pairs_measured=self._pairs_measured.count,
-            pairs_reused=self._pairs_reused.count,
-            pairs_degraded=self._pairs_degraded.count,
-            measurement_time_s=self._measurement_time.value,
-        )
+        self.stats = CacheStats()
 
     # -------------------------------------------------------------- queries
     def mesh_pairs(self) -> List[Tuple[str, str]]:
@@ -309,30 +294,19 @@ class DictMeasurementCache:
         return invalidated
 
     # -------------------------------------------------------------- refresh
-    def refresh(
-        self,
-        now: float,
-        background: Sequence[VMFlow] = (),
-        force: bool = False,
-        fallback: Optional[Callable[[Tuple[str, str]], Optional[float]]] = None,
-    ) -> NetworkProfile:
+    def refresh(self, now: float, background: Sequence[VMFlow] = ()) -> NetworkProfile:
         """Re-probe stale pairs and return the merged full-mesh profile.
 
         Args:
             now: current provider time (ages are computed against it).
             background: flows the campaign should see as cross traffic.
-            force: re-probe the full mesh regardless of age.
-            fallback: called with a pair the campaign reported as degraded
-                and that has no cached rate; may return a predicted rate
-                (the service passes the forecaster here).  Degraded pairs
-                with a cached rate coast on it.  Either way the pair's
-                timestamp is *not* advanced, so it stays stale and is
-                re-probed on the next refresh.
+
+        A degraded pair coasts on its cached rate, or takes the floor
+        without one.  Either way its timestamp is *not* advanced, so it
+        stays stale and is re-probed on the next refresh.
         """
-        stale = self.mesh_pairs() if force else self.stale_pairs(now)
-        with obs.span(
-            "service.cache_refresh", stale=len(stale), force=bool(force)
-        ):
+        stale = self.stale_pairs(now)
+        with obs.span("service.cache_refresh", stale=len(stale)):
             if stale:
                 fresh = self.measurer.measure(
                     self.vms, background=background, pairs=stale
@@ -343,19 +317,12 @@ class DictMeasurementCache:
                     self._rates[pair] = rates.item(i, j)
                     self._measured_at[pair] = stamps.item(i, j)
                 for pair in fresh.degraded_pairs:
-                    if pair not in self._rates:
-                        predicted = (
-                            fallback(pair) if fallback is not None else None
-                        )
-                        self._rates[pair] = (
-                            predicted if predicted is not None and predicted > 0
-                            else DEGRADED_FLOOR_BPS
-                        )
-                self._campaigns.inc()
-                self._pairs_measured.inc(len(stale) - len(fresh.degraded_pairs))
-                self._pairs_degraded.inc(len(fresh.degraded_pairs))
-                self._measurement_time.inc(fresh.measurement_duration_s)
-            self._pairs_reused.inc(len(self.mesh_pairs()) - len(stale))
+                    self._rates.setdefault(pair, DEGRADED_FLOOR_BPS)
+                self.stats.campaigns += 1
+                self.stats.pairs_measured += len(stale) - len(fresh.degraded_pairs)
+                self.stats.pairs_degraded += len(fresh.degraded_pairs)
+                self.stats.measurement_time_s += fresh.measurement_duration_s
+            self.stats.pairs_reused += len(self.mesh_pairs()) - len(stale)
             return self.profile(now)
 
     def profile(self, now: float) -> NetworkProfile:
@@ -577,6 +544,15 @@ def _epoch_profile(rng: random.Random, vms: List[str]):
     return NetworkProfile(vms, pair_matrix(vms, lambda a, b: rng.uniform(1e7, 1e9)))
 
 
+def _forecast_of(forecaster: RateForecaster, vms: List[str], epoch: int) -> np.ndarray:
+    """The forecast for ``epoch`` of every pair of ``vms``, ``NaN`` where
+    there is none: it is laid over a profile of 0.5 bps, below every
+    forecast's 1 bps floor, which shows through exactly there."""
+    unforecast = NetworkProfile(vms, np.full((len(vms),) * 2, 0.5))
+    rates = forecaster.forecast_profile(unforecast, epoch).rate_matrix()
+    return np.where(rates == 0.5, math.nan, rates)
+
+
 class TestForecasterAgainstScalarPredictors:
     """:class:`RateForecaster` against the scalar ``combined`` predictor and
     ``predict`` against all three scalar predictors of
@@ -630,12 +606,12 @@ class TestForecasterAgainstScalarPredictors:
                     assert got.rate_matrix()[i, j] == want, (epoch, asked, pair)
                 if epoch % 9 and epoch < self.EPOCHS - 3:
                     continue
-                predicted = forecaster.predicted_matrix(mesh, asked)
+                predicted = _forecast_of(forecaster, mesh, asked)
                 for pair, values in series.items():
                     history = values[:asked]
                     expected = self._expected(history)
                     at = mesh.index(pair[0]), mesh.index(pair[1])
-                    got = None if predicted is None or math.isnan(predicted[at]) else predicted[at]
+                    got = None if math.isnan(predicted[at]) else predicted[at]
                     assert got == expected, (epoch, asked, pair)
                     if history and "c" not in pair:
                         # ``predict`` on the pair's own series, as a 1-D array.
@@ -673,18 +649,16 @@ class TestForecasterAgainstScalarPredictors:
         for call in (
             lambda: forecaster.record_epoch(2, _epoch_profile(rng, ["a", "d"])),
             lambda: forecaster.forecast_profile(_epoch_profile(rng, ["d", "a"]), 2),
-            lambda: forecaster.predicted_matrix(["a", "d"], 2),
         ):
             with pytest.raises(ServiceError, match="'d' is outside the forecaster's mesh"):
                 call()
         # b's last epoch is NaN: no forecast for a -> b from it.
-        assert math.isnan(forecaster.predicted_matrix(["a", "b"], 2)[0, 1])
-        assert not math.isnan(forecaster.predicted_matrix(["a", "b"], 1)[0, 1])
+        assert math.isnan(_forecast_of(forecaster, ["a", "b"], 2)[0, 1])
+        assert not math.isnan(_forecast_of(forecaster, ["a", "b"], 1)[0, 1])
 
     def test_epoch_order_no_history_and_fallback_floor(self):
         forecaster = RateForecaster()
         current = _epoch_profile(random.Random(1), ["a", "b"])
-        assert forecaster.predicted_matrix(["a", "b"], 0) is None
         assert forecaster.forecast_profile(current, 0) is current
         forecaster.record_epoch(
             0, NetworkProfile(["a", "b"], [[math.nan, 0.25], [math.nan, math.nan]])
@@ -717,8 +691,10 @@ def test_a_forecast_leaves_numpy_ma_unimported():
             NetworkProfile(["a", "b"], np.full((2, 2), 2e9)), 3
         ).rate_matrix()
         assert forecast[0, 1] == 1e9 + 2, forecast
-        assert forecaster.predicted_matrix(["a", "c"], 2)[0, 1] == 1e9 + 1
-        assert math.isnan(forecaster.predicted_matrix(["a", "c"], 3)[0, 1])
+        on_a_c = NetworkProfile(["a", "c"], np.full((2, 2), 2e9))
+        assert forecaster.forecast_profile(on_a_c, 2).rate_matrix()[0, 1] == 1e9 + 1
+        # c is NaN in epoch 2: the measured rate stands.
+        assert forecaster.forecast_profile(on_a_c, 3).rate_matrix()[0, 1] == 2e9
         assert "numpy.ma" not in sys.modules, "a forecast imported numpy.ma"
     """)
     src = os.path.dirname(os.path.dirname(repro.__file__))
@@ -747,7 +723,9 @@ class _ScriptedMeasurer:
         self.asked: List[List[Tuple[str, str]]] = []
 
     def measure(self, vm_names, background=(), pairs=None):
-        if isinstance(pairs, np.ndarray):  # positions in vm_names
+        if pairs is None:  # the full mesh, in the campaign's row-major order
+            pairs = _mesh(vm_names)
+        elif isinstance(pairs, np.ndarray):  # positions in vm_names
             pairs = [(vm_names[s], vm_names[d]) for s, d in pairs.tolist()]
         pairs = list(pairs)
         self.asked.append(pairs)
@@ -793,10 +771,6 @@ class TestCacheAgainstDictCache:
         rng = random.Random(2)
         vms = [f"vm-{i}" for i in (3, 10, 1, 7, 12, 5)]
         ours, reference = _twin_caches(vms, ttl_s=30.0)
-        fallback = lambda pair: 123.0 if pair[0] < pair[1] else None  # noqa: E731
-
-        def predicted(vms):  # ``fallback``, as the matrix the cache asks for
-            return pair_matrix(vms, lambda a, b: fallback((a, b)) or math.nan)
         now = 0.0
         for step in range(120):
             now += rng.choice([1.0, 7.0, 15.0, 30.0, 31.0])
@@ -807,9 +781,9 @@ class TestCacheAgainstDictCache:
                 for cache in (ours, reference):
                     cache.measurer.now = now
                     cache.measurer.degrade = lost
-                force = rng.random() < 0.1
-                got = ours.refresh(now, force=force, fallback=predicted)
-                expected = reference.refresh(now, force=force, fallback=fallback)
+                rng.random()  # once drew a forced refresh: the draw keeps the life
+                got = ours.refresh(now)
+                expected = reference.refresh(now)
                 assert ours.measurer.asked == reference.measurer.asked
                 assert got.vms == expected.vms
                 np.testing.assert_array_equal(got.rate_matrix(), expected.rate_matrix())
@@ -827,9 +801,10 @@ class TestCacheAgainstDictCache:
             _assert_same_view(ours, reference, now)
         assert ours.stats.pairs_degraded > 0 and len(ours.vms) < len(vms)
 
-    def test_refresh_hands_the_campaign_positions(self):
-        """The campaign gets the stale pairs as an ``(m, 2)`` position array
-        in ``vms`` order — ``stale_pairs`` (or, forced, the whole mesh),
+    def test_refresh_hands_the_campaign_the_mesh_or_positions(self):
+        """A refresh with every pair stale hands the campaign ``pairs=None``
+        (its own full-mesh schedule); a partial one hands it the stale pairs
+        as an ``(m, 2)`` position array in ``vms`` order — ``stale_pairs``,
         row for row — not a list of name pairs."""
         ours, _ = _twin_caches(["b", "a", "c", "d"], ttl_s=10.0)
         asked = []
@@ -841,13 +816,15 @@ class TestCacheAgainstDictCache:
 
         ours.measurer.measure = spy
         wanted = []
-        for now, force in ((0.0, False), (15.0, False), (16.0, True)):
-            wanted.append(_mesh(ours.vms) if force else stale_pairs(ours, now))
-            ours.refresh(now, force=force)
+        for now in (0.0, 15.0, 1000.0):
+            wanted.append(stale_pairs(ours, now))
+            ours.refresh(now)
         assert [len(pairs) for pairs in wanted] == [12, 3, 12]
-        for pairs, names in zip(asked, wanted):
-            assert isinstance(pairs, np.ndarray) and pairs.shape == (len(names), 2)
-            assert [(ours.vms[s], ours.vms[d]) for s, d in pairs.tolist()] == names
+        full, partial, expired = asked
+        assert full is None and expired is None
+        assert isinstance(partial, np.ndarray) and partial.shape == (3, 2)
+        assert [(ours.vms[s], ours.vms[d]) for s, d in partial.tolist()] == wanted[1]
+        assert ours.measurer.asked[0] == ours.measurer.asked[2] == _mesh(ours.vms)
 
     def test_exact_ttl_boundary_is_still_fresh(self):
         ours, _ = _twin_caches(["a", "b", "c"], ttl_s=60.0)
@@ -887,34 +864,24 @@ class TestCacheAgainstDictCache:
         with pytest.raises(ServiceError, match="at least two"):
             ours.remove_vm("a")
 
-    def test_degraded_pairs_coast_fall_back_or_floor(self):
+    def test_degraded_pairs_coast_or_floor(self):
         ours, _ = _twin_caches(["a", "b", "c"], ttl_s=10.0)
         ours.measurer.degrade = {("a", "b"), ("b", "a"), ("c", "a")}
-        asked = []
-
-        def predicted(vms):  # called at most once a refresh, with the cache's VMs
-            asked.append(list(vms))
-            return pair_matrix(vms, {("a", "b"): 4e8, ("b", "a"): -1.0})
-
-        first = ours.refresh(0.0, fallback=predicted).rate_matrix()
-        # No cached rate: the forecast, or the floor when there is none
-        # (or it is not positive).
-        assert first[0, 1] == 4e8
-        assert first[1, 0] == first[2, 0] == DEGRADED_FLOOR_BPS
-        assert asked == [["a", "b", "c"]]
+        first = ours.refresh(0.0).rate_matrix()
+        # No cached rate: the floor.
+        assert first[0, 1] == first[1, 0] == first[2, 0] == DEGRADED_FLOOR_BPS
         assert ours.stats.pairs_degraded == 3 and ours.stats.pairs_measured == 3
         # Degraded pairs are left stale: the next refresh re-probes them
         # (and only them), and this time they answer.
         ours.measurer.degrade = set()
-        second = ours.refresh(1.0, fallback=predicted).rate_matrix()
+        second = ours.refresh(1.0).rate_matrix()
         assert ours.measurer.asked[-1] == [("a", "b"), ("b", "a"), ("c", "a")]
-        assert second[0, 1] != 4e8
-        # With a cached rate a degraded pair coasts on it, fallback or not.
+        assert second[0, 1] != DEGRADED_FLOOR_BPS
+        # With a cached rate a degraded pair coasts on it.
         ours.measurer.degrade = {("a", "b")}
-        third = ours.refresh(100.0, fallback=predicted).rate_matrix()
+        third = ours.refresh(100.0).rate_matrix()
         assert third[0, 1] == second[0, 1]
         assert ("a", "b") in stale_pairs(ours, 100.0)
-        assert len(asked) == 1  # nothing was left without a rate since
 
     def test_profile_needs_a_full_mesh_and_does_not_alias_the_cache(self):
         ours, _ = _twin_caches(["a", "b", "c"], ttl_s=10.0)

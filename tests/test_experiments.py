@@ -85,17 +85,17 @@ def test_arrival_scenarios_run_the_arrival_loop_and_measure_beside_the_other_ten
     profiles = []
     refresh = MeasurementCache.refresh
 
-    def kept(cache, now, background=(), force=False, fallback=None):
-        profiles.append((now, force, refresh(cache, now, background, force, fallback)))
-        return profiles[-1][2]
+    def kept(cache, now, background=()):
+        profiles.append((now, refresh(cache, now, background)))
+        return profiles[-1][1]
 
     monkeypatch.setattr(MeasurementCache, "refresh", kept)
 
     seed = trial_seed(0, "cross-traffic", 0)
     instance = get_scenario("cross-traffic").build(seed=seed)
     assert run_trial("cross-traffic", "greedy", 0, 0, instance=instance).ok
-    (now, force, bootstrap), *_ = profiles
-    assert (now, force) == (0.0, True)
+    (now, bootstrap), *_ = profiles
+    assert now == 0.0
     names = instance.cluster.machine_names()
 
     def measured(background=()):

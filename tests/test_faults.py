@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
 from repro.errors import ReproError, ServiceError, WorkloadError
+from repro.service.cache import DEGRADED_FLOOR_BPS, MeasurementCache
 from repro.service.engine import PlacementService
 from repro.service.session import _resolve_placer, build_churn_session, run_churn_session
 from repro.service.timeline import (
@@ -452,15 +453,19 @@ def test_a_link_degradation_re_measures_its_vm_and_nothing_else():
     measure = service.cache.measurer.measure
 
     def spy(vm_names, background=(), pairs=None):
-        asked.append({(vm_names[s], vm_names[d]) for s, d in pairs.tolist()})
+        asked.append(
+            None if pairs is None
+            else {(vm_names[s], vm_names[d]) for s, d in pairs.tolist()}
+        )
         return measure(vm_names, background=background, pairs=pairs)
 
     service.cache.measurer.measure = spy
     report = service.run_session(apps, hours=QUICK["hours"])
     degraded = [a for a in report.recovery if a.kind == "link-degradation"]
     assert [(a.target, a.action) for a in degraded] == [(vm, "re-measured")]
-    # The bootstrap mesh of 5 VMs, then the 8 pairs touching the degraded one.
-    assert [len(pairs) for pairs in asked] == [20, 8]
+    # The bootstrap's full mesh, then the 8 pairs touching the degraded VM
+    # of 5.
+    assert asked[0] is None and [len(pairs) for pairs in asked[1:]] == [8]
     assert all(vm in pair for pair in asked[1])
 
 
@@ -481,6 +486,36 @@ def test_probe_loss_burst_degrades_pairs_without_crashing():
     report = service.run_session(apps, hours=3.0)
     assert all(o.status in ("completed", "rejected") for o in report.apps)
     assert report.measurement.get("pairs_degraded", 0) >= 1
+
+
+@pytest.mark.parametrize("predictor", ["combined", "stale"])
+def test_probe_loss_at_bootstrap_floors_the_pair(predictor, monkeypatch):
+    """A pair the bootstrap campaign cannot measure has no cached rate to
+    coast on and no history to forecast from: it takes the floor, and stays
+    stale."""
+    provider, cluster, apps, _ = build_churn_session(0, **QUICK)
+    vms = cluster.machine_names()
+    _add_events(provider, ProbeLoss(src=vms[1], dst=vms[3], start_s=0.0, end_s=1.0))
+    profiles = []
+    refresh = MeasurementCache.refresh
+
+    def kept(cache, now, background=()):
+        profiles.append((now, refresh(cache, now, background)))
+        return profiles[-1][1]
+
+    monkeypatch.setattr(MeasurementCache, "refresh", kept)
+    service = PlacementService(
+        provider, cluster, _resolve_placer("greedy", 0, None), predictor=predictor,
+    )
+    report = service.run_session(apps, hours=QUICK["hours"])
+    (now, bootstrap), *_ = profiles
+    rates = bootstrap.rate_matrix()
+    assert now == 0.0 and rates[1, 3] == DEGRADED_FLOOR_BPS
+    assert np.count_nonzero(rates == DEGRADED_FLOOR_BPS) == 1
+    assert report.measurement["pairs_degraded"] == 1
+    if predictor == "stale":  # never refreshed: the floor is what it places on
+        assert len(profiles) == 1
+        assert service.cache.profile(0.0).rate_matrix()[1, 3] == DEGRADED_FLOOR_BPS
 
 
 def test_recovery_actions_serialise_into_the_report():

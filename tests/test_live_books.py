@@ -323,9 +323,9 @@ def test_campaigns_see_what_the_other_tenant_has_left_and_the_books_never_count_
     seen = []  # per refresh: (now, the other tenant's flows it saw)
     refresh = MeasurementCache.refresh
 
-    def spying_refresh(cache, now, background=(), force=False, fallback=None):
+    def spying_refresh(cache, now, background=()):
         seen.append((now, [flow for flow in background if flow.tag == "other"]))
-        return refresh(cache, now, background=background, force=force, fallback=fallback)
+        return refresh(cache, now, background=background)
 
     monkeypatch.setattr(MeasurementCache, "refresh", spying_refresh)
     ledger, reports = books_checked(monkeypatch)

@@ -460,6 +460,24 @@ def test_metrics_snapshot_matches_legacy_stats_views(tmp_path):
     assert alloc_view["walks"] == 1 and alloc_view["walks_skipped"] == 0
 
 
+def test_a_dropped_instrument_leaves_the_registry_without_a_snapshot():
+    """A sweep builds an allocator per simulation and may never take a
+    snapshot: the registry must not keep an entry for each one it dropped."""
+    from repro.net.alloc import IncrementalAllocator
+
+    def entries():
+        return sum(len(group) for group in obs.metrics._by_name.values())
+
+    gc.collect()
+    before = entries()
+    for _ in range(1000):
+        IncrementalAllocator({"l0": 1e9})
+    gc.collect()
+    assert entries() <= before
+    kept = IncrementalAllocator({"l0": 1e9})
+    assert entries() == before + len(kept.solver_stats())
+
+
 # ----------------------------------------------------------- report math
 def _span_line(name, span_id, parent, dur, pid=1):
     return {

@@ -14,7 +14,7 @@ from repro.core.placement.base import ClusterState
 from repro.errors import ServiceError
 from repro.experiments.placers import resolve_placer
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
-from repro.service.cache import MeasurementCache
+from repro.service.cache import CacheStats, MeasurementCache
 from repro.service.engine import PlacementService, report_violations
 from repro.service.forecast import RateForecaster, validate_predictor
 from repro.service.session import build_churn_session, run_churn_session
@@ -229,6 +229,30 @@ class TestChurnSession:
         report = run_churn_session(0, predictor="oracle", **_FAST)
         assert report.measurement["campaigns"] == 0
         assert report.measurement["pairs_measured"] == 0
+
+    @pytest.mark.parametrize(
+        "placer, predictor, migrate",
+        [("random", "combined", False), ("round-robin", "stale", False),
+         ("greedy", "oracle", True), ("random", "oracle", False)],
+    )
+    def test_a_session_that_measures_through_no_cache_builds_none(
+        self, placer, predictor, migrate
+    ):
+        """A placer that reads no profile, with nothing to migrate, measures
+        nothing; the oracle reads the truth.  Neither builds a cache or a
+        forecaster, and the report's measurement block is all zero."""
+        provider, cluster, apps, _ = build_churn_session(0, **_FAST)
+        service = PlacementService(
+            provider, cluster, resolve_placer(placer).create(0),
+            predictor=predictor, migrate=migrate,
+        )
+        assert service.cache is None and service.forecaster is None
+        report = service.run_session(apps, hours=_FAST["hours"])
+        assert report.measurement == CacheStats().to_json_dict() == {
+            "campaigns": 0, "pairs_measured": 0, "pairs_reused": 0,
+            "pairs_degraded": 0, "measurement_time_s": 0.0,
+        }
+        assert report.completed()
 
     def test_ttl_cache_saves_mesh_work_for_history_predictors(self):
         report = run_churn_session(0, predictor="combined", **_FAST)

@@ -668,3 +668,27 @@ def test_one_kind_of_flow_is_left():
     assert list(signature(CloudProvider.run_netperf).parameters) == [
         "self", "src_vm", "dst_vm", "duration",
     ]
+
+
+# ------------------------------------------------ one way for a session to measure
+def test_a_session_measures_through_one_refresh():
+    """The bootstrap is the refresh at t = 0: ``refresh`` takes no ``force``
+    and no ``fallback``, the forecaster hands out nothing but a profile,
+    and the cache's statistics are its own record, not registered
+    counters."""
+    from repro.service.cache import CacheStats, MeasurementCache
+
+    assert list(inspect.signature(MeasurementCache.refresh).parameters) == [
+        "self", "now", "background",
+    ]
+    source = "".join(
+        inspect.getsource(importlib.import_module(name))
+        for name in MODULES if name.startswith("repro.service")
+    )
+    for gone in (r"fallback=", r"\bforce\b", r"predicted_matrix", r"_recovery_profile"):
+        assert not re.search(gone, source), gone
+    assert "obs.Counter" not in inspect.getsource(MeasurementCache)
+    assert [field.name for field in dataclasses.fields(CacheStats)] == [
+        "campaigns", "pairs_measured", "pairs_reused", "pairs_degraded",
+        "measurement_time_s",
+    ]
