@@ -757,7 +757,7 @@ class CloudProvider:
             unlimited_rate_bps=unlimited,
             base_delay_s=np.where(routed, 100e-6, 20e-6),
             jitter_std_s=params.train_jitter_std_s,
-            normals=normals[:, 1:],
+            normals=normals[:, 1:],  # consumed: overwritten by the jitter
             limiter_rate_bps=limiter_rate,
             limiter_depth_bytes=depth,
             first_index=first_index,

@@ -181,6 +181,11 @@ class IncrementalAllocator:
     A full solve takes the array-backed path at or above
     ``_VECTOR_MIN_FLOWS`` registered flows, and the heap-based one below;
     both, and every partial re-solve, produce bit-identical rates.
+
+    What a flow holds leaves with it.  A link whose last flow is removed
+    clears its member set, which frees the set's hash table (a set never
+    shrinks on ``discard`` or ``difference_update``), so an allocator whose
+    flows have all left holds only empty sets, whatever it once carried.
     """
 
     def __init__(self, capacities: Mapping[str, float]) -> None:
@@ -464,6 +469,7 @@ class IncrementalAllocator:
             self._link_objects = np.arange(len(self._link_ids), dtype=object)
         links = iter(self._link_objects[rows].tolist())
         tuples = [tuple(itertools.islice(links, k)) for k in lengths.tolist()]
+        del links  # (the iterator holds the list: one entry per incidence)
         for slot, flow_id, link_tuple in zip(
             slot_list[:n_reused], flow_ids, tuples
         ):
@@ -520,12 +526,15 @@ class IncrementalAllocator:
         if row and self._label is not None:
             self._label_count[self._label[row[0]]] -= 1
         for index in row:
-            self._members[index].discard(slot)
             self._batch_memo.pop(index, None)
             left = self._link_use[index] - 1
             if left:
+                self._members[index].discard(slot)
                 self._link_use[index] = left
             else:
+                # The link's last flow: a set frees its table on clear(),
+                # never on discard.
+                self._members[index].clear()
                 del self._link_use[index]
                 self._layout = None
         if self._have_rates:
@@ -575,12 +584,14 @@ class IncrementalAllocator:
             for link, a, b in zip(
                 touched.tolist(), group_start.tolist(), group_end.tolist()
             ):
-                self._members[link].difference_update(slot_sorted[a:b])
                 self._batch_memo.pop(link, None)
                 left = link_use[link] - (b - a)
                 if left:
+                    self._members[link].difference_update(slot_sorted[a:b])
                     link_use[link] = left
                 else:
+                    # The link's last flows (see remove_flow).
+                    self._members[link].clear()
                     del link_use[link]
                     self._layout = None
             if self._label is not None:

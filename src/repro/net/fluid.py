@@ -170,9 +170,11 @@ class _TimelineTable(MappingABC):
     comparison is between raw neighbours, which is what sequential appends
     compare: a merge only moves the last segment's end, and every interval
     merged into a segment has its rate); a start before the flow's last
-    segment's raises.  Keys iterate in registration order, as the scalar
-    loop's dict does; ``table[flow_id]`` builds that flow's
-    :class:`RateTimeline` anew on every call.
+    segment's raises.  The kept intervals, stable by flow, are one index
+    into the log, so each column is gathered once; the table keeps the
+    reduced segments and per-flow offsets, not the log.  Keys iterate in
+    registration order, as the scalar loop's dict does; ``table[flow_id]``
+    builds that flow's :class:`RateTimeline` anew on every call.
     """
 
     def __init__(
@@ -185,12 +187,12 @@ class _TimelineTable(MappingABC):
     ) -> None:
         self._flow_ids = flow_ids
         self._index: Optional[Dict[str, int]] = None
-        keep = ~(end - start <= _TIME_EPS)
+        # The kept intervals, stable by flow, as one index: each column is
+        # gathered once.
+        keep = np.flatnonzero(~(end - start <= _TIME_EPS))
+        keep = keep[np.argsort(flow[keep], kind="stable")]
         flow, start, end, rate = flow[keep], start[keep], end[keep], rate[keep]
-        by_flow = np.argsort(flow, kind="stable")
-        flow, start, end, rate = (
-            flow[by_flow], start[by_flow], end[by_flow], rate[by_flow]
-        )
+        del keep
         n = flow.shape[0]
         same_flow = flow[1:] == flow[:-1]
         head = np.ones(n, dtype=bool)  # opens a segment (is not merged)
@@ -776,8 +778,11 @@ class FluidSimulation:
         and the slots the solve rewrote
         (:meth:`~repro.net.alloc.IncrementalAllocator.written_slots`; on a
         run's first event all live flows, as resumed ones open segments).
-        Segments are logged in columns (:class:`_TimelineTable`) when a rate
-        changes, a flow retires or the run stops.
+        Segments are logged in columns when a rate changes, a flow retires
+        or the run stops: four arrays (flow, start, end, rate) that grow by
+        doubling and take each batch of closed segments as one slice write,
+        so the log is held once, with no per-event arrays and no final
+        concatenation; :class:`_TimelineTable` reads their written rows.
 
         A retired flow leaves a tombstone (``left = inf``, ``rate = 0``),
         inert in every pass: its finish is ``inf``, its drain leaves
@@ -846,19 +851,28 @@ class FluidSimulation:
         pending_start = start[pending]
         n_pending = pending.shape[0]
         pending_idx = 0
-        # The segment log, in columns: flow, start, end, rate.
-        log: Tuple[List[np.ndarray], ...] = (
-            [np.zeros(0, dtype=np.intp)], [np.zeros(0)], [np.zeros(0)], [np.zeros(0)]
-        )
+        # The segment log: four columns (flow, start, end, rate) grown by
+        # doubling, one column at a time (the old one goes before the next
+        # grows), of which the first ``n_logged`` rows are written.
+        log = [np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0), np.zeros(0)]
+        n_logged = 0
 
         def close_segments(at: np.ndarray) -> None:
             """Log the open segments at positions ``at``, ending now."""
+            nonlocal n_logged
             at = at[rate[at] != -1.0]
             if at.shape[0]:
-                log[0].append(flow_at[at])
-                log[1].append(seg_start[at])
-                log[2].append(np.full(at.shape[0], now))
-                log[3].append(rate[at])
+                new = slice(n_logged, n_logged + at.shape[0])
+                if new.stop > log[0].shape[0]:
+                    size = max(16, 2 * log[0].shape[0], new.stop)
+                    for i in range(len(log)):
+                        log[i] = _grow(log[i], size)
+                log_flow, log_start, log_end, log_rate = log
+                log_flow[new] = flow_at[at]
+                log_start[new] = seg_start[at]
+                log_end[new] = now
+                log_rate[new] = rate[at]
+                n_logged = new.stop
 
         end_time = now
         batches = checked = changed = compactions = 0
@@ -994,9 +1008,7 @@ class FluidSimulation:
         # Flows still active when the run stops are reported stopped;
         # pending ones keep their state.
         state[state == _ACTIVE] = _STOPPED
-        timelines = _TimelineTable(
-            flow_ids, *(np.concatenate(column) for column in log)
-        )
+        timelines = _TimelineTable(flow_ids, *(column[:n_logged] for column in log))
         span.set(
             batches=batches, segments=timelines.n_segments,
             rates_checked=checked, rates_changed=changed, compactions=compactions,

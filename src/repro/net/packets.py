@@ -153,7 +153,9 @@ def send_packet_trains(
     of ``limiter_depth_bytes``; the sender's NIC emits at
     ``line_rate_bps``.  ``normals`` stands in for the generator: row ``i``
     holds the ``2 * n_bursts`` standard normals of path ``i``'s timestamp
-    jitter of std ``jitter_std_s`` (unused without jitter).  On lossy
+    jitter of std ``jitter_std_s`` (unused without jitter).  It is
+    consumed: with jitter, each normal is overwritten by the jitter it
+    gives, so the caller must not read it again.  On lossy
     paths, ``first_index``/``last_index`` (shape ``(n_bursts, n_paths)``,
     from :func:`draw_losses`) are the positions of the first and last
     packet of each burst that arrived, and the receive times are theirs.
@@ -162,9 +164,9 @@ def send_packet_trains(
     ``(n_bursts, n_paths)``.  Every burst of every path is computed at
     once, each value by the per-burst expression in its order; the
     arithmetic runs in place, so besides ``normals`` and the loss positions
-    the program holds three such arrays at most (the two results and one
-    scratch, which is the token bucket's spent drain array when there is
-    one), and four on a lossy path.
+    the program holds two such arrays (the results), three with a token
+    bucket (its drains, spent once the results are set) and four on a lossy
+    path (the drains or a scratch, and one more scratch).
     """
     fast_rate = np.minimum(line_rate_bps, unlimited_rate_bps)
     burst_bytes = spec.burst_bytes
@@ -199,17 +201,16 @@ def send_packet_trains(
         last_rx -= scratch
         del per_packet
     if jitter_std_s > 0:
-        # |0.0 + std * z|: a burst's first packet reads normal 2b, its last
-        # 2b + 1.
-        if scratch is None:
-            scratch = np.empty_like(first_rx)
-        np.multiply(normals[:, 0::2].T, jitter_std_s, out=scratch)
-        np.abs(scratch, out=scratch)
-        scratch *= 0.1
-        first_rx += scratch
-        np.multiply(normals[:, 1::2].T, jitter_std_s, out=scratch)
-        np.abs(scratch, out=scratch)
-        last_rx += scratch
+        # |0.0 + std * z|, in the normals' own columns: a burst's first
+        # packet reads normal 2b, its last 2b + 1.  The sums run in the
+        # normals' train-major order (a + b is b + a), which reads them
+        # front to back.
+        np.multiply(normals, jitter_std_s, out=normals)
+        np.abs(normals, out=normals)
+        first_jitter = normals[:, 0::2]
+        first_jitter *= 0.1
+        np.add(first_jitter, first_rx.T, out=first_rx.T)
+        np.add(normals[:, 1::2], last_rx.T, out=last_rx.T)
     np.add(first_rx, packet_bits / fast_rate, out=last_rx, where=last_rx <= first_rx)
     return first_rx, last_rx
 
