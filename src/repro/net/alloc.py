@@ -12,13 +12,16 @@ work is repeated with a nearly identical flow set.
 solves:
 
 * link ids and flow ids are interned to dense integer slots once;
-* per-link member sets, member counts, and capacities live in flat lists
-  indexed by those slots;
-* :meth:`add_flow` / :meth:`remove_flow` apply deltas in O(path length);
+* each flow's path is one row of a flat CSR buffer of link indices, and
+  link membership lives in one flat ``intp`` store, a segment per link
+  (:meth:`IncrementalAllocator._link_members`), beside a member-count
+  vector: no Python object per membership, and each path held once;
+* :meth:`add_flow` / :meth:`remove_flow` apply deltas in O(path length)
+  (a leaving member's place goes to its segment's last member);
   :meth:`add_flows` / :meth:`remove_flows` apply the same deltas for a
-  whole batch of flows grouped by link — one set update, one count
-  adjustment and one dirty mark per touched link — and leave exactly the
-  state the per-flow calls would (slot numbers, free list, rates);
+  whole batch of flows with a fixed number of array operations, and leave
+  the state the per-flow calls would (slot numbers, free list, each
+  link's members as a set, rates);
 * :meth:`solve` runs progressive filling over integer indices (counters
   instead of set intersections) and caches its result until the flow set
   changes again.
@@ -107,6 +110,26 @@ _NEVER = np.iinfo(np.int64).max
 _UNREAD = object()
 
 
+# The arrays the per-flow paths index one entry at a time, in the order of
+# ``IncrementalAllocator._views`` (a path that needs a few takes them by
+# position): through a memoryview an entry is read or written in about half
+# the time ``ndarray.item`` / ``__setitem__`` take.
+_VIEWED = (
+    "_link_count", "_seg_start", "_seg_cap", "_store", "_store_k",
+    "_row_pos", "_row_start", "_slot_nlinks", "_row_data",
+)
+
+# The segment every link gets when a flow is added flow by flow to an empty
+# membership store (see IncrementalAllocator._move_segment).
+_FIRST_CAP = 8
+
+# A membership store bigger than this (and than the one a first flow gets)
+# is repacked, smaller, once it holds four times more entries than
+# memberships, and let go once it holds none (see _shrink_store); a
+# smaller one only grows.
+_REPACK_MIN = 1024
+
+
 # Batches shorter than this are edited flow by flow: batching has a fixed
 # cost (the stable sort by link, the group cuts) that pays from ≈48–64
 # flows for adds and ≈96–128 for removals (docs/performance.md, "What
@@ -182,10 +205,12 @@ class IncrementalAllocator:
     ``_VECTOR_MIN_FLOWS`` registered flows, and the heap-based one below;
     both, and every partial re-solve, produce bit-identical rates.
 
-    What a flow holds leaves with it.  A link whose last flow is removed
-    clears its member set, which frees the set's hash table (a set never
-    shrinks on ``discard`` or ``difference_update``), so an allocator whose
-    flows have all left holds only empty sets, whatever it once carried.
+    What a flow holds leaves with it.  Link membership takes three
+    ``intp`` entries per flow × link incidence (the member's slot, the
+    link's place in the member's row, and beside the CSR entry the
+    member's place in the link's segment), in a store that is trimmed as
+    flows leave, so an allocator whose flows have all left holds at most
+    the store a first flow gets, whatever it once carried.
     """
 
     def __init__(self, capacities: Mapping[str, float]) -> None:
@@ -195,12 +220,11 @@ class IncrementalAllocator:
         _check_capacities(self._link_ids, self._capacity)
         # The vector fill's link layout and link → position table (see
         # _solve_vector); None until the next vector solve rebuilds it.
-        self._layout: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._layout: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._link_pos = np.zeros(len(self._link_ids), dtype=np.intp)
         # Flow slots: a free-list keeps slot indices dense under churn.
         self._flow_slot: Dict[str, int] = {}
         self._slot_name: List[str] = []
-        self._slot_links: List[Tuple[int, ...]] = []
         # Flat CSR buffer of every slot's link row: slot ``s`` occupies
         # ``_row_data[_row_start[s] : _row_start[s] + _slot_nlinks[s]]``.
         # Rows are append-only; removing a flow orphans its segment, and the
@@ -212,12 +236,29 @@ class IncrementalAllocator:
         self._row_used = 0  # high-water mark of _row_data
         self._row_live = 0  # entries belonging to registered flows
         self._free_slots: List[int] = []
-        # Per-link membership (flow slots currently crossing the link) and a
-        # refcount of links in use, so solves touch only occupied links.
-        self._members: List[Set[int]] = [set() for _ in self._link_ids]
-        # Each link index as one Python int, built by the first batched add.
-        self._link_objects: Optional[np.ndarray] = None
-        self._link_use: Dict[int, int] = {}
+        # Link membership, in one flat store (entries outside the segments'
+        # members are never read, so no store is zeroed): the slots
+        # crossing link ``l``
+        # are ``_store[_seg_start[l] : _seg_start[l] + _link_count[l]]``
+        # (:meth:`_link_members`), in a segment of ``_seg_cap[l]`` entries
+        # that moves to the store's end, twice as big, when it is full.
+        # Beside each member ``_store_k`` holds the link's index in the
+        # member's own row, and beside each CSR entry ``_row_pos`` holds its
+        # slot's index in its link's segment, so a member leaves in O(1):
+        # the segment's last member takes its place.  A link that empties
+        # keeps its segment; the store is repacked when it is full, and
+        # when it is large and mostly slack, which drops empty links'
+        # segments; a large store is let go when every flow has left.
+        n_links = len(self._link_ids)
+        self._small_store = max(_REPACK_MIN, 2 * _FIRST_CAP * n_links)
+        self._link_count = np.zeros(n_links, dtype=np.intp)
+        self._seg_start = np.zeros(n_links, dtype=np.intp)
+        self._seg_cap = np.zeros(n_links, dtype=np.intp)
+        self._store = np.zeros(0, dtype=np.intp)
+        self._store_k = np.zeros(0, dtype=np.intp)
+        self._store_used = 0  # high-water mark of the store
+        self._n_members = 0  # memberships: the sum of _link_count
+        self._row_pos = np.zeros(0, dtype=np.intp)
         # Per bottleneck link, the last batch the vector solve froze there
         # and its link histogram ``(batch, idx, k)``; dropped whenever a flow
         # crossing the link is removed (see _solve_vector).
@@ -244,6 +285,7 @@ class IncrementalAllocator:
         self._have_rates = False
         self._dirty_links: Set[int] = set()
         self._dirty_linkless: Set[int] = set()
+        self._views = [memoryview(getattr(self, name)) for name in _VIEWED]
         # Typed solve counters (thin-viewed by :meth:`solver_stats` and
         # aggregated process-wide by ``obs.metrics.snapshot()``).
         self._full_solves = obs.Counter("repro.alloc.full_solves")
@@ -320,43 +362,48 @@ class IncrementalAllocator:
 
     def _add_row(self, flow_id: str, indexed: List[int]) -> int:
         """:meth:`add_flow` for a validated flow whose links are interned."""
-        link_tuple = tuple(indexed)
         if self._free_slots:
             slot = self._free_slots.pop()
             self._slot_name[slot] = flow_id
-            self._slot_links[slot] = link_tuple
         else:
             slot = len(self._slot_name)
             self._slot_name.append(flow_id)
-            self._slot_links.append(link_tuple)
-            self._grow_slot_arrays(slot + 1)
-        # Write the row before registering the flow: a compaction triggered
-        # by the capacity check must only see fully-recorded rows.
-        n_row = len(link_tuple)
-        if n_row:
+            if slot >= self._slot_rate.shape[0]:
+                self._grow_slot_arrays(slot + 1)
+        # Make room for the row before registering the flow: a compaction
+        # triggered by the capacity check must only see recorded rows.
+        n_row = len(indexed)
+        if self._row_used + n_row > self._row_data.shape[0]:
             self._ensure_row_capacity(n_row)
-            self._row_data[self._row_used : self._row_used + n_row] = indexed
-            self._row_start[slot] = self._row_used
-            self._row_used += n_row
-            self._row_live += n_row
-        else:
-            self._row_start[slot] = self._row_used
-        self._slot_nlinks[slot] = n_row
+        base = self._row_used
+        self._row_used += n_row
+        self._row_live += n_row
         if n_row > self._max_row:
             self._max_row = n_row
         self._flow_slot[flow_id] = slot
+        (count, start, cap, store, store_k, row_pos, row_start, nlinks,
+         row_data) = self._views
+        row_start[slot] = base
+        nlinks[slot] = n_row
         if not n_row:
             self._linkless.add(slot)
-        link_use = self._link_use
-        n_used = len(link_use)
-        for index in link_tuple:
-            self._members[index].add(slot)
-            link_use[index] = link_use.get(index, 0) + 1
-        if len(link_use) != n_used:
-            self._layout = None
+        for k, index in enumerate(indexed):
+            row_data[base + k] = index
+            n = count[index]
+            if not n:
+                self._layout = None  # (the link enters use)
+            if n == cap[index]:
+                self._move_segment(index, max(4, 2 * n))
+                store, store_k = self._views[3:5]
+            at = start[index] + n
+            store[at] = slot
+            store_k[at] = k
+            row_pos[base + k] = n
+            count[index] = n + 1
+        self._n_members += n_row
         if self._have_rates:
-            if link_tuple:
-                self._dirty_links.update(link_tuple)
+            if n_row:
+                self._dirty_links.update(indexed)
             else:
                 self._dirty_linkless.add(slot)
         # A new flow can lower shares in any round: the next fill starts over.
@@ -365,6 +412,106 @@ class IncrementalAllocator:
         self._solved = False
         self._solution = None
         return slot
+
+    def _link_members(self, link: int) -> memoryview:
+        """The slots of the flows crossing link index ``link``, in no
+        particular order: a memoryview of the store's ``intp`` entries,
+        valid until the next edit (copy it to keep it)."""
+        views = self._views
+        at = views[1][link]
+        return views[3][at : at + views[0][link]]
+
+    def _bind_views(self, *names: str) -> None:
+        """Point ``_views`` at the arrays ``names`` now are (call it after
+        replacing one, or it keeps reading the old one)."""
+        views = self._views
+        for name in names:
+            views[_VIEWED.index(name)] = memoryview(getattr(self, name))
+
+    def _store_reserve(self, n: int) -> int:
+        """Where ``n`` free store entries start, at the store's end (after a
+        repack, if the store is full)."""
+        if self._store_used + n > self._store.shape[0]:
+            self._repack_store(n)
+        at = self._store_used
+        self._store_used += n
+        return at
+
+    def _repack_store(self, extra: int = 0, trim: bool = False) -> None:
+        """Copy the segments, in link order, to the front of a new store
+        with room for ``extra`` more entries.  Every segment keeps its room
+        (an add that made room for its batch needs it), and the store holds
+        twice what it keeps, and exactly ``extra`` more: so growing repacks
+        take turns with as many entries reserved, and a batch added to an
+        empty store fills it.  With ``trim`` (the store shrinks), an empty
+        link's segment is dropped, a segment keeps at most twice its
+        members (four, at least) and the store only what it keeps: at most
+        twice its memberships plus four entries per link.  A store trimmed
+        again is larger than a first store (16 entries per link), so it
+        holds more than six memberships per link, and the next trim waits
+        until at least a third of them have left."""
+        if trim:
+            links = np.flatnonzero(self._link_count)
+            counts = self._link_count[links]
+            caps = np.minimum(self._seg_cap[links], np.maximum(4, 2 * counts))
+        else:
+            links = np.flatnonzero(self._seg_cap)
+            counts = self._link_count[links]
+            caps = self._seg_cap[links]
+        starts = caps.cumsum() - caps
+        kept = int(caps.sum())
+        src = csr_gather(self._seg_start[links], counts)
+        dst = csr_gather(starts, counts)
+        size = max(64, (kept if trim else 2 * kept) + extra)
+        for name in ("_store", "_store_k"):
+            packed = np.empty(size, dtype=np.intp)
+            packed[dst] = getattr(self, name)[src]
+            setattr(self, name, packed)
+        self._seg_cap.fill(0)
+        self._seg_cap[links] = caps
+        self._seg_start[links] = starts
+        self._store_used = kept
+        self._bind_views("_store", "_store_k")
+
+    def _move_segment(self, link: int, cap: int) -> None:
+        """Give ``link`` a segment of ``cap`` entries at the store's end,
+        holding its members.  The first flow added to an empty store gives
+        every link a segment of ``_FIRST_CAP`` instead, in a store with as
+        much room again."""
+        if not self._store.shape[0]:
+            n_links = self._link_count.shape[0]
+            self._store = np.empty(2 * _FIRST_CAP * n_links, dtype=np.intp)
+            self._store_k = np.empty(2 * _FIRST_CAP * n_links, dtype=np.intp)
+            self._seg_start[:] = np.arange(0, _FIRST_CAP * n_links, _FIRST_CAP)
+            self._seg_cap.fill(_FIRST_CAP)
+            self._store_used = _FIRST_CAP * n_links
+            self._bind_views("_store", "_store_k")
+            if cap <= _FIRST_CAP:
+                return
+        at = self._store_reserve(cap)
+        count, start, seg_cap, store, store_k = self._views[:5]
+        n = count[link]
+        if n:
+            old = start[link]
+            store[at : at + n] = store[old : old + n]
+            store_k[at : at + n] = store_k[old : old + n]
+        start[link] = at
+        seg_cap[link] = cap
+
+    def _shrink_store(self) -> None:
+        """After removals from a large store — over ``_REPACK_MIN`` entries
+        and bigger than the one a first flow gets: let it go once no
+        membership is left, and trim it once it holds four times more
+        entries than memberships.  (A smaller store keeps its segments, for
+        the next flows on the same links.)"""
+        if not self._n_members:
+            self._seg_cap.fill(0)
+            self._store = np.zeros(0, dtype=np.intp)
+            self._store_k = np.zeros(0, dtype=np.intp)
+            self._store_used = 0
+            self._bind_views("_store", "_store_k")
+        elif 4 * self._n_members <= self._store.shape[0]:
+            self._repack_store(trim=True)
 
     def _grow_slot_arrays(self, n_slots: int) -> None:
         """Make the per-slot arrays hold ``n_slots`` slots (by doubling)."""
@@ -385,6 +532,7 @@ class IncrementalAllocator:
         # Only an add grows the arrays, and an add voids the round log, so
         # there is nothing to carry over.
         self._freeze_round = np.full(size, _NEVER, dtype=np.int64)
+        self._bind_views("_row_start", "_slot_nlinks")
 
     def add_flows(
         self,
@@ -410,8 +558,12 @@ class IncrementalAllocator:
         rows = np.asarray(rows, dtype=np.intp)
         lengths = np.asarray(lengths, dtype=np.int64)
         total = rows.shape[0]
-        ends = list(itertools.accumulate(lengths.tolist()))
-        if len(ends) != n or (ends[-1] if n else 0) != total:
+        if n < _BATCH_MIN:
+            ends = list(itertools.accumulate(lengths.tolist()))
+            agree = len(ends) == n and (ends[-1] if n else 0) == total
+        else:
+            agree = lengths.shape[0] == n and int(lengths.sum()) == total
+        if not agree:
             raise SimulationError("flow batch columns disagree in length")
         registered = self._flow_slot
         batch_ids = set()
@@ -419,6 +571,7 @@ class IncrementalAllocator:
             if flow_id in registered or flow_id in batch_ids:
                 raise SimulationError(f"duplicate flow id {flow_id!r}")
             batch_ids.add(flow_id)
+        del batch_ids
         if n < _BATCH_MIN:
             # Small batches stay clear of NumPy and are cheaper flow by flow
             # (called once per fluid event, their fixed costs are the whole
@@ -436,6 +589,7 @@ class IncrementalAllocator:
                 ],
                 dtype=np.intp,
             )
+        row_offset = np.cumsum(lengths) - lengths
         if total:
             if rows.min() < 0 or rows.max() >= len(self._link_ids):
                 raise SimulationError("flow batch references an unknown link index")
@@ -448,13 +602,10 @@ class IncrementalAllocator:
             )
             if repeats.any():
                 owner = int(owner_sorted[repeats.argmax()])
-                row = rows[ends[owner] - int(lengths[owner]) : ends[owner]]
+                start = int(row_offset[owner])
+                row = rows[start : start + int(lengths[owner])]
                 self._check_row(flow_ids[owner], row.tolist())
-            # Links in the order add_flow would first touch them, so that
-            # _link_use gains its new keys in the order add_flow gives them.
-            first_touch = np.argsort(by_link[group_start])
-            del by_link, links_sorted, repeats
-        del ends
+            del links_sorted, repeats
 
         # Slots, in add_flow's order: the free list from its tail, then fresh.
         n_reused = min(n, len(self._free_slots))
@@ -463,27 +614,17 @@ class IncrementalAllocator:
         first_fresh = len(self._slot_name)
         slot_list.extend(range(first_fresh, first_fresh + n - n_reused))
         slots = np.array(slot_list, dtype=np.intp)
-        # The rows as tuples of the link universe's own int objects: no
-        # Python int is made per incidence.
-        if self._link_objects is None:
-            self._link_objects = np.arange(len(self._link_ids), dtype=object)
-        links = iter(self._link_objects[rows].tolist())
-        tuples = [tuple(itertools.islice(links, k)) for k in lengths.tolist()]
-        del links  # (the iterator holds the list: one entry per incidence)
-        for slot, flow_id, link_tuple in zip(
-            slot_list[:n_reused], flow_ids, tuples
-        ):
+        for slot, flow_id in zip(slot_list[:n_reused], flow_ids):
             self._slot_name[slot] = flow_id
-            self._slot_links[slot] = link_tuple
         self._slot_name.extend(flow_ids[n_reused:])
-        self._slot_links.extend(tuples[n_reused:])
         self._grow_slot_arrays(len(self._slot_name))
         # The CSR block is one slice write.  Room is made before any flow of
         # the batch is registered: a compaction must only see recorded rows.
         if total:
             self._ensure_row_capacity(total)
             self._row_data[self._row_used : self._row_used + total] = rows
-        self._row_start[slots] = self._row_used + np.cumsum(lengths) - lengths
+        base = self._row_used
+        self._row_start[slots] = base + row_offset
         self._row_used += total
         self._row_live += total
         self._slot_nlinks[slots] = lengths
@@ -492,20 +633,10 @@ class IncrementalAllocator:
         linkless = slots[lengths == 0].tolist()
         self._linkless.update(linkless)
         if total:
-            # Each incidence's slot, as the slot list's own int objects.
-            slot_sorted = np.array(slot_list, dtype=object)[owner_sorted].tolist()
-            del owner_sorted
-            link_use = self._link_use
-            n_used = len(link_use)
-            for link, a, b in zip(
-                touched[first_touch].tolist(),
-                group_start[first_touch].tolist(),
-                group_end[first_touch].tolist(),
-            ):
-                self._members[link].update(slot_sorted[a:b])
-                link_use[link] = link_use.get(link, 0) + (b - a)
-            if len(link_use) != n_used:
-                self._layout = None
+            self._join_batch(
+                slots, base, row_offset, by_link, owner_sorted,
+                touched, group_end - group_start,
+            )
             if self._have_rates:
                 self._dirty_links.update(touched.tolist())
         if self._have_rates:
@@ -517,26 +648,92 @@ class IncrementalAllocator:
         self._solution = None
         return slots
 
+    def _join_batch(
+        self, slots, base, row_offset, by_link, owner_sorted, touched, sizes
+    ) -> None:
+        """Append a batch's incidences to their links' segments.
+
+        The incidences come grouped by link (``_group_by_link``): group
+        ``g`` — ``sizes[g]`` incidences on link ``touched[g]`` — in batch
+        order, incidence ``e`` the ``by_link[e]``-th entry of the batch's
+        rows (written at ``base``), of batch flow ``owner_sorted[e]``.
+        Each link's new members follow its old ones in batch order, as
+        :meth:`add_flow` on each flow in turn would append them.  The
+        arrays are worked in place, one temporary at a time (at
+        ``fluid_giant`` each is 3 MB): ``owner_sorted`` is consumed.
+        """
+        old = self._link_count[touched]
+        need = old + sizes
+        grow = need > self._seg_cap[touched]
+        if grow.any():
+            self._grow_segments(touched[grow], need[grow])
+        if not old.all():
+            self._layout = None  # (links enter use)
+        # Each incidence's index in its link's segment, then its place in
+        # the store.
+        at = np.arange(by_link.shape[0])
+        at += np.repeat(old - (sizes.cumsum() - sizes), sizes)
+        by_link += base  # (the entries' CSR positions, for a moment)
+        self._row_pos[by_link] = at
+        by_link -= base
+        at += np.repeat(self._seg_start[touched], sizes)
+        self._store[at] = slots[owner_sorted]
+        np.subtract(by_link, row_offset[owner_sorted], out=owner_sorted)
+        self._store_k[at] = owner_sorted
+        self._link_count[touched] = need
+        self._n_members += at.shape[0]
+
+    def _grow_segments(self, links: np.ndarray, need: np.ndarray) -> None:
+        """Give each of ``links`` a segment of at least ``need`` entries at
+        the store's end (twice its old one; exactly ``need`` for an empty
+        link), holding its members."""
+        cap = self._seg_cap[links]
+        new_cap = np.where(
+            self._link_count[links] == 0, need, np.maximum(need, 2 * cap)
+        )
+        total = int(new_cap.sum())
+        at = self._store_reserve(total)
+        starts = at + new_cap.cumsum() - new_cap
+        counts = self._link_count[links]
+        src = csr_gather(self._seg_start[links], counts)
+        dst = csr_gather(starts, counts)
+        self._store[dst] = self._store[src]
+        self._store_k[dst] = self._store_k[src]
+        self._seg_start[links] = starts
+        self._seg_cap[links] = new_cap
+
     def remove_flow(self, flow_id: str) -> None:
         """Forget a flow previously registered with :meth:`add_flow`."""
         slot = self._flow_slot.pop(flow_id, None)
         if slot is None:
             raise SimulationError(f"unknown flow {flow_id!r}")
-        row = self._slot_links[slot]
+        (count, start, _, store, store_k, row_pos, row_start, nlinks,
+         row_data) = self._views
+        base = row_start[slot]
+        row = row_data[base : base + nlinks[slot]].tolist()
+        nlinks[slot] = 0
         if row and self._label is not None:
             self._label_count[self._label[row[0]]] -= 1
-        for index in row:
-            self._batch_memo.pop(index, None)
-            left = self._link_use[index] - 1
+        memo = self._batch_memo
+        for k, index in enumerate(row):
+            if memo:
+                memo.pop(index, None)
+            left = count[index] - 1
+            count[index] = left
             if left:
-                self._members[index].discard(slot)
-                self._link_use[index] = left
+                # The segment's last member takes the leaving one's place.
+                i = row_pos[base + k]
+                if i != left:
+                    at = start[index]
+                    moved, moved_k = store[at + left], store_k[at + left]
+                    store[at + i] = moved
+                    store_k[at + i] = moved_k
+                    row_pos[row_start[moved] + moved_k] = i
             else:
-                # The link's last flow: a set frees its table on clear(),
-                # never on discard.
-                self._members[index].clear()
-                del self._link_use[index]
-                self._layout = None
+                self._layout = None  # (the link leaves use)
+        self._n_members -= len(row)
+        if self._store.shape[0] > self._small_store:
+            self._shrink_store()
         if self._have_rates:
             self._dirty_links.update(row)
             self._dirty_linkless.discard(slot)
@@ -545,9 +742,7 @@ class IncrementalAllocator:
         if self._resume:
             self._resume = min(self._resume, int(self._freeze_round[slot]))
         self._slot_name[slot] = ""
-        self._slot_links[slot] = ()
-        self._row_live -= int(self._slot_nlinks[slot])
-        self._slot_nlinks[slot] = 0
+        self._row_live -= len(row)
         self._linkless.discard(slot)
         self._free_slots.append(slot)
         self._solved = False
@@ -555,7 +750,8 @@ class IncrementalAllocator:
 
     def remove_flows(self, flow_ids: Sequence[str]) -> None:
         """Forget a batch of flows; the state ``remove_flow`` called on each
-        in turn would leave (freed slots join the free list in batch order).
+        in turn would leave (freed slots join the free list in batch order;
+        a link's members may come out in another order).
 
         Raises:
             SimulationError: on an unknown (or repeated) flow id; nothing is
@@ -577,23 +773,12 @@ class IncrementalAllocator:
         lengths = self._slot_nlinks[slots]
         total = int(lengths.sum())
         if total:
-            links = self._row_data[csr_gather(self._row_start[slots], lengths)]
-            by_link, _, touched, group_start, group_end = _group_by_link(links)
-            slot_sorted = np.repeat(slots, lengths)[by_link].tolist()
-            link_use = self._link_use
-            for link, a, b in zip(
-                touched.tolist(), group_start.tolist(), group_end.tolist()
-            ):
-                self._batch_memo.pop(link, None)
-                left = link_use[link] - (b - a)
-                if left:
-                    self._members[link].difference_update(slot_sorted[a:b])
-                    link_use[link] = left
-                else:
-                    # The link's last flows (see remove_flow).
-                    self._members[link].clear()
-                    del link_use[link]
-                    self._layout = None
+            touched = self._leave_batch(csr_gather(self._row_start[slots], lengths))
+            if self._store.shape[0] > self._small_store:
+                self._shrink_store()
+            memo = self._batch_memo
+            for link in touched.tolist():
+                memo.pop(link, None)
             if self._label is not None:
                 for link in self._row_data[self._row_start[slots[lengths > 0]]].tolist():
                     self._label_count[self._label[link]] -= 1
@@ -607,13 +792,53 @@ class IncrementalAllocator:
             self._resume = min(self._resume, int(self._freeze_round[slots].min()))
         for slot in slot_list:
             self._slot_name[slot] = ""
-            self._slot_links[slot] = ()
         self._row_live -= total
         self._slot_nlinks[slots] = 0
         self._linkless.difference_update(slot_list)
         self._free_slots.extend(slot_list)
         self._solved = False
         self._solution = None
+
+    def _leave_batch(self, entries: np.ndarray) -> np.ndarray:
+        """Take the incidences at CSR positions ``entries`` out of their
+        links' segments; returns the links touched, ascending.
+
+        Per link, the members left in the segment's tail (past its new
+        count) fill the holes the leaving ones open before it, lowest hole
+        first.  Holes and movers are both taken in store order, in which a
+        link's entries are one run, and a link has as many of one as of the
+        other, so the two lists pair up link by link.
+        """
+        n_gone = entries.shape[0]
+        links = self._row_data[entries]
+        index = self._row_pos[entries]
+        del entries
+        _, _, touched, group_start, group_end = _group_by_link(links)
+        sizes = group_end - group_start
+        count = self._link_count
+        count[touched] -= sizes
+        starts = self._seg_start[links]
+        at = starts + index  # each leaving member's place in the store
+        store, store_k = self._store, self._store_k
+        store[at] = -1
+        hole = index < count[links]
+        del links, starts
+        order = np.argsort(at[hole])
+        holes, hole_index = at[hole][order], index[hole][order]
+        del at, index, hole, order
+        # The tails, in store order; their members that stay move.
+        order = np.argsort(self._seg_start[touched])
+        by_start = touched[order]
+        tails = csr_gather(self._seg_start[by_start] + count[by_start], sizes[order])
+        movers = tails[store[tails] >= 0]
+        moved, moved_k = store[movers], store_k[movers]
+        store[holes] = moved
+        store_k[holes] = moved_k
+        self._row_pos[self._row_start[moved] + moved_k] = hole_index
+        if not count[touched].all():
+            self._layout = None  # (links leave use)
+        self._n_members -= n_gone
+        return touched
 
     def update_capacities(self, capacities: Mapping[str, float]) -> None:
         """Change the capacity of existing links.
@@ -748,15 +973,16 @@ class IncrementalAllocator:
         if self._have_rates:
             partial = self._dirty_closure()
         if partial is not None:
+            closure = partial[0]
             for slot in self._dirty_linkless:
                 self._slot_rate[slot] = math.inf
-            if partial:
+            if closure:
                 self._solve_scalar(restrict=partial)
                 self._resume = 0
-            written = (partial, self._dirty_linkless)
+            written = (closure, self._dirty_linkless)
             self._dirty_linkless = set()
             self._partial_solves.inc()
-            self._partial_slots.inc(len(partial))
+            self._partial_slots.inc(len(closure))
         else:
             # Full solves are rare and expensive enough to trace; partial
             # re-solves run once per fluid event and get counters only.
@@ -786,19 +1012,23 @@ class IncrementalAllocator:
         self._solved = True
         self._have_rates = True
 
-    def _dirty_closure(self) -> Optional[Set[int]]:
+    def _dirty_closure(
+        self,
+    ) -> Optional[Tuple[Dict[int, List[int]], Dict[int, List[int]]]]:
         """Flow slots transitively sharing links with the edited links.
 
         Returns None when a partial re-solve would not pay — the closure
-        holds more than ``_partial_limit`` slots — otherwise the set of
-        affected slots (possibly empty).  The walk does not collect that
-        many slots to find out.  Each link is tested the moment the walk
-        *discovers* it: one link with more members than the limit already
-        proves the closure too big, and so do discovered member sets that
-        total more than ``limit × longest path`` (a slot is in at most
-        that many of them).  Where a rack or aggregation link is fat that
-        takes a few steps; on a giant of thin links (a shuffle between
-        hosts) it costs dozens of visited flows.
+        holds more than ``_partial_limit`` slots — otherwise the affected
+        slots (possibly none), each mapped to its row, and the links they
+        cross and the dirty links, each mapped to its members, all as
+        lists: what the restricted solve reads.  The walk does not collect
+        that many slots to find out.  Each link is tested the moment the
+        walk *discovers* it: one link with more members than the limit
+        already proves the closure too big, and so do discovered links
+        whose members total more than ``limit × longest path`` (a slot is
+        in at most that many of them).  Where a rack or aggregation link is
+        fat that takes a few steps; on a giant of thin links (a shuffle
+        between hosts) it costs dozens of visited flows.
 
         So a walk that fails after visiting a flow labels the components
         (:meth:`_label_components`), and later walks whose dirty links'
@@ -810,7 +1040,7 @@ class IncrementalAllocator:
         a giant that has split is labeled afresh by the next failed walk.
         """
         if not self._dirty_links:
-            return set()
+            return {}, {}
         limit = _partial_limit(len(self._flow_slot))
         routed = len(self._flow_slot) - len(self._linkless)
         if self._label is not None and 2 * routed <= self._label_flows:
@@ -823,35 +1053,46 @@ class IncrementalAllocator:
                 return None
         self._walks.inc()
         budget = limit * self._max_row
-        members = self._members
-        slot_links = self._slot_links
-        seen_links: Set[int] = set()
-        seen_slots: Set[int] = set()
+        members = self._link_members
+        views = self._views
+        count, row_start, row_len, rows = views[0], views[6], views[7], views[8]
+        # Discovered links, each mapped to its members once known.  A link
+        # with none, or only the flow whose row discovered it, is not read.
+        seen_links: Dict[int, Optional[List[int]]] = {}
+        closure: Dict[int, List[int]] = {}
         stack: List[int] = []  # discovered links, members not yet visited
 
-        def discover(links) -> bool:
+        def discover(links, slot: Optional[int] = None) -> bool:
             nonlocal budget
             for link in links:
                 if link not in seen_links:
-                    n_members = len(members[link])
+                    n_members = count[link]
                     budget -= n_members
                     if n_members > limit or budget < 0:
                         return False
-                    seen_links.add(link)
-                    stack.append(link)
+                    if not n_members:
+                        seen_links[link] = []
+                    elif n_members == 1 and slot is not None:
+                        seen_links[link] = [slot]
+                    else:
+                        seen_links[link] = None
+                        stack.append(link)
             return True
 
         if not discover(self._dirty_links):
             return None
         while stack:
-            for slot in members[stack.pop()]:
-                if slot not in seen_slots:
-                    seen_slots.add(slot)
-                    if len(seen_slots) > limit or not discover(slot_links[slot]):
+            link = stack.pop()
+            seen_links[link] = visited = members(link).tolist()
+            for slot in visited:
+                if slot not in closure:
+                    start = row_start[slot]
+                    row = closure[slot] = rows[start : start + row_len[slot]].tolist()
+                    if len(closure) > limit or not discover(row, slot):
                         if label is None:
                             self._label_components()
                         return None
-        return seen_slots
+        return closure, seen_links
 
     def _label_components(self) -> None:
         """Label every link with the least link index of its component in
@@ -881,35 +1122,42 @@ class IncrementalAllocator:
         self._label_flows = slots.shape[0]
         self._labelings.inc()
 
-    def _solve_scalar(self, restrict: Optional[Set[int]] = None) -> None:
+    def _solve_scalar(
+        self,
+        restrict: Optional[Tuple[Dict[int, List[int]], Dict[int, List[int]]]] = None,
+    ) -> None:
         """Heap-based progressive filling over interned int slots.
 
-        With ``restrict``, only those slots (a transitively closed set: no
-        member shares a link with a slot outside it) are re-solved; their
-        links' counts are rebuilt from the restricted membership, which by
-        closedness equals the global counts on those links.
+        With ``restrict`` — the closure :meth:`_dirty_closure` walked: no
+        member shares a link with a slot outside it — only those slots are
+        re-solved, over the rows and member lists the walk read; by
+        closedness a link's members are the same globally and restricted.
         """
         slot_rate = self._slot_rate
-        unfrozen: List[int] = []
-        for slot in (
-            self._flow_slot.values() if restrict is None else restrict
-        ):
-            if self._slot_links[slot]:
-                unfrozen.append(slot)
-            else:
-                # Flows that traverse no links are not limited at all.
-                slot_rate[slot] = math.inf
-
-        # Working copies for only the links currently in play.
         capacity = self._capacity
-        slot_links = self._slot_links
         if restrict is None:
-            counts: Dict[int, int] = dict(self._link_use)
+            views = self._views
+            row_start, row_len, row_data = views[6], views[7], views[8]
+            rows = {}
+            for slot in self._flow_slot.values():
+                n = row_len[slot]
+                if n:
+                    start = row_start[slot]
+                    rows[slot] = row_data[start : start + n].tolist()
+                else:
+                    # Flows that traverse no links are not limited at all.
+                    slot_rate[slot] = math.inf
+            used = np.flatnonzero(self._link_count)
+            counts = dict(zip(used.tolist(), self._link_count[used].tolist()))
+
+            def members_of(link: int) -> List[int]:
+                return self._link_members(link).tolist()
+
         else:
-            counts = {}
-            for slot in unfrozen:
-                for index in slot_links[slot]:
-                    counts[index] = counts.get(index, 0) + 1
+            rows, listed = restrict
+            counts = {link: len(slots) for link, slots in listed.items() if slots}
+            members_of = listed.__getitem__
+        # Working copies for only the links currently in play.
         remaining: Dict[int, float] = {
             index: capacity[index] for index in counts
         }
@@ -926,7 +1174,7 @@ class IncrementalAllocator:
         # share, to be dropped when it surfaces.
         share_heap = [(remaining[index] / count, index) for index, count in counts.items()]
         heapq.heapify(share_heap)
-        n_left = len(unfrozen)
+        n_left = len(rows)
         while n_left:
             key, link = share_heap[0]
             count = counts[link]
@@ -941,7 +1189,7 @@ class IncrementalAllocator:
                     heapq.heappop(share_heap)
                 continue
             heapq.heappop(share_heap)
-            to_freeze = [slot for slot in self._members[link] if not frozen[slot]]
+            to_freeze = [slot for slot in members_of(link) if not frozen[slot]]
             n_left -= len(to_freeze)
 
             # Count the round's crossings per link, then drain each link
@@ -951,7 +1199,7 @@ class IncrementalAllocator:
             for slot in to_freeze:
                 frozen[slot] = 1
                 slot_rate[slot] = level
-                for index in slot_links[slot]:
+                for index in rows[slot]:
                     drains[index] = drains.get(index, 0) + 1
             for index, k in drains.items():
                 before, count = remaining[index], counts[index]
@@ -973,9 +1221,11 @@ class IncrementalAllocator:
             self._compact_rows()
             return
         size = max(64, 2 * self._row_data.shape[0], self._row_used + n)
-        grown = np.zeros(size, dtype=np.intp)
-        grown[: self._row_used] = self._row_data[: self._row_used]
-        self._row_data = grown
+        for name in ("_row_data", "_row_pos"):
+            grown = np.empty(size, dtype=np.intp)
+            grown[: self._row_used] = getattr(self, name)[: self._row_used]
+            setattr(self, name, grown)
+        self._bind_views("_row_data", "_row_pos")
 
     def _compact_rows(self) -> None:
         """Repack live rows to the front of ``_row_data`` (vectorised)."""
@@ -991,6 +1241,7 @@ class IncrementalAllocator:
         gather = np.repeat(self._row_start[slots] - offs, lens)
         gather += np.arange(total)
         self._row_data[:total] = self._row_data[gather]
+        self._row_pos[:total] = self._row_pos[gather]
         self._row_start[slots] = offs
         self._row_used = total
 
@@ -1013,8 +1264,8 @@ class IncrementalAllocator:
         has, in every round ``j < r``, no link that is the bottleneck;
         taking it away only *raises* its links' shares, so round ``j``'s
         ``argmin`` and tie-break, the batch and the drain are unchanged.
-        Only ``counts`` on its links differ, and those are rebuilt from
-        ``_link_use``.
+        Only ``counts`` on its links differ, and those are read from
+        ``_link_count``.
         :meth:`remove_flow` therefore lowers ``_resume`` to the removed
         flow's freeze round; everything else (an add, a capacity change, a
         partial or scalar solve in between, :meth:`clear`) sets it to 0.
@@ -1045,9 +1296,8 @@ class IncrementalAllocator:
         cover the links in use only, ascending by link index (``argmin``'s
         tie-break is unchanged; a link with no live flow never enters a
         round); ``_link_pos`` translates logged and memoised ``idx``.  That
-        layout (and the permutation of ``_link_use``'s order into it) is
-        kept until a link enters or leaves use — the only edit that changes
-        that order — a capacity changes, or :meth:`clear` runs.
+        layout, ``flatnonzero(_link_count)``, is kept until a link enters or
+        leaves use, a capacity changes, or :meth:`clear` runs.
 
         The log holds each flow×link incidence at most once — the round
         that froze the flow — and so does the memo: O(incidences).
@@ -1057,18 +1307,16 @@ class IncrementalAllocator:
             # Flows that traverse no links are not limited at all.
             slot_rate[slot] = math.inf
 
-        n_used = len(self._link_use)
         pos = self._link_pos
         if self._layout is None:
-            used = np.fromiter(self._link_use.keys(), dtype=np.intp, count=n_used)
-            order = used.argsort()
-            used = used[order]
-            pos[used] = np.arange(n_used)
-            self._layout = used, order, np.asarray(self._capacity)[used]
-        used, order, capacity = self._layout
+            used = np.flatnonzero(self._link_count)
+            pos[used] = np.arange(used.shape[0])
+            self._layout = used, np.asarray(self._capacity)[used]
+        used, capacity = self._layout
+        n_used = used.shape[0]
         # (Counts are float64 — exact far beyond any flow count — so the
         # per-round divide and drains run on one dtype, without a cast.)
-        counts = np.fromiter(self._link_use.values(), dtype=np.float64, count=n_used)[order]
+        counts = self._link_count[used].astype(np.float64)
         remaining = capacity.copy()
         shares = np.empty(n_used, dtype=np.float64)
         active = np.empty(n_used, dtype=bool)
@@ -1127,8 +1375,7 @@ class IncrementalAllocator:
                 batch, idx, k = entry
                 memoised += 1
             else:
-                members = self._members[link]
-                batch = np.fromiter(members, dtype=np.intp, count=len(members))
+                batch = np.frombuffer(self._link_members(link), dtype=np.intp)
                 batch = batch[freeze_round[batch] == _NEVER]
                 if not batch.shape[0]:
                     # (would loop forever: the round freezes nothing)

@@ -24,8 +24,9 @@ rows to the allocator, and takes them back, one batch per event
 ``remove_flows``); every rate segment it closes goes to a flat
 ``(flow, start, end, rate)`` log; and :attr:`FluidResult.timelines` is a
 read-only mapping over that log, reduced by :meth:`RateTimeline.append`'s
-own rules, that builds a flow's :class:`RateTimeline` when it is asked
-for.  The scalar loop registers the same rows with the same call.
+own rules when a timeline is first read, that builds a flow's
+:class:`RateTimeline` when it is asked for.  The scalar loop registers the
+same rows with the same call.
 
 Which event loop runs, and which solve the allocator takes, follows from
 the input size alone (``_LOOP_MIN_FLOWS`` here, ``_VECTOR_MIN_FLOWS`` in
@@ -163,18 +164,22 @@ class _TimelineTable(MappingABC):
     """Read-only ``flow id -> RateTimeline`` over a columnar segment log.
 
     The log is the raw stream of ``(flow, start, end, rate)`` intervals an
-    event loop closed, each flow's in the order they were closed.  It is
-    reduced once, by :meth:`RateTimeline.append`'s own rules: an interval
-    no longer than ``_TIME_EPS`` is dropped; one that starts where its
-    flow's previous interval ended, at an equal rate, extends it (the
-    comparison is between raw neighbours, which is what sequential appends
-    compare: a merge only moves the last segment's end, and every interval
-    merged into a segment has its rate); a start before the flow's last
-    segment's raises.  The kept intervals, stable by flow, are one index
-    into the log, so each column is gathered once; the table keeps the
-    reduced segments and per-flow offsets, not the log.  Keys iterate in
-    registration order, as the scalar loop's dict does; ``table[flow_id]``
-    builds that flow's :class:`RateTimeline` anew on every call.
+    event loop closed, each flow's in the order they were closed.  The
+    table keeps it as written until a timeline is first looked up — keys
+    and ``len`` read no segment — and then reduces it once (a caller that never reads a timeline never pays
+    for the reduction, nor for its copies of the log), by
+    :meth:`RateTimeline.append`'s own rules: an interval no longer than
+    ``_TIME_EPS`` is dropped; one that starts where its flow's previous
+    interval ended, at an equal rate, extends it (the comparison is
+    between raw neighbours, which is what sequential appends compare: a
+    merge only moves the last segment's end, and every interval merged
+    into a segment has its rate); a start before the flow's last segment's
+    raises, at that first read and at every one after.  The kept
+    intervals, stable by flow, are one index into the log, so each column
+    is gathered once; from then on the table keeps the reduced segments
+    and per-flow offsets, not the log.  Keys iterate in registration
+    order, as the scalar loop's dict does; ``table[flow_id]`` builds that
+    flow's :class:`RateTimeline` anew on every call.
     """
 
     def __init__(
@@ -187,6 +192,14 @@ class _TimelineTable(MappingABC):
     ) -> None:
         self._flow_ids = flow_ids
         self._index: Optional[Dict[str, int]] = None
+        self._log: Optional[Tuple[np.ndarray, ...]] = (flow, start, end, rate)
+
+    def _reduce(self) -> None:
+        """Reduce the log to segments, once (see the class docstring)."""
+        if self._log is None:
+            return
+        flow, start, end, rate = self._log
+        self._log = None
         # The kept intervals, stable by flow, as one index: each column is
         # gathered once.
         keep = np.flatnonzero(~(end - start <= _TIME_EPS))
@@ -206,22 +219,19 @@ class _TimelineTable(MappingABC):
         if np.any(
             same_flow & (start[1:] < start[heads][segment_of[:-1]] - _TIME_EPS)
         ):
+            # (The kept log, by flow: reducing it again raises again.)
+            self._log = flow, start, end, rate
             raise SimulationError(
                 "rate segments must be appended in chronological order"
             )
         self._start = start[heads]
         self._end = end[np.append(heads[1:], n)[: heads.shape[0]] - 1]
         self._rate = rate[heads]
-        self._offsets = np.zeros(len(flow_ids) + 1, dtype=np.int64)
+        self._offsets = np.zeros(len(self._flow_ids) + 1, dtype=np.int64)
         np.cumsum(
-            np.bincount(flow[heads], minlength=len(flow_ids)),
+            np.bincount(flow[heads], minlength=len(self._flow_ids)),
             out=self._offsets[1:],
         )
-
-    @property
-    def n_segments(self) -> int:
-        """Segments over all flows."""
-        return self._start.shape[0]
 
     def _positions(self) -> Dict[str, int]:
         if self._index is None:
@@ -230,6 +240,7 @@ class _TimelineTable(MappingABC):
 
     def __getitem__(self, flow_id: str) -> RateTimeline:
         i = self._positions()[flow_id]
+        self._reduce()
         lo, hi = self._offsets[i], self._offsets[i + 1]
         timeline = RateTimeline()
         timeline._starts = self._start[lo:hi].tolist()
@@ -256,7 +267,10 @@ class FluidResult:
 
     ``timelines`` is read-only.  The vector event loop returns a mapping
     that builds a flow's :class:`RateTimeline` when it is looked up (and
-    again on the next lookup: keep the object if you read it twice).
+    again on the next lookup: keep the object if you read it twice), over
+    the run's raw segment log, which it reduces at its first lookup: a
+    result whose timelines are never read never pays for the reduction.
+    Both loops give equal timelines.
     """
 
     completion_times: Dict[str, float]
@@ -782,7 +796,9 @@ class FluidSimulation:
         or the run stops: four arrays (flow, start, end, rate) that grow by
         doubling and take each batch of closed segments as one slice write,
         so the log is held once, with no per-event arrays and no final
-        concatenation; :class:`_TimelineTable` reads their written rows.
+        concatenation.  At the end each column's written rows are copied
+        out, one column at a time, and :class:`_TimelineTable` keeps them
+        until a timeline is read.
 
         A retired flow leaves a tombstone (``left = inf``, ``rate = 0``),
         inert in every pass: its finish is ``inf``, its drain leaves
@@ -1008,14 +1024,17 @@ class FluidSimulation:
         # Flows still active when the run stops are reported stopped;
         # pending ones keep their state.
         state[state == _ACTIVE] = _STOPPED
-        timelines = _TimelineTable(flow_ids, *(column[:n_logged] for column in log))
+        # The log's written rows, each column copied out in turn, so that
+        # the table holds no growth slack and the copy costs one column.
+        for i in range(len(log)):
+            log[i] = log[i][:n_logged].copy()
         span.set(
-            batches=batches, segments=timelines.n_segments,
+            batches=batches, log_rows=n_logged,
             rates_checked=checked, rates_changed=changed, compactions=compactions,
         )
         return FluidResult(
             completion_times=completion,
-            timelines=timelines,
+            timelines=_TimelineTable(flow_ids, *log),
             remaining_bytes=dict(zip(flow_ids, rem_out.tolist())),
             end_time=end_time,
             states=dict(zip(flow_ids, map(_STATES.__getitem__, state.tolist()))),

@@ -10,16 +10,17 @@ reuses a per-link freeze-batch memo; this module keeps the old loop, moved
 in verbatim, as the reference ``tests/test_alloc_resume.py`` holds it to —
 slot rates *and* per-round levels, ``==``.
 
-:class:`ParentFill` reads the allocator's registered flows (rows,
-membership, ``_link_use``) and nothing of its solve state: the round log,
-the per-slot freeze rounds and the resume mark are its own, kept across
-fills by the same rule the allocator follows — :meth:`removed` lowers the
-mark to the earliest round that froze a removed slot, :meth:`added` sets it
-to 0.  What was ``self.`` state is ``flows.`` or the oracle's own; the
-``_members_np`` cache (invisible in the result) is rebuilt per fill.  The
-loop's flow-cap heap is gone with the caps, and with it the one-flow batch's
-own-row shortcut: a batch of one is histogrammed like any other, which
-drains the same links by the same amounts.
+:class:`ParentFill` reads the allocator's registered flows (rows, and
+membership and its counts through ``_link_members``) and nothing of its
+solve state: the round log, the per-slot freeze rounds and the resume mark
+are its own, kept across fills by the same rule the allocator follows —
+:meth:`removed` lowers the mark to the earliest round that froze a removed
+slot, :meth:`added` sets it to 0.  What was ``self.`` state is ``flows.``
+or the oracle's own; the ``_members_np`` cache (invisible in the result)
+is rebuilt per fill.  The loop's flow-cap heap is gone with the caps, and
+with it the one-flow batch's own-row shortcut: a batch of one is
+histogrammed like any other, which drains the same links by the same
+amounts.
 """
 
 from __future__ import annotations
@@ -70,15 +71,10 @@ class ParentFill:
             slot_rate[slot] = math.inf
 
         n_links = len(flows._capacity)
-        counts = np.zeros(n_links, dtype=np.int64)
-        n_used = len(flows._link_use)
-        if n_used:
-            used = np.fromiter(
-                flows._link_use.keys(), dtype=np.intp, count=n_used
-            )
-            counts[used] = np.fromiter(
-                flows._link_use.values(), dtype=np.int64, count=n_used
-            )
+        counts = np.array(
+            [len(flows._link_members(link)) for link in range(n_links)],
+            dtype=np.int64,
+        )
         remaining = capacity_np.copy()
         shares = np.empty(n_links, dtype=np.float64)
         active = np.empty(n_links, dtype=bool)
@@ -112,8 +108,9 @@ class ParentFill:
                     level = bottleneck_share
                     mem = members_np.get(bottleneck_link)
                     if mem is None:
-                        ms = flows._members[bottleneck_link]
-                        mem = np.fromiter(ms, dtype=np.intp, count=len(ms))
+                        mem = np.array(
+                            flows._link_members(bottleneck_link), dtype=np.intp
+                        )
                         members_np[bottleneck_link] = mem
                     batch = mem[~frozen[mem]]
                 else:

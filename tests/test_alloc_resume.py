@@ -516,29 +516,39 @@ def test_written_slots_cover_every_rate_a_solve_changed(make_instance, monkeypat
 
 
 # -------------------------------------------------------------- closure cost
-class _CountedSet(set):
-    """A member set that tallies every slot a walk iterates over."""
+class _CountedList(list):
+    """A member list that tallies every slot a walk iterates over."""
 
     def __init__(self, slots, tally):
         super().__init__(slots)
         self.tally = tally
 
     def __iter__(self):
-        for slot in set.__iter__(self):
+        for slot in list.__iter__(self):
             self.tally[0] += 1
             yield slot
 
 
+class _CountedMembers:
+    """The members ``_link_members`` returns, listed as a ``_CountedList``."""
+
+    def __init__(self, members, tally):
+        self.members, self.tally = members, tally
+
+    def tolist(self):
+        return _CountedList(self.members.tolist(), self.tally)
+
+
 def _members_inspected_by_walk(live):
     """Run ``_dirty_closure`` once; return its verdict and how many member
-    slots it iterated over on the way."""
+    slots it iterated over on the way, read through ``_link_members``."""
     tally = [0]
-    original = live._members
-    live._members = [_CountedSet(slots, tally) for slots in original]
+    read = live._link_members
+    live._link_members = lambda link: _CountedMembers(read(link), tally)
     try:
         return live._dirty_closure(), tally[0]
     finally:
-        live._members = original
+        del live._link_members
 
 
 def _pod_mesh_allocator(racks, hosts_per_rack, cross_rack):
@@ -784,9 +794,9 @@ def test_a_split_giant_takes_partial_solves_again_once_it_halves():
 
 def test_vector_fill_layout_follows_links_entering_and_leaving_use():
     """The fill keeps its link layout between solves: a link leaving use,
-    one re-entering it (last in ``_link_use``'s order) beside one new to
-    it, and capacity changes between two vector solves are each held
-    ``==`` to a fresh allocator's rates by ``_Driver.settle``."""
+    one re-entering it beside one new to it, and capacity changes between
+    two vector solves are each held ``==`` to a fresh allocator's rates by
+    ``_Driver.settle``."""
     caps, demands = _giant_component(n_flows=150)
     caps.update({"x": 4.0, "y": 6.0})
     demands["on_x"] = FlowDemand(links=("wide", "x", "l1"))

@@ -21,9 +21,12 @@ from repro.experiments import (
     trial_seed,
 )
 from repro.experiments.cli import main as cli_main
+from repro.net.fluid import _TimelineTable
 from repro.runtime.metrics import relative_speedup
 from repro.service.engine import report_violations
+from oracles.max_min import force_loop
 from test_live_books import books_checked
+from test_truth_property import Case, check_every_run
 
 
 # ----------------------------------------------------------------- registry
@@ -328,11 +331,18 @@ _PINNED_CELLS = [
 ] + _ILP_CELLS
 
 
+@pytest.mark.parametrize("loop", ["auto", "vector"])
 @pytest.mark.parametrize(
     "scenario,placer", _PINNED_CELLS, ids=["-".join(cell) for cell in _PINNED_CELLS]
 )
-def test_cell_digest_is_pinned(scenario, placer, monkeypatch):
+def test_cell_digest_is_pinned(scenario, placer, loop, monkeypatch):
+    """Each cell's digest, with every fluid run on the loop its size picks
+    (the scalar one, at these sizes) and again on the vector one."""
+    if loop == "vector":
+        force_loop(monkeypatch, True)
     ledger, reports = books_checked(monkeypatch)
+    checked = Case()
+    check_every_run(monkeypatch, checked)
     config = ExperimentConfig(
         scenarios=(scenario,), placers=(placer,), trials=1, base_seed=0, workers=1,
         placer_params={"ilp": {"time_limit_s": 60.0}} if placer == "ilp" else {},
@@ -346,6 +356,12 @@ def test_cell_digest_is_pinned(scenario, placer, monkeypatch):
     assert len(reports) == len(result.records) and ledger.checks >= len(reports)
     assert ledger.problems == []
     assert [report_violations(report) for report in reports] == [[]] * len(reports)
+    # Every fluid run it made keeps max-min fairness segment by segment (so
+    # each vector run's timelines are read, and its log reduced), and every
+    # probe filling under its own traffic is max-min fair.
+    assert checked.runs and checked.problems == []
+    vector_runs = [isinstance(run[0].timelines, _TimelineTable) for run in checked.runs]
+    assert all(vector_runs) if loop == "vector" else not any(vector_runs)
 
 
 # ---------------------------------------------------------------------- CLI

@@ -54,13 +54,28 @@ def _random_row(rng: random.Random):
     return []
 
 
+def _membership(allocator):
+    """Per link its members as a sorted list (read through
+    ``_link_members``, so each link's count too), and per registered slot
+    its CSR row."""
+    rows = {}
+    for slot in allocator._flow_slot.values():
+        start = int(allocator._row_start[slot])
+        rows[slot] = allocator._row_data[
+            start : start + int(allocator._slot_nlinks[slot])
+        ].tolist()
+    members = [
+        sorted(allocator._link_members(link).tolist())
+        for link in range(len(allocator._link_ids))
+    ]
+    return members, rows
+
+
 def _assert_same_state(batched, twin, context):
     assert batched._flow_slot == twin._flow_slot, context
     assert list(batched._flow_slot) == list(twin._flow_slot), context
     assert batched._free_slots == twin._free_slots, context
-    assert list(batched._link_use.items()) == list(twin._link_use.items()), context
-    assert batched._members == twin._members, context
-    assert batched._slot_links == twin._slot_links, context
+    assert _membership(batched) == _membership(twin), context
     assert batched._linkless == twin._linkless, context
     assert batched._resume == twin._resume, context
     assert batched.solve() == twin.solve(), context
@@ -473,11 +488,12 @@ def test_fluid_run_span_counts_batches_and_segments(tmp_path):
     ]
     trace = tmp_path / "trace.jsonl"
     obs.configure(str(trace), export_env=False)
+    results = []
     try:
         for vector in (False, True):
             sim = FluidSimulation(topo)
             sim.add_flows(flows)
-            result = run_loop(sim, vector)
+            results.append(run_loop(sim, vector))
     finally:
         obs.configure(None, export_env=False)
     scalar, vector = (
@@ -492,13 +508,18 @@ def test_fluid_run_span_counts_batches_and_segments(tmp_path):
     checked, changed, compactions = (
         vector.pop(key) for key in ("rates_checked", "rates_changed", "compactions")
     )
+    # The scalar loop counts its timelines' segments; the vector loop the
+    # rows it logged, which its table reduces to as many segments only
+    # when the timelines are read.
+    segments, log_rows = scalar.pop("segments"), vector.pop("log_rows")
     assert scalar == vector
     assert len(flows) <= checked < vector["batches"] * len(flows)
     assert len(flows) <= changed <= checked
     assert 1 <= compactions < vector["batches"]
-    assert vector["segments"] == sum(
-        len(timeline.segments) for timeline in result.timelines.values()
+    assert segments == sum(
+        len(timeline.segments) for timeline in results[1].timelines.values()
     )
+    assert segments <= log_rows <= changed + len(flows)
     assert vector["batches"] > 1 and vector["flows"] == len(flows)
 
 
@@ -539,7 +560,9 @@ def test_segment_log_reduces_as_append_does(seed):
     for flow, start, end, rate in stream:
         appended[flow_ids[flow]].append(start, end, rate)
     table = _table(flow_ids, stream)
-    assert table.n_segments == sum(len(t.segments) for t in appended.values())
+    assert sum(len(t.segments) for t in table.values()) == sum(
+        len(t.segments) for t in appended.values()
+    )
     for flow_id, timeline in appended.items():
         got = table[flow_id]
         assert _segments(got) == _segments(timeline)
@@ -557,8 +580,13 @@ def test_segment_log_rejects_a_backwards_start():
     backwards = [(1.0, 2.0, 5.0), (0.5, 3.0, 4.0)]
     with pytest.raises(SimulationError, match="chronological"):
         _appended(backwards)
-    with pytest.raises(SimulationError, match="chronological"):
-        _table(["a", "b"], [(1, 0.0, 1.0, 5.0)] + [(0, *row) for row in backwards])
+    # The table reduces its log when it is first read, and raises then
+    # (and on every read after).
+    table = _table(["a", "b"], [(1, 0.0, 1.0, 5.0)] + [(0, *row) for row in backwards])
+    assert len(table) == 2 and list(table) == ["a", "b"]
+    for _ in range(2):
+        with pytest.raises(SimulationError, match="chronological"):
+            table["b"]
     # append() compares with the start of the segment the previous
     # intervals merged into, not with its neighbour's start: behind the
     # neighbour but not behind the segment is accepted, by both.
@@ -566,7 +594,7 @@ def test_segment_log_rejects_a_backwards_start():
     table = _table(["a"], [(0, *row) for row in merged_first])
     assert _segments(table["a"]) == _segments(_appended(merged_first))
     # A dropped (zero-length) interval is never compared.
-    _table(["a"], [(0, *backwards[0]), (0, 0.5, 0.5, 4.0)])
+    assert len(_table(["a"], [(0, *backwards[0]), (0, 0.5, 0.5, 4.0)])["a"].segments) == 1
 
 
 def test_timelines_mapping_behaves_as_a_dict():

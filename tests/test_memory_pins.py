@@ -1,17 +1,18 @@
 """What a simulation gives back, and what one fluid run holds at its peak.
 
-A CPython set never shrinks on ``discard`` or ``difference_update``; only
-``clear()`` frees its table.  So the allocator clears a link's member set
-when the link's last flow leaves, and once every flow of a batch has left,
-every member set is as small as an empty one, whichever way the flows left.
+The allocator keeps link membership in one flat store of ``intp`` entries:
+per incidence its slot, the link's index in the slot's row, and beside the
+CSR row entry its place in the link's segment — three entries, whatever
+the load.  A large store is let go once every flow has left, whichever
+way the flows left.
 
 The vector event loop logs its rate segments into four columns grown in
-place and hands their written rows to the timeline table, which gathers
-each column once.  The traced peak of one such run is pinned here, as
-``tests/test_route_table.py`` pins a campaign's.
+place, cuts them to their written rows, and hands them to the timeline
+table, which reduces them only when a timeline is read.  The traced peak
+of one such run is pinned here, as ``tests/test_route_table.py`` pins a
+campaign's.
 """
 
-import sys
 import tracemalloc
 
 import numpy as np
@@ -20,11 +21,11 @@ import pytest
 import repro.net.alloc as alloc
 from repro.net.alloc import IncrementalAllocator
 from repro.net.flows import Flow
-from repro.net.fluid import FluidSimulation, _LOOP_MIN_FLOWS
+from repro.net.fluid import FluidSimulation, _LOOP_MIN_FLOWS, _TimelineTable
 from repro.net.topology import TreeSpec, build_multi_rooted_tree
 from repro.units import GBITPS, MBYTE
 
-EMPTY_SET_BYTES = sys.getsizeof(set())
+INTP_BYTES = np.dtype(np.intp).itemsize
 
 
 def loaded_allocator(n_flows: int, n_links: int = 12, width: int = 3):
@@ -41,16 +42,54 @@ def loaded_allocator(n_flows: int, n_links: int = 12, width: int = 3):
     return allocator, flow_ids
 
 
+def membership_bytes(allocator) -> int:
+    """What the allocator holds for link membership: the store, and beside
+    the CSR rows each entry's place in its link's segment."""
+    return (
+        allocator._store.nbytes + allocator._store_k.nbytes + allocator._row_pos.nbytes
+    )
+
+
+def test_membership_holds_three_entries_per_incidence():
+    """20 000 flows, each crossing 3 of 12 links, added as one batch: the
+    store and the row positions hold exactly 3 ``intp`` entries (24 bytes
+    on 64-bit) per flow × link incidence — where one member-set entry took
+    about 79 bytes, and each flow's path was kept a second time as a
+    tuple — and the per-link vectors 3 more per link."""
+    allocator, flow_ids = loaded_allocator(20_000)
+    incidences = 3 * len(flow_ids)
+    assert allocator._n_members == incidences
+    assert membership_bytes(allocator) == 3 * INTP_BYTES * incidences
+    per_link = (
+        allocator._link_count.nbytes + allocator._seg_start.nbytes
+        + allocator._seg_cap.nbytes
+    )
+    assert per_link == 3 * INTP_BYTES * 12
+
+
 @pytest.mark.parametrize("batched", [True, False])
-def test_member_sets_are_freed_when_every_flow_leaves(batched):
-    """192 flows on 12 links: every link's set grew to hold about 48 slots.
-    Half leave (the sets keep the rest), then the other half, as one batch
-    or flow by flow: no set is left bigger than an empty one."""
-    n_flows = 192
-    assert n_flows // 2 >= alloc._BATCH_MIN
+def test_the_store_is_freed_when_every_flow_leaves(batched, monkeypatch):
+    """2 048 flows on 12 links (6 144 memberships, a store over
+    ``_REPACK_MIN``) leave in two halves, as batches or flow by flow.  The
+    store shrinks as they leave — a few trims, each after a share of the
+    memberships has gone, not one per removal — and once all have left it
+    is no bigger than the store a first flow gets (``_small_store``
+    entries): an allocator whose flows have all left holds that much,
+    whatever it once carried.  A batch that takes the last members lets
+    the store go."""
+    trims = []
+    repack = IncrementalAllocator._repack_store
+    monkeypatch.setattr(
+        IncrementalAllocator, "_repack_store",
+        lambda allocator, extra=0, trim=False: (
+            trims.append(allocator._n_members) if trim else None,
+            repack(allocator, extra, trim),
+        )[1],
+    )
+    n_flows = 2048
     allocator, flow_ids = loaded_allocator(n_flows)
-    members = allocator._members
-    assert min(sys.getsizeof(m) for m in members) > EMPTY_SET_BYTES
+    loaded = allocator._store.shape[0]
+    assert loaded == 3 * n_flows > allocator._small_store >= alloc._REPACK_MIN
     for half in (flow_ids[::2], flow_ids[1::2]):
         if batched:
             allocator.remove_flows(half)
@@ -58,8 +97,35 @@ def test_member_sets_are_freed_when_every_flow_leaves(batched):
             for flow_id in half:
                 allocator.remove_flow(flow_id)
         allocator.solve()
-    assert len(allocator) == 0 and not any(members)
-    assert [sys.getsizeof(m) for m in members] == [EMPTY_SET_BYTES] * len(members)
+    assert len(allocator) == 0 and not allocator._link_count.any()
+    assert allocator._store.shape[0] <= allocator._small_store < loaded
+    if batched:
+        assert allocator._store.nbytes == allocator._store_k.nbytes == 0
+        assert trims == []
+    else:
+        # Each trim waits until at least a third of the memberships left.
+        assert 1 <= len(trims) <= 4
+        assert all(3 * later <= 2 * earlier for earlier, later in zip(trims, trims[1:]))
+
+
+def test_a_small_store_keeps_its_segments_for_the_next_flows(monkeypatch):
+    """An allocator that never held more than a first store holds keeps
+    it, empty, when its flows leave, and takes the same flows back without
+    moving a segment."""
+    allocator, flow_ids = loaded_allocator(64)
+    rows = [allocator._row_data[3 * i : 3 * i + 3].tolist() for i in range(64)]
+    for flow_id in flow_ids:
+        allocator.remove_flow(flow_id)
+    size = allocator._store.shape[0]
+    assert 0 < size <= allocator._small_store
+    moved = []
+    monkeypatch.setattr(
+        IncrementalAllocator, "_move_segment", lambda *args: moved.append(args)
+    )
+    for flow_id, row in zip(flow_ids, rows):
+        allocator.add_flow(flow_id, [f"l{i}" for i in row])
+    assert moved == [] and allocator._store.shape[0] == size
+    assert allocator._n_members == 3 * 64
 
 
 def shuffle(n_mappers: int = 24, n_reducers: int = 24, levels: int = 16) -> FluidSimulation:
@@ -84,13 +150,14 @@ def shuffle(n_mappers: int = 24, n_reducers: int = 24, levels: int = 16) -> Flui
 
 #: Traced peak (``tracemalloc``) of ``shuffle().run()`` — 576 flows, so the
 #: vector event loop, 4 211 segments — as this test's body measured it on
-#: the code that logs segments into growable columns: 0.78 MiB on x86-64,
-#: Python 3.11.7, NumPy 2.4.6 (0.77–0.79 MiB alone and inside the suite; the
-#: code before it, which kept per-event arrays and concatenated them, peaked
-#: at 1.16–1.19 MiB).  The bound allows 5 % over the figure.  The figure
-#: depends on the NumPy build: when the installed NumPy changes, re-measure
-#: it with this body on this code.
-RUN_PEAK_MIB = 0.78
+#: the code that keeps link membership in a flat store and leaves the
+#: segment log unreduced until it is read: 0.49 MiB on x86-64, Python
+#: 3.11.7, NumPy 2.4.6 (0.46–0.49 MiB alone and inside the suite; with
+#: member sets and the table reduced at the end of the run it was
+#: 0.76–0.79 MiB, and with per-event log arrays 1.16–1.19 MiB).  The bound
+#: allows 5 % over the figure.  The figure depends on the NumPy build: when
+#: the installed NumPy changes, re-measure it with this body on this code.
+RUN_PEAK_MIB = 0.49
 
 
 def test_a_vector_run_holds_its_segment_log_once():
@@ -103,5 +170,31 @@ def test_a_vector_run_holds_its_segment_log_once():
     finally:
         tracemalloc.stop()
     assert len(result.completion_times) == 24 * 24
-    assert result.timelines.n_segments == 4211
+    assert sum(len(t.segments) for t in result.timelines.values()) == 4211
     assert peak <= RUN_PEAK_MIB * 1.05, f"{peak:.3f} MiB"
+
+
+def test_a_vector_run_whose_timelines_are_not_read_keeps_its_log(monkeypatch):
+    """The timeline table reduces its log at the first lookup, once; a
+    result read only for its completion times, states, remaining bytes
+    and timeline keys never reduces it."""
+    reductions = []
+    reduce = _TimelineTable._reduce
+
+    def counted(table):
+        reductions.append(table._log is not None)
+        reduce(table)
+
+    monkeypatch.setattr(_TimelineTable, "_reduce", counted)
+    sim = shuffle()
+    result = sim.run()
+    assert len(result.completion_times) == len(result.states) == 24 * 24
+    assert sum(result.remaining_bytes.values()) == 0.0
+    timelines = result.timelines
+    assert len(timelines) == 24 * 24 and list(timelines)[0] == "m0>r0"
+    assert reductions == [] and timelines._log[0].shape[0] >= 4211
+    first = timelines["m0>r0"]
+    assert timelines["m0>r0"].segments == first.segments
+    assert sum(len(t.segments) for t in timelines.values()) == 4211
+    assert reductions[:2] == [True, False] and not any(reductions[1:])
+    assert timelines._log is None
