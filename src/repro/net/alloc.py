@@ -268,8 +268,8 @@ class IncrementalAllocator:
         # over every registered flow.
         self._linkless: Set[int] = set()
         self._slot_nlinks = np.zeros(0, dtype=np.int64)
-        # Longest path registered since the last clear() (never lowered on
-        # removal: _dirty_closure only needs an upper bound).
+        # Longest path ever registered (never lowered on removal:
+        # _dirty_closure only needs an upper bound).
         self._max_row = 0
         # Component labels (see _dirty_closure): per link its label, per
         # label its routed flows, and how many routed flows were labeled.
@@ -919,7 +919,7 @@ class IncrementalAllocator:
         A vector fill writes the batches of the rounds it searched (not the
         replayed prefix) and the linkless slots, a partial solve its closure
         and the new linkless slots.  A scalar full solve, a fill that left
-        slots unconstrained, :meth:`clear`, or two solves give None.  A
+        slots unconstrained, or two solves give None.  A
         solve records O(1): a mark or a set reference.
         """
         written, self._written = self._written, _UNREAD
@@ -1268,7 +1268,7 @@ class IncrementalAllocator:
         ``_link_count``.
         :meth:`remove_flow` therefore lowers ``_resume`` to the removed
         flow's freeze round; everything else (an add, a capacity change, a
-        partial or scalar solve in between, :meth:`clear`) sets it to 0.
+        partial or scalar solve in between) sets it to 0.
         The prefix is applied *in one pass* before the loop: links are
         independent, so only each link's own drain order matters, and
         ``np.subtract.at`` applies the logged ``k*level`` products
@@ -1297,7 +1297,7 @@ class IncrementalAllocator:
         tie-break is unchanged; a link with no live flow never enters a
         round); ``_link_pos`` translates logged and memoised ``idx``.  That
         layout, ``flatnonzero(_link_count)``, is kept until a link enters or
-        leaves use, a capacity changes, or :meth:`clear` runs.
+        leaves use or a capacity changes.
 
         The log holds each flow×link incidence at most once — the round
         that froze the flow — and so does the memo: O(incidences).

@@ -18,15 +18,15 @@ piece-wise constant rate timeline for every flow.  Those timelines power:
 A flow lives in **one columnar table** from registration to result.
 :meth:`FluidSimulation.add_flows` routes a whole batch with
 :meth:`~repro.net.topology.Topology.path_links_matrix` and stores each
-flow's path as a row of link indices; the vector event loop hands those
-rows to the allocator, and takes them back, one batch per event
+flow's path as a row of link indices; the event loops hand those rows to
+the allocator, and take them back, one batch per event
 (:meth:`~repro.net.alloc.IncrementalAllocator.add_flows` /
-``remove_flows``); every rate segment it closes goes to a flat
-``(flow, start, end, rate)`` log; and :attr:`FluidResult.timelines` is a
-read-only mapping over that log, reduced by :meth:`RateTimeline.append`'s
-own rules when a timeline is first read, that builds a flow's
-:class:`RateTimeline` when it is asked for.  The scalar loop registers the
-same rows with the same call.
+``remove_flows``).  Both loops keep each active flow's open rate segment
+and log it as a ``(flow, start, end, rate)`` row when the flow's rate
+changes, when it retires and when the run stops; and
+:attr:`FluidResult.timelines` is a read-only mapping over that log, reduced
+when a timeline is first read, that builds a flow's :class:`RateTimeline`
+when it is asked for.
 
 Which event loop runs, and which solve the allocator takes, follows from
 the input size alone (``_LOOP_MIN_FLOWS`` here, ``_VECTOR_MIN_FLOWS`` in
@@ -107,40 +107,19 @@ class RateSegment:
 
 
 class RateTimeline:
-    """Piece-wise constant history of a single flow's rate.
-
-    Segments are appended in chronological order (the fluid simulator emits
-    them event by event), so lookups bisect on segment start times instead
+    """Piece-wise constant history of a single flow's rate: a read-only
+    view of the segments :class:`_TimelineTable` reduced from a run's log,
+    in chronological order.  Lookups bisect on segment start times instead
     of scanning — timelines grow long in bursty scenarios.
     """
 
-    def __init__(self) -> None:
-        self.segments: List[RateSegment] = []
-        self._starts: List[float] = []
-
-    def append(self, start: float, end: float, rate_bps: float) -> None:
-        """Record one constant-rate interval (zero-length intervals ignored).
-
-        Raises:
-            SimulationError: if ``start`` precedes the last recorded segment
-                (segments must arrive in chronological order).
-        """
-        if end - start <= _TIME_EPS:
-            return
-        if self._starts and start < self._starts[-1] - _TIME_EPS:
-            raise SimulationError(
-                "rate segments must be appended in chronological order"
-            )
-        # Merge with the previous segment if the rate did not change.
-        if (
-            self.segments
-            and abs(self.segments[-1].end - start) <= _TIME_EPS
-            and self.segments[-1].rate_bps == rate_bps
-        ):
-            self.segments[-1].end = end
-            return
-        self.segments.append(RateSegment(start, end, rate_bps))
-        self._starts.append(start)
+    def __init__(
+        self, starts: List[float], ends: List[float], rates: List[float]
+    ) -> None:
+        self._starts = starts
+        self.segments: Tuple[RateSegment, ...] = tuple(
+            map(RateSegment, starts, ends, rates)
+        )
 
     def average_rate(self, start: float, end: float) -> float:
         """Time-average rate over ``[start, end]`` (gaps count as zero)."""
@@ -164,35 +143,29 @@ class _TimelineTable(MappingABC):
     """Read-only ``flow id -> RateTimeline`` over a columnar segment log.
 
     The log is the raw stream of ``(flow, start, end, rate)`` intervals an
-    event loop closed, each flow's in the order they were closed.  The
-    table keeps it as written until a timeline is first looked up — keys
-    and ``len`` read no segment — and then reduces it once (a caller that never reads a timeline never pays
-    for the reduction, nor for its copies of the log), by
-    :meth:`RateTimeline.append`'s own rules: an interval no longer than
-    ``_TIME_EPS`` is dropped; one that starts where its flow's previous
-    interval ended, at an equal rate, extends it (the comparison is
-    between raw neighbours, which is what sequential appends compare: a
-    merge only moves the last segment's end, and every interval merged
-    into a segment has its rate); a start before the flow's last segment's
+    event loop closed — ``flow`` a registration position — each flow's in
+    the order they were closed.  The table keeps it as written until a
+    timeline is first looked up — keys and ``len`` read no segment — and
+    then reduces it once (a caller that never reads a timeline never pays
+    for the reduction, nor for its copies of the log), by three rules: an
+    interval no longer than ``_TIME_EPS`` is dropped; one that starts where
+    its flow's previous kept interval ended, at an equal rate, extends it
+    into one segment; a start before the start of the flow's last segment
     raises, at that first read and at every one after.  The kept
     intervals, stable by flow, are one index into the log, so each column
     is gathered once; from then on the table keeps the reduced segments
     and per-flow offsets, not the log.  Keys iterate in registration
-    order, as the scalar loop's dict does; ``table[flow_id]`` builds that
-    flow's :class:`RateTimeline` anew on every call.
+    order; ``table[flow_id]`` builds that flow's :class:`RateTimeline`
+    anew on every call.
     """
 
-    def __init__(
-        self,
-        flow_ids: List[str],
-        flow: np.ndarray,
-        start: np.ndarray,
-        end: np.ndarray,
-        rate: np.ndarray,
-    ) -> None:
+    def __init__(self, flow_ids: List[str], flow, start, end, rate) -> None:
         self._flow_ids = flow_ids
         self._index: Optional[Dict[str, int]] = None
-        self._log: Optional[Tuple[np.ndarray, ...]] = (flow, start, end, rate)
+        self._log: Optional[Tuple[np.ndarray, ...]] = (
+            np.asarray(flow, dtype=np.intp),
+            *(np.asarray(column, dtype=np.float64) for column in (start, end, rate)),
+        )
 
     def _reduce(self) -> None:
         """Reduce the log to segments, once (see the class docstring)."""
@@ -241,18 +214,10 @@ class _TimelineTable(MappingABC):
     def __getitem__(self, flow_id: str) -> RateTimeline:
         i = self._positions()[flow_id]
         self._reduce()
-        lo, hi = self._offsets[i], self._offsets[i + 1]
-        timeline = RateTimeline()
-        timeline._starts = self._start[lo:hi].tolist()
-        timeline.segments = [
-            RateSegment(*row)
-            for row in zip(
-                timeline._starts,
-                self._end[lo:hi].tolist(),
-                self._rate[lo:hi].tolist(),
-            )
-        ]
-        return timeline
+        at = slice(self._offsets[i], self._offsets[i + 1])
+        return RateTimeline(
+            self._start[at].tolist(), self._end[at].tolist(), self._rate[at].tolist()
+        )
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._flow_ids)
@@ -265,12 +230,12 @@ class _TimelineTable(MappingABC):
 class FluidResult:
     """Outcome of a fluid simulation run.
 
-    ``timelines`` is read-only.  The vector event loop returns a mapping
-    that builds a flow's :class:`RateTimeline` when it is looked up (and
-    again on the next lookup: keep the object if you read it twice), over
-    the run's raw segment log, which it reduces at its first lookup: a
-    result whose timelines are never read never pays for the reduction.
-    Both loops give equal timelines.
+    ``timelines`` is read-only: from either event loop, a mapping that
+    builds a flow's :class:`RateTimeline` when it is looked up (and again
+    on the next lookup: keep the object if you read it twice), over the
+    run's raw segment log, which it reduces at its first lookup: a result
+    whose timelines are never read never pays for the reduction.  Both
+    loops write the same log.
     """
 
     completion_times: Dict[str, float]
@@ -326,12 +291,12 @@ class FluidSimulation:
     live flows the per-flow Python event loop runs; at or above it the
     vector loop holds flow state in NumPy arrays in activation order,
     picks the next event with a ``min`` over the finish-time vector,
-    activates, drains and retires flows a batch per event, re-reads only the
-    rates the allocator rewrote, and logs a rate segment (to a columnar log,
-    see :class:`FluidResult`) only when a flow's rate actually changes.
-    Both loops produce bit-identical :class:`FluidResult` contents, and
-    either resumes from the pause the other left (see the module
-    docstring).
+    activates, drains and retires flows a batch per event, and re-reads
+    only the rates the allocator rewrote.  Both loops log a rate segment
+    only when a flow's rate changes, it retires or the run stops, into one
+    segment log (see :class:`FluidResult`), produce bit-identical
+    :class:`FluidResult` contents, and resume from the pause either left
+    (see the module docstring).
     """
 
     def __init__(
@@ -618,26 +583,38 @@ class FluidSimulation:
         self._survivors = survivors
 
     def _run_scalar(self, until: Optional[float], span) -> FluidResult:
-        """The original per-flow Python event loop."""
+        """The per-flow Python event loop.
+
+        It logs segments by :meth:`_run_vector`'s rule, into a list of
+        ``(flow, start, end, rate)`` rows: each active flow's open segment
+        (its start and rate) is closed when its rate changes, when it
+        retires and when the run stops.
+        """
         flows = self._flows
         flow_list = list(flows.values())
         # The flow table as lists: a flow's row goes to the allocator with
         # the row API the vector loop uses (a handful of flows per event,
         # where list slices beat a NumPy gather).
         data, row_start, row_len = (a.tolist() for a in self._table())
-        timelines: Dict[str, RateTimeline] = {fid: RateTimeline() for fid in flows}
         completion: Dict[str, float] = {}
         states: Dict[str, FlowState] = {fid: FlowState.PENDING for fid in flows}
         remaining: Dict[str, float] = {
             fid: float(flow.size_bytes) for fid, flow in flows.items()
         }
-        # Flows the pause left active are in the allocator already.
-        active: Dict[str, Flow] = {}
+        # Active flows in activation order, each with its registration
+        # position; those the pause left active are in the allocator already.
+        active: Dict[str, int] = {}
         resumed = self._active
-        for fid, left in resumed.items():
-            states[fid] = FlowState.ACTIVE
-            remaining[fid] = left
-            active[fid] = flows[fid]
+        if resumed:
+            position = dict(zip(flows, range(len(flow_list))))
+            for fid, left in resumed.items():
+                states[fid] = FlowState.ACTIVE
+                remaining[fid] = left
+                active[fid] = position[fid]
+        # The open segments' starts and rates, and the closed ones' rows.
+        open_start: Dict[str, float] = {}
+        open_rate: Dict[str, float] = {}
+        log: List[Tuple[int, float, float, float]] = []
 
         # By (start_time, flow_id), with their registration positions.
         order = sorted(
@@ -651,7 +628,7 @@ class FluidSimulation:
         incremental, now = self._resume(until)
         inf = math.inf
         end_time = now
-        batches = 0
+        batches = checked = changed = 0
 
         while True:
             # Activate flows whose start time has arrived, as one batch.
@@ -666,7 +643,7 @@ class FluidSimulation:
                     completion[fid] = flow.start_time
                     states[fid] = FlowState.COMPLETED
                     continue
-                active[fid] = flow
+                active[fid] = i
                 states[fid] = FlowState.ACTIVE
                 arrived.append(flow)
                 rows.extend(data[row_start[i] : row_start[i] + row_len[i]])
@@ -714,11 +691,18 @@ class FluidSimulation:
             if next_time < now:
                 next_time = now
 
-            # Advance to next_time, recording rate segments and draining bytes.
+            # Advance to next_time, closing the segments whose rate changed
+            # (opening each flow's first) and draining bytes.
             dt = next_time - now
+            checked += len(active)
             for fid in active:
                 rate = rates[fid]
-                timelines[fid].append(now, next_time, rate)
+                if open_rate.get(fid) != rate:
+                    changed += 1
+                    if fid in open_rate:
+                        log.append((active[fid], open_start[fid], now, open_rate[fid]))
+                    open_start[fid] = now
+                    open_rate[fid] = rate
                 if rate == inf:
                     remaining[fid] = 0.0
                 elif rate > 0:
@@ -742,7 +726,7 @@ class FluidSimulation:
             for fid in completed:
                 completion[fid] = now
                 states[fid] = FlowState.COMPLETED
-                del active[fid]
+                log.append((active.pop(fid), open_start.pop(fid), now, open_rate.pop(fid)))
                 incremental.remove_flow(fid)
 
             if until is not None and now >= until - _TIME_EPS:
@@ -750,9 +734,12 @@ class FluidSimulation:
                 break
 
         _FLUID_BATCHES.inc(batches)
+        # Close the segments still open at the stop time.
+        for fid, rate in open_rate.items():
+            log.append((active[fid], open_start[fid], now, rate))
         span.set(
-            batches=batches,
-            segments=sum(len(t.segments) for t in timelines.values()),
+            batches=batches, log_rows=len(log),
+            rates_checked=checked, rates_changed=changed, compactions=0,
         )
         self._pause(
             end_time,
@@ -770,7 +757,7 @@ class FluidSimulation:
                 states[fid] = FlowState.STOPPED
         return FluidResult(
             completion_times=completion,
-            timelines=timelines,
+            timelines=_TimelineTable(list(flows), *(zip(*log) if log else [()] * 4)),
             remaining_bytes=remaining,
             end_time=end_time,
             states=states,
@@ -794,11 +781,11 @@ class FluidSimulation:
         run's first event all live flows, as resumed ones open segments).
         Segments are logged in columns when a rate changes, a flow retires
         or the run stops: four arrays (flow, start, end, rate) that grow by
-        doubling and take each batch of closed segments as one slice write,
-        so the log is held once, with no per-event arrays and no final
-        concatenation.  At the end each column's written rows are copied
-        out, one column at a time, and :class:`_TimelineTable` keeps them
-        until a timeline is read.
+        a quarter and take each batch of closed segments as one slice
+        write, so the log is held once, with no per-event arrays and no
+        final concatenation.  At the end each column's written rows are
+        copied out, one column at a time, and :class:`_TimelineTable` keeps
+        them until a timeline is read.
 
         A retired flow leaves a tombstone (``left = inf``, ``rate = 0``),
         inert in every pass: its finish is ``inf``, its drain leaves
@@ -867,8 +854,8 @@ class FluidSimulation:
         pending_start = start[pending]
         n_pending = pending.shape[0]
         pending_idx = 0
-        # The segment log: four columns (flow, start, end, rate) grown by
-        # doubling, one column at a time (the old one goes before the next
+        # The segment log: four columns (flow, start, end, rate) grown by a
+        # quarter, one column at a time (the old one goes before the next
         # grows), of which the first ``n_logged`` rows are written.
         log = [np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0), np.zeros(0)]
         n_logged = 0
@@ -880,7 +867,7 @@ class FluidSimulation:
             if at.shape[0]:
                 new = slice(n_logged, n_logged + at.shape[0])
                 if new.stop > log[0].shape[0]:
-                    size = max(16, 2 * log[0].shape[0], new.stop)
+                    size = max(16, log[0].shape[0] * 5 // 4, new.stop)
                     for i in range(len(log)):
                         log[i] = _grow(log[i], size)
                 log_flow, log_start, log_end, log_rate = log

@@ -9,9 +9,11 @@
   by pair;
 * the measurement cache's stale set and ages, read off its arrays;
 * the switch that puts pool workers under the chaos hook of
-  ``tests/chaos``.
+  ``tests/chaos``;
+* the attributes of the ``fluid.run`` spans a block of code emits.
 """
 
+import contextlib
 import csv
 import json
 import math
@@ -21,6 +23,7 @@ from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple,
 
 import numpy as np
 
+from repro import obs
 from repro.errors import TopologyError
 from repro.net.links import LinkKind
 from repro.net.topology import NodeKind, Topology
@@ -182,3 +185,20 @@ def arm_worker_chaos(monkeypatch, chaos_dir) -> None:
         "PYTHONPATH", os.pathsep.join(filter(None, [CHAOS_HOOK, src, path]))
     )
     monkeypatch.setenv("REPRO_WORKER_CHAOS_DIR", str(chaos_dir))
+
+
+@contextlib.contextmanager
+def fluid_run_spans(path: Path):
+    """Trace into ``path``; the list yielded receives the attributes of the
+    ``fluid.run`` spans on exit, in run order."""
+    spans: List[dict] = []
+    obs.configure(str(path), export_env=False)
+    try:
+        yield spans
+    finally:
+        obs.configure(None, export_env=False)
+    spans.extend(
+        event["attrs"]
+        for event in map(json.loads, path.read_text().splitlines())
+        if event["name"] == "fluid.run"
+    )

@@ -21,9 +21,9 @@ from repro.experiments import (
     trial_seed,
 )
 from repro.experiments.cli import main as cli_main
-from repro.net.fluid import _TimelineTable
 from repro.runtime.metrics import relative_speedup
 from repro.service.engine import report_violations
+from helpers import fluid_run_spans
 from oracles.max_min import force_loop
 from test_live_books import books_checked
 from test_truth_property import Case, check_every_run
@@ -335,7 +335,7 @@ _PINNED_CELLS = [
 @pytest.mark.parametrize(
     "scenario,placer", _PINNED_CELLS, ids=["-".join(cell) for cell in _PINNED_CELLS]
 )
-def test_cell_digest_is_pinned(scenario, placer, loop, monkeypatch):
+def test_cell_digest_is_pinned(scenario, placer, loop, monkeypatch, tmp_path):
     """Each cell's digest, with every fluid run on the loop its size picks
     (the scalar one, at these sizes) and again on the vector one."""
     if loop == "vector":
@@ -347,7 +347,8 @@ def test_cell_digest_is_pinned(scenario, placer, loop, monkeypatch):
         scenarios=(scenario,), placers=(placer,), trials=1, base_seed=0, workers=1,
         placer_params={"ilp": {"time_limit_s": 60.0}} if placer == "ilp" else {},
     )
-    result = ExperimentRunner(config).run()
+    with fluid_run_spans(tmp_path / "trace.jsonl") as spans:
+        result = ExperimentRunner(config).run()
     assert all(rec.ok for rec in result.records)
     canonical = json.dumps(result.canonical_json_dict(), sort_keys=True)
     assert hashlib.sha256(canonical.encode()).hexdigest() == _GOLDEN_DIGESTS[scenario, placer]
@@ -357,11 +358,12 @@ def test_cell_digest_is_pinned(scenario, placer, loop, monkeypatch):
     assert ledger.problems == []
     assert [report_violations(report) for report in reports] == [[]] * len(reports)
     # Every fluid run it made keeps max-min fairness segment by segment (so
-    # each vector run's timelines are read, and its log reduced), and every
-    # probe filling under its own traffic is max-min fair.
+    # each run's timelines are read, and its log reduced), and every probe
+    # filling under its own traffic is max-min fair.  Each run took the
+    # loop forced on it, or, at these sizes, the scalar one.
     assert checked.runs and checked.problems == []
-    vector_runs = [isinstance(run[0].timelines, _TimelineTable) for run in checked.runs]
-    assert all(vector_runs) if loop == "vector" else not any(vector_runs)
+    expected = "vector" if loop == "vector" else "scalar"
+    assert [span["loop"] for span in spans] == [expected] * len(checked.runs)
 
 
 # ---------------------------------------------------------------------- CLI

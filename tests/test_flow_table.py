@@ -7,27 +7,27 @@ Three batched mechanisms carry a flow from ``FluidSimulation.add_flows`` to
   ``remove_flow`` on a twin allocator (slots, free list, solve counters,
   rates);
 * batch registration and the vector event loop against one-by-one
-  registration and the scalar loop (every ``FluidResult`` field, dict
-  order included, and every rate segment), run after run, with flows
-  withdrawn at the pauses — and every flow's bytes conserved;
-* the columnar segment log against ``RateTimeline.append``.
+  registration and the scalar loop (the raw segment log each writes, as a
+  multiset of rows; every ``FluidResult`` field, dict order included, and
+  every rate segment), run after run, with flows withdrawn at the pauses —
+  and every flow's bytes conserved;
+* the timeline table's reduction of a segment log against the verbatim
+  ``RateTimeline.append`` (``tests/oracles/rate_append.py``).
 """
 
 from __future__ import annotations
 
-import contextlib
 import gc
 import itertools
-import json
 import random
 import sys
 
 import numpy as np
 import pytest
 
-from helpers import build_dumbbell
+from helpers import build_dumbbell, fluid_run_spans
 from oracles.max_min import flow_demands, force_solves, run_loop
-from repro import obs
+from oracles.rate_append import AppendedTimeline
 from repro.errors import RoutingError, SimulationError, TopologyError
 from repro.net import alloc
 from repro.net.alloc import IncrementalAllocator
@@ -182,6 +182,12 @@ def _assert_results_identical(reference, got, context):
         )
 
 
+def _log_rows(result):
+    """The raw rows of a run's segment log as a multiset (sorted), read
+    before any lookup reduces it."""
+    return sorted(zip(*(column.tolist() for column in result.timelines._log)))
+
+
 def _mesh_topology():
     """A non-tree graph (two switches, doubly connected through a third):
     no structured router, every route comes from graph search."""
@@ -232,23 +238,6 @@ def _mass_retirement_flows(rng: random.Random, hosts):
             )
         )
     return flows
-
-
-@contextlib.contextmanager
-def _fluid_run_spans(path):
-    """Trace into ``path``; the list yielded receives the attributes of the
-    ``fluid.run`` spans on exit."""
-    spans = []
-    obs.configure(str(path), export_env=False)
-    try:
-        yield spans
-    finally:
-        obs.configure(None, export_env=False)
-    spans.extend(
-        event["attrs"]
-        for event in map(json.loads, path.read_text().splitlines())
-        if event["name"] == "fluid.run"
-    )
 
 
 def _assert_bytes_conserved(flows, runs, context):
@@ -335,7 +324,7 @@ def test_batch_registration_and_vector_loop_match_the_scalar_oracle(
     # Up to two pauses, a flow withdrawn at each with even odds, then the
     # rest run to completion.
     runs, until = [], 0.0
-    with _fluid_run_spans(tmp_path / "trace.jsonl") as spans:
+    with fluid_run_spans(tmp_path / "trace.jsonl") as spans:
         for step in range(3):
             if mass:
                 until = 0.3 if step == 0 else None
@@ -346,9 +335,11 @@ def test_batch_registration_and_vector_loop_match_the_scalar_oracle(
                 )
             context = f"seed={seed} step={step} until={until}"
             scalar = run_loop(one_by_one, vector=False, until=until)
-            _assert_results_identical(
-                scalar, run_loop(batch, vector=True, until=until), context
-            )
+            vector = run_loop(batch, vector=True, until=until)
+            # Both loops write one log: the same rows, closed in its own
+            # order by each.
+            assert _log_rows(scalar) == _log_rows(vector), context
+            _assert_results_identical(scalar, vector, context)
             runs.append(scalar)
             if until is None:
                 break
@@ -486,40 +477,31 @@ def test_fluid_run_span_counts_batches_and_segments(tmp_path):
         Flow(flow_id=f"f{i}", src=a, dst=b, size_bytes=1e5 * (1 + i % 3))
         for i, (a, b) in enumerate(itertools.permutations(hosts, 2))
     ]
-    trace = tmp_path / "trace.jsonl"
-    obs.configure(str(trace), export_env=False)
     results = []
-    try:
+    with fluid_run_spans(tmp_path / "trace.jsonl") as spans:
         for vector in (False, True):
             sim = FluidSimulation(topo)
             sim.add_flows(flows)
             results.append(run_loop(sim, vector))
-    finally:
-        obs.configure(None, export_env=False)
-    scalar, vector = (
-        event["attrs"]
-        for event in map(json.loads, trace.read_text().splitlines())
-        if event["name"] == "fluid.run"
-    )
+    scalar, vector = spans
+    # One schema: the same keys, and the same log.
+    assert scalar.keys() == vector.keys()
     assert (scalar.pop("loop"), vector.pop("loop")) == ("scalar", "vector")
-    # What the vector loop touched: every live flow on the first event, then
-    # the slots each solve rewrote, a subset of which changed rate; and how
-    # often its retired flows' positions were compacted away.
-    checked, changed, compactions = (
-        vector.pop(key) for key in ("rates_checked", "rates_changed", "compactions")
-    )
-    # The scalar loop counts its timelines' segments; the vector loop the
-    # rows it logged, which its table reduces to as many segments only
-    # when the timelines are read.
-    segments, log_rows = scalar.pop("segments"), vector.pop("log_rows")
+    # What each loop compared: the scalar loop every active flow at every
+    # event; the vector loop every live flow on the first event, then the
+    # slots each solve rewrote.  A subset of those changed rate (a flow's
+    # first rate counts), and each change opened a segment that a later
+    # change, the flow's retirement or the run's stop closed into one row.
+    # Only the vector loop compacts retired flows' positions away.
+    scalar_checked, vector_checked = scalar.pop("rates_checked"), vector.pop("rates_checked")
+    assert scalar.pop("compactions") == 0
+    assert 1 <= vector.pop("compactions") < vector["batches"]
     assert scalar == vector
-    assert len(flows) <= checked < vector["batches"] * len(flows)
-    assert len(flows) <= changed <= checked
-    assert 1 <= compactions < vector["batches"]
-    assert segments == sum(
+    assert len(flows) <= vector_checked < scalar_checked < vector["batches"] * len(flows)
+    assert len(flows) <= vector["rates_changed"] == vector["log_rows"] <= vector_checked
+    assert sum(
         len(timeline.segments) for timeline in results[1].timelines.values()
-    )
-    assert segments <= log_rows <= changed + len(flows)
+    ) <= vector["log_rows"]
     assert vector["batches"] > 1 and vector["flows"] == len(flows)
 
 
@@ -556,7 +538,7 @@ def test_segment_log_reduces_as_append_does(seed):
     n_flows = rng.choice([1, 3, 12])
     flow_ids = [f"f{i}" for i in range(n_flows)]
     stream = _random_stream(rng, n_flows, rng.choice([0, 1, 40, 400]))
-    appended = {flow_id: RateTimeline() for flow_id in flow_ids}
+    appended = {flow_id: AppendedTimeline() for flow_id in flow_ids}
     for flow, start, end, rate in stream:
         appended[flow_ids[flow]].append(start, end, rate)
     table = _table(flow_ids, stream)
@@ -570,7 +552,7 @@ def test_segment_log_reduces_as_append_does(seed):
 
 
 def _appended(intervals):
-    timeline = RateTimeline()
+    timeline = AppendedTimeline()
     for start, end, rate in intervals:
         timeline.append(start, end, rate)
     return timeline
@@ -613,4 +595,4 @@ def test_timelines_mapping_behaves_as_a_dict():
         table["zzz"]
     assert missing.value.args == ("zzz",)
     with pytest.raises(TypeError):
-        table["a"] = RateTimeline()
+        table["a"] = table["b"]

@@ -24,7 +24,7 @@ from repro.net import topology
 from repro.net.alloc import IncrementalAllocator
 from repro.net.fairness import FlowDemand
 from repro.net.flows import Flow
-from repro.net.fluid import FluidSimulation, RateTimeline
+from repro.net.fluid import FluidSimulation, RateTimeline, _TimelineTable
 from repro.units import GBITPS, MBYTE
 
 
@@ -154,13 +154,16 @@ class TestRateTimelineBisect:
     def test_matches_linear_scan_with_gaps(self):
         rng = random.Random(3)
         for _ in range(50):
-            timeline = RateTimeline()
+            starts, ends, rates = [], [], []
             t = 0.0
             for _ in range(rng.randint(1, 30)):
                 t += rng.uniform(0.0, 0.5)  # gaps allowed
                 width = rng.uniform(0.01, 1.0)
-                timeline.append(t, t + width, rng.choice([0.0, 1e9, rng.uniform(0, 2e9)]))
+                starts.append(t)
+                ends.append(t + width)
+                rates.append(rng.choice([0.0, 1e9, rng.uniform(0, 2e9)]))
                 t += width
+            timeline = RateTimeline(starts, ends, rates)
             for _ in range(20):
                 q = rng.uniform(-0.5, t + 0.5)
                 hi = q + rng.uniform(0.01, 2.0)
@@ -169,17 +172,15 @@ class TestRateTimelineBisect:
                 )
 
     def test_boundaries_and_merging(self):
-        timeline = RateTimeline()
-        timeline.append(0.0, 1.0, 100.0)
-        timeline.append(1.0, 2.0, 100.0)  # merges
+        # Two logged intervals at one rate, end to end: one segment.
+        timeline = _TimelineTable(["f"], [0, 0], [0.0, 1.0], [1.0, 2.0], [100.0, 100.0])["f"]
         assert len(timeline.segments) == 1
         assert timeline.average_rate(1.5, 2.5) == 50.0  # end-exclusive
 
     def test_out_of_order_append_rejected(self):
-        timeline = RateTimeline()
-        timeline.append(1.0, 2.0, 5.0)
+        table = _TimelineTable(["f"], [0, 0], [1.0, 0.0], [2.0, 0.5], [5.0, 5.0])
         with pytest.raises(SimulationError):
-            timeline.append(0.0, 0.5, 5.0)
+            table["f"]
 
 
 class TestFluidAllocatorEquivalence:

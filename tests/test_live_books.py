@@ -131,7 +131,10 @@ def test_books_balance_at_every_cut_of_the_golden_sessions(
     monkeypatch, faults, recoveries
 ):
     import repro.service.engine as engine
+    from test_truth_property import Case, check_every_run  # (it imports this module)
 
+    checked = Case()
+    check_every_run(monkeypatch, checked)
     provider, cluster, apps, _ = build_churn_session(
         _CUT_SEED, faults=faults, **_GOLDEN_SESSION
     )
@@ -145,6 +148,10 @@ def test_books_balance_at_every_cut_of_the_golden_sessions(
     assert ledger.checks > 2 * len(apps)
     assert ledger.problems == []
     assert report_violations(report) == []
+    # Every fluid run keeps max-min fairness segment by segment, and every
+    # probe filling under the session's own traffic is max-min fair.
+    assert checked.runs and checked.loaded_campaigns > 0
+    assert checked.problems == []
     # An application completes when its last byte is delivered or, if that
     # is later, when the placement that colocated the rest was set — here one
     # (arrived 99.0 s, last network byte 111.3 s) migrates at t = 120 s onto

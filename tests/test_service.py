@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from helpers import stale_pairs, write_trace_jsonl
+from test_truth_property import Case, check_every_run
 from repro.cloud.registry import make_provider
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
 from repro.core.placement.base import ClusterState
@@ -328,8 +329,17 @@ class TestGoldenDigests:
             ),
         ],
     )
-    def test_session_digest_is_pinned(self, faults, migrations, recoveries, digest):
+    def test_session_digest_is_pinned(
+        self, faults, migrations, recoveries, digest, monkeypatch
+    ):
+        checked = Case()
+        check_every_run(monkeypatch, checked)
         report = run_churn_session(0, faults=faults, **self._SESSION)
+        # Every fluid run keeps max-min fairness segment by segment, and
+        # every probe filling under the session's own traffic (each of these
+        # sessions measures under load) is max-min fair.
+        assert checked.runs and checked.loaded_campaigns > 0
+        assert checked.problems == []
         assert report_violations(report) == []
         assert len(report.migrations) == migrations
         assert len(report.recovery) == recoveries
