@@ -36,7 +36,7 @@ class NetworkProfile:
         degraded_pairs: pairs the campaign could not measure (probes failed
             even after retries, see ``MeasurementPlan.max_retries``), mapped
             to a human-readable reason.  Degraded pairs carry no rate —
-            consumers fall back to a forecast or a floor instead of trusting
+            consumers fall back to a cached rate or a floor instead of trusting
             a number that was never observed.
 
     ``rates_bps`` is an ``(n, n)`` array in ``vms`` order (copied; ``NaN`` =

@@ -56,7 +56,7 @@ class ServiceSettings:
     arrival loop's (:class:`ScenarioInstance`).
     """
 
-    predictor: str = "combined"
+    predictor: str = "measured"
     hours: float = 6.0
     ttl_s: Optional[float] = None
     migrate: bool = True
@@ -544,17 +544,17 @@ def _build_rack_hotspot(
     description=(
         "A churn session through the online placement service: hourly "
         "ground-truth matrices drift (random-walk / diurnal / hotspot-flap) "
-        "while applications stream in; placements use §6.1 predictor "
-        "forecasts, and running apps migrate at epoch ticks.  Sweep "
-        "`predictor` (stale / combined / oracle) x placers to reproduce "
-        "the §6.1 claim under drift."
+        "while applications stream in; each placement uses a fresh "
+        "measurement, and running apps migrate at epoch ticks.  Sweep "
+        "`predictor` (measured / stale / oracle) x placers to test §3's "
+        "measure-then-place under drift."
     ),
     tags=("ec2", "service", "drift"),
     defaults={
         "n_vms": 8,
         "hours": 4,
         "drift": "hotspot-flap",
-        "predictor": "combined",
+        "predictor": "measured",
         "apps_per_hour": 1.5,
         "epoch_s": 300.0,
         "migrate": True,
@@ -576,7 +576,7 @@ def _build_rack_hotspot(
         "n_vms": 8,
         "hours": 4,
         "drift": "random-walk",
-        "predictor": "combined",
+        "predictor": "measured",
         "apps_per_hour": 1.5,
         "epoch_s": 300.0,
         "migrate": True,
@@ -601,7 +601,7 @@ def _build_churn(
     # Imported here so the scenario registry stays importable without the
     # service stack (and because repro.service.session resolves placers
     # through this package — a module-level import would be circular).
-    from repro.service.forecast import validate_predictor
+    from repro.service.engine import validate_predictor
     from repro.service.session import build_churn_session
 
     validate_predictor(str(predictor))

@@ -69,7 +69,7 @@ def propose_migration(
     Returns ``(new_placement, event)`` when the application should migrate,
     ``None`` otherwise; a skipped migration leaves a
     ``service.migration_skipped`` point while tracing.  The online service
-    calls it at epoch boundaries, with forecast profiles.
+    calls it at epoch boundaries, with the profile it measured there.
     """
     candidate = placer.place(remaining_app, cluster, profile)
     gain: Optional[float] = None  # no move to price

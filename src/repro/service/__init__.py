@@ -1,21 +1,17 @@
-"""Online placement service over a time-varying network (§2.4, §6.1).
+"""Online placement service over a time-varying network (§2.4, §3).
 
-The paper's premise is that last-hour and time-of-day measurements predict
-the *next* hour's network behaviour.  This package turns the offline
-evaluator into the online system that premise implies:
+Choreo measures the network, then places (§3); §2.4 re-evaluates running
+applications as the network changes.  This package turns the offline
+evaluator into the online system those two imply:
 
 * :mod:`repro.service.timeline` — the ground truth a session's network
   follows: piecewise-hourly hose rates from a drift generator plus
   discrete fault events, as one record attachable to any provider;
 * :mod:`repro.service.cache` — a measurement cache with per-pair TTL, so
   campaigns re-probe only the stale slice of the mesh;
-* :mod:`repro.service.forecast` — next-epoch rate forecasts: the §6.1
-  ``combined`` predictor of :func:`repro.workloads.predictability.predict`,
-  run over the rate matrix recorded per epoch on the first recorded
-  profile's VMs (``stale`` and ``oracle`` are the engine's controls);
 * :mod:`repro.service.engine` — the :class:`PlacementService` itself:
-  streaming admission, live-placement tracking, and forecast-triggered
-  re-evaluation/migration;
+  streaming admission and migration, each decision placed on the cache's
+  measured profile (``stale`` and ``oracle`` are its controls);
 * :mod:`repro.service.session` — seeded churn sessions (provider +
   timeline + arrival stream) shared by the CLI, the ``service-churn``
   scenario, and the ``churn_day`` benchmark workload.
@@ -26,8 +22,7 @@ true future rates.
 """
 
 from repro.service.cache import MeasurementCache
-from repro.service.engine import PlacementService, ServiceReport
-from repro.service.forecast import PREDICTOR_NAMES, RateForecaster
+from repro.service.engine import PREDICTOR_NAMES, PlacementService, ServiceReport
 from repro.service.session import build_churn_session, run_churn_session
 from repro.service.timeline import (
     DRIFT_NAMES,
@@ -43,7 +38,6 @@ __all__ = [
     "MeasurementCache",
     "PREDICTOR_NAMES",
     "PlacementService",
-    "RateForecaster",
     "ServiceReport",
     "Timeline",
     "attach_timeline",

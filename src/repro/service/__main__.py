@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 
 from repro.cli import common_parser, parse_params, parse_placer_params
 from repro.errors import ReproError, ServiceError
-from repro.service.forecast import PREDICTOR_NAMES
+from repro.service.engine import PREDICTOR_NAMES
 from repro.service.session import build_churn_session, run_churn_session
 from repro.service.timeline import DEFAULT_EPOCH_S, DRIFT_NAMES, FAULT_NAMES
 
@@ -75,7 +75,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help="generator knob (walk sigma / diurnal amplitude / flap fraction)",
     )
     run_cmd.add_argument(
-        "--predictor", default="combined", choices=PREDICTOR_NAMES,
+        "--predictor", default="measured", choices=PREDICTOR_NAMES,
     )
     run_cmd.add_argument("--placer", default="greedy",
                          help="placer registry name (aliases accepted)")
@@ -126,8 +126,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro.service",
         description=(
             "Online placement service: admit a stream of applications onto "
-            "a time-varying cloud, forecasting next-epoch rates with the "
-            "paper's §6.1 predictors."
+            "a time-varying cloud, placing each on a fresh measurement of "
+            "the network (§3)."
         ),
     )
     configure_parser(parser)
@@ -138,8 +138,8 @@ def _cmd_list(args: argparse.Namespace) -> int:
     print("drift generators:", ", ".join(DRIFT_NAMES))
     print("predictors:      ", ", ".join(PREDICTOR_NAMES))
     print("fault generators:", ", ".join(FAULT_NAMES))
-    print("(oracle reads true rates off the timeline; stale freezes the "
-          "hour-0 profile)")
+    print("(measured places on the cache's fresh probes; oracle reads true "
+          "rates off the timeline; stale freezes the hour-0 profile)")
     return 0
 
 

@@ -15,9 +15,9 @@ every pair is stale the campaign gets ``pairs=None``, the full mesh;
 otherwise ``np.argwhere`` hands it the stale pairs as an ``(m, 2)`` array
 of positions in row-major order.  The full mesh's schedule is that same
 row-major order, so either way the order fixes the campaign schedule, and
-through it the probe RNG stream.  The view handed to the forecaster and
-the placer is a profile over a copy of the rate array, so an admission
-makes no per-pair Python objects for the pairs it re-probes.
+through it the probe RNG stream.  The view handed to the placer is a
+profile over a copy of the rate array, so an admission makes no per-pair
+Python objects for the pairs it re-probes.
 
 The cache also absorbs measurement *failure*: a pair the campaign reports
 as degraded (probes failed even after retries) coasts on its last cached

@@ -4,18 +4,15 @@
 whose ground truth drifts epoch by epoch (see
 :mod:`repro.service.timeline`).  Per epoch it:
 
-1. records the completed epoch's measured rates into the forecaster's
-   per-pair history;
-2. refreshes the measurement cache — only pairs whose TTL expired are
-   re-probed (:mod:`repro.service.cache`);
-3. builds the epoch's placement profile by running §6.1's ``combined``
-   predictor over the history (:mod:`repro.service.forecast`);
-4. re-evaluates every running application against the forecast and
+1. refreshes the measurement cache — only pairs whose TTL expired are
+   re-probed (:mod:`repro.service.cache`) — which is the epoch's placement
+   profile: Choreo measures, then places (§3);
+2. re-evaluates every running application against that profile and
    migrates it when the predicted gain clears
    :data:`repro.runtime.migration.IMPROVEMENT_THRESHOLD`
    (:func:`repro.runtime.migration.propose_migration`).
 
-Arrivals are admitted against the same forecast as they land; an
+Arrivals are admitted against a refresh taken as they land; an
 application that cannot be placed (CPU exhausted) is *rejected* and the
 stream continues — the service is long-running, one infeasible arrival must
 not sink the session.  Without migration and with a TTL below the arrival
@@ -25,7 +22,7 @@ reads no profile (:attr:`~repro.core.placement.base.Placer.needs_profile`)
 gets none then: with nothing to migrate, the session measures nothing and
 builds no measurement cache.
 
-Two special predictors bound the comparison: ``stale`` places every
+Two control predictors bound the ``measured`` one: ``stale`` places every
 application against the frozen hour-0 profile (what an offline evaluator
 implicitly does — and measures nothing after bootstrap), and ``oracle``
 reads the true current rates straight off the provider, the regret
@@ -57,7 +54,6 @@ from repro.runtime.migration import (
     propose_migration,
 )
 from repro.service.cache import CacheStats, MeasurementCache
-from repro.service.forecast import RateForecaster, validate_predictor
 from repro.service.timeline import (
     DEFAULT_EPOCH_S,
     FaultEvent,
@@ -75,6 +71,10 @@ _REJECTIONS = obs.Counter("repro.service.rejections")
 _MIGRATIONS = obs.Counter("repro.service.migrations")
 _RECOVERIES = obs.Counter("repro.service.recoveries")
 _EPOCH_TICKS = obs.Counter("repro.service.epoch_ticks")
+
+#: Every predictor a session accepts: the cache's measured profile, then
+#: its two controls.
+PREDICTOR_NAMES: Tuple[str, ...] = ("measured", "stale", "oracle")
 
 #: Every session's campaign plan: the default packet trains, and the clock
 #: left where it is (the report accounts measurement time).
@@ -297,6 +297,17 @@ def report_violations(report: ServiceReport) -> List[str]:
     return problems
 
 
+def validate_predictor(name: str) -> str:
+    """Return ``name`` if it is a known predictor, raise otherwise."""
+    if name not in PREDICTOR_NAMES:
+        raise ServiceError(
+            f"unknown predictor {name!r}; known: {list(PREDICTOR_NAMES)} (the "
+            f"§6.1 history predictors forecast an application's bytes, not "
+            f"the network: repro.workloads.predictability.evaluate_predictability)"
+        )
+    return name
+
+
 class PlacementService:
     """Streaming admission + predictor-driven placement over a drifting net.
 
@@ -305,13 +316,13 @@ class PlacementService:
             :func:`repro.service.timeline.attach_timeline`).
         cluster: the tenant's machines.
         placer: the placement algorithm for admissions and migrations.
-        predictor: one of :data:`repro.service.forecast.PREDICTOR_NAMES`.
+        predictor: one of :data:`PREDICTOR_NAMES`.
         ttl_s: measurement-cache TTL; the default of half an epoch makes
             the epoch tick re-probe the mesh while admissions shortly after
             a tick reuse it.
         migrate: re-evaluate running applications at epoch ticks (§2.4).
 
-    The forecast/measurement epoch is the attached timeline's (an hour
+    The measurement epoch is the attached timeline's (an hour
     without one).  Campaigns use the default packet-train plan without
     advancing the provider clock: the service accounts measurement time
     itself, in the report.
@@ -322,14 +333,19 @@ class PlacementService:
         provider: CloudProvider,
         cluster: ClusterState,
         placer: Placer,
-        predictor: str = "combined",
+        predictor: str = "measured",
         ttl_s: Optional[float] = None,
         migrate: bool = True,
     ):
         self.provider = provider
         self.cluster = cluster
         self.placer = placer
-        self.predictor = validate_predictor(predictor)
+        # ``churn_day`` in benchmark/workloads.py still passes ``combined``,
+        # the measured predictor's name from when a forecast replaced its
+        # rates; no other caller may.
+        self.predictor = validate_predictor(
+            "measured" if predictor == "combined" else predictor
+        )
         timeline = provider.timeline
         self.epoch_s = float(
             timeline.epoch_s if timeline is not None else DEFAULT_EPOCH_S
@@ -344,14 +360,11 @@ class PlacementService:
         #: The session's measurements, ``None`` where it takes none: it reads
         #: no profile, or the oracle reads the truth instead.
         self.cache: Optional[MeasurementCache] = None
-        self.forecaster: Optional[RateForecaster] = None
         if self._measures and self.predictor != "oracle":
             self.cache = MeasurementCache(
                 NetworkMeasurer(provider, plan=_CAMPAIGN_PLAN),
                 cluster.machine_names(), ttl_s=self.ttl_s,
             )
-            if self.predictor == "combined":
-                self.forecaster = RateForecaster()
         self._migrations: List[MigrationEvent] = []
         self._recovery: List[RecoveryAction] = []
         #: The books of every application the last session ran to the end
@@ -474,7 +487,7 @@ class PlacementService:
             )
             placement_wall += time.perf_counter() - place_started
 
-        pending, spent = self._admit_due(pending, running, outcomes, now, epoch)
+        pending, spent = self._admit_due(pending, running, outcomes, now)
         admission_wall += spent
 
         safety = 0
@@ -520,7 +533,7 @@ class PlacementService:
                     place_started = time.perf_counter()
                     self._epoch_tick(running, outcomes, now, epoch)
                     placement_wall += time.perf_counter() - place_started
-            pending, spent = self._admit_due(pending, running, outcomes, now, epoch)
+            pending, spent = self._admit_due(pending, running, outcomes, now)
             admission_wall += spent
 
         for name, state in running.items():
@@ -703,7 +716,7 @@ class PlacementService:
         vm = event.vm
         affected = self._apps_on_vm(running, vm)
         if (
-            self.predictor == "combined" and self.cache is not None
+            self.predictor == "measured" and self.cache is not None
             and vm in self.cache.vms
         ):
             self.cache.invalidate_vm(vm)
@@ -721,14 +734,13 @@ class PlacementService:
 
     def _placement_profile(
         self, now: float, running: Optional[Dict[str, LiveApp]] = None,
-        epoch: int = 0,
     ) -> Optional[NetworkProfile]:
         """The profile a decision at ``now`` is made against.
 
         Admissions and migrations pass the ``running`` applications: the
-        ``combined`` session then refreshes the cache, with their traffic
-        as the campaign's cross traffic, and places on the forecast for
-        ``epoch``.  One profile serves every decision made at an instant:
+        ``measured`` session then refreshes the cache, with their traffic
+        as the campaign's cross traffic, and places on what it measured.
+        One profile serves every decision made at an instant:
         the TTL cache means a second refresh within the TTL returns the
         same rates anyway, so per-decision re-probing (with, say, per-app
         background exclusion) would only make the *first* decision of a
@@ -753,10 +765,9 @@ class PlacementService:
             return NetworkProfile(names, self.provider.true_path_rates(names))
         if self.predictor == "stale" or running is None:
             return self.cache.profile(now)
-        current = self.cache.refresh(
+        return self.cache.refresh(
             now, background=self._network.campaign_background(running, now)
         )
-        return self.forecaster.forecast_profile(current, epoch)
 
     def _epoch_tick(
         self,
@@ -765,7 +776,7 @@ class PlacementService:
         now: float,
         epoch: int,
     ) -> None:
-        """Record history, refresh the mesh, and re-evaluate placements."""
+        """Refresh the mesh and re-evaluate placements."""
         _EPOCH_TICKS.inc()
         with obs.span(
             "service.epoch", epoch=epoch, running=len(running)
@@ -781,20 +792,18 @@ class PlacementService:
     ) -> None:
         if not self._measures:
             return  # nothing observed, nothing to re-evaluate
-        if self.forecaster is not None:
-            # The cache's state at the boundary is what the service observed
-            # during the epoch that just completed.
-            self.forecaster.record_epoch(epoch - 1, self.cache.profile(now))
         if not self.migrate:
-            # Still refresh the cache so history keeps accumulating.
-            if self.forecaster is not None:
+            # Measure all the same: with and without migration, a session
+            # then probes at the same instants, so §2.4's comparison of the
+            # two differs in migration alone.
+            if self.predictor == "measured":
                 self.cache.refresh(
                     now, background=self._network.campaign_background(running, now)
                 )
             return
-        # One refresh + forecast per tick, shared by every migration
-        # decision below (see _placement_profile for why).
-        profile = self._placement_profile(now, running, epoch)
+        # One refresh per tick, shared by every migration decision below
+        # (see _placement_profile for why).
+        profile = self._placement_profile(now, running)
         for name in sorted(running):
             state = running[name]
             if state.done:
@@ -832,7 +841,6 @@ class PlacementService:
         running: Dict[str, LiveApp],
         outcomes: Dict[str, AppOutcome],
         now: float,
-        epoch: int,
     ) -> Tuple[List[Application], float]:
         """Place every pending application whose arrival time has come.
 
@@ -844,7 +852,7 @@ class PlacementService:
         while remaining_pending and remaining_pending[0].start_time <= now + 1e-9:
             app = remaining_pending.pop(0)
             started = time.perf_counter()
-            profile = self._placement_profile(now, running, epoch)
+            profile = self._placement_profile(now, running)
             cluster_now = cluster_with_live_usage(self.cluster, running)
             error: Optional[ReproError] = None
             try:

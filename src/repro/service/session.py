@@ -140,7 +140,7 @@ def build_churn_session(
 
 def run_churn_session(
     seed: int,
-    predictor: str = "combined",
+    predictor: str = "measured",
     placer: str = "greedy",
     placer_params: Optional[Mapping[str, object]] = None,
     migrate: bool = True,

@@ -529,8 +529,6 @@ def _drift_diurnal(base, n_epochs, rng, strength):
 
     ``strength`` is the relative amplitude; each VM gets a random phase (its
     neighbours' tenants peak at different hours) plus mild lognormal noise.
-    The time-of-day half of ``combined`` is the natural fit once a day of
-    history exists.
     """
     amplitude = min(strength, 0.9)
     phase = {

@@ -9,8 +9,7 @@ a heavy-tailed HP-Cloud-like workload generator
 (:mod:`repro.workloads.generator`), Poisson arrivals
 (:mod:`repro.workloads.arrivals`), an sFlow-like flow-record trace format
 (:mod:`repro.workloads.trace`), and the hour-over-hour predictability
-analysis of §6.1 (:mod:`repro.workloads.predictability`), whose one
-``predict`` the placement service's forecaster runs too.
+analysis of §6.1 (:mod:`repro.workloads.predictability`).
 """
 
 from repro.workloads.application import Application, Task, TrafficMatrix

@@ -6,10 +6,9 @@ the previous hour and the time-of-day are good predictors of the number of
 bytes transferred in the next hour".  This module holds the three
 predictors — previous-hour, time-of-day (mean of the same hour on previous
 days) and combined (average of the two) — as one function, :func:`predict`,
-over a history of epochs.  An epoch is a scalar for the §6.1 analysis
-(:func:`evaluate_predictability`, one hourly byte series at a time) and a
-rate matrix for the placement service's forecaster
-(:class:`repro.service.forecast.RateForecaster`).
+over a history of epochs, which :func:`evaluate_predictability` runs over
+one hourly byte series at a time.  The placement service forecasts
+nothing: it places on a fresh measurement of the network (§3).
 """
 
 from __future__ import annotations

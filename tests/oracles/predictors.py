@@ -1,13 +1,11 @@
 """The §6.1 predictors one series at a time — the oracle ``predict`` is held to.
 
-Until ``repro.workloads.predictability.predict`` served both the §6.1
-analysis and the service's forecaster, the package carried each predictor
-twice: these scalar functions, and a whole-matrix copy in the forecaster
-that emulated ``np.mean``'s pairwise summation to agree with them.  They
-live on here with one change: a mean sums left to right, as ``predict``
-does.  That equals ``np.mean`` below eight values — through epoch 191 of a
-series, the last whose same-hour history has seven — and may differ by an
-ulp from the eighth on, where ``np.mean`` switches to pairwise summation.
+These are the package's scalar predictors from before
+``repro.workloads.predictability.predict`` took over, with one change: a
+mean sums left to right, as ``predict`` does.  That equals ``np.mean`` below
+eight values — through epoch 191 of a series, the last whose same-hour
+history has seven — and may differ by an ulp from the eighth on, where
+``np.mean`` switches to pairwise summation.
 """
 
 from __future__ import annotations

@@ -4,9 +4,9 @@ Run from the repository root::
 
     python tests/reach/reach.py [--check] [--out PATH]
 
-It copies ``src/``, ``benchmark/``, ``tests/chaos/`` and the hook
-(``sitecustomize.py``) into a temporary directory and runs the entry set
-there with the hook on ``PYTHONPATH``, so every process and subprocess
+It copies ``src/``, ``benchmark/``, ``BENCHMARK.json``, ``tests/chaos/``
+and the hook (``sitecustomize.py``) into a temporary directory and runs the
+entry set there with the hook on ``PYTHONPATH``, so every process and subprocess
 records the functions it enters.  The entry set is:
 
 * every step of ``.github/workflows/ci.yml`` that runs the program, that
@@ -256,6 +256,7 @@ def run_entry_set(root: Path, scratch: Path) -> Tuple[Path, Path, List[str]]:
             root / tree, scratch / tree,
             ignore=shutil.ignore_patterns("__pycache__", ".out", ".tmp"),
         )
+    shutil.copy2(root / "BENCHMARK.json", scratch / "BENCHMARK.json")
     hook = scratch / "hook"
     hook.mkdir()
     shutil.copy2(HERE / "sitecustomize.py", hook / "sitecustomize.py")
@@ -277,6 +278,7 @@ def run_entry_set(root: Path, scratch: Path) -> Tuple[Path, Path, List[str]]:
         work = scratch / "work" / group.replace("/", "-")
         work.mkdir(parents=True)
         (work / "benchmark").symlink_to(scratch / "benchmark")
+        (work / "BENCHMARK.json").symlink_to(scratch / "BENCHMARK.json")
         (work / "tests").symlink_to(scratch / "tests")
         for label, script in commands:
             print(f"[{group}] {label}", flush=True)

@@ -1,29 +1,22 @@
 """Oracle tests for the admission path on one rate matrix (PR 15).
 
-The TTL cache, the forecaster and Algorithm 1 were rewritten from per-pair
-Python (dicts of tuples, lists of floats, candidate tuple lists) to NumPy
-expressions over one dense rate matrix.  The claim is *bit-identical*, so
-the scalar code they replaced lives on here, moved verbatim from the parent
-commit, as the reference (the forecaster's is the scalar §6.1 predictors
-of ``tests/oracles/predictors.py``): every comparison below is ``==`` —
-never ``approx`` — and covers dict order, exception types and messages.
+The TTL cache and Algorithm 1 were rewritten from per-pair Python (dicts
+of tuples, lists of floats, candidate tuple lists) to NumPy expressions over
+one dense rate matrix.  The claim is *bit-identical*, so the scalar code
+they replaced lives on here, moved verbatim from the parent commit, as the
+reference: every comparison below is ``==`` — never ``approx`` — and covers
+dict order, exception types and messages.
 """
 
 import math
-import os
 import random
-import subprocess
-import sys
-import textwrap
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 import pytest
 
 from helpers import age_of, pair_matrix, stale_pairs
-from oracles import predictors as scalar
 from oracles.effective_rate import ConnectionLoad, effective_rate
-import repro
 from repro import obs
 from repro.cloud.provider import VMFlow
 from repro.core.measurement.orchestrator import NetworkMeasurer
@@ -38,9 +31,7 @@ from repro.core.placement.base import (
 from repro.core.placement.greedy import GreedyPlacer
 from repro.errors import PlacementError, ReproError, ServiceError
 from repro.service.cache import DEGRADED_FLOOR_BPS, CacheStats, MeasurementCache
-from repro.service.forecast import RateForecaster
 from repro.workloads.application import Application, Task, TrafficMatrix
-from repro.workloads.predictability import HOURS_PER_DAY, PREDICTORS, predict
 
 _EPS = 1e-9
 
@@ -537,176 +528,7 @@ class TestGreedyAgainstScalarAlgorithm1:
 
 
 # ---------------------------------------------------------------------------
-# (b) The forecaster: whole-matrix predictors vs the per-series predictors
-# ---------------------------------------------------------------------------
-def _epoch_profile(rng: random.Random, vms: List[str]):
-    """A full-mesh profile, its rates drawn in row-major pair order."""
-    return NetworkProfile(vms, pair_matrix(vms, lambda a, b: rng.uniform(1e7, 1e9)))
-
-
-def _forecast_of(forecaster: RateForecaster, vms: List[str], epoch: int) -> np.ndarray:
-    """The forecast for ``epoch`` of every pair of ``vms``, ``NaN`` where
-    there is none: it is laid over a profile of 0.5 bps, below every
-    forecast's 1 bps floor, which shows through exactly there."""
-    unforecast = NetworkProfile(vms, np.full((len(vms),) * 2, 0.5))
-    rates = forecaster.forecast_profile(unforecast, epoch).rate_matrix()
-    return np.where(rates == 0.5, math.nan, rates)
-
-
-class TestForecasterAgainstScalarPredictors:
-    """:class:`RateForecaster` against the scalar ``combined`` predictor and
-    ``predict`` against all three scalar predictors of
-    ``tests/oracles/predictors.py``, ``==`` on every pair and epoch."""
-
-    #: Nine days and a bit: the time-of-day mean reaches nine values.
-    EPOCHS = HOURS_PER_DAY * 9 + 6
-    #: VM ``c`` is dropped here, as the service drops a preempted VM.
-    DROPPED_AT = 100
-    #: The last epoch whose time-of-day mean reads at most seven values, the
-    #: regime where ``np.mean``, which forecasts used before ``predict``,
-    #: sums left to right.
-    LAST_SEQUENTIAL_EPOCH = 8 * HOURS_PER_DAY - 1
-
-    @staticmethod
-    def _expected(history):
-        """The oracle's forecast from one pair's recorded ``history``:
-        ``None`` for no history or a history that reads an unrecorded
-        (``NaN``) epoch."""
-        if not history:
-            return None
-        predicted = scalar.combined_predictor(history, len(history))
-        return None if math.isnan(predicted) else predicted
-
-    def test_every_pair_every_epoch_is_equal(self):
-        rng = random.Random(99)
-        forecaster = RateForecaster()
-        mesh = ["a", "b", "c", "d", "e"]
-        series: Dict[Tuple[str, str], List[float]] = {
-            (a, b): [] for a in mesh for b in mesh if a != b
-        }
-        for epoch in range(self.EPOCHS):
-            vms = [vm for vm in mesh if vm != "c" or epoch < self.DROPPED_AT]
-            observed = _epoch_profile(rng, vms)
-            forecaster.record_epoch(epoch, observed)
-            rates = observed.rate_matrix(vms)
-            for (a, b), values in series.items():
-                both = a in vms and b in vms
-                values.append(rates[vms.index(a), vms.index(b)] if both else math.nan)
-
-            current = _epoch_profile(rng, vms)
-            # The service asks for the next epoch; also ask about the past.
-            for asked in {epoch + 1, rng.randint(0, epoch + 1)}:
-                got = forecaster.forecast_profile(current, asked)
-                assert got.vms == current.vms
-                for i, j in np.argwhere(~np.eye(len(vms), dtype=bool)).tolist():
-                    pair = (vms[i], vms[j])
-                    expected = self._expected(series[pair][:asked])
-                    measured = current.rate_matrix()[i, j]
-                    want = measured if expected is None else max(expected, 1.0)
-                    assert got.rate_matrix()[i, j] == want, (epoch, asked, pair)
-                if epoch % 9 and epoch < self.EPOCHS - 3:
-                    continue
-                predicted = _forecast_of(forecaster, mesh, asked)
-                for pair, values in series.items():
-                    history = values[:asked]
-                    expected = self._expected(history)
-                    at = mesh.index(pair[0]), mesh.index(pair[1])
-                    got = None if math.isnan(predicted[at]) else predicted[at]
-                    assert got == expected, (epoch, asked, pair)
-                    if history and "c" not in pair:
-                        # ``predict`` on the pair's own series, as a 1-D array.
-                        for predictor in PREDICTORS:
-                            assert predict(np.array(history), predictor) == (
-                                scalar.PREDICTORS[predictor](history, len(history))
-                            ), (epoch, asked, pair, predictor)
-
-    def test_the_oracle_is_np_mean_through_epoch_191(self):
-        """Forecasts used to average with ``np.mean``; the left-to-right
-        oracle equals it for every forecast through epoch 191 (at most seven
-        same-hour values).  Epoch 192 reads eight, where ``np.mean`` sums
-        pairwise and the two may part by an ulp."""
-        rng = np.random.default_rng(11)
-        for scale in (1e-3, 1.0, 1e9):
-            series = (rng.lognormal(sigma=2.0, size=9 * HOURS_PER_DAY) * scale).tolist()
-            for hour in range(1, self.LAST_SEQUENTIAL_EPOCH + 1):
-                same_hour = series[hour % HOURS_PER_DAY : hour : HOURS_PER_DAY]
-                if not same_hour:
-                    continue
-                time_of_day = scalar.time_of_day_predictor(series, hour)
-                assert time_of_day == float(np.mean(same_hour)), hour
-                assert scalar.combined_predictor(series, hour) == float(
-                    np.mean([series[hour - 1], time_of_day])
-                )
-        assert len(range(0, self.LAST_SEQUENTIAL_EPOCH + 1, HOURS_PER_DAY)) == 8
-        eight = [1e16] + [1.0] * 7
-        assert scalar._mean(eight) != float(np.mean(eight))
-
-    def test_a_vm_outside_the_mesh_is_refused_by_name(self):
-        forecaster = RateForecaster()
-        rng = random.Random(2)
-        forecaster.record_epoch(0, _epoch_profile(rng, ["a", "b", "c"]))
-        forecaster.record_epoch(1, _epoch_profile(rng, ["a", "c"]))  # b dropped
-        for call in (
-            lambda: forecaster.record_epoch(2, _epoch_profile(rng, ["a", "d"])),
-            lambda: forecaster.forecast_profile(_epoch_profile(rng, ["d", "a"]), 2),
-        ):
-            with pytest.raises(ServiceError, match="'d' is outside the forecaster's mesh"):
-                call()
-        # b's last epoch is NaN: no forecast for a -> b from it.
-        assert math.isnan(_forecast_of(forecaster, ["a", "b"], 2)[0, 1])
-        assert not math.isnan(_forecast_of(forecaster, ["a", "b"], 1)[0, 1])
-
-    def test_epoch_order_no_history_and_fallback_floor(self):
-        forecaster = RateForecaster()
-        current = _epoch_profile(random.Random(1), ["a", "b"])
-        assert forecaster.forecast_profile(current, 0) is current
-        forecaster.record_epoch(
-            0, NetworkProfile(["a", "b"], [[math.nan, 0.25], [math.nan, math.nan]])
-        )
-        # Forecasts are floored at 1 bps; the unrecorded direction keeps
-        # the measured value.
-        forecast = forecaster.forecast_profile(current, 1).rate_matrix()
-        assert forecast[0, 1] == 1.0
-        assert forecast[1, 0] == current.rate_matrix()[1, 0]
-        with pytest.raises(ServiceError):
-            forecaster.record_epoch(2, current)
-
-
-def test_a_forecast_leaves_numpy_ma_unimported():
-    """``numpy.ma`` costs tens of milliseconds to import, and a forecast
-    would pay them inside a timed admission (``np.unique`` imports it)."""
-    script = textwrap.dedent("""
-        import math, sys
-        import numpy as np
-        from repro.core.network_profile import NetworkProfile
-        from repro.service.forecast import RateForecaster
-
-        forecaster = RateForecaster()
-        for epoch in range(3):
-            vms = ["a", "b", "c"] if epoch < 2 else ["a", "b"]
-            forecaster.record_epoch(
-                epoch, NetworkProfile(vms, np.full((len(vms),) * 2, 1e9 + epoch))
-            )
-        forecast = forecaster.forecast_profile(
-            NetworkProfile(["a", "b"], np.full((2, 2), 2e9)), 3
-        ).rate_matrix()
-        assert forecast[0, 1] == 1e9 + 2, forecast
-        on_a_c = NetworkProfile(["a", "c"], np.full((2, 2), 2e9))
-        assert forecaster.forecast_profile(on_a_c, 2).rate_matrix()[0, 1] == 1e9 + 1
-        # c is NaN in epoch 2: the measured rate stands.
-        assert forecaster.forecast_profile(on_a_c, 3).rate_matrix()[0, 1] == 2e9
-        assert "numpy.ma" not in sys.modules, "a forecast imported numpy.ma"
-    """)
-    src = os.path.dirname(os.path.dirname(repro.__file__))
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join([src, *sys.path])},
-    )
-    assert done.returncode == 0, done.stderr
-
-
-# ---------------------------------------------------------------------------
-# (c) The TTL cache: two arrays vs two dicts
+# (b) The TTL cache: two arrays vs two dicts
 # ---------------------------------------------------------------------------
 class _ScriptedMeasurer:
     """A campaign runner with scripted outcomes (duck-types NetworkMeasurer).

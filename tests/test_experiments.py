@@ -77,7 +77,7 @@ def test_arrival_scenarios_run_the_arrival_loop_and_measure_beside_the_other_ten
     for name in ("multi-app-sequence", "ec2-trace-replay", "smoke", "cross-traffic"):
         settings = get_scenario(name).build(seed=3).service
         assert (settings.predictor, settings.migrate, settings.ttl_s, settings.hours) == (
-            "combined", False, ARRIVAL_TTL_S, 1.0,
+            "measured", False, ARRIVAL_TTL_S, 1.0,
         )
     # Arrivals past the first epoch lengthen the session to reach them.
     late = get_scenario("multi-app-sequence").build(seed=3, arrival_gap_s=1500.0)
@@ -277,6 +277,11 @@ def test_parallel_sweep_matches_grid_and_runs_all_cells():
 # them moved.  Over trials 0-19 of the ten one-application scenarios under
 # greedy, random, round-robin and min-machines, every other record field
 # but the host timings is the parent's.
+#
+# ``service-churn`` / ``greedy`` and ``fault-churn`` / ``greedy`` were
+# re-pinned when a session stopped placing on a forecast of the rates and
+# placed on the cache's measured profile instead; their ``random`` cells,
+# whose placer reads no profile, did not move.
 _GOLDEN_DIGESTS = {
     ("all-to-all", "greedy"): "10a2fdb55b5d32c3cfded43f3569ebea2d0fec4ef2f45267f0afec5904373af5",
     ("all-to-all", "random"): "6c19bf4e0d4e10480721338705008b19258f9cb3771918118bc3c334aa56af5c",
@@ -286,7 +291,7 @@ _GOLDEN_DIGESTS = {
     ("cross-traffic", "random"): "31a9bd2d0809327e005051646b760f9d422f9262b2600dd594baf5a9e250eb7a",
     ("ec2-trace-replay", "greedy"): "c5bfd12018785a152a652433ed80a1afc188e1c8e4c0cf30ec7c819ea79bc1af",
     ("ec2-trace-replay", "random"): "947e230aa0d6d1a6334f685b38ea044cc5048cd6598857245bfe058e6f78dcf7",
-    ("fault-churn", "greedy"): "8bee53581cbe191cc12290bfd8cb7b116825bf5b8147e49ded3cf269c65732bc",
+    ("fault-churn", "greedy"): "a5a9e595db8cc8d752fdd8478446612ad435afa605b7e082cff7cbe7522e7bf6",
     ("fault-churn", "random"): "edb9c2c0ecbaaee23bdb84ce0c90eed3bc3fc0a8f256d06d549bee309693ae40",
     ("hetero-topology", "greedy"): "44ee84d43931fc95fa08a52186cd653fc46f077e11ac1135f7bcba639a2ab169",
     ("hetero-topology", "random"): "75d0ed2870d73f7a98afda06401af6e661cbb38f59950940b7998ee57928ee63",
@@ -300,7 +305,7 @@ _GOLDEN_DIGESTS = {
     ("rack-hotspot", "random"): "40dc8341a6c91ee4ff564e4aa31e581b4a595cc2ec42537cb313e47afe69e8ad",
     ("rackspace-uniform", "greedy"): "1547dcf06d108bd7f21dc7886511fa3b54f48b4beef1018103819f1f0de31cc8",
     ("rackspace-uniform", "random"): "09379e27b95534fe1bf8bc6d20c0263da978940502a2021fc18428b316748ac0",
-    ("service-churn", "greedy"): "7340da8139f8725acc06fe2f368df5352a596d4bc5f15f060d509ff2f355fc7f",
+    ("service-churn", "greedy"): "f5acc6cc76b859b01579105204ef2721f9a6fa259c0abfbb95d2a586c0c86841",
     ("service-churn", "random"): "7f6594cad00c30f9d2ef8b233dbc7fe8e020fc0902707288c17b1f64719be080",
     ("single-app-ec2", "greedy"): "7c32da6a201b1586993ebdb1c3cd90f4235bbbb60d4d881e1ec00446e067c2ca",
     ("single-app-ec2", "random"): "8123ece541b1a78dd65cb425b749b8ba9b05fa1dc5c0b86ab5d7c8b01fbd1493",

@@ -44,7 +44,7 @@ def _faults(vms, hours, faults, seed=0, **kwargs):
     ).events
 
 
-def _run_service(seed=0, events=None, predictor="combined", **kwargs):
+def _run_service(seed=0, events=None, predictor="measured", **kwargs):
     params = dict(QUICK, **kwargs)
     provider, cluster, apps, _ = build_churn_session(seed, **params)
     if events is not None:
@@ -386,15 +386,15 @@ def test_empty_fault_timeline_is_bit_identical_to_no_faults():
 
 
 def test_faults_none_session_kwarg_is_bit_identical():
-    plain = run_churn_session(0, predictor="combined", **QUICK)
-    explicit = run_churn_session(0, predictor="combined", faults="none", **QUICK)
+    plain = run_churn_session(0, predictor="measured", **QUICK)
+    explicit = run_churn_session(0, predictor="measured", faults="none", **QUICK)
     assert _canonical(plain) == _canonical(explicit)
 
 
 def test_faulted_session_is_deterministic():
     kwargs = dict(QUICK, faults="random-preempt")
-    a = run_churn_session(2, predictor="combined", **kwargs)
-    b = run_churn_session(2, predictor="combined", **kwargs)
+    a = run_churn_session(2, predictor="measured", **kwargs)
+    b = run_churn_session(2, predictor="measured", **kwargs)
     assert _canonical(a) == _canonical(b)
 
 
@@ -420,7 +420,7 @@ def test_preemption_mid_session_recovers_or_rejects():
     ))
     service = PlacementService(
         provider, cluster, _resolve_placer("greedy", 0, None),
-        predictor="combined",
+        predictor="measured",
     )
     report = service.run_session(apps, hours=QUICK["hours"])
     assert all(o.status in ("completed", "rejected") for o in report.apps)
@@ -481,18 +481,17 @@ def test_probe_loss_burst_degrades_pairs_without_crashing():
     )
     service = PlacementService(
         provider, cluster, _resolve_placer("greedy", 0, None),
-        predictor="combined",
+        predictor="measured",
     )
     report = service.run_session(apps, hours=3.0)
     assert all(o.status in ("completed", "rejected") for o in report.apps)
     assert report.measurement.get("pairs_degraded", 0) >= 1
 
 
-@pytest.mark.parametrize("predictor", ["combined", "stale"])
+@pytest.mark.parametrize("predictor", ["measured", "stale"])
 def test_probe_loss_at_bootstrap_floors_the_pair(predictor, monkeypatch):
     """A pair the bootstrap campaign cannot measure has no cached rate to
-    coast on and no history to forecast from: it takes the floor, and stays
-    stale."""
+    coast on: it takes the floor, and stays stale."""
     provider, cluster, apps, _ = build_churn_session(0, **QUICK)
     vms = cluster.machine_names()
     _add_events(provider, ProbeLoss(src=vms[1], dst=vms[3], start_s=0.0, end_s=1.0))

@@ -140,7 +140,7 @@ def test_books_balance_at_every_cut_of_the_golden_sessions(
     )
     service = PlacementService(
         provider, cluster, resolve_placer("greedy").create(0, None),
-        predictor="combined", migrate=True,
+        predictor="measured", migrate=True,
     )
     ledger = Ledger(monkeypatch, engine, lambda: service.cluster)
     report = service.run_session(apps, hours=_GOLDEN_SESSION["hours"])

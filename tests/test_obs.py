@@ -216,14 +216,14 @@ def test_traced_service_says_which_cpu_bound_rejected_an_arrival(trace_to):
 def test_traced_churn_session_says_why_it_did_not_migrate(trace_to):
     from repro.service.session import run_churn_session
 
-    # One of test_service.TestGoldenDigests' sessions: 1 migration fires.
+    # One of test_service.TestGoldenDigests' sessions: 2 migrations fire.
     report = run_churn_session(
         0, n_vms=12, hours=8, epoch_s=120.0, drift="hotspot-flap", apps_per_hour=2.0,
     )
     events = load_events(trace_to)
     admissions = [ev["attrs"] for ev in events if ev["name"] == "service.admission"]
     skipped = [ev["attrs"] for ev in events if ev["name"] == "service.migration_skipped"]
-    assert len(admissions) == len(report.apps) and len(report.migrations) == 1
+    assert len(admissions) == len(report.apps) and len(report.migrations) == 2
     assert all(set(a) == ADMISSION_FIELDS for a in admissions)
     assert skipped and all(
         set(s) == {"app", "predicted_gain", "improvement_threshold"} for s in skipped
@@ -246,7 +246,7 @@ def test_traced_recovery_names_the_fault_it_answers(trace_to):
     )
     report = PlacementService(
         provider, cluster, resolve_placer("greedy").create(0, None),
-        predictor="combined", migrate=True,
+        predictor="measured", migrate=True,
     ).run_session(apps, hours=8)
     events = provider.timeline.events
     points = [ev["attrs"] for ev in load_events(trace_to) if ev["name"] == "service.recovery"]

@@ -16,8 +16,7 @@ from repro.errors import ServiceError
 from repro.experiments.placers import resolve_placer
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
 from repro.service.cache import CacheStats, MeasurementCache
-from repro.service.engine import PlacementService, report_violations
-from repro.service.forecast import RateForecaster, validate_predictor
+from repro.service.engine import PlacementService, report_violations, validate_predictor
 from repro.service.session import build_churn_session, run_churn_session
 from repro.service.timeline import (
     DRIFT_NAMES,
@@ -166,26 +165,6 @@ class TestPairwiseMeasurementStaleness:
 
 
 # ---------------------------------------------------------------------------
-# Forecaster
-# ---------------------------------------------------------------------------
-class TestRateForecaster:
-    def test_the_forecaster_takes_no_predictor(self):
-        """It runs ``combined`` alone: the engine places ``stale`` sessions
-        on the cache's frozen bootstrap profile itself, as it reads
-        ``oracle`` off the timeline."""
-        with pytest.raises(TypeError):
-            RateForecaster("combined")
-
-    @pytest.mark.parametrize("name", ["previous-hour", "time-of-day"])
-    def test_a_part_of_combined_is_not_a_session_predictor(self, name):
-        with pytest.raises(ServiceError) as refused:
-            validate_predictor(name)
-        message = str(refused.value)
-        for known in ("'combined'", "'stale'", "'oracle'", "evaluate_predictability"):
-            assert known in message
-
-
-# ---------------------------------------------------------------------------
 # Churn sessions (engine + session builder)
 # ---------------------------------------------------------------------------
 _FAST = dict(n_vms=5, hours=3, epoch_s=60.0, apps_per_hour=1.5)
@@ -207,12 +186,12 @@ class TestChurnSession:
         assert all(a.start_time < horizon for a in apps)
 
     def test_session_reports_are_deterministic(self):
-        a = run_churn_session(0, predictor="combined", **_FAST)
-        b = run_churn_session(0, predictor="combined", **_FAST)
+        a = run_churn_session(0, predictor="measured", **_FAST)
+        b = run_churn_session(0, predictor="measured", **_FAST)
         assert a.canonical_json_dict() == b.canonical_json_dict()
 
     def test_session_accounts_every_app(self):
-        report = run_churn_session(1, predictor="combined", **_FAST)
+        report = run_churn_session(1, predictor="measured", **_FAST)
         _, _, apps, _ = build_churn_session(1, **_FAST)
         assert [a.name for a in report.apps] == [a.name for a in apps]
         for outcome in report.apps:
@@ -233,21 +212,21 @@ class TestChurnSession:
 
     @pytest.mark.parametrize(
         "placer, predictor, migrate",
-        [("random", "combined", False), ("round-robin", "stale", False),
+        [("random", "measured", False), ("round-robin", "stale", False),
          ("greedy", "oracle", True), ("random", "oracle", False)],
     )
     def test_a_session_that_measures_through_no_cache_builds_none(
         self, placer, predictor, migrate
     ):
         """A placer that reads no profile, with nothing to migrate, measures
-        nothing; the oracle reads the truth.  Neither builds a cache or a
-        forecaster, and the report's measurement block is all zero."""
+        nothing; the oracle reads the truth.  Neither builds a cache, and
+        the report's measurement block is all zero."""
         provider, cluster, apps, _ = build_churn_session(0, **_FAST)
         service = PlacementService(
             provider, cluster, resolve_placer(placer).create(0),
             predictor=predictor, migrate=migrate,
         )
-        assert service.cache is None and service.forecaster is None
+        assert service.cache is None
         report = service.run_session(apps, hours=_FAST["hours"])
         assert report.measurement == CacheStats().to_json_dict() == {
             "campaigns": 0, "pairs_measured": 0, "pairs_reused": 0,
@@ -255,8 +234,8 @@ class TestChurnSession:
         }
         assert report.completed()
 
-    def test_ttl_cache_saves_mesh_work_for_history_predictors(self):
-        report = run_churn_session(0, predictor="combined", **_FAST)
+    def test_ttl_cache_saves_mesh_work(self):
+        report = run_churn_session(0, predictor="measured", **_FAST)
         assert report.measurement["campaigns"] >= 2
         assert report.measurement["pairs_reused"] > 0
 
@@ -264,11 +243,41 @@ class TestChurnSession:
         with pytest.raises(ServiceError):
             run_churn_session(0, predictor="clairvoyant", **_FAST)
 
+    @pytest.mark.parametrize("name", ["combined", "previous-hour", "time-of-day"])
+    def test_a_history_predictor_is_refused_by_name(self, name):
+        """The §6.1 predictors forecast an application's bytes; a session
+        places on what it measured, so neither the scenario nor the CLI
+        takes them."""
+        from repro.experiments.scenarios import get_scenario
+        from repro.service.__main__ import main
+
+        with pytest.raises(ServiceError) as refused:
+            validate_predictor(name)
+        message = str(refused.value)
+        for known in (f"{name!r}", "'measured'", "'stale'", "'oracle'",
+                      "evaluate_predictability"):
+            assert known in message
+        with pytest.raises(ServiceError, match=f"unknown predictor {name!r}"):
+            get_scenario("service-churn").build(seed=0, predictor=name)
+        with pytest.raises(SystemExit) as exited:
+            main(["run", "--predictor", name, "--no-oracle", "--output", ""])
+        assert exited.value.code == 2
+
+    def test_the_benchmark_passes_combined_for_measured(self):
+        """``churn_day`` in benchmark/workloads.py constructs its service
+        with ``predictor="combined"``: it runs the measured session."""
+        provider, cluster, _apps, _ = build_churn_session(0, **_FAST)
+        service = PlacementService(
+            provider, cluster, resolve_placer("greedy").create(0),
+            predictor="combined",
+        )
+        assert service.predictor == "measured"
+
     def test_report_json_shape(self):
-        report = run_churn_session(0, predictor="combined", **_FAST)
+        report = run_churn_session(0, predictor="measured", **_FAST)
         payload = report.to_json_dict()
         assert payload["schema"] == "repro.service/report/v1"
-        assert payload["predictor"] == "combined"
+        assert payload["predictor"] == "measured"
         assert payload["n_completed"] + payload["n_rejected"] == len(
             payload["apps"]
         )
@@ -280,8 +289,8 @@ class TestGoldenDigests:
 
     SHA-256 of ``ServiceReport.canonical_json_dict()`` for two fixed-seed
     sessions, computed at the commit before the admission path moved onto
-    one rate matrix.  Forecasts, migrations (1 and 2), degraded
-    pairs (23) and recoveries (two re-placements, one removal) all fire.
+    one rate matrix.  Migrations (2 and 3), degraded pairs (23 and 10) and
+    recoveries (two re-placements, one removal) all fire.
     A digest changes only when simulated behaviour changes; update it only
     in a PR that means to change behaviour, and say so there.
 
@@ -299,10 +308,17 @@ class TestGoldenDigests:
     50.71 → 49.62 and 57.62 → 52.61 s), and the first two sessions migrate
     once less (1 and 2).  Recoveries, rejections and the measurement
     counters are the same.
+
+    Re-pinned when the session stopped placing on a forecast and placed on
+    the cache's measured profile instead: the four sessions migrate 2, 2, 3
+    and 3 times (1, 2, 1 and 1 before), mean completion goes 53.92 → 43.37,
+    53.02 → 44.22, 49.62 → 40.41 and 52.61 → 40.19 s, and the lossy-probes
+    session rejects none of its applications (one before).  Recoveries and
+    degraded pairs are the same.
     """
 
     _SESSION = dict(
-        predictor="combined", placer="greedy", migrate=True, n_vms=12,
+        predictor="measured", placer="greedy", migrate=True, n_vms=12,
         hours=8, drift="hotspot-flap", epoch_s=120.0, apps_per_hour=2.0,
     )
 
@@ -310,22 +326,22 @@ class TestGoldenDigests:
         "faults, migrations, recoveries, digest",
         [
             (
-                "none", 1, 0,
-                "273dedbbf4f43e95b6a1813361463abaea3c464962ae03c73a09a9ab865bbf85",
+                "none", 2, 0,
+                "8e944b10945efa785d8acea3b0ba4cd381be1d45c912a779c85d04e7ddddb678",
             ),
             (
                 "rack-outage", 2, 3,
-                "d6962f6d0882e79d8707f3d7229040ec54a5372040fe224e7aec0e841ab3bf50",
+                "d2e6129799032df10aba332c0e6351d271de0c99e01b583f30101fefbd7a15b7",
             ),
             # The only generator whose degradations multiply into drifted
             # rates, and the only one that drives the probe-loss hooks.
             (
-                "link-flap", 1, 8,
-                "eb7eccefb1aef3a4ffd88c23deed60a9c84ea06fcab9b29fb5b636dfbb5398b2",
+                "link-flap", 3, 8,
+                "8c6d14aa7b86d3212333d63e209ffe9c983dcb171e854ccc2d3c1d0b4e1c0fcb",
             ),
             (
-                "lossy-probes", 1, 12,
-                "f64717b54a7095f5887d66f0d69ded43daa19a099e81a99f101658ea6afeee4b",
+                "lossy-probes", 3, 12,
+                "047e066b7229cbb57906374b2f0bb2000752689a8b6bf8ea71c4b349418cb63f",
             ),
         ],
     )
@@ -348,9 +364,9 @@ class TestGoldenDigests:
 
 
 class TestPredictorComparison:
-    """The acceptance claim: under drift, combined-predictor placement beats
-    a frozen hour-0 profile, and the oracle bounds both (means across >= 3
-    seeds)."""
+    """The acceptance claim: under drift, placing on a fresh measurement
+    beats a frozen hour-0 profile, and the oracle bounds both (means across
+    >= 3 seeds)."""
 
     @pytest.fixture(scope="class")
     def means(self):
@@ -358,7 +374,7 @@ class TestPredictorComparison:
             n_vms=8, hours=4, drift="hotspot-flap", epoch_s=120.0,
             apps_per_hour=1.5,
         )
-        sums = {"stale": 0.0, "combined": 0.0, "oracle": 0.0}
+        sums = {"stale": 0.0, "measured": 0.0, "oracle": 0.0}
         seeds = (0, 1, 2)
         for seed in seeds:
             for predictor in sums:
@@ -368,11 +384,11 @@ class TestPredictorComparison:
                 sums[predictor] += report.mean_completion_time_s
         return {name: total / len(seeds) for name, total in sums.items()}
 
-    def test_combined_strictly_beats_stale(self, means):
-        assert means["combined"] < means["stale"]
+    def test_measured_strictly_beats_stale(self, means):
+        assert means["measured"] < means["stale"]
 
     def test_oracle_bounds_both(self, means):
-        assert means["oracle"] <= means["combined"]
+        assert means["oracle"] <= means["measured"]
         assert means["oracle"] <= means["stale"]
 
 
@@ -382,7 +398,7 @@ class TestPredictorComparison:
 class TestServiceMigration:
     def test_flap_triggers_predictor_driven_migration(self):
         """A long transfer placed before a hose collapse must migrate off
-        the collapsed VM once the forecast sees the collapse."""
+        the collapsed VM once a measurement sees the collapse."""
         from repro.service.engine import PlacementService
         from repro.units import GBYTE
         from repro.workloads.application import Application, Task, TrafficMatrix
@@ -414,17 +430,45 @@ class TestServiceMigration:
             provider,
             cluster,
             resolve_placer("greedy").create(0, None),
-            predictor="combined",
+            predictor="measured",
         )
         report = service.run_session([app], hours=10)
         outcome = report.apps[0]
         assert outcome.status == "completed"
-        # Greedy admits onto the (then) fastest vm0; once the forecast sees
+        # Greedy admits onto the (then) fastest vm0; once a measurement sees
         # the collapse, the remaining bytes must migrate off it.
         assert report.migrations
         assert outcome.migrations >= 1
         final_src = service.last_apps["longhaul"].placement.machine_of("src")
         assert final_src != names[0]
+
+
+def test_a_gain_of_exactly_the_threshold_does_not_migrate():
+    """A candidate must beat the current placement by *more than*
+    ``IMPROVEMENT_THRESHOLD``: moving ``src`` from ``a`` (hose 0.9 Gbit/s)
+    to ``b`` (1 Gbit/s) takes 9e9 bits from 10 s to 9 s, a gain of exactly
+    0.1; to ``b`` at 2 Gbit/s it migrates."""
+    from repro.core.network_profile import NetworkProfile
+    from repro.core.placement.base import Placement, Placer
+    from repro.runtime.migration import IMPROVEMENT_THRESHOLD, propose_migration
+    from repro.workloads.application import Application, Task, TrafficMatrix
+
+    class Fixed(Placer):
+        def place(self, app, cluster, profile=None):
+            return Placement(app.name, {"src": "b", "dst": "c"})
+
+    app = Application(
+        "one", [Task("src", 1.0), Task("dst", 1.0)],
+        TrafficMatrix({("src", "dst"): 9e9 / 8}),
+    )
+    current = Placement("one", {"src": "a", "dst": "c"})
+    cluster = ClusterState.from_vms([])
+    for b_rate, migrates in ((1e9, False), (2e9, True)):
+        rates = np.array([[0, 9e8, 9e8], [b_rate, 0, b_rate], [1e9, 1e9, 0]])
+        profile = NetworkProfile(["a", "b", "c"], rates)
+        proposal = propose_migration(Fixed(), app, current, cluster, profile, now=0.0)
+        assert (proposal is not None) == migrates, b_rate
+    assert IMPROVEMENT_THRESHOLD == (10.0 - 9.0) / 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -527,10 +571,11 @@ def test_report_violations_names_each_broken_rule():
         return MigrationEvent(time_s, "early", ("a",), 0.5)
 
     report = ServiceReport(
-        predictor="combined", placer="greedy", hours=2, epoch_s=60.0,
+        predictor="measured", placer="greedy", hours=2, epoch_s=60.0,
         ttl_s=30.0, drift="none",
         apps=[
-            AppOutcome("early", "completed", arrived_at=10.0, completed_at=5.0),
+            # One millisecond early is as wrong as any earlier completion.
+            AppOutcome("early", "completed", arrived_at=10.0, completed_at=9.999),
             AppOutcome("ghost", "rejected", arrived_at=0.0, recoveries=1),
             AppOutcome("fine", "completed", arrived_at=0.0, completed_at=0.0),
         ],
@@ -557,12 +602,12 @@ class TestServiceCLI:
         code = main([
             "run", "--hours", "2", "--n-vms", "4", "--epoch-s", "60",
             "--seed", "0", "--drift", "random-walk",
-            "--predictor", "combined",
+            "--predictor", "measured",
             "--output", str(out), "--save-timeline", str(timeline_out),
         ])
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["report"]["predictor"] == "combined"
+        assert payload["report"]["predictor"] == "measured"
         assert "oracle_report" in payload
         assert "mean_regret_vs_oracle" in payload
         Timeline.load(timeline_out)  # must be a valid timeline
@@ -573,7 +618,7 @@ class TestServiceCLI:
 
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "hotspot-flap" in out and "combined" in out
+        assert "hotspot-flap" in out and "measured" in out
 
     @pytest.mark.parametrize("faults", ["none", "rack-outage"])
     def test_replay_saved_timeline(self, tmp_path, faults):

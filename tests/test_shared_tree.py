@@ -149,7 +149,7 @@ def test_a_rack_outage_session_leaves_the_shared_capacities_as_built(fresh_table
         0, n_vms=6, hours=3.0, epoch_s=120.0, faults="rack-outage"
     )
     report = PlacementService(
-        provider, cluster, _resolve_placer("greedy", 0, None), predictor="combined",
+        provider, cluster, _resolve_placer("greedy", 0, None), predictor="measured",
         migrate=True,
     ).run_session(apps, hours=3.0)
     assert report.recovery, "the outage should have forced a recovery"

@@ -192,6 +192,19 @@ def test_snapshot_violations_name_each_broken_bound():
     ]
 
 
+def test_a_flow_a_hair_below_its_bottleneck_has_none():
+    """One link of capacity 2, saturated by two flows: the one 1e-6
+    (relative) below the other is not the fastest on its only link, so it
+    has no bottleneck.  The certificate's tolerance is 1e-9, far below."""
+    demands = {"a": FlowDemand(("l",)), "b": FlowDemand(("l",))}
+    slow, fast = 1.0 - 1e-6, 1.0 + 1e-6
+    assert max_min_violations(demands, {"l": 2.0}, {"a": slow, "b": fast}) == [
+        f"flow 'a': rate {slow!r} has no bottleneck (on no saturated link "
+        f"where it is the fastest)"
+    ]
+    assert max_min_violations(demands, {"l": 2.0}, {"a": 1.0, "b": 1.0}) == []
+
+
 def test_a_worked_example():
     """Background: one flow on links 0 and 3, one on link 1 — it fills in
     two rounds, both at 4.  A probe over links 0 and 1 halves either (the

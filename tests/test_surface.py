@@ -176,7 +176,6 @@ def test_a_profile_is_its_matrices():
             "pairs", "from_uniform_rate", "from_rate_function",
         },
         "repro.service.cache:MeasurementCache": {"mesh_pairs", "invalidate_pairs"},
-        "repro.service.forecast:RateForecaster": {"forecast_pair"},
     }
     for target, names in gone.items():
         module, _, cls = target.partition(":")
@@ -673,8 +672,7 @@ def test_one_kind_of_flow_is_left():
 # ------------------------------------------------ one way for a session to measure
 def test_a_session_measures_through_one_refresh():
     """The bootstrap is the refresh at t = 0: ``refresh`` takes no ``force``
-    and no ``fallback``, the forecaster hands out nothing but a profile,
-    and the cache's statistics are its own record, not registered
+    and no ``fallback``, and the cache's statistics are its own record, not registered
     counters."""
     from repro.service.cache import CacheStats, MeasurementCache
 

@@ -181,7 +181,7 @@ def run_session(rng, spec, seed, case: Case):
     )
     service = PlacementService(
         provider, ClusterState.from_vms(provider.vms()),
-        resolve_placer("greedy").create(seed, None), predictor="combined", migrate=True,
+        resolve_placer("greedy").create(seed, None), predictor="measured", migrate=True,
     )
     return service.run_session(apps, hours=HOURS)
 
