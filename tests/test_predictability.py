@@ -69,6 +69,47 @@ class TestPredictorFunctions:
             with pytest.raises(WorkloadError, match=name):
                 predict([1.0], name)
 
+    #: Nine days and a bit: the time-of-day mean reaches nine values.
+    HOURS = HOURS_PER_DAY * 9 + 6
+    #: The last hour whose time-of-day mean reads at most seven values, the
+    #: regime where ``np.mean`` sums left to right.
+    LAST_SEQUENTIAL_HOUR = 8 * HOURS_PER_DAY - 1
+
+    def test_every_prefix_equals_the_scalar_predictors(self):
+        """``predict`` on a list and on a 1-D array is ``==`` the scalar
+        predictors of ``tests/oracles/predictors.py`` on every prefix,
+        also past hour 191, where eight or nine same-hour values are
+        summed and only a left-to-right sum agrees."""
+        rng = np.random.default_rng(5)
+        for scale in (1e-3, 1.0, 1e9):
+            series = (rng.lognormal(sigma=2.0, size=self.HOURS) * scale).tolist()
+            as_array = np.array(series)
+            for hour in range(self.HOURS + 1):
+                for name in PREDICTORS:
+                    expected = scalar.PREDICTORS[name](series, hour)
+                    assert predict(series[:hour], name) == expected, (name, hour)
+                    assert predict(as_array[:hour], name) == expected, (name, hour)
+
+    def test_the_oracle_is_np_mean_through_epoch_191(self):
+        """The scalar oracle equals ``np.mean`` for every forecast through
+        hour 191 (at most seven same-hour values).  Hour 192 reads eight,
+        where ``np.mean`` sums pairwise and the two may part by an ulp."""
+        rng = np.random.default_rng(11)
+        for scale in (1e-3, 1.0, 1e9):
+            series = (rng.lognormal(sigma=2.0, size=9 * HOURS_PER_DAY) * scale).tolist()
+            for hour in range(1, self.LAST_SEQUENTIAL_HOUR + 1):
+                same_hour = series[hour % HOURS_PER_DAY : hour : HOURS_PER_DAY]
+                if not same_hour:
+                    continue
+                time_of_day = scalar.time_of_day_predictor(series, hour)
+                assert time_of_day == float(np.mean(same_hour)), hour
+                assert scalar.combined_predictor(series, hour) == float(
+                    np.mean([series[hour - 1], time_of_day])
+                )
+        assert len(range(0, self.LAST_SEQUENTIAL_HOUR + 1, HOURS_PER_DAY)) == 8
+        eight = [1e16] + [1.0] * 7
+        assert scalar._mean(eight) != float(np.mean(eight))
+
 
 class TestRelativeErrorDistributions:
     def test_hand_computed_errors_on_a_tiny_series(self):
