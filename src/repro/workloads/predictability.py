@@ -37,12 +37,11 @@ def _average(values: Sequence):
 def predict(history: Sequence, predictor: str):
     """Forecast the epoch after ``history`` with one of :data:`PREDICTORS`.
 
-    ``history`` holds one entry per epoch, oldest first: scalars (an hourly
-    series) or equal-shape arrays (one rate matrix per epoch); the forecast
-    is one entry of the same kind.  ``previous-hour`` is the last epoch,
-    ``time-of-day`` the mean of the same epoch-of-day on prior days and
-    ``combined`` the mean of the two, or whichever exists.  Returns ``None``
-    when the predictor has nothing to go on yet.
+    ``history`` is an hourly series, oldest first, and the forecast is the
+    next hour's value.  ``previous-hour`` is the last hour, ``time-of-day``
+    the mean of the same hour on prior days and ``combined`` the mean of
+    the two, or whichever exists.  Returns ``None`` when the predictor has
+    nothing to go on yet.
     """
     if predictor not in PREDICTORS:
         raise WorkloadError(f"unknown predictor {predictor!r}; known: {list(PREDICTORS)}")
