@@ -105,12 +105,10 @@ class VMFlow:
 class TrainBatch:
     """Receiver-side observations of one packet train per probed pair.
 
-    What :meth:`CloudProvider.send_packet_trains` returns for a schedule
-    of ordered pairs: ``sent[k]`` is the position (in that schedule) of the
-    pair whose train is column ``k`` of the burst arrays (shape
-    ``(n_bursts, len(sent))``), ascending; ``lost`` maps the position of
-    each pair whose probe an injected fault lost to the error its probe
-    raises.
+    What :meth:`TrainPass.send` returns for one block of a pass over a
+    schedule of ordered pairs: ``sent[k]`` is the position (in that
+    schedule) of the pair whose train is column ``k`` of the burst arrays
+    (shape ``(n_bursts, len(sent))``), ascending.
 
     ``first_rx_s``/``last_rx_s`` are the receive times of the first and
     last packet of each burst that arrived.  On a lossy provider,
@@ -124,11 +122,128 @@ class TrainBatch:
     first_rx_s: np.ndarray
     last_rx_s: np.ndarray
     sent: np.ndarray
-    lost: Dict[int, str]
     received: Optional[np.ndarray] = None
     first_index: Optional[np.ndarray] = None
     last_index: Optional[np.ndarray] = None
     rtt_s: Optional[np.ndarray] = None
+
+
+class TrainPass:
+    """A pass of packet trains, sent block by block in schedule order.
+
+    :meth:`CloudProvider.train_pass` builds it with everything a still
+    clock fixes for the pass.  :meth:`send` runs the burst model over the
+    next block of trains; a campaign reduces each block to its rates
+    before it sends the next, so its train arrays are a block's, not the
+    mesh's.  On a lossless provider a block draws its own normals (one
+    rate noise and ``2 * n_bursts`` jitter normals per train, in train
+    order); successive draws continue one stream, so every cut of a pass
+    into blocks sends the very trains one block would.  A lossy pass drew
+    all of its normals and losses when it was built (normals first), and a
+    block reads its slice of them.
+
+    ``sent`` are the schedule positions of the trains the pass sends, in
+    order; ``lost`` maps the position of each probe an injected fault lost
+    to the error its probe raises.
+    """
+
+    def __init__(
+        self,
+        rng: np.random.Generator,
+        params: ProviderParams,
+        spec: PacketTrainSpec,
+        sent: np.ndarray,
+        lost: Dict[int, str],
+        routed: np.ndarray,
+        physical: np.ndarray,
+        offer: np.ndarray,
+        wild: Optional[np.ndarray],
+        lengths: Optional[np.ndarray],
+    ):
+        self.sent = sent
+        self.lost = lost
+        self._rng = rng
+        self._params = params
+        self._spec = spec
+        self._routed = routed
+        self._physical = physical
+        self._offer = offer
+        self._wild = wild
+        self._lengths = lengths  # route lengths, for a lossy train's RTT
+        self._per_train = 1 + (2 * spec.n_bursts if params.train_jitter_std_s > 0 else 0)
+        self._next = 0
+        self._normals: Optional[np.ndarray] = None
+        self._losses: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        if params.loss_rate > 0:
+            # Every train's normals, then every burst's losses, up front.
+            n = sent.shape[0]
+            self._normals = rng.standard_normal(n * self._per_train)
+            self._normals = self._normals.reshape(n, self._per_train)
+            self._losses = draw_losses(rng, spec, params.loss_rate, n)
+
+    @property
+    def remaining(self) -> int:
+        """Trains of the pass not sent yet."""
+        return self.sent.shape[0] - self._next
+
+    def send(self, count: int) -> TrainBatch:
+        """Send the pass's next ``count`` trains (fewer at its end) as one
+        array program."""
+        lo = self._next
+        hi = self._next = min(lo + count, self.sent.shape[0])
+        spec, params = self._spec, self._params
+        routed = self._routed[lo:hi]
+        if self._normals is None:
+            normals = self._rng.standard_normal((hi - lo) * self._per_train)
+            normals = normals.reshape(hi - lo, self._per_train)
+        else:
+            normals = self._normals[lo:hi]
+        # rng.normal(0.0, s) is 0.0 + s * z on the same stream.
+        rate_noise = 1.0 + (0.0 + params.train_rate_noise * normals[:, 0])
+        rate_noise = np.maximum(rate_noise, 0.2)
+        if self._wild is not None:
+            rate_noise = rate_noise * self._wild[lo:hi]
+        available = self._offer[lo:hi][routed] * rate_noise[routed]
+        physical = self._physical[lo:hi][routed]
+        line_rate = 10 * GBITPS
+        unlimited = params.intra_host_rate_bps * rate_noise
+        depth = params.train_limiter_depth_bytes
+        if depth is None:
+            # Hose enforcement is smooth: the burst drains at the available rate.
+            unlimited[routed] = np.minimum(available, physical)
+            limiter_rate = None
+        else:
+            # Colocated VMs bypass the limiter.  A bucket refilled at the
+            # path's own fast rate never binds and drains a burst in the
+            # unlimited path's very expression, so one call serves both.
+            unlimited[routed] = physical
+            limiter_rate = np.minimum(line_rate, unlimited)
+            limiter_rate[routed] = available
+        received = first_index = last_index = rtt = None
+        if self._losses is not None:
+            received, first_index, last_index = (
+                drawn[:, lo:hi] for drawn in self._losses
+            )
+            # The Mathis bound needs the RTT of every train that lost a
+            # packet; a route's length is its hop count (1 on one host).
+            lossy = np.flatnonzero((received < spec.burst_length).any(axis=0))
+            rtt = np.full(hi - lo, np.nan)
+            rtt[lossy] = rtt_s(self._lengths[lo:hi][lossy])
+        first_rx, last_rx = send_packet_trains(
+            spec,
+            line_rate_bps=line_rate,
+            unlimited_rate_bps=unlimited,
+            base_delay_s=np.where(routed, 100e-6, 20e-6),
+            jitter_std_s=params.train_jitter_std_s,
+            normals=normals[:, 1:],  # consumed: overwritten by the jitter
+            limiter_rate_bps=limiter_rate,
+            limiter_depth_bytes=depth,
+            first_index=first_index,
+            last_index=last_index,
+        )
+        return TrainBatch(
+            first_rx, last_rx, self.sent[lo:hi], received, first_index, last_index, rtt
+        )
 
 
 class _Routes(NamedTuple):
@@ -666,27 +781,31 @@ class CloudProvider:
         # RateTimeline.average_rate's own expression for one segment.
         return (0.0 + rates * window_s) / window_s
 
-    def send_packet_trains(
+    def train_pass(
         self,
         pairs: Union[Sequence[Tuple[str, str]], np.ndarray],
         spec: PacketTrainSpec = PacketTrainSpec(),
         background: Sequence[VMFlow] = (),
-    ) -> TrainBatch:
-        """Send one packet train on each pair of a schedule, as one array program.
+    ) -> TrainPass:
+        """One pass of packet trains over the schedule ``pairs``, ready to be
+        sent in blocks (:meth:`TrainPass.send`).
 
         ``pairs`` is the schedule: an ``(m, 2)`` integer array of VM
         positions (:meth:`vm_positions`), or ``(src, dst)`` names.
 
-        The clock does not move between the trains, so which probes an
-        injected fault loses (:attr:`TrainBatch.lost`; they draw nothing),
-        every VM's hose rate and the background are fixed up front, every
-        path is read off the route table, and the burst model runs over all
-        bursts of all pairs at once.  Randomness comes in
-        blocks: each train that is sent consumes one rate-noise normal and
-        ``2 * n_bursts`` jitter normals, in train order; a lossy provider
-        then draws every burst's losses (:func:`~repro.net.packets.draw_losses`).
+        The clock does not move during a pass, so what it fixes is settled
+        here, once: which probes an injected fault loses
+        (:attr:`TrainPass.lost`; they draw nothing), every path's physical
+        bottleneck read off the route table, and the sender's share of its
+        hose — one hose vector, or one filling of the background.  A lossy
+        provider also draws the pass's randomness here, every train's
+        normals and then every burst's losses, so its stream does not depend
+        on how the pass is cut into blocks.
         """
         pairs = self._pair_positions(pairs)
+        # Built (the first time) before the pass's own arrays exist: routing
+        # the whole mesh is the campaign's peak.
+        routes = self._route_table()
         params = self.params
         src, dst = pairs[:, 0], pairs[:, 1]
         sent = np.arange(pairs.shape[0])
@@ -705,66 +824,19 @@ class CloudProvider:
                 sent = np.flatnonzero(~gone)
                 src, dst, wild = src[sent], dst[sent], wild[sent]
 
-        # What each path offers before this train's noise: the physical
+        # What each path offers before its train's noise: the physical
         # bottleneck, and the sender's share of its hose.
         vm_host = self._vm_hosts()
         routed = vm_host[src] != vm_host[dst]
-        routes = self._route_table()
         at = src * len(self._vms) + dst
-        physical = routes.bottleneck[at[routed]]
+        offer = np.zeros(sent.shape[0])
         if background and routed.any():
-            available = self._loaded_rates(src[routed], dst[routed], background)
+            offer[routed] = self._loaded_rates(src[routed], dst[routed], background)
         else:
-            available = self._hose_rates()[src[routed]]
-
-        jittered = params.train_jitter_std_s > 0
-        per_train = 1 + (2 * spec.n_bursts if jittered else 0)
-        normals = self._rng.standard_normal(sent.shape[0] * per_train)
-        normals = normals.reshape(sent.shape[0], per_train)
-        # rng.normal(0.0, s) is 0.0 + s * z on the same stream.
-        rate_noise = 1.0 + (0.0 + params.train_rate_noise * normals[:, 0])
-        rate_noise = np.maximum(rate_noise, 0.2)
-        if wild is not None:
-            rate_noise = rate_noise * wild
-        available = available * rate_noise[routed]
-        line_rate = 10 * GBITPS
-        unlimited = params.intra_host_rate_bps * rate_noise
-        depth = params.train_limiter_depth_bytes
-        if depth is None:
-            # Hose enforcement is smooth: the burst drains at the available rate.
-            unlimited[routed] = np.minimum(available, physical)
-            limiter_rate = None
-        else:
-            # Colocated VMs bypass the limiter.  A bucket refilled at the
-            # path's own fast rate never binds and drains a burst in the
-            # unlimited path's very expression, so one call serves both.
-            unlimited[routed] = physical
-            limiter_rate = np.minimum(line_rate, unlimited)
-            limiter_rate[routed] = available
-        received = first_index = last_index = rtt = None
-        if params.loss_rate > 0:
-            received, first_index, last_index = draw_losses(
-                self._rng, spec, params.loss_rate, sent.shape[0]
-            )
-            # The Mathis bound needs the RTT of every train that lost a
-            # packet; a route's length is its hop count (1 on one host).
-            lossy = np.flatnonzero((received < spec.burst_length).any(axis=0))
-            rtt = np.full(sent.shape[0], np.nan)
-            rtt[lossy] = rtt_s(routes.lengths[at[lossy]])
-        first_rx, last_rx = send_packet_trains(
-            spec,
-            line_rate_bps=line_rate,
-            unlimited_rate_bps=unlimited,
-            base_delay_s=np.where(routed, 100e-6, 20e-6),
-            jitter_std_s=params.train_jitter_std_s,
-            normals=normals[:, 1:],  # consumed: overwritten by the jitter
-            limiter_rate_bps=limiter_rate,
-            limiter_depth_bytes=depth,
-            first_index=first_index,
-            last_index=last_index,
-        )
-        return TrainBatch(
-            first_rx, last_rx, sent, lost, received, first_index, last_index, rtt
+            offer[routed] = self._hose_rates()[src[routed]]
+        return TrainPass(
+            self._rng, params, spec, sent, lost, routed, routes.bottleneck[at],
+            offer, wild, routes.lengths[at] if params.loss_rate > 0 else None,
         )
 
     def traceroute(self, src_vm: str, dst_vm: str) -> int:

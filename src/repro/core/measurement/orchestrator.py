@@ -42,6 +42,16 @@ _DEGRADED = obs.Counter("repro.measure.probes_degraded")
 #: 90-pair mesh lands a little under three minutes, as reported in §4.1.
 PER_PAIR_OVERHEAD_S = 1.0
 
+#: Most trains a campaign sends as one array program.  A pass goes out in
+#: blocks of this many, each reduced to its estimates before the next is
+#: drawn, so a campaign holds one block's train arrays (at the default
+#: train, 0.7 MB of normals and 0.3 MB per ``(bursts, trains)`` array)
+#: however large its mesh.  Policy, not semantics: every block size gives
+#: the same profile and the same random stream.  Sized by measurement: a
+#: 256-VM campaign takes the same time in blocks of 2 048 to 16 384 trains,
+#: less than as one program.
+_TRAIN_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class MeasurementPlan:
@@ -240,8 +250,11 @@ class NetworkMeasurer:
         rounds_before = SNAPSHOT_ROUNDS.count
         routed_before = ROUTE_TABLE_ROWS.count
         with campaign:
-            estimates = self._probe(names, src, dst, on_provider, background, retry)
+            estimates, blocks = self._probe(
+                names, src, dst, on_provider, background, retry
+            )
             campaign.set(
+                blocks=blocks,
                 retries=retry.retries,
                 degraded=len(retry.degraded),
                 routed=ROUTE_TABLE_ROWS.count - routed_before,
@@ -289,34 +302,41 @@ class NetworkMeasurer:
         on_provider: np.ndarray,
         background: Sequence[VMFlow],
         retry: "_RetryLedger",
-    ) -> np.ndarray:
+    ) -> Tuple[np.ndarray, int]:
         """Send the trains of the schedule ``names[src[i]] -> names[dst[i]]``.
 
-        Returns each pair's estimate, NaN where the pair's retries ran out.
-        Each pass sends the pending trains as one array program and
-        estimates them.  A probe an injected fault loses is lost again on
-        every retry — the clock stands still during a campaign — and its
-        retries draw nothing, so the ledger settles it at once.  A train
-        with no measurable packets is a failed attempt too; the trains the
-        ledger grants a retry are sent again, with fresh draws, in the next
-        pass.  Failures are settled in schedule order within a pass.
+        Returns each pair's estimate, NaN where the pair's retries ran out,
+        and the number of blocks sent.  Each pass sends the pending trains
+        in schedule order, in blocks of at most :data:`_TRAIN_BLOCK`, and
+        reduces each block to its estimates before it sends the next.  A
+        probe an injected fault loses is lost again on every retry — the
+        clock stands still during a campaign — and its retries draw
+        nothing, so the ledger settles it at once.  A train with no
+        measurable packets is a failed attempt too; the trains the ledger
+        grants a retry are sent again, with fresh draws, in the next pass.
+        Failures are settled in schedule order after their pass.
         """
+        spec = self.plan.train_spec
         estimates = np.full(src.shape[0], np.nan)
         attempts: Dict[int, int] = {}
+        blocks = 0
         # The provider's positions of every probe; the first pass sends
         # them all, a later one the rows ``pending`` names.
         probes = on_provider[np.array((src, dst))].T
         schedule, pending = probes, np.arange(src.shape[0])
         while pending.shape[0]:
-            batch = self.provider.send_packet_trains(
-                schedule, self.plan.train_spec, background=background
-            )
-            rates = estimate_throughputs(self.plan.train_spec, batch)
-            sent = pending[batch.sent]
-            estimates[sent] = rates
-            lost = {int(pending[i]): error for i, error in batch.lost.items()}
+            trains = self.provider.train_pass(schedule, spec, background=background)
+            unmeasurable: List[int] = []
+            while trains.remaining:
+                batch = trains.send(_TRAIN_BLOCK)
+                rates = estimate_throughputs(spec, batch)
+                sent = pending[batch.sent]
+                estimates[sent] = rates
+                unmeasurable += sent[np.isnan(rates)].tolist()
+                blocks += 1
+            lost = {int(pending[i]): error for i, error in trains.lost.items()}
             resend = []
-            for position in sorted([*lost, *sent[np.isnan(rates)].tolist()]):
+            for position in sorted([*lost, *unmeasurable]):
                 pair = (names[src[position]], names[dst[position]])
                 if position in lost:
                     attempt = 0
@@ -329,4 +349,4 @@ class NetworkMeasurer:
                     resend.append(position)
             pending = np.array(resend, dtype=np.intp)
             schedule = probes[pending]
-        return estimates
+        return estimates, blocks

@@ -155,10 +155,10 @@ def calibrate_train_parameters(
                 n_bursts=n_bursts,
                 burst_length=burst_length,
             )
-            batch = provider.send_packet_trains(probed, spec)
-            if batch.lost:
-                raise MeasurementError(next(iter(batch.lost.values())))
-            rates = estimate_throughputs(spec, batch)
+            trains = provider.train_pass(probed, spec)
+            if trains.lost:
+                raise MeasurementError(next(iter(trains.lost.values())))
+            rates = estimate_throughputs(spec, trains.send(trains.remaining))
             if np.isnan(rates).any():
                 raise MeasurementError(UNMEASURABLE)
             points.append(

@@ -6,15 +6,15 @@ the previous hour and the time-of-day are good predictors of the number of
 bytes transferred in the next hour".  This module holds the three
 predictors — previous-hour, time-of-day (mean of the same hour on previous
 days) and combined (average of the two) — as one function, :func:`predict`,
-over a history of epochs, which :func:`evaluate_predictability` runs over
-one hourly byte series at a time.  The placement service forecasts
+over an hourly series, which :func:`evaluate_predictability` runs over one
+hourly byte series at a time.  The placement service forecasts
 nothing: it places on a fresh measurement of the network (§3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -26,7 +26,7 @@ HOURS_PER_DAY = 24
 PREDICTORS: Tuple[str, ...] = ("previous-hour", "time-of-day", "combined")
 
 
-def _average(values: Sequence):
+def _average(values: Sequence[float]) -> float:
     """Sum left to right, then divide by the count."""
     total = values[0]
     for value in values[1:]:
@@ -34,8 +34,8 @@ def _average(values: Sequence):
     return total / len(values)
 
 
-def predict(history: Sequence, predictor: str):
-    """Forecast the epoch after ``history`` with one of :data:`PREDICTORS`.
+def predict(history: Sequence[float], predictor: str) -> Optional[float]:
+    """Forecast the hour after ``history`` with one of :data:`PREDICTORS`.
 
     ``history`` is an hourly series, oldest first, and the forecast is the
     next hour's value.  ``previous-hour`` is the last hour, ``time-of-day``

@@ -1,0 +1,264 @@
+"""The standing mutant set: small faults the tests must catch.
+
+Each :class:`Mutant` names one file under the repository root, the exact
+text to replace (it must occur there exactly once), the text that replaces
+it, and the test ids expected to kill it.  ``tests/mutants/run.py`` applies
+each to a copy of the tree and requires its tests to fail.  A test that is
+deleted or rewritten must leave every mutant here killed; an entry whose
+code is rewritten is carried over to the new code, not dropped.
+
+An *equivalent* mutant changes no result any test could see.  It carries
+the argument instead of tests and is not run.
+"""
+
+from __future__ import annotations
+
+from typing import NamedTuple, Tuple
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    kill: Tuple[str, ...]  # pytest ids, each run with -x until one fails
+    equivalent: str = ""  # why no test can kill it (then ``kill`` is empty)
+
+
+ALLOC = "src/repro/net/alloc.py"
+FLUID = "src/repro/net/fluid.py"
+ORCHESTRATOR = "src/repro/core/measurement/orchestrator.py"
+PROVIDER = "src/repro/cloud/provider.py"
+MIGRATION = "src/repro/runtime/migration.py"
+ENGINE = "src/repro/service/engine.py"
+CACHE = "src/repro/service/cache.py"
+
+MEMBERSHIP = "tests/test_link_membership.py::test_membership_follows_the_rows_under_random_edits"
+TRUTH = "tests/test_truth_property.py::test_every_run_keeps_its_invariants"
+PLANTED = "tests/test_truth_property.py::test_a_planted_rate_fault_is_reported"
+OTHER_TENANT = (
+    "tests/test_live_books.py::"
+    "test_campaigns_see_what_the_other_tenant_has_left_and_the_books_never_count_it"
+)
+BLOCK_SIZE = "tests/test_campaign_batch.py::test_the_profile_does_not_depend_on_the_block_size"
+
+MUTANTS: Tuple[Mutant, ...] = (
+    # ---------------------------------------------- the campaign's blocks
+    Mutant(
+        "the last partial block is dropped",
+        ORCHESTRATOR,
+        "            while trains.remaining:\n",
+        "            while trains.remaining >= _TRAIN_BLOCK:\n",
+        (BLOCK_SIZE,),
+    ),
+    Mutant(
+        "a lossy pass draws its losses per block",
+        PROVIDER,
+        "            received, first_index, last_index = (\n"
+        "                drawn[:, lo:hi] for drawn in self._losses\n"
+        "            )\n",
+        "            received, first_index, last_index = draw_losses(\n"
+        "                self._rng, spec, params.loss_rate, hi - lo\n"
+        "            )\n",
+        (BLOCK_SIZE,),
+    ),
+    Mutant(
+        "a campaign charges 1.1 s of overhead per pair",
+        ORCHESTRATOR,
+        "PER_PAIR_OVERHEAD_S = 1.0\n",
+        "PER_PAIR_OVERHEAD_S = 1.1\n",
+        ("tests/test_campaign_batch.py::test_a_ten_vm_mesh_takes_at_most_three_minutes",),
+    ),
+    # ------------------------------------------------- the segment log
+    Mutant(
+        "the scalar loop logs each rate x 1.01",
+        FLUID,
+        "log.append((active[fid], open_start[fid], now, open_rate[fid]))",
+        "log.append((active[fid], open_start[fid], now, open_rate[fid] * 1.01))",
+        (TRUTH,),
+    ),
+    Mutant(
+        "the vector loop logs each rate x 1.01",
+        FLUID,
+        "                log_rate[new] = rate[at]\n",
+        "                log_rate[new] = rate[at] * 1.01\n",
+        (TRUTH,),
+    ),
+    Mutant(
+        "the vector loop logs each segment's end 1 ms late",
+        FLUID,
+        "                log_end[new] = now\n",
+        "                log_end[new] = now + 1e-3\n",
+        (TRUTH,),
+    ),
+    Mutant(
+        "the timeline table sorts its log unstably",
+        FLUID,
+        'keep = keep[np.argsort(flow[keep], kind="stable")]',
+        'keep = keep[np.argsort(flow[keep], kind="quicksort")]',
+        (TRUTH,),
+    ),
+    # ------------------------------------------ the allocator's membership
+    Mutant(
+        "remove_flow empties a link that keeps a member",
+        ALLOC,
+        "            left = count[index] - 1\n            count[index] = left\n",
+        "            left = count[index] - 1\n            count[index] = left if left != 1 else 0\n",
+        (MEMBERSHIP,),
+    ),
+    Mutant(
+        "remove_flow leaves the moved member's _row_pos",
+        ALLOC,
+        "                    row_pos[row_start[moved] + moved_k] = i\n",
+        "                    pass\n",
+        (MEMBERSHIP,),
+    ),
+    Mutant(
+        "_leave_batch fills the holes unsorted",
+        ALLOC,
+        "holes, hole_index = at[hole][order], index[hole][order]",
+        "holes, hole_index = at[hole], index[hole]",
+        (MEMBERSHIP,),
+    ),
+    Mutant(
+        "a trimmed segment keeps fewer entries than its members",
+        ALLOC,
+        "np.minimum(self._seg_cap[links], np.maximum(4, 2 * counts))",
+        "np.minimum(self._seg_cap[links], np.maximum(1, counts // 2))",
+        (MEMBERSHIP,),
+    ),
+    Mutant(
+        "a batch join writes no _row_pos",
+        ALLOC,
+        "        self._row_pos[by_link] = at\n",
+        "",
+        (MEMBERSHIP,),
+    ),
+    Mutant(
+        "a batch join's _store_k is off by one",
+        ALLOC,
+        "        self._store_k[at] = owner_sorted\n",
+        "        self._store_k[at] = owner_sorted + 1\n",
+        (MEMBERSHIP,),
+    ),
+    Mutant(
+        "a released store keeps its segments' caps",
+        ALLOC,
+        "            self._seg_cap.fill(0)\n            self._store = np.zeros(0, dtype=np.intp)\n",
+        "            self._store = np.zeros(0, dtype=np.intp)\n",
+        ("tests/test_alloc_resume.py::test_random_edit_sequences_stay_bit_identical",),
+    ),
+    # ------------------------------------------------------ invariants
+    Mutant(
+        "the bottleneck check forgives a rate 5 % below the fastest",
+        "src/repro/net/fairness.py",
+        "and rate >= fastest[link_id] * (1.0 - rel_tol)",
+        "and rate >= fastest[link_id] * (1.0 - 0.05)",
+        ("tests/test_snapshot_invariants.py::test_a_flow_a_hair_below_its_bottleneck_has_none",),
+    ),
+    Mutant(
+        "report_violations accepts a completion 1 s before its arrival",
+        ENGINE,
+        "not app.completed_at >= app.arrived_at:",
+        "not app.completed_at >= app.arrived_at - 1.0:",
+        ("tests/test_service.py::test_report_violations_names_each_broken_rule",),
+    ),
+    # ------------------------------------------------------- the service
+    Mutant(
+        "migration needs a gain above 0.12",
+        MIGRATION,
+        "IMPROVEMENT_THRESHOLD = 0.1\n",
+        "IMPROVEMENT_THRESHOLD = 0.12\n",
+        ("tests/test_obs.py::test_traced_churn_session_says_why_it_did_not_migrate",),
+    ),
+    Mutant(
+        "a gain of exactly the threshold migrates",
+        MIGRATION,
+        "gain <= IMPROVEMENT_THRESHOLD:",
+        "gain < IMPROVEMENT_THRESHOLD:",
+        ("tests/test_service.py::test_a_gain_of_exactly_the_threshold_does_not_migrate",),
+    ),
+    Mutant(
+        "a pair exactly ttl_s old is stale",
+        CACHE,
+        "fresh = now - self._measured_at <= self.ttl_s",
+        "fresh = now - self._measured_at < self.ttl_s",
+        ("tests/test_admission_arrays.py::TestCacheAgainstDictCache::test_exact_ttl_boundary_is_still_fresh",),
+    ),
+    Mutant(
+        "a degraded pair with no rate takes 2 bit/s",
+        CACHE,
+        "DEGRADED_FLOOR_BPS = 1.0\n",
+        "DEGRADED_FLOOR_BPS = 2.0\n",
+        (),
+        equivalent=(
+            "the floor only has to sit below every measured rate (>= 10^6 bit/s "
+            "here); greedy ranks candidates by rate, so doubling every floored "
+            "pair keeps each below every measured one and floored ties tied, and "
+            "a migration estimate dominated by a floored pair scales on both "
+            "sides of its gain ratio"
+        ),
+    ),
+    # ------------------------------------------------ the other tenant
+    Mutant(
+        "the bootstrap campaign sees no background",
+        ENGINE,
+        "            self.cache.refresh(\n"
+        "                now, background=network.campaign_background(running, now)\n"
+        "            )\n"
+        "            placement_wall += time.perf_counter() - place_started\n"
+        "\n"
+        "        pending, spent",
+        "            self.cache.refresh(now)\n"
+        "            placement_wall += time.perf_counter() - place_started\n"
+        "\n"
+        "        pending, spent",
+        (OTHER_TENANT,),
+    ),
+    Mutant(
+        "a campaign sees the other tenant's flows before they start",
+        MIGRATION,
+        "*(flow for flow in self.other.values() if flow.start_time <= now),",
+        "*self.other.values(),",
+        (OTHER_TENANT,),
+    ),
+    Mutant(
+        "the other tenant's finished flows are kept",
+        MIGRATION,
+        "        if flow_id in completion:\n            del other[flow_id]\n",
+        "        if flow_id in completion:\n            continue\n",
+        (OTHER_TENANT,),
+    ),
+    Mutant(
+        "the other tenant's sizes are never debited",
+        MIGRATION,
+        "other[flow_id] = replace(other[flow_id], size_bytes=left[flow_id])",
+        "other[flow_id] = other[flow_id]",
+        (OTHER_TENANT,),
+    ),
+    Mutant(
+        "the other tenant's sender hoses are never pushed",
+        MIGRATION,
+        "flow.src_vm for flow in network.other.values()",
+        "flow.src_vm for flow in ()",
+        ("tests/test_live_network.py::test_the_other_tenants_flow_runs_on_the_hoses_of_each_segment",),
+    ),
+    Mutant(
+        "a session stops early with faults still to come",
+        ENGINE,
+        "if not (pending or have_faults or target < horizon - 1e-9)",
+        "if not (pending or target < horizon - 1e-9)",
+        ("tests/test_faults.py::test_preemption_mid_session_recovers_or_rejects",),
+    ),
+    # ------------------------------------------------- the §6.1 analysis
+    Mutant(
+        "predict averages with np.mean",
+        "src/repro/workloads/predictability.py",
+        "    total = values[0]\n"
+        "    for value in values[1:]:\n"
+        "        total = total + value\n"
+        "    return total / len(values)\n",
+        "    return np.mean(values)\n",
+        ("tests/test_predictability.py::TestPredictorFunctions::test_every_prefix_equals_the_scalar_predictors",),
+    ),
+)

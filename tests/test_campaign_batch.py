@@ -1,7 +1,7 @@
-"""The campaign as one array program vs. the per-probe loop it replaces.
+"""The campaign as array programs vs. the per-probe loop it replaces.
 
 ``NetworkMeasurer.measure`` runs a packet-train campaign as one array
-program.  The oracle here is the per-probe loop — the scalar train of
+program per block of trains.  The oracle here is the per-probe loop — the scalar train of
 ``tests/oracles/scalar_train.py`` once per scheduled pair, retries and
 backoff inline — on a fresh same-seed provider: on a lossless provider the
 two must agree to the last bit on every field of the profile, on the
@@ -23,7 +23,7 @@ from repro import obs
 from repro.cloud.ec2 import ec2_params
 from repro.cloud.provider import ProviderParams, VMFlow
 from repro.cloud.registry import make_provider
-from repro.core.measurement import MeasurementPlan, NetworkMeasurer
+from repro.core.measurement import MeasurementPlan, NetworkMeasurer, orchestrator
 from repro.errors import CloudError, MeasurementError
 from repro.net import topology
 from repro.net.packets import PacketTrainSpec
@@ -287,17 +287,24 @@ def test_a_nan_estimate_is_an_error_not_an_unmeasured_pair():
     missing from the profile without a reason."""
     provider, names = build_provider("ec2", n_vms=4)
     broken = provider.vm_positions(names[1:3])
-    send = provider.send_packet_trains
+    train_pass = provider.train_pass
     sends = []
 
     def flattened(pairs, spec, background=()):
-        batch = send(pairs, spec, background)
-        hit = (pairs[batch.sent] == broken).all(axis=1)
-        batch.last_rx_s[:, hit] = batch.first_rx_s[:, hit]
-        sends.append((int(hit.sum()), batch.sent.shape[0]))
-        return batch
+        trains = train_pass(pairs, spec, background)
+        send = trains.send
 
-    provider.send_packet_trains = flattened
+        def send_flat(count):
+            batch = send(count)
+            hit = (pairs[batch.sent] == broken).all(axis=1)
+            batch.last_rx_s[:, hit] = batch.first_rx_s[:, hit]
+            sends.append((int(hit.sum()), batch.sent.shape[0]))
+            return batch
+
+        trains.send = send_flat
+        return trains
+
+    provider.train_pass = flattened
     state = provider._rng.bit_generator.state
     plan = MeasurementPlan(advance_clock=False)
     profile = NetworkMeasurer(provider, plan).measure(names)
@@ -466,6 +473,69 @@ def test_traced_campaign_equals_untraced(trace_to):
     obs.configure(None, export_env=False)
     untraced = campaign(NetworkMeasurer(*build_provider("ec2")[:1]), None)
     assert traced == untraced
+
+
+# ------------------------------------------------------ blocks of trains
+#: Block sizes a campaign must not depend on: one train, a size that
+#: leaves a partial last block of a 90-pair mesh, the default, and one
+#: block per pass.
+BLOCKS = [1, 7, orchestrator._TRAIN_BLOCK, 10**6]
+
+#: (provider, setting): a bare mesh, one under background traffic, one
+#: under a fault timeline, and a lossy one whose trains are so short that
+#: passes of retries follow the first.
+BLOCK_CASES = [
+    (name, setting)
+    for name in ("ec2", "rackspace", "ec2-legacy")
+    for setting in ("idle", "loaded", "faults")
+] + [("ec2-legacy", "retries")]
+
+
+@pytest.mark.parametrize("name, setting", BLOCK_CASES)
+def test_the_profile_does_not_depend_on_the_block_size(
+    name, setting, monkeypatch, trace_to
+):
+    """A pass goes out in blocks of ``_TRAIN_BLOCK`` trains.  Whatever the
+    size, every field of the profile, the counters, the clock and the
+    provider RNG's end state are ``==`` — ``ec2-legacy`` keeps its loss on,
+    so its pass draws every normal and then every loss up front.  The span
+    counts the blocks, and a loaded campaign fills its background once per
+    pass at any size."""
+    plan = MeasurementPlan()
+    overrides = {}
+    if setting == "retries":
+        plan = MeasurementPlan(train_spec=PacketTrainSpec(n_bursts=1, burst_length=2))
+        overrides["loss_rate"] = 0.8
+    runs = []
+    for block in BLOCKS:
+        monkeypatch.setattr(orchestrator, "_TRAIN_BLOCK", block)
+        provider, names = build_provider(
+            name, n_vms=10, faults="lossy-probes" if setting == "faults" else None,
+            drift="hotspot-flap" if setting == "loaded" else None, **overrides,
+        )
+        flows = ()
+        if setting == "loaded":
+            flows = background_flows(names, np.random.default_rng(5))
+        runs.append(campaign(NetworkMeasurer(provider, plan), names, flows))
+    assert all(run == runs[0] for run in runs[1:])
+    assert len(runs[0]["rates"]) + len(runs[0]["degraded"]) == 90
+    if setting == "faults":
+        assert runs[0]["degraded"]
+    if setting == "retries":
+        assert runs[0]["counters"][2] > 0  # probe retries: later passes
+    spans = campaign_spans(trace_to)
+    blocks = [span["blocks"] for span in spans]
+    # One block per pass at the two sizes a pass fits in.
+    assert blocks[2] == blocks[3] >= 1
+    if setting == "retries":
+        assert blocks[3] > 1
+    if setting in ("idle", "loaded"):
+        assert blocks == [90, 13, 1, 1]
+    else:
+        assert blocks[0] > blocks[1] > blocks[2]
+    rounds = [span.get("snapshot_rounds") for span in spans]
+    assert rounds == rounds[:1] * len(BLOCKS)
+    assert (rounds[0] is not None) == (setting == "loaded")
 
 
 # ------------------------------------------------------ the shared snapshot

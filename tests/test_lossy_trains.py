@@ -100,7 +100,7 @@ def scalar_estimates(spec, batch):
 @pytest.mark.parametrize("seed", range(3))
 def test_one_percent_loss_is_observed_and_the_mathis_bound_binds(seed):
     provider, _, pairs = legacy(seed, loss_rate=0.01)
-    batch = provider.send_packet_trains(pairs, SPEC)
+    batch = provider.train_pass(pairs, SPEC).send(len(pairs))
     observed = 1.0 - batch.received.sum() / (SPEC.n_bursts * SPEC.burst_length * len(pairs))
     assert abs(observed - 0.01) < 0.001  # 112 000 packets: σ ≈ 0.0003
     rates = estimate_throughputs(SPEC, batch)
@@ -130,7 +130,7 @@ def test_a_corrected_span_is_the_span_of_the_whole_burst():
     provider, _, pairs = legacy(
         4, loss_rate=0.05, train_jitter_std_s=0.0, train_rate_noise=0.0
     )
-    batch = provider.send_packet_trains(pairs, SPEC)
+    batch = provider.train_pass(pairs, SPEC).send(len(pairs))
     gaps = SPEC.burst_length - 1
     observed = batch.last_index - batch.first_index
     span = batch.last_rx_s - batch.first_rx_s
@@ -164,7 +164,7 @@ def hand_built():
     first_index = np.array([[0, 0, 0, 0], [1, 0, 0, 0], [0, 2, 0, 0]])
     last_index = np.array([[4, 3, 4, 4], [4, 4, 4, 4], [4, 2, 4, 4]])
     batch = TrainBatch(
-        first_rx_s=first, last_rx_s=last, sent=np.arange(4), lost={},
+        first_rx_s=first, last_rx_s=last, sent=np.arange(4),
         received=received, first_index=first_index, last_index=last_index,
         rtt_s=np.array([1e-3, 1e-3, 1e-3, np.nan]),
     )
@@ -216,14 +216,14 @@ def test_unmeasurable_trains_are_retried_with_fresh_draws_then_degraded(probe_bu
     spec = PacketTrainSpec(n_bursts=1, burst_length=2)
     plan = MeasurementPlan(train_spec=spec, probe_budget=probe_budget)
     sent = []
-    send = provider.send_packet_trains
+    train_pass = provider.train_pass
 
     def counted(schedule, train_spec, background=()):
-        batch = send(schedule, train_spec, background)
-        sent.append(batch.sent.shape[0])
-        return batch
+        trains = train_pass(schedule, train_spec, background)
+        sent.append(trains.sent.shape[0])
+        return trains
 
-    provider.send_packet_trains = counted
+    provider.train_pass = counted
     profile = NetworkMeasurer(provider, plan).measure(names)
     degraded = profile.degraded_pairs
     rated = np.count_nonzero(~np.isnan(profile.measured_at_matrix()))

@@ -50,20 +50,6 @@ class TestPredictorFunctions:
         # No full day of history: only the previous-hour component exists.
         assert predict([10.0, 20.0], "combined") == pytest.approx(20.0)
 
-    def test_matrices_predict_entry_by_entry(self):
-        """A history of matrices forecasts each entry as its own series."""
-        rng = np.random.default_rng(4)
-        stack = rng.lognormal(18.0, 2.0, size=(3 * HOURS_PER_DAY + 5, 2, 3))
-        for name in PREDICTORS:
-            for n in (1, 23, 24, 25, len(stack)):
-                got = predict(list(stack[:n]), name)
-                if got is None:  # time-of-day within the first day
-                    assert predict(stack[:n, 0, 0], name) is None
-                    continue
-                for i in range(2):
-                    for j in range(3):
-                        assert got[i, j] == predict(stack[:n, i, j], name), (name, n)
-
     def test_unknown_predictor_is_refused_by_name(self):
         for name in ("stale", "oracle"):
             with pytest.raises(WorkloadError, match=name):

@@ -259,7 +259,8 @@ def test_the_campaign_builds_no_list_of_name_pairs():
             for function, line in _comprehensions_of_pairs(ast.parse(source))
         ]
     for function in (
-        provider.CloudProvider.send_packet_trains,
+        provider.CloudProvider.train_pass,
+        provider.TrainPass.send,
         provider.CloudProvider._loaded_rates,
         provider.CloudProvider._pair_positions,
     ):
