@@ -8,9 +8,9 @@ A :class:`CloudProvider` owns:
   temporal stability of §4.1);
 * the measurement interface a tenant has on a public cloud: bulk TCP
   transfers (netperf), UDP packet trains and traceroute;
-* an execution interface (:meth:`simulate`) used to "transfer data as
-  specified by the placement algorithm and the traffic matrix" (§6.1) on the
-  fluid simulator.
+* an execution interface (:meth:`build_simulation`, :meth:`add_flows`)
+  used to "transfer data as specified by the placement algorithm and the
+  traffic matrix" (§6.1) on the fluid simulator.
 
 A provider is a :class:`ProviderParams` record (:mod:`repro.cloud.ec2`,
 :mod:`repro.cloud.ec2_legacy` and :mod:`repro.cloud.rackspace` each make
@@ -34,7 +34,7 @@ from repro import obs
 from repro.errors import CloudError, MeasurementError
 from repro.cloud.instances import InstanceType, VirtualMachine, EC2_MEDIUM
 from repro.net.fairness import probe_rates_under_load
-from repro.net.fluid import FluidResult, FluidSimulation
+from repro.net.fluid import FluidSimulation
 from repro.net.flows import Flow
 from repro.net.latency import rtt_s
 from repro.net.links import hose_link_id
@@ -583,14 +583,6 @@ class CloudProvider:
             flows, extras = zip(*map(self._to_net_flow, vm_flows))
             sim.add_flows(flows, extras)
 
-    def simulate(
-        self,
-        vm_flows: Sequence[VMFlow],
-        until: Optional[float] = None,
-    ) -> FluidResult:
-        """Run the given VM-level flows to completion on the provider network."""
-        return self.build_simulation(vm_flows).run(until=until)
-
     # ----------------------------------------------------- measurement API
     def _probe_fault_factor(self, src_vm: str, dst_vm: str, what: str) -> float:
         """Fault adjustment for one probe: raises on loss, scales on "wild".
@@ -742,10 +734,11 @@ class CloudProvider:
         allocation order).
 
         A snapshot is the probe's rate in the max-min allocation of the
-        probe and the backlogged background — what a fresh :meth:`simulate`
-        per probe would record, bit for bit.  Probes and background read
-        their paths off the route table, and :func:`probe_rates_under_load`
-        reads every probe's rate off one filling of the background.
+        probe and the backlogged background — what a fresh simulation
+        (:meth:`build_simulation`) per probe would record, bit for bit.
+        Probes and background read their paths off the route table, and
+        :func:`probe_rates_under_load` reads every probe's rate off one
+        filling of the background.
         """
         flow_ids = set()
         for flow in background:

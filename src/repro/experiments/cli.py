@@ -104,10 +104,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         help="print the full telemetry snapshot (obs.metrics: store, "
         "allocator, fluid, measurement, sweep counters) after the run",
     )
-    run_cmd.add_argument(
-        "--cache-stats", action="store_true",
-        help="deprecated alias for --stats",
-    )
     run_cmd.set_defaults(handler=_cmd_run)
 
 
@@ -221,11 +217,6 @@ def _print_run_summary(result: ExperimentResult) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenarios = _resolve_scenarios(args.scenario)
-    show_stats = args.stats or args.cache_stats
-    if args.cache_stats:
-        print(
-            "note: --cache-stats is deprecated; use --stats", file=sys.stderr
-        )
     config = _make_config(
         scenarios, args.placers, args.trials, args.seed, args.jobs,
         args.baseline, args.param,
@@ -244,7 +235,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if config.cache_dir:
         line += f", {stats.cache_hits} cache hit(s) from {config.cache_dir}"
     print(line)
-    if show_stats:
+    if args.stats:
         if runner.store is not None:
             counters = runner.store.stats
             print(

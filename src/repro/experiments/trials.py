@@ -29,6 +29,7 @@ from repro.errors import ReproError
 from repro.experiments.placers import resolve_placer
 from repro.experiments.results import TrialRecord
 from repro.experiments.scenarios import ScenarioInstance, get_scenario
+from repro.runtime.migration import booked_bytes
 
 
 #: What a scenario or placer parameter value may be: a JSON scalar, so it
@@ -288,10 +289,6 @@ def _run_session(
         record.makespan_s = max(a.completed_at for a in completed) - min(
             a.arrived_at for a in completed
         )
-    network = colocated = 0.0
-    for state in service.last_apps.values():
-        for src, dst, volume in state.app.transfers():
-            kept = state.colocated.get((src, dst), 0.0)
-            colocated += kept
-            network += volume - kept
-    record.network_bytes, record.colocated_bytes = network, colocated
+    record.network_bytes, record.colocated_bytes = booked_bytes(
+        service.last_apps.values()
+    )

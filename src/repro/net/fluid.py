@@ -244,16 +244,6 @@ class FluidResult:
     end_time: float
     states: Dict[str, FlowState]
 
-    def completion_time(self, flow_id: str) -> float:
-        """Absolute completion time of a finite flow.
-
-        Raises:
-            SimulationError: if the flow did not complete during the run.
-        """
-        if flow_id not in self.completion_times:
-            raise SimulationError(f"flow {flow_id!r} did not complete")
-        return self.completion_times[flow_id]
-
 
 #: Process-wide fluid-engine counters (``obs.metrics.snapshot()``):
 #: simulation runs and event-loop batches (one batch per allocate →

@@ -3,17 +3,15 @@
 A :class:`Counter` is a monotonically increasing count (cache hits,
 solver invocations).  Counters are plain objects owned by whichever
 component needs them (an allocator, a result store, a placement
-service); constructing one registers it with the process-wide :class:`MetricsRegistry` under its
-dotted name.  Several live instruments may share a name — a sweep that
-opens three result stores has three ``repro.store.hits`` counters — and
-the registry *sums* them at snapshot time, so the global view aggregates
-while each owner keeps its per-instance numbers (the pre-existing
+service), each with its own per-instance count (the pre-existing
 ``.stats`` properties are thin views over the owner's instruments).
-
-Registration holds weak references, one :class:`weakref.WeakSet` per
-name: when an owner is garbage collected its instruments leave the
-registry at once, so a long sweep that never takes a snapshot does not
-accumulate dead entries.
+Several instruments may share a name — a sweep that opens three result
+stores has three ``repro.store.hits`` counters — and the process-wide
+:class:`MetricsRegistry` keeps one running total per name, which every
+increment of every same-named instrument also adds to.  The total
+outlives the instruments: a snapshot after an allocator was collected
+still holds its ``repro.alloc.*`` counts, and constructing an instrument
+adds nothing to the registry but, on a name's first use, its total.
 
 Increments deliberately take no lock — ``+=`` on a float is atomic
 enough under the GIL for statistics, and these sit on hot paths where a
@@ -22,8 +20,6 @@ lock would show up in every event of the fluid loop.
 
 from __future__ import annotations
 
-import threading
-import weakref
 from typing import Dict
 
 __all__ = [
@@ -33,8 +29,17 @@ __all__ = [
 ]
 
 
+class _Total:
+    """The running count of every instrument of one name."""
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0.0
+
+
 class Counter:
-    """Monotonic count auto-registered with the global registry.
+    """Monotonic count that also adds to its name's process-wide total.
     ``inc()`` is the only mutator."""
 
     def __init__(self, name: str) -> None:
@@ -42,10 +47,11 @@ class Counter:
             raise ValueError(f"invalid metric name {name!r}")
         self.name = name
         self.value = 0.0
-        registry.register(self)
+        self._total = registry.total(name)
 
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
+        self._total.value += amount
 
     @property
     def count(self) -> int:
@@ -53,35 +59,30 @@ class Counter:
 
 
 class MetricsRegistry:
-    """Weak collection of every live instrument, summed on demand."""
+    """One running total per metric name, for the life of the process."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        # name -> the live instruments sharing that name.
-        self._by_name: Dict[str, weakref.WeakSet] = {}
+        self._totals: Dict[str, _Total] = {}
 
-    # ------------------------------------------------------------ registration
-    def register(self, instrument: Counter) -> None:
-        with self._lock:
-            self._by_name.setdefault(instrument.name, weakref.WeakSet()).add(
-                instrument
-            )
+    def total(self, name: str) -> _Total:
+        """The total the instruments called ``name`` add to."""
+        total = self._totals.get(name)
+        if total is None:
+            total = self._totals.setdefault(name, _Total())
+        return total
 
-    # --------------------------------------------------------------- snapshots
     def snapshot(self) -> Dict[str, float]:
-        """All metrics, each the sum of its same-named instruments.
+        """Every metric's total so far.
 
         Keys are the dotted metric names, sorted, so the snapshot diff-s
         cleanly.
         """
-        with self._lock:
-            live = {name: list(group) for name, group in self._by_name.items() if group}
         out: Dict[str, float] = {}
-        for name, instruments in sorted(live.items()):
-            total = sum(inst.value for inst in instruments)
-            out[name] = int(total) if float(total).is_integer() else total
+        for name, total in sorted(self._totals.items()):
+            value = total.value
+            out[name] = int(value) if float(value).is_integer() else value
         return out
 
 
-#: The process-wide registry every instrument self-registers with.
+#: The process-wide registry every instrument adds to.
 registry = MetricsRegistry()

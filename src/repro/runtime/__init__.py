@@ -2,17 +2,15 @@
 
 The paper's evaluation transfers real traffic on EC2 once applications are
 placed ("we do not merely calculate what the application completion time
-would have been", §6.1).  Our stand-in is the fluid simulator: the executor
-turns a placement plus a traffic matrix into VM-level flows, runs them on
-the provider, and reports completion times that include all sharing effects
-(hose caps, shared paths, colocation, and concurrent applications).
+would have been", §6.1).  Our stand-in is the fluid simulator: an
+application's books (:class:`repro.runtime.migration.LiveApp`) turn its
+placement into VM-level flows, one live simulation per run
+(:class:`repro.runtime.migration.LiveNetwork`) carries them, and the
+completion times it reports include all sharing effects (hose caps, shared
+paths, colocation, and concurrent applications).
 """
 
-from repro.runtime.executor import (
-    ApplicationRun,
-    placement_to_flows,
-    run_applications,
-)
+from repro.runtime.executor import ApplicationRun, run_applications
 from repro.runtime.migration import MigrationEvent
 from repro.runtime.metrics import (
     relative_speedup,
@@ -22,7 +20,6 @@ from repro.runtime.metrics import (
 
 __all__ = [
     "ApplicationRun",
-    "placement_to_flows",
     "run_applications",
     "MigrationEvent",
     "relative_speedup",

@@ -1,26 +1,25 @@
-"""Run placed applications on a synthetic cloud in one simulation from zero.
+"""Run placed applications on a synthetic cloud, outside a session.
 
-``placement_to_flows`` converts a placement and a traffic matrix into
-VM-level flows: every task-pair transfer whose endpoints landed on different
-VMs becomes a network flow; transfers between tasks on the same VM never
-touch the network (one of the main wins of network-aware placement).
-
-``run_applications`` executes those flows on the
-provider's fluid simulator and reports per-application completion times.
-No trial runs through it: every sweep cell is a placement-service session
-(:mod:`repro.experiments.trials`), whose applications run on the session's
-live network (:class:`repro.runtime.migration.LiveNetwork`).  It stays for
-callers that run one placement whole, outside a session.
+``run_applications`` runs each placed application on one
+:class:`~repro.runtime.migration.LiveNetwork`, the engine every
+placement-service session (and so every sweep cell) runs on: it admits an
+application's :class:`~repro.runtime.migration.LiveApp` books at its
+``start_time`` and advances the network from one arrival to the next, then
+to the end.  Transfers between tasks on the same VM never touch the network
+(one of the main wins of network-aware placement); the books move their
+bytes off-network the moment the placement is set.  No trial runs through
+it: it stays for callers that run placements whole, outside a session.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence
 
-from repro.cloud.provider import CloudProvider, VMFlow
+from repro.cloud.provider import CloudProvider
 from repro.core.placement.base import Placement
 from repro.errors import PlacementError, SimulationError
+from repro.runtime.migration import LiveApp, LiveNetwork, advance_live_apps, booked_bytes
 from repro.workloads.application import Application
 
 
@@ -34,7 +33,10 @@ class ApplicationRun:
         completion_time: absolute time the last of its flows finished; equal
             to ``start_time`` when the placement put every communicating
             task pair on the same VM (no network transfers at all).
-        flow_completion_times: per-flow absolute completion times.
+        flow_completion_times: per-flow absolute completion times, one per
+            transfer between different VMs, keyed by its
+            :meth:`~repro.runtime.migration.LiveApp.flow_ids` id; a
+            transfer too small to put on the network finishes at the start.
         colocated_bytes: bytes that never crossed the network because both
             endpoints shared a VM.
         network_bytes: bytes that did cross the network.
@@ -51,40 +53,6 @@ class ApplicationRun:
     def duration(self) -> float:
         """The application's running time (network-transfer time)."""
         return self.completion_time - self.start_time
-
-
-def placement_to_flows(
-    placement: Placement,
-    app: Application,
-    start_time: float = 0.0,
-    flow_prefix: Optional[str] = None,
-) -> Tuple[List[VMFlow], float]:
-    """Convert one placed application into VM-level flows.
-
-    Returns:
-        ``(flows, colocated_bytes)`` — transfers whose endpoints share a VM
-        produce no flow and are accounted in ``colocated_bytes``.
-    """
-    prefix = flow_prefix if flow_prefix is not None else app.name
-    flows: List[VMFlow] = []
-    colocated = 0.0
-    for index, (src_task, dst_task, volume) in enumerate(app.transfers()):
-        src_vm = placement.machine_of(src_task)
-        dst_vm = placement.machine_of(dst_task)
-        if src_vm == dst_vm:
-            colocated += volume
-            continue
-        flows.append(
-            VMFlow(
-                flow_id=f"{prefix}:{index}:{src_task}->{dst_task}",
-                src_vm=src_vm,
-                dst_vm=dst_vm,
-                size_bytes=volume,
-                start_time=start_time,
-                tag=app.name,
-            )
-        )
-    return flows, colocated
 
 
 def run_applications(
@@ -104,37 +72,39 @@ def run_applications(
     """
     if not apps:
         raise SimulationError("run_applications needs at least one application")
-    all_flows: List[VMFlow] = []
-    per_app_flows: Dict[str, List[str]] = {}
-    per_app_colocated: Dict[str, float] = {}
-    per_app_network_bytes: Dict[str, float] = {}
-
+    arrivals: Dict[float, List[Application]] = {}
     for app in apps:
         if app.name not in placements:
             raise PlacementError(f"no placement supplied for application {app.name!r}")
-        flows, colocated = placement_to_flows(
-            placements[app.name], app, start_time=app.start_time
-        )
-        per_app_flows[app.name] = [flow.flow_id for flow in flows]
-        per_app_colocated[app.name] = colocated
-        per_app_network_bytes[app.name] = sum(flow.size_bytes or 0.0 for flow in flows)
-        all_flows.extend(flows)
+        arrivals.setdefault(app.start_time, []).append(app)
 
-    result = provider.simulate(all_flows) if all_flows else None
-
-    runs: Dict[str, ApplicationRun] = {}
-    for app in apps:
-        flow_ids = per_app_flows[app.name]
-        completions = {}
+    network = LiveNetwork(provider)
+    running: Dict[str, LiveApp] = {}
+    finished: Dict[str, float] = {}
+    starts = sorted(arrivals)
+    for start, until in zip(starts, [*starts[1:], None]):
+        for app in arrivals[start]:
+            running[app.name] = LiveApp(app, placements[app.name], start)
+        result = advance_live_apps(network, running, start, until)
         if result is not None:
-            completions = {fid: result.completion_time(fid) for fid in flow_ids}
-        completion_time = max(completions.values(), default=app.start_time)
-        runs[app.name] = ApplicationRun(
-            app_name=app.name,
-            start_time=app.start_time,
-            completion_time=completion_time,
-            flow_completion_times=completions,
-            colocated_bytes=per_app_colocated[app.name],
-            network_bytes=per_app_network_bytes[app.name],
-        )
-    return runs
+            finished.update(result.completion_times)
+    return {app.name: _application_run(running[app.name], finished) for app in apps}
+
+
+def _application_run(state: LiveApp, finished: Mapping[str, float]) -> ApplicationRun:
+    """What the books of a drained application, and the completion times
+    of every flow the network ran, say about it."""
+    machine_of = state.placement.machine_of
+    network_bytes, colocated_bytes = booked_bytes([state])
+    return ApplicationRun(
+        app_name=state.app.name,
+        start_time=state.started,
+        completion_time=state.completed_at,
+        flow_completion_times={
+            flow_id: finished.get(flow_id, state.started)
+            for flow_id, (src, dst) in state.flow_ids()
+            if machine_of(src) != machine_of(dst)
+        },
+        colocated_bytes=colocated_bytes,
+        network_bytes=network_bytes,
+    )

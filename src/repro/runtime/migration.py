@@ -23,7 +23,7 @@ to their invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
 from repro.cloud.provider import CloudProvider, VMFlow
@@ -110,10 +110,10 @@ class LiveApp:
 
     ``remaining`` is the bytes each task pair still has to put on the
     network.  A pair whose endpoints share a VM moves its bytes off-network
-    the moment a placement is set (booked in ``colocated``, as
-    :func:`~repro.runtime.executor.placement_to_flows` books them), so an
+    the moment a placement is set (booked in ``colocated``), so an
     application is done — and gives its cores back — exactly when it has
-    nothing left on the network.
+    nothing left on the network.  :meth:`live_flows` is the one rule that
+    turns a placement into flows.
     """
 
     app: Application
@@ -165,21 +165,41 @@ class LiveApp:
     def live_flows(self, start: float) -> List[Tuple[Tuple[str, str], VMFlow]]:
         """Each task pair with bytes left and the VM flow, starting at
         ``start``, that carries them under the current placement."""
+        name, machine_of = self.app.name, self.placement.machine_of
         return [
             (
                 pair,
                 VMFlow(
-                    flow_id=f"{self.app.name}:{index}",
-                    src_vm=self.placement.machine_of(pair[0]),
-                    dst_vm=self.placement.machine_of(pair[1]),
+                    flow_id=f"{name}:{index}",
+                    src_vm=machine_of(pair[0]),
+                    dst_vm=machine_of(pair[1]),
                     size_bytes=volume,
                     start_time=start,
-                    tag=self.app.name,
+                    tag=name,
                 ),
             )
             for index, (pair, volume) in enumerate(sorted(self.remaining.items()))
             if volume > 1e-6
         ]
+
+    def flow_ids(self) -> List[Tuple[str, Pair]]:
+        """Each task pair with the id :meth:`live_flows` gives the flow that
+        carries its bytes (the same under every placement)."""
+        name = self.app.name
+        return [(f"{name}:{index}", pair) for index, pair in enumerate(sorted(self.remaining))]
+
+
+def booked_bytes(states: Iterable[LiveApp]) -> Tuple[float, float]:
+    """``(network, colocated)``: the bytes of the applications' traffic
+    matrices that the network carries and those colocation kept off it,
+    summed in order over the applications' transfers."""
+    network = colocated = 0.0
+    for state in states:
+        for src, dst, volume in state.app.transfers():
+            kept = state.colocated.get((src, dst), 0.0)
+            colocated += kept
+            network += volume - kept
+    return network, colocated
 
 
 def live_background_flows(running: Dict[str, LiveApp], now: float) -> List[VMFlow]:

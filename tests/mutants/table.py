@@ -32,6 +32,8 @@ PROVIDER = "src/repro/cloud/provider.py"
 MIGRATION = "src/repro/runtime/migration.py"
 ENGINE = "src/repro/service/engine.py"
 CACHE = "src/repro/service/cache.py"
+EXECUTOR = "src/repro/runtime/executor.py"
+METRICS = "src/repro/obs/metrics.py"
 
 MEMBERSHIP = "tests/test_link_membership.py::test_membership_follows_the_rows_under_random_edits"
 TRUTH = "tests/test_truth_property.py::test_every_run_keeps_its_invariants"
@@ -41,6 +43,10 @@ OTHER_TENANT = (
     "test_campaigns_see_what_the_other_tenant_has_left_and_the_books_never_count_it"
 )
 BLOCK_SIZE = "tests/test_campaign_batch.py::test_the_profile_does_not_depend_on_the_block_size"
+FRESH_RUN = (
+    "tests/test_choreo_e2e.py::"
+    "test_run_applications_is_a_fresh_simulation_of_the_placed_flows"
+)
 
 MUTANTS: Tuple[Mutant, ...] = (
     # ---------------------------------------------- the campaign's blocks
@@ -249,6 +255,35 @@ MUTANTS: Tuple[Mutant, ...] = (
         "if not (pending or have_faults or target < horizon - 1e-9)",
         "if not (pending or target < horizon - 1e-9)",
         ("tests/test_faults.py::test_preemption_mid_session_recovers_or_rejects",),
+    ),
+    # ---------------------------------------- the executor on the live engine
+    Mutant(
+        "run_applications admits every application at the first start time",
+        EXECUTOR,
+        "        arrivals.setdefault(app.start_time, []).append(app)\n",
+        "        arrivals.setdefault(min(a.start_time for a in apps), []).append(app)\n",
+        (FRESH_RUN,),
+    ),
+    Mutant(
+        "run_applications books colocated bytes as network bytes",
+        EXECUTOR,
+        "        colocated_bytes=colocated_bytes,\n"
+        "        network_bytes=network_bytes,\n",
+        "        colocated_bytes=0.0,\n"
+        "        network_bytes=network_bytes + colocated_bytes,\n",
+        (FRESH_RUN,),
+    ),
+    # ---------------------------------------------------- the metric totals
+    Mutant(
+        "Counter.inc skips the name's total",
+        METRICS,
+        "        self._total.value += amount\n",
+        "        pass\n",
+        (
+            "tests/test_obs.py::"
+            "test_a_collected_allocators_counts_stay_and_allocators_add_no_entry",
+            "tests/test_obs.py::test_metrics_snapshot_matches_legacy_stats_views",
+        ),
     ),
     # ------------------------------------------------- the §6.1 analysis
     Mutant(

@@ -1,8 +1,9 @@
 """What a sequence of placed applications has in flight at ``time_s``, by
 re-simulating every placed flow from zero up to it: the §6.3 runner's
 ``_state_at`` before applications were kept as ``LiveApp`` books, body
-verbatim.  It only knows applications that own a network flow — one whose
-placement colocates every transfer is never "finished" here;
+verbatim but for the ``provider.simulate`` wrapper it called.  It only
+knows applications that own a network flow — one whose placement
+colocates every transfer is never "finished" here;
 ``tests/test_live_books.py`` holds the service's live books to this, arrival
 by arrival, in everything else."""
 
@@ -22,7 +23,7 @@ def parent_state_at(
     all_flows = list(placed_flows) + background
     if not all_flows:
         return [], set()
-    partial = provider.simulate(all_flows, until=time_s)
+    partial = provider.build_simulation(all_flows).run(until=time_s)
     active: List[VMFlow] = []
     remaining_by_app: Dict[str, int] = {}
     for flow in placed_flows:

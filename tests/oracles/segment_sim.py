@@ -1,7 +1,8 @@
 """``advance_live_apps`` as it stood before the service moved onto one live
-simulation, body verbatim: every segment builds a fresh simulation
-(``provider.simulate``) of what is still in flight, restarted at the
-segment's start with the bytes each flow had left.
+simulation, body verbatim but for the ``provider.simulate`` wrapper it
+called: every segment builds and runs a fresh simulation of what is still
+in flight, restarted at the segment's start with the bytes each flow had
+left.
 ``tests/test_live_network.py`` holds the live simulation to it, pause by
 pause."""
 
@@ -27,7 +28,7 @@ def segment_advance(
     all_flows = [flow for _, flows in active for _, flow in flows]
     if not all_flows:
         return None
-    result = provider.simulate(all_flows, until=until)
+    result = provider.build_simulation(all_flows).run(until=until)
     for state, flows in active:
         finished_at = start
         for pair, flow in flows:

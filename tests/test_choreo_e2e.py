@@ -1,20 +1,25 @@
 """End-to-end tests on a synthetic provider: the §2 pipeline (profile,
-measure, place, run) as ``benchmark/``'s ``pipeline_dc`` calls it, and the
-§2.4 / §6.3 arrival loop, which the placement service runs."""
+measure, place, run) as ``benchmark/``'s ``pipeline_dc`` calls it, the
+executor it runs on held to a fresh simulation, and the §2.4 / §6.3
+arrival loop, which the placement service runs."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from oracles.placement_flows import placement_to_flows
 from repro.cloud.registry import make_provider
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
-from repro.core.placement.base import ClusterState, validate_placement
+from repro.core.placement.base import ClusterState, Placement, validate_placement
 from repro.core.placement.baselines import RandomPlacer
 from repro.core.placement.greedy import GreedyPlacer
 from repro.core.profiler import ApplicationProfiler
-from repro.experiments.scenarios import ARRIVAL_TTL_S
+from repro.experiments.scenarios import ARRIVAL_TTL_S, get_scenario
 from repro.runtime.executor import run_applications
 from repro.service.engine import PlacementService
 from repro.units import GBYTE
+from repro.workloads.application import Application, Task, TrafficMatrix
 from repro.workloads.generator import HPCloudWorkloadGenerator
 from repro.workloads.patterns import mapreduce
 
@@ -52,6 +57,66 @@ def test_profile_measure_place_run(provider):
     assert profile.measurement_duration_s > 0
     assert run.completion_time >= run.start_time
     assert run.network_bytes + run.colocated_bytes == pytest.approx(app.total_bytes)
+
+
+def staggered(scenario, seed):
+    """A scenario's applications starting at 0, 30, 60 and 90 s in turn,
+    each task on a random VM; beside them, one application with every task
+    on one VM and one whose only other crossing transfer is too small for
+    the network.  Returns ``(provider, placements, apps)``."""
+    instance = get_scenario(scenario).build(seed)
+    rng = np.random.default_rng(seed)
+    vms = instance.cluster.machine_names()
+    apps = [replace(app, start_time=30.0 * (k % 4)) for k, app in enumerate(instance.apps)]
+    placements = {
+        app.name: Placement(
+            app.name, {task: vms[int(rng.integers(len(vms)))] for task in app.task_names}
+        )
+        for app in apps
+    }
+    together = mapreduce("together", 2, 2, 1 * GBYTE, start_time=30.0)
+    placements["together"] = Placement("together", dict.fromkeys(together.task_names, vms[0]))
+    traffic = TrafficMatrix()
+    traffic.add("a", "b", 1e-7)
+    traffic.add("a", "c", 1 * GBYTE)
+    tiny = Application("tiny", [Task(t, 1.0) for t in "abc"], traffic, start_time=60.0)
+    placements["tiny"] = Placement("tiny", dict(zip("abc", vms)))
+    return instance.provider, placements, [*apps, together, tiny]
+
+
+@pytest.mark.parametrize(
+    "scenario", ["multi-app-sequence", "ec2-trace-replay", "bursty-mapreduce"]
+)
+def test_run_applications_is_a_fresh_simulation_of_the_placed_flows(scenario):
+    """Bit for bit: each application's and each crossing transfer's
+    completion is what one simulation of every placed flow, from zero,
+    reports; a transfer too small for the network finishes at the start."""
+    for seed in range(6):
+        provider, placements, apps = staggered(scenario, seed)
+        runs = run_applications(provider, placements, apps)
+        crossing = {
+            app.name: placement_to_flows(placements[app.name], app, app.start_time)
+            for app in apps
+        }
+        fresh = provider.build_simulation(
+            [flow for flows in crossing.values() for flow in flows if flow.size_bytes > 1e-6]
+        ).run()
+        for app in apps:
+            run, at = runs[app.name], f"{scenario}, seed {seed}, {app.name}"
+            expected = sorted(
+                fresh.completion_times.get(flow.flow_id, app.start_time)
+                for flow in crossing[app.name]
+            )
+            assert sorted(run.flow_completion_times.values()) == expected, at
+            assert run.completion_time == max(expected, default=app.start_time), at
+            assert run.network_bytes + run.colocated_bytes == pytest.approx(
+                app.total_bytes, rel=1e-12
+            ), at
+        together, tiny = runs["together"], runs["tiny"]
+        assert together.duration == 0.0 and together.flow_completion_times == {}
+        assert together.network_bytes == 0.0 and together.colocated_bytes == 1 * GBYTE
+        assert len(tiny.flow_completion_times) == 2
+        assert min(tiny.flow_completion_times.values()) == 60.0 < tiny.completion_time
 
 
 def arrival_service(provider, placer):

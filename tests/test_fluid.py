@@ -46,7 +46,7 @@ def test_finite_flow_completion_time_is_bytes_over_rate(dumbbell):
     sim = FluidSimulation(dumbbell)
     sim.add_flow(flow)
     result = sim.run()
-    assert result.completion_time("xfer") == pytest.approx(1.0)
+    assert result.completion_times["xfer"] == pytest.approx(1.0)
     assert result.states["xfer"].value == "completed"
 
 
@@ -58,8 +58,8 @@ def test_departing_flow_releases_bandwidth_to_survivor(dumbbell):
     sim.add_flow(Flow(flow_id="A", src="s1", dst="r1", size_bytes=125 * MBYTE))
     sim.add_flow(Flow(flow_id="B", src="s2", dst="r2", size_bytes=62.5 * MBYTE))
     result = sim.run()
-    assert result.completion_time("B") == pytest.approx(1.0)
-    assert result.completion_time("A") == pytest.approx(1.5)
+    assert result.completion_times["B"] == pytest.approx(1.0)
+    assert result.completion_times["A"] == pytest.approx(1.5)
     # A's timeline records the rate change: 0.5 Gbit/s then 1 Gbit/s.
     rates = [seg.rate_bps for seg in result.timelines["A"].segments]
     assert rates == pytest.approx([0.5 * GBITPS, 1.0 * GBITPS])
@@ -137,7 +137,7 @@ def test_a_run_until_nan_or_minus_inf_is_rejected_by_value(vector, until):
     with _deadline():
         with pytest.raises(SimulationError, match=f"until {until!r}"):
             run_loop(sim, vector, until=until)
-    assert run_loop(sim, vector).completion_time("ok") == pytest.approx(0.008)
+    assert run_loop(sim, vector).completion_times["ok"] == pytest.approx(0.008)
 
 
 @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
@@ -147,7 +147,7 @@ def test_a_run_until_inf_has_no_limit(vector):
     for field in ("completion_times", "remaining_bytes", "states", "end_time"):
         assert getattr(unlimited, field) == getattr(plain, field), field
     assert _segments(unlimited) == _segments(plain)
-    assert unlimited.end_time == unlimited.completion_time("ok") == pytest.approx(0.008)
+    assert unlimited.end_time == unlimited.completion_times["ok"] == pytest.approx(0.008)
 
 
 # ------------------------------------------------------------- resumable runs

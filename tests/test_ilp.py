@@ -458,13 +458,13 @@ def test_cli_accepts_ilp_alias_and_placer_params(tmp_path, capsys):
     assert ilp_records and all(rec["solver_stats"] for rec in ilp_records)
 
 
-def test_cli_cache_stats_flag(tmp_path, capsys):
+def test_cli_stats_flag(tmp_path, capsys):
     out = tmp_path / "results.json"
     store = tmp_path / "store"
     args = [
         "run", "--scenario", "smoke", "--trials", "1",
         "--placers", "greedy", "--cache-dir", str(store),
-        "--cache-stats", "--output", str(out),
+        "--stats", "--output", str(out),
     ]
     assert cli_main(args) == 0
     cold = capsys.readouterr().out
@@ -477,17 +477,15 @@ def test_cli_cache_stats_flag(tmp_path, capsys):
     assert "executed 0 trial(s)" in warm
     assert "store stats: hits=2" in warm
 
-    # --cache-stats is now a deprecated alias for --stats, so it works
-    # without a store too: no store line, telemetry snapshot only.
+    # Without a store: no store line, telemetry snapshot only.
     assert (
         cli_main(
             ["run", "--scenario", "smoke", "--trials", "1",
-             "--placers", "greedy", "--cache-stats", "--output", str(out)]
+             "--placers", "greedy", "--stats", "--output", str(out)]
         )
         == 0
     )
     captured = capsys.readouterr()
-    assert "note: --cache-stats is deprecated" in captured.err
     assert "store stats:" not in captured.out
     assert "telemetry snapshot:" in captured.out
 

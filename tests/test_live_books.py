@@ -20,6 +20,7 @@ import pytest
 
 from helpers import write_trace
 from oracles.parent_state_at import parent_state_at
+from oracles.placement_flows import placement_to_flows
 from repro.cloud.ec2 import ec2_params
 from repro.cloud.provider import VMFlow
 from repro.cloud.registry import make_provider
@@ -35,7 +36,6 @@ from repro.runtime.migration import (
     live_background_flows,
     live_book_violations,
 )
-from repro.runtime.executor import placement_to_flows
 from repro.service.cache import MeasurementCache
 from repro.service.engine import PlacementService, report_violations
 from repro.service.session import build_churn_session
@@ -238,7 +238,7 @@ def test_live_apps_see_what_the_from_zero_resimulation_saw(monkeypatch, seed):
         assert done == oracle_done | flowless
         if app.name not in service.last_apps:
             continue  # rejected
-        flows, _ = placement_to_flows(service.last_apps[app.name].placement, app, app.start_time)
+        flows = placement_to_flows(service.last_apps[app.name].placement, app, app.start_time)
         placed.extend(flows)
         app_of_flow.update((flow.flow_id, app.name) for flow in flows)
         if not flows:
@@ -348,11 +348,13 @@ def test_campaigns_see_what_the_other_tenant_has_left_and_the_books_never_count_
         for app in apps
         for flow in placement_to_flows(
             service.last_apps[app.name].placement, app, app.start_time
-        )[0]
+        )
     ]
     assert [now for now, _ in seen] == [0.0, 0.0, 20.0, 400.0]
     for now, flows in seen:
-        truth = provider.simulate(background + placed, until=now) if now else None
+        truth = (
+            provider.build_simulation(background + placed).run(until=now) if now else None
+        )
         expected = {
             flow.flow_id: (
                 flow.size_bytes if truth is None else truth.remaining_bytes[flow.flow_id]

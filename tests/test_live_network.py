@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from oracles.segment_sim import segment_advance
-from repro.cloud.provider import CloudProvider, VMFlow
+from repro.cloud.provider import VMFlow
 from repro.cloud.registry import make_provider
 from repro.core.placement.base import ClusterState, Placement
 from repro.experiments.placers import resolve_placer
@@ -53,7 +53,7 @@ def _placement(rng, app, vms):
     )
 
 
-def drive(seed, loop_sizes, monkeypatch):
+def drive(seed, loop_sizes, monkeypatch, counted):
     """Run one seeded session on both sides, comparing at every pause;
     returns what the session exercised."""
     rng = np.random.default_rng(seed)
@@ -64,11 +64,6 @@ def drive(seed, loop_sizes, monkeypatch):
         faults="rack-outage" if seed % 2 == 0 else "none",
     )
     vms = cluster.machine_names()
-    simulated = []
-    simulate = provider.simulate
-    monkeypatch.setattr(
-        provider, "simulate", lambda *a, **k: simulated.append(1) or simulate(*a, **k)
-    )
 
     oracle, live = {}, {}
     network = LiveNetwork(provider)
@@ -81,9 +76,9 @@ def drive(seed, loop_sizes, monkeypatch):
         monkeypatch.setattr(fluid, "_LOOP_MIN_FLOWS", int(switch.choice(loop_sizes)))
         segment_advance(provider, oracle, now, until)
         hose = dict(network.hose)
-        calls = len(simulated)
+        built = counted["simulations"]
         advance_live_apps(network, live, now, until)
-        assert len(simulated) == calls, "the live side called provider.simulate"
+        assert counted["simulations"] == built, "the live side built a simulation"
         seen["hose pushes"] += network.hose != hose
 
         at = f"seed {seed}, pause {until}"
@@ -135,11 +130,11 @@ def drive(seed, loop_sizes, monkeypatch):
 
 @pytest.mark.parametrize("mode", sorted(LOOP_MODES))
 def test_the_live_network_leaves_the_books_a_simulation_per_segment_leaves(
-    mode, monkeypatch
+    mode, monkeypatch, counted
 ):
     seen = Counter()
     for seed in SEEDS:
-        seen += drive(seed, LOOP_MODES[mode], monkeypatch)
+        seen += drive(seed, LOOP_MODES[mode], monkeypatch, counted)
     # The sessions exercised what they claim to.
     for what in ("recoveries", "migrations", "rejections", "hose pushes"):
         assert seen[what] >= 3, (what, seen)
@@ -158,7 +153,7 @@ def test_the_other_tenants_flow_runs_on_the_hoses_of_each_segment():
     hoses = []
     for until in (30.0, 60.0, 90.0):
         left = network.other["other:0"]
-        fresh = provider.simulate([replace(left, start_time=now)], until=until)
+        fresh = provider.build_simulation([replace(left, start_time=now)]).run(until=until)
         advance_live_apps(network, {}, now, until=until)
         assert network.other["other:0"].size_bytes == fresh.remaining_bytes["other:0"]
         hoses.append(network.hose[f"hose:{src}"])
@@ -170,7 +165,7 @@ def test_the_other_tenants_flow_runs_on_the_hoses_of_each_segment():
 # --------------------------------------------------- one allocator, no rebuilds
 @pytest.fixture
 def counted(monkeypatch):
-    """Allocators built and ``CloudProvider.simulate`` calls made."""
+    """Allocators and fluid simulations built."""
     made = Counter()
 
     class Counting(IncrementalAllocator):
@@ -178,14 +173,14 @@ def counted(monkeypatch):
             made["allocators"] += 1
             super().__init__(capacities)
 
-    simulate = CloudProvider.simulate
+    build = fluid.FluidSimulation.__init__
 
-    def counting_simulate(self, *args, **kwargs):
-        made["simulate"] += 1
-        return simulate(self, *args, **kwargs)
+    def counting_build(self, *args, **kwargs):
+        made["simulations"] += 1
+        build(self, *args, **kwargs)
 
     monkeypatch.setattr(fluid, "IncrementalAllocator", Counting)
-    monkeypatch.setattr(CloudProvider, "simulate", counting_simulate)
+    monkeypatch.setattr(fluid.FluidSimulation, "__init__", counting_build)
     return made
 
 
@@ -195,10 +190,10 @@ def test_a_churn_session_builds_one_allocator(counted):
         apps_per_hour=3.0, faults="rack-outage",
     )
     assert len(report.completed()) > 5 and report.migrations and report.recovery
-    assert counted == {"allocators": 1}
+    assert counted == {"allocators": 1, "simulations": 1}
 
 
-def test_an_arrival_sequence_builds_one_allocator_and_simulates_nothing(counted):
+def test_an_arrival_sequence_builds_one_allocator_and_one_simulation(counted):
     provider = make_provider("ec2", seed=0, colocation_probability=0.0)
     provider.request_vms(6)
     cluster = ClusterState.from_vms(provider.vms())
@@ -215,4 +210,4 @@ def test_an_arrival_sequence_builds_one_allocator_and_simulates_nothing(counted)
     assert len(report.completed()) == 5 and report.measurement["campaigns"] == 5
     # The times the report gives are the live simulation's: there is no
     # second, from-zero run of the placed flows.
-    assert counted == {"allocators": 1}
+    assert counted == {"allocators": 1, "simulations": 1}

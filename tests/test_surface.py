@@ -510,6 +510,26 @@ def test_one_live_simulation_and_no_hose_option_is_left():
     assert list(inspect.signature(LiveNetwork).parameters) == ["provider", "background"]
 
 
+def test_the_executor_runs_on_the_live_network_and_the_batch_engine_is_gone():
+    """``run_applications`` drives the engine a session runs on: it builds
+    no simulation and no flow of its own, and the batch engine's flow rule
+    and ``CloudProvider.simulate`` are defined nowhere in ``src/``."""
+    from repro.cloud.provider import CloudProvider
+
+    executor = ast.parse(inspect.getsource(importlib.import_module("repro.runtime.executor")))
+    for name in ("simulate", "build_simulation", "FluidSimulation", "add_flows", "VMFlow"):
+        assert _calls(executor, name) == [], name
+    assert len(_calls(executor, "LiveNetwork")) == 1
+    assert not hasattr(CloudProvider, "simulate")
+    defined = [
+        f"{name}:{node.name}"
+        for name in MODULES
+        for node in ast.walk(ast.parse(inspect.getsource(importlib.import_module(name))))
+        if isinstance(node, ast.FunctionDef) and node.name == "placement_to_flows"
+    ]
+    assert defined == []
+
+
 # --------------------------------------------------- one network per shape
 #: Deleted once every provider of a shape shared one tree: the process-wide
 #: route cache (whose reason was per-trial rebuilds of one structure), its
