@@ -10,7 +10,8 @@ A :class:`CloudProvider` owns:
   transfers (netperf), UDP packet trains and traceroute;
 * an execution interface (:meth:`build_simulation`, :meth:`add_flows`)
   used to "transfer data as specified by the placement algorithm and the
-  traffic matrix" (§6.1) on the fluid simulator.
+  traffic matrix" (§6.1) on the fluid simulator, over the very rows
+  (sender's hose, then route) a campaign's probes cross (§3).
 
 A provider is a :class:`ProviderParams` record (:mod:`repro.cloud.ec2`,
 :mod:`repro.cloud.ec2_legacy` and :mod:`repro.cloud.rackspace` each make
@@ -553,35 +554,44 @@ class CloudProvider:
             rates = rates[self.vm_positions(names)]
         return {hose_link_id(name): rate for name, rate in zip(names, rates.tolist())}
 
-    def _to_net_flow(self, vm_flow: VMFlow) -> Tuple[Flow, List[str]]:
-        src, dst = self.vm(vm_flow.src_vm), self.vm(vm_flow.dst_vm)
-        flow = Flow(
-            flow_id=vm_flow.flow_id,
-            src=src.host,
-            dst=dst.host,
-            size_bytes=vm_flow.size_bytes,
-            start_time=vm_flow.start_time,
-            tag=vm_flow.tag,
-        )
-        # The hose applies to the VM's egress onto the physical network, so
-        # intra-host (colocated VM) traffic bypasses it.
-        extra = [] if src.host == dst.host else [hose_link_id(vm_flow.src_vm)]
-        return flow, extra
-
     def build_simulation(
         self, vm_flows: Sequence[VMFlow] = ()
     ) -> FluidSimulation:
-        """A fluid simulation of this provider's network with the given flows."""
+        """A fluid simulation of this provider's network with the given flows:
+        the topology's links, then one hose link per VM in allocation order."""
         sim = FluidSimulation(self.topology, extra_capacities=self.hose_capacities())
         self.add_flows(sim, vm_flows)
         return sim
 
     def add_flows(self, sim: FluidSimulation, vm_flows: Sequence[VMFlow]) -> None:
-        """Register VM-level flows on a simulation :meth:`build_simulation`
-        made (each crosses its sender's hose unless both VMs share a host)."""
-        if vm_flows:
-            flows, extras = zip(*map(self._to_net_flow, vm_flows))
-            sim.add_flows(flows, extras)
+        """Register VM-level flows on a :meth:`build_simulation` of this
+        provider as it is now, each as its row: the sender's hose
+        (:meth:`_hose_column`), then the route between the hosts, the batch
+        routed by host position in one :meth:`Topology.path_links_matrix`.
+
+        Raises:
+            CloudError: the simulation's topology, or its hoses (one per VM
+                in allocation order), are not this provider's now — a VM was
+                requested or released since.  Nothing is registered.
+        """
+        hoses = [hose_link_id(name) for name in self._vms]
+        if sim.topology is not self.topology or sim.extra_link_ids != hoses:
+            raise CloudError(
+                f"provider {self.params.name!r}: the simulation's extra links "
+                f"are not the hoses of its {len(hoses)} VMs in allocation order"
+            )
+        if not vm_flows:
+            return
+        at = self._pair_positions([(flow.src_vm, flow.dst_vm) for flow in vm_flows])
+        paths, lengths, _ = self.topology.path_links_matrix(self._vm_hosts()[at])
+        rows = np.concatenate((self._hose_column(at[:, 0], at[:, 1])[:, None], paths), axis=1)
+        vms = self._vms
+        flows = [
+            Flow(f.flow_id, vms[f.src_vm].host, vms[f.dst_vm].host, f.size_bytes,
+                 f.start_time, f.tag)
+            for f in vm_flows
+        ]
+        sim.add_flows(flows, (rows[rows >= 0], lengths + (rows[:, 0] >= 0)))
 
     # ----------------------------------------------------- measurement API
     def _probe_fault_factor(self, src_vm: str, dst_vm: str, what: str) -> float:
@@ -701,6 +711,16 @@ class CloudProvider:
             )
         return self._vm_host
 
+    def _hose_column(self, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+        """The hose each flow ``src[i] -> dst[i]`` (VM positions) crosses, as
+        an index of a simulation's links (the topology's, then one hose per
+        VM in allocation order); -1 between two VMs of one host, whose
+        traffic never reaches the physical network the hose caps."""
+        vm_host = self._vm_hosts()
+        return np.where(
+            vm_host[src] != vm_host[dst], self.topology.capacity_vector().shape[0] + src, -1
+        )
+
     def _route_table(self) -> _Routes:
         """The routes between every two of the tenant's VMs, by position.
 
@@ -755,19 +775,15 @@ class CloudProvider:
             (dst, self.vm_positions(flow.dst_vm for flow in background))
         )
         paths = self._route_table().links[src * len(self._vms) + dst]
-        links = self.topology.capacity_vector()
-        # A simulation's link order: the topology's links, then one hose per
-        # VM in allocation order.  The hose applies to the VM's egress onto
-        # the physical network, so intra-host traffic bypasses it; the hose
-        # of a VM that sends nothing is on no row and is not read.
-        vm_host = self._vm_hosts()
-        egress = vm_host[src] != vm_host[dst]
-        hose = self._hose_rates()
+        # A simulation's rows and link order; the hose of a VM that sends
+        # nothing is on no row and is not read.
         rows = np.empty((paths.shape[0], 1 + paths.shape[1]), dtype=np.intp)
-        rows[:, 0] = np.where(egress, links.shape[0] + src, -1)
+        rows[:, 0] = self._hose_column(src, dst)
         rows[:, 1:] = paths
         rates, rounds = probe_rates_under_load(
-            np.concatenate((links, hose)), rows[n:], rows[:n]
+            np.concatenate((self.topology.capacity_vector(), self._hose_rates())),
+            rows[n:],
+            rows[:n],
         )
         SNAPSHOT_PROBES.inc(n)
         SNAPSHOT_ROUNDS.inc(rounds)

@@ -16,11 +16,12 @@ piece-wise constant rate timeline for every flow.  Those timelines power:
   finish, cut off at ``until``.
 
 A flow lives in **one columnar table** from registration to result.
-:meth:`FluidSimulation.add_flows` routes a whole batch with
-:meth:`~repro.net.topology.Topology.path_links_matrix` and stores each
-flow's path as a row of link indices; the event loops hand those rows to
-the allocator, and take them back, one batch per event
-(:meth:`~repro.net.alloc.IncrementalAllocator.add_flows` /
+:meth:`FluidSimulation.add_flows` stores each flow's path as a row of link
+indices: rows the caller routed (a provider's, which lead with the sender's
+hose), or a whole batch routed by host name with one
+:meth:`~repro.net.topology.Topology.path_links_matrix` call.  The event
+loops hand those rows to the allocator, and take them back, one batch per
+event (:meth:`~repro.net.alloc.IncrementalAllocator.add_flows` /
 ``remove_flows``).  Both loops keep each active flow's open rate segment
 and log it as a ``(flow, start, end, rate)`` row when the flow's rate
 changes, when it retires and when the run stops; and
@@ -55,7 +56,7 @@ import itertools
 import math
 from collections.abc import Mapping as MappingABC
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -272,9 +273,10 @@ class FluidSimulation:
     Args:
         topology: the network to simulate on.
         extra_capacities: additional *virtual* links (e.g. the provider's
-            per-VM hose links); flows traverse them via the ``extra_links``
-            argument of :meth:`add_flows`, and their capacities may change
-            between runs (:meth:`update_extra_capacities`).
+            per-VM hose links), after the topology's in the link universe;
+            flows traverse them via the ``routes`` argument of
+            :meth:`add_flows`, and their capacities may change between runs
+            (:meth:`update_extra_capacities`).
 
     Rates come from :class:`~repro.net.alloc.IncrementalAllocator`, which
     picks its own solve from the problem size.  Below ``_LOOP_MIN_FLOWS``
@@ -303,7 +305,6 @@ class FluidSimulation:
         # The link universe: the topology's links (path_links_matrix's
         # index order), then extra links.
         self._link_ids: List[str] = list(self._capacities)
-        self._link_index: Optional[Dict[str, int]] = None
         # The live flows (registered, not withdrawn, not finished by a run)
         # in registration order.
         self._flows: Dict[str, Flow] = {}
@@ -321,57 +322,55 @@ class FluidSimulation:
         # Edits since the last run: flows added, withdrawn, capacities changed.
         self._edits = [0, 0, 0]
 
-    def _index(self) -> Dict[str, int]:
-        """Link id -> position in the link universe."""
-        if self._link_index is None:
-            self._link_index = dict(zip(self._link_ids, range(len(self._link_ids))))
-        return self._link_index
-
     # ------------------------------------------------------------------ setup
     @property
     def capacities(self) -> Dict[str, float]:
         """The link capacity map the next run allocates with."""
         return dict(self._capacities)
 
-    def add_flow(self, flow: Flow, extra_links: Sequence[str] = ()) -> None:
-        """Register one flow (a batch of one)."""
-        self.add_flows([flow], [extra_links])
+    @property
+    def extra_link_ids(self) -> List[str]:
+        """The extra links, in ``extra_capacities`` order: link ``i`` of
+        them is index ``len(topology.links()) + i`` of a row."""
+        return self._link_ids[self._n_topology_links :]
+
+    def add_flow(self, flow: Flow) -> None:
+        """Register one flow (a batch of one), routed by name."""
+        self.add_flows([flow])
 
     @_collector_paused()
     def add_flows(
         self,
         flows: Iterable[Flow],
-        extra_links: Optional[Sequence[Sequence[str]]] = None,
+        routes: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
         """Register a batch of flows: before the first run, or at a pause
         for flows that start at or after it.
 
-        The batch is validated, routed with one
-        :meth:`~repro.net.topology.Topology.path_links_matrix` call, and
-        only then stored — as rows of link indices, each row ``extra links
-        + path`` — so a batch that fails leaves the simulation as it was.
-        The cyclic collector is paused meanwhile: the batch dict and the
-        pair list hold one entry per flow and nothing cyclic, and whether a
-        40-55 ms generation-2 pass lands inside a 100 000-flow batch would
-        otherwise depend on how many objects the process happened to import
-        beforehand.
+        The batch is validated, routed — unless ``routes`` gives its rows —
+        with one :meth:`~repro.net.topology.Topology.path_links_matrix`
+        call, and only then stored, as rows of link indices, so a batch that
+        fails leaves the simulation as it was.  The cyclic collector is
+        paused meanwhile: the batch dict and the pair list hold one entry
+        per flow and nothing cyclic, and whether a 40-55 ms generation-2
+        pass lands inside a 100 000-flow batch would otherwise depend on how
+        many objects the process happened to import beforehand.
 
         Args:
             flows: the flows; ``src``/``dst`` are host names.
-            extra_links: per flow, the additional (virtual) link ids it
-                traverses, declared via ``extra_capacities``.
+            routes: the flows' rows as ``(data, lengths)``, integer arrays:
+                flow ``i`` crosses the next ``lengths[i]`` links of ``data``,
+                indices of the topology's links, then the extra links.
 
         Raises:
             SimulationError: a flow id is repeated in the batch or already
-                live, a flow names an undeclared extra link, or a flow
-                starts before the pause.
+                live, a flow starts before the pause, or ``routes`` is not
+                one row per flow within the link universe.
             TopologyError, RoutingError: a flow could not be routed.
         """
         self._compact()
         flows = list(flows)
         n = len(flows)
-        if extra_links is not None and len(extra_links) != n:
-            raise SimulationError("extra_links must name one sequence per flow")
         batch: Dict[str, Flow] = {}
         for flow in flows:
             if flow.flow_id in self._flows or flow.flow_id in batch:
@@ -384,40 +383,35 @@ class FluidSimulation:
                         f"flow {flow.flow_id!r} starts at {flow.start_time!r}, "
                         f"before the pause at {self._now!r}"
                     )
-        # Links ahead of each flow's path: its declared extras.
-        lead: Optional[List[List[int]]] = None
-        if extra_links is not None:
-            index = self._index()
-            lead = [[] for _ in flows]
-            for flow, links, extra in zip(flows, lead, extra_links):
-                for link_id in extra:
-                    if link_id not in index:
-                        raise SimulationError(
-                            f"flow {flow.flow_id!r} uses undeclared extra "
-                            f"link {link_id!r}"
-                        )
-                    links.append(index[link_id])
-        rows, path_len, link_ids = self.topology.path_links_matrix(
-            [(flow.src, flow.dst) for flow in flows]
-        )
-        if link_ids != self._link_ids[: len(link_ids)]:
-            raise SimulationError(
-                "the topology's links changed after the simulation was built"
+        if routes is None:
+            rows, path_len, link_ids = self.topology.path_links_matrix(
+                [(flow.src, flow.dst) for flow in flows]
             )
-        if lead is None:
+            if link_ids != self._link_ids[: len(link_ids)]:
+                raise SimulationError(
+                    "the topology's links changed after the simulation was built"
+                )
             data = rows[rows >= 0].astype(np.intp)
             lengths = path_len.astype(np.int64)
         else:
-            # Extra links exist per VM, not per datacenter: these batches
-            # are small enough to splice in Python.
-            for links, path, k in zip(lead, rows.tolist(), path_len.tolist()):
-                links.extend(path[:k])
-            lengths = np.fromiter(map(len, lead), dtype=np.int64, count=n)
-            data = np.fromiter(
-                itertools.chain.from_iterable(lead),
-                dtype=np.intp,
-                count=int(lengths.sum()),
-            )
+            data, lengths = map(np.asarray, routes)
+            if not (
+                data.ndim == 1 and data.dtype.kind in "iu" and lengths.dtype.kind in "iu"
+                and lengths.shape == (n,) and (n == 0 or lengths.min() >= 0)
+                and lengths.sum() == data.shape[0]
+            ):
+                raise SimulationError(
+                    f"routes must be (data, lengths): {n} row lengths summing to "
+                    f"the data's size, got shapes {data.shape} and {lengths.shape}"
+                )
+            universe = len(self._link_ids)
+            if data.shape[0] and (data.min() < 0 or data.max() >= universe):
+                raise SimulationError(
+                    f"a route crosses a link outside [0, {universe}): "
+                    f"{data.min()}..{data.max()}"
+                )
+            data = data.astype(np.intp)
+            lengths = lengths.astype(np.int64)
         self._flows.update(batch)
         self._row_chunks.append((data, lengths))
         self._edits[0] += n
@@ -461,9 +455,9 @@ class FluidSimulation:
             SimulationError: a link is not an extra link, or a capacity is
                 not positive; nothing is changed in that case.
         """
-        index = self._index()
+        extra = set(self.extra_link_ids)
         for link_id in capacities:
-            if index.get(link_id, -1) < self._n_topology_links:
+            if link_id not in extra:
                 raise SimulationError(f"{link_id!r} is not an extra link")
         _check_capacities(capacities)
         self._capacities.update(capacities)

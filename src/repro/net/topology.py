@@ -10,7 +10,9 @@ eight when an extra aggregation tier is present.
 
 :class:`Topology` is a small adjacency container that knows about directed
 capacities, racks, subtrees, and intra-host loopback links.
-:func:`build_multi_rooted_tree` builds the general datacenter of Figure 5.
+:func:`build_multi_rooted_tree` builds the general datacenter of Figure 5
+with one router, which routes host pairs as arrays; a hand-built graph
+routes by graph search, which picks the router's very paths.
 """
 
 from __future__ import annotations
@@ -53,11 +55,11 @@ from repro.units import GBITPS
 # (i // hosts_per_rack) % racks_per_pod, and every path is determined by the
 # relation between the two endpoints' coordinates (same host / rack / pod /
 # cross-pod) plus the ECMP core choice.  build_multi_rooted_tree attaches a
-# _TreeRouter to the tree it returns; Topology.node_path consults it before
-# falling back to graph search, and any edit to the graph drops it.  The
-# router must reproduce the graph-search answer exactly: both pick a pair's
-# core with _ecmp_pick, from keys derived from the endpoints' names (not
-# their positions), so any copy of a tree routes every pair as it does.
+# _TreeRouter to the tree it returns, which routes every pair of two hosts;
+# any other pair, and any pair once an edit drops the router, goes to graph
+# search.  The router must reproduce the graph-search answer exactly: both
+# pick a pair's core with _ecmp_pick, from keys derived from the endpoints'
+# names (not their positions), so any copy of a tree routes as it does.
 _structured_route_hits = obs.Counter("repro.routes.structured_hits")
 
 
@@ -109,29 +111,16 @@ def _ecmp_pick(src: str, dst: str, choices: int) -> int:
     return _mix(_node_key(src), _node_key(dst)) % choices
 
 
-# Batches of fewer pairs than this are routed pair by pair in
-# ``path_links_matrix``.  A provider's tree is shared by every provider of
-# its shape, so it is warm: its ``_path_cache`` has the pairs, and the array
-# router its tables and host keys.  Warm, the array router costs ≈45 µs before
-# its first pair; pair by pair costs ≈2 µs a pair given by name and ≈3 µs by
-# position.  So the two cross at ≈12–14 pairs given by position and at ≈32
-# (24 hosts) to ≈45 (512 hosts) given by name.  Between 16 and 32 named
-# pairs they differ by at most 30 µs a call, under 0.5 % of any benchmark
-# workload (table in docs/performance.md, "What selects the engine").  Same
-# rows either way.
-_ARRAY_ROUTE_MIN_PAIRS = 16
-
-
 class _TreeRouter:
     """Arithmetic ECMP routing for a tree built by :func:`build_multi_rooted_tree`.
 
     Hosts are given by index: :func:`build_multi_rooted_tree` adds
     ``host{i}`` as its tree's ``i``-th host, so an index is also the host's
     position (:meth:`Topology.host_index`).  Paths are derived from host
-    coordinates instead of graph search.  The core pick for cross-pod pairs replays
-    graph search's :func:`_ecmp_pick` over the lexicographically sorted path
-    list: cross-pod paths differ only in the core hop, so sorted-path order
-    equals sorted-core-name order.
+    coordinates, many pairs at once, instead of graph search.  The core pick
+    for cross-pod pairs replays graph search's :func:`_ecmp_pick` over the
+    lexicographically sorted path list: cross-pod paths differ only in the
+    core hop, so sorted-path order equals sorted-core-name order.
     """
 
     def __init__(self, spec: "TreeSpec"):
@@ -143,35 +132,6 @@ class _TreeRouter:
         # written again: the router is shared by every provider of its
         # shape, across threads, and holds no other state.
         self._keys: Optional["np.ndarray"] = None
-
-    def node_path(self, a: int, b: int) -> List[str]:
-        """The ECMP path between two distinct hosts, by index."""
-        spec = self.spec
-        src, dst = f"host{a}", f"host{b}"
-        pa, ra = divmod(a, self._hosts_per_pod)
-        pb, rb = divmod(b, self._hosts_per_pod)
-        ra //= spec.hosts_per_rack
-        rb //= spec.hosts_per_rack
-        tor_a, tor_b = f"tor{pa}.{ra}", f"tor{pb}.{rb}"
-        if pa == pb:
-            if ra == rb:
-                return [src, tor_a, dst]
-            if spec.extra_agg_layer:
-                return [
-                    src, tor_a, f"agg{pa}.{ra}", f"agg{pa}",
-                    f"agg{pb}.{rb}", tor_b, dst,
-                ]
-            return [src, tor_a, f"agg{pa}", tor_b, dst]
-        if spec.num_cores == 1:
-            core = self._cores_sorted[0]
-        else:
-            core = self._cores_sorted[_ecmp_pick(src, dst, spec.num_cores)]
-        if spec.extra_agg_layer:
-            return [
-                src, tor_a, f"agg{pa}.{ra}", f"agg{pa}", core,
-                f"agg{pb}", f"agg{pb}.{rb}", tor_b, dst,
-            ]
-        return [src, tor_a, f"agg{pa}", core, f"agg{pb}", tor_b, dst]
 
     def link_tables(self, index: Mapping[str, int]) -> "_TreeLinkTables":
         """Link indices of the tree by coordinate, for :meth:`link_rows`.
@@ -233,7 +193,7 @@ class _TreeRouter:
         src: "np.ndarray",
         dst: "np.ndarray",
     ) -> Tuple["np.ndarray", "np.ndarray"]:
-        """:meth:`node_path` for many pairs at once, as link-index rows.
+        """The ECMP routes of many pairs at once, as link-index rows.
 
         ``src``/``dst`` hold host indices (canonical, distinct hosts).
         Returns ``(rows, lengths)`` with -1 padding.
@@ -263,14 +223,6 @@ class _TreeRouter:
             rows[far, 1 + tier] = tables.core_up[pod_src[far], core]
             rows[far, 2 + tier] = tables.core_down[pod_dst[far], core]
         return rows, lengths
-
-    def hop_count(self, a: int, b: int) -> int:
-        """Paper-convention hop count between two distinct hosts, by index."""
-        if a // self._hosts_per_pod == b // self._hosts_per_pod:
-            if a // self.spec.hosts_per_rack == b // self.spec.hosts_per_rack:
-                return 2
-            return 6 if self.spec.extra_agg_layer else 4
-        return 8 if self.spec.extra_agg_layer else 6
 
 
 class _TreeLinkTables(NamedTuple):
@@ -418,8 +370,8 @@ class Topology:
         self._host_index: Dict[str, int] = {}
         self._links: Dict[str, Link] = {}
         self._intra_host_bps = intra_host_bps
+        # graph search's node paths, by pair (a tree's router keeps none)
         self._path_cache: Dict[Tuple[str, str], List[str]] = {}
-        self._path_links_cache: Dict[Tuple[str, str], List[Link]] = {}
         # the arithmetic router of a tree as build_multi_rooted_tree made it
         # (its hosts by position), and the link tables it routes with; both
         # dropped by any edit
@@ -509,7 +461,6 @@ class Topology:
             )
             self._links[link.link_id] = link
         self._path_cache.clear()
-        self._path_links_cache.clear()
         self._router = None
         self._tree_tables = None
         self._link_index = None
@@ -601,21 +552,17 @@ class Topology:
         When several shortest paths exist (multi-rooted trees), the choice is
         made by :func:`_ecmp_pick`, a deterministic mix of the two endpoints'
         keys (a hash of each name), mimicking ECMP: the same pair always uses
-        the same path, different pairs spread over the available cores.
+        the same path, different pairs spread over the available cores.  A
+        tree's router answers for two hosts; graph search for the rest.
         """
         if src == dst:
             return [src]
+        if self._router is not None and src in self._host_index and dst in self._host_index:
+            return [src, *(link.dst for link in self.path_links(src, dst))]
         key = (src, dst)
         cached = self._path_cache.get(key)
         if cached is not None:
             return cached
-        if self._router is not None:
-            a, b = self._host_index.get(src), self._host_index.get(dst)
-            if a is not None and b is not None:
-                choice = self._router.node_path(a, b)
-                _structured_route_hits.inc()
-                self._path_cache[key] = choice
-                return choice
         for node in (src, dst):
             if node not in self._nodes:
                 raise TopologyError(f"unknown node {node!r}")
@@ -626,27 +573,14 @@ class Topology:
         return choice
 
     def path_links(self, src: str, dst: str) -> List[Link]:
-        """Directed links traversed from ``src`` to ``dst``.
+        """Directed links traversed from ``src`` to ``dst``: the one row of
+        :meth:`path_links_matrix` for the pair.
 
         Intra-host traffic (``src == dst``) traverses only the host's
-        loopback link.  The returned list is memoized per endpoint pair —
-        callers must not mutate it.
+        loopback link.
         """
-        key = (src, dst)
-        cached = self._path_links_cache.get(key)
-        if cached is not None:
-            return cached
-        if src == dst:
-            if self.node_kind(src) is not NodeKind.HOST:
-                raise RoutingError(f"loopback path requires a host, got {src!r}")
-            links = [self.link(loopback_link_id(src))]
-        else:
-            nodes = self.node_path(src, dst)
-            links = [
-                self.link(directed_link_id(a, b)) for a, b in zip(nodes, nodes[1:])
-            ]
-        self._path_links_cache[key] = links
-        return links
+        (row,), (length,), link_ids = self.path_links_matrix([(src, dst)])
+        return [self._links[link_ids[i]] for i in row[:length].tolist()]
 
     def hop_count(self, src: str, dst: str) -> int:
         """Hop count between two hosts, using the paper's convention.
@@ -656,13 +590,7 @@ class Topology:
         same rack, 4 within a pod, 6 via the core, 8 with a second
         aggregation tier).
         """
-        if src == dst:
-            return 1
-        if self._router is not None:
-            a, b = self._host_index.get(src), self._host_index.get(dst)
-            if a is not None and b is not None:
-                return self._router.hop_count(a, b)
-        return len(self.node_path(src, dst)) - 1
+        return 1 if src == dst else len(self.path_links(src, dst))
 
     def host_pairs(self) -> List[Tuple[str, str]]:
         """All ordered pairs of distinct hosts."""
@@ -672,7 +600,7 @@ class Topology:
     def path_links_matrix(
         self, pairs: Union[Sequence[Tuple[str, str]], "np.ndarray"]
     ) -> Tuple["np.ndarray", "np.ndarray", List[str]]:
-        """Batched :meth:`path_links` as link-index rows.
+        """Routes of many pairs at once, as link-index rows.
 
         ``pairs`` holds ``(src, dst)`` node names, or — as an ``(m, 2)``
         integer array — host positions (:meth:`host_index`), which a
@@ -683,73 +611,62 @@ class Topology:
         (length ``lengths[i]``) holds indices into ``link_ids`` — the same
         order as :meth:`capacities`/:meth:`links`, so rows feed straight
         into array-based allocator layouts.  Padding entries are -1.
-        Loopback pairs (``src == dst``) get the host's loopback link, as in
-        :meth:`path_links`; a batch routed as arrays gathers them from one
-        per-host table.
+        Loopback pairs (``src == dst``) get the host's loopback link, from
+        one per-host table; a tree's router routes every other pair of two
+        hosts, all at once; graph search routes the rest, pair by pair.
         """
         link_ids = list(self._links)
         if self._link_index is None:
             self._link_index = {lid: i for i, lid in enumerate(link_ids)}
         index = self._link_index
+        n = len(pairs)
         by_position = isinstance(pairs, np.ndarray)
         if by_position:
             index_pairs(pairs, len(self._host_names), "host positions")
-        n = len(pairs)
+            # Contiguous copies: routing a 65 280-probe campaign through the
+            # strided column views peaked ≈4 MB higher.
+            src, dst = np.ascontiguousarray(pairs.T)
+        else:
+            # Names that are not hosts (switches) read -1: graph search.
+            hosts = self._host_index
+            src = np.fromiter((hosts.get(a, -1) for a, _ in pairs), np.intp, count=n)
+            dst = np.fromiter((hosts.get(b, -1) for _, b in pairs), np.intp, count=n)
+        known = (src >= 0) & (dst >= 0)
+        same = src == dst
+        loop = (known & same).nonzero()[0]
         lengths = np.zeros(n, dtype=np.int32)
-        loop = tree = tree_rows = None
-        one_by_one: Iterable[int] = range(n)
-        if n >= _ARRAY_ROUTE_MIN_PAIRS:
-            if by_position:
-                # Contiguous copies: routing a 65 280-probe campaign through
-                # the strided column views peaked ≈4 MB higher.
-                src, dst = np.ascontiguousarray(pairs.T)
-            else:
-                # Names that are not hosts (switches) read -1: graph search.
-                hosts = self._host_index
-                src = np.fromiter((hosts.get(a, -1) for a, _ in pairs), np.intp, count=n)
-                dst = np.fromiter((hosts.get(b, -1) for _, b in pairs), np.intp, count=n)
-            known = (src >= 0) & (dst >= 0)
-            same = src == dst
-            loop = (known & same).nonzero()[0]
-            lengths[loop] = 1
-            router = self._router
-            if router is not None:
-                # Distinct hosts route arithmetically, all at once.
-                tree = (known > same).nonzero()[0]
-                if tree.shape[0]:
-                    if self._tree_tables is None:
-                        self._tree_tables = router.link_tables(index)
-                    tree_rows, lengths[tree] = router.link_rows(
-                        self._tree_tables, src[tree], dst[tree]
-                    )
-                    _structured_route_hits.inc(tree.shape[0])
-            one_by_one = (lengths == 0).nonzero()[0].tolist()
-        # Everything else, pair by pair: graph-search routes, and loopbacks
-        # of a batch too small for arrays (or naming no host: refused).
-        other_rows: Dict[int, Tuple[int, ...]] = {}
-        try:
-            for i in one_by_one:
-                src_name, dst_name = pairs[i]
-                if by_position:
-                    src_name = self._host_names[src_name]
-                    dst_name = self._host_names[dst_name]
-                if src_name == dst_name:
-                    if self.node_kind(src_name) is not NodeKind.HOST:
-                        raise RoutingError(
-                            f"loopback path requires a host, got {src_name!r}"
-                        )
-                    other_rows[i] = (index[loopback_link_id(src_name)],)
-                    continue
-                nodes = self.node_path(src_name, dst_name)
-                other_rows[i] = tuple(
-                    index[directed_link_id(a, b)] for a, b in zip(nodes, nodes[1:])
+        lengths[loop] = 1
+        tree = tree_rows = None
+        router = self._router
+        if router is not None:
+            # Distinct hosts route arithmetically, all at once.
+            tree = (known > same).nonzero()[0]
+            if tree.shape[0]:
+                if self._tree_tables is None:
+                    self._tree_tables = router.link_tables(index)
+                tree_rows, lengths[tree] = router.link_rows(
+                    self._tree_tables, src[tree], dst[tree]
                 )
-        except KeyError as exc:  # pragma: no cover - defensive
-            raise RoutingError(f"path uses unknown link: {exc}") from exc
+                _structured_route_hits.inc(tree.shape[0])
+        # Everything else, pair by pair: graph-search routes (and loopbacks
+        # naming no host: refused).
+        other_rows: Dict[int, Tuple[int, ...]] = {}
+        for i in (lengths == 0).nonzero()[0].tolist():
+            src_name, dst_name = pairs[i]
+            if by_position:
+                src_name = self._host_names[src_name]
+                dst_name = self._host_names[dst_name]
+            if src_name == dst_name:
+                self.node_kind(src_name)  # raises on an unknown node
+                raise RoutingError(f"loopback path requires a host, got {src_name!r}")
+            nodes = self.node_path(src_name, dst_name)
+            other_rows[i] = tuple(
+                index[directed_link_id(a, b)] for a, b in zip(nodes, nodes[1:])
+            )
         for i, row in other_rows.items():
             lengths[i] = len(row)
         rows = np.full((n, int(lengths.max()) if n else 0), -1, dtype=np.int32)
-        if loop is not None and loop.shape[0]:
+        if loop.shape[0]:
             rows[loop, 0] = self._loopback_links()[src[loop]]
         if tree_rows is not None:
             rows[tree, : tree_rows.shape[1]] = tree_rows

@@ -45,6 +45,7 @@ class TrafficMatrix:
 
     def __init__(self, entries: Optional[Mapping[Tuple[str, str], float]] = None):
         self._entries: Dict[Tuple[str, str], float] = {}
+        self._by_volume: Optional[List[Tuple[str, str, float]]] = None
         if entries:
             for (src, dst), value in entries.items():
                 self.add(src, dst, value)
@@ -69,6 +70,7 @@ class TrafficMatrix:
             return
         key = (src, dst)
         self._entries[key] = self._entries.get(key, 0.0) + float(num_bytes)
+        self._by_volume = None
 
     def scaled(self, factor: float) -> "TrafficMatrix":
         """A new matrix with every entry multiplied by ``factor``.
@@ -89,11 +91,14 @@ class TrafficMatrix:
         return list(self._entries.items())
 
     def pairs_by_volume(self) -> List[Tuple[str, str, float]]:
-        """Transfers as ``(src, dst, bytes)``, largest first (Algorithm 1, line 1)."""
-        return sorted(
-            ((src, dst, value) for (src, dst), value in self._entries.items()),
-            key=lambda item: (-item[2], item[0], item[1]),
-        )
+        """Transfers as ``(src, dst, bytes)``, largest first (Algorithm 1,
+        line 1): a new list of an order sorted once per change."""
+        if self._by_volume is None:
+            self._by_volume = sorted(
+                ((src, dst, value) for (src, dst), value in self._entries.items()),
+                key=lambda item: (-item[2], item[0], item[1]),
+            )
+        return list(self._by_volume)
 
     @property
     def total_bytes(self) -> float:

@@ -10,7 +10,8 @@
 * the measurement cache's stale set and ages, read off its arrays;
 * the switch that puts pool workers under the chaos hook of
   ``tests/chaos``;
-* the attributes of the ``fluid.run`` spans a block of code emits.
+* the attributes of the ``fluid.run`` spans a block of code emits;
+* the ``routes`` a fluid simulation takes for flows that cross extra links.
 """
 
 import contextlib
@@ -201,4 +202,20 @@ def fluid_run_spans(path: Path):
         event["attrs"]
         for event in map(json.loads, path.read_text().splitlines())
         if event["name"] == "fluid.run"
+    )
+
+
+def routes_of(sim, flows, extras) -> Tuple[np.ndarray, np.ndarray]:
+    """``FluidSimulation.add_flows``'s ``routes`` for ``flows``: each flow's
+    extra links (``extras[i]``, by id), then its ``path_links`` — the rows a
+    provider hands over, spelled link by link."""
+    index = {link_id: i for i, link_id in enumerate(sim.capacities)}
+    rows = [
+        [index[link_id] for link_id in extra]
+        + [index[link.link_id] for link in sim.topology.path_links(flow.src, flow.dst)]
+        for flow, extra in zip(flows, extras)
+    ]
+    return (
+        np.array([i for row in rows for i in row], dtype=np.intp),
+        np.array([len(row) for row in rows], dtype=np.int64),
     )

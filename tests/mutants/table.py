@@ -48,7 +48,38 @@ FRESH_RUN = (
     "test_run_applications_is_a_fresh_simulation_of_the_placed_flows"
 )
 
+ROWS = "tests/test_provider_rows.py::"
+
 MUTANTS: Tuple[Mutant, ...] = (
+    # ---------------------------------------- the rows a provider hands over
+    Mutant(
+        "the hose column is omitted for a crossing flow",
+        PROVIDER,
+        "            vm_host[src] != vm_host[dst], self.topology.capacity_vector().shape[0] + src, -1\n",
+        "            vm_host[src] < 0, self.topology.capacity_vector().shape[0] + src, -1\n",
+        (ROWS + "test_each_flows_row_is_its_senders_hose_then_its_route",),
+    ),
+    Mutant(
+        "the hose column reads the destination VM",
+        PROVIDER,
+        "            vm_host[src] != vm_host[dst], self.topology.capacity_vector().shape[0] + src, -1\n",
+        "            vm_host[src] != vm_host[dst], self.topology.capacity_vector().shape[0] + dst, -1\n",
+        (ROWS + "test_each_flows_row_is_its_senders_hose_then_its_route",),
+    ),
+    Mutant(
+        "the routes bound check is written > instead of >=",
+        FLUID,
+        "(data.min() < 0 or data.max() >= universe)",
+        "(data.min() < 0 or data.max() > universe)",
+        (ROWS + "test_bad_routes_are_refused_and_change_nothing",),
+    ),
+    Mutant(
+        "the VM-set guard is skipped",
+        PROVIDER,
+        "        if sim.topology is not self.topology or sim.extra_link_ids != hoses:\n",
+        "        if False:\n",
+        (ROWS + "test_a_simulation_of_another_vm_set_is_refused_and_left_as_it_was",),
+    ),
     # ---------------------------------------------- the campaign's blocks
     Mutant(
         "the last partial block is dropped",

@@ -747,9 +747,9 @@ def test_an_empty_pair_list_is_an_empty_profile(pairs):
 @pytest.mark.parametrize("cores", [2, 4, 12])
 def test_remembered_picks_are_node_paths_picks(cores):
     """``core_picks`` (every pair in one array expression) against the
-    scalar :func:`~repro.net.topology._ecmp_pick`, against the pick of
-    ``node_path`` and against graph search (a hand-built copy of the tree:
-    no router), 500 random far pairs."""
+    scalar :func:`~repro.net.topology._ecmp_pick`, against the core on the
+    tree's ``node_path`` (its router's row) and against graph search (a
+    hand-built copy of the tree: no router), 500 random far pairs."""
     spec = TreeSpec(hosts_per_rack=4, racks_per_pod=3, pods=4, num_cores=cores)
     tree = build_multi_rooted_tree(spec)
     router = tree._router
@@ -766,6 +766,6 @@ def test_remembered_picks_are_node_paths_picks(cores):
     searched = build_searched_tree(spec)
     for a, b, pick in zip(src.tolist(), dst.tolist(), picks.tolist()):
         assert topology._ecmp_pick(f"host{a}", f"host{b}", cores) == pick
-        path = router.node_path(a, b)
+        path = tree.node_path(f"host{a}", f"host{b}")
         assert path[3] == cores_sorted[pick]
         assert searched.node_path(f"host{a}", f"host{b}") == path

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import build_dumbbell, fluid_run_spans
+from helpers import build_dumbbell, fluid_run_spans, routes_of
 from oracles.max_min import flow_demands, force_solves, run_loop
 from oracles.rate_append import AppendedTimeline
 from repro.errors import RoutingError, SimulationError, TopologyError
@@ -279,7 +279,7 @@ def test_batch_registration_and_vector_loop_match_the_scalar_oracle(
             hosts_per_rack=rng.choice([2, 4]), num_cores=rng.choice([1, 2]),
         ))
     hosts = topo.hosts()
-    # Per-VM virtual links, the provider's use of ``extra_links``.
+    # Per-VM virtual links, as a provider declares its hoses.
     extra_capacities = {hose_link_id(f"vm{i}"): 3e8 for i in range(4)}
     hosed, loopback_hosed = [], False
     if seed % 2:
@@ -304,14 +304,19 @@ def test_batch_registration_and_vector_loop_match_the_scalar_oracle(
         if flow.src in hosed and (flow.src != flow.dst or loopback_hosed):
             extra.append(hose_link_id(flow.src))
     kwargs = dict(extra_capacities=extra_capacities)
+    # One by one, a flow that crosses no extra link routed by name; in two
+    # batches (so that the table has more than one chunk), every flow
+    # handed over as rows.
     one_by_one = FluidSimulation(topo, **kwargs)
     for flow, extra in zip(flows, extras):
-        one_by_one.add_flow(flow, extra_links=extra)
+        if extra:
+            one_by_one.add_flows([flow], routes_of(one_by_one, [flow], [extra]))
+        else:
+            one_by_one.add_flow(flow)
     batch = FluidSimulation(topo, **kwargs)
-    # Two batches, so that the table has more than one chunk.
     cut = len(flows) // 2
-    batch.add_flows(flows[:cut], extras[:cut])
-    batch.add_flows(flows[cut:], extras[cut:])
+    batch.add_flows(flows[:cut], routes_of(batch, flows[:cut], extras[:cut]))
+    batch.add_flows(flows[cut:], routes_of(batch, flows[cut:], extras[cut:]))
 
     for a, b in zip(one_by_one._table(), batch._table()):
         assert a.tolist() == b.tolist()
@@ -374,23 +379,23 @@ def test_a_failed_batch_leaves_the_simulation_as_it_was():
     def flow(name, src=hosts[0], dst=hosts[5]):
         return Flow(flow_id=name, src=src, dst=dst, size_bytes=1e5)
 
-    sim.add_flows([flow("a"), flow("b")], [["x"], []])
+    first = [flow("a"), flow("b")]
+    sim.add_flows(first, routes_of(sim, first, [["x"], []]))
     before = _registered(sim)
     good = [flow(f"g{i}") for i in range(49)]
     failures = [
-        (good + [flow("g7")], None, SimulationError, "duplicate flow id 'g7'"),
-        (good + [flow("b")], None, SimulationError, "duplicate flow id 'b'"),
-        (good + [flow("bad")], [[]] * 49 + [["y"]], SimulationError,
-         "flow 'bad' uses undeclared extra link 'y'"),
-        (good + [flow("lost", dst="nowhere")], None, TopologyError, "nowhere"),
-        (good + [flow("loop", src="core0", dst="core0")], None, RoutingError, "core0"),
+        (good + [flow("g7")], SimulationError, "duplicate flow id 'g7'"),
+        (good + [flow("b")], SimulationError, "duplicate flow id 'b'"),
+        (good + [flow("lost", dst="nowhere")], TopologyError, "nowhere"),
+        (good + [flow("loop", src="core0", dst="core0")], RoutingError, "core0"),
+        (good + [flow("gone", src="nowhere", dst="nowhere")], TopologyError, "nowhere"),
     ]
-    for flows, extras, error, message in failures:
+    for flows, error, message in failures:
         with pytest.raises(error, match=message):
-            sim.add_flows(flows, extras)
+            sim.add_flows(flows)
         assert _registered(sim) == before
-    with pytest.raises(SimulationError, match="one sequence per flow"):
-        sim.add_flows(good, [[]])
+    with pytest.raises(SimulationError, match="duplicate flow id 'g7'"):
+        sim.add_flows(good + [flow("g7")], routes_of(sim, good + [flow("g7")], [[]] * 50))
     with pytest.raises(SimulationError, match="duplicate flow id 'a'"):
         sim.add_flow(flow("a"))
     assert _registered(sim) == before
@@ -458,10 +463,10 @@ def test_first_segment_rates_are_max_min_fair():
         for flow in flows
     ]
     sim = FluidSimulation(topo, extra_capacities=hose)
-    sim.add_flows(flows, extras)
+    sim.add_flows(flows, routes_of(sim, flows, extras))
     result = run_loop(sim, vector=True)
     oracle = FluidSimulation(topo, extra_capacities=hose)
-    oracle.add_flows(flows, extras)
+    oracle.add_flows(flows, routes_of(oracle, flows, extras))
     _assert_results_identical(run_loop(oracle, vector=False), result, "full mesh")
     rates = {
         flow_id: timeline.segments[0].rate_bps

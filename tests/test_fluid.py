@@ -7,7 +7,7 @@ import signal
 
 import pytest
 
-from helpers import build_dumbbell, build_two_rack_cloud
+from helpers import build_dumbbell, build_two_rack_cloud, routes_of
 from oracles.max_min import run_loop
 from repro.errors import SimulationError, TopologyError
 from repro.net.fairness import segment_violations
@@ -204,7 +204,7 @@ def test_a_resumed_run_reports_what_a_fresh_simulation_from_the_pause_would(
         return batch
 
     batch = new_flows(0.0, 6)
-    live.add_flows(batch, [extras[f.flow_id] for f in batch])
+    live.add_flows(batch, routes_of(live, batch, [extras[f.flow_id] for f in batch]))
     pause, result = 0.0, None
     for step in range(8):
         until = None if step == 7 else pause + rng.uniform(0.2, 1.5)
@@ -213,7 +213,9 @@ def test_a_resumed_run_reports_what_a_fresh_simulation_from_the_pause_would(
             _restarted(flow, result, pause) if result is not None else flow
             for flow in flows.values()
         ]
-        fresh.add_flows(survivors, [extras[f.flow_id] for f in survivors])
+        fresh.add_flows(
+            survivors, routes_of(fresh, survivors, [extras[f.flow_id] for f in survivors])
+        )
         monkeypatch.setattr(fluid, "_LOOP_MIN_FLOWS", rng.choice([0, 10_000]))
         capacities = live.capacities
         got, want = live.run(until=until), fresh.run(until=until)
@@ -244,7 +246,7 @@ def test_a_resumed_run_reports_what_a_fresh_simulation_from_the_pause_would(
             extra = {"vhose": rng.choice([1e8, 4e8, 9e8])}
             live.update_extra_capacities(extra)
         batch = new_flows(pause, rng.choice([0, 1, 3]))
-        live.add_flows(batch, [extras[f.flow_id] for f in batch])
+        live.add_flows(batch, routes_of(live, batch, [extras[f.flow_id] for f in batch]))
 
 
 def test_a_withdrawn_id_registers_again_and_edits_are_checked():
@@ -267,7 +269,8 @@ def test_a_withdrawn_id_registers_again_and_edits_are_checked():
         sim.run(until=0.5)
     assert sim.withdraw_flows(["a"]) == {"a": first.remaining_bytes["a"]}
     assert sim.idle
-    sim.add_flow(Flow("a", "s1", "r1", size_bytes=1e6, start_time=2.0), ["vhose"])
+    late = [Flow("a", "s1", "r1", size_bytes=1e6, start_time=2.0)]
+    sim.add_flows(late, routes_of(sim, late, [["vhose"]]))
     sim.update_extra_capacities({"vhose": 8e6})  # one byte per microsecond
     again = sim.run()
     assert again.completion_times == {"a": pytest.approx(3.0)}

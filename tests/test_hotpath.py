@@ -222,15 +222,20 @@ class TestFluidAllocatorEquivalence:
 
 
 class TestTopologyCaches:
-    def test_path_links_memoized_and_invalidated(self):
+    def test_an_edit_reroutes_a_memoised_graph_search_route(self):
+        """A hand-built graph's route is searched once and kept; a cable
+        added afterwards clears the memo, and the pair takes the new
+        shorter path, in its node path, its links and its hop count."""
         topo = build_two_rack_cloud(n_pairs=3)
-        first = topo.path_links("s1", "r1")
-        assert topo.path_links("s1", "r1") is first
-        # Mutating the graph must clear the memo.
-        from repro.net.topology import NodeKind
-        topo.add_node("extra", NodeKind.HOST)
-        topo.add_link("extra", "torS", 1 * GBITPS)
-        assert topo.path_links("s1", "r1") is not first
+        first = topo.node_path("s1", "r1")
+        assert first == ["s1", "torS", "A", "torR", "r1"]
+        assert topo.node_path("s1", "r1") is first
+        topo.add_link("torS", "torR", 1 * GBITPS)
+        assert topo.node_path("s1", "r1") == ["s1", "torS", "torR", "r1"]
+        assert [link.link_id for link in topo.path_links("s1", "r1")] == [
+            "s1->torS", "torS->torR", "torR->r1",
+        ]
+        assert topo.hop_count("s1", "r1") == 3
 
     def test_graph_search_routes_are_memoised_per_topology(self, monkeypatch):
         """With no router, a route is searched once per topology: again on

@@ -19,7 +19,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import build_dumbbell
+from helpers import build_dumbbell, routes_of
 from oracles.graph_search import hand_built
 from oracles.max_min import run_loop
 from repro.errors import RoutingError, TopologyError
@@ -106,8 +106,8 @@ class TestVectorLoopBitIdentity:
             )
             extra = [hose_link_id(src)] if hose else []
             paths[flow.flow_id] = [l.link_id for l in topo.path_links(src, dst)] + extra
-            sim_s.add_flow(flow, extra)
-            sim_v.add_flow(flow, extra)
+            for sim in (sim_s, sim_v):
+                sim.add_flows([flow], routes_of(sim, [flow], [extra]))
         until = rng.uniform(0.0, 1.5) if rng.random() < 0.4 else None
         got = run_loop(sim_v, vector=True, until=until)
         _assert_results_identical(
@@ -178,7 +178,8 @@ class TestStructuredRouting:
         """A copy of the tree added node by node, in a shuffled order, has
         no router: it routes by graph search.  For every ordered pair of
         hosts, by name and by position, the copy's rows are the tree's, and
-        so are its node paths and hop counts, which the tree's router answers."""
+        so are its node paths and hop counts, which the tree's router answers
+        one pair at a time too."""
         built = build_multi_rooted_tree(spec)
         copy = hand_built(built, seed=5)
         assert copy._router is None
@@ -198,16 +199,14 @@ class TestStructuredRouting:
         for topo, rows in ((built, got), (copy, want)):
             at = np.array([(topo.host_index(a), topo.host_index(b)) for a, b in pairs])
             assert by_id(*topo.path_links_matrix(at)) == by_id(*rows)
-        # The array route leaves the scalar path memo empty, so every scalar
-        # answer below comes from the router: hop counts without a node path
-        # (no hit), then one hit per node path.
-        assert not built._path_cache
+        # Every scalar answer comes from the router, one hit each (a hop
+        # count, then a node path), and the tree keeps no graph-search memo.
         ordered = built.host_pairs()
         hits = _structured_hits()
         hops = [built.hop_count(src, dst) for src, dst in ordered]
-        assert _structured_hits() == hits
         paths = [built.node_path(src, dst) for src, dst in ordered]
-        assert _structured_hits() - hits == len(ordered)
+        assert _structured_hits() - hits == 2 * len(ordered)
+        assert not built._path_cache
         for (src, dst), hop, path in zip(ordered, hops, paths):
             want = copy.node_path(src, dst)
             assert path == want, (src, dst)
@@ -250,8 +249,8 @@ class TestStructuredRouting:
     @pytest.mark.parametrize("spec", _ROUTING_SPECS[1:] + _MATRIX_SPECS, ids=str)
     def test_host_positions_route_as_their_names_do(self, spec, structured):
         """An ``(m, 2)`` array of ``host_index`` positions gives the rows of
-        the name pairs it stands for — loopbacks included, batches under the
-        array router's minimum included, and on a hand-built copy whose
+        the name pairs it stands for — loopbacks included, a batch of five
+        included, and on a hand-built copy whose
         hosts were added in another order than ``host0, host1, ...``."""
         built = build_multi_rooted_tree(spec)
         shuffled = hand_built(built, seed=5)

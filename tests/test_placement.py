@@ -146,6 +146,40 @@ def test_a_bad_traffic_volume_is_refused_by_pair(volume):
     assert len(matrix) == 1
 
 
+def test_pairs_by_volume_is_a_fresh_sort_until_an_add_changes_it():
+    """The order is sorted once per change to the matrix: each call returns
+    a new list equal to a fresh sort (by volume, ties by name); an add that
+    changes an entry re-sorts, and one that is dropped does not."""
+    import random
+
+    rng = random.Random(5)
+    tasks = [f"t{i}" for i in range(12)]
+    matrix = TrafficMatrix()
+    for _ in range(60):
+        src, dst = rng.sample(tasks, 2)
+        matrix.add(src, dst, rng.choice([1.0, 2.0, 3.0]) * GBYTE)
+
+    def fresh_sort():
+        return sorted(
+            ((src, dst, value) for (src, dst), value in matrix.items()),
+            key=lambda item: (-item[2], item[0], item[1]),
+        )
+
+    first = matrix.pairs_by_volume()
+    assert first == fresh_sort()
+    first.clear()  # the caller's list, not the matrix's order
+    second = matrix.pairs_by_volume()
+    assert second == fresh_sort() and second is not matrix.pairs_by_volume()
+    smallest = second[-1]
+    matrix.add(smallest[0], smallest[1], 10 * GBYTE)
+    third = matrix.pairs_by_volume()
+    assert third == fresh_sort() != second
+    assert third[0] == (smallest[0], smallest[1], smallest[2] + 10 * GBYTE)
+    matrix.add("t0", "t0", 1.0)
+    matrix.add("t0", "t1", 0.0)
+    assert matrix.pairs_by_volume() == third
+
+
 @pytest.mark.parametrize("factor", [math.nan, math.inf, -math.inf, -0.5])
 def test_a_bad_scale_factor_is_refused_by_value(factor):
     matrix = TrafficMatrix({("a", "b"): 1 * GBYTE})

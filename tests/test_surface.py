@@ -711,3 +711,42 @@ def test_a_session_measures_through_one_refresh():
         "campaigns", "pairs_measured", "pairs_reused", "pairs_degraded",
         "measurement_time_s",
     ]
+
+
+# ---------------------------------------------- one way a flow gets its path
+#: Deleted when the provider began handing its simulation routed rows and a
+#: tree kept one router: the name-by-name hose splice, the provider's
+#: per-flow conversion, the pair-by-pair tree router and its batch cut, and
+#: the memo of link lists.  No identifier of these names (a definition, an
+#: attribute, an argument, a keyword) is left in ``src/``.
+DELETED_ROUTING_NAMES = {
+    "extra_links", "_to_net_flow", "_ARRAY_ROUTE_MIN_PAIRS", "_path_links_cache",
+}
+
+
+def test_a_flow_gets_its_path_one_way():
+    from repro.cloud.provider import CloudProvider
+    from repro.net.fluid import FluidSimulation
+    from repro.net.topology import _TreeRouter
+
+    found = []
+    for name in MODULES:
+        for node in ast.walk(ast.parse(inspect.getsource(importlib.import_module(name)))):
+            ident = (
+                getattr(node, "id", None) or getattr(node, "attr", None)
+                or getattr(node, "arg", None) or getattr(node, "name", None)
+            )
+            if isinstance(ident, str) and ident in DELETED_ROUTING_NAMES:
+                found.append(f"{name}:{ident}")
+    assert found == []
+    # A tree has one router, the array one; the public scalar routes stay.
+    assert not hasattr(_TreeRouter, "node_path") and not hasattr(_TreeRouter, "hop_count")
+    assert not hasattr(CloudProvider, "_to_net_flow")
+    signature = inspect.signature
+    assert list(signature(FluidSimulation.add_flow).parameters) == ["self", "flow"]
+    assert list(signature(FluidSimulation.add_flows).parameters) == [
+        "self", "flows", "routes",
+    ]
+    assert list(signature(CloudProvider.add_flows).parameters) == [
+        "self", "sim", "vm_flows",
+    ]
