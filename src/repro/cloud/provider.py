@@ -46,7 +46,6 @@ from repro.net.topology import (
     build_multi_rooted_tree,
     index_pairs,
 )
-from repro.net.traceroute import traceroute_hop_count
 from repro.units import BITS_PER_BYTE, GBITPS
 
 HoseSampler = Callable[[np.random.Generator], float]
@@ -848,14 +847,16 @@ class CloudProvider:
             offer, wild, routes.lengths[at] if params.loss_rate > 0 else None,
         )
 
-    def traceroute(self, src_vm: str, dst_vm: str) -> int:
-        """Hop count reported by traceroute (possibly obscured by the provider)."""
-        src, dst = self.vm(src_vm), self.vm(dst_vm)
-        if src.host == dst.host:
-            return 1
-        return traceroute_hop_count(
-            self.topology,
-            src.host,
-            dst.host,
-            visible_hops=self.params.traceroute_visible_hops,
-        )
+    def traceroutes(
+        self, pairs: Union[Sequence[Tuple[str, str]], np.ndarray]
+    ) -> np.ndarray:
+        """Hop count traceroute reports for each ordered VM pair (names, or
+        an ``(m, 2)`` array of VM positions), the batch routed in one
+        :meth:`Topology.path_links_matrix` call: 1 between two VMs of one
+        host, else the route's hop count as the provider shows it."""
+        hosts = self._vm_hosts()[self._pair_positions(pairs)]
+        hops = self.topology.path_links_matrix(hosts)[1].tolist()
+        visible = self.params.traceroute_visible_hops or {}
+        return np.where(
+            hosts[:, 0] == hosts[:, 1], 1, [visible.get(hop, hop) for hop in hops]
+        ).astype(np.intp)

@@ -175,7 +175,8 @@ class BottleneckLocator:
         )
 
     def cluster_by_rack(self, vm_names: Sequence[str]) -> List[List[str]]:
-        """Group VMs whose traceroute hop count suggests a shared rack."""
+        """Group VMs whose traceroute hop count suggests a shared rack (every
+        pair traced in one :meth:`CloudProvider.traceroutes` call)."""
         parent = {name: name for name in vm_names}
 
         def find(x: str) -> str:
@@ -189,8 +190,10 @@ class BottleneckLocator:
             if ra != rb:
                 parent[rb] = ra
 
-        for a, b in itertools.combinations(vm_names, 2):
-            if self.provider.traceroute(a, b) <= self.rack_hop_threshold:
+        pairs = list(itertools.combinations(vm_names, 2))
+        hops = self.provider.traceroutes(pairs).tolist() if pairs else []
+        for (a, b), hop in zip(pairs, hops):
+            if hop <= self.rack_hop_threshold:
                 union(a, b)
         clusters: Dict[str, List[str]] = {}
         for name in vm_names:

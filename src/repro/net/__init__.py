@@ -2,8 +2,7 @@
 
 This package provides everything the Choreo reproduction needs from "the
 network": multi-rooted tree topologies and their routes
-(:mod:`repro.net.topology`), hop counts (:mod:`repro.net.traceroute`),
-max-min fair bandwidth sharing (:mod:`repro.net.fairness`,
+(:mod:`repro.net.topology`), max-min fair bandwidth sharing (:mod:`repro.net.fairness`,
 :mod:`repro.net.alloc`), a flow-level
 event-driven simulator (:mod:`repro.net.fluid`, in which the hose model's
 per-VM egress caps are extra links), and a burst-level packet-train
@@ -22,7 +21,6 @@ from repro.net.alloc import IncrementalAllocator
 from repro.net.fairness import FlowDemand
 from repro.net.fluid import FluidSimulation, FluidResult, RateTimeline
 from repro.net.packets import PacketTrainSpec, draw_losses, send_packet_trains
-from repro.net.traceroute import traceroute_hop_count
 from repro.net.latency import rtt_s
 
 __all__ = [
@@ -44,6 +42,5 @@ __all__ = [
     "PacketTrainSpec",
     "draw_losses",
     "send_packet_trains",
-    "traceroute_hop_count",
     "rtt_s",
 ]

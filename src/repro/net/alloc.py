@@ -48,7 +48,7 @@ each other on every instance (and to the reference, with the caveat
 above).  A path may not repeat a link: :meth:`IncrementalAllocator.add_flow` and
 :meth:`~IncrementalAllocator.add_flows` refuse one by name.
 
-Four further mechanisms keep event-loop re-solves cheap at scale:
+Five further mechanisms keep event-loop re-solves cheap at scale:
 
 * **Slot-rate output** — solves write per-slot rates into a flat float64
   vector; :meth:`solve_slots` hands that vector to array-based callers
@@ -80,6 +80,15 @@ Four further mechanisms keep event-loop re-solves cheap at scale:
   flow drops the entries of the links it crossed.  See
   :meth:`IncrementalAllocator._solve_vector` for why each reuse is exact
   and what invalidates it.
+* **Solving on the links that bind** — an exact solve leaves the set B of
+  links it saturated (its bottlenecks, and every link within ``_BIND_EPS``
+  of its capacity) and every other link's slack.  While each flow crosses
+  exactly one link of B and only removals follow, a removal re-rates the
+  flows of the links of B it touched in closed form, ``C / n``, and keeps
+  every other rate, once the slack left on every other link they cross
+  certifies that no such link can bind.  See
+  :meth:`IncrementalAllocator._solve_binding` for why this is the fill's
+  answer bit for bit.
 """
 
 from __future__ import annotations
@@ -87,7 +96,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -129,6 +138,21 @@ _FIRST_CAP = 8
 # smaller one only grows.
 _REPACK_MIN = 1024
 
+
+# The margin, relative to a link's capacity, within which an exact solve
+# counts a link as saturated (in B), and above which a link's tracked slack
+# certifies that it cannot bind.  It bounds rounding only: a tracked slack
+# is the fill's ``remaining`` after at most one drain per member, then one
+# credit or debit per update, each rounded once (its delta once more) by at
+# most 2**-53 of the link's capacity; a link can turn argmin only once its
+# exact slack is within one rounding of the level per member.  So while the
+# operations behind B (``_bind_ops``: twice the routed flows at the solve,
+# plus one per update since) stay under ``_BIND_EPS * 2**51``, a tracked
+# slack above the margin proves an exact one above every rounding that
+# could reorder the fill; past that, the path refuses until the next exact
+# solve.  Refusing is always exact, so a larger or smaller margin only
+# trades refusals (tests/test_alloc_binding.py scales it both ways).
+_BIND_EPS = 1e-9
 
 # Batches shorter than this are edited flow by flow: batching has a fixed
 # cost (the stable sort by link, the group cuts) that pays from ≈48–64
@@ -312,8 +336,21 @@ class IncrementalAllocator:
         self._freeze_round = np.zeros(0, dtype=np.int64)
         self._resume = 0
         # What written_slots() reports: _UNREAD, a fill's first searched
-        # round, a partial solve's (closure, linkless) sets, or None.
+        # round, a partial solve's (closure, linkless) sets, the slots the
+        # binding path re-rated, or None.
         self._written: object = _UNREAD
+        # The links that bind (see _solve_binding).  An exact solve leaves
+        # in ``_bind_fill`` the links it filled, their capacities and what
+        # remained of them; the first removal builds ``_bind`` from it: B
+        # as a mask over the link universe and every link's headroom
+        # (slack - _BIND_EPS * capacity).  ``_bind`` is False while B holds
+        # but is of no use (a flow crosses two of its links), and None while
+        # void (an add or a capacity change since the solve).
+        self._bind_fill: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._bind: Union[None, bool, Tuple[np.ndarray, np.ndarray]] = None
+        self._bind_ops = 0
+        self._binding_solves = obs.Counter("repro.alloc.binding_solves")
+        self._binding_refusals = obs.Counter("repro.alloc.binding_refusals")
 
     # ----------------------------------------------------------- inspection
     def __len__(self) -> int:
@@ -409,6 +446,7 @@ class IncrementalAllocator:
         # A new flow can lower shares in any round: the next fill starts over.
         self._resume = 0
         self._label = None  # (and it can join components)
+        self._bind = self._bind_fill = None  # (and saturate any link)
         self._solved = False
         self._solution = None
         return slot
@@ -644,6 +682,7 @@ class IncrementalAllocator:
         # A new flow can lower shares in any round: the next fill starts over.
         self._resume = 0
         self._label = None  # (and it can join components)
+        self._bind = self._bind_fill = None  # (and saturate any link)
         self._solved = False
         self._solution = None
         return slots
@@ -704,14 +743,19 @@ class IncrementalAllocator:
 
     def remove_flow(self, flow_id: str) -> None:
         """Forget a flow previously registered with :meth:`add_flow`."""
-        slot = self._flow_slot.pop(flow_id, None)
+        slot = self._flow_slot.get(flow_id)
         if slot is None:
             raise SimulationError(f"unknown flow {flow_id!r}")
+        if self._bind_fill is not None:
+            self._build_bind()
+        del self._flow_slot[flow_id]
         (count, start, _, store, store_k, row_pos, row_start, nlinks,
          row_data) = self._views
         base = row_start[slot]
         row = row_data[base : base + nlinks[slot]].tolist()
         nlinks[slot] = 0
+        if self._bind:
+            self._credit(row, self._slot_rate.item(slot))
         if row and self._label is not None:
             self._label_count[self._label[row[0]]] -= 1
         memo = self._batch_memo
@@ -768,12 +812,17 @@ class IncrementalAllocator:
             for flow_id in flow_ids:
                 self.remove_flow(flow_id)
             return
+        if self._bind_fill is not None:
+            self._build_bind()
         slot_list = [flow_slot.pop(flow_id) for flow_id in flow_ids]
         slots = np.array(slot_list, dtype=np.intp)
         lengths = self._slot_nlinks[slots]
         total = int(lengths.sum())
         if total:
-            touched = self._leave_batch(csr_gather(self._row_start[slots], lengths))
+            entries = csr_gather(self._row_start[slots], lengths)
+            if self._bind:
+                self._credit(self._row_data[entries], self._slot_rate[slots].repeat(lengths))
+            touched = self._leave_batch(entries)
             if self._store.shape[0] > self._small_store:
                 self._shrink_store()
             memo = self._batch_memo
@@ -866,6 +915,7 @@ class IncrementalAllocator:
             if self._have_rates:
                 self._dirty_links.add(index)
             self._resume = 0
+            self._bind = self._bind_fill = None
             self._layout = None
             self._solved = False
             self._solution = None
@@ -918,15 +968,16 @@ class IncrementalAllocator:
 
         A vector fill writes the batches of the rounds it searched (not the
         replayed prefix) and the linkless slots, a partial solve its closure
-        and the new linkless slots.  A scalar full solve, a fill that left
+        and the new linkless slots, the binding path the members it
+        re-rated.  A scalar full solve, a fill that left
         slots unconstrained, or two solves give None.  A
         solve records O(1): a mark or a set reference.
         """
         written, self._written = self._written, _UNREAD
         if written is _UNREAD:
             return np.zeros(0, dtype=np.intp)
-        if written is None:
-            return None
+        if written is None or isinstance(written, np.ndarray):
+            return written
         if isinstance(written, int):
             parts = [entry[4] for entry in self._round_log[written:]]
             linkless = self._linkless
@@ -943,7 +994,9 @@ class IncrementalAllocator:
         searched for again (``rounds_replayed``), and the searched ones whose
         freeze batch came from the per-link memo (``rounds_memoised``); and
         the closure walks run (``walks``), those the component labels
-        skipped (``walks_skipped``), and the labelings (``labelings``).
+        skipped (``walks_skipped``), and the labelings (``labelings``); and
+        the solves after removals alone that the binding path served
+        (``binding_solves``) or refused (``binding_refusals``).
 
         A thin view over this instance's :class:`repro.obs.Counter`
         instruments (the process-wide aggregate across allocators lives
@@ -959,26 +1012,38 @@ class IncrementalAllocator:
             "walks": self._walks.count,
             "walks_skipped": self._walks_skipped.count,
             "labelings": self._labelings.count,
+            "binding_solves": self._binding_solves.count,
+            "binding_refusals": self._binding_refusals.count,
         }
 
     def _ensure_solved(self) -> None:
         """Run a (possibly partial) solve so ``_slot_rate`` is current."""
         if self._solved:
             return
+        binding = None
+        if self._bind is not None:
+            # Only removals since the last exact solve: re-rate on B.
+            if self._bind:
+                binding = self._solve_binding()
+            (self._binding_refusals if binding is None else self._binding_solves).inc()
         # Partial re-solve: progressive filling decomposes over connected
         # components of the flow↔link sharing graph, so flows outside the
         # transitive closure of the edited links keep their previous rates
         # bit-for-bit.
         partial = None
-        if self._have_rates:
+        if binding is None and self._have_rates:
             partial = self._dirty_closure()
-        if partial is not None:
+        if binding is not None:
+            written = binding
+        elif partial is not None:
             closure = partial[0]
             for slot in self._dirty_linkless:
                 self._slot_rate[slot] = math.inf
             if closure:
-                self._solve_scalar(restrict=partial)
+                remaining = self._solve_scalar(restrict=partial)
                 self._resume = 0
+                if self._bind:
+                    self._enter_bind(*self._filled(remaining))
             written = (closure, self._dirty_linkless)
             self._dirty_linkless = set()
             self._partial_solves.inc()
@@ -1002,9 +1067,10 @@ class IncrementalAllocator:
                         memoised=memoised,
                     )
                 else:
-                    self._solve_scalar()
+                    self._bind_fill = self._filled(self._solve_scalar())
                     self._resume = 0
                     written = None
+            self._bind = None
             self._full_solves.inc()
         self._written = written if self._written is _UNREAD else None
         self._dirty_links.clear()
@@ -1122,11 +1188,105 @@ class IncrementalAllocator:
         self._label_flows = slots.shape[0]
         self._labelings.inc()
 
+    def _build_bind(self) -> None:
+        """B and every link's headroom, from what the last exact solve
+        left: called before the first removal since, while the registry is
+        the one that solve saw."""
+        fill, self._bind_fill = self._bind_fill, None
+        n_links = len(self._capacity)
+        self._bind = np.zeros(n_links, dtype=bool), np.full(n_links, math.inf)
+        self._bind_ops = 0
+        # (A link in no use at the solve can enter use only by an add, which
+        # voids B, so its infinite headroom is never read.)
+        self._enter_bind(*fill)
+
+    def _enter_bind(self, links, capacity, remaining) -> None:
+        """Enter the links an exact solve filled in B, or give them their
+        headroom, and check B.  Every routed flow has a bottleneck and a
+        bottleneck is left saturated, so the member counts of B add up to
+        the routed flows exactly when each crosses one link of B; if not
+        (or an infinite link is in use, which can leave a flow with no
+        bottleneck), B is of no use until the next exact solve."""
+        if np.isinf(capacity).any():
+            self._bind = False
+            return
+        in_b, headroom = self._bind
+        headroom[links] = remaining - _BIND_EPS * capacity
+        in_b[links] = headroom[links] <= 0.0
+        routed = len(self._flow_slot) - len(self._linkless)
+        self._bind_ops += 2 * routed
+        if int(self._link_count[in_b].sum()) != routed:
+            self._bind = False
+
+    def _filled(self, remaining: Dict[int, float]):
+        """A scalar fill's ``remaining`` as ``(links, capacities, remaining)``."""
+        links = np.fromiter(remaining, dtype=np.intp, count=len(remaining))
+        values = np.fromiter(remaining.values(), dtype=np.float64, count=len(remaining))
+        return links, np.asarray(self._capacity)[links], values
+
+    def _credit(self, links, rates) -> None:
+        """Give removed flows' rates back to the headroom of their links."""
+        np.add.at(self._bind[1], links, rates)
+        self._bind_ops += len(links)
+
+    def _solve_binding(self) -> Optional[np.ndarray]:
+        """Re-rate the members of the dirty links of B in closed form;
+        returns the slots re-rated, or None (nothing changed) to refuse.
+
+        Every flow crosses exactly one link of B (:meth:`_build_bind`), and
+        removals keep that so.  Restricted to B the fill is then one round
+        per link ``d``: its ``n`` members get ``C_d / n``, the fill's own
+        ``remaining / counts`` with ``remaining == C_d``, as no other round
+        drains ``d``.  The fill over every link is the same fill as long as
+        no link outside B turns ``argmin``: levels never fall from round to
+        round (up to an ulp), and each unfrozen member ends at or above the
+        current level, so a link that turns ``argmin`` ends the fill
+        saturated, within rounding.  A link left with headroom — slack
+        above ``_BIND_EPS`` of its capacity, a margin that covers every
+        such rounding while ``_bind_ops`` stays under ``_BIND_EPS * 2**51``
+        — never does.  So the members' new rates are debited from the
+        headroom of the other links they cross, and if any of those is left
+        without, the debit is undone and the solve refused.  Flows off the
+        dirty links keep their rates: their links of B and their counts did
+        not change.  The round log stays the one of the last fill: it only
+        ever depends on the flow set, which removals keep it valid for.
+        (Bertsekas & Gallager, *Data Networks*, §6.5: a max-min fair
+        allocation is the feasible one in which every flow crosses a
+        saturated link where no flow gets more.)
+        """
+        in_b, headroom = self._bind
+        count, capacity = self._views[0], self._capacity
+        parts, rates = [], []
+        for link in self._dirty_links:
+            if in_b[link] and count[link]:
+                parts.append(np.frombuffer(self._link_members(link), dtype=np.intp))
+                rates.append(capacity[link] / count[link])
+        if not parts:
+            return np.zeros(0, dtype=np.intp)
+        members = np.concatenate(parts)
+        new = np.repeat(rates, [part.shape[0] for part in parts])
+        lengths = self._slot_nlinks[members]
+        links = self._row_data[csr_gather(self._row_start[members], lengths)]
+        debit = (new - self._slot_rate[members]).repeat(lengths)
+        other = ~in_b[links]
+        links, debit = links[other], debit[other]
+        self._bind_ops += links.shape[0]
+        if self._bind_ops > _BIND_EPS * 2.0**51:
+            return None
+        before = headroom[links]
+        np.subtract.at(headroom, links, debit)
+        if links.shape[0] and headroom[links].min() <= 0.0:
+            headroom[links] = before
+            return None
+        self._slot_rate[members] = new
+        return members
+
     def _solve_scalar(
         self,
         restrict: Optional[Tuple[Dict[int, List[int]], Dict[int, List[int]]]] = None,
-    ) -> None:
-        """Heap-based progressive filling over interned int slots.
+    ) -> Dict[int, float]:
+        """Heap-based progressive filling over interned int slots; returns
+        what remains of each link it filled.
 
         With ``restrict`` — the closure :meth:`_dirty_closure` walked: no
         member shares a link with a slot outside it — only those slots are
@@ -1210,6 +1370,7 @@ class IncrementalAllocator:
                 counts[index] = count - k
                 if count > k and left / (count - k) < before / count:
                     heapq.heappush(share_heap, (left / (count - k), index))
+        return remaining
 
     def _ensure_row_capacity(self, n: int) -> None:
         """Make room for ``n`` more entries at the end of ``_row_data``."""
@@ -1414,4 +1575,5 @@ class IncrementalAllocator:
         self._rounds_replayed.inc(mark)
         self._rounds_memoised.inc(memoised)
         self._resume = len(log)
+        self._bind_fill = used, capacity, remaining
         return memoised, searched_from

@@ -377,8 +377,10 @@ class Topology:
         # dropped by any edit
         self._router: Optional[_TreeRouter] = None
         self._tree_tables: Optional[_TreeLinkTables] = None
-        # link id -> position in ``_links`` (path_links_matrix's index order),
-        # and the capacities in that order; both dropped when a link is added
+        # the link ids in ``_links`` order (path_links_matrix's index order),
+        # link id -> position in it, and the capacities in that order; all
+        # dropped when a link is added
+        self._link_list: Optional[List[str]] = None
         self._link_index: Optional[Dict[str, int]] = None
         self._capacity_vector: Optional["np.ndarray"] = None
         # each host's loopback link index, by host position; dropped with
@@ -423,7 +425,7 @@ class Topology:
                 kind=LinkKind.LOOPBACK,
             )
             self._links[link.link_id] = link
-            self._link_index = None
+            self._link_list = self._link_index = None
             self._capacity_vector = None
             self._loopbacks = None
 
@@ -463,7 +465,7 @@ class Topology:
         self._path_cache.clear()
         self._router = None
         self._tree_tables = None
-        self._link_index = None
+        self._link_list = self._link_index = None
         self._capacity_vector = None
         self._loopbacks = None
 
@@ -610,15 +612,17 @@ class Topology:
         shape ``(len(pairs), max_hops)`` whose valid prefix of row ``i``
         (length ``lengths[i]``) holds indices into ``link_ids`` — the same
         order as :meth:`capacities`/:meth:`links`, so rows feed straight
-        into array-based allocator layouts.  Padding entries are -1.
+        into array-based allocator layouts; the list is the topology's own,
+        kept until a link is added (treat it as read-only).  Padding
+        entries are -1.
         Loopback pairs (``src == dst``) get the host's loopback link, from
         one per-host table; a tree's router routes every other pair of two
         hosts, all at once; graph search routes the rest, pair by pair.
         """
-        link_ids = list(self._links)
         if self._link_index is None:
-            self._link_index = {lid: i for i, lid in enumerate(link_ids)}
-        index = self._link_index
+            self._link_list = list(self._links)
+            self._link_index = {lid: i for i, lid in enumerate(self._link_list)}
+        link_ids, index = self._link_list, self._link_index
         n = len(pairs)
         by_position = isinstance(pairs, np.ndarray)
         if by_position:

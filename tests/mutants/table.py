@@ -49,6 +49,7 @@ FRESH_RUN = (
 )
 
 ROWS = "tests/test_provider_rows.py::"
+BINDING = "tests/test_alloc_binding.py::"
 
 MUTANTS: Tuple[Mutant, ...] = (
     # ---------------------------------------- the rows a provider hands over
@@ -184,6 +185,62 @@ MUTANTS: Tuple[Mutant, ...] = (
         "            self._seg_cap.fill(0)\n            self._store = np.zeros(0, dtype=np.intp)\n",
         "            self._store = np.zeros(0, dtype=np.intp)\n",
         ("tests/test_alloc_resume.py::test_random_edit_sequences_stay_bit_identical",),
+    ),
+    # ------------------------------------------------ the binding path
+    Mutant(
+        "the isolation check is skipped",
+        ALLOC,
+        "        if int(self._link_count[in_b].sum()) != routed:\n",
+        "        if False:\n",
+        (
+            BINDING + "test_a_member_that_crosses_two_binding_links_refuses",
+            BINDING + "test_random_hosed_trees_solve_like_a_fresh_allocator",
+        ),
+    ),
+    Mutant(
+        "the closed form divides by the old count",
+        ALLOC,
+        "rates.append(capacity[link] / count[link])",
+        "rates.append(capacity[link] / (count[link] + 1))",
+        (BINDING + "test_a_fabric_link_whose_slack_runs_out_refuses",),
+    ),
+    Mutant(
+        "a removal credits its rate twice",
+        ALLOC,
+        "np.add.at(self._bind[1], links, rates)",
+        "np.add.at(self._bind[1], links, 2 * rates)",
+        (BINDING + "test_a_fabric_link_whose_slack_runs_out_refuses",),
+    ),
+    Mutant(
+        "a partial solve does not add the links it saturates to B",
+        ALLOC,
+        "                if self._bind:\n"
+        "                    self._enter_bind(*self._filled(remaining))\n",
+        "                pass\n",
+        (BINDING + "test_a_partial_solve_that_saturates_a_link_outside_b_adds_it",),
+    ),
+    Mutant(
+        # Equivalent in rates (slack only under-counted: more refusals, each
+        # an exact solve); the counter pins see the refusal it adds.
+        "a removal credits no slack",
+        ALLOC,
+        "np.add.at(self._bind[1], links, rates)",
+        "np.add.at(self._bind[1], links, 0.0 * rates)",
+        (BINDING + "test_a_fabric_link_whose_slack_runs_out_refuses",),
+    ),
+    Mutant(
+        "the margin is a thousand times too strict",
+        ALLOC,
+        "_BIND_EPS = 1e-9\n",
+        "_BIND_EPS = 1e-6\n",
+        (),
+        equivalent=(
+            "a wider margin only puts more links in B and certifies fewer: "
+            "every extra refusal falls back to an exact solve, so no rate "
+            "moves, and 1e-6 still leaves every slack a test pins (>= 5 % of "
+            "its link) certified and the budget of rounding steps at 2**51 "
+            "x 1e-6, far above any run"
+        ),
     ),
     # ------------------------------------------------------ invariants
     Mutant(

@@ -7,8 +7,9 @@ every freeze batch gathered and histogrammed from the members of its
 bottleneck link.  The allocator now keeps its link state over the links in
 use only, applies the log prefix in one pass with one deferred clamp, and
 reuses a per-link freeze-batch memo; this module keeps the old loop, moved
-in verbatim, as the reference ``tests/test_alloc_resume.py`` holds it to —
-slot rates *and* per-round levels, ``==``.
+in verbatim, as the reference ``tests/test_alloc_resume.py`` holds every
+full vector fill to — per-round levels, ``==`` (the rates are held to fresh
+allocators there).
 
 :class:`ParentFill` reads the allocator's registered flows (rows, and
 membership and its counts through ``_link_members``) and nothing of its

@@ -1,0 +1,345 @@
+"""The binding path of ``repro.net.alloc``: solving on the links that bind.
+
+After an exact solve the allocator keeps B, the links that solve saturated,
+and every other link's slack.  While each flow crosses exactly one link of
+B and only removals follow, a removal re-rates the members of the links of
+B it touched in closed form, ``C / n``, once the slack of every other link
+they cross certifies that none of those can bind; everything else goes to
+the partial or full solve.  The shortcut must be invisible: after every
+edit the live allocator's rates must equal — exactly — a fresh allocator's,
+on the vector and on the scalar fill, and ``written_slots()`` must name
+every rate that moved.  Hand-made instances force each reason to refuse;
+the counters ``repro.alloc.binding_solves`` / ``binding_refusals`` show the
+path serving the solves of a pipeline-shaped run.
+"""
+
+import dataclasses
+import random
+
+import numpy as np
+import pytest
+
+from oracles.max_min import force_solves
+from repro import obs
+from repro.cloud.ec2 import ec2_params
+from repro.cloud.provider import VMFlow
+from repro.cloud.registry import make_provider
+from repro.net import alloc
+from repro.net.alloc import _BATCH_MIN, IncrementalAllocator
+from repro.net.fairness import FlowDemand
+from repro.net.topology import TreeSpec, build_multi_rooted_tree
+
+
+def _fresh(caps, active, vector):
+    with pytest.MonkeyPatch.context() as patch:
+        force_solves(patch, vector)
+        fresh = IncrementalAllocator(caps)
+        for fid in sorted(active):
+            fresh.add_flow(fid, active[fid].links)
+        return fresh.solve()
+
+
+class _Live:
+    """One live allocator and the flow set it should hold; ``settle``
+    solves it, holds every rate to fresh allocators and the written slots
+    to the rates that moved, and returns the solver-stats deltas."""
+
+    def __init__(self, caps, demands):
+        self.caps = dict(caps)
+        self.live = IncrementalAllocator(caps)
+        self.active = {}
+        self.slot_of = {}
+        self.rates = np.zeros(0)
+        self.stats = self.live.solver_stats()
+        self.add(demands)
+        self.settle("initial")
+
+    def add(self, demands):
+        for fid, demand in demands.items():
+            self.slot_of[fid] = self.live.add_flow(fid, demand.links)
+            self.active[fid] = demand
+
+    def remove(self, fids):
+        if len(fids) == 1:
+            self.live.remove_flow(fids[0])
+        else:
+            self.live.remove_flows(list(fids))
+        for fid in fids:
+            del self.active[fid], self.slot_of[fid]
+
+    def set_capacity(self, link, cap):
+        self.live.update_capacities({link: cap})
+        self.caps[link] = cap
+
+    def settle(self, context):
+        got = self.live.solve_slots()
+        written = self.live.written_slots()
+        rates = {fid: float(got[slot]) for fid, slot in self.slot_of.items()}
+        assert rates == self.live.solve(), context
+        assert rates == _fresh(self.caps, self.active, vector=True), context
+        assert rates == _fresh(self.caps, self.active, vector=False), context
+        if written is not None:
+            old = self.rates
+            moved = {
+                slot for slot in self.slot_of.values()
+                if slot >= old.shape[0] or got[slot] != old[slot]
+            }
+            assert moved <= set(written.tolist()), context
+        self.rates = got.copy()
+        stats = self.live.solver_stats()
+        delta = {key: stats[key] - self.stats[key] for key in stats}
+        self.stats = stats
+        return delta
+
+    def rate(self, fid):
+        return float(self.rates[self.slot_of[fid]])
+
+
+# ------------------------------------------------------------------ instances
+def _hosed_tree(rng):
+    """A random tree with a hose on every host, and flows between random
+    host pairs, each across its sender's hose then its route (a same-host
+    pair crosses the loopback alone).  Most hoses sit well under the host
+    link, so they bind; a few sit above it, and fabric links are sometimes
+    thin, so that host and fabric links bind too."""
+    spec = TreeSpec(
+        pods=rng.randint(1, 2),
+        racks_per_pod=rng.randint(2, 3),
+        hosts_per_rack=rng.randint(3, 5),
+        num_cores=rng.randint(1, 2),
+        tor_agg_link_bps=rng.choice([10e9, 10e9, 2e9]),
+    )
+    topo = build_multi_rooted_tree(spec)
+    caps = topo.capacities()
+    hosts = topo.hosts()
+    for host in hosts:
+        caps[f"hose:{host}"] = spec.host_link_bps * (
+            rng.uniform(1.1, 2.0) if rng.random() < 0.1 else rng.uniform(0.05, 0.6)
+        )
+    demands = {}
+    for f in range(rng.randint(150, 260)):
+        src = rng.choice(hosts)
+        dst = src if rng.random() < 0.05 else rng.choice([h for h in hosts if h != src])
+        route = tuple(link.link_id for link in topo.path_links(src, dst))
+        links = route if src == dst else (f"hose:{src}",) + route
+        demands[f"f{f}"] = FlowDemand(links=links)
+    return caps, demands
+
+
+def _drive(rng, caps, demands, steps):
+    """Random edits on a live allocator, mostly removals (one flow, a few,
+    or a batch over ``_BATCH_MIN``), now and then an add or a capacity
+    change; every solve held by ``_Live.settle``."""
+    names = sorted(demands)
+    rng.shuffle(names)
+    held_back = {fid: demands[fid] for fid in names[:30]}
+    live = _Live(caps, {fid: demands[fid] for fid in names[30:]})
+    hoses = [link for link in caps if link.startswith("hose:")]
+    totals = dict.fromkeys(live.stats, 0)
+    for step in range(steps):
+        context = f"step {step}"
+        roll = rng.random()
+        if roll < 0.06 and held_back:
+            live.add(dict(held_back.popitem() for _ in range(min(3, len(held_back)))))
+        elif roll < 0.09:
+            live.set_capacity(rng.choice(hoses), rng.uniform(0.05, 1.2) * 1e9)
+        else:
+            k = _BATCH_MIN + 2 if roll > 0.97 else rng.choice([1, 1, 1, 2, 5])
+            live.remove(rng.sample(sorted(live.active), min(k, len(live.active) // 2)))
+        for key, value in live.settle(context).items():
+            totals[key] += value
+    return totals
+
+
+@pytest.mark.parametrize("vector", [True, False], ids=["vector", "scalar"])
+def test_random_hosed_trees_solve_like_a_fresh_allocator(vector, monkeypatch):
+    force_solves(monkeypatch, vector)
+    rng = random.Random(0xB14D + vector)
+    totals = dict.fromkeys(IncrementalAllocator({}).solver_stats(), 0)
+    for trial in range(8):
+        caps, demands = _hosed_tree(rng)
+        for key, value in _drive(rng, caps, demands, steps=40).items():
+            totals[key] += value
+    # The path served most solves and refused some: both sides were run.
+    assert totals["binding_solves"] >= 100
+    assert totals["binding_refusals"] >= 5
+    assert totals["full_solves"] + totals["partial_solves"] >= 20
+
+
+# ------------------------------------------------------------ every refusal
+def _two_hoses_over_one_link(fabric_cap=10.0):
+    """Hoses h1 and h2 (8 each), four flows on each; two of each hose's
+    flows also cross fabric link f.  Every flow gets 2; f carries 8."""
+    caps = {"h1": 8.0, "h2": 8.0, "f": fabric_cap}
+    demands = {}
+    for hose, name in (("h1", "p"), ("h2", "q")):
+        for i in range(1, 5):
+            links = (hose, "f") if i <= 2 else (hose,)
+            demands[f"{name}{i}"] = FlowDemand(links=links)
+    return caps, demands
+
+
+def test_a_member_that_crosses_two_binding_links_refuses():
+    """c crosses h1 and h2, both saturated: B's counts add up to one more
+    than the flows, so no removal is re-rated in closed form."""
+    caps = {"h1": 4.0, "h2": 2.0}
+    demands = {
+        "a1": FlowDemand(links=("h1",)),
+        "a2": FlowDemand(links=("h1",)),
+        "c": FlowDemand(links=("h1", "h2")),
+        "b1": FlowDemand(links=("h2",)),
+    }
+    live = _Live(caps, demands)
+    assert live.rate("c") == 1.0 and live.rate("a1") == 1.5
+    live.remove(["b1"])
+    delta = live.settle("b1 leaves")
+    assert delta["binding_refusals"] == 1 and delta["binding_solves"] == 0
+    assert live.rate("c") == live.rate("a1") == 4.0 / 3.0
+
+
+def test_a_link_saturated_at_a_tie_is_in_b(monkeypatch):
+    """The fill takes h1, then h2 over t at a tie (both shares 2, t has the
+    higher index): two rounds, t no bottleneck but saturated.  t is in B all
+    the same, so a crosses two links of B and a2's removal is refused; a
+    stays at 2."""
+    force_solves(monkeypatch, True)
+    caps = {"h1": 4.0, "h2": 2.0, "t": 4.0}
+    demands = {
+        "a": FlowDemand(links=("h1", "t")),
+        "a2": FlowDemand(links=("h1",)),
+        "b": FlowDemand(links=("h2", "t")),
+    }
+    live = _Live(caps, demands)
+    assert live.rate("a") == live.rate("b") == 2.0
+    assert [entry[0] for entry in live.live._round_log] == [2.0, 2.0]
+    live.remove(["a2"])
+    delta = live.settle("a2 leaves")
+    assert delta["binding_refusals"] == 1 and live.rate("a") == 2.0
+
+
+def test_a_fabric_link_whose_slack_runs_out_refuses():
+    """q4 leaves: h2's flows rise to 8/3 and f, at 9.33 of 10, still has
+    slack.  p4 leaves: closed form would put f at 10.67, so the path
+    refuses.  Before that, q1 — across f — leaves and gives f its rate
+    back once (twice would let the last removal through)."""
+    caps, demands = _two_hoses_over_one_link()
+    live = _Live(caps, demands)
+    assert live.rate("p1") == live.rate("q4") == 2.0
+    live.remove(["q4"])
+    delta = live.settle("q4 leaves")
+    assert delta["binding_solves"] == 1 and delta["full_solves"] == 0
+    assert live.rate("q1") == 8.0 / 3.0
+    live.remove(["q1"])
+    delta = live.settle("q1 leaves")
+    assert delta["binding_solves"] == 1
+    assert live.rate("q2") == 4.0 and live.rate("p1") == 2.0
+    live.remove(["p3"])
+    delta = live.settle("p3 leaves")
+    assert delta["binding_solves"] == 1 and live.rate("p1") == 8.0 / 3.0
+    live.remove(["p4"])
+    delta = live.settle("p4 leaves")
+    assert delta["binding_refusals"] == 1 and delta["binding_solves"] == 0
+    assert live.rate("p1") == live.rate("q2") == 10.0 / 3.0
+
+
+def test_a_partial_solve_that_saturates_a_link_outside_b_adds_it():
+    """p4 leaves (served), q4 leaves: f would be overdrawn, so the path
+    refuses and a partial solve saturates f.  f must join B — which now
+    holds flows that cross two of its links, so the next removal, across f,
+    is refused too.  Left out of B, f would keep the slack it had before,
+    and q1's removal would be re-rated on h2 alone while f's other flows
+    were owed what q1 gave back."""
+    caps, demands = _two_hoses_over_one_link()
+    live = _Live(caps, demands)
+    live.remove(["p4"])
+    assert live.settle("p4 leaves")["binding_solves"] == 1
+    live.remove(["q4"])
+    delta = live.settle("q4 leaves")
+    assert delta["binding_refusals"] == 1 and delta["partial_solves"] == 1
+    assert live.rate("p1") == live.rate("q1") == 2.5 and live.rate("p3") == 3.0
+    live.remove(["q1"])
+    delta = live.settle("q1 leaves")
+    assert delta["binding_refusals"] == 1 and delta["binding_solves"] == 0
+    assert live.rate("p1") == 8.0 / 3.0 and live.rate("q2") == 4.0
+
+
+def test_an_add_or_a_capacity_change_voids_b(monkeypatch):
+    """After an add or a capacity change, nothing is served nor refused
+    until a full solve has built B again (a partial solve sees too little
+    of the network to)."""
+    caps, demands = _two_hoses_over_one_link(fabric_cap=100.0)
+    live = _Live(caps, demands)
+    live.remove(["p4"])
+    assert live.settle("served")["binding_solves"] == 1
+    live.add({"p5": FlowDemand(links=("h1",))})
+    live.remove(["q4"])
+    delta = live.settle("add, then a removal")
+    assert delta["binding_solves"] == delta["binding_refusals"] == 0
+    assert live.rate("p5") == 2.0 and live.rate("q1") == 8.0 / 3.0
+    live.set_capacity("h2", 6.0)
+    delta = live.settle("capacity change")
+    assert delta["binding_solves"] == delta["binding_refusals"] == 0
+    assert live.rate("q1") == 2.0
+    live.remove(["q3"])
+    delta = live.settle("partial, B still void")
+    assert delta["partial_solves"] == 1 and delta["binding_solves"] == 0
+    monkeypatch.setattr(alloc, "_partial_limit", lambda n: 0)
+    live.set_capacity("h2", 7.0)
+    assert live.settle("full")["full_solves"] == 1 and live.rate("q1") == 3.5
+    live.remove(["q2"])
+    delta = live.settle("served again")
+    assert delta["binding_solves"] == 1 and live.rate("q1") == 7.0
+
+
+@pytest.mark.parametrize("eps", ["x10", "x0.1", "one rounding step"])
+def test_the_margin_bounds_rounding_and_is_no_knob(eps, monkeypatch):
+    """The margin only trades refusals: ten times wider, ten times
+    narrower, or so narrow that its budget of rounding steps is spent
+    before the first removal, every rate is the fresh allocator's."""
+    scaled = {"x10": alloc._BIND_EPS * 10, "x0.1": alloc._BIND_EPS / 10}
+    monkeypatch.setattr(alloc, "_BIND_EPS", scaled.get(eps, 2.0**-51))
+    force_solves(monkeypatch, True)
+    rng = random.Random(0xE95)
+    totals = dict.fromkeys(IncrementalAllocator({}).solver_stats(), 0)
+    for trial in range(3):
+        caps, demands = _hosed_tree(rng)
+        for key, value in _drive(rng, caps, demands, steps=30).items():
+            totals[key] += value
+    if eps in scaled:
+        assert totals["binding_solves"] > 0
+    else:
+        assert totals["binding_solves"] == 0 and totals["binding_refusals"] > 0
+
+
+# ------------------------------------------------------- a pipeline's shuffle
+def test_the_path_serves_a_pipeline_shaped_shuffle():
+    """256 VMs on ``pipeline_dc``'s network, a 64 x 64 shuffle between two
+    disjoint VM sets: one exact solve, then the binding path serves at least
+    95 % of the solves the flows' completions ask for."""
+    base = ec2_params()
+    spec = dataclasses.replace(
+        base.tree_spec, hosts_per_rack=16, racks_per_pod=8, pods=4, num_cores=4
+    )
+    provider = make_provider(
+        "ec2", seed=0, params=dataclasses.replace(base, tree_spec=spec)
+    )
+    provider.request_vms(256)
+    vms = [vm.name for vm in provider.vms()]
+    rng = np.random.default_rng(7)
+    sizes = rng.lognormal(mean=np.log(2e6), sigma=1.0, size=64 * 64)
+    flows = [
+        VMFlow(f"m{i}>r{j}", vms[i], vms[64 + j], float(sizes[64 * i + j]))
+        for i in range(64) for j in range(64)
+    ]
+    sim = provider.build_simulation(flows)
+    before = obs.metrics.snapshot()
+    result = sim.run()
+    after = obs.metrics.snapshot()
+    assert len(result.completion_times) == len(flows)
+
+    def delta(name):
+        return after.get(f"repro.alloc.{name}", 0) - before.get(f"repro.alloc.{name}", 0)
+
+    served, refused = delta("binding_solves"), delta("binding_refusals")
+    assert served + refused >= 1000
+    assert served >= 0.95 * (served + refused + delta("full_solves") + delta("partial_solves"))

@@ -9,11 +9,15 @@ is why the estimator, the rate matrix and both placers have one sharing
 model, the hose, and no ``"pipe"`` alternative.
 """
 
+import itertools
+
 import pytest
 from fidelity import bottleneck_report as locate
+from oracles.traceroute import traceroute_hop_count
 
-from repro.cloud.registry import provider_names
+from repro.cloud.registry import make_provider, provider_names
 from repro.core.measurement.bottleneck import (
+    BottleneckLocator,
     connections_interfere_at_core,
     connections_interfere_at_tor,
 )
@@ -44,6 +48,42 @@ def test_connections_share_a_bottleneck_only_at_their_source(name, seed):
     assert sorted(report.rack_clusters) == sorted(
         sorted(members) for members in racks.values()
     )
+
+
+@pytest.mark.parametrize(
+    "name, knobs",
+    [(name, {}) for name in provider_names()] + [("ec2", {"colocation_probability": 0.5})],
+)
+def test_rack_clusters_are_those_of_one_traceroute_per_pair(name, knobs):
+    """``cluster_by_rack`` traces every pair in one batch; at every hop
+    threshold its clusters are those of one traceroute per pair — 1 on one
+    host, else the route's hop count as the provider shows it — on every
+    registered provider, and on EC2 with VMs sharing hosts."""
+    provider = make_provider(name, seed=4, **knobs)
+    provider.request_vms(14)
+    names = [vm.name for vm in provider.vms()]
+    host = {vm.name: vm.host for vm in provider.vms()}
+    visible = provider.params.traceroute_visible_hops
+
+    def hops(a, b):
+        if host[a] == host[b]:
+            return 1
+        return traceroute_hop_count(provider.topology, host[a], host[b], visible)
+
+    pairs = list(itertools.permutations(names, 2))
+    assert provider.traceroutes(pairs).tolist() == [hops(a, b) for a, b in pairs]
+    for threshold in (1, 2, 4, 6):
+        cluster = {a: {a} for a in names}
+        for a, b in itertools.combinations(names, 2):
+            if hops(a, b) <= threshold and cluster[a] is not cluster[b]:
+                merged = cluster[a] | cluster[b]
+                for member in merged:
+                    cluster[member] = merged
+        expected = sorted({tuple(sorted(members)) for members in cluster.values()})
+        locator = BottleneckLocator(provider, rack_hop_threshold=threshold)
+        got = locator.cluster_by_rack(names)
+        assert sorted(map(tuple, got)) == expected, threshold
+    assert BottleneckLocator(provider).cluster_by_rack(names[:1]) == [names[:1]]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
