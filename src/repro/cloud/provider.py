@@ -25,7 +25,7 @@ import math
 import threading
 from dataclasses import dataclass, field, replace
 from typing import (
-    Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
+    Callable, Dict, Iterable, List, Mapping, Optional, Sequence,
     Tuple, Union,
 )
 
@@ -54,9 +54,6 @@ HoseSampler = Callable[[np.random.Generator], float]
 #: rounds those fills took (``obs.metrics.snapshot()``, ``repro.measure.*``).
 SNAPSHOT_PROBES = obs.Counter("repro.measure.snapshot_probes")
 SNAPSHOT_ROUNDS = obs.Counter("repro.measure.snapshot_rounds")
-#: Rows of route tables built: every ordered pair of a tenant's VMs, each
-#: time its VM set changes (``repro.routes.table_rows``).
-ROUTE_TABLE_ROWS = obs.Counter("repro.routes.table_rows")
 
 # One frozen tree per shape, with its sorted host names: every provider of
 # a ``(spec, name)`` shares it, so the tables a topology derives lazily
@@ -135,48 +132,56 @@ class TrainPass:
     clock fixes for the pass.  :meth:`send` runs the burst model over the
     next block of trains; a campaign reduces each block to its rates
     before it sends the next, so its train arrays are a block's, not the
-    mesh's.  On a lossless provider a block draws its own normals (one
-    rate noise and ``2 * n_bursts`` jitter normals per train, in train
-    order); successive draws continue one stream, so every cut of a pass
-    into blocks sends the very trains one block would.  A lossy pass drew
-    all of its normals and losses when it was built (normals first), and a
+    mesh's.  A block reads its probes' bottlenecks with
+    :meth:`CloudProvider._narrowest`, which routes, in one call, those its
+    VM set has not routed yet (every probe on a lossy provider, whose
+    trains need their hop counts); no row outlives the block.
+    On a lossless provider a block draws its own normals (one rate noise
+    and ``2 * n_bursts`` jitter normals per train, in train order);
+    successive draws continue one stream, so every cut of a pass into
+    blocks sends the very trains one block would.  A lossy pass drew all
+    of its normals and losses when it was built (normals first), and a
     block reads its slice of them.
 
-    ``sent`` are the schedule positions of the trains the pass sends, in
-    order; ``lost`` maps the position of each probe an injected fault lost
-    to the error its probe raises.
+    ``lost`` maps the schedule position of each probe an injected fault
+    lost to the error its probe raises; those draw nothing and are never
+    sent.
     """
 
     def __init__(
         self,
-        rng: np.random.Generator,
-        params: ProviderParams,
+        provider: "CloudProvider",
         spec: PacketTrainSpec,
-        sent: np.ndarray,
+        schedule: np.ndarray,
         lost: Dict[int, str],
-        routed: np.ndarray,
-        physical: np.ndarray,
-        offer: np.ndarray,
-        wild: Optional[np.ndarray],
-        lengths: Optional[np.ndarray],
+        loaded: Optional[np.ndarray],
+        wild: Optional[Tuple[np.ndarray, np.ndarray]],
     ):
-        self.sent = sent
         self.lost = lost
-        self._rng = rng
-        self._params = params
+        self._provider = provider
+        self._rng = rng = provider._rng
+        self._params = params = provider.params
         self._spec = spec
-        self._routed = routed
-        self._physical = physical
-        self._offer = offer
-        self._wild = wild
-        self._lengths = lengths  # route lengths, for a lossy train's RTT
+        self._vm_host = provider._vm_hosts()
+        self._schedule = schedule
+        # What a path offers before its train's noise: its sender's hose
+        # (by VM position) or, under a background, the sender's share read
+        # off the background's filling, one per sent train (0 where the
+        # pair shares a host).
+        self._hose = provider._hose_rates() if loaded is None else None
+        self._loaded = loaded
+        self._wild = wild  # (schedule positions, factors) of "wild" probes
+        # Train j's schedule position is j plus the lost positions up to it.
+        lost_at = np.array(sorted(lost), dtype=np.intp)
+        self._skipped = lost_at - np.arange(lost_at.shape[0])
+        self._trains = schedule.shape[0] - lost_at.shape[0]
         self._per_train = 1 + (2 * spec.n_bursts if params.train_jitter_std_s > 0 else 0)
         self._next = 0
         self._normals: Optional[np.ndarray] = None
         self._losses: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         if params.loss_rate > 0:
             # Every train's normals, then every burst's losses, up front.
-            n = sent.shape[0]
+            n = self._trains
             self._normals = rng.standard_normal(n * self._per_train)
             self._normals = self._normals.reshape(n, self._per_train)
             self._losses = draw_losses(rng, spec, params.loss_rate, n)
@@ -184,15 +189,25 @@ class TrainPass:
     @property
     def remaining(self) -> int:
         """Trains of the pass not sent yet."""
-        return self.sent.shape[0] - self._next
+        return self._trains - self._next
 
     def send(self, count: int) -> TrainBatch:
         """Send the pass's next ``count`` trains (fewer at its end) as one
         array program."""
         lo = self._next
-        hi = self._next = min(lo + count, self.sent.shape[0])
+        hi = self._next = min(lo + count, self._trains)
         spec, params = self._spec, self._params
-        routed = self._routed[lo:hi]
+        sent = np.arange(lo, hi)
+        if self._skipped.shape[0]:
+            sent += np.searchsorted(self._skipped, sent, side="right")
+            pairs = np.take(self._schedule, sent, axis=0)
+        else:
+            pairs = self._schedule[lo:hi]
+        hosts = self._vm_host[pairs]
+        routed = hosts[:, 0] != hosts[:, 1]
+        # A lossy train's RTT needs its route's hop count too.
+        physical, lengths = self._provider._narrowest(pairs, self._losses is not None)
+        physical = physical[routed]
         if self._normals is None:
             normals = self._rng.standard_normal((hi - lo) * self._per_train)
             normals = normals.reshape(hi - lo, self._per_train)
@@ -202,9 +217,16 @@ class TrainPass:
         rate_noise = 1.0 + (0.0 + params.train_rate_noise * normals[:, 0])
         rate_noise = np.maximum(rate_noise, 0.2)
         if self._wild is not None:
-            rate_noise = rate_noise * self._wild[lo:hi]
-        available = self._offer[lo:hi][routed] * rate_noise[routed]
-        physical = self._physical[lo:hi][routed]
+            wild_at, factor = self._wild
+            at = np.searchsorted(wild_at, sent)
+            hit = (at < wild_at.shape[0]).nonzero()[0]
+            hit = hit[wild_at[at[hit]] == sent[hit]]
+            rate_noise[hit] *= factor[at[hit]]
+        if self._loaded is None:
+            offer = self._hose[pairs[routed, 0]]
+        else:
+            offer = self._loaded[lo:hi][routed]
+        available = offer * rate_noise[routed]
         line_rate = 10 * GBITPS
         unlimited = params.intra_host_rate_bps * rate_noise
         depth = params.train_limiter_depth_bytes
@@ -228,34 +250,22 @@ class TrainPass:
             # packet; a route's length is its hop count (1 on one host).
             lossy = np.flatnonzero((received < spec.burst_length).any(axis=0))
             rtt = np.full(hi - lo, np.nan)
-            rtt[lossy] = rtt_s(self._lengths[lo:hi][lossy])
+            rtt[lossy] = rtt_s(lengths[lossy])
         first_rx, last_rx = send_packet_trains(
             spec,
             line_rate_bps=line_rate,
             unlimited_rate_bps=unlimited,
             base_delay_s=np.where(routed, 100e-6, 20e-6),
             jitter_std_s=params.train_jitter_std_s,
-            normals=normals[:, 1:],  # consumed: overwritten by the jitter
+            normals=normals,  # consumed: overwritten by the jitter
             limiter_rate_bps=limiter_rate,
             limiter_depth_bytes=depth,
             first_index=first_index,
             last_index=last_index,
         )
         return TrainBatch(
-            first_rx, last_rx, self.sent[lo:hi], received, first_index, last_index, rtt
+            first_rx, last_rx, sent, received, first_index, last_index, rtt
         )
-
-
-class _Routes(NamedTuple):
-    """Every ordered pair of a tenant's VMs, routed once.
-
-    Row ``s * n + d`` (``n`` VMs) is the pair of VM positions ``(s, d)``;
-    a pair on one host crosses that host's loopback link.
-    """
-
-    links: np.ndarray  # [pair, hop] link indices (:meth:`Topology.links`), -1 padded
-    lengths: np.ndarray  # [pair] links on the path: the paper's hop count
-    bottleneck: np.ndarray  # [pair] capacity of the narrowest link
 
 
 @dataclass(frozen=True)
@@ -343,11 +353,12 @@ class CloudProvider:
         self._used_hosts: List[str] = []
         self._free_hosts: List[str] = list(hosts)
         # VM name -> position in allocation order, each VM's host index by
-        # position, and the routes between every two VMs; all rebuilt on
-        # demand after the VM set changes.
+        # position, and the narrowest link of the route between every two
+        # VMs (:meth:`_narrowest`); all rebuilt on demand after the VM set
+        # changes.
         self._vm_position: Optional[Dict[str, int]] = None
         self._vm_host: Optional[np.ndarray] = None
-        self._routes: Optional[_Routes] = None
+        self._bottleneck: Optional[np.ndarray] = None
         #: When set (see :func:`repro.service.timeline.attach_timeline`), the
         #: ground truth follows the timeline: VMs its drift table covers take
         #: their egress cap from it at the current clock instead of the
@@ -366,10 +377,11 @@ class CloudProvider:
 
         Only the mutable state is copied: the random stream (by its
         bit-generator state, a quarter of a ``deepcopy``'s cost), the clock,
-        the VM counter and the VM, hose and host books.  The frozen tree,
-        ``params``, the ``timeline`` and the position and route caches are
-        shared: none is changed in place, and a VM-set change replaces the
-        caches rather than editing them.  The placers of one trial each run
+        the VM counter, the VM, hose and host books, and the bottlenecks
+        routed so far (:meth:`_narrowest` fills them in).  The frozen tree,
+        ``params``, the ``timeline`` and the position caches are shared:
+        none is changed in place, and a VM-set change replaces the caches
+        rather than editing them.  The placers of one trial each run
         on a copy of one built provider.
         """
         twin = object.__new__(type(self))
@@ -383,6 +395,8 @@ class CloudProvider:
         twin._host_vms = dict(self._host_vms)
         twin._used_hosts = list(self._used_hosts)
         twin._free_hosts = list(self._free_hosts)
+        if self._bottleneck is not None:
+            twin._bottleneck = self._bottleneck.copy()
         return twin
 
     # ------------------------------------------------------------------ VMs
@@ -399,7 +413,7 @@ class CloudProvider:
         if n < 1:
             raise CloudError("must request at least one VM")
         new_vms: List[VirtualMachine] = []
-        self._vm_position = self._vm_host = self._routes = None
+        self._vm_position = self._vm_host = self._bottleneck = None
         for _ in range(n):
             self._vm_counter += 1
             name = f"{name_prefix}{self._vm_counter}"
@@ -453,7 +467,7 @@ class CloudProvider:
             del self._host_vms[host]
             del self._used_hosts[bisect.bisect_left(self._used_hosts, host)]
             bisect.insort(self._free_hosts, host)
-        self._vm_position = self._vm_host = self._routes = None
+        self._vm_position = self._vm_host = self._bottleneck = None
 
     # ---------------------------------------------------------------- clock
     @property
@@ -530,14 +544,13 @@ class CloudProvider:
 
         Two VMs on one host (the diagonal too) get the intra-host rate; any
         other pair the lower of its sender's hose and the narrowest link of
-        its route (:meth:`_route_table`).  One hose read serves every pair.
+        its route (:meth:`_narrowest`).  One hose read serves every pair.
         """
         at = self.vm_positions(vms)
-        physical = self._route_table().bottleneck[
-            at[:, None] * len(self._vms) + at[None, :]
-        ]
-        rates = np.minimum(self._hose_rates()[at][:, None], physical)
         host = self._vm_hosts()[at]
+        n = at.shape[0]
+        physical = self._narrowest(np.stack((np.repeat(at, n), np.tile(at, n)), axis=1))[0]
+        rates = np.minimum(self._hose_rates()[at][:, None], physical.reshape(n, n))
         rates[host[:, None] == host[None, :]] = self.params.intra_host_rate_bps
         return rates
 
@@ -720,27 +733,41 @@ class CloudProvider:
             vm_host[src] != vm_host[dst], self.topology.capacity_vector().shape[0] + src, -1
         )
 
-    def _route_table(self) -> _Routes:
-        """The routes between every two of the tenant's VMs, by position.
+    def _narrowest(
+        self, pairs: np.ndarray, hops: bool = False
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """The narrowest link of the route of each ordered pair of VM
+        positions (an ``(m, 2)`` array) and, with ``hops``, each route's
+        hop count (``None`` without).
 
-        Routed in one :meth:`Topology.path_links_matrix` call the first
-        time a campaign needs a path, and kept until the VM set changes:
-        every campaign after that gathers its probes' and its background's
-        rows, bottlenecks and hop counts from here instead of routing them.
+        The bottlenecks are read off an ``n x n`` matrix of the VM mesh,
+        kept until the VM set changes; the pairs it does not hold yet —
+        every pair, when hop counts are asked for — are routed in one
+        :meth:`Topology.path_links_matrix` call, and their rows reduced to
+        their narrowest links (one hop column at a time: a row-wise ``min``
+        over a few columns costs three times as much) and dropped.  So a
+        campaign routes each pair once per VM set, and nothing it routed
+        outlives the call but the matrix's floats.
         """
-        if self._routes is None:
-            hosts = self._vm_hosts()
-            n = hosts.shape[0]
-            # Row s * n + d is the pair (s, d); a (2, n * n) array whose
-            # transpose the router reads without a copy.
-            links, lengths, _ = self.topology.path_links_matrix(
-                hosts[np.array(np.divmod(np.arange(n * n), n))].T
+        n = len(self._vms)
+        if self._bottleneck is None:
+            self._bottleneck = np.full(n * n, np.nan)
+        cells = pairs[:, 0] * n + pairs[:, 1]
+        narrowest = self._bottleneck[cells]
+        todo = np.arange(cells.shape[0]) if hops else np.isnan(narrowest).nonzero()[0]
+        lengths = None
+        if todo.shape[0]:
+            paths, lengths, _ = self.topology.path_links_matrix(
+                self._vm_hosts()[pairs[todo]]
             )
             # A -1 padding entry reads the appended +inf.
             capacity = np.append(self.topology.capacity_vector(), np.inf)
-            self._routes = _Routes(links, lengths, capacity[links].min(axis=1))
-            ROUTE_TABLE_ROWS.inc(n * n)
-        return self._routes
+            routed = capacity[paths[:, 0]]
+            for hop in range(1, paths.shape[1]):
+                np.minimum(routed, capacity[paths[:, hop]], out=routed)
+            narrowest[todo] = routed
+            self._bottleneck[cells[todo]] = routed
+        return narrowest, lengths if hops else None
 
     def _loaded_rates(
         self,
@@ -755,7 +782,8 @@ class CloudProvider:
         A snapshot is the probe's rate in the max-min allocation of the
         probe and the backlogged background — what a fresh simulation
         (:meth:`build_simulation`) per probe would record, bit for bit.
-        Probes and background read their paths off the route table, and
+        Probes and background are routed together in one
+        :meth:`Topology.path_links_matrix` call, and
         :func:`probe_rates_under_load` reads every probe's rate off one
         filling of the background.
         """
@@ -773,7 +801,10 @@ class CloudProvider:
         dst = np.concatenate(
             (dst, self.vm_positions(flow.dst_vm for flow in background))
         )
-        paths = self._route_table().links[src * len(self._vms) + dst]
+        vm_host = self._vm_hosts()
+        paths = self.topology.path_links_matrix(
+            np.stack((vm_host[src], vm_host[dst]), axis=1)
+        )[0]
         # A simulation's rows and link order; the hose of a VM that sends
         # nothing is on no row and is not read.
         rows = np.empty((paths.shape[0], 1 + paths.shape[1]), dtype=np.intp)
@@ -803,49 +834,41 @@ class CloudProvider:
 
         The clock does not move during a pass, so what it fixes is settled
         here, once: which probes an injected fault loses
-        (:attr:`TrainPass.lost`; they draw nothing), every path's physical
-        bottleneck read off the route table, and the sender's share of its
-        hose — one hose vector, or one filling of the background.  A lossy
-        provider also draws the pass's randomness here, every train's
-        normals and then every burst's losses, so its stream does not depend
-        on how the pass is cut into blocks.
+        (:attr:`TrainPass.lost`; they draw nothing) and which it distorts,
+        and the sender's share of its hose — one hose vector, or one filling
+        of the background.  A lossy provider also draws the pass's
+        randomness here, every train's normals and then every burst's
+        losses, so its stream does not depend on how the pass is cut into
+        blocks.  Each block routes its own probes when it is sent.
         """
         pairs = self._pair_positions(pairs)
-        # Built (the first time) before the pass's own arrays exist: routing
-        # the whole mesh is the campaign's peak.
-        routes = self._route_table()
-        params = self.params
-        src, dst = pairs[:, 0], pairs[:, 1]
-        sent = np.arange(pairs.shape[0])
         lost: Dict[int, str] = {}
         wild = None
+        sent = slice(None)
         if self.timeline is not None and self.timeline.events:
             names = list(self._vms)
-            gone, wild = self.timeline.probe_faults(
-                names, src, dst, self._clock
-            )
+            src, dst = pairs[:, 0], pairs[:, 1]
+            gone, factor = self.timeline.probe_faults(names, src, dst, self._clock)
             for i in np.flatnonzero(gone).tolist():
                 lost[i] = self._lost_probe(
                     names[src[i]], names[dst[i]], "packet train"
                 )
-            if lost:
-                sent = np.flatnonzero(~gone)
-                src, dst, wild = src[sent], dst[sent], wild[sent]
+            distorted = np.flatnonzero(~gone & (factor != 1.0))
+            if distorted.shape[0]:
+                wild = distorted, factor[distorted]
+            sent = np.flatnonzero(~gone)
 
-        # What each path offers before its train's noise: the physical
-        # bottleneck, and the sender's share of its hose.
-        vm_host = self._vm_hosts()
-        routed = vm_host[src] != vm_host[dst]
-        at = src * len(self._vms) + dst
-        offer = np.zeros(sent.shape[0])
-        if background and routed.any():
-            offer[routed] = self._loaded_rates(src[routed], dst[routed], background)
-        else:
-            offer[routed] = self._hose_rates()[src[routed]]
-        return TrainPass(
-            self._rng, params, spec, sent, lost, routed, routes.bottleneck[at],
-            offer, wild, routes.lengths[at] if params.loss_rate > 0 else None,
-        )
+        loaded = None
+        if background:
+            # The sender's share of its hose under the background, one fill
+            # for the pass's routed probes.
+            src, dst = pairs[sent, 0], pairs[sent, 1]
+            vm_host = self._vm_hosts()
+            routed = vm_host[src] != vm_host[dst]
+            if routed.any():
+                loaded = np.zeros(src.shape[0])
+                loaded[routed] = self._loaded_rates(src[routed], dst[routed], background)
+        return TrainPass(self, spec, pairs, lost, loaded, wild)
 
     def traceroutes(
         self, pairs: Union[Sequence[Tuple[str, str]], np.ndarray]

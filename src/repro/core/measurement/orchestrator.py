@@ -23,7 +23,7 @@ from repro.core.measurement.packet_train import UNMEASURABLE, estimate_throughpu
 from repro.core.network_profile import NetworkProfile
 from repro.errors import MeasurementError
 from repro.net.packets import PacketTrainSpec
-from repro.cloud.provider import ROUTE_TABLE_ROWS, SNAPSHOT_ROUNDS, CloudProvider, VMFlow
+from repro.cloud.provider import SNAPSHOT_ROUNDS, CloudProvider, VMFlow
 from repro.net.topology import index_pairs
 
 
@@ -236,47 +236,42 @@ class NetworkMeasurer:
         if len(names) < 2:
             raise MeasurementError("need at least two VMs to measure")
 
-        # The campaign runs on positions from here on: ``src``/``dst`` index
-        # ``names`` (the profile's order), ``on_provider`` turns them into
-        # the provider's.  A name is looked up again only for a pair that
+        # The campaign runs on positions from here on: the schedule holds
+        # each probe's provider positions, and ``names`` order is that of
+        # the profile.  A name is looked up again only for a pair that
         # fails a probe.
         on_provider = self.provider.vm_positions(names)
         src, dst = self._schedule(names, pairs)
         n_probes = src.shape[0]
+        schedule = np.empty((n_probes, 2), dtype=np.intp)
+        schedule[:, 0] = on_provider[src]
+        schedule[:, 1] = on_provider[dst]
+        del src, dst
         started_at = self.provider.now
         pair_time = self.per_pair_time_s()
         retry = _RetryLedger(self.plan, pair_time)
-        campaign = obs.span("measure.campaign", vms=len(names), pairs=n_probes)
+        # Each block scatters its estimates and send times into ``names`` x
+        # ``names`` row-major order; a pair whose retries ran out has no
+        # estimate and stays NaN.
+        n = len(names)
+        rates = np.full((n, n), np.nan)
+        pair_times = np.full((n, n), np.nan)
+        campaign = obs.span("measure.campaign", vms=n, pairs=n_probes)
         rounds_before = SNAPSHOT_ROUNDS.count
-        routed_before = ROUTE_TABLE_ROWS.count
         with campaign:
-            estimates, blocks = self._probe(
-                names, src, dst, on_provider, background, retry
+            blocks = self._probe(
+                names, on_provider, schedule, background, retry,
+                rates.ravel(), pair_times.ravel(), started_at,
             )
             campaign.set(
-                blocks=blocks,
-                retries=retry.retries,
-                degraded=len(retry.degraded),
-                routed=ROUTE_TABLE_ROWS.count - routed_before,
+                blocks=blocks, retries=retry.retries, degraded=len(retry.degraded)
             )
             if background:
                 campaign.set(
                     background=len(background),
                     snapshot_rounds=SNAPSHOT_ROUNDS.count - rounds_before,
                 )
-
-        # One scatter per field, into ``names`` x ``names`` row-major order;
-        # a pair whose retries ran out has no estimate and stays NaN (which
-        # ``maximum`` propagates).  Probe ``i`` is sent ``i`` pair times
-        # after the campaign starts.
-        n = len(names)
-        at = src * n + dst
-        rates = np.full((n, n), np.nan)
-        rates.ravel()[at] = np.maximum(estimates, 1.0)
-        sent_at = started_at + np.arange(n_probes) * pair_time
-        sent_at[np.isnan(estimates)] = np.nan
-        pair_times = np.full((n, n), np.nan)
-        pair_times.ravel()[at] = sent_at
+        del schedule  # before the profile copies the two matrices
 
         _CAMPAIGNS.inc()
         _PROBES.inc(n_probes)
@@ -297,47 +292,65 @@ class NetworkMeasurer:
     def _probe(
         self,
         names: Sequence[str],
-        src: np.ndarray,
-        dst: np.ndarray,
         on_provider: np.ndarray,
+        schedule: np.ndarray,
         background: Sequence[VMFlow],
         retry: "_RetryLedger",
-    ) -> Tuple[np.ndarray, int]:
-        """Send the trains of the schedule ``names[src[i]] -> names[dst[i]]``.
+        rates: np.ndarray,
+        pair_times: np.ndarray,
+        started_at: float,
+    ) -> int:
+        """Send the trains of the schedule (provider positions of
+        ``names[i] -> names[j]``), writing each measured pair's estimate
+        (at least 1 bit/s; NaN where the train was unmeasurable) and send
+        time into ``rates`` / ``pair_times``, cell ``i * len(names) + j``.
 
-        Returns each pair's estimate, NaN where the pair's retries ran out,
-        and the number of blocks sent.  Each pass sends the pending trains
-        in schedule order, in blocks of at most :data:`_TRAIN_BLOCK`, and
-        reduces each block to its estimates before it sends the next.  A
-        probe an injected fault loses is lost again on every retry — the
-        clock stands still during a campaign — and its retries draw
-        nothing, so the ledger settles it at once.  A train with no
+        Returns the number of blocks sent.  Each pass sends the pending
+        trains in schedule order, in blocks of at most :data:`_TRAIN_BLOCK`,
+        and writes each block's estimates before it sends the next; probe
+        ``k`` of the schedule is sent ``k`` pair times after the campaign
+        starts.  A probe an injected fault loses is lost again on every
+        retry — the clock stands still during a campaign — and its retries
+        draw nothing, so the ledger settles it at once.  A train with no
         measurable packets is a failed attempt too; the trains the ledger
         grants a retry are sent again, with fresh draws, in the next pass.
         Failures are settled in schedule order after their pass.
         """
         spec = self.plan.train_spec
-        estimates = np.full(src.shape[0], np.nan)
+        pair_time = self.per_pair_time_s()
+        n = len(names)
+        # Each provider position's place in ``names``.
+        index = np.zeros(len(self.provider.vms()), dtype=np.intp)
+        index[on_provider] = np.arange(n)
         attempts: Dict[int, int] = {}
         blocks = 0
-        # The provider's positions of every probe; the first pass sends
-        # them all, a later one the rows ``pending`` names.
-        probes = on_provider[np.array((src, dst))].T
-        schedule, pending = probes, np.arange(src.shape[0])
-        while pending.shape[0]:
-            trains = self.provider.train_pass(schedule, spec, background=background)
+        # The first pass sends the whole schedule; a later one the
+        # positions ``pending`` names.
+        pending: Optional[np.ndarray] = None
+        trains = self.provider.train_pass(schedule, spec, background=background)
+        while trains is not None:
             unmeasurable: List[int] = []
             while trains.remaining:
                 batch = trains.send(_TRAIN_BLOCK)
-                rates = estimate_throughputs(spec, batch)
-                sent = pending[batch.sent]
-                estimates[sent] = rates
-                unmeasurable += sent[np.isnan(rates)].tolist()
+                estimates = estimate_throughputs(spec, batch)
+                sent = batch.sent if pending is None else pending[batch.sent]
+                cells = index[np.take(schedule, sent, axis=0)]
+                cells = cells[:, 0] * n + cells[:, 1]
+                rates[cells] = np.maximum(estimates, 1.0)
+                failed = np.isnan(estimates)
+                sent_at = started_at + sent * pair_time
+                sent_at[failed] = np.nan
+                pair_times[cells] = sent_at
+                unmeasurable += sent[failed].tolist()
                 blocks += 1
-            lost = {int(pending[i]): error for i, error in trains.lost.items()}
+            lost = {
+                i if pending is None else int(pending[i]): error
+                for i, error in trains.lost.items()
+            }
             resend = []
             for position in sorted([*lost, *unmeasurable]):
-                pair = (names[src[position]], names[dst[position]])
+                src, dst = index[schedule[position]].tolist()
+                pair = (names[src], names[dst])
                 if position in lost:
                     attempt = 0
                     while retry.failed(pair, attempt, lost[position]):
@@ -347,6 +360,10 @@ class NetworkMeasurer:
                 if retry.failed(pair, attempt, UNMEASURABLE):
                     attempts[position] = attempt + 1
                     resend.append(position)
-            pending = np.array(resend, dtype=np.intp)
-            schedule = probes[pending]
-        return estimates, blocks
+            trains = None
+            if resend:
+                pending = np.array(resend, dtype=np.intp)
+                trains = self.provider.train_pass(
+                    schedule[pending], spec, background=background
+                )
+        return blocks

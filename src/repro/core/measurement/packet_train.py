@@ -78,10 +78,14 @@ def estimate_throughputs(spec: PacketTrainSpec, batch: TrainBatch) -> np.ndarray
         usable = span > 0
         usable &= batch.received > 0
         received = np.where(usable, batch.received, 0).sum(axis=0)
-    # Unusable bursts add nothing; a running sum adds the bursts in order
-    # for any number of trains (an axis-0 ``sum`` of one train pairs them).
+    # Unusable bursts add nothing.  The bursts are added in order, one row
+    # at a time, for any number of trains: an axis-0 ``sum`` of one train
+    # pairs them, and an axis-0 ``accumulate`` (the same additions) took
+    # eight times as long on a block of trains.
     span[~usable] = 0.0
-    total_span = np.add.accumulate(span, axis=0, out=span)[-1]
+    total_span = span[0].copy()
+    for burst in span[1:]:
+        total_span += burst
     rates = np.full(total_span.shape, np.nan)
     np.divide(
         spec.packet_size_bytes * BITS_PER_BYTE * received, total_span,

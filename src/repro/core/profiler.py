@@ -11,11 +11,11 @@ objects ready for placement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.errors import WorkloadError
-from repro.workloads.application import Application, Task, TrafficMatrix
-from repro.workloads.trace import FlowRecord, records_to_traffic_matrix
+from repro.workloads.application import Application, Task
+from repro.workloads.trace import FlowRecord, aggregate_records
 
 
 @dataclass
@@ -29,18 +29,6 @@ class ApplicationProfiler:
     """
 
     default_cpu_cores: float = 1.0
-
-    def profile_traffic(
-        self,
-        records: Iterable[FlowRecord],
-        application: Optional[str] = None,
-        window: Optional[Tuple[float, float]] = None,
-    ) -> TrafficMatrix:
-        """Aggregate records into a traffic matrix (optionally time-windowed)."""
-        start, end = window if window is not None else (None, None)
-        return records_to_traffic_matrix(
-            records, application=application, start=start, end=end
-        )
 
     def profile_application(
         self,
@@ -64,23 +52,19 @@ class ApplicationProfiler:
         Raises:
             WorkloadError: if no records match the application.
         """
-        matching = [r for r in records if r.application == application]
-        if window is not None:
-            lo, hi = window
-            matching = [r for r in matching if lo <= r.timestamp < hi]
-        if not matching:
+        lo, hi = window if window is not None else (None, None)
+        traffic, task_names, observed_start = aggregate_records(
+            records, application, lo, hi, first_seen=start_time is None
+        )
+        if not task_names:
             raise WorkloadError(
                 f"no flow records found for application {application!r}"
             )
-        traffic = self.profile_traffic(matching)
-        task_names = sorted(
-            {r.src_task for r in matching} | {r.dst_task for r in matching}
-        )
         cpus = dict(task_cpu_cores) if task_cpu_cores else {}
         tasks = [
-            Task(name, cpus.get(name, self.default_cpu_cores)) for name in task_names
+            Task(name, cpus.get(name, self.default_cpu_cores))
+            for name in sorted(task_names)
         ]
-        observed_start = min(r.timestamp for r in matching)
         return Application(
             name=application,
             tasks=tasks,

@@ -92,23 +92,23 @@ def _node_key(name: str) -> int:
     return int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "big")
 
 
-def _mix(a, b):
-    """The ordered pair of keys ``(a, b)`` as one well-spread 64-bit word:
-    splitmix64's finaliser of ``a * K + b`` modulo 2**64.
-
-    One expression serves Python ints (the masks keep them to 64 bits) and
-    ``uint64`` arrays (which wrap by themselves, without a warning)."""
-    z = (a * 0x9E3779B97F4A7C15 + b) & _U64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64
-    return z ^ (z >> 31)
+#: splitmix64's finaliser: three multipliers, then three shifts.
+_MIX = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 30, 27, 31)
+#: The same as ``uint64`` scalars, for arrays.
+_MIX_WORDS = tuple(np.uint64(word) for word in _MIX)
 
 
 def _ecmp_pick(src: str, dst: str, choices: int) -> int:
     """Which of ``choices`` equal-cost paths the ordered pair takes: the
-    mix of the two endpoints' keys, modulo ``choices``.
+    two endpoints' keys mixed into one well-spread 64-bit word, modulo
+    ``choices``.  The mix is splitmix64's finaliser of ``key[src] * K +
+    key[dst]`` modulo 2**64; the masks keep Python ints to 64 bits.
     (:meth:`_TreeRouter.core_picks` is this for many pairs.)"""
-    return _mix(_node_key(src), _node_key(dst)) % choices
+    k1, k2, k3, s1, s2, s3 = _MIX
+    z = (_node_key(src) * k1 + _node_key(dst)) & _U64
+    z = ((z ^ (z >> s1)) * k2) & _U64
+    z = ((z ^ (z >> s2)) * k3) & _U64
+    return (z ^ (z >> s3)) % choices
 
 
 class _TreeRouter:
@@ -125,7 +125,6 @@ class _TreeRouter:
 
     def __init__(self, spec: "TreeSpec"):
         self.spec = spec
-        self._hosts_per_pod = spec.hosts_per_rack * spec.racks_per_pod
         self._num_hosts = spec.num_hosts
         self._cores_sorted = sorted(f"core{c}" for c in range(spec.num_cores))
         # Every host's _node_key by index, built on first use and never
@@ -133,13 +132,18 @@ class _TreeRouter:
         # shape, across threads, and holds no other state.
         self._keys: Optional["np.ndarray"] = None
 
-    def link_tables(self, index: Mapping[str, int]) -> "_TreeLinkTables":
+    def link_tables(
+        self, index: Mapping[str, int], loopbacks: "np.ndarray"
+    ) -> "_TreeLinkTables":
         """Link indices of the tree by coordinate, for :meth:`link_rows`.
 
-        ``index`` maps link ids to positions (a topology's own link order).
-        Each rack's uplinks are one link (ToR to pod aggregation) or, with
-        the extra tier, two.  Core columns follow the sorted core names the
-        ECMP pick indexes.
+        ``index`` maps link ids to positions (a topology's own link order)
+        and ``loopbacks`` holds each host's loopback link index.  Each
+        rack's uplinks are one link (ToR to pod aggregation) or, with the
+        extra tier, two.  Core columns follow the sorted core names the
+        ECMP pick indexes.  The route of every ordered pair of racks is one
+        row of ``rack_rows``, its host columns (and, across pods, its core
+        columns) left at -1 for :meth:`link_rows` to fill.
         """
         spec = self.spec
 
@@ -158,19 +162,43 @@ class _TreeRouter:
                 for host in range(first, first + spec.hosts_per_rack):
                     host_up.append(index[directed_link_id(f"host{host}", climb[0])])
                     host_down.append(index[directed_link_id(climb[0], f"host{host}")])
-        core_up = [
-            [index[directed_link_id(f"agg{pod}", core)] for core in self._cores_sorted]
-            for pod in range(spec.pods)
+        # A cross-pod route's two core links, by (source pod, destination
+        # pod, core): the up link from the one, the down link into the other.
+        ends = [
+            (f"agg{up}", core, f"agg{down}")
+            for up in range(spec.pods)
+            for down in range(spec.pods)
+            for core in self._cores_sorted
         ]
-        core_down = [
-            [index[directed_link_id(core, f"agg{pod}")] for core in self._cores_sorted]
-            for pod in range(spec.pods)
-        ]
+        core_up = [index[directed_link_id(up, core)] for up, core, _ in ends]
+        core_down = [index[directed_link_id(core, down)] for _, core, down in ends]
+        # Host up, rack up, [core up, core down,] rack down, host down.
+        tier = spec.extra_agg_layer + 1
+        racks = spec.pods * spec.racks_per_pod
+        rack_rows = np.full((racks, racks, 4 + 2 * tier), -1, dtype=np.int32)
+        rack_lengths = np.full((racks, racks), 2, dtype=np.int32)
+        pod_pair = np.zeros((racks, racks), dtype=np.intp)
+        for a in range(racks):
+            for b in range(racks):
+                if a == b:
+                    continue
+                pods = a // spec.racks_per_pod, b // spec.racks_per_pod
+                top = 2 if pods[0] != pods[1] else 0
+                rack_rows[a, b, 1 : 1 + tier] = rack_up[a]
+                rack_rows[a, b, 1 + tier + top : 1 + 2 * tier + top] = rack_down[b]
+                rack_lengths[a, b] = 2 + 2 * tier + top
+                pod_pair[a, b] = (pods[0] * spec.pods + pods[1]) * spec.num_cores
+        rack_of = np.arange(spec.num_hosts) // spec.hosts_per_rack
         return _TreeLinkTables(
+            rack_rows.reshape(racks * racks, -1),
+            rack_lengths.ravel(),
+            pod_pair.ravel(),
+            rack_of * racks,
+            rack_of,
             *(
                 np.asarray(table, dtype=np.int32)
-                for table in (host_up, host_down, rack_up, rack_down, core_up, core_down)
-            )
+                for table in (host_up, host_down, loopbacks, core_up, core_down)
+            ),
         )
 
     def core_picks(self, src: "np.ndarray", dst: "np.ndarray") -> "np.ndarray":
@@ -185,7 +213,18 @@ class _TreeRouter:
             )
             keys.flags.writeable = False
             self._keys = keys
-        return (_mix(keys[src], keys[dst]) % cores).astype(np.intp)
+        # _ecmp_pick's mix, in place: ``uint64`` arithmetic wraps by
+        # itself, so it needs no masks.
+        k1, k2, k3, s1, s2, s3 = _MIX_WORDS
+        z = keys[src] * k1
+        z += keys[dst]
+        z ^= z >> s1
+        z *= k2
+        z ^= z >> s2
+        z *= k3
+        z ^= z >> s3
+        z %= np.uint64(cores)
+        return z.astype(np.intp)
 
     def link_rows(
         self,
@@ -193,47 +232,60 @@ class _TreeRouter:
         src: "np.ndarray",
         dst: "np.ndarray",
     ) -> Tuple["np.ndarray", "np.ndarray"]:
-        """The ECMP routes of many pairs at once, as link-index rows.
+        """The ECMP routes of many pairs of host indices at once, as
+        link-index rows: ``(rows, lengths)``, -1 padded to the longest.
 
-        ``src``/``dst`` hold host indices (canonical, distinct hosts).
-        Returns ``(rows, lengths)`` with -1 padding.
+        Each row is its rack pair's row of the tree's table with the two
+        host columns written in (and the two core columns, across pods);
+        a pair on one host crosses that host's loopback link.
         """
-        spec = self.spec
-        rack_src = src // spec.hosts_per_rack
-        rack_dst = dst // spec.hosts_per_rack
-        pod_src = src // self._hosts_per_pod
-        pod_dst = dst // self._hosts_per_pod
-        near = ((rack_src != rack_dst) & (pod_src == pod_dst)).nonzero()[0]
-        far = (pod_src != pod_dst).nonzero()[0]
-        tier = tables.rack_up.shape[1]
-        lengths = np.full(src.shape[0], 2, dtype=np.int32)
-        lengths[near] = 2 + 2 * tier
-        lengths[far] = 4 + 2 * tier
-        rows = np.full((src.shape[0], int(lengths.max())), -1, dtype=np.int32)
+        pair = tables.rack_pair[src]
+        pair += tables.rack_of[dst]
+        lengths = tables.rack_lengths[pair]
+        same = src == dst
+        loops = np.count_nonzero(same)
+        if loops:
+            lengths[same] = 1
+        # Padded to the longest route: a cross-pod one, if the batch has any.
+        width = tables.rack_rows.shape[1]
+        far = (lengths == width).nonzero()[0]
+        if not far.shape[0]:
+            width = int(lengths.max())
+        rows = np.take(tables.rack_rows[:, :width], pair, axis=0)
         rows[:, 0] = tables.host_up[src]
-        rows[np.arange(src.shape[0]), lengths - 1] = tables.host_down[dst]
-        for group, top in ((near, 0), (far, 2)):
-            if group.shape[0]:
-                rows[group, 1 : 1 + tier] = tables.rack_up[rack_src[group]]
-                rows[group, 1 + tier + top : 1 + 2 * tier + top] = (
-                    tables.rack_down[rack_dst[group]]
-                )
+        # The host down link ends each route: flat position i * width +
+        # lengths[i] - 1 (a 1-D scatter; two index arrays cost 1.5x).
+        flat = rows.reshape(-1)
+        last = np.arange(0, flat.shape[0], width)
+        last += lengths
+        last -= 1
+        flat[last] = tables.host_down[dst]
+        if loops:
+            rows[same, 0] = tables.loopback[src[same]]
         if far.shape[0]:
-            core = self.core_picks(src[far], dst[far])
-            rows[far, 1 + tier] = tables.core_up[pod_src[far], core]
-            rows[far, 2 + tier] = tables.core_down[pod_dst[far], core]
+            tier = self.spec.extra_agg_layer + 1
+            core = tables.pod_pair[pair[far]]
+            core += self.core_picks(src[far], dst[far])
+            rows[far, 1 + tier] = tables.core_up[core]
+            rows[far, 2 + tier] = tables.core_down[core]
+        _structured_route_hits.inc(pair.shape[0] - loops)
         return rows, lengths
 
 
 class _TreeLinkTables(NamedTuple):
-    """One topology's link indices by tree coordinate (see ``link_tables``)."""
+    """One topology's link indices by tree coordinate (see ``link_tables``);
+    a rack pair's row index is ``rack_src * racks + rack_dst``."""
 
+    rack_rows: "np.ndarray"  # [rack pair, hop] its route, host and core columns -1
+    rack_lengths: "np.ndarray"  # [rack pair] its hop count
+    pod_pair: "np.ndarray"  # [rack pair] its first entry of core_up / core_down
+    rack_pair: "np.ndarray"  # [host] its rack * racks
+    rack_of: "np.ndarray"  # [host] its rack
     host_up: "np.ndarray"  # [host] host -> its ToR
     host_down: "np.ndarray"  # [host] ToR -> host
-    rack_up: "np.ndarray"  # [rack, tier] ToR -> ... -> pod aggregation
-    rack_down: "np.ndarray"  # [rack, tier] pod aggregation -> ... -> ToR
-    core_up: "np.ndarray"  # [pod, core] pod aggregation -> core
-    core_down: "np.ndarray"  # [pod, core] core -> pod aggregation
+    loopback: "np.ndarray"  # [host] the host's loopback link
+    core_up: "np.ndarray"  # [pod pair * cores + core] source pod's agg -> core
+    core_down: "np.ndarray"  # [pod pair * cores + core] core -> destination pod's agg
 
 
 def _lazy_kth_shortest_path(
@@ -616,8 +668,9 @@ class Topology:
         kept until a link is added (treat it as read-only).  Padding
         entries are -1.
         Loopback pairs (``src == dst``) get the host's loopback link, from
-        one per-host table; a tree's router routes every other pair of two
-        hosts, all at once; graph search routes the rest, pair by pair.
+        one per-host table.  A tree's router routes every pair of two hosts
+        at once, and a batch of nothing else gets its rows as the router
+        wrote them; graph search routes the rest, pair by pair.
         """
         if self._link_index is None:
             self._link_list = list(self._links)
@@ -635,25 +688,29 @@ class Topology:
             hosts = self._host_index
             src = np.fromiter((hosts.get(a, -1) for a, _ in pairs), np.intp, count=n)
             dst = np.fromiter((hosts.get(b, -1) for _, b in pairs), np.intp, count=n)
-        known = (src >= 0) & (dst >= 0)
-        same = src == dst
-        loop = (known & same).nonzero()[0]
-        lengths = np.zeros(n, dtype=np.int32)
-        lengths[loop] = 1
-        tree = tree_rows = None
         router = self._router
-        if router is not None:
-            # Distinct hosts route arithmetically, all at once.
-            tree = (known > same).nonzero()[0]
-            if tree.shape[0]:
-                if self._tree_tables is None:
-                    self._tree_tables = router.link_tables(index)
-                tree_rows, lengths[tree] = router.link_rows(
-                    self._tree_tables, src[tree], dst[tree]
-                )
-                _structured_route_hits.inc(tree.shape[0])
-        # Everything else, pair by pair: graph-search routes (and loopbacks
-        # naming no host: refused).
+        if router is not None and n:
+            if self._tree_tables is None:
+                self._tree_tables = router.link_tables(index, self._loopback_links())
+            known = None if by_position else (src >= 0) & (dst >= 0)
+            if known is None or known.all():
+                # Every pair is two hosts: the router's rows are the answer.
+                return (*router.link_rows(self._tree_tables, src, dst), link_ids)
+            tree = known.nonzero()[0]
+        else:
+            tree = np.zeros(0, dtype=np.intp)
+        # A batch naming a switch, or a hand-built graph: the tree's hosts
+        # as the router routes them, loopbacks from the per-host table, and
+        # everything else pair by pair, by graph search (loopbacks naming
+        # no host: refused).
+        lengths = np.zeros(n, dtype=np.int32)
+        tree_rows = None
+        if tree.shape[0]:
+            tree_rows, lengths[tree] = router.link_rows(
+                self._tree_tables, src[tree], dst[tree]
+            )
+        loop = ((src == dst) & (src >= 0) & (lengths == 0)).nonzero()[0]
+        lengths[loop] = 1
         other_rows: Dict[int, Tuple[int, ...]] = {}
         for i in (lengths == 0).nonzero()[0].tolist():
             src_name, dst_name = pairs[i]

@@ -23,7 +23,7 @@ from repro.workloads.patterns import (
 )
 from repro.workloads.generator import HPCloudWorkloadGenerator, WorkloadSpec
 from repro.workloads.arrivals import PoissonArrivals
-from repro.workloads.trace import FlowRecord, read_trace, records_to_traffic_matrix
+from repro.workloads.trace import FlowRecord, aggregate_records, read_trace
 from repro.workloads.predictability import (
     PredictabilityReport,
     evaluate_predictability,
@@ -43,8 +43,8 @@ __all__ = [
     "WorkloadSpec",
     "PoissonArrivals",
     "FlowRecord",
+    "aggregate_records",
     "read_trace",
-    "records_to_traffic_matrix",
     "PredictabilityReport",
     "evaluate_predictability",
 ]

@@ -50,6 +50,15 @@ class TrafficMatrix:
             for (src, dst), value in entries.items():
                 self.add(src, dst, value)
 
+    @classmethod
+    def of_totals(cls, totals: Dict[Tuple[str, str], float]) -> "TrafficMatrix":
+        """A matrix holding ``totals`` as they are: each ``(src, dst)``
+        entry already summed, finite, positive and off the diagonal (what
+        :meth:`add` would have kept), in the order :meth:`items` lists."""
+        matrix = cls()
+        matrix._entries = totals
+        return matrix
+
     # ------------------------------------------------------------- mutation
     def add(self, src: str, dst: str, num_bytes: float) -> None:
         """Accumulate ``num_bytes`` from ``src`` to ``dst``.

@@ -17,11 +17,12 @@ format.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.errors import WorkloadError
 from repro.workloads.application import TrafficMatrix
@@ -147,25 +148,45 @@ def load_trace(path: Union[str, Path]) -> List[FlowRecord]:
     return read_trace(path)
 
 
-def records_to_traffic_matrix(
+def aggregate_records(
     records: Iterable[FlowRecord],
     application: Optional[str] = None,
     start: Optional[float] = None,
     end: Optional[float] = None,
-) -> TrafficMatrix:
-    """Aggregate flow records into a traffic matrix.
+    first_seen: bool = False,
+) -> Tuple[TrafficMatrix, Set[str], float]:
+    """One pass over ``records``: the traffic matrix of those that match,
+    every task they name, and (with ``first_seen``) the earliest matching
+    timestamp (``inf`` without it, or with no match).
 
-    Args:
-        application: restrict to one application (all records when omitted).
-        start, end: optional half-open time window ``[start, end)``.
+    A record matches when it belongs to ``application`` (any, when
+    omitted) and falls in the half-open window ``[start, end)``.  Each
+    pair's bytes are summed in record order, as :meth:`TrafficMatrix.add`
+    would sum them; self-transfers and empty records name their tasks and
+    add no entry.
     """
-    matrix = TrafficMatrix()
+    totals: Dict[Tuple[str, str], float] = {}
+    tasks: Set[str] = set()  # besides those of ``totals``' keys
+    inf = math.inf
+    first = inf
+    lo = -inf if start is None else start
+    hi = inf if end is None else end
     for record in records:
         if application is not None and record.application != application:
             continue
-        if start is not None and record.timestamp < start:
+        timestamp = record.timestamp
+        if not lo <= timestamp < hi:
             continue
-        if end is not None and record.timestamp >= end:
+        if first_seen and timestamp < first:
+            first = timestamp
+        src, dst, num_bytes = record.src_task, record.dst_task, record.num_bytes
+        if 0 < num_bytes < inf and src != dst:
+            key = (src, dst)
+            totals[key] = totals.get(key, 0.0) + float(num_bytes)
             continue
-        matrix.add(record.src_task, record.dst_task, record.num_bytes)
-    return matrix
+        if not 0 <= num_bytes < inf:
+            TrafficMatrix().add(src, dst, num_bytes)  # raises, naming the pair
+        tasks.add(src)
+        tasks.add(dst)
+    tasks.update(itertools.chain.from_iterable(totals))
+    return TrafficMatrix.of_totals(totals), tasks, first

@@ -15,6 +15,7 @@ either verdict of a claim differs from the one in the file it replaced.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import statistics
 import sys
@@ -26,11 +27,19 @@ import numpy as np
 
 from repro.cloud.registry import make_provider, provider_names
 from repro.core.measurement import calibrate_train_parameters
-from repro.core.measurement.bottleneck import BottleneckLocator
+from repro.cloud.ec2 import ec2_params
+from repro.core.measurement.bottleneck import (
+    BottleneckLocator,
+    InterferenceResult,
+    connections_interfere_at_core,
+    connections_interfere_at_tor,
+)
+from repro.errors import MeasurementError
 from repro.experiments.results import TrialRecord
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
 from repro.net.topology import NodeKind
 from repro.runtime.metrics import relative_speedup
+from repro.service.timeline import ProbeLoss, Timeline, attach_timeline
 from repro.workloads.generator import HPCloudWorkloadGenerator
 from repro.workloads.predictability import PredictabilityReport, evaluate_predictability
 
@@ -111,6 +120,125 @@ def bottleneck_row() -> Row:
         seeds=f"{', '.join(provider_names())}, seeds {_span(BOTTLENECK_SEEDS)}, "
         f"{BOTTLENECK_VMS} VMs, {BOTTLENECK_TESTS} tests of each kind",
         verdict=HOLDS if interfered == 0 and quiet == 0 else FAILS,
+    )
+
+
+# ------------------------------------------------------------------ §3.3.2
+INTERFERENCE_SEEDS = range(10)
+INTERFERENCE_VMS = 12
+INTERFERENCE_TESTS = 40  # per seed and rule
+#: The fabric links a rule names, below every ``ec2`` hose (296 Mbit/s and
+#: up), so they bind every connection that crosses them.
+INTERFERENCE_NARROW_BPS = 200e6
+#: A drop that counts as interference: ``BottleneckLocator``'s default.
+INTERFERENCE_THRESHOLD = 0.25
+
+
+class InterferenceTest(NamedTuple):
+    shared: bool  # A->B and C->D share a source
+    said: bool  # the rule's verdict
+    hit: bool  # the network slowed A->B down by more than the threshold
+    one_core: bool  # ECMP takes both routes through one core
+    stays: bool  # a connection stays inside its source's rack
+
+
+def interference_tests(rule: int, seed: int) -> Tuple[List[InterferenceTest], int]:
+    """Connection pairs ``(A->B, C->D)`` on 12 ``ec2`` VMs, one a host, on a
+    tree whose ToR uplinks (rule 1) or aggregation-to-core links (rule 2)
+    are narrowed, and how many tests a lost probe cost.  Three tests in ten
+    share a source (rule 2, which says nothing of sources, draws none); the
+    destinations sit in two racks (rule 1) or pods (rule 2): a rule speaks
+    of the links out of the sources' rack or pod, and with links as fast
+    both ways two connections into one rack share its downlink too.  One
+    ordered pair's probes are lost for the whole run (a ``ProbeLoss``
+    window, which ``Timeline.probe_fault`` reports to ``run_netperf``); a
+    test whose solo probe it hits is counted, not run."""
+    base = ec2_params(colocation_probability=0.0)
+    field = "tor_agg_link_bps" if rule == 1 else "agg_core_link_bps"
+    tree = dataclasses.replace(base.tree_spec, **{field: INTERFERENCE_NARROW_BPS})
+    provider = make_provider("ec2", seed=seed, params=dataclasses.replace(base, tree_spec=tree))
+    provider.request_vms(INTERFERENCE_VMS)
+    topology = provider.topology
+    host = {vm.name: vm.host for vm in provider.vms()}
+    vms = list(host)
+    rack = {vm: topology.rack_of(host[vm]) for vm in vms}
+    pod = {vm: topology.neighbors_of_kind(rack[vm], NodeKind.AGG)[0] for vm in vms}
+    side = rack if rule == 1 else pod
+    rng = np.random.default_rng(seed)
+    gone = [vms[i] for i in rng.choice(len(vms), size=2, replace=False)]
+    attach_timeline(provider, Timeline(events=(ProbeLoss(*gone, 0.0, math.inf),)))
+
+    def cores(src: str, dst: str) -> set:
+        path = topology.node_path(host[src], host[dst])
+        return {node for node in path if topology.node_kind(node) is NodeKind.CORE}
+
+    tests: List[InterferenceTest] = []
+    lost = 0
+    while len(tests) + lost < INTERFERENCE_TESTS:
+        a, b, c, d = (vms[i] for i in rng.choice(len(vms), size=4, replace=False))
+        if rule == 1 and rng.random() < 0.3:
+            c = a
+        if side[b] == side[d]:
+            continue
+        try:
+            solo = provider.run_netperf(a, b)
+        except MeasurementError:
+            lost += 1
+            continue
+        both = provider.concurrent_netperf([(a, b), (c, d)])[(a, b)]
+        rule_of = connections_interfere_at_tor if rule == 1 else connections_interfere_at_core
+        tests.append(InterferenceTest(
+            shared=a == c,
+            said=rule_of(a, b, c, d, side),
+            hit=InterferenceResult(
+                (a, b), (c, d), solo, both, INTERFERENCE_THRESHOLD
+            ).interferes,
+            one_core=bool(cores(a, b) & cores(c, d)),
+            stays=rack[a] == rack[b] or rack[c] == rack[d],
+        ))
+    return tests, lost
+
+
+def interference_row() -> Row:
+    """Rule 1 against the network on every test; rule 2 as a may: no test
+    it rules out interferes, and the tests it allows interfere exactly when
+    ECMP takes both routes through one core."""
+    first: List[InterferenceTest] = []
+    second: List[InterferenceTest] = []
+    lost = 0
+    for seed in INTERFERENCE_SEEDS:
+        for rule, tests in ((1, first), (2, second)):
+            drawn, missed = interference_tests(rule, seed)
+            tests += drawn
+            lost += missed
+    wrong = [t for t in first if t.said != t.hit]
+    ruled_out = [t for t in second if not t.said]
+    allowed = [t for t in second if t.said]
+    missed = sum(t.hit for t in ruled_out)
+    by_core = sum(t.hit == t.one_core for t in allowed)
+    return Row(
+        claim="§3.3.2: with the ToR uplink the bottleneck, two connections "
+        "interfere when they share a source or their sources share a rack "
+        "both destinations leave (rule 1); with the aggregation-to-core link "
+        "the bottleneck, they may interfere only when their sources share a "
+        "pod both destinations leave, and do when ECMP takes both through "
+        "one core (rule 2)",
+        paper="rules 1 and 2, argued from the tree, not measured",
+        ours=f"rule 1 agrees with the network on {len(first) - len(wrong)} of "
+        f"{len(first)} tests ({sum(t.hit for t in first)} interfere); of the "
+        f"{len(wrong)} it gets wrong, {sum(t.shared for t in wrong)} share a "
+        f"source and {sum(t.stays for t in wrong)} have a connection that stays "
+        "in its rack while the uplink caps the other, so sharing the hose "
+        "costs the measured one less than the threshold.  Rule 2 rules out "
+        f"{len(ruled_out)} tests, {missed} of which interfere, and allows "
+        f"{len(allowed)}, {sum(t.hit for t in allowed)} of which interfere; "
+        f"whether both routes take one core (the router's ECMP pick) says "
+        f"which on {by_core} of {len(allowed)}.  {lost} tests lost their probe",
+        seeds=f"ec2 trees with those links at {INTERFERENCE_NARROW_BPS / 1e6:.0f} "
+        f"Mbit/s, seeds {_span(INTERFERENCE_SEEDS)}, {INTERFERENCE_VMS} VMs, "
+        f"{INTERFERENCE_TESTS} tests per seed and rule, interference above a "
+        f"{INTERFERENCE_THRESHOLD} drop, one lost-probe window per seed",
+        verdict=HOLDS if not wrong and not missed and by_core == len(allowed) else FAILS,
     )
 
 
@@ -595,6 +723,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     sessions = service_sessions()
     text = render([
         migration_row(sessions), measurement_row(sessions), bottleneck_row(),
+        interference_row(),
         calibration_row(), exact_row(), predictability_row(), single_app_row(),
         sequence_row(),
     ])

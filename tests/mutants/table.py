@@ -34,6 +34,8 @@ ENGINE = "src/repro/service/engine.py"
 CACHE = "src/repro/service/cache.py"
 EXECUTOR = "src/repro/runtime/executor.py"
 METRICS = "src/repro/obs/metrics.py"
+TOPOLOGY = "src/repro/net/topology.py"
+TRACE = "src/repro/workloads/trace.py"
 
 MEMBERSHIP = "tests/test_link_membership.py::test_membership_follows_the_rows_under_random_edits"
 TRUTH = "tests/test_truth_property.py::test_every_run_keeps_its_invariants"
@@ -49,6 +51,12 @@ FRESH_RUN = (
 )
 
 ROWS = "tests/test_provider_rows.py::"
+HAND_BUILT = (
+    "tests/test_millionflow.py::TestStructuredRouting::"
+    "test_a_hand_built_copy_routes_every_pair_as_the_tree_does"
+)
+FULL_MESH = "tests/test_campaign_batch.py::test_full_mesh_is_bit_identical"
+ONE_PASS = "tests/test_choreo_e2e.py::test_the_one_pass_profile_is_the_record_by_record_one"
 BINDING = "tests/test_alloc_binding.py::"
 
 MUTANTS: Tuple[Mutant, ...] = (
@@ -106,6 +114,79 @@ MUTANTS: Tuple[Mutant, ...] = (
         "PER_PAIR_OVERHEAD_S = 1.0\n",
         "PER_PAIR_OVERHEAD_S = 1.1\n",
         ("tests/test_campaign_batch.py::test_a_ten_vm_mesh_takes_at_most_three_minutes",),
+    ),
+    # ------------------------------------------- the tree's rack-pair table
+    Mutant(
+        "the rack table's near and far columns are swapped",
+        TOPOLOGY,
+        "                top = 2 if pods[0] != pods[1] else 0\n",
+        "                top = 0 if pods[0] != pods[1] else 2\n",
+        (HAND_BUILT,),
+    ),
+    Mutant(
+        "the core patch reads the source pod's core_down",
+        TOPOLOGY,
+        "core_down = [index[directed_link_id(core, down)] for _, core, down in ends]",
+        "core_down = [index[directed_link_id(core, up)] for up, core, _ in ends]",
+        (HAND_BUILT,),
+    ),
+    Mutant(
+        "the host down link is written one column past the route's end",
+        TOPOLOGY,
+        "        last -= 1\n",
+        "",
+        (HAND_BUILT,),
+    ),
+    Mutant(
+        "the core pick mixes the two hosts' keys in the wrong order",
+        TOPOLOGY,
+        "            core += self.core_picks(src[far], dst[far])\n",
+        "            core += self.core_picks(dst[far], src[far])\n",
+        (HAND_BUILT,),
+    ),
+    # ------------------------------------------------ a block's own rows
+    Mutant(
+        "a block's bottleneck reads -1 padding as capacity 0, not +inf",
+        PROVIDER,
+        "            capacity = np.append(self.topology.capacity_vector(), np.inf)\n",
+        "            capacity = np.append(self.topology.capacity_vector(), 0.0)\n",
+        (FULL_MESH,),
+    ),
+    Mutant(
+        "a block's slice of the schedule is off by one",
+        PROVIDER,
+        "            pairs = self._schedule[lo:hi]\n",
+        "            pairs = self._schedule[lo + 1 : hi + 1]\n",
+        (FULL_MESH,),
+    ),
+    Mutant(
+        "a block writes its estimates to the transposed cells",
+        ORCHESTRATOR,
+        "                cells = cells[:, 0] * n + cells[:, 1]\n",
+        "                cells = cells[:, 1] * n + cells[:, 0]\n",
+        (FULL_MESH,),
+    ),
+    Mutant(
+        "a first packet reads the last packet's jitter",
+        "src/repro/net/packets.py",
+        "        first_rx += normals[:, 1::2].T * 0.1\n",
+        "        first_rx += normals[:, 2::2].T * 0.1\n",
+        (FULL_MESH,),
+    ),
+    # ------------------------------------------------- the one-pass profile
+    Mutant(
+        "an empty record adds its pair",
+        TRACE,
+        "        if 0 < num_bytes < inf and src != dst:\n",
+        "        if 0 <= num_bytes < inf and src != dst:\n",
+        (ONE_PASS,),
+    ),
+    Mutant(
+        "the profile starts at the last record",
+        TRACE,
+        "        if first_seen and timestamp < first:\n",
+        "        if first_seen and (first == inf or timestamp > first):\n",
+        (ONE_PASS,),
     ),
     # ------------------------------------------------- the segment log
     Mutant(

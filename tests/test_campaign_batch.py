@@ -451,23 +451,6 @@ def test_a_loaded_campaign_says_what_its_background_cost(trace_to):
     assert 0 < deltas[1][0] <= 8 * 7 and deltas[1][1] == loaded["snapshot_rounds"]
 
 
-def test_a_campaign_span_says_whether_it_routed(trace_to):
-    """``routed=`` is the route-table rows a campaign built: the cold one
-    routes every ordered pair of the tenant's VMs, a warm one reads the
-    table and routes nothing, and a changed VM set is routed afresh.  The
-    ``repro.routes.table_rows`` counter moves by the same rows."""
-    provider, names = build_provider("ec2", n_vms=8)
-    measurer = NetworkMeasurer(provider, MeasurementPlan())
-    before = obs.metrics.snapshot().get("repro.routes.table_rows", 0)
-    measurer.measure(names)
-    measurer.measure(names)
-    provider.request_vms(2)
-    measurer.measure()
-    routed = obs.metrics.snapshot()["repro.routes.table_rows"] - before
-    assert [span["routed"] for span in campaign_spans(trace_to)] == [64, 0, 100]
-    assert routed == 64 + 100
-
-
 def test_traced_campaign_equals_untraced(trace_to):
     traced = campaign(NetworkMeasurer(*build_provider("ec2")[:1]), None)
     obs.configure(None, export_env=False)

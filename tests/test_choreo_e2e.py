@@ -22,6 +22,7 @@ from repro.units import GBYTE
 from repro.workloads.application import Application, Task, TrafficMatrix
 from repro.workloads.generator import HPCloudWorkloadGenerator
 from repro.workloads.patterns import mapreduce
+from repro.workloads.trace import FlowRecord, aggregate_records
 
 
 @pytest.fixture
@@ -57,6 +58,43 @@ def test_profile_measure_place_run(provider):
     assert profile.measurement_duration_s > 0
     assert run.completion_time >= run.start_time
     assert run.network_bytes + run.colocated_bytes == pytest.approx(app.total_bytes)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_the_one_pass_profile_is_the_record_by_record_one(seed):
+    """``profile_application`` reads its records once.  Its traffic matrix
+    is the one ``TrafficMatrix.add`` builds record by record from the
+    records that match (same entries, same order, the same float sums),
+    its tasks are every task those records name, and its start is their
+    earliest timestamp unless one is given — over records of two
+    applications, with self-transfers and empty records among them, with
+    and without a window."""
+    rng = np.random.default_rng(seed)
+    tasks = [f"t{i}" for i in range(7)]
+    records = [
+        FlowRecord(
+            float(rng.uniform(5.0, 100.0)), str(rng.choice(["job", "other"])),
+            str(rng.choice(tasks)), str(rng.choice(tasks)),
+            float(rng.choice([0.0, rng.uniform(1.0, 1e9)])),
+        )
+        for _ in range(300)
+    ]
+    profiler = ApplicationProfiler()
+    for window in (None, (20.0, 70.0)):
+        lo, hi = window or (0.0, np.inf)
+        matching = [r for r in records if r.application == "job" and lo <= r.timestamp < hi]
+        want = TrafficMatrix()
+        for r in matching:
+            want.add(r.src_task, r.dst_task, r.num_bytes)
+        app = profiler.profile_application(records, "job", window=window)
+        assert app.traffic.items() == want.items()
+        named = {r.src_task for r in matching} | {r.dst_task for r in matching}
+        assert app.task_names == sorted(named)
+        assert app.start_time == min(r.timestamp for r in matching)
+        given = profiler.profile_application(records, "job", window=window, start_time=3.0)
+        assert given.start_time == 3.0
+        assert aggregate_records(records, "job", lo, hi)[0].items() == want.items()
+    assert any(r.num_bytes == 0 for r in records) and any(r.src_task == r.dst_task for r in records)
 
 
 def staggered(scenario, seed):

@@ -220,7 +220,7 @@ def test_unmeasurable_trains_are_retried_with_fresh_draws_then_degraded(probe_bu
 
     def counted(schedule, train_spec, background=()):
         trains = train_pass(schedule, train_spec, background)
-        sent.append(trains.sent.shape[0])
+        sent.append(trains.remaining)
         return trains
 
     provider.train_pass = counted

@@ -1,14 +1,15 @@
-"""The provider's route table: the tenant's VM mesh, routed once.
+"""A campaign's routes: each block of trains routes its own probes.
 
-``CloudProvider`` routes every ordered pair of its VMs the first time a
-campaign needs a path and keeps the rows, their lengths and bottlenecks
-until ``request_vms`` or ``release_vm`` changes the VM set.  Every campaign
-after that gathers from the table: its probes' bottlenecks, the loaded
-snapshot's rows, the lossy trains' hop counts.  Held here to the per-probe
+``TrainPass.send`` routes the probes of one block in one
+``Topology.path_links_matrix`` call and keeps only their bottlenecks (and,
+on a lossy provider, their hop counts); nothing routed outlives its block,
+and a changed VM set needs no cache dropped.  Held here to the per-probe
 loop of ``tests/test_campaign_batch.py``, to paths routed by name, and to
 the traced memory peak of the largest campaign the benchmark runs.  The
-cross-pod rows take their core from the tree router's ECMP pick: held here
-to an even spread over ``pipeline_dc``'s cores, and pinned on one tree.
+tree router reads a rack pair's row from one small table: its loopback
+and cross-pod rows are held to ``path_links``, and the cross-pod rows take
+their core from the router's ECMP pick, held here to an even spread over
+``pipeline_dc``'s cores and pinned on one tree.
 """
 
 import dataclasses
@@ -20,16 +21,16 @@ import pytest
 from oracles import scalar_train
 from oracles.graph_search import hand_built
 from test_campaign_batch import (
-    assert_campaign_matches_oracle, build_provider, simulated_snapshot,
+    build_provider, campaign, oracle_campaign, simulated_snapshot,
 )
 from test_snapshot_invariants import violations
 
 from repro.cloud.ec2 import ec2_params
 from repro.cloud.provider import VMFlow
 from repro.cloud.registry import make_provider
-from repro.core.measurement import MeasurementPlan, NetworkMeasurer
+from repro.core.measurement import MeasurementPlan, NetworkMeasurer, orchestrator
 from repro.net.packets import PacketTrainSpec
-from repro.net.topology import TreeSpec, build_multi_rooted_tree
+from repro.net.topology import Topology, TreeSpec, build_multi_rooted_tree
 from repro.units import MBYTE
 
 
@@ -40,17 +41,55 @@ def rack_local(provider, names):
     return [(s, d) for s in names for d in names if s != d and rack[s] == rack[d]]
 
 
+def ends_of(names, pairs):
+    """A campaign's probes: ``pairs``, or the full mesh of ``names``."""
+    return pairs or [(s, d) for s in names for d in names if s != d]
+
+
+@pytest.fixture
+def routed_batches(monkeypatch):
+    """Every batch of host positions ``path_links_matrix`` routes, with the
+    rows it returned: ``[(hosts, rows, lengths), ...]``."""
+    batches = []
+    route = Topology.path_links_matrix
+
+    def recorded(self, pairs):
+        rows, lengths, link_ids = route(self, pairs)
+        if isinstance(pairs, np.ndarray):
+            batches.append((self, pairs.copy(), rows, lengths))
+        return rows, lengths, link_ids
+
+    monkeypatch.setattr(Topology, "path_links_matrix", recorded)
+    return batches
+
+
+def assert_rows_are_the_named_routes(topology, hosts, rows, lengths):
+    """Each row is ``path_links`` of its pair of hosts, -1 padded to the
+    batch's longest route and no wider."""
+    names = topology._host_names
+    link_ids = [link.link_id for link in topology.links()]
+    for (a, b), row, length in zip(hosts.tolist(), rows, lengths.tolist()):
+        path = topology.path_links(names[a], names[b])
+        assert [link_ids[j] for j in row[:length]] == [link.link_id for link in path]
+        assert (row[length:] == -1).all()
+    assert rows.shape[1] == lengths.max()
+
+
 @pytest.mark.parametrize("loaded", [False, True])
 @pytest.mark.parametrize("shape", ["colocated", "extra-agg"])
-def test_the_route_table_lives_as_long_as_the_vm_set(shape, loaded):
-    """A campaign routes the tenant's VM mesh once and keeps the table
-    until the VM set changes.  After ``request_vms`` and ``release_vm`` the
-    next campaign is the per-probe loop's, bit for bit — on colocated VMs
-    (loopback rows), and on a two-tier aggregation tree probed and loaded
-    in its racks alone, whose table is wider than the campaign's own rows.
-    The loop reads its loaded snapshots off the same provider, so those are
-    held to paths routed by name as well: a stale table passes the loop
-    and fails these."""
+def test_each_block_routes_its_probes_across_vm_set_changes(
+    shape, loaded, monkeypatch, routed_batches
+):
+    """Blocks of seven trains, each routed when it is sent.  After
+    ``request_vms`` and ``release_vm`` the next campaign is the per-probe
+    loop's, bit for bit — on colocated VMs (loopback rows), and on a
+    two-tier aggregation tree probed and loaded in its racks alone, whose
+    rows are narrower than its cross-pod ones.  Every block's rows are the
+    routes by name.  Of what was routed the provider keeps each pair's
+    narrowest link alone, and the next campaign on the VM set reads those
+    instead of routing.  The loop reads its loaded snapshots off the same
+    provider, so those are held to paths routed by name as well."""
+    monkeypatch.setattr(orchestrator, "_TRAIN_BLOCK", 7)
 
     def build():
         if shape == "colocated":
@@ -63,12 +102,9 @@ def test_the_route_table_lives_as_long_as_the_vm_set(shape, loaded):
             provider.request_vms(14)
             names = [vm.name for vm in provider.vms()]
         NetworkMeasurer(provider, MeasurementPlan()).measure(names)
-        assert provider._routes.links.shape[0] == len(names) ** 2
         provider.request_vms(2)
-        assert provider._routes is None
         NetworkMeasurer(provider, MeasurementPlan()).measure()
         provider.release_vm(names[3])
-        assert provider._routes is None
         return provider, [vm.name for vm in provider.vms()]
 
     provider, names = build()
@@ -78,38 +114,45 @@ def test_the_route_table_lives_as_long_as_the_vm_set(shape, loaded):
     def background(names):
         if not loaded:
             return ()
-        ends = pairs or [(s, d) for s in names for d in names if s != d]
+        ends = ends_of(names, pairs)
         picks = np.random.default_rng(4).choice(len(ends), size=8, replace=False)
         return [
             VMFlow(f"bg{i}", *ends[k], 50 * MBYTE) for i, k in enumerate(picks.tolist())
         ]
 
-    assert_campaign_matches_oracle(
-        build, MeasurementPlan(), background=background,
-        pairs=(lambda _names: pairs) if pairs else None,
+    oracle_provider, _ = build()
+    del routed_batches[:]
+    plan = MeasurementPlan()
+    got = campaign(NetworkMeasurer(provider, plan), names, background(names), pairs)
+    batches = routed_batches[:]
+    assert got == oracle_campaign(
+        NetworkMeasurer(oracle_provider, plan), names, background(names), pairs
     )
-    # Row ``s * n + d``: the VMs' route by name, its hop count and its
-    # narrowest link.
-    routes = provider._route_table()
-    assert routes.links.shape[0] == len(names) ** 2
-    link_ids = list(provider.topology.capacities())
-    for k, (src, dst) in enumerate((s, d) for s in names for d in names):
-        path = provider.topology.path_links(provider.vm(src).host, provider.vm(dst).host)
-        length = routes.lengths[k]
-        assert length == len(path) == scalar_train.path_hop_count(provider, src, dst)
-        assert [link_ids[j] for j in routes.links[k, :length]] == [
-            link.link_id for link in path
-        ]
-        assert (routes.links[k, length:] == -1).all()
-        assert routes.bottleneck[k] == min(link.capacity_bps for link in path)
+    # One call per block (and, under load, one for the pass's snapshot).
+    probes = len(pairs) if pairs else len(names) * (len(names) - 1)
+    blocks = [batch for batch in batches if batch[1].shape[0] <= 7]
+    assert len(blocks) == -(-probes // 7) and len(batches) == len(blocks) + loaded
+    assert any((hosts[:, 0] == hosts[:, 1]).any() for _, hosts, _, _ in blocks)
+    for topology, hosts, rows, lengths in batches:
+        assert_rows_are_the_named_routes(topology, hosts, rows, lengths)
     if shape == "extra-agg":
-        assert routes.links.shape[1] == 8 > max(
-            len(provider.topology.path_links(provider.vm(s).host, provider.vm(d).host))
-            for s, d in pairs
-        )
-    # The snapshot the table serves keeps its bounds (paths routed by name)
-    # and is a fresh simulation's, on probes and background both in racks.
-    ends = pairs or [(s, d) for s in names for d in names if s != d]
+        assert max(rows.shape[1] for _, _, rows, _ in blocks) == 2
+    # What outlives the campaign is the bottleneck matrix alone: one float
+    # per ordered pair of VMs, each routed pair's narrowest link by name.
+    n = len(names)
+    kept = {name for name, value in vars(provider).items() if np.size(value) >= n * n}
+    assert kept == {"_bottleneck"} and provider._bottleneck.dtype == np.float64
+    for src, dst in ends_of(names, pairs):
+        s, d = provider.vm_positions([src, dst]).tolist()
+        path = provider.topology.path_links(provider.vm(src).host, provider.vm(dst).host)
+        assert provider._bottleneck[s * n + d] == min(link.capacity_bps for link in path)
+    # A second campaign on the VM set routes nothing but its snapshot.
+    del routed_batches[:]
+    campaign(NetworkMeasurer(provider, plan), names, background(names), pairs)
+    assert len(routed_batches) == loaded
+    # The snapshot keeps its bounds (paths routed by name) and is a fresh
+    # simulation's, on probes and background both in racks.
+    ends = ends_of(names, pairs)
     flows = background(names)
     fill = scalar_train.snapshot_rates(provider, ends, flows, window_s=1.0)
     assert violations(provider, ends, flows, fill) == []
@@ -118,13 +161,14 @@ def test_the_route_table_lives_as_long_as_the_vm_set(shape, loaded):
 
 
 @pytest.mark.parametrize("structured", [True, False])
-def test_loopback_rows_are_the_hosts_loopback_links(structured):
+def test_loopback_rows_are_the_hosts_loopback_links(structured, routed_batches):
     """The rows of a VM mesh with colocated VMs — its diagonal and every
     pair of VMs on one host cross that host's loopback link — are
     ``path_links``'s, pair by pair: given as host positions and as names,
-    in a batch the tree router takes and in one too small for it, on the
-    provider's tree and on a hand-built copy that routes by graph search.
-    So is the provider's route table."""
+    in a batch of every pair and in one of a few, on the provider's tree
+    (whose router writes the loopback rows itself) and on a hand-built
+    copy that routes by graph search.  So are the rows a campaign's block
+    routes."""
     provider, names = build_provider("rackspace", n_vms=12, colocate=0.6)
     host = [vm.host for vm in provider.vms()]
     topo = provider.topology if structured else hand_built(provider.topology)
@@ -134,35 +178,45 @@ def test_loopback_rows_are_the_hosts_loopback_links(structured):
     at = np.array([(topo.host_index(a), topo.host_index(b)) for a, b in pairs])
     want = [[link.link_id for link in topo.path_links(a, b)] for a, b in pairs]
     few = colocated[:3] + [i for i in range(len(pairs)) if i not in colocated][:4]
-    for batch in (list(range(len(pairs))), few):
+    for batch in (list(range(len(pairs))), few, colocated[:2]):
         for given in (at[batch], [pairs[i] for i in batch]):
             rows, lengths, link_ids = topo.path_links_matrix(given)
             got = [[link_ids[j] for j in row[:k]] for row, k in zip(rows, lengths)]
             assert got == [want[i] for i in batch]
             assert all((row[k:] == -1).all() for row, k in zip(rows, lengths))
+            assert rows.shape[1] == lengths.max()
     if structured:
-        table = provider._route_table()
-        link_ids = [link.link_id for link in topo.links()]
-        assert [
-            [link_ids[j] for j in row[:k]] for row, k in zip(table.links, table.lengths)
-        ] == want
+        del routed_batches[:]
+        NetworkMeasurer(provider, MeasurementPlan()).measure(names)
+        ((topology, hosts, rows, lengths),) = routed_batches
+        assert (hosts[:, 0] == hosts[:, 1]).sum() == len(colocated) - len(host)
+        assert_rows_are_the_named_routes(topology, hosts, rows, lengths)
 
 
-def test_a_lossy_train_reads_its_rtt_off_the_route_table():
+def test_a_lossy_train_reads_its_rtt_off_its_blocks_rows():
     """The Mathis bound's RTT: a route's length is the paper's hop count
-    (1 between VMs on one host), as the per-probe loop computes it."""
-    provider, names = build_provider("ec2-legacy", n_vms=12, colocate=0.5, loss_rate=0.05)
-    provider.request_vms(2)
-    provider.release_vm(names[0])
-    names = [vm.name for vm in provider.vms()]
+    (1 between VMs on one host), as the per-probe loop computes it — in
+    blocks of five trains, each routed on its own, as in one."""
+    def lossy():
+        provider, names = build_provider(
+            "ec2-legacy", n_vms=12, colocate=0.5, loss_rate=0.05
+        )
+        provider.request_vms(2)
+        provider.release_vm(names[0])
+        return provider, [vm.name for vm in provider.vms()]
+
+    provider, names = lossy()
     pairs = [(s, d) for s in names for d in names if s != d]
     batch = provider.train_pass(pairs, PacketTrainSpec()).send(len(pairs))
-    lossy = np.flatnonzero(~np.isnan(batch.rtt_s))
-    hops = {scalar_train.path_hop_count(provider, *pairs[i]) for i in lossy.tolist()}
+    lossy_at = np.flatnonzero(~np.isnan(batch.rtt_s))
+    hops = {scalar_train.path_hop_count(provider, *pairs[i]) for i in lossy_at.tolist()}
     assert 1 in hops and len(hops) > 1
-    assert [batch.rtt_s[i] for i in lossy.tolist()] == [
-        scalar_train.rtt(provider, *pairs[i]) for i in lossy.tolist()
+    assert [batch.rtt_s[i] for i in lossy_at.tolist()] == [
+        scalar_train.rtt(provider, *pairs[i]) for i in lossy_at.tolist()
     ]
+    trains = lossy()[0].train_pass(pairs, PacketTrainSpec())
+    rtt = np.concatenate([trains.send(5).rtt_s for _ in range(-(-len(pairs) // 5))])
+    np.testing.assert_array_equal(rtt, batch.rtt_s)
 
 
 #: The tree ``benchmark/workloads.py``'s ``pipeline_dc`` runs on: 512 hosts
@@ -172,40 +226,60 @@ PIPELINE_DC_TREE = dataclasses.replace(
 )
 
 
-#: Traced peak (``tracemalloc``) of one 256-VM full-mesh campaign on the
-#: ``pipeline_dc`` tree, its tree warmed by another tenant's campaign, as
-#: this test's body measures it on the code that sends a pass in blocks of
-#: ``_TRAIN_BLOCK`` trains: 12.35 MiB on x86-64, Python 3.11.7, NumPy
-#: 2.4.6.  The campaign as one program over the whole mesh measured 31.34
-#: MiB; with a (bursts, trains) jitter scratch beside it, 36.32; the
-#: per-burst loop before the route table, 42.21.  The peak is now the
-#: route table's build (≈2.3 MB kept at 256 VMs), which the first pass
-#: runs before its own arrays exist; the blocks peak ≈7 MiB above the
-#: table.  The bound allows 5 % over the figure, so one whole-mesh
-#: (bursts, trains) array (5.2 MB at 65 280 trains) fails it.  The figure
-#: depends on the NumPy build: when the installed NumPy changes,
-#: re-measure it with this body on this code.
-PARENT_PEAK_MB = 12.35
+def traced_campaign_peak(n_vms, tree):
+    """Traced peak (MiB) of one ``n_vms`` full-mesh campaign on ``tree``,
+    the tree's shared tables warmed by another tenant's two-VM campaign."""
+    params = dataclasses.replace(ec2_params(), tree_spec=tree)
 
-
-def test_a_datacenter_campaign_peaks_no_higher_than_before():
-    params = dataclasses.replace(ec2_params(), tree_spec=PIPELINE_DC_TREE)
-
-    def tenant(seed):
+    def tenant(seed, n):
         provider = make_provider("ec2", seed=seed, params=params)
-        provider.request_vms(256)
+        provider.request_vms(n)
         return NetworkMeasurer(provider, MeasurementPlan(advance_clock=False))
 
-    tenant(1).measure()
-    measurer = tenant(0)
+    tenant(1, 2).measure()
+    measurer = tenant(0, n_vms)
     tracemalloc.start()
     try:
         profile = measurer.measure()
         peak = tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert len(profile.vms) == 256 and not np.isnan(profile.rate_matrix()).any()
+    assert len(profile.vms) == n_vms and not np.isnan(profile.rate_matrix()).any()
+    return peak
+
+
+#: Traced peak (``tracemalloc``) of one 256-VM full-mesh campaign on the
+#: ``pipeline_dc`` tree, as this test's body measures it on the code whose
+#: blocks route their own probes and keep only each pair's narrowest link
+#: (0.5 MB at 256 VMs): 5.04 MiB on x86-64, Python 3.11.7, NumPy 2.4.6.  It
+#: was 12.35 MiB while a route table of the whole VM mesh was built before
+#: the first pass (2.3 MB kept, 9.4 MiB at its build); the campaign as one
+#: program over the whole mesh measured 31.34 MiB.  The bound allows 5 %
+#: over the figure, so one whole-mesh (bursts, trains) array (5.2 MB at
+#: 65 280 trains) fails it, as would a mesh-sized table of routes.  The
+#: figure depends on the NumPy build: when the installed NumPy changes,
+#: re-measure it with this body on this code.
+PARENT_PEAK_MB = 5.04
+
+
+def test_a_datacenter_campaign_peaks_no_higher_than_before():
+    peak = traced_campaign_peak(256, PIPELINE_DC_TREE)
     assert peak <= PARENT_PEAK_MB * 1.05, f"{peak:.2f} MB"
+
+
+#: The same at 1 024 VMs, on the ``pipeline_dc`` tree with 32 hosts a rack
+#: (1 024 hosts): 43.13 MiB (same platform), while the pass runs: the two
+#: ``(n, n)`` results (16 MiB), the schedule of 1 047 552 probes (16 MiB),
+#: the bottleneck matrix (8 MiB) and one block.  With the route table the
+#: campaign peaked at 197.69 MiB (the table kept 36.2 MiB and peaked at
+#: 149.9 MiB while it was built).  Re-measure as above.
+PEAK_1024_MB = 43.13
+
+
+def test_a_1024_vm_campaign_holds_its_results_and_its_schedule():
+    tree = dataclasses.replace(PIPELINE_DC_TREE, hosts_per_rack=32)
+    peak = traced_campaign_peak(1024, tree)
+    assert peak <= PEAK_1024_MB * 1.05, f"{peak:.2f} MB"
 
 
 # --------------------------------------------------------------- core picks

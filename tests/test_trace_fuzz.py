@@ -22,9 +22,9 @@ from hostile import DEEP, HOSTILE, deadline
 from repro.errors import ReproError
 from repro.workloads.trace import (
     FlowRecord,
+    aggregate_records,
     read_trace,
     read_trace_jsonl,
-    records_to_traffic_matrix,
 )
 
 RECORDS = [
@@ -122,7 +122,7 @@ def _use(records):
         assert math.isfinite(record.timestamp) and record.timestamp >= 0, record
         assert math.isfinite(record.num_bytes) and record.num_bytes >= 0, record
         assert record.src_task and record.dst_task, record
-    records_to_traffic_matrix(records)
+    aggregate_records(records)
 
 
 @pytest.mark.parametrize("fmt", sorted(FORMATS))

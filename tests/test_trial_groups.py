@@ -214,18 +214,20 @@ def test_fail_fast_bug_in_a_placer_still_raises(monkeypatch):
 
 # ----------------------------------------------------------- the copy
 #: Attributes a copy shares with its provider: never changed in place (a
-#: VM-set change replaces the position and route caches, it does not edit
-#: them).  Everything else a provider holds must be copied.
-_SHARED = {"params", "topology", "timeline", "_vm_position", "_vm_host", "_routes"}
+#: VM-set change replaces the position caches, it does not edit them).
+#: Everything else a provider holds must be copied, the bottlenecks that
+#: campaigns fill in included.
+_SHARED = {"params", "topology", "timeline", "_vm_position", "_vm_host"}
 _COPIED = {
     "_rng", "_clock", "_vm_counter", "_vms", "_base_hose", "_hose_deviation",
-    "_host_vms", "_used_hosts", "_free_hosts",
+    "_host_vms", "_used_hosts", "_free_hosts", "_bottleneck",
 }
 
 
 def test_every_provider_attribute_is_copied_or_shared_by_design():
     provider = make_provider("ec2", seed=1)
     provider.request_vms(3)
+    provider.true_path_rates([vm.name for vm in provider.vms()])  # fills the caches
     assert set(vars(provider)) == _SHARED | _COPIED, (
         "classify each new CloudProvider attribute: copy it in copy(), or "
         "list it as shared and immutable here"
