@@ -11,8 +11,9 @@ eight when an extra aggregation tier is present.
 :class:`Topology` is a small adjacency container that knows about directed
 capacities, racks, subtrees, and intra-host loopback links.
 :func:`build_multi_rooted_tree` builds the general datacenter of Figure 5
-with one router, which routes host pairs as arrays; a hand-built graph
-routes by graph search, which picks the router's very paths.
+with its one router, which routes host pairs as arrays.  A topology routes
+only as the tree it was built as: a hand-built graph, or a tree edited
+after it was built, has no router and refuses to route.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import itertools
 from dataclasses import dataclass
 from typing import (
     Dict,
-    Iterable,
     List,
     Mapping,
     NamedTuple,
@@ -48,17 +48,15 @@ from repro.units import GBITPS
 
 
 # ---------------------------------------------------------------------------
-# Structured-topology routing fast path
+# Tree routing
 # ---------------------------------------------------------------------------
 # Multi-rooted trees built from a TreeSpec have completely regular routes:
 # host i sits in pod i // (racks_per_pod * hosts_per_rack) and rack
 # (i // hosts_per_rack) % racks_per_pod, and every path is determined by the
 # relation between the two endpoints' coordinates (same host / rack / pod /
 # cross-pod) plus the ECMP core choice.  build_multi_rooted_tree attaches a
-# _TreeRouter to the tree it returns, which routes every pair of two hosts;
-# any other pair, and any pair once an edit drops the router, goes to graph
-# search.  The router must reproduce the graph-search answer exactly: both
-# pick a pair's core with _ecmp_pick, from keys derived from the endpoints'
+# _TreeRouter to the tree it returns, the one router a topology has; an edit
+# drops it.  A pair's core is picked from keys derived from the endpoints'
 # names (not their positions), so any copy of a tree routes as it does.
 _structured_route_hits = obs.Counter("repro.routes.structured_hits")
 
@@ -83,9 +81,6 @@ def index_pairs(
     return pairs
 
 
-_U64 = (1 << 64) - 1
-
-
 def _node_key(name: str) -> int:
     """A node's 64-bit ECMP key: the first eight bytes of SHA-256 of its
     name, big-endian."""
@@ -98,29 +93,17 @@ _MIX = (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 30, 27, 31)
 _MIX_WORDS = tuple(np.uint64(word) for word in _MIX)
 
 
-def _ecmp_pick(src: str, dst: str, choices: int) -> int:
-    """Which of ``choices`` equal-cost paths the ordered pair takes: the
-    two endpoints' keys mixed into one well-spread 64-bit word, modulo
-    ``choices``.  The mix is splitmix64's finaliser of ``key[src] * K +
-    key[dst]`` modulo 2**64; the masks keep Python ints to 64 bits.
-    (:meth:`_TreeRouter.core_picks` is this for many pairs.)"""
-    k1, k2, k3, s1, s2, s3 = _MIX
-    z = (_node_key(src) * k1 + _node_key(dst)) & _U64
-    z = ((z ^ (z >> s1)) * k2) & _U64
-    z = ((z ^ (z >> s2)) * k3) & _U64
-    return (z ^ (z >> s3)) % choices
-
-
 class _TreeRouter:
     """Arithmetic ECMP routing for a tree built by :func:`build_multi_rooted_tree`.
 
     Hosts are given by index: :func:`build_multi_rooted_tree` adds
     ``host{i}`` as its tree's ``i``-th host, so an index is also the host's
     position (:meth:`Topology.host_index`).  Paths are derived from host
-    coordinates, many pairs at once, instead of graph search.  The core pick
-    for cross-pod pairs replays graph search's :func:`_ecmp_pick` over the
-    lexicographically sorted path list: cross-pod paths differ only in the
-    core hop, so sorted-path order equals sorted-core-name order.
+    coordinates, many pairs at once.  The core pick for a cross-pod pair
+    indexes the sorted core names; the tests hold it to graph search, which
+    takes the ``_ecmp_pick``-th of the pair's lexicographically sorted
+    shortest paths (``tests/oracles/graph_search.py``): cross-pod paths
+    differ only in the core hop, so sorted-path order is sorted-core order.
     """
 
     def __init__(self, spec: "TreeSpec"):
@@ -133,7 +116,7 @@ class _TreeRouter:
         self._keys: Optional["np.ndarray"] = None
 
     def link_tables(
-        self, index: Mapping[str, int], loopbacks: "np.ndarray"
+        self, index: Mapping[str, int], loopbacks: Sequence[int]
     ) -> "_TreeLinkTables":
         """Link indices of the tree by coordinate, for :meth:`link_rows`.
 
@@ -202,7 +185,9 @@ class _TreeRouter:
         )
 
     def core_picks(self, src: "np.ndarray", dst: "np.ndarray") -> "np.ndarray":
-        """:func:`_ecmp_pick` of every ordered cross-pod pair of host indices."""
+        """The ECMP core of every ordered cross-pod pair of host indices:
+        splitmix64's finaliser of ``key[src] * K + key[dst]``, modulo the
+        core count."""
         cores = self.spec.num_cores
         if cores == 1:
             return np.zeros(src.shape[0], dtype=np.intp)
@@ -213,8 +198,7 @@ class _TreeRouter:
             )
             keys.flags.writeable = False
             self._keys = keys
-        # _ecmp_pick's mix, in place: ``uint64`` arithmetic wraps by
-        # itself, so it needs no masks.
+        # The mix, in place: ``uint64`` arithmetic wraps by itself.
         k1, k2, k3, s1, s2, s3 = _MIX_WORDS
         z = keys[src] * k1
         z += keys[dst]
@@ -288,72 +272,6 @@ class _TreeLinkTables(NamedTuple):
     core_down: "np.ndarray"  # [pod pair * cores + core] core -> destination pod's agg
 
 
-def _lazy_kth_shortest_path(
-    adjacency: Mapping[str, Iterable[str]], src: str, dst: str, k: Optional[int] = None
-) -> Optional[List[str]]:
-    """The k-th lexicographic shortest path without materialising them all.
-
-    ``adjacency`` maps every node of an undirected graph to its neighbours.
-
-    A reverse BFS from ``dst`` yields, for every node on a shortest path,
-    the number of shortest paths from it to ``dst``.  Walking forward from
-    ``src`` and always taking the smallest-named neighbour whose subtree
-    still contains the k-th path then reproduces
-    ``sorted(all shortest paths from src to dst)[k]`` exactly: all
-    shortest paths share a length, so list comparison is decided at the
-    first differing node, and subtree path counts are contiguous blocks of
-    the sorted order.  When ``k`` is None it is derived from the endpoint
-    digest exactly as the eager implementation derived it.
-
-    Returns None when no path exists.
-    """
-    dist = {dst: 0}
-    frontier = [dst]
-    depth = 0
-    while frontier and src not in dist:
-        nxt: List[str] = []
-        for node in frontier:
-            for neigh in adjacency[node]:
-                if neigh not in dist:
-                    dist[neigh] = depth + 1
-                    nxt.append(neigh)
-        depth += 1
-        frontier = nxt
-    if src not in dist:
-        return None
-    target = dist[src]
-    levels: List[List[str]] = [[] for _ in range(target + 1)]
-    for node, d in dist.items():
-        if d <= target:
-            levels[d].append(node)
-    counts: Dict[str, int] = {dst: 1}
-    for d in range(1, target + 1):
-        for node in levels[d]:
-            total = 0
-            for neigh in adjacency[node]:
-                if dist.get(neigh) == d - 1:
-                    total += counts[neigh]
-            counts[node] = total
-    if k is None:
-        k = _ecmp_pick(src, dst, counts[src])
-    path = [src]
-    node = src
-    while node != dst:
-        d = dist[node]
-        for neigh in sorted(adjacency[node]):
-            if dist.get(neigh) != d - 1:
-                continue
-            c = counts[neigh]
-            if k < c:
-                node = neigh
-                path.append(neigh)
-                break
-            k -= c
-        else:  # pragma: no cover - counts guarantee a neighbour is found
-            raise RoutingError(f"path walk failed between {src!r} and {dst!r}")
-    return path
-
-
 class NodeKind(enum.Enum):
     """Role of a node in the datacenter tree."""
 
@@ -422,11 +340,9 @@ class Topology:
         self._host_index: Dict[str, int] = {}
         self._links: Dict[str, Link] = {}
         self._intra_host_bps = intra_host_bps
-        # graph search's node paths, by pair (a tree's router keeps none)
-        self._path_cache: Dict[Tuple[str, str], List[str]] = {}
-        # the arithmetic router of a tree as build_multi_rooted_tree made it
-        # (its hosts by position), and the link tables it routes with; both
-        # dropped by any edit
+        # the router of a tree as build_multi_rooted_tree made it (its hosts
+        # by position), dropped by any edit, and the link tables it routes
+        # with, built on the first route
         self._router: Optional[_TreeRouter] = None
         self._tree_tables: Optional[_TreeLinkTables] = None
         # the link ids in ``_links`` order (path_links_matrix's index order),
@@ -435,9 +351,6 @@ class Topology:
         self._link_list: Optional[List[str]] = None
         self._link_index: Optional[Dict[str, int]] = None
         self._capacity_vector: Optional["np.ndarray"] = None
-        # each host's loopback link index, by host position; dropped with
-        # the link index
-        self._loopbacks: Optional["np.ndarray"] = None
         self._frozen = False
 
     def freeze(self) -> None:
@@ -465,7 +378,6 @@ class Topology:
         self._nodes[name] = (kind, level)
         self._adjacency[name] = set()
         self._router = None
-        self._tree_tables = None
         if kind is NodeKind.HOST:
             self._host_index[name] = len(self._host_names)
             self._host_names.append(name)
@@ -479,7 +391,6 @@ class Topology:
             self._links[link.link_id] = link
             self._link_list = self._link_index = None
             self._capacity_vector = None
-            self._loopbacks = None
 
     def add_link(
         self,
@@ -514,12 +425,9 @@ class Topology:
                 kind=kind,
             )
             self._links[link.link_id] = link
-        self._path_cache.clear()
         self._router = None
-        self._tree_tables = None
         self._link_list = self._link_index = None
         self._capacity_vector = None
-        self._loopbacks = None
 
     # ------------------------------------------------------------ inspection
     def node_kind(self, name: str) -> NodeKind:
@@ -601,30 +509,13 @@ class Topology:
 
     # ----------------------------------------------------------------- paths
     def node_path(self, src: str, dst: str) -> List[str]:
-        """Shortest node path from ``src`` to ``dst`` (inclusive).
-
-        When several shortest paths exist (multi-rooted trees), the choice is
-        made by :func:`_ecmp_pick`, a deterministic mix of the two endpoints'
-        keys (a hash of each name), mimicking ECMP: the same pair always uses
-        the same path, different pairs spread over the available cores.  A
-        tree's router answers for two hosts; graph search for the rest.
-        """
+        """The nodes from host ``src`` to host ``dst`` (inclusive): the
+        pair's row of :meth:`path_links_matrix`, read node by node, and
+        ``[src]`` for a host to itself."""
+        links = self.path_links(src, dst)  # refuses a name that is no host
         if src == dst:
             return [src]
-        if self._router is not None and src in self._host_index and dst in self._host_index:
-            return [src, *(link.dst for link in self.path_links(src, dst))]
-        key = (src, dst)
-        cached = self._path_cache.get(key)
-        if cached is not None:
-            return cached
-        for node in (src, dst):
-            if node not in self._nodes:
-                raise TopologyError(f"unknown node {node!r}")
-        choice = _lazy_kth_shortest_path(self._adjacency, src, dst)
-        if choice is None:
-            raise RoutingError(f"no path between {src!r} and {dst!r}")
-        self._path_cache[key] = choice
-        return choice
+        return [src, *(link.dst for link in links)]
 
     def path_links(self, src: str, dst: str) -> List[Link]:
         """Directed links traversed from ``src`` to ``dst``: the one row of
@@ -637,14 +528,15 @@ class Topology:
         return [self._links[link_ids[i]] for i in row[:length].tolist()]
 
     def hop_count(self, src: str, dst: str) -> int:
-        """Hop count between two hosts, using the paper's convention.
+        """Hop count between two hosts, using the paper's convention: the
+        length of the pair's row of :meth:`path_links_matrix`.
 
-        Two VMs on the same physical machine are "one hop" apart; otherwise
-        the hop count is the number of links on the switched path (2 for the
-        same rack, 4 within a pod, 6 via the core, 8 with a second
-        aggregation tier).
+        Two VMs on the same physical machine are "one hop" apart (the
+        loopback link); otherwise the hop count is the number of links on
+        the switched path (2 for the same rack, 4 within a pod, 6 via the
+        core, 8 with a second aggregation tier).
         """
-        return 1 if src == dst else len(self.path_links(src, dst))
+        return len(self.path_links(src, dst))
 
     def host_pairs(self) -> List[Tuple[str, str]]:
         """All ordered pairs of distinct hosts."""
@@ -654,11 +546,12 @@ class Topology:
     def path_links_matrix(
         self, pairs: Union[Sequence[Tuple[str, str]], "np.ndarray"]
     ) -> Tuple["np.ndarray", "np.ndarray", List[str]]:
-        """Routes of many pairs at once, as link-index rows.
+        """Routes of many host pairs at once, as link-index rows: the ECMP
+        routes of the tree's router.
 
-        ``pairs`` holds ``(src, dst)`` node names, or — as an ``(m, 2)``
-        integer array — host positions (:meth:`host_index`), which a
-        structured tree routes without touching a name.
+        ``pairs`` holds ``(src, dst)`` host names, or — as an ``(m, 2)``
+        integer array — host positions (:meth:`host_index`), which the
+        router routes without touching a name.
 
         Returns ``(rows, lengths, link_ids)``: ``rows`` is an int32 array of
         shape ``(len(pairs), max_hops)`` whose valid prefix of row ``i``
@@ -666,87 +559,59 @@ class Topology:
         order as :meth:`capacities`/:meth:`links`, so rows feed straight
         into array-based allocator layouts; the list is the topology's own,
         kept until a link is added (treat it as read-only).  Padding
-        entries are -1.
-        Loopback pairs (``src == dst``) get the host's loopback link, from
-        one per-host table.  A tree's router routes every pair of two hosts
-        at once, and a batch of nothing else gets its rows as the router
-        wrote them; graph search routes the rest, pair by pair.
+        entries are -1.  A host to itself (``src == dst``) crosses its
+        loopback link.
+
+        Raises:
+            RoutingError: if the topology has no router (it was built by
+                hand, or edited after :func:`build_multi_rooted_tree` built
+                it), if a pair names a switch, or if ``pairs`` is an array
+                but not one of host positions.
+            TopologyError: if a pair names no node at all.
         """
+        router = self._router
+        if router is None:
+            raise RoutingError(
+                f"topology {self.name!r} has no router: only a tree as "
+                "build_multi_rooted_tree built it routes, not a hand-built "
+                "graph or an edited tree"
+            )
         if self._link_index is None:
             self._link_list = list(self._links)
             self._link_index = {lid: i for i, lid in enumerate(self._link_list)}
-        link_ids, index = self._link_list, self._link_index
-        n = len(pairs)
-        by_position = isinstance(pairs, np.ndarray)
-        if by_position:
+        if isinstance(pairs, np.ndarray):
             index_pairs(pairs, len(self._host_names), "host positions")
             # Contiguous copies: routing a 65 280-probe campaign through the
             # strided column views peaked ≈4 MB higher.
             src, dst = np.ascontiguousarray(pairs.T)
         else:
-            # Names that are not hosts (switches) read -1: graph search.
-            hosts = self._host_index
-            src = np.fromiter((hosts.get(a, -1) for a, _ in pairs), np.intp, count=n)
-            dst = np.fromiter((hosts.get(b, -1) for _, b in pairs), np.intp, count=n)
-        router = self._router
-        if router is not None and n:
-            if self._tree_tables is None:
-                self._tree_tables = router.link_tables(index, self._loopback_links())
-            known = None if by_position else (src >= 0) & (dst >= 0)
-            if known is None or known.all():
-                # Every pair is two hosts: the router's rows are the answer.
-                return (*router.link_rows(self._tree_tables, src, dst), link_ids)
-            tree = known.nonzero()[0]
-        else:
-            tree = np.zeros(0, dtype=np.intp)
-        # A batch naming a switch, or a hand-built graph: the tree's hosts
-        # as the router routes them, loopbacks from the per-host table, and
-        # everything else pair by pair, by graph search (loopbacks naming
-        # no host: refused).
-        lengths = np.zeros(n, dtype=np.int32)
-        tree_rows = None
-        if tree.shape[0]:
-            tree_rows, lengths[tree] = router.link_rows(
-                self._tree_tables, src[tree], dst[tree]
-            )
-        loop = ((src == dst) & (src >= 0) & (lengths == 0)).nonzero()[0]
-        lengths[loop] = 1
-        other_rows: Dict[int, Tuple[int, ...]] = {}
-        for i in (lengths == 0).nonzero()[0].tolist():
-            src_name, dst_name = pairs[i]
-            if by_position:
-                src_name = self._host_names[src_name]
-                dst_name = self._host_names[dst_name]
-            if src_name == dst_name:
-                self.node_kind(src_name)  # raises on an unknown node
-                raise RoutingError(f"loopback path requires a host, got {src_name!r}")
-            nodes = self.node_path(src_name, dst_name)
-            other_rows[i] = tuple(
-                index[directed_link_id(a, b)] for a, b in zip(nodes, nodes[1:])
-            )
-        for i, row in other_rows.items():
-            lengths[i] = len(row)
-        rows = np.full((n, int(lengths.max()) if n else 0), -1, dtype=np.int32)
-        if loop.shape[0]:
-            rows[loop, 0] = self._loopback_links()[src[loop]]
-        if tree_rows is not None:
-            rows[tree, : tree_rows.shape[1]] = tree_rows
-        for i, row in other_rows.items():
-            rows[i, : len(row)] = row
-        return rows, lengths, link_ids
-
-    def _loopback_links(self) -> "np.ndarray":
-        """Each host's loopback link index (:meth:`path_links_matrix`'s
-        order), by host position."""
-        if self._loopbacks is None:
+            src, dst = self._host_positions(pairs)
+        if not src.shape[0]:
+            return np.zeros((0, 0), np.int32), np.zeros(0, np.int32), self._link_list
+        if self._tree_tables is None:
             index = self._link_index
-            loopbacks = np.array(
-                [index[loopback_link_id(host)] for host in self._host_names],
-                dtype=np.int32,
+            self._tree_tables = router.link_tables(
+                index, [index[loopback_link_id(host)] for host in self._host_names]
             )
-            loopbacks.flags.writeable = False
-            self._loopbacks = loopbacks
-        return self._loopbacks
+        return (*router.link_rows(self._tree_tables, src, dst), self._link_list)
+
+    def _host_positions(
+        self, pairs: Sequence[Tuple[str, str]]
+    ) -> Tuple["np.ndarray", "np.ndarray"]:
+        """The :meth:`host_index` positions of each pair's two hosts."""
+        hosts, n = self._host_index, len(pairs)
+        src = np.fromiter((hosts.get(a, -1) for a, _ in pairs), np.intp, count=n)
+        dst = np.fromiter((hosts.get(b, -1) for _, b in pairs), np.intp, count=n)
+        if n and min(src.min(), dst.min()) < 0:
+            named = pairs[int(np.minimum(src, dst).argmin())]
+            for name in named:
+                if name not in hosts:
+                    kind = self.node_kind(name)  # raises on a name that is no node
+                    raise RoutingError(
+                        f"topology {self.name!r} routes hosts only, "
+                        f"got {kind.value} {name!r}"
+                    )
+        return src, dst
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Test scaffolding that no entry point of the package needs.
 
-* the two small topologies of the paper's Figure 3, built from
-  :class:`~repro.net.topology.Topology`'s public calls (so they carry no
-  router and route by graph search, as any hand-built graph does);
+* the two small topologies of the paper's Figure 3, built by hand (so they
+  carry no router: they are the graph-search oracle's
+  :class:`~oracles.graph_search.SearchedTopology`);
 * writers for the two flow-trace formats ``repro.workloads.trace`` reads,
   so tests can hand the readers files of known content;
 * the ``(n, n)`` arrays a ``NetworkProfile`` is built from, spelled pair
@@ -24,10 +24,11 @@ from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple,
 
 import numpy as np
 
+from oracles.graph_search import SearchedTopology
 from repro import obs
 from repro.errors import TopologyError
 from repro.net.links import LinkKind
-from repro.net.topology import NodeKind, Topology
+from repro.net.topology import NodeKind
 from repro.units import GBITPS
 from repro.workloads.trace import _FIELDS, FlowRecord
 
@@ -38,7 +39,7 @@ def build_dumbbell(
     shared_link_bps: float = 1 * GBITPS,
     access_link_bps: float = 10 * GBITPS,
     name: str = "dumbbell",
-) -> Topology:
+) -> SearchedTopology:
     """Build the Figure 3(a) topology: ``n_pairs`` sender/receiver pairs.
 
     Senders ``s1..sN`` attach to a left switch, receivers ``r1..rN`` to a
@@ -47,7 +48,7 @@ def build_dumbbell(
     """
     if n_pairs < 1:
         raise TopologyError("n_pairs must be >= 1")
-    topo = Topology(name=name)
+    topo = SearchedTopology(name=name)
     topo.add_node("swL", NodeKind.TOR, level=1)
     topo.add_node("swR", NodeKind.TOR, level=1)
     topo.add_link("swL", "swR", shared_link_bps, LinkKind.GENERIC)
@@ -65,7 +66,7 @@ def build_two_rack_cloud(
     host_link_bps: float = 1 * GBITPS,
     agg_link_bps: float = 10 * GBITPS,
     name: str = "cloud",
-) -> Topology:
+) -> SearchedTopology:
     """Build the Figure 3(b) topology.
 
     Senders share a ToR switch, receivers share another ToR switch, and the
@@ -75,7 +76,7 @@ def build_two_rack_cloud(
     """
     if n_pairs < 1:
         raise TopologyError("n_pairs must be >= 1")
-    topo = Topology(name=name)
+    topo = SearchedTopology(name=name)
     topo.add_node("torS", NodeKind.TOR, level=1)
     topo.add_node("torR", NodeKind.TOR, level=1)
     topo.add_node("A", NodeKind.AGG, level=2)

@@ -51,10 +51,8 @@ FRESH_RUN = (
 )
 
 ROWS = "tests/test_provider_rows.py::"
-HAND_BUILT = (
-    "tests/test_millionflow.py::TestStructuredRouting::"
-    "test_a_hand_built_copy_routes_every_pair_as_the_tree_does"
-)
+ROUTER = "tests/test_millionflow.py::TestStructuredRouting::"
+HAND_BUILT = ROUTER + "test_a_hand_built_copy_routes_every_pair_as_the_tree_does"
 FULL_MESH = "tests/test_campaign_batch.py::test_full_mesh_is_bit_identical"
 ONE_PASS = "tests/test_choreo_e2e.py::test_the_one_pass_profile_is_the_record_by_record_one"
 BINDING = "tests/test_alloc_binding.py::"
@@ -143,6 +141,32 @@ MUTANTS: Tuple[Mutant, ...] = (
         "            core += self.core_picks(src[far], dst[far])\n",
         "            core += self.core_picks(dst[far], src[far])\n",
         (HAND_BUILT,),
+    ),
+    # --------------------------------------------------- the one router
+    Mutant(
+        "a topology without a router is not refused",
+        TOPOLOGY,
+        "        if router is None:\n",
+        "        if False:\n",
+        (ROUTER + "test_host_positions_on_a_topology_without_a_router",),
+    ),
+    Mutant(
+        "host names map to positions with src and dst swapped",
+        TOPOLOGY,
+        "        return src, dst\n",
+        "        return dst, src\n",
+        (HAND_BUILT,),
+    ),
+    Mutant(
+        "node_path answers a name to itself before asking for its route",
+        TOPOLOGY,
+        "        links = self.path_links(src, dst)  # refuses a name that is no host\n"
+        "        if src == dst:\n"
+        "            return [src]\n",
+        "        if src == dst:\n"
+        "            return [src]\n"
+        "        links = self.path_links(src, dst)  # refuses a name that is no host\n",
+        (ROUTER + "test_a_name_that_is_no_host_has_no_path",),
     ),
     # ------------------------------------------------ a block's own rows
     Mutant(

@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 from oracles import scalar_train
-from oracles.graph_search import build_searched_tree
+from oracles.graph_search import _ecmp_pick, build_searched_tree
 
 from repro import obs
 from repro.cloud.ec2 import ec2_params
@@ -25,7 +25,6 @@ from repro.cloud.provider import ProviderParams, VMFlow
 from repro.cloud.registry import make_provider
 from repro.core.measurement import MeasurementPlan, NetworkMeasurer, orchestrator
 from repro.errors import CloudError, MeasurementError
-from repro.net import topology
 from repro.net.packets import PacketTrainSpec
 from repro.net.topology import (
     TreeSpec, build_multi_rooted_tree,
@@ -730,7 +729,7 @@ def test_an_empty_pair_list_is_an_empty_profile(pairs):
 @pytest.mark.parametrize("cores", [2, 4, 12])
 def test_remembered_picks_are_node_paths_picks(cores):
     """``core_picks`` (every pair in one array expression) against the
-    scalar :func:`~repro.net.topology._ecmp_pick`, against the core on the
+    graph-search oracle's scalar ``_ecmp_pick``, against the core on the
     tree's ``node_path`` (its router's row) and against graph search (a
     hand-built copy of the tree: no router), 500 random far pairs."""
     spec = TreeSpec(hosts_per_rack=4, racks_per_pod=3, pods=4, num_cores=cores)
@@ -748,7 +747,7 @@ def test_remembered_picks_are_node_paths_picks(cores):
     cores_sorted = sorted(f"core{c}" for c in range(cores))
     searched = build_searched_tree(spec)
     for a, b, pick in zip(src.tolist(), dst.tolist(), picks.tolist()):
-        assert topology._ecmp_pick(f"host{a}", f"host{b}", cores) == pick
+        assert _ecmp_pick(f"host{a}", f"host{b}", cores) == pick
         path = tree.node_path(f"host{a}", f"host{b}")
         assert path[3] == cores_sorted[pick]
         assert searched.node_path(f"host{a}", f"host{b}") == path

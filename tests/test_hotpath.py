@@ -1,6 +1,6 @@
 """Tests for the hot-path performance work: the incremental allocator, the
-routing/path caches, the effective-rate matrix, the timeline bisection, and
-the runner's trial memoization.
+effective-rate matrix, the timeline bisection, and the runner's trial
+memoization.
 
 The central property: every optimisation must be *exact* — same rates, same
 placements, same profiles, same trial records as the reference code paths.
@@ -13,14 +13,11 @@ import pytest
 
 from helpers import build_two_rack_cloud, pair_matrix
 from oracles.effective_rate import ConnectionLoad, effective_rate
-from oracles.graph_search import build_searched_tree, use_graph_search
 from oracles.max_min import max_min_allocation, use_reference_engine
 from repro.core.network_profile import NetworkProfile
 from repro.core.rate_model import EffectiveRateMatrix
-from repro.cloud.registry import make_provider
 from repro.errors import ExperimentError, MeasurementError, SimulationError
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
-from repro.net import topology
 from repro.net.alloc import IncrementalAllocator
 from repro.net.fairness import FlowDemand
 from repro.net.flows import Flow
@@ -219,49 +216,6 @@ class TestFluidAllocatorEquivalence:
             assert moved(got.timelines[fid]) == pytest.approx(
                 moved(ref.timelines[fid]), rel=1e-9, abs=1e-6
             )
-
-
-class TestTopologyCaches:
-    def test_an_edit_reroutes_a_memoised_graph_search_route(self):
-        """A hand-built graph's route is searched once and kept; a cable
-        added afterwards clears the memo, and the pair takes the new
-        shorter path, in its node path, its links and its hop count."""
-        topo = build_two_rack_cloud(n_pairs=3)
-        first = topo.node_path("s1", "r1")
-        assert first == ["s1", "torS", "A", "torR", "r1"]
-        assert topo.node_path("s1", "r1") is first
-        topo.add_link("torS", "torR", 1 * GBITPS)
-        assert topo.node_path("s1", "r1") == ["s1", "torS", "torR", "r1"]
-        assert [link.link_id for link in topo.path_links("s1", "r1")] == [
-            "s1->torS", "torS->torR", "torR->r1",
-        ]
-        assert topo.hop_count("s1", "r1") == 3
-
-    def test_graph_search_routes_are_memoised_per_topology(self, monkeypatch):
-        """With no router, a route is searched once per topology: again on
-        a fresh copy of the same graph, never again on one that has it (and
-        providers of one shape share their tree, so its routes)."""
-        use_graph_search(monkeypatch)
-        searched = []
-        search = topology._lazy_kth_shortest_path
-
-        def counting(adjacency, src, dst, k=None):
-            searched.append((src, dst))
-            return search(adjacency, src, dst, k)
-
-        monkeypatch.setattr(topology, "_lazy_kth_shortest_path", counting)
-        a = build_searched_tree()
-        b = build_searched_tree()
-        assert a.links() == b.links()
-        path = a.node_path("host0", "host5")
-        assert a.node_path("host0", "host5") is path
-        assert b.node_path("host0", "host5") == path
-        assert searched == [("host0", "host5")] * 2
-        first, second = make_provider("ec2", seed=0), make_provider("ec2", seed=1)
-        assert first.topology is second.topology
-        first.topology.node_path("host0", "host5")
-        assert second.topology.node_path("host0", "host5") == path
-        assert len(searched) == 3
 
 
 class TestEffectiveRateMatrix:

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from helpers import build_dumbbell, routes_of
-from oracles.graph_search import hand_built
+from oracles.graph_search import _ecmp_pick, _lazy_kth_shortest_path, hand_built
 from oracles.max_min import run_loop
 from repro.errors import RoutingError, TopologyError
 
@@ -30,13 +30,7 @@ from repro.net.fairness import segment_violations
 from repro.net.flows import Flow
 from repro.net.fluid import FluidSimulation, RateTimeline
 from repro.net.links import hose_link_id
-from repro.net.topology import (
-    NodeKind,
-    TreeSpec,
-    _ecmp_pick,
-    _lazy_kth_shortest_path,
-    build_multi_rooted_tree,
-)
+from repro.net.topology import NodeKind, Topology, TreeSpec, build_multi_rooted_tree
 
 
 def _structured_hits() -> int:
@@ -200,13 +194,12 @@ class TestStructuredRouting:
             at = np.array([(topo.host_index(a), topo.host_index(b)) for a, b in pairs])
             assert by_id(*topo.path_links_matrix(at)) == by_id(*rows)
         # Every scalar answer comes from the router, one hit each (a hop
-        # count, then a node path), and the tree keeps no graph-search memo.
+        # count, then a node path).
         ordered = built.host_pairs()
         hits = _structured_hits()
         hops = [built.hop_count(src, dst) for src, dst in ordered]
         paths = [built.node_path(src, dst) for src, dst in ordered]
         assert _structured_hits() - hits == 2 * len(ordered)
-        assert not built._path_cache
         for (src, dst), hop, path in zip(ordered, hops, paths):
             want = copy.node_path(src, dst)
             assert path == want, (src, dst)
@@ -216,18 +209,20 @@ class TestStructuredRouting:
     @pytest.mark.parametrize("spec", _ROUTING_SPECS + _MATRIX_SPECS, ids=str)
     def test_path_links_matrix_agrees_with_path_links(self, spec, structured):
         """The array rows are ``path_links``'s, pair by pair: every relation
-        (same rack / pod / cross-pod), loopback pairs, and pairs the tree
-        arithmetic does not cover (a switch endpoint: graph search)."""
+        (same rack / pod / cross-pod) and loopback pairs.  Graph search also
+        routes a pair with a switch endpoint; the tree refuses one."""
         topo = build_multi_rooted_tree(spec)
-        if not structured:
-            topo = hand_built(topo)
         hosts = topo.hosts()
         tor = topo.rack_of(hosts[0])
-        pairs = (
-            topo.host_pairs()
-            + [(h, h) for h in hosts[:2]]
-            + [(tor, hosts[-1]), (hosts[-1], tor)]
-        )
+        switched = [(tor, hosts[-1]), (hosts[-1], tor)]
+        for pair in switched:
+            with pytest.raises(RoutingError, match=f"'dc' routes hosts only, got tor {tor!r}"):
+                topo.path_links_matrix([(hosts[0], hosts[1]), pair])
+        if not structured:
+            topo = hand_built(topo)
+        pairs = topo.host_pairs() + [(h, h) for h in hosts[:2]]
+        if not structured:
+            pairs += switched
         arithmetic = len(topo.host_pairs())
         hits = _structured_hits()
         rows, lengths, link_ids = topo.path_links_matrix(pairs)
@@ -277,29 +272,37 @@ class TestStructuredRouting:
 
     @pytest.mark.parametrize("edit", ["node", "link"])
     def test_an_edit_drops_the_router(self, edit):
-        """A tree from ``build_multi_rooted_tree`` routes arithmetically
-        until its graph is edited; from then on it routes by graph search, as
-        a hand-built copy of the edited graph does."""
+        """A tree from ``build_multi_rooted_tree`` routes until its graph is
+        edited; from then on it refuses to, by name and by position, as a
+        node path and as a hop count."""
         topo = build_multi_rooted_tree(_ROUTING_SPECS[2])
-        topo.node_path("host0", "host15")
+        assert topo.node_path("host0", "host15")[0] == "host0"
         if edit == "node":
-            topo.add_node("extra", NodeKind.HOST)  # position 16, no cable yet
-            with pytest.raises(RoutingError, match="no path"):
-                topo.path_links_matrix(np.array([[0, 16]] * 20))
-            topo.add_link("extra", "tor0.0", 1e9)
+            topo.add_node("extra", NodeKind.HOST)
         else:
             topo.add_link("host0", "tor1.0", 1e9)  # a shortcut into pod 1
         assert topo._router is None
-        copy = hand_built(topo)
-        pairs = topo.host_pairs()
-        hits = _structured_hits()
-        for src, dst in pairs:
-            assert topo.node_path(src, dst) == copy.node_path(src, dst), (src, dst)
-            assert topo.hop_count(src, dst) == copy.hop_count(src, dst)
-        assert (topo.path_links_matrix(pairs)[0] == copy.path_links_matrix(pairs)[0]).all()
-        assert _structured_hits() == hits
+        refused = (
+            lambda: topo.path_links_matrix([("host0", "host15")]),
+            lambda: topo.path_links_matrix(np.array([[0, 15]])),
+            lambda: topo.node_path("host0", "host15"),
+            lambda: topo.hop_count("host0", "host0"),
+        )
+        for route in refused:
+            with pytest.raises(RoutingError, match="topology 'dc' has no router"):
+                route()
 
     def test_host_positions_on_a_topology_without_a_router(self):
+        """A graph built by hand refuses to route, by name and by position;
+        the graph-search oracle routes one, and refuses position arrays
+        that hold no host positions."""
+        bare = Topology(name="bare")
+        for host in ("a", "b"):
+            bare.add_node(host, NodeKind.HOST)
+        bare.add_link("a", "b", 1e9)
+        for pairs in ([("a", "b")], np.array([[0, 1]]), []):
+            with pytest.raises(RoutingError, match="topology 'bare' has no router"):
+                bare.path_links_matrix(pairs)
         topo = build_dumbbell(n_pairs=3)
         order = ["s1", "r1", "s2", "r2", "s3", "r3"]  # as added
         assert [topo.host_index(name) for name in order] == list(range(6))
@@ -318,6 +321,18 @@ class TestStructuredRouting:
         ):
             with pytest.raises(RoutingError, match="host positions"):
                 topo.path_links_matrix(bad)
+
+    def test_a_name_that_is_no_host_has_no_path(self):
+        """A pair of one name routes only if the name is a host: a switch
+        is refused, and so is a name that is no node, even to itself."""
+        topo = build_multi_rooted_tree(_ROUTING_SPECS[1])
+        assert topo.node_path("host3", "host3") == ["host3"]
+        assert topo.hop_count("host3", "host3") == 1
+        for route in (topo.node_path, topo.hop_count, topo.path_links):
+            with pytest.raises(TopologyError, match="unknown node 'nope'"):
+                route("nope", "nope")
+            with pytest.raises(RoutingError, match="routes hosts only, got core 'core0'"):
+                route("core0", "core0")
 
     def test_path_links_matrix_of_nothing(self):
         topo = build_multi_rooted_tree(_ROUTING_SPECS[1])
