@@ -43,30 +43,17 @@ Both solves pick each bottleneck by one rule — the least current equal
 share, ties to the lowest link index: ``argmin`` over the links in use in
 the array path, the ``(share, link)`` order of an exact lazy heap in the
 scalar one — and freeze with the same subtract-then-clamp in the same
-dtype, so full scalar, full vector and partial solves are bit-identical to
-each other on every instance (and to the reference, with the caveat
+dtype, so full scalar and full vector solves are bit-identical to each
+other on every instance (and to the reference, with the caveat
 above).  A path may not repeat a link: :meth:`IncrementalAllocator.add_flow` and
 :meth:`~IncrementalAllocator.add_flows` refuse one by name.
 
-Five further mechanisms keep event-loop re-solves cheap at scale:
+Four further mechanisms keep event-loop re-solves cheap at scale:
 
 * **Slot-rate output** — solves write per-slot rates into a flat float64
   vector; :meth:`solve_slots` hands that vector to array-based callers
   (the vectorised fluid loop) with no per-flow dict in sight, while
   :meth:`solve` builds the string-keyed mapping lazily on demand.
-* **Partial re-solves** — progressive filling decomposes over connected
-  components of the flow↔link sharing graph: a flow's rate depends only
-  on flows it (transitively) shares links with.  After an edit, solve
-  walks that graph outward from the edited links; when the affected
-  closure is small (:func:`_partial_limit`: a minority of the flow set
-  and at most 1 024 slots, up to where a restricted scalar solve at
-  ≈1.5 µs per slot still beats a full solve of disjoint components),
-  only the closure is re-solved and every other slot keeps its previous
-  (bit-identical) rate.
-  A retirement in one rack of a tree topology therefore re-solves one
-  rack, not the datacenter.  The walk gives up as soon as the links it
-  has discovered prove the closure too big, and once one has failed,
-  component labels skip the walks whose closure is bound to be too big.
 * **Resumable water-filling** — a full vector solve logs its rounds
   (level, drained links, drains, batch, and per slot the round that froze
   it).  Removing a flow leaves every round before the one that froze it
@@ -80,7 +67,7 @@ Five further mechanisms keep event-loop re-solves cheap at scale:
   flow drops the entries of the links it crossed.  See
   :meth:`IncrementalAllocator._solve_vector` for why each reuse is exact
   and what invalidates it.
-* **Solving on the links that bind** — an exact solve leaves the set B of
+* **Solving on the links that bind** — a full solve leaves the set B of
   links it saturated (its bottlenecks, and every link within ``_BIND_EPS``
   of its capacity) and every other link's slack.  While each flow crosses
   exactly one link of B and only removals follow, a removal re-rates the
@@ -88,7 +75,8 @@ Five further mechanisms keep event-loop re-solves cheap at scale:
   every other rate, once the slack left on every other link they cross
   certifies that no such link can bind.  See
   :meth:`IncrementalAllocator._solve_binding` for why this is the fill's
-  answer bit for bit.
+  answer bit for bit.  Any other edit, and a removal the path refuses, is
+  followed by one full solve, which leaves B again.
 """
 
 from __future__ import annotations
@@ -139,7 +127,7 @@ _FIRST_CAP = 8
 _REPACK_MIN = 1024
 
 
-# The margin, relative to a link's capacity, within which an exact solve
+# The margin, relative to a link's capacity, within which a full solve
 # counts a link as saturated (in B), and above which a link's tracked slack
 # certifies that it cannot bind.  It bounds rounding only: a tracked slack
 # is the fill's ``remaining`` after at most one drain per member, then one
@@ -149,7 +137,7 @@ _REPACK_MIN = 1024
 # operations behind B (``_bind_ops``: twice the routed flows at the solve,
 # plus one per update since) stay under ``_BIND_EPS * 2**51``, a tracked
 # slack above the margin proves an exact one above every rounding that
-# could reorder the fill; past that, the path refuses until the next exact
+# could reorder the fill; past that, the path refuses until the next full
 # solve.  Refusing is always exact, so a larger or smaller margin only
 # trades refusals (tests/test_alloc_binding.py scales it both ways).
 _BIND_EPS = 1e-9
@@ -194,29 +182,6 @@ def _check_capacities(link_ids: Sequence[str], capacities: Sequence[float]) -> N
             raise SimulationError(f"link {link_id!r} has capacity {cap!r}: must be >= 0, not NaN")
 
 
-def _partial_limit(n_flows: int) -> int:
-    """Largest dirty closure (in slots) worth a restricted scalar solve.
-
-    Two measurements set it (``benchmark/run.py`` workloads and disjoint
-    rack-local full meshes, 2-core reference host).  *The cap:* a restricted
-    scalar solve costs ≈1.5 µs per closure slot, walk included; a resumed
-    full vector solve ≈0.25 ms at 2 100 live flows and ≈1.3 ms at 92 000
-    (0.6 and 2.6 ms before the freeze-batch memo), which crosses it at
-    ≈170–870 slots.  But closures that size only occur where components
-    are disjoint, and there a full solve refills every component from
-    round 0: on 8 racks × 32 hosts (closure 992 of 7 936 flows) a cap of
-    512 costs 3.2 ms per event against 0.93, on 4 racks × 24 hosts 1.1–1.4×
-    more — so 1 024 stays.  *The share:* below the cap a closure that is a
-    minority of the flow set still wins — on 4 racks × 24 hosts (closure
-    552 of 2 208 flows) the fluid run takes 1.4 s with partial solves and
-    3.5 s without, and ``n // 8`` in place of ``n // 2`` loses 4× on
-    8 racks × 16 hosts — because the full solve re-solves every other
-    component too.  Both solves produce bit-identical rates, so this is
-    policy, not semantics.  (The cap was 8 192 when a full solve cost 17 ms.)
-    """
-    return max(64, min(n_flows // 2, 1024))
-
-
 class IncrementalAllocator:
     """Max-min fair allocator with O(path) flow add/remove deltas.
 
@@ -227,7 +192,7 @@ class IncrementalAllocator:
 
     A full solve takes the array-backed path at or above
     ``_VECTOR_MIN_FLOWS`` registered flows, and the heap-based one below;
-    both, and every partial re-solve, produce bit-identical rates.
+    both produce bit-identical rates.
 
     What a flow holds leaves with it.  Link membership takes three
     ``intp`` entries per flow × link incidence (the member's slot, the
@@ -292,35 +257,20 @@ class IncrementalAllocator:
         # over every registered flow.
         self._linkless: Set[int] = set()
         self._slot_nlinks = np.zeros(0, dtype=np.int64)
-        # Longest path ever registered (never lowered on removal:
-        # _dirty_closure only needs an upper bound).
-        self._max_row = 0
-        # Component labels (see _dirty_closure): per link its label, per
-        # label its routed flows, and how many routed flows were labeled.
-        self._label: Optional[List[int]] = None
-        self._label_count: List[int] = []
-        self._label_flows = 0
         # Per-slot solved rates; solve() derives its dict from this lazily.
         self._slot_rate = np.zeros(0, dtype=np.float64)
         self._solved = False
         self._solution: Optional[Dict[str, float]] = None
-        # True once any solve has populated _slot_rate: from then on edits
-        # are tracked so the next solve can be partial.
-        self._have_rates = False
+        # The links removals touched since the last solve, while B is of
+        # use (see _solve_binding).
         self._dirty_links: Set[int] = set()
-        self._dirty_linkless: Set[int] = set()
         self._views = [memoryview(getattr(self, name)) for name in _VIEWED]
         # Typed solve counters (thin-viewed by :meth:`solver_stats` and
         # aggregated process-wide by ``obs.metrics.snapshot()``).
         self._full_solves = obs.Counter("repro.alloc.full_solves")
-        self._partial_solves = obs.Counter("repro.alloc.partial_solves")
-        self._partial_slots = obs.Counter("repro.alloc.partial_slots")
         self._rounds = obs.Counter("repro.alloc.rounds")
         self._rounds_replayed = obs.Counter("repro.alloc.rounds_replayed")
         self._rounds_memoised = obs.Counter("repro.alloc.rounds_memoised")
-        self._walks = obs.Counter("repro.alloc.walks")
-        self._walks_skipped = obs.Counter("repro.alloc.walks_skipped")
-        self._labelings = obs.Counter("repro.alloc.labelings")
         # Round log of the last full vector solve, one entry per
         # water-filling round: its level, the links it drained as a sparse
         # ``(idx, k)`` pair, the drain ``k*level``, and its batch size;
@@ -336,10 +286,9 @@ class IncrementalAllocator:
         self._freeze_round = np.zeros(0, dtype=np.int64)
         self._resume = 0
         # What written_slots() reports: _UNREAD, a fill's first searched
-        # round, a partial solve's (closure, linkless) sets, the slots the
-        # binding path re-rated, or None.
+        # round, the slots the binding path re-rated, or None.
         self._written: object = _UNREAD
-        # The links that bind (see _solve_binding).  An exact solve leaves
+        # The links that bind (see _solve_binding).  A full solve leaves
         # in ``_bind_fill`` the links it filled, their capacities and what
         # remained of them; the first removal builds ``_bind`` from it: B
         # as a mask over the link universe and every link's headroom
@@ -415,8 +364,6 @@ class IncrementalAllocator:
         base = self._row_used
         self._row_used += n_row
         self._row_live += n_row
-        if n_row > self._max_row:
-            self._max_row = n_row
         self._flow_slot[flow_id] = slot
         (count, start, cap, store, store_k, row_pos, row_start, nlinks,
          row_data) = self._views
@@ -438,14 +385,8 @@ class IncrementalAllocator:
             row_pos[base + k] = n
             count[index] = n + 1
         self._n_members += n_row
-        if self._have_rates:
-            if n_row:
-                self._dirty_links.update(indexed)
-            else:
-                self._dirty_linkless.add(slot)
         # A new flow can lower shares in any round: the next fill starts over.
         self._resume = 0
-        self._label = None  # (and it can join components)
         self._bind = self._bind_fill = None  # (and saturate any link)
         self._solved = False
         self._solution = None
@@ -666,22 +607,15 @@ class IncrementalAllocator:
         self._row_used += total
         self._row_live += total
         self._slot_nlinks[slots] = lengths
-        self._max_row = max(self._max_row, int(lengths.max()))
         self._flow_slot.update(zip(flow_ids, slot_list))
-        linkless = slots[lengths == 0].tolist()
-        self._linkless.update(linkless)
+        self._linkless.update(slots[lengths == 0].tolist())
         if total:
             self._join_batch(
                 slots, base, row_offset, by_link, owner_sorted,
                 touched, group_end - group_start,
             )
-            if self._have_rates:
-                self._dirty_links.update(touched.tolist())
-        if self._have_rates:
-            self._dirty_linkless.update(linkless)
         # A new flow can lower shares in any round: the next fill starts over.
         self._resume = 0
-        self._label = None  # (and it can join components)
         self._bind = self._bind_fill = None  # (and saturate any link)
         self._solved = False
         self._solution = None
@@ -756,8 +690,7 @@ class IncrementalAllocator:
         nlinks[slot] = 0
         if self._bind:
             self._credit(row, self._slot_rate.item(slot))
-        if row and self._label is not None:
-            self._label_count[self._label[row[0]]] -= 1
+            self._dirty_links.update(row)
         memo = self._batch_memo
         for k, index in enumerate(row):
             if memo:
@@ -778,9 +711,6 @@ class IncrementalAllocator:
         self._n_members -= len(row)
         if self._store.shape[0] > self._small_store:
             self._shrink_store()
-        if self._have_rates:
-            self._dirty_links.update(row)
-            self._dirty_linkless.discard(slot)
         # Rounds before the one that froze this flow never had it as their
         # bottleneck, so they survive its removal (see _solve_vector).
         if self._resume:
@@ -826,15 +756,11 @@ class IncrementalAllocator:
             if self._store.shape[0] > self._small_store:
                 self._shrink_store()
             memo = self._batch_memo
-            for link in touched.tolist():
+            touched = touched.tolist()
+            for link in touched:
                 memo.pop(link, None)
-            if self._label is not None:
-                for link in self._row_data[self._row_start[slots[lengths > 0]]].tolist():
-                    self._label_count[self._label[link]] -= 1
-            if self._have_rates:
-                self._dirty_links.update(touched.tolist())
-        if self._have_rates:
-            self._dirty_linkless.difference_update(slot_list)
+            if self._bind:
+                self._dirty_links.update(touched)
         # Rounds before the first that froze any of these flows never had
         # one of them as their bottleneck, so they survive the removal.
         if self._resume:
@@ -892,11 +818,9 @@ class IncrementalAllocator:
     def update_capacities(self, capacities: Mapping[str, float]) -> None:
         """Change the capacity of existing links.
 
-        A changed link is edited as an add on it would be: it is marked
-        dirty, so the next solve re-solves the flows that (transitively)
-        share it, and the round log is void (every logged level is a share
-        of the old capacity).  An unchanged value edits nothing.  The
-        component labels stay: connectivity does not change.
+        A changed link is edited as an add on it would be: the round log
+        (every logged level is a share of the old capacity) and B are void,
+        so the next solve is a full one.  An unchanged value edits nothing.
 
         Raises:
             SimulationError: on a link outside the universe, or a NaN or
@@ -912,8 +836,6 @@ class IncrementalAllocator:
             if cap == self._capacity[index]:
                 continue
             self._capacity[index] = cap
-            if self._have_rates:
-                self._dirty_links.add(index)
             self._resume = 0
             self._bind = self._bind_fill = None
             self._layout = None
@@ -967,36 +889,29 @@ class IncrementalAllocator:
         for "any slot"; call it before the next edit.
 
         A vector fill writes the batches of the rounds it searched (not the
-        replayed prefix) and the linkless slots, a partial solve its closure
-        and the new linkless slots, the binding path the members it
-        re-rated.  A scalar full solve, a fill that left
-        slots unconstrained, or two solves give None.  A
-        solve records O(1): a mark or a set reference.
+        replayed prefix) and the linkless slots, the binding path the
+        members it re-rated.  A scalar fill, a fill that left slots
+        unconstrained, or two solves give None.  A solve records O(1): a
+        mark or the binding path's array.
         """
         written, self._written = self._written, _UNREAD
         if written is _UNREAD:
             return np.zeros(0, dtype=np.intp)
         if written is None or isinstance(written, np.ndarray):
             return written
-        if isinstance(written, int):
-            parts = [entry[4] for entry in self._round_log[written:]]
-            linkless = self._linkless
-        else:
-            closure, linkless = written
-            parts = [np.fromiter(closure, dtype=np.intp, count=len(closure))]
+        parts = [entry[4] for entry in self._round_log[written:]]
+        linkless = self._linkless
         parts.append(np.fromiter(linkless, dtype=np.intp, count=len(linkless)))
         return np.concatenate(parts)
 
     def solver_stats(self) -> Dict[str, int]:
-        """Counters: full solves, partial solves, slots re-solved partially,
-        and the water-filling rounds of the full vector solves — all of
-        them (``rounds``), those replayed from the round log instead of
-        searched for again (``rounds_replayed``), and the searched ones whose
-        freeze batch came from the per-link memo (``rounds_memoised``); and
-        the closure walks run (``walks``), those the component labels
-        skipped (``walks_skipped``), and the labelings (``labelings``); and
-        the solves after removals alone that the binding path served
-        (``binding_solves``) or refused (``binding_refusals``).
+        """Counters: full solves, and the water-filling rounds of the full
+        vector solves — all of them (``rounds``), those replayed from the
+        round log instead of searched for again (``rounds_replayed``), and
+        the searched ones whose freeze batch came from the per-link memo
+        (``rounds_memoised``); and the solves after removals alone that the
+        binding path served (``binding_solves``) or refused
+        (``binding_refusals``).
 
         A thin view over this instance's :class:`repro.obs.Counter`
         instruments (the process-wide aggregate across allocators lives
@@ -1004,53 +919,31 @@ class IncrementalAllocator:
         """
         return {
             "full_solves": self._full_solves.count,
-            "partial_solves": self._partial_solves.count,
-            "partial_slots": self._partial_slots.count,
             "rounds": self._rounds.count,
             "rounds_replayed": self._rounds_replayed.count,
             "rounds_memoised": self._rounds_memoised.count,
-            "walks": self._walks.count,
-            "walks_skipped": self._walks_skipped.count,
-            "labelings": self._labelings.count,
             "binding_solves": self._binding_solves.count,
             "binding_refusals": self._binding_refusals.count,
         }
 
     def _ensure_solved(self) -> None:
-        """Run a (possibly partial) solve so ``_slot_rate`` is current."""
+        """Make ``_slot_rate`` current.  When only removals came since the
+        last full solve and B holds, the binding path re-rates them; when
+        it refuses, or after any other edit, one full solve runs — the heap
+        fill below ``_VECTOR_MIN_FLOWS`` flows, the array fill at or above
+        — and leaves the fill the next removal builds B from."""
         if self._solved:
             return
         binding = None
         if self._bind is not None:
-            # Only removals since the last exact solve: re-rate on B.
             if self._bind:
                 binding = self._solve_binding()
             (self._binding_refusals if binding is None else self._binding_solves).inc()
-        # Partial re-solve: progressive filling decomposes over connected
-        # components of the flow↔link sharing graph, so flows outside the
-        # transitive closure of the edited links keep their previous rates
-        # bit-for-bit.
-        partial = None
-        if binding is None and self._have_rates:
-            partial = self._dirty_closure()
         if binding is not None:
             written = binding
-        elif partial is not None:
-            closure = partial[0]
-            for slot in self._dirty_linkless:
-                self._slot_rate[slot] = math.inf
-            if closure:
-                remaining = self._solve_scalar(restrict=partial)
-                self._resume = 0
-                if self._bind:
-                    self._enter_bind(*self._filled(remaining))
-            written = (closure, self._dirty_linkless)
-            self._dirty_linkless = set()
-            self._partial_solves.inc()
-            self._partial_slots.inc(len(closure))
         else:
-            # Full solves are rare and expensive enough to trace; partial
-            # re-solves run once per fluid event and get counters only.
+            # Full solves are traced; binding solves run once per fluid
+            # event and get counters only.
             vectorised = self.uses_vector_path()
             with obs.span(
                 "alloc.solve",
@@ -1074,147 +967,29 @@ class IncrementalAllocator:
             self._full_solves.inc()
         self._written = written if self._written is _UNREAD else None
         self._dirty_links.clear()
-        self._dirty_linkless.clear()
         self._solved = True
-        self._have_rates = True
-
-    def _dirty_closure(
-        self,
-    ) -> Optional[Tuple[Dict[int, List[int]], Dict[int, List[int]]]]:
-        """Flow slots transitively sharing links with the edited links.
-
-        Returns None when a partial re-solve would not pay — the closure
-        holds more than ``_partial_limit`` slots — otherwise the affected
-        slots (possibly none), each mapped to its row, and the links they
-        cross and the dirty links, each mapped to its members, all as
-        lists: what the restricted solve reads.  The walk does not collect
-        that many slots to find out.  Each link is tested the moment the
-        walk *discovers* it: one link with more members than the limit
-        already proves the closure too big, and so do discovered links
-        whose members total more than ``limit × longest path`` (a slot is
-        in at most that many of them).  Where a rack or aggregation link is
-        fat that takes a few steps; on a giant of thin links (a shuffle
-        between hosts) it costs dozens of visited flows.
-
-        So a walk that fails after visiting a flow labels the components
-        (:meth:`_label_components`), and later walks whose dirty links'
-        labels count more routed flows than the limit are skipped.  Until
-        an add voids them, labels go stale only by removals, which split
-        components but never join them, and each removal is taken off its
-        label's count: a count bounds every closure inside its label.  Once
-        half the flows they counted have left, the labels are dropped, so
-        a giant that has split is labeled afresh by the next failed walk.
-        """
-        if not self._dirty_links:
-            return {}, {}
-        limit = _partial_limit(len(self._flow_slot))
-        routed = len(self._flow_slot) - len(self._linkless)
-        if self._label is not None and 2 * routed <= self._label_flows:
-            self._label = None
-        label, count = self._label, self._label_count
-        if label is not None:
-            owners = {label[link] for link in self._dirty_links}
-            if sum(count[owner] for owner in owners) > limit:
-                self._walks_skipped.inc()
-                return None
-        self._walks.inc()
-        budget = limit * self._max_row
-        members = self._link_members
-        views = self._views
-        count, row_start, row_len, rows = views[0], views[6], views[7], views[8]
-        # Discovered links, each mapped to its members once known.  A link
-        # with none, or only the flow whose row discovered it, is not read.
-        seen_links: Dict[int, Optional[List[int]]] = {}
-        closure: Dict[int, List[int]] = {}
-        stack: List[int] = []  # discovered links, members not yet visited
-
-        def discover(links, slot: Optional[int] = None) -> bool:
-            nonlocal budget
-            for link in links:
-                if link not in seen_links:
-                    n_members = count[link]
-                    budget -= n_members
-                    if n_members > limit or budget < 0:
-                        return False
-                    if not n_members:
-                        seen_links[link] = []
-                    elif n_members == 1 and slot is not None:
-                        seen_links[link] = [slot]
-                    else:
-                        seen_links[link] = None
-                        stack.append(link)
-            return True
-
-        if not discover(self._dirty_links):
-            return None
-        while stack:
-            link = stack.pop()
-            seen_links[link] = visited = members(link).tolist()
-            for slot in visited:
-                if slot not in closure:
-                    start = row_start[slot]
-                    row = closure[slot] = rows[start : start + row_len[slot]].tolist()
-                    if len(closure) > limit or not discover(row, slot):
-                        if label is None:
-                            self._label_components()
-                        return None
-        return closure, seen_links
-
-    def _label_components(self) -> None:
-        """Label every link with the least link index of its component in
-        the flow↔link sharing graph, and count the routed flows per label:
-        min-label propagation over the CSR rows (each row hooks the roots
-        of its links to the least of them) with pointer jumping, until no
-        row hooks anything.  Labels only fall, so a root is its
-        component's least index."""
-        slots = np.flatnonzero(self._slot_nlinks)
-        lengths = self._slot_nlinks[slots]
-        links = self._row_data[csr_gather(self._row_start[slots], lengths)]
-        starts = lengths.cumsum() - lengths
-        label = np.arange(len(self._link_ids))
-        while True:
-            roots = label[links]
-            least = np.minimum.reduceat(roots, starts).repeat(lengths)
-            if np.array_equal(roots, least):
-                break
-            np.minimum.at(label, roots, least)
-            while True:
-                jumped = label[label]
-                if np.array_equal(jumped, label):
-                    break
-                label = jumped
-        self._label = label.tolist()
-        self._label_count = np.bincount(label[links[starts]], minlength=label.shape[0]).tolist()
-        self._label_flows = slots.shape[0]
-        self._labelings.inc()
 
     def _build_bind(self) -> None:
-        """B and every link's headroom, from what the last exact solve
+        """B and every link's headroom, from what the last full solve
         left: called before the first removal since, while the registry is
-        the one that solve saw."""
-        fill, self._bind_fill = self._bind_fill, None
-        n_links = len(self._capacity)
-        self._bind = np.zeros(n_links, dtype=bool), np.full(n_links, math.inf)
-        self._bind_ops = 0
-        # (A link in no use at the solve can enter use only by an add, which
-        # voids B, so its infinite headroom is never read.)
-        self._enter_bind(*fill)
-
-    def _enter_bind(self, links, capacity, remaining) -> None:
-        """Enter the links an exact solve filled in B, or give them their
-        headroom, and check B.  Every routed flow has a bottleneck and a
+        the one that solve saw.  Every routed flow has a bottleneck and a
         bottleneck is left saturated, so the member counts of B add up to
         the routed flows exactly when each crosses one link of B; if not
         (or an infinite link is in use, which can leave a flow with no
-        bottleneck), B is of no use until the next exact solve."""
+        bottleneck), B is of no use until the next full solve."""
+        (links, capacity, remaining), self._bind_fill = self._bind_fill, None
         if np.isinf(capacity).any():
             self._bind = False
             return
-        in_b, headroom = self._bind
+        n_links = len(self._capacity)
+        in_b, headroom = np.zeros(n_links, dtype=bool), np.full(n_links, math.inf)
+        # (A link in no use at the solve can enter use only by an add, which
+        # voids B, so its infinite headroom is never read.)
         headroom[links] = remaining - _BIND_EPS * capacity
         in_b[links] = headroom[links] <= 0.0
         routed = len(self._flow_slot) - len(self._linkless)
-        self._bind_ops += 2 * routed
+        self._bind = in_b, headroom
+        self._bind_ops = 2 * routed
         if int(self._link_count[in_b].sum()) != routed:
             self._bind = False
 
@@ -1281,42 +1056,24 @@ class IncrementalAllocator:
         self._slot_rate[members] = new
         return members
 
-    def _solve_scalar(
-        self,
-        restrict: Optional[Tuple[Dict[int, List[int]], Dict[int, List[int]]]] = None,
-    ) -> Dict[int, float]:
+    def _solve_scalar(self) -> Dict[int, float]:
         """Heap-based progressive filling over interned int slots; returns
-        what remains of each link it filled.
-
-        With ``restrict`` — the closure :meth:`_dirty_closure` walked: no
-        member shares a link with a slot outside it — only those slots are
-        re-solved, over the rows and member lists the walk read; by
-        closedness a link's members are the same globally and restricted.
-        """
+        what remains of each link it filled."""
         slot_rate = self._slot_rate
         capacity = self._capacity
-        if restrict is None:
-            views = self._views
-            row_start, row_len, row_data = views[6], views[7], views[8]
-            rows = {}
-            for slot in self._flow_slot.values():
-                n = row_len[slot]
-                if n:
-                    start = row_start[slot]
-                    rows[slot] = row_data[start : start + n].tolist()
-                else:
-                    # Flows that traverse no links are not limited at all.
-                    slot_rate[slot] = math.inf
-            used = np.flatnonzero(self._link_count)
-            counts = dict(zip(used.tolist(), self._link_count[used].tolist()))
-
-            def members_of(link: int) -> List[int]:
-                return self._link_members(link).tolist()
-
-        else:
-            rows, listed = restrict
-            counts = {link: len(slots) for link, slots in listed.items() if slots}
-            members_of = listed.__getitem__
+        views = self._views
+        row_start, row_len, row_data = views[6], views[7], views[8]
+        rows = {}
+        for slot in self._flow_slot.values():
+            n = row_len[slot]
+            if n:
+                start = row_start[slot]
+                rows[slot] = row_data[start : start + n].tolist()
+            else:
+                # Flows that traverse no links are not limited at all.
+                slot_rate[slot] = math.inf
+        used = np.flatnonzero(self._link_count)
+        counts = dict(zip(used.tolist(), self._link_count[used].tolist()))
         # Working copies for only the links currently in play.
         remaining: Dict[int, float] = {
             index: capacity[index] for index in counts
@@ -1349,7 +1106,8 @@ class IncrementalAllocator:
                     heapq.heappop(share_heap)
                 continue
             heapq.heappop(share_heap)
-            to_freeze = [slot for slot in members_of(link) if not frozen[slot]]
+            members = self._link_members(link).tolist()
+            to_freeze = [slot for slot in members if not frozen[slot]]
             n_left -= len(to_freeze)
 
             # Count the round's crossings per link, then drain each link
@@ -1429,7 +1187,7 @@ class IncrementalAllocator:
         ``_link_count``.
         :meth:`remove_flow` therefore lowers ``_resume`` to the removed
         flow's freeze round; everything else (an add, a capacity change, a
-        partial or scalar solve in between) sets it to 0.
+        scalar solve in between) sets it to 0.
         The prefix is applied *in one pass* before the loop: links are
         independent, so only each link's own drain order matters, and
         ``np.subtract.at`` applies the logged ``k*level`` products

@@ -317,12 +317,38 @@ MUTANTS: Tuple[Mutant, ...] = (
         (BINDING + "test_a_fabric_link_whose_slack_runs_out_refuses",),
     ),
     Mutant(
-        "a partial solve does not add the links it saturates to B",
+        "a refused binding solve keeps the stale rates",
         ALLOC,
-        "                if self._bind:\n"
-        "                    self._enter_bind(*self._filled(remaining))\n",
-        "                pass\n",
-        (BINDING + "test_a_partial_solve_that_saturates_a_link_outside_b_adds_it",),
+        "        if binding is not None:\n            written = binding\n",
+        "        if self._bind is not None:\n            written = binding\n",
+        (
+            BINDING + "test_a_fabric_link_whose_slack_runs_out_refuses",
+            BINDING + "test_a_member_that_crosses_two_binding_links_refuses",
+        ),
+    ),
+    Mutant(
+        "the full scalar solve leaves no fill to build B from",
+        ALLOC,
+        "                    self._bind_fill = self._filled(self._solve_scalar())\n",
+        "                    self._solve_scalar()\n",
+        (
+            BINDING + "test_an_add_or_a_capacity_change_voids_b",
+            BINDING + "test_random_hosed_trees_solve_like_a_fresh_allocator",
+        ),
+    ),
+    Mutant(
+        "the full vector solve leaves no fill to build B from",
+        ALLOC,
+        "        self._bind_fill = used, capacity, remaining\n",
+        "",
+        (BINDING + "test_rack_local_meshes_in_waves_take_full_solves_only_after_adds",),
+    ),
+    Mutant(
+        "a removal marks none of its links dirty",
+        ALLOC,
+        "            self._dirty_links.update(row)\n",
+        "",
+        (BINDING + "test_a_fabric_link_whose_slack_runs_out_refuses",),
     ),
     Mutant(
         # Equivalent in rates (slack only under-counted: more refusals, each

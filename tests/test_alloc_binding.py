@@ -5,21 +5,23 @@ and every other link's slack.  While each flow crosses exactly one link of
 B and only removals follow, a removal re-rates the members of the links of
 B it touched in closed form, ``C / n``, once the slack of every other link
 they cross certifies that none of those can bind; everything else goes to
-the partial or full solve.  The shortcut must be invisible: after every
+one full solve, which leaves B again.  The shortcut must be invisible: after every
 edit the live allocator's rates must equal — exactly — a fresh allocator's,
 on the vector and on the scalar fill, and ``written_slots()`` must name
 every rate that moved.  Hand-made instances force each reason to refuse;
 the counters ``repro.alloc.binding_solves`` / ``binding_refusals`` show the
-path serving the solves of a pipeline-shaped run.
+path serving the solves of a pipeline-shaped run, of rack-local meshes that
+start in waves, and of a churn session.
 """
 
 import dataclasses
+import math
 import random
 
 import numpy as np
 import pytest
 
-from oracles.max_min import force_solves
+from oracles.max_min import force_loop, force_solves
 from repro import obs
 from repro.cloud.ec2 import ec2_params
 from repro.cloud.provider import VMFlow
@@ -28,6 +30,7 @@ from repro.net import alloc
 from repro.net.alloc import _BATCH_MIN, IncrementalAllocator
 from repro.net.fairness import FlowDemand
 from repro.net.topology import TreeSpec, build_multi_rooted_tree
+from repro.service.session import run_churn_session
 
 
 def _fresh(caps, active, vector):
@@ -163,7 +166,7 @@ def test_random_hosed_trees_solve_like_a_fresh_allocator(vector, monkeypatch):
     # The path served most solves and refused some: both sides were run.
     assert totals["binding_solves"] >= 100
     assert totals["binding_refusals"] >= 5
-    assert totals["full_solves"] + totals["partial_solves"] >= 20
+    assert totals["full_solves"] >= 20
 
 
 # ------------------------------------------------------------ every refusal
@@ -242,31 +245,10 @@ def test_a_fabric_link_whose_slack_runs_out_refuses():
     assert live.rate("p1") == live.rate("q2") == 10.0 / 3.0
 
 
-def test_a_partial_solve_that_saturates_a_link_outside_b_adds_it():
-    """p4 leaves (served), q4 leaves: f would be overdrawn, so the path
-    refuses and a partial solve saturates f.  f must join B — which now
-    holds flows that cross two of its links, so the next removal, across f,
-    is refused too.  Left out of B, f would keep the slack it had before,
-    and q1's removal would be re-rated on h2 alone while f's other flows
-    were owed what q1 gave back."""
-    caps, demands = _two_hoses_over_one_link()
-    live = _Live(caps, demands)
-    live.remove(["p4"])
-    assert live.settle("p4 leaves")["binding_solves"] == 1
-    live.remove(["q4"])
-    delta = live.settle("q4 leaves")
-    assert delta["binding_refusals"] == 1 and delta["partial_solves"] == 1
-    assert live.rate("p1") == live.rate("q1") == 2.5 and live.rate("p3") == 3.0
-    live.remove(["q1"])
-    delta = live.settle("q1 leaves")
-    assert delta["binding_refusals"] == 1 and delta["binding_solves"] == 0
-    assert live.rate("p1") == 8.0 / 3.0 and live.rate("q2") == 4.0
-
-
-def test_an_add_or_a_capacity_change_voids_b(monkeypatch):
-    """After an add or a capacity change, nothing is served nor refused
-    until a full solve has built B again (a partial solve sees too little
-    of the network to)."""
+def test_an_add_or_a_capacity_change_voids_b():
+    """After an add or a capacity change, nothing is served nor refused:
+    the next solve is a full one, and it builds B again, so the removal
+    after it is served."""
     caps, demands = _two_hoses_over_one_link(fabric_cap=100.0)
     live = _Live(caps, demands)
     live.remove(["p4"])
@@ -275,20 +257,42 @@ def test_an_add_or_a_capacity_change_voids_b(monkeypatch):
     live.remove(["q4"])
     delta = live.settle("add, then a removal")
     assert delta["binding_solves"] == delta["binding_refusals"] == 0
+    assert delta["full_solves"] == 1
     assert live.rate("p5") == 2.0 and live.rate("q1") == 8.0 / 3.0
-    live.set_capacity("h2", 6.0)
+    live.remove(["q3"])
+    delta = live.settle("served again")
+    assert delta["binding_solves"] == 1 and live.rate("q1") == 4.0
+    live.set_capacity("h2", 7.0)
     delta = live.settle("capacity change")
     assert delta["binding_solves"] == delta["binding_refusals"] == 0
-    assert live.rate("q1") == 2.0
-    live.remove(["q3"])
-    delta = live.settle("partial, B still void")
-    assert delta["partial_solves"] == 1 and delta["binding_solves"] == 0
-    monkeypatch.setattr(alloc, "_partial_limit", lambda n: 0)
-    live.set_capacity("h2", 7.0)
-    assert live.settle("full")["full_solves"] == 1 and live.rate("q1") == 3.5
+    assert delta["full_solves"] == 1 and live.rate("q1") == 3.5
     live.remove(["q2"])
-    delta = live.settle("served again")
+    delta = live.settle("served after the change")
     assert delta["binding_solves"] == 1 and live.rate("q1") == 7.0
+
+
+def test_a_linkless_flow_voids_b_when_added_and_is_served_when_removed():
+    """A flow that crosses no link has no edit of its own: its removal,
+    while B holds, is served like any other (B counts routed flows only),
+    and its add voids B like any other, so the next solve is a full one."""
+    caps, demands = _two_hoses_over_one_link(fabric_cap=100.0)
+    demands["z1"] = demands["z2"] = FlowDemand(links=())
+    live = _Live(caps, demands)
+    assert live.rate("z1") == math.inf and live.rate("p1") == 2.0
+    live.remove(["z1"])
+    delta = live.settle("linkless removal")
+    assert delta["binding_solves"] == 1 and delta["full_solves"] == 0
+    live.remove(["p4"])
+    delta = live.settle("served after it")
+    assert delta["binding_solves"] == 1 and live.rate("p1") == 8.0 / 3.0
+    live.add({"z3": FlowDemand(links=())})
+    delta = live.settle("linkless add")
+    assert delta["full_solves"] == 1
+    assert delta["binding_solves"] == delta["binding_refusals"] == 0
+    assert live.rate("z3") == math.inf and live.rate("p1") == 8.0 / 3.0
+    live.remove(["q4"])
+    delta = live.settle("served after the full solve")
+    assert delta["binding_solves"] == 1 and live.rate("q1") == 8.0 / 3.0
 
 
 @pytest.mark.parametrize("eps", ["x10", "x0.1", "one rounding step"])
@@ -342,4 +346,119 @@ def test_the_path_serves_a_pipeline_shaped_shuffle():
 
     served, refused = delta("binding_solves"), delta("binding_refusals")
     assert served + refused >= 1000
-    assert served >= 0.95 * (served + refused + delta("full_solves") + delta("partial_solves"))
+    assert served >= 0.95 * (served + refused + delta("full_solves"))
+
+
+# ------------------------------------------------ rack-local meshes in waves
+class _Watched(IncrementalAllocator):
+    """The allocator a fluid run builds, shadowed: it keeps the rows of the
+    flows it holds, holds every solve's rates ``==`` to a fresh allocator
+    of the same flows, and logs each solve's counter deltas and whether an
+    add came before it."""
+
+    def __init__(self, capacities):
+        super().__init__(capacities)
+        self.caps = dict(capacities)
+        self.rows = {}
+        self.added = False
+        self.solves = []
+
+    def add_flows(self, flow_ids, rows, lengths):
+        slots = super().add_flows(flow_ids, rows, lengths)
+        rows, ends = np.asarray(rows), np.cumsum(lengths)
+        for fid, start, end in zip(flow_ids, ends - lengths, ends):
+            self.rows[fid] = rows[start:end]
+        self.added = True
+        return slots
+
+    def remove_flow(self, flow_id):
+        super().remove_flow(flow_id)
+        self.rows.pop(flow_id, None)
+
+    def remove_flows(self, flow_ids):
+        super().remove_flows(flow_ids)
+        for fid in flow_ids:
+            self.rows.pop(fid, None)
+
+    def solve(self):
+        self._watch()
+        return super().solve()
+
+    def solve_slots(self):
+        self._watch()
+        return super().solve_slots()
+
+    def _watch(self):
+        before = self.solver_stats()
+        rates = super().solve()
+        after = self.solver_stats()
+        delta = {key: after[key] - before[key] for key in after}
+        if any(delta.values()):
+            self.solves.append((delta, self.added))
+            self.added = False
+        fresh = IncrementalAllocator(self.caps)
+        ids = sorted(self.rows)
+        fresh.add_flows(
+            ids,
+            np.concatenate([self.rows[fid] for fid in ids] or [np.zeros(0, dtype=np.intp)]),
+            [len(self.rows[fid]) for fid in ids],
+        )
+        assert rates == fresh.solve(), len(self.solves)
+
+
+@pytest.mark.parametrize("vector", [True, False], ids=["vector", "scalar"])
+def test_rack_local_meshes_in_waves_take_full_solves_only_after_adds(vector, monkeypatch):
+    """An ec2 provider's 4 racks of 6 hosts, one all-to-all mesh per rack,
+    each rack's mesh starting 0.3 s after the last, on either event loop
+    and either fill.  Every solve after the first is a full one right after
+    a wave arrives, or one the binding path serves (the hoses bind, and
+    each flow crosses one), and after every event the rates are a fresh
+    allocator's."""
+    from repro.net import fluid
+
+    force_loop(monkeypatch, vector)
+    force_solves(monkeypatch, vector)
+    watched = []
+
+    def watch(capacities):
+        watched.append(_Watched(capacities))
+        return watched[-1]
+
+    monkeypatch.setattr(fluid, "IncrementalAllocator", watch)
+    base = ec2_params()
+    spec = dataclasses.replace(base.tree_spec, hosts_per_rack=6, racks_per_pod=4, pods=1)
+    provider = make_provider("ec2", seed=0, params=dataclasses.replace(base, tree_spec=spec))
+    provider.request_vms(24)
+    by_rack = {}
+    for vm in provider.vms():
+        by_rack.setdefault(provider.topology.rack_of(vm.host), []).append(vm.name)
+    assert len(by_rack) == 4
+    flows = [
+        VMFlow(f"{a}>{b}", a, b, 1e6 * (1 + (7 * i) % 11), start_time=0.3 * wave)
+        for wave, vms in enumerate(by_rack.values())
+        for i, (a, b) in enumerate((a, b) for a in vms for b in vms if a != b)
+    ]
+    result = provider.build_simulation(flows).run()
+    assert len(result.completion_times) == len(flows)
+    (live,) = watched
+    (first, added), *later = live.solves
+    assert first["full_solves"] == 1 and added
+    served = 0
+    for i, (delta, added) in enumerate(later):
+        if delta["binding_solves"]:
+            served += 1
+            assert delta["full_solves"] == 0 and not added, i
+        else:
+            assert delta["full_solves"] == 1 and added, i
+        assert delta["binding_refusals"] == 0, i
+    assert served >= 0.8 * len(later) and len(later) >= 50
+
+
+def test_a_churn_session_takes_the_binding_path():
+    """A short churn session on the churn benchmark's drift: its live
+    network's removals are re-rated on the hoses."""
+    before = obs.metrics.snapshot()
+    run_churn_session(0, n_vms=16, hours=1, apps_per_hour=4.0, drift="hotspot-flap")
+    after = obs.metrics.snapshot()
+    name = "repro.alloc.binding_solves"
+    assert after.get(name, 0) - before.get(name, 0) > 0

@@ -1,4 +1,4 @@
-"""Resumable water-filling and the dirty-closure walk of ``repro.net.alloc``.
+"""Resumable water-filling in ``repro.net.alloc``.
 
 One long-lived allocator, its solves forced onto the vector path, is driven
 through random edit sequences; after every edit its rates must equal —
@@ -20,7 +20,7 @@ import pytest
 from oracles.max_min import force_solves, max_min_allocation
 from oracles.parent_fill import ParentFill
 from repro.net import alloc
-from repro.net.alloc import _BATCH_MIN, IncrementalAllocator, _partial_limit
+from repro.net.alloc import _BATCH_MIN, IncrementalAllocator
 from repro.net.fairness import FlowDemand, max_min_violations
 from repro.net.topology import TreeSpec, build_multi_rooted_tree
 
@@ -56,9 +56,8 @@ def _tree_instance(rng):
 
 def _mesh_instance(rng):
     """Random link sets with no tree in them: a core of shared links (one
-    big component), a few private links used by small groups (so edits there
-    re-solve partially), and a link of infinite capacity (flows that only
-    cross it stay unconstrained)."""
+    big component), a few private links used by small groups, and a link of
+    infinite capacity (flows that only cross it stay unconstrained)."""
     caps = {f"c{i}": rng.uniform(1.0, 10.0) for i in range(rng.randint(12, 30))}
     caps.update({f"p{i}": rng.uniform(1.0, 10.0) for i in range(4)})
     caps["open"] = math.inf
@@ -168,7 +167,7 @@ class _Driver:
 @pytest.mark.parametrize("make_instance", [_tree_instance, _mesh_instance])
 def test_random_edit_sequences_stay_bit_identical(make_instance):
     rng = random.Random(0x5E50)
-    resumed = partial = after_add = memoised = 0
+    resumed = after_add = memoised = 0
     for trial in range(6):
         caps, demands = make_instance(rng)
         names = sorted(demands)
@@ -201,7 +200,6 @@ def test_random_edit_sequences_stay_bit_identical(make_instance):
             late = driver.froze_after_round_zero(gone)
             driver.remove(gone)
             delta = driver.settle(context)
-            partial += delta["partial_solves"]
             if delta["full_solves"] and was_full and late:
                 assert delta["rounds_replayed"] > 0, context
                 resumed += 1
@@ -209,8 +207,6 @@ def test_random_edit_sequences_stay_bit_identical(make_instance):
     # The sequences must have exercised each regime, not just passed it by
     # (the memo over all resumed solves: one alone may search no round).
     assert resumed >= 20 and after_add >= 5 and memoised >= resumed
-    if make_instance is _mesh_instance:
-        assert partial >= 1
 
 
 def _giant_component(n_flows=200, seed=3):
@@ -275,9 +271,7 @@ def test_linkless_and_unconstrained_flows_resume_exactly():
     for fid in ("linkless", "free_a"):
         driver.remove([fid])
         delta = driver.settle(f"remove {fid}")
-        # "linkless" touches no link, so its removal re-solves nothing.
-        expected = 0 if fid == "linkless" else rounds
-        assert delta["rounds_replayed"] == expected, fid
+        assert delta["rounds_replayed"] == rounds, fid
 
 
 def _memo_hazard_instance():
@@ -367,27 +361,21 @@ def test_replay_corner_cases_match_the_parent_fill():
     assert driver.levels[-1] == 50.0 and driver.rates["last2"] == 50.0
 
 
-def test_partial_and_scalar_solves_in_between_invalidate_the_log():
+def test_a_scalar_solve_in_between_invalidates_the_log():
+    """A full scalar solve keeps no log: the next vector fill starts from
+    round 0, even though the flow removed before it froze last."""
     caps, demands = _giant_component(n_flows=150)
-    caps.update({"side": 5.0})
-    demands.update({f"s{i}": FlowDemand(links=("side",)) for i in range(3)})
     driver = _Driver(caps, demands)
-    # An edit on the private link re-solves three slots, partially ...
-    driver.remove(["s0"])
-    delta = driver.settle("partial")
-    assert delta["partial_solves"] == 1 and delta["full_solves"] == 0
-    # ... after which the next full solve starts from round 0, even though
-    # the flow removed now froze last.
+
     def last():
         return max(
-            (fid for fid in driver.active if fid.startswith("f")),
+            driver.active,
             key=lambda fid: driver.live._freeze_round[driver.slot_of[fid]],
         )
 
     driver.remove([last()])
-    delta = driver.settle("full after partial")
-    assert delta["full_solves"] == 1 and delta["rounds_replayed"] == 0
-    # A full scalar solve in between voids the log the same way.
+    delta = driver.settle("vector, resumed")
+    assert delta["full_solves"] == 1 and delta["rounds_replayed"] > 0
     with pytest.MonkeyPatch.context() as patch:
         force_solves(patch, False)
         driver.remove([last()])
@@ -412,8 +400,8 @@ def test_scalar_solver_on_two_infinite_links():
 
 # -------------------------------------------------------------- written slots
 def _solve_kind(before, after, vectorised):
-    if after["partial_solves"] > before["partial_solves"]:
-        return "partial"
+    if after["binding_solves"] > before["binding_solves"]:
+        return "binding"
     if after["full_solves"] > before["full_solves"]:
         return "vector" if vectorised else "scalar"
     return "cached"
@@ -426,10 +414,10 @@ def test_written_slots_cover_every_rate_a_solve_changed(make_instance, monkeypat
     the report is None.  Two solves between reads give None; a read with no
     solve since gives nothing.  The edit scripts mix single and batched adds
     (linkless flows among them) and removals, capacity changes, and solves
-    on both full paths and partial ones."""
+    on both full paths."""
     monkeypatch.setattr(alloc, "_BATCH_MIN", 8)
     rng = random.Random(0x3177)
-    kinds = {"partial": 0, "vector": 0, "scalar": 0, "cached": 0}
+    kinds = {"binding": 0, "vector": 0, "scalar": 0, "cached": 0}
     sparse = twice = 0
     for trial in range(5):
         caps, demands = make_instance(rng)
@@ -481,13 +469,13 @@ def test_written_slots_cover_every_rate_a_solve_changed(make_instance, monkeypat
                     assert changed <= set(written), context
                     sparse += len(written) < len(slot_of)
                 else:
-                    assert kind != "partial", context
+                    assert kind in ("scalar", "vector"), context
                 assert live.written_slots().shape == (0,), context
             rates, fresh = live.solve_slots().copy(), set()
             # The next edit: adds, removals, or a capacity change.
             roll = rng.random()
             if roll < 0.1:
-                # A linkless flow alone: no link is dirty, so a partial solve.
+                # A linkless flow alone.
                 fid = f"free{trial}.{step}"
                 demands[fid] = FlowDemand(links=())
                 fresh |= add([fid])
@@ -506,287 +494,8 @@ def test_written_slots_cover_every_rate_a_solve_changed(make_instance, monkeypat
                 live.update_capacities({rng.choice(finite): rng.uniform(1.0, 1e4)})
     # Every regime was reached, and reports were smaller than the flow set.
     assert kinds["vector"] >= 20 and kinds["scalar"] >= 10 and twice >= 5
-    if make_instance is _mesh_instance:
-        assert kinds["partial"] >= 5
-    else:
+    if make_instance is _tree_instance:
         assert sparse >= 5
-
-
-# -------------------------------------------------------------- closure cost
-class _CountedList(list):
-    """A member list that tallies every slot a walk iterates over."""
-
-    def __init__(self, slots, tally):
-        super().__init__(slots)
-        self.tally = tally
-
-    def __iter__(self):
-        for slot in list.__iter__(self):
-            self.tally[0] += 1
-            yield slot
-
-
-class _CountedMembers:
-    """The members ``_link_members`` returns, listed as a ``_CountedList``."""
-
-    def __init__(self, members, tally):
-        self.members, self.tally = members, tally
-
-    def tolist(self):
-        return _CountedList(self.members.tolist(), self.tally)
-
-
-def _members_inspected_by_walk(live):
-    """Run ``_dirty_closure`` once; return its verdict and how many member
-    slots it iterated over on the way, read through ``_link_members``."""
-    tally = [0]
-    read = live._link_members
-    live._link_members = lambda link: _CountedMembers(read(link), tally)
-    try:
-        return live._dirty_closure(), tally[0]
-    finally:
-        del live._link_members
-
-
-def _pod_mesh_allocator(racks, hosts_per_rack, cross_rack):
-    """One pod's hosts in a full ordered mesh (a scaled-down ``fluid_giant``)
-    or, with ``cross_rack=False``, only the rack-local pairs: disjoint
-    rack-sized components."""
-    spec = TreeSpec(pods=2, racks_per_pod=racks, hosts_per_rack=hosts_per_rack, num_cores=2)
-    topo = build_multi_rooted_tree(spec)
-    pod = sorted(topo.hosts(), key=lambda h: int(h[4:]))[: racks * hosts_per_rack]
-    live = IncrementalAllocator(topo.capacities())
-    rack_local = []
-    for a in pod:
-        for b in pod:
-            if a == b or not (cross_rack or topo.same_rack(a, b)):
-                continue
-            fid = f"{a}>{b}"
-            live.add_flow(fid, [link.link_id for link in topo.path_links(a, b)])
-            if topo.same_rack(a, b):
-                rack_local.append(fid)
-    live.solve_slots()
-    return live, rack_local
-
-
-def test_giant_component_is_recognised_in_o_path_steps():
-    live, rack_local = _pod_mesh_allocator(racks=4, hosts_per_rack=24, cross_rack=True)
-    n = len(live)
-    assert n == 96 * 95 and _partial_limit(n) == 1024
-    live.remove_flow(rack_local[0])
-    verdict, inspected = _members_inspected_by_walk(live)
-    # The retired flow's host links carry 95 flows each — thin; the first
-    # flow visited on one of them crosses a rack link, which is not.
-    assert verdict is None and inspected <= 64
-    before = live.solver_stats()
-    live.solve_slots()
-    after = live.solver_stats()
-    assert after["full_solves"] == before["full_solves"] + 1
-    assert after["rounds_replayed"] > before["rounds_replayed"]
-
-
-def test_giant_component_of_thin_links_is_recognised_early():
-    """A 40 × 40 shuffle over host links only: no link has more than 40
-    members, the component has 1 600 — the member sets the walk discovers
-    add up to the verdict long before it has collected ``limit`` slots."""
-    caps = {f"up{i}": 1.0 for i in range(40)}
-    caps.update({f"down{i}": 1.0 for i in range(40)})
-    live = IncrementalAllocator(caps)
-    for i in range(40):
-        for j in range(40):
-            live.add_flow(f"{i}>{j}", [f"up{i}", f"down{j}"])
-    live.solve_slots()
-    assert _partial_limit(len(live)) == 800
-    live.remove_flow("0>0")
-    verdict, inspected = _members_inspected_by_walk(live)
-    assert verdict is None and inspected <= 100
-
-
-def test_rack_local_retirement_still_takes_the_partial_path():
-    hosts_per_rack = 12
-    live, rack_local = _pod_mesh_allocator(
-        racks=6, hosts_per_rack=hosts_per_rack, cross_rack=False
-    )
-    rack_flows = hosts_per_rack * (hosts_per_rack - 1)
-    assert len(live) == 6 * rack_flows
-    before = live.solver_stats()
-    live.remove_flow(rack_local[0])
-    live.solve_slots()
-    after = live.solver_stats()
-    assert after["partial_solves"] == before["partial_solves"] + 1
-    assert after["full_solves"] == before["full_solves"]
-    assert 0 < after["partial_slots"] - before["partial_slots"] <= rack_flows
-
-
-# ----------------------------------------------------------- component labels
-def _components(demands, index):
-    """Plain BFS over the flow↔link graph of the routed flows in
-    ``demands``: per component, its link indices and its flow count."""
-    rows = {fid: {index[link] for link in d.links} for fid, d in demands.items() if d.links}
-    flows_on = {}
-    for fid, links in rows.items():
-        for link in links:
-            flows_on.setdefault(link, []).append(fid)
-    seen, components = set(), []
-    for start in rows:
-        if start in seen:
-            continue
-        seen.add(start)
-        queue, links, n = [start], set(), 0
-        while queue:
-            fid = queue.pop()
-            n += 1
-            for link in rows[fid] - links:
-                links.add(link)
-                for other in flows_on[link]:
-                    if other not in seen:
-                        seen.add(other)
-                        queue.append(other)
-        components.append((links, n))
-    return components
-
-
-@pytest.mark.parametrize("make_instance", [_tree_instance, _mesh_instance])
-def test_component_labels_bound_every_closure(make_instance):
-    """Right after labeling, every link carries its component's least link
-    index and every label counts its component's routed flows.  Removals
-    (flow by flow and batched) keep the labels and take each flow off its
-    label's count, so a count is the exact number of routed flows left
-    under its label — at least any one component's, and equal to it while
-    nothing split.  A capacity change keeps the labels; an add voids them."""
-    rng = random.Random(0x1ABE)
-    split = 0
-    for trial in range(6):
-        caps, demands = make_instance(rng)
-        index = {link: i for i, link in enumerate(caps)}
-        live = IncrementalAllocator(caps)
-        for fid, demand in demands.items():
-            live.add_flow(fid, demand.links)
-        live._label_components()
-        label, count = live._label, live._label_count
-        components = _components(demands, index)
-        for links, n in components:
-            assert {label[link] for link in links} == {min(links)}
-            assert count[min(links)] == n
-        in_use = set().union(*(links for links, _ in components))
-        assert all(label[i] == i for i in range(len(caps)) if i not in in_use)
-        assert sum(count) == sum(n for _, n in components)
-
-        active = dict(demands)
-        for step in range(5):
-            k = min(rng.choice([1, 4, _BATCH_MIN + 3]), len(active) - 1)
-            gone = rng.sample(sorted(active), k)
-            if k == 1:
-                live.remove_flow(gone[0])
-            else:
-                live.remove_flows(gone)
-            for fid in gone:
-                del active[fid]
-            assert live._label is label and live._label_count is count
-            sizes = {}
-            for links, n in _components(active, index):
-                owner = {label[link] for link in links}
-                assert len(owner) == 1, (trial, step)  # removals never join
-                sizes.setdefault(owner.pop(), []).append(n)
-            for owner, ns in sizes.items():
-                assert count[owner] == sum(ns) >= max(ns), (trial, step)
-                split += len(ns) > 1
-            assert sum(count) == sum(map(sum, sizes.values()))
-
-        finite = next(link for link, cap in caps.items() if cap < math.inf)
-        live.update_capacities({finite: caps[finite] + 1.0})
-        assert live._label is label
-        live.add_flow("late", (finite,))
-        assert live._label is None
-    assert split > 0  # some removals did split a component
-
-
-def _pod_and_rack_allocator():
-    """Pod 0 of a two-pod tree in a full ordered mesh (one giant component)
-    and a 3-host rack-local mesh in pod 1 (six flows of their own)."""
-    spec = TreeSpec(pods=2, racks_per_pod=4, hosts_per_rack=6, num_cores=2)
-    topo = build_multi_rooted_tree(spec)
-    hosts = sorted(topo.hosts(), key=lambda h: int(h[4:]))
-    pod, small = hosts[:24], hosts[24:27]
-    assert all(topo.same_rack(small[0], host) for host in small)
-    live = IncrementalAllocator(topo.capacities())
-    for group in (pod, small):
-        for a in group:
-            for b in group:
-                if a != b:
-                    live.add_flow(f"{a}>{b}", [link.link_id for link in topo.path_links(a, b)])
-    live.solve_slots()
-    return live, pod, small
-
-
-def _solve_delta(live):
-    before = live.solver_stats()
-    live.solve_slots()
-    after = live.solver_stats()
-    return {key: after[key] - before[key] for key in after}
-
-
-def test_a_retirement_in_a_small_component_stays_partial_after_a_giant_fails():
-    """The giant's failed walk labels the components; from then on the
-    giant's walks are skipped, while the small component — whose links
-    such a failed walk may well have discovered — is still walked and
-    re-solved alone."""
-    live, pod, small = _pod_and_rack_allocator()
-    live.remove_flow(f"{pod[0]}>{pod[1]}")
-    delta = _solve_delta(live)
-    assert delta["full_solves"] == 1 and delta["walks"] == 1
-    assert delta["labelings"] == 1 and delta["walks_skipped"] == 0
-    live.remove_flow(f"{small[0]}>{small[1]}")
-    delta = _solve_delta(live)
-    assert delta["partial_solves"] == 1 and delta["partial_slots"] == 5
-    assert delta["walks"] == 1 and delta["walks_skipped"] == 0
-    live.remove_flow(f"{pod[2]}>{pod[3]}")
-    delta = _solve_delta(live)
-    assert delta["full_solves"] == 1 and delta["walks_skipped"] == 1
-    assert delta["walks"] == 0 and delta["labelings"] == 0
-
-
-def test_a_split_giant_takes_partial_solves_again_once_it_halves():
-    """Six 12-host rack-local meshes joined by five bridging flows.  Once
-    the bridges are gone each rack is a component of its own, but the
-    labels still count the giant, so a rack's retirement re-solves in
-    full; after half the counted flows have left the labels are dropped
-    and a rack's retirement is re-solved alone again."""
-    spec = TreeSpec(pods=2, racks_per_pod=6, hosts_per_rack=12, num_cores=2)
-    topo = build_multi_rooted_tree(spec)
-    hosts = sorted(topo.hosts(), key=lambda h: int(h[4:]))
-    racks = [hosts[12 * r : 12 * (r + 1)] for r in range(6)]
-    live = IncrementalAllocator(topo.capacities())
-    by_rack = []
-    for rack in racks:
-        assert all(topo.same_rack(rack[0], host) for host in rack)
-        fids = [f"{a}>{b}" for a in rack for b in rack if a != b]
-        for fid in fids:
-            a, b = fid.split(">")
-            live.add_flow(fid, [link.link_id for link in topo.path_links(a, b)])
-        by_rack.append(fids)
-    bridges = [f"{racks[r][0]}>{racks[r + 1][0]}" for r in range(5)]
-    for fid in bridges:
-        a, b = fid.split(">")
-        live.add_flow(fid, [link.link_id for link in topo.path_links(a, b)])
-    live.solve_slots()
-
-    live.remove_flow(by_rack[0].pop())
-    delta = _solve_delta(live)
-    assert delta["full_solves"] == 1 and delta["labelings"] == 1
-    for fid in bridges:
-        live.remove_flow(fid)
-    live.remove_flow(by_rack[0].pop())
-    delta = _solve_delta(live)
-    assert delta["full_solves"] == 1 and delta["walks_skipped"] == 1
-    # Half the counted flows leave: three racks at once.
-    live.remove_flows([fid for fids in by_rack[3:] for fid in fids])
-    delta = _solve_delta(live)
-    assert delta["partial_solves"] == 1 and delta["walks"] == 1
-    live.remove_flow(by_rack[0].pop())
-    delta = _solve_delta(live)
-    assert delta["partial_solves"] == 1 and delta["walks_skipped"] == 0
-    assert delta["partial_slots"] == len(by_rack[0]) and delta["labelings"] == 0
 
 
 def test_vector_fill_layout_follows_links_entering_and_leaving_use():
@@ -813,3 +522,45 @@ def test_vector_fill_layout_follows_links_entering_and_leaving_use():
         driver.parent_fill.added()  # a capacity change restarts the fill too
         assert driver.settle(f"capacities {change}")["full_solves"] == 1
     assert driver.rates["on_x2"] == 0.01
+
+
+# ------------------------------------------------------------------ raw trees
+def _pod_mesh(racks, hosts_per_rack, cross_rack):
+    """One pod's hosts of a tree with no hoses, in a full ordered mesh (a
+    scaled-down ``fluid_giant``) or, with ``cross_rack=False``, only the
+    rack-local pairs; and the rack-local flows."""
+    spec = TreeSpec(pods=2, racks_per_pod=racks, hosts_per_rack=hosts_per_rack, num_cores=2)
+    topo = build_multi_rooted_tree(spec)
+    pod = sorted(topo.hosts(), key=lambda h: int(h[4:]))[: racks * hosts_per_rack]
+    demands, rack_local = {}, []
+    for a in pod:
+        for b in pod:
+            if a == b or not (cross_rack or topo.same_rack(a, b)):
+                continue
+            fid = f"{a}>{b}"
+            demands[fid] = FlowDemand(
+                links=tuple(link.link_id for link in topo.path_links(a, b))
+            )
+            if topo.same_rack(a, b):
+                rack_local.append(fid)
+    return topo.capacities(), demands, rack_local
+
+
+@pytest.mark.parametrize(
+    "racks, hosts_per_rack, cross_rack",
+    [(3, 6, True), (4, 8, False)],
+    ids=["pod mesh", "rack meshes"],
+)
+def test_a_retirement_on_a_raw_tree_is_refused_by_b_and_solved_in_full(
+    racks, hosts_per_rack, cross_rack
+):
+    """With no hose in front, a flow's host links bind at both of its ends,
+    so B never holds: each rack-local retirement is one refusal and one
+    full solve, and its rates are exact."""
+    caps, demands, rack_local = _pod_mesh(racks, hosts_per_rack, cross_rack)
+    driver = _Driver(caps, demands)
+    for fid in rack_local[:: len(rack_local) // 3][:3]:
+        driver.remove([fid])
+        delta = driver.settle(f"retire {fid}")
+        assert delta["full_solves"] == delta["binding_refusals"] == 1, fid
+        assert delta["binding_solves"] == 0, fid

@@ -179,7 +179,7 @@ class TestOneBottleneckRule:
         assert scalar == vector == live.solve()
         assert max_min_violations(demands, caps, scalar) == []
         stats = live.solver_stats()
-        assert stats["full_solves"] + stats["partial_solves"] == 1 + len(retired)
+        assert stats["full_solves"] + stats["binding_solves"] == 1 + len(retired)
 
     @pytest.mark.parametrize("edit", ["add_flow", "small batch", "big batch"])
     def test_a_path_that_repeats_a_link_is_refused_by_name(self, edit):
