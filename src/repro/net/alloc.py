@@ -71,9 +71,13 @@ Four further mechanisms keep event-loop re-solves cheap at scale:
   links it saturated (its bottlenecks, and every link within ``_BIND_EPS``
   of its capacity) and every other link's slack.  While each flow crosses
   exactly one link of B and only removals follow, a removal re-rates the
-  flows of the links of B it touched in closed form, ``C / n``, and keeps
-  every other rate, once the slack left on every other link they cross
-  certifies that no such link can bind.  See
+  flows of its link of B in closed form, ``C / n``, and keeps every other
+  rate, once no other link they cross can bind.  That is certified once
+  per full solve for a *hose-safe* link, one the links of B whose flows
+  cross it could not fill at their full capacities together; on any other
+  link by its tracked slack, debited per link of B from counts of the
+  flows each sends across it.  See
+  :meth:`IncrementalAllocator._build_bind` and
   :meth:`IncrementalAllocator._solve_binding` for why this is the fill's
   answer bit for bit.  Any other edit, and a removal the path refuses, is
   followed by one full solve, which leaves B again.
@@ -84,7 +88,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
@@ -129,13 +133,17 @@ _REPACK_MIN = 1024
 
 # The margin, relative to a link's capacity, within which a full solve
 # counts a link as saturated (in B), and above which a link's tracked slack
-# certifies that it cannot bind.  It bounds rounding only: a tracked slack
-# is the fill's ``remaining`` after at most one drain per member, then one
-# credit or debit per update, each rounded once (its delta once more) by at
-# most 2**-53 of the link's capacity; a link can turn argmin only once its
-# exact slack is within one rounding of the level per member.  So while the
-# operations behind B (``_bind_ops``: twice the routed flows at the solve,
-# plus one per update since) stay under ``_BIND_EPS * 2**51``, a tracked
+# certifies that it cannot bind (as does the capacity of the hoses across a
+# hose-safe link: see IncrementalAllocator._build_bind).  It bounds
+# rounding only: a tracked slack is the fill's ``remaining`` after at most
+# one drain per member, then one credit per removed member and one debit
+# ``delta * m`` per kept pair per re-rating, and each of these operations
+# rounds at most three times by at most 2**-53 of the link's capacity; a
+# link can turn argmin only once its exact slack is within that rounding
+# of the level.  So while the operations behind B (``_bind_ops``: twice the
+# routed flows at the solve, plus the links of every removed row and the
+# pairs of every debit since) stay under ``_BIND_EPS * 2**51``, tracked and
+# exact slack differ by at most three quarters of the margin, and a tracked
 # slack above the margin proves an exact one above every rounding that
 # could reorder the fill; past that, the path refuses until the next full
 # solve.  Refusing is always exact, so a larger or smaller margin only
@@ -172,6 +180,24 @@ def _group_by_link(links: np.ndarray):
     group_start = np.concatenate(([0], cuts))
     group_end = np.concatenate((cuts, [links.shape[0]]))
     return by_link, links_sorted, links_sorted[group_start], group_start, group_end
+
+
+class _Bound(NamedTuple):
+    """B's certificate, as :meth:`IncrementalAllocator._build_bind` leaves
+    it.  A *pair* ``(d, l)`` is a link ``d`` of B and a link ``l`` outside
+    it that members of ``d`` cross, and its count ``m_dl`` is how many do;
+    only the pairs on links that are not hose-safe are kept (when none
+    is, the pair fields are None and ``pair_start`` is empty).  ``views``
+    are memoryviews of ``link_of``, ``pair_at``, ``headroom`` and
+    ``pair_count``, for the edits that read them an entry at a time."""
+
+    link_of: np.ndarray  # per slot: its one link of B (-1: crosses none)
+    pair_at: Optional[np.ndarray]  # per CSR entry: its kept pair, or -1
+    headroom: np.ndarray  # per link: slack - _BIND_EPS * capacity (read on kept links)
+    pair_link: Optional[np.ndarray]  # per kept pair: its link outside B
+    pair_count: Optional[np.ndarray]  # per kept pair: m_dl
+    pair_start: List[int]  # link d's kept pairs: [pair_start[d], pair_start[d + 1])
+    views: Tuple[Optional[memoryview], ...]
 
 
 def _check_capacities(link_ids: Sequence[str], capacities: Sequence[float]) -> None:
@@ -261,8 +287,8 @@ class IncrementalAllocator:
         self._slot_rate = np.zeros(0, dtype=np.float64)
         self._solved = False
         self._solution: Optional[Dict[str, float]] = None
-        # The links removals touched since the last solve, while B is of
-        # use (see _solve_binding).
+        # The links of B removals left members since the last solve, while B
+        # is of use (see _solve_binding).
         self._dirty_links: Set[int] = set()
         self._views = [memoryview(getattr(self, name)) for name in _VIEWED]
         # Typed solve counters (thin-viewed by :meth:`solver_stats` and
@@ -290,13 +316,13 @@ class IncrementalAllocator:
         self._written: object = _UNREAD
         # The links that bind (see _solve_binding).  A full solve leaves
         # in ``_bind_fill`` the links it filled, their capacities and what
-        # remained of them; the first removal builds ``_bind`` from it: B
-        # as a mask over the link universe and every link's headroom
-        # (slack - _BIND_EPS * capacity).  ``_bind`` is False while B holds
-        # but is of no use (a flow crosses two of its links), and None while
-        # void (an add or a capacity change since the solve).
+        # remained of them; the first removal builds ``_bind`` from it, a
+        # ``_Bound``: each flow's link of B and the certificate of the
+        # links outside B.  ``_bind`` is False while B holds but is of no
+        # use (a flow crosses two of its links), and None while void (an
+        # add or a capacity change since the solve).
         self._bind_fill: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._bind: Union[None, bool, Tuple[np.ndarray, np.ndarray]] = None
+        self._bind: Union[None, bool, _Bound] = None
         self._bind_ops = 0
         self._binding_solves = obs.Counter("repro.alloc.binding_solves")
         self._binding_refusals = obs.Counter("repro.alloc.binding_refusals")
@@ -688,13 +714,22 @@ class IncrementalAllocator:
         base = row_start[slot]
         row = row_data[base : base + nlinks[slot]].tolist()
         nlinks[slot] = 0
-        if self._bind:
-            self._credit(row, self._slot_rate.item(slot))
-            self._dirty_links.update(row)
+        bound, pair_at = self._bind, None
+        if bound:
+            link_of, pair_at, headroom, pair_count = bound.views
+            if row:
+                self._dirty_links.add(link_of[slot])
+                self._bind_ops += len(row)
+            rate = self._slot_rate.item(slot)
         memo = self._batch_memo
         for k, index in enumerate(row):
             if memo:
                 memo.pop(index, None)
+            if pair_at is not None:
+                pair = pair_at[base + k]
+                if pair >= 0:  # (a kept link: credit it, count one member less)
+                    headroom[index] += rate
+                    pair_count[pair] -= 1
             left = count[index] - 1
             count[index] = left
             if left:
@@ -750,17 +785,23 @@ class IncrementalAllocator:
         total = int(lengths.sum())
         if total:
             entries = csr_gather(self._row_start[slots], lengths)
-            if self._bind:
-                self._credit(self._row_data[entries], self._slot_rate[slots].repeat(lengths))
+            bound = self._bind
+            if bound:
+                links_of = bound.link_of[slots]
+                self._dirty_links.update(links_of[lengths > 0].tolist())
+                self._bind_ops += total
+                if bound.pair_at is not None:
+                    pairs = bound.pair_at[entries]
+                    kept = pairs >= 0
+                    rates = self._slot_rate[slots].repeat(lengths)[kept]
+                    np.add.at(bound.headroom, self._row_data[entries[kept]], rates)
+                    np.subtract.at(bound.pair_count, pairs[kept], 1)
             touched = self._leave_batch(entries)
             if self._store.shape[0] > self._small_store:
                 self._shrink_store()
             memo = self._batch_memo
-            touched = touched.tolist()
-            for link in touched:
+            for link in touched.tolist():
                 memo.pop(link, None)
-            if self._bind:
-                self._dirty_links.update(touched)
         # Rounds before the first that froze any of these flows never had
         # one of them as their bottleneck, so they survive the removal.
         if self._resume:
@@ -970,16 +1011,47 @@ class IncrementalAllocator:
         self._solved = True
 
     def _build_bind(self) -> None:
-        """B and every link's headroom, from what the last full solve
-        left: called before the first removal since, while the registry is
-        the one that solve saw.  Every routed flow has a bottleneck and a
-        bottleneck is left saturated, so the member counts of B add up to
-        the routed flows exactly when each crosses one link of B; if not
-        (or an infinite link is in use, which can leave a flow with no
-        bottleneck), B is of no use until the next full solve."""
+        """B, each routed flow's one link of B, and the certificate of every
+        other link in use, from what the last full solve left: called before
+        the first removal since, while the registry is the one that solve
+        saw.  Every routed flow has a bottleneck and a bottleneck is left
+        saturated, so the member counts of B add up to the routed flows
+        exactly when each crosses one link of B; if not (or an infinite
+        link is in use, which can leave a flow with no bottleneck), B is of
+        no use until the next full solve.
+
+        **Hose-safe links.**  While B holds, the members of a link ``d`` of
+        B share one rate, ``C_d / n_d`` rounded once (:meth:`_solve_binding`),
+        and ``m_dl <= n_d`` of them cross a link ``l``: so they carry at
+        most ``(1 + u) C_d`` across ``l``, ``u = 2**-53``, whatever is
+        removed.  A link ``l`` outside B on which the capacities of the
+        distinct ``d`` add up to at most ``(1 - _BIND_EPS) C_l`` is
+        *hose-safe*: no set of those hoses can fill it, and removals only
+        take hoses off it.  A sum of ``k`` terms (``k`` at most the routed
+        flows; the first test below sums one term per incidence) rounds
+        by at most ``(k - 1) u`` of itself and the threshold by ``2u``, so
+        ``l``'s exact slack stays above ``(_BIND_EPS - (k + 3) u) C_l``.
+        Every served solve is held to ``_bind_ops <= _BIND_EPS * 2**51``,
+        and ``_bind_ops`` starts at twice the routed flows, so
+        ``k u <= _BIND_EPS / 8`` and the fill's
+        own rounding on ``l`` (at most two per member, ``2 u C_l`` each)
+        stays under ``_BIND_EPS C_l / 4``: below that slack whenever
+        ``_BIND_EPS > 5u``.  (A smaller margin's budget is under 2, which
+        no routed flow's solve passes.)  So a hose-safe link never turns
+        ``argmin``, and it leaves the per-event check: its headroom is
+        never read again.
+
+        **The kept counts.**  On every other link ``l`` outside B the
+        incidences are counted per pair ``(d, l)`` — one stable sort of
+        their keys, ``d``-major, so each ``d``'s pairs are one run — and
+        ``pair_at`` gives each incidence its pair: a removal credits its
+        rate to ``l``'s headroom and takes one from ``m_dl``, and
+        :meth:`_solve_binding` debits ``d``'s re-rating ``m_dl`` times
+        over in one operation.
+        """
         (links, capacity, remaining), self._bind_fill = self._bind_fill, None
+        self._bind = False
         if np.isinf(capacity).any():
-            self._bind = False
             return
         n_links = len(self._capacity)
         in_b, headroom = np.zeros(n_links, dtype=bool), np.full(n_links, math.inf)
@@ -988,10 +1060,47 @@ class IncrementalAllocator:
         headroom[links] = remaining - _BIND_EPS * capacity
         in_b[links] = headroom[links] <= 0.0
         routed = len(self._flow_slot) - len(self._linkless)
-        self._bind = in_b, headroom
         self._bind_ops = 2 * routed
         if int(self._link_count[in_b].sum()) != routed:
-            self._bind = False
+            return
+        # Every incidence on a link in use: those on B name their flow's
+        # link of B, the others are keyed by their pair.
+        n_in = self._link_count[links]
+        at = csr_gather(self._seg_start[links], n_in)
+        slots = self._store[at]
+        owner = links.repeat(n_in)
+        on_b = in_b[owner]
+        link_of = np.full(self._slot_rate.shape[0], -1, dtype=np.intp)
+        link_of[slots[on_b]] = owner[on_b]
+        off = ~on_b
+        at, slots = at[off], slots[off]
+        d, other = link_of[slots], owner[off]
+        # Summed once per incidence, the capacities bound the distinct sum
+        # from above: when every link passes so, every link is hose-safe.
+        cap = np.asarray(self._capacity)
+        limit = (1.0 - _BIND_EPS) * cap
+        pair_at, pair_link, pair_count, pair_start = None, None, None, []
+        if (np.bincount(other, weights=cap[d], minlength=n_links) > limit).any():
+            by_key, _, pairs, first, end = _group_by_link(d * n_links + other)
+            pair_d, pair_l = np.divmod(pairs, n_links)
+            unsafe = np.bincount(pair_l, weights=cap[pair_d], minlength=n_links) > limit
+            if unsafe.any():
+                kept = unsafe[pair_l]
+                sizes = end - first
+                index = np.cumsum(kept) - 1
+                index[~kept] = -1
+                entries = self._row_start[slots] + self._store_k[at]
+                pair_at = np.full(self._row_used, -1, dtype=np.intp)
+                pair_at[entries[by_key]] = index.repeat(sizes)
+                pair_link, pair_count = pair_l[kept], sizes[kept]
+                pair_start = np.searchsorted(pair_d[kept], np.arange(n_links + 1)).tolist()
+        views = tuple(
+            None if array is None else memoryview(array)
+            for array in (link_of, pair_at, headroom, pair_count)
+        )
+        self._bind = _Bound(
+            link_of, pair_at, headroom, pair_link, pair_count, pair_start, views
+        )
 
     def _filled(self, remaining: Dict[int, float]):
         """A scalar fill's ``remaining`` as ``(links, capacities, remaining)``."""
@@ -999,62 +1108,63 @@ class IncrementalAllocator:
         values = np.fromiter(remaining.values(), dtype=np.float64, count=len(remaining))
         return links, np.asarray(self._capacity)[links], values
 
-    def _credit(self, links, rates) -> None:
-        """Give removed flows' rates back to the headroom of their links."""
-        np.add.at(self._bind[1], links, rates)
-        self._bind_ops += len(links)
-
     def _solve_binding(self) -> Optional[np.ndarray]:
         """Re-rate the members of the dirty links of B in closed form;
-        returns the slots re-rated, or None (nothing changed) to refuse.
+        returns the slots re-rated, or None (no rate written) to refuse.
 
         Every flow crosses exactly one link of B (:meth:`_build_bind`), and
         removals keep that so.  Restricted to B the fill is then one round
         per link ``d``: its ``n`` members get ``C_d / n``, the fill's own
         ``remaining / counts`` with ``remaining == C_d``, as no other round
-        drains ``d``.  The fill over every link is the same fill as long as
-        no link outside B turns ``argmin``: levels never fall from round to
-        round (up to an ulp), and each unfrozen member ends at or above the
-        current level, so a link that turns ``argmin`` ends the fill
-        saturated, within rounding.  A link left with headroom — slack
-        above ``_BIND_EPS`` of its capacity, a margin that covers every
-        such rounding while ``_bind_ops`` stays under ``_BIND_EPS * 2**51``
-        — never does.  So the members' new rates are debited from the
-        headroom of the other links they cross, and if any of those is left
-        without, the debit is undone and the solve refused.  Flows off the
-        dirty links keep their rates: their links of B and their counts did
-        not change.  The round log stays the one of the last fill: it only
-        ever depends on the flow set, which removals keep it valid for.
-        (Bertsekas & Gallager, *Data Networks*, §6.5: a max-min fair
-        allocation is the feasible one in which every flow crosses a
-        saturated link where no flow gets more.)
+        drains ``d``; so all of them share one rate, ``r_d``.  The fill over
+        every link is the same fill as long as no link outside B turns
+        ``argmin``: levels never fall from round to round (up to an ulp),
+        and each unfrozen member ends at or above the current level, so a
+        link that turns ``argmin`` ends the fill saturated, within rounding.
+        A hose-safe link never does (:meth:`_build_bind`).  Nor does a link
+        left with headroom — tracked slack above ``_BIND_EPS`` of its
+        capacity, a margin that covers every rounding while ``_bind_ops``
+        stays under ``_BIND_EPS * 2**51`` (see ``_BIND_EPS``).  So each
+        dirty ``d``'s change, ``δ = C_d / n - r_d`` per member, is debited
+        ``δ m_dl`` from every kept link ``l`` of ``d``; if one is left
+        without headroom the solve is refused, and the full solve that
+        follows drops B with its headroom.  The budget gates every served
+        solve, whether it debited or not.  Flows off the dirty links keep
+        their rates: their links of B and their counts did not change.  The
+        round log stays the one of the last fill: it only ever depends on
+        the flow set, which removals keep it valid for.  (Bertsekas &
+        Gallager, *Data Networks*, §6.5: a max-min fair allocation is the
+        feasible one in which every flow crosses a saturated link where no
+        flow gets more.)
         """
-        in_b, headroom = self._bind
+        bound = self._bind
+        headroom, pair_link, pair_count = bound.headroom, bound.pair_link, bound.pair_count
+        pair_start = bound.pair_start
         count, capacity = self._views[0], self._capacity
+        slot_rate = self._slot_rate
         parts, rates = [], []
         for link in self._dirty_links:
-            if in_b[link] and count[link]:
-                parts.append(np.frombuffer(self._link_members(link), dtype=np.intp))
-                rates.append(capacity[link] / count[link])
-        if not parts:
-            return np.zeros(0, dtype=np.intp)
-        members = np.concatenate(parts)
-        new = np.repeat(rates, [part.shape[0] for part in parts])
-        lengths = self._slot_nlinks[members]
-        links = self._row_data[csr_gather(self._row_start[members], lengths)]
-        debit = (new - self._slot_rate[members]).repeat(lengths)
-        other = ~in_b[links]
-        links, debit = links[other], debit[other]
-        self._bind_ops += links.shape[0]
+            n = count[link]
+            if not n:
+                continue
+            members = self._link_members(link)
+            new = capacity[link] / n
+            if pair_start:
+                a, b = pair_start[link], pair_start[link + 1]
+                if a != b:
+                    at = pair_link[a:b]
+                    left = headroom[at] - (new - slot_rate.item(members[0])) * pair_count[a:b]
+                    if left.min() <= 0.0:
+                        return None
+                    headroom[at] = left
+                    self._bind_ops += b - a
+            parts.append(np.frombuffer(members, dtype=np.intp))
+            rates.append(new)
         if self._bind_ops > _BIND_EPS * 2.0**51:
             return None
-        before = headroom[links]
-        np.subtract.at(headroom, links, debit)
-        if links.shape[0] and headroom[links].min() <= 0.0:
-            headroom[links] = before
-            return None
-        self._slot_rate[members] = new
-        return members
+        for members, new in zip(parts, rates):
+            slot_rate[members] = new
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
 
     def _solve_scalar(self) -> Dict[int, float]:
         """Heap-based progressive filling over interned int slots; returns

@@ -305,15 +305,15 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "the closed form divides by the old count",
         ALLOC,
-        "rates.append(capacity[link] / count[link])",
-        "rates.append(capacity[link] / (count[link] + 1))",
+        "            new = capacity[link] / n\n",
+        "            new = capacity[link] / (n + 1)\n",
         (BINDING + "test_a_fabric_link_whose_slack_runs_out_refuses",),
     ),
     Mutant(
         "a removal credits its rate twice",
         ALLOC,
-        "np.add.at(self._bind[1], links, rates)",
-        "np.add.at(self._bind[1], links, 2 * rates)",
+        "                    headroom[index] += rate\n",
+        "                    headroom[index] += 2 * rate\n",
         (BINDING + "test_a_fabric_link_whose_slack_runs_out_refuses",),
     ),
     Mutant(
@@ -346,8 +346,8 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "a removal marks none of its links dirty",
         ALLOC,
-        "            self._dirty_links.update(row)\n",
-        "",
+        "                self._dirty_links.add(link_of[slot])\n",
+        "                pass\n",
         (BINDING + "test_a_fabric_link_whose_slack_runs_out_refuses",),
     ),
     Mutant(
@@ -355,9 +355,63 @@ MUTANTS: Tuple[Mutant, ...] = (
         # an exact solve); the counter pins see the refusal it adds.
         "a removal credits no slack",
         ALLOC,
-        "np.add.at(self._bind[1], links, rates)",
-        "np.add.at(self._bind[1], links, 0.0 * rates)",
+        "                    headroom[index] += rate\n",
+        "                    headroom[index] += 0.0 * rate\n",
         (BINDING + "test_a_fabric_link_whose_slack_runs_out_refuses",),
+    ),
+    Mutant(
+        "the hose-safe test drops its margin",
+        ALLOC,
+        "        limit = (1.0 - _BIND_EPS) * cap\n",
+        "        limit = cap\n",
+        (BINDING + "test_a_fabric_link_at_the_hoses_sum_is_safe_just_above_it",),
+    ),
+    Mutant(
+        # Equivalent in rates (a count only over-counted: larger debits,
+        # more refusals); the recount and the counter pins see it.
+        "a removal does not decrement its counts",
+        ALLOC,
+        "                    pair_count[pair] -= 1\n",
+        "                    pass\n",
+        (
+            BINDING + "test_random_hosed_trees_solve_like_a_fresh_allocator",
+            BINDING + "test_a_fabric_link_whose_slack_runs_out_refuses",
+        ),
+    ),
+    Mutant(
+        "a batched removal decrements no counts",
+        ALLOC,
+        "                    np.subtract.at(bound.pair_count, pairs[kept], 1)\n",
+        "",
+        (BINDING + "test_random_hosed_trees_solve_like_a_fresh_allocator",),
+    ),
+    Mutant(
+        "the debit is new * m instead of delta * m",
+        ALLOC,
+        "left = headroom[at] - (new - slot_rate.item(members[0])) * pair_count[a:b]",
+        "left = headroom[at] - new * pair_count[a:b]",
+        (BINDING + "test_a_fabric_link_whose_slack_runs_out_refuses",),
+    ),
+    Mutant(
+        "a removal credits the links it should not and not the kept ones",
+        ALLOC,
+        "                if pair >= 0:  # (a kept link: credit it, count one member less)\n",
+        "                if pair < 0:\n",
+        (BINDING + "test_a_fabric_link_whose_slack_runs_out_refuses",),
+    ),
+    Mutant(
+        "a linkless removal marks link -1 dirty",
+        ALLOC,
+        "            if row:\n                self._dirty_links.add(link_of[slot])\n",
+        "            if True:\n                self._dirty_links.add(link_of[slot])\n",
+        (BINDING + "test_a_linkless_flow_voids_b_when_added_and_is_served_when_removed",),
+    ),
+    Mutant(
+        "the budget gates only the solves that debit",
+        ALLOC,
+        "        if self._bind_ops > _BIND_EPS * 2.0**51:\n",
+        "        if pair_start and self._bind_ops > _BIND_EPS * 2.0**51:\n",
+        (BINDING + "test_the_margin_bounds_rounding_and_is_no_knob",),
     ),
     Mutant(
         "the margin is a thousand times too strict",

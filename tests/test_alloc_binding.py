@@ -2,16 +2,19 @@
 
 After an exact solve the allocator keeps B, the links that solve saturated,
 and every other link's slack.  While each flow crosses exactly one link of
-B and only removals follow, a removal re-rates the members of the links of
-B it touched in closed form, ``C / n``, once the slack of every other link
-they cross certifies that none of those can bind; everything else goes to
-one full solve, which leaves B again.  The shortcut must be invisible: after every
-edit the live allocator's rates must equal — exactly — a fresh allocator's,
-on the vector and on the scalar fill, and ``written_slots()`` must name
-every rate that moved.  Hand-made instances force each reason to refuse;
-the counters ``repro.alloc.binding_solves`` / ``binding_refusals`` show the
+B and only removals follow, a removal re-rates the members of its link of
+B in closed form, ``C / n``, once no other link they cross can bind: a
+hose-safe link (the links of B whose flows cross it cannot fill it) by one
+test per full solve, any other by its slack, debited from per-pair counts;
+everything else goes to one full solve, which leaves B again.  The shortcut
+must be invisible: after every edit the live allocator's rates must equal —
+exactly — a fresh allocator's, on the vector and on the scalar fill,
+``written_slots()`` must name every rate that moved, and the certificate
+must match a recount from the flows (``_Certificate``).  Hand-made
+instances force each reason to refuse and pin the hose-safe boundary; the
+counters ``repro.alloc.binding_solves`` / ``binding_refusals`` show the
 path serving the solves of a pipeline-shaped run, of rack-local meshes that
-start in waves, and of a churn session.
+start in waves, and of a churn session, whose links are all hose-safe.
 """
 
 import dataclasses
@@ -129,10 +132,12 @@ def _hosed_tree(rng):
     return caps, demands
 
 
-def _drive(rng, caps, demands, steps):
+def _drive(rng, caps, demands, steps, after=None):
     """Random edits on a live allocator, mostly removals (one flow, a few,
     or a batch over ``_BATCH_MIN``), now and then an add or a capacity
-    change; every solve held by ``_Live.settle``."""
+    change; every solve held by ``_Live.settle``, then handed to
+    ``after(live, before)`` with the flow set the edit started from
+    (``{flow id: (slot, demand)}``)."""
     names = sorted(demands)
     rng.shuffle(names)
     held_back = {fid: demands[fid] for fid in names[:30]}
@@ -141,6 +146,7 @@ def _drive(rng, caps, demands, steps):
     totals = dict.fromkeys(live.stats, 0)
     for step in range(steps):
         context = f"step {step}"
+        before = {fid: (live.slot_of[fid], live.active[fid]) for fid in live.active}
         roll = rng.random()
         if roll < 0.06 and held_back:
             live.add(dict(held_back.popitem() for _ in range(min(3, len(held_back)))))
@@ -151,22 +157,109 @@ def _drive(rng, caps, demands, steps):
             live.remove(rng.sample(sorted(live.active), min(k, len(live.active) // 2)))
         for key, value in live.settle(context).items():
             totals[key] += value
+        if after is not None:
+            after(live, before)
     return totals
+
+
+# ------------------------------------------------------- the certificate
+def _kept_pairs(bound):
+    """The kept counts as ``{(d, l): m_dl}`` over link indices."""
+    kept = {}
+    if bound.pair_at is not None:
+        start = bound.pair_start
+        for d in range(len(start) - 1):
+            for p in range(start[d], start[d + 1]):
+                kept[(d, int(bound.pair_link[p]))] = int(bound.pair_count[p])
+    return kept
+
+
+class _Certificate:
+    """After every solve of a ``_drive``, B's certificate against a
+    recount from the flows it holds: the kept counts are the members of
+    each link of B crossing each kept link, the members of a link of B
+    share one rate, and a hose-safe link carries at most ``(1 - ε) C``.
+    At each build the hose-safe links are the ones whose distinct links of
+    B, at full capacity, fit under the margin."""
+
+    def __init__(self):
+        self.bound = None
+        self.builds = self.kept_builds = self.safe_loads = 0
+
+    def __call__(self, live, before):
+        bound = live.live._bind
+        if not isinstance(bound, alloc._Bound):
+            return
+        index, caps, eps = live.live._link_index, live.caps, alloc._BIND_EPS
+        cap = [caps[link] for link in live.live._link_ids]
+        kept = _kept_pairs(bound)
+        if bound is not self.bound:
+            self.bound = bound
+            self._at_build(live, before, bound, kept, cap)
+        rows = {
+            fid: [index[link] for link in demand.links]
+            for fid, demand in live.active.items() if demand.links
+        }
+        link_of = {fid: int(bound.link_of[live.slot_of[fid]]) for fid in rows}
+        in_b = set(link_of.values())
+        kept_links = {link for _, link in kept}
+        recount = dict.fromkeys(kept, 0)
+        rates_on_b, load = {}, {}
+        for fid, row in rows.items():
+            d = link_of[fid]
+            assert in_b.intersection(row) == {d}
+            rates_on_b.setdefault(d, set()).add(live.rate(fid))
+            for link in row:
+                if link in kept_links:
+                    recount[(d, link)] += 1
+                load.setdefault(link, []).append(live.rate(fid))
+        assert recount == kept
+        assert all(len(rates) == 1 for rates in rates_on_b.values())
+        for link, rates in load.items():
+            if link not in rates_on_b and link not in kept_links:
+                # (each rate is ``C_d / n`` rounded once)
+                assert math.fsum(rates) <= (1 - eps) * cap[link] * (1 + 1e-12), link
+                self.safe_loads += 1
+
+    def _at_build(self, live, before, bound, kept, cap):
+        """The kept links are exactly those whose distinct links of B —
+        over the flows the build saw — sum above ``(1 - ε) C``."""
+        index = live.live._link_index
+        hoses = {}
+        for slot, demand in before.values():
+            d = int(bound.link_of[slot])
+            for link in demand.links:
+                if index[link] != d:
+                    hoses.setdefault(index[link], set()).add(d)
+        unsafe = {
+            link for link, ds in hoses.items()
+            if math.fsum(cap[d] for d in ds) > (1 - alloc._BIND_EPS) * cap[link]
+        }
+        assert {link for _, link in kept} == unsafe
+        self.builds += 1
+        self.kept_builds += bool(unsafe)
 
 
 @pytest.mark.parametrize("vector", [True, False], ids=["vector", "scalar"])
 def test_random_hosed_trees_solve_like_a_fresh_allocator(vector, monkeypatch):
+    """Every solve is a fresh allocator's, and after every one the binding
+    path served its certificate holds (``_Certificate``)."""
     force_solves(monkeypatch, vector)
     rng = random.Random(0xB14D + vector)
     totals = dict.fromkeys(IncrementalAllocator({}).solver_stats(), 0)
+    check = _Certificate()
     for trial in range(8):
         caps, demands = _hosed_tree(rng)
-        for key, value in _drive(rng, caps, demands, steps=40).items():
+        for key, value in _drive(rng, caps, demands, steps=40, after=check).items():
             totals[key] += value
     # The path served most solves and refused some: both sides were run.
     assert totals["binding_solves"] >= 100
     assert totals["binding_refusals"] >= 5
     assert totals["full_solves"] >= 20
+    # Both kinds of link occurred: builds that kept counts, and hose-safe
+    # links carrying flows.
+    assert check.builds >= 20 and check.kept_builds >= 5, vars(check)
+    assert check.safe_loads >= 100, vars(check)
 
 
 # ------------------------------------------------------------ every refusal
@@ -245,6 +338,31 @@ def test_a_fabric_link_whose_slack_runs_out_refuses():
     assert live.rate("p1") == live.rate("q2") == 10.0 / 3.0
 
 
+@pytest.mark.parametrize("side", ["above", "below"])
+def test_a_fabric_link_at_the_hoses_sum_is_safe_just_above_it(side):
+    """f at a hair more than the hoses' 16 over ``1 - ε`` is hose-safe: no
+    count is kept, and the removals that leave h1 and h2 to fill it with 4
+    + 4 + 4 + 4 are all served.  A hair less, and f keeps both hoses'
+    counts, 2 each, and the last of those removals is refused as on any
+    link without headroom."""
+    eps = alloc._BIND_EPS
+    fabric = 16.0 / (1 - eps) * (1 + eps / 4 if side == "above" else 1 - eps / 4)
+    caps, demands = _two_hoses_over_one_link(fabric_cap=fabric)
+    live = _Live(caps, demands)
+    live.remove(["p3"])
+    assert live.settle("p3 leaves")["binding_solves"] == 1
+    kept = _kept_pairs(live.live._bind)
+    f, h1, h2 = (live.live._link_index[link] for link in ("f", "h1", "h2"))
+    assert kept == ({} if side == "above" else {(h1, f): 2, (h2, f): 2})
+    for fid in ("p4", "q3"):
+        live.remove([fid])
+        assert live.settle(f"{fid} leaves")["binding_solves"] == 1
+    live.remove(["q4"])
+    delta = live.settle("q4 leaves: f carries 16")
+    assert delta["binding_solves" if side == "above" else "binding_refusals"] == 1
+    assert live.rate("p1") == live.rate("q1") == 4.0
+
+
 def test_an_add_or_a_capacity_change_voids_b():
     """After an add or a capacity change, nothing is served nor refused:
     the next solve is a full one, and it builds B again, so the removal
@@ -299,7 +417,9 @@ def test_a_linkless_flow_voids_b_when_added_and_is_served_when_removed():
 def test_the_margin_bounds_rounding_and_is_no_knob(eps, monkeypatch):
     """The margin only trades refusals: ten times wider, ten times
     narrower, or so narrow that its budget of rounding steps is spent
-    before the first removal, every rate is the fresh allocator's."""
+    before the first removal, every rate is the fresh allocator's.  The
+    budget holds every served solve, one that debits no link (all links
+    hose-safe) too."""
     scaled = {"x10": alloc._BIND_EPS * 10, "x0.1": alloc._BIND_EPS / 10}
     monkeypatch.setattr(alloc, "_BIND_EPS", scaled.get(eps, 2.0**-51))
     force_solves(monkeypatch, True)
@@ -308,6 +428,11 @@ def test_the_margin_bounds_rounding_and_is_no_knob(eps, monkeypatch):
     for trial in range(3):
         caps, demands = _hosed_tree(rng)
         for key, value in _drive(rng, caps, demands, steps=30).items():
+            totals[key] += value
+    live = _Live(*_two_hoses_over_one_link(fabric_cap=100.0))
+    for fid in ("p4", "q4"):
+        live.remove([fid])
+        for key, value in live.settle(f"{fid} leaves, f hose-safe").items():
             totals[key] += value
     if eps in scaled:
         assert totals["binding_solves"] > 0
@@ -462,3 +587,25 @@ def test_a_churn_session_takes_the_binding_path():
     after = obs.metrics.snapshot()
     name = "repro.alloc.binding_solves"
     assert after.get(name, 0) - before.get(name, 0) > 0
+
+
+def test_a_churn_sessions_fabric_is_hose_safe(monkeypatch):
+    """The churn benchmark's session shape (``benchmark/workloads.py``,
+    ``ChurnDay``, without its outage): every B it builds finds every link
+    outside B hose-safe, so no count is kept and a removal edits no
+    certificate."""
+    built = []
+    build = IncrementalAllocator._build_bind
+
+    def watch(self):
+        build(self)
+        built.append(self._bind)
+
+    monkeypatch.setattr(IncrementalAllocator, "_build_bind", watch)
+    run_churn_session(
+        0, n_vms=40, hours=24, apps_per_hour=8.0, drift="hotspot-flap",
+        max_tasks=6, epoch_s=300.0,
+    )
+    bounds = [bound for bound in built if bound]
+    assert len(bounds) >= 100
+    assert all(bound.pair_at is None for bound in bounds)

@@ -5,11 +5,11 @@ through random edit sequences; after every edit its rates must equal —
 exactly — what a fresh allocator computes from scratch for the same flow
 set, on the vector path and on the scalar path, agree with the reference
 (``tests/oracles/max_min.py``) within 1e-9, and pass the
-max-min certificate.  Every full vector fill is also held — per-round
-levels, ``==`` — to the fill of the commit before the freeze-batch memo, the
-compact link state and the one-pass replay
-(``tests/oracles/parent_fill.py``).  The counters must show the resume and
-the memo working where they have to, and no replay after an add.
+max-min certificate.  Every full vector fill is also held — round by
+round, its level and the links it drained by how many flows, ``==`` — to a
+fresh allocator's fill of the same flow set, which replays no round and
+takes no batch from the memo.  The counters must show the resume and the
+memo working where they have to, and no replay after an add.
 """
 
 import math
@@ -18,7 +18,6 @@ import random
 import pytest
 
 from oracles.max_min import force_solves, max_min_allocation
-from oracles.parent_fill import ParentFill
 from repro.net import alloc
 from repro.net.alloc import _BATCH_MIN, IncrementalAllocator
 from repro.net.fairness import FlowDemand, max_min_violations
@@ -80,13 +79,27 @@ def _mesh_instance(rng):
 
 
 # --------------------------------------------------------------------- oracle
-def _from_scratch(caps, active, vector):
+def _fresh(caps, active, vector):
+    """A fresh allocator of the flow set, solved on the given fill."""
     with pytest.MonkeyPatch.context() as patch:
         force_solves(patch, vector)
         fresh = IncrementalAllocator(caps)
         for fid in sorted(active):
             fresh.add_flow(fid, active[fid].links)
-        return fresh.solve()
+        fresh.solve()
+        return fresh
+
+
+def _from_scratch(caps, active, vector):
+    return _fresh(caps, active, vector).solve()
+
+
+def _rounds(allocator):
+    """A vector fill's rounds as ``(level, drained links, drains)``."""
+    return [
+        (level, idx.tolist(), k.tolist())
+        for level, idx, k, _, _ in allocator._round_log
+    ]
 
 
 def _check(live, slot_of, caps, active, context):
@@ -107,13 +120,11 @@ def _check(live, slot_of, caps, active, context):
 
 
 class _Driver:
-    """One live allocator, the flow set it should hold, the parent commit's
-    fill shadowing it, and stats deltas."""
+    """One live allocator, the flow set it should hold, and stats deltas."""
 
     def __init__(self, caps, demands):
         self.caps = caps
         self.live = IncrementalAllocator(caps)
-        self.parent_fill = ParentFill()
         self.active = {}
         self.slot_of = {}
         self.stats = self.live.solver_stats()
@@ -127,10 +138,8 @@ class _Driver:
         for fid, demand in demands.items():
             self.slot_of[fid] = self.live.add_flow(fid, demand.links)
             self.active[fid] = demand
-        self.parent_fill.added()
 
     def remove(self, fids, batched=False):
-        self.parent_fill.removed(self.slot_of[fid] for fid in fids)
         if batched:
             self.live.remove_flows(list(fids))
         else:
@@ -147,11 +156,10 @@ class _Driver:
         self.stats = stats
         self.last_was_full = delta["full_solves"] == 1
         if self.last_was_full and self.live.uses_vector_path():
-            # The parent's fill runs from its own log and mark; the live log
-            # is whole only after a full solve.
-            _, self.levels = self.parent_fill.fill(self.live)
-            live_levels = [entry[0] for entry in self.live._round_log]
-            assert live_levels == self.levels, context
+            # (The live log is whole only after a full solve.)
+            rounds = _rounds(self.live)
+            assert rounds == _rounds(_fresh(self.caps, self.active, True)), context
+            self.levels = [level for level, _, _ in rounds]
         return delta
 
     def froze_after_round_zero(self, fids):
@@ -315,14 +323,14 @@ def test_freed_slot_reused_on_the_same_bottleneck_link(batched):
     assert delta["rounds_memoised"] > 0
 
 
-def test_replay_corner_cases_match_the_parent_fill():
+def test_replay_corner_cases_match_a_fresh_fill():
     """Rounds the random instances reach only by luck, inside a replayed
     prefix: zero-capacity links (a link at exactly 0.0 touched again by a
     later round), two links with equal shares sharing a flow (both drained
     to exactly 0.0, the second over two rounds), and an infinite link
     drained by a zero and by a positive level, on both sides of the resume
-    mark.  ``_Driver.settle`` holds every full fill's per-round levels to
-    the parent's, and every rate to fresh allocators."""
+    mark.  ``_Driver.settle`` holds every full fill's rounds to a fresh
+    fill's, and every rate to fresh allocators."""
     caps, demands = _giant_component(n_flows=150)
     caps.update(
         {"wide": 1e6, "z1": 0.0, "z2": 0.0, "t1": 8.0, "t2": 8.0,
@@ -519,7 +527,6 @@ def test_vector_fill_layout_follows_links_entering_and_leaving_use():
     for change in ({"x": 0.01}, {"l0": 1.0, "y": 7.0}):
         driver.live.update_capacities(change)
         driver.caps = {**driver.caps, **change}
-        driver.parent_fill.added()  # a capacity change restarts the fill too
         assert driver.settle(f"capacities {change}")["full_solves"] == 1
     assert driver.rates["on_x2"] == 0.01
 
