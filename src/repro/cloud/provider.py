@@ -55,10 +55,10 @@ HoseSampler = Callable[[np.random.Generator], float]
 SNAPSHOT_PROBES = obs.Counter("repro.measure.snapshot_probes")
 SNAPSHOT_ROUNDS = obs.Counter("repro.measure.snapshot_rounds")
 
-# One frozen tree per shape, with its sorted host names: every provider of
-# a ``(spec, name)`` shares it, so the tables a topology derives lazily
-# (link index, capacity vector, tree tables, routes, ECMP host keys) are
-# derived once per shape, not once per trial.  Providers may be built from
+# One tree per shape, with its sorted host names: every provider of a
+# ``(spec, name)`` shares it (a tree is never edited), so a tree and the
+# tables it derives lazily (tree tables, ECMP host keys) are built once per
+# shape, not once per trial.  Providers may be built from
 # several threads of one process.
 _SHARED_TREES_MAX_ENTRIES = 1024
 _shared_trees: Dict[Tuple[TreeSpec, str], Tuple[Topology, Tuple[str, ...]]] = {}
@@ -71,7 +71,6 @@ def _shared_tree(spec: TreeSpec, name: str) -> Tuple[Topology, Tuple[str, ...]]:
         shared = _shared_trees.get(key)
         if shared is None:
             topology = build_multi_rooted_tree(spec, name=name)
-            topology.freeze()
             if len(_shared_trees) >= _SHARED_TREES_MAX_ENTRIES:
                 _shared_trees.clear()
             shared = _shared_trees[key] = (topology, tuple(topology.hosts()))

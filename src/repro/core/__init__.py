@@ -26,7 +26,6 @@ from repro.core.placement import (
     Placer,
     GreedyPlacer,
     OptimalPlacer,
-    BruteForcePlacer,
     RandomPlacer,
     RoundRobinPlacer,
     MinimumMachinesPlacer,
@@ -50,7 +49,6 @@ __all__ = [
     "Placer",
     "GreedyPlacer",
     "OptimalPlacer",
-    "BruteForcePlacer",
     "RandomPlacer",
     "RoundRobinPlacer",
     "MinimumMachinesPlacer",

@@ -5,8 +5,7 @@
 * :mod:`repro.core.placement.greedy` — Algorithm 1, the greedy
   network-aware placement Choreo uses in practice.
 * :mod:`repro.core.placement.ilp` — the Appendix's optimisation, solved
-  exactly by branch-and-bound over the assignment, plus a brute-force
-  optimal placer for small instances.
+  exactly by branch-and-bound over the assignment.
 * :mod:`repro.core.placement.baselines` — the Random, Round-robin, and
   Minimum-Machines comparison schemes of §6.
 """
@@ -19,7 +18,7 @@ from repro.core.placement.base import (
     validate_placement,
 )
 from repro.core.placement.greedy import GreedyPlacer
-from repro.core.placement.ilp import OptimalPlacer, BruteForcePlacer
+from repro.core.placement.ilp import OptimalPlacer
 from repro.core.placement.baselines import (
     RandomPlacer,
     RoundRobinPlacer,
@@ -34,7 +33,6 @@ __all__ = [
     "validate_placement",
     "GreedyPlacer",
     "OptimalPlacer",
-    "BruteForcePlacer",
     "RandomPlacer",
     "RoundRobinPlacer",
     "MinimumMachinesPlacer",

@@ -57,8 +57,8 @@ rates.  Its one bottleneck model is the estimator's: flows leaving a machine
 share its egress cap (the hose model §4.4 finds on EC2/Rackspace; the
 Appendix notes it corresponds to ``S_{mi,mj} = 1``).  The Appendix's two
 MILP linearisations, solved with HiGHS, live on as the test oracles in
-``tests/oracles/appendix_milp.py``; :class:`BruteForcePlacer` enumerates
-every assignment and validates both on tiny instances.
+``tests/oracles/appendix_milp.py``; the brute-force enumeration of
+``tests/oracles/brute_force.py`` validates both on tiny instances.
 """
 
 from __future__ import annotations
@@ -428,60 +428,3 @@ class OptimalPlacer(Placer):
             self.stats_history.append((app.name, stats))
             validate_placement(placement, app, cluster)
             return placement
-
-
-class BruteForcePlacer(Placer):
-    """Enumerate every CPU-feasible assignment and keep the best one.
-
-    Only suitable for tiny instances (``machines ** tasks`` assignments are
-    enumerated); the tests hold the search and the MILP oracles to it.
-    """
-
-    name = "brute-force"
-
-    def __init__(self, max_assignments: int = 2_000_000):
-        self.max_assignments = max_assignments
-
-    def place(
-        self,
-        app: Application,
-        cluster: ClusterState,
-        profile: Optional[NetworkProfile] = None,
-    ) -> Placement:
-        if profile is None:
-            raise PlacementError("the brute-force placer needs a network profile")
-        self.check_feasible(app, cluster)
-        tasks = app.task_names
-        machines = cluster.machine_names()
-        total = len(machines) ** len(tasks)
-        if total > self.max_assignments:
-            raise PlacementError(
-                f"brute force would enumerate {total} assignments "
-                f"(limit {self.max_assignments})"
-            )
-
-        best_assignment: Optional[Dict[str, str]] = None
-        best_time = math.inf
-        available = {m: cluster.available_cpu(m) for m in machines}
-        for combo in itertools.product(machines, repeat=len(tasks)):
-            usage: Dict[str, float] = {}
-            feasible = True
-            for task, machine in zip(tasks, combo):
-                usage[machine] = usage.get(machine, 0.0) + app.cpu_demand(task)
-                if usage[machine] > available[machine] + _EPS:
-                    feasible = False
-                    break
-            if not feasible:
-                continue
-            assignment = dict(zip(tasks, combo))
-            completion = estimate_completion_time(assignment, app, profile)
-            if completion < best_time - _EPS:
-                best_time = completion
-                best_assignment = assignment
-        if best_assignment is None:
-            raise PlacementError(
-                f"no CPU-feasible assignment exists for application {app.name!r}"
-            )
-        placement = Placement(app_name=app.name, assignments=best_assignment)
-        validate_placement(placement, app, cluster)
-        return placement

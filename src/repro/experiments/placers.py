@@ -31,7 +31,7 @@ from repro.core.placement.baselines import (
     RoundRobinPlacer,
 )
 from repro.core.placement.greedy import GreedyPlacer
-from repro.core.placement.ilp import BruteForcePlacer, OptimalPlacer
+from repro.core.placement.ilp import OptimalPlacer
 from repro.errors import ExperimentError
 
 __all__ = [
@@ -53,7 +53,6 @@ PLACER_ALIASES: Dict[str, str] = {
     "choreo-optimal": "ilp",
     "optimal": "ilp",
     "choreo-greedy": "greedy",
-    "brute": "brute-force",
 }
 
 
@@ -111,11 +110,6 @@ def _ilp_factory(seed: int, **params) -> Placer:
     )
 
 
-def _brute_factory(seed: int, **params) -> Placer:
-    _reject_params("brute-force", params)
-    return BruteForcePlacer()
-
-
 def _random_factory(seed: int, **params) -> Placer:
     _reject_params("random", params)
     return RandomPlacer(seed=seed)
@@ -146,13 +140,6 @@ _register(
             "over the assignment, seeded with the greedy placement."
         ),
         factory=_ilp_factory,
-    )
-)
-_register(
-    PlacerSpec(
-        name="brute-force",
-        description="Exhaustive optimal placement; tiny instances only.",
-        factory=_brute_factory,
     )
 )
 _register(

@@ -331,7 +331,7 @@ class FluidSimulation:
     @property
     def extra_link_ids(self) -> List[str]:
         """The extra links, in ``extra_capacities`` order: link ``i`` of
-        them is index ``len(topology.links()) + i`` of a row."""
+        them is index ``len(topology.capacities()) + i`` of a row."""
         return self._link_ids[self._n_topology_links :]
 
     def add_flow(self, flow: Flow) -> None:
@@ -366,7 +366,7 @@ class FluidSimulation:
             SimulationError: a flow id is repeated in the batch or already
                 live, a flow starts before the pause, or ``routes`` is not
                 one row per flow within the link universe.
-            TopologyError, RoutingError: a flow could not be routed.
+            RoutingError: a flow could not be routed (an endpoint is no host).
         """
         self._compact()
         flows = list(flows)

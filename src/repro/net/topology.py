@@ -8,42 +8,23 @@ switches.  Path hop counts in such a topology fall in ``{1, 2, 4, 6, 8}``
 same rack, four within an aggregation subtree, six through the core, and
 eight when an extra aggregation tier is present.
 
-:class:`Topology` is a small adjacency container that knows about directed
-capacities, racks, subtrees, and intra-host loopback links.
-:func:`build_multi_rooted_tree` builds the general datacenter of Figure 5
-with its one router, which routes host pairs as arrays.  A topology routes
-only as the tree it was built as: a hand-built graph, or a tree edited
-after it was built, has no router and refuses to route.
+A :class:`Topology` is the tree a :class:`TreeSpec` describes, built in one
+step: its directed links and their capacities, its hosts, and its one
+router, which routes host pairs as arrays.  :func:`build_multi_rooted_tree`
+builds it.
 """
 
 from __future__ import annotations
 
-import enum
 import hashlib
-import itertools
 from dataclasses import dataclass
-from typing import (
-    Dict,
-    List,
-    Mapping,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro import obs
 from repro.errors import RoutingError, TopologyError
-from repro.net.links import (
-    Link,
-    LinkKind,
-    directed_link_id,
-    loopback_link_id,
-)
+from repro.net.links import directed_link_id, loopback_link_id
 from repro.units import GBITPS
 
 
@@ -54,10 +35,10 @@ from repro.units import GBITPS
 # host i sits in pod i // (racks_per_pod * hosts_per_rack) and rack
 # (i // hosts_per_rack) % racks_per_pod, and every path is determined by the
 # relation between the two endpoints' coordinates (same host / rack / pod /
-# cross-pod) plus the ECMP core choice.  build_multi_rooted_tree attaches a
-# _TreeRouter to the tree it returns, the one router a topology has; an edit
-# drops it.  A pair's core is picked from keys derived from the endpoints'
-# names (not their positions), so any copy of a tree routes as it does.
+# cross-pod) plus the ECMP core choice.  Every Topology builds one
+# _TreeRouter for its spec.  A pair's core is picked from keys derived from
+# the endpoints' names (not their positions), so any copy of a tree routes
+# as it does.
 _structured_route_hits = obs.Counter("repro.routes.structured_hits")
 
 
@@ -94,11 +75,11 @@ _MIX_WORDS = tuple(np.uint64(word) for word in _MIX)
 
 
 class _TreeRouter:
-    """Arithmetic ECMP routing for a tree built by :func:`build_multi_rooted_tree`.
+    """Arithmetic ECMP routing for the tree of a :class:`TreeSpec`.
 
-    Hosts are given by index: :func:`build_multi_rooted_tree` adds
-    ``host{i}`` as its tree's ``i``-th host, so an index is also the host's
-    position (:meth:`Topology.host_index`).  Paths are derived from host
+    Hosts are given by index: a :class:`Topology` lays out ``host{i}`` as
+    its ``i``-th host, so an index is also the host's position
+    (:meth:`Topology.host_index`).  Paths are derived from host
     coordinates, many pairs at once.  The core pick for a cross-pod pair
     indexes the sorted core names; the tests hold it to graph search, which
     takes the ``_ecmp_pick``-th of the pair's lexicographically sorted
@@ -272,18 +253,9 @@ class _TreeLinkTables(NamedTuple):
     core_down: "np.ndarray"  # [pod pair * cores + core] core -> destination pod's agg
 
 
-class NodeKind(enum.Enum):
-    """Role of a node in the datacenter tree."""
-
-    HOST = "host"
-    TOR = "tor"
-    AGG = "agg"
-    CORE = "core"
-
-
 @dataclass(frozen=True)
 class TreeSpec:
-    """Parameters for :func:`build_multi_rooted_tree`.
+    """Parameters of a multi-rooted tree: what a :class:`Topology` is built from.
 
     Attributes:
         hosts_per_rack: physical machines attached to each ToR switch.
@@ -315,6 +287,14 @@ class TreeSpec:
         for name in ("hosts_per_rack", "racks_per_pod", "pods", "num_cores"):
             if getattr(self, name) < 1:
                 raise TopologyError(f"TreeSpec.{name} must be >= 1")
+        # A capacity is a positive number of bits per second; +inf (a link
+        # that never binds) is one, NaN is not.
+        for name in ("host_link_bps", "tor_agg_link_bps", "agg_core_link_bps", "intra_host_bps"):
+            capacity = getattr(self, name)
+            if not capacity > 0:
+                raise TopologyError(
+                    f"TreeSpec.{name} must be a positive capacity, got {capacity!r}"
+                )
 
     @property
     def num_hosts(self) -> int:
@@ -323,225 +303,86 @@ class TreeSpec:
 
 
 class Topology:
-    """An undirected capacitated graph with datacenter-tree metadata.
+    """The multi-rooted tree a :class:`TreeSpec` describes, with its router.
 
-    The graph itself is undirected (cables), but every edge generates two
-    directed :class:`~repro.net.links.Link` objects.  Hosts additionally get
-    a loopback link carrying intra-host (colocated VM) traffic.
+    Every cable is two directed links of one capacity, one per direction,
+    and every host has a loopback link for its colocated VMs' traffic.
+    Links are numbered as the tree is laid out: per pod, its aggregation
+    switch's core cables, then per rack the ToR's uplink cable (two with
+    the extra tier), then per host its loopback and its ToR cable.  Host
+    ``host{i}`` is the ``i``-th host laid out.  Link indices are part of
+    every result (the allocator breaks ties on the lowest), and a tree is
+    never edited, so the tables derived from it are shared by every
+    provider of its shape.
     """
 
-    def __init__(self, name: str = "topology", intra_host_bps: float = 4 * GBITPS):
+    def __init__(self, spec: TreeSpec, name: str = "dc"):
+        self.spec = spec
         self.name = name
-        # node -> (kind, level) and node -> neighbours, in insertion order;
-        # hosts also by position (what index-array routing indexes)
-        self._nodes: Dict[str, Tuple[NodeKind, int]] = {}
-        self._adjacency: Dict[str, Set[str]] = {}
-        self._host_names: List[str] = []
-        self._host_index: Dict[str, int] = {}
-        self._links: Dict[str, Link] = {}
-        self._intra_host_bps = intra_host_bps
-        # the router of a tree as build_multi_rooted_tree made it (its hosts
-        # by position), dropped by any edit, and the link tables it routes
-        # with, built on the first route
-        self._router: Optional[_TreeRouter] = None
+        # link id -> capacity, in link index order
+        links: Dict[str, float] = {}
+
+        def cable(a: str, b: str, capacity: float) -> None:
+            links[directed_link_id(a, b)] = capacity
+            links[directed_link_id(b, a)] = capacity
+
+        hosts: List[str] = []
+        for p in range(spec.pods):
+            agg = f"agg{p}"
+            for c in range(spec.num_cores):
+                cable(agg, f"core{c}", spec.agg_core_link_bps)
+            for r in range(spec.racks_per_pod):
+                tor = f"tor{p}.{r}"
+                if spec.extra_agg_layer:
+                    cable(tor, f"agg{p}.{r}", spec.tor_agg_link_bps)
+                    cable(f"agg{p}.{r}", agg, spec.tor_agg_link_bps)
+                else:
+                    cable(tor, agg, spec.tor_agg_link_bps)
+                for _ in range(spec.hosts_per_rack):
+                    host = f"host{len(hosts)}"
+                    hosts.append(host)
+                    links[loopback_link_id(host)] = spec.intra_host_bps
+                    cable(host, tor, spec.host_link_bps)
+        self._capacities = links
+        self._link_list = list(links)
+        self._link_index = {lid: i for i, lid in enumerate(self._link_list)}
+        vector = np.fromiter(links.values(), dtype=np.float64, count=len(links))
+        vector.flags.writeable = False
+        self._capacity_vector = vector
+        self._host_names = hosts
+        self._host_index = {host: i for i, host in enumerate(hosts)}
+        self._hosts_by_name = sorted(hosts)
+        self._router = _TreeRouter(spec)
+        # The link tables the router routes with, built on the first route.
         self._tree_tables: Optional[_TreeLinkTables] = None
-        # the link ids in ``_links`` order (path_links_matrix's index order),
-        # link id -> position in it, and the capacities in that order; all
-        # dropped when a link is added
-        self._link_list: Optional[List[str]] = None
-        self._link_index: Optional[Dict[str, int]] = None
-        self._capacity_vector: Optional["np.ndarray"] = None
-        self._frozen = False
-
-    def freeze(self) -> None:
-        """Refuse every later :meth:`add_node` / :meth:`add_link`: the
-        topology is shared, and so are the tables it derives lazily."""
-        self._frozen = True
-
-    def _check_unfrozen(self, what: str) -> None:
-        if self._frozen:
-            raise TopologyError(
-                f"topology {self.name!r} is shared and frozen: cannot {what}"
-            )
-
-    # ------------------------------------------------------------------ nodes
-    def add_node(self, name: str, kind: NodeKind, level: int = 0) -> None:
-        """Add a node of the given kind.
-
-        Raises:
-            TopologyError: if a node with the same name already exists, or
-                the topology is frozen.
-        """
-        self._check_unfrozen(f"add node {name!r}")
-        if name in self._nodes:
-            raise TopologyError(f"duplicate node {name!r}")
-        self._nodes[name] = (kind, level)
-        self._adjacency[name] = set()
-        self._router = None
-        if kind is NodeKind.HOST:
-            self._host_index[name] = len(self._host_names)
-            self._host_names.append(name)
-            link = Link(
-                link_id=loopback_link_id(name),
-                src=name,
-                dst=name,
-                capacity_bps=self._intra_host_bps,
-                kind=LinkKind.LOOPBACK,
-            )
-            self._links[link.link_id] = link
-            self._link_list = self._link_index = None
-            self._capacity_vector = None
-
-    def add_link(
-        self,
-        a: str,
-        b: str,
-        capacity_bps: float,
-        kind: LinkKind = LinkKind.GENERIC,
-    ) -> None:
-        """Add a full-duplex link between ``a`` and ``b``.
-
-        Two directed :class:`Link` objects (one per direction) are created
-        with the same capacity.
-
-        Raises:
-            TopologyError: on an unknown node or a duplicate link, or if the
-                topology is frozen.
-        """
-        self._check_unfrozen(f"add link {a!r} <-> {b!r}")
-        for node in (a, b):
-            if node not in self._nodes:
-                raise TopologyError(f"unknown node {node!r}")
-        if b in self._adjacency[a]:
-            raise TopologyError(f"duplicate link {a!r} <-> {b!r}")
-        self._adjacency[a].add(b)
-        self._adjacency[b].add(a)
-        for src, dst in ((a, b), (b, a)):
-            link = Link(
-                link_id=directed_link_id(src, dst),
-                src=src,
-                dst=dst,
-                capacity_bps=capacity_bps,
-                kind=kind,
-            )
-            self._links[link.link_id] = link
-        self._router = None
-        self._link_list = self._link_index = None
-        self._capacity_vector = None
-
-    # ------------------------------------------------------------ inspection
-    def node_kind(self, name: str) -> NodeKind:
-        """Return the :class:`NodeKind` of ``name``."""
-        try:
-            return self._nodes[name][0]
-        except KeyError as exc:
-            raise TopologyError(f"unknown node {name!r}") from exc
-
-    def nodes_of_kind(self, kind: NodeKind) -> List[str]:
-        """All node names of the given kind, sorted for determinism."""
-        return sorted(n for n, (k, _) in self._nodes.items() if k is kind)
-
-    def nodes(self) -> List[str]:
-        """Every node name, in the order the nodes were added."""
-        return list(self._nodes)
 
     def hosts(self) -> List[str]:
-        """All physical machine names."""
-        return self.nodes_of_kind(NodeKind.HOST)
+        """All physical machine names, sorted by name."""
+        return list(self._hosts_by_name)
 
     def host_index(self, name: str) -> int:
-        """Position of host ``name`` in the order hosts were added — what an
-        index array handed to :meth:`path_links_matrix` holds.  (A tree
-        from :func:`build_multi_rooted_tree` adds ``host{i}`` as its
-        ``i``-th host.)"""
+        """Position of host ``name`` in the tree (``host{i}`` is at ``i``):
+        what an index array handed to :meth:`path_links_matrix` holds."""
         try:
             return self._host_index[name]
         except KeyError as exc:
             raise TopologyError(f"unknown host {name!r}") from exc
 
-    def links(self) -> List[Link]:
-        """All directed links (physical, loopback) in the topology."""
-        return list(self._links.values())
-
-    def link(self, link_id: str) -> Link:
-        """Look up a directed link by identifier."""
-        try:
-            return self._links[link_id]
-        except KeyError as exc:
-            raise TopologyError(f"unknown link {link_id!r}") from exc
+    def rack_of(self, host: str) -> str:
+        """The ToR switch ``host`` is attached to, from its position."""
+        spec = self.spec
+        pod, rack = divmod(self.host_index(host) // spec.hosts_per_rack, spec.racks_per_pod)
+        return f"tor{pod}.{rack}"
 
     def capacities(self) -> Dict[str, float]:
-        """Mapping of link id to capacity for every directed link."""
-        return {lid: link.capacity_bps for lid, link in self._links.items()}
+        """Mapping of link id to capacity for every directed link, in link
+        index order."""
+        return dict(self._capacities)
 
     def capacity_vector(self) -> "np.ndarray":
-        """Every directed link's capacity, in the order of :meth:`links` —
-        what the link indices of :meth:`path_links_matrix` index.  Read-only."""
-        if self._capacity_vector is None:
-            vector = np.fromiter(
-                (link.capacity_bps for link in self._links.values()),
-                dtype=np.float64,
-                count=len(self._links),
-            )
-            vector.flags.writeable = False
-            self._capacity_vector = vector
+        """Every directed link's capacity by link index — what the link
+        indices of :meth:`path_links_matrix` index.  Read-only."""
         return self._capacity_vector
-
-    # -------------------------------------------------------------- hierarchy
-    def neighbors_of_kind(self, name: str, kind: NodeKind) -> List[str]:
-        """Neighbours of ``name`` having the given kind."""
-        self.node_kind(name)  # raises on an unknown node
-        return sorted(
-            n for n in self._adjacency[name] if self.node_kind(n) is kind
-        )
-
-    def rack_of(self, host: str) -> Optional[str]:
-        """The ToR switch a host is attached to, or None if it has none."""
-        if self.node_kind(host) is not NodeKind.HOST:
-            raise TopologyError(f"{host!r} is not a host")
-        tors = self.neighbors_of_kind(host, NodeKind.TOR)
-        return tors[0] if tors else None
-
-    def same_rack(self, host_a: str, host_b: str) -> bool:
-        """True if both hosts share a ToR switch (and are distinct machines)."""
-        rack_a, rack_b = self.rack_of(host_a), self.rack_of(host_b)
-        return rack_a is not None and rack_a == rack_b
-
-    # ----------------------------------------------------------------- paths
-    def node_path(self, src: str, dst: str) -> List[str]:
-        """The nodes from host ``src`` to host ``dst`` (inclusive): the
-        pair's row of :meth:`path_links_matrix`, read node by node, and
-        ``[src]`` for a host to itself."""
-        links = self.path_links(src, dst)  # refuses a name that is no host
-        if src == dst:
-            return [src]
-        return [src, *(link.dst for link in links)]
-
-    def path_links(self, src: str, dst: str) -> List[Link]:
-        """Directed links traversed from ``src`` to ``dst``: the one row of
-        :meth:`path_links_matrix` for the pair.
-
-        Intra-host traffic (``src == dst``) traverses only the host's
-        loopback link.
-        """
-        (row,), (length,), link_ids = self.path_links_matrix([(src, dst)])
-        return [self._links[link_ids[i]] for i in row[:length].tolist()]
-
-    def hop_count(self, src: str, dst: str) -> int:
-        """Hop count between two hosts, using the paper's convention: the
-        length of the pair's row of :meth:`path_links_matrix`.
-
-        Two VMs on the same physical machine are "one hop" apart (the
-        loopback link); otherwise the hop count is the number of links on
-        the switched path (2 for the same rack, 4 within a pod, 6 via the
-        core, 8 with a second aggregation tier).
-        """
-        return len(self.path_links(src, dst))
-
-    def host_pairs(self) -> List[Tuple[str, str]]:
-        """All ordered pairs of distinct hosts."""
-        hosts = self.hosts()
-        return [(a, b) for a, b in itertools.permutations(hosts, 2)]
 
     def path_links_matrix(
         self, pairs: Union[Sequence[Tuple[str, str]], "np.ndarray"]
@@ -556,29 +397,15 @@ class Topology:
         Returns ``(rows, lengths, link_ids)``: ``rows`` is an int32 array of
         shape ``(len(pairs), max_hops)`` whose valid prefix of row ``i``
         (length ``lengths[i]``) holds indices into ``link_ids`` — the same
-        order as :meth:`capacities`/:meth:`links`, so rows feed straight
-        into array-based allocator layouts; the list is the topology's own,
-        kept until a link is added (treat it as read-only).  Padding
-        entries are -1.  A host to itself (``src == dst``) crosses its
-        loopback link.
+        order as :meth:`capacities`, so rows feed straight into array-based
+        allocator layouts; the list is the topology's own (treat it as
+        read-only).  Padding entries are -1.  A host to itself
+        (``src == dst``) crosses its loopback link.
 
         Raises:
-            RoutingError: if the topology has no router (it was built by
-                hand, or edited after :func:`build_multi_rooted_tree` built
-                it), if a pair names a switch, or if ``pairs`` is an array
-                but not one of host positions.
-            TopologyError: if a pair names no node at all.
+            RoutingError: if a pair names something other than a host, or
+                if ``pairs`` is an array but not one of host positions.
         """
-        router = self._router
-        if router is None:
-            raise RoutingError(
-                f"topology {self.name!r} has no router: only a tree as "
-                "build_multi_rooted_tree built it routes, not a hand-built "
-                "graph or an edited tree"
-            )
-        if self._link_index is None:
-            self._link_list = list(self._links)
-            self._link_index = {lid: i for i, lid in enumerate(self._link_list)}
         if isinstance(pairs, np.ndarray):
             index_pairs(pairs, len(self._host_names), "host positions")
             # Contiguous copies: routing a 65 280-probe campaign through the
@@ -590,10 +417,10 @@ class Topology:
             return np.zeros((0, 0), np.int32), np.zeros(0, np.int32), self._link_list
         if self._tree_tables is None:
             index = self._link_index
-            self._tree_tables = router.link_tables(
+            self._tree_tables = self._router.link_tables(
                 index, [index[loopback_link_id(host)] for host in self._host_names]
             )
-        return (*router.link_rows(self._tree_tables, src, dst), self._link_list)
+        return (*self._router.link_rows(self._tree_tables, src, dst), self._link_list)
 
     def _host_positions(
         self, pairs: Sequence[Tuple[str, str]]
@@ -604,44 +431,13 @@ class Topology:
         dst = np.fromiter((hosts.get(b, -1) for _, b in pairs), np.intp, count=n)
         if n and min(src.min(), dst.min()) < 0:
             named = pairs[int(np.minimum(src, dst).argmin())]
-            for name in named:
-                if name not in hosts:
-                    kind = self.node_kind(name)  # raises on a name that is no node
-                    raise RoutingError(
-                        f"topology {self.name!r} routes hosts only, "
-                        f"got {kind.value} {name!r}"
-                    )
+            stranger = next(name for name in named if name not in hosts)
+            raise RoutingError(
+                f"topology {self.name!r} routes hosts only, got {stranger!r}"
+            )
         return src, dst
 
 
-# --------------------------------------------------------------------------
-# Builders
-# --------------------------------------------------------------------------
 def build_multi_rooted_tree(spec: TreeSpec = TreeSpec(), name: str = "dc") -> Topology:
     """Build the multi-rooted tree of Figure 5 from a :class:`TreeSpec`."""
-    topo = Topology(name=name, intra_host_bps=spec.intra_host_bps)
-    for c in range(spec.num_cores):
-        topo.add_node(f"core{c}", NodeKind.CORE, level=4)
-    host_index = 0
-    for p in range(spec.pods):
-        agg = f"agg{p}"
-        topo.add_node(agg, NodeKind.AGG, level=3)
-        for c in range(spec.num_cores):
-            topo.add_link(agg, f"core{c}", spec.agg_core_link_bps, LinkKind.AGG_CORE)
-        for r in range(spec.racks_per_pod):
-            tor = f"tor{p}.{r}"
-            topo.add_node(tor, NodeKind.TOR, level=1)
-            if spec.extra_agg_layer:
-                mid = f"agg{p}.{r}"
-                topo.add_node(mid, NodeKind.AGG, level=2)
-                topo.add_link(tor, mid, spec.tor_agg_link_bps, LinkKind.TOR_AGG)
-                topo.add_link(mid, agg, spec.tor_agg_link_bps, LinkKind.AGG_AGG)
-            else:
-                topo.add_link(tor, agg, spec.tor_agg_link_bps, LinkKind.TOR_AGG)
-            for h in range(spec.hosts_per_rack):
-                host = f"host{host_index}"
-                host_index += 1
-                topo.add_node(host, NodeKind.HOST, level=0)
-                topo.add_link(host, tor, spec.host_link_bps, LinkKind.HOST_TOR)
-    topo._router = _TreeRouter(spec)
-    return topo
+    return Topology(spec, name=name)

@@ -100,7 +100,7 @@ def build_churn_session(
             fault_strength=fault_strength,
             epoch_s=epoch_s,
             racks={
-                vm.name: provider.topology.rack_of(vm.host) or vm.host
+                vm.name: provider.topology.rack_of(vm.host)
                 for vm in provider.vms()
             },
         )

@@ -37,7 +37,6 @@ from repro.core.measurement.bottleneck import (
 from repro.errors import MeasurementError
 from repro.experiments.results import TrialRecord
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
-from repro.net.topology import NodeKind
 from repro.runtime.metrics import relative_speedup
 from repro.service.timeline import ProbeLoss, Timeline, attach_timeline
 from repro.workloads.generator import HPCloudWorkloadGenerator
@@ -78,6 +77,14 @@ def bottleneck_report(name: str, seed: int):
     return provider, report
 
 
+def route_cores(topology, src: str, dst: str) -> set:
+    """The core switches host ``src``'s route to host ``dst`` enters, read
+    off the router's link ids (``a->core3`` enters ``core3``)."""
+    (row,), (length,), link_ids = topology.path_links_matrix([(src, dst)])
+    ends = (link_ids[i].partition("->")[2] for i in row[:length].tolist())
+    return {node for node in ends if node.startswith("core")}
+
+
 def bottleneck_row() -> Row:
     """Distinct-endpoint connections never interfere; two connections out
     of one source to two other hosts always do, each losing about half."""
@@ -96,10 +103,7 @@ def bottleneck_row() -> Row:
                 interfered += result.interferes
                 for src, dst in (result.pair_a, result.pair_b):
                     connections += 1
-                    cored += any(
-                        topology.node_kind(node) is NodeKind.CORE
-                        for node in topology.node_path(host[src], host[dst])
-                    )
+                    cored += bool(route_cores(topology, host[src], host[dst]))
             for result in report.same_source_results:
                 (src, dst_a), (_, dst_b) = result.pair_a, result.pair_b
                 if len({host[src], host[dst_a], host[dst_b]}) == 3:
@@ -162,15 +166,19 @@ def interference_tests(rule: int, seed: int) -> Tuple[List[InterferenceTest], in
     host = {vm.name: vm.host for vm in provider.vms()}
     vms = list(host)
     rack = {vm: topology.rack_of(host[vm]) for vm in vms}
-    pod = {vm: topology.neighbors_of_kind(rack[vm], NodeKind.AGG)[0] for vm in vms}
+    # Two hosts share a pod when their route crosses no core; a pod is
+    # named by its first VM.
+    pod = {
+        vm: next(other for other in vms if not route_cores(topology, host[vm], host[other]))
+        for vm in vms
+    }
     side = rack if rule == 1 else pod
     rng = np.random.default_rng(seed)
     gone = [vms[i] for i in rng.choice(len(vms), size=2, replace=False)]
     attach_timeline(provider, Timeline(events=(ProbeLoss(*gone, 0.0, math.inf),)))
 
     def cores(src: str, dst: str) -> set:
-        path = topology.node_path(host[src], host[dst])
-        return {node for node in path if topology.node_kind(node) is NodeKind.CORE}
+        return route_cores(topology, host[src], host[dst])
 
     tests: List[InterferenceTest] = []
     lost = 0

@@ -2,7 +2,7 @@
 
 * the two small topologies of the paper's Figure 3, built by hand (so they
   carry no router: they are the graph-search oracle's
-  :class:`~oracles.graph_search.SearchedTopology`);
+  :class:`~oracles.graph_search.SearchedGraph`);
 * writers for the two flow-trace formats ``repro.workloads.trace`` reads,
   so tests can hand the readers files of known content;
 * the ``(n, n)`` arrays a ``NetworkProfile`` is built from, spelled pair
@@ -24,41 +24,46 @@ from typing import Callable, Iterable, List, Mapping, Optional, Sequence, Tuple,
 
 import numpy as np
 
-from oracles.graph_search import SearchedTopology
+from oracles.graph_search import Links, SearchedGraph, route_ids
 from repro import obs
 from repro.errors import TopologyError
-from repro.net.links import LinkKind
-from repro.net.topology import NodeKind
 from repro.units import GBITPS
 from repro.workloads.trace import _FIELDS, FlowRecord
 
 
 # ------------------------------------------------------------- Figure 3
+def figure3_layout(
+    core: Links, n_pairs: int, left: str, right: str, access_bps: float
+) -> Tuple[List[str], List[Tuple[str, str, float]]]:
+    """A Figure 3 graph's hosts and links: ``core``'s switch links, then per
+    pair ``s{i}`` and ``r{i}`` (their loopbacks) and their cables to
+    ``left`` and ``right``."""
+    if n_pairs < 1:
+        raise TopologyError("n_pairs must be >= 1")
+    hosts: List[str] = []
+    links = list(core)
+    for i in range(1, n_pairs + 1):
+        sender, receiver = f"s{i}", f"r{i}"
+        hosts += [sender, receiver]
+        links += [(sender, sender, 4 * GBITPS), (receiver, receiver, 4 * GBITPS)]
+        links += [(sender, left, access_bps), (receiver, right, access_bps)]
+    return hosts, links
+
+
 def build_dumbbell(
     n_pairs: int = 10,
     shared_link_bps: float = 1 * GBITPS,
     access_link_bps: float = 10 * GBITPS,
     name: str = "dumbbell",
-) -> SearchedTopology:
+) -> SearchedGraph:
     """Build the Figure 3(a) topology: ``n_pairs`` sender/receiver pairs.
 
     Senders ``s1..sN`` attach to a left switch, receivers ``r1..rN`` to a
     right switch, and a single ``shared_link_bps`` link connects the two
     switches; every sender-to-receiver flow crosses that shared bottleneck.
     """
-    if n_pairs < 1:
-        raise TopologyError("n_pairs must be >= 1")
-    topo = SearchedTopology(name=name)
-    topo.add_node("swL", NodeKind.TOR, level=1)
-    topo.add_node("swR", NodeKind.TOR, level=1)
-    topo.add_link("swL", "swR", shared_link_bps, LinkKind.GENERIC)
-    for i in range(1, n_pairs + 1):
-        sender, receiver = f"s{i}", f"r{i}"
-        topo.add_node(sender, NodeKind.HOST, level=0)
-        topo.add_node(receiver, NodeKind.HOST, level=0)
-        topo.add_link(sender, "swL", access_link_bps, LinkKind.HOST_TOR)
-        topo.add_link(receiver, "swR", access_link_bps, LinkKind.HOST_TOR)
-    return topo
+    core = [("swL", "swR", shared_link_bps)]
+    return SearchedGraph(name, *figure3_layout(core, n_pairs, "swL", "swR", access_link_bps))
 
 
 def build_two_rack_cloud(
@@ -66,7 +71,7 @@ def build_two_rack_cloud(
     host_link_bps: float = 1 * GBITPS,
     agg_link_bps: float = 10 * GBITPS,
     name: str = "cloud",
-) -> SearchedTopology:
+) -> SearchedGraph:
     """Build the Figure 3(b) topology.
 
     Senders share a ToR switch, receivers share another ToR switch, and the
@@ -74,21 +79,8 @@ def build_two_rack_cloud(
     1 Gbit/s while ToR-to-aggregation links are 10 Gbit/s, so cross traffic
     only bites once more than ten flows share a ToR uplink.
     """
-    if n_pairs < 1:
-        raise TopologyError("n_pairs must be >= 1")
-    topo = SearchedTopology(name=name)
-    topo.add_node("torS", NodeKind.TOR, level=1)
-    topo.add_node("torR", NodeKind.TOR, level=1)
-    topo.add_node("A", NodeKind.AGG, level=2)
-    topo.add_link("torS", "A", agg_link_bps, LinkKind.TOR_AGG)
-    topo.add_link("torR", "A", agg_link_bps, LinkKind.TOR_AGG)
-    for i in range(1, n_pairs + 1):
-        sender, receiver = f"s{i}", f"r{i}"
-        topo.add_node(sender, NodeKind.HOST, level=0)
-        topo.add_node(receiver, NodeKind.HOST, level=0)
-        topo.add_link(sender, "torS", host_link_bps, LinkKind.HOST_TOR)
-        topo.add_link(receiver, "torR", host_link_bps, LinkKind.HOST_TOR)
-    return topo
+    core = [("torS", "A", agg_link_bps), ("torR", "A", agg_link_bps)]
+    return SearchedGraph(name, *figure3_layout(core, n_pairs, "torS", "torR", host_link_bps))
 
 
 # ------------------------------------------------------------ flow traces
@@ -208,12 +200,12 @@ def fluid_run_spans(path: Path):
 
 def routes_of(sim, flows, extras) -> Tuple[np.ndarray, np.ndarray]:
     """``FluidSimulation.add_flows``'s ``routes`` for ``flows``: each flow's
-    extra links (``extras[i]``, by id), then its ``path_links`` — the rows a
+    extra links (``extras[i]``, by id), then its route — the rows a
     provider hands over, spelled link by link."""
     index = {link_id: i for i, link_id in enumerate(sim.capacities)}
     rows = [
         [index[link_id] for link_id in extra]
-        + [index[link.link_id] for link in sim.topology.path_links(flow.src, flow.dst)]
+        + [index[link_id] for link_id in route_ids(sim.topology, flow.src, flow.dst)]
         for flow, extra in zip(flows, extras)
     ]
     return (

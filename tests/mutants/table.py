@@ -56,6 +56,7 @@ HAND_BUILT = ROUTER + "test_a_hand_built_copy_routes_every_pair_as_the_tree_does
 FULL_MESH = "tests/test_campaign_batch.py::test_full_mesh_is_bit_identical"
 ONE_PASS = "tests/test_choreo_e2e.py::test_the_one_pass_profile_is_the_record_by_record_one"
 BINDING = "tests/test_alloc_binding.py::"
+LAYOUT = "tests/test_topology.py::test_the_tree_is_the_hand_built_copy_link_for_link"
 
 MUTANTS: Tuple[Mutant, ...] = (
     # ---------------------------------------- the rows a provider hands over
@@ -144,29 +145,42 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     # --------------------------------------------------- the one router
     Mutant(
-        "a topology without a router is not refused",
-        TOPOLOGY,
-        "        if router is None:\n",
-        "        if False:\n",
-        (ROUTER + "test_host_positions_on_a_topology_without_a_router",),
-    ),
-    Mutant(
         "host names map to positions with src and dst swapped",
         TOPOLOGY,
         "        return src, dst\n",
         "        return dst, src\n",
         (HAND_BUILT,),
     ),
+    # ------------------------------------------------- a topology is its tree
     Mutant(
-        "node_path answers a name to itself before asking for its route",
+        "a host's loopback link is laid out after its ToR links",
         TOPOLOGY,
-        "        links = self.path_links(src, dst)  # refuses a name that is no host\n"
-        "        if src == dst:\n"
-        "            return [src]\n",
-        "        if src == dst:\n"
-        "            return [src]\n"
-        "        links = self.path_links(src, dst)  # refuses a name that is no host\n",
-        (ROUTER + "test_a_name_that_is_no_host_has_no_path",),
+        "                    links[loopback_link_id(host)] = spec.intra_host_bps\n"
+        "                    cable(host, tor, spec.host_link_bps)\n",
+        "                    cable(host, tor, spec.host_link_bps)\n"
+        "                    links[loopback_link_id(host)] = spec.intra_host_bps\n",
+        (LAYOUT,),
+    ),
+    Mutant(
+        "hosts() lists the hosts in position order, not by name",
+        TOPOLOGY,
+        "        return list(self._hosts_by_name)\n",
+        "        return list(self._host_names)\n",
+        (LAYOUT,),
+    ),
+    Mutant(
+        "rack_of answers the next rack",
+        TOPOLOGY,
+        "        pod, rack = divmod(self.host_index(host) // spec.hosts_per_rack, spec.racks_per_pod)\n",
+        "        pod, rack = divmod(self.host_index(host) // spec.hosts_per_rack + 1, spec.racks_per_pod)\n",
+        (LAYOUT,),
+    ),
+    Mutant(
+        "a capacity of 0 passes the TreeSpec check",
+        TOPOLOGY,
+        "            if not capacity > 0:\n",
+        "            if not capacity >= 0:\n",
+        ("tests/test_topology.py::test_a_capacity_must_be_a_positive_number",),
     ),
     # ------------------------------------------------ a block's own rows
     Mutant(

@@ -1,12 +1,14 @@
 """Graph search: the routing oracle the tree's router is held to.
 
-:func:`~repro.net.topology.build_multi_rooted_tree` attaches the one router
-a topology has; any other graph refuses to route.  A
-:class:`SearchedTopology` routes any graph by search instead: a pair takes
-the ``_ecmp_pick``-th of its lexicographically sorted shortest paths
+A :class:`~repro.net.topology.Topology` routes only through the one router
+its :class:`~repro.net.topology.TreeSpec` gives it.  A
+:class:`SearchedGraph` routes any graph by search instead: a pair takes the
+``_ecmp_pick``-th of its lexicographically sorted shortest paths
 (``_lazy_kth_shortest_path``), so a searched copy of a tree must route every
-pair exactly as the tree's router does.  The Figure 3 topologies of
-``tests/helpers.py`` are searched topologies too.
+pair exactly as the tree's router does.  :func:`hand_built` lays such a copy
+out link by link, in the order the tree's links were added when a topology
+was an editable graph; the Figure 3 topologies of ``tests/helpers.py`` are
+searched graphs too.
 """
 
 from __future__ import annotations
@@ -17,17 +19,14 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from repro.cloud import provider as cloud_provider
-from repro.errors import RoutingError
-from repro.net.links import LinkKind, directed_link_id, loopback_link_id
-from repro.net.topology import (
-    _MIX,
-    NodeKind,
-    Topology,
-    TreeSpec,
-    _node_key,
-    build_multi_rooted_tree,
-    index_pairs,
-)
+from repro.errors import RoutingError, TopologyError
+from repro.net.links import directed_link_id, loopback_link_id
+from repro.net.topology import _MIX, Topology, TreeSpec, _node_key, index_pairs
+
+#: A graph's links in link-index order: ``(a, b, capacity)`` is a cable,
+#: directed links ``a->b`` then ``b->a``, or with ``a == b`` host ``a``'s
+#: loopback.
+Links = Sequence[Tuple[str, str, float]]
 
 _U64 = (1 << 64) - 1
 
@@ -111,39 +110,72 @@ def _lazy_kth_shortest_path(
     return path
 
 
-class SearchedTopology(Topology):
-    """A topology that routes every pair by graph search, pair by pair.
+class SearchedGraph:
+    """A capacitated graph that routes every pair by graph search, pair by
+    pair.
 
-    Unlike a tree's router it also routes pairs that name a switch; a
-    loopback pair still needs a host."""
+    It is built in one step, as a topology is: ``hosts`` in position order
+    (:meth:`host_index`) and ``links`` in link-index order.  It answers
+    what a fluid simulation and a provider ask of a topology, and nothing
+    else."""
 
-    def node_path(self, src: str, dst: str) -> List[str]:
-        kinds = [self.node_kind(node) for node in (src, dst)]  # raises on an unknown node
-        if src == dst:
-            if kinds[0] is not NodeKind.HOST:
-                raise RoutingError(f"loopback path requires a host, got {src!r}")
-            return [src]
-        path = _lazy_kth_shortest_path(self._adjacency, src, dst)
-        if path is None:
-            raise RoutingError(f"no path between {src!r} and {dst!r}")
-        return path
+    def __init__(self, name: str, hosts: Sequence[str], links: Links):
+        self.name = name
+        self._host_names = list(hosts)
+        self._host_index = {host: i for i, host in enumerate(self._host_names)}
+        self._capacities: Dict[str, float] = {}
+        self._adjacency: Dict[str, set] = {}
+        for a, b, capacity in links:
+            if a == b:
+                self._capacities[loopback_link_id(a)] = capacity
+                continue
+            self._capacities[directed_link_id(a, b)] = capacity
+            self._capacities[directed_link_id(b, a)] = capacity
+            self._adjacency.setdefault(a, set()).add(b)
+            self._adjacency.setdefault(b, set()).add(a)
+
+    def hosts(self) -> List[str]:
+        return sorted(self._host_names)
+
+    def host_index(self, name: str) -> int:
+        try:
+            return self._host_index[name]
+        except KeyError as exc:
+            raise TopologyError(f"unknown host {name!r}") from exc
+
+    def rack_of(self, host: str) -> str:
+        """The one switch ``host`` is cabled to."""
+        self.host_index(host)
+        (switch,) = self._adjacency[host]
+        return switch
+
+    def capacities(self) -> Dict[str, float]:
+        return dict(self._capacities)
+
+    def capacity_vector(self) -> np.ndarray:
+        return np.array(list(self._capacities.values()), dtype=np.float64)
 
     def path_links_matrix(
         self, pairs: Union[Sequence[Tuple[str, str]], np.ndarray]
     ) -> Tuple[np.ndarray, np.ndarray, List[str]]:
+        names = self._host_names
         if isinstance(pairs, np.ndarray):
-            index_pairs(pairs, len(self._host_names), "host positions")
-            names = self._host_names
+            index_pairs(pairs, len(names), "host positions")
             pairs = [(names[a], names[b]) for a, b in pairs.tolist()]
-        link_ids = list(self._links)
+        link_ids = list(self._capacities)
         index = {lid: i for i, lid in enumerate(link_ids)}
         routes = []
         for src, dst in pairs:
-            nodes = self.node_path(src, dst)
+            for name in (src, dst):
+                if name not in self._host_index:
+                    raise RoutingError(f"topology {self.name!r} routes hosts only, got {name!r}")
             if src == dst:
                 routes.append([index[loopback_link_id(src)]])
-            else:
-                routes.append([index[directed_link_id(a, b)] for a, b in zip(nodes, nodes[1:])])
+                continue
+            nodes = _lazy_kth_shortest_path(self._adjacency, src, dst)
+            if nodes is None:
+                raise RoutingError(f"no path between {src!r} and {dst!r}")
+            routes.append([index[directed_link_id(a, b)] for a, b in zip(nodes, nodes[1:])])
         lengths = np.array([len(route) for route in routes], dtype=np.int32)
         rows = np.full((len(routes), int(lengths.max(initial=0))), -1, dtype=np.int32)
         for row, route in zip(rows, routes):
@@ -151,45 +183,63 @@ class SearchedTopology(Topology):
         return rows, lengths, link_ids
 
 
-def hand_built(topo: Topology, seed: Optional[int] = None) -> SearchedTopology:
-    """``topo``'s graph, added node by node and link by link to a
-    :class:`SearchedTopology`.
+def route_ids(topology, src: str, dst: str) -> List[str]:
+    """The link ids host ``src``'s traffic to host ``dst`` crosses: the
+    pair's one row of ``topology.path_links_matrix``."""
+    (row,), (length,), link_ids = topology.path_links_matrix([(src, dst)])
+    return [link_ids[i] for i in row[:length].tolist()]
 
-    With no ``seed``, in ``topo``'s own order: hosts keep their positions
-    and links their indices.  With one, nodes and then cables in an order
-    the seed shuffles: hosts take other positions, links other indices.
+
+def tree_layout(spec: TreeSpec) -> Tuple[List[str], List[Tuple[str, str, float]]]:
+    """The hosts and links of ``spec``'s tree in the order an editable
+    graph had them added: cores; per pod its aggregation switch and its
+    core cables; per rack its ToR and uplink cable(s); per host the host
+    (which added its loopback) and its ToR cable."""
+    hosts: List[str] = []
+    links: List[Tuple[str, str, float]] = []
+    for p in range(spec.pods):
+        agg = f"agg{p}"
+        for c in range(spec.num_cores):
+            links.append((agg, f"core{c}", spec.agg_core_link_bps))
+        for r in range(spec.racks_per_pod):
+            tor = f"tor{p}.{r}"
+            if spec.extra_agg_layer:
+                mid = f"agg{p}.{r}"
+                links.append((tor, mid, spec.tor_agg_link_bps))
+                links.append((mid, agg, spec.tor_agg_link_bps))
+            else:
+                links.append((tor, agg, spec.tor_agg_link_bps))
+            for _ in range(spec.hosts_per_rack):
+                host = f"host{len(hosts)}"
+                hosts.append(host)
+                links.append((host, host, spec.intra_host_bps))
+                links.append((host, tor, spec.host_link_bps))
+    return hosts, links
+
+
+def hand_built(topo: Topology, seed: Optional[int] = None) -> SearchedGraph:
+    """``topo``'s tree as a :class:`SearchedGraph`, laid out by
+    :func:`tree_layout`.
+
+    With no ``seed``, in that order: hosts keep their positions and links
+    their indices.  With one, the hosts (with their loopbacks) and then the
+    cables in an order the seed shuffles: hosts take other positions, links
+    other indices.
     """
-    copy = SearchedTopology(name=topo.name, intra_host_bps=topo._intra_host_bps)
-
-    def add_node(name):
-        copy.add_node(name, topo.node_kind(name), topo._nodes[name][1])
-
-    cables = [link for link in topo.links() if link.src < link.dst]
+    hosts, links = tree_layout(topo.spec)
     if seed is not None:
         rng = random.Random(seed)
-        for name in rng.sample(topo.nodes(), len(topo.nodes())):
-            add_node(name)
-        for link in rng.sample(cables, len(cables)):
-            copy.add_link(link.src, link.dst, link.capacity_bps, link.kind)
-        return copy
-    # Switches add no link; a host adds its loopback, a cable both directions.
-    for name in topo.nodes():
-        if topo.node_kind(name) is not NodeKind.HOST:
-            add_node(name)
-    cabled = set()
-    for link in topo.links():
-        if link.kind is LinkKind.LOOPBACK:
-            add_node(link.src)
-        elif (link.dst, link.src) not in cabled:
-            cabled.add((link.src, link.dst))
-            copy.add_link(link.src, link.dst, link.capacity_bps, link.kind)
-    return copy
+        hosts = rng.sample(hosts, len(hosts))
+        cables = [link for link in links if link[0] != link[1]]
+        loops = [(host, host, topo.spec.intra_host_bps) for host in hosts]
+        links = loops + rng.sample(cables, len(cables))
+    return SearchedGraph(topo.name, hosts, links)
 
 
-def build_searched_tree(spec: TreeSpec = TreeSpec(), name: str = "dc") -> SearchedTopology:
-    """:func:`build_multi_rooted_tree`'s tree, hand-built: same nodes, same
-    links in the same order, every route a graph search."""
-    return hand_built(build_multi_rooted_tree(spec, name=name))
+def build_searched_tree(spec: TreeSpec = TreeSpec(), name: str = "dc") -> SearchedGraph:
+    """The tree of ``spec``, hand-built: same hosts, same links in the same
+    order, every route a graph search."""
+    return SearchedGraph(name, *tree_layout(spec))
 
 
 def use_graph_search(patch) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+from oracles.graph_search import route_ids
 from repro.service.timeline import PREEMPTED_RATE_BPS, LinkDegradation
 
 
@@ -69,8 +70,9 @@ def true_path_rate(provider, src_vm: str, dst_vm: str) -> float:
     src, dst = provider.vm(src_vm), provider.vm(dst_vm)
     if src.host == dst.host:
         return provider.params.intra_host_rate_bps
+    capacities = provider.topology.capacities()
     physical = min(
-        link.capacity_bps for link in provider.topology.path_links(src.host, dst.host)
+        capacities[link] for link in route_ids(provider.topology, src.host, dst.host)
     )
     return min(hose_rate(provider, src_vm), physical)
 

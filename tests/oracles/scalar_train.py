@@ -35,6 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from oracles.graph_search import route_ids
 from repro.cloud.provider import CloudProvider, VMFlow
 from repro.core.measurement.packet_train import MATHIS_C
 from repro.errors import CloudError, MeasurementError
@@ -397,7 +398,7 @@ def path_hop_count(provider: CloudProvider, src_vm: str, dst_vm: str) -> int:
     src, dst = provider.vm(src_vm), provider.vm(dst_vm)
     if src.host == dst.host:
         return 1
-    return provider.topology.hop_count(src.host, dst.host)
+    return len(route_ids(provider.topology, src.host, dst.host))
 
 
 def rtt(provider: CloudProvider, src_vm: str, dst_vm: str) -> float:
@@ -425,8 +426,9 @@ def packet_train_model(
             jitter_std_s=provider.params.train_jitter_std_s,
             loss_rate=provider.params.loss_rate,
         )
+    capacities = provider.topology.capacities()
     physical = min(
-        link.capacity_bps for link in provider.topology.path_links(src.host, dst.host)
+        capacities[link] for link in route_ids(provider.topology, src.host, dst.host)
     )
     if background:
         available = float(snapshot_rates(provider, [(src_vm, dst_vm)], background)[0])

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Mapping, Optional
 
+from oracles.graph_search import route_ids
 from repro.net.topology import Topology
 
 
@@ -28,7 +29,7 @@ def traceroute_hop_count(
 ) -> int:
     """Hop count traceroute reports between two hosts: the true one, or
     what ``visible_hops`` maps it to (unmapped counts pass through)."""
-    true_hops = topology.hop_count(src, dst)
+    true_hops = len(route_ids(topology, src, dst))
     if visible_hops is None:
         return true_hops
     return visible_hops.get(true_hops, true_hops)

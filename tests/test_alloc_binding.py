@@ -24,6 +24,7 @@ import random
 import numpy as np
 import pytest
 
+from oracles.graph_search import route_ids
 from oracles.max_min import force_loop, force_solves
 from repro import obs
 from repro.cloud.ec2 import ec2_params
@@ -126,7 +127,7 @@ def _hosed_tree(rng):
     for f in range(rng.randint(150, 260)):
         src = rng.choice(hosts)
         dst = src if rng.random() < 0.05 else rng.choice([h for h in hosts if h != src])
-        route = tuple(link.link_id for link in topo.path_links(src, dst))
+        route = tuple(route_ids(topo, src, dst))
         links = route if src == dst else (f"hose:{src}",) + route
         demands[f"f{f}"] = FlowDemand(links=links)
     return caps, demands

@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from oracles.graph_search import route_ids
 from oracles.max_min import force_solves, max_min_allocation
 from repro.net import alloc
 from repro.net.alloc import _BATCH_MIN, IncrementalAllocator
@@ -46,9 +47,7 @@ def _tree_instance(rng):
     demands = {}
     for f in range(rng.randint(150, 260)):
         src, dst = rng.choice(hosts), rng.choice(hosts)
-        links = () if rng.random() < 0.03 else tuple(
-            link.link_id for link in topo.path_links(src, dst)
-        )
+        links = () if rng.random() < 0.03 else tuple(route_ids(topo, src, dst))
         demands[f"f{f}"] = FlowDemand(links=links)
     return caps, demands
 
@@ -542,13 +541,12 @@ def _pod_mesh(racks, hosts_per_rack, cross_rack):
     demands, rack_local = {}, []
     for a in pod:
         for b in pod:
-            if a == b or not (cross_rack or topo.same_rack(a, b)):
+            same_rack = topo.rack_of(a) == topo.rack_of(b)
+            if a == b or not (cross_rack or same_rack):
                 continue
             fid = f"{a}>{b}"
-            demands[fid] = FlowDemand(
-                links=tuple(link.link_id for link in topo.path_links(a, b))
-            )
-            if topo.same_rack(a, b):
+            demands[fid] = FlowDemand(links=tuple(route_ids(topo, a, b)))
+            if same_rack:
                 rack_local.append(fid)
     return topo.capacities(), demands, rack_local
 

@@ -17,7 +17,7 @@ import math
 import numpy as np
 import pytest
 from oracles import scalar_train
-from oracles.graph_search import _ecmp_pick, build_searched_tree
+from oracles.graph_search import _ecmp_pick, build_searched_tree, route_ids
 
 from repro import obs
 from repro.cloud.ec2 import ec2_params
@@ -729,9 +729,10 @@ def test_an_empty_pair_list_is_an_empty_profile(pairs):
 @pytest.mark.parametrize("cores", [2, 4, 12])
 def test_remembered_picks_are_node_paths_picks(cores):
     """``core_picks`` (every pair in one array expression) against the
-    graph-search oracle's scalar ``_ecmp_pick``, against the core on the
-    tree's ``node_path`` (its router's row) and against graph search (a
-    hand-built copy of the tree: no router), 500 random far pairs."""
+    graph-search oracle's scalar ``_ecmp_pick``, against the core the
+    tree's route crosses (its router's row, read link by link) and against
+    graph search (a hand-built copy of the tree: no router), 500 random far
+    pairs."""
     spec = TreeSpec(hosts_per_rack=4, racks_per_pod=3, pods=4, num_cores=cores)
     tree = build_multi_rooted_tree(spec)
     router = tree._router
@@ -748,6 +749,6 @@ def test_remembered_picks_are_node_paths_picks(cores):
     searched = build_searched_tree(spec)
     for a, b, pick in zip(src.tolist(), dst.tolist(), picks.tolist()):
         assert _ecmp_pick(f"host{a}", f"host{b}", cores) == pick
-        path = tree.node_path(f"host{a}", f"host{b}")
-        assert path[3] == cores_sorted[pick]
-        assert searched.node_path(f"host{a}", f"host{b}") == path
+        path = route_ids(tree, f"host{a}", f"host{b}")
+        assert path[2] == f"agg{a // per_pod}->{cores_sorted[pick]}"
+        assert route_ids(searched, f"host{a}", f"host{b}") == path

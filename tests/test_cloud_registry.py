@@ -14,7 +14,6 @@ from repro.cloud.instances import InstanceType
 from repro.cloud.provider import CloudProvider
 from repro.cloud.registry import make_provider, provider_names
 from repro.errors import CloudError, ReproError, TopologyError
-from repro.net.links import Link
 from repro.net.topology import TreeSpec
 
 
@@ -108,7 +107,7 @@ def test_link_capacity_violation_raises_library_error():
     # Regression: this used to raise a bare ValueError; the library contract
     # is that every failure derives from ReproError.
     with pytest.raises(TopologyError):
-        Link(link_id="bad", src="a", dst="b", capacity_bps=0.0)
+        TreeSpec(host_link_bps=0.0)
     assert issubclass(TopologyError, ReproError)
 
 

@@ -25,21 +25,18 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import build_dumbbell, fluid_run_spans, routes_of
+from helpers import figure3_layout, fluid_run_spans, routes_of
+from oracles.graph_search import SearchedGraph, route_ids
 from oracles.max_min import flow_demands, force_solves, run_loop
 from oracles.rate_append import AppendedTimeline
-from repro.errors import RoutingError, SimulationError, TopologyError
+from repro.errors import RoutingError, SimulationError
 from repro.net import alloc
 from repro.net.alloc import IncrementalAllocator
 from repro.net.fairness import max_min_violations
 from repro.net.flows import Flow, FlowState
 from repro.net.fluid import _BYTE_EPS, FluidSimulation, RateTimeline, _TimelineTable
 from repro.net.links import hose_link_id
-from repro.net.topology import (
-    NodeKind,
-    TreeSpec,
-    build_multi_rooted_tree,
-)
+from repro.net.topology import TreeSpec, build_multi_rooted_tree
 
 
 # ------------------------------------------------------------ (a) allocator
@@ -191,11 +188,10 @@ def _log_rows(result):
 def _mesh_topology():
     """A non-tree graph (two switches, doubly connected through a third):
     no structured router, every route comes from graph search."""
-    topo = build_dumbbell(n_pairs=4, shared_link_bps=2e8, access_link_bps=1e9)
-    topo.add_node("swM", NodeKind.AGG, level=2)
-    topo.add_link("swL", "swM", 3e8)
-    topo.add_link("swM", "swR", 3e8)
-    return topo
+    hosts, links = figure3_layout([("swL", "swR", 2e8)], 4, "swL", "swR", 1e9)
+    return SearchedGraph(
+        "dumbbell", hosts, links + [("swL", "swM", 3e8), ("swM", "swR", 3e8)]
+    )
 
 
 def _random_flows(rng: random.Random, hosts, n_flows, staggered):
@@ -323,7 +319,7 @@ def test_batch_registration_and_vector_loop_match_the_scalar_oracle(
     assert flow_demands(batch) == flow_demands(one_by_one)
     for flow, extra in zip(flows, extras):
         links = flow_demands(batch)[flow.flow_id].links
-        path = [link.link_id for link in topo.path_links(flow.src, flow.dst)]
+        path = route_ids(topo, flow.src, flow.dst)
         assert list(links) == extra + path
 
     # Up to two pauses, a flow withdrawn at each with even odds, then the
@@ -386,9 +382,9 @@ def test_a_failed_batch_leaves_the_simulation_as_it_was():
     failures = [
         (good + [flow("g7")], SimulationError, "duplicate flow id 'g7'"),
         (good + [flow("b")], SimulationError, "duplicate flow id 'b'"),
-        (good + [flow("lost", dst="nowhere")], TopologyError, "nowhere"),
+        (good + [flow("lost", dst="nowhere")], RoutingError, "nowhere"),
         (good + [flow("loop", src="core0", dst="core0")], RoutingError, "core0"),
-        (good + [flow("gone", src="nowhere", dst="nowhere")], TopologyError, "nowhere"),
+        (good + [flow("gone", src="nowhere", dst="nowhere")], RoutingError, "nowhere"),
     ]
     for flows, error, message in failures:
         with pytest.raises(error, match=message):

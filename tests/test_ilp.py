@@ -19,7 +19,8 @@ from repro.core.network_profile import NetworkProfile
 from repro.core.placement import ilp
 from repro.core.placement.base import ClusterState, Machine
 from repro.core.placement.greedy import GreedyPlacer, greedy_incumbent
-from repro.core.placement.ilp import BruteForcePlacer, OptimalPlacer
+from oracles.brute_force import BruteForcePlacer
+from repro.core.placement.ilp import OptimalPlacer
 from repro.errors import ExperimentError, PlacementError
 from repro.experiments.cache import ResultStore
 from repro.experiments.cli import main as cli_main

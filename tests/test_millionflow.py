@@ -20,7 +20,9 @@ import numpy as np
 import pytest
 
 from helpers import build_dumbbell, routes_of
-from oracles.graph_search import _ecmp_pick, _lazy_kth_shortest_path, hand_built
+from oracles.graph_search import (
+    _ecmp_pick, _lazy_kth_shortest_path, hand_built, route_ids, tree_layout,
+)
 from oracles.max_min import run_loop
 from repro.errors import RoutingError, TopologyError
 
@@ -30,7 +32,7 @@ from repro.net.fairness import segment_violations
 from repro.net.flows import Flow
 from repro.net.fluid import FluidSimulation, RateTimeline
 from repro.net.links import hose_link_id
-from repro.net.topology import NodeKind, Topology, TreeSpec, build_multi_rooted_tree
+from repro.net.topology import TreeSpec, build_multi_rooted_tree
 
 
 def _structured_hits() -> int:
@@ -99,7 +101,7 @@ class TestVectorLoopBitIdentity:
                 flow_id=f"f{i}", src=src, dst=dst, size_bytes=size, start_time=start
             )
             extra = [hose_link_id(src)] if hose else []
-            paths[flow.flow_id] = [l.link_id for l in topo.path_links(src, dst)] + extra
+            paths[flow.flow_id] = route_ids(topo, src, dst) + extra
             for sim in (sim_s, sim_v):
                 sim.add_flows([flow], routes_of(sim, [flow], [extra]))
         until = rng.uniform(0.0, 1.5) if rng.random() < 0.4 else None
@@ -169,14 +171,11 @@ class TestStructuredRouting:
 
     @pytest.mark.parametrize("spec", _ROUTING_SPECS + _MATRIX_SPECS, ids=str)
     def test_a_hand_built_copy_routes_every_pair_as_the_tree_does(self, spec):
-        """A copy of the tree added node by node, in a shuffled order, has
-        no router: it routes by graph search.  For every ordered pair of
-        hosts, by name and by position, the copy's rows are the tree's, and
-        so are its node paths and hop counts, which the tree's router answers
-        one pair at a time too."""
+        """A copy of the tree laid out link by link, in a shuffled order,
+        has no router: it routes by graph search.  For every ordered pair of
+        hosts, by name and by position, the copy's rows are the tree's."""
         built = build_multi_rooted_tree(spec)
         copy = hand_built(built, seed=5)
-        assert copy._router is None
         assert copy._host_names != built._host_names  # other positions
         hosts = built.hosts()
         pairs = list(itertools.product(hosts, hosts))
@@ -184,7 +183,7 @@ class TestStructuredRouting:
         want = copy.path_links_matrix(pairs)
         assert _structured_hits() == hits
         got = built.path_links_matrix(pairs)
-        assert _structured_hits() - hits == len(built.host_pairs())
+        assert _structured_hits() - hits == len(hosts) * (len(hosts) - 1)
 
         def by_id(rows, lengths, link_ids):
             return [tuple(link_ids[j] for j in row[:n]) for row, n in zip(rows, lengths)]
@@ -193,52 +192,35 @@ class TestStructuredRouting:
         for topo, rows in ((built, got), (copy, want)):
             at = np.array([(topo.host_index(a), topo.host_index(b)) for a, b in pairs])
             assert by_id(*topo.path_links_matrix(at)) == by_id(*rows)
-        # Every scalar answer comes from the router, one hit each (a hop
-        # count, then a node path).
-        ordered = built.host_pairs()
-        hits = _structured_hits()
-        hops = [built.hop_count(src, dst) for src, dst in ordered]
-        paths = [built.node_path(src, dst) for src, dst in ordered]
-        assert _structured_hits() - hits == 2 * len(ordered)
-        for (src, dst), hop, path in zip(ordered, hops, paths):
-            want = copy.node_path(src, dst)
-            assert path == want, (src, dst)
-            assert hop == copy.hop_count(src, dst) == len(want) - 1
 
     @pytest.mark.parametrize("structured", [True, False])
     @pytest.mark.parametrize("spec", _ROUTING_SPECS + _MATRIX_SPECS, ids=str)
-    def test_path_links_matrix_agrees_with_path_links(self, spec, structured):
-        """The array rows are ``path_links``'s, pair by pair: every relation
-        (same rack / pod / cross-pod) and loopback pairs.  Graph search also
-        routes a pair with a switch endpoint; the tree refuses one."""
+    def test_path_links_matrix_agrees_with_single_pair_routes(self, spec, structured):
+        """The array rows are each pair's route routed alone: every relation
+        (same rack / pod / cross-pod) and loopback pairs.  A pair naming a
+        switch, or a name that is no node, is refused."""
         topo = build_multi_rooted_tree(spec)
-        hosts = topo.hosts()
-        tor = topo.rack_of(hosts[0])
-        switched = [(tor, hosts[-1]), (hosts[-1], tor)]
-        for pair in switched:
-            with pytest.raises(RoutingError, match=f"'dc' routes hosts only, got tor {tor!r}"):
-                topo.path_links_matrix([(hosts[0], hosts[1]), pair])
         if not structured:
             topo = hand_built(topo)
-        pairs = topo.host_pairs() + [(h, h) for h in hosts[:2]]
-        if not structured:
-            pairs += switched
-        arithmetic = len(topo.host_pairs())
+        hosts = topo.hosts()
+        tor = topo.rack_of(hosts[0])
+        for pair in [(tor, hosts[-1]), (hosts[-1], tor), ("host01", hosts[0])]:
+            name = pair[0] if pair[1] in hosts else pair[1]
+            with pytest.raises(RoutingError, match=f"'dc' routes hosts only, got {name!r}"):
+                topo.path_links_matrix([(hosts[0], hosts[1]), pair])
+        distinct = list(itertools.permutations(hosts, 2))
+        pairs = distinct + [(h, h) for h in hosts[:2]]
         hits = _structured_hits()
         rows, lengths, link_ids = topo.path_links_matrix(pairs)
         counted = _structured_hits() - hits
-        assert counted == (arithmetic if structured else 0)
+        assert counted == (len(distinct) if structured else 0)
         assert link_ids == list(topo.capacities())
         assert rows.shape == (len(pairs), lengths.max())
         assert rows.dtype == lengths.dtype == np.int32
         for i, (src, dst) in enumerate(pairs):
-            expected = [link.link_id for link in topo.path_links(src, dst)]
             got = [link_ids[j] for j in rows[i, : lengths[i]]]
-            assert got == expected, (src, dst)
+            assert got == route_ids(topo, src, dst), (src, dst)
             assert (rows[i, lengths[i]:] == -1).all()
-        # "host01" names no host (host 1 is "host1").
-        with pytest.raises(TopologyError, match="host01"):
-            topo.path_links_matrix([(hosts[0], hosts[-1]), ("host01", hosts[0])])
 
     @pytest.mark.parametrize("structured", [True, False])
     @pytest.mark.parametrize("spec", _ROUTING_SPECS[1:] + _MATRIX_SPECS, ids=str)
@@ -253,14 +235,15 @@ class TestStructuredRouting:
             if topo is built and not structured:
                 topo = hand_built(built)
             hosts = topo.hosts()
-            pairs = topo.host_pairs() + [(h, h) for h in hosts[:3]]
+            distinct = list(itertools.permutations(hosts, 2))
+            pairs = distinct + [(h, h) for h in hosts[:3]]
             at = np.array(
                 [(topo.host_index(a), topo.host_index(b)) for a, b in pairs]
             )
             hits = _structured_hits()
             rows, lengths, link_ids = topo.path_links_matrix(at)
             counted = _structured_hits() - hits
-            assert counted == (len(topo.host_pairs()) if topo is built else 0)
+            assert counted == (len(distinct) if topo is built else 0)
             by_name = topo.path_links_matrix(pairs)
             assert (rows == by_name[0]).all() and (lengths == by_name[1]).all()
             assert link_ids == by_name[2]
@@ -270,42 +253,14 @@ class TestStructuredRouting:
             range(spec.num_hosts)
         )
 
-    @pytest.mark.parametrize("edit", ["node", "link"])
-    def test_an_edit_drops_the_router(self, edit):
-        """A tree from ``build_multi_rooted_tree`` routes until its graph is
-        edited; from then on it refuses to, by name and by position, as a
-        node path and as a hop count."""
-        topo = build_multi_rooted_tree(_ROUTING_SPECS[2])
-        assert topo.node_path("host0", "host15")[0] == "host0"
-        if edit == "node":
-            topo.add_node("extra", NodeKind.HOST)
-        else:
-            topo.add_link("host0", "tor1.0", 1e9)  # a shortcut into pod 1
-        assert topo._router is None
-        refused = (
-            lambda: topo.path_links_matrix([("host0", "host15")]),
-            lambda: topo.path_links_matrix(np.array([[0, 15]])),
-            lambda: topo.node_path("host0", "host15"),
-            lambda: topo.hop_count("host0", "host0"),
-        )
-        for route in refused:
-            with pytest.raises(RoutingError, match="topology 'dc' has no router"):
-                route()
-
-    def test_host_positions_on_a_topology_without_a_router(self):
-        """A graph built by hand refuses to route, by name and by position;
-        the graph-search oracle routes one, and refuses position arrays
-        that hold no host positions."""
-        bare = Topology(name="bare")
-        for host in ("a", "b"):
-            bare.add_node(host, NodeKind.HOST)
-        bare.add_link("a", "b", 1e9)
-        for pairs in ([("a", "b")], np.array([[0, 1]]), []):
-            with pytest.raises(RoutingError, match="topology 'bare' has no router"):
-                bare.path_links_matrix(pairs)
-        topo = build_dumbbell(n_pairs=3)
-        order = ["s1", "r1", "s2", "r2", "s3", "r3"]  # as added
-        assert [topo.host_index(name) for name in order] == list(range(6))
+    @pytest.mark.parametrize("structured", [True, False])
+    def test_position_arrays_must_hold_host_positions(self, structured):
+        """A tree and a hand-built graph (Figure 3's dumbbell, whose hosts
+        sit in the order it added them) route an array of host positions as
+        the names it stands for, route an empty array to nothing, and refuse
+        an array that holds no host positions."""
+        topo = build_multi_rooted_tree(_ROUTING_SPECS[1]) if structured else build_dumbbell(3)
+        order = topo._host_names
         at = np.array([(0, 1), (2, 5), (4, 4), (1, 0)] * 5)
         pairs = [(order[a], order[b]) for a, b in at.tolist()]
         assert (
@@ -315,24 +270,23 @@ class TestStructuredRouting:
         assert empty[0].shape == (0, 0) and empty[1].shape == (0,)
         with pytest.raises(TopologyError, match="unknown host 'swL'"):
             topo.host_index("swL")
+        size = len(order)
         for bad in (
-            np.array([[0, 6]]), np.array([[-1, 0]]), np.array([0, 1]),
+            np.array([[0, size]]), np.array([[-1, 0]]), np.array([0, 1]),
             np.array([[0.0, 1.0]]), np.zeros((2, 3), dtype=np.intp),
         ):
             with pytest.raises(RoutingError, match="host positions"):
                 topo.path_links_matrix(bad)
 
     def test_a_name_that_is_no_host_has_no_path(self):
-        """A pair of one name routes only if the name is a host: a switch
-        is refused, and so is a name that is no node, even to itself."""
+        """A pair of one name routes only if the name is a host, across its
+        loopback link: a switch is refused, and so is a name that is no
+        node, even to itself."""
         topo = build_multi_rooted_tree(_ROUTING_SPECS[1])
-        assert topo.node_path("host3", "host3") == ["host3"]
-        assert topo.hop_count("host3", "host3") == 1
-        for route in (topo.node_path, topo.hop_count, topo.path_links):
-            with pytest.raises(TopologyError, match="unknown node 'nope'"):
-                route("nope", "nope")
-            with pytest.raises(RoutingError, match="routes hosts only, got core 'core0'"):
-                route("core0", "core0")
+        assert route_ids(topo, "host3", "host3") == ["loop:host3"]
+        for name in ("nope", "core0"):
+            with pytest.raises(RoutingError, match=f"routes hosts only, got {name!r}"):
+                route_ids(topo, name, name)
 
     def test_path_links_matrix_of_nothing(self):
         topo = build_multi_rooted_tree(_ROUTING_SPECS[1])
@@ -341,12 +295,10 @@ class TestStructuredRouting:
 
     def test_lazy_kth_path_matches_eager_sort(self):
         nx = pytest.importorskip("networkx")  # the oracle; a ``dev`` extra
-        topo = build_multi_rooted_tree(_ROUTING_SPECS[3])
-        graph = nx.Graph(
-            (link.src, link.dst) for link in topo.links() if link.src != link.dst
-        )
+        hosts, links = tree_layout(_ROUTING_SPECS[3])
+        graph = nx.Graph((a, b) for a, b, _ in links if a != b)
         rng = random.Random(11)
-        for src, dst in rng.sample(topo.host_pairs(), 25):
+        for src, dst in rng.sample(list(itertools.permutations(hosts, 2)), 25):
             eager = sorted(nx.all_shortest_paths(graph, src, dst))
             for k in range(len(eager)):
                 assert _lazy_kth_shortest_path(graph, src, dst, k) == eager[k]

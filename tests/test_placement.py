@@ -17,7 +17,8 @@ from repro.core.placement.baselines import (
     RoundRobinPlacer,
 )
 from repro.core.placement.greedy import GreedyPlacer
-from repro.core.placement.ilp import BruteForcePlacer, OptimalPlacer
+from oracles.brute_force import BruteForcePlacer
+from repro.core.placement.ilp import OptimalPlacer
 from repro.errors import PlacementError, ReproError, WorkloadError
 from repro.units import GBITPS, GBYTE
 from repro.workloads.application import Application, Task, TrafficMatrix

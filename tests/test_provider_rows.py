@@ -120,7 +120,7 @@ def test_bad_routes_are_refused_and_change_nothing():
     topo = build_multi_rooted_tree(TreeSpec(2, 2, 2, 2))
     hosts = topo.hosts()
     sim = FluidSimulation(topo, extra_capacities={"x": 1e9})
-    universe = len(topo.links()) + 1
+    universe = len(topo.capacities()) + 1
 
     def flow(name):
         return Flow(flow_id=name, src=hosts[0], dst=hosts[5], size_bytes=1e5)

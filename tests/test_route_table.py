@@ -7,7 +7,7 @@ and a changed VM set needs no cache dropped.  Held here to the per-probe
 loop of ``tests/test_campaign_batch.py``, to paths routed by name, and to
 the traced memory peak of the largest campaign the benchmark runs.  The
 tree router reads a rack pair's row from one small table: its loopback
-and cross-pod rows are held to ``path_links``, and the cross-pod rows take
+and cross-pod rows are held to single-pair routes, and the cross-pod rows take
 their core from the router's ECMP pick, held here to an even spread over
 ``pipeline_dc``'s cores and pinned on one tree.
 """
@@ -19,7 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from oracles import scalar_train
-from oracles.graph_search import hand_built
+from oracles.graph_search import hand_built, route_ids
 from test_campaign_batch import (
     build_provider, campaign, oracle_campaign, simulated_snapshot,
 )
@@ -64,13 +64,12 @@ def routed_batches(monkeypatch):
 
 
 def assert_rows_are_the_named_routes(topology, hosts, rows, lengths):
-    """Each row is ``path_links`` of its pair of hosts, -1 padded to the
+    """Each row is its pair of hosts' route routed alone, -1 padded to the
     batch's longest route and no wider."""
     names = topology._host_names
-    link_ids = [link.link_id for link in topology.links()]
+    link_ids = list(topology.capacities())
     for (a, b), row, length in zip(hosts.tolist(), rows, lengths.tolist()):
-        path = topology.path_links(names[a], names[b])
-        assert [link_ids[j] for j in row[:length]] == [link.link_id for link in path]
+        assert [link_ids[j] for j in row[:length]] == route_ids(topology, names[a], names[b])
         assert (row[length:] == -1).all()
     assert rows.shape[1] == lengths.max()
 
@@ -144,8 +143,9 @@ def test_each_block_routes_its_probes_across_vm_set_changes(
     assert kept == {"_bottleneck"} and provider._bottleneck.dtype == np.float64
     for src, dst in ends_of(names, pairs):
         s, d = provider.vm_positions([src, dst]).tolist()
-        path = provider.topology.path_links(provider.vm(src).host, provider.vm(dst).host)
-        assert provider._bottleneck[s * n + d] == min(link.capacity_bps for link in path)
+        path = route_ids(provider.topology, provider.vm(src).host, provider.vm(dst).host)
+        capacities = provider.topology.capacities()
+        assert provider._bottleneck[s * n + d] == min(capacities[link] for link in path)
     # A second campaign on the VM set routes nothing but its snapshot.
     del routed_batches[:]
     campaign(NetworkMeasurer(provider, plan), names, background(names), pairs)
@@ -163,8 +163,8 @@ def test_each_block_routes_its_probes_across_vm_set_changes(
 @pytest.mark.parametrize("structured", [True, False])
 def test_loopback_rows_are_the_hosts_loopback_links(structured, routed_batches):
     """The rows of a VM mesh with colocated VMs — its diagonal and every
-    pair of VMs on one host cross that host's loopback link — are
-    ``path_links``'s, pair by pair: given as host positions and as names,
+    pair of VMs on one host cross that host's loopback link — are the
+    pairs' routes, routed one by one: given as host positions and as names,
     in a batch of every pair and in one of a few, on the provider's tree
     (whose router writes the loopback rows itself) and on a hand-built
     copy that routes by graph search.  So are the rows a campaign's block
@@ -176,7 +176,7 @@ def test_loopback_rows_are_the_hosts_loopback_links(structured, routed_batches):
     colocated = [i for i, (a, b) in enumerate(pairs) if a == b]
     assert len(colocated) > len(host)  # the diagonal and some shared hosts
     at = np.array([(topo.host_index(a), topo.host_index(b)) for a, b in pairs])
-    want = [[link.link_id for link in topo.path_links(a, b)] for a, b in pairs]
+    want = [route_ids(topo, a, b) for a, b in pairs]
     few = colocated[:3] + [i for i in range(len(pairs)) if i not in colocated][:4]
     for batch in (list(range(len(pairs))), few, colocated[:2]):
         for given in (at[batch], [pairs[i] for i in batch]):

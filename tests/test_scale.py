@@ -12,7 +12,7 @@ import random
 import pytest
 
 from helpers import build_two_rack_cloud, pair_matrix
-from oracles.graph_search import use_graph_search
+from oracles.graph_search import route_ids, use_graph_search
 from oracles.max_min import (
     force_solves,
     max_min_allocation,
@@ -149,7 +149,7 @@ def _pod_instance(seed):
     flows = {}
     for f in range(384):
         src, dst = rng.sample(hosts, 2)
-        flows[f"f{f}"] = FlowDemand(links=tuple(link.link_id for link in topo.path_links(src, dst)))
+        flows[f"f{f}"] = FlowDemand(links=tuple(route_ids(topo, src, dst)))
     return topo.capacities(), flows, rng.sample(list(flows), 50)
 
 
@@ -267,7 +267,7 @@ class TestFluidVectorAllocator:
 
         ref = run(use_reference_engine)
         paths = {
-            f.flow_id: [link.link_id for link in topo.path_links(f.src, f.dst)]
+            f.flow_id: route_ids(topo, f.src, f.dst)
             for f in flows
         }
         for engine in (lambda patch: None, lambda patch: force_solves(patch, True)):

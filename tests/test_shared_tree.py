@@ -1,15 +1,14 @@
 """One network per shape: every provider of a ``(TreeSpec, name)`` shares one
-frozen tree.
+tree.
 
 A sweep's trials, a service session and any threads of one process all
 build providers of a handful of shapes; the first provider of a shape builds the
 tree and every later one reads it, with the tables the tree derives lazily
-(link index, capacity vector, tree tables, routes).  These tests hold the
-sharing to what it must not change: which trees are shared, that nothing
-edits them, that a sweep builds each shape once, that a session and a sweep
-leave the shared capacities as built, that concurrent readers see what a
-serial run sees, and that the draws rewritten alongside read the same
-streams.
+(tree tables, ECMP host keys).  These tests hold the sharing to what it
+must not change: which trees are shared, that a sweep builds each shape
+once, that a session and a sweep leave the shared capacities as built,
+that concurrent readers see what a serial run sees, and that the draws
+rewritten alongside read the same streams.
 """
 
 from __future__ import annotations
@@ -27,9 +26,8 @@ from repro.cloud.ec2 import ec2_hose_sampler, ec2_params
 from repro.cloud.provider import CloudProvider
 from repro.cloud.registry import make_provider
 from repro.core.measurement import MeasurementPlan, NetworkMeasurer
-from repro.errors import TopologyError
 from repro.experiments.runner import ExperimentConfig, ExperimentRunner
-from repro.net.topology import NodeKind, TreeSpec, build_multi_rooted_tree
+from repro.net.topology import TreeSpec, build_multi_rooted_tree
 from repro.service.engine import PlacementService
 from repro.service.session import _resolve_placer, build_churn_session
 from repro.units import MBITPS
@@ -87,23 +85,6 @@ def test_providers_of_one_shape_share_one_tree(fresh_table):
     assert len({id(tree) for tree in [first.topology, *trees]}) == 4
     assert trees[2].capacities() == first.topology.capacities()
     assert sorted(fresh_table.values()) == [1, 1, 1, 1]
-
-
-def test_a_shared_tree_refuses_edits_and_the_builder_stays_fresh(fresh_table):
-    shared = make_provider("ec2").topology
-    with pytest.raises(TopologyError, match="topology 'ec2' is shared and frozen"):
-        shared.add_node("extra", NodeKind.HOST)
-    with pytest.raises(TopologyError, match="topology 'ec2' is shared and frozen"):
-        shared.add_link("host0", "host1", 1e9)
-    assert "extra" not in shared.nodes()
-    # The builder hands out a fresh, editable tree each call: what
-    # fluid_giant's two trees of one spec are, and what tests edit.
-    spec = TreeSpec(hosts_per_rack=2, racks_per_pod=2, pods=2, num_cores=2)
-    topo, fresh = build_multi_rooted_tree(spec), build_multi_rooted_tree(spec)
-    assert topo is not fresh
-    fresh.add_node("extra", NodeKind.HOST)
-    fresh.add_link("extra", "tor0.0", 1e9)
-    assert "extra" not in topo.nodes()
 
 
 # ------------------------------------------------ a sweep and a session share

@@ -15,6 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles.graph_search import route_ids
 from oracles.max_min import max_min_allocation
 from oracles.scalar_train import snapshot_rates
 from repro.cloud.provider import CloudProvider, ProviderParams, VMFlow
@@ -88,11 +89,11 @@ def same_host_pairs(provider):
 
 
 def demand(provider, src_vm, dst_vm):
-    """The flow's links by name, routed pair by pair (``path_links``)."""
+    """The flow's links by name, routed pair by pair (``route_ids``)."""
     src, dst = provider.vm(src_vm), provider.vm(dst_vm)
     hose = [] if src.host == dst.host else [hose_link_id(src_vm)]
-    path = provider.topology.path_links(src.host, dst.host)
-    return FlowDemand(links=tuple(hose + [link.link_id for link in path]))
+    path = route_ids(provider.topology, src.host, dst.host)
+    return FlowDemand(links=tuple(hose + path))
 
 
 def capacities(provider):

@@ -376,7 +376,6 @@ ONE_ENGINE_CALLABLES = (
     "repro.core.placement.greedy:greedy_incumbent",
     "repro.core.placement.ilp:OptimalPlacer",
     "repro.core.placement.ilp:_Search",
-    "repro.core.placement.ilp:BruteForcePlacer",
     "repro.service.engine:PlacementService",
     "repro.runtime.migration:propose_migration",
     "repro.core.network_profile:NetworkProfile",
@@ -397,7 +396,7 @@ def test_no_engine_or_sharing_model_option_is_left(target):
     assert DELETED_OPTIONS & set(inspect.signature(value).parameters) == set()
 
 
-@pytest.mark.parametrize("placer", ["greedy", "ilp", "brute-force"])
+@pytest.mark.parametrize("placer", ["greedy", "ilp"])
 def test_no_placer_takes_a_model_parameter(placer):
     from repro.errors import ExperimentError
     from repro.experiments.placers import resolve_placer
@@ -724,21 +723,27 @@ DELETED_ROUTING_NAMES = {
 }
 
 
+def identifiers_left(names):
+    """Every identifier of ``names`` (a definition, an attribute, an
+    argument, a keyword) in ``src/``, as ``module:name``."""
+    found = []
+    for module in MODULES:
+        for node in ast.walk(ast.parse(inspect.getsource(importlib.import_module(module)))):
+            ident = (
+                getattr(node, "id", None) or getattr(node, "attr", None)
+                or getattr(node, "arg", None) or getattr(node, "name", None)
+            )
+            if isinstance(ident, str) and ident in names:
+                found.append(f"{module}:{ident}")
+    return found
+
+
 def test_a_flow_gets_its_path_one_way():
     from repro.cloud.provider import CloudProvider
     from repro.net.fluid import FluidSimulation
     from repro.net.topology import _TreeRouter
 
-    found = []
-    for name in MODULES:
-        for node in ast.walk(ast.parse(inspect.getsource(importlib.import_module(name)))):
-            ident = (
-                getattr(node, "id", None) or getattr(node, "attr", None)
-                or getattr(node, "arg", None) or getattr(node, "name", None)
-            )
-            if isinstance(ident, str) and ident in DELETED_ROUTING_NAMES:
-                found.append(f"{name}:{ident}")
-    assert found == []
+    assert identifiers_left(DELETED_ROUTING_NAMES) == []
     # A tree has one router, the array one; the public scalar routes stay.
     assert not hasattr(_TreeRouter, "node_path") and not hasattr(_TreeRouter, "hop_count")
     assert not hasattr(CloudProvider, "_to_net_flow")
@@ -750,3 +755,20 @@ def test_a_flow_gets_its_path_one_way():
     assert list(signature(CloudProvider.add_flows).parameters) == [
         "self", "sim", "vm_flows",
     ]
+
+
+#: Deleted when a topology became its tree, built in one step from a
+#: ``TreeSpec``: the graph's edit and freeze API, its node and link kinds,
+#: the link objects and the per-pair views of a route.
+DELETED_GRAPH_NAMES = {
+    "add_node", "add_link", "_check_unfrozen", "NodeKind", "LinkKind", "Link",
+    "node_kind", "nodes_of_kind", "neighbors_of_kind", "same_rack", "node_path",
+    "path_links", "hop_count", "host_pairs",
+}
+
+
+def test_a_topology_is_built_from_its_spec_alone():
+    from repro.net.topology import Topology
+
+    assert identifiers_left(DELETED_GRAPH_NAMES) == [] and not hasattr(Topology, "freeze")
+    assert list(inspect.signature(Topology).parameters) == ["spec", "name"]

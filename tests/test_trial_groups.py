@@ -8,7 +8,6 @@ placer record for record, a failing build, ``fail_fast``, and the copy's
 state against a fresh build's.
 """
 
-import functools
 import hashlib
 import json
 import time
@@ -16,11 +15,9 @@ import time
 import numpy as np
 import pytest
 
-import repro.experiments.placers as placers_mod
 import repro.experiments.trials as trials_mod
 from repro.cloud.registry import make_provider
 from repro.core.measurement.orchestrator import NetworkMeasurer
-from repro.core.placement.ilp import BruteForcePlacer
 from repro.experiments import (
     ExperimentConfig,
     ExperimentResult,
@@ -78,16 +75,6 @@ def test_multi_placer_sweep_reproduces_the_pinned_cell_digests(scenario):
 
 
 # ------------------------------------------ grouped == one build per cell
-@pytest.fixture
-def small_brute_force(monkeypatch):
-    """Exhaustive search only where it is cheap: larger instances fail with
-    a ``PlacementError`` after their measurement, which is a path too."""
-    monkeypatch.setattr(
-        placers_mod, "BruteForcePlacer",
-        functools.partial(BruteForcePlacer, max_assignments=5_000),
-    )
-
-
 def _grid_items(scenario, fail_fast=False, params=None):
     return [
         WorkItem.make(
@@ -100,7 +87,7 @@ def _grid_items(scenario, fail_fast=False, params=None):
 
 
 @pytest.mark.parametrize("scenario", scenario_names())
-def test_grouped_trials_equal_one_build_per_cell(scenario, small_brute_force):
+def test_grouped_trials_equal_one_build_per_cell(scenario):
     _assert_grouped_equal_fresh(scenario)
 
 
@@ -122,9 +109,7 @@ def _assert_grouped_equal_fresh(scenario):
     return list(grouped.values())
 
 
-def test_a_copy_runs_beside_another_tenant_as_a_fresh_build_does(
-    monkeypatch, small_brute_force
-):
+def test_a_copy_runs_beside_another_tenant_as_a_fresh_build_does(monkeypatch):
     """Arrivals over the other tenant's flows, placer by placer: on the
     shared build's copies, every record is the one-build-per-cell one."""
 
