@@ -58,8 +58,8 @@ SNAPSHOT_ROUNDS = obs.Counter("repro.measure.snapshot_rounds")
 # One tree per shape, with its sorted host names: every provider of a
 # ``(spec, name)`` shares it (a tree is never edited), so a tree and the
 # tables it derives lazily (tree tables, ECMP host keys) are built once per
-# shape, not once per trial.  Providers may be built from
-# several threads of one process.
+# shape, not once per trial.  Providers may be built from several threads of
+# one process.
 _SHARED_TREES_MAX_ENTRIES = 1024
 _shared_trees: Dict[Tuple[TreeSpec, str], Tuple[Topology, Tuple[str, ...]]] = {}
 _shared_trees_lock = threading.Lock()
