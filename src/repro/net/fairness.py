@@ -15,10 +15,11 @@ but the links it crosses limits its rate.
 
 The solver is :class:`~repro.net.alloc.IncrementalAllocator`.  This module
 holds what it shares with its callers: the :class:`FlowDemand` record,
-:func:`max_min_violations` (the certificate any allocation must pass) and
-:func:`segment_violations` (the same, at every moment of a fluid run),
-:func:`probe_rates_under_load` and :func:`snapshot_violations` (the bounds
-its rates must keep).
+:func:`max_min_violations` (the certificate any allocation must pass),
+:func:`segment_violations` (the same, at every moment of a fluid run) and
+:func:`byte_violations` (every flow's bytes, moved or left, in that run's
+log), :func:`probe_rates_under_load` and :func:`snapshot_violations` (the
+bounds its rates must keep).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.net.fluid import _TIME_EPS
+from repro.net.fluid import _BYTE_EPS, _TIME_EPS
 
 
 @dataclass(frozen=True)
@@ -144,6 +145,62 @@ def segment_violations(
             f"t={mid!r}: {problem}"
             for problem in max_min_violations(demands, capacities, in_force)
         )
+    return problems
+
+
+def byte_violations(
+    result,
+    start_bytes: Mapping[str, float],
+    paths: Mapping[str, Sequence[str]],
+    capacities: Mapping[str, float],
+) -> List[str]:
+    """Ways a fluid run's rate log fails to conserve bytes (empty: none).
+
+    ``result`` is a :class:`~repro.net.fluid.FluidResult`, ``start_bytes``
+    maps each of its flows to the bytes it had when the run began (its
+    size, or what the pause left it), and ``paths`` and ``capacities`` are
+    :func:`segment_violations`'.  A flow's timeline moved ``M = Σ
+    rate·(end − start)/8`` bytes.  A completed flow moved all of its bytes
+    and has none left — unless it moved nothing, having none to move or
+    crossing no finite link; a stopped flow moved all but its
+    ``remaining_bytes``; a pending one moved nothing.  So ``M + remaining``
+    is ``start_bytes`` for every flow, within
+
+        ``_BYTE_EPS + (n + 1)·(c·(_TIME_EPS + 2u·t)/8 + 2u·B)``,
+
+    ``n`` the flow's segments, ``B`` its start bytes, ``c`` its narrowest
+    link (no rate of it exceeds that), ``t`` its last segment's end and
+    ``u = 2⁻⁵³``.  The engine drains a flow by one rounded subtraction per
+    segment of the same products the check re-adds, so the two sums drift
+    apart by at most ``u·B`` a segment each.  What the log cannot show is
+    bounded by time: it drops intervals no longer than ``_TIME_EPS`` and
+    merges equal rates across them, a flow retires up to ``_TIME_EPS``
+    before its finish, and rounding a date moves it by ``u·t`` — at most
+    ``c·(_TIME_EPS + 2u·t)/8`` bytes unseen per boundary, counting one
+    dropped interval at each.  And a completed flow leaves up to
+    ``_BYTE_EPS`` unmoved by design.
+    """
+    u = 2.0**-53
+    problems: List[str] = []
+    for flow_id, left in result.remaining_bytes.items():
+        segments = result.timelines[flow_id].segments
+        moved = sum(s.rate_bps * (s.end - s.start) / 8 for s in segments)
+        state = result.states[flow_id].value
+        if state == "completed":
+            if not moved:
+                continue  # it had no bytes to move, or moved them at rate inf
+            if left != 0.0:
+                problems.append(f"flow {flow_id!r}: completed with {left!r} bytes left")
+        narrowest = min((capacities[link] for link in paths[flow_id]), default=math.inf)
+        last = max((s.end for s in segments), default=0.0)
+        bound = _BYTE_EPS + (len(segments) + 1) * (
+            narrowest * (_TIME_EPS + 2 * u * abs(last)) / 8 + 2 * u * start_bytes[flow_id]
+        )
+        if not abs(moved + left - start_bytes[flow_id]) <= bound:
+            problems.append(
+                f"flow {flow_id!r} ({state}): moved {moved!r} bytes and has "
+                f"{left!r} left of {start_bytes[flow_id]!r}"
+            )
     return problems
 
 

@@ -22,9 +22,19 @@ hose), or a whole batch routed by host name with one
 :meth:`~repro.net.topology.Topology.path_links_matrix` call.  The event
 loops hand those rows to the allocator, and take them back, one batch per
 event (:meth:`~repro.net.alloc.IncrementalAllocator.add_flows` /
-``remove_flows``).  Both loops keep each active flow's open rate segment
-and log it as a ``(flow, start, end, rate)`` row when the flow's rate
-changes, when it retires and when the run stops; and
+``remove_flows``).
+
+Both loops update lazily, as SimGrid's max-min solver does (Donassolo,
+Casanova, Legrand and Velho, *Fast and scalable simulation of volunteer
+computing systems using SimGrid*, LSAP 2010).  An active flow's open rate
+segment holds its start, its rate, the bits the flow had left when it
+opened, and its finish, fixed for the life of the segment: when those bits
+are down to ``_BYTE_EPS`` bytes (:func:`_finish`).  Bytes are computed only
+where a segment closes — the flow's rate changes, or the run stops — and a
+flow retires, with no bytes left, at the event its finish comes by.  So an
+event costs what changed: the solve, the flows whose rate it moved, and
+one ``min`` and one comparison over the finishes.  Each closed segment is
+logged as a ``(flow, start, end, rate)`` row, and
 :attr:`FluidResult.timelines` is a read-only mapping over that log, reduced
 when a timeline is first read, that builds a flow's :class:`RateTimeline`
 when it is asked for.
@@ -71,6 +81,7 @@ from repro.units import BITS_PER_BYTE
 # below _TIME_EPS are simultaneous.
 _BYTE_EPS = 1e-6
 _TIME_EPS = 1e-12
+_BIT_EPS = _BYTE_EPS * BITS_PER_BYTE
 
 # Flow states as the vector loop's int8 codes.
 _STATES = (
@@ -237,6 +248,11 @@ class FluidResult:
     run's raw segment log, which it reduces at its first lookup: a result
     whose timelines are never read never pays for the reduction.  Both
     loops write the same log.
+
+    ``remaining_bytes`` is a flow's bytes at the run's end: 0.0 exactly for
+    a flow that retired (its last segment ended at its finish), its size
+    for a pending flow or one of at most ``_BYTE_EPS`` bytes (completed as
+    it started, moving nothing), and what the rule left a stopped one.
     """
 
     completion_times: Dict[str, float]
@@ -256,6 +272,15 @@ _FLUID_BATCHES = obs.Counter("repro.fluid.batches")
 # Flow count below which the vectorised event loop is not worth its NumPy
 # dispatch overhead.
 _LOOP_MIN_FLOWS = 512
+
+
+def _finish(now: float, bits: float, rate: float) -> float:
+    """When a segment opened at ``now`` with ``bits`` left at ``rate`` is
+    down to ``_BYTE_EPS`` bytes: its flow's finish, fixed for the life of
+    the segment (``now`` at rate ``inf``, never at rate 0).  The vector
+    loop computes the same, in the same order."""
+    over = bits - _BIT_EPS
+    return now + (over if over > 0.0 else 0.0) / rate if rate > 0 else math.inf
 
 
 def _check_capacities(capacities: Mapping[str, float]) -> None:
@@ -281,14 +306,14 @@ class FluidSimulation:
     Rates come from :class:`~repro.net.alloc.IncrementalAllocator`, which
     picks its own solve from the problem size.  Below ``_LOOP_MIN_FLOWS``
     live flows the per-flow Python event loop runs; at or above it the
-    vector loop holds flow state in NumPy arrays in activation order,
-    picks the next event with a ``min`` over the finish-time vector,
-    activates, drains and retires flows a batch per event, and re-reads
-    only the rates the allocator rewrote.  Both loops log a rate segment
-    only when a flow's rate changes, it retires or the run stops, into one
-    segment log (see :class:`FluidResult`), produce bit-identical
-    :class:`FluidResult` contents, and resume from the pause either left
-    (see the module docstring).
+    vector loop holds each open segment in NumPy arrays by activation
+    position, dates the next event with a ``min`` over the fixed finishes,
+    activates and retires flows a batch per event, and closes and reopens
+    only the segments whose rate the allocator rewrote.  Both loops follow
+    one lazy rule (see the module docstring), log a rate segment only when
+    a flow's rate changes, it retires or the run stops, into one segment
+    log (see :class:`FluidResult`), produce bit-identical
+    :class:`FluidResult` contents, and resume from the pause either left.
     """
 
     def __init__(
@@ -567,12 +592,14 @@ class FluidSimulation:
         self._survivors = survivors
 
     def _run_scalar(self, until: Optional[float], span) -> FluidResult:
-        """The per-flow Python event loop.
+        """The per-flow Python event loop, on :meth:`_run_vector`'s lazy
+        rule: the same formulas, in the same order, in dicts keyed by flow.
 
-        It logs segments by :meth:`_run_vector`'s rule, into a list of
-        ``(flow, start, end, rate)`` rows: each active flow's open segment
-        (its start and rate) is closed when its rate changes, when it
-        retires and when the run stops.
+        Each active flow keeps its open segment — start, rate, the bits it
+        had left at the start, and its fixed finish (:func:`_finish`).  A
+        flow whose rate changes closes its segment into a list of ``(flow,
+        start, end, rate)`` rows and opens the next; a flow that retires or
+        is stopped closes its last.
         """
         flows = self._flows
         flow_list = list(flows.values())
@@ -587,17 +614,22 @@ class FluidSimulation:
         }
         # Active flows in activation order, each with its registration
         # position; those the pause left active are in the allocator already.
+        # Per active flow, the bits left at its open segment's start (at
+        # its activation, until its first segment opens).
         active: Dict[str, int] = {}
+        bits: Dict[str, float] = {}
         resumed = self._active
         if resumed:
             position = dict(zip(flows, range(len(flow_list))))
             for fid, left in resumed.items():
                 states[fid] = FlowState.ACTIVE
-                remaining[fid] = left
                 active[fid] = position[fid]
-        # The open segments' starts and rates, and the closed ones' rows.
+                bits[fid] = left * BITS_PER_BYTE
+        # The open segments' starts, rates and finishes, and the closed
+        # ones' rows.
         open_start: Dict[str, float] = {}
         open_rate: Dict[str, float] = {}
+        finish: Dict[str, float] = {}
         log: List[Tuple[int, float, float, float]] = []
 
         # By (start_time, flow_id), with their registration positions.
@@ -608,7 +640,6 @@ class FluidSimulation:
         pending = [flow_list[i] for i in order]
         pending_idx = 0
         n_pending = len(pending)
-        # Zero-byte flows complete instantly at their start time.
         incremental, now = self._resume(until)
         inf = math.inf
         end_time = now
@@ -616,6 +647,7 @@ class FluidSimulation:
 
         while True:
             # Activate flows whose start time has arrived, as one batch.
+            # Zero-byte flows complete instantly at their start time.
             arrived: List[Flow] = []
             rows: List[int] = []
             lengths: List[int] = []
@@ -628,6 +660,7 @@ class FluidSimulation:
                     states[fid] = FlowState.COMPLETED
                     continue
                 active[fid] = i
+                bits[fid] = remaining[fid] * BITS_PER_BYTE
                 states[fid] = FlowState.ACTIVE
                 arrived.append(flow)
                 rows.extend(data[row_start[i] : row_start[i] + row_len[i]])
@@ -647,26 +680,33 @@ class FluidSimulation:
             batches += 1
             # Allocate rates for the active flows (the allocator only
             # re-solves when the active set changed since the last call).
+            # A flow whose rate changed closes its segment, with the bits
+            # it has left now, and opens the next (each flow's first on
+            # its first solve).
             rates = incremental.solve()
-
-            # Time of the next event.
-            next_time = inf
-            finish_at: Dict[str, float] = {}
-            if pending_idx < n_pending:
-                next_time = pending[pending_idx].start_time
+            checked += len(active)
             for fid in active:
                 rate = rates[fid]
-                if rate == inf:
-                    next_time = now  # completes immediately
-                    finish_at[fid] = now
-                elif rate > 0:
-                    finish = now + remaining[fid] * BITS_PER_BYTE / rate
-                    finish_at[fid] = finish
-                    if finish < next_time:
-                        next_time = finish
+                old = open_rate.get(fid)
+                if old != rate:
+                    changed += 1
+                    left = bits[fid]
+                    if old is not None:
+                        seg_start = open_start[fid]
+                        log.append((active[fid], seg_start, now, old))
+                        left = left - (now - seg_start) * old
+                        bits[fid] = left = left if left > 0.0 else 0.0
+                    open_start[fid] = now
+                    open_rate[fid] = rate
+                    finish[fid] = _finish(now, left, rate)
+
+            # Time of the next event: the next start or the soonest finish.
+            next_time = pending[pending_idx].start_time if pending_idx < n_pending else inf
+            soonest = min(finish.values(), default=inf)
+            if soonest < next_time:
+                next_time = soonest
             if until is not None and until < next_time:
                 next_time = until
-
             if next_time == inf:
                 raise SimulationError(
                     "simulation stalled: active flows receive zero rate and "
@@ -674,53 +714,32 @@ class FluidSimulation:
                 )
             if next_time < now:
                 next_time = now
+            now = end_time = next_time
 
-            # Advance to next_time, closing the segments whose rate changed
-            # (opening each flow's first) and draining bytes.
-            dt = next_time - now
-            checked += len(active)
-            for fid in active:
-                rate = rates[fid]
-                if open_rate.get(fid) != rate:
-                    changed += 1
-                    if fid in open_rate:
-                        log.append((active[fid], open_start[fid], now, open_rate[fid]))
-                    open_start[fid] = now
-                    open_rate[fid] = rate
-                if rate == inf:
+            # Retire the flows whose finish has come: none has bytes left.
+            due = now + _TIME_EPS
+            if soonest <= due:
+                for fid in [fid for fid in active if finish[fid] <= due]:
+                    completion[fid] = now
+                    states[fid] = FlowState.COMPLETED
                     remaining[fid] = 0.0
-                elif rate > 0:
-                    drained = remaining[fid] - rate * dt / BITS_PER_BYTE
-                    remaining[fid] = drained if drained > 0.0 else 0.0
-
-            # A flow whose projected finish coincides with this event has
-            # drained: force its residue to zero.  Without this, rounding in
-            # ``remaining -= rate * dt`` can leave a few bytes' residue whose
-            # refill step is below the ulp of ``now``, so ``dt`` collapses to
-            # zero and the loop livelocks (Zeno steps) on long simulations.
-            for fid, finish in finish_at.items():
-                if finish <= next_time + _TIME_EPS:
-                    remaining[fid] = 0.0
-
-            now = next_time
-            end_time = now
-
-            # Retire flows that completed at ``now``.
-            completed = [fid for fid in active if remaining[fid] <= _BYTE_EPS]
-            for fid in completed:
-                completion[fid] = now
-                states[fid] = FlowState.COMPLETED
-                log.append((active.pop(fid), open_start.pop(fid), now, open_rate.pop(fid)))
-                incremental.remove_flow(fid)
+                    log.append((active.pop(fid), open_start.pop(fid), now, open_rate.pop(fid)))
+                    del bits[fid], finish[fid]
+                    incremental.remove_flow(fid)
 
             if until is not None and now >= until - _TIME_EPS:
                 end_time = until
                 break
 
         _FLUID_BATCHES.inc(batches)
-        # Close the segments still open at the stop time.
+        # Close the segments still open at the stop, with the bits left.
         for fid, rate in open_rate.items():
-            log.append((active[fid], open_start[fid], now, rate))
+            seg_start = open_start[fid]
+            log.append((active[fid], seg_start, now, rate))
+            left = bits[fid] - (now - seg_start) * rate
+            bits[fid] = left if left > 0.0 else 0.0
+        for fid in active:
+            remaining[fid] = bits[fid] / BITS_PER_BYTE
         span.set(
             batches=batches, log_rows=len(log),
             rates_checked=checked, rates_changed=changed, compactions=0,
@@ -752,17 +771,22 @@ class FluidSimulation:
 
         Flows are rows of the flow table.  Live flow state lives in NumPy
         arrays indexed by *activation position* (the scalar loop's dict
-        order): remaining bytes ``left``, the open segment's ``rate`` (-1.0
-        before the first) and start, the flow, its allocator slot (``pos_of``
-        maps back).  Per event each live flow is touched only by a fixed run
-        of contiguous in-place passes — finish ``now + left*8/rate`` and its
-        ``min``, drain ``left - (rate*dt)/8`` and its clamp, the Zeno reset,
-        the ``done`` test: the scalar loop's operations on the same values in
-        the same order.  Everything else touches only the flows it concerns:
-        arrivals and retirements (one batch each to and from the allocator),
-        and the slots the solve rewrote
+        order): the flow, its allocator slot (``pos_of`` maps back), and its
+        open segment — the bits left at its start (``bits0``), its start,
+        its rate (-1.0 before the first) and its fixed ``finish``.
+
+        An event costs what changed.  Of the slots the solve rewrote
         (:meth:`~repro.net.alloc.IncrementalAllocator.written_slots`; on a
-        run's first event all live flows, as resumed ones open segments).
+        run's first event every live flow, as resumed ones open segments),
+        the positions whose rate moved close their segment — their bits
+        left by :func:`_finish`'s rule, the loop's only drain — and open the
+        next with its finish.  Every other live flow is read by two
+        whole-array passes alone: the ``min`` over ``finish`` that dates the
+        next event, and ``finish <= next + _TIME_EPS``, the flows that
+        retire then as one batch, with no bytes left.  Each event so
+        retires the soonest finish, or reaches a start or the stop: no
+        rounding residue can pin the clock at one instant.  Arrivals and
+        retirements go to and from the allocator one batch each.
         Segments are logged in columns when a rate changes, a flow retires
         or the run stops: four arrays (flow, start, end, rate) that grow by
         a quarter and take each batch of closed segments as one slice
@@ -771,19 +795,14 @@ class FluidSimulation:
         copied out, one column at a time, and :class:`_TimelineTable` keeps
         them until a timeline is read.
 
-        A retired flow leaves a tombstone (``left = inf``, ``rate = 0``),
-        inert in every pass: its finish is ``inf``, its drain leaves
-        ``inf``, it is never reset nor done.  Positions are compacted, in
-        order, once tombstones outnumber live flows.  Retiring in ascending
-        position fixes the allocator's free list (hence slot numbers) and
-        the order of ``completion_times`` as the scalar loop does.
-
-        One clamp, ``maximum(left, 0)``, stands for ``drained if drained >
-        0.0 else 0.0``: a live flow has ``left > _BYTE_EPS`` and a finite
-        rate, so its drain is finite and never ``-0.0`` (``x - x`` is
-        ``+0.0``) — or rate ``inf`` (no link limits it), whose drain is
-        ``-inf`` or, at ``dt == 0``, NaN, and whose finish is ``now``, so the
-        Zeno reset zeroes it as the scalar loop's ``rate == inf`` branch does.
+        A retired flow leaves a tombstone (``bits0 = finish = inf``): never
+        the soonest, never done.  Positions are compacted, in order, once
+        tombstones outnumber live flows.  Retiring in ascending position
+        fixes the allocator's free list (hence slot numbers) and the order
+        of ``completion_times`` as the scalar loop does.  A position opens
+        its first segment at the instant it was placed, so its bits left
+        then, ``bits0 - 0.0 * -1.0``, are ``bits0`` to the bit: the rule
+        needs no case for it, only the log does.
         """
         flows = list(self._flows.values())
         flow_ids = list(self._flows)
@@ -796,29 +815,33 @@ class FluidSimulation:
 
         completion: Dict[str, float] = {}
         state = np.full(n_flows, _PENDING, dtype=np.int8)
-        rem_out = size.copy()
         incremental, now = self._resume(until)
         inf = math.inf
 
-        # Position-indexed state and per-event buffers (a flow takes one
-        # position per run, so ``n_flows`` positions always suffice).
-        left, rate, seg_start, finish, step = (np.empty(n_flows) for _ in range(5))
+        # Position-indexed state (a flow takes one position per run, so
+        # ``n_flows`` positions always suffice).
+        bits0, seg_start, rate, finish = (np.empty(n_flows) for _ in range(4))
         flow_at, slot_at = (np.empty(n_flows, dtype=np.intp) for _ in range(2))
         mask = np.empty(n_flows, dtype=bool)
         pos_of = np.zeros(0, dtype=np.intp)
         n_pos = n_live = 0
+        unopened = False  # a position awaits its first segment
 
         def place(which: np.ndarray, slots: np.ndarray, bytes_left) -> None:
             """Give flows ``which``, at allocator ``slots``, the next positions."""
-            nonlocal pos_of, n_pos, n_live
+            nonlocal pos_of, n_pos, n_live, unopened
             if slots.max() >= pos_of.shape[0]:
                 pos_of = _grow(pos_of, max(16, 2 * pos_of.shape[0], int(slots.max()) + 1))
             new = slice(n_pos, n_pos + which.shape[0])
-            flow_at[new], slot_at[new], left[new] = which, slots, bytes_left
-            rate[new] = -1.0  # -1.0 marks "no open rate segment"
+            flow_at[new], slot_at[new] = which, slots
+            np.multiply(bytes_left, BITS_PER_BYTE, out=bits0[new])
+            seg_start[new] = now
+            rate[new] = -1.0
+            finish[new] = inf
             pos_of[slots] = np.arange(new.start, new.stop)
             n_live += new.stop - n_pos
             n_pos = new.stop
+            unopened = True
 
         resumed = self._active
         if resumed:
@@ -844,22 +867,30 @@ class FluidSimulation:
         log = [np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0), np.zeros(0)]
         n_logged = 0
 
-        def close_segments(at: np.ndarray) -> None:
-            """Log the open segments at positions ``at``, ending now."""
+        def close(at: np.ndarray, opened: np.ndarray, at_rate: np.ndarray) -> None:
+            """Log the segments open at positions ``at`` — since ``opened``,
+            at ``at_rate`` — as ending now (a position given no rate yet
+            has none)."""
             nonlocal n_logged
-            at = at[rate[at] != -1.0]
-            if at.shape[0]:
-                new = slice(n_logged, n_logged + at.shape[0])
-                if new.stop > log[0].shape[0]:
-                    size = max(16, log[0].shape[0] * 5 // 4, new.stop)
-                    for i in range(len(log)):
-                        log[i] = _grow(log[i], size)
-                log_flow, log_start, log_end, log_rate = log
-                log_flow[new] = flow_at[at]
-                log_start[new] = seg_start[at]
-                log_end[new] = now
-                log_rate[new] = rate[at]
-                n_logged = new.stop
+            if unopened:
+                some = at_rate != -1.0
+                at, opened, at_rate = at[some], opened[some], at_rate[some]
+            new = slice(n_logged, n_logged + at.shape[0])
+            if new.stop > log[0].shape[0]:
+                size = max(16, log[0].shape[0] * 5 // 4, new.stop)
+                for i in range(len(log)):
+                    log[i] = _grow(log[i], size)
+            log_flow, log_start, log_end, log_rate = log
+            log_flow[new] = flow_at[at]
+            log_start[new] = opened
+            log_end[new] = now
+            log_rate[new] = at_rate
+            n_logged = new.stop
+
+        def bits_left(at: np.ndarray, opened: np.ndarray, at_rate: np.ndarray) -> np.ndarray:
+            """The bits left now at positions ``at``, by the rule."""
+            left = bits0[at] - (now - opened) * at_rate
+            return np.maximum(left, 0.0, out=left)
 
         end_time = now
         batches = checked = changed = compactions = 0
@@ -897,40 +928,39 @@ class FluidSimulation:
                 break
 
             batches += 1
-            # Allocate rates; close the segment of every flow whose rate
-            # changed and open its next one (all flows on the first event).
+            # Allocate rates; a position whose rate moved closes its
+            # segment, with its bits left, and opens the next with its
+            # finish (every live position on the first event).
             rate_vec = incremental.solve_slots()
             slots = incremental.written_slots()
             if slots is None or batches == 1:
-                at = np.flatnonzero(left[:n_pos] != inf)
+                at = np.flatnonzero(bits0[:n_pos] != inf)
                 slots = slot_at[at]
             else:
                 at = pos_of[slots]
             checked += at.shape[0]
-            new_rate = rate_vec[slots]
-            moved = np.flatnonzero(new_rate != rate[at])
+            new_rate, old_rate = rate_vec[slots], rate[at]
+            moved = (new_rate != old_rate).nonzero()[0]
             if moved.shape[0]:
-                at = at[moved]
+                at, new_rate, old_rate = at[moved], new_rate[moved], old_rate[moved]
                 changed += at.shape[0]
-                close_segments(at)
+                opened = seg_start[at]
+                close(at, opened, old_rate)
+                left = bits_left(at, opened, old_rate)
+                over = np.subtract(left, _BIT_EPS)
+                np.maximum(over, 0.0, out=over)
+                np.divide(over, new_rate, out=over)
+                bits0[at] = left
                 seg_start[at] = now
-                rate[at] = new_rate[moved]
+                rate[at] = new_rate
+                finish[at] = np.add(over, now, out=over)
+            unopened = False
 
-            # Project the next event time.  Rate 0 -> finish inf (no event);
-            # rate inf -> finish now, exactly the scalar loop's explicit
-            # ``next_time = now``.
-            next_time = inf
-            if pending_idx < n_pending:
-                next_time = pending_start[pending_idx]
-            live_left, live_rate, ft = left[:n_pos], rate[:n_pos], finish[:n_pos]
-            if n_live:
-                np.multiply(live_left, BITS_PER_BYTE, out=ft)
-                with np.errstate(divide="ignore"):
-                    np.divide(ft, live_rate, out=ft)
-                np.add(ft, now, out=ft)
-                ft_min = ft.min()
-                if ft_min < next_time:
-                    next_time = ft_min
+            # The next event: the next start or the soonest finish.
+            next_time = pending_start[pending_idx] if pending_idx < n_pending else inf
+            soonest = np.minimum.reduce(finish[:n_pos]) if n_live else inf
+            if soonest < next_time:
+                next_time = soonest
             if until is not None and until < next_time:
                 next_time = until
             if next_time == inf:
@@ -940,56 +970,49 @@ class FluidSimulation:
                 )
             if next_time < now:
                 next_time = now
-            next_time = float(next_time)
-            dt = next_time - now
-            now = end_time = next_time
+            now = end_time = float(next_time)
 
-            # Drain, clamp, reset the Zeno residue (see _run_scalar), and
-            # retire the flows that completed at ``now`` as one batch.
-            if n_live:
-                drain, hit = step[:n_pos], mask[:n_pos]
-                with np.errstate(invalid="ignore"):  # inf * 0.0: see above
-                    np.multiply(live_rate, dt, out=drain)
-                np.divide(drain, BITS_PER_BYTE, out=drain)
-                np.subtract(live_left, drain, out=live_left)
-                np.maximum(live_left, 0.0, out=live_left)
-                np.less_equal(ft, next_time + _TIME_EPS, out=hit)
-                np.copyto(live_left, 0.0, where=hit)
-                np.less_equal(live_left, _BYTE_EPS, out=hit)
-                done = np.flatnonzero(hit)
-                if done.shape[0]:
-                    close_segments(done)
-                    which = flow_at[done]
-                    names = [flow_ids[i] for i in which.tolist()]
-                    completion.update(zip(names, itertools.repeat(now)))
-                    state[which] = _COMPLETED
-                    rem_out[which] = left[done]
-                    incremental.remove_flows(names)
-                    left[done] = inf
-                    rate[done] = 0.0
-                    n_live -= done.shape[0]
-                    if n_pos - n_live > n_live:
-                        keep = np.flatnonzero(left[:n_pos] != inf)
-                        n_pos = keep.shape[0]
-                        for column in (left, rate, seg_start, flow_at, slot_at):
-                            column[:n_pos] = column[keep]
-                        pos_of[slot_at[:n_pos]] = np.arange(n_pos)
-                        compactions += 1
+            # Retire the flows whose finish has come, as one batch: none
+            # has bytes left.
+            if soonest <= now + _TIME_EPS:
+                due = np.less_equal(finish[:n_pos], now + _TIME_EPS, out=mask[:n_pos])
+                done = due.nonzero()[0]
+                close(done, seg_start[done], rate[done])
+                which = flow_at[done]
+                names = [flow_ids[i] for i in which.tolist()]
+                completion.update(zip(names, itertools.repeat(now)))
+                state[which] = _COMPLETED
+                incremental.remove_flows(names)
+                bits0[done] = inf
+                finish[done] = inf
+                n_live -= done.shape[0]
+                if n_pos - n_live > n_live:
+                    keep = np.flatnonzero(bits0[:n_pos] != inf)
+                    n_pos = keep.shape[0]
+                    for column in (bits0, seg_start, rate, finish, flow_at, slot_at):
+                        column[:n_pos] = column[keep]
+                    pos_of[slot_at[:n_pos]] = np.arange(n_pos)
+                    compactions += 1
 
             if until is not None and now >= until - _TIME_EPS:
                 end_time = until
                 break
 
         _FLUID_BATCHES.inc(batches)
-        # Close the segments still open at the stop time and record the
-        # remaining bytes of flows the run left active.
-        active = np.flatnonzero(left[:n_pos] != inf)
-        close_segments(active)
+        # Close the segments still open at the stop, and record the bytes
+        # left of the flows the run left active; a retired flow has none.
+        active = np.flatnonzero(bits0[:n_pos] != inf)
+        opened, at_rate = seg_start[active], rate[active]
+        close(active, opened, at_rate)
         which = flow_at[active]
-        rem_out[which] = left[active]
+        left = bits_left(active, opened, at_rate)
+        np.divide(left, BITS_PER_BYTE, out=left)
+        rem_out = size.copy()
+        rem_out[which] = left
+        rem_out[(state == _COMPLETED) & ~empty] = 0.0
         self._pause(
             end_time,
-            dict(zip([flow_ids[i] for i in which.tolist()], left[active].tolist())),
+            dict(zip([flow_ids[i] for i in which.tolist()], left.tolist())),
             np.flatnonzero(state <= _ACTIVE).tolist(),
         )
         # Flows still active when the run stops are reported stopped;

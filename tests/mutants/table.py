@@ -57,6 +57,8 @@ FULL_MESH = "tests/test_campaign_batch.py::test_full_mesh_is_bit_identical"
 ONE_PASS = "tests/test_choreo_e2e.py::test_the_one_pass_profile_is_the_record_by_record_one"
 BINDING = "tests/test_alloc_binding.py::"
 LAYOUT = "tests/test_topology.py::test_the_tree_is_the_hand_built_copy_link_for_link"
+LINKLESS = "tests/test_fluid.py::test_a_linkless_flow_beside_hosed_ones_completes_as_it_starts"
+EPS_FOLD = "tests/test_fluid.py::test_a_finish_folds_in_the_byte_tolerance"
 
 MUTANTS: Tuple[Mutant, ...] = (
     # ---------------------------------------- the rows a provider hands over
@@ -230,23 +232,61 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "the scalar loop logs each rate x 1.01",
         FLUID,
-        "log.append((active[fid], open_start[fid], now, open_rate[fid]))",
-        "log.append((active[fid], open_start[fid], now, open_rate[fid] * 1.01))",
+        "log.append((active[fid], seg_start, now, old))",
+        "log.append((active[fid], seg_start, now, old * 1.01))",
         (TRUTH,),
     ),
     Mutant(
         "the vector loop logs each rate x 1.01",
         FLUID,
-        "                log_rate[new] = rate[at]\n",
-        "                log_rate[new] = rate[at] * 1.01\n",
+        "            log_rate[new] = at_rate\n",
+        "            log_rate[new] = at_rate * 1.01\n",
         (TRUTH,),
     ),
     Mutant(
         "the vector loop logs each segment's end 1 ms late",
         FLUID,
-        "                log_end[new] = now\n",
-        "                log_end[new] = now + 1e-3\n",
+        "            log_end[new] = now\n",
+        "            log_end[new] = now + 1e-3\n",
         (TRUTH,),
+    ),
+    # ------------------------------------------------- the lazy rule
+    Mutant(
+        "the vector loop's bytes left use the new rate instead of the old",
+        FLUID,
+        "                left = bits_left(at, opened, old_rate)\n",
+        "                left = bits_left(at, opened, new_rate)\n",
+        (TRUTH,),
+    ),
+    Mutant(
+        "the scalar loop's bytes left use the new rate instead of the old",
+        FLUID,
+        "                        left = left - (now - seg_start) * old\n",
+        "                        left = left - (now - seg_start) * rate\n",
+        (TRUTH,),
+    ),
+    Mutant(
+        "the vector loop keeps a flow's finish when its rate changes",
+        FLUID,
+        "                finish[at] = np.add(over, now, out=over)\n",
+        "                finish[at] = np.where(old_rate == -1.0, over + now, finish[at])\n",
+        (LINKLESS, TRUTH),
+    ),
+    Mutant(
+        "the vector loop's finish drops the byte tolerance",
+        FLUID,
+        "                over = np.subtract(left, _BIT_EPS)\n",
+        "                over = np.subtract(left, 0.0)\n",
+        (EPS_FOLD, TRUTH),
+    ),
+    Mutant(
+        "a retiring flow reports its residue",
+        FLUID,
+        "                    remaining[fid] = 0.0\n",
+        "                    remaining[fid] = max(\n"
+        "                        bits[fid] - (now - open_start[fid]) * open_rate[fid], 0.0\n"
+        "                    ) / BITS_PER_BYTE\n",
+        (LINKLESS, TRUTH),
     ),
     Mutant(
         "the timeline table sorts its log unstably",

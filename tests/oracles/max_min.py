@@ -123,6 +123,15 @@ def flow_demands(sim: fluid.FluidSimulation) -> Dict[str, FlowDemand]:
     return row_demands(sim._link_ids, list(sim._flows), data, lengths)
 
 
+def start_bytes(sim: fluid.FluidSimulation) -> Dict[str, float]:
+    """The bytes each registered flow of ``sim`` starts its next run with:
+    what the last pause left it, or its size."""
+    return {
+        flow_id: sim._active.get(flow_id, flow.size_bytes)
+        for flow_id, flow in sim._flows.items()
+    }
+
+
 class ReferenceAllocator:
     """The allocator calls of the scalar event loop, each solve from scratch."""
 

@@ -5,13 +5,14 @@ import contextlib
 import math
 import signal
 
+import numpy as np
 import pytest
 
 from helpers import build_dumbbell, build_two_rack_cloud, routes_of
 from oracles.graph_search import route_ids
-from oracles.max_min import run_loop
+from oracles.max_min import run_loop, start_bytes
 from repro.errors import SimulationError
-from repro.net.fairness import segment_violations
+from repro.net.fairness import byte_violations, segment_violations
 from repro.net.flows import Flow
 from repro.net.fluid import FluidSimulation
 from repro.units import GBITPS, MBYTE
@@ -270,3 +271,123 @@ def test_a_withdrawn_id_registers_again_and_edits_are_checked():
     again = sim.run()
     assert again.completion_times == {"a": pytest.approx(3.0)}
     assert list(again.states) == ["a"] and sim.idle
+
+
+# ------------------------------------------------------ the lazy rule's edges
+HOSE = 8e6  # one byte per microsecond
+
+
+def _hosed(flows):
+    """A two-rack simulation of ``flows``, each crossing the one extra link
+    ``vhose`` alone — or, for an id that starts with ``free``, no link."""
+    sim = FluidSimulation(build_two_rack_cloud(2), extra_capacities={"vhose": HOSE})
+    hose = list(sim.capacities).index("vhose")
+    rows = [[] if flow.flow_id.startswith("free") else [hose] for flow in flows]
+    sim.add_flows(flows, (
+        np.array([i for row in rows for i in row], dtype=np.intp),
+        np.array([len(row) for row in rows], dtype=np.int64),
+    ))
+    return sim
+
+
+def _on_both_loops(flows, untils):
+    """Run a simulation of ``flows`` to each of ``untils`` in turn, once on
+    the scalar loop and once on the vector one.  Each run keeps both run
+    checks, and the loops agree to the bit; the vector loop's results."""
+    runs = {}
+    for vector in (False, True):
+        sim, runs[vector] = _hosed(flows), []
+        for until in untils:
+            starts, capacities = start_bytes(sim), sim.capacities
+            result = run_loop(sim, vector, until=until)
+            paths = {fid: [] if fid.startswith("free") else ["vhose"] for fid in result.states}
+            assert segment_violations(result, paths, capacities) == []
+            assert byte_violations(result, starts, paths, capacities) == []
+            runs[vector].append(result)
+    for scalar, vector in zip(runs[False], runs[True]):
+        for field in ("completion_times", "remaining_bytes", "states", "end_time"):
+            assert getattr(scalar, field) == getattr(vector, field), field
+        assert list(scalar.completion_times) == list(vector.completion_times)
+        assert _segments(scalar) == _segments(vector)
+    return runs[True]
+
+
+def test_a_linkless_flow_beside_hosed_ones_completes_as_it_starts():
+    flows = [
+        Flow("h1", "s1", "r1", size_bytes=1e6),
+        Flow("h2", "s2", "r2", size_bytes=2e6),
+        Flow("free0", "s1", "r2", size_bytes=5e5),
+        Flow("free1", "s2", "r1", size_bytes=5e5, start_time=0.5),
+    ]
+    (result,) = _on_both_loops(flows, [None])
+    # No link limits a linkless flow: its rate is inf, and it moves its
+    # bytes as it starts, in a segment too short to log.
+    assert result.completion_times["free0"] == 0.0
+    assert result.completion_times["free1"] == 0.5
+    assert result.timelines["free0"].segments == () == result.timelines["free1"].segments
+    # The hosed flows split the hose, which h2 has alone after h1, and
+    # no event of the linkless ones re-rates them.
+    assert [s.rate_bps for s in result.timelines["h1"].segments] == [HOSE / 2]
+    assert [s.rate_bps for s in result.timelines["h2"].segments] == [HOSE / 2, HOSE]
+    assert result.completion_times["h1"] == pytest.approx(2.0, abs=1e-9)
+    assert result.completion_times["h2"] == pytest.approx(3.0, abs=1e-9)
+    # A flow that completed has no bytes left, to the bit.
+    assert result.remaining_bytes == dict.fromkeys(result.states, 0.0)
+
+
+def test_a_finish_folds_in_the_byte_tolerance():
+    # 1 kB at 1 byte/us: done when 1e-6 bytes are left, 8 ps early.
+    (result,) = _on_both_loops([Flow("h", "s1", "r1", size_bytes=1e-3)], [None])
+    assert result.completion_times == {"h": (1e-3 - 1e-6) * 8 / HOSE}
+    assert result.remaining_bytes == {"h": 0.0}
+
+
+def test_a_segment_that_closes_the_instant_it_opened_moves_nothing():
+    t0 = 1e6  # a clock whose ulp (0.1 ns) is above the tiny flow's 2 ps
+    flows = [
+        Flow("big", "s1", "r1", size_bytes=1e6, start_time=t0),
+        Flow("tiny", "s2", "r2", size_bytes=2e-6, start_time=t0),
+    ]
+    (result,) = _on_both_loops(flows, [None])
+    # tiny's finish rounds to t0: it retires there, and big's first
+    # segment, at half the hose, closes at the instant it opened — too
+    # short to log, and its bits left are the ones it opened with.
+    assert result.completion_times["tiny"] == t0
+    (segment,) = result.timelines["big"].segments
+    assert (segment.start, segment.rate_bps) == (t0, HOSE)
+    assert result.completion_times["big"] == segment.end == pytest.approx(t0 + 1.0)
+
+
+@pytest.mark.parametrize(
+    "pause", ["at-the-start", "mid-segment", "at-an-arrival", "at-a-finish"]
+)
+def test_a_run_stopped_at_until_resumes_as_a_fresh_simulation_from_the_pause(pause):
+    flows = [
+        Flow("h1", "s1", "r1", size_bytes=1e6),
+        Flow("h2", "s2", "r2", size_bytes=2e6),
+        Flow("h3", "s1", "r2", size_bytes=1e6, start_time=1.0),
+    ]
+    if pause == "at-a-finish":
+        until = _on_both_loops(flows, [None])[0].completion_times["h1"]
+    else:
+        until = {"at-the-start": 0.0, "mid-segment": 0.5, "at-an-arrival": 1.0}[pause]
+    stopped, resumed = _on_both_loops(flows, [until, None])
+    if pause == "at-the-start":
+        # Active before their first segment: stopped with all their bytes.
+        assert stopped.remaining_bytes == {"h1": 1e6, "h2": 2e6, "h3": 1e6}
+        assert [s.value for s in stopped.states.values()] == ["stopped", "stopped", "pending"]
+        assert _segments(stopped) == {"h1": [], "h2": [], "h3": []}
+    if pause == "at-an-arrival":
+        # A flow that starts at the stop starts in the next run.
+        assert (stopped.states["h3"].value, stopped.remaining_bytes["h3"]) == ("pending", 1e6)
+    if pause == "at-a-finish":
+        assert (stopped.completion_times["h1"], stopped.remaining_bytes["h1"]) == (until, 0.0)
+    survivors = [
+        _restarted(flow, stopped, until)
+        for flow in flows
+        if stopped.states[flow.flow_id].value != "completed"
+    ]
+    (fresh,) = _on_both_loops(survivors, [None])
+    for field in ("completion_times", "remaining_bytes", "states", "end_time"):
+        assert getattr(resumed, field) == getattr(fresh, field), field
+    assert _segments(resumed) == _segments(fresh)

@@ -12,14 +12,15 @@ fluid run on the vector event loop and once on the scalar one:
   timeline attached, admitting applications of that pattern as they arrive.
 
 Every fluid run, the simulation's and each one the session makes, is held
-to :func:`~repro.net.fairness.segment_violations`; every loaded campaign (a
+to :func:`~repro.net.fairness.segment_violations` and
+:func:`~repro.net.fairness.byte_violations`; every loaded campaign (a
 probe filling under the session's own traffic) to
 :func:`~repro.net.fairness.snapshot_violations`; the session's books, at
 every pause and at its end, to
 :func:`~repro.runtime.migration.live_book_violations`, and its report to
 :func:`~repro.service.engine.report_violations`.  The two loops must agree
 to the bit.  A planted fault — one segment's rate × 1.01 — must be
-reported, so the segment check is not vacuous.  With ``hypothesis``
+reported by both run checks, so neither is vacuous.  With ``hypothesis``
 installed, it draws more seeds through the same case.
 """
 
@@ -31,14 +32,14 @@ import math
 import numpy as np
 import pytest
 
-from oracles.max_min import flow_demands, force_loop
+from oracles.max_min import flow_demands, force_loop, start_bytes
 from test_live_books import books_checked
 import repro.cloud.provider as provider_module
 import repro.net.fluid as fluid
 from repro.cloud.provider import CloudProvider, ProviderParams
 from repro.core.placement.base import ClusterState
 from repro.experiments.placers import resolve_placer
-from repro.net.fairness import segment_violations, snapshot_violations
+from repro.net.fairness import byte_violations, segment_violations, snapshot_violations
 from repro.net.flows import Flow
 from repro.net.topology import TreeSpec, build_multi_rooted_tree
 from repro.service.engine import PlacementService, report_violations
@@ -106,7 +107,8 @@ class Case:
 
     faults: str = ""
     problems: list = dataclasses.field(default_factory=list)
-    #: ``(result, paths, capacities)`` of every fluid run, in run order.
+    #: ``(result, paths, capacities, start bytes)`` of every fluid run, in
+    #: run order.
     runs: list = dataclasses.field(default_factory=list)
     loaded_campaigns: int = 0
     report: object = None
@@ -119,9 +121,11 @@ def check_every_run(monkeypatch, case: Case) -> None:
     def checked_run(sim, until=None):
         paths = {fid: demand.links for fid, demand in flow_demands(sim).items()}
         capacities = sim.capacities
+        starts = start_bytes(sim)
         result = run(sim, until)
         case.problems.extend(segment_violations(result, paths, capacities))
-        case.runs.append((result, paths, capacities))
+        case.problems.extend(byte_violations(result, starts, paths, capacities))
+        case.runs.append((result, paths, capacities, starts))
         return result
 
     fill = provider_module.probe_rates_under_load
@@ -215,7 +219,7 @@ def assert_case_holds(seed: int) -> None:
     vector, scalar = run_case(seed, True), run_case(seed, False)
     assert vector.problems == [] and scalar.problems == []
     assert len(vector.runs) == len(scalar.runs) > 2
-    for (got, _, _), (want, _, _) in zip(vector.runs, scalar.runs):
+    for (got, *_), (want, *_) in zip(vector.runs, scalar.runs):
         assert segments(got) == segments(want)
         assert got.completion_times == want.completion_times
     assert vector.report.canonical_json_dict() == scalar.report.canonical_json_dict()
@@ -239,8 +243,9 @@ def test_the_draws_reach_every_check():
 @pytest.mark.parametrize("vector", [True, False])
 def test_a_planted_rate_fault_is_reported(vector):
     """One segment's rate × 1.01, in a copy of a run's log that held:
-    its link goes over capacity, and the check says so."""
-    for result, paths, capacities in run_case(SEEDS[0], vector).runs:
+    its link goes over capacity and its flow moves 1 % more of that
+    segment's bytes, and both checks say so."""
+    for result, paths, capacities, starts in run_case(SEEDS[0], vector).runs:
         timelines = copy.deepcopy({fid: result.timelines[fid] for fid in result.timelines})
         finite = [
             s for timeline in timelines.values() for s in timeline.segments
@@ -252,6 +257,8 @@ def test_a_planted_rate_fault_is_reported(vector):
     planted = dataclasses.replace(result, timelines=timelines)
     assert segment_violations(result, paths, capacities) == []
     assert segment_violations(planted, paths, capacities) != []
+    assert byte_violations(result, starts, paths, capacities) == []
+    assert byte_violations(planted, starts, paths, capacities) != []
 
 
 def test_more_seeds_by_hypothesis():
