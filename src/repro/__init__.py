@@ -35,6 +35,9 @@ _EXPORTS = {
     "GreedyPlacer": ("repro.core.placement.greedy", "GreedyPlacer"),
     "Placement": ("repro.core.placement.base", "Placement"),
     "ClusterState": ("repro.core.placement.base", "ClusterState"),
+    # Flow-record traces, what the profiler reads: the column batch and its rows.
+    "FlowRecord": ("repro.workloads.trace", "FlowRecord"),
+    "FlowRecords": ("repro.workloads.trace", "FlowRecords"),
     # Network simulation.
     "FluidSimulation": ("repro.net.fluid", "FluidSimulation"),
     "IncrementalAllocator": ("repro.net.alloc", "IncrementalAllocator"),
@@ -88,3 +91,4 @@ if TYPE_CHECKING:  # pragma: no cover — static-analysis view of the lazy names
         build_churn_session,
         run_churn_session,
     )
+    from repro.workloads.trace import FlowRecord, FlowRecords  # noqa: F401

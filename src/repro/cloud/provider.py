@@ -132,9 +132,9 @@ class TrainPass:
     next block of trains; a campaign reduces each block to its rates
     before it sends the next, so its train arrays are a block's, not the
     mesh's.  A block reads its probes' bottlenecks with
-    :meth:`CloudProvider._narrowest`, which routes, in one call, those its
-    VM set has not routed yet (every probe on a lossy provider, whose
-    trains need their hop counts); no row outlives the block.
+    :meth:`CloudProvider._narrowest`, which reads, in one call off the
+    tree's tables, those its VM set has not read yet (every probe on a
+    lossy provider, whose trains need their hop counts).
     On a lossless provider a block draws its own normals (one rate noise
     and ``2 * n_bursts`` jitter normals per train, in train order);
     successive draws continue one stream, so every cut of a pass into
@@ -377,7 +377,7 @@ class CloudProvider:
         Only the mutable state is copied: the random stream (by its
         bit-generator state, a quarter of a ``deepcopy``'s cost), the clock,
         the VM counter, the VM, hose and host books, and the bottlenecks
-        routed so far (:meth:`_narrowest` fills them in).  The frozen tree,
+        read so far (:meth:`_narrowest` fills them in).  The frozen tree,
         ``params``, the ``timeline`` and the position caches are shared:
         none is changed in place, and a VM-set change replaces the caches
         rather than editing them.  The placers of one trial each run
@@ -741,12 +741,12 @@ class CloudProvider:
 
         The bottlenecks are read off an ``n x n`` matrix of the VM mesh,
         kept until the VM set changes; the pairs it does not hold yet —
-        every pair, when hop counts are asked for — are routed in one
-        :meth:`Topology.path_links_matrix` call, and their rows reduced to
-        their narrowest links (one hop column at a time: a row-wise ``min``
-        over a few columns costs three times as much) and dropped.  So a
-        campaign routes each pair once per VM set, and nothing it routed
-        outlives the call but the matrix's floats.
+        every pair, when hop counts are asked for — are read off the
+        tree's tables in one :meth:`Topology.narrowest` call, which routes
+        nothing: a route's narrowest link is the least of its host links,
+        its rack pair's narrowest link and, across pods, its two core
+        links.  So a campaign reads each pair once per VM set, and keeps
+        nothing but the matrix's floats.
         """
         n = len(self._vms)
         if self._bottleneck is None:
@@ -756,17 +756,10 @@ class CloudProvider:
         todo = np.arange(cells.shape[0]) if hops else np.isnan(narrowest).nonzero()[0]
         lengths = None
         if todo.shape[0]:
-            paths, lengths, _ = self.topology.path_links_matrix(
-                self._vm_hosts()[pairs[todo]]
-            )
-            # A -1 padding entry reads the appended +inf.
-            capacity = np.append(self.topology.capacity_vector(), np.inf)
-            routed = capacity[paths[:, 0]]
-            for hop in range(1, paths.shape[1]):
-                np.minimum(routed, capacity[paths[:, hop]], out=routed)
-            narrowest[todo] = routed
-            self._bottleneck[cells[todo]] = routed
-        return narrowest, lengths if hops else None
+            read, lengths = self.topology.narrowest(self._vm_hosts()[pairs[todo]], hops)
+            narrowest[todo] = read
+            self._bottleneck[cells[todo]] = read
+        return narrowest, lengths
 
     def _loaded_rates(
         self,
@@ -838,7 +831,7 @@ class CloudProvider:
         of the background.  A lossy provider also draws the pass's
         randomness here, every train's normals and then every burst's
         losses, so its stream does not depend on how the pass is cut into
-        blocks.  Each block routes its own probes when it is sent.
+        blocks.  Each block reads its own probes' bottlenecks when it is sent.
         """
         pairs = self._pair_positions(pairs)
         lost: Dict[int, str] = {}

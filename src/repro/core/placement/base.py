@@ -128,23 +128,27 @@ def validate_placement(
         PlacementError: if a task is missing, placed on an unknown machine,
             or any machine's CPU capacity is exceeded.
     """
-    missing = set(app.task_names) - set(placement.assignments)
-    if missing:
+    demand = {task.name: task.cpu_cores for task in app.tasks}
+    assigned = placement.assignments
+    if demand.keys() != assigned.keys():
+        missing = demand.keys() - assigned.keys()
+        if missing:
+            raise PlacementError(
+                f"placement for {app.name!r} is missing tasks {sorted(missing)}"
+            )
         raise PlacementError(
-            f"placement for {app.name!r} is missing tasks {sorted(missing)}"
-        )
-    extra = set(placement.assignments) - set(app.task_names)
-    if extra:
-        raise PlacementError(
-            f"placement for {app.name!r} has unknown tasks {sorted(extra)}"
+            f"placement for {app.name!r} has unknown tasks "
+            f"{sorted(assigned.keys() - demand.keys())}"
         )
     available = cluster.available_cpus()
-    for task, machine in placement.assignments.items():
+    usage: Dict[str, float] = {}
+    for task, machine in assigned.items():
         if machine not in available:
             raise PlacementError(
                 f"task {task!r} placed on unknown machine {machine!r}"
             )
-    for machine, used in placement.cpu_usage(app).items():
+        usage[machine] = usage.get(machine, 0.0) + demand[task]
+    for machine, used in usage.items():
         if used > available[machine] + 1e-9:
             raise PlacementError(
                 f"machine {machine!r} over-committed: task demand {used:.2f} cores, "

@@ -22,8 +22,13 @@ keeps one :class:`~repro.core.rate_model.EffectiveRateMatrix` over the
 machines in *name-sorted* index order and a free-CPU vector, and a
 transfer's choice is a masked argmax over (part of) that matrix — one row
 when the source is pinned, one column when the destination is, and the
-whole matrix with the colocation diagonal otherwise (:meth:`GreedyPlacer._best`).  A
-transfer whose endpoints are both placed only counts its connection; the
+whole matrix with the colocation diagonal otherwise (:meth:`GreedyPlacer._best`).  Only
+a transfer that is the first in volume order to name one of its tasks
+needs a choice, so the choices are fixed by the matrix
+(:attr:`~repro.workloads.application.VolumeOrder.opens`); the run of
+transfers between two choices has both tasks placed and only counts its
+connections, one array update of the board
+(:meth:`~repro.core.rate_model.EffectiveRateMatrix.record_run`), and the
 matrix divides a source's row again when a choice reads it.
 Algorithm 1's selection key is ``(-rate, -colocated, -egress(src), src
 name, dst name)``; because indices follow name order, "the first maximum in
@@ -160,14 +165,15 @@ class GreedyPlacer(Placer):
             app=app.name,
             tasks=len(app.task_names),
             machines=len(cluster.machine_names()),
-        ):
-            return self._place(app, cluster, profile)
+        ) as span:
+            return self._place(app, cluster, profile, span)
 
     def _place(
         self,
         app: Application,
         cluster: ClusterState,
-        profile: Optional[NetworkProfile] = None,
+        profile: Optional[NetworkProfile],
+        span,
     ) -> Placement:
         if profile is None:
             raise PlacementError("the greedy placer needs a network profile")
@@ -175,11 +181,11 @@ class GreedyPlacer(Placer):
 
         machines = cluster.machine_names()
         covered = set(profile.vms)
-        for machine in machines:
-            if machine not in covered:
-                raise PlacementError(
-                    f"machine {machine!r} is not covered by the network profile"
-                )
+        if not covered.issuperset(machines):
+            machine = next(machine for machine in machines if machine not in covered)
+            raise PlacementError(
+                f"machine {machine!r} is not covered by the network profile"
+            )
 
         rnd = self._open_round(cluster, machines, profile)
         names, board, free = rnd.names, rnd.board, rnd.free
@@ -198,17 +204,26 @@ class GreedyPlacer(Placer):
             placed[task_name] = machine
             free[machine] -= demand(task_name)
 
-        # Line 2: walk transfers in descending order of volume.
-        for src_task, dst_task, _volume in app.transfers():
+        # Line 2: walk transfers in descending order of volume.  A transfer
+        # needs a choice when it is the first to name one of its tasks; the
+        # run of transfers up to the next choice has both tasks placed, and
+        # only counts its connections — one array update of the board.
+        # Nothing reads the board after the last choice.
+        volume = app.traffic.volume_order()
+        tasks, src, dst = volume.tasks, volume.src, volume.dst
+        choices = volume.opens
+        machine_of = np.full(len(tasks), -1, dtype=np.intp)
+        recorded = runs = 0
+        for at in choices:
+            if recorded < at:
+                board.record_run(
+                    machine_of.take(src[recorded:at]), machine_of.take(dst[recorded:at])
+                )
+                runs += 1
+            src_id, dst_id = int(src[at]), int(dst[at])
+            src_task, dst_task = tasks[src_id], tasks[dst_id]
             src_at = placed.get(src_task)
             dst_at = placed.get(dst_task)
-
-            if src_at is not None and dst_at is not None:
-                # Both endpoints already pinned; just account for the
-                # connection so later rate estimates see it.
-                board.record(src_at, dst_at)
-                continue
-
             best = self._choose(
                 rnd, src_at, dst_at, demand(src_task), demand(dst_task)
             )
@@ -222,9 +237,14 @@ class GreedyPlacer(Placer):
             src_machine, dst_machine = best
             if src_at is None:
                 assign(src_task, src_machine)
+                machine_of[src_id] = src_machine
             if dst_at is None and dst_task not in placed:
                 assign(dst_task, dst_machine)
+                machine_of[dst_id] = dst_machine
             board.record(src_machine, dst_machine)
+            recorded = at + 1
+        runs += recorded < src.shape[0]
+        span.set(choices=len(choices), runs=runs)
 
         # Tasks with no transfers at all: spread over the freest machines
         # (most free CPU; ties to the last name).

@@ -3,19 +3,22 @@
 Choreo profiles an application offline with a network monitoring tool such
 as sFlow or tcpdump; the output is a matrix whose entry ``(i, j)`` is
 proportional to the number of bytes task ``i`` sends to task ``j``.  The
-profiler here consumes :class:`~repro.workloads.trace.FlowRecord` streams
+profiler here consumes a :class:`~repro.workloads.trace.FlowRecords` batch
 (our sFlow stand-in) and produces :class:`~repro.workloads.application.Application`
-objects ready for placement.
+objects ready for placement.  A profile is one array program over the
+batch's columns (:func:`~repro.workloads.trace.aggregate_records`): bytes
+summed by pair id in record order, and the matrix's volume order, which the
+greedy placer walks, from one ``lexsort`` handed over with the matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Tuple
 
 from repro.errors import WorkloadError
 from repro.workloads.application import Application, Task
-from repro.workloads.trace import FlowRecord, aggregate_records
+from repro.workloads.trace import FlowRecords, aggregate_records
 
 
 @dataclass
@@ -32,7 +35,7 @@ class ApplicationProfiler:
 
     def profile_application(
         self,
-        records: Sequence[FlowRecord],
+        records: FlowRecords,
         application: str,
         task_cpu_cores: Optional[Mapping[str, float]] = None,
         window: Optional[Tuple[float, float]] = None,
@@ -54,7 +57,7 @@ class ApplicationProfiler:
         """
         lo, hi = window if window is not None else (None, None)
         traffic, task_names, observed_start = aggregate_records(
-            records, application, lo, hi, first_seen=start_time is None
+            records, application, lo, hi
         )
         if not task_names:
             raise WorkloadError(
@@ -63,7 +66,7 @@ class ApplicationProfiler:
         cpus = dict(task_cpu_cores) if task_cpu_cores else {}
         tasks = [
             Task(name, cpus.get(name, self.default_cpu_cores))
-            for name in sorted(task_names)
+            for name in task_names
         ]
         return Application(
             name=application,

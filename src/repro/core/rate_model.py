@@ -38,11 +38,11 @@ class EffectiveRateMatrix:
     The diagonal is the intra-VM rate and never moves; an unmeasured pair
     is ``NaN``.
 
-    Recording a connection only counts it; a source's row is divided again
-    when something reads it (:meth:`row`, :attr:`rates`), once however
-    many connections were recorded in between, and :meth:`column` divides
-    one column afresh.  Either way an entry is ``S / (1 + k)`` at the ``k``
-    of the read.
+    Recording a connection (or a run of them, :meth:`record_run`) only
+    counts it; a source's row is divided again when something reads it
+    (:meth:`row`, :attr:`rates`), once however many connections were
+    recorded in between, and :meth:`column` divides one column afresh.
+    Either way an entry is ``S / (1 + k)`` at the ``k`` of the read.
     """
 
     def __init__(self, profile: NetworkProfile, machines: Sequence[str]) -> None:
@@ -64,6 +64,13 @@ class EffectiveRateMatrix:
             return
         self._shares[src] += 1.0
         self._stale.add(src)
+
+    def record_run(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """:meth:`record` each connection ``src[k] -> dst[k]`` (index
+        arrays) at once: one count per source, colocated pairs skipped."""
+        crossing = src.compress(src != dst)
+        self._shares += np.bincount(crossing, minlength=self._shares.shape[0])
+        self._stale.update(crossing.tolist())
 
     def _refresh(self, src: int) -> None:
         self._rates[src] = self.single[src] / self._shares[src]

@@ -413,17 +413,11 @@ def _build_trace_replay(
         from repro.workloads.trace import load_trace
 
         records = load_trace(str(trace_path))
-        if not records:
+        if not len(records):
             raise ExperimentError(f"trace {trace_path!r} contains no records")
-        app_names = sorted(
-            {record.application for record in records},
-            key=lambda name: min(
-                r.timestamp for r in records if r.application == name
-            ),
-        )
         apps = [
             profiler.profile_application(records, name)
-            for name in app_names
+            for name in records.applications_by_start()
         ]
         return ScenarioInstance(provider=provider, cluster=cluster, apps=apps)
 
@@ -434,18 +428,18 @@ def _build_trace_replay(
         gen.generate_application(start_time=i * float(arrival_gap_s))
         for i in range(int(n_apps))
     ]
-    records = []
-    for app in source_apps:
-        records.extend(
-            gen.application_to_records(
-                app,
-                n_records_per_pair=int(records_per_pair),
-                duration_s=float(arrival_gap_s),
-            )
+    traces = [
+        gen.application_to_records(
+            app,
+            n_records_per_pair=int(records_per_pair),
+            duration_s=float(arrival_gap_s),
         )
-    records.sort(key=lambda record: record.timestamp)
+        for app in source_apps
+    ]
     # ...then what the placer actually sees: applications re-profiled from
-    # the trace.  CPU demands come from the tenant (traces carry none).
+    # their records (an application's records are the ones it would have in
+    # one merged trace, in the same order).  CPU demands come from the
+    # tenant (traces carry none).
     apps = [
         profiler.profile_application(
             records,
@@ -453,7 +447,7 @@ def _build_trace_replay(
             task_cpu_cores={task.name: task.cpu_cores for task in app.tasks},
             start_time=app.start_time,
         )
-        for app in source_apps
+        for app, records in zip(source_apps, traces)
     ]
     return ScenarioInstance(provider=provider, cluster=cluster, apps=apps)
 

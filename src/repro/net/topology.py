@@ -97,17 +97,20 @@ class _TreeRouter:
         self._keys: Optional["np.ndarray"] = None
 
     def link_tables(
-        self, index: Mapping[str, int], loopbacks: Sequence[int]
+        self, index: Mapping[str, int], loopbacks: Sequence[int], capacity: "np.ndarray"
     ) -> "_TreeLinkTables":
         """Link indices of the tree by coordinate, for :meth:`link_rows`.
 
-        ``index`` maps link ids to positions (a topology's own link order)
-        and ``loopbacks`` holds each host's loopback link index.  Each
-        rack's uplinks are one link (ToR to pod aggregation) or, with the
-        extra tier, two.  Core columns follow the sorted core names the
-        ECMP pick indexes.  The route of every ordered pair of racks is one
-        row of ``rack_rows``, its host columns (and, across pods, its core
-        columns) left at -1 for :meth:`link_rows` to fill.
+        ``index`` maps link ids to positions (a topology's own link order),
+        ``loopbacks`` holds each host's loopback link index and
+        ``capacity`` each link's capacity by index.  Each rack's uplinks
+        are one link (ToR to pod aggregation) or, with the extra tier, two.
+        Core columns follow the sorted core names the ECMP pick indexes.
+        The route of every ordered pair of racks is one row of
+        ``rack_rows``, its host columns (and, across pods, its core
+        columns) left at -1 for :meth:`link_rows` to fill; the narrowest of
+        the links it holds is its entry of ``rack_narrowest``.  The rack
+        pairs are one array program over the racks' links.
         """
         spec = self.spec
 
@@ -136,27 +139,34 @@ class _TreeRouter:
         ]
         core_up = [index[directed_link_id(up, core)] for up, core, _ in ends]
         core_down = [index[directed_link_id(core, down)] for _, core, down in ends]
-        # Host up, rack up, [core up, core down,] rack down, host down.
+        # Host up, rack up, [core up, core down,] rack down, host down; the
+        # rack down links start two columns later across pods.
         tier = spec.extra_agg_layer + 1
         racks = spec.pods * spec.racks_per_pod
+        shape = (racks, racks, tier)
+        up = np.broadcast_to(np.asarray(rack_up, dtype=np.int32)[:, None, :], shape)
+        down = np.broadcast_to(np.asarray(rack_down, dtype=np.int32)[None, :, :], shape)
+        pod = np.arange(racks) // spec.racks_per_pod
+        far = pod[:, None] != pod[None, :]
+        other = ~np.eye(racks, dtype=bool)
+        near = other & ~far
         rack_rows = np.full((racks, racks, 4 + 2 * tier), -1, dtype=np.int32)
-        rack_lengths = np.full((racks, racks), 2, dtype=np.int32)
-        pod_pair = np.zeros((racks, racks), dtype=np.intp)
-        for a in range(racks):
-            for b in range(racks):
-                if a == b:
-                    continue
-                pods = a // spec.racks_per_pod, b // spec.racks_per_pod
-                top = 2 if pods[0] != pods[1] else 0
-                rack_rows[a, b, 1 : 1 + tier] = rack_up[a]
-                rack_rows[a, b, 1 + tier + top : 1 + 2 * tier + top] = rack_down[b]
-                rack_lengths[a, b] = 2 + 2 * tier + top
-                pod_pair[a, b] = (pods[0] * spec.pods + pods[1]) * spec.num_cores
+        rack_rows[other, 1 : 1 + tier] = up[other]
+        rack_rows[near, 1 + tier : 1 + 2 * tier] = down[near]
+        rack_rows[far, 3 + tier : 3 + 2 * tier] = down[far]
+        rack_lengths = np.where(far, 4 + 2 * tier, np.where(other, 2 + 2 * tier, 2))
+        pod_pair = np.where(
+            other, (pod[:, None] * spec.pods + pod[None, :]) * spec.num_cores, 0
+        )
+        rack_rows = rack_rows.reshape(racks * racks, -1)
+        # A -1 column reads the appended +inf.
+        rack_narrowest = np.append(capacity, np.inf)[rack_rows].min(axis=1)
         rack_of = np.arange(spec.num_hosts) // spec.hosts_per_rack
         return _TreeLinkTables(
-            rack_rows.reshape(racks * racks, -1),
-            rack_lengths.ravel(),
-            pod_pair.ravel(),
+            rack_rows,
+            rack_lengths.ravel().astype(np.int32),
+            pod_pair.ravel().astype(np.intp),
+            rack_narrowest,
             rack_of * racks,
             rack_of,
             *(
@@ -244,6 +254,7 @@ class _TreeLinkTables(NamedTuple):
     rack_rows: "np.ndarray"  # [rack pair, hop] its route, host and core columns -1
     rack_lengths: "np.ndarray"  # [rack pair] its hop count
     pod_pair: "np.ndarray"  # [rack pair] its first entry of core_up / core_down
+    rack_narrowest: "np.ndarray"  # [rack pair] the least capacity in its row (inf if none)
     rack_pair: "np.ndarray"  # [host] its rack * racks
     rack_of: "np.ndarray"  # [host] its rack
     host_up: "np.ndarray"  # [host] host -> its ToR
@@ -415,12 +426,59 @@ class Topology:
             src, dst = self._host_positions(pairs)
         if not src.shape[0]:
             return np.zeros((0, 0), np.int32), np.zeros(0, np.int32), self._link_list
+        return (*self._router.link_rows(self._tables(), src, dst), self._link_list)
+
+    def narrowest(
+        self, pairs: "np.ndarray", hops: bool = False
+    ) -> Tuple["np.ndarray", Optional["np.ndarray"]]:
+        """The capacity of the narrowest link on the route of each pair of
+        host positions (an ``(m, 2)`` array) and, with ``hops``, each
+        route's hop count (``None`` without) — read off the tree's tables
+        without routing.
+
+        A route's narrowest link is the least of its source's host up
+        link, its destination's host down link, its rack pair's
+        ``rack_narrowest`` and, across pods, the two core links of its
+        ECMP pick (:meth:`_TreeRouter.core_picks`); on one host it is the
+        host's loopback link.  ``min`` is exact, so each is the least
+        capacity over the route :meth:`path_links_matrix` gives the pair,
+        and its hop count that route's length
+        (``tests/oracles/narrowest.py``).
+        """
+        index_pairs(pairs, len(self._host_names), "host positions")
+        src, dst = np.ascontiguousarray(pairs.T)
+        if not src.shape[0]:
+            return np.zeros(0), np.zeros(0, np.int32) if hops else None
+        tables, capacity = self._tables(), self._capacity_vector
+        pair = tables.rack_pair[src]
+        pair += tables.rack_of[dst]
+        narrowest = np.minimum(capacity[tables.host_up[src]], capacity[tables.host_down[dst]])
+        np.minimum(narrowest, tables.rack_narrowest[pair], out=narrowest)
+        lengths = tables.rack_lengths[pair]
+        far = (lengths == tables.rack_rows.shape[1]).nonzero()[0]
+        if far.shape[0]:
+            core = tables.pod_pair[pair[far]]
+            core += self._router.core_picks(src[far], dst[far])
+            narrowest[far] = np.minimum(
+                narrowest[far],
+                np.minimum(capacity[tables.core_up[core]], capacity[tables.core_down[core]]),
+            )
+        same = (src == dst).nonzero()[0]
+        if same.shape[0]:
+            narrowest[same] = capacity[tables.loopback[src[same]]]
+            lengths[same] = 1
+        _structured_route_hits.inc(pair.shape[0] - same.shape[0])
+        return narrowest, lengths if hops else None
+
+    def _tables(self) -> _TreeLinkTables:
+        """The link tables the router routes with, built on first use."""
         if self._tree_tables is None:
             index = self._link_index
             self._tree_tables = self._router.link_tables(
-                index, [index[loopback_link_id(host)] for host in self._host_names]
+                index, [index[loopback_link_id(host)] for host in self._host_names],
+                self._capacity_vector,
             )
-        return (*self._router.link_rows(self._tree_tables, src, dst), self._link_list)
+        return self._tree_tables
 
     def _host_positions(
         self, pairs: Sequence[Tuple[str, str]]

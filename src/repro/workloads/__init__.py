@@ -23,7 +23,7 @@ from repro.workloads.patterns import (
 )
 from repro.workloads.generator import HPCloudWorkloadGenerator, WorkloadSpec
 from repro.workloads.arrivals import PoissonArrivals
-from repro.workloads.trace import FlowRecord, aggregate_records, read_trace
+from repro.workloads.trace import FlowRecord, FlowRecords, aggregate_records, read_trace
 from repro.workloads.predictability import (
     PredictabilityReport,
     evaluate_predictability,
@@ -43,6 +43,7 @@ __all__ = [
     "WorkloadSpec",
     "PoissonArrivals",
     "FlowRecord",
+    "FlowRecords",
     "aggregate_records",
     "read_trace",
     "PredictabilityReport",

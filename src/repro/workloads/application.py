@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro.errors import WorkloadError
 
@@ -35,6 +37,36 @@ class Task:
             raise WorkloadError(f"task {self.name!r}: cpu_cores must be positive")
 
 
+class VolumeOrder(NamedTuple):
+    """A matrix's transfers largest first (Algorithm 1, line 1) as columns:
+    transfer ``k`` is ``num_bytes[k]`` bytes from ``tasks[src[k]]`` to
+    ``tasks[dst[k]]``, equal volumes in ``(src, dst)`` name order.
+    ``tasks`` is the table the ids index (it may name tasks with no
+    transfer).  ``opens`` lists, ascending, the transfers that are the
+    first to name one of their tasks."""
+
+    tasks: Tuple[str, ...]
+    src: np.ndarray
+    dst: np.ndarray
+    num_bytes: np.ndarray
+    opens: List[int]
+
+    @classmethod
+    def of_columns(
+        cls, tasks: Tuple[str, ...], src: np.ndarray, dst: np.ndarray, num_bytes: np.ndarray
+    ) -> "VolumeOrder":
+        """The order of columns already in volume order, its ``opens``
+        found as one array program: each task's first position among the
+        transfers' interleaved ends."""
+        ends = np.empty(2 * src.shape[0], dtype=np.intp)
+        ends[0::2], ends[1::2] = src, dst
+        first = np.full(len(tasks), ends.shape[0])
+        np.minimum.at(first, ends, np.arange(ends.shape[0]))
+        opening = np.zeros(src.shape[0], dtype=bool)
+        opening[first[first < ends.shape[0]] // 2] = True
+        return cls(tasks, src, dst, num_bytes, opening.nonzero()[0].tolist())
+
+
 class TrafficMatrix:
     """Sparse task-to-task byte counts.
 
@@ -46,17 +78,22 @@ class TrafficMatrix:
     def __init__(self, entries: Optional[Mapping[Tuple[str, str], float]] = None):
         self._entries: Dict[Tuple[str, str], float] = {}
         self._by_volume: Optional[List[Tuple[str, str, float]]] = None
+        self._volume: Optional[VolumeOrder] = None
         if entries:
             for (src, dst), value in entries.items():
                 self.add(src, dst, value)
 
     @classmethod
-    def of_totals(cls, totals: Dict[Tuple[str, str], float]) -> "TrafficMatrix":
+    def of_totals(
+        cls, totals: Dict[Tuple[str, str], float], volume: Optional[VolumeOrder] = None
+    ) -> "TrafficMatrix":
         """A matrix holding ``totals`` as they are: each ``(src, dst)``
         entry already summed, finite, positive and off the diagonal (what
-        :meth:`add` would have kept), in the order :meth:`items` lists."""
+        :meth:`add` would have kept), in the order :meth:`items` lists;
+        ``volume``, when given, is their :meth:`volume_order`."""
         matrix = cls()
         matrix._entries = totals
+        matrix._volume = volume
         return matrix
 
     # ------------------------------------------------------------- mutation
@@ -79,7 +116,7 @@ class TrafficMatrix:
             return
         key = (src, dst)
         self._entries[key] = self._entries.get(key, 0.0) + float(num_bytes)
-        self._by_volume = None
+        self._by_volume = self._volume = None
 
     def scaled(self, factor: float) -> "TrafficMatrix":
         """A new matrix with every entry multiplied by ``factor``.
@@ -101,13 +138,49 @@ class TrafficMatrix:
 
     def pairs_by_volume(self) -> List[Tuple[str, str, float]]:
         """Transfers as ``(src, dst, bytes)``, largest first (Algorithm 1,
-        line 1): a new list of an order sorted once per change."""
+        line 1): a new list of an order sorted once per change (read off
+        the :meth:`volume_order` a matrix was built with)."""
         if self._by_volume is None:
-            self._by_volume = sorted(
-                ((src, dst, value) for (src, dst), value in self._entries.items()),
-                key=lambda item: (-item[2], item[0], item[1]),
-            )
+            volume = self._volume
+            if volume is None:
+                self._by_volume = sorted(
+                    ((src, dst, value) for (src, dst), value in self._entries.items()),
+                    key=lambda item: (-item[2], item[0], item[1]),
+                )
+            else:
+                tasks = volume.tasks
+                self._by_volume = list(zip(
+                    [tasks[i] for i in volume.src.tolist()],
+                    [tasks[i] for i in volume.dst.tolist()],
+                    volume.num_bytes.tolist(),
+                ))
         return list(self._by_volume)
+
+    def volume_order(self) -> VolumeOrder:
+        """:meth:`pairs_by_volume` as columns over the tasks the matrix
+        names (kept until the next change)."""
+        if self._volume is None:
+            # A matrix built entry by entry is ordered in Python, as
+            # pairs_by_volume orders it, and its tasks take ids as that
+            # order first names them; a profiled one was handed its order.
+            index: Dict[str, int] = {}
+            src: List[int] = []
+            dst: List[int] = []
+            opens: List[int] = []
+            transfers = self.pairs_by_volume()
+            for k, (a, b, _) in enumerate(transfers):
+                named = len(index)
+                src.append(index.setdefault(a, named))
+                dst.append(index.setdefault(b, len(index)))
+                if len(index) != named:
+                    opens.append(k)
+            ends = np.array((src, dst), dtype=np.intp).reshape(2, -1)
+            self._volume = VolumeOrder(
+                tuple(index), ends[0], ends[1],
+                np.fromiter([value for _, _, value in transfers], np.float64),
+                opens,
+            )
+        return self._volume
 
     @property
     def total_bytes(self) -> float:

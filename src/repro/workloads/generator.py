@@ -37,7 +37,7 @@ from repro.workloads.patterns import (
     star,
     uniform_mesh,
 )
-from repro.workloads.trace import FlowRecord
+from repro.workloads.trace import FlowRecords
 
 
 @dataclass(frozen=True)
@@ -224,29 +224,37 @@ class HPCloudWorkloadGenerator:
         app: Application,
         n_records_per_pair: int = 5,
         duration_s: float = HOUR,
-    ) -> List[FlowRecord]:
+    ) -> FlowRecords:
         """Explode an application's traffic matrix into sFlow-like records.
 
         Each communicating pair is split into ``n_records_per_pair`` records
         at random timestamps within ``duration_s`` of the application start;
         re-aggregating the records recovers the original matrix, which is how
         the profiler tests validate :mod:`repro.core.profiler`.
+
+        A pair draws its shares (one ``dirichlet``) and then its offsets
+        (one ``uniform``), pairs in volume order; the records, pair by pair
+        and each pair's in time order, are then sorted stably by timestamp
+        into one column batch.
         """
         if n_records_per_pair < 1:
             raise WorkloadError("n_records_per_pair must be >= 1")
-        records: List[FlowRecord] = []
-        for src, dst, volume in app.transfers():
-            shares = self._rng.dirichlet(np.ones(n_records_per_pair)) * volume
-            offsets = np.sort(self._rng.uniform(0.0, duration_s, size=n_records_per_pair))
-            for share, offset in zip(shares, offsets):
-                records.append(
-                    FlowRecord(
-                        timestamp=app.start_time + float(offset),
-                        application=app.name,
-                        src_task=src,
-                        dst_task=dst,
-                        num_bytes=float(share),
-                    )
-                )
-        records.sort(key=lambda record: record.timestamp)
-        return records
+        volume = app.traffic.volume_order()
+        tasks = sorted(volume.tasks)
+        index = {task: i for i, task in enumerate(tasks)}
+        rank = np.array([index[task] for task in volume.tasks], dtype=np.int32)
+        pairs, k = volume.src.shape[0], n_records_per_pair
+        shares, offsets = np.empty((pairs, k)), np.empty((pairs, k))
+        ones, rng = np.ones(k), self._rng
+        for i in range(pairs):
+            shares[i] = rng.dirichlet(ones)
+            offsets[i] = rng.uniform(0.0, duration_s, size=k)
+        shares *= volume.num_bytes[:, None]
+        offsets.sort(axis=1)
+        timestamp = (app.start_time + offsets).ravel()
+        order = timestamp.argsort(kind="stable")
+        return FlowRecords(
+            (app.name,), tasks, np.zeros(pairs * k, dtype=np.int32),
+            np.repeat(rank[volume.src], k)[order], np.repeat(rank[volume.dst], k)[order],
+            shares.ravel()[order], timestamp[order],
+        )

@@ -182,9 +182,9 @@ def arm_worker_chaos(monkeypatch, chaos_dir) -> None:
 
 
 @contextlib.contextmanager
-def fluid_run_spans(path: Path):
+def traced_spans(path: Path, name: str = "fluid.run"):
     """Trace into ``path``; the list yielded receives the attributes of the
-    ``fluid.run`` spans on exit, in run order."""
+    spans called ``name`` on exit, in the order they ended."""
     spans: List[dict] = []
     obs.configure(str(path), export_env=False)
     try:
@@ -194,7 +194,7 @@ def fluid_run_spans(path: Path):
     spans.extend(
         event["attrs"]
         for event in map(json.loads, path.read_text().splitlines())
-        if event["name"] == "fluid.run"
+        if event["name"] == name
     )
 
 

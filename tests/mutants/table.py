@@ -57,6 +57,11 @@ FULL_MESH = "tests/test_campaign_batch.py::test_full_mesh_is_bit_identical"
 ONE_PASS = "tests/test_choreo_e2e.py::test_the_one_pass_profile_is_the_record_by_record_one"
 BINDING = "tests/test_alloc_binding.py::"
 LAYOUT = "tests/test_topology.py::test_the_tree_is_the_hand_built_copy_link_for_link"
+TABLE_READ = "tests/test_route_table.py::test_the_table_read_is_the_routed_minimum"
+GREEDY_RUNS = (
+    "tests/test_admission_arrays.py::TestGreedyAgainstScalarAlgorithm1::"
+    "test_runs_of_placed_transfers_count_only_their_crossing_connections"
+)
 LINKLESS = "tests/test_fluid.py::test_a_linkless_flow_beside_hosed_ones_completes_as_it_starts"
 EPS_FOLD = "tests/test_fluid.py::test_a_finish_folds_in_the_byte_tolerance"
 
@@ -120,9 +125,16 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "the rack table's near and far columns are swapped",
         TOPOLOGY,
-        "                top = 2 if pods[0] != pods[1] else 0\n",
-        "                top = 0 if pods[0] != pods[1] else 2\n",
+        "        near = other & ~far\n",
+        "        near, far = far, other & ~far\n",
         (HAND_BUILT,),
+    ),
+    Mutant(
+        "the vectorised rack table reads each rack one pod off",
+        TOPOLOGY,
+        "        pod = np.arange(racks) // spec.racks_per_pod\n",
+        "        pod = (np.arange(racks) + 1) // spec.racks_per_pod\n",
+        (LAYOUT, HAND_BUILT),
     ),
     Mutant(
         "the core patch reads the source pod's core_down",
@@ -186,11 +198,20 @@ MUTANTS: Tuple[Mutant, ...] = (
     ),
     # ------------------------------------------------ a block's own rows
     Mutant(
-        "a block's bottleneck reads -1 padding as capacity 0, not +inf",
-        PROVIDER,
-        "            capacity = np.append(self.topology.capacity_vector(), np.inf)\n",
-        "            capacity = np.append(self.topology.capacity_vector(), 0.0)\n",
-        (FULL_MESH,),
+        "a rack pair's narrowest link reads -1 padding as capacity 0, not +inf",
+        TOPOLOGY,
+        "        rack_narrowest = np.append(capacity, np.inf)[rack_rows].min(axis=1)\n",
+        "        rack_narrowest = np.append(capacity, 0.0)[rack_rows].min(axis=1)\n",
+        (FULL_MESH, TABLE_READ),
+    ),
+    Mutant(
+        "the table read leaves out a cross-pod route's core links",
+        TOPOLOGY,
+        "        if far.shape[0]:\n            core = tables.pod_pair[pair[far]]\n"
+        "            core += self._router.core_picks(src[far], dst[far])\n            narrowest[far]",
+        "        if False:\n            core = tables.pod_pair[pair[far]]\n"
+        "            core += self._router.core_picks(src[far], dst[far])\n            narrowest[far]",
+        (TABLE_READ,),
     ),
     Mutant(
         "a block's slice of the schedule is off by one",
@@ -217,16 +238,37 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "an empty record adds its pair",
         TRACE,
-        "        if 0 < num_bytes < inf and src != dst:\n",
-        "        if 0 <= num_bytes < inf and src != dst:\n",
+        "    moving = ((num_bytes > 0) & (src != dst)).nonzero()[0]\n",
+        "    moving = ((num_bytes >= 0) & (src != dst)).nonzero()[0]\n",
         (ONE_PASS,),
     ),
     Mutant(
         "the profile starts at the last record",
         TRACE,
-        "        if first_seen and timestamp < first:\n",
-        "        if first_seen and (first == inf or timestamp > first):\n",
+        "float(timestamp.min())\n",
+        "float(timestamp[-1])\n",
         (ONE_PASS,),
+    ),
+    Mutant(
+        "a pair's bytes are summed in pair order, not record order",
+        TRACE,
+        "    totals = np.bincount(slot, num_bytes[moving], pair.shape[0])\n",
+        "    totals = np.bincount(np.sort(slot), num_bytes[moving][slot.argsort()], pair.shape[0])\n",
+        (ONE_PASS,),
+    ),
+    Mutant(
+        "the matrix lists its pairs in id order, not by their first record",
+        TRACE,
+        "    seen = first.argsort()\n",
+        "    seen = np.arange(first.shape[0])\n",
+        (ONE_PASS,),
+    ),
+    Mutant(
+        "a run of placed transfers counts its colocated ones",
+        "src/repro/core/rate_model.py",
+        "        crossing = src.compress(src != dst)\n",
+        "        crossing = src\n",
+        (GREEDY_RUNS,),
     ),
     # ------------------------------------------------- the segment log
     Mutant(

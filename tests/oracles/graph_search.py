@@ -18,6 +18,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
+from oracles.narrowest import routed_narrowest
 from repro.cloud import provider as cloud_provider
 from repro.errors import RoutingError, TopologyError
 from repro.net.links import directed_link_id, loopback_link_id
@@ -181,6 +182,11 @@ class SearchedGraph:
         for row, route in zip(rows, routes):
             row[: len(route)] = route
         return rows, lengths, link_ids
+
+    def narrowest(
+        self, pairs: np.ndarray, hops: bool = False
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        return routed_narrowest(self, pairs, hops)
 
 
 def route_ids(topology, src: str, dst: str) -> List[str]:

@@ -414,6 +414,70 @@ class TestGreedyAgainstScalarAlgorithm1:
         assert seen["placed"] > 100 and seen["PlacementError"] > 20
         assert (seen["MeasurementError"] > 20) == unmeasured
 
+    def test_runs_of_placed_transfers_count_only_their_crossing_connections(self):
+        """Dense shuffles of light tasks on a few machines: greedy colocates
+        often, so the runs of placed transfers it records between two
+        choices hold colocated pairs (which use no egress) beside crossing
+        ones, and later choices read the sources' counts.  Every placement
+        is the scalar algorithm's, transfer by transfer."""
+        reached = 0
+        for trial in range(60):
+            rng = random.Random(12000 + trial)
+            machines = [f"vm-{i}" for i in range(rng.randint(3, 5))]
+            rates = {
+                (a, b): rng.choice(_RATE_LEVELS)
+                for a in machines for b in machines if a != b
+            }
+            profile = NetworkProfile(
+                machines, pair_matrix(machines, rates), intra_vm_rate_bps=1e9
+            )
+            cluster = ClusterState(machines=[Machine(m, 2.0) for m in machines])
+            n_tasks = rng.randint(4, 8)
+            tasks = [Task(f"t{i}", 0.5) for i in range(n_tasks)]
+            traffic = TrafficMatrix()
+            for i in range(n_tasks):
+                for j in range(n_tasks):
+                    if i != j and rng.random() < 0.7:
+                        traffic.add(f"t{i}", f"t{j}", rng.choice([1e6, 5e6, 2e7, 8e7]))
+            app = Application("app", tasks, traffic)
+            expected = _outcome(ScalarGreedyPlacer(), app, cluster, profile)
+            assert _outcome(GreedyPlacer(), app, cluster, profile) == expected, trial
+            if expected[0] != "placed":
+                continue
+            where = dict(expected[1])
+            transfers = app.transfers()
+            opens = app.traffic.volume_order().opens
+            inner = [
+                k for a, b in zip(opens, opens[1:]) for k in range(a + 1, b)
+            ]
+            reached += any(
+                where[transfers[k][0]] == where[transfers[k][1]] for k in inner
+            )
+        assert reached >= 10
+        # One where it decides: x -> y crosses a -> b, w joins x on a (the
+        # intra rate beats a's halved paths), and w -> x, a run of one
+        # colocated transfer, leaves a's count at 2.  So u -> v (too big to
+        # share a machine) takes a -> b at 1e9 / 2 over b -> a at 4e8; had
+        # the run counted w -> x, a -> b would read 1e9 / 3 and lose.
+        machines = ["a", "b", "c"]
+        single = {("a", "b"): 1e9, ("a", "c"): 9e8, ("b", "a"): 4e8}
+        profile = NetworkProfile(
+            machines, pair_matrix(machines, lambda s, d: single.get((s, d), 1e8)),
+            intra_vm_rate_bps=8e8,
+        )
+        cluster = ClusterState(
+            machines=[Machine("a", 4.0), Machine("b", 2.5), Machine("c", 2.0)]
+        )
+        tasks = [Task(name, 1.0) for name in "xyw"] + [Task(name, 1.5) for name in "uv"]
+        traffic = TrafficMatrix(
+            {("x", "y"): 8e7, ("x", "w"): 4e7, ("w", "x"): 2e7, ("u", "v"): 1e7}
+        )
+        app = Application("app", tasks, traffic)
+        assert traffic.volume_order().opens == [0, 1, 3]
+        got = _outcome(GreedyPlacer(), app, cluster, profile)
+        assert got == _outcome(ScalarGreedyPlacer(), app, cluster, profile)
+        assert got == ("placed", [("x", "a"), ("y", "b"), ("w", "a"), ("u", "a"), ("v", "b")])
+
     def test_first_maximum_is_the_lexicographic_pick_under_ties(self):
         """All rates equal: the key falls through to the machine *names*,
         whatever order the cluster declares them in."""

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles.flow_records import aggregate_rows
 from oracles.placement_flows import placement_to_flows
 from repro.cloud.registry import make_provider
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
@@ -22,7 +23,7 @@ from repro.units import GBYTE
 from repro.workloads.application import Application, Task, TrafficMatrix
 from repro.workloads.generator import HPCloudWorkloadGenerator
 from repro.workloads.patterns import mapreduce
-from repro.workloads.trace import FlowRecord, aggregate_records
+from repro.workloads.trace import FlowRecord, FlowRecords, aggregate_records
 
 
 @pytest.fixture
@@ -62,16 +63,18 @@ def test_profile_measure_place_run(provider):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_the_one_pass_profile_is_the_record_by_record_one(seed):
-    """``profile_application`` reads its records once.  Its traffic matrix
-    is the one ``TrafficMatrix.add`` builds record by record from the
-    records that match (same entries, same order, the same float sums),
-    its tasks are every task those records name, and its start is their
-    earliest timestamp unless one is given — over records of two
-    applications, with self-transfers and empty records among them, with
-    and without a window."""
+    """``profile_application`` reads a column batch in one array program.
+    Its traffic matrix is the one ``TrafficMatrix.add`` builds record by
+    record from the records that match (same entries, same order, the same
+    float sums: ``oracles.flow_records``), its tasks are every task those
+    records name, and its start is their earliest timestamp unless one is
+    given — over records of two applications, with self-transfers, empty
+    records and pairs seen many times among them, with and without a
+    window.  The volume order it hands over is the entry-built matrix's,
+    transfer for transfer."""
     rng = np.random.default_rng(seed)
     tasks = [f"t{i}" for i in range(7)]
-    records = [
+    rows = [
         FlowRecord(
             float(rng.uniform(5.0, 100.0)), str(rng.choice(["job", "other"])),
             str(rng.choice(tasks)), str(rng.choice(tasks)),
@@ -79,22 +82,33 @@ def test_the_one_pass_profile_is_the_record_by_record_one(seed):
         )
         for _ in range(300)
     ]
+    records = FlowRecords.of(rows)
+    assert list(records) == rows and len(records) == 300
     profiler = ApplicationProfiler()
     for window in (None, (20.0, 70.0)):
-        lo, hi = window or (0.0, np.inf)
-        matching = [r for r in records if r.application == "job" and lo <= r.timestamp < hi]
-        want = TrafficMatrix()
-        for r in matching:
-            want.add(r.src_task, r.dst_task, r.num_bytes)
+        lo, hi = window or (None, None)
+        want, named, first = aggregate_rows(rows, "job", lo, hi)
         app = profiler.profile_application(records, "job", window=window)
         assert app.traffic.items() == want.items()
-        named = {r.src_task for r in matching} | {r.dst_task for r in matching}
         assert app.task_names == sorted(named)
-        assert app.start_time == min(r.timestamp for r in matching)
+        assert app.start_time == first
         given = profiler.profile_application(records, "job", window=window, start_time=3.0)
         assert given.start_time == 3.0
         assert aggregate_records(records, "job", lo, hi)[0].items() == want.items()
-    assert any(r.num_bytes == 0 for r in records) and any(r.src_task == r.dst_task for r in records)
+        assert app.transfers() == want.pairs_by_volume()
+        assert _by_name(app.traffic.volume_order()) == _by_name(want.volume_order())
+    everything = aggregate_records(records)
+    assert everything[0].items() == aggregate_rows(rows)[0].items()
+    assert aggregate_records(records, "nobody")[1:] == ([], np.inf)
+    assert any(r.num_bytes == 0 for r in rows) and any(r.src_task == r.dst_task for r in rows)
+
+
+def _by_name(volume):
+    """A volume order with its ids read as names."""
+    return (
+        [(volume.tasks[a], volume.tasks[b]) for a, b in zip(volume.src, volume.dst)],
+        volume.num_bytes.tolist(), volume.opens,
+    )
 
 
 def staggered(scenario, seed):

@@ -23,7 +23,7 @@ from repro.experiments import (
 from repro.experiments.cli import main as cli_main
 from repro.runtime.metrics import relative_speedup
 from repro.service.engine import report_violations
-from helpers import fluid_run_spans
+from helpers import traced_spans
 from oracles.max_min import force_loop
 from test_live_books import books_checked
 from test_truth_property import Case, check_every_run
@@ -360,7 +360,7 @@ def test_cell_digest_is_pinned(scenario, placer, loop, monkeypatch, tmp_path):
         scenarios=(scenario,), placers=(placer,), trials=1, base_seed=0, workers=1,
         placer_params={"ilp": {"time_limit_s": 60.0}} if placer == "ilp" else {},
     )
-    with fluid_run_spans(tmp_path / "trace.jsonl") as spans:
+    with traced_spans(tmp_path / "trace.jsonl") as spans:
         result = ExperimentRunner(config).run()
     assert all(rec.ok for rec in result.records)
     canonical = json.dumps(result.canonical_json_dict(), sort_keys=True)

@@ -25,7 +25,7 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import figure3_layout, fluid_run_spans, routes_of
+from helpers import figure3_layout, traced_spans, routes_of
 from oracles.graph_search import SearchedGraph, route_ids
 from oracles.max_min import flow_demands, force_solves, run_loop
 from oracles.rate_append import AppendedTimeline
@@ -325,7 +325,7 @@ def test_batch_registration_and_vector_loop_match_the_scalar_oracle(
     # Up to two pauses, a flow withdrawn at each with even odds, then the
     # rest run to completion.
     runs, until = [], 0.0
-    with fluid_run_spans(tmp_path / "trace.jsonl") as spans:
+    with traced_spans(tmp_path / "trace.jsonl") as spans:
         for step in range(3):
             if mass:
                 until = 0.3 if step == 0 else None
@@ -479,7 +479,7 @@ def test_fluid_run_span_counts_batches_and_segments(tmp_path):
         for i, (a, b) in enumerate(itertools.permutations(hosts, 2))
     ]
     results = []
-    with fluid_run_spans(tmp_path / "trace.jsonl") as spans:
+    with traced_spans(tmp_path / "trace.jsonl") as spans:
         for vector in (False, True):
             sim = FluidSimulation(topo)
             sim.add_flows(flows)

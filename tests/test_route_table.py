@@ -1,25 +1,30 @@
-"""A campaign's routes: each block of trains routes its own probes.
+"""A campaign's bottlenecks: each block of trains reads its own probes'.
 
-``TrainPass.send`` routes the probes of one block in one
-``Topology.path_links_matrix`` call and keeps only their bottlenecks (and,
-on a lossy provider, their hop counts); nothing routed outlives its block,
-and a changed VM set needs no cache dropped.  Held here to the per-probe
-loop of ``tests/test_campaign_batch.py``, to paths routed by name, and to
-the traced memory peak of the largest campaign the benchmark runs.  The
-tree router reads a rack pair's row from one small table: its loopback
-and cross-pod rows are held to single-pair routes, and the cross-pod rows take
+``TrainPass.send`` reads the narrowest link of each of its block's probes
+(and, on a lossy provider, its hop count) off the tree's tables in one
+``Topology.narrowest`` call, which routes nothing; the provider keeps only
+the floats, and a changed VM set needs no cache dropped.  Every read is
+held here to routing the same pairs and reducing each route
+(``oracles.narrowest``), campaigns to the per-probe loop of
+``tests/test_campaign_batch.py`` and to paths routed by name, and the
+largest campaign the benchmark runs to its traced memory peak.  The tree
+router reads a rack pair's row from one small table: its loopback and
+cross-pod rows are held to single-pair routes, and the cross-pod rows take
 their core from the router's ECMP pick, held here to an even spread over
 ``pipeline_dc``'s cores and pinned on one tree.
 """
 
 import dataclasses
 import hashlib
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from oracles import scalar_train
 from oracles.graph_search import hand_built, route_ids
+from oracles.narrowest import routed_narrowest
 from test_campaign_batch import (
     build_provider, campaign, oracle_campaign, simulated_snapshot,
 )
@@ -29,6 +34,7 @@ from repro.cloud.ec2 import ec2_params
 from repro.cloud.provider import VMFlow
 from repro.cloud.registry import make_provider
 from repro.core.measurement import MeasurementPlan, NetworkMeasurer, orchestrator
+from repro.net.links import loopback_link_id
 from repro.net.packets import PacketTrainSpec
 from repro.net.topology import Topology, TreeSpec, build_multi_rooted_tree
 from repro.units import MBYTE
@@ -63,6 +69,33 @@ def routed_batches(monkeypatch):
     return batches
 
 
+@pytest.fixture
+def table_reads(monkeypatch):
+    """Every batch of host positions ``Topology.narrowest`` reads, with what
+    it returned: ``[(topology, hosts, hops, narrowest, lengths), ...]``."""
+    reads = []
+    read = Topology.narrowest
+
+    def recorded(self, pairs, hops=False):
+        narrowest, lengths = read(self, pairs, hops)
+        reads.append((self, pairs.copy(), hops, narrowest, lengths))
+        return narrowest, lengths
+
+    monkeypatch.setattr(Topology, "narrowest", recorded)
+    return reads
+
+
+def assert_reads_are_the_routed_minima(reads):
+    """Each read is its pairs' routes, routed and reduced to their
+    narrowest links (and lengths), bit for bit."""
+    for topology, hosts, hops, narrowest, lengths in reads:
+        want, want_lengths = routed_narrowest(topology, hosts, hops)
+        assert narrowest.tobytes() == want.tobytes()
+        assert (lengths is None) == (not hops)
+        if hops:
+            assert lengths.tolist() == want_lengths.tolist()
+
+
 def assert_rows_are_the_named_routes(topology, hosts, rows, lengths):
     """Each row is its pair of hosts' route routed alone, -1 padded to the
     batch's longest route and no wider."""
@@ -76,18 +109,20 @@ def assert_rows_are_the_named_routes(topology, hosts, rows, lengths):
 
 @pytest.mark.parametrize("loaded", [False, True])
 @pytest.mark.parametrize("shape", ["colocated", "extra-agg"])
-def test_each_block_routes_its_probes_across_vm_set_changes(
-    shape, loaded, monkeypatch, routed_batches
+def test_each_block_reads_its_probes_bottlenecks_across_vm_set_changes(
+    shape, loaded, monkeypatch, routed_batches, table_reads
 ):
-    """Blocks of seven trains, each routed when it is sent.  After
-    ``request_vms`` and ``release_vm`` the next campaign is the per-probe
-    loop's, bit for bit — on colocated VMs (loopback rows), and on a
-    two-tier aggregation tree probed and loaded in its racks alone, whose
-    rows are narrower than its cross-pod ones.  Every block's rows are the
-    routes by name.  Of what was routed the provider keeps each pair's
-    narrowest link alone, and the next campaign on the VM set reads those
-    instead of routing.  The loop reads its loaded snapshots off the same
-    provider, so those are held to paths routed by name as well."""
+    """Blocks of seven trains, each reading its probes' bottlenecks off the
+    tree's tables when it is sent.  After ``request_vms`` and
+    ``release_vm`` the next campaign is the per-probe loop's, bit for bit —
+    on colocated VMs (loopback links), and on a two-tier aggregation tree
+    probed and loaded in its racks alone.  Every block's read is its
+    probes' routes reduced to their narrowest links.  Of what was read the
+    provider keeps each pair's narrowest link alone, and the next campaign
+    on the VM set reads nothing.  Only a loaded pass routes: its snapshot
+    routes the probes and the background together, and the loop reads its
+    loaded snapshots off the same provider, so those are held to paths
+    routed by name as well."""
     monkeypatch.setattr(orchestrator, "_TRAIN_BLOCK", 7)
 
     def build():
@@ -120,24 +155,23 @@ def test_each_block_routes_its_probes_across_vm_set_changes(
         ]
 
     oracle_provider, _ = build()
-    del routed_batches[:]
+    del routed_batches[:], table_reads[:]
     plan = MeasurementPlan()
     got = campaign(NetworkMeasurer(provider, plan), names, background(names), pairs)
-    batches = routed_batches[:]
+    batches, reads = routed_batches[:], table_reads[:]
     assert got == oracle_campaign(
         NetworkMeasurer(oracle_provider, plan), names, background(names), pairs
     )
-    # One call per block (and, under load, one for the pass's snapshot).
+    # One table read per block, and a route batch only for the snapshot.
     probes = len(pairs) if pairs else len(names) * (len(names) - 1)
-    blocks = [batch for batch in batches if batch[1].shape[0] <= 7]
-    assert len(blocks) == -(-probes // 7) and len(batches) == len(blocks) + loaded
-    assert any((hosts[:, 0] == hosts[:, 1]).any() for _, hosts, _, _ in blocks)
+    assert len(reads) == -(-probes // 7) and all(hosts.shape[0] <= 7 for _, hosts, *_ in reads)
+    assert len(batches) == loaded
+    assert any((hosts[:, 0] == hosts[:, 1]).any() for _, hosts, *_ in reads)
+    assert_reads_are_the_routed_minima(reads)
     for topology, hosts, rows, lengths in batches:
         assert_rows_are_the_named_routes(topology, hosts, rows, lengths)
-    if shape == "extra-agg":
-        assert max(rows.shape[1] for _, _, rows, _ in blocks) == 2
     # What outlives the campaign is the bottleneck matrix alone: one float
-    # per ordered pair of VMs, each routed pair's narrowest link by name.
+    # per ordered pair of VMs, each read pair's narrowest link by name.
     n = len(names)
     kept = {name for name, value in vars(provider).items() if np.size(value) >= n * n}
     assert kept == {"_bottleneck"} and provider._bottleneck.dtype == np.float64
@@ -146,10 +180,11 @@ def test_each_block_routes_its_probes_across_vm_set_changes(
         path = route_ids(provider.topology, provider.vm(src).host, provider.vm(dst).host)
         capacities = provider.topology.capacities()
         assert provider._bottleneck[s * n + d] == min(capacities[link] for link in path)
-    # A second campaign on the VM set routes nothing but its snapshot.
-    del routed_batches[:]
+    # A second campaign on the VM set reads nothing and routes only its
+    # snapshot.
+    del routed_batches[:], table_reads[:]
     campaign(NetworkMeasurer(provider, plan), names, background(names), pairs)
-    assert len(routed_batches) == loaded
+    assert len(routed_batches) == loaded and table_reads == []
     # The snapshot keeps its bounds (paths routed by name) and is a fresh
     # simulation's, on probes and background both in racks.
     ends = ends_of(names, pairs)
@@ -160,15 +195,48 @@ def test_each_block_routes_its_probes_across_vm_set_changes(
         assert (0.0 + fill[i] * 0.1) / 0.1 == simulated_snapshot(provider, *ends[i], flows)
 
 
+#: Tree shapes whose narrowest link sits at each tier in turn: the host
+#: link, the ToR uplinks (one tier and two), the core links, and a loopback
+#: that never binds; several cores, so the ECMP pick decides a route's.
+NARROWEST_SPECS = (
+    TreeSpec(pods=3, racks_per_pod=2, hosts_per_rack=2, num_cores=3, host_link_bps=5e8),
+    TreeSpec(pods=2, racks_per_pod=3, hosts_per_rack=2, tor_agg_link_bps=4e8),
+    TreeSpec(pods=2, racks_per_pod=2, hosts_per_rack=2, extra_agg_layer=True,
+             tor_agg_link_bps=3e8, intra_host_bps=math.inf),
+    TreeSpec(pods=3, racks_per_pod=2, hosts_per_rack=2, num_cores=4, agg_core_link_bps=2e8),
+)
+
+
+@pytest.mark.parametrize("spec", NARROWEST_SPECS, ids=str)
+def test_the_table_read_is_the_routed_minimum(spec):
+    """Over every ordered pair of hosts (one host to itself included), in
+    one batch and in a few, with hop counts and without, the table read is
+    each route's narrowest link and length — on the tree, and on its
+    hand-built copy, which routes by graph search."""
+    tree = build_multi_rooted_tree(spec)
+    hosts = np.array(list(itertools.product(range(spec.num_hosts), repeat=2)))
+    copy = hand_built(tree)
+    for batch in (hosts, hosts[::7], hosts[:0]):
+        for hops in (False, True):
+            got = tree.narrowest(batch, hops)
+            reads = [(tree, batch, hops, *got)]
+            assert_reads_are_the_routed_minima(reads)
+            want = copy.narrowest(batch, hops)
+            assert got[0].tobytes() == want[0].tobytes()
+    narrowest = tree.narrowest(hosts)[0]
+    capacities = set(tree.capacities().values())
+    assert set(narrowest.tolist()) <= capacities and len(set(narrowest.tolist())) > 1
+
+
 @pytest.mark.parametrize("structured", [True, False])
-def test_loopback_rows_are_the_hosts_loopback_links(structured, routed_batches):
+def test_loopback_rows_are_the_hosts_loopback_links(structured, routed_batches, table_reads):
     """The rows of a VM mesh with colocated VMs — its diagonal and every
     pair of VMs on one host cross that host's loopback link — are the
     pairs' routes, routed one by one: given as host positions and as names,
     in a batch of every pair and in one of a few, on the provider's tree
     (whose router writes the loopback rows itself) and on a hand-built
-    copy that routes by graph search.  So are the rows a campaign's block
-    routes."""
+    copy that routes by graph search.  A campaign routes none of them: its
+    one block reads a loopback's capacity for every pair on one host."""
     provider, names = build_provider("rackspace", n_vms=12, colocate=0.6)
     host = [vm.host for vm in provider.vms()]
     topo = provider.topology if structured else hand_built(provider.topology)
@@ -188,9 +256,13 @@ def test_loopback_rows_are_the_hosts_loopback_links(structured, routed_batches):
     if structured:
         del routed_batches[:]
         NetworkMeasurer(provider, MeasurementPlan()).measure(names)
-        ((topology, hosts, rows, lengths),) = routed_batches
-        assert (hosts[:, 0] == hosts[:, 1]).sum() == len(colocated) - len(host)
-        assert_rows_are_the_named_routes(topology, hosts, rows, lengths)
+        assert routed_batches == []
+        ((topology, hosts, hops, narrowest, lengths),) = table_reads
+        same = hosts[:, 0] == hosts[:, 1]
+        assert same.sum() == len(colocated) - len(host)
+        loopback = provider.topology.capacities()[loopback_link_id(provider.vms()[0].host)]
+        assert (narrowest[same] == loopback).all()
+        assert_reads_are_the_routed_minima(table_reads)
 
 
 def test_a_lossy_train_reads_its_rtt_off_its_blocks_rows():

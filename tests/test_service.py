@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import stale_pairs, write_trace_jsonl
+from helpers import stale_pairs, write_trace, write_trace_jsonl
 from test_truth_property import Case, check_every_run
 from repro.cloud.registry import make_provider
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
@@ -656,8 +656,8 @@ class TestTraceJsonl:
         ]
         path = tmp_path / "trace.jsonl"
         assert write_trace_jsonl(records, path) == 2
-        assert read_trace_jsonl(path) == records
-        assert load_trace(path) == records
+        assert list(read_trace_jsonl(path)) == records
+        assert list(load_trace(path)) == records
 
     def test_malformed_line_reports_location(self, tmp_path):
         from repro.errors import WorkloadError
@@ -684,3 +684,23 @@ class TestTraceJsonl:
         assert instance.apps[0].start_time == 0.0
         assert instance.apps[1].start_time == 30.0
         assert instance.apps[1].total_bytes == pytest.approx(3e8)
+
+    def test_tied_starts_replay_in_the_order_they_first_appear(self, tmp_path):
+        """Applications that start together replay in the order their first
+        records come in the trace, whatever the hash seed; an earlier start
+        still goes first, wherever its first record sits."""
+        from repro.experiments.scenarios import get_scenario
+
+        names = ["zeta", "alpha", "mu", "beta"]
+        records = [FlowRecord(0.0, name, "a", "b", 1e8) for name in names]
+        records += [FlowRecord(5.0, "late", "a", "b", 1e8)]
+        records += [FlowRecord(1.0, name, "b", "a", 1e8) for name in reversed(names)]
+        records.insert(2, FlowRecord(3.0, "early-named", "a", "b", 1e8))
+        records += [FlowRecord(2.0, "early-named", "b", "a", 1e8)]
+        path = tmp_path / "tied.csv"
+        write_trace(records, path)
+        instance = get_scenario("ec2-trace-replay").build(
+            seed=0, n_vms=4, trace_path=str(path)
+        )
+        assert [a.name for a in instance.apps] == names + ["early-named", "late"]
+        assert [a.start_time for a in instance.apps] == [0.0] * 4 + [2.0, 5.0]

@@ -1,35 +1,46 @@
-"""Work counts as the performance contract: the routing a campaign does,
-and the flows a fluid event touches.
+"""Work counts as the performance contract: the bottlenecks a campaign
+reads, the flows a fluid event touches, and the choices greedy makes.
 
 Timing on a shared host is noisy; how much a path does is not.  On a
 doubling family of campaigns (n, 2n and 4n VMs, each on a tree with twice
-the racks of the last) a full-mesh campaign routes each probe's pair of
-hosts exactly once (``repro.routes.structured_hits``), in one route batch,
-and a second campaign on the same VMs routes none.  The tree's rack-pair
-table holds one row per ordered pair of racks.  So routing grows as the
-probes do, ``n(n - 1)``, and the table as the racks squared; a change in
-either fails here on any host.
+the racks of the last) a full-mesh campaign reads each probe's pair of
+hosts exactly once (``repro.routes.structured_hits``), in one read of the
+tree's tables and no route batch, and a second campaign on the same VMs
+reads none.  The tree's rack-pair table holds one row per ordered pair of
+racks.  So the reads grow as the probes do, ``n(n - 1)``, and the table as
+the racks squared; a change in either fails here on any host.
 
 On a doubling family of fluid runs (n, 2n and 4n disjoint hosed pairs, two
 flows each) the vector event loop checks, after its first event, only the
 flows the solve re-rated: one per completion that leaves a partner behind.
 So the positions an event checks stay flat while the live flows double —
 the loop's O(changed) is a count (the ``fluid.run`` span's), not a timing.
+
+On a doubling family of MapReduce shuffles (n, 2n and 4n tasks on one
+cluster) greedy makes one choice per transfer that first names one of its
+tasks and records the placed transfers between two choices as one run (the
+``place.greedy`` span's ``choices`` and ``runs``): its board updates grow
+as the tasks do while the transfers grow as n².
 """
 
 import dataclasses
 
 import numpy as np
 
-from helpers import fluid_run_spans, routes_of
+from helpers import routes_of, traced_spans
 from repro import obs
 from repro.cloud.ec2 import ec2_params
 from repro.cloud.registry import make_provider
 from repro.core.measurement import MeasurementPlan, NetworkMeasurer
+from repro.core.network_profile import NetworkProfile
+from repro.core.placement.base import ClusterState, Machine
+from repro.core.placement.greedy import GreedyPlacer
+from repro.core.rate_model import EffectiveRateMatrix
 from repro.net.flows import Flow
 from repro.net.fluid import FluidSimulation
 from repro.net.topology import Topology, TreeSpec, build_multi_rooted_tree
-from repro.units import MBYTE
+from repro.units import GBYTE, MBYTE
+from repro.workloads.patterns import mapreduce
 
 FAMILY = (8, 16, 32)
 COUNTERS = {"probes": "repro.measure.probes", "hits": "repro.routes.structured_hits"}
@@ -37,46 +48,51 @@ COUNTERS = {"probes": "repro.measure.probes", "hits": "repro.routes.structured_h
 
 def campaign_work(n_vms, monkeypatch):
     """Two full-mesh campaigns of ``n_vms`` VMs (one a host) on a tree of
-    ``n_vms / 2`` racks: each one's probes, routed pairs and route batches,
-    and the shape of the tree's rack-pair table."""
+    ``n_vms / 2`` racks: each one's probes, pairs read, table reads and
+    route batches, and the shape of the tree's rack-pair table."""
     spec = TreeSpec(hosts_per_rack=4, racks_per_pod=2, pods=n_vms // 4, num_cores=2)
     params = dataclasses.replace(ec2_params(colocation_probability=0.0), tree_spec=spec)
     provider = make_provider("ec2", seed=0, params=params)
     provider.request_vms(n_vms)
     measurer = NetworkMeasurer(provider, MeasurementPlan(advance_clock=False))
-    batches = []
-    route = Topology.path_links_matrix
+    calls = []
+    for method in ("narrowest", "path_links_matrix"):
+        original = getattr(Topology, method)
 
-    def counted(self, pairs):
-        batches.append(isinstance(pairs, np.ndarray))
-        return route(self, pairs)
+        def counted(self, pairs, *args, original=original, method=method):
+            calls.append(method)
+            return original(self, pairs, *args)
 
-    monkeypatch.setattr(Topology, "path_links_matrix", counted)
+        monkeypatch.setattr(Topology, method, counted)
     work = []
     for _ in range(2):
-        del batches[:]
+        del calls[:]
         before = obs.metrics.snapshot()
         measurer.measure()
         after = obs.metrics.snapshot()
         work.append({
             **{key: after.get(name, 0) - before.get(name, 0) for key, name in COUNTERS.items()},
-            "batches": sum(batches),
+            "reads": calls.count("narrowest"),
+            "routes": calls.count("path_links_matrix"),
         })
     return work, provider.topology._tree_tables.rack_rows.shape
 
 
-def test_a_campaign_routes_each_probe_once_and_the_table_holds_each_rack_pair(monkeypatch):
+def test_a_campaign_reads_each_probe_once_and_the_table_holds_each_rack_pair(monkeypatch):
     family = {n: campaign_work(n, monkeypatch) for n in FAMILY}
     for n, ((first, again), table) in family.items():
-        assert first == {"probes": n * (n - 1), "hits": n * (n - 1), "batches": 1}, n
-        assert again == {"probes": n * (n - 1), "hits": 0, "batches": 0}, n
+        assert first == {"probes": n * (n - 1), "hits": n * (n - 1), "reads": 1, "routes": 0}, n
+        assert again == {"probes": n * (n - 1), "hits": 0, "reads": 0, "routes": 0}, n
         assert table == ((n // 2) ** 2, 6), n
-    # Growth per doubling of the VMs: routed pairs and table rows ~x4.
+    # Growth per doubling of the VMs: pairs read and table rows ~x4.
     assert [family[n][0][0]["hits"] for n in FAMILY] == [56, 240, 992]
     assert [family[n][1][0] for n in FAMILY] == [16, 64, 256]
     # The exact counts at one size.
     assert family[16] == (
-        [{"probes": 240, "hits": 240, "batches": 1}, {"probes": 240, "hits": 0, "batches": 0}],
+        [
+            {"probes": 240, "hits": 240, "reads": 1, "routes": 0},
+            {"probes": 240, "hits": 0, "reads": 0, "routes": 0},
+        ],
         (64, 6),
     )
 
@@ -105,7 +121,7 @@ def fluid_work(n_pairs, tmp_path):
     )
     hoses = [[f"hose{i // 2}"] for i in range(len(flows))]
     sim.add_flows(flows, routes_of(sim, flows, hoses))
-    with fluid_run_spans(tmp_path / f"fluid{n_pairs}.jsonl") as spans:
+    with traced_spans(tmp_path / f"fluid{n_pairs}.jsonl", "fluid.run") as spans:
         result = sim.run()
     assert len(result.completion_times) == len(flows)
     (span,) = spans
@@ -136,4 +152,62 @@ def test_a_fluid_event_checks_only_the_flows_its_solve_rerated(tmp_path):
     assert family[512] == {
         "batches": 1024, "rates_checked": 1536, "rates_changed": 1536,
         "log_rows": 1536, "compactions": 10,
+    }
+
+
+SIDES = (4, 8, 16)
+MACHINES = 24
+
+
+def greedy_work(side, tmp_path, updates):
+    """One greedy placement of a ``side`` x ``side`` skewed MapReduce (``2
+    side`` tasks of half a core, ``side²`` transfers) on one cluster of 24
+    four-core machines under one seeded rate matrix: its ``place.greedy``
+    span's counts, and the board updates ``updates`` saw it make."""
+    machines = [f"vm{i}" for i in range(MACHINES)]
+    rates = np.random.default_rng(3).uniform(1e8, 1e9, (MACHINES, MACHINES))
+    profile = NetworkProfile(machines, rates)
+    cluster = ClusterState([Machine(name, 4.0) for name in machines])
+    app = mapreduce(
+        "shuffle", side, side, 4 * GBYTE, skew=1.0, cpu_per_task=0.5,
+        rng=np.random.default_rng(side),
+    )
+    del updates[:]
+    with traced_spans(tmp_path / f"greedy{side}.jsonl", "place.greedy") as spans:
+        GreedyPlacer().place(app, cluster, profile)
+    (span,) = spans
+    assert span["tasks"] == 2 * side and span["machines"] == MACHINES
+    return {
+        "transfers": len(app.traffic), "choices": span["choices"], "runs": span["runs"],
+        "records": updates.count("record"), "run_updates": updates.count("record_run"),
+    }
+
+
+def test_greedy_makes_a_choice_per_opened_task_and_records_runs(tmp_path, monkeypatch):
+    updates = []
+    for method in ("record", "record_run"):
+        original = getattr(EffectiveRateMatrix, method)
+
+        def counted(self, src, dst, original=original, method=method):
+            updates.append(method)
+            return original(self, src, dst)
+
+        monkeypatch.setattr(EffectiveRateMatrix, method, counted)
+    family = {side: greedy_work(side, tmp_path, updates) for side in SIDES}
+    for side, work in family.items():
+        tasks = 2 * side
+        assert work["transfers"] == side * side, side
+        # A choice places one task or two: between half the tasks and all
+        # but one of them.  One record per choice; a run between two
+        # choices is one update, and the run after the last is never read.
+        assert tasks // 2 <= work["choices"] <= tasks - 1, side
+        assert work["runs"] <= work["choices"] + 1, side
+        assert work["records"] == work["choices"], side
+        assert work["run_updates"] in (work["runs"], work["runs"] - 1), side
+    # Growth per doubling of the tasks: choices ~x2, transfers x4.
+    assert [family[side]["choices"] for side in SIDES] == [6, 11, 23]
+    assert [family[side]["transfers"] for side in SIDES] == [16, 64, 256]
+    # The exact counts at one size.
+    assert family[8] == {
+        "transfers": 64, "choices": 11, "runs": 6, "records": 11, "run_updates": 5,
     }
