@@ -866,12 +866,13 @@ class CloudProvider:
         self, pairs: Union[Sequence[Tuple[str, str]], np.ndarray]
     ) -> np.ndarray:
         """Hop count traceroute reports for each ordered VM pair (names, or
-        an ``(m, 2)`` array of VM positions), the batch routed in one
-        :meth:`Topology.path_links_matrix` call: 1 between two VMs of one
-        host, else the route's hop count as the provider shows it."""
+        an ``(m, 2)`` array of VM positions), the batch's route lengths read
+        off the tree's tables in one :meth:`Topology.narrowest` call (no
+        route is built): 1 between two VMs of one host, else the route's
+        hop count as the provider shows it."""
         hosts = self._vm_hosts()[self._pair_positions(pairs)]
-        hops = self.topology.path_links_matrix(hosts)[1].tolist()
-        visible = self.params.traceroute_visible_hops or {}
-        return np.where(
-            hosts[:, 0] == hosts[:, 1], 1, [visible.get(hop, hop) for hop in hops]
-        ).astype(np.intp)
+        hops = self.topology.narrowest(hosts, hops=True)[1]
+        visible = self.params.traceroute_visible_hops
+        if visible:
+            hops = [visible.get(hop, hop) for hop in hops.tolist()]
+        return np.where(hosts[:, 0] == hosts[:, 1], 1, hops).astype(np.intp)

@@ -80,7 +80,11 @@ Four further mechanisms keep event-loop re-solves cheap at scale:
   :meth:`IncrementalAllocator._build_bind` and
   :meth:`IncrementalAllocator._solve_binding` for why this is the fill's
   answer bit for bit.  Any other edit, and a removal the path refuses, is
-  followed by one full solve, which leaves B again.
+  followed by one full solve, which leaves B again.  A caller that knows a
+  run of completions on the links of B ahead of time (the fluid loop, in
+  lockstep) hands them over as one batch
+  (:meth:`IncrementalAllocator.retire_in_lockstep`), which leaves what the
+  removals and binding solves one completion at a time would.
 """
 
 from __future__ import annotations
@@ -233,6 +237,7 @@ class IncrementalAllocator:
         self._link_index = {link_id: i for i, link_id in enumerate(self._link_ids)}
         self._capacity = [float(cap) for cap in capacities.values()]
         _check_capacities(self._link_ids, self._capacity)
+        self._capacity_array: Optional[np.ndarray] = None  # (see _capacities)
         # The vector fill's link layout and link → position table (see
         # _solve_vector); None until the next vector solve rebuilds it.
         self._layout: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -779,14 +784,19 @@ class IncrementalAllocator:
             return
         if self._bind_fill is not None:
             self._build_bind()
-        slot_list = [flow_slot.pop(flow_id) for flow_id in flow_ids]
+        self._forget([flow_slot.pop(flow_id) for flow_id in flow_ids], booked=True)
+
+    def _forget(self, slot_list: List[int], booked: bool) -> None:
+        """Free the slots ``slot_list``, whose ids have left ``_flow_slot``,
+        in that order (:meth:`remove_flows`' edit); with ``booked``, book
+        the removal on B: its dirty links, ops, credits and pair counts."""
         slots = np.array(slot_list, dtype=np.intp)
         lengths = self._slot_nlinks[slots]
         total = int(lengths.sum())
         if total:
             entries = csr_gather(self._row_start[slots], lengths)
             bound = self._bind
-            if bound:
+            if bound and booked:
                 links_of = bound.link_of[slots]
                 self._dirty_links.update(links_of[lengths > 0].tolist())
                 self._bind_ops += total
@@ -877,11 +887,19 @@ class IncrementalAllocator:
             if cap == self._capacity[index]:
                 continue
             self._capacity[index] = cap
+            self._capacity_array = None
             self._resume = 0
             self._bind = self._bind_fill = None
             self._layout = None
             self._solved = False
             self._solution = None
+
+    def _capacities(self) -> np.ndarray:
+        """The link capacities as one array, kept until a capacity changes
+        (a universe of a few thousand links takes ≈60 µs to convert)."""
+        if self._capacity_array is None:
+            self._capacity_array = np.asarray(self._capacity)
+        return self._capacity_array
 
     def slots_of(self, flow_ids: Sequence[str]) -> np.ndarray:
         """The slots of registered flows (see :meth:`add_flow`)."""
@@ -1077,7 +1095,7 @@ class IncrementalAllocator:
         d, other = link_of[slots], owner[off]
         # Summed once per incidence, the capacities bound the distinct sum
         # from above: when every link passes so, every link is hose-safe.
-        cap = np.asarray(self._capacity)
+        cap = self._capacities()
         limit = (1.0 - _BIND_EPS) * cap
         pair_at, pair_link, pair_count, pair_start = None, None, None, []
         if (np.bincount(other, weights=cap[d], minlength=n_links) > limit).any():
@@ -1106,7 +1124,7 @@ class IncrementalAllocator:
         """A scalar fill's ``remaining`` as ``(links, capacities, remaining)``."""
         links = np.fromiter(remaining, dtype=np.intp, count=len(remaining))
         values = np.fromiter(remaining.values(), dtype=np.float64, count=len(remaining))
-        return links, np.asarray(self._capacity)[links], values
+        return links, self._capacities()[links], values
 
     def _solve_binding(self) -> Optional[np.ndarray]:
         """Re-rate the members of the dirty links of B in closed form;
@@ -1165,6 +1183,246 @@ class IncrementalAllocator:
         for members, new in zip(parts, rates):
             slot_rate[members] = new
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
+
+    def binds(self) -> bool:
+        """Whether B holds while the rates are solved: each routed flow on
+        exactly one link of B, and only removals since the last full solve.
+        B is built here if that solve left it unbuilt, as the next removal
+        would build it."""
+        if not self._solved:
+            return False
+        if self._bind_fill is not None:
+            self._build_bind()
+        return bool(self._bind)
+
+    def binding_links(self, slots: np.ndarray) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """While :meth:`binds`: each of ``slots``' link of B and that
+        link's capacity, or None if one of them crosses no link."""
+        links = self._bind.link_of[slots]
+        if not links.shape[0] or links.min() < 0:
+            return None
+        return links, self._capacities()[links]
+
+    def retire_in_lockstep(self, counts: np.ndarray, slots: np.ndarray, final: bool) -> int:
+        """Remove a run of completions on the links of B as one batch, each
+        followed by the solve that re-rates the survivors of its links;
+        returns how many completions it took: all, or those before the
+        first whose solve :meth:`_solve_binding` would refuse.
+
+        Completion ``e``, in time order, retires the next ``counts[e]`` of
+        ``slots``, in the order :meth:`remove_flows` would take them:
+        members of one link of B, or of several that complete at one
+        instant.  The binding solve after it gives each such link's ``n``
+        survivors ``C / n``, the links in the order ``_dirty_links`` would
+        give them; after the last, when ``final``, no solve follows (it
+        leaves no flow).  Call it while :meth:`binds`.  What it leaves is
+        what those removals and solves, one completion at a time, would
+        leave: the free list, ``_resume``, the survivors' rates,
+        ``_bind_ops``, the pair counts, the solver counters and each kept
+        link's headroom, its credits and debits summed in the order those
+        calls make them (:meth:`_book_kept`).  The batch leaves the store's
+        segments in another order than one-by-one removals would (see
+        :meth:`remove_flows`).
+        """
+        bound = self._bind
+        n_events = counts.shape[0]
+        first = np.cumsum(counts) - counts
+        event_of = np.arange(n_events).repeat(counts)
+        link_of = bound.link_of[slots]
+        # Each completion's links, one *part* per link: in the order a set
+        # built from the removals iterates them, as ``_dirty_links`` does
+        # after each solve's clear().
+        parts = np.ones(n_events, dtype=np.intp)
+        part_link = link_of[first]
+        part_of = np.arange(n_events)[event_of]
+        several = np.zeros(n_events, dtype=bool)
+        same_event = event_of[1:] == event_of[:-1]
+        several[event_of[1:][(link_of[1:] != link_of[:-1]) & same_event]] = True
+        if several.any():
+            orders = {
+                e: list(set(link_of[first[e] : first[e] + counts[e]].tolist()))
+                for e in np.flatnonzero(several).tolist()
+            }
+            parts[list(orders)] = [len(order) for order in orders.values()]
+            start = np.cumsum(parts) - parts
+            part_link = link_of[first].repeat(parts)
+            part_of = start[event_of]
+            for e, order in orders.items():
+                part_link[start[e] : start[e] + parts[e]] = order
+                at = {link: i for i, link in enumerate(order)}
+                part_of[first[e] : first[e] + counts[e]] += [
+                    at[link] for link in link_of[first[e] : first[e] + counts[e]].tolist()
+                ]
+        part_event = np.arange(n_events).repeat(parts)
+        n_parts = part_link.shape[0]
+        # Each part's survivors, and its link's rate before and after.
+        gone = np.bincount(part_of, minlength=n_parts)
+        by_link = np.argsort(part_link, kind="stable")
+        grouped = part_link[by_link]
+        head = np.ones(n_parts, dtype=bool)
+        head[1:] = grouped[1:] != grouped[:-1]
+        heads = np.flatnonzero(head)
+        run = np.cumsum(gone[by_link])
+        before = (run - gone[by_link])[heads]
+        n_after = np.empty(n_parts, dtype=np.int64)
+        n_after[by_link] = self._link_count[grouped] - (run - before[np.cumsum(head) - 1])
+        new = np.zeros(n_parts)
+        np.divide(self._capacities()[part_link], n_after, out=new, where=n_after > 0)
+        old = np.empty(n_parts)
+        old[by_link[1:]] = new[by_link[:-1]]
+        old[by_link[heads]] = self._slot_rate[self._store[self._seg_start[grouped[heads]]]]
+        solved = np.ones(n_events, dtype=bool)
+        solved[-1] = not final
+        served = solved[part_event] & (n_after > 0)
+        if bound.pair_start:
+            pair_start = np.asarray(bound.pair_start, dtype=np.intp)
+            debits = np.where(served, pair_start[part_link + 1] - pair_start[part_link], 0)
+        else:
+            debits = np.zeros(n_parts, dtype=np.intp)
+        # The budget, after each completion's removals and debits.
+        lengths = self._slot_nlinks[slots]
+        removed = np.add.reduceat(lengths, first)
+        debited = np.bincount(part_event, weights=debits).astype(np.intp)
+        bind_ops = self._bind_ops + np.cumsum(removed + debited)
+        refused = solved & (bind_ops > _BIND_EPS * 2.0**51)
+        j = int(refused.argmax()) if refused.any() else n_events
+        if bound.pair_at is not None and j:
+            j = self._book_kept(
+                j, slots[: first[j - 1] + counts[j - 1]], event_of, part_of,
+                part_event, part_link, served, old, new - old,
+            )
+        if not j:
+            return 0
+        self._bind_ops = int(bind_ops[j - 1])
+        done = slots[: first[j - 1] + counts[j - 1]].tolist()
+        for slot in done:
+            del self._flow_slot[self._slot_name[slot]]
+        self._forget(done, booked=False)
+        # Each re-rated link's survivors keep its last taken solve's rate.
+        last = {}
+        for part in np.flatnonzero(served & (part_event < j)).tolist():
+            last[int(part_link[part])] = part
+        for link, part in last.items():
+            self._slot_rate[np.frombuffer(self._link_members(link), dtype=np.intp)] = new[part]
+        self._binding_solves.inc(int(solved[:j].sum()))
+        self._solved = bool(solved[j - 1])
+        if not self._solved:
+            self._dirty_links.update(link_of[first[j - 1] :].tolist())
+        return j
+
+    def _book_kept(
+        self, n_events, slots, event_of, part_of, part_event, part_link, served, old, delta
+    ) -> int:
+        """:meth:`retire_in_lockstep`'s kept links, for its first
+        ``n_events`` completions: how many come before the first whose
+        debits leave a kept link without headroom; the credits and debits
+        of those are booked.
+
+        A kept link's headroom is positive while the path serves — a debit
+        that leaves it at or below zero is refused, and a credit raises it
+        — and adding 0.0 to a positive number is exact.  So every
+        operation fits one dense table, a column per kept link and, per
+        completion, a row per credit to one link (a completion may retire
+        several members) and then a debit row per part, ``-(δ m)`` per
+        pair and 0.0 elsewhere; ``add.accumulate`` down the columns then
+        sums each kept link's credits and debits in the order
+        :meth:`remove_flows` and :meth:`_solve_binding` make them, and a
+        debit row at or below zero is the refusal.  ``m`` is the pair's
+        count less its credits so far, per link of B a cumulative sum over
+        its own parts.  The table is filled a block of completions at a
+        time, no bigger than the membership store.
+        """
+        bound = self._bind
+        n_links = len(self._capacity)
+        n_parts = int(np.searchsorted(part_event, n_events))
+        part_link, served = part_link[:n_parts], served[:n_parts]
+        pair_start = np.asarray(bound.pair_start, dtype=np.intp)
+        n_pairs = np.diff(pair_start)
+        # The links of B here, and the kept links their pairs reach.
+        on_b = np.zeros(n_links, dtype=bool)
+        on_b[part_link] = True
+        ds = np.flatnonzero(on_b)
+        d_index = np.zeros(n_links, dtype=np.intp)
+        d_index[ds] = np.arange(ds.shape[0])
+        pairs = csr_gather(pair_start[ds], n_pairs[ds])
+        kept = np.zeros(n_links, dtype=bool)
+        kept[bound.pair_link[pairs]] = True
+        kept_links = np.flatnonzero(kept)
+        n_kept = kept_links.shape[0]
+        if not n_kept:
+            return n_events
+        col = np.zeros(n_links, dtype=np.intp)
+        col[kept_links] = np.arange(n_kept)
+        members = np.zeros((ds.shape[0], n_kept), dtype=np.int64)
+        members[np.arange(ds.shape[0]).repeat(n_pairs[ds]), col[bound.pair_link[pairs]]] = (
+            bound.pair_count[pairs]
+        )
+        # The credits, each with its rank among its completion's credits
+        # to the same link.
+        lengths = self._slot_nlinks[slots]
+        entries = csr_gather(self._row_start[slots], lengths)
+        pair = bound.pair_at[entries]
+        hit = pair >= 0
+        owner = np.arange(slots.shape[0]).repeat(lengths)[hit]
+        c_event, c_part = event_of[owner], part_of[owner]
+        c_col, c_pair = col[self._row_data[entries[hit]]], pair[hit]
+        key = c_event * n_kept + c_col
+        order = np.argsort(key, kind="stable")
+        heads = np.flatnonzero(np.append(True, key[order][1:] != key[order][:-1]))
+        rank = np.empty(order.shape[0], dtype=np.intp)
+        rank[order] = np.arange(order.shape[0])
+        rank[order] -= heads.repeat(np.diff(np.append(heads, key.shape[0])))
+        # Rows: per completion its credit ranks, then one debit row a part.
+        ranks = np.zeros(n_events, dtype=np.intp)
+        np.maximum.at(ranks, c_event, rank + 1)
+        rows = ranks + np.bincount(part_event[:n_parts], minlength=n_events)
+        row_at = np.cumsum(rows) - rows
+        part_row = row_at[part_event[:n_parts]] + ranks[part_event[:n_parts]] + (
+            np.arange(n_parts) - (np.cumsum(rows - ranks) - (rows - ranks))[part_event[:n_parts]]
+        )
+        block = max(1, self._store.shape[0] // n_kept)
+        cuts = np.searchsorted(np.cumsum(rows), np.arange(block, int(rows.sum()), block), "right")
+        headroom = bound.headroom[kept_links]
+        credited = np.zeros((ds.shape[0], n_kept), dtype=np.int64)
+        j = n_events
+        for a, b in zip(np.append(0, cuts).tolist(), np.append(cuts, n_events).tolist()):
+            if a >= b:
+                continue
+            base = row_at[a]
+            table = np.zeros((1 + int(row_at[b - 1] + rows[b - 1] - base), n_kept))
+            table[0] = headroom
+            lo, hi = np.searchsorted(c_event, (a, b))
+            credit_row = 1 + row_at[c_event[lo:hi]] - base + rank[lo:hi]
+            table[credit_row, c_col[lo:hi]] = old[c_part[lo:hi]]
+            # Each pair's credits so far, per link of B over its own parts.
+            pa, pb = np.searchsorted(part_event, (a, b))
+            count = np.zeros((pb - pa, n_kept), dtype=np.int64)
+            np.add.at(count, (c_part[lo:hi] - pa, c_col[lo:hi]), 1)
+            d = d_index[part_link[pa:pb]]
+            by = np.argsort(d, kind="stable")
+            run, d = count[by], d[by]
+            heads = np.flatnonzero(np.append(True, d[1:] != d[:-1]))
+            sizes = np.diff(np.append(heads, pb - pa))
+            np.cumsum(run, axis=0, out=run)
+            start = np.zeros((heads.shape[0], n_kept), dtype=np.int64)
+            start[1:] = run[heads[1:] - 1]
+            run += (credited[d[heads]] - start).repeat(sizes, axis=0)
+            credited[d[heads]] = run[heads + sizes - 1]
+            count[by] = run
+            debit = -(delta[pa:pb, None] * (members[d_index[part_link[pa:pb]]] - count))
+            debit[~served[pa:pb]] = 0.0
+            at = 1 + part_row[pa:pb] - base
+            table[at] = debit
+            np.add.accumulate(table, axis=0, out=table)
+            low = served[pa:pb] & (table[at] <= 0.0).any(axis=1)
+            if low.any():
+                j = int(part_event[pa + int(low.argmax())])
+                headroom = table[row_at[j] - base]
+                break
+            headroom = table[-1]
+        bound.headroom[kept_links] = headroom
+        np.subtract.at(bound.pair_count, c_pair[c_event < j], 1)
+        return j
 
     def _solve_scalar(self) -> Dict[int, float]:
         """Heap-based progressive filling over interned int slots; returns
@@ -1340,7 +1598,7 @@ class IncrementalAllocator:
         if self._layout is None:
             used = np.flatnonzero(self._link_count)
             pos[used] = np.arange(used.shape[0])
-            self._layout = used, np.asarray(self._capacity)[used]
+            self._layout = used, self._capacities()[used]
         used, capacity = self._layout
         n_used = used.shape[0]
         # (Counts are float64 — exact far beyond any flow count — so the

@@ -33,7 +33,10 @@ are down to ``_BYTE_EPS`` bytes (:func:`_finish`).  Bytes are computed only
 where a segment closes — the flow's rate changes, or the run stops — and a
 flow retires, with no bytes left, at the event its finish comes by.  So an
 event costs what changed: the solve, the flows whose rate it moved, and
-one ``min`` and one comparison over the finishes.  Each closed segment is
+one ``min`` and one comparison over the finishes — and while the links
+that bind set every rate, the vector loop runs them through their
+completions in lockstep (see :meth:`FluidSimulation._run_vector`).  Each
+closed segment is
 logged as a ``(flow, start, end, rate)`` row, and
 :attr:`FluidResult.timelines` is a read-only mapping over that log, reduced
 when a timeline is first read, that builds a flow's :class:`RateTimeline`
@@ -281,6 +284,186 @@ def _finish(now: float, bits: float, rate: float) -> float:
     loop computes the same, in the same order."""
     over = bits - _BIT_EPS
     return now + (over if over > 0.0 else 0.0) / rate if rate > 0 else math.inf
+
+
+class _SegmentLog:
+    """The vector loop's segment log: four columns (flow, start, end, rate)
+    grown by a quarter, one column at a time (the old one goes before the
+    next grows), of which the first ``n`` rows are written; a batch of
+    closed segments is one slice write per column."""
+
+    def __init__(self) -> None:
+        self.columns = [np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0), np.zeros(0)]
+        self.n = 0
+
+    def reserve(self, rows: int) -> None:
+        """Room for ``rows`` rows in all (for a caller that knows how many
+        will come: one growth, not one per quarter)."""
+        columns = self.columns
+        if rows > columns[0].shape[0]:
+            for i in range(len(columns)):
+                columns[i] = _grow(columns[i], rows)
+
+    def append(self, flow, start, end, rate) -> None:
+        columns = self.columns
+        new = slice(self.n, self.n + flow.shape[0])
+        if new.stop > columns[0].shape[0]:
+            self.reserve(max(16, columns[0].shape[0] * 5 // 4, new.stop))
+        for column, values in zip(columns, (flow, start, end, rate)):
+            column[new] = values
+        self.n = new.stop
+
+    def written(self) -> List[np.ndarray]:
+        """The written rows, each column copied out in turn, so that the
+        result holds no growth slack and the copy costs one column."""
+        columns = self.columns
+        for i in range(len(columns)):
+            columns[i] = columns[i][: self.n].copy()
+        return columns
+
+
+def _events(times: np.ndarray, links: np.ndarray, stop: np.ndarray) -> Tuple[int, np.ndarray]:
+    """Which completions, in time order, the event loop would take as the
+    lockstep does: ``times`` ascending, each completion's link, and
+    whether its link stopped before it (a hazard of its own).
+
+    The loop dates the soonest finish and retires every member due within
+    ``_TIME_EPS`` of it: a run of completions within ``_TIME_EPS`` of each
+    other is one event.  When their times are equal and their links
+    distinct, each link's own step is that event's, to the bit — same
+    instant, same members due — and the run is taken as one event.  Any
+    other run (times that differ, a link twice, a stopped link) is a
+    hazard.  Returns how many completions come before the first hazard,
+    and the event of each of them (0, 1, ...).
+    """
+    apart = np.append(True, times[1:] > times[:-1] + _TIME_EPS)
+    event = np.cumsum(apart) - 1
+    bad = stop.copy()
+    bad[1:] |= ~apart[1:] & (times[1:] != times[:-1])
+    if not apart.all():
+        # (A link twice in one run: the loop retires both at the first.)
+        by = np.lexsort((links, event))
+        bad[by[1:]] |= (event[by][1:] == event[by][:-1]) & (links[by][1:] == links[by][:-1])
+    hazard = np.flatnonzero(bad)
+    if not hazard.shape[0]:
+        return times.shape[0], event
+    first = np.flatnonzero(event == event[hazard[0]])[0]
+    return int(first), event[:first]
+
+
+def _lockstep(
+    flow, bits0, opened, rate, finish, sizes, capacity, log: _SegmentLog,
+    arrival: Optional[float] = None, until: Optional[float] = None,
+    limits: Optional[np.ndarray] = None,
+):
+    """Advance every link of B through its completions at once.
+
+    Members are laid out link by link (``sizes[g]`` of link ``g``, of
+    capacity ``capacity[g]``), each with its open segment — ``bits0``,
+    ``opened``, ``rate``, ``finish``, updated in place — and ``flow``, its
+    row of the segment log.  While B holds, a link's members share
+    ``C / n``, so each link is its own processor-sharing queue
+    (Bertsekas & Gallager, *Data Networks*, §6.5) and its completions
+    depend on its own members alone.  Step ``k`` is every link's ``k``-th
+    completion: the link's soonest finish, at which the members due within
+    ``_TIME_EPS`` retire and the others close their segments, are re-rated
+    at ``C / n`` and reopen — the event loop's expressions, in its order.
+    Rows go to ``log`` as they close.
+
+    A link stops before a completion at which the event loop would do
+    otherwise: an ``arrival`` would start by then, ``until`` would be
+    reached, or another completion would fall within ``_TIME_EPS`` of it
+    but not at its instant (:func:`_events`) — or, with ``limits``, once
+    it took its ``limits[g]`` completions.  Hazards are looked for at
+    steps 1, 2, 4, ... among the completions so far, and no link steps
+    past the first found, so one found early stops the stepping near it.
+
+    Returns, per completion in step order, its time, link, members
+    retired, survivors and re-rated survivors; the retired members, link
+    by link in step order; the times of the completions the links stopped
+    before; and the steps taken.
+    """
+    member = np.arange(bits0.shape[0])
+    group = np.arange(sizes.shape[0])
+    size = sizes.copy()
+    steps, gone_parts, stops = [], [], []
+    horizon = math.inf  # the first hazard found so far
+    step = 0
+    while group.shape[0]:
+        first = np.cumsum(size) - size
+        soonest = np.minimum.reduceat(finish[member], first)
+        stop = soonest == math.inf
+        if limits is not None:
+            stop |= limits[group] <= step
+        else:
+            if arrival is not None:
+                stop |= arrival <= soonest + _TIME_EPS
+            if until is not None:
+                stop |= soonest >= until - _TIME_EPS
+            stop |= soonest >= horizon
+        if stop.any():
+            stops.append(soonest[stop & (soonest != math.inf)])
+            keep = ~stop
+            member = member[keep.repeat(size)]
+            group, size, soonest = group[keep], size[keep], soonest[keep]
+            if not group.shape[0]:
+                break
+            first = np.cumsum(size) - size
+        now = soonest.repeat(size)
+        due = finish[member] <= (soonest + _TIME_EPS).repeat(size)
+        gone = member[due]
+        log.append(flow[gone], opened[gone], now[due], rate[gone])
+        n_gone = np.add.reduceat(due, first, dtype=np.intp)
+        left_n = size - n_gone
+        stay = ~due
+        member, now = member[stay], now[stay]
+        new = np.zeros(left_n.shape[0])
+        np.divide(capacity[group], left_n, out=new, where=left_n > 0)
+        new = new.repeat(left_n)
+        old = rate[member]
+        moved = new != old
+        n_moved = left_n
+        at = member
+        if not moved.all():
+            n_moved = np.bincount(
+                np.arange(left_n.shape[0]).repeat(left_n)[moved], minlength=left_n.shape[0]
+            )
+            at, now, new, old = at[moved], now[moved], new[moved], old[moved]
+        start = opened[at]
+        log.append(flow[at], start, now, old)
+        left = bits0[at] - (now - start) * old
+        np.maximum(left, 0.0, out=left)
+        over = np.subtract(left, _BIT_EPS)
+        np.maximum(over, 0.0, out=over)
+        np.divide(over, new, out=over)
+        bits0[at] = left
+        opened[at] = now
+        rate[at] = new
+        finish[at] = np.add(over, now, out=over)
+        steps.append((soonest, group, n_gone, left_n, n_moved))
+        gone_parts.append(gone)
+        keep = left_n > 0
+        group, size = group[keep], left_n[keep]
+        step += 1
+        if limits is None and not step & (step - 1):
+            times = np.concatenate([s[0] for s in steps] + stops)
+            links = np.concatenate([s[1] for s in steps] + [np.full(len(x), -1) for x in stops])
+            order = np.argsort(times, kind="stable")
+            stopped = order >= times.shape[0] - sum(map(len, stops))
+            at, _ = _events(times[order], links[order], stopped)
+            if at < times.shape[0]:
+                horizon = min(horizon, float(times[order[at]]))
+    columns = [
+        np.concatenate([s[i] for s in steps]) if steps else np.zeros(0, dtype=np.intp)
+        for i in range(5)
+    ]
+    columns[0] = columns[0].astype(np.float64)
+    return (
+        columns,
+        np.concatenate(gone_parts) if gone_parts else np.zeros(0, dtype=np.intp),
+        np.concatenate(stops) if stops else np.zeros(0),
+        step,
+    )
 
 
 def _check_capacities(capacities: Mapping[str, float]) -> None:
@@ -743,6 +926,7 @@ class FluidSimulation:
         span.set(
             batches=batches, log_rows=len(log),
             rates_checked=checked, rates_changed=changed, compactions=0,
+            lockstep_steps=0,
         )
         self._pause(
             end_time,
@@ -803,6 +987,23 @@ class FluidSimulation:
         its first segment at the instant it was placed, so its bits left
         then, ``bits0 - 0.0 * -1.0``, are ``bits0`` to the bit: the rule
         needs no case for it, only the log does.
+
+        **The links that bind, in lockstep.**  After a solve, while the
+        allocator's B holds (:meth:`~repro.net.alloc.IncrementalAllocator.binds`),
+        a link of B changes its members' rates only at its own
+        completions, so the loop runs every link of B through its
+        completions at once (:func:`_lockstep`) and hands the allocator
+        the retirements, in (time, position) order, as one batch
+        (:meth:`~repro.net.alloc.IncrementalAllocator.retire_in_lockstep`),
+        which re-rates each link after each completion as the binding
+        solve would.  It takes the completions before the first hazard —
+        an arrival or ``until`` by then, two completions within
+        ``_TIME_EPS`` but not at one instant, a solve the binding path
+        would refuse — with the same expressions, logs, counts and order
+        as this loop (completions of several links at one instant are one
+        event, as here), and leaves that completion to the loop; the loop
+        tries again after each solve.  There is nothing to choose: the lockstep runs whenever B
+        holds, and the per-event path is what it hands back.
         """
         flows = list(self._flows.values())
         flow_ids = list(self._flows)
@@ -861,39 +1062,126 @@ class FluidSimulation:
         pending_start = start[pending]
         n_pending = pending.shape[0]
         pending_idx = 0
-        # The segment log: four columns (flow, start, end, rate) grown by a
-        # quarter, one column at a time (the old one goes before the next
-        # grows), of which the first ``n_logged`` rows are written.
-        log = [np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros(0), np.zeros(0)]
-        n_logged = 0
+        log = _SegmentLog()
 
         def close(at: np.ndarray, opened: np.ndarray, at_rate: np.ndarray) -> None:
             """Log the segments open at positions ``at`` — since ``opened``,
             at ``at_rate`` — as ending now (a position given no rate yet
             has none)."""
-            nonlocal n_logged
             if unopened:
                 some = at_rate != -1.0
                 at, opened, at_rate = at[some], opened[some], at_rate[some]
-            new = slice(n_logged, n_logged + at.shape[0])
-            if new.stop > log[0].shape[0]:
-                size = max(16, log[0].shape[0] * 5 // 4, new.stop)
-                for i in range(len(log)):
-                    log[i] = _grow(log[i], size)
-            log_flow, log_start, log_end, log_rate = log
-            log_flow[new] = flow_at[at]
-            log_start[new] = opened
-            log_end[new] = now
-            log_rate[new] = at_rate
-            n_logged = new.stop
+            log.append(flow_at[at], opened, now, at_rate)
 
         def bits_left(at: np.ndarray, opened: np.ndarray, at_rate: np.ndarray) -> np.ndarray:
             """The bits left now at positions ``at``, by the rule."""
             left = bits0[at] - (now - opened) * at_rate
             return np.maximum(left, 0.0, out=left)
 
+        def compact() -> None:
+            """Drop the tombstones, in order, once they outnumber live flows."""
+            nonlocal n_pos, compactions
+            if n_pos - n_live > n_live:
+                keep = np.flatnonzero(bits0[:n_pos] != inf)
+                n_pos = keep.shape[0]
+                for column in (bits0, seg_start, rate, finish, flow_at, slot_at):
+                    column[:n_pos] = column[keep]
+                pos_of[slot_at[:n_pos]] = np.arange(n_pos)
+                compactions += 1
+
+        def taken(steps, gone, stops, members):
+            """Of a lockstep's completions, those before the first hazard
+            in time order (:func:`_events`), each one's event, the members
+            they retire — event by event, by position, as this loop
+            retires them — and how many each event retires."""
+            times = np.concatenate((steps[0], stops))
+            links = np.concatenate((steps[1], np.full(stops.shape[0], -1)))
+            order = np.argsort(times, kind="stable")
+            n_taken, event = _events(times[order], links[order], order >= steps[0].shape[0])
+            subs = order[:n_taken]
+            n_gone = steps[2][subs]
+            retired = gone[csr_gather((np.cumsum(steps[2]) - steps[2])[subs], n_gone)]
+            per_event = np.bincount(event, weights=n_gone).astype(np.intp)
+            if per_event.shape[0] < n_taken:  # (links completing at one instant)
+                retired = retired[np.lexsort((members[retired], event.repeat(n_gone)))]
+            return subs, event, retired, per_event
+
+        def lockstep(soonest: float) -> bool:
+            """Take, in lockstep (:func:`_lockstep`), the completions before
+            the first this loop must take itself, with the solve after each
+            (the next finish is ``soonest``); whether it took any."""
+            nonlocal now, end_time, batches, checked, changed, n_live, lockstep_steps
+            arrival = pending_start[pending_idx] if pending_idx < n_pending else None
+            if soonest == inf or (arrival is not None and arrival <= soonest + _TIME_EPS) or (
+                until is not None and soonest >= until - _TIME_EPS
+            ) or not incremental.binds():
+                return False
+            # A finish near the first but not at it may be a hazard there
+            # (:func:`_events`): that completion is this loop's, at once.
+            near = finish[:n_pos][finish[:n_pos] <= soonest + _TIME_EPS]
+            if (near != soonest).any():
+                return False
+            live = np.flatnonzero(bits0[:n_pos] != inf)
+            plan = incremental.binding_links(slot_at[live])
+            if plan is None:
+                return False
+            # The live positions link by link, ascending within each link.
+            links, capacity = plan
+            by_link = np.argsort(links, kind="stable")
+            members, links = live[by_link], links[by_link]
+            heads = np.flatnonzero(np.append(True, links[1:] != links[:-1]))
+            sizes = np.diff(np.append(heads, links.shape[0]))
+            columns = [column[members] for column in (flow_at, bits0, seg_start, rate, finish)]
+            mark = log.n
+            # A link of n members logs at most n(n + 1) / 2 rows: one per
+            # member retired, one per survivor re-rated.
+            log.reserve(mark + int((sizes * (sizes + 1) // 2).sum()))
+            capacity = capacity[by_link][heads]
+            steps, gone, stops, n_steps = _lockstep(*columns, sizes, capacity, log, arrival, until)
+            lockstep_steps += n_steps
+            subs, event, retired, per_event = taken(steps, gone, stops, members)
+            final = arrival is None and int(per_event.sum()) == n_live
+            n_events = per_event.shape[0]
+            events = incremental.retire_in_lockstep(
+                per_event, slot_at[members[retired]], final
+            ) if n_events else 0
+            if not events:
+                log.n = mark
+                return False
+            kept = int(np.searchsorted(event, events))  # completions of the events taken
+            if kept < steps[0].shape[0]:
+                # Step again, from the start, just to the completions of the
+                # events taken.
+                log.n = mark
+                columns = [column[members] for column in (flow_at, bits0, seg_start, rate, finish)]
+                limits = np.bincount(steps[1][subs[:kept]], minlength=sizes.shape[0])
+                steps, gone, stops, n_steps = _lockstep(
+                    *columns, sizes, capacity, log, limits=limits
+                )
+                lockstep_steps += n_steps
+                subs, event, retired, per_event = taken(steps, gone, stops, members)
+            for column, values in zip((bits0, seg_start, rate, finish), columns[1:]):
+                column[members] = values
+            done = members[retired]
+            bits0[done] = inf
+            finish[done] = inf
+            which = flow_at[done]
+            names = [flow_ids[i] for i in which.tolist()]
+            time = steps[0][subs][np.flatnonzero(np.append(True, event[1:] != event[:-1]))]
+            completion.update(zip(names, time.repeat(per_event).tolist()))
+            state[which] = _COMPLETED
+            n_live -= done.shape[0]
+            now = end_time = float(time[-1])
+            # One batch per event, as the per-event path counts them; the
+            # last, when it leaves nothing, ends the run before its own.
+            batches += events - (final and events == n_events)
+            checked += int(steps[3][subs].sum())
+            changed += int(steps[4][subs].sum())
+            compact()
+            return True
+
         end_time = now
-        batches = checked = changed = compactions = 0
+        batches = checked = changed = compactions = lockstep_steps = 0
 
         while True:
             # Activate the flows whose start time has arrived, as one batch.
@@ -955,10 +1243,16 @@ class FluidSimulation:
                 rate[at] = new_rate
                 finish[at] = np.add(over, now, out=over)
             unopened = False
+            soonest = np.minimum.reduce(finish[:n_pos]) if n_live else inf
+            # While B holds, every link of it runs through its completions
+            # at once, up to the first that this loop must take itself.
+            if n_live and lockstep(soonest):
+                if not n_live and pending_idx >= n_pending:
+                    continue  # (the run ends, before a solve of its own)
+                soonest = np.minimum.reduce(finish[:n_pos]) if n_live else inf
 
             # The next event: the next start or the soonest finish.
             next_time = pending_start[pending_idx] if pending_idx < n_pending else inf
-            soonest = np.minimum.reduce(finish[:n_pos]) if n_live else inf
             if soonest < next_time:
                 next_time = soonest
             if until is not None and until < next_time:
@@ -986,13 +1280,7 @@ class FluidSimulation:
                 bits0[done] = inf
                 finish[done] = inf
                 n_live -= done.shape[0]
-                if n_pos - n_live > n_live:
-                    keep = np.flatnonzero(bits0[:n_pos] != inf)
-                    n_pos = keep.shape[0]
-                    for column in (bits0, seg_start, rate, finish, flow_at, slot_at):
-                        column[:n_pos] = column[keep]
-                    pos_of[slot_at[:n_pos]] = np.arange(n_pos)
-                    compactions += 1
+                compact()
 
             if until is not None and now >= until - _TIME_EPS:
                 end_time = until
@@ -1018,17 +1306,15 @@ class FluidSimulation:
         # Flows still active when the run stops are reported stopped;
         # pending ones keep their state.
         state[state == _ACTIVE] = _STOPPED
-        # The log's written rows, each column copied out in turn, so that
-        # the table holds no growth slack and the copy costs one column.
-        for i in range(len(log)):
-            log[i] = log[i][:n_logged].copy()
+        n_logged = log.n
         span.set(
             batches=batches, log_rows=n_logged,
             rates_checked=checked, rates_changed=changed, compactions=compactions,
+            lockstep_steps=lockstep_steps,
         )
         return FluidResult(
             completion_times=completion,
-            timelines=_TimelineTable(flow_ids, *log),
+            timelines=_TimelineTable(flow_ids, *log.written()),
             remaining_bytes=dict(zip(flow_ids, rem_out.tolist())),
             end_time=end_time,
             states=dict(zip(flow_ids, map(_STATES.__getitem__, state.tolist()))),

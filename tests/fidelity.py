@@ -59,6 +59,31 @@ class Row(NamedTuple):
     magnitude: str = NO_RANGE
 
 
+# --------------------------------------------------------------------- §3.2
+def cross_traffic_row() -> Row:
+    """Whether estimating ``c`` changes greedy's placements: a recorded
+    row.  The estimate left ``src/`` because of these numbers (the
+    ``cross-traffic`` entry of docs/experiments.md, seeds as there), so no
+    seeded run here can measure them again."""
+    return Row(
+        claim="§3.2: a path carrying c background connections gives a new one "
+        "R ≈ C / (c + 1), so k more connections out of one source get "
+        "R·(c + 1)/(c + 1 + k) each, not R / (1 + k), and the placer should "
+        "rate paths by it",
+        paper="the rate model counts each path's background connections `c`",
+        ours="`c` does not change greedy's placements: with `c = max(A, R) / R − 1` "
+        "estimated per pair (`A` the advertised egress), greedy's per-application "
+        "durations were `==` to those without it in every trial of every registered "
+        "scenario at its defaults (14 scenarios), and in 28 of 30 trials of a cramped "
+        "`cross-traffic` (`n_vms=4`, `n_cross_flows=8`), the other 2 better with `c` "
+        "(mean completion 5.448 → 5.395 s, −0.97 %).  Recorded, not re-run: the "
+        "estimate left `src/` for these numbers (docs/experiments.md, `cross-traffic`)",
+        seeds="trials 0–19 of base seed 0 (0–9 for `service-churn` and `fault-churn`), "
+        "paired; trials 0–29 for the cramped `cross-traffic`",
+        verdict=FAILS,
+    )
+
+
 # ------------------------------------------------------------- §3.3 / §4.3
 BOTTLENECK_SEEDS = range(10)
 BOTTLENECK_VMS = 10
@@ -730,7 +755,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     before = verdicts(out.read_text()) if out.exists() else {}
     sessions = service_sessions()
     text = render([
-        migration_row(sessions), measurement_row(sessions), bottleneck_row(),
+        migration_row(sessions), measurement_row(sessions), cross_traffic_row(),
+        bottleneck_row(),
         interference_row(),
         calibration_row(), exact_row(), predictability_row(), single_app_row(),
         sequence_row(),

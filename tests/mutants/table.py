@@ -58,6 +58,8 @@ ONE_PASS = "tests/test_choreo_e2e.py::test_the_one_pass_profile_is_the_record_by
 BINDING = "tests/test_alloc_binding.py::"
 LAYOUT = "tests/test_topology.py::test_the_tree_is_the_hand_built_copy_link_for_link"
 TABLE_READ = "tests/test_route_table.py::test_the_table_read_is_the_routed_minimum"
+LOCKSTEP = "tests/test_lockstep.py::"
+WORK = "tests/test_work_counts.py::"
 GREEDY_RUNS = (
     "tests/test_admission_arrays.py::TestGreedyAgainstScalarAlgorithm1::"
     "test_runs_of_placed_transfers_count_only_their_crossing_connections"
@@ -281,15 +283,15 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "the vector loop logs each rate x 1.01",
         FLUID,
-        "            log_rate[new] = at_rate\n",
-        "            log_rate[new] = at_rate * 1.01\n",
+        "            log.append(flow_at[at], opened, now, at_rate)\n",
+        "            log.append(flow_at[at], opened, now, at_rate * 1.01)\n",
         (TRUTH,),
     ),
     Mutant(
         "the vector loop logs each segment's end 1 ms late",
         FLUID,
-        "            log_end[new] = now\n",
-        "            log_end[new] = now + 1e-3\n",
+        "            log.append(flow_at[at], opened, now, at_rate)\n",
+        "            log.append(flow_at[at], opened, now + 1e-3, at_rate)\n",
         (TRUTH,),
     ),
     # ------------------------------------------------- the lazy rule
@@ -653,6 +655,68 @@ MUTANTS: Tuple[Mutant, ...] = (
             "test_a_collected_allocators_counts_stay_and_allocators_add_no_entry",
             "tests/test_obs.py::test_metrics_snapshot_matches_legacy_stats_views",
         ),
+    ),
+    # ------------------------------------------------ the links in lockstep
+    Mutant(
+        "the lockstep re-rates a link's survivors at C / (n + 1)",
+        FLUID,
+        "        np.divide(capacity[group], left_n, out=new, where=left_n > 0)\n",
+        "        np.divide(capacity[group], left_n + 1, out=new, where=left_n > 0)\n",
+        (
+            LOCKSTEP + "test_until_mid_lockstep_then_resume",
+            WORK + "test_the_lockstep_takes_a_step_per_member_of_a_link",
+        ),
+    ),
+    Mutant(
+        "the allocator leaves the lockstep's survivors at C / (n + 1)",
+        ALLOC,
+        "        np.divide(self._capacities()[part_link], n_after, out=new, where=n_after > 0)\n",
+        "        np.divide(self._capacities()[part_link], n_after + 1, out=new,"
+        " where=n_after > 0)\n",
+        (LOCKSTEP + "test_until_mid_lockstep_then_resume",),
+    ),
+    Mutant(
+        "two links' completions within _TIME_EPS but not at one instant are no hazard",
+        FLUID,
+        "    bad[1:] |= ~apart[1:] & (times[1:] != times[:-1])\n",
+        "    bad[1:] |= False\n",
+        (LOCKSTEP + "test_two_links_completing_within_the_time_eps_are_one_event",),
+    ),
+    Mutant(
+        "links completing at one instant are solved in index order, not the dirty set's",
+        ALLOC,
+        "                e: list(set(link_of[first[e] : first[e] + counts[e]].tolist()))\n",
+        "                e: sorted(set(link_of[first[e] : first[e] + counts[e]].tolist()))\n",
+        (LOCKSTEP + "test_links_completing_at_one_instant_are_one_event_in_lockstep",),
+    ),
+    Mutant(
+        "links completing at one instant are a hazard",
+        FLUID,
+        "    bad[1:] |= ~apart[1:] & (times[1:] != times[:-1])\n",
+        "    bad[1:] |= ~apart[1:]\n",
+        (LOCKSTEP + "test_links_completing_at_one_instant_are_one_event_in_lockstep",),
+    ),
+    Mutant(
+        "the lockstep skips every kept-link debit",
+        ALLOC,
+        "            debit = -(delta[pa:pb, None]"
+        " * (members[d_index[part_link[pa:pb]]] - count))\n",
+        "            debit = 0.0 * count\n",
+        (LOCKSTEP + "test_a_kept_link_whose_headroom_runs_out_is_refused_mid_run",),
+    ),
+    Mutant(
+        "the lockstep's budget forgets the removals' ops",
+        ALLOC,
+        "        bind_ops = self._bind_ops + np.cumsum(removed + debited)\n",
+        "        bind_ops = self._bind_ops + np.cumsum(debited)\n",
+        (LOCKSTEP + "test_bind_ops_over_budget_is_refused_mid_run",),
+    ),
+    Mutant(
+        "the lockstep counts a batch for the solve after the run's last completion",
+        FLUID,
+        "            batches += events - (final and events == n_events)\n",
+        "            batches += events\n",
+        (WORK + "test_the_lockstep_takes_a_step_per_member_of_a_link",),
     ),
     # ------------------------------------------------- the §6.1 analysis
     Mutant(

@@ -9,6 +9,7 @@ is why the estimator, the rate matrix and both placers have one sharing
 model, the hose, and no ``"pipe"`` alternative.
 """
 
+import dataclasses
 import itertools
 
 import pytest
@@ -48,6 +49,32 @@ def test_connections_share_a_bottleneck_only_at_their_source(name, seed):
     assert sorted(report.rack_clusters) == sorted(
         sorted(members) for members in racks.values()
     )
+
+
+@pytest.mark.parametrize("name", provider_names())
+def test_traceroutes_are_the_routed_path_lengths(name):
+    """``traceroutes`` reads hop counts off the tree's tables; on every
+    registered provider, VMs sharing hosts among them, they are the
+    lengths of the routes ``path_links_matrix`` builds, as the provider
+    shows them (``traceroute_visible_hops``), and 1 on one host — by name
+    and by VM position alike."""
+    params = dataclasses.replace(make_provider(name).params, colocation_probability=0.5)
+    provider = make_provider(name, seed=5, params=params)
+    provider.request_vms(16)
+    names = [vm.name for vm in provider.vms()]
+    host = {vm.name: vm.host for vm in provider.vms()}
+    pairs = list(itertools.permutations(names, 2))
+    assert any(host[a] == host[b] for a, b in pairs)
+    lengths = provider.topology.path_links_matrix([(host[a], host[b]) for a, b in pairs])[1]
+    visible = provider.params.traceroute_visible_hops or {}
+    expected = [
+        1 if host[a] == host[b] else visible.get(hop, hop)
+        for (a, b), hop in zip(pairs, lengths.tolist())
+    ]
+    assert provider.traceroutes(pairs).tolist() == expected
+    positions = provider.vm_positions([name for pair in pairs for name in pair]).reshape(-1, 2)
+    assert provider.traceroutes(positions).tolist() == expected
+    assert provider.traceroutes([]).tolist() == []
 
 
 @pytest.mark.parametrize(

@@ -493,10 +493,13 @@ def test_fluid_run_span_counts_batches_and_segments(tmp_path):
     # slots each solve rewrote.  A subset of those changed rate (a flow's
     # first rate counts), and each change opened a segment that a later
     # change, the flow's retirement or the run's stop closed into one row.
-    # Only the vector loop compacts retired flows' positions away.
+    # Only the vector loop compacts retired flows' positions away, and runs
+    # the links that bind through their completions in lockstep.
     scalar_checked, vector_checked = scalar.pop("rates_checked"), vector.pop("rates_checked")
     assert scalar.pop("compactions") == 0
     assert 1 <= vector.pop("compactions") < vector["batches"]
+    assert scalar.pop("lockstep_steps") == 0
+    assert 1 <= vector.pop("lockstep_steps") < vector["batches"]
     assert scalar == vector
     assert len(flows) <= vector_checked < scalar_checked < vector["batches"] * len(flows)
     assert len(flows) <= vector["rates_changed"] == vector["log_rows"] <= vector_checked

@@ -15,6 +15,9 @@ flows each) the vector event loop checks, after its first event, only the
 flows the solve re-rated: one per completion that leaves a partner behind.
 So the positions an event checks stay flat while the live flows double —
 the loop's O(changed) is a count (the ``fluid.run`` span's), not a timing.
+The hoses bind, so after the first event every link runs through its
+completions in lockstep: two steps at every size, one per member of a
+link; on n hoses of m, 2m and 4m members the steps double with them.
 
 On a doubling family of MapReduce shuffles (n, 2n and 4n tasks on one
 cluster) greedy makes one choice per transfer that first names one of its
@@ -98,7 +101,10 @@ def test_a_campaign_reads_each_probe_once_and_the_table_holds_each_rack_pair(mon
 
 
 PAIRS = (256, 512, 1024)
-SPAN_COUNTS = ("batches", "rates_checked", "rates_changed", "log_rows", "compactions")
+SPAN_COUNTS = (
+    "batches", "rates_checked", "rates_changed", "log_rows", "compactions", "lockstep_steps",
+)
+HOSED_TREE = TreeSpec(hosts_per_rack=32, racks_per_pod=8, pods=8, num_cores=2)
 
 
 def fluid_work(n_pairs, tmp_path):
@@ -108,9 +114,7 @@ def fluid_work(n_pairs, tmp_path):
     ``3(i + 1)`` MB and a byte share the hose until ``a_i`` completes, and
     ``b_i`` then has it alone.  No two completions coincide.  Its
     ``fluid.run`` span's counts."""
-    topology = build_multi_rooted_tree(
-        TreeSpec(hosts_per_rack=32, racks_per_pod=8, pods=8, num_cores=2)
-    )
+    topology = build_multi_rooted_tree(HOSED_TREE)
     flows = []
     for i in range(n_pairs):
         src, dst = f"host{2 * i}", f"host{2 * i + 1}"
@@ -135,14 +139,16 @@ def test_a_fluid_event_checks_only_the_flows_its_solve_rerated(tmp_path):
         flows = 2 * n
         # One event per completion.  The first checks and opens every flow;
         # after it, a_i's completion re-rates b_i alone and b_i's none.  Each
-        # a_i logs one segment and each b_i two.  Positions compact each
-        # time tombstones outnumber live flows: log2(flows) times.
+        # a_i logs one segment and each b_i two.  After the first event the
+        # hoses run in lockstep: step one retires every a_i, step two every
+        # b_i, and the positions compact once, when the run is done.
         assert work == {
             "batches": flows,
             "rates_checked": flows + n,
             "rates_changed": flows + n,
             "log_rows": 3 * n,
-            "compactions": flows.bit_length() - 1,
+            "compactions": 1,
+            "lockstep_steps": 2,
         }, n
     # Checked positions per event after the first, n / (2n - 1): flat at
     # about one half while the live flows double.
@@ -151,7 +157,59 @@ def test_a_fluid_event_checks_only_the_flows_its_solve_rerated(tmp_path):
     # The exact counts at one size.
     assert family[512] == {
         "batches": 1024, "rates_checked": 1536, "rates_changed": 1536,
-        "log_rows": 1536, "compactions": 10,
+        "log_rows": 1536, "compactions": 1, "lockstep_steps": 2,
+    }
+
+
+HOSES = 256
+MEMBERS = (2, 4, 8)
+
+
+def hose_work(members, tmp_path):
+    """One fluid run of 256 hoses (host ``2i`` to ``2i + 1``, 500 Mbit/s)
+    of ``members`` flows each, flow ``j`` of hose ``i`` (j + 1) MB and
+    ``100 i`` bytes: a hose's flows finish one by one, and no two hoses'
+    within ``_TIME_EPS`` (their offsets, times ``members``, stay under a
+    MB).  Its ``fluid.run`` span's counts."""
+    topology = build_multi_rooted_tree(HOSED_TREE)
+    flows, hoses = [], []
+    for i in range(HOSES):
+        for j in range(members):
+            size = (j + 1) * MBYTE + 100 * i
+            flows.append(Flow(f"h{i}.{j}", f"host{2 * i}", f"host{2 * i + 1}", size_bytes=size))
+            hoses.append([f"hose{i}"])
+    sim = FluidSimulation(topology, extra_capacities={f"hose{i}": 5e8 for i in range(HOSES)})
+    sim.add_flows(flows, routes_of(sim, flows, hoses))
+    with traced_spans(tmp_path / f"hoses{members}.jsonl", "fluid.run") as spans:
+        result = sim.run()
+    assert len(result.completion_times) == len(flows)
+    (span,) = spans
+    assert span["loop"] == "vector"
+    return {key: span[key] for key in SPAN_COUNTS}
+
+
+def test_the_lockstep_takes_a_step_per_member_of_a_link(tmp_path):
+    family = {m: hose_work(m, tmp_path) for m in MEMBERS}
+    for m, work in family.items():
+        flows, rerated = HOSES * m, HOSES * m * (m - 1) // 2
+        # One event per completion.  The first opens every flow; the k-th
+        # completion on a hose re-rates its m - k survivors, and the flow
+        # that finishes k-th logs k segments.  Step k of the lockstep is
+        # every hose's k-th completion.
+        assert work == {
+            "batches": flows,
+            "rates_checked": flows + rerated,
+            "rates_changed": flows + rerated,
+            "log_rows": HOSES * m * (m + 1) // 2,
+            "compactions": 1,
+            "lockstep_steps": m,
+        }, m
+    # Steps per doubling of the members: x2.
+    assert [family[m]["lockstep_steps"] for m in MEMBERS] == [2, 4, 8]
+    # The exact counts at one size.
+    assert family[4] == {
+        "batches": 1024, "rates_checked": 2560, "rates_changed": 2560,
+        "log_rows": 2560, "compactions": 1, "lockstep_steps": 4,
     }
 
 
