@@ -14,7 +14,7 @@ API used by :mod:`repro.runtime` to "run" placed applications.
 """
 
 from repro.cloud.instances import InstanceType, VirtualMachine
-from repro.cloud.provider import CloudProvider, ProviderParams, VMFlow
+from repro.cloud.provider import CloudProvider, ProviderParams
 from repro.cloud.registry import make_provider, provider_names
 from repro.cloud.ec2 import ec2_params
 from repro.cloud.ec2_legacy import ec2_legacy_params, EC2_LEGACY_ZONES
@@ -25,7 +25,6 @@ __all__ = [
     "VirtualMachine",
     "CloudProvider",
     "ProviderParams",
-    "VMFlow",
     "ec2_params",
     "ec2_legacy_params",
     "EC2_LEGACY_ZONES",

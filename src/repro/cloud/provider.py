@@ -77,26 +77,6 @@ def _shared_tree(spec: TreeSpec, name: str) -> Tuple[Topology, Tuple[str, ...]]:
     return shared
 
 
-@dataclass(frozen=True)
-class VMFlow:
-    """A tenant-level transfer between two VMs.
-
-    Attributes:
-        flow_id: unique identifier.
-        src_vm, dst_vm: VM names (must exist on the provider).
-        size_bytes: bytes to transfer.
-        start_time: absolute start time in seconds.
-        tag: free-form label (application name, "cross-traffic", ...).
-    """
-
-    flow_id: str
-    src_vm: str
-    dst_vm: str
-    size_bytes: float
-    start_time: float = 0.0
-    tag: str = ""
-
-
 @dataclass
 class TrainBatch:
     """Receiver-side observations of one packet train per probed pair.
@@ -565,20 +545,20 @@ class CloudProvider:
             rates = rates[self.vm_positions(names)]
         return {hose_link_id(name): rate for name, rate in zip(names, rates.tolist())}
 
-    def build_simulation(
-        self, vm_flows: Sequence[VMFlow] = ()
-    ) -> FluidSimulation:
+    def build_simulation(self, vm_flows: Sequence[Flow] = ()) -> FluidSimulation:
         """A fluid simulation of this provider's network with the given flows:
         the topology's links, then one hose link per VM in allocation order."""
         sim = FluidSimulation(self.topology, extra_capacities=self.hose_capacities())
         self.add_flows(sim, vm_flows)
         return sim
 
-    def add_flows(self, sim: FluidSimulation, vm_flows: Sequence[VMFlow]) -> None:
-        """Register VM-level flows on a :meth:`build_simulation` of this
-        provider as it is now, each as its row: the sender's hose
-        (:meth:`_hose_column`), then the route between the hosts, the batch
-        routed by host position in one :meth:`Topology.path_links_matrix`.
+    def add_flows(self, sim: FluidSimulation, vm_flows: Sequence[Flow]) -> None:
+        """Register flows between VMs (``src``/``dst`` are VM names) on a
+        :meth:`build_simulation` of this provider as it is now, each as its
+        row: the sender's hose (:meth:`_hose_column`), then the route between
+        the VMs' hosts, the batch routed by host position in one
+        :meth:`Topology.path_links_matrix`.  The simulation holds the
+        caller's own flow objects.
 
         Raises:
             CloudError: the simulation's topology, or its hoses (one per VM
@@ -593,20 +573,15 @@ class CloudProvider:
             )
         if not vm_flows:
             return
-        at = self._pair_positions([(flow.src_vm, flow.dst_vm) for flow in vm_flows])
+        at = self._pair_positions([(flow.src, flow.dst) for flow in vm_flows])
         paths, lengths, _ = self.topology.path_links_matrix(self._vm_hosts()[at])
         rows = np.concatenate((self._hose_column(at[:, 0], at[:, 1])[:, None], paths), axis=1)
-        vms = self._vms
-        flows = [
-            Flow(f.flow_id, vms[f.src_vm].host, vms[f.dst_vm].host, f.size_bytes,
-                 f.start_time, f.tag)
-            for f in vm_flows
-        ]
-        sim.add_flows(flows, (rows[rows >= 0], lengths + (rows[:, 0] >= 0)))
+        sim.add_flows(vm_flows, (rows[rows >= 0], lengths + (rows[:, 0] >= 0)))
 
     # ----------------------------------------------------- measurement API
     def _probe_fault_factor(self, src_vm: str, dst_vm: str, what: str) -> float:
-        """Fault adjustment for one probe: raises on loss, scales on "wild".
+        """Fault adjustment for one probe, :meth:`Timeline.probe_faults` of its
+        one pair: raises on loss, scales on "wild".
 
         Checked before any probe randomness is consumed, so a lost probe is
         replayable: the same (seed, clock, pair) always fails the same way.
@@ -615,13 +590,13 @@ class CloudProvider:
         """
         if self.timeline is None or not self.timeline.events:
             return 1.0
-        fault = self.timeline.probe_fault(src_vm, dst_vm, self._clock)
-        if fault is None:
-            return 1.0
-        mode, factor = fault
-        if mode == "fail":
+        # (No window names a self pair, so src_vm == dst_vm needs no care.)
+        lost, factor = self.timeline.probe_faults(
+            [src_vm, dst_vm], np.zeros(1, np.intp), np.ones(1, np.intp), self._clock
+        )
+        if lost[0]:
             raise MeasurementError(self._lost_probe(src_vm, dst_vm, what))
-        return factor
+        return float(factor[0])
 
     def _lost_probe(self, src_vm: str, dst_vm: str, what: str) -> str:
         return (
@@ -674,10 +649,7 @@ class CloudProvider:
         flow_ids = [f"__netperf_{i}__" for i in range(len(pairs))]
         self.add_flows(
             sim,
-            [
-                VMFlow(flow_id, src, dst, size, tag="netperf")
-                for flow_id, (src, dst) in zip(flow_ids, pairs)
-            ],
+            [Flow(flow_id, src, dst, size) for flow_id, (src, dst) in zip(flow_ids, pairs)],
         )
         timelines = sim.run(until=duration).timelines
         return [
@@ -765,7 +737,7 @@ class CloudProvider:
         self,
         src: np.ndarray,
         dst: np.ndarray,
-        background: Sequence[VMFlow],
+        background: Sequence[Flow],
         window_s: float = 0.1,
     ) -> np.ndarray:
         """Snapshot rate of each probe ``src[i] -> dst[i]`` (VM positions in
@@ -788,10 +760,10 @@ class CloudProvider:
         if not n:
             return np.zeros(0)
         src = np.concatenate(
-            (src, self.vm_positions(flow.src_vm for flow in background))
+            (src, self.vm_positions(flow.src for flow in background))
         )
         dst = np.concatenate(
-            (dst, self.vm_positions(flow.dst_vm for flow in background))
+            (dst, self.vm_positions(flow.dst for flow in background))
         )
         vm_host = self._vm_hosts()
         paths = self.topology.path_links_matrix(
@@ -816,7 +788,7 @@ class CloudProvider:
         self,
         pairs: Union[Sequence[Tuple[str, str]], np.ndarray],
         spec: PacketTrainSpec = PacketTrainSpec(),
-        background: Sequence[VMFlow] = (),
+        background: Sequence[Flow] = (),
     ) -> TrainPass:
         """One pass of packet trains over the schedule ``pairs``, ready to be
         sent in blocks (:meth:`TrainPass.send`).

@@ -23,7 +23,8 @@ from repro.core.measurement.packet_train import UNMEASURABLE, estimate_throughpu
 from repro.core.network_profile import NetworkProfile
 from repro.errors import MeasurementError
 from repro.net.packets import PacketTrainSpec
-from repro.cloud.provider import SNAPSHOT_ROUNDS, CloudProvider, VMFlow
+from repro.cloud.provider import SNAPSHOT_ROUNDS, CloudProvider
+from repro.net.flows import Flow
 from repro.net.topology import index_pairs
 
 
@@ -195,7 +196,7 @@ class NetworkMeasurer:
     def measure(
         self,
         vm_names: Optional[Sequence[str]] = None,
-        background: Sequence[VMFlow] = (),
+        background: Sequence[Flow] = (),
         pairs: Optional[Pairs] = None,
     ) -> NetworkProfile:
         """Measure the (full or partial) mesh and return a :class:`NetworkProfile`.
@@ -294,7 +295,7 @@ class NetworkMeasurer:
         names: Sequence[str],
         on_provider: np.ndarray,
         schedule: np.ndarray,
-        background: Sequence[VMFlow],
+        background: Sequence[Flow],
         retry: "_RetryLedger",
         rates: np.ndarray,
         pair_times: np.ndarray,

@@ -16,7 +16,7 @@ import json
 import sys
 from typing import List, Optional, Sequence
 
-from repro.cli import common_parser, parse_params, parse_placer_params, parse_value
+from repro.cli import common_parser, parse_params, parse_placer_params
 from repro.errors import ExperimentError, ReproError
 from repro.experiments.backends import backend_names
 from repro.experiments.placers import placer_names
@@ -27,11 +27,6 @@ from repro.experiments.runner import (
     ExperimentRunner,
 )
 from repro.experiments.scenarios import get_scenario, list_scenarios, scenario_names
-
-#: Historical spellings, kept for importers of the pre-dispatcher helpers.
-_parse_value = parse_value
-_parse_params = parse_params
-_parse_placer_params = parse_placer_params
 
 
 def _resolve_scenarios(requested: Sequence[str]) -> List[str]:
@@ -163,7 +158,7 @@ def _make_config(
     fail_fast: bool = False,
 ) -> ExperimentConfig:
     placers = tuple(name.strip() for name in placers_csv.split(",") if name.strip())
-    overrides = _parse_params(param_items)
+    overrides = parse_params(param_items)
     scenario_params = {
         name: {
             key: value
@@ -189,7 +184,7 @@ def _make_config(
         workers=None if workers == 0 else workers,
         cache_dir=cache_dir,
         scenario_params=scenario_params,
-        placer_params=_parse_placer_params(placer_param_items),
+        placer_params=parse_placer_params(placer_param_items),
         fail_fast=fail_fast,
     )
 

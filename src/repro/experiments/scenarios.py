@@ -30,10 +30,11 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cloud.provider import CloudProvider, VMFlow
+from repro.cloud.provider import CloudProvider
 from repro.cloud.registry import make_provider
 from repro.core.placement.base import ClusterState
 from repro.errors import ExperimentError
+from repro.net.flows import Flow
 from repro.units import GBYTE, MBYTE
 from repro.workloads.application import Application, Task, TrafficMatrix
 from repro.workloads.generator import HPCloudWorkloadGenerator, WorkloadSpec
@@ -86,7 +87,7 @@ class ScenarioInstance:
     provider: CloudProvider
     cluster: ClusterState
     apps: List[Application]
-    background: List[VMFlow] = field(default_factory=list)
+    background: List[Flow] = field(default_factory=list)
     service: Optional[ServiceSettings] = None
 
     def __post_init__(self) -> None:
@@ -339,17 +340,16 @@ def _build_cross_traffic(
     provider, cluster = fresh_provider("ec2", seed=seed, n_vms=int(n_vms))
     rng = np.random.default_rng(seed + 0x5EED)
     names = cluster.machine_names()
-    background: List[VMFlow] = []
+    background: List[Flow] = []
     for i in range(int(n_cross_flows)):
         src, dst = rng.choice(names, size=2, replace=False)
         background.append(
-            VMFlow(
+            Flow(
                 flow_id=f"cross:{i}",
-                src_vm=str(src),
-                dst_vm=str(dst),
+                src=str(src),
+                dst=str(dst),
                 size_bytes=float(cross_gbytes) * GBYTE,
                 start_time=0.0,
-                tag="cross-traffic",
             )
         )
     gen = HPCloudWorkloadGenerator(_light_workload_spec(max_tasks=6), seed=seed)

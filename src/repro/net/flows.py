@@ -1,10 +1,13 @@
 """Flow descriptors used by the fluid simulator.
 
-A :class:`Flow` is a number of bytes sent from one host to another (or
-within one host), starting at a given time: a task-to-task transfer from an
+A :class:`Flow` is a number of bytes sent from one endpoint to another (or
+to itself), starting at a given time: a task-to-task transfer from an
 application traffic matrix, another tenant's transfer, or a netperf
 connection — which is simply a flow too big to finish before the run is
-cut off.
+cut off.  Its endpoints are the names the component that routes it reads:
+VM names for :meth:`repro.cloud.provider.CloudProvider.add_flows`, host
+names for a :meth:`repro.net.fluid.FluidSimulation.add_flows` that routes
+the batch itself.
 """
 
 from __future__ import annotations
@@ -31,11 +34,10 @@ class Flow:
 
     Attributes:
         flow_id: unique identifier.
-        src: source host name.
-        dst: destination host name (may equal ``src`` for colocated tasks).
+        src: source endpoint (a VM or a host name, see the module).
+        dst: destination endpoint (may equal ``src`` for colocated tasks).
         size_bytes: bytes to transfer.
         start_time: simulation time at which the flow begins.
-        tag: free-form label (application name, "cross-traffic", ...).
     """
 
     flow_id: str
@@ -43,7 +45,6 @@ class Flow:
     dst: str
     size_bytes: float
     start_time: float = 0.0
-    tag: str = ""
 
     def __post_init__(self) -> None:
         # Comparisons are written so that NaN fails them: a NaN start time

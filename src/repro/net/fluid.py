@@ -565,7 +565,8 @@ class FluidSimulation:
         many objects the process happened to import beforehand.
 
         Args:
-            flows: the flows; ``src``/``dst`` are host names.
+            flows: the flows; ``src``/``dst`` are host names, read only when
+                the batch is routed here (no ``routes``).
             routes: the flows' rows as ``(data, lengths)``, integer arrays:
                 flow ``i`` crosses the next ``lengths[i]`` links of ``data``,
                 indices of the topology's links, then the extra links.

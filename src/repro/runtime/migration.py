@@ -26,10 +26,11 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro import obs
-from repro.cloud.provider import CloudProvider, VMFlow
+from repro.cloud.provider import CloudProvider
 from repro.core.estimator import estimate_completion_time
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Placement, Placer
+from repro.net.flows import Flow
 from repro.net.fluid import FluidResult, FluidSimulation
 from repro.workloads.application import Application, Task, TrafficMatrix
 
@@ -113,7 +114,8 @@ class LiveApp:
     the moment a placement is set (booked in ``colocated``), so an
     application is done — and gives its cores back — exactly when it has
     nothing left on the network.  :meth:`live_flows` is the one rule that
-    turns a placement into flows.
+    turns a placement into flows, each a :class:`~repro.net.flows.Flow`
+    between VM names.
     """
 
     app: Application
@@ -162,20 +164,19 @@ class LiveApp:
             start_time=self.app.start_time,
         )
 
-    def live_flows(self, start: float) -> List[Tuple[Tuple[str, str], VMFlow]]:
-        """Each task pair with bytes left and the VM flow, starting at
-        ``start``, that carries them under the current placement."""
+    def live_flows(self, start: float) -> List[Tuple[Tuple[str, str], Flow]]:
+        """Each task pair with bytes left and the flow between its VMs,
+        starting at ``start``, that carries them under the current placement."""
         name, machine_of = self.app.name, self.placement.machine_of
         return [
             (
                 pair,
-                VMFlow(
+                Flow(
                     flow_id=f"{name}:{index}",
-                    src_vm=machine_of(pair[0]),
-                    dst_vm=machine_of(pair[1]),
+                    src=machine_of(pair[0]),
+                    dst=machine_of(pair[1]),
                     size_bytes=volume,
                     start_time=start,
-                    tag=name,
                 ),
             )
             for index, (pair, volume) in enumerate(sorted(self.remaining.items()))
@@ -202,7 +203,7 @@ def booked_bytes(states: Iterable[LiveApp]) -> Tuple[float, float]:
     return network, colocated
 
 
-def live_background_flows(running: Dict[str, LiveApp], now: float) -> List[VMFlow]:
+def live_background_flows(running: Dict[str, LiveApp], now: float) -> List[Flow]:
     """Every active application's remaining flows (cross traffic for
     measurements and admissions)."""
     return [
@@ -251,14 +252,14 @@ class LiveNetwork:
     registered, minus what each had left after every run since.
     """
 
-    def __init__(self, provider: CloudProvider, background: Sequence[VMFlow] = ()):
+    def __init__(self, provider: CloudProvider, background: Sequence[Flow] = ()):
         self.provider = provider
         # The hose capacities the simulation holds, as of ``built_at``.
         self.hose = provider.hose_capacities()
         self.built_at = provider.now
         self.simulation = FluidSimulation(provider.topology, extra_capacities=self.hose)
         provider.add_flows(self.simulation, background)
-        self.other: Dict[str, VMFlow] = {flow.flow_id: flow for flow in background}
+        self.other: Dict[str, Flow] = {flow.flow_id: flow for flow in background}
         self.sent: Dict[Tuple[str, Pair], float] = {}
         # Per application with flows in the simulation: its record, the
         # placement the flows were routed for, and per flow id the task
@@ -270,7 +271,7 @@ class LiveNetwork:
         # done application stays done).
         self.seen: Set[str] = set()
 
-    def campaign_background(self, running: Dict[str, LiveApp], now: float) -> List[VMFlow]:
+    def campaign_background(self, running: Dict[str, LiveApp], now: float) -> List[Flow]:
         """What a campaign at ``now`` sees as cross traffic: the other
         tenant's flows that have started and not finished, then every
         active application's remaining flows."""
@@ -312,7 +313,7 @@ def advance_live_apps(
     for name in stale:
         sim.withdraw_flows(registered.pop(name)[2])
         network.seen.discard(name)
-    new: List[VMFlow] = []
+    new: List[Flow] = []
     for name in sorted(running.keys() - network.seen):
         network.seen.add(name)
         state = running[name]
@@ -333,7 +334,7 @@ def advance_live_apps(
         # senders' are read; a VM's is brought up to date when a flow of it
         # registers.  (No hose drifts before the clock moves.)
         senders: Dict[str, None] = dict.fromkeys(
-            flow.src_vm for flow in network.other.values()
+            flow.src for flow in network.other.values()
         )
         for _, placement, flows in registered.values():
             for (src, _), _ in flows.values():

@@ -34,7 +34,7 @@ from typing import Dict, Sequence
 import numpy as np
 
 from repro import obs
-from repro.cloud.provider import VMFlow
+from repro.net.flows import Flow
 from repro.core.measurement.orchestrator import NetworkMeasurer
 from repro.core.network_profile import NetworkProfile
 from repro.errors import ServiceError
@@ -156,7 +156,7 @@ class MeasurementCache:
 
     # -------------------------------------------------------------- refresh
     def refresh(
-        self, now: float, background: Sequence[VMFlow] = ()
+        self, now: float, background: Sequence[Flow] = ()
     ) -> NetworkProfile:
         """Re-probe stale pairs and return the merged full-mesh profile.
 

@@ -40,11 +40,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.cloud.provider import CloudProvider, VMFlow
+from repro.cloud.provider import CloudProvider
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Placer, cpu_shortfall
 from repro.errors import ReproError, ServiceError
+from repro.net.flows import Flow
 from repro.runtime.migration import (
     LiveApp,
     LiveNetwork,
@@ -376,7 +377,7 @@ class PlacementService:
     # -------------------------------------------------------------- session
     def run_session(
         self, apps: Sequence[Application], hours: float,
-        telemetry: bool = False, background: Sequence[VMFlow] = (),
+        telemetry: bool = False, background: Sequence[Flow] = (),
     ) -> ServiceReport:
         """Admit ``apps`` as they arrive over ``hours`` epochs of service.
 
@@ -445,7 +446,7 @@ class PlacementService:
 
     def _session_loop(
         self, ordered: List[Application], hours: float, horizon: float,
-        background: Sequence[VMFlow],
+        background: Sequence[Flow],
     ) -> ServiceReport:
         """The session body (see :meth:`run_session`, which spans it)."""
         # The service consumes the timeline's fault events at epoch

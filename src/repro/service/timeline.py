@@ -364,35 +364,14 @@ class Timeline:
                     rates[index[vm]] = PREEMPTED_RATE_BPS
         return rates
 
-    def probe_fault(
-        self, src: str, dst: str, t: float
-    ) -> Optional[Tuple[str, float]]:
-        """Active probe fault for an ordered pair, or ``None``.
-
-        Returns ``("fail", 0.0)`` when a probe of the pair must raise —
-        probes touching a preempted VM always fail — or ``("wild", factor)``
-        when it returns a distorted estimate.
-        """
-        if self.preempted(src, t) or self.preempted(dst, t):
-            return ("fail", 0.0)
-        for event in self.events:
-            if (
-                isinstance(event, ProbeLoss)
-                and event.src == src
-                and event.dst == dst
-                and event.start_s <= t < event.end_s
-            ):
-                if event.mode == "fail":
-                    return ("fail", 0.0)
-                return ("wild", event.factor)
-        return None
-
     def probe_faults(
         self, vms: Sequence[str], src: np.ndarray, dst: np.ndarray, t: float
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`probe_fault` of every probe ``vms[src[i]] -> vms[dst[i]]``
-        at ``t``, the preempted VMs and the active windows resolved once.
+        """The fault of every probe ``vms[src[i]] -> vms[dst[i]]`` at ``t``,
+        the preempted VMs and the active windows resolved once.
 
+        A probe touching a preempted VM fails; any other takes the first
+        active :class:`ProbeLoss` window of its ordered pair, in event order.
         Returns ``(lost, factor)``: ``lost[i]`` where the probe must raise,
         ``factor[i]`` its "wild" distortion (1.0 where it has none).
         """
@@ -401,7 +380,7 @@ class Timeline:
         lost = dark[src] | dark[dst]
         factor = np.ones(src.shape[0])
         index = {vm: i for i, vm in enumerate(vms)}
-        # The first active window of each pair, as probe_fault's scan finds it.
+        # The first active window of each pair.
         active: Dict[int, ProbeLoss] = {}
         for event in self.events:
             if (

@@ -180,7 +180,7 @@ def interference_tests(rule: int, seed: int) -> Tuple[List[InterferenceTest], in
     of the links out of the sources' rack or pod, and with links as fast
     both ways two connections into one rack share its downlink too.  One
     ordered pair's probes are lost for the whole run (a ``ProbeLoss``
-    window, which ``Timeline.probe_fault`` reports to ``run_netperf``); a
+    window, which ``Timeline.probe_faults`` reports to ``run_netperf``); a
     test whose solo probe it hits is counted, not run."""
     base = ec2_params(colocation_probability=0.0)
     field = "tor_agg_link_bps" if rule == 1 else "agg_core_link_bps"

@@ -84,6 +84,13 @@ MUTANTS: Tuple[Mutant, ...] = (
         (ROWS + "test_each_flows_row_is_its_senders_hose_then_its_route",),
     ),
     Mutant(
+        "add_flows hands rows whose hose column is dropped",
+        PROVIDER,
+        "        rows = np.concatenate((self._hose_column(at[:, 0], at[:, 1])[:, None], paths), axis=1)\n",
+        "        rows = np.concatenate((np.full((at.shape[0], 1), -1), paths), axis=1)\n",
+        (ROWS + "test_each_flows_row_is_its_senders_hose_then_its_route",),
+    ),
+    Mutant(
         "the routes bound check is written > instead of >=",
         FLUID,
         "(data.min() < 0 or data.max() >= universe)",
@@ -540,6 +547,13 @@ MUTANTS: Tuple[Mutant, ...] = (
         "not app.completed_at >= app.arrived_at - 1.0:",
         ("tests/test_service.py::test_report_violations_names_each_broken_rule",),
     ),
+    Mutant(
+        "netperf's probe ignores a wild factor",
+        PROVIDER,
+        "        return float(factor[0])\n",
+        "        return 1.0\n",
+        ("tests/test_faults.py::test_netperf_reads_its_one_probe_off_probe_faults",),
+    ),
     # ------------------------------------------------------- the service
     Mutant(
         "migration needs a gain above 0.12",
@@ -616,8 +630,8 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant(
         "the other tenant's sender hoses are never pushed",
         MIGRATION,
-        "flow.src_vm for flow in network.other.values()",
-        "flow.src_vm for flow in ()",
+        "flow.src for flow in network.other.values()",
+        "flow.src for flow in ()",
         ("tests/test_live_network.py::test_the_other_tenants_flow_runs_on_the_hoses_of_each_segment",),
     ),
     Mutant(
@@ -633,6 +647,13 @@ MUTANTS: Tuple[Mutant, ...] = (
         EXECUTOR,
         "        arrivals.setdefault(app.start_time, []).append(app)\n",
         "        arrivals.setdefault(min(a.start_time for a in apps), []).append(app)\n",
+        (FRESH_RUN,),
+    ),
+    Mutant(
+        "live_flows gives a flow an id flow_ids() does not",
+        MIGRATION,
+        '                    flow_id=f"{name}:{index}",\n',
+        '                    flow_id=f"{name}:{index + 1}",\n',
         (FRESH_RUN,),
     ),
     Mutant(

@@ -9,22 +9,23 @@ by arrival, in everything else."""
 
 from typing import Dict, List, Sequence, Tuple
 
-from repro.cloud.provider import CloudProvider, VMFlow
+from repro.cloud.provider import CloudProvider
+from repro.net.flows import Flow
 
 
 def parent_state_at(
     provider: CloudProvider,
-    background: List[VMFlow],
-    placed_flows: Sequence[VMFlow],
+    background: List[Flow],
+    placed_flows: Sequence[Flow],
     app_of_flow: Dict[str, str],
     time_s: float,
-) -> Tuple[List[VMFlow], set]:
+) -> Tuple[List[Flow], set]:
     """``(active_flows, finished_app_names)`` at ``time_s``."""
     all_flows = list(placed_flows) + background
     if not all_flows:
         return [], set()
     partial = provider.build_simulation(all_flows).run(until=time_s)
-    active: List[VMFlow] = []
+    active: List[Flow] = []
     remaining_by_app: Dict[str, int] = {}
     for flow in placed_flows:
         app_name = app_of_flow[flow.flow_id]

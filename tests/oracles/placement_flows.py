@@ -8,28 +8,27 @@ for its from-zero oracles."""
 
 from typing import List
 
-from repro.cloud.provider import VMFlow
+from repro.net.flows import Flow
 from repro.core.placement.base import Placement
 from repro.workloads.application import Application
 
 
 def placement_to_flows(
     placement: Placement, app: Application, start_time: float = 0.0
-) -> List[VMFlow]:
-    """One VM-level flow per transfer between different VMs."""
-    flows: List[VMFlow] = []
+) -> List[Flow]:
+    """One flow between VM names per transfer between different VMs."""
+    flows: List[Flow] = []
     for index, (src_task, dst_task, volume) in enumerate(app.transfers()):
         src_vm = placement.machine_of(src_task)
         dst_vm = placement.machine_of(dst_task)
         if src_vm != dst_vm:
             flows.append(
-                VMFlow(
+                Flow(
                     flow_id=f"{app.name}:{index}:{src_task}->{dst_task}",
-                    src_vm=src_vm,
-                    dst_vm=dst_vm,
+                    src=src_vm,
+                    dst=dst_vm,
                     size_bytes=volume,
                     start_time=start_time,
-                    tag=app.name,
                 )
             )
     return flows

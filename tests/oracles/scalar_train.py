@@ -36,7 +36,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from oracles.graph_search import route_ids
-from repro.cloud.provider import CloudProvider, VMFlow
+from repro.cloud.provider import CloudProvider
+from repro.net.flows import Flow
 from repro.core.measurement.packet_train import MATHIS_C
 from repro.errors import CloudError, MeasurementError
 from repro.net.latency import rtt_s
@@ -410,7 +411,7 @@ def packet_train_model(
     provider: CloudProvider,
     src_vm: str,
     dst_vm: str,
-    background: Sequence[VMFlow] = (),
+    background: Sequence[Flow] = (),
 ) -> PathTransmissionModel:
     """The burst transmission model a packet train sees on this path."""
     src, dst = provider.vm(src_vm), provider.vm(dst_vm)
@@ -464,7 +465,7 @@ def provider_send_packet_train(
     src_vm: str,
     dst_vm: str,
     spec: PacketTrainSpec = PacketTrainSpec(),
-    background: Sequence[VMFlow] = (),
+    background: Sequence[Flow] = (),
 ) -> TrainObservation:
     """Send one packet train between two VMs and return the observations."""
     model = packet_train_model(provider, src_vm, dst_vm, background=background)
@@ -479,7 +480,7 @@ def measure_pair(
     src_vm: str,
     dst_vm: str,
     spec: PacketTrainSpec = PacketTrainSpec(),
-    background: Sequence[VMFlow] = (),
+    background: Sequence[Flow] = (),
 ) -> float:
     """Measure one ordered pair with one packet train."""
     observation = provider_send_packet_train(
@@ -491,7 +492,7 @@ def measure_pair(
 def snapshot_rates(
     provider: CloudProvider,
     pairs: Sequence[Tuple[str, str]],
-    background: Sequence[VMFlow],
+    background: Sequence[Flow],
     window_s: float = 0.1,
 ) -> np.ndarray:
     """Instantaneous rate a new bulk connection would get on each named

@@ -18,7 +18,7 @@ import pytest
 from helpers import age_of, pair_matrix, stale_pairs
 from oracles.effective_rate import ConnectionLoad, effective_rate
 from repro import obs
-from repro.cloud.provider import VMFlow
+from repro.net.flows import Flow
 from repro.core.measurement.orchestrator import NetworkMeasurer
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import (
@@ -285,7 +285,7 @@ class DictMeasurementCache:
         return invalidated
 
     # -------------------------------------------------------------- refresh
-    def refresh(self, now: float, background: Sequence[VMFlow] = ()) -> NetworkProfile:
+    def refresh(self, now: float, background: Sequence[Flow] = ()) -> NetworkProfile:
         """Re-probe stale pairs and return the merged full-mesh profile.
 
         Args:

@@ -28,7 +28,7 @@ from oracles.graph_search import route_ids
 from oracles.max_min import force_loop, force_solves
 from repro import obs
 from repro.cloud.ec2 import ec2_params
-from repro.cloud.provider import VMFlow
+from repro.net.flows import Flow
 from repro.cloud.registry import make_provider
 from repro.net import alloc
 from repro.net.alloc import _BATCH_MIN, IncrementalAllocator
@@ -458,7 +458,7 @@ def test_the_path_serves_a_pipeline_shaped_shuffle():
     rng = np.random.default_rng(7)
     sizes = rng.lognormal(mean=np.log(2e6), sigma=1.0, size=64 * 64)
     flows = [
-        VMFlow(f"m{i}>r{j}", vms[i], vms[64 + j], float(sizes[64 * i + j]))
+        Flow(f"m{i}>r{j}", vms[i], vms[64 + j], float(sizes[64 * i + j]))
         for i in range(64) for j in range(64)
     ]
     sim = provider.build_simulation(flows)
@@ -570,7 +570,7 @@ def test_rack_local_meshes_in_waves_take_full_solves_only_after_adds(vector, mon
         by_rack.setdefault(provider.topology.rack_of(vm.host), []).append(vm.name)
     assert len(by_rack) == 4
     flows = [
-        VMFlow(f"{a}>{b}", a, b, 1e6 * (1 + (7 * i) % 11), start_time=0.3 * wave)
+        Flow(f"{a}>{b}", a, b, 1e6 * (1 + (7 * i) % 11), start_time=0.3 * wave)
         for wave, vms in enumerate(by_rack.values())
         for i, (a, b) in enumerate((a, b) for a in vms for b in vms if a != b)
     ]

@@ -21,7 +21,8 @@ from oracles.graph_search import _ecmp_pick, build_searched_tree, route_ids
 
 from repro import obs
 from repro.cloud.ec2 import ec2_params
-from repro.cloud.provider import ProviderParams, VMFlow
+from repro.cloud.provider import ProviderParams
+from repro.net.flows import Flow
 from repro.cloud.registry import make_provider
 from repro.core.measurement import MeasurementPlan, NetworkMeasurer, orchestrator
 from repro.errors import CloudError, MeasurementError
@@ -81,8 +82,8 @@ def background_flows(names, rng, n_flows=12):
     for i in range(n_flows):
         src, dst = rng.choice(len(names), size=2, replace=False)
         flows.append(
-            VMFlow(
-                flow_id=f"bg{i}", src_vm=names[src], dst_vm=names[dst],
+            Flow(
+                flow_id=f"bg{i}", src=names[src], dst=names[dst],
                 size_bytes=50 * MBYTE, start_time=0.0,
             )
         )
@@ -527,7 +528,7 @@ def simulated_snapshot(provider, src_vm, dst_vm, background, window_s=0.1):
     window, cut off at its end."""
     sim = provider.build_simulation()
     size = 2 * window_s * max(sim.capacities.values()) / BITS_PER_BYTE
-    probe = VMFlow("__snapshot__", src_vm, dst_vm, size, tag="snapshot")
+    probe = Flow("__snapshot__", src_vm, dst_vm, size)
     provider.add_flows(sim, [probe] + [
         dataclasses.replace(flow, size_bytes=size, start_time=0.0)
         for flow in background

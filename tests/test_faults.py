@@ -7,8 +7,9 @@ import re
 import numpy as np
 import pytest
 
+from oracles.probe_fault import probe_fault
 from repro.core.measurement.orchestrator import MeasurementPlan, NetworkMeasurer
-from repro.errors import ReproError, ServiceError, WorkloadError
+from repro.errors import MeasurementError, ReproError, ServiceError, WorkloadError
 from repro.service.cache import DEGRADED_FLOOR_BPS, MeasurementCache
 from repro.service.engine import PlacementService
 from repro.service.session import _resolve_placer, build_churn_session, run_churn_session
@@ -117,7 +118,10 @@ def test_non_finite_event_fields_are_rejected_by_name(case, via, tmp_path):
 
 def test_a_window_may_stay_open_forever():
     window = ProbeLoss(src="a", dst="b", start_s=5.0, end_s=INF, mode="wild", factor=2.0)
-    assert Timeline(events=(window,)).probe_fault("a", "b", 1e12) == ("wild", 2.0)
+    lost, factor = Timeline(events=(window,)).probe_faults(
+        ["a", "b"], np.array([0]), np.array([1]), 1e12
+    )
+    assert (lost.tolist(), factor.tolist()) == ([False], [2.0])
     assert LinkDegradation(vm="a", start_s=0.0, end_s=INF, multiplier=0.5).end_s == INF
 
 
@@ -147,10 +151,15 @@ def test_fault_effects_on_rates_and_probes():
     ]
     assert timeline.hose_rates(vms, 200.0, own).tolist() == [PREEMPTED_RATE_BPS, 1e9, 1e9]
     assert own.tolist() == [1e9] * 3  # a new array: the caller's is left alone
-    assert timeline.probe_fault("a", "b", 5.0) == ("fail", 0.0)
-    assert timeline.probe_fault("a", "b", 10.0) is None
+    probe = ["dead", "a", "b"]
+
+    def lost(src, dst, t):
+        return bool(timeline.probe_faults(probe, np.array([src]), np.array([dst]), t)[0][0])
+
+    assert lost(1, 2, 5.0)  # a -> b inside its "fail" window
+    assert not lost(1, 2, 10.0)  # which is half-open
     # Probes touching a preempted endpoint fail outright.
-    assert timeline.probe_fault("dead", "a", 150.0) == ("fail", 0.0)
+    assert lost(0, 1, 150.0)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -181,7 +190,7 @@ def test_probe_faults_is_probe_fault_for_every_probe(seed):
         for t in (0.0, 20.0, 40.0, 41.5, 79.0, 500.0):
             lost, factor = timeline.probe_faults(vms, src, dst, t)
             for i, (a, b) in enumerate(zip(src.tolist(), dst.tolist())):
-                fault = timeline.probe_fault(vms[a], vms[b], t)
+                fault = probe_fault(timeline, vms[a], vms[b], t)
                 assert bool(lost[i]) == (fault is not None and fault[0] == "fail")
                 if not lost[i]:
                     assert factor[i] == (1.0 if fault is None else fault[1])
@@ -588,3 +597,31 @@ def test_wild_probe_estimates_skew_the_measured_rate():
     ).measure(vms)
     assert wild.rate_matrix()[0, 1] > clean.rate_matrix()[0, 1]
     assert not wild.degraded_pairs
+
+
+def test_netperf_reads_its_one_probe_off_probe_faults():
+    """``run_netperf``'s probe takes the rule a campaign's probes take: the
+    first active window of its pair decides ("wild" scales the estimate,
+    "fail" raises), and a preempted endpoint fails it."""
+
+    def netperf(*events):
+        provider, _, _, _ = build_churn_session(0, **QUICK)
+        vms = [vm.name for vm in provider.vms()]
+        _add_events(provider, *(event(vms) for event in events))
+        return provider.run_netperf(vms[0], vms[1])
+
+    def wild(vms):
+        return ProbeLoss(vms[0], vms[1], 0.0, 1e9, mode="wild", factor=4.0)
+
+    def fail(vms):
+        return ProbeLoss(vms[0], vms[1], 0.0, 1e9)
+
+    def dead(vms):
+        return VmPreemption(vms[1], 0.0)
+
+    clean = netperf()
+    assert netperf(wild) == netperf(wild, fail) == 4.0 * clean
+    lost = r"netperf probe vm1->vm2 lost .*\(injected fault\)"
+    for events in ((fail, wild), (dead, wild)):
+        with pytest.raises(MeasurementError, match=lost):
+            netperf(*events)

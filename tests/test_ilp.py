@@ -289,11 +289,11 @@ def test_budget_expiry_returns_best_found_within_the_limit():
 
 
 def test_boolean_placer_params_parse_and_apply():
-    from repro.experiments.cli import _parse_value
+    from repro.cli import parse_value
 
-    assert _parse_value("false") is False
-    assert _parse_value("True") is True
-    assert _parse_value("3") == 3
+    assert parse_value("false") is False
+    assert parse_value("True") is True
+    assert parse_value("3") == 3
     # The HiGHS-era switches are gone, not ignored.
     for gone in ("formulation", "warm_start", "symmetry_breaking", "candidate_k"):
         with pytest.raises(ExperimentError, match="unknown placer parameter"):

@@ -22,7 +22,7 @@ from helpers import write_trace
 from oracles.parent_state_at import parent_state_at
 from oracles.placement_flows import placement_to_flows
 from repro.cloud.ec2 import ec2_params
-from repro.cloud.provider import VMFlow
+from repro.net.flows import Flow
 from repro.cloud.registry import make_provider
 from repro.core.placement.base import ClusterState, Placement
 from repro.experiments.placers import resolve_placer
@@ -210,12 +210,12 @@ def test_live_apps_see_what_the_from_zero_resimulation_saw(monkeypatch, seed):
 
     provider, cluster, apps, placer_name = seeded_sequence(seed)
     ledger = Ledger(monkeypatch, engine, lambda: cluster)
-    seen = []  # per arrival: (active (src_vm, dst_vm) multiset, done names)
+    seen = []  # per arrival: (active (src, dst) VM multiset, done names)
     usage = engine.cluster_with_live_usage
 
     def spying_usage(cluster, running, exclude=None):
         done = {name for name, state in running.items() if state.done}
-        active = Counter((f.src_vm, f.dst_vm) for f in live_background_flows(running, 0.0))
+        active = Counter((f.src, f.dst) for f in live_background_flows(running, 0.0))
         seen.append((active, done))
         return usage(cluster, running, exclude)
 
@@ -234,7 +234,7 @@ def test_live_apps_see_what_the_from_zero_resimulation_saw(monkeypatch, seed):
         oracle_active, oracle_done = parent_state_at(
             provider, [], placed, app_of_flow, app.start_time
         )
-        assert active == Counter((f.src_vm, f.dst_vm) for f in oracle_active)
+        assert active == Counter((f.src, f.dst) for f in oracle_active)
         assert done == oracle_done | flowless
         if app.name not in service.last_apps:
             continue  # rejected
@@ -313,9 +313,9 @@ def tenant_under_load(seed):
     cluster = ClusterState.from_vms(provider.vms())
     vms = cluster.machine_names()
     background = [
-        VMFlow("other:0", vms[0], vms[1], 0.5 * GBYTE, 0.0, "other"),
-        VMFlow("other:1", vms[2], vms[3], 20 * GBYTE, 0.0, "other"),
-        VMFlow("other:2", vms[4], vms[5], 4 * GBYTE, 10.0, "other"),
+        Flow("other:0", vms[0], vms[1], 0.5 * GBYTE, 0.0),
+        Flow("other:1", vms[2], vms[3], 20 * GBYTE, 0.0),
+        Flow("other:2", vms[4], vms[5], 4 * GBYTE, 10.0),
     ]
     apps = [
         mapreduce(f"job{k}", 2, 2, 2 * GBYTE, cpu_per_task=1.5, start_time=t)
@@ -327,17 +327,18 @@ def tenant_under_load(seed):
 def test_campaigns_see_what_the_other_tenant_has_left_and_the_books_never_count_it(
     monkeypatch,
 ):
+    provider, cluster, apps, background = tenant_under_load(5)
+    other = {flow.flow_id for flow in background}
     seen = []  # per refresh: (now, the other tenant's flows it saw)
     refresh = MeasurementCache.refresh
 
     def spying_refresh(cache, now, background=()):
-        seen.append((now, [flow for flow in background if flow.tag == "other"]))
+        seen.append((now, [flow for flow in background if flow.flow_id in other]))
         return refresh(cache, now, background=background)
 
     monkeypatch.setattr(MeasurementCache, "refresh", spying_refresh)
     ledger, reports = books_checked(monkeypatch)
     greedy = resolve_placer("greedy").create(0, None)
-    provider, cluster, apps, background = tenant_under_load(5)
     service = PlacementService(provider, cluster, greedy, migrate=False, ttl_s=ARRIVAL_TTL_S)
     report = service.run_session(apps, hours=1, background=background)
 
@@ -425,7 +426,7 @@ def test_live_flows_is_pure_and_names_the_task_pair():
     flows = state.live_flows(start=3.0)
     assert (dict(state.remaining), dict(state.colocated), state.done) == books
     assert [pair for pair, _ in flows] == [("m0", "r1"), ("m1", "r0")]
-    assert [(f.src_vm, f.dst_vm, f.start_time) for _, f in flows] == [
+    assert [(f.src, f.dst, f.start_time) for _, f in flows] == [
         ("vm1", "vm2", 3.0), ("vm2", "vm1", 3.0),
     ]
     assert len({f.flow_id for _, f in flows}) == 2

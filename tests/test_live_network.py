@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from oracles.segment_sim import segment_advance
-from repro.cloud.provider import VMFlow
+from repro.net.flows import Flow
 from repro.cloud.registry import make_provider
 from repro.core.placement.base import ClusterState, Placement
 from repro.experiments.placers import resolve_placer
@@ -148,7 +148,7 @@ def test_the_other_tenants_flow_runs_on_the_hoses_of_each_segment():
     provider = make_provider("ec2", seed=3, colocation_probability=0.0)
     provider.request_vms(3)
     src, dst, _ = (vm.name for vm in provider.vms())
-    network = LiveNetwork(provider, [VMFlow("other:0", src, dst, 50 * GBYTE)])
+    network = LiveNetwork(provider, [Flow("other:0", src, dst, 50 * GBYTE)])
     now = 0.0
     hoses = []
     for until in (30.0, 60.0, 90.0):

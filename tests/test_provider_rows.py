@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from helpers import routes_of
-from repro.cloud.provider import VMFlow
 from repro.cloud.registry import make_provider, provider_names
 from repro.errors import CloudError, SimulationError
 from repro.net.flows import Flow
@@ -51,9 +50,9 @@ def _rows(sim):
 def _expected_row(provider, sim, flow):
     """The rule, pair by pair: the sender's hose (by name) unless the two
     VMs share a host, then the route between the two hosts."""
-    src, dst = provider.vm(flow.src_vm).host, provider.vm(flow.dst_vm).host
+    src, dst = provider.vm(flow.src).host, provider.vm(flow.dst).host
     (row,), (length,), _ = provider.topology.path_links_matrix([(src, dst)])
-    hose = [list(sim.capacities).index(hose_link_id(flow.src_vm))] if src != dst else []
+    hose = [list(sim.capacities).index(hose_link_id(flow.src))] if src != dst else []
     return hose + row[:length].tolist()
 
 
@@ -63,11 +62,11 @@ def test_each_flows_row_is_its_senders_hose_then_its_route(name, knobs):
     vms = [vm.name for vm in provider.request_vms(7)]
     pairs = list(itertools.permutations(vms, 2)) + [(vms[0], vms[0])]
     flows = [
-        VMFlow(f"f{i}", src, dst, size_bytes=1e6 * (1 + i % 3), start_time=0.5 * (i % 2))
+        Flow(f"f{i}", src, dst, size_bytes=1e6 * (1 + i % 3), start_time=0.5 * (i % 2))
         for i, (src, dst) in enumerate(pairs)
     ]
     background = [
-        VMFlow(f"bg{i}", src, dst, size_bytes=5e6, tag="cross-traffic")
+        Flow(f"bg{i}", src, dst, size_bytes=5e6)
         for i, (src, dst) in enumerate(pairs[::5])
     ]
     sim = provider.build_simulation(background)
@@ -93,7 +92,7 @@ def test_a_simulation_of_another_vm_set_is_refused_and_left_as_it_was(edit):
     the wrong hoses, so it refuses them and registers nothing."""
     provider = make_provider("ec2", seed=1)
     vms = [vm.name for vm in provider.request_vms(4)]
-    first = [VMFlow("a", vms[0], vms[2], 1e6), VMFlow("b", vms[3], vms[1], 1e6)]
+    first = [Flow("a", vms[0], vms[2], 1e6), Flow("b", vms[3], vms[1], 1e6)]
     if edit == "order":
         hoses = dict(reversed(provider.hose_capacities().items()))
         sim = FluidSimulation(provider.topology, extra_capacities=hoses)
@@ -107,7 +106,7 @@ def test_a_simulation_of_another_vm_set_is_refused_and_left_as_it_was(edit):
         else:
             provider.release_vm(vms[1])
     before = _registered(sim)
-    more = [VMFlow("c", vms[2], vms[3], 1e6), VMFlow("d", vms[0], vms[3], 1e6)]
+    more = [Flow("c", vms[2], vms[3], 1e6), Flow("d", vms[0], vms[3], 1e6)]
     with pytest.raises(CloudError, match="hoses"):
         provider.add_flows(sim, more)
     assert _registered(sim) == before

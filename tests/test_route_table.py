@@ -31,7 +31,7 @@ from test_campaign_batch import (
 from test_snapshot_invariants import violations
 
 from repro.cloud.ec2 import ec2_params
-from repro.cloud.provider import VMFlow
+from repro.net.flows import Flow
 from repro.cloud.registry import make_provider
 from repro.core.measurement import MeasurementPlan, NetworkMeasurer, orchestrator
 from repro.net.links import loopback_link_id
@@ -151,7 +151,7 @@ def test_each_block_reads_its_probes_bottlenecks_across_vm_set_changes(
         ends = ends_of(names, pairs)
         picks = np.random.default_rng(4).choice(len(ends), size=8, replace=False)
         return [
-            VMFlow(f"bg{i}", *ends[k], 50 * MBYTE) for i, k in enumerate(picks.tolist())
+            Flow(f"bg{i}", *ends[k], 50 * MBYTE) for i, k in enumerate(picks.tolist())
         ]
 
     oracle_provider, _ = build()

@@ -18,7 +18,8 @@ import pytest
 from oracles.graph_search import route_ids
 from oracles.max_min import max_min_allocation
 from oracles.scalar_train import snapshot_rates
-from repro.cloud.provider import CloudProvider, ProviderParams, VMFlow
+from repro.cloud.provider import CloudProvider, ProviderParams
+from repro.net.flows import Flow
 from repro.errors import ReproError, SimulationError
 from repro.net.fairness import (
     FlowDemand,
@@ -74,7 +75,7 @@ def random_background(names, rng, n_flows):
         # (``src == dst`` included: a VM talking to itself stays on its host.)
         src, dst = rng.choice(len(names), size=2)
         flows.append(
-            VMFlow(flow_id=f"bg{i}", src_vm=names[src], dst_vm=names[dst], size_bytes=1e9)
+            Flow(flow_id=f"bg{i}", src=names[src], dst=names[dst], size_bytes=1e9)
         )
     return flows
 
@@ -116,7 +117,7 @@ def violations(provider, pairs, flows, rates):
 
     return snapshot_violations(
         np.array(list(caps.values())),
-        rows([(flow.src_vm, flow.dst_vm) for flow in flows]),
+        rows([(flow.src, flow.dst) for flow in flows]),
         rows(pairs),
         rates,
     )
@@ -136,7 +137,7 @@ def test_rates_are_max_min_fair_bounded_and_independent(seed, hose_state, n_flow
     flows = random_background(names, rng, n_flows)
     mesh = [(a, b) for a in names for b in names if a != b]
     subset = [mesh[i] for i in rng.choice(len(mesh), size=min(7, len(mesh)))]
-    own = [(flow.src_vm, flow.dst_vm) for flow in flows[:20]]
+    own = [(flow.src, flow.dst) for flow in flows[:20]]
     pairs = mesh + subset + own + same_host_pairs(provider)
     rates = snapshot_rates(provider, pairs, flows)
     assert rates.shape == (len(pairs),) and np.all(rates > 0)
@@ -149,7 +150,7 @@ def test_rates_are_max_min_fair_bounded_and_independent(seed, hose_state, n_flow
     assert np.array_equal(rates, (0.0 + fill * 0.1) / 0.1)
     assert violations(provider, pairs, flows, fill) == []
     caps = capacities(provider)
-    demands = {flow.flow_id: demand(provider, flow.src_vm, flow.dst_vm) for flow in flows}
+    demands = {flow.flow_id: demand(provider, flow.src, flow.dst) for flow in flows}
 
     # (i) the definition: the reference solver's rate on background + probe,
     # and the certificate with *our* rate standing in for the probe's.  The
@@ -238,7 +239,7 @@ def _provider():
 
 
 def _flow(flow_id, src, dst):
-    return VMFlow(flow_id=flow_id, src_vm=src, dst_vm=dst, size_bytes=1e6)
+    return Flow(flow_id=flow_id, src=src, dst=dst, size_bytes=1e6)
 
 
 @pytest.mark.parametrize(

@@ -516,7 +516,7 @@ def test_the_executor_runs_on_the_live_network_and_the_batch_engine_is_gone():
     from repro.cloud.provider import CloudProvider
 
     executor = ast.parse(inspect.getsource(importlib.import_module("repro.runtime.executor")))
-    for name in ("simulate", "build_simulation", "FluidSimulation", "add_flows", "VMFlow"):
+    for name in ("simulate", "build_simulation", "FluidSimulation", "add_flows", "Flow"):
         assert _calls(executor, name) == [], name
     assert len(_calls(executor, "LiveNetwork")) == 1
     assert not hasattr(CloudProvider, "simulate")
@@ -665,17 +665,21 @@ def test_one_kind_of_flow_is_left():
         if isinstance(target, (ast.Name, ast.Attribute))
     ]
     assert DELETED_FLOW_KIND_NAMES & set(named) == set()
-    from repro.cloud.provider import CloudProvider, VMFlow
+    import repro.cloud
+    import repro.cloud.provider as provider
+    from repro.cloud.provider import CloudProvider
     from repro.net.alloc import IncrementalAllocator
     from repro.net.fairness import FlowDemand
     from repro.net.flows import Flow
 
+    # One record from a tenant's books to the simulation: a flow between VM
+    # names reaches the simulation as the caller's own object.
     assert [field.name for field in dataclasses.fields(Flow)] == [
-        "flow_id", "src", "dst", "size_bytes", "start_time", "tag",
+        "flow_id", "src", "dst", "size_bytes", "start_time",
     ]
-    assert [field.name for field in dataclasses.fields(VMFlow)] == [
-        "flow_id", "src_vm", "dst_vm", "size_bytes", "start_time", "tag",
-    ]
+    assert not hasattr(provider, "VMFlow") and "VMFlow" not in repro.cloud.__all__
+    add_flows = ast.parse(textwrap.dedent(inspect.getsource(CloudProvider.add_flows)))
+    assert _calls(add_flows, "Flow") == []
     assert [field.name for field in dataclasses.fields(FlowDemand)] == ["links"]
     signature = inspect.signature
     assert list(signature(IncrementalAllocator.add_flow).parameters) == [

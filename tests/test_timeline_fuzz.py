@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from hostile import DEEP, HOSTILE, deadline
+from oracles.probe_fault import probe_fault
 from repro.errors import ReproError
 from repro.service.timeline import LinkDegradation, ProbeLoss, Timeline, VmPreemption
 
@@ -45,7 +46,7 @@ def _use(timeline, path):
         assert (np.isfinite(rates) & (rates > 0)).all(), (t, rates)
         for vm in vms:
             for other in vms:
-                timeline.probe_fault(vm, other, t)
+                probe_fault(timeline, vm, other, t)
         timeline.probe_faults(vms, index, index[::-1], t)
     timeline.save(path)
     assert Timeline.load(path) == timeline

@@ -24,6 +24,14 @@ cluster) greedy makes one choice per transfer that first names one of its
 tasks and records the placed transfers between two choices as one run (the
 ``place.greedy`` span's ``choices`` and ``runs``): its board updates grow
 as the tasks do while the transfers grow as n².
+
+On a doubling family of allocators under churn (n, 2n and 4n flows on
+n / 4 hoses and one shared core link), a fixed pattern of batch adds and
+removal-only steps costs the same number of solves at every size (its
+``solver_stats()``): a removal step is served on the links that bind
+until the core runs out of headroom, and after that each one is one full
+solve that replays the rounds of the hoses no removal touched.  Only the
+rounds grow, one per saturated link, as the hoses do.
 """
 
 import dataclasses
@@ -39,6 +47,7 @@ from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Machine
 from repro.core.placement.greedy import GreedyPlacer
 from repro.core.rate_model import EffectiveRateMatrix
+from repro.net.alloc import IncrementalAllocator
 from repro.net.flows import Flow
 from repro.net.fluid import FluidSimulation
 from repro.net.topology import Topology, TreeSpec, build_multi_rooted_tree
@@ -268,4 +277,81 @@ def test_greedy_makes_a_choice_per_opened_task_and_records_runs(tmp_path, monkey
     # The exact counts at one size.
     assert family[8] == {
         "transfers": 64, "choices": 11, "runs": 6, "records": 11, "run_updates": 5,
+    }
+
+
+CHURN_FLOWS = (512, 1024, 2048)
+CLASSES = 8
+
+
+def churn_work(n_flows):
+    """An allocator of ``n_flows`` flows on ``k = n_flows / 4`` hoses of
+    ``100 (1 + i % 8)`` Mbit/s, four flows a hose, the first and the third
+    also on a core link of 0.6 times the hoses' sum (the hoses bind, the
+    core has a sixth of its capacity left), driven through a fixed churn:
+    four removal steps that each take the second member off a quarter of
+    the upper four classes' hoses, a batch add of ``n_flows / 2`` flows,
+    then two removal steps that take the fourth member off half of those
+    hoses each.  Its ``solver_stats()`` after the add and each step."""
+    k = n_flows // 4
+    hoses = [1e8 * (1 + i % CLASSES) for i in range(k)]
+    capacities = {f"h{i}": c for i, c in enumerate(hoses)}
+    alloc = IncrementalAllocator({**capacities, "core": 0.6 * sum(hoses)})
+
+    def add(first, count):
+        ids = range(first, first + count)
+        # Flow j is member j // k of hose j % k; members 0 and 2 cross the core.
+        rows = [[j % k] + ([k] if (j // k) % 2 == 0 else []) for j in ids]
+        alloc.add_flows(
+            [f"f{j}" for j in ids], np.array([x for row in rows for x in row], np.intp),
+            np.array([len(row) for row in rows]),
+        )
+
+    stats = []
+
+    def solve():
+        alloc.solve_slots()
+        stats.append(alloc.solver_stats())
+
+    upper = [i for i in range(k) if i % CLASSES >= CLASSES // 2]
+    add(0, n_flows)
+    solve()
+    for step in range(4):
+        alloc.remove_flows([f"f{k + i}" for i in upper[step::4]])
+        solve()
+    add(n_flows, n_flows // 2)
+    solve()
+    for step in range(2):
+        alloc.remove_flows([f"f{3 * k + i}" for i in upper[step::2]])
+        solve()
+    return stats
+
+
+def test_the_allocator_under_churn_solves_as_often_at_every_size():
+    family = {n: churn_work(n) for n in CHURN_FLOWS}
+    for n, stats in family.items():
+        k = n // 4
+        # Three removal steps are served on the links that bind; the fourth
+        # would leave the core without headroom and is refused, and so are
+        # the two after the add.
+        assert [s["binding_solves"] for s in stats] == [0, 1, 2, 3, 3, 3, 3, 3], n
+        assert [s["binding_refusals"] for s in stats] == [0, 0, 0, 0, 1, 1, 2, 3], n
+        assert [s["full_solves"] for s in stats] == [1, 1, 1, 1, 2, 3, 4, 5], n
+        # A full solve searches or replays one round per saturated link:
+        # the k hoses, and the core once it binds.  A refused removal step
+        # replays the rounds below the first its removals touched: half of
+        # the hoses, the four lower classes.
+        assert [s["rounds"] for s in stats] == [
+            k, k, k, k, 2 * k + 1, 3 * k + 1, 4 * k + 2, 5 * k + 3,
+        ], n
+        assert [s["rounds_replayed"] for s in stats] == [
+            0, 0, 0, 0, k // 2, k // 2, k, 3 * k // 2,
+        ], n
+    # Growth per doubling of the flows: solves flat, rounds x2.
+    assert [family[n][-1]["rounds"] for n in CHURN_FLOWS] == [643, 1283, 2563]
+    assert [family[n][-1]["rounds_memoised"] for n in CHURN_FLOWS] == [48, 96, 192]
+    # The exact counts at one size.
+    assert family[1024][-1] == {
+        "full_solves": 5, "rounds": 1283, "rounds_replayed": 384, "rounds_memoised": 96,
+        "binding_solves": 3, "binding_refusals": 3,
     }
