@@ -34,6 +34,7 @@ import numpy as np
 from repro import obs
 from repro.errors import CloudError, MeasurementError
 from repro.cloud.instances import InstanceType, VirtualMachine, EC2_MEDIUM
+from repro.net.alloc import IncrementalAllocator
 from repro.net.fairness import probe_rates_under_load
 from repro.net.fluid import FluidSimulation
 from repro.net.flows import Flow
@@ -46,7 +47,7 @@ from repro.net.topology import (
     build_multi_rooted_tree,
     index_pairs,
 )
-from repro.units import BITS_PER_BYTE, GBITPS
+from repro.units import GBITPS
 
 HoseSampler = Callable[[np.random.Generator], float]
 
@@ -573,10 +574,18 @@ class CloudProvider:
             )
         if not vm_flows:
             return
-        at = self._pair_positions([(flow.src, flow.dst) for flow in vm_flows])
+        sim.add_flows(vm_flows, self._flow_rows([(flow.src, flow.dst) for flow in vm_flows]))
+
+    def _flow_rows(self, pairs: Sequence[Tuple[str, str]]) -> Tuple[np.ndarray, np.ndarray]:
+        """The row of a flow between each ordered VM pair, over a
+        :meth:`build_simulation`'s links: the sender's hose
+        (:meth:`_hose_column`), then the route between the VMs' hosts, the
+        pairs routed by host position in one :meth:`Topology.path_links_matrix`.
+        Returns ``(data, lengths)``: the rows laid end to end."""
+        at = self._pair_positions(pairs)
         paths, lengths, _ = self.topology.path_links_matrix(self._vm_hosts()[at])
         rows = np.concatenate((self._hose_column(at[:, 0], at[:, 1])[:, None], paths), axis=1)
-        sim.add_flows(vm_flows, (rows[rows >= 0], lengths + (rows[:, 0] >= 0)))
+        return rows[rows >= 0], lengths + (rows[:, 0] >= 0)
 
     # ----------------------------------------------------- measurement API
     def _probe_fault_factor(self, src_vm: str, dst_vm: str, what: str) -> float:
@@ -634,27 +643,25 @@ class CloudProvider:
         self, pairs: Sequence[Tuple[str, str]], duration: float
     ) -> List[float]:
         """Mean rate of one bulk connection per pair, all run together for
-        ``duration`` seconds: flows too big to finish, cut off at ``until``.
+        ``duration`` seconds: flows too big to finish, cut off at the end.
 
-        No flow outruns the fastest link it crosses, so twice the bytes the
-        fastest link moves in the window outlast it; a max-min share does
-        not depend on a flow's size.
+        Such a run is one fill.  Every connection holds its max-min share
+        of the network (the pairs' rows on one allocator) from 0 to
+        ``duration``, and its mean is that one segment's, as
+        :meth:`RateTimeline.average_rate` takes it: ``(0.0 + r * duration)
+        / duration``.  (Every row crosses a link — a pair on one host its
+        host's loopback — so no rate is unlimited.)
         """
         if not 0 < duration < math.inf:
             raise CloudError(
                 f"netperf duration must be finite and positive, got {duration!r}"
             )
-        sim = self.build_simulation()
-        size = 2 * duration * max(sim.capacities.values()) / BITS_PER_BYTE
-        flow_ids = [f"__netperf_{i}__" for i in range(len(pairs))]
-        self.add_flows(
-            sim,
-            [Flow(flow_id, src, dst, size) for flow_id, (src, dst) in zip(flow_ids, pairs)],
+        allocator = IncrementalAllocator(
+            {**self.topology.capacities(), **self.hose_capacities()}
         )
-        timelines = sim.run(until=duration).timelines
-        return [
-            timelines[flow_id].average_rate(0.0, duration) for flow_id in flow_ids
-        ]
+        rows, lengths = self._flow_rows(pairs)
+        slots = allocator.add_flows(rows, lengths)
+        return ((0.0 + allocator.solve_slots()[slots] * duration) / duration).tolist()
 
     def _positions(self) -> Dict[str, int]:
         """VM name -> position in allocation order (:meth:`vms`)."""

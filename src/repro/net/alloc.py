@@ -9,22 +9,25 @@ a one-off allocation, but the fluid simulator re-solves after *every* event
 work is repeated with a nearly identical flow set.
 
 :class:`IncrementalAllocator` keeps the state the solver needs *between*
-solves:
+solves.  It knows flows by *slot* alone — a dense integer it hands out when
+a flow's row of link indices is added, and takes back to remove it — and
+holds no flow id: the caller (the fluid simulator) keeps its own names.
 
-* link ids and flow ids are interned to dense integer slots once;
+* link ids are interned to dense indices once, and slots stay dense under
+  churn (a free list);
 * each flow's path is one row of a flat CSR buffer of link indices, and
   link membership lives in one flat ``intp`` store, a segment per link
   (:meth:`IncrementalAllocator._link_members`), beside a member-count
   vector: no Python object per membership, and each path held once;
-* :meth:`add_flow` / :meth:`remove_flow` apply deltas in O(path length)
-  (a leaving member's place goes to its segment's last member);
-  :meth:`add_flows` / :meth:`remove_flows` apply the same deltas for a
-  whole batch of flows with a fixed number of array operations, and leave
-  the state the per-flow calls would (slot numbers, free list, each
-  link's members as a set, rates);
-* :meth:`solve` runs progressive filling over integer indices (counters
-  instead of set intersections) and caches its result until the flow set
-  changes again.
+* :meth:`~IncrementalAllocator.add_flows` / :meth:`~IncrementalAllocator.remove_flows`
+  apply deltas in O(path length) a flow below ``_BATCH_MIN`` flows (a
+  leaving member's place goes to its segment's last member), and with a
+  fixed number of array operations for a larger batch, which leaves the
+  state the flow-by-flow edit would (slot numbers, free list, each link's
+  members as a set, rates);
+* :meth:`~IncrementalAllocator.solve_slots` runs progressive filling over
+  integer indices (counters instead of set intersections) and keeps its
+  per-slot rates until the flow set changes again.
 
 The solver performs the *same* floating-point operations in the same
 per-flow order as the reference implementation, so its rates are
@@ -32,7 +35,7 @@ bit-identical on any instance where the reference's own (set-iteration-
 order-dependent) tie-breaks do not matter — ``tests/test_hotpath.py``
 checks agreement within 1e-9 on randomized instances.
 
-At or above ``_VECTOR_MIN_FLOWS`` registered flows :meth:`solve`
+At or above ``_VECTOR_MIN_FLOWS`` registered flows a solve
 switches to an **array-backed water-filling path**: remaining headroom
 and unfrozen-member counts live in NumPy vectors over the links in use
 (ascending by interned link slot; idle links never enter a round), each
@@ -45,15 +48,14 @@ the array path, the ``(share, link)`` order of an exact lazy heap in the
 scalar one — and freeze with the same subtract-then-clamp in the same
 dtype, so full scalar and full vector solves are bit-identical to each
 other on every instance (and to the reference, with the caveat
-above).  A path may not repeat a link: :meth:`IncrementalAllocator.add_flow` and
-:meth:`~IncrementalAllocator.add_flows` refuse one by name.
+above).  A path may not repeat a link: :meth:`~IncrementalAllocator.add_flows`
+refuses one by its row in the batch and the link's name.
 
 Four further mechanisms keep event-loop re-solves cheap at scale:
 
 * **Slot-rate output** — solves write per-slot rates into a flat float64
-  vector; :meth:`solve_slots` hands that vector to array-based callers
-  (the vectorised fluid loop) with no per-flow dict in sight, while
-  :meth:`solve` builds the string-keyed mapping lazily on demand.
+  vector, which :meth:`solve_slots` hands to the caller: no per-flow
+  mapping in sight.
 * **Resumable water-filling** — a full vector solve logs its rounds
   (level, drained links, drains, batch, and per slot the round that froze
   it).  Removing a flow leaves every round before the one that froze it
@@ -121,7 +123,7 @@ _UNREAD = object()
 # the time ``ndarray.item`` / ``__setitem__`` take.
 _VIEWED = (
     "_link_count", "_seg_start", "_seg_cap", "_store", "_store_k",
-    "_row_pos", "_row_start", "_slot_nlinks", "_row_data",
+    "_row_pos", "_row_start", "_slot_nlinks", "_row_data", "_live",
 )
 
 # The segment every link gets when a flow is added flow by flow to an empty
@@ -220,6 +222,13 @@ class IncrementalAllocator:
             universe is fixed at construction; flows may only reference these
             links.  Their capacities may change (:meth:`update_capacities`).
 
+    A flow is a row of link indices (into the universe, in the order of
+    ``capacities``) and, while registered, a *slot*: :meth:`add_flows`
+    hands the slots out, :meth:`remove_flows` and :meth:`remove_flow` take
+    them back, and :meth:`solve_slots` gives the rates by slot.  A slot
+    that is not live, or is repeated in a batch, is refused with nothing
+    changed; the allocator holds no flow id.
+
     A full solve takes the array-backed path at or above
     ``_VECTOR_MIN_FLOWS`` registered flows, and the heap-based one below;
     both produce bit-identical rates.
@@ -242,9 +251,11 @@ class IncrementalAllocator:
         # _solve_vector); None until the next vector solve rebuilds it.
         self._layout: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._link_pos = np.zeros(len(self._link_ids), dtype=np.intp)
-        # Flow slots: a free-list keeps slot indices dense under churn.
-        self._flow_slot: Dict[str, int] = {}
-        self._slot_name: List[str] = []
+        # Flow slots: ``_n_slots`` handed out so far, a free list that keeps
+        # them dense under churn, and per slot whether it is live.
+        self._n_slots = 0
+        self._n_live = 0
+        self._live = np.zeros(0, dtype=bool)
         # Flat CSR buffer of every slot's link row: slot ``s`` occupies
         # ``_row_data[_row_start[s] : _row_start[s] + _slot_nlinks[s]]``.
         # Rows are append-only; removing a flow orphans its segment, and the
@@ -288,10 +299,9 @@ class IncrementalAllocator:
         # over every registered flow.
         self._linkless: Set[int] = set()
         self._slot_nlinks = np.zeros(0, dtype=np.int64)
-        # Per-slot solved rates; solve() derives its dict from this lazily.
+        # Per-slot solved rates (what solve_slots returns).
         self._slot_rate = np.zeros(0, dtype=np.float64)
         self._solved = False
-        self._solution: Optional[Dict[str, float]] = None
         # The links of B removals left members since the last solve, while B
         # is of use (see _solve_binding).
         self._dirty_links: Set[int] = set()
@@ -334,34 +344,13 @@ class IncrementalAllocator:
 
     # ----------------------------------------------------------- inspection
     def __len__(self) -> int:
-        return len(self._flow_slot)
+        return self._n_live
 
     # ------------------------------------------------------------- mutation
-    def add_flow(self, flow_id: str, links: Sequence[str]) -> int:
-        """Register a flow crossing ``links``.
-
-        Returns the flow's slot index — an index into the vector
-        :meth:`solve_slots` returns, valid until the flow is removed.
-
-        Raises:
-            SimulationError: on duplicate flow ids, unknown links, or a path
-                that repeats a link; nothing is registered in that case.
-        """
-        if flow_id in self._flow_slot:
-            raise SimulationError(f"duplicate flow id {flow_id!r}")
-        indexed: List[int] = []
-        for link_id in links:
-            index = self._link_index.get(link_id)
-            if index is None:
-                raise SimulationError(
-                    f"flow {flow_id!r} references unknown link {link_id!r}"
-                )
-            indexed.append(index)
-        self._check_row(flow_id, indexed)
-        return self._add_row(flow_id, indexed)
-
-    def _check_row(self, flow_id: str, row: Sequence[int]) -> None:
-        """Refuse a row that crosses one link twice, by flow and link name.
+    def _check_row(self, i: int, row: Sequence[int]) -> None:
+        """Refuse row ``i`` of a batch if it crosses one link twice, by its
+        row and the link's name; the error's ``row`` is ``i``, for a caller
+        that knows the flow by another name.
 
         Such a path is max-min fair under no single reading (counted once
         per link, it would drain the link once per crossing), and no route
@@ -371,20 +360,21 @@ class IncrementalAllocator:
             seen: Set[int] = set()
             for index in row:
                 if index in seen:
-                    raise SimulationError(
-                        f"flow {flow_id!r} crosses link "
+                    error = SimulationError(
+                        f"row {i} of the batch crosses link "
                         f"{self._link_ids[index]!r} more than once"
                     )
+                    error.row = i
+                    raise error
                 seen.add(index)
 
-    def _add_row(self, flow_id: str, indexed: List[int]) -> int:
-        """:meth:`add_flow` for a validated flow whose links are interned."""
+    def _add_row(self, indexed: List[int]) -> int:
+        """Register one validated row; its slot."""
         if self._free_slots:
             slot = self._free_slots.pop()
-            self._slot_name[slot] = flow_id
         else:
-            slot = len(self._slot_name)
-            self._slot_name.append(flow_id)
+            slot = self._n_slots
+            self._n_slots += 1
             if slot >= self._slot_rate.shape[0]:
                 self._grow_slot_arrays(slot + 1)
         # Make room for the row before registering the flow: a compaction
@@ -395,9 +385,10 @@ class IncrementalAllocator:
         base = self._row_used
         self._row_used += n_row
         self._row_live += n_row
-        self._flow_slot[flow_id] = slot
         (count, start, cap, store, store_k, row_pos, row_start, nlinks,
-         row_data) = self._views
+         row_data, live) = self._views
+        live[slot] = True
+        self._n_live += 1
         row_start[slot] = base
         nlinks[slot] = n_row
         if not n_row:
@@ -420,7 +411,6 @@ class IncrementalAllocator:
         self._resume = 0
         self._bind = self._bind_fill = None  # (and saturate any link)
         self._solved = False
-        self._solution = None
         return slot
 
     def _link_members(self, link: int) -> memoryview:
@@ -539,49 +529,43 @@ class IncrementalAllocator:
         grown_s = np.zeros(size, dtype=np.int64)
         grown_s[: self._row_start.shape[0]] = self._row_start
         self._row_start = grown_s
+        grown_live = np.zeros(size, dtype=bool)
+        grown_live[: self._live.shape[0]] = self._live
+        self._live = grown_live
         # Only an add grows the arrays, and an add voids the round log, so
         # there is nothing to carry over.
         self._freeze_round = np.full(size, _NEVER, dtype=np.int64)
-        self._bind_views("_row_start", "_slot_nlinks")
+        self._bind_views("_row_start", "_slot_nlinks", "_live")
 
-    def add_flows(
-        self,
-        flow_ids: Sequence[str],
-        rows: np.ndarray,
-        lengths: np.ndarray,
-    ) -> np.ndarray:
-        """Register a batch of flows given as link-index rows.
+    def add_flows(self, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Register a batch of flows given as link-index rows; their slots.
 
         ``rows`` holds the flows' rows laid end to end — indices into the
         link universe in the order of the ``capacities`` mapping —
-        ``lengths[i]`` links for flow ``i``.  Returns the flows' slots.  The
-        allocator ends up in exactly the state ``add_flow`` called on each
-        flow in turn would leave: same slots (free list last-in-first-out,
-        then fresh ones), same membership, same rates at the next solve.
+        ``lengths[i]`` links for flow ``i``.  A slot indexes the vector
+        :meth:`solve_slots` returns, and is the flow's until it is removed.
+        Below ``_BATCH_MIN`` flows the rows are registered one by one; a
+        larger batch leaves exactly that state: same slots (free list
+        last-in-first-out, then fresh ones), same membership, same rates at
+        the next solve.
 
         Raises:
-            SimulationError: on duplicate flow ids, link indices outside
-                the universe, or a row that repeats a link; nothing is
-                registered in that case.
+            SimulationError: on columns that disagree, link indices outside
+                the universe, or a row that repeats a link (the error's
+                ``row`` is its index in the batch); nothing is registered
+                in that case.
         """
-        n = len(flow_ids)
         rows = np.asarray(rows, dtype=np.intp)
         lengths = np.asarray(lengths, dtype=np.int64)
+        n = lengths.shape[0]
         total = rows.shape[0]
         if n < _BATCH_MIN:
             ends = list(itertools.accumulate(lengths.tolist()))
-            agree = len(ends) == n and (ends[-1] if n else 0) == total
+            agree = (ends[-1] if n else 0) == total
         else:
-            agree = lengths.shape[0] == n and int(lengths.sum()) == total
+            agree = int(lengths.sum()) == total
         if not agree:
             raise SimulationError("flow batch columns disagree in length")
-        registered = self._flow_slot
-        batch_ids = set()
-        for flow_id in flow_ids:
-            if flow_id in registered or flow_id in batch_ids:
-                raise SimulationError(f"duplicate flow id {flow_id!r}")
-            batch_ids.add(flow_id)
-        del batch_ids
         if n < _BATCH_MIN:
             # Small batches stay clear of NumPy and are cheaper flow by flow
             # (called once per fluid event, their fixed costs are the whole
@@ -590,15 +574,9 @@ class IncrementalAllocator:
             if total and (min(flat) < 0 or max(flat) >= len(self._link_ids)):
                 raise SimulationError("flow batch references an unknown link index")
             spans = list(zip([0] + ends, ends))
-            for flow_id, (a, b) in zip(flow_ids, spans):
-                self._check_row(flow_id, flat[a:b])
-            return np.array(
-                [
-                    self._add_row(flow_id, flat[a:b])
-                    for flow_id, (a, b) in zip(flow_ids, spans)
-                ],
-                dtype=np.intp,
-            )
+            for i, (a, b) in enumerate(spans):
+                self._check_row(i, flat[a:b])
+            return np.array([self._add_row(flat[a:b]) for a, b in spans], dtype=np.intp)
         row_offset = np.cumsum(lengths) - lengths
         if total:
             if rows.min() < 0 or rows.max() >= len(self._link_ids):
@@ -614,20 +592,19 @@ class IncrementalAllocator:
                 owner = int(owner_sorted[repeats.argmax()])
                 start = int(row_offset[owner])
                 row = rows[start : start + int(lengths[owner])]
-                self._check_row(flow_ids[owner], row.tolist())
+                self._check_row(owner, row.tolist())
             del links_sorted, repeats
 
-        # Slots, in add_flow's order: the free list from its tail, then fresh.
+        # Slots, in the flow-by-flow order: the free list from its tail,
+        # then fresh.
         n_reused = min(n, len(self._free_slots))
         slot_list = self._free_slots[len(self._free_slots) - n_reused :][::-1]
         del self._free_slots[len(self._free_slots) - n_reused :]
-        first_fresh = len(self._slot_name)
+        first_fresh = self._n_slots
         slot_list.extend(range(first_fresh, first_fresh + n - n_reused))
         slots = np.array(slot_list, dtype=np.intp)
-        for slot, flow_id in zip(slot_list[:n_reused], flow_ids):
-            self._slot_name[slot] = flow_id
-        self._slot_name.extend(flow_ids[n_reused:])
-        self._grow_slot_arrays(len(self._slot_name))
+        self._n_slots += n - n_reused
+        self._grow_slot_arrays(self._n_slots)
         # The CSR block is one slice write.  Room is made before any flow of
         # the batch is registered: a compaction must only see recorded rows.
         if total:
@@ -638,7 +615,8 @@ class IncrementalAllocator:
         self._row_used += total
         self._row_live += total
         self._slot_nlinks[slots] = lengths
-        self._flow_slot.update(zip(flow_ids, slot_list))
+        self._live[slots] = True
+        self._n_live += n
         self._linkless.update(slots[lengths == 0].tolist())
         if total:
             self._join_batch(
@@ -649,7 +627,6 @@ class IncrementalAllocator:
         self._resume = 0
         self._bind = self._bind_fill = None  # (and saturate any link)
         self._solved = False
-        self._solution = None
         return slots
 
     def _join_batch(
@@ -661,10 +638,10 @@ class IncrementalAllocator:
         ``g`` — ``sizes[g]`` incidences on link ``touched[g]`` — in batch
         order, incidence ``e`` the ``by_link[e]``-th entry of the batch's
         rows (written at ``base``), of batch flow ``owner_sorted[e]``.
-        Each link's new members follow its old ones in batch order, as
-        :meth:`add_flow` on each flow in turn would append them.  The
-        arrays are worked in place, one temporary at a time (at
-        ``fluid_giant`` each is 3 MB): ``owner_sorted`` is consumed.
+        Each link's new members follow its old ones in batch order, as the
+        flow-by-flow edit would append them.  The arrays are worked in
+        place, one temporary at a time (at ``fluid_giant`` each is 3 MB):
+        ``owner_sorted`` is consumed.
         """
         old = self._link_count[touched]
         need = old + sizes
@@ -706,16 +683,20 @@ class IncrementalAllocator:
         self._seg_start[links] = starts
         self._seg_cap[links] = new_cap
 
-    def remove_flow(self, flow_id: str) -> None:
-        """Forget a flow previously registered with :meth:`add_flow`."""
-        slot = self._flow_slot.get(flow_id)
-        if slot is None:
-            raise SimulationError(f"unknown flow {flow_id!r}")
+    def remove_flow(self, slot: int) -> None:
+        """Free the live slot ``slot``: its flow leaves.
+
+        Raises:
+            SimulationError: the slot is not live; nothing changes then.
+        """
+        (count, start, _, store, store_k, row_pos, row_start, nlinks,
+         row_data, live) = self._views
+        if not (0 <= slot < self._n_slots and live[slot]):
+            raise SimulationError(f"slot {slot!r} is not live")
         if self._bind_fill is not None:
             self._build_bind()
-        del self._flow_slot[flow_id]
-        (count, start, _, store, store_k, row_pos, row_start, nlinks,
-         row_data) = self._views
+        live[slot] = False
+        self._n_live -= 1
         base = row_start[slot]
         row = row_data[base : base + nlinks[slot]].tolist()
         nlinks[slot] = 0
@@ -755,42 +736,44 @@ class IncrementalAllocator:
         # bottleneck, so they survive its removal (see _solve_vector).
         if self._resume:
             self._resume = min(self._resume, int(self._freeze_round[slot]))
-        self._slot_name[slot] = ""
         self._row_live -= len(row)
         self._linkless.discard(slot)
         self._free_slots.append(slot)
         self._solved = False
-        self._solution = None
 
-    def remove_flows(self, flow_ids: Sequence[str]) -> None:
-        """Forget a batch of flows; the state ``remove_flow`` called on each
-        in turn would leave (freed slots join the free list in batch order;
-        a link's members may come out in another order).
+    def remove_flows(self, slots) -> None:
+        """Free a batch of live slots; the state :meth:`remove_flow` called
+        on each in turn would leave (freed slots join the free list in batch
+        order; a link's members may come out in another order).
 
         Raises:
-            SimulationError: on an unknown (or repeated) flow id; nothing is
-                removed in that case.
+            SimulationError: a slot is not live, or is repeated in the
+                batch; nothing changes in that case.
         """
-        flow_slot = self._flow_slot
-        if len(set(flow_ids)) != len(flow_ids):
-            raise SimulationError("a flow id is repeated in the batch")
-        for flow_id in flow_ids:
-            if flow_id not in flow_slot:
-                raise SimulationError(f"unknown flow {flow_id!r}")
-        if len(flow_ids) < _BATCH_MIN:
+        slots = np.asarray(slots, dtype=np.intp)
+        n = slots.shape[0]
+        if n and (
+            slots.min() < 0 or slots.max() >= self._n_slots or not self._live[slots].all()
+        ):
+            raise SimulationError("a slot of the batch is not live")
+        ordered = np.sort(slots)
+        if (ordered[1:] == ordered[:-1]).any():
+            raise SimulationError("a slot is repeated in the batch")
+        if n < _BATCH_MIN:
             # Cheaper flow by flow (see _BATCH_MIN).
-            for flow_id in flow_ids:
-                self.remove_flow(flow_id)
+            for slot in slots.tolist():
+                self.remove_flow(slot)
             return
         if self._bind_fill is not None:
             self._build_bind()
-        self._forget([flow_slot.pop(flow_id) for flow_id in flow_ids], booked=True)
+        self._forget(slots, booked=True)
 
-    def _forget(self, slot_list: List[int], booked: bool) -> None:
-        """Free the slots ``slot_list``, whose ids have left ``_flow_slot``,
-        in that order (:meth:`remove_flows`' edit); with ``booked``, book
-        the removal on B: its dirty links, ops, credits and pair counts."""
-        slots = np.array(slot_list, dtype=np.intp)
+    def _forget(self, slots: np.ndarray, booked: bool) -> None:
+        """Free the live ``slots``, in that order (:meth:`remove_flows`'
+        edit); with ``booked``, book the removal on B: its dirty links, ops,
+        credits and pair counts."""
+        self._live[slots] = False
+        self._n_live -= slots.shape[0]
         lengths = self._slot_nlinks[slots]
         total = int(lengths.sum())
         if total:
@@ -816,14 +799,12 @@ class IncrementalAllocator:
         # one of them as their bottleneck, so they survive the removal.
         if self._resume:
             self._resume = min(self._resume, int(self._freeze_round[slots].min()))
-        for slot in slot_list:
-            self._slot_name[slot] = ""
         self._row_live -= total
         self._slot_nlinks[slots] = 0
+        slot_list = slots.tolist()
         self._linkless.difference_update(slot_list)
         self._free_slots.extend(slot_list)
         self._solved = False
-        self._solution = None
 
     def _leave_batch(self, entries: np.ndarray) -> np.ndarray:
         """Take the incidences at CSR positions ``entries`` out of their
@@ -892,7 +873,6 @@ class IncrementalAllocator:
             self._bind = self._bind_fill = None
             self._layout = None
             self._solved = False
-            self._solution = None
 
     def _capacities(self) -> np.ndarray:
         """The link capacities as one array, kept until a capacity changes
@@ -901,40 +881,20 @@ class IncrementalAllocator:
             self._capacity_array = np.asarray(self._capacity)
         return self._capacity_array
 
-    def slots_of(self, flow_ids: Sequence[str]) -> np.ndarray:
-        """The slots of registered flows (see :meth:`add_flow`)."""
-        slot = self._flow_slot
-        return np.array([slot[flow_id] for flow_id in flow_ids], dtype=np.intp)
-
     # --------------------------------------------------------------- solve
     def uses_vector_path(self) -> bool:
-        """Whether the next :meth:`solve` will take the array-backed path."""
-        return len(self._flow_slot) >= _VECTOR_MIN_FLOWS
-
-    def solve(self) -> Dict[str, float]:
-        """Max-min fair rates for the registered flows (cached between edits).
-
-        Returns the same mapping a from-scratch progressive filling over the
-        current flow set would; callers must treat it as read-only.  The
-        scalar and array-backed paths produce bit-identical mappings, so
-        which one ran is unobservable from the result.
-        """
-        self._ensure_solved()
-        if self._solution is None:
-            # (The fluid simulator's scalar loop, the one caller at scale,
-            # runs below a few hundred flows: a plain comprehension beats
-            # the fixed cost of a NumPy gather there.)
-            rates = self._slot_rate.tolist()
-            self._solution = {
-                flow_id: rates[slot] for flow_id, slot in self._flow_slot.items()
-            }
-        return self._solution
+        """Whether the next full solve will take the array-backed path."""
+        return self._n_live >= _VECTOR_MIN_FLOWS
 
     def solve_slots(self) -> np.ndarray:
-        """Solve and return the per-slot rate vector (no dict is built).
+        """Max-min fair rates for the registered flows, by slot (kept
+        between edits).
 
-        ``result[slot]`` is the rate of the flow whose :meth:`add_flow`
-        returned ``slot``.  The array is owned by the allocator: treat it as
+        ``result[slot]`` is the rate of the flow :meth:`add_flows` gave
+        ``slot``: the rate a from-scratch progressive filling over the
+        current flow set gives it.  The scalar and array-backed paths give
+        bit-identical rates, so which one ran is unobservable from the
+        result.  The array is owned by the allocator: treat it as
         read-only, and re-fetch (or copy what you need) after any edit.
         Entries for freed slots are stale; :meth:`written_slots` names the
         rewritten ones.
@@ -1007,7 +967,7 @@ class IncrementalAllocator:
             with obs.span(
                 "alloc.solve",
                 mode="vector" if vectorised else "scalar",
-                flows=len(self._flow_slot),
+                flows=self._n_live,
                 links=len(self._link_ids),
             ) as span:
                 if vectorised:
@@ -1077,7 +1037,7 @@ class IncrementalAllocator:
         # voids B, so its infinite headroom is never read.)
         headroom[links] = remaining - _BIND_EPS * capacity
         in_b[links] = headroom[links] <= 0.0
-        routed = len(self._flow_slot) - len(self._linkless)
+        routed = self._n_live - len(self._linkless)
         self._bind_ops = 2 * routed
         if int(self._link_count[in_b].sum()) != routed:
             return
@@ -1294,10 +1254,7 @@ class IncrementalAllocator:
         if not j:
             return 0
         self._bind_ops = int(bind_ops[j - 1])
-        done = slots[: first[j - 1] + counts[j - 1]].tolist()
-        for slot in done:
-            del self._flow_slot[self._slot_name[slot]]
-        self._forget(done, booked=False)
+        self._forget(slots[: first[j - 1] + counts[j - 1]], booked=False)
         # Each re-rated link's survivors keep its last taken solve's rate.
         last = {}
         for part in np.flatnonzero(served & (part_event < j)).tolist():
@@ -1431,15 +1388,9 @@ class IncrementalAllocator:
         capacity = self._capacity
         views = self._views
         row_start, row_len, row_data = views[6], views[7], views[8]
-        rows = {}
-        for slot in self._flow_slot.values():
-            n = row_len[slot]
-            if n:
-                start = row_start[slot]
-                rows[slot] = row_data[start : start + n].tolist()
-            else:
-                # Flows that traverse no links are not limited at all.
-                slot_rate[slot] = math.inf
+        for slot in self._linkless:
+            # Flows that traverse no links are not limited at all.
+            slot_rate[slot] = math.inf
         used = np.flatnonzero(self._link_count)
         counts = dict(zip(used.tolist(), self._link_count[used].tolist()))
         # Working copies for only the links currently in play.
@@ -1447,7 +1398,7 @@ class IncrementalAllocator:
             index: capacity[index] for index in counts
         }
 
-        frozen = bytearray(len(self._slot_name))
+        frozen = bytearray(self._n_slots)
         # Lazy heap of ``(share, link)``, popped only at a link's current
         # share: its least entry is then the least share, ties to the lowest
         # link index — the array solve's ``argmin``, so both solves take
@@ -1459,7 +1410,7 @@ class IncrementalAllocator:
         # share, to be dropped when it surfaces.
         share_heap = [(remaining[index] / count, index) for index, count in counts.items()]
         heapq.heapify(share_heap)
-        n_left = len(rows)
+        n_left = self._n_live - len(self._linkless)
         while n_left:
             key, link = share_heap[0]
             count = counts[link]
@@ -1485,7 +1436,8 @@ class IncrementalAllocator:
             for slot in to_freeze:
                 frozen[slot] = 1
                 slot_rate[slot] = level
-                for index in rows[slot]:
+                start = row_start[slot]
+                for index in row_data[start : start + row_len[slot]].tolist():
                     drains[index] = drains.get(index, 0) + 1
             for index, k in drains.items():
                 before, count = remaining[index], counts[index]
@@ -1516,11 +1468,10 @@ class IncrementalAllocator:
 
     def _compact_rows(self) -> None:
         """Repack live rows to the front of ``_row_data`` (vectorised)."""
-        n_reg = len(self._flow_slot)
-        if not n_reg:
+        if not self._n_live:
             self._row_used = 0
             return
-        slots = np.fromiter(self._flow_slot.values(), dtype=np.intp, count=n_reg)
+        slots = np.flatnonzero(self._live[: self._n_slots])
         lens = self._slot_nlinks[slots]
         ends = np.cumsum(lens)
         offs = ends - lens
@@ -1618,7 +1569,7 @@ class IncrementalAllocator:
         if len(log) > mark:
             freeze_round[np.concatenate([r[4] for r in log[mark:]])] = _NEVER
             del log[mark:]
-        n_left = len(self._flow_slot) - len(self._linkless)
+        n_left = self._n_live - len(self._linkless)
         if mark:
             _, idxs, ks, drains, batches = zip(*log)
             at = pos[np.concatenate(idxs)]
@@ -1643,12 +1594,11 @@ class IncrementalAllocator:
 
             if bottleneck_share == inf:
                 # Unfrozen flows remain but nothing constrains them
-                # (rare: every remaining link has infinite headroom),
-                # so a Python sweep over the registry is fine here.
-                nlinks = self._slot_nlinks
-                for slot in self._flow_slot.values():
-                    if nlinks[slot] and freeze_round[slot] == _NEVER:
-                        slot_rate[slot] = inf
+                # (rare: every remaining link has infinite headroom).
+                n = self._n_slots
+                slot_rate[: n][
+                    self._live[:n] & (self._slot_nlinks[:n] > 0) & (freeze_round[:n] == _NEVER)
+                ] = inf
                 searched_from = None
                 break
             level = bottleneck_share

@@ -20,9 +20,12 @@ A flow lives in **one columnar table** from registration to result.
 indices: rows the caller routed (a provider's, which lead with the sender's
 hose), or a whole batch routed by host name with one
 :meth:`~repro.net.topology.Topology.path_links_matrix` call.  The event
-loops hand those rows to the allocator, and take them back, one batch per
-event (:meth:`~repro.net.alloc.IncrementalAllocator.add_flows` /
-``remove_flows``).
+loops hand those rows to the allocator, one batch per event
+(:meth:`~repro.net.alloc.IncrementalAllocator.add_flows`), keep the slot it
+gives each active flow — also across a pause — and hand the slots back as
+the flows retire (``remove_flows`` / ``remove_flow``).  Flow ids live here
+alone: the allocator knows a flow by its slot, and a row it refuses is
+named by its flow here.
 
 Both loops update lazily, as SimGrid's max-min solver does (Donassolo,
 Casanova, Legrand and Velho, *Fast and scalable simulation of volunteer
@@ -466,6 +469,18 @@ def _lockstep(
     )
 
 
+def _join(incremental: IncrementalAllocator, rows, lengths, flow_id) -> np.ndarray:
+    """The allocator's slots for a batch of arrivals' rows; a row it
+    refuses (one that repeats a link) is named by its flow, ``flow_id(i)``
+    for row ``i`` of the batch."""
+    try:
+        return incremental.add_flows(rows, lengths)
+    except SimulationError as error:
+        if not hasattr(error, "row"):
+            raise
+        raise SimulationError(f"flow {flow_id(error.row)!r}: {error}") from error
+
+
 def _check_capacities(capacities: Mapping[str, float]) -> None:
     """Reject a non-positive (or NaN) extra-link capacity, by link name."""
     for link_id, cap in capacities.items():
@@ -520,12 +535,13 @@ class FluidSimulation:
         # laid end to end and their lengths, in registration order.
         self._row_chunks: List[Tuple[np.ndarray, np.ndarray]] = []
         # The pause the last run left: its end time, the allocator holding
-        # the active flows, and each active flow's remaining bytes in
-        # activation order.  ``_survivors`` are the positions of the flows
-        # that run left live, until the next edit drops the rest (_compact).
+        # the active flows, and each active flow's allocator slot and
+        # remaining bytes in activation order.  ``_survivors`` are the
+        # positions of the flows that run left live, until the next edit
+        # drops the rest (_compact).
         self._now: Optional[float] = None
         self._allocator: Optional[IncrementalAllocator] = None
-        self._active: Dict[str, float] = {}
+        self._active: Dict[str, Tuple[int, float]] = {}
         self._survivors: Optional[List[int]] = None
         # Edits since the last run: flows added, withdrawn, capacities changed.
         self._edits = [0, 0, 0]
@@ -643,11 +659,13 @@ class FluidSimulation:
         for flow_id in flow_ids:
             if flow_id not in self._flows:
                 raise SimulationError(f"unknown flow {flow_id!r}")
-        active = [flow_id for flow_id in flow_ids if flow_id in self._active]
+        active = [self._active[flow_id][0] for flow_id in flow_ids if flow_id in self._active]
         if active:
             self._allocator.remove_flows(active)
         left = {
-            flow_id: self._active.pop(flow_id, float(self._flows[flow_id].size_bytes))
+            flow_id: self._active.pop(flow_id)[1]
+            if flow_id in self._active
+            else float(self._flows[flow_id].size_bytes)
             for flow_id in flow_ids
         }
         self._retain(
@@ -768,7 +786,7 @@ class FluidSimulation:
         return self._allocator, now
 
     def _pause(
-        self, end_time: float, active: Dict[str, float], survivors: List[int]
+        self, end_time: float, active: Dict[str, Tuple[int, float]], survivors: List[int]
     ) -> None:
         """Record where a run stopped (see ``__init__``)."""
         self._now = end_time
@@ -777,7 +795,9 @@ class FluidSimulation:
 
     def _run_scalar(self, until: Optional[float], span) -> FluidResult:
         """The per-flow Python event loop, on :meth:`_run_vector`'s lazy
-        rule: the same formulas, in the same order, in dicts keyed by flow.
+        rule: the same formulas, in the same order, in dicts keyed by flow
+        (each active flow's allocator slot among them, whose rate it reads
+        off :meth:`~repro.net.alloc.IncrementalAllocator.solve_slots`).
 
         Each active flow keeps its open segment — start, rate, the bits it
         had left at the start, and its fixed finish (:func:`_finish`).  A
@@ -797,17 +817,20 @@ class FluidSimulation:
             fid: float(flow.size_bytes) for fid, flow in flows.items()
         }
         # Active flows in activation order, each with its registration
-        # position; those the pause left active are in the allocator already.
-        # Per active flow, the bits left at its open segment's start (at
-        # its activation, until its first segment opens).
+        # position and its allocator slot; those the pause left active are
+        # in the allocator already.  Per active flow, the bits left at its
+        # open segment's start (at its activation, until its first segment
+        # opens).
         active: Dict[str, int] = {}
+        slot_of: Dict[str, int] = {}
         bits: Dict[str, float] = {}
         resumed = self._active
         if resumed:
             position = dict(zip(flows, range(len(flow_list))))
-            for fid, left in resumed.items():
+            for fid, (slot, left) in resumed.items():
                 states[fid] = FlowState.ACTIVE
                 active[fid] = position[fid]
+                slot_of[fid] = slot
                 bits[fid] = left * BITS_PER_BYTE
         # The open segments' starts, rates and finishes, and the closed
         # ones' rows.
@@ -832,7 +855,7 @@ class FluidSimulation:
         while True:
             # Activate flows whose start time has arrived, as one batch.
             # Zero-byte flows complete instantly at their start time.
-            arrived: List[Flow] = []
+            arrived: List[str] = []
             rows: List[int] = []
             lengths: List[int] = []
             while pending_idx < n_pending and pending[pending_idx].start_time <= now + _TIME_EPS:
@@ -846,13 +869,12 @@ class FluidSimulation:
                 active[fid] = i
                 bits[fid] = remaining[fid] * BITS_PER_BYTE
                 states[fid] = FlowState.ACTIVE
-                arrived.append(flow)
+                arrived.append(fid)
                 rows.extend(data[row_start[i] : row_start[i] + row_len[i]])
                 lengths.append(row_len[i])
             if arrived:
-                incremental.add_flows(
-                    [flow.flow_id for flow in arrived], rows, lengths
-                )
+                slots = _join(incremental, rows, lengths, arrived.__getitem__)
+                slot_of.update(zip(arrived, slots.tolist()))
 
             if not active and pending_idx >= n_pending:
                 end_time = now
@@ -867,10 +889,12 @@ class FluidSimulation:
             # A flow whose rate changed closes its segment, with the bits
             # it has left now, and opens the next (each flow's first on
             # its first solve).
-            rates = incremental.solve()
+            # (A memoryview reads an entry as a Python float, in O(1) per
+            # solve where a list would copy every slot's rate.)
+            rates = memoryview(incremental.solve_slots())
             checked += len(active)
-            for fid in active:
-                rate = rates[fid]
+            for fid, slot in slot_of.items():
+                rate = rates[slot]
                 old = open_rate.get(fid)
                 if old != rate:
                     changed += 1
@@ -909,7 +933,7 @@ class FluidSimulation:
                     remaining[fid] = 0.0
                     log.append((active.pop(fid), open_start.pop(fid), now, open_rate.pop(fid)))
                     del bits[fid], finish[fid]
-                    incremental.remove_flow(fid)
+                    incremental.remove_flow(slot_of.pop(fid))
 
             if until is not None and now >= until - _TIME_EPS:
                 end_time = until
@@ -931,7 +955,7 @@ class FluidSimulation:
         )
         self._pause(
             end_time,
-            {fid: remaining[fid] for fid in active},
+            {fid: (slot_of[fid], remaining[fid]) for fid in active},
             [
                 i
                 for i, state in enumerate(states.values())
@@ -1051,8 +1075,10 @@ class FluidSimulation:
             position = dict(zip(flow_ids, range(n_flows)))
             which = np.array([position[fid] for fid in resumed], dtype=np.intp)
             state[which] = _ACTIVE
-            bytes_left = np.fromiter(resumed.values(), np.float64, count=len(resumed))
-            place(which, incremental.slots_of(list(resumed)), bytes_left)
+            slots, bytes_left = zip(*resumed.values())
+            place(
+                which, np.array(slots, dtype=np.intp), np.array(bytes_left, dtype=np.float64)
+            )
         # Activation order: by (start_time, flow_id), as the scalar loop's.
         by_id = np.array(
             sorted(range(n_flows), key=flow_ids.__getitem__), dtype=np.intp
@@ -1202,10 +1228,9 @@ class FluidSimulation:
                 if arrived.shape[0]:
                     state[arrived] = _ACTIVE
                     lengths = row_len[arrived]
-                    slots = incremental.add_flows(
-                        [flow_ids[i] for i in arrived.tolist()],
-                        data[csr_gather(row_start[arrived], lengths)],
-                        lengths,
+                    slots = _join(
+                        incremental, data[csr_gather(row_start[arrived], lengths)],
+                        lengths, lambda i: flow_ids[arrived[i]],
                     )
                     place(arrived, slots, size[arrived])
 
@@ -1277,7 +1302,7 @@ class FluidSimulation:
                 names = [flow_ids[i] for i in which.tolist()]
                 completion.update(zip(names, itertools.repeat(now)))
                 state[which] = _COMPLETED
-                incremental.remove_flows(names)
+                incremental.remove_flows(slot_at[done])
                 bits0[done] = inf
                 finish[done] = inf
                 n_live -= done.shape[0]
@@ -1301,7 +1326,12 @@ class FluidSimulation:
         rem_out[(state == _COMPLETED) & ~empty] = 0.0
         self._pause(
             end_time,
-            dict(zip([flow_ids[i] for i in which.tolist()], left.tolist())),
+            dict(
+                zip(
+                    [flow_ids[i] for i in which.tolist()],
+                    zip(slot_at[active].tolist(), left.tolist()),
+                )
+            ),
             np.flatnonzero(state <= _ACTIVE).tolist(),
         )
         # Flows still active when the run stops are reported stopped;

@@ -31,7 +31,7 @@ from repro.core.estimator import estimate_completion_time
 from repro.core.network_profile import NetworkProfile
 from repro.core.placement.base import ClusterState, Placement, Placer
 from repro.net.flows import Flow
-from repro.net.fluid import FluidResult, FluidSimulation
+from repro.net.fluid import FluidResult
 from repro.workloads.application import Application, Task, TrafficMatrix
 
 Pair = Tuple[str, str]
@@ -249,7 +249,11 @@ class LiveNetwork:
 
     ``sent[app, pair]`` is what the simulation reported delivered for a
     task pair so far — the bytes each of its flows had left when it was
-    registered, minus what each had left after every run since.
+    registered, minus what each had left after every run since.  A flow's
+    bytes before a run are its pair's ``LiveApp.remaining``: registration
+    reads its size from there, a run writes back what the flow has left,
+    and a placement change, which alone edits ``remaining`` between runs,
+    withdraws the flows first.
     """
 
     def __init__(self, provider: CloudProvider, background: Sequence[Flow] = ()):
@@ -257,16 +261,12 @@ class LiveNetwork:
         # The hose capacities the simulation holds, as of ``built_at``.
         self.hose = provider.hose_capacities()
         self.built_at = provider.now
-        self.simulation = FluidSimulation(provider.topology, extra_capacities=self.hose)
-        provider.add_flows(self.simulation, background)
+        self.simulation = provider.build_simulation(background)
         self.other: Dict[str, Flow] = {flow.flow_id: flow for flow in background}
         self.sent: Dict[Tuple[str, Pair], float] = {}
         # Per application with flows in the simulation: its record, the
-        # placement the flows were routed for, and per flow id the task
-        # pair and the bytes the flow had left at the last pause.
-        self.registered: Dict[
-            str, Tuple[LiveApp, Placement, Dict[str, Tuple[Pair, float]]]
-        ] = {}
+        # placement the flows were routed for, and per flow id its task pair.
+        self.registered: Dict[str, Tuple[LiveApp, Placement, Dict[str, Pair]]] = {}
         # Applications registered, or found done, since they last moved (a
         # done application stays done).
         self.seen: Set[str] = set()
@@ -321,9 +321,7 @@ def advance_live_apps(
             continue
         flows = state.live_flows(start=start)
         registered[name] = (
-            state,
-            state.placement,
-            {flow.flow_id: (pair, flow.size_bytes) for pair, flow in flows},
+            state, state.placement, {flow.flow_id: pair for pair, flow in flows}
         )
         new.extend(flow for _, flow in flows)
     network.provider.add_flows(sim, new)
@@ -337,7 +335,7 @@ def advance_live_apps(
             flow.src for flow in network.other.values()
         )
         for _, placement, flows in registered.values():
-            for (src, _), _ in flows.values():
+            for src, _ in flows.values():
                 senders[placement.machine_of(src)] = None
         drifted = {
             link: cap
@@ -358,15 +356,13 @@ def advance_live_apps(
             other[flow_id] = replace(other[flow_id], size_bytes=left[flow_id])
     for name, (state, _, flows) in list(registered.items()):
         finished_at = start
-        for flow_id, (pair, before) in list(flows.items()):
+        for flow_id, pair in list(flows.items()):
             finish = completion.get(flow_id)
             after = left[flow_id] if finish is None else 0.0
             key = (name, pair)
-            network.sent[key] = network.sent.get(key, 0.0) + (before - after)
+            network.sent[key] = network.sent.get(key, 0.0) + (state.remaining[pair] - after)
             state.remaining[pair] = after
-            if finish is None:
-                flows[flow_id] = (pair, after)
-            else:
+            if finish is not None:
                 finished_at = max(finished_at, finish)
                 del flows[flow_id]
         state.settle(finished_at)

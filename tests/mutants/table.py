@@ -739,6 +739,54 @@ MUTANTS: Tuple[Mutant, ...] = (
         "            batches += events\n",
         (WORK + "test_the_lockstep_takes_a_step_per_member_of_a_link",),
     ),
+    # ---------------------------------------------- slots, not flow ids
+    Mutant(
+        "remove_flow frees a slot without the live-slot check",
+        ALLOC,
+        "        if not (0 <= slot < self._n_slots and live[slot]):\n",
+        "        if False:\n",
+        ("tests/test_flow_table.py::test_batched_edits_reject_a_bad_batch_whole",),
+    ),
+    Mutant(
+        "remove_flows lets a slot repeat in a batch",
+        ALLOC,
+        "        if (ordered[1:] == ordered[:-1]).any():\n",
+        "        if False:\n",
+        ("tests/test_flow_table.py::test_batched_edits_reject_a_bad_batch_whole",),
+    ),
+    Mutant(
+        "the scalar loop keeps reading a retired flow's freed slot",
+        FLUID,
+        "                    incremental.remove_flow(slot_of.pop(fid))\n",
+        "                    incremental.remove_flow(slot_of[fid])\n",
+        ("tests/test_fluid.py::test_departing_flow_releases_bandwidth_to_survivor", TRUTH),
+    ),
+    Mutant(
+        "a withdrawal leaves its flows' slots in the allocator",
+        FLUID,
+        "        if active:\n            self._allocator.remove_flows(active)\n",
+        "        if False:\n            self._allocator.remove_flows(active)\n",
+        (
+            "tests/test_fluid.py::"
+            "test_a_resumed_run_reports_what_a_fresh_simulation_from_the_pause_would",
+        ),
+    ),
+    Mutant(
+        "a pair's bytes before a run are read after the run wrote them",
+        MIGRATION,
+        "            network.sent[key] = network.sent.get(key, 0.0) + (state.remaining[pair] - after)\n"
+        "            state.remaining[pair] = after\n",
+        "            state.remaining[pair] = after\n"
+        "            network.sent[key] = network.sent.get(key, 0.0) + (state.remaining[pair] - after)\n",
+        ("tests/test_live_books.py::test_books_balance_at_every_cut_of_the_golden_sessions",),
+    ),
+    Mutant(
+        "netperf's mean is the fill's rate, not its segment's average",
+        PROVIDER,
+        "        return ((0.0 + allocator.solve_slots()[slots] * duration) / duration).tolist()\n",
+        "        return allocator.solve_slots()[slots].tolist()\n",
+        ("tests/test_netperf.py::test_netperf_numbers_are_pinned",),
+    ),
     # ------------------------------------------------- the §6.1 analysis
     Mutant(
         "predict averages with np.mean",

@@ -6,9 +6,10 @@ rebuilds its ``link -> members`` index on every call and intersects member
 sets against the unfrozen set every round.  Nothing in the package calls
 it; :class:`~repro.net.alloc.IncrementalAllocator` must give the same rates.
 
-:class:`ReferenceAllocator` wraps it in the three calls the fluid
+:class:`ReferenceAllocator` wraps it in the slot calls the fluid
 simulator's scalar event loop makes (``add_flows`` / ``remove_flow`` /
-``solve``), so a test can run the whole engine on the reference:
+``solve_slots``, and ``remove_flows`` at a withdrawal), so a test can run
+the whole engine on the reference:
 :func:`use_reference_engine` patches it into :mod:`repro.net.fluid` and
 raises ``_LOOP_MIN_FLOWS`` so the scalar loop runs at every size.
 
@@ -127,27 +128,50 @@ def start_bytes(sim: fluid.FluidSimulation) -> Dict[str, float]:
     """The bytes each registered flow of ``sim`` starts its next run with:
     what the last pause left it, or its size."""
     return {
-        flow_id: sim._active.get(flow_id, flow.size_bytes)
+        flow_id: sim._active[flow_id][1] if flow_id in sim._active else flow.size_bytes
         for flow_id, flow in sim._flows.items()
     }
 
 
+def add_paths(allocator, paths: Mapping[str, Sequence[str]]) -> Dict[str, int]:
+    """Register each named path (its link ids) on an
+    :class:`~repro.net.alloc.IncrementalAllocator`, one flow at a time as the
+    fluid loops' small batches do; each name's slot."""
+    index = allocator._link_index
+    return {
+        name: int(allocator.add_flows([index[link] for link in links], [len(links)])[0])
+        for name, links in paths.items()
+    }
+
+
+def rates_by_name(allocator, slots: Mapping[str, int]) -> Dict[str, float]:
+    """The allocator's rates (``solve_slots``) under the names ``slots``
+    gives their slots."""
+    rates = allocator.solve_slots().tolist()
+    return {name: rates[slot] for name, slot in slots.items()}
+
+
 class ReferenceAllocator:
-    """The allocator calls of the scalar event loop, each solve from scratch."""
+    """The allocator calls of the scalar event loop, each solve from scratch;
+    a flow's slot is the count of flows added before it."""
 
     def __init__(self, capacities: Mapping[str, float]) -> None:
         self._capacities = dict(capacities)
-        self._demands: Dict[str, FlowDemand] = {}
+        self._demands: Dict[int, FlowDemand] = {}
+        self._added = 0
 
-    def add_flows(self, flow_ids, rows, lengths) -> None:
-        demands = row_demands(list(self._capacities), flow_ids, rows, lengths)
-        for flow_id in demands:
-            if flow_id in self._demands:
-                raise SimulationError(f"duplicate flow id {flow_id!r}")
-        self._demands.update(demands)
+    def add_flows(self, rows, lengths) -> np.ndarray:
+        slots = range(self._added, self._added + len(lengths))
+        self._demands.update(row_demands(list(self._capacities), slots, rows, lengths))
+        self._added = slots.stop
+        return np.array(slots, dtype=np.intp)
 
-    def remove_flow(self, flow_id: str) -> None:
-        del self._demands[flow_id]
+    def remove_flow(self, slot: int) -> None:
+        del self._demands[slot]
+
+    def remove_flows(self, slots) -> None:
+        for slot in slots:
+            self.remove_flow(slot)
 
     def update_capacities(self, capacities: Mapping[str, float]) -> None:
         unknown = set(capacities) - set(self._capacities)
@@ -155,8 +179,11 @@ class ReferenceAllocator:
             raise SimulationError(f"unknown links {sorted(unknown)}")
         self._capacities.update(capacities)
 
-    def solve(self) -> Dict[str, float]:
-        return max_min_allocation(self._demands, self._capacities)
+    def solve_slots(self) -> np.ndarray:
+        rates = np.zeros(self._added)
+        for slot, rate in max_min_allocation(self._demands, self._capacities).items():
+            rates[slot] = rate
+        return rates
 
 
 def use_reference_engine(patch) -> None:

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from oracles.graph_search import route_ids
-from oracles.max_min import force_loop, force_solves
+from oracles.max_min import add_paths, force_loop, force_solves, rates_by_name
 from repro import obs
 from repro.cloud.ec2 import ec2_params
 from repro.net.flows import Flow
@@ -41,9 +41,8 @@ def _fresh(caps, active, vector):
     with pytest.MonkeyPatch.context() as patch:
         force_solves(patch, vector)
         fresh = IncrementalAllocator(caps)
-        for fid in sorted(active):
-            fresh.add_flow(fid, active[fid].links)
-        return fresh.solve()
+        slots = add_paths(fresh, {fid: active[fid].links for fid in sorted(active)})
+        return rates_by_name(fresh, slots)
 
 
 class _Live:
@@ -62,15 +61,14 @@ class _Live:
         self.settle("initial")
 
     def add(self, demands):
-        for fid, demand in demands.items():
-            self.slot_of[fid] = self.live.add_flow(fid, demand.links)
-            self.active[fid] = demand
+        self.slot_of.update(add_paths(self.live, {fid: d.links for fid, d in demands.items()}))
+        self.active.update(demands)
 
     def remove(self, fids):
         if len(fids) == 1:
-            self.live.remove_flow(fids[0])
+            self.live.remove_flow(self.slot_of[fids[0]])
         else:
-            self.live.remove_flows(list(fids))
+            self.live.remove_flows([self.slot_of[fid] for fid in fids])
         for fid in fids:
             del self.active[fid], self.slot_of[fid]
 
@@ -82,7 +80,6 @@ class _Live:
         got = self.live.solve_slots()
         written = self.live.written_slots()
         rates = {fid: float(got[slot]) for fid, slot in self.slot_of.items()}
-        assert rates == self.live.solve(), context
         assert rates == _fresh(self.caps, self.active, vector=True), context
         assert rates == _fresh(self.caps, self.active, vector=False), context
         if written is not None:
@@ -478,7 +475,7 @@ def test_the_path_serves_a_pipeline_shaped_shuffle():
 # ------------------------------------------------ rack-local meshes in waves
 class _Watched(IncrementalAllocator):
     """The allocator a fluid run builds, shadowed: it keeps the rows of the
-    flows it holds, holds every solve's rates ``==`` to a fresh allocator
+    slots it holds, holds every solve's rates ``==`` to a fresh allocator
     of the same flows, and logs each solve's counter deltas and whether an
     add came before it."""
 
@@ -489,36 +486,31 @@ class _Watched(IncrementalAllocator):
         self.added = False
         self.solves = []
 
-    def add_flows(self, flow_ids, rows, lengths):
-        slots = super().add_flows(flow_ids, rows, lengths)
+    def add_flows(self, rows, lengths):
+        slots = super().add_flows(rows, lengths)
         rows, ends = np.asarray(rows), np.cumsum(lengths)
-        for fid, start, end in zip(flow_ids, ends - lengths, ends):
-            self.rows[fid] = rows[start:end]
+        for slot, start, end in zip(slots.tolist(), ends - lengths, ends):
+            self.rows[slot] = rows[start:end]
         self.added = True
         return slots
 
-    def remove_flow(self, flow_id):
-        super().remove_flow(flow_id)
-        self.rows.pop(flow_id, None)
+    def remove_flow(self, slot):
+        super().remove_flow(slot)
+        self.rows.pop(slot, None)
 
-    def remove_flows(self, flow_ids):
-        super().remove_flows(flow_ids)
-        for fid in flow_ids:
-            self.rows.pop(fid, None)
+    def remove_flows(self, slots):
+        super().remove_flows(slots)
+        for slot in np.asarray(slots).tolist():
+            self.rows.pop(slot, None)
 
     def retire_in_lockstep(self, counts, slots, final):
-        names = [self._slot_name[slot] for slot in slots.tolist()]
         before = self.solver_stats()
         taken = super().retire_in_lockstep(counts, slots, final)
-        for fid in names[: int(counts[:taken].sum())]:
-            del self.rows[fid]
+        for slot in slots[: int(counts[:taken].sum())].tolist():
+            del self.rows[slot]
         if self._solved:
             self._watch(before)
         return taken
-
-    def solve(self):
-        self._watch()
-        return super().solve()
 
     def solve_slots(self):
         self._watch()
@@ -526,20 +518,19 @@ class _Watched(IncrementalAllocator):
 
     def _watch(self, before=None):
         before = before or self.solver_stats()
-        rates = super().solve()
+        ids = sorted(self.rows)
+        rates = super().solve_slots()[ids].tolist()
         after = self.solver_stats()
         delta = {key: after[key] - before[key] for key in after}
         if any(delta.values()):
             self.solves.append((delta, self.added))
             self.added = False
         fresh = IncrementalAllocator(self.caps)
-        ids = sorted(self.rows)
-        fresh.add_flows(
-            ids,
-            np.concatenate([self.rows[fid] for fid in ids] or [np.zeros(0, dtype=np.intp)]),
-            [len(self.rows[fid]) for fid in ids],
+        slots = fresh.add_flows(
+            np.concatenate([self.rows[slot] for slot in ids] or [np.zeros(0, dtype=np.intp)]),
+            [len(self.rows[slot]) for slot in ids],
         )
-        assert rates == fresh.solve(), len(self.solves)
+        assert rates == fresh.solve_slots()[slots].tolist(), len(self.solves)
 
 
 @pytest.mark.parametrize("vector", [True, False], ids=["vector", "scalar"])

@@ -18,7 +18,7 @@ import random
 import pytest
 
 from oracles.graph_search import route_ids
-from oracles.max_min import force_solves, max_min_allocation
+from oracles.max_min import add_paths, force_solves, max_min_allocation, rates_by_name
 from repro.net import alloc
 from repro.net.alloc import _BATCH_MIN, IncrementalAllocator
 from repro.net.fairness import FlowDemand, max_min_violations
@@ -83,14 +83,13 @@ def _fresh(caps, active, vector):
     with pytest.MonkeyPatch.context() as patch:
         force_solves(patch, vector)
         fresh = IncrementalAllocator(caps)
-        for fid in sorted(active):
-            fresh.add_flow(fid, active[fid].links)
-        fresh.solve()
-        return fresh
+        slots = add_paths(fresh, {fid: active[fid].links for fid in sorted(active)})
+        fresh.solve_slots()
+        return fresh, slots
 
 
 def _from_scratch(caps, active, vector):
-    return _fresh(caps, active, vector).solve()
+    return rates_by_name(*_fresh(caps, active, vector))
 
 
 def _rounds(allocator):
@@ -105,7 +104,6 @@ def _check(live, slot_of, caps, active, context):
     """The live allocator's slot rates against every oracle."""
     slot_rates = live.solve_slots()
     got = {fid: float(slot_rates[slot_of[fid]]) for fid in active}
-    assert got == live.solve(), context
     assert got == _from_scratch(caps, active, vector=True), context
     assert got == _from_scratch(caps, active, vector=False), context
     reference = max_min_allocation(active, caps)
@@ -134,16 +132,15 @@ class _Driver:
         self.settle("initial")
 
     def add(self, demands):
-        for fid, demand in demands.items():
-            self.slot_of[fid] = self.live.add_flow(fid, demand.links)
-            self.active[fid] = demand
+        self.slot_of.update(add_paths(self.live, {fid: d.links for fid, d in demands.items()}))
+        self.active.update(demands)
 
     def remove(self, fids, batched=False):
         if batched:
-            self.live.remove_flows(list(fids))
+            self.live.remove_flows([self.slot_of[fid] for fid in fids])
         else:
             for fid in fids:
-                self.live.remove_flow(fid)
+                self.live.remove_flow(self.slot_of[fid])
         for fid in fids:
             del self.active[fid], self.slot_of[fid]
 
@@ -157,7 +154,7 @@ class _Driver:
         if self.last_was_full and self.live.uses_vector_path():
             # (The live log is whole only after a full solve.)
             rounds = _rounds(self.live)
-            assert rounds == _rounds(_fresh(self.caps, self.active, True)), context
+            assert rounds == _rounds(_fresh(self.caps, self.active, True)[0]), context
             self.levels = [level for level, _, _ in rounds]
         return delta
 
@@ -438,10 +435,7 @@ def test_written_slots_cover_every_rate_a_solve_changed(make_instance, monkeypat
         def add(fids):
             rows = [index[link] for fid in fids for link in demands[fid].links]
             lengths = [len(demands[fid].links) for fid in fids]
-            if len(fids) == 1:
-                slots = [live.add_flow(fids[0], demands[fids[0]].links)]
-            else:
-                slots = live.add_flows(fids, rows, lengths).tolist()
+            slots = live.add_flows(rows, lengths).tolist()
             slot_of.update(zip(fids, slots))
             return set(slots)
 
@@ -492,9 +486,9 @@ def test_written_slots_cover_every_rate_a_solve_changed(make_instance, monkeypat
             elif roll < 0.8 and len(slot_of) > 10:
                 gone = rng.sample(sorted(slot_of), rng.choice([1, 2, 12]))
                 if len(gone) == 1:
-                    live.remove_flow(gone[0])
+                    live.remove_flow(slot_of[gone[0]])
                 else:
-                    live.remove_flows(gone)
+                    live.remove_flows([slot_of[fid] for fid in gone])
                 for fid in gone:
                     del slot_of[fid]
             else:

@@ -3,9 +3,9 @@
 Three batched mechanisms carry a flow from ``FluidSimulation.add_flows`` to
 ``FluidResult`` and each has a per-flow oracle that must agree exactly:
 
-* ``IncrementalAllocator.add_flows``/``remove_flows`` against ``add_flow``/
-  ``remove_flow`` on a twin allocator (slots, free list, solve counters,
-  rates);
+* ``IncrementalAllocator.add_flows``/``remove_flows`` over the batch cut
+  against the same edits row by row on a twin allocator (slots, free list,
+  solve counters, rates);
 * batch registration and the vector event loop against one-by-one
   registration and the scalar loop (the raw segment log each writes, as a
   multiset of rows; every ``FluidResult`` field, dict order included, and
@@ -56,7 +56,7 @@ def _membership(allocator):
     ``_link_members``, so each link's count too), and per registered slot
     its CSR row."""
     rows = {}
-    for slot in allocator._flow_slot.values():
+    for slot in np.flatnonzero(allocator._live[: allocator._n_slots]).tolist():
         start = int(allocator._row_start[slot])
         rows[slot] = allocator._row_data[
             start : start + int(allocator._slot_nlinks[slot])
@@ -69,13 +69,14 @@ def _membership(allocator):
 
 
 def _assert_same_state(batched, twin, context):
-    assert batched._flow_slot == twin._flow_slot, context
-    assert list(batched._flow_slot) == list(twin._flow_slot), context
+    assert batched._n_slots == twin._n_slots, context
     assert batched._free_slots == twin._free_slots, context
-    assert _membership(batched) == _membership(twin), context
+    members, rows = _membership(batched)
+    assert (members, rows) == _membership(twin), context
     assert batched._linkless == twin._linkless, context
     assert batched._resume == twin._resume, context
-    assert batched.solve() == twin.solve(), context
+    live = sorted(rows)
+    assert batched.solve_slots()[live].tolist() == twin.solve_slots()[live].tolist(), context
     assert batched.solver_stats() == twin.solver_stats(), context
 
 
@@ -96,7 +97,7 @@ def test_batched_edits_leave_the_per_flow_state(mode, seed, monkeypatch):
     capacities = {link: rng.choice([1.0, 2.0, 5.0, 10.0]) * 100 for link in LINK_IDS}
     batched = IncrementalAllocator(capacities)
     twin = IncrementalAllocator(capacities)
-    live, counter = [], itertools.count()
+    live = []
     for step in range(30):
         context = f"mode={mode} seed={seed} step={step}"
         # Adds and removals on both sides of the batch cut, removals
@@ -106,12 +107,11 @@ def test_batched_edits_leave_the_per_flow_state(mode, seed, monkeypatch):
             n_gone = rng.choice([1, 3, alloc._BATCH_MIN, len(live) // 2, len(live)])
             gone, live = live[:n_gone], live[n_gone:]
             batched.remove_flows(gone)
-            for flow_id in gone:
-                twin.remove_flow(flow_id)
+            for slot in gone:
+                twin.remove_flow(slot)
         else:
             n_new = rng.choice([1, 5, alloc._BATCH_MIN, 40, 200])
-            names = [f"f{next(counter)}" for _ in range(n_new)]
-            rows = [_random_row(rng) for _ in names]
+            rows = [_random_row(rng) for _ in range(n_new)]
             repeated = rng.random() < 0.15
             if repeated:
                 rows[rng.randrange(n_new)].extend([7, 7])
@@ -121,16 +121,13 @@ def test_batched_edits_leave_the_per_flow_state(mode, seed, monkeypatch):
                 # A row that crosses one link twice: the whole batch is
                 # refused, on either side of the cut, and nothing changes.
                 with pytest.raises(SimulationError, match="crosses link 'l7'"):
-                    batched.add_flows(names, flat, lengths)
+                    batched.add_flows(flat, lengths)
                 _assert_same_state(batched, twin, context)
                 continue
-            slots = batched.add_flows(names, flat, lengths)
-            expected = [
-                twin.add_flow(name, [LINK_IDS[i] for i in row])
-                for name, row in zip(names, rows)
-            ]
-            assert slots.tolist() == expected, context
-            live.extend(names)
+            slots = batched.add_flows(flat, lengths).tolist()
+            expected = [int(twin.add_flows(row, [len(row)])[0]) for row in rows]
+            assert slots == expected, context
+            live.extend(slots)
         _assert_same_state(batched, twin, context)
     # Most edits over the cut really were grouped by link, not replayed.
     assert len(grouped) >= 6
@@ -139,25 +136,26 @@ def test_batched_edits_leave_the_per_flow_state(mode, seed, monkeypatch):
 def test_batched_edits_reject_a_bad_batch_whole(monkeypatch):
     monkeypatch.setattr(alloc, "_BATCH_MIN", 8)
     live = IncrementalAllocator({link: 1.0 for link in LINK_IDS})
-    names = [f"f{i}" for i in range(10)]
     rows = np.arange(10, dtype=np.intp)
     ones = np.ones(10, dtype=np.int64)
-    live.add_flows(names, rows, ones)
-    before = dict(live._flow_slot)
-    more = [f"g{i}" for i in range(10)]
-    with pytest.raises(SimulationError, match="duplicate flow id 'f3'"):
-        live.add_flows(more[:9] + ["f3"], rows, ones)
-    with pytest.raises(SimulationError, match="duplicate flow id 'g0'"):
-        live.add_flows(more[:9] + ["g0"], rows, ones)
+    slots = live.add_flows(rows, ones).tolist()
+    live.remove_flow(slots[9])
+    before = _membership(live), list(live._free_slots)
+    with pytest.raises(SimulationError, match="disagree"):
+        live.add_flows(rows, ones[:9])
     with pytest.raises(SimulationError, match="unknown link index"):
-        live.add_flows(more, rows + N_LINKS - 5, ones)
-    with pytest.raises(SimulationError, match="flow 'g9' crosses link 'l9'"):
-        live.add_flows(more, np.append(rows, 9), np.append(ones[:9], 2))
-    with pytest.raises(SimulationError, match="unknown flow 'nope'"):
-        live.remove_flows(names[:9] + ["nope"])
+        live.add_flows(rows + N_LINKS - 5, ones)
+    with pytest.raises(SimulationError, match="row 9 of the batch crosses link 'l9'"):
+        live.add_flows(np.append(rows, 9), np.append(ones[:9], 2))
+    for gone in (slots[:8] + [slots[9]], slots[:8] + [len(slots)], slots[:8] + [-1]):
+        with pytest.raises(SimulationError, match="not live"):
+            live.remove_flows(gone)
     with pytest.raises(SimulationError, match="repeated"):
-        live.remove_flows(names[:9] + ["f0"])
-    assert live._flow_slot == before and not live._free_slots
+        live.remove_flows(slots[:9] + [slots[0]])
+    for gone in (slots[9], len(slots), -1):
+        with pytest.raises(SimulationError, match="not live"):
+            live.remove_flow(gone)
+    assert (_membership(live), live._free_slots) == before and len(live) == 9
 
 
 # ----------------------------------------------------------- (b) simulation

@@ -24,7 +24,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles.max_min import force_solves
+from oracles.max_min import add_paths, force_solves, rates_by_name
 from repro.net import alloc
 from repro.net.alloc import IncrementalAllocator
 
@@ -35,7 +35,7 @@ LINK_IDS = [f"l{i}" for i in range(N_LINKS)]
 def live_rows(allocator):
     """Slot -> row (link indices) of every registered flow, from the CSR."""
     rows = {}
-    for slot in allocator._flow_slot.values():
+    for slot in np.flatnonzero(allocator._live[: allocator._n_slots]).tolist():
         start = int(allocator._row_start[slot])
         rows[slot] = allocator._row_data[
             start : start + int(allocator._slot_nlinks[slot])
@@ -63,9 +63,8 @@ def assert_membership(allocator, context):
 
 def fresh_rates(flows, capacities):
     twin = IncrementalAllocator(capacities)
-    for flow_id, row in flows.items():
-        twin.add_flow(flow_id, [LINK_IDS[i] for i in row])
-    return twin.solve()
+    paths = {flow_id: [LINK_IDS[i] for i in row] for flow_id, row in flows.items()}
+    return rates_by_name(twin, add_paths(twin, paths))
 
 
 class Reached:
@@ -110,7 +109,7 @@ def test_membership_follows_the_rows_under_random_edits(vector, seed, monkeypatc
     rng = random.Random(seed)
     capacities = {link: rng.choice([1.0, 3.0, 10.0]) for link in LINK_IDS}
     allocator = IncrementalAllocator(capacities)
-    flows = {}  # flow id -> row, registered
+    flows, slot_of = {}, {}  # flow id -> row and slot, registered
     names = (f"f{i}" for i in itertools.count())
     reused = emptied_and_refilled = 0
     was_empty = set(range(N_LINKS))
@@ -122,31 +121,34 @@ def test_membership_follows_the_rows_under_random_edits(vector, seed, monkeypatc
             gone = rng.sample(sorted(flows), min(len(flows), max(1, n_gone)))
             if len(gone) == 1 or rng.random() < 0.3:
                 for flow_id in gone:
-                    allocator.remove_flow(flow_id)
+                    allocator.remove_flow(slot_of[flow_id])
             else:
-                allocator.remove_flows(gone)
+                allocator.remove_flows([slot_of[flow_id] for flow_id in gone])
             for flow_id in gone:
-                del flows[flow_id]
+                del flows[flow_id], slot_of[flow_id]
         else:
             new = {next(names): _row(rng) for _ in range(rng.choice([1, 5, 8, 40, 120]))}
             free = set(allocator._free_slots)
             if len(new) == 1 or rng.random() < 0.3:
-                slots = [
-                    allocator.add_flow(flow_id, [LINK_IDS[i] for i in row])
-                    for flow_id, row in new.items()
-                ]
+                slots = list(
+                    add_paths(
+                        allocator,
+                        {flow_id: [LINK_IDS[i] for i in row] for flow_id, row in new.items()},
+                    ).values()
+                )
             else:
                 flat = list(itertools.chain.from_iterable(new.values()))
                 slots = allocator.add_flows(
-                    list(new), np.array(flat, dtype=np.intp), [len(r) for r in new.values()]
+                    np.array(flat, dtype=np.intp), [len(r) for r in new.values()]
                 ).tolist()
             reused += len(free & set(slots))
             flows.update(new)
+            slot_of.update(zip(new, slots))
         counts = allocator._link_count
         emptied_and_refilled += len(was_empty & set(np.flatnonzero(counts).tolist()))
         was_empty = set(np.flatnonzero(counts == 0).tolist())
         assert_membership(allocator, context)
-        assert allocator.solve() == fresh_rates(flows, capacities), context
+        assert rates_by_name(allocator, slot_of) == fresh_rates(flows, capacities), context
     # Every mechanism was reached.
     assert reused and emptied_and_refilled, (reused, emptied_and_refilled)
     for event in ("_compact_rows", "_repack_store", "_move_segment", "trim", "released"):

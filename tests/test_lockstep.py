@@ -51,7 +51,7 @@ def simulate(links, flows, paths, vector, untils=(None,), tmp_path=None, monkeyp
     with traced_spans(tmp_path / f"trace{vector}.jsonl") as spans:
         for until in untils:
             result = sim.run(until=until)
-            runs.append([outcome(result), books(sim._allocator)])
+            runs.append([outcome(result), books(sim)])
     for run, span in zip(runs, spans):
         run.append(span)
     return runs
@@ -67,16 +67,21 @@ def outcome(result):
     )
 
 
-def books(allocator):
+def books(sim):
+    """The allocator's books after a run, and the pause's flows with their
+    slots and bytes."""
+    allocator = sim._allocator
     bound = allocator._bind
+    live = np.flatnonzero(allocator._live[: allocator._n_slots]).tolist()
     held = {
         "free": list(allocator._free_slots),
-        "slots": dict(allocator._flow_slot),
+        "active": list(sim._active.items()),
+        "slots": live,
         "resume": allocator._resume,
         "bind_ops": allocator._bind_ops,
         "solved": allocator._solved,
         "dirty": sorted(allocator._dirty_links),
-        "rates": {fid: allocator._slot_rate[slot] for fid, slot in allocator._flow_slot.items()},
+        "rates": allocator._slot_rate[live].tolist(),
         "stats": allocator.solver_stats(),
         "bound": bool(bound),
     }

@@ -31,16 +31,15 @@ INTP_BYTES = np.dtype(np.intp).itemsize
 
 def loaded_allocator(n_flows: int, n_links: int = 12, width: int = 3):
     """An allocator holding ``n_flows`` flows, added as one batch, each
-    crossing ``width`` of ``n_links`` links, solved once."""
+    crossing ``width`` of ``n_links`` links, solved once; and their slots."""
     allocator = IncrementalAllocator({f"l{i}": 1.0 * GBITPS for i in range(n_links)})
     rng = np.random.default_rng(n_flows)
     rows = np.concatenate(
         [rng.choice(n_links, size=width, replace=False) for _ in range(n_flows)]
     )
-    flow_ids = [f"f{i}" for i in range(n_flows)]
-    allocator.add_flows(flow_ids, rows, np.full(n_flows, width))
-    allocator.solve()
-    return allocator, flow_ids
+    slots = allocator.add_flows(rows, np.full(n_flows, width)).tolist()
+    allocator.solve_slots()
+    return allocator, slots
 
 
 def membership_bytes(allocator) -> int:
@@ -57,8 +56,8 @@ def test_membership_holds_three_entries_per_incidence():
     on 64-bit) per flow × link incidence — where one member-set entry took
     about 79 bytes, and each flow's path was kept a second time as a
     tuple — and the per-link vectors 3 more per link."""
-    allocator, flow_ids = loaded_allocator(20_000)
-    incidences = 3 * len(flow_ids)
+    allocator, slots = loaded_allocator(20_000)
+    incidences = 3 * len(slots)
     assert allocator._n_members == incidences
     assert membership_bytes(allocator) == 3 * INTP_BYTES * incidences
     per_link = (
@@ -88,16 +87,16 @@ def test_the_store_is_freed_when_every_flow_leaves(batched, monkeypatch):
         )[1],
     )
     n_flows = 2048
-    allocator, flow_ids = loaded_allocator(n_flows)
+    allocator, slots = loaded_allocator(n_flows)
     loaded = allocator._store.shape[0]
     assert loaded == 3 * n_flows > allocator._small_store >= alloc._REPACK_MIN
-    for half in (flow_ids[::2], flow_ids[1::2]):
+    for half in (slots[::2], slots[1::2]):
         if batched:
             allocator.remove_flows(half)
         else:
-            for flow_id in half:
-                allocator.remove_flow(flow_id)
-        allocator.solve()
+            for slot in half:
+                allocator.remove_flow(slot)
+        allocator.solve_slots()
     assert len(allocator) == 0 and not allocator._link_count.any()
     assert allocator._store.shape[0] <= allocator._small_store < loaded
     if batched:
@@ -113,18 +112,18 @@ def test_a_small_store_keeps_its_segments_for_the_next_flows(monkeypatch):
     """An allocator that never held more than a first store holds keeps
     it, empty, when its flows leave, and takes the same flows back without
     moving a segment."""
-    allocator, flow_ids = loaded_allocator(64)
+    allocator, slots = loaded_allocator(64)
     rows = [allocator._row_data[3 * i : 3 * i + 3].tolist() for i in range(64)]
-    for flow_id in flow_ids:
-        allocator.remove_flow(flow_id)
+    for slot in slots:
+        allocator.remove_flow(slot)
     size = allocator._store.shape[0]
     assert 0 < size <= allocator._small_store
     moved = []
     monkeypatch.setattr(
         IncrementalAllocator, "_move_segment", lambda *args: moved.append(args)
     )
-    for flow_id, row in zip(flow_ids, rows):
-        allocator.add_flow(flow_id, [f"l{i}" for i in row])
+    for row in rows:
+        allocator.add_flows(row, [3])
     assert moved == [] and allocator._store.shape[0] == size
     assert allocator._n_members == 3 * 64
 

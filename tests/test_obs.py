@@ -438,12 +438,12 @@ def test_metrics_snapshot_matches_legacy_stats_views(tmp_path):
     before = obs.metrics.snapshot()
 
     alloc = IncrementalAllocator({"l0": 1e9, "l1": 1e9})
-    alloc.add_flow("f0", ["l0"])
-    alloc.solve()
-    alloc.add_flow("f1", ["l1"])
-    alloc.solve()
-    alloc.remove_flow("f0")
-    alloc.solve()
+    (f0,) = alloc.add_flows([0], [1])
+    alloc.solve_slots()
+    alloc.add_flows([1], [1])
+    alloc.solve_slots()
+    alloc.remove_flow(f0)
+    alloc.solve_slots()
 
     store = ResultStore(tmp_path, version="v1")
     key = store.key_for("smoke", "random", 0, 42)
@@ -470,8 +470,8 @@ def test_a_collected_allocators_counts_stay_and_allocators_add_no_entry():
 
     before = obs.metrics.snapshot()
     allocator = IncrementalAllocator({"l0": 1e9, "l1": 1e9})
-    allocator.add_flow("f0", ["l0"])
-    allocator.solve()
+    allocator.add_flows([0], [1])
+    allocator.solve_slots()
     counts = allocator.solver_stats()
     del allocator
     gc.collect()

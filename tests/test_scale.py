@@ -14,8 +14,11 @@ import pytest
 from helpers import build_two_rack_cloud, pair_matrix
 from oracles.graph_search import route_ids, use_graph_search
 from oracles.max_min import (
+    add_paths,
     force_solves,
     max_min_allocation,
+    rates_by_name,
+    run_loop,
     use_reference_engine,
 )
 from repro.core.network_profile import NetworkProfile
@@ -65,15 +68,15 @@ def _solves(patch, vector, caps, script, every=True):
     with patch.context() as forced:
         force_solves(forced, vector)
         allocator = IncrementalAllocator(caps)
-        rates = []
+        rates, slots = [], {}
         for fid, demand in script:
             if demand is None:
-                allocator.remove_flow(fid)
+                allocator.remove_flow(slots.pop(fid))
             else:
-                allocator.add_flow(fid, demand.links)
+                slots.update(add_paths(allocator, {fid: demand.links}))
             if every:
-                rates.append(dict(allocator.solve()))
-        return rates if every else [dict(allocator.solve())]
+                rates.append(rates_by_name(allocator, slots))
+        return rates if every else [rates_by_name(allocator, slots)]
 
 
 class TestVectorSolveBitIdentity:
@@ -113,9 +116,8 @@ class TestVectorSolveBitIdentity:
             rng = random.Random(9000 + trial)
             caps, demands = _random_instance(rng)
             vector = IncrementalAllocator(caps)
-            for fid, demand in demands.items():
-                vector.add_flow(fid, demand.links)
-            got = vector.solve()
+            slots = add_paths(vector, {fid: demand.links for fid, demand in demands.items()})
+            got = rates_by_name(vector, slots)
             ref = max_min_allocation(demands, caps)
             assert set(ref) == set(got)
             for fid, expected in ref.items():
@@ -157,9 +159,8 @@ def _fresh(caps, demands, vector):
     with pytest.MonkeyPatch.context() as patch:
         force_solves(patch, vector)
         allocator = IncrementalAllocator(caps)
-        for fid, demand in demands.items():
-            allocator.add_flow(fid, demand.links)
-        return allocator.solve()
+        slots = add_paths(allocator, {fid: demand.links for fid, demand in demands.items()})
+        return rates_by_name(allocator, slots)
 
 
 class TestOneBottleneckRule:
@@ -167,50 +168,59 @@ class TestOneBottleneckRule:
     def test_full_scalar_full_vector_and_live_solves_are_equal(self, seed):
         caps, demands, retired = _pod_instance(seed)
         live = IncrementalAllocator(caps)
-        for fid, demand in demands.items():
-            live.add_flow(fid, demand.links)
-        live.solve()
+        slots = add_paths(live, {fid: demand.links for fid, demand in demands.items()})
+        live.solve_slots()
         for fid in retired:
-            live.remove_flow(fid)
+            live.remove_flow(slots.pop(fid))
             del demands[fid]
-            live.solve()
+            live.solve_slots()
         scalar = _fresh(caps, demands, vector=False)
         vector = _fresh(caps, demands, vector=True)
-        assert scalar == vector == live.solve()
+        assert scalar == vector == rates_by_name(live, slots)
         assert max_min_violations(demands, caps, scalar) == []
         stats = live.solver_stats()
         assert stats["full_solves"] + stats["binding_solves"] == 1 + len(retired)
 
-    @pytest.mark.parametrize("edit", ["add_flow", "small batch", "big batch"])
-    def test_a_path_that_repeats_a_link_is_refused_by_name(self, edit):
+    @pytest.mark.parametrize("edit", ["one row", "small batch", "big batch"])
+    def test_a_path_that_repeats_a_link_is_refused_by_its_row(self, edit):
         caps = {f"l{i}": float(i + 1) for i in range(8)}
         allocator = IncrementalAllocator(caps)
-        for i in range(4):
-            allocator.add_flow(f"kept{i}", [f"l{i}", f"l{i + 4}"])
-        before = dict(allocator.solve())
+        slots = add_paths(allocator, {f"kept{i}": [f"l{i}", f"l{i + 4}"] for i in range(4)})
+        before = rates_by_name(allocator, slots)
         bad = [2, 5, 2]
-        with pytest.raises(SimulationError, match=r"'loop'.*'l2'"):
-            if edit == "add_flow":
-                allocator.add_flow("loop", [f"l{i}" for i in bad])
-            else:
-                n = 3 if edit == "small batch" else _BATCH_MIN + 1
-                assert (n < _BATCH_MIN) == (edit == "small batch")
-                # The offending row comes last, after rows that are valid.
-                ids = [f"new{i}" for i in range(n - 1)] + ["loop"]
-                rows = [i % 8 for i in range(n - 1)] + bad
-                lengths = [1] * (n - 1) + [len(bad)]
-                allocator.add_flows(ids, np.array(rows), np.array(lengths))
+        n = {"one row": 1, "small batch": 3, "big batch": _BATCH_MIN + 1}[edit]
+        assert (n < _BATCH_MIN) == (edit != "big batch")
+        # The offending row comes last, after rows that are valid.
+        rows = [i % 8 for i in range(n - 1)] + bad
+        lengths = [1] * (n - 1) + [len(bad)]
+        with pytest.raises(SimulationError, match=f"row {n - 1} .*'l2'") as refused:
+            allocator.add_flows(np.array(rows), np.array(lengths))
+        assert refused.value.row == n - 1
         assert len(allocator) == 4
-        assert allocator.solve() == before
-        assert allocator.add_flow("loop", ["l2", "l5"]) >= 0
+        assert rates_by_name(allocator, slots) == before
+        assert allocator.add_flows([2, 5], [2]).tolist() == [4]
+
+    @pytest.mark.parametrize("vector", [False, True])
+    def test_the_simulation_names_the_flow_whose_route_repeats_a_link(self, vector):
+        """A route that crosses a link twice reaches the allocator when its
+        flow starts, and is refused there by its row; the simulation names
+        the flow, on either loop, after flows that started before it."""
+        topo = build_two_rack_cloud(n_pairs=2)
+        sim = FluidSimulation(topo)
+        flows = [Flow(f"f{i}", "s1", "r1", size_bytes=MBYTE) for i in range(3)]
+        flows.append(Flow("loop", "s2", "r2", size_bytes=MBYTE, start_time=1.0))
+        link = sim._link_ids.index(route_ids(topo, "s2", "r2")[0])
+        good = sim._link_ids.index(route_ids(topo, "s1", "r1")[0])
+        sim.add_flows(flows, (np.array([good, good, good, link, link]), np.array([1, 1, 1, 2])))
+        with pytest.raises(SimulationError, match=r"flow 'loop': row 0 .* more than once"):
+            run_loop(sim, vector)
 
 
 class TestVectorModeSelection:
     def test_auto_thresholds_gate_the_vector_path(self, monkeypatch):
         caps = {f"l{i}": 1 * GBITPS for i in range(8)}
         allocator = IncrementalAllocator(caps)
-        for f in range(8):
-            allocator.add_flow(f"f{f}", [f"l{f}"])
+        add_paths(allocator, {f"f{f}": [f"l{f}"] for f in range(8)})
         assert not allocator.uses_vector_path()  # below default thresholds
         with monkeypatch.context() as patch:
             force_solves(patch, True)
@@ -221,10 +231,9 @@ class TestVectorModeSelection:
         force_solves(monkeypatch, True)
         caps = {"l": 1 * GBITPS}
         vector = IncrementalAllocator(caps)
-        vector.add_flow("a", ["l"])
-        vector.add_flow("b", ["l"])
+        slots = add_paths(vector, {"a": ["l"], "b": ["l"]})
         assert vector.uses_vector_path()
-        assert vector.solve() == {"a": 0.5 * GBITPS, "b": 0.5 * GBITPS}
+        assert rates_by_name(vector, slots) == {"a": 0.5 * GBITPS, "b": 0.5 * GBITPS}
 
 
 class TestFluidVectorAllocator:

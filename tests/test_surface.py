@@ -187,11 +187,15 @@ def test_a_profile_is_its_matrices():
 def test_the_snapshot_has_one_implementation_and_builds_no_allocator():
     """The campaign's loaded probes (``_loaded_rates``) read their rates off
     ``probe_rates_under_load``: no snapshot twin for one pair or for some
-    size, no second call site, and no per-probe solve on an allocator."""
+    size, no second call site, and no per-probe solve on an allocator: the
+    provider's one allocator is netperf's fill (``_bulk_rates``)."""
+    from repro.cloud.provider import CloudProvider
+
     sources = {
         name: inspect.getsource(importlib.import_module(name)) for name in MODULES
     }
-    assert "IncrementalAllocator" not in sources["repro.cloud.provider"]
+    assert sources["repro.cloud.provider"].count("IncrementalAllocator(") == 1
+    assert "IncrementalAllocator(" in inspect.getsource(CloudProvider._bulk_rates)
     defined = sorted(
         f"{name}:{match}"
         for name, source in sources.items()
@@ -682,12 +686,12 @@ def test_one_kind_of_flow_is_left():
     assert _calls(add_flows, "Flow") == []
     assert [field.name for field in dataclasses.fields(FlowDemand)] == ["links"]
     signature = inspect.signature
-    assert list(signature(IncrementalAllocator.add_flow).parameters) == [
-        "self", "flow_id", "links",
-    ]
+    # The allocator knows flows by slot alone: rows in, slots out.
     assert list(signature(IncrementalAllocator.add_flows).parameters) == [
-        "self", "flow_ids", "rows", "lengths",
+        "self", "rows", "lengths",
     ]
+    assert list(signature(IncrementalAllocator.remove_flows).parameters) == ["self", "slots"]
+    assert not {"add_flow", "solve", "slots_of"} & set(vars(IncrementalAllocator))
     assert list(signature(CloudProvider.run_netperf).parameters) == [
         "self", "src_vm", "dst_vm", "duration",
     ]

@@ -297,15 +297,17 @@ def churn_work(n_flows):
     hoses = [1e8 * (1 + i % CLASSES) for i in range(k)]
     capacities = {f"h{i}": c for i, c in enumerate(hoses)}
     alloc = IncrementalAllocator({**capacities, "core": 0.6 * sum(hoses)})
+    slot_of = {}
 
     def add(first, count):
         ids = range(first, first + count)
         # Flow j is member j // k of hose j % k; members 0 and 2 cross the core.
         rows = [[j % k] + ([k] if (j // k) % 2 == 0 else []) for j in ids]
-        alloc.add_flows(
-            [f"f{j}" for j in ids], np.array([x for row in rows for x in row], np.intp),
+        slots = alloc.add_flows(
+            np.array([x for row in rows for x in row], np.intp),
             np.array([len(row) for row in rows]),
         )
+        slot_of.update(zip(ids, slots.tolist()))
 
     stats = []
 
@@ -317,12 +319,12 @@ def churn_work(n_flows):
     add(0, n_flows)
     solve()
     for step in range(4):
-        alloc.remove_flows([f"f{k + i}" for i in upper[step::4]])
+        alloc.remove_flows([slot_of[k + i] for i in upper[step::4]])
         solve()
     add(n_flows, n_flows // 2)
     solve()
     for step in range(2):
-        alloc.remove_flows([f"f{3 * k + i}" for i in upper[step::2]])
+        alloc.remove_flows([slot_of[3 * k + i] for i in upper[step::2]])
         solve()
     return stats
 
