@@ -29,29 +29,30 @@ holds no flow id: the caller (the fluid simulator) keeps its own names.
   integer indices (counters instead of set intersections) and keeps its
   per-slot rates until the flow set changes again.
 
-The solver performs the *same* floating-point operations in the same
-per-flow order as the reference implementation, so its rates are
-bit-identical on any instance where the reference's own (set-iteration-
-order-dependent) tie-breaks do not matter — ``tests/test_hotpath.py``
-checks agreement within 1e-9 on randomized instances.
+The reference freezes one link a round and drains flow by flow, so it
+agrees with the solver within rounding — ``tests/test_hotpath.py`` checks
+agreement within 1e-9 on randomized instances.
 
 At or above ``_VECTOR_MIN_FLOWS`` registered flows a solve
 switches to an **array-backed water-filling path**: remaining headroom
 and unfrozen-member counts live in NumPy vectors over the links in use
 (ascending by interned link slot; idle links never enter a round), each
 flow's path is a cached int index array (the rows of a CSR-style
-flow×link incidence), and the per-round bottleneck search becomes one
-masked divide plus ``argmin``.
-Both solves pick each bottleneck by one rule — the least current equal
-share, ties to the lowest link index: ``argmin`` over the links in use in
-the array path, the ``(share, link)`` order of an exact lazy heap in the
-scalar one — and freeze with the same subtract-then-clamp in the same
-dtype, so full scalar and full vector solves are bit-identical to each
-other on every instance (and to the reference, with the caveat
-above).  A path may not repeat a link: :meth:`~IncrementalAllocator.add_flows`
-refuses one by its row in the batch and the link's name.
+flow×link incidence), and the per-round search becomes one masked divide
+plus a minimum.
+Both solves run one round per *level* — the least current equal share —
+and freeze in it every unfrozen flow on every link at that share, each
+once, as progressive filling does (Bertsekas & Gallager, *Data Networks*,
+ch. 6): the array path finds those links by ``shares == level`` over the
+links in use, the scalar one by popping an exact lazy heap down to the
+level.  Both drain each touched link once with the same subtract-then-clamp
+in the same dtype, so full scalar and full vector solves are bit-identical
+to each other on every instance, and no rate depends on how the links are
+numbered.  A path may not repeat a link:
+:meth:`~IncrementalAllocator.add_flows` refuses one by its row in the batch
+and the link's name.
 
-Four further mechanisms keep event-loop re-solves cheap at scale:
+Three further mechanisms keep event-loop re-solves cheap at scale:
 
 * **Slot-rate output** — solves write per-slot rates into a flat float64
   vector, which :meth:`solve_slots` hands to the caller: no per-flow
@@ -60,15 +61,9 @@ Four further mechanisms keep event-loop re-solves cheap at scale:
   (level, drained links, drains, batch, and per slot the round that froze
   it).  Removing a flow leaves every round before the one that froze it
   exactly as it was, so the next full vector solve applies those rounds'
-  drains from the log in one ordered scatter — no bottleneck search, no
-  Python iteration per round — and computes only the rest.
-* **Freeze-batch memo** — the rounds after that point get new *levels*,
-  but mostly freeze the *batches* they froze last time.  Per bottleneck
-  link the last batch and its link histogram are kept, and reused when an
-  exact O(batch) test says the batch is the same set of flows; removing a
-  flow drops the entries of the links it crossed.  See
-  :meth:`IncrementalAllocator._solve_vector` for why each reuse is exact
-  and what invalidates it.
+  drains from the log in one ordered scatter — no search, no Python
+  iteration per round — and computes only the rest (see
+  :meth:`IncrementalAllocator._solve_vector` for why).
 * **Solving on the links that bind** — a full solve leaves the set B of
   links it saturated (its bottlenecks, and every link within ``_BIND_EPS``
   of its capacity) and every other link's slack.  While each flow crosses
@@ -145,8 +140,8 @@ _REPACK_MIN = 1024
 # one drain per member, then one credit per removed member and one debit
 # ``delta * m`` per kept pair per re-rating, and each of these operations
 # rounds at most three times by at most 2**-53 of the link's capacity; a
-# link can turn argmin only once its exact slack is within that rounding
-# of the level.  So while the operations behind B (``_bind_ops``: twice the
+# link can reach a round's level only once its exact slack is within that
+# rounding of it.  So while the operations behind B (``_bind_ops``: twice the
 # routed flows at the solve, plus the links of every removed row and the
 # pairs of every debit since) stay under ``_BIND_EPS * 2**51``, tracked and
 # exact slack differ by at most three quarters of the margin, and a tracked
@@ -170,6 +165,16 @@ def csr_gather(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     gather = (starts - (ends - lengths)).repeat(lengths)
     gather += np.arange(int(ends[-1]) if ends.shape[0] else 0)
     return gather
+
+
+def _distinct(ids: np.ndarray) -> np.ndarray:
+    """``ids`` without repeats, ascending, by sort and diff (plain
+    ``np.unique`` imports ``numpy.ma``)."""
+    ids = np.sort(ids)
+    keep = np.empty(ids.shape[0], dtype=bool)
+    keep[:1] = True
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
 
 
 def _group_by_link(links: np.ndarray):
@@ -290,10 +295,6 @@ class IncrementalAllocator:
         self._store_used = 0  # high-water mark of the store
         self._n_members = 0  # memberships: the sum of _link_count
         self._row_pos = np.zeros(0, dtype=np.intp)
-        # Per bottleneck link, the last batch the vector solve froze there
-        # and its link histogram ``(batch, idx, k)``; dropped whenever a flow
-        # crossing the link is removed (see _solve_vector).
-        self._batch_memo: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         # Slots of live linkless flows and each slot's path length, so the
         # vector solve can build its working sets without a Python sweep
         # over every registered flow.
@@ -311,7 +312,6 @@ class IncrementalAllocator:
         self._full_solves = obs.Counter("repro.alloc.full_solves")
         self._rounds = obs.Counter("repro.alloc.rounds")
         self._rounds_replayed = obs.Counter("repro.alloc.rounds_replayed")
-        self._rounds_memoised = obs.Counter("repro.alloc.rounds_memoised")
         # Round log of the last full vector solve, one entry per
         # water-filling round: its level, the links it drained as a sparse
         # ``(idx, k)`` pair, the drain ``k*level``, and its batch size;
@@ -707,10 +707,7 @@ class IncrementalAllocator:
                 self._dirty_links.add(link_of[slot])
                 self._bind_ops += len(row)
             rate = self._slot_rate.item(slot)
-        memo = self._batch_memo
         for k, index in enumerate(row):
-            if memo:
-                memo.pop(index, None)
             if pair_at is not None:
                 pair = pair_at[base + k]
                 if pair >= 0:  # (a kept link: credit it, count one member less)
@@ -732,8 +729,8 @@ class IncrementalAllocator:
         self._n_members -= len(row)
         if self._store.shape[0] > self._small_store:
             self._shrink_store()
-        # Rounds before the one that froze this flow never had it as their
-        # bottleneck, so they survive its removal (see _solve_vector).
+        # Rounds before the one that froze this flow never had it on a link
+        # at their level, so they survive its removal (see _solve_vector).
         if self._resume:
             self._resume = min(self._resume, int(self._freeze_round[slot]))
         self._row_live -= len(row)
@@ -789,14 +786,11 @@ class IncrementalAllocator:
                     rates = self._slot_rate[slots].repeat(lengths)[kept]
                     np.add.at(bound.headroom, self._row_data[entries[kept]], rates)
                     np.subtract.at(bound.pair_count, pairs[kept], 1)
-            touched = self._leave_batch(entries)
+            self._leave_batch(entries)
             if self._store.shape[0] > self._small_store:
                 self._shrink_store()
-            memo = self._batch_memo
-            for link in touched.tolist():
-                memo.pop(link, None)
         # Rounds before the first that froze any of these flows never had
-        # one of them as their bottleneck, so they survive the removal.
+        # one of them on a link at their level, so they survive the removal.
         if self._resume:
             self._resume = min(self._resume, int(self._freeze_round[slots].min()))
         self._row_live -= total
@@ -806,9 +800,9 @@ class IncrementalAllocator:
         self._free_slots.extend(slot_list)
         self._solved = False
 
-    def _leave_batch(self, entries: np.ndarray) -> np.ndarray:
+    def _leave_batch(self, entries: np.ndarray) -> None:
         """Take the incidences at CSR positions ``entries`` out of their
-        links' segments; returns the links touched, ascending.
+        links' segments.
 
         Per link, the members left in the segment's tail (past its new
         count) fill the holes the leaving ones open before it, lowest hole
@@ -845,7 +839,6 @@ class IncrementalAllocator:
         if not count[touched].all():
             self._layout = None  # (links leave use)
         self._n_members -= n_gone
-        return touched
 
     def update_capacities(self, capacities: Mapping[str, float]) -> None:
         """Change the capacity of existing links.
@@ -925,10 +918,9 @@ class IncrementalAllocator:
 
     def solver_stats(self) -> Dict[str, int]:
         """Counters: full solves, and the water-filling rounds of the full
-        vector solves — all of them (``rounds``), those replayed from the
-        round log instead of searched for again (``rounds_replayed``), and
-        the searched ones whose freeze batch came from the per-link memo
-        (``rounds_memoised``); and the solves after removals alone that the
+        vector solves — all of them (``rounds``, one per level) and those
+        replayed from the round log instead of searched for again
+        (``rounds_replayed``); and the solves after removals alone that the
         binding path served (``binding_solves``) or refused
         (``binding_refusals``).
 
@@ -940,7 +932,6 @@ class IncrementalAllocator:
             "full_solves": self._full_solves.count,
             "rounds": self._rounds.count,
             "rounds_replayed": self._rounds_replayed.count,
-            "rounds_memoised": self._rounds_memoised.count,
             "binding_solves": self._binding_solves.count,
             "binding_refusals": self._binding_refusals.count,
         }
@@ -972,12 +963,8 @@ class IncrementalAllocator:
             ) as span:
                 if vectorised:
                     resumed_from = self._resume
-                    memoised, written = self._solve_vector()
-                    span.set(
-                        rounds=len(self._round_log),
-                        resumed_from=resumed_from,
-                        memoised=memoised,
-                    )
+                    written = self._solve_vector()
+                    span.set(rounds=len(self._round_log), resumed_from=resumed_from)
                 else:
                     self._bind_fill = self._filled(self._solve_scalar())
                     self._resume = 0
@@ -1015,8 +1002,8 @@ class IncrementalAllocator:
         own rounding on ``l`` (at most two per member, ``2 u C_l`` each)
         stays under ``_BIND_EPS C_l / 4``: below that slack whenever
         ``_BIND_EPS > 5u``.  (A smaller margin's budget is under 2, which
-        no routed flow's solve passes.)  So a hose-safe link never turns
-        ``argmin``, and it leaves the per-event check: its headroom is
+        no routed flow's solve passes.)  So a hose-safe link never reaches a
+        round's level, and it leaves the per-event check: its headroom is
         never read again.
 
         **The kept counts.**  On every other link ``l`` outside B the
@@ -1091,14 +1078,15 @@ class IncrementalAllocator:
         returns the slots re-rated, or None (no rate written) to refuse.
 
         Every flow crosses exactly one link of B (:meth:`_build_bind`), and
-        removals keep that so.  Restricted to B the fill is then one round
-        per link ``d``: its ``n`` members get ``C_d / n``, the fill's own
+        removals keep that so.  Restricted to B the fill freezes each link
+        ``d``'s ``n`` members in one round at ``C_d / n``, the fill's own
         ``remaining / counts`` with ``remaining == C_d``, as no other round
         drains ``d``; so all of them share one rate, ``r_d``.  The fill over
-        every link is the same fill as long as no link outside B turns
-        ``argmin``: levels never fall from round to round (up to an ulp),
-        and each unfrozen member ends at or above the current level, so a
-        link that turns ``argmin`` ends the fill saturated, within rounding.
+        every link is the same fill as long as no link outside B reaches a
+        round's level: levels never fall from round to round (up to an
+        ulp), and each unfrozen member ends at or above the current level,
+        so a link at a round's level ends the fill saturated, within
+        rounding.
         A hose-safe link never does (:meth:`_build_bind`).  Nor does a link
         left with headroom — tracked slack above ``_BIND_EPS`` of its
         capacity, a margin that covers every rounding while ``_bind_ops``
@@ -1399,34 +1387,44 @@ class IncrementalAllocator:
         }
 
         frozen = bytearray(self._n_slots)
-        # Lazy heap of ``(share, link)``, popped only at a link's current
-        # share: its least entry is then the least share, ties to the lowest
-        # link index — the array solve's ``argmin``, so both solves take
-        # every bottleneck in the same order.  That needs every link to keep
-        # an entry at or below its share.  Draining a link raises its share,
-        # save by an ulp of the fused drain; so an entry found below its
-        # link's share is corrected in place, and a drain that lowers a
-        # share pushes a fresh entry, which leaves the old one above the
-        # share, to be dropped when it surfaces.
+        # Lazy heap of ``(share, link)``, an entry valid while it holds its
+        # link's current share: the least valid entry is then the least
+        # share.  That needs every link to keep an entry at or below its
+        # share.  Draining a link raises its share, save by an ulp of the
+        # fused drain; so an entry found below its link's share is corrected
+        # in place, and a drain that lowers a share pushes a fresh entry,
+        # which leaves the old one above the share, to be dropped when it
+        # surfaces.
         share_heap = [(remaining[index] / count, index) for index, count in counts.items()]
         heapq.heapify(share_heap)
         n_left = self._n_live - len(self._linkless)
         while n_left:
-            key, link = share_heap[0]
-            count = counts[link]
-            if not count:  # every member frozen: the link is spent
+            # One round: every valid entry at the least share — the level —
+            # is popped and its link's unfrozen members are frozen, each
+            # once (a link may surface twice); the first valid entry above
+            # the level stays for the next round.
+            level = None
+            to_freeze: List[int] = []
+            while share_heap:
+                key, link = share_heap[0]
+                count = counts[link]
+                if count:  # (else every member is frozen: the link is spent)
+                    share = remaining[link] / count
+                    if key < share:
+                        heapq.heapreplace(share_heap, (share, link))
+                        continue
+                    if key == share:
+                        if level is None:
+                            level = key
+                        elif key != level:
+                            break
+                        heapq.heappop(share_heap)
+                        for slot in self._link_members(link).tolist():
+                            if not frozen[slot]:
+                                frozen[slot] = 1
+                                to_freeze.append(slot)
+                        continue
                 heapq.heappop(share_heap)
-                continue
-            level = remaining[link] / count
-            if key != level:
-                if key < level:
-                    heapq.heapreplace(share_heap, (level, link))
-                else:
-                    heapq.heappop(share_heap)
-                continue
-            heapq.heappop(share_heap)
-            members = self._link_members(link).tolist()
-            to_freeze = [slot for slot in members if not frozen[slot]]
             n_left -= len(to_freeze)
 
             # Count the round's crossings per link, then drain each link
@@ -1434,7 +1432,6 @@ class IncrementalAllocator:
             # the form the array-backed solve computes.
             drains: Dict[int, int] = {}
             for slot in to_freeze:
-                frozen[slot] = 1
                 slot_rate[slot] = level
                 start = row_start[slot]
                 for index in row_data[start : start + row_len[slot]].tolist():
@@ -1483,27 +1480,27 @@ class IncrementalAllocator:
         self._row_start[slots] = offs
         self._row_used = total
 
-    def _solve_vector(self) -> Tuple[int, Optional[int]]:
-        """Array-backed water-filling over the links in use; returns how
-        many rounds took their batch from the memo, and the first round it
-        searched (None if it left slots unconstrained outside any batch).
+    def _solve_vector(self) -> Optional[int]:
+        """Array-backed water-filling over the links in use; returns the
+        first round it searched (None if it left slots unconstrained outside
+        any batch).
 
-        Per round: one masked divide + ``argmin`` finds the bottleneck link
-        (ties break on the lowest link index, matching the scalar heap's
-        ``(share, index)`` order); the freeze batch's link histogram
+        Per round: one masked divide finds the least share, the round's
+        *level*, and every link at it; the round freezes the union of their
+        unfrozen members, each flow once, and the batch's link histogram
         ``(idx, k)`` drains every touched link by the fused ``remaining -
-        k*level`` clamp — the identical expression the scalar path evaluates
-        per touched link, so the two paths stay bit-identical.  A fill
-        reuses three things the previous fill computed, each exactly:
+        k*level`` clamp — the identical expression the scalar path
+        evaluates per touched link, so the two paths stay bit-identical.
+        No link index decides anything: a round is a level, its links a set.
 
         **The log prefix.**  Every round is logged (level, ``idx``, ``k``,
         the product ``k*level``, the batch; ``_freeze_round`` per slot).
         Rounds ``< _resume`` survive removals: a flow frozen in round ``r``
-        has, in every round ``j < r``, no link that is the bottleneck;
-        taking it away only *raises* its links' shares, so round ``j``'s
-        ``argmin`` and tie-break, the batch and the drain are unchanged.
-        Only ``counts`` on its links differ, and those are read from
-        ``_link_count``.
+        crosses no link of round ``j``'s tied set for any ``j < r``, and
+        taking it away only *raises* its own links' shares, which were
+        already above round ``j``'s level; so round ``j``'s level, tied set,
+        batch and drains are unchanged.  Only ``counts`` on its links
+        differ, and those are read from ``_link_count``.
         :meth:`remove_flow` therefore lowers ``_resume`` to the removed
         flow's freeze round; everything else (an add, a capacity change, a
         scalar solve in between) sets it to 0.
@@ -1516,29 +1513,14 @@ class IncrementalAllocator:
         drains, where the per-round clamp would have held it at 0, so both
         end at ``0.0``; ``inf - k*level`` stays ``inf``.
 
-        **The batches.**  ``_batch_memo[b]`` is the last batch bottleneck
-        link ``b`` froze and its histogram.  It is dropped whenever a flow
-        crossing ``b`` is removed, so while it exists every slot in it
-        holds the flow it held, with the row it had: stored batch ⊆
-        members(``b``).  ``counts[b]`` is the number of unfrozen members of
-        ``b``; if it equals the stored batch's size and no stored slot is
-        frozen, the unfrozen members *are* the stored batch, and ``(idx,
-        k)`` — a function of the batch's rows — is unchanged.  An add cannot
-        stale an entry (a new unfrozen member changes the count; one frozen
-        earlier leaves the batch the stored one).  Removal must: the freed
-        slot can come back with a different row on the same link, and then
-        count and ``_freeze_round`` look right while the histogram is the
-        old flow's.  Entries are copies, never views of ``_row_data``.
-
         **Nothing for idle links.**  ``remaining`` / ``counts`` / ``shares``
-        cover the links in use only, ascending by link index (``argmin``'s
-        tie-break is unchanged; a link with no live flow never enters a
-        round); ``_link_pos`` translates logged and memoised ``idx``.  That
-        layout, ``flatnonzero(_link_count)``, is kept until a link enters or
-        leaves use or a capacity changes.
+        cover the links in use only (a link with no live flow never enters
+        a round); ``_link_pos`` translates logged ``idx``.  That layout,
+        ``flatnonzero(_link_count)``, is kept until a link enters or leaves
+        use or a capacity changes.
 
         The log holds each flow×link incidence at most once — the round
-        that froze the flow — and so does the memo: O(incidences).
+        that froze the flow: O(incidences).
         """
         slot_rate = self._slot_rate
         for slot in self._linkless:
@@ -1579,20 +1561,17 @@ class IncrementalAllocator:
             n_left -= sum(map(len, batches))
         inf = math.inf
         zero = np.zeros(())  # (a Python scalar operand is converted per call)
-        memo = self._batch_memo
-        memoised = 0
         searched_from: Optional[int] = mark
         while n_left:
-            # Bottleneck search: equal share of every link still carrying
+            # The level: the least equal share of the links still carrying
             # unfrozen flows, in one vector divide; links with no unfrozen
             # members are masked to +inf.
             np.greater(counts, zero, out=active)
             shares.fill(inf)
             np.divide(remaining, counts, out=shares, where=active)
-            bottleneck = int(shares.argmin())
-            bottleneck_share = shares.item(bottleneck)
+            level = float(shares.min())
 
-            if bottleneck_share == inf:
+            if level == inf:
                 # Unfrozen flows remain but nothing constrains them
                 # (rare: every remaining link has infinite headroom).
                 n = self._n_slots
@@ -1601,36 +1580,29 @@ class IncrementalAllocator:
                 ] = inf
                 searched_from = None
                 break
-            level = bottleneck_share
-            link = int(used[bottleneck])
-            entry = memo.get(link)
-            if (
-                entry is not None
-                and counts.item(bottleneck) == entry[0].shape[0]
-                and freeze_round[entry[0]].min() == _NEVER
-            ):
-                batch, idx, k = entry
-                memoised += 1
-            else:
-                batch = np.frombuffer(self._link_members(link), dtype=np.intp)
-                batch = batch[freeze_round[batch] == _NEVER]
-                if not batch.shape[0]:
-                    # (would loop forever: the round freezes nothing)
-                    raise SimulationError(
-                        f"link {self._link_ids[link]!r} counts an "
-                        "unfrozen flow its membership does not hold"
-                    )
-                # Gather the batch's link rows from the flat CSR buffer and
-                # histogram them over the links in use.
-                rows = self._row_data[
-                    csr_gather(self._row_start[batch], self._slot_nlinks[batch])
-                ]
-                occ = np.bincount(pos[rows], minlength=n_used)
-                # (nonzero of a bool mask is twice as fast as of int64)
-                hit = (occ > 0).nonzero()[0]
-                idx = used[hit]
-                k = occ[hit].astype(np.float64)
-                memo[link] = batch, idx, k
+            tied = used[(shares == level).nonzero()[0]]
+            batch = self._store[
+                csr_gather(self._seg_start[tied], self._link_count[tied])
+            ]
+            batch = batch[freeze_round[batch] == _NEVER]
+            if tied.shape[0] > 1:
+                batch = _distinct(batch)
+            if not batch.shape[0]:
+                # (would loop forever: the round freezes nothing)
+                raise SimulationError(
+                    f"link {self._link_ids[tied[0]]!r} counts an "
+                    "unfrozen flow its membership does not hold"
+                )
+            # Gather the batch's link rows from the flat CSR buffer and
+            # histogram them over the links in use.
+            rows = self._row_data[
+                csr_gather(self._row_start[batch], self._slot_nlinks[batch])
+            ]
+            occ = np.bincount(pos[rows], minlength=n_used)
+            # (nonzero of a bool mask is twice as fast as of int64)
+            hit = (occ > 0).nonzero()[0]
+            idx = used[hit]
+            k = occ[hit].astype(np.float64)
 
             # Drain the round's links with the fused ``remaining - k*level``
             # clamp the scalar path computes.  Links outside ``idx`` would
@@ -1641,15 +1613,13 @@ class IncrementalAllocator:
             drain = k * level
             log.append((level, idx, k, drain, batch))
             n_left -= batch.shape[0]
-            at = pos[idx]
-            counts[at] -= k
-            segment = remaining[at] - drain
+            counts[hit] -= k
+            segment = remaining[hit] - drain
             np.maximum(segment, zero, out=segment)
-            remaining[at] = segment
+            remaining[hit] = segment
 
         self._rounds.inc(len(log))
         self._rounds_replayed.inc(mark)
-        self._rounds_memoised.inc(memoised)
         self._resume = len(log)
         self._bind_fill = used, capacity, remaining
-        return memoised, searched_from
+        return searched_from

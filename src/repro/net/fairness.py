@@ -8,10 +8,11 @@ fair allocation when every flow is backlogged.  The fluid simulator
 active flows changes.
 
 The algorithm is the classic progressive-filling / water-filling procedure:
-repeatedly find the most constrained link (smallest equal share among its
-unfrozen flows), freeze every unfrozen flow crossing it at that share, remove
-the consumed capacity, and iterate.  Every flow is a bulk transfer: nothing
-but the links it crosses limits its rate.
+repeatedly find the least equal share among the links' unfrozen flows (the
+*level*), freeze every unfrozen flow crossing a link at that share, each
+once and all at the level, remove the consumed capacity, and iterate.
+Every flow is a bulk transfer: nothing but the links it crosses limits its
+rate.
 
 The solver is :class:`~repro.net.alloc.IncrementalAllocator`.  This module
 holds what it shares with its callers: the :class:`FlowDemand` record,
@@ -31,6 +32,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.net.alloc import _distinct, csr_gather
 from repro.net.fluid import _BYTE_EPS, _TIME_EPS
 
 
@@ -219,29 +221,25 @@ def probe_rates_under_load(
     One progressive filling of the *background alone* answers all of them.
     Before its round ``r`` let ``rem[l]`` / ``cnt[l]`` be link ``l``'s
     headroom and unfrozen flow count (a link no background flow crosses has
-    its capacity and 0) and ``(level, link)`` the round's bottleneck: the
-    least ``(rem / cnt, l)``, shares first, link index on ties.  A probe
-    crossing links ``P`` freezes at the first round where ``min over l in P
-    of (rem[l] / (cnt[l] + 1), l) <= (level, link)`` — a last round
-    ``(inf, -)`` catches the rest — at that minimum share.  Why: until
-    then every probe link's share, probe counted, loses to ``(level,
-    link)``, so ``link`` is not a probe link; the fill of background +
-    probe picks the same bottleneck at the same share, freezes the same
-    batch and drains the same ``k * level`` (an unfrozen probe drains
-    nothing), which leaves ``rem`` / ``cnt`` those of the background-only
-    fill.  At that round the least share of all is on a probe link, and
-    every unfrozen flow on it, the probe among them, freezes there.  The
-    link index must be the true one even on links a probe has to itself:
-    equal capacities tie all the time (every host link of a tree), and
-    which of two tied links goes first decides the batch, hence the order
-    of the drains, hence the last bit of later levels.
+    its capacity and 0) and ``level`` the least ``rem / cnt``; the round
+    freezes the unfrozen flows of every link at ``level``.  A probe
+    crossing links ``P`` freezes at the first round where its *offer*
+    ``min over l in P of rem[l] / (cnt[l] + 1)`` is ``<= level`` — a last
+    round at ``inf`` catches the rest — at its offer.  Why: until then
+    every probe link's share, probe counted, is above ``level``, so no
+    probe link is at the level; the fill of background + probe has the
+    same level and the same links at it, freezes the same batch and drains
+    the same ``k * level`` (an unfrozen probe drains nothing), which leaves
+    ``rem`` / ``cnt`` those of the background-only fill.  At that round the
+    least share of all is the offer, on a probe link, and every unfrozen
+    flow on a link at it, the probe among them, freezes there.
 
     The arithmetic is :class:`~repro.net.alloc.IncrementalAllocator`'s, so
     the rates equal a solve of each problem bit for bit: ``rem / cnt`` with
-    the probe counted, the lowest link index among equal shares, the fused
-    ``max(rem - k * level, 0)`` per drained link.  A round costs O(batch x
-    path + links the background uses + unfrozen probes x path); nothing of
-    size probes x links is built.
+    the probe counted, one round per level, the fused ``max(rem - k *
+    level, 0)`` per drained link.  A round costs O(batch x path + links the
+    background uses + unfrozen probes x path); nothing of size probes x
+    links is built.
     """
     n_links = capacity.shape[0]
     for rows in (background, probes):
@@ -257,8 +255,7 @@ def probe_rates_under_load(
     waiting = np.arange(probes.shape[0])  # the probes no round has frozen yet
     rows = probes
 
-    # The background's state covers the links it uses only, ascending by
-    # link index (``argmin`` returns the first of equal shares); ``members``
+    # The background's state covers the links it uses only; ``members``
     # lists each of those links' flows, link after link.
     crossed = background >= 0
     used, at = np.unique(background[crossed], return_inverse=True)
@@ -266,8 +263,7 @@ def probe_rates_under_load(
     at_rows[crossed] = at
     members = crossed.nonzero()[0][at.argsort(kind="stable")]
     sizes = np.bincount(at, minlength=used.shape[0])
-    ends = sizes.cumsum()
-    starts = ends - sizes
+    starts = sizes.cumsum() - sizes
     counts = sizes.astype(np.float64)
     remaining = capacity[used]
     offer[used] = remaining / (counts + 1.0)
@@ -279,24 +275,21 @@ def probe_rates_under_load(
         # (Masked: a link whose flows are all frozen would divide 0 by 0.)
         shares.fill(np.inf)
         np.divide(remaining, counts, out=shares, where=counts > 0)
-        bottleneck = int(shares.argmin())
-        level = shares[bottleneck]
+        level = shares.min()
         if level == np.inf:
             break  # nothing finite constrains the flows that are left
         if waiting.shape[0]:
-            offered = offer[rows]
-            best = offered.min(axis=1)
-            freeze = best < level
-            tied = (best == level).nonzero()[0]
-            if tied.shape[0]:
-                lowest = np.where(offered[tied] == level, rows[tied], n_links)
-                freeze[tied] = lowest.min(axis=1) <= used[bottleneck]
+            best = offer[rows].min(axis=1)
+            freeze = best <= level
             if freeze.any():
                 rates[waiting[freeze]] = best[freeze]
                 waiting = waiting[~freeze]
                 rows = rows[~freeze]
-        batch = members[starts[bottleneck] : ends[bottleneck]]
+        tied = (shares == level).nonzero()[0]
+        batch = members[csr_gather(starts[tied], sizes[tied])]
         batch = batch[~frozen[batch]]
+        if tied.shape[0] > 1:
+            batch = _distinct(batch)
         frozen[batch] = True
         left -= batch.shape[0]
         rounds += 1

@@ -59,6 +59,11 @@ BINDING = "tests/test_alloc_binding.py::"
 LAYOUT = "tests/test_topology.py::test_the_tree_is_the_hand_built_copy_link_for_link"
 TABLE_READ = "tests/test_route_table.py::test_the_table_read_is_the_routed_minimum"
 LOCKSTEP = "tests/test_lockstep.py::"
+RELABEL = "tests/test_level_rule.py::test_rates_do_not_depend_on_how_links_are_numbered"
+ONE_RULE = (
+    "tests/test_scale.py::TestOneBottleneckRule::"
+    "test_full_scalar_full_vector_and_live_solves_are_equal"
+)
 WORK = "tests/test_work_counts.py::"
 GREEDY_RUNS = (
     "tests/test_admission_arrays.py::TestGreedyAgainstScalarAlgorithm1::"
@@ -786,6 +791,48 @@ MUTANTS: Tuple[Mutant, ...] = (
         "        return ((0.0 + allocator.solve_slots()[slots] * duration) / duration).tolist()\n",
         "        return allocator.solve_slots()[slots].tolist()\n",
         ("tests/test_netperf.py::test_netperf_numbers_are_pinned",),
+    ),
+    # ------------------------------------------------- one round per level
+    Mutant(
+        "the array fill freezes only the first link at the level",
+        ALLOC,
+        "            tied = used[(shares == level).nonzero()[0]]\n",
+        "            tied = used[(shares == level).nonzero()[0][:1]]\n",
+        (
+            BINDING + "test_a_link_saturated_at_a_tie_is_in_b",
+            RELABEL,
+        ),
+    ),
+    Mutant(
+        "the array fill's union keeps a flow twice",
+        ALLOC,
+        "            if tied.shape[0] > 1:\n                batch = _distinct(batch)\n",
+        "",
+        (
+            "tests/test_alloc_resume.py::test_replay_corner_cases_match_a_fresh_fill",
+            RELABEL,
+        ),
+    ),
+    Mutant(
+        "the probe fill's union keeps a flow twice",
+        "src/repro/net/fairness.py",
+        "        if tied.shape[0] > 1:\n            batch = _distinct(batch)\n",
+        "",
+        ("tests/test_snapshot_invariants.py::test_a_worked_example", RELABEL),
+    ),
+    Mutant(
+        "the heap fill stops its tie scan after the first link",
+        ALLOC,
+        "                        elif key != level:\n                            break\n",
+        "                        else:\n                            break\n",
+        (RELABEL, ONE_RULE),
+    ),
+    Mutant(
+        "a probe at the level waits for the next round",
+        "src/repro/net/fairness.py",
+        "            freeze = best <= level\n",
+        "            freeze = best < level\n",
+        (RELABEL,),
     ),
     # ------------------------------------------------- the §6.1 analysis
     Mutant(

@@ -292,10 +292,10 @@ def test_a_member_that_crosses_two_binding_links_refuses():
 
 
 def test_a_link_saturated_at_a_tie_is_in_b(monkeypatch):
-    """The fill takes h1, then h2 over t at a tie (both shares 2, t has the
-    higher index): two rounds, t no bottleneck but saturated.  t is in B all
-    the same, so a crosses two links of B and a2's removal is refused; a
-    stays at 2."""
+    """h1, h2 and t all share 2: the fill freezes every flow in one round
+    at that level, and t, on which no flow is alone, is saturated with the
+    others.  t is in B, so a crosses two links of B and a2's removal is
+    refused; a stays at 2."""
     force_solves(monkeypatch, True)
     caps = {"h1": 4.0, "h2": 2.0, "t": 4.0}
     demands = {
@@ -305,7 +305,7 @@ def test_a_link_saturated_at_a_tie_is_in_b(monkeypatch):
     }
     live = _Live(caps, demands)
     assert live.rate("a") == live.rate("b") == 2.0
-    assert [entry[0] for entry in live.live._round_log] == [2.0, 2.0]
+    assert [entry[0] for entry in live.live._round_log] == [2.0]
     live.remove(["a2"])
     delta = live.settle("a2 leaves")
     assert delta["binding_refusals"] == 1 and live.rate("a") == 2.0

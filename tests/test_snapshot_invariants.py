@@ -208,15 +208,18 @@ def test_a_flow_a_hair_below_its_bottleneck_has_none():
 
 
 def test_a_worked_example():
-    """Background: one flow on links 0 and 3, one on link 1 — it fills in
-    two rounds, both at 4.  A probe over links 0 and 1 halves either (the
-    lower index freezes it); one that has link 2 to itself gets it whole,
-    tied with the first round's level; one on link 3 gets what is left."""
-    capacity = np.array([4.0, 4.0, 2.0, 9.0])
-    background = np.array([[0, 3], [1, -1]])
-    probes = np.array([[0, 1, -1], [1, 2, -1], [3, -1, -1], [2, -1, -1]])
+    """Background: one flow on links 0, 1 and 3, one on link 3 alone.  Links
+    0 and 1 both share 4, so the first round freezes the first flow, once,
+    at that level; the second freezes at 11 in a second round.  A probe
+    over links 0 and 1 halves both; one over links 1 and 2 gets 2 on
+    either; one on link 3 gets half of what the first round leaves there;
+    one that has link 4 to itself offers exactly the first level and
+    freezes in that round."""
+    capacity = np.array([4.0, 4.0, 2.0, 15.0, 4.0])
+    background = np.array([[0, 1, 3], [3, -1, -1]])
+    probes = np.array([[0, 1, -1], [1, 2, -1], [3, -1, -1], [2, -1, -1], [4, -1, -1]])
     rates, rounds = probe_rates_under_load(capacity, background, probes)
-    assert rates.tolist() == [2.0, 2.0, 5.0, 2.0] and rounds == 2
+    assert rates.tolist() == [2.0, 2.0, 5.5, 2.0, 4.0] and rounds == 2
 
 
 @pytest.mark.parametrize(

@@ -780,3 +780,15 @@ def test_a_topology_is_built_from_its_spec_alone():
 
     assert identifiers_left(DELETED_GRAPH_NAMES) == [] and not hasattr(Topology, "freeze")
     assert list(inspect.signature(Topology).parameters) == ["spec", "name"]
+
+
+# ------------------------------------------------------ one round per level
+def test_no_fill_keeps_a_freeze_batch_memo():
+    """Every max-min fill freezes all links at the least share in one
+    round, so no fill keeps a per-link memo of its batches, counts the
+    rounds one served, or traces them."""
+    sources = {
+        name: inspect.getsource(importlib.import_module(name)) for name in MODULES
+    }
+    gone = re.compile(r"_batch_memo|rounds_memoised|memoised=")
+    assert [name for name, source in sources.items() if gone.search(source)] == []

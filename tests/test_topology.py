@@ -3,8 +3,9 @@
 The tree's link ids, capacities, hosts, racks and routes are held to a copy
 laid out link by link in the order an editable graph had them added
 (``oracles.graph_search.tree_layout``) and routed by graph search; the
-allocator breaks ties on the lowest link index, so the order is part of
-every result.  A ``TreeSpec`` refuses a capacity that is no positive number.
+order fixes every link's index in the rows a route hands the allocator
+(though no rate depends on it: ``tests/test_level_rule.py``).  A
+``TreeSpec`` refuses a capacity that is no positive number.
 """
 
 import itertools

@@ -30,8 +30,9 @@ n / 4 hoses and one shared core link), a fixed pattern of batch adds and
 removal-only steps costs the same number of solves at every size (its
 ``solver_stats()``): a removal step is served on the links that bind
 until the core runs out of headroom, and after that each one is one full
-solve that replays the rounds of the hoses no removal touched.  Only the
-rounds grow, one per saturated link, as the hoses do.
+solve that replays the rounds of the hoses no removal touched.  The rounds
+stay flat too: a round is a level, and the hoses come in eight capacity
+classes, so every hose of a class freezes in the same round.
 """
 
 import dataclasses
@@ -332,28 +333,24 @@ def churn_work(n_flows):
 def test_the_allocator_under_churn_solves_as_often_at_every_size():
     family = {n: churn_work(n) for n in CHURN_FLOWS}
     for n, stats in family.items():
-        k = n // 4
         # Three removal steps are served on the links that bind; the fourth
         # would leave the core without headroom and is refused, and so are
         # the two after the add.
         assert [s["binding_solves"] for s in stats] == [0, 1, 2, 3, 3, 3, 3, 3], n
         assert [s["binding_refusals"] for s in stats] == [0, 0, 0, 0, 1, 1, 2, 3], n
         assert [s["full_solves"] for s in stats] == [1, 1, 1, 1, 2, 3, 4, 5], n
-        # A full solve searches or replays one round per saturated link:
-        # the k hoses, and the core once it binds.  A refused removal step
-        # replays the rounds below the first its removals touched: half of
-        # the hoses, the four lower classes.
-        assert [s["rounds"] for s in stats] == [
-            k, k, k, k, 2 * k + 1, 3 * k + 1, 4 * k + 2, 5 * k + 3,
-        ], n
-        assert [s["rounds_replayed"] for s in stats] == [
-            0, 0, 0, 0, k // 2, k // 2, k, 3 * k // 2,
-        ], n
-    # Growth per doubling of the flows: solves flat, rounds x2.
-    assert [family[n][-1]["rounds"] for n in CHURN_FLOWS] == [643, 1283, 2563]
-    assert [family[n][-1]["rounds_memoised"] for n in CHURN_FLOWS] == [48, 96, 192]
+        # A full solve searches or replays one round per level: the k / 8
+        # hoses of a class, at one member count, share one.  So the first
+        # solve and the one after the add take eight rounds, one a class,
+        # and a refused removal step nine: the four lower classes' rounds,
+        # replayed (the first its removals touched is the fifth), then five
+        # levels among the upper classes and the core, which binds.
+        assert [s["rounds"] for s in stats] == [8, 8, 8, 8, 17, 25, 34, 43], n
+        assert [s["rounds_replayed"] for s in stats] == [0, 0, 0, 0, 4, 4, 8, 12], n
+    # Growth per doubling of the flows: solves flat, rounds flat.
+    assert [family[n][-1]["rounds"] for n in CHURN_FLOWS] == [43, 43, 43]
     # The exact counts at one size.
     assert family[1024][-1] == {
-        "full_solves": 5, "rounds": 1283, "rounds_replayed": 384, "rounds_memoised": 96,
+        "full_solves": 5, "rounds": 43, "rounds_replayed": 12,
         "binding_solves": 3, "binding_refusals": 3,
     }
